@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/jit"
-	"repro/internal/machine"
 	"repro/internal/perflab"
 	"repro/internal/server"
 )
@@ -184,28 +183,23 @@ func BenchmarkAblationRCESinking(b *testing.B) {
 	b.ReportMetric(float64(withoutRC-withRC), "rc-ops-eliminated")
 }
 
-// BenchmarkMachineExec measures raw host dispatch throughput (PR 8):
+// BenchmarkMachineExec measures raw host dispatch throughput:
 // wall-clock time per request through a fully warmed region JIT, with
-// dispatch fusion off (classic per-instruction accounting + switch),
-// on (superinstructions + per-run cycle settlement), and on with the
-// indirect handler table instead of the switch. Guest cycles are
-// identical in all three; ns/op is the host-side difference.
+// dispatch fusion off (classic per-instruction accounting) and on
+// (superinstructions + per-run cycle settlement). Guest cycles are
+// identical in both; ns/op is the host-side difference.
 func BenchmarkMachineExec(b *testing.B) {
 	variants := []struct {
-		name     string
-		fused    bool
-		handlers bool
+		name  string
+		fused bool
 	}{
-		{"unfused", false, false},
-		{"fused", true, false},
-		{"fused-handler-table", true, true},
+		{"unfused", false},
+		{"fused", true},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			cfg := jit.DefaultConfig()
 			cfg.FuseDispatch = v.fused
-			machine.SetHandlerTable(v.handlers)
-			defer machine.SetHandlerTable(false)
 			eng, eps, err := perflab.NewEngine(cfg)
 			if err != nil {
 				b.Fatal(err)

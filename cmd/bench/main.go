@@ -3,19 +3,20 @@
 //
 // Usage:
 //
-//	bench -exp fig8|fig9|fig10|fig11|jumpstart|scale|host|chain|shapes|faults|verify|fleet|all
+//	bench -exp fig8|fig9|fig10|fig11|jumpstart|scale|chain|shapes|faults|verify|fleet|all
 //	      [-quick] [-no-shapes] [-workers N] [-json path] [-cpuprofile path] [-memprofile path]
 //
-// -exp also accepts a comma-separated list (e.g. -exp scale,host).
+// -exp also accepts a comma-separated list (e.g. -exp chain,shapes).
 // With -json, the rows of the machine-readable experiments (fig8,
-// scale, host, chain, shapes, faults, and fleet) are also written to the
-// given path as a JSON document, so CI can archive guest-cycles/req
-// plus wall-clock host timings, smashed-vs-dispatched bind counts,
-// fault-containment counters, and the fleet scenarios'
-// warmup/capacity/shedding metrics across runs. -cpuprofile and
-// -memprofile write pprof profiles of whatever experiments ran —
-// the supported way to see where the simulated machine actually
-// spends host time (go tool pprof).
+// scale, chain, shapes, faults, verify, and fleet) are also written
+// to the given path as one JSON document, so CI can archive
+// guest-cycles/req, smashed-vs-dispatched bind counts, fault-
+// containment and verification counters, and the fleet scenarios'
+// warmup/capacity/shedding metrics across runs. Host time per request
+// is not measured here: that is the ledger's `req_host_ns`
+// (go run ./benchmarks, see benchmarks/README.md). -cpuprofile and
+// -memprofile write pprof profiles of whatever experiments ran
+// (go tool pprof).
 package main
 
 import (
@@ -35,22 +36,21 @@ import (
 // jsonReport is the -json output document. Only the experiments that
 // actually ran appear; the rest stay null.
 type jsonReport struct {
-	Fig8   []experiments.Fig8Row             `json:"fig8,omitempty"`
-	Scale  []experiments.ScalingRow          `json:"scale,omitempty"`
-	Host   *experiments.HostThroughputResult `json:"host,omitempty"`
-	Chain  []experiments.ChainRow            `json:"chain,omitempty"`
-	Shapes *experiments.ShapesResult         `json:"shapes,omitempty"`
-	Faults *experiments.FaultsResult         `json:"faults,omitempty"`
-	Fleet  *experiments.FleetResult          `json:"fleet,omitempty"`
-	Verify *experiments.VerifyResult         `json:"verify,omitempty"`
+	Fig8   []experiments.Fig8Row     `json:"fig8,omitempty"`
+	Scale  []experiments.ScalingRow  `json:"scale,omitempty"`
+	Chain  []experiments.ChainRow    `json:"chain,omitempty"`
+	Shapes *experiments.ShapesResult `json:"shapes,omitempty"`
+	Faults *experiments.FaultsResult `json:"faults,omitempty"`
+	Fleet  *experiments.FleetResult  `json:"fleet,omitempty"`
+	Verify *experiments.VerifyResult `json:"verify,omitempty"`
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment (or comma-separated list): fig8, fig9, fig10, fig11, jumpstart, scale, host, chain, shapes, faults, verify, fleet, all")
+	exp := flag.String("exp", "all", "experiment (or comma-separated list): fig8, fig9, fig10, fig11, jumpstart, scale, chain, shapes, faults, verify, fleet, all")
 	quick := flag.Bool("quick", false, "reduced warmup/measurement volume")
 	noShapes := flag.Bool("no-shapes", false, "disable typed object shapes in every experiment config")
 	workers := flag.Int("workers", 4, "worker count for the scale experiment (compared against 1)")
-	jsonPath := flag.String("json", "", "also write machine-readable results (fig8, scale, host, chain, faults, fleet) to this path")
+	jsonPath := flag.String("json", "", "also write machine-readable results (fig8, scale, chain, shapes, faults, verify, fleet) to this path")
 	faultSeed := flag.Int64("fault-seed", 1, "deterministic seed for the faults experiment")
 	faultRate := flag.Float64("fault-rate", 0.01, "per-draw injection probability for the faults experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this file")
@@ -157,22 +157,6 @@ func main() {
 		}
 		experiments.ReportScaling(os.Stdout, rows)
 		report.Scale = rows
-		return nil
-	})
-	run("host", func(pc perflab.Config) error {
-		res, err := experiments.HostThroughput(pc)
-		if err != nil {
-			return err
-		}
-		experiments.ReportHostThroughput(os.Stdout, res)
-		report.Host = res
-		// Regression gate: fused dispatch must never cost more than
-		// 10% over classic dispatch on the same host (it should be
-		// strictly faster; the slack absorbs shared-runner noise).
-		if res.FusedNsPerReq > 1.10*res.UnfusedNsPerReq {
-			return fmt.Errorf("fused dispatch regressed: %.0f ns/req vs %.0f unfused (>10%% budget)",
-				res.FusedNsPerReq, res.UnfusedNsPerReq)
-		}
 		return nil
 	})
 	run("chain", func(pc perflab.Config) error {

@@ -41,7 +41,7 @@ func main() {
 	flag.BoolVar(&cfg.DisableShed, "no-shed", cfg.DisableShed, "disable overload shedding (hosts can die)")
 	flag.Float64Var(&cfg.ShedRatio, "shed-ratio", cfg.ShedRatio, "assigned/capacity ratio that triggers shedding")
 	flag.Float64Var(&cfg.DeathBacklog, "death-backlog", cfg.DeathBacklog, "backlog/capacity ratio that kills an unprotected host")
-	flag.IntVar(&cfg.CompileWorkers, "compile-workers", cfg.CompileWorkers, "per-host JIT backend compile goroutines (0/1 = serial)")
+	flag.IntVar(&cfg.JIT.CompileWorkers, "compile-workers", cfg.JIT.CompileWorkers, "per-host goroutines the optimizing backend fans over (0/1 = one)")
 	flag.Float64Var(&cfg.VerifySample, "verify-sample", cfg.VerifySample, "per-host fraction of requests re-executed on a shadow interpreter and cross-checked (0 disables)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulation to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file after the simulation")

@@ -8,7 +8,7 @@
 //	hhvm [-mode interp|tracelet|profiling|region] [-requests N]
 //	     [-stats] [-disas] [-prof-dump file] [-prof-load file]
 //	     [-fault-rate P] [-fault-seed N] [-compile-workers N]
-//	     [-no-fuse] [-no-shapes] [-verify-sample P] file.php
+//	     [-no-shapes] [-verify-sample P] file.php
 //
 // -prof-load jumpstarts the engine from a profile snapshot before the
 // first request; -prof-dump persists the profile after the last one
@@ -37,6 +37,7 @@ import (
 )
 
 func main() {
+	cfg := jit.DefaultConfig()
 	mode := flag.String("mode", "region", "execution mode: interp, tracelet, profiling, region")
 	requests := flag.Int("requests", 1, "number of times to run the program (same engine; warms the JIT)")
 	stats := flag.Bool("stats", false, "print JIT and heap statistics after the run")
@@ -46,8 +47,7 @@ func main() {
 	profLoad := flag.String("prof-load", "", "jumpstart from a profile snapshot before the first request")
 	faultRate := flag.Float64("fault-rate", 0, "arm the fault injector at this probability per draw (0 disables)")
 	faultSeed := flag.Int64("fault-seed", 1, "deterministic seed for the fault injector")
-	compileWorkers := flag.Int("compile-workers", 0, "fan the optimizing backend over this many goroutines (0/1 = serial)")
-	noFuse := flag.Bool("no-fuse", false, "disable dispatch fusion (superinstructions + per-run cycle settlement)")
+	flag.IntVar(&cfg.CompileWorkers, "compile-workers", cfg.CompileWorkers, "goroutines the optimizing backend fans over (0/1 = one)")
 	noShapes := flag.Bool("no-shapes", false, "disable typed object shapes (shape guards + property inline caches)")
 	verifySample := flag.Float64("verify-sample", 0, "re-execute this fraction of requests on a shadow interpreter and cross-check (0 disables; also arms the code-cache integrity auditor)")
 	flag.Parse()
@@ -74,7 +74,6 @@ func main() {
 		return
 	}
 
-	cfg := jit.DefaultConfig()
 	switch *mode {
 	case "interp":
 		cfg.Mode = jit.ModeInterp
@@ -90,8 +89,6 @@ func main() {
 	if *trigger != 0 {
 		cfg.ProfileTrigger = *trigger
 	}
-	cfg.CompileWorkers = *compileWorkers
-	cfg.FuseDispatch = !*noFuse
 	cfg.EnableShapes = !*noShapes
 	if *faultRate > 0 {
 		cfg.Faults = faultinject.New(faultinject.EnableAll(*faultSeed, *faultRate))
@@ -164,10 +161,8 @@ func main() {
 			st.ShapeGuards, st.ShapeGuardFails, st.PropICHits, st.PropICMisses, st.PropICMega, st.GenericPropCalls)
 		fmt.Fprintf(os.Stderr, "heap:         %d increfs, %d decrefs, %d destructors, %d COW copies\n",
 			hs.IncRefs, hs.DecRefs, hs.Destructs, hs.CowCopies)
-		if *compileWorkers > 1 {
-			fmt.Fprintf(os.Stderr, "leases:       %d acquires, %d waits, %d steals; peak compile parallelism %d\n",
-				st.LeaseAcquires, st.LeaseWaits, st.LeaseSteals, st.PeakCompileParallelism)
-		}
+		fmt.Fprintf(os.Stderr, "leases:       %d acquires, %d waits, %d steals; peak compile parallelism %d\n",
+			st.LeaseAcquires, st.LeaseWaits, st.LeaseSteals, st.PeakCompileParallelism)
 		if *faultRate > 0 {
 			fmt.Fprintf(os.Stderr, "self-healing: %d injections fired, %d faults contained, %d quarantined, %d demoted, %d recycle runs, degrade level %d\n",
 				cfg.Faults.TotalFired(), st.TransFaults, st.Quarantined, st.Demotions, st.RecycleRuns, st.DegradeLevel)

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/hhbc"
 	"repro/internal/jit"
 	"repro/internal/jumpstart"
 	"repro/internal/vm"
@@ -41,6 +42,52 @@ func interpRefs(t *testing.T, unit *core.Engine, eps []workload.Endpoint) map[st
 		ref[ep.Name] = sb.String()
 	}
 	return ref
+}
+
+// serveConcurrently runs rounds passes over every endpoint on each of
+// `workers` VMs sharing eng's JIT, comparing each output with ref.
+// Workers start at staggered endpoints so they are minting different
+// functions at the same moment. Returns the first failure.
+func serveConcurrently(eng *core.Engine, unit *hhbc.Unit, eps []workload.Endpoint,
+	ref map[string]string, workers, rounds int) error {
+
+	ws := make([]*vm.VM, workers)
+	ws[0] = eng.VM
+	for i := 1; i < workers; i++ {
+		ws[i] = eng.NewWorker(io.Discard)
+	}
+	var wg sync.WaitGroup
+	errCh := make(chan error, workers)
+	for i, v := range ws {
+		wg.Add(1)
+		go func(v *vm.VM, first int) {
+			defer wg.Done()
+			for n := 0; n < rounds*len(eps); n++ {
+				ep := eps[(first+n)%len(eps)]
+				fn, ok := unit.FuncByName(workload.EndpointFunc(ep.Name))
+				if !ok {
+					errCh <- fmt.Errorf("endpoint %s: missing function", ep.Name)
+					return
+				}
+				var sb strings.Builder
+				v.SetOut(&sb)
+				val, err := v.CallFunc(fn, nil, nil)
+				if err != nil {
+					errCh <- fmt.Errorf("endpoint %s: %v", ep.Name, err)
+					return
+				}
+				v.Heap.DecRef(val)
+				if sb.String() != ref[ep.Name] {
+					errCh <- fmt.Errorf("endpoint %s: output diverged:\n got %q\nwant %q",
+						ep.Name, sb.String(), ref[ep.Name])
+					return
+				}
+			}
+		}(v, i*len(eps)/workers)
+	}
+	wg.Wait()
+	close(errCh)
+	return <-errCh
 }
 
 // TestFaultContainmentConcurrent hammers a shared JIT with four
@@ -70,48 +117,8 @@ func TestFaultContainmentConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const workers = 4
-	const rounds = 25
-	ws := make([]*vm.VM, workers)
-	ws[0] = eng.VM
-	for i := 1; i < workers; i++ {
-		ws[i] = eng.NewWorker(io.Discard)
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(v *vm.VM) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for _, ep := range eps {
-					fn, ok := unit.FuncByName(workload.EndpointFunc(ep.Name))
-					if !ok {
-						errCh <- fmt.Errorf("endpoint %s: missing function", ep.Name)
-						return
-					}
-					var sb strings.Builder
-					v.SetOut(&sb)
-					val, err := v.CallFunc(fn, nil, nil)
-					if err != nil {
-						errCh <- fmt.Errorf("endpoint %s: %v", ep.Name, err)
-						return
-					}
-					v.Heap.DecRef(val)
-					if sb.String() != ref[ep.Name] {
-						errCh <- fmt.Errorf("endpoint %s: output diverged under fault injection:\n got %q\nwant %q",
-							ep.Name, sb.String(), ref[ep.Name])
-						return
-					}
-				}
-			}
-		}(ws[i])
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
+	if err := serveConcurrently(eng, unit, eps, ref, 4, 25); err != nil {
+		t.Fatalf("under fault injection: %v", err)
 	}
 
 	st := eng.Stats()
@@ -201,6 +208,66 @@ func TestRecycleReopensMinting(t *testing.T) {
 	}
 	if st.LiveTranslations == 0 {
 		t.Error("no live translations resident — minting did not resume")
+	}
+}
+
+// TestRecycleUnderConcurrentMinting is the interleaving the global
+// compile mutex used to hide: four workers mint translations of
+// different functions at once — each under its own function's lease —
+// into a cache a third the size of the workload's footprint, so
+// placeCode's alloc → recycle → alloc sequences overlap with each
+// other and with other workers' allocations. Outputs must match the
+// interpreter, recycling must actually run, and the cache's byte
+// accounting must stay exact (no clamped frees).
+func TestRecycleUnderConcurrentMinting(t *testing.T) {
+	src, eps := workload.Combined()
+	unit, err := core.Compile(src, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refEng, err := core.NewEngine(unit, jit.Config{Mode: jit.ModeInterp}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := interpRefs(t, refEng, eps)
+
+	for _, mode := range []jit.Mode{jit.ModeTracelet, jit.ModeProfiling} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := jit.DefaultConfig()
+			cfg.Mode = mode
+			probe, err := core.NewEngine(unit, cfg, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := serveConcurrently(probe, unit, eps, ref, 1, 4); err != nil {
+				t.Fatal(err)
+			}
+			footprint := probe.Stats().BytesLive + probe.Stats().BytesProfiling
+			if footprint == 0 {
+				t.Fatal("probe minted no code")
+			}
+
+			cfg.CodeCacheLimit = footprint / 3
+			eng, err := core.NewEngine(unit, cfg, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := serveConcurrently(eng, unit, eps, ref, 4, 4); err != nil {
+				t.Fatalf("under cache pressure: %v", err)
+			}
+			st := eng.Stats()
+			if st.RecycleRuns < 2 {
+				t.Errorf("recycling ran %d times, want repeated episodes", st.RecycleRuns)
+			}
+			if n := eng.VM.JIT.Cache.FreeUnderflows(); n != 0 {
+				t.Errorf("%d frees exceeded their area's allocated bytes", n)
+			}
+			if st.LeaseAcquires == 0 {
+				t.Error("no lease acquisitions recorded")
+			}
+			t.Logf("recycle runs=%d evictions=%d cache-full events=%d lease waits=%d degrade=%d",
+				st.RecycleRuns, st.Evictions, st.CacheFullEvents, st.LeaseWaits, st.DegradeLevel)
+		})
 	}
 }
 

@@ -1,26 +1,22 @@
 package core_test
 
 import (
-	"fmt"
 	"io"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/jit"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
 // TestLeaseStressConcurrentMinting exercises the per-function
-// translation leases (PR 8) under -race: with CompileWorkers > 1 the
-// global compile mutex is gone, so four worker VMs race to mint
-// tracelets of different functions in parallel while the background
-// optimizer acquires writer leases for its batch — stealing them from
-// queued minting workers — and republishes the index mid-traffic.
-// Every request's output must still match the interpreter's.
+// translation leases under -race: four worker VMs race to mint
+// translations of different functions in parallel while the
+// background optimizer acquires writer leases for its batch — stealing
+// them from queued minting workers — and republishes the index
+// mid-traffic. Every request's output must still match the
+// interpreter's.
 func TestLeaseStressConcurrentMinting(t *testing.T) {
 	src, eps := workload.Combined()
 	unit, err := core.Compile(src, core.CompileOptions{})
@@ -28,22 +24,11 @@ func TestLeaseStressConcurrentMinting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference outputs from a pure interpreter.
 	refEng, err := core.NewEngine(unit, jit.Config{Mode: jit.ModeInterp}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := map[string]string{}
-	for _, ep := range eps {
-		var sb strings.Builder
-		refEng.VM.SetOut(&sb)
-		val, err := refEng.Call(workload.EndpointFunc(ep.Name))
-		if err != nil {
-			t.Fatalf("reference %s: %v", ep.Name, err)
-		}
-		refEng.Heap().DecRef(val)
-		ref[ep.Name] = sb.String()
-	}
+	ref := interpRefs(t, refEng, eps)
 
 	cfg := jit.DefaultConfig()
 	cfg.ProfileTrigger = 300 // fire the global trigger mid-run
@@ -54,48 +39,8 @@ func TestLeaseStressConcurrentMinting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const workers = 4
-	const rounds = 40
-	ws := make([]*vm.VM, workers)
-	ws[0] = eng.VM
-	for i := 1; i < workers; i++ {
-		ws[i] = eng.NewWorker(io.Discard)
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(v *vm.VM) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for _, ep := range eps {
-					fn, ok := unit.FuncByName(workload.EndpointFunc(ep.Name))
-					if !ok {
-						errCh <- fmt.Errorf("endpoint %s: missing function", ep.Name)
-						return
-					}
-					var sb strings.Builder
-					v.SetOut(&sb)
-					val, err := v.CallFunc(fn, nil, nil)
-					if err != nil {
-						errCh <- fmt.Errorf("endpoint %s: %v", ep.Name, err)
-						return
-					}
-					v.Heap.DecRef(val)
-					if sb.String() != ref[ep.Name] {
-						errCh <- fmt.Errorf("endpoint %s: output diverged under lease contention:\n got %q\nwant %q",
-							ep.Name, sb.String(), ref[ep.Name])
-						return
-					}
-				}
-			}
-		}(ws[i])
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
+	if err := serveConcurrently(eng, unit, eps, ref, 4, 40); err != nil {
+		t.Fatalf("under lease contention: %v", err)
 	}
 
 	// Wait for the republish the trigger started.
@@ -118,10 +63,11 @@ func TestLeaseStressConcurrentMinting(t *testing.T) {
 }
 
 // TestParallelOptimizePublishesIdenticalCode checks the determinism
-// contract of the parallel optimizer: fanning backend compiles over N
-// workers must publish exactly the same translations — same code
-// bytes, same addresses — as the serial path, because placement stays
-// sequential in function-sorted order.
+// contract of the optimizer: however many workers the backend
+// compiles fan over (0 and 1 both mean one), exactly the same
+// translations are published — same code bytes, same addresses, same
+// guest cycles — because placement is sequential in function-sorted
+// order.
 func TestParallelOptimizePublishesIdenticalCode(t *testing.T) {
 	run := func(compileWorkers int) (jit.Stats, uint64) {
 		src, eps := workload.Combined()
@@ -151,18 +97,20 @@ func TestParallelOptimizePublishesIdenticalCode(t *testing.T) {
 		return eng.Stats(), eng.Cycles()
 	}
 
-	serial, serialCycles := run(1)
-	parallel, parallelCycles := run(4)
-	if serial.OptimizedTranslations != parallel.OptimizedTranslations {
-		t.Errorf("optimized translations differ: serial=%d parallel=%d",
-			serial.OptimizedTranslations, parallel.OptimizedTranslations)
-	}
-	if serial.BytesOptimized != parallel.BytesOptimized {
-		t.Errorf("optimized code bytes differ: serial=%d parallel=%d",
-			serial.BytesOptimized, parallel.BytesOptimized)
-	}
-	if serialCycles != parallelCycles {
-		t.Errorf("guest cycle totals differ: serial=%d parallel=%d",
-			serialCycles, parallelCycles)
+	want, wantCycles := run(0)
+	for _, workers := range []int{1, 4} {
+		got, gotCycles := run(workers)
+		if got.OptimizedTranslations != want.OptimizedTranslations {
+			t.Errorf("optimized translations differ: %d with 0 workers, %d with %d",
+				want.OptimizedTranslations, got.OptimizedTranslations, workers)
+		}
+		if got.BytesOptimized != want.BytesOptimized {
+			t.Errorf("optimized code bytes differ: %d with 0 workers, %d with %d",
+				want.BytesOptimized, got.BytesOptimized, workers)
+		}
+		if gotCycles != wantCycles {
+			t.Errorf("guest cycle totals differ: %d with 0 workers, %d with %d",
+				wantCycles, gotCycles, workers)
+		}
 	}
 }

@@ -8,12 +8,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	goruntime "runtime"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/jit"
 	"repro/internal/perflab"
@@ -160,28 +158,19 @@ func fmtMinutes(m float64) string {
 
 // ---------- Worker scaling: concurrent serving throughput ----------
 
-// ScalingRow reports aggregate throughput for one worker count and
-// host-tuning setting.
+// ScalingRow reports aggregate throughput for one worker count.
 type ScalingRow struct {
 	Workers int
-	// Tuned rows run with parallel backend compiles (CompileWorkers =
-	// Workers) and dispatch fusion on; baseline rows run the serial
-	// backend with fusion off. Guest-side behavior is identical — the
-	// difference is raw host throughput.
-	Tuned bool
 	// RPM is the mean aggregate requests per simulated minute across
 	// the timeline (all workers summed).
 	RPM float64
-	// Speedup is RPM relative to the single-worker baseline row.
+	// Speedup is RPM relative to the first (single-worker) row.
 	Speedup float64
 	// WallMS is the host wall-clock time of the whole simulated run;
 	// WallRPS the requests actually executed per host wall-clock
 	// second (every simulated request runs real compiled code).
 	WallMS  float64
 	WallRPS float64
-	// WallSpeedup is WallRPS relative to the baseline row at the same
-	// worker count — the PR 8 headline (leases + fusion vs neither).
-	WallSpeedup float64
 }
 
 // Scaling replays the restart timeline with increasing worker counts
@@ -189,10 +178,7 @@ type ScalingRow struct {
 // fleet-wave window is disabled so every run is demand-capped at N×
 // the per-core steady-state rate; near-linear speedup means the
 // shared translation index and counters are not a serialization
-// point. Each worker count runs twice — baseline (serial backend,
-// fusion off) and tuned (per-function translation leases fanning the
-// backend over N goroutines, fused dispatch) — and the wall-clock
-// columns compare the two.
+// point. Each run sizes the compile-worker pool to its worker count.
 func Scaling(cfg server.Config, workerCounts []int) ([]ScalingRow, error) {
 	if cfg.Minutes == 0 {
 		cfg = server.DefaultConfig()
@@ -200,44 +186,32 @@ func Scaling(cfg server.Config, workerCounts []int) ([]ScalingRow, error) {
 	cfg.FleetWaveAt = cfg.Minutes // no overload window
 	var rows []ScalingRow
 	for _, n := range workerCounts {
-		for _, tuned := range []bool{false, true} {
-			c := cfg
-			c.Workers = n
-			if tuned {
-				c.CompileWorkers = n
-				c.JIT.FuseDispatch = true
-			} else {
-				c.CompileWorkers = 0
-				c.JIT.CompileWorkers = 0
-				c.JIT.FuseDispatch = false
-			}
-			start := time.Now()
-			res, err := server.Simulate(c)
-			wall := time.Since(start)
-			if err != nil {
-				return nil, fmt.Errorf("scaling %d workers (tuned=%v): %w", n, tuned, err)
-			}
-			var rpm, reqs float64
-			for _, s := range res.Samples {
-				reqs += s.RPSPct / 100 * res.SteadyRPS * float64(n)
-			}
-			if len(res.Samples) > 0 {
-				rpm = reqs / float64(len(res.Samples))
-			}
-			row := ScalingRow{Workers: n, Tuned: tuned, RPM: rpm,
-				WallMS: float64(wall.Nanoseconds()) / 1e6}
-			if wall > 0 {
-				row.WallRPS = reqs / wall.Seconds()
-			}
-			rows = append(rows, row)
+		c := cfg
+		c.Workers = n
+		c.JIT.CompileWorkers = n
+		start := time.Now()
+		res, err := server.Simulate(c)
+		wall := time.Since(start)
+		if err != nil {
+			return nil, fmt.Errorf("scaling %d workers: %w", n, err)
 		}
+		var rpm, reqs float64
+		for _, s := range res.Samples {
+			reqs += s.RPSPct / 100 * res.SteadyRPS * float64(n)
+		}
+		if len(res.Samples) > 0 {
+			rpm = reqs / float64(len(res.Samples))
+		}
+		row := ScalingRow{Workers: n, RPM: rpm,
+			WallMS: float64(wall.Nanoseconds()) / 1e6}
+		if wall > 0 {
+			row.WallRPS = reqs / wall.Seconds()
+		}
+		rows = append(rows, row)
 	}
 	for i := range rows {
 		if rows[0].RPM > 0 {
 			rows[i].Speedup = rows[i].RPM / rows[0].RPM
-		}
-		if rows[i].Tuned && i > 0 && rows[i-1].WallRPS > 0 {
-			rows[i].WallSpeedup = rows[i].WallRPS / rows[i-1].WallRPS
 		}
 	}
 	return rows, nil
@@ -246,152 +220,12 @@ func Scaling(cfg server.Config, workerCounts []int) ([]ScalingRow, error) {
 // ReportScaling renders the table.
 func ReportScaling(w io.Writer, rows []ScalingRow) {
 	fmt.Fprintf(w, "Worker scaling — aggregate throughput, N workers sharing one JIT\n")
-	fmt.Fprintf(w, "(tuned = parallel backend compiles under translation leases + fused dispatch)\n")
-	fmt.Fprintf(w, "%8s %9s %14s %10s %10s %12s %10s\n",
-		"workers", "variant", "req/min", "speedup", "wall ms", "wall req/s", "wall gain")
+	fmt.Fprintf(w, "%8s %14s %10s %10s %12s\n",
+		"workers", "req/min", "speedup", "wall ms", "wall req/s")
 	for _, r := range rows {
-		variant := "baseline"
-		if r.Tuned {
-			variant = "tuned"
-		}
-		gain := ""
-		if r.WallSpeedup > 0 {
-			gain = fmt.Sprintf("%9.2fx", r.WallSpeedup)
-		}
-		fmt.Fprintf(w, "%8d %9s %14.1f %9.2fx %10.0f %12.0f %10s\n",
-			r.Workers, variant, r.RPM, r.Speedup, r.WallMS, r.WallRPS, gain)
+		fmt.Fprintf(w, "%8d %14.1f %9.2fx %10.0f %12.0f\n",
+			r.Workers, r.RPM, r.Speedup, r.WallMS, r.WallRPS)
 	}
-}
-
-// ---------- Host throughput: fused dispatch wall-clock (PR 8) ----------
-
-// HostThroughputRow is one dispatch variant's steady-state wall-clock
-// cost.
-type HostThroughputRow struct {
-	Variant string
-	// HostNsPerReq is the fastest-of-three-passes wall-clock time per
-	// request through the fully warmed region JIT.
-	HostNsPerReq float64
-	// GuestCycles is the simulated cost of one steady-state round over
-	// every endpoint — must be identical across variants (fusion is
-	// guest-invisible).
-	GuestCycles uint64
-	// FusedInstrs counts superinstructions minted (0 when fusion off).
-	FusedInstrs uint64
-}
-
-// HostThroughputResult compares unfused and fused dispatch.
-type HostThroughputResult struct {
-	Rows            []HostThroughputRow
-	UnfusedNsPerReq float64
-	FusedNsPerReq   float64
-	// ImprovementPct is the host-time reduction from fusion (positive
-	// = fused is faster).
-	ImprovementPct float64
-}
-
-// HostThroughput measures raw host dispatch throughput with fusion
-// off and on: same engine configuration, same endpoints, same guest
-// cycles — the delta is the host-side cost of classic per-instruction
-// accounting versus superinstructions with per-run cycle settlement.
-// Both engines are warmed first, then timed passes alternate between
-// them (fastest pass kept per variant) so scheduler and thermal drift
-// on a shared host hits both variants equally.
-func HostThroughput(pc perflab.Config) (*HostThroughputResult, error) {
-	res := &HostThroughputResult{}
-	type variant struct {
-		eng  *core.Engine
-		eps  []workload.Endpoint
-		best float64
-	}
-	vs := make([]*variant, 2)
-	for i, fused := range []bool{false, true} {
-		cfg := defaultCfg()
-		cfg.FuseDispatch = fused
-		eng, eps, err := perflab.NewEngine(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("hostthru: %w", err)
-		}
-		warm := pc.WarmupRequests
-		if warm < 40 {
-			warm = 40 // enough to pass the trigger and publish optimized code
-		}
-		for r := 0; r < warm; r++ {
-			for _, ep := range eps {
-				if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {
-					return nil, fmt.Errorf("hostthru warmup: %w", err)
-				}
-			}
-		}
-		vs[i] = &variant{eng: eng, eps: eps}
-	}
-	rounds := pc.MeasureRequests * 3
-	if rounds < 12 {
-		rounds = 12
-	}
-	for pass := 0; pass < 4; pass++ {
-		for _, v := range vs {
-			// Force a collection boundary so GC cycles triggered by the
-			// other variant's allocations don't land inside this pass
-			// (measured: a mid-pass GC swings a pass by over 30%).
-			goruntime.GC()
-			reqs := 0
-			start := time.Now()
-			for r := 0; r < rounds; r++ {
-				for _, ep := range v.eps {
-					if _, _, err := perflab.RunEndpoint(v.eng, ep.Name); err != nil {
-						return nil, fmt.Errorf("hostthru: %w", err)
-					}
-					reqs++
-				}
-			}
-			ns := float64(time.Since(start).Nanoseconds()) / float64(reqs)
-			if v.best == 0 || ns < v.best {
-				v.best = ns
-			}
-		}
-	}
-	for i, v := range vs {
-		c0 := v.eng.Cycles()
-		for _, ep := range v.eps {
-			if _, _, err := perflab.RunEndpoint(v.eng, ep.Name); err != nil {
-				return nil, fmt.Errorf("hostthru: %w", err)
-			}
-		}
-		name := "unfused"
-		if i == 1 {
-			name = "fused"
-		}
-		res.Rows = append(res.Rows, HostThroughputRow{
-			Variant:      name,
-			HostNsPerReq: v.best,
-			GuestCycles:  v.eng.Cycles() - c0,
-			FusedInstrs:  v.eng.Stats().FusedInstrs,
-		})
-	}
-	res.UnfusedNsPerReq = res.Rows[0].HostNsPerReq
-	res.FusedNsPerReq = res.Rows[1].HostNsPerReq
-	if res.UnfusedNsPerReq > 0 {
-		res.ImprovementPct = 100 * (1 - res.FusedNsPerReq/res.UnfusedNsPerReq)
-	}
-	if res.Rows[0].GuestCycles != res.Rows[1].GuestCycles {
-		return res, fmt.Errorf("hostthru: guest cycles diverged (unfused %d, fused %d) — fusion must be guest-invisible",
-			res.Rows[0].GuestCycles, res.Rows[1].GuestCycles)
-	}
-	if res.Rows[1].FusedInstrs == 0 {
-		return res, fmt.Errorf("hostthru: fused run minted no superinstructions")
-	}
-	return res, nil
-}
-
-// ReportHostThroughput renders the comparison.
-func ReportHostThroughput(w io.Writer, res *HostThroughputResult) {
-	fmt.Fprintf(w, "Host throughput — wall-clock dispatch cost, fused vs classic (guest cycles identical)\n")
-	fmt.Fprintf(w, "%-10s %14s %16s %14s\n", "variant", "host ns/req", "guest cycles/rnd", "fused instrs")
-	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%-10s %14.0f %16d %14d\n", r.Variant, r.HostNsPerReq, r.GuestCycles, r.FusedInstrs)
-	}
-	fmt.Fprintf(w, "fusion improvement: %.1f%% host time per request\n", res.ImprovementPct)
 }
 
 // ---------- Direct chaining: smashed transfers vs dispatcher ----------

@@ -80,11 +80,6 @@ type Config struct {
 	ShedRatio       float64
 	DeathBacklog    float64
 
-	// CompileWorkers > 1 fans each host's JIT backend compiles over
-	// that many goroutines under per-function translation leases
-	// (plumbed into JIT.CompileWorkers). 0 keeps whatever JIT says.
-	CompileWorkers int
-
 	// VerifySample, when > 0, attaches a sentry monitor to every
 	// host: that fraction of its requests is shadow-executed and
 	// compared, its code cache is audited one chunk per minute, and a
@@ -332,9 +327,6 @@ func Simulate(cfg Config) (*Result, error) {
 	}
 	if cfg.DeathBacklog == 0 {
 		cfg.DeathBacklog = 3
-	}
-	if cfg.CompileWorkers != 0 {
-		cfg.JIT.CompileWorkers = cfg.CompileWorkers
 	}
 	if cfg.OverloadFactor == 0 {
 		cfg.OverloadFactor = 2

@@ -97,27 +97,30 @@ type Config struct {
 	// triggering worker).
 	BackgroundCompile bool
 
-	// CompileWorkers > 1 replaces the global compile mutex with
-	// per-function translation leases (lease.go) and fans the global
-	// retranslation's backend compiles over that many goroutines.
-	// Placement into the code cache stays sequential in function-
-	// sorted order, so addresses, huge-page coverage, and guest
-	// cycles are identical to the serial path. <= 1 keeps the legacy
-	// single-compiler behavior.
+	// CompileWorkers sizes the pool of goroutines the global
+	// retranslation fans its backend compiles over, each under the
+	// compiled function's translation lease (lease.go); 0 and 1 both
+	// mean one worker. Placement into the code cache is sequential in
+	// function-sorted order whatever the count, so addresses, huge-page
+	// coverage, and guest cycles do not depend on it.
 	CompileWorkers int
 
 	// FuseDispatch runs the post-regalloc fusion pass (vasm.Fuse) and
 	// prepares compiled code for the machine's fast dispatch path
-	// (machine.PrepareDispatch): superinstructions, per-run static-
-	// cycle settlement, handler-table dispatch. Guest outputs and
-	// cycle totals are bit-identical with it on or off; it only
-	// changes host-side speed.
+	// (machine.PrepareDispatch): superinstructions and per-run static-
+	// cycle settlement. Guest outputs and cycle totals are bit-
+	// identical with it on or off; off selects the per-instruction
+	// accounting path that TestFusedDispatchBitIdentical uses as the
+	// guest-cycle reference.
 	FuseDispatch bool
 
-	// CodeCacheLimit bounds total JITed bytes (0 = default 64 MiB).
+	// Every numeric field from here down reads 0 as "the DefaultConfig
+	// value" (New fills it in).
+
+	// CodeCacheLimit bounds total JITed bytes.
 	CodeCacheLimit uint64
 	// ProfileTrigger fires global retranslation after this many
-	// function-entry events (0 = default).
+	// function-entry events.
 	ProfileTrigger uint64
 	// MaxLiveChain bounds live retranslation chains per address.
 	MaxLiveChain int
@@ -130,14 +133,14 @@ type Config struct {
 	Faults *faultinject.Injector
 	// QuarantineBase is the initial retry backoff after a compile
 	// failure or contained fault, measured in function-entry events;
-	// it doubles per consecutive failure (0 = default 32).
+	// it doubles per consecutive failure.
 	QuarantineBase uint64
 	// QuarantineMaxAttempts caps compile retries at one address before
-	// it is demoted to interp-only for good (0 = default 6).
+	// it is demoted to interp-only for good.
 	QuarantineMaxAttempts int
 	// FaultDemote is the number of contained execution faults at one
 	// address before its translations are unpublished from the index
-	// and the address demoted to interp-only (0 = default 3).
+	// and the address demoted to interp-only.
 	FaultDemote int
 }
 
@@ -156,24 +159,28 @@ const (
 	DegradeInterpOnly
 )
 
-// DefaultConfig is the full region JIT with everything on.
+// DefaultConfig is the full region JIT with everything on. Its sizing
+// values are also what New substitutes for fields left zero.
 func DefaultConfig() Config {
 	return Config{
-		Mode:                 ModeRegion,
-		EnableInlining:       true,
-		EnableRCE:            true,
-		EnableGuardRelax:     true,
-		EnableMethodDispatch: true,
-		EnableShapes:         true,
-		EnableChaining:       true,
-		PGOLayout:            true,
-		FunctionSort:         true,
-		HugePages:            true,
-		FuseDispatch:         true,
-		CodeCacheLimit:       64 << 20,
-		ProfileTrigger:       1500,
-		MaxLiveChain:         12,
-		LiveThreshold:        2,
+		Mode:                  ModeRegion,
+		EnableInlining:        true,
+		EnableRCE:             true,
+		EnableGuardRelax:      true,
+		EnableMethodDispatch:  true,
+		EnableShapes:          true,
+		EnableChaining:        true,
+		PGOLayout:             true,
+		FunctionSort:          true,
+		HugePages:             true,
+		FuseDispatch:          true,
+		CodeCacheLimit:        64 << 20,
+		ProfileTrigger:        1500,
+		MaxLiveChain:          12,
+		LiveThreshold:         2,
+		QuarantineBase:        32,
+		QuarantineMaxAttempts: 6,
+		FaultDemote:           3,
 	}
 }
 
@@ -334,8 +341,7 @@ type Stats struct {
 	// DegradeLevel is the current degradation-ladder level gauge.
 	DegradeLevel uint64
 
-	// Compile-parallelism counters (CompileWorkers > 1).
-	// LeaseAcquires counts per-function lease acquisitions,
+	// Compile-parallelism counters. LeaseAcquires counts per-function lease acquisitions,
 	// LeaseWaits those that blocked on a held lease, and LeaseSteals
 	// optimizer (writer) acquisitions that took priority over queued
 	// minting workers.
@@ -400,11 +406,7 @@ type JIT struct {
 	// (func, PC) at a time; losers wait and re-check the index.
 	inflight map[transKey]chan struct{}
 
-	// compileMu serializes backend compiles when CompileWorkers <= 1
-	// (one compiler thread, like HHVM's original global write lease).
-	compileMu sync.Mutex
-	// leases replaces compileMu with per-function translation leases
-	// when CompileWorkers > 1.
+	// leases serializes compiles per function (lease.go).
 	leases *leaseTable
 	// compilesRunning / peakCompiles gauge concurrent backend
 	// compiles (PeakCompileParallelism).
@@ -435,26 +437,27 @@ type JIT struct {
 
 // New wires a JIT to an environment.
 func New(cfg Config, env *interp.Env, meter *machine.Meter) *JIT {
+	def := DefaultConfig()
 	if cfg.CodeCacheLimit == 0 {
-		cfg.CodeCacheLimit = 64 << 20
+		cfg.CodeCacheLimit = def.CodeCacheLimit
 	}
 	if cfg.ProfileTrigger == 0 {
-		cfg.ProfileTrigger = 400
+		cfg.ProfileTrigger = def.ProfileTrigger
 	}
 	if cfg.MaxLiveChain == 0 {
-		cfg.MaxLiveChain = 4
+		cfg.MaxLiveChain = def.MaxLiveChain
 	}
 	if cfg.LiveThreshold == 0 {
-		cfg.LiveThreshold = 2
+		cfg.LiveThreshold = def.LiveThreshold
 	}
 	if cfg.QuarantineBase == 0 {
-		cfg.QuarantineBase = 32
+		cfg.QuarantineBase = def.QuarantineBase
 	}
 	if cfg.QuarantineMaxAttempts == 0 {
-		cfg.QuarantineMaxAttempts = 6
+		cfg.QuarantineMaxAttempts = def.QuarantineMaxAttempts
 	}
 	if cfg.FaultDemote == 0 {
-		cfg.FaultDemote = 3
+		cfg.FaultDemote = def.FaultDemote
 	}
 	j := &JIT{
 		Cfg:          cfg,
@@ -470,11 +473,9 @@ func New(cfg Config, env *interp.Env, meter *machine.Meter) *JIT {
 		entryCount:   map[transKey]uint64{},
 		quarantine:   map[transKey]*quarantineEntry{},
 		inflight:     map[transKey]chan struct{}{},
+		leases:       newLeaseTable(),
 	}
 	j.Cache.Faults = cfg.Faults
-	if cfg.CompileWorkers > 1 {
-		j.leases = newLeaseTable()
-	}
 	empty := transIndex{}
 	j.trans.Store(&empty)
 	return j
@@ -538,9 +539,7 @@ func (j *JIT) Stats() Stats {
 		PeakCompileParallelism: j.peakCompiles.Load(),
 		FusedInstrs:            ld(&s.FusedInstrs),
 	}
-	if j.leases != nil {
-		out.LeaseAcquires, out.LeaseWaits, out.LeaseSteals = j.leases.statsSnapshot()
-	}
+	out.LeaseAcquires, out.LeaseWaits, out.LeaseSteals = j.leases.statsSnapshot()
 	return out
 }
 
@@ -762,7 +761,13 @@ func (j *JIT) Lookup(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter) *Transla
 			mint = j.translateProfiling
 		case ModeRegion:
 			if !j.optimized.Load() {
-				if len(chain) >= j.Cfg.MaxLiveChain {
+				// Profiling stops once the global retranslation is
+				// claimed: its profile snapshot is already taken, so a
+				// function first profiled now would miss the one
+				// optimization round and stay on profiling code for
+				// good. Until the publish, new code is interpreted;
+				// afterwards it gets live translations.
+				if j.optStarted.Load() || len(chain) >= j.Cfg.MaxLiveChain {
 					j.mu.Unlock()
 					return nil
 				}
@@ -851,7 +856,9 @@ func (j *JIT) WantsTranslation(fn *hhbc.Func, fr *interp.Frame) bool {
 	switch j.Cfg.Mode {
 	case ModeRegion:
 		if !j.optimized.Load() {
-			return true // profiling translations are made eagerly
+			// Profiling translations are made eagerly, until the
+			// global retranslation is claimed (see Lookup).
+			return !j.optStarted.Load()
 		}
 	case ModeProfiling:
 		return true

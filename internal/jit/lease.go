@@ -2,14 +2,13 @@ package jit
 
 import "sync"
 
-// leaseTable implements per-function translation leases (PR 8),
-// replacing the single global compile mutex when Config.CompileWorkers
-// > 1. HHVM's write lease serializes code emission globally; keying
-// the lease by FuncID lets worker-minted tracelets of different
-// functions — and the background optimizer's per-function batches —
-// run their backends in parallel on real cores, while compiles of the
-// same function still serialize (they share profiling state and
-// retranslation chains).
+// leaseTable implements per-function translation leases: every
+// compile holds the lease of the function it translates. HHVM's write
+// lease serializes code emission globally; keying the lease by FuncID
+// lets worker-minted translations of different functions — and the
+// optimizer's per-function batches — run their backends in parallel on
+// real cores, while compiles of the same function still serialize
+// (they share profiling state and retranslation chains).
 //
 // The optimizer acquires with writer preference: a writer announces
 // itself before waiting, and readers arriving at an announced function

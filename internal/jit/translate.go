@@ -23,23 +23,17 @@ import (
 // Debug, when set, dumps every compiled region's IR to stderr.
 var Debug = os.Getenv("REPRO_JIT_DEBUG") != ""
 
-// compile runs a region through the optimizer and back end, charging
-// the compilation cycles to m. With CompileWorkers <= 1 compiles are
-// serialized on compileMu — one compiler thread, matching HHVM's
-// original global write lease; with CompileWorkers > 1 the compile
-// holds the translated function's lease instead (lease.go), so
-// compiles of different functions proceed in parallel.
+// compile runs a region through the optimizer and back end and places
+// the code in the cache, charging the compilation cycles to m. It
+// holds the translated function's lease throughout (lease.go), so
+// compiles of different functions proceed in parallel and compiles of
+// the same function serialize.
 func (j *JIT) compile(desc *region.Desc, bcfg hhir.BuildConfig, passes hhir.PassConfig,
 	lay vasm.LayoutConfig, area mcode.Area, m *machine.Meter) (*mcode.Code, error) {
 
-	if j.leases != nil {
-		fnID := desc.Entry().Func.ID
-		j.leases.acquire(fnID, false)
-		defer j.leases.release(fnID, false)
-	} else {
-		j.compileMu.Lock()
-		defer j.compileMu.Unlock()
-	}
+	fnID := desc.Entry().Func.ID
+	j.leases.acquire(fnID, false)
+	defer j.leases.release(fnID, false)
 
 	code, err := j.compileBackend(desc, bcfg, passes, lay)
 	if err != nil {
@@ -54,9 +48,8 @@ func (j *JIT) compile(desc *region.Desc, bcfg hhir.BuildConfig, passes hhir.Pass
 // compileBackend runs the compiler pipeline — HHIR build and
 // optimization, lowering, layout, register allocation, optional
 // dispatch fusion, assembly — without touching the code cache. It
-// holds no locks of its own: callers serialize per function (lease)
-// or globally (compileMu), and the parallel optimizer runs several
-// backends at once.
+// holds no locks of its own: callers hold the function's lease, and
+// backends of different functions run at once.
 func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 	passes hhir.PassConfig, lay vasm.LayoutConfig) (*mcode.Code, error) {
 
@@ -73,8 +66,8 @@ func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 	// the global draw counter: parallel compile workers interleave
 	// their draws nondeterministically, but the n-th compile attempt of
 	// a given (func, PC) fires identically however the attempts are
-	// scheduled, so CompileWorkers>1 fails the same translations a
-	// serial run fails.
+	// scheduled, so every CompileWorkers count fails the same
+	// translations.
 	entry := desc.Entry()
 	if j.Cfg.Faults.ShouldAt(faultinject.CompileError,
 		uint64(entry.Func.ID)<<32^uint64(uint32(entry.Start))) {
@@ -109,8 +102,12 @@ func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 
 // placeCode allocates cache space for assembled code, rebases it, and
 // charges the compile fee to m. The cache allocator is internally
-// locked; the parallel optimizer calls this sequentially in function-
-// sorted order so placement stays deterministic.
+// locked, and minting workers place code of different functions
+// concurrently: space one worker's recycle frees may be taken by
+// another before the retry below, which then fails as cache-full and
+// the mint is simply attempted again on a later dispatch. OptimizeAll
+// calls this sequentially in function-sorted order so hot-area
+// placement stays deterministic.
 func (j *JIT) placeCode(code *mcode.Code, area mcode.Area, m *machine.Meter) error {
 	base, err := j.Cache.Alloc(area, code.Size)
 	if err != nil && errors.Is(err, mcode.ErrCacheFull) {
@@ -300,9 +297,10 @@ func (j *JIT) OptimizeAll() {
 		meter = j.CompileMeter
 	}
 
-	// Snapshot the profiling tables; workers may mint more profiling
-	// translations while we compile, and those simply miss this
-	// (single) optimization round. The blocks are deep-copied: guard
+	// Snapshot the profiling tables. Lookup stops minting profiling
+	// translations once the run is claimed; a mint already in flight
+	// may still land after the snapshot and simply misses this (single)
+	// optimization round. The blocks are deep-copied: guard
 	// relaxation widens Preconds in place, and the originals' Precond
 	// slices are shared with live profiling translations that workers
 	// are still guard-matching against.
@@ -375,115 +373,80 @@ func (j *JIT) OptimizeAll() {
 		Counters:             j.Counters,
 		RegionOf:             j.regionForInline,
 	}
+	// Backends fan over the compile workers, each claiming whole
+	// functions and holding the function's writer lease while its
+	// regions compile (minting workers touching the same function queue
+	// behind the optimizer). A failed backend is retried once: the
+	// global publish runs once ever, so one bad draw (an injected
+	// compile error) should not permanently cost a region its
+	// optimized code.
+	type unit struct {
+		code *mcode.Code
+		err  error
+	}
+	results := make([][]unit, len(all))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	workers := min(max(1, j.Cfg.CompileWorkers), len(all))
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(all) {
+					return
+				}
+				fr := all[i]
+				j.leases.acquire(fr.fnID, true)
+				res := make([]unit, len(fr.regions))
+				for ri, desc := range fr.regions {
+					code, err := j.compileBackend(desc, bcfg, j.passConfig(false), j.layoutConfig())
+					if err != nil {
+						code, err = j.compileBackend(desc, bcfg, j.passConfig(false), j.layoutConfig())
+					}
+					res[ri] = unit{code, err}
+				}
+				results[i] = res
+				j.leases.release(fr.fnID, true)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Placement into the hot area and minting run sequentially in the
+	// function-sorted order, so addresses, huge-page coverage, and
+	// fetch behavior do not depend on the worker count. A transient
+	// placement failure (a flaky allocation) is likewise retried once.
 	var newTrans []*Translation
 	published := map[int]bool{} // fnID -> all regions compiled
-	if j.leases != nil && len(all) > 1 {
-		// Parallel publish: fan the backend compiles over
-		// CompileWorkers goroutines, each claiming whole functions and
-		// holding the function's writer lease while its regions
-		// compile (minting workers touching the same function queue
-		// behind the optimizer). Placement into the hot area then runs
-		// sequentially in the function-sorted order below, so
-		// addresses, huge-page coverage, and fetch behavior are
-		// identical to the serial path.
-		type unit struct {
-			code *mcode.Code
-			err  error
-		}
-		results := make([][]unit, len(all))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		workers := j.Cfg.CompileWorkers
-		if workers > len(all) {
-			workers = len(all)
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(all) {
-						return
-					}
-					fr := all[i]
-					j.leases.acquire(fr.fnID, true)
-					res := make([]unit, len(fr.regions))
-					for ri, desc := range fr.regions {
-						code, err := j.compileBackend(desc, bcfg, j.passConfig(false), j.layoutConfig())
-						if err != nil {
-							// Same single-retry insurance as the serial
-							// path: the global publish runs once ever.
-							code, err = j.compileBackend(desc, bcfg, j.passConfig(false), j.layoutConfig())
-						}
-						res[ri] = unit{code, err}
-					}
-					results[i] = res
-					j.leases.release(fr.fnID, true)
-				}
-			}()
-		}
-		wg.Wait()
-		for i, fr := range all {
-			ok := len(fr.regions) > 0
-			for ri, desc := range fr.regions {
-				code, err := results[i][ri].code, results[i][ri].err
-				if err == nil {
-					err = j.placeCode(code, mcode.AreaHot, meter)
-					if err != nil && !errors.Is(err, mcode.ErrCacheFull) {
-						err = j.placeCode(code, mcode.AreaHot, meter)
-					}
-				}
-				if err != nil {
-					debugCompileErr("optimize", desc.Entry().Func.FullName(), err)
-					ok = false // cache full: this function keeps its profiling code
-					continue
-				}
-				code.Chainable = j.Cfg.EnableChaining
-				entry := desc.Entry()
-				tr := &Translation{
-					FuncID: fr.fnID, PC: entry.Start, Kind: ModeRegion,
-					Preconds: entry.Preconds, EntryDepth: entry.EntryStackDepth,
-					Code: code, ProfID: -1, Desc: desc,
-				}
-				newTrans = append(newTrans, tr)
-				atomic.AddUint64(&j.stats.OptimizedTranslations, 1)
-				atomic.AddUint64(&j.stats.BytesOptimized, code.Size)
-			}
-			published[fr.fnID] = ok
-		}
-	} else {
-		for _, fr := range all {
-			ok := len(fr.regions) > 0
-			for _, desc := range fr.regions {
-				code, err := j.compile(desc, bcfg, j.passConfig(false),
-					j.layoutConfig(), mcode.AreaHot, meter)
+	for i, fr := range all {
+		ok := len(fr.regions) > 0
+		for ri, desc := range fr.regions {
+			code, err := results[i][ri].code, results[i][ri].err
+			if err == nil {
+				err = j.placeCode(code, mcode.AreaHot, meter)
 				if err != nil && !errors.Is(err, mcode.ErrCacheFull) {
-					// Transient failure (an injected compile error, a flaky
-					// allocation): the global publish runs once ever, so a
-					// single retry is cheap insurance against one bad draw
-					// permanently costing this region its optimized code.
-					code, err = j.compile(desc, bcfg, j.passConfig(false),
-						j.layoutConfig(), mcode.AreaHot, meter)
+					err = j.placeCode(code, mcode.AreaHot, meter)
 				}
-				if err != nil {
-					debugCompileErr("optimize", desc.Entry().Func.FullName(), err)
-					ok = false // cache full: this function keeps its profiling code
-					continue
-				}
-				code.Chainable = j.Cfg.EnableChaining
-				entry := desc.Entry()
-				tr := &Translation{
-					FuncID: fr.fnID, PC: entry.Start, Kind: ModeRegion,
-					Preconds: entry.Preconds, EntryDepth: entry.EntryStackDepth,
-					Code: code, ProfID: -1, Desc: desc,
-				}
-				newTrans = append(newTrans, tr)
-				atomic.AddUint64(&j.stats.OptimizedTranslations, 1)
-				atomic.AddUint64(&j.stats.BytesOptimized, code.Size)
 			}
-			published[fr.fnID] = ok
+			if err != nil {
+				debugCompileErr("optimize", desc.Entry().Func.FullName(), err)
+				ok = false // cache full: this function keeps its profiling code
+				continue
+			}
+			code.Chainable = j.Cfg.EnableChaining
+			entry := desc.Entry()
+			tr := &Translation{
+				FuncID: fr.fnID, PC: entry.Start, Kind: ModeRegion,
+				Preconds: entry.Preconds, EntryDepth: entry.EntryStackDepth,
+				Code: code, ProfID: -1, Desc: desc,
+			}
+			newTrans = append(newTrans, tr)
+			atomic.AddUint64(&j.stats.OptimizedTranslations, 1)
+			atomic.AddUint64(&j.stats.BytesOptimized, code.Size)
 		}
+		published[fr.fnID] = ok
 	}
 
 	// Publish: one atomic swap installs every optimized translation

@@ -13,20 +13,10 @@ import "repro/internal/vasm"
 // interpreter so execution-mode comparisons are apples to apples.
 type Meter struct {
 	Cycles uint64
-	// ByOp attributes machine cycles per vasm opcode (diagnostics).
-	ByOp [64]uint64
 }
 
 // Charge adds cycles.
 func (m *Meter) Charge(n uint64) { m.Cycles += n }
-
-// ChargeOp attributes cycles to an opcode bucket.
-func (m *Meter) ChargeOp(op vasm.Op, n uint64) {
-	m.Cycles += n
-	if int(op) < len(m.ByOp) {
-		m.ByOp[op] += n
-	}
-}
 
 // Instruction base costs (cycles).
 func opCost(op vasm.Op) uint64 {

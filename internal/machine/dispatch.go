@@ -1,15 +1,14 @@
 package machine
 
-// Fast dispatch (PR 8). The classic exec loop pays, per vasm
-// instruction, a fetch-model probe, an opCost call, a ChargeOp, and a
-// giant switch. The fast path prepared here charges static cycles
-// once per straight-line run via prefix sums, probes the fetch model
-// only at icache-line boundaries and control transfers, and executes
-// the superinstructions minted by vasm.Fuse. A precomputed handler
-// table (Deegen-style) for the hottest opcodes is available behind
-// SetHandlerTable as an alternative to the switch. Guest-visible
-// behavior — every output and every meter cycle — is bit-identical to
-// the classic path:
+// Fast dispatch. The classic exec loop pays, per vasm instruction, a
+// fetch-model probe and an opCost call before the opcode switch. The
+// fast path prepared here charges static cycles once per straight-
+// line run via prefix sums, probes the fetch model only at icache-
+// line boundaries and control transfers, and executes the
+// superinstructions minted by vasm.Fuse. The classic path stays in
+// the loop as the guest-cycle reference the tests compare against
+// (unprepared code takes it). Guest-visible behavior — every output
+// and every meter cycle — is bit-identical between the two:
 //
 //   - Same-line fetches return 0 without touching FetchModel state,
 //     so skipping them is invisible. A straight-line successor is on
@@ -25,12 +24,7 @@ package machine
 //     windows strictly inside the pending run's window, so totals
 //     and per-window attributions are unchanged.
 
-import (
-	"repro/internal/mcode"
-	"repro/internal/runtime"
-	"repro/internal/types"
-	"repro/internal/vasm"
-)
+import "repro/internal/mcode"
 
 // PrepareDispatch computes the dispatch metadata of placed code and
 // marks it for the fast path. Must run after Code.Place (addresses
@@ -67,129 +61,4 @@ func PrepareDispatch(code *mcode.Code) {
 	code.DispatchFlags = flags
 	code.FetchTails = tails
 	code.FastDispatch = true
-}
-
-// hotHandler executes one simple (non-branching, non-throwing)
-// instruction. Indexed by Op in a 256-slot table so the uint8 index
-// needs no bounds check on the hot path.
-type hotHandler func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr)
-
-var hotHandlers [256]hotHandler
-
-// useHandlerTable routes the fast path's simple opcodes through the
-// handler table instead of the exec switch. Measured on this host the
-// compiled jump-table switch beats the indirect handler calls by
-// ~10% (see EXPERIMENTS.md), so the table is off by default and kept
-// as an A/B lever for hosts where indirect dispatch wins.
-var useHandlerTable bool
-
-// SetHandlerTable toggles handler-table dispatch. Toggle only while
-// no translations are executing (it is read unsynchronized on the
-// dispatch hot path); both settings produce bit-identical guest
-// behavior.
-func SetHandlerTable(on bool) { useHandlerTable = on }
-
-func init() {
-	h := map[vasm.Op]hotHandler{
-		vasm.LdImm: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			m.setImm(act, in.D, code.Imms[in.I64])
-		},
-		vasm.Copy: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, act.get(in.A))
-		},
-		vasm.LdLoc: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			v := act.fr.Locals[in.I64]
-			if v.Kind == types.KUninit {
-				v = runtime.Null()
-			}
-			act.set(in.D, v)
-		},
-		vasm.StLoc: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.fr.Locals[in.I64] = act.get(in.A)
-		},
-		vasm.Spill: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.spills[in.I64] = act.get(in.A)
-		},
-		vasm.Reload: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, act.spills[in.I64])
-		},
-		vasm.AddI: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, runtime.Int(act.get(in.A).I+act.get(in.B).I))
-		},
-		vasm.SubI: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, runtime.Int(act.get(in.A).I-act.get(in.B).I))
-		},
-		vasm.MulI: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, runtime.Int(act.get(in.A).I*act.get(in.B).I))
-		},
-		vasm.NegI: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, runtime.Int(-act.get(in.A).I))
-		},
-		vasm.AddD: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, runtime.Dbl(act.get(in.A).D+act.get(in.B).D))
-		},
-		vasm.SubD: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, runtime.Dbl(act.get(in.A).D-act.get(in.B).D))
-		},
-		vasm.MulD: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, runtime.Dbl(act.get(in.A).D*act.get(in.B).D))
-		},
-		vasm.NegD: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, runtime.Dbl(-act.get(in.A).D))
-		},
-		vasm.CmpI: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, runtime.Bool(cmpI(in.I64&0xff, act.get(in.A).I, act.get(in.B).I)))
-		},
-		vasm.CmpD: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, runtime.Bool(cmpD(in.I64&0xff, act.get(in.A).D, act.get(in.B).D)))
-		},
-		vasm.ToBool: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, runtime.Bool(act.get(in.A).Bool()))
-		},
-		vasm.ToInt: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, runtime.Int(act.get(in.A).ToInt()))
-		},
-		vasm.ToDbl: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, runtime.Dbl(act.get(in.A).ToDbl()))
-		},
-		vasm.IncRef: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			m.Env.Heap.IncRef(act.get(in.A))
-		},
-		vasm.DecRef: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			m.Env.Heap.DecRef(act.get(in.A))
-		},
-		vasm.ArrCount: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, runtime.Int(int64(act.get(in.A).A.Len())))
-		},
-		vasm.LdProp: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.set(in.D, act.get(in.A).O.GetPropSlot(int(in.I64)))
-		},
-		vasm.StProp: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			act.get(in.A).O.SetPropSlot(m.Env.Heap, int(in.I64), act.get(in.B))
-		},
-		// Non-branching superinstructions.
-		vasm.LdImmAddI: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			m.setImm(act, vasm.Reg(in.Target2), code.Imms[in.I64>>16])
-			act.set(in.D, runtime.Int(act.get(in.A).I+act.get(in.B).I))
-		},
-		vasm.LdImmCmpI: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			m.setImm(act, vasm.Reg(in.Target2), code.Imms[in.I64>>16])
-			act.set(in.D, runtime.Bool(cmpI(in.I64&0xff, act.get(in.A).I, act.get(in.B).I)))
-		},
-		vasm.IncRefN: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			h := m.Env.Heap
-			for _, r := range in.Args {
-				h.IncRef(act.get(r))
-			}
-		},
-		vasm.DecRefN: func(m *Machine, code *mcode.Code, act *activation, in *vasm.Instr) {
-			h := m.Env.Heap
-			for _, r := range in.Args {
-				h.DecRef(act.get(r))
-			}
-		},
-	}
-	for op, fn := range h {
-		hotHandlers[op] = fn
-	}
 }

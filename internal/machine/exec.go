@@ -394,15 +394,8 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 					}
 				}
 			}
-			if useHandlerTable {
-				if h := hotHandlers[in.Op]; h != nil {
-					h(m, code, act, in)
-					ip++
-					continue
-				}
-			}
 		} else {
-			m.Meter.ChargeOp(in.Op, opCost(in.Op)+m.Fetch.Fetch(code.AddrOf(ip)))
+			m.Meter.Cycles += opCost(in.Op) + m.Fetch.Fetch(code.AddrOf(ip))
 		}
 
 		switch in.Op {
@@ -577,9 +570,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 		case vasm.DecRef:
 			h.DecRef(act.get(in.A))
 
-		// Non-branching superinstructions normally dispatch through the
-		// handler table; these cases keep the classic path able to
-		// execute fused code (e.g. metadata-free replay paths).
+		// Non-branching superinstructions.
 		case vasm.LdImmAddI:
 			m.setImm(act, vasm.Reg(in.Target2), code.Imms[in.I64>>16])
 			act.set(in.D, runtime.Int(act.get(in.A).I+act.get(in.B).I))

@@ -68,10 +68,6 @@ type Config struct {
 	// goroutine, and RPSPct is reported against N× the single-core
 	// steady-state throughput.
 	Workers int
-	// CompileWorkers, when > 1, fans JIT backend compiles over that
-	// many goroutines under per-function translation leases (plumbed
-	// into JIT.CompileWorkers). 0 keeps whatever the JIT config says.
-	CompileWorkers int
 	// Jumpstart, when set, warm-starts the restarted server from a
 	// persisted profile snapshot before it serves its first request:
 	// profiling is skipped and optimized code is published
@@ -170,9 +166,6 @@ func Simulate(cfg Config) (*Result, error) {
 		// compiler runs: hand the global retranslation to a background
 		// goroutine instead of stalling the triggering worker.
 		cfg.JIT.BackgroundCompile = true
-	}
-	if cfg.CompileWorkers != 0 {
-		cfg.JIT.CompileWorkers = cfg.CompileWorkers
 	}
 	// Calibrate steady state with a fully warmed engine.
 	steadyEng, eps, err := perflab.NewEngine(cfg.JIT)
