@@ -14,9 +14,11 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/hhbc"
 	"repro/internal/jit"
 	"repro/internal/perflab"
 	"repro/internal/server"
+	"repro/internal/workload"
 )
 
 var benchCfg = perflab.Config{WarmupRequests: 30, MeasureRequests: 6}
@@ -226,6 +228,54 @@ func BenchmarkMachineExec(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(reqs), "host-ns/req")
+		})
+	}
+}
+
+// BenchmarkSteadyRequest is the quick localizer for the ledger's
+// steady_site / interp_site rows: one warmed pass over the
+// workload.Combined() mix per iteration, output discarded, with
+// allocations reported. `go test -bench SteadyRequest -benchmem`
+// answers in seconds whether a host-time or allocation regression is
+// in the request path (and in which tier) before the ledger is run.
+func BenchmarkSteadyRequest(b *testing.B) {
+	for _, mode := range []jit.Mode{jit.ModeRegion, jit.ModeInterp} {
+		b.Run(mode.String(), func(b *testing.B) {
+			cfg := jit.DefaultConfig()
+			cfg.Mode = mode
+			eng, eps, err := perflab.NewEngine(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var funcs []*hhbc.Func
+			for _, ep := range eps {
+				f, ok := eng.Unit.FuncByName(workload.EndpointFunc(ep.Name))
+				if !ok {
+					b.Fatalf("combined unit lacks %s", ep.Name)
+				}
+				funcs = append(funcs, f)
+			}
+			pass := func() {
+				for _, f := range funcs {
+					v, err := eng.VM.CallFunc(f, nil, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					eng.Heap().DecRef(v)
+				}
+			}
+			for i := 0; i < 40; i++ {
+				pass()
+			}
+			if mode == jit.ModeRegion && !eng.VM.JIT.Optimized() {
+				b.Fatal("warm-up did not reach the optimized tier")
+			}
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
 		})
 	}
 }

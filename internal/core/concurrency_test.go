@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/jit"
@@ -99,11 +98,7 @@ func TestConcurrentWorkersAcrossOptimize(t *testing.T) {
 
 	// The trigger fired during traffic; the background compiler may
 	// still be publishing — wait for it, then check the publish.
-	deadline := time.Now().Add(10 * time.Second)
-	for !eng.VM.JIT.Optimized() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !eng.VM.JIT.Optimized() {
+	if !awaitOptimized(eng.VM.JIT) {
 		t.Fatal("optimized index never published")
 	}
 	st := eng.Stats()

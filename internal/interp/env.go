@@ -57,6 +57,19 @@ type Env struct {
 	OSRCheck func(fr *Frame) bool
 
 	depth int
+
+	// frames is the LIFO free list behind TakeFrame/PutFrame.
+	frames []*Frame
+	// bctx is the one BuiltinCtx handed to every native call.
+	bctx runtime.BuiltinCtx
+}
+
+// BuiltinCtx returns the context natives run with: the env's heap and
+// its current output stream (SetOut may have changed it since the last
+// call). Builtins use it only for the duration of the call.
+func (e *Env) BuiltinCtx() *runtime.BuiltinCtx {
+	e.bctx.Heap, e.bctx.Out = e.Heap, e.Out
+	return &e.bctx
 }
 
 // ErrOSR signals that interpretation paused at an OSR point; the
@@ -232,7 +245,7 @@ func propDefault(p hhbc.PropDef) runtime.Value {
 func (e *Env) NewInstance(cls *runtime.Class) *runtime.Object {
 	obj := e.Heap.NewObject(cls)
 	for i, p := range obj.Props {
-		if p.Kind == types.KArr && p.A == nil {
+		if p.Kind == types.KArr && p.AsArr() == nil {
 			obj.Props[i] = runtime.ArrV(runtime.NewPacked(nil))
 		}
 	}

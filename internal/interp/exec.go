@@ -94,10 +94,11 @@ func (e *Env) interpCall(f *hhbc.Func, this *runtime.Object, args []runtime.Valu
 		}
 		return runtime.Null(), runtime.NewError("maximum call depth exceeded")
 	}
-	fr := NewFrame(e, f, this, args)
+	fr := e.TakeFrame(f, this, args)
 	e.depth++
 	v, err := e.Run(fr)
 	e.depth--
+	e.PutFrame(fr)
 	return v, err
 }
 
@@ -119,7 +120,7 @@ func (e *Env) Run(fr *Frame) (runtime.Value, error) {
 		// Unwind to a handler in this frame, or out.
 		handler := fr.Fn.HandlerFor(fr.PC)
 		if handler < 0 {
-			fr.release(e)
+			fr.Release(e)
 			return runtime.Null(), err
 		}
 		obj := e.toThrownObject(err)
@@ -259,7 +260,7 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 		case hhbc.OpNeg:
 			a := fr.pop()
 			if a.Kind == types.KDbl {
-				fr.push(runtime.Dbl(-a.D))
+				fr.push(runtime.Dbl(-a.AsDbl()))
 			} else {
 				fr.push(runtime.Int(-a.ToInt()))
 			}
@@ -367,7 +368,7 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 
 		case hhbc.OpRetC:
 			ret := fr.pop()
-			fr.release(e)
+			fr.Release(e)
 			fr.PC = -1
 			return ret, nil
 
@@ -377,7 +378,7 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 				h.DecRef(v)
 				return runtime.Null(), runtime.NewError("can only throw objects")
 			}
-			return runtime.Null(), runtime.Thrown(v.O)
+			return runtime.Null(), runtime.Thrown(v.AsObj())
 		case hhbc.OpCatch:
 			if fr.pendingExc == nil {
 				return runtime.Null(), runtime.NewError("Catch with no pending exception")
@@ -403,7 +404,7 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 				h.DecRef(arrv)
 				return runtime.Null(), runtime.NewError("AddElemC on non-array")
 			}
-			na := arrv.A.Set(h, key, val)
+			na := arrv.AsArr().Set(h, key, val)
 			h.DecRef(key)
 			fr.push(runtime.ArrV(na))
 		case hhbc.OpAddNewElemC:
@@ -413,7 +414,7 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 				h.DecRef(arrv)
 				return runtime.Null(), runtime.NewError("AddNewElemC on non-array")
 			}
-			fr.push(runtime.ArrV(arrv.A.Append(h, val)))
+			fr.push(runtime.ArrV(arrv.AsArr().Append(h, val)))
 
 		case hhbc.OpArrIdx:
 			key, arrv := fr.pop(), fr.pop()
@@ -422,7 +423,7 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 				h.DecRef(arrv)
 				return runtime.Null(), runtime.NewError("cannot index non-array")
 			}
-			el, _ := arrv.A.Get(key)
+			el, _ := arrv.AsArr().Get(key)
 			if el.Kind == types.KUninit {
 				el = runtime.Null()
 			}
@@ -438,7 +439,7 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 				return runtime.Null(), runtime.NewError("cannot index non-array local $%s",
 					localName(fr.Fn, in.A))
 			}
-			el, _ := lv.A.Get(key)
+			el, _ := lv.AsArr().Get(key)
 			if el.Kind == types.KUninit {
 				el = runtime.Null()
 			}
@@ -458,7 +459,7 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 				h.DecRef(val)
 				return runtime.Null(), runtime.NewError("cannot write index of non-array")
 			}
-			fr.Locals[in.A] = runtime.ArrV(lv.A.Set(h, key, val))
+			fr.Locals[in.A] = runtime.ArrV(lv.AsArr().Set(h, key, val))
 			h.DecRef(key)
 		case hhbc.OpArrAppendL:
 			val := fr.pop()
@@ -471,12 +472,12 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 				h.DecRef(val)
 				return runtime.Null(), runtime.NewError("cannot append to non-array")
 			}
-			fr.Locals[in.A] = runtime.ArrV(lv.A.Append(h, val))
+			fr.Locals[in.A] = runtime.ArrV(lv.AsArr().Append(h, val))
 		case hhbc.OpArrUnsetL:
 			key := fr.pop()
 			lv := fr.Locals[in.A]
 			if lv.Kind == types.KArr {
-				fr.Locals[in.A] = runtime.ArrV(lv.A.Remove(h, key))
+				fr.Locals[in.A] = runtime.ArrV(lv.AsArr().Remove(h, key))
 			}
 			h.DecRef(key)
 		case hhbc.OpAKExistsL:
@@ -484,19 +485,19 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 			lv := fr.Locals[in.A]
 			ok := false
 			if lv.Kind == types.KArr {
-				_, ok = lv.A.Get(key)
+				_, ok = lv.AsArr().Get(key)
 			}
 			h.DecRef(key)
 			fr.push(runtime.Bool(ok))
 
 		case hhbc.OpIterInitL:
 			lv := fr.Locals[in.C]
-			if lv.Kind != types.KArr || lv.A.Len() == 0 {
+			if lv.Kind != types.KArr || lv.AsArr().Len() == 0 {
 				fr.PC = int(in.B)
 				continue
 			}
 			h.IncRef(lv)
-			fr.setIter(in.A, runtime.NewIter(lv.A))
+			fr.setIter(in.A, runtime.NewIter(lv.AsArr()))
 		case hhbc.OpIterNext:
 			it := fr.iter(in.A)
 			if it != nil && it.Next() {
@@ -563,7 +564,7 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 				h.DecRef(ov)
 				return runtime.Null(), runtime.NewError("property access on non-object")
 			}
-			p := runtime.GetPropNamed(h, ov.O, u.Strings[in.A])
+			p := runtime.GetPropNamed(h, ov.AsObj(), u.Strings[in.A])
 			h.DecRef(ov)
 			fr.push(p)
 		case hhbc.OpSetPropD:
@@ -574,7 +575,7 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 				return runtime.Null(), runtime.NewError("property write on non-object")
 			}
 			h.IncRef(val) // one ref into the prop, one back on the stack
-			if err := runtime.SetPropNamed(h, ov.O, u.Strings[in.A], val); err != nil {
+			if err := runtime.SetPropNamed(h, ov.AsObj(), u.Strings[in.A], val); err != nil {
 				h.DecRef(val)
 				h.DecRef(ov)
 				return runtime.Null(), runtime.NewError("%s", err.Error())
@@ -583,7 +584,7 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 			fr.push(val)
 		case hhbc.OpInstanceOfD:
 			v := fr.pop()
-			r := v.Kind == types.KObj && v.O.Class.IsSubclassOf(u.Strings[in.A])
+			r := v.Kind == types.KObj && v.AsObj().Class.IsSubclassOf(u.Strings[in.A])
 			h.DecRef(v)
 			fr.push(runtime.Bool(r))
 		case hhbc.OpVerifyParamType:
@@ -623,14 +624,14 @@ func (e *Env) incDecL(fr *Frame, in hhbc.Instr) (runtime.Value, error) {
 		if in.B == hhbc.PreDec || in.B == hhbc.PostDec {
 			delta = -1
 		}
-		newv = runtime.Int(lv.I + delta)
+		newv = runtime.Int(lv.AsInt() + delta)
 	case types.KDbl:
 		oldv = lv
 		delta := 1.0
 		if in.B == hhbc.PreDec || in.B == hhbc.PostDec {
 			delta = -1
 		}
-		newv = runtime.Dbl(lv.D + delta)
+		newv = runtime.Dbl(lv.AsDbl() + delta)
 	case types.KNull, types.KUninit:
 		oldv = runtime.Null()
 		if in.B == hhbc.PreInc || in.B == hhbc.PostInc {
@@ -648,9 +649,12 @@ func (e *Env) incDecL(fr *Frame, in hhbc.Instr) (runtime.Value, error) {
 	return newv, nil
 }
 
+// popArgs pops n call arguments. The returned slice aliases the stack
+// slots just vacated: it is valid until the caller's next push, which
+// is after the call returns — callees copy arguments into their own
+// frame and never touch the caller's stack.
 func (e *Env) popArgs(fr *Frame, n int) []runtime.Value {
-	args := make([]runtime.Value, n)
-	copy(args, fr.Stack[len(fr.Stack)-n:])
+	args := fr.Stack[len(fr.Stack)-n:]
 	fr.Stack = fr.Stack[:len(fr.Stack)-n]
 	return args
 }
@@ -697,8 +701,7 @@ func (e *Env) callBuiltin(b *runtime.Builtin, args []runtime.Value) (runtime.Val
 	if e.Meter != nil {
 		e.Meter.Charge(b.Cost)
 	}
-	ctx := &runtime.BuiltinCtx{Heap: e.Heap, Out: e.Out}
-	ret, err := b.Fn(ctx, args)
+	ret, err := b.Fn(e.BuiltinCtx(), args)
 	for _, a := range args {
 		e.Heap.DecRef(a)
 	}
@@ -715,7 +718,7 @@ func (e *Env) fcallMethod(fr *Frame, name string, nargs int) (runtime.Value, err
 		e.Heap.DecRef(ov)
 		return runtime.Null(), runtime.NewError("method call on non-object (%s)", ov.Type())
 	}
-	obj := ov.O
+	obj := ov.AsObj()
 	id, ok := obj.Class.LookupMethod(lowerName(name))
 	if !ok {
 		e.Heap.DecRef(ov)
@@ -753,7 +756,7 @@ func (e *Env) verifyParam(fr *Frame, idx int) error {
 	case "float":
 		ok = v.Kind == types.KDbl || v.Kind == types.KInt
 		if v.Kind == types.KInt {
-			fr.Locals[idx] = runtime.Dbl(float64(v.I)) // PHP widens
+			fr.Locals[idx] = runtime.Dbl(float64(v.AsInt())) // PHP widens
 		}
 	case "string":
 		ok = v.Kind == types.KStr
@@ -764,7 +767,7 @@ func (e *Env) verifyParam(fr *Frame, idx int) error {
 	case "":
 		ok = true
 	default: // class hint
-		ok = v.Kind == types.KObj && v.O.Class.IsSubclassOf(p.TypeHint)
+		ok = v.Kind == types.KObj && v.AsObj().Class.IsSubclassOf(p.TypeHint)
 	}
 	if !ok {
 		return runtime.NewError("argument %d ($%s) of %s() must be of type %s, %s given",

@@ -26,11 +26,27 @@ type Frame struct {
 // by the JIT's side-exit-to-handler path).
 func (fr *Frame) SetPendingExc(o *runtime.Object) { fr.pendingExc = o }
 
-// NewFrame builds an activation for f, consuming the caller's
+// TakeFrame builds an activation for f, consuming the caller's
 // references to args (extra args are released; missing ones get
-// defaults or Null).
-func NewFrame(e *Env, f *hhbc.Func, this *runtime.Object, args []runtime.Value) *Frame {
-	fr := &Frame{Fn: f, Locals: make([]runtime.Value, f.NumLocals), This: this}
+// defaults or Null). The frame comes from the env's LIFO free list,
+// so a warmed call path allocates nothing; the caller owns it until
+// it hands it back with PutFrame, after which nothing may still hold
+// the pointer.
+func (e *Env) TakeFrame(f *hhbc.Func, this *runtime.Object, args []runtime.Value) *Frame {
+	var fr *Frame
+	if n := len(e.frames); n > 0 {
+		fr = e.frames[n-1]
+		e.frames[n-1] = nil
+		e.frames = e.frames[:n-1]
+	} else {
+		fr = &Frame{}
+	}
+	fr.Fn, fr.This = f, this
+	if f.NumLocals <= cap(fr.Locals) {
+		fr.Locals = fr.Locals[:f.NumLocals]
+	} else {
+		fr.Locals = make([]runtime.Value, f.NumLocals)
+	}
 	for i := range fr.Locals {
 		fr.Locals[i] = runtime.Uninit()
 	}
@@ -52,6 +68,23 @@ func NewFrame(e *Env, f *hhbc.Func, this *runtime.Object, args []runtime.Value) 
 	return fr
 }
 
+// PutFrame returns a finished frame (Release has run: it owns no
+// guest references) to the free list. It is scrubbed to the full
+// capacity of its slices first, so a parked frame pins no guest
+// object for the host GC — popped stack slots and dropped locals
+// still hold stale copies. The list never outgrows the deepest call
+// chain the env has run.
+func (e *Env) PutFrame(fr *Frame) {
+	clear(fr.Locals[:cap(fr.Locals)])
+	clear(fr.Stack[:cap(fr.Stack)])
+	clear(fr.Iters[:cap(fr.Iters)])
+	*fr = Frame{Locals: fr.Locals[:0], Stack: fr.Stack[:0], Iters: fr.Iters[:0]}
+	e.frames = append(e.frames, fr)
+}
+
+// PooledFrames exposes the free list to the recycling tests.
+func (e *Env) PooledFrames() []*Frame { return e.frames }
+
 func paramDefault(p hhbc.Param) runtime.Value {
 	return propDefault(hhbc.PropDef{
 		DefaultKind: p.DefaultKind, DefaultInt: p.DefaultInt,
@@ -70,24 +103,26 @@ func (fr *Frame) pop() runtime.Value {
 
 func (fr *Frame) top() runtime.Value { return fr.Stack[len(fr.Stack)-1] }
 
-// release drops all frame-owned references (on return or unwind).
-func (fr *Frame) release(e *Env) {
+// Release drops all frame-owned references (on return or unwind). It
+// is the one frame teardown, shared by the interpreter, the machine's
+// Ret and the VM's unwinder. Slice capacity is kept for the frame's
+// next use.
+func (fr *Frame) Release(e *Env) {
 	for _, v := range fr.Stack {
 		e.Heap.DecRef(v)
 	}
 	fr.Stack = fr.Stack[:0]
-	for _, v := range fr.Locals {
+	for i, v := range fr.Locals {
 		e.Heap.DecRef(v)
-	}
-	for i := range fr.Locals {
 		fr.Locals[i] = runtime.Uninit()
 	}
-	for _, it := range fr.Iters {
+	for i, it := range fr.Iters {
 		if it != nil {
 			e.Heap.DecRef(runtime.ArrV(it.Arr()))
+			fr.Iters[i] = nil
 		}
 	}
-	fr.Iters = nil
+	fr.Iters = fr.Iters[:0]
 }
 
 // clearStack releases just the evaluation stack (entering a catch

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/faultinject"
@@ -222,6 +221,12 @@ type Machine struct {
 	// argBufs is a free-list of call-argument scratch slices (runCall
 	// hot path); it is a stack because guest calls nest.
 	argBufs [][]runtime.Value
+	// acts is the activation stack: Exec nests (a guest call from JITed
+	// code re-enters it), so the activation of nesting level i is
+	// acts[i], reused by every Exec at that level. actTop is the next
+	// free level.
+	acts   []*activation
+	actTop int
 }
 
 type methodCacheEnt struct {
@@ -252,11 +257,6 @@ type activation struct {
 	entryPC int
 }
 
-// actPool recycles activations across Exec calls: one machine
-// executes millions of translations per request stream, and the
-// activation (plus its spill slab) dominated per-Exec allocations.
-var actPool = sync.Pool{New: func() any { return new(activation) }}
-
 // bindSpace sizes the activation for code: the spill area and the
 // frame extension for inline-callee locals.
 func (a *activation) bindSpace(code *mcode.Code) {
@@ -270,18 +270,13 @@ func (a *activation) bindSpace(code *mcode.Code) {
 	}
 }
 
-// release clears held values (so pooled activations do not pin guest
-// objects) and returns the activation to the pool.
-func (a *activation) release() {
-	for i := range a.regs {
-		a.regs[i] = runtime.Value{}
-	}
-	for i := range a.spills {
-		a.spills[i] = runtime.Value{}
-	}
+// scrub clears held values so a parked activation does not pin guest
+// objects.
+func (a *activation) scrub() {
+	clear(a.regs[:])
+	clear(a.spills)
 	a.spills = a.spills[:0]
 	a.fr = nil
-	actPool.Put(a)
 }
 
 func (a *activation) get(r vasm.Reg) runtime.Value {
@@ -303,12 +298,18 @@ func (a *activation) set(r vasm.Reg, v runtime.Value) {
 // Chained bind jumps tail-transfer into successor translations
 // without returning, so one Exec may traverse many translations.
 func (m *Machine) Exec(code *mcode.Code, fr *interp.Frame) Outcome {
-	act := actPool.Get().(*activation)
+	level := m.actTop
+	if level == len(m.acts) {
+		m.acts = append(m.acts, new(activation))
+	}
+	act := m.acts[level]
+	m.actTop = level + 1
 	act.fr = fr
 	act.entryPC = fr.PC
 	act.bindSpace(code)
 	out := m.exec(code, act)
-	act.release()
+	act.scrub()
+	m.actTop = level
 	return out
 }
 
@@ -322,7 +323,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 	chained := 0
 	// Block 0 is the translation entry; layout may have placed hotter
 	// loop blocks ahead of it.
-	ip := code.BlockIndex[0]
+	ip := code.Entry()
 	// Fast dispatch state (see dispatch.go): fast code charges static
 	// cycles per straight-line run [runStart, ip] via CostPrefix and
 	// probes the fetch model only at line heads and transfers (xfer).
@@ -336,6 +337,8 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 	// chained transfer into a different translation.
 	instrs := code.Instrs
 	flags := code.DispatchFlags
+	starts := code.BlockStart
+	consts := code.Consts
 	defer func() {
 		// Fault containment: a panic inside a translation becomes a
 		// typed TransFault outcome instead of killing the process. The
@@ -401,7 +404,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 		switch in.Op {
 		case vasm.Nop:
 		case vasm.LdImm:
-			m.setImm(act, in.D, code.Imms[in.I64])
+			act.set(in.D, consts[in.I64])
 		case vasm.Copy:
 			act.set(in.D, act.get(in.A))
 		case vasm.LdLoc:
@@ -446,14 +449,14 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				if nc, cip, ok := m.chainFrom(code, nip, act, &out, &chained); ok {
 					code, ip = nc, cip
 					fast, runStart, xfer = code.FastDispatch, cip, true
-					instrs, flags = code.Instrs, code.DispatchFlags
+					instrs, flags, starts, consts = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts
 					continue
 				}
 				return out
 			}
 		case vasm.GuardCls:
 			v := act.get(in.A)
-			if v.Kind != types.KObj || int64(v.O.Class.ClassID) != in.I64 {
+			if v.Kind != types.KObj || int64(v.AsObj().Class.ClassID) != in.I64 {
 				guardFails++
 				if fast {
 					settleRun(m.Meter, code, runStart, ip)
@@ -467,7 +470,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				if nc, cip, ok := m.chainFrom(code, nip, act, &out, &chained); ok {
 					code, ip = nc, cip
 					fast, runStart, xfer = code.FastDispatch, cip, true
-					instrs, flags = code.Instrs, code.DispatchFlags
+					instrs, flags, starts, consts = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts
 					continue
 				}
 				return out
@@ -475,7 +478,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 		case vasm.GuardShape:
 			v := act.get(in.A)
 			m.Shapes.Guards.Add(1)
-			if v.Kind != types.KObj || v.O.ShapeID() != uint32(in.I64) {
+			if v.Kind != types.KObj || v.AsObj().ShapeID() != uint32(in.I64) {
 				m.Shapes.GuardFails.Add(1)
 				guardFails++
 				if fast {
@@ -490,7 +493,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				if nc, cip, ok := m.chainFrom(code, nip, act, &out, &chained); ok {
 					code, ip = nc, cip
 					fast, runStart, xfer = code.FastDispatch, cip, true
-					instrs, flags = code.Instrs, code.DispatchFlags
+					instrs, flags, starts, consts = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts
 					continue
 				}
 				return out
@@ -517,28 +520,28 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				if nc, cip, ok := m.chainFrom(code, nip, act, &out, &chained); ok {
 					code, ip = nc, cip
 					fast, runStart, xfer = code.FastDispatch, cip, true
-					instrs, flags = code.Instrs, code.DispatchFlags
+					instrs, flags, starts, consts = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts
 					continue
 				}
 				return out
 			}
 
 		case vasm.AddI:
-			act.set(in.D, runtime.Int(act.get(in.A).I+act.get(in.B).I))
+			act.set(in.D, runtime.Int(act.get(in.A).AsInt()+act.get(in.B).AsInt()))
 		case vasm.SubI:
-			act.set(in.D, runtime.Int(act.get(in.A).I-act.get(in.B).I))
+			act.set(in.D, runtime.Int(act.get(in.A).AsInt()-act.get(in.B).AsInt()))
 		case vasm.MulI:
-			act.set(in.D, runtime.Int(act.get(in.A).I*act.get(in.B).I))
+			act.set(in.D, runtime.Int(act.get(in.A).AsInt()*act.get(in.B).AsInt()))
 		case vasm.NegI:
-			act.set(in.D, runtime.Int(-act.get(in.A).I))
+			act.set(in.D, runtime.Int(-act.get(in.A).AsInt()))
 		case vasm.AddD:
-			act.set(in.D, runtime.Dbl(act.get(in.A).D+act.get(in.B).D))
+			act.set(in.D, runtime.Dbl(act.get(in.A).AsDbl()+act.get(in.B).AsDbl()))
 		case vasm.SubD:
-			act.set(in.D, runtime.Dbl(act.get(in.A).D-act.get(in.B).D))
+			act.set(in.D, runtime.Dbl(act.get(in.A).AsDbl()-act.get(in.B).AsDbl()))
 		case vasm.MulD:
-			act.set(in.D, runtime.Dbl(act.get(in.A).D*act.get(in.B).D))
+			act.set(in.D, runtime.Dbl(act.get(in.A).AsDbl()*act.get(in.B).AsDbl()))
 		case vasm.DivD:
-			b := act.get(in.B).D
+			b := act.get(in.B).AsDbl()
 			if b == 0 {
 				if fast {
 					settleRun(m.Meter, code, runStart, ip)
@@ -550,13 +553,13 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 					return *out
 				}
 			}
-			act.set(in.D, runtime.Dbl(act.get(in.A).D/b))
+			act.set(in.D, runtime.Dbl(act.get(in.A).AsDbl()/b))
 		case vasm.NegD:
-			act.set(in.D, runtime.Dbl(-act.get(in.A).D))
+			act.set(in.D, runtime.Dbl(-act.get(in.A).AsDbl()))
 		case vasm.CmpI:
-			act.set(in.D, runtime.Bool(cmpI(in.I64&0xff, act.get(in.A).I, act.get(in.B).I)))
+			act.set(in.D, runtime.Bool(cmpI(in.I64&0xff, act.get(in.A).AsInt(), act.get(in.B).AsInt())))
 		case vasm.CmpD:
-			act.set(in.D, runtime.Bool(cmpD(in.I64&0xff, act.get(in.A).D, act.get(in.B).D)))
+			act.set(in.D, runtime.Bool(cmpD(in.I64&0xff, act.get(in.A).AsDbl(), act.get(in.B).AsDbl())))
 
 		case vasm.ToBool:
 			act.set(in.D, runtime.Bool(act.get(in.A).Bool()))
@@ -572,11 +575,11 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 
 		// Non-branching superinstructions.
 		case vasm.LdImmAddI:
-			m.setImm(act, vasm.Reg(in.Target2), code.Imms[in.I64>>16])
-			act.set(in.D, runtime.Int(act.get(in.A).I+act.get(in.B).I))
+			act.set(vasm.Reg(in.Target2), consts[in.I64>>16])
+			act.set(in.D, runtime.Int(act.get(in.A).AsInt()+act.get(in.B).AsInt()))
 		case vasm.LdImmCmpI:
-			m.setImm(act, vasm.Reg(in.Target2), code.Imms[in.I64>>16])
-			act.set(in.D, runtime.Bool(cmpI(in.I64&0xff, act.get(in.A).I, act.get(in.B).I)))
+			act.set(vasm.Reg(in.Target2), consts[in.I64>>16])
+			act.set(in.D, runtime.Bool(cmpI(in.I64&0xff, act.get(in.A).AsInt(), act.get(in.B).AsInt())))
 		case vasm.IncRefN:
 			for _, r := range in.Args {
 				h.IncRef(act.get(r))
@@ -587,10 +590,10 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			}
 
 		case vasm.ArrCount:
-			act.set(in.D, runtime.Int(int64(act.get(in.A).A.Len())))
+			act.set(in.D, runtime.Int(int64(act.get(in.A).AsArr().Len())))
 		case vasm.ArrGetPkI:
 			arr := act.get(in.A)
-			el, ok := arr.A.GetIntKey(act.get(in.B).I)
+			el, ok := arr.AsArr().GetIntKey(act.get(in.B).AsInt())
 			if !ok || el.Kind == types.KUninit {
 				el = runtime.Null()
 				m.Meter.Charge(helperCost[vasm.HArrGetPackedMiss])
@@ -599,9 +602,9 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			act.set(in.D, el)
 
 		case vasm.LdProp:
-			act.set(in.D, act.get(in.A).O.GetPropSlot(int(in.I64)))
+			act.set(in.D, act.get(in.A).AsObj().GetPropSlot(int(in.I64)))
 		case vasm.StProp:
-			act.get(in.A).O.SetPropSlot(h, int(in.I64), act.get(in.B))
+			act.get(in.A).AsObj().SetPropSlot(h, int(in.I64), act.get(in.B))
 
 		case vasm.LdPropIC:
 			ov := act.get(in.A)
@@ -617,8 +620,8 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				}
 				continue
 			}
-			if slot, ok := m.probePropIC(code, ip, ov.O, in.Str); ok {
-				p := ov.O.GetPropSlot(slot)
+			if slot, ok := m.probePropIC(code, ip, ov.AsObj(), in.Str); ok {
+				p := ov.AsObj().GetPropSlot(slot)
 				if p.Kind == types.KUninit {
 					p = runtime.Null()
 				}
@@ -628,7 +631,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				// Megamorphic site, shapeless receiver, or a property
 				// the shape does not describe: generic by-name path.
 				m.Shapes.GenericPropCalls.Add(1)
-				act.set(in.D, runtime.GetPropNamed(h, ov.O, in.Str))
+				act.set(in.D, runtime.GetPropNamed(h, ov.AsObj(), in.Str))
 			}
 		case vasm.StPropIC:
 			ov, val := act.get(in.A), act.get(in.B)
@@ -645,13 +648,13 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				}
 				continue
 			}
-			if slot, ok := m.probePropIC(code, ip, ov.O, in.Str); ok {
+			if slot, ok := m.probePropIC(code, ip, ov.AsObj(), in.Str); ok {
 				// SetPropSlot maintains the shape on retyping stores, so
 				// the cached slot stays valid across kind changes.
-				ov.O.SetPropSlot(h, slot, val)
+				ov.AsObj().SetPropSlot(h, slot, val)
 			} else {
 				m.Shapes.GenericPropCalls.Add(1)
-				if err := runtime.SetPropNamed(h, ov.O, in.Str, val); err != nil {
+				if err := runtime.SetPropNamed(h, ov.AsObj(), in.Str, val); err != nil {
 					if fast {
 						settleRun(m.Meter, code, runStart, ip)
 						runStart = ip + 1
@@ -722,14 +725,14 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				if v.Kind == types.KObj {
 					m.Counters.RecordCallTarget(
 						profile.CallSite{FuncID: fr.Fn.ID, PC: int(in.I64)},
-						v.O.Class.Name)
+						v.AsObj().Class.Name)
 				}
 			}
 		case vasm.ProfPropShape:
 			if m.Counters != nil {
 				v := act.get(in.A)
 				if v.Kind == types.KObj {
-					if sid := v.O.ShapeID(); sid != 0 {
+					if sid := v.AsObj().ShapeID(); sid != 0 {
 						m.Counters.RecordPropShape(
 							profile.CallSite{FuncID: fr.Fn.ID, PC: int(in.I64)}, sid)
 					}
@@ -737,7 +740,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			}
 
 		case vasm.Jmp:
-			nip := code.BlockIndex[in.Target1]
+			nip := int(starts[in.Target1])
 			if fast {
 				// Fallthrough coalescing: a branch to the next stream
 				// instruction continues the straight-line run — no
@@ -760,9 +763,9 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			}
 			var nip int
 			if cond {
-				nip = code.BlockIndex[in.Target1]
+				nip = int(starts[in.Target1])
 			} else {
-				nip = code.BlockIndex[in.Target2]
+				nip = int(starts[in.Target2])
 			}
 			if fast {
 				if nip == ip+1 {
@@ -777,16 +780,16 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 		case vasm.CmpIJcc:
 			// Fused CmpI + Jcc: write the compare result, then branch
 			// on it (honoring the jump-optimization inversion bit).
-			cond := cmpI(in.I64&0xff, act.get(in.A).I, act.get(in.B).I)
+			cond := cmpI(in.I64&0xff, act.get(in.A).AsInt(), act.get(in.B).AsInt())
 			act.set(in.D, runtime.Bool(cond))
 			if in.I64&0x100 != 0 {
 				cond = !cond
 			}
 			var nip int
 			if cond {
-				nip = code.BlockIndex[in.Target1]
+				nip = int(starts[in.Target1])
 			} else {
-				nip = code.BlockIndex[in.Target2]
+				nip = int(starts[in.Target2])
 			}
 			if fast {
 				if nip == ip+1 {
@@ -799,16 +802,16 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			runStart, xfer = ip, true
 			continue
 		case vasm.CmpDJcc:
-			cond := cmpD(in.I64&0xff, act.get(in.A).D, act.get(in.B).D)
+			cond := cmpD(in.I64&0xff, act.get(in.A).AsDbl(), act.get(in.B).AsDbl())
 			act.set(in.D, runtime.Bool(cond))
 			if in.I64&0x100 != 0 {
 				cond = !cond
 			}
 			var nip int
 			if cond {
-				nip = code.BlockIndex[in.Target1]
+				nip = int(starts[in.Target1])
 			} else {
-				nip = code.BlockIndex[in.Target2]
+				nip = int(starts[in.Target2])
 			}
 			if fast {
 				if nip == ip+1 {
@@ -825,9 +828,9 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			idx := act.get(in.A).ToInt() - tbl.Base
 			var nip int
 			if idx >= 0 && idx < int64(len(tbl.Targets)) {
-				nip = code.BlockIndex[tbl.Targets[idx]]
+				nip = int(starts[tbl.Targets[idx]])
 			} else {
-				nip = code.BlockIndex[tbl.Default]
+				nip = int(starts[tbl.Default])
 			}
 			if fast {
 				if nip == ip+1 {
@@ -851,11 +854,11 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				// integer returns, silently — no panic, no guard fail —
 				// which is exactly the failure mode only the sentry's
 				// checksum audit or shadow execution can catch.
-				v.I += int64(t & 0xFF)
+				v = runtime.Int(v.AsInt() + int64(t&0xFF))
 			}
 			m.Meter.Charge(uint64(2 * len(fr.Locals))) // frame teardown
 			fr.Stack = fr.Stack[:0]
-			frameRelease(m.Env, fr)
+			fr.Release(m.Env)
 			return Outcome{Kind: Returned, Value: v, GuardFails: guardFails,
 				EntryPC: act.entryPC}
 
@@ -867,7 +870,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			if nc, nip, ok := m.chainFrom(code, ip, act, &out, &chained); ok {
 				code, ip = nc, nip
 				fast, runStart, xfer = code.FastDispatch, nip, true
-				instrs, flags = code.Instrs, code.DispatchFlags
+				instrs, flags, starts, consts = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts
 				continue
 			}
 			return out
@@ -883,7 +886,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			if nc, nip, ok := m.chainFrom(code, ip, act, &out, &chained); ok {
 				code, ip = nc, nip
 				fast, runStart, xfer = code.FastDispatch, nip, true
-				instrs, flags = code.Instrs, code.DispatchFlags
+				instrs, flags, starts, consts = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts
 				continue
 			}
 			return out
@@ -985,29 +988,12 @@ func (m *Machine) chainFrom(code *mcode.Code, ip int, act *activation, out *Outc
 				*chained++
 				act.bindSpace(nc)
 				act.entryPC = fr.PC
-				return nc, nc.BlockIndex[0], true
+				return nc, nc.Entry(), true
 			}
 		}
 	}
 	out.BindCode, out.BindInstr = code, ip
 	return nil, 0, false
-}
-
-func (m *Machine) setImm(act *activation, d vasm.Reg, iv vasm.ImmValue) {
-	switch iv.Kind {
-	case types.KInt:
-		act.set(d, runtime.Int(iv.I))
-	case types.KDbl:
-		act.set(d, runtime.Dbl(iv.D))
-	case types.KBool:
-		act.set(d, runtime.Bool(iv.I != 0))
-	case types.KStr:
-		act.set(d, runtime.StrV(runtime.InternStr(iv.S)))
-	case types.KUninit:
-		act.set(d, runtime.Uninit())
-	default:
-		act.set(d, runtime.Null())
-	}
 }
 
 // probePropIC resolves a property through the shape IC burned into
@@ -1088,11 +1074,7 @@ func (m *Machine) probePropIC(code *mcode.Code, ip int, o *runtime.Object, name 
 // resume at instruction index idx) or an exit stub block (done=true,
 // idx is the stub's Exit instruction — the smash site for chaining).
 func (m *Machine) jumpOrExit(code *mcode.Code, act *activation, target int, guardFails int) (out Outcome, idx int, done bool) {
-	idx, ok := code.BlockIndex[target]
-	if !ok {
-		return Outcome{Kind: Threw, Err: runtime.NewError("machine: bad guard target"),
-			GuardFails: guardFails, EntryPC: act.entryPC}, 0, true
-	}
+	idx = int(code.BlockStart[target])
 	// Exit stubs consist of a single Exit instruction.
 	if idx < len(code.Instrs) && code.Instrs[idx].Op == vasm.Exit {
 		m.Meter.Charge(opCost(vasm.Exit))
@@ -1107,8 +1089,7 @@ func (m *Machine) jumpOrExit(code *mcode.Code, act *activation, target int, guar
 func (m *Machine) throwTo(code *mcode.Code, act *activation, stub int, err error, guardFails int) *Outcome {
 	var ex *vasm.ExitInfo
 	if stub >= 0 {
-		if idx, ok := code.BlockIndex[stub]; ok && idx < len(code.Instrs) &&
-			code.Instrs[idx].Op == vasm.Exit {
+		if idx := int(code.BlockStart[stub]); idx < len(code.Instrs) && code.Instrs[idx].Op == vasm.Exit {
 			ex = code.Instrs[idx].Ex
 		}
 	}
@@ -1152,7 +1133,7 @@ func (m *Machine) takeExit(act *activation, ex *vasm.ExitInfo, kind OutcomeKind,
 			}
 			if ii.ThisReg != vasm.InvalidReg {
 				if tv := act.get(ii.ThisReg); tv.Kind == types.KObj {
-					cf.This = tv.O
+					cf.This = tv.AsObj()
 				}
 			}
 			out.Inline = append(out.Inline, InlineResume{Frame: cf, RetBCOff: ii.RetBCOff})
@@ -1170,20 +1151,6 @@ func (m *Machine) takeExit(act *activation, ex *vasm.ExitInfo, kind OutcomeKind,
 	}
 	fr.PC = ex.BCOff
 	return out
-}
-
-// frameRelease mirrors interp's frame teardown.
-func frameRelease(env *interp.Env, fr *interp.Frame) {
-	for i, v := range fr.Locals {
-		env.Heap.DecRef(v)
-		fr.Locals[i] = runtime.Uninit()
-	}
-	for _, it := range fr.Iters {
-		if it != nil {
-			env.Heap.DecRef(runtime.ArrV(it.Arr()))
-		}
-	}
-	fr.Iters = nil
 }
 
 func cmpI(cond, a, b int64) bool {

@@ -57,19 +57,19 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 		if arrv.Kind != types.KArr {
 			return runtime.Null(), runtime.NewError("AddElem on non-array")
 		}
-		return runtime.ArrV(arrv.A.Set(h, key, val)), nil
+		return runtime.ArrV(arrv.AsArr().Set(h, key, val)), nil
 	case vasm.HAddNewElem:
 		arrv, val := arg(0), arg(1)
 		if arrv.Kind != types.KArr {
 			return runtime.Null(), runtime.NewError("AddNewElem on non-array")
 		}
-		return runtime.ArrV(arrv.A.Append(h, val)), nil
+		return runtime.ArrV(arrv.AsArr().Append(h, val)), nil
 	case vasm.HArrGetGeneric:
 		arrv, key := arg(0), arg(1)
 		if arrv.Kind != types.KArr {
 			return runtime.Null(), runtime.NewError("cannot index non-array")
 		}
-		el, _ := arrv.A.Get(key)
+		el, _ := arrv.AsArr().Get(key)
 		if el.Kind == types.KUninit {
 			el = runtime.Null()
 		}
@@ -86,7 +86,7 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 			h.DecRef(val)
 			return runtime.Null(), runtime.NewError("cannot write index of non-array")
 		}
-		fr.Locals[extra] = runtime.ArrV(lv.A.Set(h, key, val))
+		fr.Locals[extra] = runtime.ArrV(lv.AsArr().Set(h, key, val))
 		return runtime.Null(), nil
 	case vasm.HArrAppendLocal:
 		val := arg(0)
@@ -99,13 +99,13 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 			h.DecRef(val)
 			return runtime.Null(), runtime.NewError("cannot append to non-array")
 		}
-		fr.Locals[extra] = runtime.ArrV(lv.A.Append(h, val))
+		fr.Locals[extra] = runtime.ArrV(lv.AsArr().Append(h, val))
 		return runtime.Null(), nil
 	case vasm.HArrUnsetLocal:
 		key := arg(0)
 		lv := fr.Locals[extra]
 		if lv.Kind == types.KArr {
-			fr.Locals[extra] = runtime.ArrV(lv.A.Remove(h, key))
+			fr.Locals[extra] = runtime.ArrV(lv.AsArr().Remove(h, key))
 		}
 		return runtime.Null(), nil
 	case vasm.HAKExistsLocal:
@@ -113,18 +113,18 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 		lv := fr.Locals[extra]
 		ok := false
 		if lv.Kind == types.KArr {
-			_, ok = lv.A.Get(key)
+			_, ok = lv.AsArr().Get(key)
 		}
 		return runtime.Bool(ok), nil
 
 	case vasm.HIterInit:
 		iter, slot := vasm.UnpackIterSlot(extra)
 		lv := fr.Locals[slot]
-		if lv.Kind != types.KArr || lv.A.Len() == 0 {
+		if lv.Kind != types.KArr || lv.AsArr().Len() == 0 {
 			return runtime.Bool(false), nil
 		}
 		h.IncRef(lv)
-		setFrameIter(fr, iter, runtime.NewIter(lv.A))
+		setFrameIter(fr, iter, runtime.NewIter(lv.AsArr()))
 		return runtime.Bool(true), nil
 	case vasm.HIterNext:
 		it := frameIter(fr, int32(extra))
@@ -169,7 +169,7 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 			return runtime.Null(), runtime.NewError("property access on non-object")
 		}
 		m.Shapes.GenericPropCalls.Add(1)
-		return runtime.GetPropNamed(h, ov.O, in.Str), nil
+		return runtime.GetPropNamed(h, ov.AsObj(), in.Str), nil
 	case vasm.HStPropGeneric:
 		ov, val := arg(0), arg(1)
 		if ov.Kind != types.KObj {
@@ -177,7 +177,7 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 			return runtime.Null(), runtime.NewError("property write on non-object")
 		}
 		m.Shapes.GenericPropCalls.Add(1)
-		if err := runtime.SetPropNamed(h, ov.O, in.Str, val); err != nil {
+		if err := runtime.SetPropNamed(h, ov.AsObj(), in.Str, val); err != nil {
 			return runtime.Null(), runtime.NewError("%s", err.Error())
 		}
 		return runtime.Null(), nil
@@ -186,12 +186,12 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 		if extra > 0 {
 			// Bitwise instanceof: one bit test against the receiver's
 			// ancestor bitset (base helper cost only).
-			r := v.Kind == types.KObj && v.O.Class.HasAncestorID(int(extra-1))
+			r := v.Kind == types.KObj && v.AsObj().Class.HasAncestorID(int(extra-1))
 			return runtime.Bool(r), nil
 		}
 		// Slow path: hierarchy walk by name.
 		m.Meter.Charge(instanceOfWalkCost)
-		r := v.Kind == types.KObj && v.O.Class.IsSubclassOf(in.Str)
+		r := v.Kind == types.KObj && v.AsObj().Class.IsSubclassOf(in.Str)
 		return runtime.Bool(r), nil
 	case vasm.HVerifyParam:
 		return runtime.Null(), m.verifyParam(fr, int(extra), in.Str)
@@ -206,7 +206,7 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 			h.DecRef(v)
 			return runtime.Null(), runtime.NewError("can only throw objects")
 		}
-		return runtime.Null(), runtime.Thrown(v.O)
+		return runtime.Null(), runtime.Thrown(v.AsObj())
 	case vasm.HConvToBoolGeneric:
 		return runtime.Bool(arg(0).Bool()), nil
 	case vasm.HConvToIntGeneric:
@@ -233,7 +233,7 @@ func (m *Machine) binop(op hhbc.Op, a, b runtime.Value) (runtime.Value, error) {
 		return runtime.Mod(a, b)
 	case hhbc.OpNeg:
 		if a.Kind == types.KDbl {
-			return runtime.Dbl(-a.D), nil
+			return runtime.Dbl(-a.AsDbl()), nil
 		}
 		return runtime.Int(-a.ToInt()), nil
 	case hhbc.OpGt:
@@ -269,7 +269,7 @@ func (m *Machine) verifyParam(fr *interp.Frame, slot int, hint string) error {
 	case "float":
 		ok = v.Kind == types.KDbl || v.Kind == types.KInt
 		if v.Kind == types.KInt {
-			fr.Locals[slot] = runtime.Dbl(float64(v.I))
+			fr.Locals[slot] = runtime.Dbl(float64(v.AsInt()))
 		}
 	case "string":
 		ok = v.Kind == types.KStr
@@ -280,7 +280,7 @@ func (m *Machine) verifyParam(fr *interp.Frame, slot int, hint string) error {
 	case "":
 		ok = true
 	default:
-		ok = v.Kind == types.KObj && v.O.Class.IsSubclassOf(hint)
+		ok = v.Kind == types.KObj && v.AsObj().Class.IsSubclassOf(hint)
 	}
 	if !ok {
 		return runtime.NewError("argument at slot %d must be of type %s, %s given",
@@ -378,10 +378,11 @@ func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *vasm.In
 		return ret, err
 	case vasm.CallBuiltin:
 		args := m.takeArgs(act, in.Args, 0)
-		if b, ok := runtime.LookupBuiltin(in.Str); ok {
+		if in.I64 > 0 {
+			// Resolved by mcode.Assemble.
+			b := code.Builtins[in.I64-1]
 			m.Meter.Charge(b.Cost)
-			ctx := &runtime.BuiltinCtx{Heap: env.Heap, Out: env.Out}
-			ret, err := b.Fn(ctx, args)
+			ret, err := b.Fn(env.BuiltinCtx(), args)
 			for _, a := range args {
 				env.Heap.DecRef(a)
 			}
@@ -406,7 +407,7 @@ func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *vasm.In
 		if m.Counters != nil {
 			m.Counters.RecordCall(act.fr.Fn.ID, f.ID)
 		}
-		ret, entered, err := m.CallGuest(f, obj.O, args, m.callHint(code, ip))
+		ret, entered, err := m.CallGuest(f, obj.AsObj(), args, m.callHint(code, ip))
 		m.smashCall(code, ip, entered)
 		m.putArgs(args)
 		return ret, err
@@ -423,12 +424,12 @@ func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *vasm.In
 		// Inline cache: monomorphic per call site (site -1 = caching
 		// disabled, full lookup every call).
 		var funcID int
-		if ent, ok := m.methodCache[in.I64]; in.I64 >= 0 && ok && ent.cls == obj.O.Class {
+		if ent, ok := m.methodCache[in.I64]; in.I64 >= 0 && ok && ent.cls == obj.AsObj().Class {
 			m.Meter.Charge(methodCacheHitCost)
 			funcID = ent.funcID
 		} else {
 			m.Meter.Charge(methodLookupCost)
-			id, ok := obj.O.Class.LookupMethod(in.Str)
+			id, ok := obj.AsObj().Class.LookupMethod(in.Str)
 			if !ok {
 				for _, a := range args {
 					env.Heap.DecRef(a)
@@ -438,10 +439,10 @@ func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *vasm.In
 					return runtime.Null(), nil
 				}
 				return runtime.Null(), runtime.NewError("call to undefined method %s::%s()",
-					obj.O.Class.Name, in.Str)
+					obj.AsObj().Class.Name, in.Str)
 			}
 			if in.I64 >= 0 {
-				m.methodCache[in.I64] = methodCacheEnt{cls: obj.O.Class, funcID: id}
+				m.methodCache[in.I64] = methodCacheEnt{cls: obj.AsObj().Class, funcID: id}
 			}
 			funcID = id
 		}
@@ -449,7 +450,7 @@ func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *vasm.In
 		if m.Counters != nil {
 			m.Counters.RecordCall(act.fr.Fn.ID, f.ID)
 		}
-		ret, _, err := m.CallGuest(f, obj.O, args, nil)
+		ret, _, err := m.CallGuest(f, obj.AsObj(), args, nil)
 		m.putArgs(args)
 		return ret, err
 	}

@@ -7,10 +7,13 @@ package mcode
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/faultinject"
+	"repro/internal/runtime"
+	"repro/internal/types"
 	"repro/internal/vasm"
 )
 
@@ -25,12 +28,21 @@ type Code struct {
 	Instrs []vasm.Instr
 	// Addr[i] is the simulated address of Instrs[i].
 	Addr []uint64
-	// BlockIndex maps vasm block id -> index into Instrs of its first
-	// instruction.
-	BlockIndex map[int]int
-	// Imms is the constant pool.
-	Imms []vasm.ImmValue
-	// Tables holds JmpTable jump tables.
+	// BlockStart[b] is the index into Instrs of vasm block b's first
+	// instruction (-1 for a block the layout dropped). Every branch
+	// target, jump-table entry and stub reference in Instrs/Tables was
+	// checked against it by Assemble, so the machine indexes it
+	// directly; block 0 is the translation entry.
+	BlockStart []int32
+	// Consts is the constant pool, materialized: Consts[i] is the
+	// guest value LdImm #i loads, strings already interned.
+	Consts []runtime.Value
+	// Builtins holds the natives this translation calls: a CallBuiltin
+	// whose name resolved carries its 1-based index here in I64 (0 =
+	// unresolved, the machine falls back to a guest function of that
+	// name).
+	Builtins []*runtime.Builtin
+	// Tables holds JmpTable jump tables (targets are block ids).
 	Tables []vasm.JumpTable
 	// NumSpills / ExtSlots size the activation's spill area and
 	// extended frame.
@@ -242,11 +254,32 @@ func ComponentSizes(in *vasm.Instr) []uint64 {
 	}
 }
 
-// Assemble flattens a laid-out, register-allocated unit. Addresses
-// are relative to 0 until Place assigns a base. A malformed stream
-// (e.g. an immediate index past the constant pool) is a typed error,
-// not a panic: the compile fails, the address is quarantined, and the
-// process keeps serving from the interpreter (DESIGN.md §11).
+// AssembleError reports a malformed instruction stream: an operand
+// that names something the unit does not have. The compile fails with
+// it, the address is quarantined, and the process keeps serving from
+// the interpreter (DESIGN.md §11) — the alternative is a translation
+// that misbehaves at run time.
+type AssembleError struct {
+	// Index and Op locate the offending instruction in the flattened
+	// stream.
+	Index  int
+	Op     vasm.Op
+	Reason string
+}
+
+func (e *AssembleError) Error() string {
+	return fmt.Sprintf("mcode: %s at #%d: %s", e.Op, e.Index, e.Reason)
+}
+
+// Assemble flattens a laid-out, register-allocated unit and resolves
+// everything the machine would otherwise look up by key per executed
+// instruction: block ids to stream indexes (BlockStart), immediates
+// to guest values (Consts), builtin names to natives (Builtins).
+// Addresses are relative to 0 until Place assigns a base. A malformed
+// stream — an immediate index past the constant pool, a branch,
+// jump-table entry or stub reference to a block the layout does not
+// contain — is an *AssembleError, not a panic and not a translation
+// that silently restarts itself.
 func Assemble(u *vasm.Unit) (*Code, error) {
 	order := u.Layout
 	if order == nil {
@@ -255,15 +288,25 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 			order[i] = i
 		}
 	}
-	c := &Code{BlockIndex: map[int]int{}, Imms: u.Imms, Tables: u.Tables,
+	c := &Code{BlockStart: make([]int32, len(u.Blocks)), Tables: u.Tables,
 		NumSpills: u.NumSpills, ExtSlots: u.ExtFrameSlots}
+	for i := range c.BlockStart {
+		c.BlockStart[i] = -1
+	}
+	n := 0
+	for _, bi := range order {
+		n += len(u.Blocks[bi].Instrs)
+	}
+	c.Instrs = make([]vasm.Instr, 0, n)
+	c.Addr = make([]uint64, 0, n)
 	var off uint64
 	for _, bi := range order {
 		b := u.Blocks[bi]
-		c.BlockIndex[bi] = len(c.Instrs)
+		// An empty block starts where the next one does (past the end
+		// of the stream for trailing ones).
+		c.BlockStart[bi] = int32(len(c.Instrs))
 		for i := range b.Instrs {
-			in := b.Instrs[i]
-			c.Instrs = append(c.Instrs, in)
+			c.Instrs = append(c.Instrs, b.Instrs[i])
 			c.Addr = append(c.Addr, off)
 			off += instrSize(&b.Instrs[i])
 		}
@@ -274,24 +317,13 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 		off += uint64(8 * (len(tbl.Targets) + 1))
 	}
 	c.Size = off
-	// Empty blocks at the end of the layout need an index too.
-	for _, bi := range order {
-		if _, ok := c.BlockIndex[bi]; !ok {
-			c.BlockIndex[bi] = len(c.Instrs)
-		}
+
+	c.Consts = make([]runtime.Value, len(u.Imms))
+	for i, iv := range u.Imms {
+		c.Consts[i] = constValue(iv)
 	}
-	for i := range c.Instrs {
-		immIdx := int64(-1)
-		switch c.Instrs[i].Op {
-		case vasm.LdImm:
-			immIdx = c.Instrs[i].I64
-		case vasm.LdImmAddI, vasm.LdImmCmpI:
-			immIdx = c.Instrs[i].I64 >> 16
-		}
-		if immIdx >= 0 && int(immIdx) >= len(c.Imms) {
-			return nil, fmt.Errorf("mcode: %s imm #%d out of range (%d imms)",
-				c.Instrs[i].Op, immIdx, len(c.Imms))
-		}
+	if err := c.resolve(); err != nil {
+		return nil, err
 	}
 	// Smash-site identity: any smashable instruction (bind jumps and
 	// direct call sites) gets a stable link slot addressed by its
@@ -304,6 +336,95 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 	}
 	return c, nil
 }
+
+// constValue materializes one constant-pool entry.
+func constValue(iv vasm.ImmValue) runtime.Value {
+	switch iv.Kind {
+	case types.KInt:
+		return runtime.Int(iv.I)
+	case types.KDbl:
+		return runtime.Dbl(iv.D)
+	case types.KBool:
+		return runtime.Bool(iv.I != 0)
+	case types.KStr:
+		return runtime.StrV(runtime.InternStr(iv.S))
+	case types.KUninit:
+		return runtime.Uninit()
+	default:
+		return runtime.Null()
+	}
+}
+
+// resolve validates every keyed operand of the flattened stream and
+// binds CallBuiltin names.
+func (c *Code) resolve() error {
+	block := func(i int, what string, b int) error {
+		if b < 0 || b >= len(c.BlockStart) || c.BlockStart[b] < 0 {
+			return &AssembleError{Index: i, Op: c.Instrs[i].Op,
+				Reason: fmt.Sprintf("%s B%d is not a laid-out block (%d blocks)", what, b, len(c.BlockStart))}
+		}
+		return nil
+	}
+	imm := func(i int, idx int64) error {
+		if idx < 0 || idx >= int64(len(c.Consts)) {
+			return &AssembleError{Index: i, Op: c.Instrs[i].Op,
+				Reason: fmt.Sprintf("imm #%d out of range (%d imms)", idx, len(c.Consts))}
+		}
+		return nil
+	}
+	for i := range c.Instrs {
+		in := &c.Instrs[i]
+		var err error
+		switch in.Op {
+		case vasm.LdImm:
+			err = imm(i, in.I64)
+		case vasm.LdImmAddI, vasm.LdImmCmpI:
+			err = imm(i, in.I64>>16)
+		case vasm.Jmp, vasm.GuardKind, vasm.GuardCls, vasm.GuardShape, vasm.LdLocGK:
+			err = block(i, "target", in.Target1)
+		case vasm.Jcc, vasm.CmpIJcc, vasm.CmpDJcc:
+			if err = block(i, "target", in.Target1); err == nil {
+				err = block(i, "target", in.Target2)
+			}
+		case vasm.JmpTable:
+			if in.I64 < 0 || in.I64 >= int64(len(c.Tables)) {
+				err = &AssembleError{Index: i, Op: in.Op,
+					Reason: fmt.Sprintf("jump table #%d out of range (%d tables)", in.I64, len(c.Tables))}
+				break
+			}
+			tbl := &c.Tables[in.I64]
+			err = block(i, "table default", tbl.Default)
+			for j := 0; err == nil && j < len(tbl.Targets); j++ {
+				err = block(i, "table entry", tbl.Targets[j])
+			}
+		case vasm.DivD, vasm.LdPropIC, vasm.StPropIC, vasm.Helper,
+			vasm.CallFunc, vasm.CallMethodD, vasm.CallMethodC, vasm.CallBuiltin:
+			// Catch stub; -1 = none (the error leaves the translation).
+			if in.Target1 != -1 {
+				err = block(i, "catch stub", in.Target1)
+			}
+			if in.Op == vasm.CallBuiltin {
+				in.I64 = 0
+				if b, ok := runtime.LookupBuiltin(in.Str); ok {
+					idx := slices.Index(c.Builtins, b)
+					if idx < 0 {
+						idx = len(c.Builtins)
+						c.Builtins = append(c.Builtins, b)
+					}
+					in.I64 = int64(idx + 1)
+				}
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Entry returns the stream index execution starts at: block 0's first
+// instruction (layout may have placed hotter blocks ahead of it).
+func (c *Code) Entry() int { return int(c.BlockStart[0]) }
 
 // Place rebases the code at base.
 func (c *Code) Place(base uint64) {

@@ -1,6 +1,8 @@
 package mcode_test
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/mcode"
@@ -212,5 +214,141 @@ func TestAssembleSlabOnlyForSmashSites(t *testing.T) {
 	plain.ForEachLink(func(int, *mcode.Link) { visited = true })
 	if visited {
 		t.Error("slab-less translation visited a link")
+	}
+}
+
+// ins builds an instruction the way vasm.Lower does: absent operands
+// are InvalidReg and absent targets are -1.
+func ins(op vasm.Op) vasm.Instr {
+	return vasm.Instr{Op: op, D: vasm.InvalidReg, A: vasm.InvalidReg, B: vasm.InvalidReg,
+		Target1: -1, Target2: -1}
+}
+
+// unitWith wraps one instruction under test in a three-block unit:
+// B0 holds it, B1 is an exit stub, B2 a plain successor.
+func unitWith(in vasm.Instr) *vasm.Unit {
+	ret := ins(vasm.Ret)
+	ret.A = 0
+	exit := ins(vasm.Exit)
+	exit.Ex = &vasm.ExitInfo{BCOff: 3}
+	return &vasm.Unit{
+		Blocks: []*vasm.Block{
+			{ID: 0, Instrs: []vasm.Instr{in}},
+			{ID: 1, Instrs: []vasm.Instr{exit}},
+			{ID: 2, Instrs: []vasm.Instr{ret}},
+		},
+		Imms:   []vasm.ImmValue{{Kind: types.KInt, I: 1}},
+		Tables: []vasm.JumpTable{{Base: 0, Targets: []int{1, 2}, Default: 2}},
+	}
+}
+
+// TestAssembleRejectsBadTargets: a branch, guard, jump-table entry or
+// catch-stub reference to a block the unit does not have used to read
+// the BlockIndex map's zero value and silently restart the translation
+// from its first instruction. It is an assemble error now, one case
+// per instruction kind that carries a block operand.
+func TestAssembleRejectsBadTargets(t *testing.T) {
+	with := func(op vasm.Op, edit func(*vasm.Instr)) vasm.Instr {
+		in := ins(op)
+		edit(&in)
+		return in
+	}
+	const bad = 7 // the unit has blocks 0..2
+	cases := []struct {
+		name string
+		in   vasm.Instr
+	}{
+		{"jmp", with(vasm.Jmp, func(in *vasm.Instr) { in.Target1 = bad })},
+		{"jmp-negative", with(vasm.Jmp, func(in *vasm.Instr) {})},
+		{"jcc-taken", with(vasm.Jcc, func(in *vasm.Instr) { in.A, in.Target1, in.Target2 = 0, bad, 2 })},
+		{"jcc-fallthrough", with(vasm.Jcc, func(in *vasm.Instr) { in.A, in.Target1, in.Target2 = 0, 2, bad })},
+		{"cmpi+jcc", with(vasm.CmpIJcc, func(in *vasm.Instr) { in.Target1, in.Target2 = 2, bad })},
+		{"cmpd+jcc", with(vasm.CmpDJcc, func(in *vasm.Instr) { in.Target1, in.Target2 = bad, 2 })},
+		{"guardkind", with(vasm.GuardKind, func(in *vasm.Instr) { in.A, in.TypeParam, in.Target1 = 0, types.TInt, bad })},
+		{"guardcls", with(vasm.GuardCls, func(in *vasm.Instr) { in.A, in.Target1 = 0, bad })},
+		{"guardshape", with(vasm.GuardShape, func(in *vasm.Instr) { in.A, in.Target1 = 0, bad })},
+		{"ldloc+guardkind", with(vasm.LdLocGK, func(in *vasm.Instr) { in.D, in.TypeParam, in.Target1 = 0, types.TInt, bad })},
+		{"divd-catch", with(vasm.DivD, func(in *vasm.Instr) { in.Target1 = bad })},
+		{"ldpropic-catch", with(vasm.LdPropIC, func(in *vasm.Instr) { in.Target1 = bad })},
+		{"stpropic-catch", with(vasm.StPropIC, func(in *vasm.Instr) { in.Target1 = bad })},
+		{"helper-catch", with(vasm.Helper, func(in *vasm.Instr) { in.Target1 = bad })},
+		{"callfunc-catch", with(vasm.CallFunc, func(in *vasm.Instr) { in.Target1 = bad })},
+		{"callmethodd-catch", with(vasm.CallMethodD, func(in *vasm.Instr) { in.Target1 = bad })},
+		{"callmethodc-catch", with(vasm.CallMethodC, func(in *vasm.Instr) { in.Target1 = bad })},
+		{"callbuiltin-catch", with(vasm.CallBuiltin, func(in *vasm.Instr) { in.Str, in.Target1 = "count", bad })},
+		{"jmptable-index", with(vasm.JmpTable, func(in *vasm.Instr) { in.A, in.I64 = 0, 1 })},
+		{"ldimm", with(vasm.LdImm, func(in *vasm.Instr) { in.D, in.I64 = 0, 1 })},
+		{"ldimm+addi", with(vasm.LdImmAddI, func(in *vasm.Instr) { in.I64 = 1 << 16 })},
+		{"ldimm+cmpi", with(vasm.LdImmCmpI, func(in *vasm.Instr) { in.I64 = 1<<16 | 4 })},
+	}
+	for _, tc := range cases {
+		c, err := mcode.Assemble(unitWith(tc.in))
+		var ae *mcode.AssembleError
+		if !errors.As(err, &ae) {
+			t.Errorf("%s: Assemble = (%v, %v), want an *AssembleError", tc.name, c, err)
+			continue
+		}
+		if ae.Index != 0 || ae.Op != tc.in.Op {
+			t.Errorf("%s: error locates #%d %s, want #0 %s", tc.name, ae.Index, ae.Op, tc.in.Op)
+		}
+	}
+
+	// Jump tables: a bad entry and a bad default.
+	for name, tbl := range map[string]vasm.JumpTable{
+		"jmptable-entry":   {Targets: []int{1, bad}, Default: 2},
+		"jmptable-default": {Targets: []int{1, 2}, Default: bad},
+	} {
+		u := unitWith(with(vasm.JmpTable, func(in *vasm.Instr) { in.A = 0 }))
+		u.Tables = []vasm.JumpTable{tbl}
+		if _, err := mcode.Assemble(u); err == nil {
+			t.Errorf("%s: Assemble accepted the table", name)
+		}
+	}
+
+	// A block id inside the unit but dropped by the layout is as
+	// unreachable as one outside it.
+	u := unitWith(with(vasm.Jmp, func(in *vasm.Instr) { in.Target1 = 2 }))
+	u.Layout = []int{0, 1}
+	if _, err := mcode.Assemble(u); err == nil {
+		t.Error("Assemble accepted a jump to a block the layout dropped")
+	}
+}
+
+// TestAssembleResolvesTables: the happy path of the same operands —
+// block ids land in BlockStart in layout order, "no catch stub" (-1)
+// is legal, immediates are materialized with strings interned once,
+// and builtin names are bound.
+func TestAssembleResolvesTables(t *testing.T) {
+	jcc := ins(vasm.Jcc)
+	jcc.A, jcc.Target1, jcc.Target2 = 0, 1, 2
+	ldA, ldB := ins(vasm.LdImm), ins(vasm.LdImm)
+	ldA.D, ldA.I64 = 0, 0
+	ldB.D, ldB.I64 = 1, 1
+	known, unknown, again := ins(vasm.CallBuiltin), ins(vasm.CallBuiltin), ins(vasm.CallBuiltin)
+	known.Str, unknown.Str, again.Str = "strlen", "no_such_builtin", "strlen"
+	u := unitWith(jcc)
+	u.Blocks[0].Instrs = []vasm.Instr{ldA, ldB, known, unknown, again, jcc}
+	u.Imms = []vasm.ImmValue{{Kind: types.KStr, S: "lit"}, {Kind: types.KStr, S: "lit"}}
+	u.Layout = []int{2, 0, 1} // hot successor first, entry second
+
+	c, err := mcode.Assemble(u)
+	if err != nil {
+		t.Fatalf("Assemble: %v", err)
+	}
+	if want := []int32{1, 7, 0}; !reflect.DeepEqual(c.BlockStart, want) {
+		t.Errorf("BlockStart = %v, want %v", c.BlockStart, want)
+	}
+	if c.Entry() != 1 {
+		t.Errorf("Entry() = %d, want 1 (block 0 is laid out second)", c.Entry())
+	}
+	if len(c.Consts) != 2 || c.Consts[0].Kind != types.KStr ||
+		c.Consts[0].AsStr().Data != "lit" || c.Consts[0].AsStr() != c.Consts[1].AsStr() {
+		t.Errorf("Consts = %+v, want two copies of one interned \"lit\"", c.Consts)
+	}
+	if len(c.Builtins) != 1 || c.Builtins[0].Name != "strlen" {
+		t.Fatalf("Builtins = %v, want [strlen]", c.Builtins)
+	}
+	if a, b, un := c.Instrs[3].I64, c.Instrs[5].I64, c.Instrs[4].I64; a != 1 || b != 1 || un != 0 {
+		t.Errorf("CallBuiltin bindings = %d, %d (unknown: %d), want 1, 1, 0", a, b, un)
 	}
 }

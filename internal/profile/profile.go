@@ -32,8 +32,9 @@ type chunk [chunkSize]uint64
 // values double as both basic-block frequencies and input-type
 // distributions (Section 4.1 of the paper). Inc is the hottest
 // instrumentation path and is a single atomic add; everything else
-// (arcs, histograms, call graph) is recorded at block boundaries and
-// stays under the mutex.
+// (arcs, histograms) is recorded at block boundaries and stays under
+// the mutex. The call graph is bumped by every guest call optimized
+// code makes, on every worker, so it is lock-free as well (callRow).
 type Counters struct {
 	mu   sync.Mutex
 	slab atomic.Pointer[[]*chunk]
@@ -44,9 +45,13 @@ type Counters struct {
 	// callTargets histograms callee classes at method-call sites:
 	// (funcID, bcPC) -> class name -> count.
 	callTargets map[CallSite]map[string]uint64
-	// funcCalls counts direct calls per callee funcID (for the
-	// whole-program call graph used by function sorting).
-	funcCalls map[CallArc]uint64
+	// calls is the whole-program dynamic call graph used by function
+	// sorting, indexed by caller funcID. Like the counter slab it is
+	// copy-on-write: the row list and each row's edge list are
+	// republished under mu when they grow and never mutated in place,
+	// so AddCall on a known edge is two atomic loads, a short scan and
+	// one atomic add.
+	calls atomic.Pointer[[]*callRow]
 	// propShapes histograms the receiver's object shape at property
 	// access sites: (funcID, bcPC) -> shape ID -> count. Shape IDs
 	// are process-local (minted in first-touch order by this VM's
@@ -69,16 +74,25 @@ type CallSite struct {
 // CallArc is a caller->callee edge in the dynamic call graph.
 type CallArc struct{ Caller, Callee int }
 
+// callRow holds one caller's outgoing edges. Callers have few distinct
+// callees, so a linear scan beats hashing the arc.
+type callRow struct{ edges atomic.Pointer[[]callEdge] }
+
+type callEdge struct {
+	callee int
+	n      *atomic.Uint64
+}
+
 // NewCounters returns an empty store.
 func NewCounters() *Counters {
 	c := &Counters{
 		arcs:        map[Arc]uint64{},
 		callTargets: map[CallSite]map[string]uint64{},
-		funcCalls:   map[CallArc]uint64{},
 		propShapes:  map[CallSite]map[uint32]uint64{},
 	}
 	empty := []*chunk{}
 	c.slab.Store(&empty)
+	c.calls.Store(&[]*callRow{})
 	return c
 }
 
@@ -307,23 +321,69 @@ func (c *Counters) PropShapes(site CallSite) *ShapeProfile {
 // RecordCall notes a dynamic caller->callee call.
 func (c *Counters) RecordCall(caller, callee int) { c.AddCall(caller, callee, 1) }
 
-// AddCall bumps a call-graph edge by n.
+// AddCall bumps a call-graph edge by n. Lock-free once the edge exists.
 func (c *Counters) AddCall(caller, callee int, n uint64) {
 	if n == 0 {
 		return
 	}
-	c.mu.Lock()
-	c.funcCalls[CallArc{caller, callee}] += n
-	c.mu.Unlock()
+	slot := c.callSlot(caller, callee)
+	if slot == nil {
+		c.mu.Lock()
+		slot = c.newCallSlotLocked(caller, callee)
+		c.mu.Unlock()
+	}
+	slot.Add(n)
 }
 
-// CallGraph returns the weighted dynamic call graph.
+// callSlot finds the counter of an existing edge, nil if the edge has
+// not been seen.
+func (c *Counters) callSlot(caller, callee int) *atomic.Uint64 {
+	rows := *c.calls.Load()
+	if caller >= len(rows) {
+		return nil
+	}
+	for _, e := range *rows[caller].edges.Load() {
+		if e.callee == callee {
+			return e.n
+		}
+	}
+	return nil
+}
+
+// newCallSlotLocked publishes the edge (unless a racing caller just
+// did) and returns its counter. Caller holds mu.
+func (c *Counters) newCallSlotLocked(caller, callee int) *atomic.Uint64 {
+	if slot := c.callSlot(caller, callee); slot != nil {
+		return slot
+	}
+	rows := *c.calls.Load()
+	if caller >= len(rows) {
+		grown := make([]*callRow, caller+1)
+		copy(grown, rows)
+		for i := len(rows); i < len(grown); i++ {
+			grown[i] = &callRow{}
+			grown[i].edges.Store(&[]callEdge{})
+		}
+		c.calls.Store(&grown)
+		rows = grown
+	}
+	old := *rows[caller].edges.Load()
+	edges := make([]callEdge, len(old)+1)
+	copy(edges, old)
+	slot := new(atomic.Uint64)
+	edges[len(old)] = callEdge{callee: callee, n: slot}
+	rows[caller].edges.Store(&edges)
+	return slot
+}
+
+// CallGraph returns the weighted dynamic call graph. Edges keep
+// counting while it is read; each weight is one atomic load.
 func (c *Counters) CallGraph() map[CallArc]uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[CallArc]uint64, len(c.funcCalls))
-	for k, v := range c.funcCalls {
-		out[k] = v
+	out := map[CallArc]uint64{}
+	for caller, row := range *c.calls.Load() {
+		for _, e := range *row.edges.Load() {
+			out[CallArc{caller, e.callee}] = e.n.Load()
+		}
 	}
 	return out
 }
@@ -351,7 +411,7 @@ func (c *Counters) Snapshot() *Data {
 		Counts:      make([]uint64, c.n),
 		Arcs:        make(map[Arc]uint64, len(c.arcs)),
 		CallTargets: make(map[CallSite]map[string]uint64, len(c.callTargets)),
-		FuncCalls:   make(map[CallArc]uint64, len(c.funcCalls)),
+		FuncCalls:   c.CallGraph(),
 	}
 	slab := *c.slab.Load()
 	for i := 0; i < c.n; i++ {
@@ -366,9 +426,6 @@ func (c *Counters) Snapshot() *Data {
 			cp[cls] = n
 		}
 		d.CallTargets[site] = cp
-	}
-	for a, n := range c.funcCalls {
-		d.FuncCalls[a] = n
 	}
 	return d
 }
@@ -418,7 +475,7 @@ func (c *Counters) Merge(d *Data, weight float64) {
 	}
 	for a, n := range d.FuncCalls {
 		if s := scaleCount(n, weight); s > 0 {
-			c.funcCalls[a] += s
+			c.newCallSlotLocked(a.Caller, a.Callee).Add(s)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package profile_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -59,6 +60,50 @@ func TestCallGraph(t *testing.T) {
 	}
 	if len(g) != 2 {
 		t.Errorf("graph size = %d", len(g))
+	}
+}
+
+// TestConcurrentRecordCallSumsExactly: optimized code records a call
+// arc on every guest call, from every worker at once. Each worker
+// starts with arcs nobody has published yet (so edge and row
+// publication race with each other and with readers) and then stays on
+// the lock-free path; no increment may be lost, and a concurrent
+// CallGraph/Snapshot must never see a torn table.
+func TestConcurrentRecordCallSumsExactly(t *testing.T) {
+	c := profile.NewCounters()
+	const workers, calls, callers, callees = 8, 4000, 12, 5
+	// Descending callers first: the row list grows under concurrent
+	// readers.
+	arc := func(w, i int) (caller, callee int) {
+		return callers - 1 - (i+w)%callers, (i / callers) % callees
+	}
+	want := map[profile.CallArc]uint64{}
+	for w := 0; w < workers; w++ {
+		for i := 0; i < calls; i++ {
+			caller, callee := arc(w, i)
+			want[profile.CallArc{Caller: caller, Callee: callee}]++
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				c.RecordCall(arc(w, i))
+				if i%1000 == 0 {
+					_ = c.CallGraph()
+					_ = c.Snapshot()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if g := c.CallGraph(); !reflect.DeepEqual(g, want) {
+		t.Errorf("call graph after %d workers x %d calls:\n got %v\nwant %v", workers, calls, g, want)
+	}
+	if got := c.Snapshot().FuncCalls; !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot call graph differs:\n got %v\nwant %v", got, want)
 	}
 }
 

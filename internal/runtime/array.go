@@ -70,7 +70,7 @@ func (a *Array) Refs() int32 { return a.refs }
 
 func keyOf(v Value) arrayKey {
 	if v.Kind == types.KStr {
-		return arrayKey{s: v.S.Data, isStr: true}
+		return arrayKey{s: v.AsStr().Data, isStr: true}
 	}
 	return arrayKey{i: v.ToInt()}
 }

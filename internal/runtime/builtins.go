@@ -56,7 +56,7 @@ func init() {
 		if a[0].Kind != types.KArr {
 			return Int(1), nil
 		}
-		return Int(int64(a[0].A.Len())), nil
+		return Int(int64(a[0].AsArr().Len())), nil
 	}})
 	reg(&Builtin{Name: "strlen", Arity: 1, Cost: 6, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return Int(int64(len(a[0].ToString()))), nil
@@ -119,12 +119,12 @@ func init() {
 		}
 		sep := a[0].ToString()
 		var parts []string
-		a[1].A.Each(func(_, v Value) bool { parts = append(parts, v.ToString()); return true })
+		a[1].AsArr().Each(func(_, v Value) bool { parts = append(parts, v.ToString()); return true })
 		return NewStr(strings.Join(parts, sep)), nil
 	}})
 	reg(&Builtin{Name: "abs", Arity: 1, Cost: 4, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		if a[0].Kind == types.KDbl {
-			return Dbl(math.Abs(a[0].D)), nil
+			return Dbl(math.Abs(a[0].AsDbl())), nil
 		}
 		n := a[0].ToInt()
 		if n < 0 {
@@ -157,7 +157,7 @@ func init() {
 			return Null(), NewError("array_keys expects array")
 		}
 		var keys []Value
-		a[0].A.Each(func(k, _ Value) bool {
+		a[0].AsArr().Each(func(k, _ Value) bool {
 			ctx.Heap.IncRef(k)
 			keys = append(keys, k)
 			return true
@@ -169,7 +169,7 @@ func init() {
 			return Null(), NewError("array_values expects array")
 		}
 		var vals []Value
-		a[0].A.Each(func(_, v Value) bool {
+		a[0].AsArr().Each(func(_, v Value) bool {
 			ctx.Heap.IncRef(v)
 			vals = append(vals, v)
 			return true
@@ -183,7 +183,7 @@ func init() {
 		var si int64
 		var sd float64
 		isDbl := false
-		a[0].A.Each(func(_, v Value) bool {
+		a[0].AsArr().Each(func(_, v Value) bool {
 			if v.Kind == types.KDbl {
 				isDbl = true
 			}
@@ -201,7 +201,7 @@ func init() {
 			return Bool(false), nil
 		}
 		found := false
-		a[1].A.Each(func(_, v Value) bool {
+		a[1].AsArr().Each(func(_, v Value) bool {
 			if LooseEq(v, a[0]) {
 				found = true
 				return false
@@ -214,7 +214,7 @@ func init() {
 		if a[1].Kind != types.KArr {
 			return Bool(false), nil
 		}
-		_, ok := a[1].A.Get(a[0])
+		_, ok := a[1].AsArr().Get(a[0])
 		return Bool(ok), nil
 	}})
 	reg(&Builtin{Name: "max", Arity: -1, Cost: 10, Fn: minmax(1)})
@@ -257,7 +257,7 @@ func minmax(dir int) func(*BuiltinCtx, []Value) (Value, error) {
 		vals := a
 		if len(a) == 1 && a[0].Kind == types.KArr {
 			vals = nil
-			a[0].A.Each(func(_, v Value) bool { vals = append(vals, v); return true })
+			a[0].AsArr().Each(func(_, v Value) bool { vals = append(vals, v); return true })
 			if len(vals) == 0 {
 				return Bool(false), nil
 			}

@@ -31,13 +31,13 @@ func NewHeap() *Heap { return &Heap{} }
 func incRefVal(v Value) {
 	switch v.Kind {
 	case types.KStr:
-		if !v.S.static {
-			v.S.refs++
+		if !v.AsStr().static {
+			v.AsStr().refs++
 		}
 	case types.KArr:
-		v.A.refs++
+		v.AsArr().refs++
 	case types.KObj:
-		v.O.refs++
+		v.AsObj().refs++
 	}
 }
 
@@ -45,17 +45,17 @@ func incRefVal(v Value) {
 func (h *Heap) IncRef(v Value) {
 	switch v.Kind {
 	case types.KStr:
-		if v.S.static {
+		if v.AsStr().static {
 			return
 		}
 		h.IncRefs++
-		v.S.refs++
+		v.AsStr().refs++
 	case types.KArr:
 		h.IncRefs++
-		v.A.refs++
+		v.AsArr().refs++
 	case types.KObj:
 		h.IncRefs++
-		v.O.refs++
+		v.AsObj().refs++
 	}
 }
 
@@ -64,22 +64,22 @@ func (h *Heap) IncRef(v Value) {
 func (h *Heap) DecRef(v Value) {
 	switch v.Kind {
 	case types.KStr:
-		if v.S.static {
+		if v.AsStr().static {
 			return
 		}
 		h.DecRefs++
-		v.S.refs--
-		if v.S.refs == 0 {
+		v.AsStr().refs--
+		if v.AsStr().refs == 0 {
 			h.Frees++
 		}
 	case types.KArr:
 		h.DecRefs++
-		h.decArrayRef(v.A)
+		h.decArrayRef(v.AsArr())
 	case types.KObj:
 		h.DecRefs++
-		v.O.refs--
-		if v.O.refs == 0 {
-			h.destroyObject(v.O)
+		v.AsObj().refs--
+		if v.AsObj().refs == 0 {
+			h.destroyObject(v.AsObj())
 		}
 	}
 }

@@ -17,9 +17,9 @@ import (
 func Add(h *Heap, a, b Value) (Value, error) {
 	switch {
 	case a.Kind == types.KInt && b.Kind == types.KInt:
-		return Int(a.I + b.I), nil
+		return Int(a.AsInt() + b.AsInt()), nil
 	case a.Kind == types.KArr && b.Kind == types.KArr:
-		return arrayUnion(h, a.A, b.A), nil
+		return arrayUnion(h, a.AsArr(), b.AsArr()), nil
 	case a.Kind&types.KNum != 0 || b.Kind&types.KNum != 0,
 		a.Kind&(types.KNull|types.KBool|types.KStr) != 0 &&
 			b.Kind&(types.KNull|types.KBool|types.KStr|types.KNum|types.KUninit) != 0:
@@ -54,7 +54,7 @@ func Mul(a, b Value) (Value, error) {
 
 func arith(a, b Value, fi func(int64, int64) int64, fd func(float64, float64) float64) (Value, error) {
 	if a.Kind == types.KInt && b.Kind == types.KInt {
-		return Int(fi(a.I, b.I)), nil
+		return Int(fi(a.AsInt(), b.AsInt())), nil
 	}
 	if a.Kind&(types.KArr|types.KObj) != 0 || b.Kind&(types.KArr|types.KObj) != 0 {
 		return Null(), NewError("unsupported operand types")
@@ -72,13 +72,13 @@ func Div(a, b Value) (Value, error) {
 		return Null(), NewError("unsupported operand types for /")
 	}
 	if a.Kind == types.KInt && b.Kind == types.KInt {
-		if b.I == 0 {
+		if b.AsInt() == 0 {
 			return Null(), NewError("division by zero")
 		}
-		if a.I%b.I == 0 {
-			return Int(a.I / b.I), nil
+		if a.AsInt()%b.AsInt() == 0 {
+			return Int(a.AsInt() / b.AsInt()), nil
 		}
-		return Dbl(float64(a.I) / float64(b.I)), nil
+		return Dbl(float64(a.AsInt()) / float64(b.AsInt())), nil
 	}
 	bd := b.ToDbl()
 	if bd == 0 {
@@ -115,7 +115,7 @@ func ConcatMany(vals []Value) Value {
 func Cmp(a, b Value) int {
 	switch {
 	case a.Kind == types.KStr && b.Kind == types.KStr:
-		return strings.Compare(a.S.Data, b.S.Data)
+		return strings.Compare(a.AsStr().Data, b.AsStr().Data)
 	case a.Kind == types.KBool || b.Kind == types.KBool:
 		return boolCmp(a.Bool(), b.Bool())
 	case a.IsNull() && b.IsNull():
@@ -147,10 +147,10 @@ func boolCmp(a, b bool) int {
 // LooseEq implements ==.
 func LooseEq(a, b Value) bool {
 	if a.Kind == types.KArr && b.Kind == types.KArr {
-		return arrayEq(a.A, b.A)
+		return arrayEq(a.AsArr(), b.AsArr())
 	}
 	if a.Kind == types.KObj || b.Kind == types.KObj {
-		return a.Kind == b.Kind && a.O == b.O
+		return a.Kind == b.Kind && a.AsObj() == b.AsObj()
 	}
 	return Cmp(a, b) == 0
 }
@@ -181,15 +181,15 @@ func StrictEq(a, b Value) bool {
 	case types.KUninit, types.KNull:
 		return true
 	case types.KBool, types.KInt:
-		return a.I == b.I
+		return a.AsInt() == b.AsInt()
 	case types.KDbl:
-		return a.D == b.D
+		return a.AsDbl() == b.AsDbl()
 	case types.KStr:
-		return a.S.Data == b.S.Data
+		return a.AsStr().Data == b.AsStr().Data
 	case types.KObj:
-		return a.O == b.O
+		return a.AsObj() == b.AsObj()
 	case types.KArr:
-		return arraySame(a.A, b.A)
+		return arraySame(a.AsArr(), b.AsArr())
 	}
 	return false
 }

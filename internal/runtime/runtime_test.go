@@ -12,17 +12,17 @@ import (
 func TestRefcountBasics(t *testing.T) {
 	h := rt.NewHeap()
 	v := rt.NewStr("hello")
-	if v.S.Refs() != 1 {
-		t.Fatalf("fresh string refs = %d", v.S.Refs())
+	if v.AsStr().Refs() != 1 {
+		t.Fatalf("fresh string refs = %d", v.AsStr().Refs())
 	}
 	h.IncRef(v)
-	if v.S.Refs() != 2 {
-		t.Fatalf("after incref refs = %d", v.S.Refs())
+	if v.AsStr().Refs() != 2 {
+		t.Fatalf("after incref refs = %d", v.AsStr().Refs())
 	}
 	h.DecRef(v)
 	h.DecRef(v)
-	if v.S.Refs() != 0 {
-		t.Fatalf("after release refs = %d", v.S.Refs())
+	if v.AsStr().Refs() != 0 {
+		t.Fatalf("after release refs = %d", v.AsStr().Refs())
 	}
 	if h.Frees != 1 {
 		t.Fatalf("frees = %d", h.Frees)
@@ -54,8 +54,8 @@ func TestCopyOnWrite(t *testing.T) {
 	}
 	orig, _ := a.GetIntKey(0)
 	mod, _ := b.GetIntKey(0)
-	if orig.I != 1 || mod.I != 99 {
-		t.Fatalf("COW values wrong: %d / %d", orig.I, mod.I)
+	if orig.AsInt() != 1 || mod.AsInt() != 99 {
+		t.Fatalf("COW values wrong: %d / %d", orig.AsInt(), mod.AsInt())
 	}
 	// Unshared mutation must NOT copy.
 	before := h.CowCopies
@@ -76,11 +76,11 @@ func TestPackedEscalatesToMixed(t *testing.T) {
 		t.Fatal("string key should escalate to mixed")
 	}
 	v, ok := a.Get(rt.NewStr("k"))
-	if !ok || v.I != 2 {
+	if !ok || v.AsInt() != 2 {
 		t.Fatal("escalated array lost the element")
 	}
 	v, ok = a.GetIntKey(0)
-	if !ok || v.I != 1 {
+	if !ok || v.AsInt() != 1 {
 		t.Fatal("escalated array lost the packed element")
 	}
 }
@@ -135,20 +135,20 @@ func TestPHPSemanticsOps(t *testing.T) {
 	h := rt.NewHeap()
 	// Int+Int stays int; Int+Dbl promotes.
 	v, err := rt.Add(h, rt.Int(2), rt.Int(3))
-	if err != nil || v.Kind != types.KInt || v.I != 5 {
+	if err != nil || v.Kind != types.KInt || v.AsInt() != 5 {
 		t.Errorf("2+3 = %v (%v)", v.DebugString(), err)
 	}
 	v, _ = rt.Add(h, rt.Int(2), rt.Dbl(0.5))
-	if v.Kind != types.KDbl || v.D != 2.5 {
+	if v.Kind != types.KDbl || v.AsDbl() != 2.5 {
 		t.Errorf("2+0.5 = %v", v.DebugString())
 	}
 	// Int/Int exact stays int; inexact goes double.
 	v, _ = rt.Div(rt.Int(6), rt.Int(3))
-	if v.Kind != types.KInt || v.I != 2 {
+	if v.Kind != types.KInt || v.AsInt() != 2 {
 		t.Errorf("6/3 = %v", v.DebugString())
 	}
 	v, _ = rt.Div(rt.Int(7), rt.Int(2))
-	if v.Kind != types.KDbl || v.D != 3.5 {
+	if v.Kind != types.KDbl || v.AsDbl() != 3.5 {
 		t.Errorf("7/2 = %v", v.DebugString())
 	}
 	if _, err := rt.Div(rt.Int(1), rt.Int(0)); err == nil {
@@ -202,7 +202,7 @@ func TestArraySetGetProperty(t *testing.T) {
 		}
 		for k, want := range model {
 			got, ok := a.Get(rt.Int(k))
-			if !ok || got.I != want {
+			if !ok || got.AsInt() != want {
 				return false
 			}
 		}
@@ -232,12 +232,12 @@ func TestCOWPreservesOriginalProperty(t *testing.T) {
 		// Original unchanged at every index.
 		for j, v := range vals {
 			got, _ := a.GetIntKey(int64(j))
-			if got.I != v {
+			if got.AsInt() != v {
 				return false
 			}
 		}
 		got, _ := b.GetIntKey(i)
-		return got.I == nv
+		return got.AsInt() == nv
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -257,7 +257,7 @@ func TestObjectProps(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, ok := o.GetProp("x")
-	if !ok || v.I != 42 {
+	if !ok || v.AsInt() != 42 {
 		t.Fatalf("prop x = %v", v.DebugString())
 	}
 	if err := o.SetProp(h, "nope", rt.Int(1)); err == nil {
@@ -273,7 +273,7 @@ func TestBuiltinTable(t *testing.T) {
 	ctx := &rt.BuiltinCtx{Heap: rt.NewHeap()}
 	arr := rt.ArrV(rt.NewPacked([]rt.Value{rt.Int(1), rt.Int(2)}))
 	v, err := b.Fn(ctx, []rt.Value{arr})
-	if err != nil || v.I != 2 {
+	if err != nil || v.AsInt() != 2 {
 		t.Fatalf("count = %v (%v)", v.DebugString(), err)
 	}
 	if len(rt.BuiltinNames()) < 20 {
@@ -294,29 +294,29 @@ func TestPropNamedRefcounts(t *testing.T) {
 	o := h.NewObject(cls)
 
 	s := rt.NewStr("payload")
-	if s.S.Refs() != 1 {
-		t.Fatalf("fresh string refs = %d", s.S.Refs())
+	if s.AsStr().Refs() != 1 {
+		t.Fatalf("fresh string refs = %d", s.AsStr().Refs())
 	}
 	// SetPropNamed consumes the caller's reference: the slot now holds
 	// the only one.
 	if err := rt.SetPropNamed(h, o, "v", s); err != nil {
 		t.Fatal(err)
 	}
-	if s.S.Refs() != 1 {
-		t.Fatalf("after store refs = %d, want 1 (slot-owned)", s.S.Refs())
+	if s.AsStr().Refs() != 1 {
+		t.Fatalf("after store refs = %d, want 1 (slot-owned)", s.AsStr().Refs())
 	}
 	// GetPropNamed returns an owned reference.
 	got := rt.GetPropNamed(h, o, "v")
-	if got.S != s.S || s.S.Refs() != 2 {
-		t.Fatalf("after read refs = %d, want 2", s.S.Refs())
+	if got.AsStr() != s.AsStr() || s.AsStr().Refs() != 2 {
+		t.Fatalf("after read refs = %d, want 2", s.AsStr().Refs())
 	}
 	h.DecRef(got)
 	// Overwriting releases the old value.
 	if err := rt.SetPropNamed(h, o, "v", rt.Int(3)); err != nil {
 		t.Fatal(err)
 	}
-	if s.S.Refs() != 0 {
-		t.Fatalf("overwritten value refs = %d, want 0", s.S.Refs())
+	if s.AsStr().Refs() != 0 {
+		t.Fatalf("overwritten value refs = %d, want 0", s.AsStr().Refs())
 	}
 	// A missing property reads as null, not an error.
 	if v := rt.GetPropNamed(h, o, "absent"); v.Kind != types.KNull {
@@ -348,7 +348,7 @@ func TestPropNamedDynamicTransitions(t *testing.T) {
 	if a.ShapeID() == root {
 		t.Fatal("dynamic append did not transition the shape")
 	}
-	if v := rt.GetPropNamed(h, a, "count"); v.Kind != types.KInt || v.I != 7 {
+	if v := rt.GetPropNamed(h, a, "count"); v.Kind != types.KInt || v.AsInt() != 7 {
 		t.Fatalf("dynamic prop read %v", v.DebugString())
 	}
 	// The sibling object is untouched.

@@ -14,19 +14,23 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"repro/internal/types"
 )
 
-// Value is the guest TypedValue: a kind tag plus payload. Exactly one
-// payload field is meaningful for a given kind.
+// Value is the guest TypedValue: a kind tag plus a two-word payload,
+// 24 bytes with exactly one pointer word (HHVM's TypedValue is 16).
+// Scalars (Int, Bool as 0/1, Dbl as IEEE bits) live in bits; counted
+// kinds keep their *Str / *Array / *Object in ptr. Exactly one of the
+// two is meaningful for a given kind, so payloads are read through
+// the As* accessors and written only by the constructors. Every
+// register move, spill, local, array slot and frame copies a Value,
+// and the host GC scans and write-barriers only the one pointer word.
 type Value struct {
 	Kind types.Kind
-	I    int64 // Int; Bool stores 0/1
-	D    float64
-	S    *Str
-	A    *Array
-	O    *Object
+	bits uint64
+	ptr  unsafe.Pointer
 }
 
 // Constructors.
@@ -35,15 +39,25 @@ func Null() Value   { return Value{Kind: types.KNull} }
 func Bool(b bool) Value {
 	v := Value{Kind: types.KBool}
 	if b {
-		v.I = 1
+		v.bits = 1
 	}
 	return v
 }
-func Int(i int64) Value    { return Value{Kind: types.KInt, I: i} }
-func Dbl(d float64) Value  { return Value{Kind: types.KDbl, D: d} }
-func StrV(s *Str) Value    { return Value{Kind: types.KStr, S: s} }
-func ArrV(a *Array) Value  { return Value{Kind: types.KArr, A: a} }
-func ObjV(o *Object) Value { return Value{Kind: types.KObj, O: o} }
+func Int(i int64) Value    { return Value{Kind: types.KInt, bits: uint64(i)} }
+func Dbl(d float64) Value  { return Value{Kind: types.KDbl, bits: math.Float64bits(d)} }
+func StrV(s *Str) Value    { return Value{Kind: types.KStr, ptr: unsafe.Pointer(s)} }
+func ArrV(a *Array) Value  { return Value{Kind: types.KArr, ptr: unsafe.Pointer(a)} }
+func ObjV(o *Object) Value { return Value{Kind: types.KObj, ptr: unsafe.Pointer(o)} }
+
+// Payload accessors. Each is meaningful only for the kinds named; the
+// pointer accessors return nil for a Value built without a payload
+// (the KArr property-default marker).
+func (v Value) AsInt() int64   { return int64(v.bits) }                // KInt; KBool reads 0/1
+func (v Value) AsBool() bool   { return v.bits != 0 }                  // KBool
+func (v Value) AsDbl() float64 { return math.Float64frombits(v.bits) } // KDbl
+func (v Value) AsStr() *Str    { return (*Str)(v.ptr) }                // KStr
+func (v Value) AsArr() *Array  { return (*Array)(v.ptr) }              // KArr
+func (v Value) AsObj() *Object { return (*Object)(v.ptr) }             // KObj
 
 // NewStr allocates a fresh counted guest string.
 func NewStr(s string) Value { return StrV(&Str{Data: s, refs: 1}) }
@@ -52,13 +66,13 @@ func NewStr(s string) Value { return StrV(&Str{Data: s, refs: 1}) }
 func (v Value) Bool() bool {
 	switch v.Kind {
 	case types.KBool, types.KInt:
-		return v.I != 0
+		return v.AsInt() != 0
 	case types.KDbl:
-		return v.D != 0
+		return v.AsDbl() != 0
 	case types.KStr:
-		return v.S.Data != "" && v.S.Data != "0"
+		return v.AsStr().Data != "" && v.AsStr().Data != "0"
 	case types.KArr:
-		return v.A.Len() > 0
+		return v.AsArr().Len() > 0
 	case types.KObj:
 		return true
 	default:
@@ -77,12 +91,12 @@ func (v Value) Counted() bool { return v.Kind&types.KCounted != 0 }
 func (v Value) Type() types.Type {
 	switch v.Kind {
 	case types.KArr:
-		if v.A.IsPacked() {
+		if v.AsArr().IsPacked() {
 			return types.ArrOfKind(types.ArrayPacked)
 		}
 		return types.ArrOfKind(types.ArrayMixed)
 	case types.KObj:
-		return types.ObjOfClass(v.O.Class.Name, true)
+		return types.ObjOfClass(v.AsObj().Class.Name, true)
 	default:
 		return types.FromKind(v.Kind)
 	}
@@ -92,11 +106,11 @@ func (v Value) Type() types.Type {
 func (v Value) ToDbl() float64 {
 	switch v.Kind {
 	case types.KInt, types.KBool:
-		return float64(v.I)
+		return float64(v.AsInt())
 	case types.KDbl:
-		return v.D
+		return v.AsDbl()
 	case types.KStr:
-		f, _ := strconv.ParseFloat(v.S.Data, 64)
+		f, _ := strconv.ParseFloat(v.AsStr().Data, 64)
 		return f
 	default:
 		return 0
@@ -107,14 +121,14 @@ func (v Value) ToDbl() float64 {
 func (v Value) ToInt() int64 {
 	switch v.Kind {
 	case types.KInt, types.KBool:
-		return v.I
+		return v.AsInt()
 	case types.KDbl:
-		if math.IsNaN(v.D) || math.IsInf(v.D, 0) {
+		if math.IsNaN(v.AsDbl()) || math.IsInf(v.AsDbl(), 0) {
 			return 0
 		}
-		return int64(v.D)
+		return int64(v.AsDbl())
 	case types.KStr:
-		n, _ := strconv.ParseInt(v.S.Data, 10, 64)
+		n, _ := strconv.ParseInt(v.AsStr().Data, 10, 64)
 		return n
 	default:
 		return 0
@@ -127,20 +141,20 @@ func (v Value) ToString() string {
 	case types.KUninit, types.KNull:
 		return ""
 	case types.KBool:
-		if v.I != 0 {
+		if v.AsBool() {
 			return "1"
 		}
 		return ""
 	case types.KInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.AsInt(), 10)
 	case types.KDbl:
-		return formatDouble(v.D)
+		return formatDouble(v.AsDbl())
 	case types.KStr:
-		return v.S.Data
+		return v.AsStr().Data
 	case types.KArr:
 		return "Array"
 	case types.KObj:
-		return "Object(" + v.O.Class.Name + ")"
+		return "Object(" + v.AsObj().Class.Name + ")"
 	default:
 		return ""
 	}
@@ -161,13 +175,13 @@ func (v Value) DebugString() string {
 	case types.KNull:
 		return "null"
 	case types.KBool:
-		return strconv.FormatBool(v.I != 0)
+		return strconv.FormatBool(v.AsBool())
 	case types.KStr:
-		return fmt.Sprintf("%q", v.S.Data)
+		return fmt.Sprintf("%q", v.AsStr().Data)
 	case types.KArr:
-		return fmt.Sprintf("Array(len=%d,refs=%d)", v.A.Len(), v.A.refs)
+		return fmt.Sprintf("Array(len=%d,refs=%d)", v.AsArr().Len(), v.AsArr().refs)
 	case types.KObj:
-		return fmt.Sprintf("Object(%s,refs=%d)", v.O.Class.Name, v.O.refs)
+		return fmt.Sprintf("Object(%s,refs=%d)", v.AsObj().Class.Name, v.AsObj().refs)
 	default:
 		return v.ToString()
 	}

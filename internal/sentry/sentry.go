@@ -37,6 +37,7 @@ import (
 	"repro/internal/jit"
 	"repro/internal/machine"
 	"repro/internal/mcode"
+	"repro/internal/types"
 	"repro/internal/vm"
 )
 
@@ -267,9 +268,10 @@ func (m *Monitor) forget(tr *jit.Translation) {
 }
 
 // Checksum hashes the translation-visible content of a code object:
-// the instruction stream, constant pool, jump tables, frame sizing,
-// placement, the static layout of the link slab, and the tamper
-// word. Live link *contents* are deliberately excluded — smashing and
+// the instruction stream, the resolved block-start table, the
+// materialized constant pool, the bound builtins, jump tables, frame
+// sizing, placement, the static layout of the link slab, and the
+// tamper word. Live link *contents* are deliberately excluded — smashing and
 // treadmill sweeps rewrite them legitimately — and are audited
 // separately against the current epoch.
 func Checksum(c *mcode.Code) uint64 {
@@ -293,11 +295,22 @@ func Checksum(c *mcode.Code) uint64 {
 			h = fnvInt(h, 1)
 		}
 	}
-	for _, im := range c.Imms {
-		h = fnvInt(h, int64(im.Kind))
-		h = fnvInt(h, im.I)
-		h = fnvInt(h, int64(math.Float64bits(im.D)))
-		h = fnvStr(h, im.S)
+	for _, b := range c.BlockStart {
+		h = fnvInt(h, int64(b))
+	}
+	for _, v := range c.Consts {
+		h = fnvInt(h, int64(v.Kind))
+		switch v.Kind {
+		case types.KStr:
+			h = fnvStr(h, v.AsStr().Data)
+		case types.KDbl:
+			h = fnvInt(h, int64(math.Float64bits(v.AsDbl())))
+		default:
+			h = fnvInt(h, v.AsInt())
+		}
+	}
+	for _, b := range c.Builtins {
+		h = fnvStr(h, b.Name)
 	}
 	for _, tbl := range c.Tables {
 		h = fnvInt(h, tbl.Base)

@@ -185,18 +185,18 @@ func renderValue(v runtime.Value, depth int) string {
 	case types.KNull:
 		return "null"
 	case types.KBool:
-		if v.I != 0 {
+		if v.AsBool() {
 			return "true"
 		}
 		return "false"
 	case types.KInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.AsInt(), 10)
 	case types.KDbl:
-		return strconv.FormatFloat(v.D, 'g', -1, 64)
+		return strconv.FormatFloat(v.AsDbl(), 'g', -1, 64)
 	case types.KStr:
-		return strconv.Quote(v.S.Data)
+		return strconv.Quote(v.AsStr().Data)
 	case types.KArr:
-		if v.A == nil {
+		if v.AsArr() == nil {
 			return "array(nil)"
 		}
 		if depth >= maxDepth {
@@ -205,7 +205,7 @@ func renderValue(v runtime.Value, depth int) string {
 		var sb strings.Builder
 		sb.WriteString("array[")
 		n := 0
-		v.A.Each(func(k, e runtime.Value) bool {
+		v.AsArr().Each(func(k, e runtime.Value) bool {
 			if n >= maxElems {
 				sb.WriteString("...")
 				return false
@@ -222,21 +222,21 @@ func renderValue(v runtime.Value, depth int) string {
 		sb.WriteByte(']')
 		return sb.String()
 	case types.KObj:
-		if v.O == nil {
+		if v.AsObj() == nil {
 			return "obj(nil)"
 		}
 		if depth >= maxDepth {
-			return v.O.Class.Name + "{depth}"
+			return v.AsObj().Class.Name + "{depth}"
 		}
 		var sb strings.Builder
-		sb.WriteString(v.O.Class.Name)
+		sb.WriteString(v.AsObj().Class.Name)
 		sb.WriteByte('{')
-		for i, p := range v.O.Props {
+		for i, p := range v.AsObj().Props {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
-			if v.O.Shape != nil && i < len(v.O.Shape.Slots) {
-				sb.WriteString(v.O.Shape.Slots[i].Name)
+			if v.AsObj().Shape != nil && i < len(v.AsObj().Shape.Slots) {
+				sb.WriteString(v.AsObj().Shape.Slots[i].Name)
 				sb.WriteByte(':')
 			}
 			sb.WriteString(renderValue(p, depth+1))

@@ -77,20 +77,20 @@ const (
 	LdThis // D <- frame $this
 
 	// Typed object shapes (DESIGN.md §14).
-	GuardShape // fail unless shape(A) has id I64; Target1 = fail stub
-	LdPropIC   // D <- A.props[Str] via shape IC (link slot); Target1 = catch stub
-	StPropIC   // A.props[Str] <- B via shape IC (link slot); Target1 = catch stub
+	GuardShape    // fail unless shape(A) has id I64; Target1 = fail stub
+	LdPropIC      // D <- A.props[Str] via shape IC (link slot); Target1 = catch stub
+	StPropIC      // A.props[Str] <- B via shape IC (link slot); Target1 = catch stub
 	ProfPropShape // record receiver shape of A at site I64
 
 	// Out-of-line helper call: I64 = HelperID; Args in order;
-	// Target1 = catch stub (0 = none).
+	// Target1 = catch stub (-1 = none).
 	Helper
 
 	// Guest calls (through the VM dispatcher).
 	CallFunc    // I64 = callee func id; Args = args; Str = name
 	CallMethodD // I64 = callee func id; Args[0] = receiver
 	CallMethodC // Str = method name; I64 = inline-cache site id; Args[0] = receiver
-	CallBuiltin // Str = builtin name
+	CallBuiltin // Str = builtin name; I64 = 1-based index into mcode.Code.Builtins once assembled (0 = unresolved)
 
 	// Profiling.
 	CountInc     // profile counter I64
@@ -139,7 +139,7 @@ var opNames = [...]string{
 	LdProp: "ldprop", StProp: "stprop", LdThis: "ldthis",
 	GuardShape: "guardshape", LdPropIC: "ldpropic", StPropIC: "stpropic",
 	ProfPropShape: "profpropshape",
-	Helper: "helper", CallFunc: "callfunc", CallMethodD: "callmethodd",
+	Helper:        "helper", CallFunc: "callfunc", CallMethodD: "callmethodd",
 	CallMethodC: "callmethodc", CallBuiltin: "callbuiltin",
 	CountInc: "countinc", ProfCallSite: "profcallsite",
 	Jmp: "jmp", Jcc: "jcc", JmpTable: "jmptable", Ret: "ret", Exit: "exit", BindJmp: "bindjmp",

@@ -131,14 +131,14 @@ func (v *VM) callFromJIT(f *hhbc.Func, this *runtime.Object, args []runtime.Valu
 
 func (v *VM) call(f *hhbc.Func, this *runtime.Object, args []runtime.Value,
 	hint machine.ChainTarget) (runtime.Value, *jit.Translation, error) {
-	if v.depth >= v.Env.MaxDepth {
+	depth := v.depth
+	if depth >= v.Env.MaxDepth {
 		for _, a := range args {
 			v.Heap.DecRef(a)
 		}
 		return runtime.Null(), nil, runtime.NewError("maximum call depth exceeded")
 	}
-	v.depth++
-	defer func() { v.depth-- }()
+	v.depth = depth + 1
 
 	// Replay VMs never feed the retranslation trigger: a sentry
 	// replay must observe the published code, not advance the entry
@@ -146,7 +146,10 @@ func (v *VM) call(f *hhbc.Func, this *runtime.Object, args []runtime.Value,
 	if v.DenyTrans == nil {
 		v.JIT.OnEntry()
 	}
-	fr := interp.NewFrame(v.Env, f, this, args)
+	// The frame is this call's alone: taken from the env's free list
+	// here and handed back below, once runFrame has released it.
+	// Nothing may keep the pointer past that.
+	fr := v.Env.TakeFrame(f, this, args)
 	// A bound call site skips the dispatcher Lookup entirely when the
 	// callee prologue translation still matches the fresh frame. On a
 	// guard miss the in-cache retranslation cluster is cascaded before
@@ -166,7 +169,13 @@ func (v *VM) call(f *hhbc.Func, this *runtime.Object, args []runtime.Value,
 	if v.DenyTrans != nil && tr0 != nil && v.DenyTrans(tr0) {
 		tr0 = nil
 	}
-	return v.runFrame(fr, nil, tr0)
+	val, first, err := v.runFrame(fr, nil, tr0)
+	v.Env.PutFrame(fr)
+	// Restored, not decremented: a panic in a nested call that an
+	// enclosing translation contained (machine.Faulted) skipped the
+	// nested calls' own restores.
+	v.depth = depth
+	return val, first, err
 }
 
 // runFrame drives one activation to completion, alternating between
@@ -291,7 +300,7 @@ func (v *VM) runFrame(fr *interp.Frame, lastProf, tr0 *jit.Translation) (runtime
 				// release the materialized frames and unwind in the
 				// root caller at the outermost call site.
 				for _, ir := range out.Inline {
-					releaseFrame(v.Env, ir.Frame)
+					ir.Frame.Release(v.Env)
 				}
 				root := out.Inline[len(out.Inline)-1]
 				if herr := v.unwind(fr, root.RetBCOff-1, out.Err); herr != nil {
@@ -335,7 +344,7 @@ func (v *VM) resumeInlineChain(chain []machine.InlineResume, from int) (runtime.
 		if err != nil {
 			// No handlers inside inlined code (inlining policy):
 			// release the remaining frames and propagate.
-			releaseFrame(v.Env, chain[i].Frame)
+			chain[i].Frame.Release(v.Env)
 			continue
 		}
 		cf := chain[i].Frame
@@ -362,7 +371,7 @@ func (v *VM) runInterp(fr *interp.Frame) (runtime.Value, error) {
 func (v *VM) unwind(fr *interp.Frame, pc int, err error) error {
 	handler := fr.Fn.HandlerFor(pc)
 	if handler < 0 {
-		releaseFrame(v.Env, fr)
+		fr.Release(v.Env)
 		return err
 	}
 	obj := v.toThrown(err)
@@ -380,23 +389,6 @@ func (v *VM) toThrown(err error) *runtime.Object {
 		return ge.Obj
 	}
 	return v.Env.NewException("Exception", err.Error())
-}
-
-func releaseFrame(env *interp.Env, fr *interp.Frame) {
-	for _, val := range fr.Stack {
-		env.Heap.DecRef(val)
-	}
-	fr.Stack = fr.Stack[:0]
-	for i, val := range fr.Locals {
-		env.Heap.DecRef(val)
-		fr.Locals[i] = runtime.Uninit()
-	}
-	for _, it := range fr.Iters {
-		if it != nil {
-			env.Heap.DecRef(runtime.ArrV(it.Arr()))
-		}
-	}
-	fr.Iters = nil
 }
 
 // profilingReentryCost models the unchained dispatch of profiling
