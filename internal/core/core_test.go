@@ -48,6 +48,9 @@ func runAllModes(t *testing.T, src string, iterations int) {
 			if _, err := eng.RunRequest(&all); err != nil {
 				t.Fatalf("[%s] iteration %d: %v", name, i, err)
 			}
+			if live := eng.Heap().Snapshot().LiveObjs; live != 0 {
+				t.Fatalf("[%s] iteration %d leaked %d objects", name, i, live)
+			}
 			all.WriteString("|")
 		}
 		got := all.String()

@@ -72,8 +72,33 @@ func (g *progGen) expr(depth int) string {
 	}
 }
 
+// raising wraps one statement that raises a guest error for most
+// operand kinds — a hint violation, an index, append, method call or
+// property access on a scalar, a native called with the wrong number
+// of arguments, an array added to a scalar — in try/catch and echoes
+// the message, then the operand: error text and post-catch state are
+// compared like any other output. The operand is a fresh variable, so
+// the statements that auto-vivify it leave the scalar namespace alone.
+func (g *progGen) raising() {
+	v := fmt.Sprintf("e%d", g.fns)
+	g.fns++
+	body := []string{
+		"echo hinted($%s), \";\";",
+		"echo $%s[0], \";\";",
+		"$%s[] = 1;",
+		"echo $%s->method(1), \";\";",
+		"echo $%s->prop, \";\";",
+		"$%s->prop = 1;",
+		"echo strlen($%s, 2), \";\";",
+		"echo strval([1, 2] + $%s), \";\";",
+	}[g.r.Intn(8)]
+	fmt.Fprintf(&g.sb, "$%s = %s;\ntry { "+body+" } catch (Exception $ex) { echo $ex->getMessage(), \";\"; }\n",
+		v, g.expr(1), v)
+	fmt.Fprintf(&g.sb, "echo is_array($%s) ? count($%s) : strval($%s), \";\";\n", v, v, v)
+}
+
 func (g *progGen) stmt(depth int) {
-	switch g.r.Intn(7) {
+	switch g.r.Intn(8) {
 	case 0, 1:
 		fmt.Fprintf(&g.sb, "$%s = %s;\n", g.pickVar(), g.expr(2))
 	case 2:
@@ -104,6 +129,8 @@ func (g *progGen) stmt(depth int) {
 		fmt.Fprintf(&g.sb, "$%s = 0;\nforeach ([%s, %s] as $e%d) { $%s = $%s + strlen(strval($e%d)); }\n",
 			v, g.expr(1), g.expr(1), g.fns, v, v, g.fns)
 		g.fns++
+	case 6:
+		g.raising()
 	default:
 		fmt.Fprintf(&g.sb, "echo %s, \";\";\n", g.expr(2))
 	}
@@ -116,6 +143,7 @@ function helper($x, $y) {
   if ($x < $y) { return $x + $y; }
   return $x . "-" . $y;
 }
+function hinted(int $n) { return $n + 1; }
 `)
 	n := 3 + g.r.Intn(5)
 	for i := 0; i < n; i++ {

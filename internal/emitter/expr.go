@@ -13,14 +13,6 @@ import (
 // isSetBits are the kinds for which isset($x) is true.
 var isSetBits = int32(types.KInitCell &^ types.KNull)
 
-// binOps maps AST binary operators to bytecodes.
-var binOps = map[string]hhbc.Op{
-	"+": hhbc.OpAdd, "-": hhbc.OpSub, "*": hhbc.OpMul, "/": hhbc.OpDiv,
-	"%": hhbc.OpMod, ".": hhbc.OpConcat,
-	">": hhbc.OpGt, ">=": hhbc.OpGte, "<": hhbc.OpLt, "<=": hhbc.OpLte,
-	"==": hhbc.OpEq, "!=": hhbc.OpNeq, "===": hhbc.OpSame, "!==": hhbc.OpNSame,
-}
-
 // expr emits e, leaving exactly one value on the stack.
 func (fe *funcEmitter) expr(e ast.Expr) error {
 	switch v := e.(type) {
@@ -168,7 +160,7 @@ func (fe *funcEmitter) binop(v *ast.Binop) error {
 	case "<=>":
 		return fe.spaceship(v)
 	}
-	op, ok := binOps[v.Op]
+	op, ok := hhbc.BinaryOps[v.Op]
 	if !ok {
 		return fmt.Errorf("unsupported binary operator %q", v.Op)
 	}
@@ -290,7 +282,7 @@ func (fe *funcEmitter) assign(v *ast.Assign, wantValue bool) error {
 			if err := fe.expr(v.Value); err != nil {
 				return err
 			}
-			op, ok := binOps[v.Op]
+			op, ok := hhbc.BinaryOps[v.Op]
 			if !ok {
 				return fmt.Errorf("unsupported compound assignment %q", v.Op)
 			}
@@ -339,7 +331,7 @@ func (fe *funcEmitter) assign(v *ast.Assign, wantValue bool) error {
 			if err := fe.expr(v.Value); err != nil {
 				return err
 			}
-			op, ok := binOps[v.Op]
+			op, ok := hhbc.BinaryOps[v.Op]
 			if !ok {
 				return fmt.Errorf("unsupported compound assignment %q", v.Op)
 			}
@@ -367,7 +359,7 @@ func (fe *funcEmitter) assign(v *ast.Assign, wantValue bool) error {
 			if err := fe.expr(v.Value); err != nil {
 				return err
 			}
-			op, ok := binOps[v.Op]
+			op, ok := hhbc.BinaryOps[v.Op]
 			if !ok {
 				return fmt.Errorf("unsupported compound assignment %q", v.Op)
 			}

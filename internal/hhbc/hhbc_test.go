@@ -1,6 +1,7 @@
 package hhbc_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -142,5 +143,16 @@ func TestDisassembleMentionsNames(t *testing.T) {
 	dis := hhbc.Disassemble(u, f)
 	if dis == "" || len(dis) < 40 {
 		t.Errorf("disassembly too short: %q", dis)
+	}
+}
+
+func TestInternDoubleKeepsBitPatterns(t *testing.T) {
+	u := hhbc.NewUnit()
+	zero, negZero := u.InternDouble(0), u.InternDouble(math.Copysign(0, -1))
+	if zero == negZero || !math.Signbit(u.Doubles[negZero]) {
+		t.Errorf("-0.0 was pooled with 0.0: indexes %d / %d", zero, negZero)
+	}
+	if u.InternDouble(math.NaN()) != u.InternDouble(math.NaN()) || u.InternDouble(0) != zero {
+		t.Error("equal bit patterns must share a pool entry")
 	}
 }

@@ -228,3 +228,13 @@ func (o Op) NumPush() int {
 	}
 	return 0
 }
+
+// BinaryOps maps source-level binary operators to the bytecodes that
+// implement them. The short-circuit and spaceship operators lower to
+// control flow instead and are not listed.
+var BinaryOps = map[string]Op{
+	"+": OpAdd, "-": OpSub, "*": OpMul, "/": OpDiv,
+	"%": OpMod, ".": OpConcat,
+	">": OpGt, ">=": OpGte, "<": OpLt, "<=": OpLte,
+	"==": OpEq, "!=": OpNeq, "===": OpSame, "!==": OpNSame,
+}

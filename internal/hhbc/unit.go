@@ -2,6 +2,7 @@ package hhbc
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/types"
@@ -104,6 +105,14 @@ func (f *Func) FullName() string {
 	return f.Name
 }
 
+// LocalLabel names local slot i in guest-facing diagnostics.
+func (f *Func) LocalLabel(i int32) string {
+	if int(i) < len(f.LocalName) {
+		return f.LocalName[i]
+	}
+	return fmt.Sprintf("<%d>", i)
+}
+
 // PropDef is a class property definition.
 type PropDef struct {
 	Name        string
@@ -184,9 +193,11 @@ func (u *Unit) InternInt(v int64) int32 {
 	return int32(len(u.Ints) - 1)
 }
 
+// InternDouble adds v to the double pool, deduplicated by bit pattern
+// (-0.0 is not 0.0, and NaNs are found again).
 func (u *Unit) InternDouble(v float64) int32 {
 	for i, x := range u.Doubles {
-		if x == v {
+		if math.Float64bits(x) == math.Float64bits(v) {
 			return int32(i)
 		}
 	}

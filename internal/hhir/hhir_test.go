@@ -96,6 +96,34 @@ echo g([1]);`
 	}
 }
 
+// TestRCEKeepsIncRefBeforeConsumingBinop: the generic binary helper
+// releases its operands, so the IncRef of `$a` in `$a = $a + 1`-style
+// code (operand loaded from the local the result overwrites) must not
+// pair with the DecRef of the overwritten local across the helper — if
+// the helper then raised, the frame would release the local's
+// reference a second time.
+func TestRCEKeepsIncRefBeforeConsumingBinop(t *testing.T) {
+	src := `function f($a) { $a = $a + 1; return $a; } echo f("s");`
+	u := buildFor(t, src, "f", map[int]types.Type{0: types.TStr}, hhir.AllPasses)
+	var owned, seen bool
+	for _, b := range u.Blocks {
+		for _, in := range b.Instrs {
+			switch {
+			case in.Op == hhir.BinopGeneric:
+				seen = true
+				if !owned {
+					t.Errorf("RCE sank the operand's IncRef across the helper that consumes it:\n%s", u)
+				}
+			case in.Op == hhir.IncRef && !seen:
+				owned = true
+			}
+		}
+	}
+	if !seen {
+		t.Fatalf("Str + Int should lower to the generic helper:\n%s", u)
+	}
+}
+
 func TestConstantFolding(t *testing.T) {
 	src := `function h() { return 2 * 3 + 4; } echo h();`
 	// Disable the AST folder so the JIT-level folding is what's

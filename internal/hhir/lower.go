@@ -311,14 +311,14 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 
 	case hhbc.OpArrIdx:
 		key, arr := b.pop(), b.pop()
-		r := b.arrGet(arr, key)
+		r := b.arrGet(arr, key, "")
 		b.decRef(key)
 		b.decRef(arr)
 		b.push(r)
 	case hhbc.OpArrGetL:
 		key := b.pop()
 		arr := b.ldLoc(b.slot(in.A))
-		r := b.arrGet(arr, key)
+		r := b.arrGet(arr, key, b.curFn().LocalLabel(in.A))
 		b.decRef(key)
 		b.push(r)
 	case hhbc.OpArrSetL:
@@ -454,11 +454,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		ht := hintTypeB(p)
 		slot := b.slot(in.A)
 		if !b.localType(slot).SubtypeOf(ht) {
-			hint := p.TypeHint
-			if p.Nullable {
-				hint = "?" + hint
-			}
-			b.emit(&Instr{Op: VerifyParam, I64: int64(slot), Str: hint,
+			b.emit(&Instr{Op: VerifyParam, I64: packVerify(b.curFn().ID, idx, slot),
 				Exit: b.catchExit()})
 		}
 		nt := b.localType(slot).Intersect(ht)
@@ -485,6 +481,18 @@ func packIter(iter, slot int32) int64 { return int64(iter)<<32 | int64(uint32(sl
 
 // UnpackIter decodes IterInitLocal's immediate.
 func UnpackIter(v int64) (iter, slot int32) { return int32(v >> 32), int32(uint32(v)) }
+
+// packVerify encodes VerifyParam's immediate: parameter idx of
+// function funcID (the callee, inside inlined code) lives in frame
+// slot.
+func packVerify(funcID, idx, slot int) int64 {
+	return int64(funcID)<<32 | int64(idx)<<24 | int64(slot)
+}
+
+// UnpackVerify decodes VerifyParam's immediate.
+func UnpackVerify(v int64) (funcID, idx, slot int) {
+	return int(v >> 32), int(v >> 24 & 0xff), int(v & 0xffffff)
+}
 
 // slot translates a bytecode local index into a frame slot, applying
 // the inline-frame offset when inside inlined code.
@@ -607,7 +615,10 @@ func (b *builder) toDbl(v *SSATmp) *SSATmp {
 }
 
 // arrGet emits a specialized or generic array read; result is owned.
-func (b *builder) arrGet(arr, key *SSATmp) *SSATmp {
+// local names the variable arr was loaded from ("" for a stack
+// operand): the generic helper's error names it, as the interpreter's
+// does.
+func (b *builder) arrGet(arr, key *SSATmp, local string) *SSATmp {
 	if arr.Type.ArrayKind() == types.ArrayPacked && key.Type.SubtypeOf(types.TInt) {
 		dst := b.out.NewTmp(types.TInitCell)
 		in := &Instr{Op: ArrGetPackedI, Dst: dst, Args: []*SSATmp{arr, key},
@@ -617,7 +628,7 @@ func (b *builder) arrGet(arr, key *SSATmp) *SSATmp {
 		return dst
 	}
 	dst := b.out.NewTmp(types.TInitCell)
-	in := &Instr{Op: ArrGetGeneric, Dst: dst, Args: []*SSATmp{arr, key},
+	in := &Instr{Op: ArrGetGeneric, Dst: dst, Str: local, Args: []*SSATmp{arr, key},
 		Exit: b.catchExit()}
 	dst.Def = in
 	b.emit(in)

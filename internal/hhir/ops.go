@@ -1,5 +1,7 @@
 package hhir
 
+import "repro/internal/runtime"
+
 // Opcode enumerates HHIR instructions.
 type Opcode int
 
@@ -106,7 +108,7 @@ const (
 	CallBuiltin  // Str = builtin name
 	CallMethodD  // devirtualized: I64 = func id; Args[0] = obj, rest args
 	CallMethodC  // common-base/interface dispatch: Str = method, I64 = cache id; Args[0] = obj
-	VerifyParam  // I64 = param index; may throw
+	VerifyParam  // I64 = packVerify(func, param index, slot); may throw
 	ProfCount    // I64 = profile counter id
 	ProfCallSite // I64 = bc pc; Args[0] = obj: record receiver class (profiling mode)
 
@@ -149,7 +151,7 @@ var opNames2 = map[Opcode]string{
 	LdPropGeneric: "LdPropGeneric", StPropGeneric: "StPropGeneric", InstanceOf: "InstanceOf",
 	GuardShape: "GuardShape", LdPropIC: "LdPropIC", StPropIC: "StPropIC",
 	ProfPropShape: "ProfPropShape",
-	CallFunc: "CallFunc", CallBuiltin: "CallBuiltin", CallMethodD: "CallMethodD",
+	CallFunc:      "CallFunc", CallBuiltin: "CallBuiltin", CallMethodD: "CallMethodD",
 	CallMethodC: "CallMethodC", VerifyParam: "VerifyParam",
 	ProfCount: "ProfCount", ProfCallSite: "ProfCallSite",
 	PrintC: "PrintC",
@@ -166,12 +168,12 @@ func (o Opcode) String() string {
 
 // CmpCond values for CmpInt/CmpDbl/CmpStr's I64.
 const (
-	CondLT = iota
-	CondLE
-	CondGT
-	CondGE
-	CondEQ
-	CondNE
+	CondLT = int64(runtime.CondLT)
+	CondLE = int64(runtime.CondLE)
+	CondGT = int64(runtime.CondGT)
+	CondGE = int64(runtime.CondGE)
+	CondEQ = int64(runtime.CondEQ)
+	CondNE = int64(runtime.CondNE)
 )
 
 // opUsesI64 reports whether the I64 immediate is meaningful even when

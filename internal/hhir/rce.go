@@ -155,6 +155,16 @@ func crossBlocks(in *Instr, t *SSATmp, lb map[*SSATmp]int, stored map[*SSATmp]bo
 			return true
 		}
 		return false
+	case BinopGeneric:
+		// The helper releases both operands: as for a DecRef, the count
+		// of anything they may alias must not be short by the pending
+		// IncRef when it does.
+		for _, u := range in.Args {
+			if u == t || mayAliasRC(u, t) && lb[t] < 2 {
+				return true
+			}
+		}
+		return false
 	case ArrSetLocal, ArrAppendLocal, ArrUnsetLocal:
 		// COW observability: mutating an array that may alias t with
 		// count 1 would skip the copy the program expects.

@@ -5,9 +5,11 @@
 package hphpc
 
 import (
-	"math"
-
 	"repro/internal/ast"
+	"repro/internal/hhbc"
+	"repro/internal/interp"
+	"repro/internal/runtime"
+	"repro/internal/types"
 )
 
 // Optimize rewrites prog in place.
@@ -105,20 +107,44 @@ func optStmt(s ast.Stmt) []ast.Stmt {
 	}
 }
 
-func constBool(e ast.Expr) (bool, bool) {
+// litValue is the runtime value a scalar literal denotes, and valueLit
+// the literal denoting a scalar value: folding evaluates literals with
+// the runtime's own operators, so a folded expression cannot disagree
+// with the same expression evaluated at run time.
+func litValue(e ast.Expr) (runtime.Value, bool) {
 	switch v := e.(type) {
-	case *ast.BoolLit:
-		return v.Value, true
 	case *ast.IntLit:
-		return v.Value != 0, true
+		return runtime.Int(v.Value), true
 	case *ast.FloatLit:
-		return v.Value != 0, true
+		return runtime.Dbl(v.Value), true
+	case *ast.BoolLit:
+		return runtime.Bool(v.Value), true
 	case *ast.StringLit:
-		return v.Value != "" && v.Value != "0", true
+		return runtime.NewStr(v.Value), true
 	case *ast.NullLit:
-		return false, true
+		return runtime.Null(), true
 	}
-	return false, false
+	return runtime.Value{}, false
+}
+
+func valueLit(v runtime.Value) ast.Expr {
+	switch v.Kind {
+	case types.KInt:
+		return &ast.IntLit{Value: v.AsInt()}
+	case types.KDbl:
+		return &ast.FloatLit{Value: v.AsDbl()}
+	case types.KBool:
+		return &ast.BoolLit{Value: v.AsBool()}
+	case types.KStr:
+		return &ast.StringLit{Value: v.AsStr().Data}
+	default:
+		return &ast.NullLit{}
+	}
+}
+
+func constBool(e ast.Expr) (bool, bool) {
+	v, ok := litValue(e)
+	return v.Bool(), ok
 }
 
 // Fold recursively constant-folds an expression.
@@ -208,89 +234,21 @@ func Fold(e ast.Expr) ast.Expr {
 	}
 }
 
-func numOf(e ast.Expr) (isInt bool, i int64, d float64, ok bool) {
-	switch v := e.(type) {
-	case *ast.IntLit:
-		return true, v.Value, float64(v.Value), true
-	case *ast.FloatLit:
-		return false, int64(v.Value), v.Value, true
-	case *ast.BoolLit:
-		n := int64(0)
-		if v.Value {
-			n = 1
-		}
-		return true, n, float64(n), true
-	}
-	return false, 0, 0, false
-}
-
+// foldBinop evaluates an operator over two literals. Where the runtime
+// would raise (division or modulo by zero) the expression is kept, so
+// it still raises when it runs.
 func foldBinop(v *ast.Binop) ast.Expr {
-	// String concatenation of literals.
-	if v.Op == "." {
-		if l, ok := v.L.(*ast.StringLit); ok {
-			if r, ok := v.R.(*ast.StringLit); ok {
-				return &ast.StringLit{Value: l.Value + r.Value}
-			}
-		}
-		return v
-	}
-	li, ln, ld, lok := numOf(v.L)
-	ri, rn, rd, rok := numOf(v.R)
-	if !lok || !rok {
+	l, lok := litValue(v.L)
+	r, rok := litValue(v.R)
+	op, isOp := hhbc.BinaryOps[v.Op]
+	if !lok || !rok || !isOp {
 		return foldAlgebraic(v)
 	}
-	bothInt := li && ri
-	switch v.Op {
-	case "+":
-		if bothInt {
-			return &ast.IntLit{Value: ln + rn}
-		}
-		return &ast.FloatLit{Value: ld + rd}
-	case "-":
-		if bothInt {
-			return &ast.IntLit{Value: ln - rn}
-		}
-		return &ast.FloatLit{Value: ld - rd}
-	case "*":
-		if bothInt {
-			return &ast.IntLit{Value: ln * rn}
-		}
-		return &ast.FloatLit{Value: ld * rd}
-	case "/":
-		if rd == 0 {
-			return v // preserve the runtime error
-		}
-		if bothInt && ln%rn == 0 {
-			return &ast.IntLit{Value: ln / rn}
-		}
-		return &ast.FloatLit{Value: ld / rd}
-	case "%":
-		if rn == 0 {
-			return v
-		}
-		return &ast.IntLit{Value: ln % rn}
-	case "<":
-		return &ast.BoolLit{Value: ld < rd}
-	case "<=":
-		return &ast.BoolLit{Value: ld <= rd}
-	case ">":
-		return &ast.BoolLit{Value: ld > rd}
-	case ">=":
-		return &ast.BoolLit{Value: ld >= rd}
-	case "==":
-		return &ast.BoolLit{Value: ld == rd}
-	case "!=":
-		return &ast.BoolLit{Value: ld != rd}
-	case "===":
-		if li != ri {
-			return &ast.BoolLit{Value: false}
-		}
-		if li {
-			return &ast.BoolLit{Value: ln == rn}
-		}
-		return &ast.BoolLit{Value: ld == rd}
+	res, err := interp.Binop(runtime.NewHeap(), op, l, r)
+	if err != nil {
+		return v
 	}
-	return v
+	return valueLit(res)
 }
 
 // foldAlgebraic applies identities with one constant operand.
@@ -315,41 +273,33 @@ func foldAlgebraic(v *ast.Binop) ast.Expr {
 }
 
 func foldUnop(v *ast.Unop) ast.Expr {
+	e, ok := litValue(v.E)
+	if !ok {
+		return v
+	}
 	switch v.Op {
 	case "-":
-		if i, ok := v.E.(*ast.IntLit); ok {
-			return &ast.IntLit{Value: -i.Value}
-		}
-		if f, ok := v.E.(*ast.FloatLit); ok {
-			return &ast.FloatLit{Value: -f.Value}
-		}
+		return valueLit(runtime.Neg(e))
 	case "!":
-		if b, ok := constBool(v.E); ok {
-			return &ast.BoolLit{Value: !b}
-		}
+		return &ast.BoolLit{Value: !e.Bool()}
 	}
 	return v
 }
 
 func foldCast(v *ast.Cast) ast.Expr {
-	isInt, i, d, ok := numOf(v.E)
+	e, ok := litValue(v.E)
 	if !ok {
 		return v
 	}
 	switch v.To {
 	case "int":
-		if isInt {
-			return &ast.IntLit{Value: i}
-		}
-		if math.IsNaN(d) || math.IsInf(d, 0) {
-			return &ast.IntLit{Value: 0}
-		}
-		return &ast.IntLit{Value: int64(d)}
+		return &ast.IntLit{Value: e.ToInt()}
 	case "float":
-		return &ast.FloatLit{Value: d}
+		return &ast.FloatLit{Value: e.ToDbl()}
 	case "bool":
-		b, _ := constBool(v.E)
-		return &ast.BoolLit{Value: b}
+		return &ast.BoolLit{Value: e.Bool()}
+	case "string":
+		return &ast.StringLit{Value: e.ToString()}
 	}
 	return v
 }

@@ -1,10 +1,14 @@
 package hphpc_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/core"
 	"repro/internal/hphpc"
+	"repro/internal/jit"
 	"repro/internal/parser"
 )
 
@@ -90,5 +94,62 @@ func TestCastFolding(t *testing.T) {
 	lit, ok := v.(*ast.IntLit)
 	if !ok || lit.Value != 3 {
 		t.Errorf("(int)3.7 folded to %#v", v)
+	}
+}
+
+// TestFoldingAgreesWithRuntime folds every operator over every pair of
+// scalar literals and requires the folded program to print what the
+// same expression prints when both operands arrive through function
+// parameters (so nothing folds), under the interpreter. The cases the
+// runtime raises on must survive folding as expressions, so they still
+// raise.
+func TestFoldingAgreesWithRuntime(t *testing.T) {
+	lits := []string{"true", "false", "0", "1", "5", "-3", "1.0", "2.5", `"5"`, `"a"`, `""`}
+	ops := []string{"+", "-", "*", "/", "%", ".", "==", "!=", "===", "<", "<=", ">", ">="}
+	interpCfg := jit.DefaultConfig()
+	interpCfg.Mode = jit.ModeInterp
+	for _, op := range ops {
+		var src strings.Builder
+		src.WriteString(`
+function show($r) {
+  if (is_int($r)) { echo "int:"; }
+  if (is_float($r)) { echo "float:"; }
+  if (is_bool($r)) { echo "bool:"; }
+  if (is_string($r)) { echo "string:"; }
+  echo $r, "\n";
+}
+function ev($a, $b) { return $a ` + op + ` $b; }
+`)
+		for _, l := range lits {
+			for _, r := range lits {
+				fmt.Fprintf(&src, "try { show(%s %s %s); } catch (Exception $e) { echo \"raised:\", $e->getMessage(), \"\\n\"; }\n", l, op, r)
+				fmt.Fprintf(&src, "try { show(ev(%s, %s)); } catch (Exception $e) { echo \"raised:\", $e->getMessage(), \"\\n\"; }\n", l, r)
+			}
+		}
+		out, err := core.Run(src.String(), interpCfg)
+		if err != nil {
+			t.Fatalf("operator %s: %v", op, err)
+		}
+		lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+		if len(lines) != 2*len(lits)*len(lits) {
+			t.Fatalf("operator %s: %d output lines, want %d", op, len(lines), 2*len(lits)*len(lits))
+		}
+		i := 0
+		for _, l := range lits {
+			for _, r := range lits {
+				folded, evaluated := lines[i], lines[i+1]
+				i += 2
+				if folded != evaluated {
+					t.Errorf("%s %s %s folds to %q, the runtime answers %q", l, op, r, folded, evaluated)
+				}
+				// A literal pair folds to a literal exactly when the
+				// runtime does not raise.
+				p := fold(t, fmt.Sprintf("$x = %s %s %s;", l, op, r))
+				_, kept := p.Main[0].(*ast.ExprStmt).E.(*ast.Assign).Value.(*ast.Binop)
+				if raises := strings.HasPrefix(evaluated, "raised:"); kept != raises {
+					t.Errorf("%s %s %s: kept as an expression = %v, runtime raises = %v", l, op, r, kept, raises)
+				}
+			}
+		}
 	}
 }

@@ -22,10 +22,6 @@ type Frame struct {
 	pendingExc *runtime.Object
 }
 
-// SetPendingExc injects an exception for a handler about to run (used
-// by the JIT's side-exit-to-handler path).
-func (fr *Frame) SetPendingExc(o *runtime.Object) { fr.pendingExc = o }
-
 // TakeFrame builds an activation for f, consuming the caller's
 // references to args (extra args are released; missing ones get
 // defaults or Null). The frame comes from the env's LIFO free list,

@@ -669,12 +669,6 @@ func (s shapeSource) PropReadType(fnID, pc int, name string) types.Type {
 	return types.FromKind(sh.SlotKind(slot))
 }
 
-// guardsMatch checks a translation's preconditions against live frame
-// state.
-func (j *JIT) guardsMatch(tr *Translation, fr *interp.Frame) bool {
-	return tr.Matches(fr)
-}
-
 // ChainFallback resolves a transfer whose smashed link's guards
 // missed: it scans the published chain at (fnID, pc) for another
 // matching chainable translation — the in-cache guard cascade of a
@@ -695,7 +689,7 @@ func (j *JIT) ChainFallback(fnID, pc int, fr *interp.Frame, m *machine.Meter) *T
 func (j *JIT) findMatch(key transKey, fr *interp.Frame, m *machine.Meter) *Translation {
 	for _, tr := range (*j.trans.Load())[key] {
 		m.Charge(uint64(3 + 2*len(tr.Preconds))) // chain guard checks
-		if j.guardsMatch(tr, fr) {
+		if tr.Matches(fr) {
 			return tr
 		}
 	}
@@ -831,7 +825,7 @@ func (j *JIT) ForEachTranslation(fn func(tr *Translation)) {
 // no translation creation, no fee). Lock-free.
 func (j *JIT) HasMatch(fn *hhbc.Func, fr *interp.Frame) bool {
 	for _, tr := range (*j.trans.Load())[transKey{fn.ID, fr.PC}] {
-		if j.guardsMatch(tr, fr) {
+		if tr.Matches(fr) {
 			return true
 		}
 	}

@@ -532,7 +532,7 @@ func (j *JIT) OptimizeAll() {
 }
 
 // cloneBlocks deep-copies profiling blocks for region formation. Live
-// profiling translations alias the originals' Preconds (guardsMatch
+// profiling translations alias the originals' Preconds (Matches
 // reads them lock-free on every dispatch), so any pass that rewrites
 // guards — relaxation in particular — must work on private copies.
 func cloneBlocks(blocks []*region.Block) []*region.Block {

@@ -339,6 +339,14 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 	flags := code.DispatchFlags
 	starts := code.BlockStart
 	consts := code.Consts
+	// Operands of the control-transfer tails at the bottom of the loop
+	// body (see the labels there).
+	var (
+		nip  int     // branch, guardFail: the stream index control moves to
+		cond bool    // jcc: the condition before the inversion bit
+		exit Outcome // chain: the exit just taken at smash site ip
+		err  error   // throw: the guest error raised at ip
+	)
 	defer func() {
 		// Fault containment: a panic inside a translation becomes a
 		// typed TransFault outcome instead of killing the process. The
@@ -434,69 +442,20 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			act.set(in.D, act.spills[in.I64])
 
 		case vasm.GuardKind:
-			v := act.get(in.A)
-			if !v.Type().SubtypeOf(in.TypeParam) {
-				guardFails++
-				if fast {
-					settleRun(m.Meter, code, runStart, ip)
-				}
-				m.Meter.Charge(guardFailPenalty)
-				out, nip, done := m.jumpOrExit(code, act, in.Target1, guardFails)
-				if !done {
-					ip, runStart, xfer = nip, nip, true
-					continue
-				}
-				if nc, cip, ok := m.chainFrom(code, nip, act, &out, &chained); ok {
-					code, ip = nc, cip
-					fast, runStart, xfer = code.FastDispatch, cip, true
-					instrs, flags, starts, consts = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts
-					continue
-				}
-				return out
+			if !act.get(in.A).Type().SubtypeOf(in.TypeParam) {
+				goto guardFail
 			}
 		case vasm.GuardCls:
 			v := act.get(in.A)
 			if v.Kind != types.KObj || int64(v.AsObj().Class.ClassID) != in.I64 {
-				guardFails++
-				if fast {
-					settleRun(m.Meter, code, runStart, ip)
-				}
-				m.Meter.Charge(guardFailPenalty)
-				out, nip, done := m.jumpOrExit(code, act, in.Target1, guardFails)
-				if !done {
-					ip, runStart, xfer = nip, nip, true
-					continue
-				}
-				if nc, cip, ok := m.chainFrom(code, nip, act, &out, &chained); ok {
-					code, ip = nc, cip
-					fast, runStart, xfer = code.FastDispatch, cip, true
-					instrs, flags, starts, consts = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts
-					continue
-				}
-				return out
+				goto guardFail
 			}
 		case vasm.GuardShape:
 			v := act.get(in.A)
 			m.Shapes.Guards.Add(1)
 			if v.Kind != types.KObj || v.AsObj().ShapeID() != uint32(in.I64) {
 				m.Shapes.GuardFails.Add(1)
-				guardFails++
-				if fast {
-					settleRun(m.Meter, code, runStart, ip)
-				}
-				m.Meter.Charge(guardFailPenalty)
-				out, nip, done := m.jumpOrExit(code, act, in.Target1, guardFails)
-				if !done {
-					ip, runStart, xfer = nip, nip, true
-					continue
-				}
-				if nc, cip, ok := m.chainFrom(code, nip, act, &out, &chained); ok {
-					code, ip = nc, cip
-					fast, runStart, xfer = code.FastDispatch, cip, true
-					instrs, flags, starts, consts = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts
-					continue
-				}
-				return out
+				goto guardFail
 			}
 		case vasm.LdLocGK:
 			// Fused LdLoc + GuardKind: load the local, then guard the
@@ -507,23 +466,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			}
 			act.set(in.D, v)
 			if !v.Type().SubtypeOf(in.TypeParam) {
-				guardFails++
-				if fast {
-					settleRun(m.Meter, code, runStart, ip)
-				}
-				m.Meter.Charge(guardFailPenalty)
-				out, nip, done := m.jumpOrExit(code, act, in.Target1, guardFails)
-				if !done {
-					ip, runStart, xfer = nip, nip, true
-					continue
-				}
-				if nc, cip, ok := m.chainFrom(code, nip, act, &out, &chained); ok {
-					code, ip = nc, cip
-					fast, runStart, xfer = code.FastDispatch, cip, true
-					instrs, flags, starts, consts = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts
-					continue
-				}
-				return out
+				goto guardFail
 			}
 
 		case vasm.AddI:
@@ -543,15 +486,9 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 		case vasm.DivD:
 			b := act.get(in.B).AsDbl()
 			if b == 0 {
-				if fast {
-					settleRun(m.Meter, code, runStart, ip)
-					runStart = ip + 1
-				}
-				out := m.throwTo(code, act, in.Target1,
-					runtime.NewError("division by zero"), guardFails)
-				if out != nil {
-					return *out
-				}
+				// The generic division raises for this fast path.
+				_, err = runtime.Div(act.get(in.A), act.get(in.B))
+				goto throw
 			}
 			act.set(in.D, runtime.Dbl(act.get(in.A).AsDbl()/b))
 		case vasm.NegD:
@@ -608,107 +545,61 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 
 		case vasm.LdPropIC:
 			ov := act.get(in.A)
-			if ov.Kind != types.KObj {
-				if fast {
-					settleRun(m.Meter, code, runStart, ip)
-					runStart = ip + 1
+			if ov.Kind == types.KObj {
+				if slot, ok := m.probePropIC(code, ip, ov.AsObj(), in.Str); ok {
+					p := ov.AsObj().GetPropSlot(slot)
+					if p.Kind == types.KUninit {
+						p = runtime.Null()
+					}
+					h.IncRef(p)
+					act.set(in.D, p)
+					break
 				}
-				out := m.throwTo(code, act, in.Target1,
-					runtime.NewError("property access on non-object"), guardFails)
-				if out != nil {
-					return *out
-				}
-				continue
 			}
-			if slot, ok := m.probePropIC(code, ip, ov.AsObj(), in.Str); ok {
-				p := ov.AsObj().GetPropSlot(slot)
-				if p.Kind == types.KUninit {
-					p = runtime.Null()
-				}
-				h.IncRef(p)
-				act.set(in.D, p)
-			} else {
-				// Megamorphic site, shapeless receiver, or a property
-				// the shape does not describe: generic by-name path.
-				m.Shapes.GenericPropCalls.Add(1)
-				act.set(in.D, runtime.GetPropNamed(h, ov.AsObj(), in.Str))
+			// Megamorphic site, shapeless receiver, a property the shape
+			// does not describe, or no object at all: generic by-name path.
+			m.Shapes.GenericPropCalls.Add(1)
+			var p runtime.Value
+			if p, err = runtime.GetPropNamed(h, ov, in.Str); err != nil {
+				goto throw
 			}
+			act.set(in.D, p)
 		case vasm.StPropIC:
 			ov, val := act.get(in.A), act.get(in.B)
-			if ov.Kind != types.KObj {
-				h.DecRef(val)
-				if fast {
-					settleRun(m.Meter, code, runStart, ip)
-					runStart = ip + 1
+			if ov.Kind == types.KObj {
+				if slot, ok := m.probePropIC(code, ip, ov.AsObj(), in.Str); ok {
+					// SetPropSlot maintains the shape on retyping stores, so
+					// the cached slot stays valid across kind changes.
+					ov.AsObj().SetPropSlot(h, slot, val)
+					break
 				}
-				out := m.throwTo(code, act, in.Target1,
-					runtime.NewError("property write on non-object"), guardFails)
-				if out != nil {
-					return *out
-				}
-				continue
 			}
-			if slot, ok := m.probePropIC(code, ip, ov.AsObj(), in.Str); ok {
-				// SetPropSlot maintains the shape on retyping stores, so
-				// the cached slot stays valid across kind changes.
-				ov.AsObj().SetPropSlot(h, slot, val)
-			} else {
-				m.Shapes.GenericPropCalls.Add(1)
-				if err := runtime.SetPropNamed(h, ov.AsObj(), in.Str, val); err != nil {
-					if fast {
-						settleRun(m.Meter, code, runStart, ip)
-						runStart = ip + 1
-					}
-					out := m.throwTo(code, act, in.Target1,
-						runtime.NewError("%s", err.Error()), guardFails)
-					if out != nil {
-						return *out
-					}
-					continue
-				}
+			m.Shapes.GenericPropCalls.Add(1)
+			if err = runtime.SetPropNamed(h, ov, in.Str, val); err != nil {
+				goto throw
 			}
 		case vasm.LdThis:
-			if fr.This == nil {
-				if fast {
-					settleRun(m.Meter, code, runStart, ip)
-				}
-				out := m.throwTo(code, act, -1,
-					runtime.NewError("using $this outside object context"), guardFails)
-				return *out
+			var this runtime.Value
+			if this, err = fr.ThisObj(); err != nil {
+				goto throw
 			}
-			act.set(in.D, runtime.ObjV(fr.This))
+			act.set(in.D, this)
 
 		case vasm.Helper:
 			hid, extra := vasm.UnpackHelper(in.I64)
 			m.Meter.Charge(helperCost[hid])
-			res, err := m.runHelper(act, hid, extra, in)
-			if err != nil {
-				if fast {
-					settleRun(m.Meter, code, runStart, ip)
-					runStart = ip + 1
-				}
-				out := m.throwTo(code, act, in.Target1, err, guardFails)
-				if out != nil {
-					return *out
-				}
-				continue
+			var res runtime.Value
+			if res, err = m.runHelper(act, hid, extra, in); err != nil {
+				goto throw
 			}
 			if in.D != vasm.InvalidReg {
 				act.set(in.D, res)
 			}
 
 		case vasm.CallFunc, vasm.CallBuiltin, vasm.CallMethodD, vasm.CallMethodC:
-			res, err := m.runCall(code, ip, act, in)
-			if err != nil {
-				if fast {
-					settleRun(m.Meter, code, runStart, ip)
-					runStart = ip + 1
-				}
-				out := m.throwTo(code, act, in.Target1, err, guardFails)
-				if out != nil {
-					return *out
-				}
-				continue
+			var res runtime.Value
+			if res, err = m.runCall(code, ip, act, in); err != nil {
+				goto throw
 			}
 			m.Meter.Charge(callReturnCost)
 			if in.D != vasm.InvalidReg {
@@ -740,108 +631,30 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			}
 
 		case vasm.Jmp:
-			nip := int(starts[in.Target1])
-			if fast {
-				// Fallthrough coalescing: a branch to the next stream
-				// instruction continues the straight-line run — no
-				// settlement, no fetch re-probe (DispatchFlags already
-				// describe stream-successive lines, and the jump's own
-				// cost is inside the prefix sums).
-				if nip == ip+1 {
-					ip = nip
-					continue
-				}
-				settleRun(m.Meter, code, runStart, ip)
-			}
-			ip = nip
-			runStart, xfer = ip, true
-			continue
+			nip = int(starts[in.Target1])
+			goto branch
 		case vasm.Jcc:
-			cond := act.get(in.A).Bool()
-			if in.I64&0x100 != 0 { // inverted by jump optimization
-				cond = !cond
-			}
-			var nip int
-			if cond {
-				nip = int(starts[in.Target1])
-			} else {
-				nip = int(starts[in.Target2])
-			}
-			if fast {
-				if nip == ip+1 {
-					ip = nip
-					continue
-				}
-				settleRun(m.Meter, code, runStart, ip)
-			}
-			ip = nip
-			runStart, xfer = ip, true
-			continue
+			cond = act.get(in.A).Bool()
+			goto jcc
 		case vasm.CmpIJcc:
 			// Fused CmpI + Jcc: write the compare result, then branch
-			// on it (honoring the jump-optimization inversion bit).
-			cond := cmpI(in.I64&0xff, act.get(in.A).AsInt(), act.get(in.B).AsInt())
+			// on it.
+			cond = cmpI(in.I64&0xff, act.get(in.A).AsInt(), act.get(in.B).AsInt())
 			act.set(in.D, runtime.Bool(cond))
-			if in.I64&0x100 != 0 {
-				cond = !cond
-			}
-			var nip int
-			if cond {
-				nip = int(starts[in.Target1])
-			} else {
-				nip = int(starts[in.Target2])
-			}
-			if fast {
-				if nip == ip+1 {
-					ip = nip
-					continue
-				}
-				settleRun(m.Meter, code, runStart, ip)
-			}
-			ip = nip
-			runStart, xfer = ip, true
-			continue
+			goto jcc
 		case vasm.CmpDJcc:
-			cond := cmpD(in.I64&0xff, act.get(in.A).AsDbl(), act.get(in.B).AsDbl())
+			cond = cmpD(in.I64&0xff, act.get(in.A).AsDbl(), act.get(in.B).AsDbl())
 			act.set(in.D, runtime.Bool(cond))
-			if in.I64&0x100 != 0 {
-				cond = !cond
-			}
-			var nip int
-			if cond {
-				nip = int(starts[in.Target1])
-			} else {
-				nip = int(starts[in.Target2])
-			}
-			if fast {
-				if nip == ip+1 {
-					ip = nip
-					continue
-				}
-				settleRun(m.Meter, code, runStart, ip)
-			}
-			ip = nip
-			runStart, xfer = ip, true
-			continue
+			goto jcc
 		case vasm.JmpTable:
 			tbl := code.Tables[in.I64]
 			idx := act.get(in.A).ToInt() - tbl.Base
-			var nip int
 			if idx >= 0 && idx < int64(len(tbl.Targets)) {
 				nip = int(starts[tbl.Targets[idx]])
 			} else {
 				nip = int(starts[tbl.Default])
 			}
-			if fast {
-				if nip == ip+1 {
-					ip = nip
-					continue
-				}
-				settleRun(m.Meter, code, runStart, ip)
-			}
-			ip = nip
-			runStart, xfer = ip, true
-			continue
+			goto branch
 
 		case vasm.Ret:
 			if fast {
@@ -866,30 +679,18 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			if fast {
 				settleRun(m.Meter, code, runStart, ip)
 			}
-			out := m.takeExit(act, in.Ex, SideExit, nil, guardFails)
-			if nc, nip, ok := m.chainFrom(code, ip, act, &out, &chained); ok {
-				code, ip = nc, nip
-				fast, runStart, xfer = code.FastDispatch, nip, true
-				instrs, flags, starts, consts = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts
-				continue
-			}
-			return out
+			exit = m.takeExit(act, in.Ex, SideExit, nil, guardFails)
+			goto chain
 		case vasm.BindJmp:
 			if fast {
 				settleRun(m.Meter, code, runStart, ip)
 			}
-			out := m.takeExit(act, in.Ex, BindRequest, nil, guardFails)
-			out.BCOff = int(in.I64)
-			if out.Inline == nil {
-				fr.PC = out.BCOff
+			exit = m.takeExit(act, in.Ex, BindRequest, nil, guardFails)
+			exit.BCOff = int(in.I64)
+			if exit.Inline == nil {
+				fr.PC = exit.BCOff
 			}
-			if nc, nip, ok := m.chainFrom(code, ip, act, &out, &chained); ok {
-				code, ip = nc, nip
-				fast, runStart, xfer = code.FastDispatch, nip, true
-				instrs, flags, starts, consts = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts
-				continue
-			}
-			return out
+			goto chain
 
 		default:
 			if fast {
@@ -898,6 +699,66 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			return m.faultOutcome(act, guardFails, fmt.Sprintf("bad opcode %s", in.Op))
 		}
 		ip++
+		continue
+
+		// Control-transfer tails, each written once and entered by goto
+		// from the cases above.
+
+	jcc: // conditional branch on cond, honoring the jump-optimization inversion bit
+		if in.I64&0x100 != 0 {
+			cond = !cond
+		}
+		if cond {
+			nip = int(starts[in.Target1])
+		} else {
+			nip = int(starts[in.Target2])
+		}
+	branch: // control moves to stream index nip
+		if fast {
+			// Fallthrough coalescing: a branch to the next stream
+			// instruction continues the straight-line run — no
+			// settlement, no fetch re-probe (DispatchFlags already
+			// describe stream-successive lines, and the jump's own
+			// cost is inside the prefix sums).
+			if nip == ip+1 {
+				ip = nip
+				continue
+			}
+			settleRun(m.Meter, code, runStart, ip)
+		}
+		ip = nip
+		runStart, xfer = ip, true
+		continue
+
+	guardFail: // the guard at ip failed: its target is a chained block or an exit stub
+		guardFails++
+		if fast {
+			settleRun(m.Meter, code, runStart, ip)
+		}
+		m.Meter.Charge(guardFailPenalty)
+		nip = int(starts[in.Target1])
+		if nip >= len(instrs) || instrs[nip].Op != vasm.Exit {
+			ip, runStart, xfer = nip, nip, true
+			continue
+		}
+		// An exit stub: a single Exit instruction, the smash site.
+		m.Meter.Charge(opCost(vasm.Exit))
+		ip = nip
+		exit = m.takeExit(act, instrs[ip].Ex, SideExit, nil, guardFails)
+	chain: // exit was taken at smash site ip: follow its link or leave
+		if nc, cip, ok := m.chainFrom(code, ip, act, &exit, &chained); ok {
+			code, ip = nc, cip
+			fast, runStart, xfer = code.FastDispatch, cip, true
+			instrs, flags, starts, consts = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts
+			continue
+		}
+		return exit
+
+	throw: // guest error err raised by the instruction at ip
+		if fast {
+			settleRun(m.Meter, code, runStart, ip)
+		}
+		return m.throwTo(code, act, in.Target1, err, guardFails)
 	}
 }
 
@@ -1070,31 +931,16 @@ func (m *Machine) probePropIC(code *mcode.Code, ip int, o *runtime.Object, name 
 	return slot, true
 }
 
-// jumpOrExit handles a guard-fail target: a chained block (done=false,
-// resume at instruction index idx) or an exit stub block (done=true,
-// idx is the stub's Exit instruction — the smash site for chaining).
-func (m *Machine) jumpOrExit(code *mcode.Code, act *activation, target int, guardFails int) (out Outcome, idx int, done bool) {
-	idx = int(code.BlockStart[target])
-	// Exit stubs consist of a single Exit instruction.
-	if idx < len(code.Instrs) && code.Instrs[idx].Op == vasm.Exit {
-		m.Meter.Charge(opCost(vasm.Exit))
-		return m.takeExit(act, code.Instrs[idx].Ex, SideExit, nil, guardFails), idx, true
-	}
-	return Outcome{}, idx, false
-}
-
 // throwTo routes a guest error through the instruction's catch stub,
-// materializing frame state; returns the final outcome (nil never —
-// kept pointer-shaped for call-site brevity).
-func (m *Machine) throwTo(code *mcode.Code, act *activation, stub int, err error, guardFails int) *Outcome {
+// materializing frame state.
+func (m *Machine) throwTo(code *mcode.Code, act *activation, stub int, err error, guardFails int) Outcome {
 	var ex *vasm.ExitInfo
 	if stub >= 0 {
 		if idx := int(code.BlockStart[stub]); idx < len(code.Instrs) && code.Instrs[idx].Op == vasm.Exit {
 			ex = code.Instrs[idx].Ex
 		}
 	}
-	out := m.takeExit(act, ex, Threw, err, guardFails)
-	return &out
+	return m.takeExit(act, ex, Threw, err, guardFails)
 }
 
 // takeExit materializes VM state per the exit descriptor.

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"strings"
-
 	"repro/internal/hhbc"
 	"repro/internal/interp"
 	"repro/internal/mcode"
@@ -11,11 +9,14 @@ import (
 	"repro/internal/vasm"
 )
 
-// runHelper implements the out-of-line runtime helpers. Reference
-// conventions match the HHIR lowering: results are owned; helpers do
-// not consume argument references unless documented.
+// runHelper implements the out-of-line runtime helpers by moving
+// register operands into the shared semantics layer (packages runtime
+// and interp): no guest-visible decision is made here. Reference
+// conventions match the HHIR lowering: results are owned; operands are
+// borrowed unless the lowering documents the op as consuming them.
 func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in *vasm.Instr) (runtime.Value, error) {
-	h := m.Env.Heap
+	env := m.Env
+	h := env.Heap
 	fr := act.fr
 	arg := func(i int) runtime.Value { return act.get(in.Args[i]) }
 
@@ -23,7 +24,12 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 	case vasm.HConcat:
 		return runtime.Concat(arg(0), arg(1)), nil
 	case vasm.HBinop:
-		return m.binop(hhbc.Op(extra), arg(0), arg(1))
+		// BinopGeneric consumes both operands (no DecRef follows it).
+		a, b := arg(0), arg(1)
+		r, err := interp.Binop(h, hhbc.Op(extra), a, b)
+		h.DecRef(a)
+		h.DecRef(b)
+		return r, err
 	case vasm.HEqAny:
 		r := runtime.LooseEq(arg(0), arg(1))
 		return runtime.Bool(r == (extra == 0)), nil
@@ -35,15 +41,9 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 	case vasm.HModInt:
 		return runtime.Mod(arg(0), arg(1))
 	case vasm.HToStr:
-		v := arg(0)
-		if v.Kind == types.KStr {
-			h.IncRef(v)
-			return v, nil
-		}
-		return runtime.NewStr(v.ToString()), nil
+		return runtime.ToStr(h, arg(0)), nil
 	case vasm.HCmpStr:
-		c := runtime.Cmp(arg(0), arg(1))
-		return runtime.Bool(cmpI(extra&0xff, int64(c), 0)), nil
+		return runtime.Bool(runtime.Compare(runtime.Cond(extra&0xff), arg(0), arg(1))), nil
 	case vasm.HNewArr:
 		return runtime.ArrV(runtime.NewMixed()), nil
 	case vasm.HNewPacked:
@@ -53,134 +53,42 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 		}
 		return runtime.ArrV(runtime.NewPacked(elems)), nil
 	case vasm.HAddElem:
-		arrv, key, val := arg(0), arg(1), arg(2)
-		if arrv.Kind != types.KArr {
-			return runtime.Null(), runtime.NewError("AddElem on non-array")
-		}
-		return runtime.ArrV(arrv.AsArr().Set(h, key, val)), nil
+		return runtime.AddElem(h, arg(0), arg(1), arg(2))
 	case vasm.HAddNewElem:
-		arrv, val := arg(0), arg(1)
-		if arrv.Kind != types.KArr {
-			return runtime.Null(), runtime.NewError("AddNewElem on non-array")
-		}
-		return runtime.ArrV(arrv.AsArr().Append(h, val)), nil
+		return runtime.AddNewElem(h, arg(0), arg(1))
 	case vasm.HArrGetGeneric:
-		arrv, key := arg(0), arg(1)
-		if arrv.Kind != types.KArr {
-			return runtime.Null(), runtime.NewError("cannot index non-array")
-		}
-		el, _ := arrv.AsArr().Get(key)
-		if el.Kind == types.KUninit {
-			el = runtime.Null()
-		}
-		h.IncRef(el)
-		return el, nil
+		return runtime.ElemGet(h, arg(0), arg(1), in.Str)
 	case vasm.HArrSetLocal:
-		key, val := arg(0), arg(1)
-		lv := fr.Locals[extra]
-		if lv.Kind == types.KUninit || lv.Kind == types.KNull {
-			lv = runtime.ArrV(runtime.NewMixed())
-			fr.Locals[extra] = lv
-		}
-		if lv.Kind != types.KArr {
-			h.DecRef(val)
-			return runtime.Null(), runtime.NewError("cannot write index of non-array")
-		}
-		fr.Locals[extra] = runtime.ArrV(lv.AsArr().Set(h, key, val))
-		return runtime.Null(), nil
+		return runtime.Null(), runtime.ElemSet(h, &fr.Locals[extra], arg(0), arg(1))
 	case vasm.HArrAppendLocal:
-		val := arg(0)
-		lv := fr.Locals[extra]
-		if lv.Kind == types.KUninit || lv.Kind == types.KNull {
-			lv = runtime.ArrV(runtime.NewPacked(nil))
-			fr.Locals[extra] = lv
-		}
-		if lv.Kind != types.KArr {
-			h.DecRef(val)
-			return runtime.Null(), runtime.NewError("cannot append to non-array")
-		}
-		fr.Locals[extra] = runtime.ArrV(lv.AsArr().Append(h, val))
-		return runtime.Null(), nil
+		return runtime.Null(), runtime.ElemAppend(h, &fr.Locals[extra], arg(0))
 	case vasm.HArrUnsetLocal:
-		key := arg(0)
-		lv := fr.Locals[extra]
-		if lv.Kind == types.KArr {
-			fr.Locals[extra] = runtime.ArrV(lv.AsArr().Remove(h, key))
-		}
+		runtime.ElemUnset(h, &fr.Locals[extra], arg(0))
 		return runtime.Null(), nil
 	case vasm.HAKExistsLocal:
-		key := arg(0)
-		lv := fr.Locals[extra]
-		ok := false
-		if lv.Kind == types.KArr {
-			_, ok = lv.AsArr().Get(key)
-		}
-		return runtime.Bool(ok), nil
+		return runtime.Bool(runtime.ElemExists(fr.Locals[extra], arg(0))), nil
 
 	case vasm.HIterInit:
 		iter, slot := vasm.UnpackIterSlot(extra)
-		lv := fr.Locals[slot]
-		if lv.Kind != types.KArr || lv.AsArr().Len() == 0 {
-			return runtime.Bool(false), nil
-		}
-		h.IncRef(lv)
-		setFrameIter(fr, iter, runtime.NewIter(lv.AsArr()))
-		return runtime.Bool(true), nil
+		return runtime.Bool(fr.IterInit(h, iter, slot)), nil
 	case vasm.HIterNext:
-		it := frameIter(fr, int32(extra))
-		if it != nil && it.Next() {
-			return runtime.Bool(true), nil
-		}
-		if it != nil {
-			h.DecRef(runtime.ArrV(it.Arr()))
-			setFrameIter(fr, int32(extra), nil)
-		}
-		return runtime.Bool(false), nil
+		return runtime.Bool(fr.IterNext(int32(extra))), nil
 	case vasm.HIterKey:
-		it := frameIter(fr, int32(extra))
-		k := it.Key()
-		h.IncRef(k)
-		return k, nil
+		return fr.IterKey(h, int32(extra)), nil
 	case vasm.HIterValue:
-		it := frameIter(fr, int32(extra))
-		v := it.Val()
-		if v.Kind == types.KUninit {
-			v = runtime.Null()
-		}
-		h.IncRef(v)
-		return v, nil
+		return fr.IterValue(h, int32(extra)), nil
 	case vasm.HIterFree:
-		it := frameIter(fr, int32(extra))
-		if it != nil {
-			h.DecRef(runtime.ArrV(it.Arr()))
-			setFrameIter(fr, int32(extra), nil)
-		}
+		fr.IterFree(h, int32(extra))
 		return runtime.Null(), nil
 
 	case vasm.HNewObj:
-		cls, ok := m.Env.Classes[in.Str]
-		if !ok {
-			return runtime.Null(), runtime.NewError("class %s not found", in.Str)
-		}
-		return runtime.ObjV(m.Env.NewInstance(cls)), nil
+		return env.NewObject(in.Str)
 	case vasm.HLdPropGeneric:
-		ov := arg(0)
-		if ov.Kind != types.KObj {
-			return runtime.Null(), runtime.NewError("property access on non-object")
-		}
 		m.Shapes.GenericPropCalls.Add(1)
-		return runtime.GetPropNamed(h, ov.AsObj(), in.Str), nil
+		return runtime.GetPropNamed(h, arg(0), in.Str)
 	case vasm.HStPropGeneric:
-		ov, val := arg(0), arg(1)
-		if ov.Kind != types.KObj {
-			h.DecRef(val)
-			return runtime.Null(), runtime.NewError("property write on non-object")
-		}
 		m.Shapes.GenericPropCalls.Add(1)
-		if err := runtime.SetPropNamed(h, ov.AsObj(), in.Str, val); err != nil {
-			return runtime.Null(), runtime.NewError("%s", err.Error())
-		}
-		return runtime.Null(), nil
+		return runtime.Null(), runtime.SetPropNamed(h, arg(0), in.Str, arg(1))
 	case vasm.HInstanceOf:
 		v := arg(0)
 		if extra > 0 {
@@ -191,22 +99,15 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 		}
 		// Slow path: hierarchy walk by name.
 		m.Meter.Charge(instanceOfWalkCost)
-		r := v.Kind == types.KObj && v.AsObj().Class.IsSubclassOf(in.Str)
-		return runtime.Bool(r), nil
+		return runtime.Bool(runtime.InstanceOf(v, in.Str)), nil
 	case vasm.HVerifyParam:
-		return runtime.Null(), m.verifyParam(fr, int(extra), in.Str)
+		fnID, idx, slot := vasm.UnpackVerifyParam(extra)
+		return runtime.Null(), interp.VerifyParam(env.Unit.Funcs[fnID], idx, &fr.Locals[slot])
 	case vasm.HPrint:
-		if m.Env.Out != nil {
-			_, _ = m.Env.Out.Write([]byte(arg(0).ToString()))
-		}
+		env.Print(arg(0))
 		return runtime.Int(1), nil
 	case vasm.HThrow:
-		v := arg(0)
-		if v.Kind != types.KObj {
-			h.DecRef(v)
-			return runtime.Null(), runtime.NewError("can only throw objects")
-		}
-		return runtime.Null(), runtime.Thrown(v.AsObj())
+		return runtime.Null(), runtime.ThrowValue(h, arg(0))
 	case vasm.HConvToBoolGeneric:
 		return runtime.Bool(arg(0).Bool()), nil
 	case vasm.HConvToIntGeneric:
@@ -216,92 +117,6 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 	default:
 		return runtime.Null(), runtime.NewError("machine: unknown helper %d", hid)
 	}
-}
-
-// binop implements BinopGeneric.
-func (m *Machine) binop(op hhbc.Op, a, b runtime.Value) (runtime.Value, error) {
-	switch op {
-	case hhbc.OpAdd:
-		return runtime.Add(m.Env.Heap, a, b)
-	case hhbc.OpSub:
-		return runtime.Sub(a, b)
-	case hhbc.OpMul:
-		return runtime.Mul(a, b)
-	case hhbc.OpDiv:
-		return runtime.Div(a, b)
-	case hhbc.OpMod:
-		return runtime.Mod(a, b)
-	case hhbc.OpNeg:
-		if a.Kind == types.KDbl {
-			return runtime.Dbl(-a.AsDbl()), nil
-		}
-		return runtime.Int(-a.ToInt()), nil
-	case hhbc.OpGt:
-		return runtime.Bool(runtime.Cmp(a, b) > 0), nil
-	case hhbc.OpGte:
-		return runtime.Bool(runtime.Cmp(a, b) >= 0), nil
-	case hhbc.OpLt:
-		return runtime.Bool(runtime.Cmp(a, b) < 0), nil
-	case hhbc.OpLte:
-		return runtime.Bool(runtime.Cmp(a, b) <= 0), nil
-	case hhbc.OpEq:
-		return runtime.Bool(runtime.LooseEq(a, b)), nil
-	case hhbc.OpNeq:
-		return runtime.Bool(!runtime.LooseEq(a, b)), nil
-	default:
-		return runtime.Null(), runtime.NewError("machine: bad generic binop %s", op)
-	}
-}
-
-// verifyParam re-checks a shallow type hint against a frame slot. It
-// must not consult fr.Fn (the slot may belong to an inlined callee).
-func (m *Machine) verifyParam(fr *interp.Frame, slot int, hint string) error {
-	nullable := strings.HasPrefix(hint, "?")
-	hint = strings.TrimPrefix(hint, "?")
-	v := fr.Locals[slot]
-	if nullable && v.IsNull() {
-		return nil
-	}
-	ok := false
-	switch hint {
-	case "int":
-		ok = v.Kind == types.KInt
-	case "float":
-		ok = v.Kind == types.KDbl || v.Kind == types.KInt
-		if v.Kind == types.KInt {
-			fr.Locals[slot] = runtime.Dbl(float64(v.AsInt()))
-		}
-	case "string":
-		ok = v.Kind == types.KStr
-	case "bool":
-		ok = v.Kind == types.KBool
-	case "array":
-		ok = v.Kind == types.KArr
-	case "":
-		ok = true
-	default:
-		ok = v.Kind == types.KObj && v.AsObj().Class.IsSubclassOf(hint)
-	}
-	if !ok {
-		return runtime.NewError("argument at slot %d must be of type %s, %s given",
-			slot, hint, v.Type())
-	}
-	return nil
-}
-
-// frameIter / setFrameIter manipulate the frame's iterator slots.
-func frameIter(fr *interp.Frame, id int32) *runtime.Iter {
-	if int(id) < len(fr.Iters) {
-		return fr.Iters[id]
-	}
-	return nil
-}
-
-func setFrameIter(fr *interp.Frame, id int32, it *runtime.Iter) {
-	for int(id) >= len(fr.Iters) {
-		fr.Iters = append(fr.Iters, nil)
-	}
-	fr.Iters[id] = it
 }
 
 // takeArgs copies the call's argument registers into a pooled scratch
@@ -359,10 +174,11 @@ func (m *Machine) smashCall(code *mcode.Code, ip int, entered ChainTarget) {
 }
 
 // runCall dispatches guest calls from JITed code. Calls consume the
-// argument references (and for methods, NOT the receiver's — the
-// caller releases it, matching the interpreter). Direct call sites
-// (CallFunc / CallMethodD) are smash sites: the first dispatch binds
-// them to the callee's prologue translation.
+// argument references but not a method receiver's: the translation
+// releases that with the DecRef it emits after the call. A call that
+// raises never reaches that DecRef, so the receiver is released here.
+// Direct call sites (CallFunc / CallMethodD) are smash sites: the
+// first dispatch binds them to the callee's prologue translation.
 func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *vasm.Instr) (runtime.Value, error) {
 	env := m.Env
 	switch in.Op {
@@ -378,81 +194,63 @@ func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *vasm.In
 		return ret, err
 	case vasm.CallBuiltin:
 		args := m.takeArgs(act, in.Args, 0)
+		var ret runtime.Value
+		var err error
 		if in.I64 > 0 {
 			// Resolved by mcode.Assemble.
-			b := code.Builtins[in.I64-1]
-			m.Meter.Charge(b.Cost)
-			ret, err := b.Fn(env.BuiltinCtx(), args)
-			for _, a := range args {
-				env.Heap.DecRef(a)
-			}
-			m.putArgs(args)
-			return ret, err
+			ret, err = env.CallBuiltin(code.Builtins[in.I64-1], args)
+		} else {
+			ret, err = env.CallNamed(in.Str, args)
 		}
-		// A user function shadowing an unresolved direct call.
-		if f, ok := env.Unit.FuncByName(in.Str); ok {
-			ret, _, err := m.CallGuest(f, nil, args, nil)
-			m.putArgs(args)
-			return ret, err
-		}
-		for _, a := range args {
-			env.Heap.DecRef(a)
-		}
-		m.putArgs(args)
-		return runtime.Null(), runtime.NewError("call to undefined function %s()", in.Str)
-	case vasm.CallMethodD:
-		obj := act.get(in.Args[0])
-		args := m.takeArgs(act, in.Args, 1)
-		f := env.Unit.Funcs[in.I64]
-		if m.Counters != nil {
-			m.Counters.RecordCall(act.fr.Fn.ID, f.ID)
-		}
-		ret, entered, err := m.CallGuest(f, obj.AsObj(), args, m.callHint(code, ip))
-		m.smashCall(code, ip, entered)
 		m.putArgs(args)
 		return ret, err
-	case vasm.CallMethodC:
-		obj := act.get(in.Args[0])
+	case vasm.CallMethodD, vasm.CallMethodC:
+		recv := act.get(in.Args[0])
 		args := m.takeArgs(act, in.Args, 1)
-		if obj.Kind != types.KObj {
-			for _, a := range args {
-				env.Heap.DecRef(a)
-			}
-			m.putArgs(args)
-			return runtime.Null(), runtime.NewError("method call on non-object")
-		}
-		// Inline cache: monomorphic per call site (site -1 = caching
-		// disabled, full lookup every call).
-		var funcID int
-		if ent, ok := m.methodCache[in.I64]; in.I64 >= 0 && ok && ent.cls == obj.AsObj().Class {
-			m.Meter.Charge(methodCacheHitCost)
-			funcID = ent.funcID
+		var f *hhbc.Func
+		var hint ChainTarget
+		var err error
+		if in.Op == vasm.CallMethodD {
+			f, hint = env.Unit.Funcs[in.I64], m.callHint(code, ip)
 		} else {
-			m.Meter.Charge(methodLookupCost)
-			id, ok := obj.AsObj().Class.LookupMethod(in.Str)
-			if !ok {
-				for _, a := range args {
-					env.Heap.DecRef(a)
-				}
-				m.putArgs(args)
-				if in.Str == "__construct" {
-					return runtime.Null(), nil
-				}
-				return runtime.Null(), runtime.NewError("call to undefined method %s::%s()",
-					obj.AsObj().Class.Name, in.Str)
-			}
-			if in.I64 >= 0 {
-				m.methodCache[in.I64] = methodCacheEnt{cls: obj.AsObj().Class, funcID: id}
-			}
-			funcID = id
+			f, err = m.cachedMethod(in.I64, recv, in.Str)
 		}
-		f := env.Unit.Funcs[funcID]
-		if m.Counters != nil {
-			m.Counters.RecordCall(act.fr.Fn.ID, f.ID)
+		ret := runtime.Null()
+		if f != nil {
+			if m.Counters != nil {
+				m.Counters.RecordCall(act.fr.Fn.ID, f.ID)
+			}
+			var entered ChainTarget
+			ret, entered, err = m.CallGuest(f, recv.AsObj(), args, hint)
+			if in.Op == vasm.CallMethodD {
+				m.smashCall(code, ip, entered)
+			}
+		} else {
+			env.ReleaseArgs(args)
 		}
-		ret, _, err := m.CallGuest(f, obj.AsObj(), args, nil)
 		m.putArgs(args)
+		if err != nil {
+			env.Heap.DecRef(recv)
+		}
 		return ret, err
 	}
 	return runtime.Null(), runtime.NewError("machine: bad call op")
+}
+
+// cachedMethod resolves a CallMethodC through the site's monomorphic
+// inline cache (site -1 = caching disabled, full lookup every call).
+// Only a hit is decided here; every miss — including the receivers
+// that make the call raise — goes through the shared resolution.
+func (m *Machine) cachedMethod(site int64, recv runtime.Value, name string) (*hhbc.Func, error) {
+	if ent, ok := m.methodCache[site]; site >= 0 && ok &&
+		recv.Kind == types.KObj && ent.cls == recv.AsObj().Class {
+		m.Meter.Charge(methodCacheHitCost)
+		return m.Env.Unit.Funcs[ent.funcID], nil
+	}
+	m.Meter.Charge(methodLookupCost)
+	f, err := m.Env.ResolveMethod(recv, name)
+	if f != nil && site >= 0 {
+		m.methodCache[site] = methodCacheEnt{cls: recv.AsObj().Class, funcID: f.ID}
+	}
+	return f, err
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -405,7 +406,7 @@ func (c *Code) resolve() error {
 			}
 			if in.Op == vasm.CallBuiltin {
 				in.I64 = 0
-				if b, ok := runtime.LookupBuiltin(in.Str); ok {
+				if b, ok := runtime.LookupBuiltin(strings.ToLower(in.Str)); ok {
 					idx := slices.Index(c.Builtins, b)
 					if idx < 0 {
 						idx = len(c.Builtins)

@@ -1,6 +1,10 @@
 package runtime
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/types"
+)
 
 // Error is a guest-level error. Two flavors exist, mirroring PHP's
 // error-handling model the paper discusses:
@@ -33,3 +37,14 @@ func NewError(format string, args ...any) *Error {
 // Thrown wraps a guest exception object into an error. The error owns
 // one reference to obj.
 func Thrown(obj *Object) *Error { return &Error{Obj: obj} }
+
+// ThrowValue implements the throw statement's operand check: only
+// objects can be thrown. It consumes v — the returned error owns the
+// object's reference.
+func ThrowValue(h *Heap, v Value) error {
+	if v.Kind != types.KObj {
+		h.DecRef(v)
+		return NewError("can only throw objects")
+	}
+	return Thrown(v.AsObj())
+}

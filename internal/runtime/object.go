@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"fmt"
-
 	"repro/internal/shapes"
 	"repro/internal/types"
 )
@@ -147,7 +145,7 @@ func (o *Object) SetProp(h *Heap, name string, val Value) error {
 		return nil
 	}
 	if o.Shape == nil {
-		return fmt.Errorf("undefined property %s::$%s", o.Class.Name, name)
+		return NewError("undefined property %s::$%s", o.Class.Name, name)
 	}
 	o.Shape = o.Shape.Transition(name, val.Kind)
 	o.Props = append(o.Props, val)
@@ -170,26 +168,37 @@ func (o *Object) SetPropSlot(h *Heap, slot int, val Value) {
 	h.DecRef(old)
 }
 
-// GetPropNamed is the single generic property-read entry point shared
-// by the interpreter and the machine's generic helper / megamorphic
-// IC fallback (they previously duplicated this logic and could
-// drift). It returns an owned reference: missing and uninitialized
-// properties read as null, as in PHP.
-func GetPropNamed(h *Heap, o *Object, name string) Value {
-	p, _ := o.GetProp(name)
+// GetPropNamed is the generic property read `recv->name`, shared by
+// the interpreter and the machine's generic helper / megamorphic IC
+// fallback. recv is borrowed, the result is owned: missing and
+// uninitialized properties read as null, as in PHP.
+func GetPropNamed(h *Heap, recv Value, name string) (Value, error) {
+	if recv.Kind != types.KObj {
+		return Null(), NewError("property access on non-object")
+	}
+	p, _ := recv.AsObj().GetProp(name)
 	if p.Kind == types.KUninit {
 		p = Null()
 	}
 	h.IncRef(p)
-	return p
+	return p, nil
 }
 
-// SetPropNamed is the matching generic property-write entry point:
-// it consumes the caller's reference to val (also on error).
-func SetPropNamed(h *Heap, o *Object, name string, val Value) error {
-	if err := o.SetProp(h, name, val); err != nil {
+// SetPropNamed is the matching generic property write: recv is
+// borrowed, val is consumed (also on error).
+func SetPropNamed(h *Heap, recv Value, name string, val Value) error {
+	if recv.Kind != types.KObj {
+		h.DecRef(val)
+		return NewError("property write on non-object")
+	}
+	if err := recv.AsObj().SetProp(h, name, val); err != nil {
 		h.DecRef(val)
 		return err
 	}
 	return nil
+}
+
+// InstanceOf implements `v instanceof cls` by class name.
+func InstanceOf(v Value, cls string) bool {
+	return v.Kind == types.KObj && v.AsObj().Class.IsSubclassOf(cls)
 }

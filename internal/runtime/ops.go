@@ -96,9 +96,64 @@ func Mod(a, b Value) (Value, error) {
 	return Int(a.ToInt() % bi), nil
 }
 
+// Neg implements unary minus: doubles negate as doubles, everything
+// else through its integer value.
+func Neg(a Value) Value {
+	if a.Kind == types.KDbl {
+		return Dbl(-a.AsDbl())
+	}
+	return Int(-a.ToInt())
+}
+
+// IncDec implements ++/-- on a variable slot and returns the
+// expression's value (the old value for the postfix forms). Null and
+// unset variables count up from null to 1 and stay null counting
+// down, as in PHP.
+func IncDec(slot *Value, inc, post bool) (Value, error) {
+	old := *slot
+	var nv Value
+	switch old.Kind {
+	case types.KInt:
+		if inc {
+			nv = Int(old.AsInt() + 1)
+		} else {
+			nv = Int(old.AsInt() - 1)
+		}
+	case types.KDbl:
+		if inc {
+			nv = Dbl(old.AsDbl() + 1)
+		} else {
+			nv = Dbl(old.AsDbl() - 1)
+		}
+	case types.KNull, types.KUninit:
+		old, nv = Null(), Null()
+		if inc {
+			nv = Int(1)
+		}
+	default:
+		return Null(), NewError("cannot increment/decrement %s", old.Type())
+	}
+	*slot = nv
+	if post {
+		return old, nil
+	}
+	return nv, nil
+}
+
 // Concat implements the . operator, producing a fresh counted string.
 func Concat(a, b Value) Value {
 	return NewStr(a.ToString() + b.ToString())
+}
+
+// ToStr implements the (string) cast. The result is owned: a string
+// operand comes back with one more reference, anything else renders
+// into a fresh string.
+func ToStr(h *Heap, v Value) Value {
+	if v.Kind == types.KStr {
+		h.IncRef(v)
+		return v
+	}
+	return NewStr(v.ToString())
 }
 
 // ConcatMany concatenates n values (used by interpolation lowering).
@@ -130,6 +185,38 @@ func Cmp(a, b Value) int {
 		default:
 			return 0
 		}
+	}
+}
+
+// Cond is a comparison condition code. The JIT's CmpInt/CmpDbl/CmpStr
+// immediates use the same numbering.
+type Cond int64
+
+const (
+	CondLT Cond = iota
+	CondLE
+	CondGT
+	CondGE
+	CondEQ
+	CondNE
+)
+
+// Compare evaluates `a <cond> b`: the relational conditions order by
+// Cmp, equality is LooseEq.
+func Compare(c Cond, a, b Value) bool {
+	switch c {
+	case CondLT:
+		return Cmp(a, b) < 0
+	case CondLE:
+		return Cmp(a, b) <= 0
+	case CondGT:
+		return Cmp(a, b) > 0
+	case CondGE:
+		return Cmp(a, b) >= 0
+	case CondEQ:
+		return LooseEq(a, b)
+	default:
+		return !LooseEq(a, b)
 	}
 }
 

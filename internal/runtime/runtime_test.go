@@ -299,27 +299,27 @@ func TestPropNamedRefcounts(t *testing.T) {
 	}
 	// SetPropNamed consumes the caller's reference: the slot now holds
 	// the only one.
-	if err := rt.SetPropNamed(h, o, "v", s); err != nil {
+	if err := rt.SetPropNamed(h, rt.ObjV(o), "v", s); err != nil {
 		t.Fatal(err)
 	}
 	if s.AsStr().Refs() != 1 {
 		t.Fatalf("after store refs = %d, want 1 (slot-owned)", s.AsStr().Refs())
 	}
 	// GetPropNamed returns an owned reference.
-	got := rt.GetPropNamed(h, o, "v")
+	got, _ := rt.GetPropNamed(h, rt.ObjV(o), "v")
 	if got.AsStr() != s.AsStr() || s.AsStr().Refs() != 2 {
 		t.Fatalf("after read refs = %d, want 2", s.AsStr().Refs())
 	}
 	h.DecRef(got)
 	// Overwriting releases the old value.
-	if err := rt.SetPropNamed(h, o, "v", rt.Int(3)); err != nil {
+	if err := rt.SetPropNamed(h, rt.ObjV(o), "v", rt.Int(3)); err != nil {
 		t.Fatal(err)
 	}
 	if s.AsStr().Refs() != 0 {
 		t.Fatalf("overwritten value refs = %d, want 0", s.AsStr().Refs())
 	}
 	// A missing property reads as null, not an error.
-	if v := rt.GetPropNamed(h, o, "absent"); v.Kind != types.KNull {
+	if v, _ := rt.GetPropNamed(h, rt.ObjV(o), "absent"); v.Kind != types.KNull {
 		t.Fatalf("missing prop read %v, want null", v.DebugString())
 	}
 }
@@ -342,13 +342,13 @@ func TestPropNamedDynamicTransitions(t *testing.T) {
 
 	// Writing an undeclared property transitions the shape and makes
 	// the value readable by name.
-	if err := rt.SetPropNamed(h, a, "count", rt.Int(7)); err != nil {
+	if err := rt.SetPropNamed(h, rt.ObjV(a), "count", rt.Int(7)); err != nil {
 		t.Fatal(err)
 	}
 	if a.ShapeID() == root {
 		t.Fatal("dynamic append did not transition the shape")
 	}
-	if v := rt.GetPropNamed(h, a, "count"); v.Kind != types.KInt || v.AsInt() != 7 {
+	if v, _ := rt.GetPropNamed(h, rt.ObjV(a), "count"); v.Kind != types.KInt || v.AsInt() != 7 {
 		t.Fatalf("dynamic prop read %v", v.DebugString())
 	}
 	// The sibling object is untouched.
@@ -356,7 +356,7 @@ func TestPropNamedDynamicTransitions(t *testing.T) {
 		t.Fatal("transition leaked to another instance")
 	}
 	// The same write sequence on b converges on a's shape (interning).
-	if err := rt.SetPropNamed(h, b, "count", rt.Int(1)); err != nil {
+	if err := rt.SetPropNamed(h, rt.ObjV(b), "count", rt.Int(1)); err != nil {
 		t.Fatal(err)
 	}
 	if b.ShapeID() != a.ShapeID() {
@@ -365,13 +365,13 @@ func TestPropNamedDynamicTransitions(t *testing.T) {
 	// Retyping a slot (int -> string) transitions again; retyping back
 	// returns to the interned original.
 	withCount := a.ShapeID()
-	if err := rt.SetPropNamed(h, a, "count", rt.NewStr("many")); err != nil {
+	if err := rt.SetPropNamed(h, rt.ObjV(a), "count", rt.NewStr("many")); err != nil {
 		t.Fatal(err)
 	}
 	if a.ShapeID() == withCount {
 		t.Fatal("retype did not transition the shape")
 	}
-	if err := rt.SetPropNamed(h, a, "count", rt.Int(2)); err != nil {
+	if err := rt.SetPropNamed(h, rt.ObjV(a), "count", rt.Int(2)); err != nil {
 		t.Fatal(err)
 	}
 	if a.ShapeID() != withCount {
@@ -380,7 +380,7 @@ func TestPropNamedDynamicTransitions(t *testing.T) {
 	// A shapeless object (no linked root) keeps the historical
 	// undefined-property error.
 	bare := h.NewObject(&rt.Class{Name: "Bare", PropNames: map[string]int{}, Methods: map[string]int{}})
-	if err := rt.SetPropNamed(h, bare, "count", rt.Int(1)); err == nil {
+	if err := rt.SetPropNamed(h, rt.ObjV(bare), "count", rt.Int(1)); err == nil {
 		t.Fatal("shapeless dynamic write should error")
 	}
 }

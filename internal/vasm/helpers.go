@@ -19,7 +19,7 @@ const (
 	HNewPacked
 	HAddElem
 	HAddNewElem
-	HArrGetGeneric
+	HArrGetGeneric // Str = the local the array was loaded from, "" for a stack operand
 	HArrGetPackedMiss
 	HArrSetLocal    // extra = local slot
 	HArrAppendLocal // extra = local slot
@@ -34,7 +34,7 @@ const (
 	HLdPropGeneric  // Str = prop
 	HStPropGeneric  // Str = prop
 	HInstanceOf     // Str = class
-	HVerifyParam    // extra = slot; Str = hint
+	HVerifyParam    // extra = PackVerifyParam(callee func, param index, frame slot)
 	HPrint
 	HThrow
 	HConvToBoolGeneric
@@ -80,4 +80,15 @@ func PackIterSlot(iter, slot int32) int64 { return int64(iter) | int64(slot)<<20
 // UnpackIterSlot decodes it.
 func UnpackIterSlot(extra int64) (iter, slot int32) {
 	return int32(extra & 0xfffff), int32(extra >> 20)
+}
+
+// PackVerifyParam encodes HVerifyParam's extra: which parameter of
+// which function (the callee, when inlined) sits in which frame slot.
+func PackVerifyParam(funcID, idx, slot int) int64 {
+	return int64(slot) | int64(idx)<<16 | int64(funcID)<<24
+}
+
+// UnpackVerifyParam decodes it.
+func UnpackVerifyParam(extra int64) (funcID, idx, slot int) {
+	return int(extra >> 24), int(extra >> 16 & 0xff), int(extra & 0xffff)
 }

@@ -386,7 +386,7 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 		in.Target1 = lw.stub(hin.Exit)
 		lw.emit(in)
 	case hhir.ArrGetGeneric:
-		lw.helper(HArrGetGeneric, 0, "", lw.reg(hin.Dst), lw.stub(hin.Exit),
+		lw.helper(HArrGetGeneric, 0, hin.Str, lw.reg(hin.Dst), lw.stub(hin.Exit),
 			lw.reg(hin.Args[0]), lw.reg(hin.Args[1]))
 	case hhir.ArrSetLocal:
 		lw.helper(HArrSetLocal, hin.I64, "", InvalidReg, lw.stub(hin.Exit),
@@ -495,7 +495,8 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 		in.Target1 = lw.stub(hin.Exit)
 		lw.emit(in)
 	case hhir.VerifyParam:
-		lw.helper(HVerifyParam, hin.I64, hin.Str, InvalidReg, lw.stub(hin.Exit))
+		lw.helper(HVerifyParam, PackVerifyParam(hhir.UnpackVerify(hin.I64)), "",
+			InvalidReg, lw.stub(hin.Exit))
 	case hhir.ProfCount:
 		in := nzInstr(CountInc)
 		in.I64 = hin.I64

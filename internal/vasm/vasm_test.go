@@ -187,3 +187,38 @@ echo pick(2);`, "pick", srcTypes{0: types.TInt})
 		t.Errorf("jump table shape wrong: %+v", vu.Tables)
 	}
 }
+
+// TestVerifyParamCarriesParamIdentity: the hint-check helper names the
+// function and parameter it checks (the interpreter's error message
+// needs both), decoded from the HHIR immediate without loss.
+func TestVerifyParamCarriesParamIdentity(t *testing.T) {
+	src := `
+function first() { return 1; }
+function hinted($a, int $x) { return $x; }
+echo hinted(1, 2);
+`
+	vu := lowerFor(t, src, "hinted", srcTypes{0: types.TCell, 1: types.TCell})
+	unit, _ := core.Compile(src, core.CompileOptions{})
+	want, _ := unit.FuncByName("hinted")
+	found := false
+	for _, b := range vu.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op != vasm.Helper {
+				continue
+			}
+			if h, extra := vasm.UnpackHelper(in.I64); h == vasm.HVerifyParam {
+				found = true
+				fn, idx, slot := vasm.UnpackVerifyParam(extra)
+				if fn != want.ID || idx != 1 || slot != 1 {
+					t.Errorf("VerifyParam names func %d param %d slot %d, want %d/1/1", fn, idx, slot, want.ID)
+				}
+			}
+		}
+	}
+	if !found {
+		t.Fatal("no VerifyParam helper lowered")
+	}
+	if fn, idx, slot := vasm.UnpackVerifyParam(vasm.PackVerifyParam(70000, 200, 60000)); fn != 70000 || idx != 200 || slot != 60000 {
+		t.Errorf("roundtrip at field limits: %d %d %d", fn, idx, slot)
+	}
+}

@@ -74,7 +74,7 @@ func NewWorker(j *jit.JIT, out io.Writer) *VM {
 // interpreter.
 func (v *VM) wire() {
 	v.Machine = machine.New(v.Env, v.Meter, v.JIT.Counters, v.JIT.Cache)
-	v.Machine.CallGuest = v.callFromJIT
+	v.Machine.CallGuest = v.call
 	v.Machine.Epoch = v.JIT.EpochVar()
 	v.Machine.Chain = &v.JIT.Chain
 	v.Machine.Shapes = &v.JIT.Shapes
@@ -116,27 +116,15 @@ func (v *VM) CallFunc(f *hhbc.Func, this *runtime.Object, args []runtime.Value) 
 	return val, err
 }
 
-// callFromJIT implements machine.CallGuestFn: guest calls issued by
-// JITed code carry the call site's smashed callee link as a hint and
-// learn which translation the callee entered first (the machine
-// smashes the site with it).
-func (v *VM) callFromJIT(f *hhbc.Func, this *runtime.Object, args []runtime.Value,
-	hint machine.ChainTarget) (runtime.Value, machine.ChainTarget, error) {
-	val, first, err := v.call(f, this, args, hint)
-	if first == nil {
-		return val, nil, err
-	}
-	return val, first, err
-}
-
+// call is the dispatcher body, and the machine's CallGuestFn: guest
+// calls issued by JITed code carry the call site's smashed callee link
+// as a hint and learn which translation the callee entered first (the
+// machine smashes the site with it).
 func (v *VM) call(f *hhbc.Func, this *runtime.Object, args []runtime.Value,
-	hint machine.ChainTarget) (runtime.Value, *jit.Translation, error) {
+	hint machine.ChainTarget) (runtime.Value, machine.ChainTarget, error) {
 	depth := v.depth
-	if depth >= v.Env.MaxDepth {
-		for _, a := range args {
-			v.Heap.DecRef(a)
-		}
-		return runtime.Null(), nil, runtime.NewError("maximum call depth exceeded")
+	if err := v.Env.CheckDepth(depth, args); err != nil {
+		return runtime.Null(), nil, err
 	}
 	v.depth = depth + 1
 
@@ -184,12 +172,12 @@ func (v *VM) call(f *hhbc.Func, this *runtime.Object, args []runtime.Value,
 // second return value is the translation the frame entered first, nil
 // if the first stretch ran in the interpreter — callers use it to bind
 // call sites.
-func (v *VM) runFrame(fr *interp.Frame, lastProf, tr0 *jit.Translation) (runtime.Value, *jit.Translation, error) {
+func (v *VM) runFrame(fr *interp.Frame, lastProf, tr0 *jit.Translation) (runtime.Value, machine.ChainTarget, error) {
 	// skipJIT forces one interpreter stretch after a translation
 	// exits without making progress (e.g. its first instruction side
 	// exits), preventing a dispatch livelock.
 	skipJIT := false
-	var first *jit.Translation
+	var first machine.ChainTarget
 	firstIter := true
 	// Pending smash site: the BindJmp the previous translation exited
 	// through. Whatever translation the dispatcher picks next for this
@@ -283,7 +271,7 @@ func (v *VM) runFrame(fr *interp.Frame, lastProf, tr0 *jit.Translation) (runtime
 				val, err := v.resumeInlineChain(out.Inline, 0)
 				root := out.Inline[len(out.Inline)-1]
 				if err != nil {
-					if herr := v.unwind(fr, root.RetBCOff-1, err); herr != nil {
+					if herr := v.Env.Unwind(fr, root.RetBCOff-1, err); herr != nil {
 						return runtime.Null(), first, herr
 					}
 					continue
@@ -303,12 +291,12 @@ func (v *VM) runFrame(fr *interp.Frame, lastProf, tr0 *jit.Translation) (runtime
 					ir.Frame.Release(v.Env)
 				}
 				root := out.Inline[len(out.Inline)-1]
-				if herr := v.unwind(fr, root.RetBCOff-1, out.Err); herr != nil {
+				if herr := v.Env.Unwind(fr, root.RetBCOff-1, out.Err); herr != nil {
 					return runtime.Null(), first, herr
 				}
 				continue
 			}
-			if herr := v.unwind(fr, out.BCOff, out.Err); herr != nil {
+			if herr := v.Env.Unwind(fr, out.BCOff, out.Err); herr != nil {
 				return runtime.Null(), first, herr
 			}
 			continue
@@ -363,32 +351,6 @@ func (v *VM) runInterp(fr *interp.Frame) (runtime.Value, error) {
 		val, err = v.Env.Run(fr)
 	}
 	return val, err
-}
-
-// unwind performs exception handling for a frame whose execution
-// threw at bytecode pc. Returns nil when a handler was entered (fr is
-// positioned to continue), or the error to propagate.
-func (v *VM) unwind(fr *interp.Frame, pc int, err error) error {
-	handler := fr.Fn.HandlerFor(pc)
-	if handler < 0 {
-		fr.Release(v.Env)
-		return err
-	}
-	obj := v.toThrown(err)
-	for _, val := range fr.Stack {
-		v.Heap.DecRef(val)
-	}
-	fr.Stack = fr.Stack[:0]
-	fr.SetPendingExc(obj)
-	fr.PC = handler
-	return nil
-}
-
-func (v *VM) toThrown(err error) *runtime.Object {
-	if ge, ok := err.(*runtime.Error); ok && ge.Obj != nil {
-		return ge.Obj
-	}
-	return v.Env.NewException("Exception", err.Error())
 }
 
 // profilingReentryCost models the unchained dispatch of profiling
