@@ -34,6 +34,7 @@ import (
 	"repro/internal/jit"
 	"repro/internal/jumpstart"
 	"repro/internal/sentry"
+	"repro/internal/vasm"
 )
 
 func main() {
@@ -155,6 +156,15 @@ func main() {
 			st.LiveTranslations, st.ProfilingTranslations, st.OptimizedTranslations)
 		fmt.Fprintf(os.Stderr, "code bytes:   %d live, %d profiling, %d optimized\n",
 			st.BytesLive, st.BytesProfiling, st.BytesOptimized)
+		var alloc vasm.AllocStats
+		elided := 0
+		eng.VM.JIT.ForEachTranslation(func(tr *jit.Translation) {
+			if tr.Kind == jit.ModeRegion {
+				alloc.Add(tr.Code.Alloc)
+				elided += tr.Code.ElidedJumps
+			}
+		})
+		fmt.Fprintf(os.Stderr, "regalloc:     %s; %d fallthrough jumps elided (optimized code)\n", alloc, elided)
 		fmt.Fprintf(os.Stderr, "guard fails:  %d; side exits: %d; binds: %d\n",
 			st.GuardFails, st.SideExits, st.BindRequests)
 		fmt.Fprintf(os.Stderr, "shapes:       %d guards (%d failed), IC %d hits / %d misses / %d megamorphic, %d generic calls\n",

@@ -44,6 +44,7 @@ func runAllModes(t *testing.T, src string, iterations int) {
 		if err != nil {
 			t.Fatalf("[%s] engine: %v", name, err)
 		}
+		verifyAllocations(t, eng)
 		for i := 0; i < iterations; i++ {
 			if _, err := eng.RunRequest(&all); err != nil {
 				t.Fatalf("[%s] iteration %d: %v", name, i, err)

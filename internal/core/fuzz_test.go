@@ -178,6 +178,7 @@ func TestDifferentialFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: engine: %v", seed, err)
 			}
+			verifyAllocations(t, eng)
 			for i := 0; i < 10; i++ {
 				if _, err := eng.RunRequest(&all); err != nil {
 					t.Fatalf("seed %d [%v] iter %d: %v\n%s", seed, mode, i, err, src)

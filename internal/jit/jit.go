@@ -27,6 +27,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/region"
 	"repro/internal/types"
+	"repro/internal/vasm"
 )
 
 // Mode selects the execution strategy (the Figure 8 comparison).
@@ -422,6 +423,9 @@ type JIT struct {
 	// construction, before any translation exists.
 	onPublish   func(*Translation)
 	onUnpublish func(*Translation)
+	// allocCheck, when set, sees every unit on both sides of register
+	// allocation (SetAllocationCheck).
+	allocCheck func(before, after *vasm.Unit)
 
 	entries    atomic.Uint64
 	optStarted atomic.Bool // global retranslation claimed
@@ -551,6 +555,15 @@ func (j *JIT) SetVerifyHooks(onPublish, onUnpublish func(*Translation)) {
 	j.onPublish = onPublish
 	j.onUnpublish = onUnpublish
 	j.mu.Unlock()
+}
+
+// SetAllocationCheck registers fn to be handed every unit this JIT
+// compiles, as it entered register allocation (a clone) and as it
+// left, so the differential suites can run vasm.VerifyAllocation on
+// exactly the code they execute. Compile workers call fn concurrently.
+// Call before the engine serves requests.
+func (j *JIT) SetAllocationCheck(fn func(before, after *vasm.Unit)) {
+	j.allocCheck = fn
 }
 
 // EpochVar exposes the link-epoch counter for worker machines

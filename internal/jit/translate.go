@@ -83,7 +83,14 @@ func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 		return nil, err
 	}
 	vasm.Layout(vu, lay)
+	var before *vasm.Unit
+	if j.allocCheck != nil {
+		before = vu.Clone()
+	}
 	vasm.Allocate(vu)
+	if before != nil {
+		j.allocCheck(before, vu)
+	}
 	if j.Cfg.FuseDispatch {
 		if n := vasm.Fuse(vu); n > 0 {
 			atomic.AddUint64(&j.stats.FusedInstrs, uint64(n))
@@ -94,8 +101,8 @@ func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 		return nil, err
 	}
 	if Debug && !bcfg.Profiling {
-		fmt.Fprintf(os.Stderr, "=== region for %s ===\n%s\n--- HHIR ---\n%s--- vasm ---\n%s\n",
-			desc.Entry().Func.FullName(), desc, hu, vu)
+		fmt.Fprintf(os.Stderr, "=== region for %s ===\n%s\n--- HHIR ---\n%s--- vasm ---\n%s--- regalloc: %s; %d fallthrough jumps elided ---\n\n",
+			desc.Entry().Func.FullName(), desc, hu, vu, vu.Alloc, code.ElidedJumps)
 	}
 	return code, nil
 }

@@ -49,6 +49,11 @@ type Code struct {
 	// extended frame.
 	NumSpills int
 	ExtSlots  int
+	// Alloc is the unit's register-allocation summary and ElidedJumps
+	// the number of fallthrough jumps Assemble left out of the stream
+	// (diagnostics: the jit.Debug dump, `hhvm -stats`).
+	Alloc       vasm.AllocStats
+	ElidedJumps int
 
 	// Base and Size give the translation's placement.
 	Base uint64
@@ -276,21 +281,20 @@ func (e *AssembleError) Error() string {
 // everything the machine would otherwise look up by key per executed
 // instruction: block ids to stream indexes (BlockStart), immediates
 // to guest values (Consts), builtin names to natives (Builtins).
-// Addresses are relative to 0 until Place assigns a base. A malformed
-// stream — an immediate index past the constant pool, a branch,
-// jump-table entry or stub reference to a block the layout does not
-// contain — is an *AssembleError, not a panic and not a translation
-// that silently restarts itself.
+// Addresses are relative to 0 until Place assigns a base. What has no
+// bytes in the encoding is not in the stream either: a jump the layout
+// turned into a fallthrough is dropped here, so it is neither
+// dispatched nor charged (a block it empties starts where the next one
+// does). A malformed stream — an immediate index past the constant
+// pool, a branch, jump-table entry or stub reference to a block the
+// layout does not contain, a register operand that is neither a
+// machine register nor a spill slot of this unit — is an
+// *AssembleError, not a panic and not a translation that silently
+// restarts itself.
 func Assemble(u *vasm.Unit) (*Code, error) {
-	order := u.Layout
-	if order == nil {
-		order = make([]int, len(u.Blocks))
-		for i := range order {
-			order[i] = i
-		}
-	}
+	order := u.Order()
 	c := &Code{BlockStart: make([]int32, len(u.Blocks)), Tables: u.Tables,
-		NumSpills: u.NumSpills, ExtSlots: u.ExtFrameSlots}
+		NumSpills: u.NumSpills, ExtSlots: u.ExtFrameSlots, Alloc: u.Alloc}
 	for i := range c.BlockStart {
 		c.BlockStart[i] = -1
 	}
@@ -307,6 +311,10 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 		// of the stream for trailing ones).
 		c.BlockStart[bi] = int32(len(c.Instrs))
 		for i := range b.Instrs {
+			if in := &b.Instrs[i]; in.Op == vasm.Jmp && in.I64&1 != 0 {
+				c.ElidedJumps++
+				continue
+			}
 			c.Instrs = append(c.Instrs, b.Instrs[i])
 			c.Addr = append(c.Addr, off)
 			off += instrSize(&b.Instrs[i])
@@ -359,61 +367,63 @@ func constValue(iv vasm.ImmValue) runtime.Value {
 // resolve validates every keyed operand of the flattened stream and
 // binds CallBuiltin names.
 func (c *Code) resolve() error {
-	block := func(i int, what string, b int) error {
+	// fail records the first error found at instruction i.
+	var (
+		i   int
+		err error
+	)
+	fail := func(format string, args ...any) {
+		if err == nil {
+			err = &AssembleError{Index: i, Op: c.Instrs[i].Op, Reason: fmt.Sprintf(format, args...)}
+		}
+	}
+	block := func(b int) {
 		if b < 0 || b >= len(c.BlockStart) || c.BlockStart[b] < 0 {
-			return &AssembleError{Index: i, Op: c.Instrs[i].Op,
-				Reason: fmt.Sprintf("%s B%d is not a laid-out block (%d blocks)", what, b, len(c.BlockStart))}
+			fail("target B%d is not a laid-out block (%d blocks)", b, len(c.BlockStart))
 		}
-		return nil
 	}
-	imm := func(i int, idx int64) error {
+	imm := func(idx int64) {
 		if idx < 0 || idx >= int64(len(c.Consts)) {
-			return &AssembleError{Index: i, Op: c.Instrs[i].Op,
-				Reason: fmt.Sprintf("imm #%d out of range (%d imms)", idx, len(c.Consts))}
+			fail("imm #%d out of range (%d imms)", idx, len(c.Consts))
 		}
-		return nil
 	}
-	for i := range c.Instrs {
+	reg := func(r vasm.Reg) {
+		switch {
+		case r == vasm.InvalidReg, r >= 0 && r < vasm.TotalMachineRegs:
+		case r >= vasm.SpillRegBase && int(r-vasm.SpillRegBase) < c.NumSpills:
+		default:
+			fail("r%d is neither a machine register nor one of %d spill slots (read before it is defined, or never allocated)", r, c.NumSpills)
+		}
+	}
+	for i = range c.Instrs {
 		in := &c.Instrs[i]
-		var err error
+		reg(in.D)
+		in.ForEachUse(reg)
+		in.ForEachTarget(c.Tables, block)
 		switch in.Op {
 		case vasm.LdImm:
-			err = imm(i, in.I64)
+			imm(in.I64)
 		case vasm.LdImmAddI, vasm.LdImmCmpI:
-			err = imm(i, in.I64>>16)
-		case vasm.Jmp, vasm.GuardKind, vasm.GuardCls, vasm.GuardShape, vasm.LdLocGK:
-			err = block(i, "target", in.Target1)
-		case vasm.Jcc, vasm.CmpIJcc, vasm.CmpDJcc:
-			if err = block(i, "target", in.Target1); err == nil {
-				err = block(i, "target", in.Target2)
+			imm(in.I64 >> 16)
+		case vasm.Jmp, vasm.GuardKind, vasm.GuardCls, vasm.GuardShape, vasm.LdLocGK,
+			vasm.Jcc, vasm.CmpIJcc, vasm.CmpDJcc:
+			// These always transfer somewhere: no target is no encoding.
+			if in.Target1 < 0 {
+				block(in.Target1)
 			}
 		case vasm.JmpTable:
 			if in.I64 < 0 || in.I64 >= int64(len(c.Tables)) {
-				err = &AssembleError{Index: i, Op: in.Op,
-					Reason: fmt.Sprintf("jump table #%d out of range (%d tables)", in.I64, len(c.Tables))}
-				break
+				fail("jump table #%d out of range (%d tables)", in.I64, len(c.Tables))
 			}
-			tbl := &c.Tables[in.I64]
-			err = block(i, "table default", tbl.Default)
-			for j := 0; err == nil && j < len(tbl.Targets); j++ {
-				err = block(i, "table entry", tbl.Targets[j])
-			}
-		case vasm.DivD, vasm.LdPropIC, vasm.StPropIC, vasm.Helper,
-			vasm.CallFunc, vasm.CallMethodD, vasm.CallMethodC, vasm.CallBuiltin:
-			// Catch stub; -1 = none (the error leaves the translation).
-			if in.Target1 != -1 {
-				err = block(i, "catch stub", in.Target1)
-			}
-			if in.Op == vasm.CallBuiltin {
-				in.I64 = 0
-				if b, ok := runtime.LookupBuiltin(strings.ToLower(in.Str)); ok {
-					idx := slices.Index(c.Builtins, b)
-					if idx < 0 {
-						idx = len(c.Builtins)
-						c.Builtins = append(c.Builtins, b)
-					}
-					in.I64 = int64(idx + 1)
+		case vasm.CallBuiltin:
+			in.I64 = 0
+			if b, ok := runtime.LookupBuiltin(strings.ToLower(in.Str)); ok {
+				idx := slices.Index(c.Builtins, b)
+				if idx < 0 {
+					idx = len(c.Builtins)
+					c.Builtins = append(c.Builtins, b)
 				}
+				in.I64 = int64(idx + 1)
 			}
 		}
 		if err != nil {

@@ -280,6 +280,14 @@ func TestAssembleRejectsBadTargets(t *testing.T) {
 		{"ldimm", with(vasm.LdImm, func(in *vasm.Instr) { in.D, in.I64 = 0, 1 })},
 		{"ldimm+addi", with(vasm.LdImmAddI, func(in *vasm.Instr) { in.I64 = 1 << 16 })},
 		{"ldimm+cmpi", with(vasm.LdImmCmpI, func(in *vasm.Instr) { in.I64 = 1<<16 | 4 })},
+		// Registers: a virtual register that survived allocation, the
+		// allocator's "no location" poison, a spill slot the unit lacks.
+		{"virtual-operand", with(vasm.AddI, func(in *vasm.Instr) { in.D, in.A, in.B = 0, 1, vasm.TotalMachineRegs })},
+		{"unallocated-result", with(vasm.LdLoc, func(in *vasm.Instr) { in.D = vasm.SpillRegBase - 1 })},
+		{"spill-arg-out-of-range", with(vasm.Helper, func(in *vasm.Instr) { in.Args = []vasm.Reg{0, vasm.SpillRegBase} })},
+		{"exit-stack-reg", with(vasm.BindJmp, func(in *vasm.Instr) {
+			in.Target1, in.Ex = 1, &vasm.ExitInfo{StackRegs: []vasm.Reg{0, 99}}
+		})},
 	}
 	for _, tc := range cases {
 		c, err := mcode.Assemble(unitWith(tc.in))
@@ -311,6 +319,48 @@ func TestAssembleRejectsBadTargets(t *testing.T) {
 	u.Layout = []int{0, 1}
 	if _, err := mcode.Assemble(u); err == nil {
 		t.Error("Assemble accepted a jump to a block the layout dropped")
+	}
+}
+
+// TestAssembleDropsFallthroughJumps: a jump the layout turned into a
+// fallthrough has no bytes, so it is not in the stream either — not
+// dispatched, not charged — and a block it empties starts where the
+// next one does.
+func TestAssembleDropsFallthroughJumps(t *testing.T) {
+	fall := func(to int) vasm.Instr {
+		j := ins(vasm.Jmp)
+		j.Target1, j.I64 = to, 1
+		return j
+	}
+	ld, ret := ins(vasm.LdImm), ins(vasm.Ret)
+	ld.D, ret.A = 0, 0
+	jmp := ins(vasm.Jmp)
+	jmp.Target1 = 1
+	u := &vasm.Unit{
+		Imms: []vasm.ImmValue{{Kind: types.KInt, I: 1}},
+		Blocks: []*vasm.Block{
+			{ID: 0, Instrs: []vasm.Instr{fall(1)}},     // emptied
+			{ID: 1, Instrs: []vasm.Instr{ld, fall(2)}}, // keeps its load
+			{ID: 2, Instrs: []vasm.Instr{ret}},
+			{ID: 3, Instrs: []vasm.Instr{jmp}}, // a real jump stays
+		},
+	}
+	c, err := mcode.Assemble(u)
+	if err != nil {
+		t.Fatalf("Assemble: %v", err)
+	}
+	var got []vasm.Op
+	for _, in := range c.Instrs {
+		got = append(got, in.Op)
+	}
+	if want := []vasm.Op{vasm.LdImm, vasm.Ret, vasm.Jmp}; !reflect.DeepEqual(got, want) {
+		t.Errorf("stream %v, want %v", got, want)
+	}
+	if want := []int32{0, 0, 1, 2}; !reflect.DeepEqual(c.BlockStart, want) {
+		t.Errorf("BlockStart = %v, want %v", c.BlockStart, want)
+	}
+	if c.ElidedJumps != 2 || c.Size != 10+8+5 {
+		t.Errorf("%d jumps elided, %d bytes; want 2 and 23", c.ElidedJumps, c.Size)
 	}
 }
 

@@ -43,7 +43,9 @@ func Fuse(u *Unit) int {
 					if cur.Op == DecRef {
 						op = DecRefN
 					}
-					out = append(out, Instr{Op: op, D: InvalidReg, A: InvalidReg, B: InvalidReg, Args: regs})
+					f := nzInstr(op)
+					f.Args = regs
+					out = append(out, f)
 					fused += n - 1
 					i = j - 1
 					continue
@@ -80,12 +82,12 @@ func fusePair(a, b *Instr) (Instr, bool) {
 		// Materialize a constant consumed immediately by integer add.
 		return Instr{
 			Op: LdImmAddI, D: b.D, A: b.A, B: b.B,
-			I64: a.I64 << 16, Target2: int(a.D),
+			I64: a.I64 << 16, Target1: -1, Target2: int(a.D),
 		}, true
 	case a.Op == LdImm && b.Op == CmpI && (b.A == a.D || b.B == a.D):
 		return Instr{
 			Op: LdImmCmpI, D: b.D, A: b.A, B: b.B,
-			I64: (b.I64 & 0xff) | (a.I64 << 16), Target2: int(a.D),
+			I64: (b.I64 & 0xff) | (a.I64 << 16), Target1: -1, Target2: int(a.D),
 		}, true
 	case (a.Op == CmpI || a.Op == CmpD) && b.Op == Jcc && b.A == a.D:
 		// Compare-and-branch; keep Jcc's inversion bit (0x100) set by

@@ -31,37 +31,18 @@ func Layout(u *Unit, cfg LayoutConfig) {
 		w        uint64
 	}
 	var edges []edge
-	succ := func(b *Block) []int {
-		var out []int
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			switch in.Op {
-			case Jmp:
-				out = append(out, in.Target1)
-			case Jcc:
-				out = append(out, in.Target1, in.Target2)
-			case JmpTable:
-				tbl := u.Tables[in.I64]
-				out = append(out, tbl.Targets...)
-				out = append(out, tbl.Default)
-			case GuardKind, GuardCls, GuardShape:
-				if in.Target1 >= 0 {
-					out = append(out, in.Target1)
-				}
-			}
-		}
-		return out
-	}
 	for i, b := range u.Blocks {
-		for _, s := range succ(b) {
-			if s < 0 || s >= n {
-				continue
-			}
-			w := b.Weight
-			if u.Blocks[s].Weight < w {
-				w = u.Blocks[s].Weight
-			}
-			edges = append(edges, edge{i, s, w})
+		for ii := range b.Instrs {
+			b.Instrs[ii].ForEachTarget(u.Tables, func(s int) {
+				if s < 0 || s >= n {
+					return
+				}
+				w := b.Weight
+				if u.Blocks[s].Weight < w {
+					w = u.Blocks[s].Weight
+				}
+				edges = append(edges, edge{i, s, w})
+			})
 		}
 	}
 

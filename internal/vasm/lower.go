@@ -90,7 +90,9 @@ func (lw *lowerer) stub(ex *hhir.ExitDesc) int {
 		info.StackRegs = append(info.StackRegs, lw.reg(t))
 	}
 	info.Inline = lw.inlineInfo(ex.Inline)
-	vb.Instrs = append(vb.Instrs, Instr{Op: Exit, D: InvalidReg, A: InvalidReg, B: InvalidReg, Ex: info})
+	exit := nzInstr(Exit)
+	exit.Ex = info
+	vb.Instrs = append(vb.Instrs, exit)
 	return vb.ID
 }
 
@@ -144,7 +146,7 @@ func (lw *lowerer) edgeCopies(target *hhir.Block, args []*hhir.SSATmp) {
 				}
 			}
 			if !dstIsSrc {
-				lw.emit(Instr{Op: Copy, D: moves[i].dst, A: moves[i].src, B: InvalidReg})
+				lw.copy(moves[i].dst, moves[i].src)
 				moves = append(moves[:i], moves[i+1:]...)
 				progressed = true
 				break
@@ -153,15 +155,47 @@ func (lw *lowerer) edgeCopies(target *hhir.Block, args []*hhir.SSATmp) {
 		if !progressed {
 			// Cycle: rotate through a scratch.
 			scratch := lw.fresh()
-			lw.emit(Instr{Op: Copy, D: scratch, A: moves[0].src, B: InvalidReg})
+			lw.copy(scratch, moves[0].src)
 			moves[0].src = scratch
 		}
 	}
 }
 
+// nzInstr returns an instruction of op with every operand absent. All
+// instructions are built from it: the zero value of Target1 would name
+// block 0 as a successor (see ForEachTarget).
 func nzInstr(op Op) Instr {
 	return Instr{Op: op, D: InvalidReg, A: InvalidReg, B: InvalidReg, Target1: -1, Target2: -1}
 }
+
+// copy emits d <- s unless they are the same register.
+func (lw *lowerer) copy(d, s Reg) {
+	if d != s {
+		in := nzInstr(Copy)
+		in.D, in.A = d, s
+		lw.emit(in)
+	}
+}
+
+// Opcode tables of the one-to-one lowerings.
+var (
+	arithOp = map[hhir.Opcode]Op{
+		hhir.AddInt: AddI, hhir.SubInt: SubI, hhir.MulInt: MulI,
+		hhir.AddDbl: AddD, hhir.SubDbl: SubD, hhir.MulDbl: MulD,
+		hhir.DivDbl: DivD,
+	}
+	convOp = map[hhir.Opcode]Op{
+		hhir.ConvToBool: ToBool, hhir.ConvToInt: ToInt, hhir.ConvToDbl: ToDbl,
+	}
+	convHelper = map[hhir.Opcode]HelperID{
+		hhir.ConvToBool: HConvToBoolGeneric, hhir.ConvToInt: HConvToIntGeneric,
+		hhir.ConvToDbl: HConvToDblGeneric,
+	}
+	callOp = map[hhir.Opcode]Op{
+		hhir.CallFunc: CallFunc, hhir.CallBuiltin: CallBuiltin,
+		hhir.CallMethodD: CallMethodD, hhir.CallMethodC: CallMethodC,
+	}
+)
 
 func (lw *lowerer) lowerBlock(hb *hhir.Block, vb *Block) error {
 	lw.cur = vb
@@ -221,13 +255,7 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 
 	case hhir.AssertType:
 		// Pure copy at this level.
-		d, s := lw.reg(hin.Dst), lw.reg(hin.Args[0])
-		if d != s {
-			in := nzInstr(Copy)
-			in.D = d
-			in.A = s
-			lw.emit(in)
-		}
+		lw.copy(lw.reg(hin.Dst), lw.reg(hin.Args[0]))
 
 	case hhir.GuardLoc:
 		tmp := lw.fresh()
@@ -247,26 +275,16 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 		g.Target1 = lw.guardTarget(hin)
 		lw.emit(g)
 	case hhir.CheckType:
-		d, s := lw.reg(hin.Dst), lw.reg(hin.Args[0])
-		if d != s {
-			in := nzInstr(Copy)
-			in.D = d
-			in.A = s
-			lw.emit(in)
-		}
+		d := lw.reg(hin.Dst)
+		lw.copy(d, lw.reg(hin.Args[0]))
 		g := nzInstr(GuardKind)
 		g.A = d
 		g.TypeParam = hin.TypeParam
 		g.Target1 = lw.guardTarget(hin)
 		lw.emit(g)
 	case hhir.CheckCls:
-		d, s := lw.reg(hin.Dst), lw.reg(hin.Args[0])
-		if d != s {
-			in := nzInstr(Copy)
-			in.D = d
-			in.A = s
-			lw.emit(in)
-		}
+		d := lw.reg(hin.Dst)
+		lw.copy(d, lw.reg(hin.Args[0]))
 		g := nzInstr(GuardCls)
 		g.A = d
 		g.I64 = hin.I64
@@ -299,12 +317,7 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 
 	case hhir.AddInt, hhir.SubInt, hhir.MulInt, hhir.AddDbl, hhir.SubDbl,
 		hhir.MulDbl, hhir.DivDbl:
-		op := map[hhir.Opcode]Op{
-			hhir.AddInt: AddI, hhir.SubInt: SubI, hhir.MulInt: MulI,
-			hhir.AddDbl: AddD, hhir.SubDbl: SubD, hhir.MulDbl: MulD,
-			hhir.DivDbl: DivD,
-		}[hin.Op]
-		in := nzInstr(op)
+		in := nzInstr(arithOp[hin.Op])
 		in.D = lw.reg(hin.Dst)
 		in.A = lw.reg(hin.Args[0])
 		in.B = lw.reg(hin.Args[1])
@@ -349,19 +362,12 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 	case hhir.ConvToBool, hhir.ConvToInt, hhir.ConvToDbl:
 		arg := hin.Args[0]
 		if arg.Type.IsSpecific() {
-			op := map[hhir.Opcode]Op{
-				hhir.ConvToBool: ToBool, hhir.ConvToInt: ToInt, hhir.ConvToDbl: ToDbl,
-			}[hin.Op]
-			in := nzInstr(op)
+			in := nzInstr(convOp[hin.Op])
 			in.D = lw.reg(hin.Dst)
 			in.A = lw.reg(arg)
 			lw.emit(in)
 		} else {
-			h := map[hhir.Opcode]HelperID{
-				hhir.ConvToBool: HConvToBoolGeneric, hhir.ConvToInt: HConvToIntGeneric,
-				hhir.ConvToDbl: HConvToDblGeneric,
-			}[hin.Op]
-			lw.helper(h, 0, "", lw.reg(hin.Dst), -1, lw.reg(arg))
+			lw.helper(convHelper[hin.Op], 0, "", lw.reg(hin.Dst), -1, lw.reg(arg))
 		}
 	case hhir.ConvToStr:
 		lw.helper(HToStr, 0, "", lw.reg(hin.Dst), -1, lw.reg(hin.Args[0]))
@@ -480,11 +486,7 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 		lw.helper(HInstanceOf, hin.I64, hin.Str, lw.reg(hin.Dst), -1, lw.reg(hin.Args[0]))
 
 	case hhir.CallFunc, hhir.CallBuiltin, hhir.CallMethodD, hhir.CallMethodC:
-		op := map[hhir.Opcode]Op{
-			hhir.CallFunc: CallFunc, hhir.CallBuiltin: CallBuiltin,
-			hhir.CallMethodD: CallMethodD, hhir.CallMethodC: CallMethodC,
-		}[hin.Op]
-		in := nzInstr(op)
+		in := nzInstr(callOp[hin.Op])
 		in.D = lw.reg(hin.Dst)
 		in.I64 = hin.I64
 		in.Str = hin.Str

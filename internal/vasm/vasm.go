@@ -233,6 +233,63 @@ func (in *Instr) String() string {
 	return sb.String()
 }
 
+// ForEachTarget calls fn with every block the instruction can transfer
+// control to. It is the one definition of a block edge — liveness,
+// layout and the assembler's operand check all walk it — and it goes by
+// field, not by opcode: a Target1 >= 0 is an edge whatever the op (a
+// branch target, a guard's fail block, a catch stub), Target2 is one
+// for the Jcc family (the fused LdImm forms keep a register there), and
+// a JmpTable reaches every entry of its table and the default. An
+// instruction without a target must therefore carry Target1 = -1
+// (nzInstr), never the zero value. A Jcc-family Target2 and the table
+// entries are reported even when out of range, so the assembler can
+// reject them; the other callers skip blocks the unit does not have.
+func (in *Instr) ForEachTarget(tables []JumpTable, fn func(block int)) {
+	if in.Target1 >= 0 {
+		fn(in.Target1)
+	}
+	switch in.Op {
+	case Jcc, CmpIJcc, CmpDJcc:
+		fn(in.Target2)
+	case JmpTable:
+		if in.I64 >= 0 && in.I64 < int64(len(tables)) {
+			tbl := &tables[in.I64]
+			for _, t := range tbl.Targets {
+				fn(t)
+			}
+			fn(tbl.Default)
+		}
+	}
+}
+
+// ForEachUse calls fn with every register the instruction reads: the
+// operands, the call arguments, and — for exits — the registers its
+// descriptor materializes into the frame, inline frames included.
+func (in *Instr) ForEachUse(fn func(Reg)) {
+	use := func(r Reg) {
+		if r != InvalidReg {
+			fn(r)
+		}
+	}
+	use(in.A)
+	use(in.B)
+	for _, r := range in.Args {
+		use(r)
+	}
+	if in.Ex == nil {
+		return
+	}
+	for _, r := range in.Ex.StackRegs {
+		use(r)
+	}
+	for ii := in.Ex.Inline; ii != nil; ii = ii.Parent {
+		use(ii.ThisReg)
+		for _, r := range ii.CallerStackRegs {
+			use(r)
+		}
+	}
+}
+
 // ImmValue carries LdImm constants; stored per-instruction in a side
 // table to keep Instr compact.
 type ImmValue struct {
@@ -280,6 +337,13 @@ type Unit struct {
 	NumVRegs int
 	// NumSpills counts spill slots after allocation.
 	NumSpills int
+	// RegOf is the allocation itself: RegOf[v] is where virtual register
+	// v lives for its whole lifetime — a physical register, SpillRegBase
+	// + its spill slot, or InvalidReg for a vreg no instruction mentions
+	// (and for one read before any definition, which fails assembly).
+	RegOf []Reg
+	// Alloc summarizes what Allocate did.
+	Alloc AllocStats
 	// ExtFrameSlots is the extended-frame size (inline frames).
 	ExtFrameSlots int
 	// Layout is the final block order after layout optimization
@@ -287,16 +351,22 @@ type Unit struct {
 	Layout []int
 }
 
+// Order returns the block order code is emitted in: Layout once it
+// ran, the natural order before.
+func (u *Unit) Order() []int {
+	if u.Layout != nil {
+		return u.Layout
+	}
+	order := make([]int, len(u.Blocks))
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
 func (u *Unit) String() string {
 	var sb strings.Builder
-	order := u.Layout
-	if order == nil {
-		order = make([]int, len(u.Blocks))
-		for i := range order {
-			order[i] = i
-		}
-	}
-	for _, bi := range order {
+	for _, bi := range u.Order() {
 		b := u.Blocks[bi]
 		fmt.Fprintf(&sb, "B%d: w=%d hint=%d\n", b.ID, b.Weight, b.Hint)
 		for i := range b.Instrs {
