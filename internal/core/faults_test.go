@@ -22,6 +22,7 @@ import (
 	"repro/internal/hhbc"
 	"repro/internal/jit"
 	"repro/internal/jumpstart"
+	"repro/internal/runtime"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -492,5 +493,45 @@ func TestQuarantineBackoffExpiryRepromotes(t *testing.T) {
 	}
 	if st.Demotions != base.Demotions {
 		t.Errorf("transient compile failures escalated to demotion: %d -> %d", base.Demotions, st.Demotions)
+	}
+}
+
+// TestShedLiveMintingDoesNotBounceLoops: a host shed to
+// DegradeNoLiveMint interprets code that has no translation. Its loop
+// back-edges are OSR points, and the OSR check must know what the
+// dispatcher knows: a bounce the dispatcher then refuses costs one
+// Lookup and one interpreter re-entry per iteration. Dispatcher work
+// per request must not grow with the trip count.
+func TestShedLiveMintingDoesNotBounceLoops(t *testing.T) {
+	unit, err := core.Compile(`
+function spin($n) { $s = 0; for ($i = 0; $i < $n; $i++) { $s += $i; } return $s; }
+`, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []int32{jit.DegradeNoLiveMint, jit.DegradeNoMint} {
+		cfg := jit.DefaultConfig()
+		cfg.Mode = jit.ModeTracelet
+		eng, err := core.NewEngine(unit, cfg, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.VM.JIT.Shed(level)
+		for _, n := range []int64{200, 2000} {
+			before := eng.Stats()
+			v, err := eng.Call("spin", runtime.Int(n))
+			if err != nil || v.AsInt() != n*(n-1)/2 {
+				t.Fatalf("spin(%d) = %s, %v", n, v.DebugString(), err)
+			}
+			st := eng.Stats()
+			lookups, runs := st.Lookups-before.Lookups, st.InterpRuns-before.InterpRuns
+			if lookups > 2 || runs > 2 {
+				t.Errorf("degrade level %d, %d iterations: %d dispatcher lookups and %d interpreter entries for one request, want at most 2 of each",
+					level, n, lookups, runs)
+			}
+		}
+		if st := eng.Stats(); st.LiveTranslations != 0 {
+			t.Errorf("degrade level %d: %d live translations minted while shed", level, st.LiveTranslations)
+		}
 	}
 }

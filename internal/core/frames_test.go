@@ -13,7 +13,6 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,7 +20,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/hhbc"
 	"repro/internal/jit"
-	"repro/internal/machine"
 	"repro/internal/perflab"
 	"repro/internal/runtime"
 	"repro/internal/vm"
@@ -257,10 +255,9 @@ func TestFrameRecyclingAcrossFaults(t *testing.T) {
 	}
 }
 
-// TestFrameRecyclingReplayVM: a sentry replay VM (DenyTrans set, links
-// frozen, private epoch — see sentry.newReplayVM) dispatches through
-// FindPublished and interprets whatever the mask denies; its frames
-// take the same pool.
+// TestFrameRecyclingReplayVM: a sentry replay VM (vm.NewReplay)
+// dispatches published translations only and interprets whatever the
+// mask denies; its frames take the same pool.
 func TestFrameRecyclingReplayVM(t *testing.T) {
 	for _, src := range []string{srcDeepRecursion, srcThrowThroughDestructors, srcInlineSideExit} {
 		unit, entry, want := recycleSetup(t, src)
@@ -282,17 +279,7 @@ func TestFrameRecyclingReplayVM(t *testing.T) {
 		if denied == 0 {
 			t.Fatalf("only %d translations published; nothing to deny", published)
 		}
-		rv := eng.NewWorker(io.Discard)
-		rv.DenyTrans = func(tr *jit.Translation) bool { return deny[tr] }
-		epoch := &atomic.Uint64{}
-		epoch.Store(^uint64(0))
-		rv.Machine.Epoch = epoch
-		rv.Machine.Fallback = nil
-		rv.Machine.FI = nil
-		rv.Machine.FreezeLinks = true
-		rv.Machine.Chain = &machine.ChainStats{}
-		rv.Machine.Shapes = &machine.ShapeStats{}
-		rv.Machine.Counters = nil
+		rv := vm.NewReplay(eng.VM.JIT, func(tr *jit.Translation) bool { return deny[tr] })
 
 		var out strings.Builder
 		for r := 0; r < 3; r++ {

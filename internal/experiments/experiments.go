@@ -47,10 +47,9 @@ var Full = perflab.Config{WarmupRequests: 60, MeasureRequests: 15}
 type Fig8Row struct {
 	Mode string
 	// CyclesPerReq is the weighted mean cost in simulated guest
-	// cycles; HostNsPerReq the wall-clock host time per measured
-	// request alongside it.
+	// cycles (host time is the ledger's req_host_ns: go run
+	// ./benchmarks).
 	CyclesPerReq float64
-	HostNsPerReq float64
 	// RelPerf is performance relative to JIT-Region (100 = region).
 	RelPerf float64
 }
@@ -63,17 +62,11 @@ func Fig8(pc perflab.Config) ([]Fig8Row, error) {
 	for _, m := range modes {
 		cfg := defaultCfg()
 		cfg.Mode = m
-		start := time.Now()
 		r, err := perflab.Measure(cfg, pc)
-		elapsed := time.Since(start)
 		if err != nil {
 			return nil, fmt.Errorf("fig8 %s: %w", m, err)
 		}
-		row := Fig8Row{Mode: m.String(), CyclesPerReq: r.WeightedMean}
-		if r.MeasuredRequests > 0 {
-			row.HostNsPerReq = float64(elapsed.Nanoseconds()) / float64(r.MeasuredRequests)
-		}
-		rows = append(rows, row)
+		rows = append(rows, Fig8Row{Mode: m.String(), CyclesPerReq: r.WeightedMean})
 		if m == jit.ModeRegion {
 			regionMean = r.WeightedMean
 		}
@@ -89,12 +82,12 @@ func Fig8(pc perflab.Config) ([]Fig8Row, error) {
 // ReportFig8 renders the table.
 func ReportFig8(w io.Writer, rows []Fig8Row) {
 	fmt.Fprintf(w, "Figure 8 — relative performance of execution modes (region = 100%%)\n")
-	fmt.Fprintf(w, "%-12s %14s %12s %10s %18s\n", "mode", "cycles/req", "host ns/req", "relative", "paper reports")
+	fmt.Fprintf(w, "%-12s %14s %10s %18s\n", "mode", "cycles/req", "relative", "paper reports")
 	paper := map[string]string{
 		"interp": "12.8%", "tracelet": "82.2%", "profiling": "39.8%", "region": "100%",
 	}
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %14.0f %12.0f %9.1f%% %18s\n", r.Mode, r.CyclesPerReq, r.HostNsPerReq, r.RelPerf, paper[r.Mode])
+		fmt.Fprintf(w, "%-12s %14.0f %9.1f%% %18s\n", r.Mode, r.CyclesPerReq, r.RelPerf, paper[r.Mode])
 	}
 }
 
@@ -249,9 +242,6 @@ type ChainRow struct {
 	ChainedCalls    uint64
 	StaleLinks      uint64
 	LinksSwept      uint64
-	// HostNsPerReq is wall-clock host time per measured request — the
-	// harness's own speed, not the simulated guest cost.
-	HostNsPerReq float64
 }
 
 // Chain measures chained vs unchained dispatch in tracelet and region
@@ -266,14 +256,12 @@ func Chain(pc perflab.Config) ([]ChainRow, error) {
 			cfg := defaultCfg()
 			cfg.Mode = m
 			cfg.EnableChaining = on
-			start := time.Now()
 			r, err := perflab.Measure(cfg, pc)
 			if err != nil {
 				return nil, fmt.Errorf("chain %s chained=%v: %w", m, on, err)
 			}
-			elapsed := time.Since(start)
 			s := r.JITStats
-			row := ChainRow{
+			rows = append(rows, ChainRow{
 				Mode: m.String(), Chained: on,
 				CyclesPerReq:    r.WeightedMean,
 				LookupsPerReq:   r.SteadyLookupsPerReq(),
@@ -283,14 +271,7 @@ func Chain(pc perflab.Config) ([]ChainRow, error) {
 				ChainedCalls:    s.ChainedCalls,
 				StaleLinks:      s.StaleLinks,
 				LinksSwept:      s.LinksSwept,
-			}
-			if r.MeasuredRequests > 0 {
-				// Whole-run wall time over measured requests: an
-				// approximation, but measured identically on both sides
-				// of the toggle.
-				row.HostNsPerReq = float64(elapsed.Nanoseconds()) / float64(r.MeasuredRequests)
-			}
-			rows = append(rows, row)
+			})
 			for _, ep := range r.Endpoints {
 				pair := outputs[ep.Name]
 				pair[i] = ep.Output
@@ -310,14 +291,14 @@ func Chain(pc perflab.Config) ([]ChainRow, error) {
 // ReportChain renders the comparison.
 func ReportChain(w io.Writer, rows []ChainRow) {
 	fmt.Fprintf(w, "Direct chaining — smashed bind jumps / bound calls vs dispatcher round-trips\n")
-	fmt.Fprintf(w, "%-10s %8s %14s %12s %10s %12s %12s %12s %10s %8s %12s\n",
+	fmt.Fprintf(w, "%-10s %8s %14s %12s %10s %12s %12s %12s %10s %8s\n",
 		"mode", "chained", "cycles/req", "lookups/req", "smashed", "dispatched",
-		"chained-jmp", "chained-call", "stale", "swept", "host-ns/req")
+		"chained-jmp", "chained-call", "stale", "swept")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %8v %14.0f %12.2f %10d %12d %12d %12d %10d %8d %12.0f\n",
+		fmt.Fprintf(w, "%-10s %8v %14.0f %12.2f %10d %12d %12d %12d %10d %8d\n",
 			r.Mode, r.Chained, r.CyclesPerReq, r.LookupsPerReq,
 			r.BindsSmashed, r.BindsDispatched, r.ChainedJumps, r.ChainedCalls,
-			r.StaleLinks, r.LinksSwept, r.HostNsPerReq)
+			r.StaleLinks, r.LinksSwept)
 	}
 }
 

@@ -154,35 +154,11 @@ const (
 	PostDec
 )
 
-// IsBranch reports whether the op can transfer control non-linearly
-// (used by tracelet/region selection to break blocks).
-func (o Op) IsBranch() bool {
-	switch o {
-	case OpJmp, OpJmpZ, OpJmpNZ, OpSwitch, OpRetC, OpThrow, OpFatal,
-		OpIterInitL, OpIterNext:
-		return true
-	}
-	return false
-}
-
 // IsUnconditionalExit reports ops after which control never falls
 // through.
 func (o Op) IsUnconditionalExit() bool {
 	switch o {
 	case OpJmp, OpRetC, OpThrow, OpFatal, OpSwitch:
-		return true
-	}
-	return false
-}
-
-// CanThrow reports whether the op may raise a guest error (and so may
-// side-exit in JITed code).
-func (o Op) CanThrow() bool {
-	switch o {
-	case OpAdd, OpSub, OpMul, OpDiv, OpMod,
-		OpThrow, OpFatal, OpArrIdx, OpArrGetL, OpArrSetL, OpArrAppendL,
-		OpFCallD, OpFCallBuiltin, OpFCallObjMethodD, OpNewObjD,
-		OpCGetPropD, OpSetPropD, OpVerifyParamType, OpThis:
 		return true
 	}
 	return false

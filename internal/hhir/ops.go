@@ -203,41 +203,10 @@ func (o Opcode) IsPure() bool {
 	return false
 }
 
-// IsLoad reports frame loads (eliminable by the load-elimination
-// pass, not by DCE alone since they observe memory).
-func (o Opcode) IsLoad() bool { return o == LdLoc }
-
-// CanThrow reports ops with a catch exit.
-func (o Opcode) CanThrow() bool {
-	switch o {
-	case ModInt, DivNum, BinopGeneric, ArrGetGeneric, ArrSetLocal,
-		ArrAppendLocal, CallFunc, CallBuiltin, CallMethodD, CallMethodC,
-		VerifyParam, NewObj, LdPropGeneric, StPropGeneric, ThrowC,
-		ArrGetPackedI, EqAny, SameAny, LdPropIC, StPropIC:
-		return true
-	}
-	return false
-}
-
 // IsTerminator reports control-flow enders.
 func (o Opcode) IsTerminator() bool {
 	switch o {
 	case Jmp, Branch, SwitchInt, Ret, ThrowC, SideExit, ReqBind, IterInitLocal, IterNextK:
-		return true
-	}
-	return false
-}
-
-// ObservesRC reports whether the op can observe a value's reference
-// count (the RCE pass must not sink an IncRef past an observer of the
-// same value; Section 5.3.2): DecRefs may run destructors, array
-// mutations may trigger COW.
-func (o Opcode) ObservesRC() bool {
-	switch o {
-	case DecRef, ArrSetLocal, ArrAppendLocal, ArrUnsetLocal,
-		CallFunc, CallBuiltin, CallMethodD, CallMethodC, ThrowC, Ret,
-		SideExit, ReqBind, PrintC, AddElem, AddNewElem, StPropSlot, StPropGeneric,
-		StPropIC, IterInitLocal, EndInline:
 		return true
 	}
 	return false

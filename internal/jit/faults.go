@@ -1,4 +1,4 @@
-// Fault containment and self-healing (DESIGN.md §11): translation
+// Fault containment and self-healing (DESIGN.md §9 and §11): translation
 // quarantine with capped-backoff retry, fault-driven demotion that
 // unpublishes bad translations from the RCU index, and code-cache
 // recycling that evicts cold translations under pressure instead of
@@ -9,8 +9,21 @@ package jit
 import (
 	"sort"
 	"sync/atomic"
+)
 
-	"repro/internal/mcode"
+// The quarantine schedule. The clock is function entries (j.entries),
+// so idle servers do not burn their retry budget.
+const (
+	// quarantineBase is the initial retry backoff after a compile
+	// failure or fault burst; it doubles per consecutive failure. It is
+	// also the window within which contained faults accumulate.
+	quarantineBase uint64 = 32
+	// quarantineMaxAttempts caps compile retries (and demotion
+	// episodes) at one address before it is interp-only for good.
+	quarantineMaxAttempts = 6
+	// faultDemote is the number of contained execution faults within
+	// one window that unpublishes the address's translations.
+	faultDemote = 3
 )
 
 // quarantineEntry tracks one (func, PC) address that failed to
@@ -35,8 +48,7 @@ type quarantineEntry struct {
 	// escalation (see RecordFault).
 	lastEpisode uint64
 	// until is the j.entries value before which minting at this
-	// address is suppressed (the backoff clock is function entries, so
-	// idle servers do not burn their retry budget).
+	// address is suppressed.
 	until uint64
 	// permanent marks the address demoted to interp-only for good.
 	permanent bool
@@ -82,43 +94,50 @@ func (j *JIT) ForEachQuarantined(fn func(fnID, pc, attempts int, permanent bool)
 	}
 }
 
-// backoffLocked computes the retry window for a quarantine entry:
-// QuarantineBase entries, doubling per consecutive failure, capped so
-// the shift cannot overflow.
-func (j *JIT) backoffLocked(attempts int) uint64 {
-	shift := attempts - 1
-	if shift < 0 {
-		shift = 0
-	}
-	if shift > 16 {
-		shift = 16
-	}
-	return j.Cfg.QuarantineBase << uint(shift)
+// backoff computes the retry window after the given number of
+// consecutive failures: quarantineBase entries, doubling per failure,
+// capped so the shift cannot overflow.
+func backoff(attempts int) uint64 {
+	return quarantineBase << uint(min(max(attempts-1, 0), 16))
 }
 
-// noteCompileFailure quarantines key after a failed mint. Transient
-// failures (injected compile errors, injected allocation failures,
-// malformed streams) earn exponential backoff; exhausting the retry
-// budget demotes the address permanently and unpublishes whatever is
-// already installed there.
-func (j *JIT) noteCompileFailure(key transKey, err error) {
-	atomic.AddUint64(&j.stats.CompileFailures, 1)
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// quarantineEntryLocked returns key's quarantine record, creating it.
+// Callers hold j.mu.
+func (j *JIT) quarantineEntryLocked(key transKey) *quarantineEntry {
 	q := j.quarantine[key]
 	if q == nil {
 		q = &quarantineEntry{}
 		j.quarantine[key] = q
 	}
+	return q
+}
+
+// noteCompileFailure quarantines key after a failed mint.
+func (j *JIT) noteCompileFailure(key transKey, err error) {
+	atomic.AddUint64(&j.stats.CompileFailures, 1)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.strikeLocked(key)
+}
+
+// strikeLocked charges key one failed attempt. Transient failures
+// (injected compile errors, injected allocation failures, malformed
+// streams, a sentry repair) earn exponential backoff; exhausting the
+// retry budget demotes the address permanently and unpublishes
+// whatever is installed there. Callers hold j.mu.
+func (j *JIT) strikeLocked(key transKey) {
+	q := j.quarantineEntryLocked(key)
 	if q.permanent {
 		return
 	}
 	q.attempts++
-	if q.attempts >= j.Cfg.QuarantineMaxAttempts {
-		j.demoteLocked(key, q)
+	if q.attempts >= quarantineMaxAttempts {
+		q.permanent = true
+		atomic.AddUint64(&j.stats.Demotions, 1)
+		j.unpublishKeysLocked(map[transKey]bool{key: true})
 		return
 	}
-	q.until = j.entries.Load() + j.backoffLocked(q.attempts)
+	q.until = j.entries.Load() + backoff(q.attempts)
 }
 
 // noteMintSuccess clears key's quarantine after a successful compile:
@@ -153,11 +172,7 @@ func (j *JIT) RecordFault(fnID, pc int) {
 	key := transKey{fnID, pc}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	q := j.quarantine[key]
-	if q == nil {
-		q = &quarantineEntry{}
-		j.quarantine[key] = q
-	}
+	q := j.quarantineEntryLocked(key)
 	if q.permanent {
 		return
 	}
@@ -167,13 +182,12 @@ func (j *JIT) RecordFault(fnID, pc int) {
 	// entered thousands of times — decay instead of accumulating
 	// toward an inevitable demotion.
 	now := j.entries.Load()
-	window := j.Cfg.QuarantineBase
-	if q.lastFault > 0 && now-q.lastFault > window {
+	if q.lastFault > 0 && now-q.lastFault > quarantineBase {
 		q.faults = 0
 	}
 	q.lastFault = now
 	q.faults++
-	if q.faults < j.Cfg.FaultDemote {
+	if q.faults < faultDemote {
 		// Below the demotion threshold the translation stays published
 		// (the fault may be transient), and minting is not blocked.
 		return
@@ -189,27 +203,18 @@ func (j *JIT) RecordFault(fnID, pc int) {
 	// address) reset the ladder instead of creeping toward an
 	// inevitable permanent demotion.
 	q.faults = 0
-	if q.episodes > 0 && now-q.lastEpisode > 4*j.backoffLocked(q.episodes) {
+	if q.episodes > 0 && now-q.lastEpisode > 4*backoff(q.episodes) {
 		q.episodes = 0
 	}
 	q.lastEpisode = now
 	q.episodes++
 	atomic.AddUint64(&j.stats.Demotions, 1)
-	if q.episodes >= j.Cfg.QuarantineMaxAttempts {
+	j.unpublishKeysLocked(map[transKey]bool{key: true})
+	if q.episodes >= quarantineMaxAttempts {
 		q.permanent = true
-		j.unpublishKeysLocked(map[transKey]bool{key: true})
-		return
+	} else {
+		q.until = now + backoff(q.episodes)
 	}
-	j.unpublishKeysLocked(map[transKey]bool{key: true})
-	q.until = now + j.backoffLocked(q.episodes)
-}
-
-// demoteLocked permanently quarantines key and unpublishes its chain.
-// Callers hold j.mu.
-func (j *JIT) demoteLocked(key transKey, q *quarantineEntry) {
-	q.permanent = true
-	atomic.AddUint64(&j.stats.Demotions, 1)
-	j.unpublishKeysLocked(map[transKey]bool{key: true})
 }
 
 // unpublishKeysLocked removes every translation at the given keys
@@ -232,16 +237,7 @@ func (j *JIT) unpublishKeysLocked(keys map[transKey]bool) (removed []*Translatio
 		return nil
 	}
 	j.trans.Store(&idx)
-	epoch := j.epoch.Add(1)
-	swept := 0
-	for _, chain := range idx {
-		for _, tr := range chain {
-			swept += tr.Code.SweepLinks(epoch)
-		}
-	}
-	if swept > 0 {
-		j.Chain.LinksSwept.Add(uint64(swept))
-	}
+	j.sweepLinks(idx, j.epoch.Add(1))
 	for _, tr := range removed {
 		if j.onUnpublish != nil {
 			j.onUnpublish(tr)
@@ -254,58 +250,50 @@ func (j *JIT) unpublishKeysLocked(keys map[transKey]bool) (removed []*Translatio
 
 // Invalidate forcibly unpublishes every translation at (fnID, pc) —
 // the sentry's repair path for detected code-cache corruption
-// (DESIGN.md §15). With backoff the address is also quarantined for
+// (DESIGN.md §15). With withBackoff the address is also quarantined for
 // one backoff window before reminting (a bisected culprit should not
 // be immediately re-minted from the same profile state); without it
 // the address remints on its next dispatch, which is the auditor's
 // checksum-mismatch repair: the code bytes rotted, not the compiler.
 // Returns the number of translations removed.
-func (j *JIT) Invalidate(fnID, pc int, backoff bool) int {
+func (j *JIT) Invalidate(fnID, pc int, withBackoff bool) int {
 	key := transKey{fnID, pc}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	removed := j.unpublishKeysLocked(map[transKey]bool{key: true})
-	if backoff && len(removed) > 0 {
-		q := j.quarantine[key]
-		if q == nil {
-			q = &quarantineEntry{}
-			j.quarantine[key] = q
-		}
-		if !q.permanent {
-			q.attempts++
-			if q.attempts >= j.Cfg.QuarantineMaxAttempts {
-				q.permanent = true
-				atomic.AddUint64(&j.stats.Demotions, 1)
-			} else {
-				q.until = j.entries.Load() + j.backoffLocked(q.attempts)
-			}
-		}
+	if withBackoff && len(removed) > 0 {
+		j.strikeLocked(key)
 	}
 	// The address starts cold again: thresholds apply afresh on remint.
 	delete(j.entryCount, key)
 	return len(removed)
 }
 
+// sweepLinks is the treadmill sweep that follows an epoch advance: it
+// walks the surviving code and physically clears every stale-epoch
+// link, so retired *Translation targets become collectable and
+// machines stop paying the stale-check fee.
+func (j *JIT) sweepLinks(idx transIndex, epoch uint64) {
+	swept := 0
+	for _, chain := range idx {
+		for _, tr := range chain {
+			swept += tr.Code.SweepLinks(epoch)
+		}
+	}
+	if swept > 0 {
+		j.Chain.LinksSwept.Add(uint64(swept))
+	}
+}
+
 // retireCode returns one translation's extent to its cache area and
 // rolls the resident-byte stat back. Safe under j.mu (the cache has
 // its own lock, taken after).
 func (j *JIT) retireCode(tr *Translation) {
+	area, _, bytes := j.residence(tr.Kind)
 	size := tr.Code.Size
-	sub := func(p *uint64) {
-		if size > 0 {
-			atomic.AddUint64(p, ^(size - 1))
-		}
-	}
-	switch tr.Kind {
-	case ModeTracelet:
-		j.Cache.Free(mcode.AreaLive, size)
-		sub(&j.stats.BytesLive)
-	case ModeProfiling:
-		j.Cache.Free(mcode.AreaProfile, size)
-		sub(&j.stats.BytesProfiling)
-	default:
-		j.Cache.Free(mcode.AreaHot, size)
-		sub(&j.stats.BytesOptimized)
+	j.Cache.Free(area, size)
+	if size > 0 {
+		atomic.AddUint64(bytes, ^(size - 1))
 	}
 }
 

@@ -1,5 +1,5 @@
 // White-box tests for the quarantine state machine and degradation
-// ladder (DESIGN.md §11). Engine-level fault containment, recycling,
+// ladder (DESIGN.md §9). Engine-level fault containment, recycling,
 // and jumpstart corruption are exercised in internal/core.
 package jit
 
@@ -25,7 +25,7 @@ func advance(j *JIT, n uint64) { j.entries.Add(n) }
 func TestCompileFailureBackoffDoubles(t *testing.T) {
 	j := newQuarantineJIT(t)
 	key := transKey{fn: 1, pc: 0}
-	base := j.Cfg.QuarantineBase
+	base := quarantineBase
 	errBoom := errors.New("boom")
 
 	for i := 1; i <= 3; i++ {
@@ -65,7 +65,7 @@ func TestCompileFailureExhaustionDemotesPermanently(t *testing.T) {
 	key := transKey{fn: 2, pc: 4}
 	errBoom := errors.New("boom")
 
-	for i := 0; i < j.Cfg.QuarantineMaxAttempts; i++ {
+	for i := 0; i < quarantineMaxAttempts; i++ {
 		j.noteCompileFailure(key, errBoom)
 	}
 	_, _, permanent := j.QuarantineState(2, 4)
@@ -85,7 +85,7 @@ func TestCompileFailureExhaustionDemotesPermanently(t *testing.T) {
 	}
 	// Further failures at a permanent address are a no-op.
 	j.noteCompileFailure(key, errBoom)
-	if attempts, _, _ := j.QuarantineState(2, 4); attempts != j.Cfg.QuarantineMaxAttempts {
+	if attempts, _, _ := j.QuarantineState(2, 4); attempts != quarantineMaxAttempts {
 		t.Errorf("attempts moved after permanent demotion: %d", attempts)
 	}
 }
@@ -111,9 +111,9 @@ func TestSparseFaultsDecayInsteadOfDemoting(t *testing.T) {
 	j := newQuarantineJIT(t)
 	// Faults far apart on the entries clock (transient noise on a hot
 	// translation) must never accumulate into a demotion.
-	for i := 0; i < 10*j.Cfg.FaultDemote; i++ {
+	for i := 0; i < 10*faultDemote; i++ {
 		j.RecordFault(9, 0)
-		advance(j, j.Cfg.QuarantineBase+1)
+		advance(j, quarantineBase+1)
 	}
 	if _, faults, permanent := j.QuarantineState(9, 0); faults > 1 || permanent {
 		t.Fatalf("sparse faults accumulated: faults=%d permanent=%v", faults, permanent)
@@ -122,8 +122,8 @@ func TestSparseFaultsDecayInsteadOfDemoting(t *testing.T) {
 	if st.Demotions != 0 {
 		t.Errorf("sparse faults caused %d demotions", st.Demotions)
 	}
-	if st.TransFaults != uint64(10*j.Cfg.FaultDemote) {
-		t.Errorf("TransFaults = %d, want %d", st.TransFaults, 10*j.Cfg.FaultDemote)
+	if st.TransFaults != uint64(10*faultDemote) {
+		t.Errorf("TransFaults = %d, want %d", st.TransFaults, 10*faultDemote)
 	}
 }
 
@@ -131,15 +131,15 @@ func TestFaultBurstsEscalateToPermanent(t *testing.T) {
 	j := newQuarantineJIT(t)
 	key := transKey{fn: 5, pc: 8}
 
-	// Each burst of FaultDemote back-to-back faults is one demotion
+	// Each burst of faultDemote back-to-back faults is one demotion
 	// episode: the address backs off, then (after a remint) may fault
-	// again. QuarantineMaxAttempts episodes make the demotion permanent.
-	for ep := 1; ep <= j.Cfg.QuarantineMaxAttempts; ep++ {
-		for i := 0; i < j.Cfg.FaultDemote; i++ {
+	// again. quarantineMaxAttempts episodes make the demotion permanent.
+	for ep := 1; ep <= quarantineMaxAttempts; ep++ {
+		for i := 0; i < faultDemote; i++ {
 			j.RecordFault(5, 8)
 		}
 		_, _, permanent := j.QuarantineState(5, 8)
-		if ep < j.Cfg.QuarantineMaxAttempts {
+		if ep < quarantineMaxAttempts {
 			if permanent {
 				t.Fatalf("episode %d: demoted permanently too early", ep)
 			}
@@ -159,8 +159,8 @@ func TestFaultBurstsEscalateToPermanent(t *testing.T) {
 			t.Fatalf("episode %d: still not permanent", ep)
 		}
 	}
-	if got := j.Stats().Demotions; got != uint64(j.Cfg.QuarantineMaxAttempts) {
-		t.Errorf("Demotions = %d, want %d", got, j.Cfg.QuarantineMaxAttempts)
+	if got := j.Stats().Demotions; got != uint64(quarantineMaxAttempts) {
+		t.Errorf("Demotions = %d, want %d", got, quarantineMaxAttempts)
 	}
 }
 
@@ -169,15 +169,15 @@ func TestSparseEpisodesResetEscalation(t *testing.T) {
 	// Fault bursts spaced far beyond their own backoff window (rare
 	// random bursts over a long-running server) must not creep toward
 	// a permanent demotion, no matter how many accumulate.
-	for n := 0; n < 3*j.Cfg.QuarantineMaxAttempts; n++ {
-		for i := 0; i < j.Cfg.FaultDemote; i++ {
+	for n := 0; n < 3*quarantineMaxAttempts; n++ {
+		for i := 0; i < faultDemote; i++ {
 			j.RecordFault(7, 0)
 		}
 		if _, _, permanent := j.QuarantineState(7, 0); permanent {
 			t.Fatalf("sparse burst %d escalated to permanent demotion", n)
 		}
 		j.noteMintSuccess(transKey{fn: 7, pc: 0})
-		advance(j, 64*j.Cfg.QuarantineBase)
+		advance(j, 64*quarantineBase)
 	}
 	j.mu.Lock()
 	episodes := j.quarantine[transKey{fn: 7, pc: 0}].episodes
@@ -201,12 +201,11 @@ func TestDegradeLadderClampsAtInterpOnly(t *testing.T) {
 }
 
 func TestBackoffShiftIsCapped(t *testing.T) {
-	j := newQuarantineJIT(t)
-	base := j.Cfg.QuarantineBase
-	if got, want := j.backoffLocked(100), base<<16; got != want {
-		t.Errorf("backoffLocked(100) = %d, want capped %d", got, want)
+	base := quarantineBase
+	if got, want := backoff(100), base<<16; got != want {
+		t.Errorf("backoff(100) = %d, want capped %d", got, want)
 	}
-	if got := j.backoffLocked(0); got != base {
-		t.Errorf("backoffLocked(0) = %d, want %d", got, base)
+	if got := backoff(0); got != base {
+		t.Errorf("backoff(0) = %d, want %d", got, base)
 	}
 }

@@ -5,17 +5,17 @@
 // function sorting and huge-page mapping (Section 5.1).
 //
 // Concurrency model (DESIGN.md §9): the translation index is
-// published RCU-style through an atomic pointer, so the dispatch path
-// (Lookup / HasMatch) is lock-free; all mutation — installing a
-// translation, the global optimized publish — copies the index under
-// a writer mutex and swaps the new map in atomically. Translation
-// creation is deduplicated with a per-(func,PC) single-flight table,
-// and the global retranslation can run on a background compiler
-// goroutine while workers keep executing profiling translations.
+// published RCU-style through an atomic pointer, so the one index scan
+// (match, behind Lookup and Match) is lock-free; all mutation —
+// installing a translation, the global optimized publish — copies the
+// index under a writer mutex and swaps the new map in atomically.
+// Translation creation is deduplicated with a per-(func,PC)
+// single-flight table, and the global retranslation can run on a
+// background compiler goroutine while workers keep executing profiling
+// translations.
 package jit
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -59,7 +59,13 @@ func (m Mode) String() string {
 	}
 }
 
-// Config toggles the optimizations evaluated in Figure 10.
+// Config selects the execution mode, toggles the optimizations
+// evaluated in Figure 10 and sizes the code cache, the retranslation
+// trigger and the compile pool. The minting thresholds and the
+// quarantine schedule are not configuration: no caller ever varied
+// them, so they are constants beside the code that reads them
+// (maxLiveChain and liveThreshold below, quarantineBase and friends in
+// faults.go).
 type Config struct {
 	Mode Mode
 
@@ -115,37 +121,29 @@ type Config struct {
 	// guest-cycle reference.
 	FuseDispatch bool
 
-	// Every numeric field from here down reads 0 as "the DefaultConfig
-	// value" (New fills it in).
-
-	// CodeCacheLimit bounds total JITed bytes.
+	// CodeCacheLimit bounds total JITed bytes; 0 reads as the
+	// DefaultConfig value (New fills it in).
 	CodeCacheLimit uint64
 	// ProfileTrigger fires global retranslation after this many
-	// function-entry events.
+	// function-entry events; 0 reads as the DefaultConfig value.
 	ProfileTrigger uint64
-	// MaxLiveChain bounds live retranslation chains per address.
-	MaxLiveChain int
-	// LiveThreshold: entries before a live translation is made.
-	LiveThreshold uint64
 
 	// Faults, when non-nil, threads deterministic fault injection
 	// through the compile pipeline, code cache, translation executor,
 	// and snapshot loader (DESIGN.md §11). Nil in production.
 	Faults *faultinject.Injector
-	// QuarantineBase is the initial retry backoff after a compile
-	// failure or contained fault, measured in function-entry events;
-	// it doubles per consecutive failure.
-	QuarantineBase uint64
-	// QuarantineMaxAttempts caps compile retries at one address before
-	// it is demoted to interp-only for good.
-	QuarantineMaxAttempts int
-	// FaultDemote is the number of contained execution faults at one
-	// address before its translations are unpublished from the index
-	// and the address demoted to interp-only.
-	FaultDemote int
 }
 
-// Degradation ladder levels (DESIGN.md §11): when code-cache
+// Minting thresholds, read by mintKindLocked.
+const (
+	// maxLiveChain bounds the retranslation chain at one address.
+	maxLiveChain = 12
+	// liveThreshold is the number of dispatcher visits to an address
+	// before a live translation is made there.
+	liveThreshold = 2
+)
+
+// Degradation ladder levels (DESIGN.md §9): when code-cache
 // recycling cannot free enough space, the JIT sheds work in stages
 // instead of wedging — first new live translations, then all minting,
 // finally execution of JITed code itself.
@@ -164,24 +162,19 @@ const (
 // values are also what New substitutes for fields left zero.
 func DefaultConfig() Config {
 	return Config{
-		Mode:                  ModeRegion,
-		EnableInlining:        true,
-		EnableRCE:             true,
-		EnableGuardRelax:      true,
-		EnableMethodDispatch:  true,
-		EnableShapes:          true,
-		EnableChaining:        true,
-		PGOLayout:             true,
-		FunctionSort:          true,
-		HugePages:             true,
-		FuseDispatch:          true,
-		CodeCacheLimit:        64 << 20,
-		ProfileTrigger:        1500,
-		MaxLiveChain:          12,
-		LiveThreshold:         2,
-		QuarantineBase:        32,
-		QuarantineMaxAttempts: 6,
-		FaultDemote:           3,
+		Mode:                 ModeRegion,
+		EnableInlining:       true,
+		EnableRCE:            true,
+		EnableGuardRelax:     true,
+		EnableMethodDispatch: true,
+		EnableShapes:         true,
+		EnableChaining:       true,
+		PGOLayout:            true,
+		FunctionSort:         true,
+		HugePages:            true,
+		FuseDispatch:         true,
+		CodeCacheLimit:       64 << 20,
+		ProfileTrigger:       1500,
 	}
 }
 
@@ -365,8 +358,9 @@ type JIT struct {
 	Unit     *hhbc.Unit
 	Counters *profile.Counters
 	Cache    *mcode.Cache
-	// Meter is the primary worker's meter; synchronous compiles are
-	// charged to the meter of the worker that requested them.
+	// Meter is the primary worker's meter. Compiles are charged to the
+	// meter of the worker that requested them; only a retranslation
+	// fired from outside any worker (OptimizeAll, Jumpstart) lands here.
 	Meter *machine.Meter
 	// CompileMeter absorbs background-compiler cycles (a dedicated
 	// core in real HHVM) so they are not charged to any worker.
@@ -391,17 +385,16 @@ type JIT struct {
 	// mu is the writer mutex: index publication and the mutable
 	// tables below.
 	mu sync.Mutex
-	// profBlocks collects profiling region blocks per function.
+	// profBlocks collects profiling region blocks per function; each
+	// block's ProfCounter is its TransID.
 	profBlocks map[int][]*region.Block
-	profIDs    map[int][]profile.TransID
-	// translationByProfID resolves arcs.
-	byProfID map[profile.TransID]*Translation
 
+	// entryCount is the per-address hotness count the live-translation
+	// threshold reads (mintKindLocked).
 	entryCount map[transKey]uint64
 	// quarantine tracks addresses whose compiles failed or whose
 	// translations faulted: retried with capped exponential backoff,
-	// demoted to interp-only when the budget runs out (DESIGN.md §11).
-	// Replaces the old permanent blacklist.
+	// demoted to interp-only when the budget runs out (DESIGN.md §9).
 	quarantine map[transKey]*quarantineEntry
 	// inflight is the single-flight table: one minting compile per
 	// (func, PC) at a time; losers wait and re-check the index.
@@ -427,6 +420,8 @@ type JIT struct {
 	// allocation (SetAllocationCheck).
 	allocCheck func(before, after *vasm.Unit)
 
+	// entries counts function entries (Stats.Entries): the clock of the
+	// retranslation trigger and of the quarantine backoff.
 	entries    atomic.Uint64
 	optStarted atomic.Bool // global retranslation claimed
 	optimized  atomic.Bool // optimized index published
@@ -448,21 +443,6 @@ func New(cfg Config, env *interp.Env, meter *machine.Meter) *JIT {
 	if cfg.ProfileTrigger == 0 {
 		cfg.ProfileTrigger = def.ProfileTrigger
 	}
-	if cfg.MaxLiveChain == 0 {
-		cfg.MaxLiveChain = def.MaxLiveChain
-	}
-	if cfg.LiveThreshold == 0 {
-		cfg.LiveThreshold = def.LiveThreshold
-	}
-	if cfg.QuarantineBase == 0 {
-		cfg.QuarantineBase = def.QuarantineBase
-	}
-	if cfg.QuarantineMaxAttempts == 0 {
-		cfg.QuarantineMaxAttempts = def.QuarantineMaxAttempts
-	}
-	if cfg.FaultDemote == 0 {
-		cfg.FaultDemote = def.FaultDemote
-	}
 	j := &JIT{
 		Cfg:          cfg,
 		Env:          env,
@@ -472,8 +452,6 @@ func New(cfg Config, env *interp.Env, meter *machine.Meter) *JIT {
 		Meter:        meter,
 		CompileMeter: &machine.Meter{},
 		profBlocks:   map[int][]*region.Block{},
-		profIDs:      map[int][]profile.TransID{},
-		byProfID:     map[profile.TransID]*Translation{},
 		entryCount:   map[transKey]uint64{},
 		quarantine:   map[transKey]*quarantineEntry{},
 		inflight:     map[transKey]chan struct{}{},
@@ -497,7 +475,7 @@ func (j *JIT) Stats() Stats {
 		BytesProfiling:        ld(&s.BytesProfiling),
 		BytesOptimized:        ld(&s.BytesOptimized),
 		GuardFails:            ld(&s.GuardFails),
-		Entries:               ld(&s.Entries),
+		Entries:               j.entries.Load(),
 		OptimizeRuns:          ld(&s.OptimizeRuns),
 		CacheFullEvents:       ld(&s.CacheFullEvents),
 		PartialPublishFuncs:   ld(&s.PartialPublishFuncs),
@@ -589,26 +567,23 @@ func (j *JIT) Smash(code *mcode.Code, instr int, tr *Translation) {
 	if l := code.LoadLink(instr); l != nil && l.Epoch == epoch && l.Target == tr {
 		return
 	}
-	if j.Cfg.Faults.Should(faultinject.StaleLink) && epoch > 0 {
+	stamp := epoch
+	switch {
+	case j.Cfg.Faults.Should(faultinject.StaleLink) && epoch > 0:
 		// Inject a link stamped with the previous epoch: followers must
 		// detect it as stale and fall back to the dispatch path rather
 		// than transfer through it.
-		code.StoreLink(instr, &mcode.Link{Epoch: epoch - 1, Target: tr})
-		j.Chain.BindsSmashed.Add(1)
-		return
-	}
-	if j.Cfg.Faults.Should(faultinject.TornLink) {
+		stamp = epoch - 1
+	case j.Cfg.Faults.Should(faultinject.TornLink):
 		// Torn write: the target half of the patch landed but the epoch
 		// stamp is from a version that has never been published (epoch+1
 		// cannot exist yet — epochs only advance under j.mu). Followers
 		// treat the mismatched stamp as stale and fall back, and the
 		// sentry auditor flags the future epoch as a torn write
 		// (DESIGN.md §15) rather than a benign leftover.
-		code.StoreLink(instr, &mcode.Link{Epoch: epoch + 1, Target: tr})
-		j.Chain.BindsSmashed.Add(1)
-		return
+		stamp = epoch + 1
 	}
-	code.StoreLink(instr, &mcode.Link{Epoch: epoch, Target: tr})
+	code.StoreLink(instr, &mcode.Link{Epoch: stamp, Target: tr})
 	j.Chain.BindsSmashed.Add(1)
 }
 
@@ -682,35 +657,41 @@ func (s shapeSource) PropReadType(fnID, pc int, name string) types.Type {
 	return types.FromKind(sh.SlotKind(slot))
 }
 
-// ChainFallback resolves a transfer whose smashed link's guards
-// missed: it scans the published chain at (fnID, pc) for another
-// matching chainable translation — the in-cache guard cascade of a
-// retranslation cluster — without touching the dispatcher's minting
-// path. Lock-free.
-func (j *JIT) ChainFallback(fnID, pc int, fr *interp.Frame, m *machine.Meter) *Translation {
-	for _, tr := range (*j.trans.Load())[transKey{fnID, pc}] {
-		m.Charge(uint64(3 + 2*len(tr.Preconds)))
-		if tr.Code.Chainable && tr.Matches(fr) {
-			return tr
-		}
-	}
-	return nil
-}
-
-// findMatch scans the published chain for a guard-matching
-// translation, charging the per-candidate dispatch fee to m.
-func (j *JIT) findMatch(key transKey, fr *interp.Frame, m *machine.Meter) *Translation {
+// match is the one index scan: it walks the published chain at key
+// for a translation whose entry guards fit fr, charging the
+// per-candidate guard-check fee to m (nil: no fee — the OSR check asks
+// for free). With chainableOnly, candidates a chained transfer may not
+// enter (profiling translations) are skipped after paying their fee,
+// as the in-cache guard cascade does. Lock-free: the dispatcher, the
+// OSR check, the machine's chain fallback and sentry replays all read
+// the RCU-published index through here.
+func (j *JIT) match(key transKey, fr *interp.Frame, m *machine.Meter, chainableOnly bool) *Translation {
 	for _, tr := range (*j.trans.Load())[key] {
-		m.Charge(uint64(3 + 2*len(tr.Preconds))) // chain guard checks
-		if tr.Matches(fr) {
+		if m != nil {
+			m.Charge(uint64(3 + 2*len(tr.Preconds)))
+		}
+		if (!chainableOnly || tr.Code.Chainable) && tr.Matches(fr) {
 			return tr
 		}
 	}
 	return nil
 }
 
-// Lookup finds (or creates, subject to thresholds) a translation for
-// (fn, fr.PC) matching the live frame types, charging dispatch and
+// Match returns a published translation at (fr.Fn, fr.PC) whose guards
+// fit the live frame, or nil; it never mints and never touches
+// quarantine state. The VM calls it for the OSR check (m nil), for the
+// chain fallback when a smashed link's guards miss (chainableOnly: the
+// cascade through a retranslation cluster) and for every dispatch of a
+// replay VM. Nil once the ladder reaches DegradeInterpOnly.
+func (j *JIT) Match(fr *interp.Frame, m *machine.Meter, chainableOnly bool) *Translation {
+	if j.degrade.Load() >= DegradeInterpOnly {
+		return nil
+	}
+	return j.match(transKey{fr.Fn.ID, fr.PC}, fr, m, chainableOnly)
+}
+
+// Lookup finds (or creates, subject to mintKindLocked) a translation
+// for (fn, fr.PC) matching the live frame types, charging dispatch and
 // compile fees to the calling worker's meter m. Returns nil to stay
 // in the interpreter. The fast path is a lock-free read of the
 // RCU-published index; the minting slow path serializes per key.
@@ -720,23 +701,19 @@ func (j *JIT) Lookup(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter) *Transla
 	}
 	atomic.AddUint64(&j.stats.Lookups, 1)
 	key := transKey{fn.ID, fr.PC}
-	if tr := j.findMatch(key, fr, m); tr != nil {
+	if tr := j.match(key, fr, m, false); tr != nil {
 		return tr
 	}
 	// Nothing matches: consider translating.
-	if j.cacheFull.Load() || j.degrade.Load() >= DegradeNoMint {
+	if j.mintingClosed() {
 		return nil
 	}
 	for {
 		j.mu.Lock()
 		// A racing worker may have published a match meanwhile.
-		if tr := j.findMatch(key, fr, m); tr != nil {
+		if tr := j.match(key, fr, m, false); tr != nil {
 			j.mu.Unlock()
 			return tr
-		}
-		if j.quarantinedLocked(key) || j.cacheFull.Load() {
-			j.mu.Unlock()
-			return nil
 		}
 		if done, busy := j.inflight[key]; busy {
 			// Single-flight: another worker is minting this key. Wait
@@ -744,58 +721,17 @@ func (j *JIT) Lookup(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter) *Transla
 			// share it, otherwise loop around and mint our own.
 			j.mu.Unlock()
 			<-done
-			if tr := j.findMatch(key, fr, m); tr != nil {
+			if tr := j.match(key, fr, m, false); tr != nil {
 				return tr
 			}
 			continue
 		}
-		j.entryCount[key]++
-		var mint func(*hhbc.Func, *interp.Frame, *machine.Meter) *Translation
-		liveMint := false
-		chain := (*j.trans.Load())[key]
-		switch j.Cfg.Mode {
-		case ModeTracelet:
-			if j.entryCount[key] < j.Cfg.LiveThreshold || len(chain) >= j.Cfg.MaxLiveChain {
-				j.mu.Unlock()
-				return nil
-			}
-			mint, liveMint = j.translateLive, true
-		case ModeProfiling:
-			if len(chain) >= j.Cfg.MaxLiveChain {
-				j.mu.Unlock()
-				return nil
-			}
-			mint = j.translateProfiling
-		case ModeRegion:
-			if !j.optimized.Load() {
-				// Profiling stops once the global retranslation is
-				// claimed: its profile snapshot is already taken, so a
-				// function first profiled now would miss the one
-				// optimization round and stay on profiling code for
-				// good. Until the publish, new code is interpreted;
-				// afterwards it gets live translations.
-				if j.optStarted.Load() || len(chain) >= j.Cfg.MaxLiveChain {
-					j.mu.Unlock()
-					return nil
-				}
-				mint = j.translateProfiling
-			} else {
-				// Post-optimization: new code gets live translations.
-				if j.entryCount[key] < j.Cfg.LiveThreshold || len(chain) >= j.Cfg.MaxLiveChain {
-					j.mu.Unlock()
-					return nil
-				}
-				mint, liveMint = j.translateLive, true
-			}
-		default:
+		kind := j.mintKindLocked(key, false)
+		if kind == ModeInterp {
 			j.mu.Unlock()
 			return nil
 		}
-		if liveMint && j.degrade.Load() >= DegradeNoLiveMint {
-			j.mu.Unlock()
-			return nil
-		}
-		if q := j.quarantine[key]; q != nil {
+		if j.quarantine[key] != nil {
 			// Past its backoff window: this mint is a quarantine retry.
 			atomic.AddUint64(&j.stats.QuarantineRetries, 1)
 		}
@@ -803,7 +739,7 @@ func (j *JIT) Lookup(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter) *Transla
 		j.inflight[key] = done
 		j.mu.Unlock()
 
-		tr := mint(fn, fr, m)
+		tr := j.translate(fn, fr, kind, m)
 
 		j.mu.Lock()
 		delete(j.inflight, key)
@@ -813,15 +749,62 @@ func (j *JIT) Lookup(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter) *Transla
 	}
 }
 
-// FindPublished returns a guard-matching published translation for
-// (fn, fr.PC), or nil — Lookup without the minting slow path. The
-// sentry's bisection replays dispatch through it so a replay can never
-// mint code or disturb quarantine state (DESIGN.md §15). Lock-free.
-func (j *JIT) FindPublished(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter) *Translation {
-	if j.Cfg.Mode == ModeInterp || j.degrade.Load() >= DegradeInterpOnly {
-		return nil
+// mintingClosed reports whether minting is shut JIT-wide — the cache
+// is full or the ladder is at DegradeNoMint. It is the lock-free half
+// of the mint policy: Lookup and WantsTranslation ask it before taking
+// j.mu.
+func (j *JIT) mintingClosed() bool {
+	return j.cacheFull.Load() || j.degrade.Load() >= DegradeNoMint
+}
+
+// mintKindLocked is the mint policy, stated once: whether an address
+// that no published translation matches gets a new one, and of which
+// kind — ModeProfiling, ModeTracelet (a live translation) or ModeInterp
+// (none). The dispatcher (Lookup) mints what it answers; the OSR check
+// (WantsTranslation, osr set) bounces out of the interpreter only on an
+// answer the dispatcher will then repeat.
+//
+//	none        JIT-wide: cache full, or ladder >= DegradeNoMint
+//	none        address: quarantined, or chain at maxLiveChain
+//	profiling   ModeProfiling; ModeRegion until retranslation is claimed
+//	none        ModeRegion between the claim and the optimized publish
+//	live        ModeTracelet; ModeRegion after the publish — once the
+//	            address was seen liveThreshold times, ladder < DegradeNoLiveMint
+//
+// Profiling stops at the claim because the profile snapshot is already
+// taken: a function first profiled afterwards would miss the one
+// optimization round and stay on profiling code for good. Each
+// consultation for a live translation is one hotness observation, so
+// loops that stay in the interpreter cross the threshold; an OSR bounce
+// counts the dispatcher's own observation, which follows it, ahead.
+// Callers hold j.mu.
+func (j *JIT) mintKindLocked(key transKey, osr bool) Mode {
+	if j.mintingClosed() || j.quarantinedLocked(key) ||
+		len((*j.trans.Load())[key]) >= maxLiveChain {
+		return ModeInterp
 	}
-	return j.findMatch(transKey{fn.ID, fr.PC}, fr, m)
+	switch j.Cfg.Mode {
+	case ModeInterp:
+		return ModeInterp
+	case ModeProfiling:
+		return ModeProfiling
+	case ModeRegion:
+		if !j.optStarted.Load() {
+			return ModeProfiling
+		}
+		if !j.optimized.Load() {
+			return ModeInterp
+		}
+	}
+	j.entryCount[key]++
+	seen := j.entryCount[key]
+	if osr {
+		seen++
+	}
+	if seen < liveThreshold || j.degrade.Load() >= DegradeNoLiveMint {
+		return ModeInterp
+	}
+	return ModeTracelet
 }
 
 // ForEachTranslation visits every translation in the published index
@@ -834,59 +817,31 @@ func (j *JIT) ForEachTranslation(fn func(tr *Translation)) {
 	}
 }
 
-// HasMatch reports whether a matching translation exists (OSR check;
-// no translation creation, no fee). Lock-free.
-func (j *JIT) HasMatch(fn *hhbc.Func, fr *interp.Frame) bool {
-	for _, tr := range (*j.trans.Load())[transKey{fn.ID, fr.PC}] {
-		if tr.Matches(fr) {
-			return true
-		}
-	}
-	return false
-}
-
 // WantsTranslation reports whether the OSR point should bounce to the
-// dispatcher to create a translation. Each query counts as a hotness
-// observation so loops that stay in the interpreter eventually cross
-// the live-translation threshold.
+// dispatcher because Lookup would mint a translation there.
 func (j *JIT) WantsTranslation(fn *hhbc.Func, fr *interp.Frame) bool {
-	if j.cacheFull.Load() || j.Cfg.Mode == ModeInterp ||
-		j.degrade.Load() >= DegradeNoMint {
+	if j.Cfg.Mode == ModeInterp || j.mintingClosed() {
 		return false
 	}
-	key := transKey{fn.ID, fr.PC}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.quarantinedLocked(key) || len((*j.trans.Load())[key]) >= j.Cfg.MaxLiveChain {
-		return false
-	}
-	switch j.Cfg.Mode {
-	case ModeRegion:
-		if !j.optimized.Load() {
-			// Profiling translations are made eagerly, until the
-			// global retranslation is claimed (see Lookup).
-			return !j.optStarted.Load()
-		}
-	case ModeProfiling:
-		return true
-	}
-	j.entryCount[key]++
-	return j.entryCount[key]+1 >= j.Cfg.LiveThreshold
+	return j.mintKindLocked(transKey{fn.ID, fr.PC}, true) != ModeInterp
 }
 
 // OnEntry counts function entries and fires the global retranslation
-// trigger (Section 5.1). With BackgroundCompile the trigger hands the
-// work to a compiler goroutine and returns immediately; the worker
-// keeps running profiling translations until the optimized index is
-// swapped in.
-func (j *JIT) OnEntry() {
+// trigger (Section 5.1). m is the calling worker's meter: an inline
+// retranslation is charged to the worker that tripped the trigger.
+// With BackgroundCompile the trigger hands the work to a compiler
+// goroutine (charged to CompileMeter) and returns immediately; the
+// worker keeps running profiling translations until the optimized
+// index is swapped in.
+func (j *JIT) OnEntry(m *machine.Meter) {
 	n := j.entries.Add(1)
-	atomic.AddUint64(&j.stats.Entries, 1)
 	if j.Cfg.Mode == ModeRegion && !j.optStarted.Load() && n >= j.Cfg.ProfileTrigger {
 		if j.Cfg.BackgroundCompile {
-			go j.OptimizeAll() // OptimizeAll claims the run via CAS
+			go j.optimizeAll(j.CompileMeter) // optimizeAll claims the run via CAS
 		} else {
-			j.OptimizeAll()
+			j.optimizeAll(m)
 		}
 	}
 }
@@ -901,6 +856,3 @@ func (j *JIT) RecordArc(from, to *Translation) {
 		j.Counters.RecordArc(from.ProfID, to.ProfID)
 	}
 }
-
-// DebugVM enables dispatcher tracing.
-var DebugVM = os.Getenv("REPRO_VM_DEBUG") != ""

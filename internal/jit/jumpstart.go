@@ -50,14 +50,12 @@ func (j *JIT) SnapshotProfile() *jumpstart.Snapshot {
 	// translations, so they are copied under the writer mutex first.
 	j.mu.Lock()
 	profBlocks := make(map[int][]*region.Block, len(j.profBlocks))
-	profIDs := make(map[int][]profile.TransID, len(j.profIDs))
 	for id, blocks := range j.profBlocks {
 		profBlocks[id] = append([]*region.Block(nil), blocks...)
-		profIDs[id] = append([]profile.TransID(nil), j.profIDs[id]...)
 	}
 	j.mu.Unlock()
 	var fnIDs []int
-	for id := range profIDs {
+	for id := range profBlocks {
 		fnIDs = append(fnIDs, id)
 	}
 	sort.Ints(fnIDs)
@@ -65,8 +63,8 @@ func (j *JIT) SnapshotProfile() *jumpstart.Snapshot {
 	transLoc := map[profile.TransID]loc{}
 	for _, fnID := range fnIDs {
 		fi := ensureFunc(fnID)
-		for k, blk := range profBlocks[fnID] {
-			pid := profIDs[fnID][k]
+		for _, blk := range profBlocks[fnID] {
+			pid := blk.ProfCounter
 			rec := jumpstart.TransProfile{
 				PC:         blk.Start,
 				EntryDepth: blk.EntryStackDepth,
@@ -248,7 +246,6 @@ func (j *JIT) Jumpstart(snap *jumpstart.Snapshot) JumpstartResult {
 			j.Counters.Add(blk.ProfCounter, rec.Count)
 			j.mu.Lock()
 			j.profBlocks[fn.ID] = append(j.profBlocks[fn.ID], blk)
-			j.profIDs[fn.ID] = append(j.profIDs[fn.ID], blk.ProfCounter)
 			j.mu.Unlock()
 			ids[k] = blk.ProfCounter
 			res.LoadedTrans++

@@ -159,103 +159,103 @@ func (j *JIT) layoutConfig() vasm.LayoutConfig {
 	return vasm.LayoutConfig{ProfileGuided: j.Cfg.PGOLayout, SplitCold: true}
 }
 
-// translateLive builds a gen-1 style tracelet translation from the
-// live frame state.
-func (j *JIT) translateLive(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter) *Translation {
+// translate selects the region at (fn, fr.PC) from the live frame's
+// types — a gen-1 style tracelet for ModeTracelet, one instrumented
+// block for ModeProfiling — and mints it.
+func (j *JIT) translate(fn *hhbc.Func, fr *interp.Frame, kind Mode, m *machine.Meter) *Translation {
 	var src region.TypeSource = frameTypeSource{fr}
 	if j.Cfg.EnableShapes {
 		// Shape facts: profiled monomorphic property reads type their
 		// results in the selector, extending tracelets through them.
-		src = shapeSource{frameTypeSource{fr}, j}
+		// Profiling preconditions seed the optimized regions, so the
+		// shape property-access policy (no class pinning at access
+		// sites) must apply there too, or optimized translations inherit
+		// per-class entry guards that the shape guard was meant to
+		// replace.
+		src = shapeSource{src, j}
 	}
-	blk := region.Select(j.Unit, fn, fr.PC, len(fr.Stack), src,
-		region.ModeLive, 0)
-	desc := region.NewDesc(blk)
-	bcfg := hhir.BuildConfig{
-		// Live translations have no call-profile-driven optimizations;
-		// inline caching handles dispatch (Section 5.3.3). Shape ICs
-		// are likewise self-filling, so live code gets them too, and
-		// Counters are threaded so shape-monomorphic sites can take the
-		// guarded fixed-slot path once a profile exists.
-		EnableInlining:       false,
-		EnableMethodDispatch: false,
-		EnableShapes:         j.Cfg.EnableShapes,
-		Counters:             j.Counters,
+	if kind == ModeProfiling {
+		blk := region.Select(j.Unit, fn, fr.PC, len(fr.Stack), src, region.ModeProfiling, 0)
+		blk.ProfCounter = j.Counters.NewCounter()
+		return j.mint(region.NewDesc(blk), kind, hhir.BuildConfig{Profiling: true,
+			Counter: blk.ProfCounter, EnableShapes: j.Cfg.EnableShapes}, m)
 	}
-	code, err := j.compile(desc, bcfg, j.passConfig(false),
-		vasm.LayoutConfig{ProfileGuided: false, SplitCold: true}, mcode.AreaLive, m)
+	blk := region.Select(j.Unit, fn, fr.PC, len(fr.Stack), src, region.ModeLive, 0)
+	// Live translations have no call-profile-driven optimizations;
+	// inline caching handles dispatch (Section 5.3.3). Shape ICs are
+	// likewise self-filling, so live code gets them too, and Counters
+	// are threaded so shape-monomorphic sites can take the guarded
+	// fixed-slot path once a profile exists.
+	return j.mint(region.NewDesc(blk), kind, hhir.BuildConfig{
+		EnableShapes: j.Cfg.EnableShapes, Counters: j.Counters}, m)
+}
+
+// mint is the one mint path: it compiles desc as a translation of the
+// given kind (ModeTracelet or ModeProfiling), places the code in the
+// kind's cache area, installs the translation into the index and
+// accounts it, charging the compile to m. A compile failure
+// quarantines the address — except cache exhaustion, which is global
+// pressure, not this address's fault — and returns nil.
+func (j *JIT) mint(desc *region.Desc, kind Mode, bcfg hhir.BuildConfig, m *machine.Meter) *Translation {
+	entry := desc.Entry()
+	key := transKey{entry.Func.ID, entry.Start}
+	area, _, _ := j.residence(kind)
+	code, err := j.compile(desc, bcfg, j.passConfig(bcfg.Profiling),
+		vasm.LayoutConfig{ProfileGuided: false, SplitCold: true}, area, m)
 	if err != nil {
-		debugCompileErr("live", fn.FullName(), err)
+		debugCompileErr(kind.String(), entry.Func.FullName(), err)
 		if !errors.Is(err, mcode.ErrCacheFull) {
-			// Cache pressure is global, not this address's fault; only
-			// per-address failures quarantine the key.
-			j.noteCompileFailure(transKey{fn.ID, fr.PC}, err)
+			j.noteCompileFailure(key, err)
 		}
 		return nil
 	}
-	// Live tracelets chain: gen-1's defining trick is smashing their
-	// bind jumps together (profiling translations never chain — see
-	// translateProfiling).
-	code.Chainable = j.Cfg.EnableChaining
-	tr := &Translation{
-		FuncID: fn.ID, PC: fr.PC, Kind: ModeTracelet,
-		Preconds: blk.Preconds, EntryDepth: blk.EntryStackDepth,
-		Code: code, ProfID: -1, Desc: desc,
-	}
+	tr := j.newTranslation(desc, kind, code)
 	j.mu.Lock()
 	j.installLocked(tr)
+	if kind == ModeProfiling {
+		j.profBlocks[key.fn] = append(j.profBlocks[key.fn], entry)
+	}
 	j.mu.Unlock()
-	j.noteMintSuccess(transKey{fn.ID, fr.PC})
-	atomic.AddUint64(&j.stats.LiveTranslations, 1)
-	atomic.AddUint64(&j.stats.BytesLive, code.Size)
+	j.noteMintSuccess(key)
 	return tr
 }
 
-// translateProfiling builds an instrumented single-block translation.
-func (j *JIT) translateProfiling(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter) *Translation {
-	var src region.TypeSource = frameTypeSource{fr}
-	if j.Cfg.EnableShapes {
-		// Profiling preconditions seed the optimized regions, so the
-		// shape property-access policy (no class pinning at access
-		// sites) must apply here or optimized translations inherit
-		// per-class entry guards that the shape guard was meant to
-		// replace.
-		src = shapeSource{frameTypeSource{fr}, j}
+// residence maps a translation kind to the code-cache area its code
+// lives in and to its count and resident-byte statistics.
+func (j *JIT) residence(kind Mode) (area mcode.Area, count, bytes *uint64) {
+	switch kind {
+	case ModeTracelet:
+		return mcode.AreaLive, &j.stats.LiveTranslations, &j.stats.BytesLive
+	case ModeProfiling:
+		return mcode.AreaProfile, &j.stats.ProfilingTranslations, &j.stats.BytesProfiling
+	default:
+		return mcode.AreaHot, &j.stats.OptimizedTranslations, &j.stats.BytesOptimized
 	}
-	blk := region.Select(j.Unit, fn, fr.PC, len(fr.Stack), src,
-		region.ModeProfiling, 0)
-	blk.ProfCounter = j.Counters.NewCounter()
-	desc := region.NewDesc(blk)
-	bcfg := hhir.BuildConfig{Profiling: true, Counter: blk.ProfCounter,
-		EnableShapes: j.Cfg.EnableShapes}
-	code, err := j.compile(desc, bcfg, j.passConfig(true),
-		vasm.LayoutConfig{ProfileGuided: false, SplitCold: true}, mcode.AreaProfile, m)
-	if err != nil {
-		debugCompileErr("profiling", fn.FullName(), err)
-		if !errors.Is(err, mcode.ErrCacheFull) {
-			j.noteCompileFailure(transKey{fn.ID, fr.PC}, err)
-		}
-		return nil
-	}
-	// Profiling translations are deliberately NOT chainable, in either
-	// direction: every entry must pass through the dispatcher so
-	// RecordArc sees the transfer and the TransCFG stays accurate, and
-	// OptimizeAll retires exactly this kind — keeping them out of links
-	// means no chainable target is ever semantically stale.
+}
+
+// newTranslation wraps placed code as the translation of desc and
+// accounts it under its kind; publishing it is the caller's step (mint
+// installs one, the optimized publish swaps a batch in). Live tracelets
+// and optimized regions chain — gen-1's defining trick is smashing
+// bind jumps together. Profiling translations deliberately do not, in
+// either direction: every entry must pass through the dispatcher so
+// RecordArc sees the transfer and the TransCFG stays accurate, and the
+// optimized publish retires exactly this kind — keeping them out of
+// links means no chainable target is ever semantically stale.
+func (j *JIT) newTranslation(desc *region.Desc, kind Mode, code *mcode.Code) *Translation {
+	entry := desc.Entry()
+	code.Chainable = j.Cfg.EnableChaining && kind != ModeProfiling
 	tr := &Translation{
-		FuncID: fn.ID, PC: fr.PC, Kind: ModeProfiling,
-		Preconds: blk.Preconds, EntryDepth: blk.EntryStackDepth,
-		Code: code, ProfID: blk.ProfCounter, Desc: desc,
+		FuncID: entry.Func.ID, PC: entry.Start, Kind: kind,
+		Preconds: entry.Preconds, EntryDepth: entry.EntryStackDepth,
+		Code: code, ProfID: -1, Desc: desc,
 	}
-	j.mu.Lock()
-	j.installLocked(tr)
-	j.byProfID[blk.ProfCounter] = tr
-	j.profBlocks[fn.ID] = append(j.profBlocks[fn.ID], blk)
-	j.profIDs[fn.ID] = append(j.profIDs[fn.ID], blk.ProfCounter)
-	j.mu.Unlock()
-	j.noteMintSuccess(transKey{fn.ID, fr.PC})
-	atomic.AddUint64(&j.stats.ProfilingTranslations, 1)
-	atomic.AddUint64(&j.stats.BytesProfiling, code.Size)
+	if kind == ModeProfiling {
+		tr.ProfID = entry.ProfCounter
+	}
+	_, count, bytes := j.residence(kind)
+	atomic.AddUint64(count, 1)
+	atomic.AddUint64(bytes, code.Size)
 	return tr
 }
 
@@ -278,6 +278,15 @@ func (j *JIT) installLocked(tr *Translation) {
 	}
 }
 
+// profIDs lists the TransIDs of profiling blocks, in order.
+func profIDs(blocks []*region.Block) []profile.TransID {
+	ids := make([]profile.TransID, len(blocks))
+	for i, blk := range blocks {
+		ids[i] = blk.ProfCounter
+	}
+	return ids
+}
+
 // OptimizeAll is the global retranslation trigger: it forms regions
 // for every profiled function, compiles them with the full pipeline,
 // sorts functions with the C3 heuristic, publishes the optimized code
@@ -289,7 +298,20 @@ func (j *JIT) installLocked(tr *Translation) {
 // atomic swap. Functions whose regions cannot all be compiled (code
 // cache full) are NOT unpublished: they keep their profiling
 // translations and are counted in Stats.PartialPublishFuncs.
+//
+// Called directly (a benchmark or test deciding when the trigger
+// fires, a jumpstart load) the compile is charged to the primary
+// worker's meter, or to CompileMeter under BackgroundCompile; the
+// entry-count trigger charges the worker that tripped it (OnEntry).
 func (j *JIT) OptimizeAll() {
+	if j.Cfg.BackgroundCompile {
+		j.optimizeAll(j.CompileMeter)
+	} else {
+		j.optimizeAll(j.Meter)
+	}
+}
+
+func (j *JIT) optimizeAll(meter *machine.Meter) {
 	if j.degrade.Load() >= DegradeNoMint {
 		// The ladder says stop reoptimizing: leave the run unclaimed so
 		// a later trigger can fire it if pressure recedes.
@@ -299,10 +321,6 @@ func (j *JIT) OptimizeAll() {
 		return
 	}
 	atomic.AddUint64(&j.stats.OptimizeRuns, 1)
-	meter := j.Meter
-	if j.Cfg.BackgroundCompile {
-		meter = j.CompileMeter
-	}
 
 	// Snapshot the profiling tables. Lookup stops minting profiling
 	// translations once the run is claimed; a mint already in flight
@@ -313,10 +331,8 @@ func (j *JIT) OptimizeAll() {
 	// are still guard-matching against.
 	j.mu.Lock()
 	blocksByFn := make(map[int][]*region.Block, len(j.profBlocks))
-	idsByFn := make(map[int][]profile.TransID, len(j.profIDs))
 	for fnID, blocks := range j.profBlocks {
 		blocksByFn[fnID] = cloneBlocks(blocks)
-		idsByFn[fnID] = append([]profile.TransID(nil), j.profIDs[fnID]...)
 	}
 	j.mu.Unlock()
 
@@ -326,7 +342,7 @@ func (j *JIT) OptimizeAll() {
 	}
 	var all []funcRegions
 	for fnID, blocks := range blocksByFn {
-		g := region.BuildTransCFG(blocks, idsByFn[fnID], j.Counters)
+		g := region.BuildTransCFG(blocks, profIDs(blocks), j.Counters)
 		regions := region.FormRegions(g, region.DefaultFormConfig)
 		rcfg := region.DefaultRelaxConfig
 		rcfg.Enabled = j.Cfg.EnableGuardRelax
@@ -442,16 +458,7 @@ func (j *JIT) OptimizeAll() {
 				ok = false // cache full: this function keeps its profiling code
 				continue
 			}
-			code.Chainable = j.Cfg.EnableChaining
-			entry := desc.Entry()
-			tr := &Translation{
-				FuncID: fr.fnID, PC: entry.Start, Kind: ModeRegion,
-				Preconds: entry.Preconds, EntryDepth: entry.EntryStackDepth,
-				Code: code, ProfID: -1, Desc: desc,
-			}
-			newTrans = append(newTrans, tr)
-			atomic.AddUint64(&j.stats.OptimizedTranslations, 1)
-			atomic.AddUint64(&j.stats.BytesOptimized, code.Size)
+			newTrans = append(newTrans, j.newTranslation(desc, ModeRegion, code))
 		}
 		published[fr.fnID] = ok
 	}
@@ -511,18 +518,7 @@ func (j *JIT) OptimizeAll() {
 	j.optimized.Store(true)
 	j.mu.Unlock()
 
-	// Treadmill sweep: walk the surviving code and physically clear
-	// every stale-epoch link so old *Translation targets become
-	// collectable and machines stop paying the stale-check fee.
-	swept := 0
-	for _, chain := range idx {
-		for _, tr := range chain {
-			swept += tr.Code.SweepLinks(epoch)
-		}
-	}
-	if swept > 0 {
-		j.Chain.LinksSwept.Add(uint64(swept))
-	}
+	j.sweepLinks(idx, epoch)
 
 	if partial > 0 {
 		atomic.AddUint64(&j.stats.PartialPublishFuncs, partial)
@@ -566,10 +562,9 @@ func cloneBlocks(blocks []*region.Block) []*region.Block {
 func (j *JIT) regionForInline(f *hhbc.Func, argTypes []types.Type) *region.Desc {
 	j.mu.Lock()
 	blocks := cloneBlocks(j.profBlocks[f.ID])
-	ids := append([]profile.TransID(nil), j.profIDs[f.ID]...)
 	j.mu.Unlock()
 	if len(blocks) > 0 {
-		g := region.BuildTransCFG(blocks, ids, j.Counters)
+		g := region.BuildTransCFG(blocks, profIDs(blocks), j.Counters)
 		regions := region.FormRegions(g, region.FormRegionsConfig{MaxBCInstrs: 200})
 		for _, d := range regions {
 			if d.Entry().Start == 0 {

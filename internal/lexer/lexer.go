@@ -55,9 +55,6 @@ var keywords = map[string]bool{
 	"unset": true, "isset": true, "and": true, "or": true, "xor": true,
 }
 
-// IsKeyword reports whether s is a reserved word.
-func IsKeyword(s string) bool { return keywords[strings.ToLower(s)] }
-
 // Lexer scans source text into tokens.
 type Lexer struct {
 	src  string

@@ -191,11 +191,11 @@ type Machine struct {
 	CallGuest CallGuestFn
 
 	// Fallback, installed by the VM, scans the published retranslation
-	// cluster at (fnID, pc) for a chainable translation matching fr —
+	// cluster at (fr.Fn, fr.PC) for a chainable translation matching fr —
 	// the in-cache guard cascade taken when a smashed link's guards
 	// miss. It must NOT mint translations or touch the dispatcher's
 	// single-flight path. Nil when chaining is unavailable.
-	Fallback func(fnID, pc int, fr *interp.Frame) ChainTarget
+	Fallback func(fr *interp.Frame) ChainTarget
 
 	// FI, when non-nil, injects translation-entry panics
 	// (faultinject.TransPanic) so the containment path is exercised
@@ -208,7 +208,7 @@ type Machine struct {
 	Epoch *atomic.Uint64
 	// FreezeLinks stops this machine from writing smash-site slots
 	// (IC installs, stale-link repairs): sentry replay machines observe
-	// shared code state without perturbing it (DESIGN.md §15).
+	// shared code state without perturbing it (vm.NewReplay).
 	FreezeLinks bool
 	// Chain is the JIT-shared chaining statistics sink.
 	Chain *ChainStats
@@ -835,7 +835,7 @@ func (m *Machine) chainFrom(code *mcode.Code, ip int, act *activation, out *Outc
 				// through the published retranslation cluster (guards
 				// chained in the code cache) before bouncing to the
 				// dispatcher. Fallback only returns chainable matches.
-				target = m.Fallback(fr.Fn.ID, fr.PC, fr)
+				target = m.Fallback(fr)
 			}
 			if target != nil {
 				nc := target.ChainCode()

@@ -91,12 +91,7 @@ func NewEngine(cfg jit.Config) (*core.Engine, []workload.Endpoint, error) {
 // RunEndpoint executes one request against an endpoint, returning its
 // cycle cost and output.
 func RunEndpoint(eng *core.Engine, name string) (uint64, string, error) {
-	var out strings.Builder
-	eng.VM.SetOut(&out)
-	before := eng.Cycles()
-	v, err := eng.Call(workload.EndpointFunc(name))
-	eng.Heap().DecRef(v)
-	return eng.Cycles() - before, out.String(), err
+	return RunEndpointVM(eng.VM, name)
 }
 
 // RunEndpointVM executes one request against an endpoint on a
@@ -206,30 +201,6 @@ func meanCI(xs []float64) (float64, float64) {
 	}
 	sd := math.Sqrt(ss / float64(len(xs)-1))
 	return mean, 1.96 * sd / math.Sqrt(float64(len(xs)))
-}
-
-// Comparison reports B's performance relative to A.
-type Comparison struct {
-	A, B *Result
-	// SlowdownPct is how much slower B is than A, in percent.
-	SlowdownPct float64
-}
-
-// CompareConfigs measures both sides.
-func CompareConfigs(a, b jit.Config, pc Config) (*Comparison, error) {
-	ra, err := Measure(a, pc)
-	if err != nil {
-		return nil, err
-	}
-	rb, err := Measure(b, pc)
-	if err != nil {
-		return nil, err
-	}
-	c := &Comparison{A: ra, B: rb}
-	if ra.WeightedMean > 0 {
-		c.SlowdownPct = (rb.WeightedMean/ra.WeightedMean - 1) * 100
-	}
-	return c, nil
 }
 
 // Report renders a result table.

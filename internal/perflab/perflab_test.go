@@ -42,16 +42,20 @@ func TestMeasureProducesWeightedMean(t *testing.T) {
 	}
 }
 
-func TestCompareConfigs(t *testing.T) {
-	a := jit.DefaultConfig()
-	b := jit.DefaultConfig()
-	b.Mode = jit.ModeInterp
-	c, err := perflab.CompareConfigs(a, b, perflab.Config{WarmupRequests: 12, MeasureRequests: 3})
+func TestInterpreterSlowerThanRegion(t *testing.T) {
+	pc := perflab.Config{WarmupRequests: 12, MeasureRequests: 3}
+	region, err := perflab.Measure(jit.DefaultConfig(), pc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.SlowdownPct < 100 {
-		t.Errorf("interpreter only %.1f%% slower than region JIT", c.SlowdownPct)
+	cfg := jit.DefaultConfig()
+	cfg.Mode = jit.ModeInterp
+	interp, err := perflab.Measure(cfg, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slowdown := (interp.WeightedMean/region.WeightedMean - 1) * 100; slowdown < 100 {
+		t.Errorf("interpreter only %.1f%% slower than region JIT", slowdown)
 	}
 }
 

@@ -156,15 +156,6 @@ func ToStr(h *Heap, v Value) Value {
 	return NewStr(v.ToString())
 }
 
-// ConcatMany concatenates n values (used by interpolation lowering).
-func ConcatMany(vals []Value) Value {
-	var sb strings.Builder
-	for _, v := range vals {
-		sb.WriteString(v.ToString())
-	}
-	return NewStr(sb.String())
-}
-
 // Cmp returns -1, 0, or 1 with PHP's loose comparison semantics
 // (numeric strings compare numerically, etc. — simplified).
 func Cmp(a, b Value) int {

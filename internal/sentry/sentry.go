@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/jit"
-	"repro/internal/machine"
 	"repro/internal/mcode"
 	"repro/internal/types"
 	"repro/internal/vm"
@@ -115,7 +114,7 @@ type Monitor struct {
 
 	// shadow is a private interpreter-only VM over the same unit: the
 	// semantic reference. replay executes published translations
-	// without mutating shared link state (see newReplayVM). Both are
+	// without mutating shared state (see vm.NewReplay). Both are
 	// owned by the comparator goroutine after Start.
 	shadow     *vm.VM
 	shadowBuf  strings.Builder
@@ -202,7 +201,7 @@ func New(cfg Config, j *jit.JIT) (*Monitor, error) {
 	m.shadow = shadow
 	m.shadow.SetOut(&m.shadowBuf)
 	m.shadowMemo = map[string]shadowRef{}
-	m.replay = newReplayVM(j, m)
+	m.replay = vm.NewReplay(j, func(tr *jit.Translation) bool { return m.replayDeny[tr] })
 	m.replay.SetOut(&m.replayBuf)
 
 	j.SetVerifyHooks(m.record, m.forget)
@@ -214,35 +213,6 @@ func New(cfg Config, j *jit.JIT) (*Monitor, error) {
 	m.wg.Add(1)
 	go m.comparatorLoop()
 	return m, nil
-}
-
-// newReplayVM builds a worker VM that executes published translations
-// deterministically without perturbing shared state: a non-nil
-// DenyTrans switches the dispatcher to published-only lookups (no
-// minting, no smashing, no fault recording, no entry counting or
-// profile arcs — the comparator must never trigger or steer a
-// compile), a private link epoch of
-// ^0 makes every smashed link read as stale so chained transfers and
-// inline caches always bounce back through the deny-aware dispatcher,
-// FreezeLinks suppresses link repairs and IC installs, the fault
-// injector is detached so replays never consume shared draws, and
-// chain/shape counters drain into private sinks.
-func newReplayVM(j *jit.JIT, m *Monitor) *vm.VM {
-	v := vm.NewWorker(j, io.Discard)
-	v.DenyTrans = func(tr *jit.Translation) bool { return m.replayDeny[tr] }
-	epoch := &atomic.Uint64{}
-	epoch.Store(^uint64(0))
-	v.Machine.Epoch = epoch
-	v.Machine.Fallback = nil
-	v.Machine.FI = nil
-	v.Machine.FreezeLinks = true
-	v.Machine.Chain = &machine.ChainStats{}
-	v.Machine.Shapes = &machine.ShapeStats{}
-	// Detach the shared profile-counter slab: replaying a profiling
-	// translation must not bump the counters/arcs region selection
-	// reads, or replays would perturb which optimized code gets built.
-	v.Machine.Counters = nil
-	return v
 }
 
 // record is the publish hook: checksum the new translation's code.

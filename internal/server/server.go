@@ -61,12 +61,12 @@ type Config struct {
 	// Seed for request-mix sampling.
 	Seed int64
 	// Workers is the number of concurrent request workers (simulated
-	// cores). 0 or 1 serves single-threaded — the exact legacy
-	// timeline. With N > 1, N worker VMs share one JIT: each worker
-	// gets a full per-minute cycle budget and its own request stream,
-	// the global retranslation runs on a background compiler
-	// goroutine, and RPSPct is reported against N× the single-core
-	// steady-state throughput.
+	// cores); 0 reads as 1. N worker VMs share one JIT: each worker
+	// gets a full per-minute cycle budget and its own seeded request
+	// stream, and RPSPct is reported against N× the single-core
+	// steady-state throughput. With N > 1 the global retranslation runs
+	// on a background compiler goroutine; a single worker compiles
+	// inline, so its timeline is deterministic.
 	Workers int
 	// Jumpstart, when set, warm-starts the restarted server from a
 	// persisted profile snapshot before it serves its first request:
@@ -278,47 +278,33 @@ func Simulate(cfg Config) (*Result, error) {
 			return budget
 		}
 		served := 0
-		if workers == 1 {
-			budget := budgetFor(0)
-			start := eng.Cycles()
-			for float64(served) < demand && eng.Cycles()-start < budget {
-				ep := pick(rngs[0])
-				_, out, err := perflab.RunEndpoint(eng, ep.Name)
-				if err != nil {
-					return nil, err
-				}
-				mon.Observe(ep.Name, out)
-				served++
-			}
-		} else {
-			perWorker := make([]int, workers)
-			errs := make([]error, workers)
-			var wg sync.WaitGroup
-			for i := 0; i < workers; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					v, budget := ws[i], budgetFor(i)
-					start := v.Meter.Cycles
-					for float64(perWorker[i]) < demand && v.Meter.Cycles-start < budget {
-						ep := pick(rngs[i])
-						_, out, err := perflab.RunEndpointVM(v, ep.Name)
-						if err != nil {
-							errs[i] = err
-							return
-						}
-						mon.Observe(ep.Name, out)
-						perWorker[i]++
+		perWorker := make([]int, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				v, budget := ws[i], budgetFor(i)
+				start := v.Meter.Cycles
+				for float64(perWorker[i]) < demand && v.Meter.Cycles-start < budget {
+					ep := pick(rngs[i])
+					_, out, err := perflab.RunEndpointVM(v, ep.Name)
+					if err != nil {
+						errs[i] = err
+						return
 					}
-				}(i)
-			}
-			wg.Wait()
-			for i := range errs {
-				if errs[i] != nil {
-					return nil, errs[i]
+					mon.Observe(ep.Name, out)
+					perWorker[i]++
 				}
-				served += perWorker[i]
+			}(i)
+		}
+		wg.Wait()
+		for i := range errs {
+			if errs[i] != nil {
+				return nil, errs[i]
 			}
+			served += perWorker[i]
 		}
 		// End-of-minute verification pass: audit one low-priority chunk
 		// of the code cache, then drain pending shadow comparisons so

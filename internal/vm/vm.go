@@ -7,6 +7,7 @@ package vm
 
 import (
 	"io"
+	"sync/atomic"
 
 	"repro/internal/hhbc"
 	"repro/internal/interp"
@@ -27,15 +28,10 @@ type VM struct {
 	Heap    *runtime.Heap
 	Machine *machine.Machine
 
-	// DenyTrans, when set, puts the VM in the sentry's replay mode
-	// (DESIGN.md §15): dispatch consults only published translations
-	// (FindPublished — no minting, no quarantine churn) and any
-	// translation the predicate rejects runs in the interpreter
-	// instead. The bisector replays a diverged request with successive
-	// disable masks to pin the culprit translation. Replay VMs must
-	// also be decoupled from shared link state (private Machine.Epoch,
-	// nil Fallback, nil Machine.FI) — see sentry.Monitor.
-	DenyTrans func(*jit.Translation) bool
+	// deny is set only in a replay VM (NewReplay), whose dispatch
+	// observes the shared JIT without ever changing it; next applies
+	// the rule.
+	deny func(*jit.Translation) bool
 
 	depth int
 }
@@ -70,6 +66,43 @@ func NewWorker(j *jit.JIT, out io.Writer) *VM {
 	return v
 }
 
+// NewReplay creates a replay VM over j (DESIGN.md §9): a worker that
+// executes the published translations deterministically and perturbs
+// no shared state, so the sentry can compare a request against the
+// interpreter and bisect a divergence with successive deny masks.
+// Dispatch consults published translations only (no minting, no
+// quarantine churn, no entry counting — a replay must never trigger or
+// steer a compile), and a translation deny rejects runs in the
+// interpreter instead; deny must be non-nil. The machine is isolated to
+// match: a private link epoch of ^0 makes every smashed link read as
+// stale, so chained transfers and inline caches always bounce back
+// through the deny-aware dispatcher; frozen links suppress link repairs
+// and IC installs; the fault injector is detached so replays never
+// consume shared draws; the profile-counter slab is detached so
+// replaying a profiling translation cannot move the counts region
+// selection reads; and chain/shape counters drain into private sinks.
+func NewReplay(j *jit.JIT, deny func(*jit.Translation) bool) *VM {
+	v := NewWorker(j, io.Discard)
+	v.deny = deny
+	m := v.Machine
+	m.Epoch = &atomic.Uint64{}
+	m.Epoch.Store(^uint64(0))
+	m.Fallback = nil
+	m.FreezeLinks = true
+	m.FI = nil
+	m.Counters = nil
+	m.Chain = &machine.ChainStats{}
+	m.Shapes = &machine.ShapeStats{}
+	// OSR only into an already-published, non-denied translation — never
+	// bounce out to mint one, and never livelock on a match the mask
+	// forbids running.
+	v.Env.OSRCheck = func(fr *interp.Frame) bool {
+		tr := j.Match(fr, nil, false)
+		return tr != nil && !deny(tr)
+	}
+	return v
+}
+
 // wire builds the per-VM machine and hooks the dispatcher into the
 // interpreter.
 func (v *VM) wire() {
@@ -79,22 +112,15 @@ func (v *VM) wire() {
 	v.Machine.Chain = &v.JIT.Chain
 	v.Machine.Shapes = &v.JIT.Shapes
 	v.Machine.FI = v.JIT.Cfg.Faults
-	v.Machine.Fallback = func(fnID, pc int, fr *interp.Frame) machine.ChainTarget {
-		if tr := v.JIT.ChainFallback(fnID, pc, fr, v.Meter); tr != nil {
+	v.Machine.Fallback = func(fr *interp.Frame) machine.ChainTarget {
+		if tr := v.JIT.Match(fr, v.Meter, true); tr != nil {
 			return tr
 		}
 		return nil
 	}
 	v.Env.Call = v.CallFunc
 	v.Env.OSRCheck = func(fr *interp.Frame) bool {
-		if v.DenyTrans != nil {
-			// Replay mode: OSR only into an already-published, non-denied
-			// translation — never bounce out to mint one, and never
-			// livelock on a match the mask forbids running.
-			tr := v.JIT.FindPublished(fr.Fn, fr, v.Meter)
-			return tr != nil && !v.DenyTrans(tr)
-		}
-		return v.JIT.HasMatch(fr.Fn, fr) || v.JIT.WantsTranslation(fr.Fn, fr)
+		return v.JIT.Match(fr, nil, false) != nil || v.JIT.WantsTranslation(fr.Fn, fr)
 	}
 }
 
@@ -127,37 +153,11 @@ func (v *VM) call(f *hhbc.Func, this *runtime.Object, args []runtime.Value,
 		return runtime.Null(), nil, err
 	}
 	v.depth = depth + 1
-
-	// Replay VMs never feed the retranslation trigger: a sentry
-	// replay must observe the published code, not advance the entry
-	// count or fire OptimizeAll from the comparator goroutine.
-	if v.DenyTrans == nil {
-		v.JIT.OnEntry()
-	}
 	// The frame is this call's alone: taken from the env's free list
 	// here and handed back below, once runFrame has released it.
 	// Nothing may keep the pointer past that.
 	fr := v.Env.TakeFrame(f, this, args)
-	// A bound call site skips the dispatcher Lookup entirely when the
-	// callee prologue translation still matches the fresh frame. On a
-	// guard miss the in-cache retranslation cluster is cascaded before
-	// falling back to the dispatcher.
-	var tr0 *jit.Translation
-	if t, ok := hint.(*jit.Translation); ok {
-		if t.FuncID == f.ID && t.PC == fr.PC && t.Matches(fr) {
-			tr0 = t
-		} else {
-			v.Machine.Chain.ChainMismatches.Add(1)
-			tr0 = v.JIT.ChainFallback(f.ID, fr.PC, fr, v.Meter)
-		}
-		if tr0 != nil {
-			v.Machine.Chain.ChainedCalls.Add(1)
-		}
-	}
-	if v.DenyTrans != nil && tr0 != nil && v.DenyTrans(tr0) {
-		tr0 = nil
-	}
-	val, first, err := v.runFrame(fr, nil, tr0)
+	val, first, err := v.runFrame(fr, hint)
 	v.Env.PutFrame(fr)
 	// Restored, not decremented: a panic in a nested call that an
 	// enclosing translation contained (machine.Faulted) skipped the
@@ -166,81 +166,124 @@ func (v *VM) call(f *hhbc.Func, this *runtime.Object, args []runtime.Value,
 	return val, first, err
 }
 
-// runFrame drives one activation to completion, alternating between
-// JITed code and the interpreter. tr0, when non-nil, is a pre-matched
-// translation entered without a Lookup (a smashed call link). The
-// second return value is the translation the frame entered first, nil
-// if the first stretch ran in the interpreter — callers use it to bind
-// call sites.
-func (v *VM) runFrame(fr *interp.Frame, lastProf, tr0 *jit.Translation) (runtime.Value, machine.ChainTarget, error) {
-	// skipJIT forces one interpreter stretch after a translation
-	// exits without making progress (e.g. its first instruction side
-	// exits), preventing a dispatch livelock.
-	skipJIT := false
-	var first machine.ChainTarget
-	firstIter := true
-	// Pending smash site: the BindJmp the previous translation exited
-	// through. Whatever translation the dispatcher picks next for this
-	// pc gets smashed into it.
-	var bindCode *mcode.Code
-	var bindInstr int
-	for {
-		var tr *jit.Translation
-		if tr0 != nil {
-			tr, tr0 = tr0, nil
-		} else if !skipJIT {
-			if v.DenyTrans != nil {
-				// Replay mode: published translations only, minus the
-				// disable mask. A denied match interprets — the
-				// interpreter is the semantic anchor the mask is being
-				// bisected against.
-				if tr = v.JIT.FindPublished(fr.Fn, fr, v.Meter); tr != nil && v.DenyTrans(tr) {
-					tr = nil
-				}
-			} else {
-				tr = v.JIT.Lookup(fr.Fn, fr, v.Meter)
+// exit records how the previous stretch of an activation ended: what
+// the next dispatcher decision is made from.
+type exit struct {
+	why exitReason
+	// hint is the calling site's smashed callee link (why == entered).
+	hint machine.ChainTarget
+	// bindCode/bindInstr is the smash site the machine exited through:
+	// whatever translation the dispatcher picks next for this pc gets
+	// smashed into it.
+	bindCode  *mcode.Code
+	bindInstr int
+	// prof is the profiling translation the activation ran last, the
+	// source of the TransCFG arc to the next pick.
+	prof *jit.Translation
+}
+
+type exitReason uint8
+
+const (
+	// resumed: a translation exited having made progress, or an
+	// interpreter stretch stopped at an OSR point.
+	resumed exitReason = iota
+	// entered: the activation has not run yet.
+	entered
+	// stuck: a translation exited where it started (e.g. its first
+	// instruction side exits); one forced interpreter stretch prevents
+	// a dispatch livelock.
+	stuck
+	// faulted: the machine contained a translation fault and rewound
+	// the frame to the translation's entry (DESIGN.md §11); the region
+	// re-executes in the interpreter.
+	faulted
+)
+
+// next is the VM's one dispatcher decision: the translation that runs
+// now at fr.PC, nil for an interpreter stretch. It also tells the JIT
+// everything the decision teaches it: the function entry (which may
+// fire retranslation), a contained fault (repeat offenders are demoted
+// and unpublished), the smashed exit site, the profiling arc.
+//
+// A replay VM observes and never teaches, and this is the one place
+// that says so: it runs whatever published translation matches and the
+// mask allows — a denied match interprets, the interpreter being the
+// semantic anchor the mask is bisected against — and counts no entry,
+// smashes no link, records no arc and charges no fault to the address.
+func (v *VM) next(fr *interp.Frame, how *exit) *jit.Translation {
+	if v.deny != nil {
+		if how.why == stuck || how.why == faulted {
+			return nil
+		}
+		tr := v.JIT.Match(fr, v.Meter, false)
+		if tr != nil && v.deny(tr) {
+			return nil
+		}
+		return tr
+	}
+	switch how.why {
+	case entered:
+		v.JIT.OnEntry(v.Meter)
+		// A bound call site skips the dispatcher Lookup entirely when the
+		// callee prologue translation still matches the fresh frame. On a
+		// guard miss the in-cache retranslation cluster is cascaded before
+		// falling back to the dispatcher.
+		if t, ok := how.hint.(*jit.Translation); ok {
+			if t.FuncID != fr.Fn.ID || t.PC != fr.PC || !t.Matches(fr) {
+				v.Machine.Chain.ChainMismatches.Add(1)
+				t = v.JIT.Match(fr, v.Meter, true)
+			}
+			if t != nil {
+				v.Machine.Chain.ChainedCalls.Add(1)
+				return t
 			}
 		}
-		skipJIT = false
+	case faulted:
+		v.JIT.RecordFault(fr.Fn.ID, fr.PC)
+		return nil
+	case stuck:
+		return nil
+	}
+	tr := v.JIT.Lookup(fr.Fn, fr, v.Meter)
+	if tr != nil {
+		if how.bindCode != nil {
+			// The next transfer through the exit site chains directly.
+			v.JIT.Smash(how.bindCode, how.bindInstr, tr)
+		}
+		v.JIT.RecordArc(how.prof, tr)
+	}
+	return tr
+}
+
+// runFrame drives one activation to completion, alternating between
+// JITed code and the interpreter as next decides. The second return
+// value is the translation the frame entered first, nil if the first
+// stretch ran in the interpreter — callers use it to bind call sites.
+func (v *VM) runFrame(fr *interp.Frame, hint machine.ChainTarget) (runtime.Value, machine.ChainTarget, error) {
+	var first machine.ChainTarget
+	how := exit{why: entered, hint: hint}
+	for {
+		tr := v.next(fr, &how)
 		if tr == nil {
-			bindCode = nil
 			// Interpret until return, uncaught error, or an OSR point
 			// with a usable translation.
-			firstIter = false
+			how = exit{}
 			before := v.Meter.Cycles
 			val, err := v.Env.Run(fr)
 			v.JIT.NoteInterpRun(v.Meter.Cycles - before)
 			if err == interp.ErrOSR {
-				lastProf = nil
 				continue
 			}
 			return val, first, err
 		}
-		if firstIter {
+		if how.why == entered {
 			first = tr
-			firstIter = false
 		}
-		if bindCode != nil {
-			// Smash the exit site of the previous translation with the
-			// dispatcher's pick: the next transfer chains directly.
-			// Replay VMs never smash — a replay must observe shared code
-			// state, not perturb it.
-			if v.DenyTrans == nil {
-				v.JIT.Smash(bindCode, bindInstr, tr)
-			}
-			bindCode = nil
-		}
-		if lastProf != nil && v.DenyTrans == nil {
-			v.JIT.RecordArc(lastProf, tr)
-		}
-		if tr.Kind == jit.ModeProfiling {
-			lastProf = tr
-		} else {
-			lastProf = nil
-		}
-
+		how = exit{}
 		before := v.Meter.Cycles
 		if tr.Kind == jit.ModeProfiling {
+			how.prof = tr
 			// Profiling translations are unchained: every entry goes
 			// through the translation-service path.
 			v.Meter.Charge(profilingReentryCost)
@@ -250,11 +293,11 @@ func (v *VM) runFrame(fr *interp.Frame, lastProf, tr0 *jit.Translation) (runtime
 		switch out.Kind {
 		case machine.SideExit:
 			v.JIT.NoteSideExit()
-			bindCode, bindInstr = out.BindCode, out.BindInstr
+			how.bindCode, how.bindInstr = out.BindCode, out.BindInstr
 		case machine.BindRequest:
 			v.JIT.NoteBindRequest()
 			v.Meter.Charge(bindDispatchCost)
-			bindCode, bindInstr = out.BindCode, out.BindInstr
+			how.bindCode, how.bindInstr = out.BindCode, out.BindInstr
 		}
 		switch out.Kind {
 		case machine.Returned:
@@ -265,7 +308,7 @@ func (v *VM) runFrame(fr *interp.Frame, lastProf, tr0 *jit.Translation) (runtime
 			// no-progress check still catches a translation that exits
 			// where it started.
 			if out.Inline == nil && out.BCOff == out.EntryPC {
-				skipJIT = true
+				how.why = stuck
 			}
 			if out.Inline != nil {
 				val, err := v.resumeInlineChain(out.Inline, 0)
@@ -301,22 +344,8 @@ func (v *VM) runFrame(fr *interp.Frame, lastProf, tr0 *jit.Translation) (runtime
 			}
 			continue
 		case machine.Faulted:
-			// Contained translation fault (DESIGN.md §11): the machine
-			// caught a panic or internal error and rewound the frame to
-			// the translation's entry. Record it (repeat offenders are
-			// demoted and unpublished), then re-execute the region in the
-			// interpreter so the request completes with identical
-			// semantics. One forced interpreter stretch avoids bouncing
-			// straight back into the same translation. Replays observe,
-			// never adjudicate: a fault during a sentry replay is not
-			// charged against the address.
-			if v.DenyTrans == nil {
-				v.JIT.RecordFault(fr.Fn.ID, out.BCOff)
-			}
 			fr.PC = out.BCOff
-			skipJIT = true
-			lastProf = nil
-			bindCode = nil
+			how = exit{why: faulted}
 			continue
 		}
 	}
