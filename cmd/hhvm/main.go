@@ -31,6 +31,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/hhbc"
+	"repro/internal/hhir"
 	"repro/internal/jit"
 	"repro/internal/jumpstart"
 	"repro/internal/sentry"
@@ -157,13 +158,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "code bytes:   %d live, %d profiling, %d optimized\n",
 			st.BytesLive, st.BytesProfiling, st.BytesOptimized)
 		var alloc vasm.AllocStats
+		var guards hhir.BuildStats
 		elided := 0
 		eng.VM.JIT.ForEachTranslation(func(tr *jit.Translation) {
 			if tr.Kind == jit.ModeRegion {
 				alloc.Add(tr.Code.Alloc)
+				guards.Add(tr.Code.Guards)
 				elided += tr.Code.ElidedJumps
 			}
 		})
+		fmt.Fprintf(os.Stderr, "guards:       %s (optimized code)\n", guards)
 		fmt.Fprintf(os.Stderr, "regalloc:     %s; %d fallthrough jumps elided (optimized code)\n", alloc, elided)
 		fmt.Fprintf(os.Stderr, "guard fails:  %d; side exits: %d; binds: %d\n",
 			st.GuardFails, st.SideExits, st.BindRequests)

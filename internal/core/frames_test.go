@@ -378,3 +378,58 @@ func TestSiteRequestAllocationBudget(t *testing.T) {
 		t.Errorf("a warmed site request performs %.1f Go allocations, budget %d", perReq, budget)
 	}
 }
+
+// TestResmashedCallSiteAllocatesNoLinks: a direct call site whose
+// argument alternates between two types re-smashes on every call (the
+// callee's prologue translations take turns), and each re-smash stores
+// the target translation's shared link instead of allocating one.
+func TestResmashedCallSiteAllocatesNoLinks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	unit, err := core.Compile(`
+function poly($x) { return $x + 1; }
+function drive($n) {
+  $vals = [1, 1.5];
+  $c = 0;
+  for ($i = 0; $i < $n; $i++) { poly($vals[$i % 2]); $c++; }
+  return $c;
+}
+`, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive, _ := unit.FuncByName("drive")
+	cfg := jit.DefaultConfig()
+	cfg.ProfileTrigger = 60
+	cfg.EnableInlining = false // keep the call a call
+	eng, err := core.NewEngine(unit, cfg, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 1000
+	args := make([]runtime.Value, 1)
+	run := func() {
+		args[0] = runtime.Int(calls)
+		v, err := eng.VM.CallFunc(drive, nil, args)
+		if err != nil || v.AsInt() != calls {
+			t.Fatalf("drive(%d) = %s, %v", calls, v.DebugString(), err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		run()
+	}
+	if !eng.VM.JIT.Optimized() {
+		t.Fatal("never reached the optimized tier")
+	}
+	before := eng.Stats().BindsSmashed
+	allocs := testing.AllocsPerRun(5, run)
+	smashes := float64(eng.Stats().BindsSmashed-before) / 6 // AllocsPerRun warms up once
+	t.Logf("%d calls: %.0f re-smashes, %.0f Go allocations", calls, smashes, allocs)
+	if smashes < calls/2 {
+		t.Fatalf("the call site re-smashed only %.0f times in %d calls; the test no longer alternates", smashes, calls)
+	}
+	if allocs > 20 {
+		t.Errorf("%d alternating calls perform %.0f Go allocations (%.0f re-smashes), want O(1)", calls, allocs, smashes)
+	}
+}

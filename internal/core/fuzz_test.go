@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hhir"
 	"repro/internal/jit"
 )
 
@@ -136,6 +137,37 @@ func (g *progGen) stmt(depth int) {
 	}
 }
 
+// flow emits a function built to stress the type flow across region
+// blocks (DESIGN.md §6) and a call that runs it hot: nested loops, an
+// accumulator whose type changes mid-loop under a data-dependent if
+// (the back-edge then breaks what the loop header assumed of it), and
+// an if/else whose arms leave one local at different types for the
+// code after the join. It is emitted after the statements and draws
+// its random numbers last, so the programs of the other productions
+// are what they were.
+func (g *progGen) flow() {
+	id := g.fns
+	g.fns++
+	retyped := []string{"0.5", "\"2\"", "$i", "1.5 * $j", "strlen(strval($acc))"}[g.r.Intn(5)]
+	armA := []string{"$i", "\"a\" . $i", "2.5", "[$i]"}[g.r.Intn(4)]
+	armB := []string{"$acc", "\"b\"", "$i * 0.5", "null"}[g.r.Intn(4)]
+	fmt.Fprintf(&g.sb, `
+function flow%[1]d($n) {
+  $acc = 0;
+  $t = 1;
+  for ($i = 0; $i < $n; $i++) {
+    for ($j = 0; $j < 3; $j++) {
+      if (($i + $j) %% %[2]d == %[3]d) { $acc = $acc + %[4]s; } else { $acc = $acc + $j; }
+    }
+    if ($i %% %[5]d == 0) { $t = %[6]s; } else { $t = %[7]s; }
+    $acc = $acc + (is_array($t) ? count($t) : strlen(strval($t)));
+  }
+  return strval($acc) . ":" . (is_array($t) ? "arr" : strval($t));
+}
+echo flow%[1]d(%[8]d), ";";
+`, id, 2+g.r.Intn(4), g.r.Intn(2), retyped, 2+g.r.Intn(3), armA, armB, 6+g.r.Intn(10))
+}
+
 func (g *progGen) generate() string {
 	// A helper function (polymorphic: int and double call sites).
 	g.sb.WriteString(`
@@ -154,6 +186,7 @@ function hinted(int $n) { return $n + 1; }
 	for _, v := range g.vars {
 		fmt.Fprintf(&g.sb, "echo strval($%s), \";\";\n", v)
 	}
+	g.flow()
 	return g.sb.String()
 }
 
@@ -162,6 +195,7 @@ func TestDifferentialFuzz(t *testing.T) {
 	if testing.Short() {
 		seeds = 10
 	}
+	var guards hhir.BuildStats // over every optimized translation of every seed
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		src := newProgGen(seed).generate()
 		unit, err := core.Compile(src, core.CompileOptions{})
@@ -185,6 +219,7 @@ func TestDifferentialFuzz(t *testing.T) {
 				}
 				all.WriteString("|")
 			}
+			guards.Add(regionGuards(eng))
 			return all.String()
 		}
 
@@ -195,5 +230,9 @@ func TestDifferentialFuzz(t *testing.T) {
 					seed, mode, got, want, src)
 			}
 		}
+	}
+	t.Logf("optimized translations over %d seeds: guards %s", seeds, guards)
+	if guards.GuardsProven == 0 || guards.Rebuilds == 0 {
+		t.Errorf("the programs never exercised the type flow's proving and rebuilding: %+v", guards)
 	}
 }

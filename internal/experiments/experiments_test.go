@@ -144,7 +144,13 @@ func TestFig10Directions(t *testing.T) {
 // TestShapesAcceptance runs the shapes ablation at quick volume and
 // holds it to the acceptance gate: >=5x fewer generic property-helper
 // calls per request, improved guest cycles, guard-only monomorphic
-// access, and bit-identical outputs across the toggle.
+// access, and bit-identical outputs across the toggle. Per endpoint the
+// toggle must not cost cycles; it need not win any: a megamorphic site
+// declines to speculate by design (DESIGN.md §14) and runs the same
+// generic helper either way, so shape_mega ties exactly. (It used to
+// show a few percent only because the receiver-class guard was widened
+// with shapes on; the region-wide type flow now proves that guard in
+// both configurations.)
 func TestShapesAcceptance(t *testing.T) {
 	res, err := experiments.Shapes(experiments.Quick)
 	if err != nil {
@@ -155,7 +161,7 @@ func TestShapesAcceptance(t *testing.T) {
 		t.Error(err)
 	}
 	for _, row := range res.Rows {
-		if row.Speedup <= 1.0 {
+		if row.Speedup < 1.0 {
 			t.Errorf("endpoint %s regressed with shapes on: %.3fx", row.Endpoint, row.Speedup)
 		}
 	}

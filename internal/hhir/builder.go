@@ -56,19 +56,26 @@ type builder struct {
 	rc regionCtx
 
 	// per-block lowering state
-	cur        *Block
-	stack      []*SSATmp
-	localTypes map[int]types.Type
-	iterKinds  map[int64]types.ArrayKind
+	cur   *Block
+	stack []*SSATmp
+	// localTypes[slot] is the known type of a frame slot at the current
+	// point, Bottom when nothing is known. It spans the extended frame:
+	// fn's locals, then each inlined callee's, so its length is the
+	// next free extended-frame slot.
+	localTypes []types.Type
 
 	// inline context stack (innermost last; nil entries impossible).
 	inlines []*inlineState
-	// extraSlots allocates extended-frame local slots for inlined
-	// callees, starting at fn.NumLocals.
-	extraSlots int
 
 	// current bytecode pc (for exits)
 	bcPC int
+
+	// Type flow across region blocks (flow.go). violated collects the
+	// assumptions this attempt's late edges broke; denied accumulates
+	// them over attempts, and flowOff ends the assuming altogether.
+	violated, denied []flowFact
+	flowOff          bool
+	stats            BuildStats
 }
 
 // regionCtx is the lowering context for one region (caller's or an
@@ -81,10 +88,26 @@ type regionCtx struct {
 	chainNext []int
 	// entryOf maps bytecode pc -> head region-block index.
 	entryOf map[int]int
+
+	// Type flow (flow.go). The context's function owns frame slots
+	// [base, base+nslots). in[ri*nslots+s] is the union, over the edges
+	// into block ri seen so far, of the type of slot base+s (Bottom: no
+	// fact, because some edge had none); once state[ri] is flowLowered
+	// it is what the block was lowered under, and later edges are
+	// checked against it. The stack half of an edge accumulates in the
+	// types of hblocks[ri].Params the same way.
+	base, nslots int
+	in           []types.Type
+	state        []uint8
 }
 
-func newRegionCtx(out *Unit, desc *region.Desc) regionCtx {
-	rc := regionCtx{desc: desc, entryOf: map[int]int{}}
+// newRegionCtx creates the HHIR blocks of desc, whose function's
+// locals start at frame slot base.
+func newRegionCtx(out *Unit, desc *region.Desc, base int) regionCtx {
+	rc := regionCtx{desc: desc, entryOf: map[int]int{},
+		base: base, nslots: desc.Entry().Func.NumLocals}
+	rc.in = make([]types.Type, len(desc.Blocks)*rc.nslots)
+	rc.state = make([]uint8, len(desc.Blocks))
 	rc.hblocks = make([]*Block, len(desc.Blocks))
 	rc.chainNext = make([]int, len(desc.Blocks))
 	for i := range rc.chainNext {
@@ -100,7 +123,7 @@ func newRegionCtx(out *Unit, desc *region.Desc) regionCtx {
 		hb := out.NewBlock(rb.Start)
 		hb.Weight = desc.Weight[i]
 		for d := 0; d < rb.EntryStackDepth; d++ {
-			p := out.NewTmp(types.TInitCell)
+			p := out.NewTmp(types.TBottom) // typed when the block is lowered
 			p.DefBlock = hb
 			hb.Params = append(hb.Params, p)
 		}
@@ -124,26 +147,68 @@ func Build(u *hhbc.Unit, env *interp.Env, desc *region.Desc, cfg BuildConfig) (*
 	if cfg.MaxInlineDepth == 0 {
 		cfg.MaxInlineDepth = 2
 	}
-	fn := desc.Entry().Func
-	b := &builder{
-		cfg: cfg, unit: u, env: env, fn: fn,
-		out: NewUnit(fn),
-	}
-	b.extraSlots = fn.NumLocals
-	b.rc = newRegionCtx(b.out, desc)
-	if len(b.rc.hblocks) > 0 {
-		b.out.Entry = b.rc.hblocks[0]
-	}
-
-	for i := range desc.Blocks {
-		if err := b.lowerRegionBlock(i); err != nil {
+	b := &builder{cfg: cfg, unit: u, env: env, fn: desc.Entry().Func}
+	// Assume, then verify: an attempt whose late edges broke facts
+	// their targets were lowered under is thrown away and the region is
+	// lowered again without those facts (flow.go).
+	rebuilds := 0
+	for {
+		if err := b.lowerRegion(desc); err != nil {
 			return nil, err
 		}
+		if len(b.violated) == 0 {
+			break
+		}
+		b.denied = append(b.denied, b.violated...)
+		b.violated = b.violated[:0]
+		rebuilds++
+		b.flowOff = rebuilds == maxFlowRebuilds
 	}
-	b.out.ExtFrameSlots = b.extraSlots
-	b.out.RecomputePreds()
+	b.stats.Rebuilds = rebuilds
+	b.out.Stats = b.stats
+	b.out.ExtFrameSlots = len(b.localTypes)
+	PruneUnreachable(b.out) // region blocks no edge reached were not lowered
 	markColdBlocks(b.out)
 	return b.out, nil
+}
+
+// lowerRegion lowers desc into a fresh unit.
+func (b *builder) lowerRegion(desc *region.Desc) error {
+	b.out = NewUnit(b.fn)
+	b.localTypes = make([]types.Type, b.fn.NumLocals)
+	b.stats = BuildStats{}
+	b.rc = newRegionCtx(b.out, desc, 0)
+	b.out.Entry = b.rc.hblocks[0]
+	b.rc.state[0] = flowMerged // entered from outside, assuming nothing
+	return b.lowerBlocks()
+}
+
+// lowerBlocks lowers the blocks of the current region context that an
+// edge has reached, in an order that puts every forward edge into a
+// block before the block, and again for blocks only back-edges reach.
+// A block nothing jumps to is left out: lowered under no facts, its
+// own back-edges would break what live blocks assumed.
+func (b *builder) lowerBlocks() error {
+	order := b.rc.desc.LoweringOrder()
+	for again := true; again; {
+		again = false
+		for _, ri := range order {
+			if b.rc.state[ri] != flowMerged {
+				continue
+			}
+			again = true
+			b.startBlock(ri)
+			if err := b.lowerBlockBody(ri); err != nil {
+				if len(b.inlines) == 0 {
+					return err
+				}
+				// Lowering trouble inside an inline body: bail to the
+				// interpreter at the callee entry.
+				b.emit(&Instr{Op: SideExit, Exit: b.exitDesc(0, false)})
+			}
+		}
+	}
+	return nil
 }
 
 // markColdBlocks hints blocks by weight for hot/cold splitting.
@@ -201,7 +266,7 @@ func (b *builder) pop() *SSATmp {
 func (b *builder) top() *SSATmp { return b.stack[len(b.stack)-1] }
 
 func (b *builder) localType(slot int) types.Type {
-	if t, ok := b.localTypes[slot]; ok {
+	if t := b.localTypes[slot]; !t.IsBottom() {
 		return t
 	}
 	return types.TCell
@@ -232,27 +297,17 @@ func (b *builder) stLoc(slot int, v *SSATmp) {
 	b.setLocalType(slot, v.Type)
 }
 
-// lowerRegionBlock lowers region block ri at the top level.
-func (b *builder) lowerRegionBlock(ri int) error {
-	b.cur = b.rc.hblocks[ri]
-	b.stack = append([]*SSATmp(nil), b.rc.hblocks[ri].Params...)
-	b.localTypes = map[int]types.Type{}
-	b.iterKinds = map[int64]types.ArrayKind{}
-	b.inlines = nil
-	return b.lowerBlockBody(ri)
-}
-
 // lowerBlockBody emits guards and instructions for region block ri of
 // the current region context (caller or inlined callee).
 func (b *builder) lowerBlockBody(ri int) error {
 	rb := b.rc.desc.Blocks[ri]
 
-	// Emit guards. Interior chain members branch to the next chain
-	// member on failure; the last falls back to a side exit. The
-	// region entry's preconditions are enforced by the dispatcher (or
-	// proven from argument types when inlined), so they lower to
-	// asserts.
-	isEntry := ri == 0
+	// Emit guards. Chain members branch to the next chain member on
+	// failure; the last falls back to a side exit. The region entry's
+	// preconditions are enforced by the dispatcher, so they lower to
+	// asserts; an inlined callee's entry is an ordinary block whose
+	// preconditions the call's argument types prove (suitableForInline).
+	isEntry := ri == 0 && len(b.inlines) == 0
 	b.bcPC = rb.Start
 	for _, g := range rb.Preconds {
 		b.lowerGuard(ri, rb, g, isEntry)
@@ -278,34 +333,23 @@ func (b *builder) lowerBlockBody(ri int) error {
 	return nil
 }
 
-// lowerGuard emits one precondition check.
+// lowerGuard emits one precondition check, unless the types that
+// flowed into the block already prove it; what was known is kept where
+// it is narrower than the guard.
 func (b *builder) lowerGuard(ri int, rb *region.Block, g region.Guard, isEntry bool) {
-	failTo := b.rc.chainNext[ri]
 	switch g.Loc.Kind {
 	case region.LocLocal:
 		slot := b.slot(int32(g.Loc.Slot))
-		if isEntry || types.TCell.SubtypeOf(g.Type) {
-			// Dispatcher-checked, inline-proven, or vacuous: assert.
-			// Intersect rather than overwrite — an inlined callee's
-			// widened precondition (e.g. bare Obj at a shape site) must
-			// not erase an exact class the inliner proved from the
-			// argument types.
-			nt := b.localType(slot).Intersect(g.Type)
-			if nt.IsBottom() {
-				nt = g.Type
-			}
-			b.setLocalType(slot, nt)
-			return
+		known := b.localType(slot)
+		switch {
+		case isEntry || types.TCell.SubtypeOf(g.Type):
+			// Dispatcher-checked or vacuous: assert.
+		case known.SubtypeOf(g.Type):
+			b.stats.GuardsProven++
+		default:
+			b.emitGuard(ri, rb, &Instr{Op: GuardLoc, I64: int64(slot), TypeParam: g.Type})
 		}
-		in := &Instr{Op: GuardLoc, I64: int64(slot), TypeParam: g.Type}
-		if failTo >= 0 {
-			in.Taken = b.rc.hblocks[failTo]
-			in.TakenArgs = append([]*SSATmp(nil), b.stack...)
-		} else {
-			in.Exit = b.exitDesc(rb.Start, false)
-		}
-		b.emit(in)
-		b.setLocalType(slot, g.Type)
+		b.setLocalType(slot, refine(known, g.Type))
 	case region.LocStack:
 		d := g.Loc.Slot
 		if d >= len(b.stack) {
@@ -313,25 +357,47 @@ func (b *builder) lowerGuard(ri int, rb *region.Block, g region.Guard, isEntry b
 		}
 		v := b.stack[d]
 		if v.Type.SubtypeOf(g.Type) {
+			if !isEntry && !types.TInitCell.SubtypeOf(g.Type) {
+				b.stats.GuardsProven++
+			}
 			return
 		}
 		if isEntry {
 			// Entry stack slots come from the frame: load + assert.
-			b.stack[d] = b.def(AssertType, g.Type, v)
+			b.stack[d] = b.def(AssertType, refine(v.Type, g.Type), v)
 			return
 		}
-		dst := b.out.NewTmp(g.Type)
+		dst := b.out.NewTmp(refine(v.Type, g.Type))
 		in := &Instr{Op: CheckType, Dst: dst, Args: []*SSATmp{v}, TypeParam: g.Type}
 		dst.Def = in
-		if failTo >= 0 {
-			in.Taken = b.rc.hblocks[failTo]
-			in.TakenArgs = append([]*SSATmp(nil), b.stack...)
-		} else {
-			in.Exit = b.exitDesc(rb.Start, false)
-		}
-		b.emit(in)
+		b.emitGuard(ri, rb, in)
 		b.stack[d] = dst
 	}
+}
+
+// refine is what is known of a value of type known once a check for
+// want has passed. Intersecting rather than overwriting keeps an exact
+// class under a widened guard (bare Obj at a shape site).
+func refine(known, want types.Type) types.Type {
+	if t := known.Intersect(want); !t.IsBottom() {
+		return t
+	}
+	return want
+}
+
+// emitGuard emits a check whose failure continues at the next chain
+// member — an edge that carries the state before the check refines
+// it — or, from the last member, takes a side exit.
+func (b *builder) emitGuard(ri int, rb *region.Block, in *Instr) {
+	if failTo := b.rc.chainNext[ri]; failTo >= 0 {
+		b.flowEdge(failTo, b.stack)
+		in.Taken = b.rc.hblocks[failTo]
+		in.TakenArgs = append([]*SSATmp(nil), b.stack...)
+	} else {
+		in.Exit = b.exitDesc(rb.Start, false)
+	}
+	b.emit(in)
+	b.stats.Guards++
 }
 
 // jumpToPC wires control to the region block (chain) covering pc in
@@ -341,7 +407,14 @@ func (b *builder) lowerGuard(ri int, rb *region.Block, g region.Guard, isEntry b
 func (b *builder) jumpToPC(pc int, fromRI int) {
 	if hi, ok := b.rc.entryOf[pc]; ok {
 		target := b.pickChainTarget(hi)
-		if b.rc.desc.Blocks[target].EntryStackDepth == len(b.stack) {
+		tb := b.rc.desc.Blocks[target]
+		// The region entry asserts its preconditions instead of
+		// checking them (lowerBlockBody), so a jump back to it from
+		// inside the region must prove them; otherwise it leaves
+		// through the dispatcher like any other region exit.
+		provesEntry := target != 0 || len(b.inlines) > 0 || b.precondsSatisfied(tb)
+		if tb.EntryStackDepth == len(b.stack) && provesEntry {
+			b.flowEdge(target, b.stack)
 			b.emit(&Instr{Op: Jmp, Next: b.rc.hblocks[target],
 				NextArgs: append([]*SSATmp(nil), b.stack...)})
 			return
@@ -379,7 +452,7 @@ func (b *builder) precondsSatisfied(rb *region.Block) bool {
 	for _, g := range rb.Preconds {
 		switch g.Loc.Kind {
 		case region.LocLocal:
-			if !b.localType(g.Loc.Slot).SubtypeOf(g.Type) {
+			if !b.localType(b.slot(int32(g.Loc.Slot))).SubtypeOf(g.Type) {
 				return false
 			}
 		case region.LocStack:

@@ -320,22 +320,28 @@ func (b *builder) suitableForInline(callee *hhbc.Func, desc *region.Desc, argTyp
 // inlineCall splices the callee's region into the current block.
 // args are owned; ownership transfers into the inline frame's locals.
 func (b *builder) inlineCall(callee *hhbc.Func, desc *region.Desc, this *SSATmp, args []*SSATmp, pc int) {
-	slotBase := b.extraSlots
-	b.extraSlots += callee.NumLocals
+	slotBase := len(b.localTypes)
+	b.localTypes = append(b.localTypes, make([]types.Type, callee.NumLocals)...)
 
-	// Bind arguments into the extended frame.
+	// Bind arguments into the extended frame. The other locals are
+	// reset: the frame extension outlives the call, so a loop that
+	// comes back here would otherwise find the previous call's values.
+	var uninit *SSATmp
 	for i := 0; i < callee.NumLocals; i++ {
 		var v *SSATmp
 		switch {
 		case i < len(args) && i < len(callee.Params):
 			v = args[i]
 		case i < len(callee.Params):
-			p := callee.Params[i]
-			v = b.paramDefaultConst(p)
+			v = b.paramDefaultConst(callee.Params[i])
 		default:
-			continue // non-param locals start zeroed (Uninit)
+			if uninit == nil {
+				uninit = b.constNullOfUninit()
+			}
+			v = uninit
 		}
 		b.emit(&Instr{Op: StLoc, I64: int64(slotBase + i), Args: []*SSATmp{v}})
+		b.setLocalType(slotBase+i, v.Type)
 	}
 	for i := len(callee.Params); i < len(args); i++ {
 		b.decRef(args[i])
@@ -350,38 +356,32 @@ func (b *builder) inlineCall(callee *hhbc.Func, desc *region.Desc, this *SSATmp,
 	}
 	retBlock := b.out.NewBlock(pc + 1)
 	retBlock.Weight = b.cur.Weight
-	retParam := b.out.NewTmp(types.TInitCell)
+	retParam := b.out.NewTmp(types.TBottom) // the union of what the returns pass
 	retParam.DefBlock = retBlock
 	retBlock.Params = []*SSATmp{retParam}
 
 	ist := &inlineState{ctx: ictx, callee: callee, slotBase: slotBase, retBlock: retBlock}
 	b.inlines = append(b.inlines, ist)
 
-	// Swap region contexts and lower the callee.
+	// Swap region contexts and lower the callee. Its entry block is an
+	// ordinary block of the flow: the jump into it carries the types
+	// just bound.
 	savedRC, savedStack := b.rc, b.stack
-	savedLocals, savedIters, savedPC := b.localTypes, b.iterKinds, b.bcPC
-	b.rc = newRegionCtx(b.out, desc)
-
-	// Jump into the callee entry.
+	savedPC := b.bcPC
+	b.rc = newRegionCtx(b.out, desc, slotBase)
+	b.flowEdge(0, nil)
 	b.emit(&Instr{Op: Jmp, Next: b.rc.hblocks[0]})
 
-	for ri := range desc.Blocks {
-		b.cur = b.rc.hblocks[ri]
-		b.stack = append([]*SSATmp(nil), b.cur.Params...)
-		b.localTypes = map[int]types.Type{}
-		b.iterKinds = map[int64]types.ArrayKind{}
-		if err := b.lowerBlockBody(ri); err != nil {
-			// Lowering trouble inside an inline body: bail to the
-			// interpreter at the callee entry.
-			b.emit(&Instr{Op: SideExit, Exit: b.exitDesc(0, false)})
-		}
-	}
+	_ = b.lowerBlocks() // never fails inside an inline
 
-	// Restore caller context and continue after the call.
+	// Restore caller context and continue after the call. Every return
+	// has been lowered by now, so the merge block's parameter has its
+	// final type.
 	b.rc, b.stack = savedRC, savedStack
-	b.localTypes, b.iterKinds, b.bcPC = savedLocals, savedIters, savedPC
+	b.bcPC = savedPC
 	b.inlines = b.inlines[:len(b.inlines)-1]
 	b.cur = retBlock
+	b.settleParam(retParam)
 	if this != nil {
 		b.decRef(this)
 	}
@@ -421,5 +421,7 @@ func (b *builder) endInline(v *SSATmp) {
 		b.decRef(old)
 	}
 	b.emit(&Instr{Op: EndInline, Args: []*SSATmp{v}})
+	ret := ist.retBlock.Params[0]
+	ret.Type = ret.Type.Union(v.Type)
 	b.emit(&Instr{Op: Jmp, Next: ist.retBlock, NextArgs: []*SSATmp{v}})
 }

@@ -190,6 +190,9 @@ type Unit struct {
 	// inline-callee frames (>= Func.NumLocals).
 	ExtFrameSlots int
 
+	// Stats is what Build did about the region's preconditions.
+	Stats BuildStats
+
 	nextTmp   int
 	nextBlock int
 }

@@ -337,8 +337,12 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		}
 	case hhbc.OpArrUnsetL:
 		key := b.pop()
-		b.emit(&Instr{Op: ArrUnsetLocal, I64: int64(b.slot(in.A)), Args: []*SSATmp{key}})
+		slot := b.slot(in.A)
+		b.emit(&Instr{Op: ArrUnsetLocal, I64: int64(slot), Args: []*SSATmp{key}})
 		b.decRef(key)
+		if b.localType(slot).SubtypeOf(types.TArr) {
+			b.setLocalType(slot, types.TArr) // removing an element may leave a packed array mixed
+		}
 	case hhbc.OpAKExistsL:
 		key := b.pop()
 		dst := b.out.NewTmp(types.TBool)
@@ -350,9 +354,6 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 
 	case hhbc.OpIterInitL:
 		slot := b.slot(in.C)
-		if t := b.localType(slot); t.SubtypeOf(types.TArr) {
-			b.iterKinds[int64(in.A)] = t.ArrayKind()
-		}
 		body := b.trampoline(pc+1, ri)
 		exit := b.trampoline(int(in.B), ri)
 		b.emit(&Instr{Op: IterInitLocal, I64: packIter(in.A, int32(slot)),
@@ -364,11 +365,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		b.emit(&Instr{Op: IterNextK, I64: int64(in.A), Taken: body, Next: exit})
 		return true, nil
 	case hhbc.OpIterKey:
-		t := types.FromKind(types.KInt | types.KStr)
-		if b.iterKinds[int64(in.A)] == types.ArrayPacked {
-			t = types.TInt
-		}
-		dst := b.out.NewTmp(t)
+		dst := b.out.NewTmp(types.FromKind(types.KInt | types.KStr))
 		inn := &Instr{Op: IterKey, Dst: dst, I64: int64(in.A)}
 		dst.Def = inn
 		b.emit(inn)

@@ -197,6 +197,10 @@ type Translation struct {
 	// OSR paths alike): the hotness signal cache recycling sorts by
 	// when evicting cold translations under pressure.
 	uses atomic.Uint64
+
+	// link is the one Link{epoch, tr} shared by every smash site bound
+	// to tr in the current epoch (ChainLink).
+	link atomic.Pointer[mcode.Link]
 }
 
 // Uses returns the translation's successful-match count.
@@ -215,6 +219,19 @@ func (tr *Translation) ChainMatch(fr *interp.Frame) bool { return tr.Matches(fr)
 // ChainGuards is the precondition count, charged per chained transfer
 // (machine.ChainTarget).
 func (tr *Translation) ChainGuards() int { return len(tr.Preconds) }
+
+// ChainLink returns the shared link to tr stamped epoch
+// (machine.ChainTarget), creating it on first use in that epoch. Racing
+// creators publish equal links, and a link is never written after it
+// is published, so sites may hold either.
+func (tr *Translation) ChainLink(epoch uint64) *mcode.Link {
+	if l := tr.link.Load(); l != nil && l.Epoch == epoch {
+		return l
+	}
+	l := &mcode.Link{Epoch: epoch, Target: tr}
+	tr.link.Store(l)
+	return l
+}
 
 // Matches checks the translation's dispatcher-visible entry
 // conditions (stack depth + type preconditions) against live frame
@@ -567,13 +584,13 @@ func (j *JIT) Smash(code *mcode.Code, instr int, tr *Translation) {
 	if l := code.LoadLink(instr); l != nil && l.Epoch == epoch && l.Target == tr {
 		return
 	}
-	stamp := epoch
+	var link *mcode.Link
 	switch {
 	case j.Cfg.Faults.Should(faultinject.StaleLink) && epoch > 0:
 		// Inject a link stamped with the previous epoch: followers must
 		// detect it as stale and fall back to the dispatch path rather
 		// than transfer through it.
-		stamp = epoch - 1
+		link = &mcode.Link{Epoch: epoch - 1, Target: tr}
 	case j.Cfg.Faults.Should(faultinject.TornLink):
 		// Torn write: the target half of the patch landed but the epoch
 		// stamp is from a version that has never been published (epoch+1
@@ -581,9 +598,11 @@ func (j *JIT) Smash(code *mcode.Code, instr int, tr *Translation) {
 		// treat the mismatched stamp as stale and fall back, and the
 		// sentry auditor flags the future epoch as a torn write
 		// (DESIGN.md §15) rather than a benign leftover.
-		stamp = epoch + 1
+		link = &mcode.Link{Epoch: epoch + 1, Target: tr}
+	default:
+		link = tr.ChainLink(epoch)
 	}
-	code.StoreLink(instr, &mcode.Link{Epoch: stamp, Target: tr})
+	code.StoreLink(instr, link)
 	j.Chain.BindsSmashed.Add(1)
 }
 

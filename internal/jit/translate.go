@@ -100,9 +100,10 @@ func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 	if err != nil {
 		return nil, err
 	}
+	code.Guards = hu.Stats
 	if Debug && !bcfg.Profiling {
-		fmt.Fprintf(os.Stderr, "=== region for %s ===\n%s\n--- HHIR ---\n%s--- vasm ---\n%s--- regalloc: %s; %d fallthrough jumps elided ---\n\n",
-			desc.Entry().Func.FullName(), desc, hu, vu, vu.Alloc, code.ElidedJumps)
+		fmt.Fprintf(os.Stderr, "=== region for %s ===\n%s\n--- HHIR ---\n%s--- vasm ---\n%s--- guards: %s ---\n--- regalloc: %s; %d fallthrough jumps elided ---\n\n",
+			desc.Entry().Func.FullName(), desc, hu, vu, code.Guards, vu.Alloc, code.ElidedJumps)
 	}
 	return code, nil
 }
@@ -191,11 +192,12 @@ func (j *JIT) translate(fn *hhbc.Func, fr *interp.Frame, kind Mode, m *machine.M
 }
 
 // mint is the one mint path: it compiles desc as a translation of the
-// given kind (ModeTracelet or ModeProfiling), places the code in the
-// kind's cache area, installs the translation into the index and
-// accounts it, charging the compile to m. A compile failure
-// quarantines the address — except cache exhaustion, which is global
-// pressure, not this address's fault — and returns nil.
+// given kind (ModeTracelet or ModeProfiling; ModeRegion only from
+// PublishRegion — the global retranslation publishes its batch itself),
+// places the code in the kind's cache area, installs the translation
+// into the index and accounts it, charging the compile to m. A compile
+// failure quarantines the address — except cache exhaustion, which is
+// global pressure, not this address's fault — and returns nil.
 func (j *JIT) mint(desc *region.Desc, kind Mode, bcfg hhir.BuildConfig, m *machine.Meter) *Translation {
 	entry := desc.Entry()
 	key := transKey{entry.Func.ID, entry.Start}
@@ -218,6 +220,26 @@ func (j *JIT) mint(desc *region.Desc, kind Mode, bcfg hhir.BuildConfig, m *machi
 	j.mu.Unlock()
 	j.noteMintSuccess(key)
 	return tr
+}
+
+// regionBuildConfig is the HHIR build configuration of optimized
+// regions.
+func (j *JIT) regionBuildConfig() hhir.BuildConfig {
+	return hhir.BuildConfig{
+		EnableInlining:       j.Cfg.EnableInlining,
+		EnableMethodDispatch: j.Cfg.EnableMethodDispatch,
+		DisableInlineCache:   !j.Cfg.EnableMethodDispatch,
+		EnableShapes:         j.Cfg.EnableShapes,
+		Counters:             j.Counters,
+		RegionOf:             j.regionForInline,
+	}
+}
+
+// PublishRegion compiles desc the way the global retranslation
+// compiles the regions it forms and publishes it at its entry address;
+// nil when the compile fails. Tests run hand-built regions through it.
+func (j *JIT) PublishRegion(desc *region.Desc) *Translation {
+	return j.mint(desc, ModeRegion, j.regionBuildConfig(), j.Meter)
 }
 
 // residence maps a translation kind to the code-cache area its code
@@ -388,14 +410,7 @@ func (j *JIT) optimizeAll(meter *machine.Meter) {
 
 	// Compile. The index is not touched yet: workers keep dispatching
 	// to profiling translations throughout this (long) phase.
-	bcfg := hhir.BuildConfig{
-		EnableInlining:       j.Cfg.EnableInlining,
-		EnableMethodDispatch: j.Cfg.EnableMethodDispatch,
-		DisableInlineCache:   !j.Cfg.EnableMethodDispatch,
-		EnableShapes:         j.Cfg.EnableShapes,
-		Counters:             j.Counters,
-		RegionOf:             j.regionForInline,
-	}
+	bcfg := j.regionBuildConfig()
 	// Backends fan over the compile workers, each claiming whole
 	// functions and holding the function's writer lease while its
 	// regions compile (minting workers touching the same function queue

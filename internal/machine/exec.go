@@ -89,6 +89,10 @@ type ChainTarget interface {
 	ChainMatch(fr *interp.Frame) bool
 	// ChainGuards is the precondition count (cost accounting).
 	ChainGuards() int
+	// ChainLink is the link {epoch, this target} that every smash site
+	// bound to the target in that epoch shares; links are immutable
+	// once published, so re-smashing a site allocates nothing.
+	ChainLink(epoch uint64) *mcode.Link
 }
 
 // ChainStats counts direct-chaining activity. One instance is shared
@@ -842,7 +846,7 @@ func (m *Machine) chainFrom(code *mcode.Code, ip int, act *activation, out *Outc
 				if stale && m.Epoch != nil && !m.FreezeLinks {
 					// Repair the stale link in place (a re-smash) so
 					// later transfers skip the fallback scan.
-					code.StoreLink(ip, &mcode.Link{Epoch: m.Epoch.Load(), Target: target})
+					code.StoreLink(ip, target.ChainLink(m.Epoch.Load()))
 					m.Chain.BindsSmashed.Add(1)
 				}
 				m.Chain.ChainedJumps.Add(1)

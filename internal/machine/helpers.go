@@ -169,7 +169,7 @@ func (m *Machine) smashCall(code *mcode.Code, ip int, entered ChainTarget) {
 	if l := code.LoadLink(ip); l != nil && l.Target == entered && l.Epoch == epoch {
 		return // already bound to this target
 	}
-	code.StoreLink(ip, &mcode.Link{Epoch: epoch, Target: entered})
+	code.StoreLink(ip, entered.ChainLink(epoch))
 	m.Chain.BindsSmashed.Add(1)
 }
 

@@ -9,39 +9,42 @@ package machine
 const (
 	iCacheLineBits = 6  // 64-byte lines
 	iCacheSets     = 64 // 64 sets x 8 ways x 64B = 32 KiB
-	iCacheWays     = 8
 
 	page4KBits = 12
 	page2MBits = 21
 
-	itlb4KEntries   = 8 // effective capacity left after the (huge) VM binary's own pages
-	itlbHugeEntries = 8
+	// lruWays is the capacity of every modelled structure: the ways of
+	// an i-cache set, the 4 KiB I-TLB entries left after the (huge) VM
+	// binary's own pages, and the dedicated 2 MiB entries.
+	lruWays = 8
 
 	iCacheMissCost = 20
 	itlbMissCost   = 30
 )
 
-// lruSet is a tiny fully-associative LRU array.
+// lruSet is a tiny fully-associative LRU array, most recent first.
+// The zero value is empty.
 type lruSet struct {
-	keys []uint64
-	cap  int
+	keys [lruWays]uint64
+	n    int
 }
-
-func newLRU(capacity int) *lruSet { return &lruSet{cap: capacity} }
 
 // touch returns true on hit.
 func (s *lruSet) touch(key uint64) bool {
-	for i, k := range s.keys {
-		if k == key {
+	if s.n > 0 && s.keys[0] == key {
+		return true // already the most recent
+	}
+	for i := 1; i < s.n; i++ {
+		if s.keys[i] == key {
 			copy(s.keys[1:i+1], s.keys[:i])
 			s.keys[0] = key
 			return true
 		}
 	}
-	if len(s.keys) < s.cap {
-		s.keys = append(s.keys, 0)
+	if s.n < lruWays {
+		s.n++
 	}
-	copy(s.keys[1:], s.keys)
+	copy(s.keys[1:s.n], s.keys[:s.n-1])
 	s.keys[0] = key
 	return false
 }
@@ -49,9 +52,9 @@ func (s *lruSet) touch(key uint64) bool {
 // FetchModel tracks i-cache and I-TLB state across requests (they
 // warm up like real hardware structures).
 type FetchModel struct {
-	sets     [iCacheSets]*lruSet
-	itlb4K   *lruSet
-	itlbHuge *lruSet
+	sets     [iCacheSets]lruSet
+	itlb4K   lruSet
+	itlbHuge lruSet
 
 	lastLine uint64
 	lastPage uint64
@@ -66,16 +69,7 @@ type FetchModel struct {
 }
 
 // NewFetchModel returns a cold fetch model.
-func NewFetchModel() *FetchModel {
-	f := &FetchModel{
-		itlb4K:   newLRU(itlb4KEntries),
-		itlbHuge: newLRU(itlbHugeEntries),
-	}
-	for i := range f.sets {
-		f.sets[i] = newLRU(iCacheWays)
-	}
-	return f
-}
+func NewFetchModel() *FetchModel { return &FetchModel{} }
 
 // Fetch charges the fetch cost for executing the instruction at addr,
 // returning extra cycles beyond the instruction's own cost.
@@ -88,8 +82,7 @@ func (f *FetchModel) Fetch(addr uint64) uint64 {
 	f.Fetches++
 	var extra uint64
 
-	set := f.sets[line%iCacheSets]
-	if !set.touch(line) {
+	if !f.sets[line%iCacheSets].touch(line) {
 		f.ICacheMisses++
 		extra += iCacheMissCost
 	}

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/faultinject"
+	"repro/internal/hhir"
 	"repro/internal/runtime"
 	"repro/internal/types"
 	"repro/internal/vasm"
@@ -49,11 +50,13 @@ type Code struct {
 	// extended frame.
 	NumSpills int
 	ExtSlots  int
-	// Alloc is the unit's register-allocation summary and ElidedJumps
-	// the number of fallthrough jumps Assemble left out of the stream
-	// (diagnostics: the jit.Debug dump, `hhvm -stats`).
+	// Alloc is the unit's register-allocation summary, ElidedJumps the
+	// number of fallthrough jumps Assemble left out of the stream, and
+	// Guards what the HHIR builder did about the region's preconditions
+	// (set by the JIT; diagnostics: the jit.Debug dump, `hhvm -stats`).
 	Alloc       vasm.AllocStats
 	ElidedJumps int
+	Guards      hhir.BuildStats
 
 	// Base and Size give the translation's placement.
 	Base uint64

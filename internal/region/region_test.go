@@ -205,3 +205,34 @@ func TestRelaxedType(t *testing.T) {
 		t.Errorf("Countness(Str) relaxes to %v (counted kinds keep their kind)", got)
 	}
 }
+
+// TestLoweringOrder: reverse post-order over arcs and chain
+// fall-through — every forward edge's source precedes its target, a
+// chain member follows the member whose guards fall through to it, and
+// blocks the walk does not reach come last.
+func TestLoweringOrder(t *testing.T) {
+	// 0 -> 1 (loop header) -> {2, 3}; 2 and 4 retranslate one address
+	// (2 first); 2 -> 1 and 4 -> 1 are back-edges; 3 exits; 5 is
+	// unreachable.
+	d := &region.Desc{
+		Blocks: make([]*region.Block, 6),
+		Arcs:   map[int][]int{0: {1}, 1: {3, 4}, 2: {1}, 4: {1}},
+		Chains: [][]int{{0}, {1}, {2, 4}, {3}, {5}},
+	}
+	order := d.LoweringOrder()
+	if len(order) != 6 {
+		t.Fatalf("order %v does not list every block once", order)
+	}
+	pos := make([]int, 6)
+	for i, b := range order {
+		pos[b] = i
+	}
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 4}} {
+		if pos[e[0]] >= pos[e[1]] {
+			t.Errorf("block %d must be lowered before block %d: %v", e[0], e[1], order)
+		}
+	}
+	if order[0] != 0 || order[5] != 5 {
+		t.Errorf("entry first, unreachable last: %v", order)
+	}
+}

@@ -129,6 +129,56 @@ func (d *Desc) NumInstrs() int {
 	return n
 }
 
+// LoweringOrder returns the block indices in reverse post-order from
+// the entry over the edges a lowering creates: every arc, taken to the
+// head of the target's retranslation chain as well as to the target
+// (a jump enters a chain at its head unless a later member's guards
+// are already proven), and the guard-failure fall-through from each
+// chain member to the next. Every forward edge into a block then
+// precedes it; only loop back-edges arrive late. Blocks the walk does
+// not reach follow in index order.
+func (d *Desc) LoweringOrder() []int {
+	n := len(d.Blocks)
+	head := make([]int, n)
+	next := make([]int, n)
+	for i := range next {
+		head[i], next[i] = i, -1
+	}
+	for _, chain := range d.Chains {
+		for k, ci := range chain {
+			head[ci] = chain[0]
+			if k+1 < len(chain) {
+				next[ci] = chain[k+1]
+			}
+		}
+	}
+	seen := make([]bool, n)
+	order := make([]int, 0, n)
+	var walk func(i int)
+	walk = func(i int) {
+		if seen[i] {
+			return
+		}
+		seen[i] = true
+		if next[i] >= 0 {
+			walk(next[i])
+		}
+		for _, j := range d.Arcs[i] {
+			walk(head[j])
+			walk(j)
+		}
+		order = append(order, i) // post-order
+	}
+	for root := 0; root < n; root++ {
+		from := len(order)
+		walk(root)
+		for l, r := from, len(order)-1; l < r; l, r = l+1, r-1 {
+			order[l], order[r] = order[r], order[l]
+		}
+	}
+	return order
+}
+
 func (d *Desc) String() string {
 	var sb strings.Builder
 	for i, b := range d.Blocks {
