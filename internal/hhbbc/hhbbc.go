@@ -85,10 +85,6 @@ func optimizeFunc(u *hhbc.Unit, f *hhbc.Func) {
 			entry.locals[i] = types.TUninit
 		}
 	}
-	f.ParamTypes = make([]types.Type, len(f.Params))
-	for i := range f.Params {
-		f.ParamTypes[i] = types.TCell
-	}
 
 	in := make([]*state, len(starts))
 	in[0] = entry
@@ -122,30 +118,43 @@ func optimizeFunc(u *hhbc.Unit, f *hhbc.Func) {
 			continue
 		}
 		st := in[b].clone()
+		flow := func(spc int) {
+			sb := blockOf[spc]
+			if propagate(in, sb, st) && !seen[sb] {
+				seen[sb] = true
+				work = append(work, sb)
+			}
+		}
 		for pc := starts[b]; pc < blockEnd(b); pc++ {
-			succs, fall := transfer(u, f, st, pc)
-			for _, spc := range succs {
-				sb := blockOf[spc]
-				if propagate(in, sb, st) && !seen[sb] {
-					seen[sb] = true
-					work = append(work, sb)
-				}
-			}
-			if !fall {
+			transfer(u, f, st, pc)
+			if !f.ForEachSuccessor(pc, flow) {
 				break
 			}
-			if pc+1 < len(f.Instrs) && leaders[pc+1] {
-				sb := blockOf[pc+1]
-				if propagate(in, sb, st) && !seen[sb] {
-					seen[sb] = true
-					work = append(work, sb)
-				}
-				break
+			if leaders[pc+1] {
+				flow(pc + 1)
 			}
 		}
 	}
 
 	insertAsserts(u, f, starts, blockEnd, in)
+}
+
+// transfer abstractly executes the instruction at pc over st, with
+// hhbc's typing rules: the operands come off the stack, the results go
+// on, the instruction's local is retyped.
+func transfer(u *hhbc.Unit, f *hhbc.Func, st *state, pc int) {
+	in := f.Instrs[pc]
+	base := len(st.stack) - in.NumPop()
+	slot := in.LocalSlot()
+	var local types.Type
+	if slot >= 0 {
+		local = st.locals[slot]
+	}
+	push, local := hhbc.InstrTypes(u, f, in, st.stack[base:], local)
+	st.stack = append(st.stack[:base], push[:in.NumPush()]...)
+	if slot >= 0 {
+		st.locals[slot] = local
+	}
 }
 
 func propagate(in []*state, b int, st *state) bool {
@@ -157,35 +166,17 @@ func propagate(in []*state, b int, st *state) bool {
 }
 
 func findLeaders(f *hhbc.Func) []bool {
-	leaders := make([]bool, len(f.Instrs))
+	leaders := make([]bool, len(f.Instrs)+1)
 	leaders[0] = true
-	mark := func(pc int) {
-		if pc >= 0 && pc < len(f.Instrs) {
-			leaders[pc] = true
-		}
-	}
-	for pc, in := range f.Instrs {
-		switch in.Op {
-		case hhbc.OpJmp, hhbc.OpJmpZ, hhbc.OpJmpNZ:
-			mark(int(in.A))
-			mark(pc + 1)
-		case hhbc.OpIterInitL, hhbc.OpIterNext:
-			mark(int(in.B))
-			mark(pc + 1)
-		case hhbc.OpSwitch:
-			for _, t := range f.Switches[in.A].Targets {
-				mark(t)
-			}
-			mark(f.Switches[in.A].Default)
-			mark(pc + 1)
-		case hhbc.OpRetC, hhbc.OpThrow, hhbc.OpFatal:
-			mark(pc + 1)
+	for pc := range f.Instrs {
+		branches := false
+		fall := f.ForEachSuccessor(pc, func(t int) { leaders[t], branches = true, true })
+		if branches || !fall {
+			leaders[pc+1] = true
 		}
 	}
 	for _, eh := range f.EHTable {
-		mark(eh.Handler)
-		mark(eh.Start)
-		mark(eh.End)
+		leaders[eh.Handler], leaders[eh.Start], leaders[eh.End] = true, true, true
 	}
 	return leaders
 }
@@ -240,12 +231,7 @@ func insertAsserts(u *hhbc.Unit, f *hhbc.Func, starts []int, blockEnd func(int) 
 	newPC[len(f.Instrs)] = len(out)
 
 	for i := range out {
-		switch out[i].Op {
-		case hhbc.OpJmp, hhbc.OpJmpZ, hhbc.OpJmpNZ:
-			out[i].A = int32(newPC[out[i].A])
-		case hhbc.OpIterInitL, hhbc.OpIterNext:
-			out[i].B = int32(newPC[out[i].B])
-		}
+		out[i].RemapTargets(newPC)
 	}
 	for si := range f.Switches {
 		sw := &f.Switches[si]
@@ -275,15 +261,9 @@ func informative(t types.Type) bool {
 // localReads collects locals read in [start, end).
 func localReads(f *hhbc.Func, start, end int) map[int]bool {
 	reads := map[int]bool{}
-	for pc := start; pc < end; pc++ {
-		in := f.Instrs[pc]
-		switch in.Op {
-		case hhbc.OpCGetL, hhbc.OpCGetL2, hhbc.OpPushL, hhbc.OpIncDecL,
-			hhbc.OpArrGetL, hhbc.OpArrSetL, hhbc.OpArrAppendL,
-			hhbc.OpArrUnsetL, hhbc.OpAKExistsL:
-			reads[int(in.A)] = true
-		case hhbc.OpIterInitL:
-			reads[int(in.C)] = true
+	for _, in := range f.Instrs[start:end] {
+		if in.Op.ReadsLocal() {
+			reads[in.LocalSlot()] = true
 		}
 	}
 	return reads

@@ -107,12 +107,4 @@ echo z(5);`
 	}
 }
 
-func TestParamTypesFromHints(t *testing.T) {
-	u := compile(t, `function f(int $a, string $b) { return $a; } echo f(1, "x");`, false)
-	f, _ := u.FuncByName("f")
-	if len(f.ParamTypes) != 2 {
-		t.Fatalf("ParamTypes len = %d", len(f.ParamTypes))
-	}
-}
-
 func defaultJIT() jit.Config { return jit.Config{Mode: jit.ModeInterp} }

@@ -3,6 +3,8 @@ package hhbc
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/types"
 )
 
 // Disassemble renders f against u's pools in a format close to the
@@ -33,58 +35,43 @@ func Disassemble(u *Unit, f *Func) string {
 	return sb.String()
 }
 
-// FormatInstr renders one instruction with pool immediates resolved.
+// FormatInstr renders one instruction of a verified function with
+// each immediate shown as its kind dictates (pool entries resolved,
+// locals named).
 func FormatInstr(u *Unit, f *Func, in Instr) string {
-	local := func(i int32) string {
-		if int(i) < len(f.LocalName) && f.LocalName[i] != "" {
-			return fmt.Sprintf("L:%d($%s)", i, f.LocalName[i])
+	var sb strings.Builder
+	sb.WriteString(in.Op.String())
+	for i, k := range in.Op.info().imm {
+		v := in.imm(i)
+		switch k {
+		case ImmNone, ImmRATClass:
+			continue
+		case ImmInt:
+			fmt.Fprintf(&sb, " %d", u.Ints[v])
+		case ImmDbl:
+			fmt.Fprintf(&sb, " %g", u.Doubles[v])
+		case ImmStr:
+			fmt.Fprintf(&sb, " %q", u.Strings[v])
+		case ImmLocal:
+			fmt.Fprintf(&sb, " L:%d", v)
+			if int(v) < len(f.LocalName) && f.LocalName[v] != "" {
+				fmt.Fprintf(&sb, "($%s)", f.LocalName[v])
+			}
+		case ImmIter:
+			fmt.Fprintf(&sb, " it:%d", v)
+		case ImmTarget:
+			fmt.Fprintf(&sb, " -> %d", v)
+		case ImmSwitch:
+			fmt.Fprintf(&sb, " table#%d", v)
+		case ImmIncDec:
+			sb.WriteString(" " + incDecNames[v])
+		case ImmKinds:
+			fmt.Fprintf(&sb, " %s", types.FromKind(types.Kind(v)))
+		case ImmRAT:
+			fmt.Fprintf(&sb, " %s", u.DecodeRAT(v, in.imm(i+1)))
+		default: // counts, parameter and counter ids
+			fmt.Fprintf(&sb, " %d", v)
 		}
-		return fmt.Sprintf("L:%d", i)
 	}
-	str := func(i int32) string {
-		if int(i) < len(u.Strings) {
-			return fmt.Sprintf("%q", u.Strings[i])
-		}
-		return fmt.Sprintf("str#%d", i)
-	}
-	switch in.Op {
-	case OpInt:
-		return fmt.Sprintf("Int %d", u.Ints[in.A])
-	case OpDouble:
-		return fmt.Sprintf("Double %g", u.Doubles[in.A])
-	case OpString, OpFatal:
-		return fmt.Sprintf("%s %s", in.Op, str(in.A))
-	case OpCGetL, OpCGetL2, OpPopL, OpSetL, OpPushL, OpUnsetL,
-		OpArrGetL, OpArrSetL, OpArrAppendL, OpArrUnsetL, OpAKExistsL:
-		return fmt.Sprintf("%s %s", in.Op, local(in.A))
-	case OpIncDecL:
-		names := [...]string{"PreInc", "PostInc", "PreDec", "PostDec"}
-		return fmt.Sprintf("IncDecL %s %s", local(in.A), names[in.B])
-	case OpAssertRATL:
-		return fmt.Sprintf("AssertRATL %s %s", local(in.A), u.DecodeRAT(in.B, in.C))
-	case OpAssertRAStk:
-		return fmt.Sprintf("AssertRAStk %d %s", in.A, u.DecodeRAT(in.B, in.C))
-	case OpIsTypeL:
-		return fmt.Sprintf("IsTypeL %s %s", local(in.A), u.DecodeRAT(in.B, 0))
-	case OpJmp, OpJmpZ, OpJmpNZ:
-		return fmt.Sprintf("%s -> %d", in.Op, in.A)
-	case OpSwitch:
-		return fmt.Sprintf("Switch table#%d", in.A)
-	case OpIterInitL:
-		return fmt.Sprintf("IterInitL it:%d exit->%d %s", in.A, in.B, local(in.C))
-	case OpIterNext:
-		return fmt.Sprintf("IterNext it:%d body->%d", in.A, in.B)
-	case OpIterKey, OpIterValue, OpIterFree:
-		return fmt.Sprintf("%s it:%d", in.Op, in.A)
-	case OpFCallD, OpFCallBuiltin, OpFCallObjMethodD:
-		return fmt.Sprintf("%s <%d args> %s", in.Op, in.A, str(in.B))
-	case OpNewObjD, OpInstanceOfD, OpCGetPropD, OpSetPropD:
-		return fmt.Sprintf("%s %s", in.Op, str(in.A))
-	case OpNewPackedArray:
-		return fmt.Sprintf("NewPackedArray %d", in.A)
-	case OpVerifyParamType:
-		return fmt.Sprintf("VerifyParamType %d", in.A)
-	default:
-		return in.String()
-	}
+	return sb.String()
 }

@@ -190,16 +190,16 @@ func (d *decoder) i64() int64 {
 }
 
 func (d *decoder) str() string {
-	n := int(d.u64())
+	n := d.u64()
 	if d.err != nil {
 		return ""
 	}
-	if d.pos+n > len(d.data) {
+	if n > uint64(len(d.data)-d.pos) {
 		d.err = errors.New("hhbc: truncated string")
 		return ""
 	}
-	s := string(d.data[d.pos : d.pos+n])
-	d.pos += n
+	s := string(d.data[d.pos : d.pos+int(n)])
+	d.pos += int(n)
 	return s
 }
 
@@ -223,20 +223,25 @@ func (d *decoder) byte() byte {
 	return v
 }
 
-// DecodeUnit parses a serialized unit.
+// DecodeUnit parses a serialized unit and verifies it: the blob comes
+// from outside the process, and everything downstream (disassembler,
+// hhbbc, interpreter, JIT) indexes pools and jump targets unchecked.
 func DecodeUnit(data []byte) (*Unit, error) {
 	if len(data) < len(unitMagic) || string(data[:len(unitMagic)]) != unitMagic {
 		return nil, errors.New("hhbc: bad magic")
 	}
 	d := &decoder{data: data, pos: len(unitMagic)}
 	u := NewUnit()
-	for n := d.u64(); n > 0; n-- {
+	// Every count is checked against d.err as it is consumed: each
+	// element takes at least a byte, so a forged count stops at the end
+	// of the input instead of allocating.
+	for n := d.u64(); n > 0 && d.err == nil; n-- {
 		u.Strings = append(u.Strings, d.str())
 	}
-	for n := d.u64(); n > 0; n-- {
+	for n := d.u64(); n > 0 && d.err == nil; n-- {
 		u.Ints = append(u.Ints, d.i64())
 	}
-	for n := d.u64(); n > 0; n-- {
+	for n := d.u64(); n > 0 && d.err == nil; n-- {
 		u.Doubles = append(u.Doubles, math.Float64frombits(d.u64()))
 	}
 	nf := d.u64()
@@ -254,6 +259,9 @@ func DecodeUnit(data []byte) (*Unit, error) {
 		return nil, fmt.Errorf("hhbc: decode failed: %w", d.err)
 	}
 	u.ReindexNames()
+	if err := VerifyUnit(u); err != nil {
+		return nil, fmt.Errorf("hhbc: decoded unit is malformed: %w", err)
+	}
 	return u, nil
 }
 

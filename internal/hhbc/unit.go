@@ -16,22 +16,55 @@ type Instr struct {
 	A, B, C int32
 }
 
-func (in Instr) String() string {
-	switch in.Op {
-	case OpNop, OpTrue, OpFalse, OpNull, OpPopC, OpDup, OpAdd, OpSub, OpMul,
-		OpDiv, OpMod, OpConcat, OpNeg, OpGt, OpGte, OpLt, OpLte, OpEq, OpNeq,
-		OpSame, OpNSame, OpNot, OpRetC, OpThrow, OpCatch, OpNewArray,
-		OpAddElemC, OpAddNewElemC, OpArrIdx, OpThis, OpPrint,
-		OpCastBool, OpCastInt, OpCastDouble, OpCastString:
-		return in.Op.String()
-	case OpIterInitL, OpIterNext:
-		return fmt.Sprintf("%s %d %d %d", in.Op, in.A, in.B, in.C)
-	case OpFCallD, OpFCallBuiltin, OpFCallObjMethodD, OpIncDecL, OpIsTypeL,
-		OpAssertRATL, OpAssertRAStk:
-		return fmt.Sprintf("%s %d %d", in.Op, in.A, in.B)
+// imm returns immediate i (0 = A, 1 = B, 2 = C), immPtr its address.
+func (in Instr) imm(i int) int32      { return [3]int32{in.A, in.B, in.C}[i] }
+func (in *Instr) immPtr(i int) *int32 { return [3]*int32{&in.A, &in.B, &in.C}[i] }
+
+// NumPop returns how many cells the instruction pops, NumPush how
+// many it pushes.
+func (in Instr) NumPop() int {
+	switch p := in.Op.info().pops; p {
+	case popsA:
+		return int(in.A)
+	case popsA1:
+		return int(in.A) + 1
 	default:
-		return fmt.Sprintf("%s %d", in.Op, in.A)
+		return int(p)
 	}
+}
+
+func (in Instr) NumPush() int { return int(in.Op.info().pushes) }
+
+// LocalSlot returns the local the instruction names (a parameter
+// index is that parameter's slot), or -1.
+func (in Instr) LocalSlot() int {
+	for i, k := range in.Op.info().imm {
+		if k == ImmLocal || k == ImmParam {
+			return int(in.imm(i))
+		}
+	}
+	return -1
+}
+
+// RemapTargets rewrites the instruction's jump targets through newPC
+// (old pc -> new pc), for passes that insert or delete instructions.
+// Switch tables live in the Func and are the caller's to remap.
+func (in *Instr) RemapTargets(newPC []int) {
+	for i, k := range in.Op.info().imm {
+		if k == ImmTarget {
+			*in.immPtr(i) = int32(newPC[in.imm(i)])
+		}
+	}
+}
+
+func (in Instr) String() string {
+	s := in.Op.String()
+	for i, k := range in.Op.info().imm {
+		if k != ImmNone {
+			s += fmt.Sprintf(" %d", in.imm(i))
+		}
+	}
+	return s
 }
 
 // Param describes a function parameter.
@@ -78,10 +111,28 @@ type Func struct {
 	Instrs    []Instr
 	EHTable   []EHEnt
 	Switches  []SwitchTable
+}
 
-	// ParamTypes, inferred by hhbbc, give entry types for each
-	// parameter used by region selectors; nil = unknown (TCell).
-	ParamTypes []types.Type
+// ForEachSuccessor calls fn with each explicit branch target of the
+// instruction at pc, in immediate order (a switch's targets, then its
+// default), and reports whether control can also fall through to
+// pc+1. Exception edges are not successors; see HandlerFor.
+func (f *Func) ForEachSuccessor(pc int, fn func(target int)) (fallsThrough bool) {
+	in := f.Instrs[pc]
+	info := in.Op.info()
+	for i, k := range info.imm {
+		switch k {
+		case ImmTarget:
+			fn(int(in.imm(i)))
+		case ImmSwitch:
+			sw := &f.Switches[in.imm(i)]
+			for _, t := range sw.Targets {
+				fn(t)
+			}
+			fn(sw.Default)
+		}
+	}
+	return info.flags&noFall == 0
 }
 
 // HandlerFor returns the innermost handler covering pc, or -1.

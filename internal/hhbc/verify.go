@@ -1,26 +1,44 @@
 package hhbc
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/types"
+)
 
 // VerifyFunc checks structural invariants of a function's bytecode:
-// jump targets in range, stack depth consistent along all paths, pool
-// indices valid. The emitter output and decoded repo units are both
-// verified before execution.
+// every opcode known and every immediate in range for its kind (both
+// bounds, unreachable code included, so the disassembler and hhbbc can
+// walk a verified function blindly), jump targets and handler ranges
+// inside the function, stack depth consistent along all paths. The
+// emitter's and hhbbc's output and every decoded unit are verified
+// before execution.
 func VerifyFunc(u *Unit, f *Func) error {
 	n := len(f.Instrs)
 	if n == 0 {
 		return fmt.Errorf("%s: empty function", f.FullName())
 	}
-	last := f.Instrs[n-1].Op
-	if !last.IsUnconditionalExit() {
+	if len(f.Params) > f.NumLocals {
+		return fmt.Errorf("%s: %d params in %d locals", f.FullName(), len(f.Params), f.NumLocals)
+	}
+	if last := f.Instrs[n-1].Op; !last.IsUnconditionalExit() {
 		return fmt.Errorf("%s: control can fall off the end (%s)", f.FullName(), last)
 	}
-
-	checkTarget := func(pc int, t int32) error {
-		if t < 0 || int(t) >= n {
-			return fmt.Errorf("%s: pc %d: jump target %d out of range", f.FullName(), pc, t)
+	inFunc := func(pc int) bool { return pc >= 0 && pc < n }
+	for si, sw := range f.Switches {
+		ok := inFunc(sw.Default)
+		for _, t := range sw.Targets {
+			ok = ok && inFunc(t)
 		}
-		return nil
+		if !ok {
+			return fmt.Errorf("%s: switch table %d: target out of range", f.FullName(), si)
+		}
+	}
+	for pc, in := range f.Instrs {
+		if err := checkImmediates(u, f, in); err != nil {
+			return fmt.Errorf("%s: pc %d (%s): %w", f.FullName(), pc, in.Op, err)
+		}
 	}
 
 	// depth[pc] = stack depth at entry, -1 unknown. Worklist walk.
@@ -31,17 +49,16 @@ func VerifyFunc(u *Unit, f *Func) error {
 	type workItem struct{ pc, d int }
 	work := []workItem{{0, 0}}
 	for _, eh := range f.EHTable {
-		if eh.Handler < 0 || eh.Handler >= n {
-			return fmt.Errorf("%s: bad EH handler %d", f.FullName(), eh.Handler)
+		if !inFunc(eh.Handler) || eh.Start < 0 || eh.Start > eh.End || eh.End > n {
+			return fmt.Errorf("%s: bad EH entry [%d,%d) -> %d", f.FullName(), eh.Start, eh.End, eh.Handler)
 		}
 		// Handlers start with Catch, which pushes the exception onto
 		// an empty stack.
 		work = append(work, workItem{eh.Handler, 0})
 	}
 	for len(work) > 0 {
-		it := work[len(work)-1]
+		pc, d := work[len(work)-1].pc, work[len(work)-1].d
 		work = work[:len(work)-1]
-		pc, d := it.pc, it.d
 		for {
 			if depth[pc] >= 0 {
 				if depth[pc] != d {
@@ -52,63 +69,14 @@ func VerifyFunc(u *Unit, f *Func) error {
 			}
 			depth[pc] = d
 			in := f.Instrs[pc]
-			pops := in.Op.NumPop()
-			if pops < 0 {
-				switch in.Op {
-				case OpFCallD, OpFCallBuiltin:
-					pops = int(in.A)
-				case OpFCallObjMethodD:
-					pops = int(in.A) + 1
-				case OpNewPackedArray:
-					pops = int(in.A)
-				}
-			}
+			pops := in.NumPop()
 			if d < pops {
 				return fmt.Errorf("%s: pc %d (%s): stack underflow (depth %d, pops %d)",
 					f.FullName(), pc, in.Op, d, pops)
 			}
-			d = d - pops + in.Op.NumPush()
-			if err := checkPools(u, f, pc, in); err != nil {
-				return err
-			}
-			switch in.Op {
-			case OpJmp:
-				if err := checkTarget(pc, in.A); err != nil {
-					return err
-				}
-				work = append(work, workItem{int(in.A), d})
-			case OpJmpZ, OpJmpNZ:
-				if err := checkTarget(pc, in.A); err != nil {
-					return err
-				}
-				work = append(work, workItem{int(in.A), d})
-			case OpIterInitL:
-				if err := checkTarget(pc, in.B); err != nil {
-					return err
-				}
-				work = append(work, workItem{int(in.B), d})
-			case OpIterNext:
-				if err := checkTarget(pc, in.B); err != nil {
-					return err
-				}
-				work = append(work, workItem{int(in.B), d})
-			case OpSwitch:
-				if int(in.A) >= len(f.Switches) {
-					return fmt.Errorf("%s: pc %d: bad switch table", f.FullName(), pc)
-				}
-				sw := f.Switches[in.A]
-				for _, t := range sw.Targets {
-					if err := checkTarget(pc, int32(t)); err != nil {
-						return err
-					}
-					work = append(work, workItem{t, d})
-				}
-				if err := checkTarget(pc, int32(sw.Default)); err != nil {
-					return err
-				}
-				work = append(work, workItem{sw.Default, d})
-			}
-			if in.Op.IsUnconditionalExit() {
+			d += in.NumPush() - pops
+			fall := f.ForEachSuccessor(pc, func(t int) { work = append(work, workItem{t, d}) })
+			if !fall {
 				break
 			}
 			pc++
@@ -120,41 +88,70 @@ func VerifyFunc(u *Unit, f *Func) error {
 	return nil
 }
 
-func checkPools(u *Unit, f *Func, pc int, in Instr) error {
-	bad := func(what string) error {
-		return fmt.Errorf("%s: pc %d (%s): bad %s index %d", f.FullName(), pc, in.Op, what, in.A)
+// checkImmediates range-checks in's immediates by their kind.
+func checkImmediates(u *Unit, f *Func, in Instr) error {
+	if in.Op >= opCount {
+		return fmt.Errorf("unknown opcode %d", in.Op)
 	}
-	switch in.Op {
-	case OpInt:
-		if int(in.A) >= len(u.Ints) {
-			return bad("int pool")
+	for i, k := range in.Op.info().imm {
+		v := int(in.imm(i))
+		var limit int // v must lie in [0, limit)
+		what := ""
+		switch k {
+		case ImmNone:
+			continue
+		case ImmInt:
+			what, limit = "int pool index", len(u.Ints)
+		case ImmDbl:
+			what, limit = "double pool index", len(u.Doubles)
+		case ImmStr:
+			what, limit = "string pool index", len(u.Strings)
+		case ImmLocal:
+			what, limit = "local", f.NumLocals
+		case ImmIter:
+			// Iterator slots are allocated per foreach, so a function
+			// cannot name more of them than it has instructions.
+			what, limit = "iterator", len(f.Instrs)
+		case ImmTarget:
+			what, limit = "jump target", len(f.Instrs)
+		case ImmSwitch:
+			what, limit = "switch table", len(f.Switches)
+		case ImmParam:
+			what, limit = "parameter", len(f.Params)
+		case ImmCount, ImmCounter:
+			what, limit = "count", math.MaxInt
+		case ImmIncDec:
+			what, limit = "inc/dec op", len(incDecNames)
+		case ImmKinds:
+			what, limit = "kind set", int(types.KCell)+1
+		case ImmRAT:
+			what, limit = "type", ratExactClass<<1
+			if v>>ratArrShift&3 > int(types.ArrayMixed) {
+				limit = 0 // no such array kind: nothing is in range
+			}
+		case ImmRATClass:
+			what, limit = "class name index", len(u.Strings)+1
 		}
-	case OpDouble:
-		if int(in.A) >= len(u.Doubles) {
-			return bad("double pool")
-		}
-	case OpString, OpFatal, OpNewObjD, OpInstanceOfD, OpCGetPropD, OpSetPropD:
-		if int(in.A) >= len(u.Strings) {
-			return bad("string pool")
-		}
-	case OpFCallD, OpFCallBuiltin, OpFCallObjMethodD:
-		if int(in.B) >= len(u.Strings) {
-			return fmt.Errorf("%s: pc %d: bad name index %d", f.FullName(), pc, in.B)
-		}
-	case OpCGetL, OpCGetL2, OpPopL, OpSetL, OpPushL, OpUnsetL, OpIncDecL,
-		OpArrGetL, OpArrSetL, OpArrAppendL, OpArrUnsetL, OpAKExistsL, OpAssertRATL:
-		if int(in.A) >= f.NumLocals {
-			return bad("local")
+		if v < 0 || v >= limit {
+			return fmt.Errorf("bad %s %d", what, v)
 		}
 	}
 	return nil
 }
 
-// VerifyUnit verifies every function.
+// VerifyUnit verifies every function and that classes name methods
+// the unit has.
 func VerifyUnit(u *Unit) error {
 	for _, f := range u.Funcs {
 		if err := VerifyFunc(u, f); err != nil {
 			return err
+		}
+	}
+	for _, c := range u.Classes {
+		for name, id := range c.Methods {
+			if id < 0 || id >= len(u.Funcs) {
+				return fmt.Errorf("class %s: method %s is function %d of %d", c.Name, name, id, len(u.Funcs))
+			}
 		}
 	}
 	if u.Main < 0 || u.Main >= len(u.Funcs) {

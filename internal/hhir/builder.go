@@ -277,18 +277,11 @@ func (b *builder) setLocalType(slot int, t types.Type) { b.localTypes[slot] = t 
 // ldLoc loads a local with its known type.
 func (b *builder) ldLoc(slot int) *SSATmp {
 	t := b.localType(slot)
-	dst := b.out.NewTmp(cgetTypeB(t))
+	dst := b.out.NewTmp(hhbc.CGetType(t))
 	in := &Instr{Op: LdLoc, Dst: dst, I64: int64(slot)}
 	dst.Def = in
 	b.emit(in)
 	return dst
-}
-
-func cgetTypeB(t types.Type) types.Type {
-	if t.Maybe(types.TUninit) {
-		return types.FromKind(t.Kind()&^types.KUninit | types.KNull)
-	}
-	return t
 }
 
 // stLoc stores a value into a local and updates the tracked type.

@@ -67,10 +67,11 @@ func (b *builder) lowerCallBuiltin(in hhbc.Instr) error {
 
 	args := b.popArgs(nargs)
 	t := types.TInitCell
-	if bi, ok := runtime.LookupBuiltin(name); ok && bi.Arity >= 0 && bi.Arity == nargs {
-		if rt, ok2 := builtinRetHHIR[name]; ok2 {
-			t = rt
-		}
+	// The declared result type is used for a fixed-arity native called
+	// with that many arguments; variadic ones (substr, max, min) stay
+	// InitCell here.
+	if bi, ok := runtime.LookupBuiltin(name); ok && bi.Arity == nargs {
+		t = bi.Ret
 	}
 	dst := b.out.NewTmp(t)
 	call := &Instr{Op: CallBuiltin, Dst: dst, Str: name, Args: args, Exit: b.catchExit()}
@@ -78,19 +79,6 @@ func (b *builder) lowerCallBuiltin(in hhbc.Instr) error {
 	b.emit(call)
 	b.push(dst)
 	return nil
-}
-
-// builtinRetHHIR mirrors the region selector's result-type table.
-var builtinRetHHIR = map[string]types.Type{
-	"count": types.TInt, "strlen": types.TInt,
-	"intval": types.TInt, "floatval": types.TDbl, "strval": types.TStr,
-	"is_int": types.TBool, "is_float": types.TBool, "is_string": types.TBool,
-	"is_array": types.TBool, "is_bool": types.TBool, "is_null": types.TBool,
-	"is_numeric": types.TBool, "implode": types.TStr, "substr": types.TStr,
-	"strtoupper": types.TStr, "strtolower": types.TStr, "strrev": types.TStr,
-	"str_repeat": types.TStr, "sqrt": types.TDbl, "floor": types.TDbl,
-	"ceil": types.TDbl, "round": types.TDbl, "ord": types.TInt, "chr": types.TStr,
-	"in_array": types.TBool, "array_key_exists": types.TBool,
 }
 
 // lowerCallMethod lowers FCallObjMethodD with the method-dispatch

@@ -29,6 +29,8 @@ function callee($p, $c) { if ($c) { $p = $p + 1; } return $p; }
 function caller($a) { return callee($a, 1) + 1; }
 function entryLoop($i, $n) { while ($i < $n) { $i = $i + 1; } return $i; }
 function entryLoopRetype($i, $n) { while ($i < $n) { $i = $i + 0.5; } return $i; }
+function half(?float $x) { return $x; }
+function pickHalf($c) { if ($c) { $v = 3; } else { $v = null; } return half($v); }
 `
 
 // flowFixture holds one compiled unit, a region-mode engine that never
@@ -347,6 +349,41 @@ func TestFlowInlinedCallee(t *testing.T) {
 		x.eng.Heap().DecRef(v)
 	}
 	x.run(callerDesc, vals(runtime.Int(5)), vals(runtime.Int(-1)))
+}
+
+// TestFlowInlinedFloatHintWidensInt: the join passes `Int|Null` to an
+// inlined `?float` parameter. VerifyParamType widens the Int to a Dbl
+// at run time, so the parameter is `Dbl|Null` afterwards — not the
+// `Null` that intersecting with the hint leaves, under which the
+// callee returned a constant null for 3.
+func TestFlowInlinedFloatHintWidensInt(t *testing.T) {
+	x := newFlowFixture(t)
+	callee, caller := x.fn("half"), x.fn("pickHalf")
+	x.at(callee, 0, hhbc.OpVerifyParamType)
+	x.at(callee, 2, hhbc.OpRetC)
+	x.at(caller, 1, hhbc.OpJmpZ)
+	x.at(caller, 4, hhbc.OpJmp)
+	x.at(caller, 8, hhbc.OpFCallD)
+	calleeDesc := mkDesc(nil, block(callee, 0, 3, 0))
+	callerDesc := mkDesc(map[int][]int{0: {1, 2}, 1: {3}, 2: {3}},
+		block(caller, 0, 2, 0, local(0, types.TInt)),
+		block(caller, 2, 5, 0),
+		block(caller, 5, 7, 0),
+		block(caller, 7, 10, 0))
+	cfg := hhir.BuildConfig{EnableInlining: true,
+		RegionOf: func(*hhbc.Func, []types.Type) *region.Desc { return calleeDesc }}
+	hu := x.build(callerDesc, cfg)
+	if countOps(hu, hhir.EndInline) != 1 || countOps(hu, hhir.VerifyParam) != 1 {
+		t.Fatalf("half was not inlined behind a VerifyParam\n%s", hu)
+	}
+	for _, b := range hu.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == hhir.EndInline && !types.TDbl.SubtypeOf(in.Args[0].Type) {
+				t.Errorf("the inlined half returns a %s: the widened Int is missing", in.Args[0].Type)
+			}
+		}
+	}
+	x.run(callerDesc, vals(runtime.Int(1)), vals(runtime.Int(0)))
 }
 
 // entryLoopDesc is a region whose entry block is the loop header.

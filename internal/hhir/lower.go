@@ -20,20 +20,12 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 	case hhbc.OpNop, hhbc.OpIncProfCounter:
 
 	case hhbc.OpAssertRATL:
-		t := u.DecodeRAT(in.B, in.C)
 		slot := b.slot(in.A)
-		nt := b.localType(slot).Intersect(t)
-		if !nt.IsBottom() {
-			b.setLocalType(slot, nt)
-		}
+		b.setLocalType(slot, hhbc.Refine(b.localType(slot), u.DecodeRAT(in.B, in.C)))
 	case hhbc.OpAssertRAStk:
-		d := len(b.stack) - 1 - int(in.A)
-		if d >= 0 {
-			t := u.DecodeRAT(in.B, in.C)
-			nt := b.stack[d].Type.Intersect(t)
-			if !nt.IsBottom() {
-				b.stack[d] = b.def(AssertType, nt, b.stack[d])
-			}
+		if d := len(b.stack) - 1 - int(in.A); d >= 0 {
+			nt := hhbc.Refine(b.stack[d].Type, u.DecodeRAT(in.B, in.C))
+			b.stack[d] = b.def(AssertType, nt, b.stack[d])
 		}
 
 	case hhbc.OpInt:
@@ -326,23 +318,19 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		b.emit(&Instr{Op: ArrSetLocal, I64: int64(b.slot(in.A)),
 			Args: []*SSATmp{key, val}, Exit: b.catchExit()})
 		b.decRef(key)
-		b.setLocalType(b.slot(in.A), types.TArr)
+		b.retypeElemLocal(in)
 	case hhbc.OpArrAppendL:
 		val := b.pop()
 		slot := b.slot(in.A)
 		b.emit(&Instr{Op: ArrAppendLocal, I64: int64(slot),
 			Args: []*SSATmp{val}, Exit: b.catchExit()})
-		if t := b.localType(slot); !t.SubtypeOf(types.TArr) {
-			b.setLocalType(slot, types.TArr)
-		}
+		b.retypeElemLocal(in)
 	case hhbc.OpArrUnsetL:
 		key := b.pop()
 		slot := b.slot(in.A)
 		b.emit(&Instr{Op: ArrUnsetLocal, I64: int64(slot), Args: []*SSATmp{key}})
 		b.decRef(key)
-		if b.localType(slot).SubtypeOf(types.TArr) {
-			b.setLocalType(slot, types.TArr) // removing an element may leave a packed array mixed
-		}
+		b.retypeElemLocal(in)
 	case hhbc.OpAKExistsL:
 		key := b.pop()
 		dst := b.out.NewTmp(types.TBool)
@@ -365,7 +353,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		b.emit(&Instr{Op: IterNextK, I64: int64(in.A), Taken: body, Next: exit})
 		return true, nil
 	case hhbc.OpIterKey:
-		dst := b.out.NewTmp(types.FromKind(types.KInt | types.KStr))
+		dst := b.out.NewTmp(hhbc.IterKeyType)
 		inn := &Instr{Op: IterKey, Dst: dst, I64: int64(in.A)}
 		dst.Def = inn
 		b.emit(inn)
@@ -448,17 +436,12 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 	case hhbc.OpVerifyParamType:
 		idx := int(in.A)
 		p := b.curFn().Params[idx]
-		ht := hintTypeB(p)
 		slot := b.slot(in.A)
-		if !b.localType(slot).SubtypeOf(ht) {
+		if !b.localType(slot).SubtypeOf(hhbc.HintType(p)) {
 			b.emit(&Instr{Op: VerifyParam, I64: packVerify(b.curFn().ID, idx, slot),
 				Exit: b.catchExit()})
 		}
-		nt := b.localType(slot).Intersect(ht)
-		if nt.IsBottom() {
-			nt = ht
-		}
-		b.setLocalType(slot, nt)
+		b.setLocalType(slot, hhbc.VerifiedParamType(p, b.localType(slot)))
 
 	case hhbc.OpPrint:
 		v := b.pop()
@@ -507,6 +490,13 @@ func (b *builder) curFn() *hhbc.Func {
 		return b.inlines[n-1].callee
 	}
 	return b.fn
+}
+
+// retypeElemLocal gives the local of ArrSetL/ArrAppendL/ArrUnsetL its
+// type after the store.
+func (b *builder) retypeElemLocal(in hhbc.Instr) {
+	slot := b.slot(in.A)
+	b.setLocalType(slot, hhbc.ElemLocalType(in.Op, b.localType(slot)))
 }
 
 // storeToLocal stores v (ownership transferred) and releases the old
@@ -843,28 +833,4 @@ func (b *builder) lowerIncDec(in hhbc.Instr) bool {
 		return true
 	}
 	return false
-}
-
-func hintTypeB(p hhbc.Param) types.Type {
-	var t types.Type
-	switch p.TypeHint {
-	case "int":
-		t = types.TInt
-	case "float":
-		t = types.TDbl
-	case "string":
-		t = types.TStr
-	case "bool":
-		t = types.TBool
-	case "array":
-		t = types.TArr
-	case "":
-		return types.TCell
-	default:
-		t = types.ObjOfClass(p.TypeHint, false)
-	}
-	if p.Nullable {
-		t = t.Union(types.TNull)
-	}
-	return t
 }

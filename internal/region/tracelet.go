@@ -42,28 +42,12 @@ const (
 // DefaultMaxInstrs bounds tracelet length.
 const DefaultMaxInstrs = 120
 
-// builtinRet gives known result types for hot builtins; anything else
-// returns InitCell.
-var builtinRet = map[string]types.Type{
-	"count": types.TInt, "strlen": types.TInt, "abs": types.TNum,
-	"intval": types.TInt, "floatval": types.TDbl, "strval": types.TStr,
-	"is_int": types.TBool, "is_float": types.TBool, "is_string": types.TBool,
-	"is_array": types.TBool, "is_bool": types.TBool, "is_null": types.TBool,
-	"is_numeric": types.TBool, "implode": types.TStr, "substr": types.TStr,
-	"strtoupper": types.TStr, "strtolower": types.TStr, "strrev": types.TStr,
-	"str_repeat": types.TStr, "sqrt": types.TDbl, "floor": types.TDbl,
-	"ceil": types.TDbl, "round": types.TDbl, "ord": types.TInt, "chr": types.TStr,
-	"array_sum": types.TNum, "in_array": types.TBool, "array_key_exists": types.TBool,
-	"array_keys":   types.ArrOfKind(types.ArrayPacked),
-	"array_values": types.ArrOfKind(types.ArrayPacked),
-}
-
-// sval is a symbolic stack value.
-type sval struct {
-	t types.Type
-	// origin, when non-nil, names the pristine entry location this
-	// value came from, so stronger constraints can upgrade its guard.
-	origin *Loc
+// origin names the pristine entry location a symbolic stack value
+// came from, so stronger constraints can upgrade its guard; !ok for a
+// value the tracelet computed itself.
+type origin struct {
+	Loc
+	ok bool
 }
 
 // selector walks bytecode computing type flow and guard needs.
@@ -71,13 +55,16 @@ type selector struct {
 	unit *hhbc.Unit
 	fn   *hhbc.Func
 	src  TypeSource
-	mode SelectMode
-	max  int
+	// facts is src's shape knowledge, nil when it has none.
+	facts ShapeFactSource
+	mode  SelectMode
+	max   int
 
-	locals   map[int]types.Type
-	pristine map[int]bool
-	stack    []sval
-	iters    map[int32]types.ArrayKind
+	locals  map[int]types.Type
+	written []bool // locals the tracelet has stored to: no longer guardable
+	// The symbolic eval stack: types, and in parallel their origins.
+	stack   []types.Type
+	origins []origin
 
 	guards map[Loc]*Guard
 	block  *Block
@@ -92,31 +79,26 @@ func Select(u *hhbc.Unit, fn *hhbc.Func, pc int, entryDepth int, src TypeSource,
 	}
 	s := &selector{
 		unit: u, fn: fn, src: src, mode: mode, max: maxInstrs,
-		locals:   map[int]types.Type{},
-		pristine: map[int]bool{},
-		iters:    map[int32]types.ArrayKind{},
-		guards:   map[Loc]*Guard{},
+		locals:  map[int]types.Type{},
+		written: make([]bool, fn.NumLocals),
+		guards:  map[Loc]*Guard{},
 	}
-	for i := 0; i < fn.NumLocals; i++ {
-		s.pristine[i] = true
-	}
+	s.facts, _ = src.(ShapeFactSource)
 	b := &Block{
 		Func: fn, Start: pc, EntryStackDepth: entryDepth,
 		ProfCounter: -1,
 	}
 	s.block = b
 	for d := 0; d < entryDepth; d++ {
-		t := src.StackType(d)
-		b.EntryStackTypes = append(b.EntryStackTypes, t)
-		loc := Loc{LocStack, d}
-		s.stack = append(s.stack, sval{t: types.TInitCell, origin: &loc})
+		b.EntryStackTypes = append(b.EntryStackTypes, src.StackType(d))
+		s.stack = append(s.stack, types.TInitCell)
+		s.origins = append(s.origins, origin{Loc{LocStack, d}, true})
 	}
 
 	cur := pc
 	for cur-pc < s.max {
 		in := fn.Instrs[cur]
-		include, endAfter, succs := s.step(in, cur)
-		if !include {
+		if !s.step(in, cur) {
 			// The instruction needs information this tracelet cannot
 			// provide: end before it; it starts the next translation.
 			b.Succs = []int{cur}
@@ -124,8 +106,22 @@ func Select(u *hhbc.Unit, fn *hhbc.Func, pc int, entryDepth int, src TypeSource,
 		}
 		cur++
 		b.NumInstrs = cur - pc
-		if endAfter {
-			b.Succs = succs
+		// A branch or an exit ends the tracelet: its successors are the
+		// distinct targets, then the fall-through.
+		branches := false
+		fall := fn.ForEachSuccessor(cur-1, func(t int) {
+			branches = true
+			for _, seen := range b.Succs {
+				if seen == t {
+					return
+				}
+			}
+			b.Succs = append(b.Succs, t)
+		})
+		if branches || !fall {
+			if fall {
+				b.Succs = append(b.Succs, cur)
+			}
 			break
 		}
 		if s.mode == ModeProfiling && breaksProfilingBlock(in.Op) {
@@ -196,47 +192,47 @@ func (s *selector) guardLocal(slot int, con TypeConstraint) (types.Type, bool) {
 		s.upgradeGuard(Loc{LocLocal, slot}, con)
 		return cur, true
 	}
-	if !s.pristine[slot] {
+	if s.written[slot] {
 		return cur, false
 	}
 	t := s.src.LocalType(slot)
 	if !con.Satisfied(t) {
 		return cur, false
 	}
-	loc := Loc{LocLocal, slot}
-	s.setGuard(loc, t, con)
+	s.setGuard(Loc{LocLocal, slot}, t, con)
 	s.locals[slot] = t
 	return t, true
 }
 
-// needVal tries to establish con on a stack value, upgrading its
-// origin guard when possible.
-func (s *selector) needVal(v *sval, con TypeConstraint) bool {
-	if con.Satisfied(v.t) {
-		if v.origin != nil {
-			s.upgradeGuard(*v.origin, con)
+// needVal tries to establish con on the stack value at index i,
+// guarding (or upgrading the guard of) its origin when possible.
+func (s *selector) needVal(i int, con TypeConstraint) bool {
+	o := s.origins[i]
+	if con.Satisfied(s.stack[i]) {
+		if o.ok {
+			s.upgradeGuard(o.Loc, con)
 		}
 		return true
 	}
-	if v.origin == nil {
+	if !o.ok {
 		return false
 	}
 	var t types.Type
-	if v.origin.Kind == LocLocal {
-		if !s.pristine[v.origin.Slot] {
+	if o.Kind == LocLocal {
+		if s.written[o.Slot] {
 			return false
 		}
-		t = s.src.LocalType(v.origin.Slot)
+		t = s.src.LocalType(o.Slot)
 	} else {
-		t = s.src.StackType(v.origin.Slot)
+		t = s.src.StackType(o.Slot)
 	}
 	if !con.Satisfied(t) {
 		return false
 	}
-	s.setGuard(*v.origin, t, con)
-	v.t = t
-	if v.origin.Kind == LocLocal {
-		s.locals[v.origin.Slot] = t
+	s.setGuard(o.Loc, t, con)
+	s.stack[i] = t
+	if o.Kind == LocLocal {
+		s.locals[o.Slot] = t
 	}
 	return true
 }
@@ -259,44 +255,23 @@ func (s *selector) upgradeGuard(loc Loc, con TypeConstraint) {
 	}
 }
 
-// widenObjGuard widens a property-access object's entry guard to the
-// bare Obj kind (DESIGN.md §14): the shape guard or inline cache in
-// the translation body subsumes the class, so pinning the class here
-// would split identical-layout receivers across chained translations
-// for nothing. Guards already strengthened to ConSpecialized by
-// another consumer (method dispatch) are left alone.
-func (s *selector) widenObjGuard(v *sval) {
-	if v.origin == nil {
+// widenObjGuard widens the entry guard of the property-access object
+// at stack index i to the bare Obj kind (DESIGN.md §14): the shape
+// guard or inline cache in the translation body subsumes the class, so
+// pinning the class here would split identical-layout receivers across
+// chained translations for nothing. Guards already strengthened to
+// ConSpecialized by another consumer (method dispatch) are left alone.
+func (s *selector) widenObjGuard(i int) {
+	o := s.origins[i]
+	if !o.ok {
 		return
 	}
-	g, ok := s.guards[*v.origin]
+	g, ok := s.guards[o.Loc]
 	if !ok || g.Constraint > ConSpecific || !g.Type.SubtypeOf(types.TObj) {
 		return
 	}
 	g.Type = g.Type.Unspecialize()
-	v.t = v.t.Unspecialize()
-	if v.origin.Kind == LocLocal {
-		s.locals[v.origin.Slot] = v.t
+	if o.Kind == LocLocal {
+		s.locals[o.Slot] = s.stack[i].Unspecialize()
 	}
-}
-
-// wantVal is like needVal but tolerates failure (the consumer falls
-// back to a generic path).
-func (s *selector) wantVal(v *sval, con TypeConstraint) {
-	s.needVal(v, con)
-}
-
-func (s *selector) push(t types.Type) { s.stack = append(s.stack, sval{t: t}) }
-
-func (s *selector) pushFrom(v sval) { s.stack = append(s.stack, v) }
-
-func (s *selector) pop() sval {
-	v := s.stack[len(s.stack)-1]
-	s.stack = s.stack[:len(s.stack)-1]
-	return v
-}
-
-func (s *selector) writeLocal(slot int, t types.Type) {
-	s.locals[slot] = t
-	s.pristine[slot] = false
 }

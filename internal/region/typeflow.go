@@ -5,476 +5,151 @@ import (
 	"repro/internal/types"
 )
 
-// step symbolically executes one instruction. It returns whether the
-// instruction can be included in the current tracelet, whether the
-// tracelet ends after it, and the successor pcs when it ends.
-func (s *selector) step(in hhbc.Instr, pc int) (include, endAfter bool, succs []int) {
-	u, fn := s.unit, s.fn
-	switch in.Op {
-	case hhbc.OpNop, hhbc.OpIncProfCounter, hhbc.OpIterFree:
-		// IterFree drops the iterator's array reference; generic.
+// What an instruction pops, pushes, jumps to and produces is hhbc's
+// (the opcode table, ForEachSuccessor, InstrTypes). This file is what
+// is the selector's own: which type knowledge the JIT's code for each
+// instruction relies on (Table 1), which operand types it has no code
+// for, and where values on the symbolic stack came from.
 
-	case hhbc.OpAssertRATL:
-		t := u.DecodeRAT(in.B, in.C)
-		cur := s.localType(int(in.A))
-		nt := cur.Intersect(t)
-		if nt.IsBottom() {
-			nt = t
+// need is one constraint an instruction places on an input.
+type need struct {
+	at   int // operand index counted from the top of the stack, or one of the at* values
+	con  TypeConstraint
+	must bool // unmet: the tracelet ends before the instruction, instead of the code going generic
+}
+
+const (
+	atLocal = -1 - iota // the local the instruction names
+	atArgs              // each of the A arguments or elements on top of the stack
+	atRecv              // the receiver under those A arguments
+)
+
+// needs is Table 1 for this bytecode, indexed by opcode. A list is in
+// the order its constraints are established: a `must` that fails
+// leaves the guards of the needs listed after it untouched.
+var needs [256][]need
+
+func init() {
+	const want, must = false, true
+	set := func(list []need, ops ...hhbc.Op) {
+		for _, op := range ops {
+			needs[op] = list
 		}
-		s.locals[int(in.A)] = nt
-	case hhbc.OpAssertRAStk:
-		d := len(s.stack) - 1 - int(in.A)
-		if d >= 0 {
-			t := u.DecodeRAT(in.B, in.C)
-			nt := s.stack[d].t.Intersect(t)
-			if !nt.IsBottom() {
-				s.stack[d].t = nt
+	}
+	set([]need{{0, ConCountness, want}}, hhbc.OpPopC, hhbc.OpDup, hhbc.OpRetC)
+	set([]need{{0, ConSpecific, want}}, hhbc.OpNot, hhbc.OpCastBool, hhbc.OpCastInt, hhbc.OpCastDouble,
+		hhbc.OpCastString, hhbc.OpJmpZ, hhbc.OpJmpNZ, hhbc.OpSwitch, hhbc.OpInstanceOfD, hhbc.OpPrint, hhbc.OpAKExistsL)
+	set([]need{{0, ConSpecific, must}}, hhbc.OpNeg)
+	set([]need{{1, ConSpecific, want}, {0, ConSpecific, want}}, hhbc.OpMod, hhbc.OpConcat,
+		hhbc.OpGt, hhbc.OpGte, hhbc.OpLt, hhbc.OpLte, hhbc.OpEq, hhbc.OpNeq, hhbc.OpSame, hhbc.OpNSame)
+	set([]need{{1, ConSpecific, must}, {0, ConSpecific, must}}, hhbc.OpAdd, hhbc.OpSub, hhbc.OpMul, hhbc.OpDiv)
+	set([]need{{atArgs, ConCountness, want}}, hhbc.OpNewPackedArray, hhbc.OpFCallD, hhbc.OpFCallBuiltin)
+	set([]need{{atArgs, ConCountness, want}, {atRecv, ConSpecialized, want}}, hhbc.OpFCallObjMethodD)
+	set([]need{{atLocal, ConCountness, must}}, hhbc.OpCGetL, hhbc.OpCGetL2, hhbc.OpPushL, hhbc.OpUnsetL)
+	set([]need{{0, ConCountness, want}, {atLocal, ConCountness, must}}, hhbc.OpPopL, hhbc.OpSetL)
+	set([]need{{atLocal, ConSpecific, must}}, hhbc.OpIncDecL)
+	set([]need{{atLocal, ConSpecialized, want}}, hhbc.OpIterInitL)
+	set([]need{{0, ConCountness, want}, {1, ConSpecific, want}, {2, ConSpecialized, want}}, hhbc.OpAddElemC)
+	set([]need{{0, ConCountness, want}, {1, ConSpecialized, want}}, hhbc.OpAddNewElemC)
+	set([]need{{0, ConSpecific, must}, {1, ConSpecialized, must}}, hhbc.OpArrIdx)
+	set([]need{{0, ConSpecific, must}, {atLocal, ConSpecialized, must}}, hhbc.OpArrGetL)
+	set([]need{{0, ConSpecific, must}, {1, ConCountness, want}, {atLocal, ConSpecialized, must}}, hhbc.OpArrSetL)
+	set([]need{{0, ConCountness, want}, {atLocal, ConSpecialized, must}}, hhbc.OpArrAppendL)
+	set([]need{{0, ConSpecific, want}, {atLocal, ConSpecialized, must}}, hhbc.OpArrUnsetL)
+	set([]need{{0, ConSpecialized, must}}, hhbc.OpCGetPropD)
+	set([]need{{0, ConCountness, want}, {1, ConSpecialized, must}}, hhbc.OpSetPropD)
+}
+
+// step symbolically executes one instruction; false means it cannot
+// be part of this tracelet (it starts the next one).
+func (s *selector) step(in hhbc.Instr, pc int) bool {
+	top := len(s.stack) - 1
+	base := len(s.stack) - in.NumPop()
+	slot := in.LocalSlot()
+	// With shape facts (DESIGN.md §14) a property access needs only
+	// object-ness of its receiver: the optimized body carries a shape
+	// guard or inline cache for the layout.
+	byShape := s.facts != nil && (in.Op == hhbc.OpCGetPropD || in.Op == hhbc.OpSetPropD)
+
+	for _, nd := range needs[in.Op] {
+		if byShape && nd.must {
+			nd.con = ConSpecific
+		}
+		met := true
+		switch nd.at {
+		case atLocal:
+			_, met = s.guardLocal(slot, nd.con)
+		case atArgs:
+			for i := top; i > top-int(in.A); i-- {
+				s.needVal(i, nd.con)
 			}
-		}
-
-	case hhbc.OpInt:
-		s.push(types.TInt)
-	case hhbc.OpDouble:
-		s.push(types.TDbl)
-	case hhbc.OpString:
-		s.push(types.TStr)
-	case hhbc.OpTrue, hhbc.OpFalse:
-		s.push(types.TBool)
-	case hhbc.OpNull:
-		s.push(types.TNull)
-
-	case hhbc.OpPopC:
-		v := s.pop()
-		s.wantVal(&v, ConCountness)
-	case hhbc.OpDup:
-		v := s.stack[len(s.stack)-1]
-		s.wantVal(&s.stack[len(s.stack)-1], ConCountness)
-		s.pushFrom(v)
-
-	case hhbc.OpCGetL, hhbc.OpCGetL2:
-		slot := int(in.A)
-		t, ok := s.guardLocal(slot, ConCountness)
-		if !ok {
-			return false, false, nil
-		}
-		rt := cgetType(t)
-		v := sval{t: rt}
-		if s.pristine[slot] && !t.Maybe(types.TUninit) {
-			loc := Loc{LocLocal, slot}
-			v.origin = &loc
-		}
-		if in.Op == hhbc.OpCGetL {
-			s.pushFrom(v)
-		} else {
-			top := s.pop()
-			s.pushFrom(v)
-			s.pushFrom(top)
-		}
-	case hhbc.OpPopL:
-		v := s.pop()
-		s.wantVal(&v, ConCountness)
-		if _, ok := s.guardLocal(int(in.A), ConCountness); !ok {
-			return false, false, nil
-		}
-		s.writeLocal(int(in.A), v.t)
-	case hhbc.OpSetL:
-		s.wantVal(&s.stack[len(s.stack)-1], ConCountness)
-		if _, ok := s.guardLocal(int(in.A), ConCountness); !ok {
-			return false, false, nil
-		}
-		s.writeLocal(int(in.A), s.stack[len(s.stack)-1].t)
-	case hhbc.OpPushL:
-		slot := int(in.A)
-		t, ok := s.guardLocal(slot, ConCountness)
-		if !ok {
-			return false, false, nil
-		}
-		v := sval{t: t}
-		if s.pristine[slot] {
-			loc := Loc{LocLocal, slot}
-			v.origin = &loc
-		}
-		s.pushFrom(v)
-		s.writeLocal(slot, types.TUninit)
-	case hhbc.OpUnsetL:
-		if _, ok := s.guardLocal(int(in.A), ConCountness); !ok {
-			return false, false, nil
-		}
-		s.writeLocal(int(in.A), types.TUninit)
-	case hhbc.OpIsTypeL:
-		s.push(types.TBool)
-	case hhbc.OpIncDecL:
-		t, ok := s.guardLocal(int(in.A), ConSpecific)
-		if !ok {
-			return false, false, nil
-		}
-		var nt types.Type
-		switch {
-		case t.SubtypeOf(types.TInt):
-			nt = types.TInt
-		case t.SubtypeOf(types.TDbl):
-			nt = types.TDbl
-		case t.SubtypeOf(types.TNull), t.SubtypeOf(types.TUninit):
-			if in.B == hhbc.PreInc || in.B == hhbc.PostInc {
-				nt = types.TInt
-			} else {
-				nt = types.TNull
-			}
+		case atRecv:
+			met = s.needVal(top-int(in.A), nd.con)
 		default:
-			return false, false, nil // non-numeric inc/dec: leave to interp
+			met = s.needVal(top-nd.at, nd.con)
 		}
-		old := t
-		s.writeLocal(int(in.A), nt)
-		if in.B == hhbc.PostInc || in.B == hhbc.PostDec {
-			s.push(cgetType(old))
-		} else {
-			s.push(nt)
+		if nd.must && !met {
+			return false
 		}
+	}
 
+	// Operand types the JIT has no code for.
+	ops := s.stack[base:]
+	switch in.Op {
 	case hhbc.OpAdd, hhbc.OpSub, hhbc.OpMul:
-		b, a := s.pop(), s.pop()
-		if !s.needVal(&a, ConSpecific) || !s.needVal(&b, ConSpecific) {
-			s.stack = append(s.stack, a, b)
-			return false, false, nil
+		if ops[0].Maybe(types.TObj) || ops[1].Maybe(types.TObj) {
+			return false
 		}
-		t, ok := arithType(a.t, b.t)
-		if !ok {
-			s.stack = append(s.stack, a, b)
-			return false, false, nil
-		}
-		s.push(t)
 	case hhbc.OpDiv:
-		b, a := s.pop(), s.pop()
-		if !s.needVal(&a, ConSpecific) || !s.needVal(&b, ConSpecific) {
-			s.stack = append(s.stack, a, b)
-			return false, false, nil
+		if !ops[0].SubtypeOf(types.TNum) || !ops[1].SubtypeOf(types.TNum) {
+			return false
 		}
-		if !a.t.SubtypeOf(types.TNum) || !b.t.SubtypeOf(types.TNum) {
-			s.stack = append(s.stack, a, b)
-			return false, false, nil
+	case hhbc.OpCGetPropD, hhbc.OpSetPropD:
+		if byShape && !ops[0].SubtypeOf(types.TObj) {
+			return false
 		}
-		if a.t.SubtypeOf(types.TDbl) || b.t.SubtypeOf(types.TDbl) {
-			s.push(types.TDbl)
-		} else {
-			s.push(types.TNum) // Int/Int division may produce Dbl
+	case hhbc.OpAssertRAStk:
+		if d := top - int(in.A); d >= 0 {
+			s.stack[d] = hhbc.Refine(s.stack[d], s.unit.DecodeRAT(in.B, in.C))
 		}
-	case hhbc.OpMod:
-		b, a := s.pop(), s.pop()
-		s.wantVal(&a, ConSpecific)
-		s.wantVal(&b, ConSpecific)
-		s.push(types.TInt)
-	case hhbc.OpConcat:
-		b, a := s.pop(), s.pop()
-		s.wantVal(&a, ConSpecific)
-		s.wantVal(&b, ConSpecific)
-		s.push(types.TStr)
-	case hhbc.OpNeg:
-		a := s.pop()
-		if !s.needVal(&a, ConSpecific) {
-			s.stack = append(s.stack, a)
-			return false, false, nil
-		}
-		if a.t.SubtypeOf(types.TDbl) {
-			s.push(types.TDbl)
-		} else {
-			s.push(types.TInt)
-		}
-
-	case hhbc.OpGt, hhbc.OpGte, hhbc.OpLt, hhbc.OpLte,
-		hhbc.OpEq, hhbc.OpNeq, hhbc.OpSame, hhbc.OpNSame:
-		b, a := s.pop(), s.pop()
-		s.wantVal(&a, ConSpecific)
-		s.wantVal(&b, ConSpecific)
-		s.push(types.TBool)
-	case hhbc.OpNot, hhbc.OpCastBool:
-		a := s.pop()
-		s.wantVal(&a, ConSpecific)
-		s.push(types.TBool)
-	case hhbc.OpCastInt:
-		a := s.pop()
-		s.wantVal(&a, ConSpecific)
-		s.push(types.TInt)
-	case hhbc.OpCastDouble:
-		a := s.pop()
-		s.wantVal(&a, ConSpecific)
-		s.push(types.TDbl)
-	case hhbc.OpCastString:
-		a := s.pop()
-		s.wantVal(&a, ConSpecific)
-		s.push(types.TStr)
-
-	case hhbc.OpJmp:
-		return true, true, []int{int(in.A)}
-	case hhbc.OpJmpZ, hhbc.OpJmpNZ:
-		v := s.pop()
-		s.wantVal(&v, ConSpecific)
-		return true, true, []int{int(in.A), pc + 1}
-	case hhbc.OpSwitch:
-		v := s.pop()
-		s.wantVal(&v, ConSpecific)
-		sw := fn.Switches[in.A]
-		seen := map[int]bool{}
-		var out []int
-		for _, t := range sw.Targets {
-			if !seen[t] {
-				seen[t] = true
-				out = append(out, t)
-			}
-		}
-		if !seen[sw.Default] {
-			out = append(out, sw.Default)
-		}
-		return true, true, out
-	case hhbc.OpRetC:
-		v := s.pop()
-		s.wantVal(&v, ConCountness)
-		return true, true, nil
-	case hhbc.OpThrow, hhbc.OpFatal:
-		return true, true, nil
-	case hhbc.OpCatch:
-		s.push(types.TObj)
-
-	case hhbc.OpNewArray:
-		s.push(types.ArrOfKind(types.ArrayMixed))
-	case hhbc.OpNewPackedArray:
-		for i := 0; i < int(in.A); i++ {
-			v := s.pop()
-			s.wantVal(&v, ConCountness)
-		}
-		s.push(types.ArrOfKind(types.ArrayPacked))
-	case hhbc.OpAddElemC:
-		val, key, arr := s.pop(), s.pop(), s.pop()
-		s.wantVal(&val, ConCountness)
-		s.wantVal(&key, ConSpecific)
-		s.wantVal(&arr, ConSpecialized)
-		s.push(types.TArr)
-	case hhbc.OpAddNewElemC:
-		val, arr := s.pop(), s.pop()
-		s.wantVal(&val, ConCountness)
-		s.wantVal(&arr, ConSpecialized)
-		if arr.t.SubtypeOf(types.TArr) {
-			s.push(arr.t)
-		} else {
-			s.push(types.TArr)
-		}
-
-	case hhbc.OpArrIdx:
-		key, arr := s.pop(), s.pop()
-		if !s.needVal(&key, ConSpecific) || !s.needVal(&arr, ConSpecialized) {
-			s.stack = append(s.stack, arr, key)
-			return false, false, nil
-		}
-		s.push(types.TInitCell)
-	case hhbc.OpArrGetL:
-		key := s.pop()
-		if !s.needVal(&key, ConSpecific) {
-			s.stack = append(s.stack, key)
-			return false, false, nil
-		}
-		if _, ok := s.guardLocal(int(in.A), ConSpecialized); !ok {
-			s.stack = append(s.stack, key)
-			return false, false, nil
-		}
-		s.push(types.TInitCell)
-	case hhbc.OpArrSetL:
-		key, val := s.pop(), s.pop()
-		if !s.needVal(&key, ConSpecific) {
-			s.stack = append(s.stack, val, key)
-			return false, false, nil
-		}
-		s.wantVal(&val, ConCountness)
-		if _, ok := s.guardLocal(int(in.A), ConSpecialized); !ok {
-			s.stack = append(s.stack, val, key)
-			return false, false, nil
-		}
-		s.writeLocal(int(in.A), types.TArr)
-	case hhbc.OpArrAppendL:
-		val := s.pop()
-		s.wantVal(&val, ConCountness)
-		t, ok := s.guardLocal(int(in.A), ConSpecialized)
-		if !ok {
-			s.stack = append(s.stack, val)
-			return false, false, nil
-		}
-		if t.SubtypeOf(types.TArr) {
-			s.writeLocal(int(in.A), t)
-		} else {
-			s.writeLocal(int(in.A), types.TArr)
-		}
-	case hhbc.OpArrUnsetL:
-		key := s.pop()
-		s.wantVal(&key, ConSpecific)
-		if _, ok := s.guardLocal(int(in.A), ConSpecialized); !ok {
-			s.stack = append(s.stack, key)
-			return false, false, nil
-		}
-		s.writeLocal(int(in.A), types.TArr)
-	case hhbc.OpAKExistsL:
-		key := s.pop()
-		s.wantVal(&key, ConSpecific)
-		s.push(types.TBool)
-
-	case hhbc.OpIterInitL:
-		t, ok := s.guardLocal(int(in.C), ConSpecialized)
-		if ok && t.SubtypeOf(types.TArr) {
-			s.iters[in.A] = t.ArrayKind()
-		}
-		return true, true, []int{int(in.B), pc + 1}
-	case hhbc.OpIterNext:
-		return true, true, []int{int(in.B), pc + 1}
-	case hhbc.OpIterKey:
-		if s.iters[in.A] == types.ArrayPacked {
-			s.push(types.TInt)
-		} else {
-			s.push(types.FromKind(types.KInt | types.KStr))
-		}
-	case hhbc.OpIterValue:
-		s.push(types.TInitCell)
-
-	case hhbc.OpFCallD:
-		for i := 0; i < int(in.A); i++ {
-			v := s.pop()
-			s.wantVal(&v, ConCountness)
-		}
-		s.push(types.TInitCell)
-	case hhbc.OpFCallBuiltin:
-		for i := 0; i < int(in.A); i++ {
-			v := s.pop()
-			s.wantVal(&v, ConCountness)
-		}
-		if t, ok := builtinRet[u.Strings[in.B]]; ok {
-			s.push(t)
-		} else {
-			s.push(types.TInitCell)
-		}
-	case hhbc.OpFCallObjMethodD:
-		for i := 0; i < int(in.A); i++ {
-			v := s.pop()
-			s.wantVal(&v, ConCountness)
-		}
-		obj := s.pop()
-		s.wantVal(&obj, ConSpecialized)
-		s.push(types.TInitCell)
-
-	case hhbc.OpNewObjD:
-		s.push(types.ObjOfClass(u.Strings[in.A], true))
-	case hhbc.OpThis:
-		if fn.Class != "" {
-			s.push(types.ObjOfClass(fn.Class, false))
-		} else {
-			s.push(types.TObj)
-		}
-	case hhbc.OpCGetPropD:
-		obj := s.pop()
-		if sf, ok := s.src.(ShapeFactSource); ok {
-			// Shapes on (DESIGN.md §14): property access needs only
-			// object-ness — the optimized body carries a shape guard
-			// or inline cache for the layout, so the entry guard is
-			// widened to bare Obj and identical-layout classes share
-			// one translation instead of splitting the chain.
-			if !s.needVal(&obj, ConSpecific) || !obj.t.SubtypeOf(types.TObj) {
-				s.stack = append(s.stack, obj)
-				return false, false, nil
-			}
-			s.widenObjGuard(&obj)
-			s.push(sf.PropReadType(s.fn.ID, pc, u.Strings[in.A]))
-			return true, false, nil
-		}
-		if !s.needVal(&obj, ConSpecialized) {
-			s.stack = append(s.stack, obj)
-			return false, false, nil
-		}
-		s.push(types.TInitCell)
-	case hhbc.OpSetPropD:
-		val, obj := s.pop(), s.pop()
-		s.wantVal(&val, ConCountness)
-		if _, ok := s.src.(ShapeFactSource); ok {
-			if !s.needVal(&obj, ConSpecific) || !obj.t.SubtypeOf(types.TObj) {
-				s.stack = append(s.stack, obj, val)
-				return false, false, nil
-			}
-			s.widenObjGuard(&obj)
-			s.push(val.t)
-			return true, false, nil
-		}
-		if !s.needVal(&obj, ConSpecialized) {
-			s.stack = append(s.stack, obj, val)
-			return false, false, nil
-		}
-		s.push(val.t)
-	case hhbc.OpInstanceOfD:
-		v := s.pop()
-		s.wantVal(&v, ConSpecific)
-		s.push(types.TBool)
-
-	case hhbc.OpVerifyParamType:
-		idx := int(in.A)
-		p := fn.Params[idx]
-		s.locals[idx] = s.localType(idx).Intersect(hintType(p))
-		if s.locals[idx].IsBottom() {
-			s.locals[idx] = hintType(p)
-		}
-
-	case hhbc.OpPrint:
-		v := s.pop()
-		s.wantVal(&v, ConSpecific)
-		s.push(types.TInt)
-
-	default:
-		return false, false, nil
 	}
-	if in.Op.IsUnconditionalExit() {
-		return true, true, nil
-	}
-	return true, false, nil
-}
 
-// cgetType is the result type of reading a local: Uninit reads as
-// Null.
-func cgetType(t types.Type) types.Type {
-	if t.Maybe(types.TUninit) {
-		return types.FromKind(t.Kind()&^types.KUninit | types.KNull)
+	local := s.localType(slot)
+	push, localOut := hhbc.InstrTypes(s.unit, s.fn, in, ops, local)
+	if in.Op == hhbc.OpIncDecL && localOut.IsBottom() {
+		return false // non-numeric inc/dec raises: leave it to the interpreter
 	}
-	return t
-}
+	if byShape {
+		s.widenObjGuard(base)
+		if in.Op == hhbc.OpCGetPropD {
+			push[0] = s.facts.PropReadType(s.fn.ID, pc, s.unit.Strings[in.A])
+		}
+	}
 
-// arithType computes the result of +,-,* on specific operand types.
-func arithType(a, b types.Type) (types.Type, bool) {
+	// Origins: a value read from a local the tracelet has not stored to
+	// can still have that local's guard strengthened; a cell that is
+	// only moved keeps its own.
+	var from [2]origin
+	switch in.Op {
+	case hhbc.OpDup:
+		from = [2]origin{s.origins[top], s.origins[top]}
+	case hhbc.OpSetL:
+		from[0] = s.origins[top]
+	case hhbc.OpCGetL2:
+		from[1] = s.origins[top]
+		fallthrough
+	case hhbc.OpCGetL, hhbc.OpPushL:
+		readsNull := in.Op != hhbc.OpPushL && local.Maybe(types.TUninit)
+		from[0] = origin{Loc{LocLocal, slot}, !s.written[slot] && !readsNull}
+	}
+	s.stack = append(s.stack[:base], push[:in.NumPush()]...)
+	s.origins = append(s.origins[:base], from[:in.NumPush()]...)
+
 	switch {
-	case a.SubtypeOf(types.TInt) && b.SubtypeOf(types.TInt):
-		return types.TInt, true
-	case a.SubtypeOf(types.TNum) && b.SubtypeOf(types.TNum):
-		return types.TDbl, true
-	case a.SubtypeOf(types.TArr) && b.SubtypeOf(types.TArr):
-		return types.TArr, true
-	default:
-		// Null/Bool/Str coerce numerically; the result kind depends on
-		// runtime values, so it stays TNum and goes to a generic path.
-		return types.TNum, a.Kind()&types.KObj == 0 && b.Kind()&types.KObj == 0
+	case in.Op.WritesLocal():
+		s.locals[slot], s.written[slot] = localOut, true
+	case slot >= 0 && localOut != local:
+		s.locals[slot] = localOut // an assertion or a passed check
 	}
-}
-
-// hintType maps a parameter type hint to the lattice.
-func hintType(p hhbc.Param) types.Type {
-	var t types.Type
-	switch p.TypeHint {
-	case "int":
-		t = types.TInt
-	case "float":
-		t = types.TDbl
-	case "string":
-		t = types.TStr
-	case "bool":
-		t = types.TBool
-	case "array":
-		t = types.TArr
-	case "":
-		return types.TCell
-	default:
-		t = types.ObjOfClass(p.TypeHint, false)
-	}
-	if p.Nullable {
-		t = t.Union(types.TNull)
-	}
-	return t
+	return true
 }

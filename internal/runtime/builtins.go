@@ -27,12 +27,21 @@ type Builtin struct {
 	// Cost is the simulated-cycle cost charged when JITed code calls
 	// the builtin out of line.
 	Cost uint64
+	// Ret is the type of every result Fn can return: what hhbbc, the
+	// tracelet selector and the HHIR builder assume of a call. Left
+	// zero it is registered as InitCell.
+	Ret types.Type
 }
 
 var builtinTable = map[string]*Builtin{}
 
 // RegisterBuiltin adds b to the global builtin table.
-func RegisterBuiltin(b *Builtin) { builtinTable[b.Name] = b }
+func RegisterBuiltin(b *Builtin) {
+	if b.Ret.IsBottom() {
+		b.Ret = types.TInitCell
+	}
+	builtinTable[b.Name] = b
+}
 
 // LookupBuiltin finds a builtin by name.
 func LookupBuiltin(name string) (*Builtin, bool) {
@@ -52,16 +61,16 @@ func BuiltinNames() []string {
 
 func init() {
 	reg := RegisterBuiltin
-	reg(&Builtin{Name: "count", Arity: 1, Cost: 6, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "count", Arity: 1, Cost: 6, Ret: types.TInt, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		if a[0].Kind != types.KArr {
 			return Int(1), nil
 		}
 		return Int(int64(a[0].AsArr().Len())), nil
 	}})
-	reg(&Builtin{Name: "strlen", Arity: 1, Cost: 6, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "strlen", Arity: 1, Cost: 6, Ret: types.TInt, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return Int(int64(len(a[0].ToString()))), nil
 	}})
-	reg(&Builtin{Name: "substr", Arity: -1, Cost: 20, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "substr", Arity: -1, Cost: 20, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		if len(a) < 2 {
 			return Null(), NewError("substr expects at least 2 arguments")
 		}
@@ -93,27 +102,27 @@ func init() {
 		}
 		return NewStr(s[start:end]), nil
 	}})
-	reg(&Builtin{Name: "strtoupper", Arity: 1, Cost: 15, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "strtoupper", Arity: 1, Cost: 15, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return NewStr(strings.ToUpper(a[0].ToString())), nil
 	}})
-	reg(&Builtin{Name: "strtolower", Arity: 1, Cost: 15, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "strtolower", Arity: 1, Cost: 15, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return NewStr(strings.ToLower(a[0].ToString())), nil
 	}})
-	reg(&Builtin{Name: "strrev", Arity: 1, Cost: 15, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "strrev", Arity: 1, Cost: 15, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		s := []byte(a[0].ToString())
 		for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
 			s[i], s[j] = s[j], s[i]
 		}
 		return NewStr(string(s)), nil
 	}})
-	reg(&Builtin{Name: "str_repeat", Arity: 2, Cost: 25, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "str_repeat", Arity: 2, Cost: 25, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		n := a[1].ToInt()
 		if n < 0 || n > 1<<20 {
 			return Null(), NewError("str_repeat: bad count")
 		}
 		return NewStr(strings.Repeat(a[0].ToString(), int(n))), nil
 	}})
-	reg(&Builtin{Name: "implode", Arity: 2, Cost: 30, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "implode", Arity: 2, Cost: 30, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		if a[1].Kind != types.KArr {
 			return Null(), NewError("implode expects array")
 		}
@@ -122,7 +131,7 @@ func init() {
 		a[1].AsArr().Each(func(_, v Value) bool { parts = append(parts, v.ToString()); return true })
 		return NewStr(strings.Join(parts, sep)), nil
 	}})
-	reg(&Builtin{Name: "abs", Arity: 1, Cost: 4, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "abs", Arity: 1, Cost: 4, Ret: types.TNum, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		if a[0].Kind == types.KDbl {
 			return Dbl(math.Abs(a[0].AsDbl())), nil
 		}
@@ -132,27 +141,27 @@ func init() {
 		}
 		return Int(n), nil
 	}})
-	reg(&Builtin{Name: "intval", Arity: 1, Cost: 5, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "intval", Arity: 1, Cost: 5, Ret: types.TInt, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return Int(a[0].ToInt()), nil
 	}})
-	reg(&Builtin{Name: "floatval", Arity: 1, Cost: 5, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "floatval", Arity: 1, Cost: 5, Ret: types.TDbl, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return Dbl(a[0].ToDbl()), nil
 	}})
-	reg(&Builtin{Name: "strval", Arity: 1, Cost: 10, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "strval", Arity: 1, Cost: 10, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return NewStr(a[0].ToString()), nil
 	}})
-	reg(&Builtin{Name: "is_int", Arity: 1, Cost: 3, Fn: isKind(types.KInt)})
-	reg(&Builtin{Name: "is_float", Arity: 1, Cost: 3, Fn: isKind(types.KDbl)})
-	reg(&Builtin{Name: "is_string", Arity: 1, Cost: 3, Fn: isKind(types.KStr)})
-	reg(&Builtin{Name: "is_array", Arity: 1, Cost: 3, Fn: isKind(types.KArr)})
-	reg(&Builtin{Name: "is_bool", Arity: 1, Cost: 3, Fn: isKind(types.KBool)})
-	reg(&Builtin{Name: "is_null", Arity: 1, Cost: 3, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "is_int", Arity: 1, Cost: 3, Ret: types.TBool, Fn: isKind(types.KInt)})
+	reg(&Builtin{Name: "is_float", Arity: 1, Cost: 3, Ret: types.TBool, Fn: isKind(types.KDbl)})
+	reg(&Builtin{Name: "is_string", Arity: 1, Cost: 3, Ret: types.TBool, Fn: isKind(types.KStr)})
+	reg(&Builtin{Name: "is_array", Arity: 1, Cost: 3, Ret: types.TBool, Fn: isKind(types.KArr)})
+	reg(&Builtin{Name: "is_bool", Arity: 1, Cost: 3, Ret: types.TBool, Fn: isKind(types.KBool)})
+	reg(&Builtin{Name: "is_null", Arity: 1, Cost: 3, Ret: types.TBool, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return Bool(a[0].IsNull()), nil
 	}})
-	reg(&Builtin{Name: "is_numeric", Arity: 1, Cost: 5, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "is_numeric", Arity: 1, Cost: 5, Ret: types.TBool, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return Bool(a[0].Kind&types.KNum != 0), nil
 	}})
-	reg(&Builtin{Name: "array_keys", Arity: 1, Cost: 30, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "array_keys", Arity: 1, Cost: 30, Ret: types.ArrOfKind(types.ArrayPacked), Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
 		if a[0].Kind != types.KArr {
 			return Null(), NewError("array_keys expects array")
 		}
@@ -164,7 +173,7 @@ func init() {
 		})
 		return ArrV(NewPacked(keys)), nil
 	}})
-	reg(&Builtin{Name: "array_values", Arity: 1, Cost: 30, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "array_values", Arity: 1, Cost: 30, Ret: types.ArrOfKind(types.ArrayPacked), Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
 		if a[0].Kind != types.KArr {
 			return Null(), NewError("array_values expects array")
 		}
@@ -176,7 +185,7 @@ func init() {
 		})
 		return ArrV(NewPacked(vals)), nil
 	}})
-	reg(&Builtin{Name: "array_sum", Arity: 1, Cost: 20, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "array_sum", Arity: 1, Cost: 20, Ret: types.TNum, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		if a[0].Kind != types.KArr {
 			return Int(0), nil
 		}
@@ -196,7 +205,7 @@ func init() {
 		}
 		return Int(si), nil
 	}})
-	reg(&Builtin{Name: "in_array", Arity: 2, Cost: 25, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "in_array", Arity: 2, Cost: 25, Ret: types.TBool, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		if a[1].Kind != types.KArr {
 			return Bool(false), nil
 		}
@@ -210,7 +219,7 @@ func init() {
 		})
 		return Bool(found), nil
 	}})
-	reg(&Builtin{Name: "array_key_exists", Arity: 2, Cost: 10, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "array_key_exists", Arity: 2, Cost: 10, Ret: types.TBool, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		if a[1].Kind != types.KArr {
 			return Bool(false), nil
 		}
@@ -219,26 +228,26 @@ func init() {
 	}})
 	reg(&Builtin{Name: "max", Arity: -1, Cost: 10, Fn: minmax(1)})
 	reg(&Builtin{Name: "min", Arity: -1, Cost: 10, Fn: minmax(-1)})
-	reg(&Builtin{Name: "sqrt", Arity: 1, Cost: 8, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "sqrt", Arity: 1, Cost: 8, Ret: types.TDbl, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return Dbl(math.Sqrt(a[0].ToDbl())), nil
 	}})
-	reg(&Builtin{Name: "floor", Arity: 1, Cost: 4, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "floor", Arity: 1, Cost: 4, Ret: types.TDbl, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return Dbl(math.Floor(a[0].ToDbl())), nil
 	}})
-	reg(&Builtin{Name: "ceil", Arity: 1, Cost: 4, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "ceil", Arity: 1, Cost: 4, Ret: types.TDbl, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return Dbl(math.Ceil(a[0].ToDbl())), nil
 	}})
-	reg(&Builtin{Name: "round", Arity: 1, Cost: 4, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "round", Arity: 1, Cost: 4, Ret: types.TDbl, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return Dbl(math.Round(a[0].ToDbl())), nil
 	}})
-	reg(&Builtin{Name: "ord", Arity: 1, Cost: 4, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "ord", Arity: 1, Cost: 4, Ret: types.TInt, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		s := a[0].ToString()
 		if s == "" {
 			return Int(0), nil
 		}
 		return Int(int64(s[0])), nil
 	}})
-	reg(&Builtin{Name: "chr", Arity: 1, Cost: 6, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "chr", Arity: 1, Cost: 6, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return NewStr(string(rune(a[0].ToInt() & 0xff))), nil
 	}})
 }
