@@ -159,15 +159,18 @@ func main() {
 			st.BytesLive, st.BytesProfiling, st.BytesOptimized)
 		var alloc vasm.AllocStats
 		var guards hhir.BuildStats
+		var loads hhir.OptStats
 		elided := 0
 		eng.VM.JIT.ForEachTranslation(func(tr *jit.Translation) {
 			if tr.Kind == jit.ModeRegion {
 				alloc.Add(tr.Code.Alloc)
 				guards.Add(tr.Code.Guards)
+				loads.Add(tr.Code.Loads)
 				elided += tr.Code.ElidedJumps
 			}
 		})
 		fmt.Fprintf(os.Stderr, "guards:       %s (optimized code)\n", guards)
+		fmt.Fprintf(os.Stderr, "loads:        %s (optimized code)\n", loads)
 		fmt.Fprintf(os.Stderr, "regalloc:     %s; %d fallthrough jumps elided (optimized code)\n", alloc, elided)
 		fmt.Fprintf(os.Stderr, "guard fails:  %d; side exits: %d; binds: %d\n",
 			st.GuardFails, st.SideExits, st.BindRequests)

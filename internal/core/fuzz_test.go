@@ -195,7 +195,9 @@ func TestDifferentialFuzz(t *testing.T) {
 	if testing.Short() {
 		seeds = 10
 	}
-	var guards hhir.BuildStats // over every optimized translation of every seed
+	// Over every optimized translation of every seed.
+	var guards hhir.BuildStats
+	var loads hhir.OptStats
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		src := newProgGen(seed).generate()
 		unit, err := core.Compile(src, core.CompileOptions{})
@@ -219,7 +221,9 @@ func TestDifferentialFuzz(t *testing.T) {
 				}
 				all.WriteString("|")
 			}
-			guards.Add(regionGuards(eng))
+			g, l := regionGuards(eng)
+			guards.Add(g)
+			loads.Add(l)
 			return all.String()
 		}
 
@@ -231,8 +235,11 @@ func TestDifferentialFuzz(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("optimized translations over %d seeds: guards %s", seeds, guards)
+	t.Logf("optimized translations over %d seeds: guards %s; loads %s", seeds, guards, loads)
 	if guards.GuardsProven == 0 || guards.Rebuilds == 0 {
 		t.Errorf("the programs never exercised the type flow's proving and rebuilding: %+v", guards)
+	}
+	if loads.LoadsForwarded == 0 || loads.PhisInserted == 0 {
+		t.Errorf("the programs never had a load forwarded across a join: %+v", loads)
 	}
 }

@@ -340,7 +340,10 @@ func (b *builder) lowerGuard(ri int, rb *region.Block, g region.Guard, isEntry b
 		case known.SubtypeOf(g.Type):
 			b.stats.GuardsProven++
 		default:
-			b.emitGuard(ri, rb, &Instr{Op: GuardLoc, I64: int64(slot), TypeParam: g.Type})
+			// The load is a value like any other: LoadElim shares it with
+			// the block's own loads, or replaces it by a value already in a
+			// register.
+			b.checkType(ri, rb, b.ldLoc(slot), g.Type)
 		}
 		b.setLocalType(slot, refine(known, g.Type))
 	case region.LocStack:
@@ -360,12 +363,17 @@ func (b *builder) lowerGuard(ri int, rb *region.Block, g region.Guard, isEntry b
 			b.stack[d] = b.def(AssertType, refine(v.Type, g.Type), v)
 			return
 		}
-		dst := b.out.NewTmp(refine(v.Type, g.Type))
-		in := &Instr{Op: CheckType, Dst: dst, Args: []*SSATmp{v}, TypeParam: g.Type}
-		dst.Def = in
-		b.emitGuard(ri, rb, in)
-		b.stack[d] = dst
+		b.stack[d] = b.checkType(ri, rb, v, g.Type)
 	}
+}
+
+// checkType emits the guard that v is a want and returns v so refined.
+func (b *builder) checkType(ri int, rb *region.Block, v *SSATmp, want types.Type) *SSATmp {
+	dst := b.out.NewTmp(refine(v.Type, want))
+	in := &Instr{Op: CheckType, Dst: dst, Args: []*SSATmp{v}, TypeParam: want}
+	dst.Def = in
+	b.emitGuard(ri, rb, in)
+	return dst
 }
 
 // refine is what is known of a value of type known once a check for

@@ -43,7 +43,7 @@ type flowFact struct {
 // BuildStats counts what the builder did about region-block
 // preconditions (diagnostics: the jit.Debug dump, `hhvm -stats`).
 type BuildStats struct {
-	// Guards is the number of GuardLoc/CheckType emitted, GuardsProven
+	// Guards is the number of CheckTypes emitted, GuardsProven
 	// the number left out because the types flowing into the block
 	// already proved them.
 	Guards, GuardsProven int

@@ -43,9 +43,11 @@ type flowFixture struct {
 	interp *core.Engine
 }
 
-func newFlowFixture(t *testing.T) *flowFixture {
+func newFlowFixture(t *testing.T) *flowFixture { return newFixture(t, flowSrc) }
+
+func newFixture(t *testing.T, src string) *flowFixture {
 	t.Helper()
-	unit, err := core.Compile(flowSrc, core.CompileOptions{SkipHHBBC: true})
+	unit, err := core.Compile(src, core.CompileOptions{SkipHHBBC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,19 +123,32 @@ func (x *flowFixture) build(desc *region.Desc, cfg hhir.BuildConfig) *hhir.Unit 
 	if err != nil {
 		x.t.Fatal(err)
 	}
-	if n := countOps(hu, hhir.GuardLoc) + countOps(hu, hhir.CheckType); n != hu.Stats.Guards {
-		x.t.Errorf("unit holds %d GuardLoc/CheckType, its stats say %d\n%s", n, hu.Stats.Guards, hu)
+	if n := countOps(hu, hhir.CheckType); n != hu.Stats.Guards {
+		x.t.Errorf("unit holds %d CheckType, its stats say %d\n%s", n, hu.Stats.Guards, hu)
 	}
 	return hu
 }
 
-// wantGuards asserts the emitted-guard split and the rebuild count.
-func (x *flowFixture) wantGuards(hu *hhir.Unit, guardLocs, checkTypes, proven, rebuilds int) {
+// wantGuards asserts the emitted-guard split — checks of a local (a
+// CheckType of the LdLoc before it) and of a stack value — and the
+// rebuild count.
+func (x *flowFixture) wantGuards(hu *hhir.Unit, locals, stackVals, proven, rebuilds int) {
 	x.t.Helper()
-	if gl, ct := countOps(hu, hhir.GuardLoc), countOps(hu, hhir.CheckType); gl != guardLocs || ct != checkTypes ||
-		hu.Stats.GuardsProven != proven || hu.Stats.Rebuilds != rebuilds {
-		x.t.Errorf("%d GuardLoc, %d CheckType, %d proven, %d rebuilds; want %d, %d, %d, %d\n%s",
-			gl, ct, hu.Stats.GuardsProven, hu.Stats.Rebuilds, guardLocs, checkTypes, proven, rebuilds, hu)
+	gl, gs := 0, 0
+	for _, b := range hu.Blocks {
+		for _, in := range b.Instrs {
+			switch {
+			case in.Op != hhir.CheckType:
+			case in.Args[0].Def != nil && in.Args[0].Def.Op == hhir.LdLoc:
+				gl++
+			default:
+				gs++
+			}
+		}
+	}
+	if gl != locals || gs != stackVals || hu.Stats.GuardsProven != proven || hu.Stats.Rebuilds != rebuilds {
+		x.t.Errorf("%d checks of locals, %d of stack values, %d proven, %d rebuilds; want %d, %d, %d, %d\n%s",
+			gl, gs, hu.Stats.GuardsProven, hu.Stats.Rebuilds, locals, stackVals, proven, rebuilds, hu)
 	}
 }
 

@@ -187,7 +187,7 @@ func TestGuardsBecomeAssertsAtEntry(t *testing.T) {
 	// must not re-check them.
 	src := `function n($x) { return $x + 1; } echo n(1);`
 	u := buildFor(t, src, "n", map[int]types.Type{0: types.TInt}, hhir.PassConfig{})
-	if countOps(u, hhir.GuardLoc) != 0 {
+	if countOps(u, hhir.CheckType) != 0 {
 		t.Errorf("entry guards were emitted as runtime checks:\n%s", u)
 	}
 }

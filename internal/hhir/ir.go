@@ -190,8 +190,10 @@ type Unit struct {
 	// inline-callee frames (>= Func.NumLocals).
 	ExtFrameSlots int
 
-	// Stats is what Build did about the region's preconditions.
+	// Stats is what Build did about the region's preconditions, Opt what
+	// Optimize did to the frame loads.
 	Stats BuildStats
+	Opt   OptStats
 
 	nextTmp   int
 	nextBlock int

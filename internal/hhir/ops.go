@@ -15,11 +15,9 @@ const (
 	DefConstNull
 	DefConstStr // Str holds the (static) string
 
-	// Guards: side-exit via Exit when the check fails.
-	GuardLoc // I64 = local slot; TypeParam = required type
-	GuardStk // I64 = entry stack depth; Args[0] = the slot's value
-	// CheckType refines Args[0]; on kind mismatch branches to Taken
-	// (next retranslation in the chain) passing TakenArgs.
+	// Guards. CheckType refines Args[0]; on kind mismatch it branches to
+	// Taken (next retranslation in the chain) passing TakenArgs, or
+	// side-exits via Exit.
 	CheckType
 	// CheckCls: Args[0] obj; I64 = class id; Exit on mismatch.
 	CheckCls
@@ -131,8 +129,7 @@ const (
 var opNames2 = map[Opcode]string{
 	Nop: "Nop", DefConstInt: "DefConstInt", DefConstDbl: "DefConstDbl",
 	DefConstBool: "DefConstBool", DefConstNull: "DefConstNull", DefConstStr: "DefConstStr",
-	GuardLoc: "GuardLoc", GuardStk: "GuardStk", CheckType: "CheckType",
-	CheckCls: "CheckCls", AssertType: "AssertType",
+	CheckType: "CheckType", CheckCls: "CheckCls", AssertType: "AssertType",
 	LdLoc: "LdLoc", StLoc: "StLoc", LdThis: "LdThis",
 	IncRef: "IncRef", DecRef: "DecRef",
 	AddInt: "AddInt", SubInt: "SubInt", MulInt: "MulInt",
@@ -180,7 +177,7 @@ const (
 // zero (printing aid).
 func opUsesI64(o Opcode) bool {
 	switch o {
-	case GuardLoc, GuardStk, LdLoc, StLoc, CmpInt, CmpDbl, CmpStr,
+	case LdLoc, StLoc, CmpInt, CmpDbl, CmpStr,
 		ArrSetLocal, ArrAppendLocal, ArrUnsetLocal, AKExistsLocal,
 		LdPropSlot, StPropSlot, CallMethodD, VerifyParam, ProfCount,
 		IterInitLocal, IterNextK, IterKey, IterValue, IterFree, ReqBind,

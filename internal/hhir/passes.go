@@ -485,14 +485,17 @@ func GVN(u *Unit) {
 
 // ShapeGuardElim removes GuardShape instructions whose fact was
 // already established by an identical guard on the same SSA value
-// earlier in the block (or along a single-predecessor chain, the same
-// propagation LoadElim uses). Runs after GVN/LoadElim so repeated
-// loads of the same local share one SSA value. Facts die at any
-// instruction that can mutate an object's layout; StPropSlot is
-// deliberately exempt, since the shape-guarded store path only fires
-// when the stored kind matches the slot (DESIGN.md §14).
+// earlier in the block (or along a single-predecessor chain). Runs
+// after GVN/LoadElim so repeated loads of the same local share one SSA
+// value. Facts die at any instruction that can mutate an object's
+// layout; StPropSlot is deliberately exempt, since the shape-guarded
+// store path only fires when the stored kind matches the slot
+// (DESIGN.md §14).
 func ShapeGuardElim(u *Unit) {
 	resolveCopies(u)
+	if !hasOp(u, GuardShape) {
+		return
+	}
 	type state map[*SSATmp]int64
 	inState := map[*Block]state{}
 	for _, b := range u.RPO() {
@@ -544,6 +547,17 @@ func ShapeGuardElim(u *Unit) {
 	commitDead(u)
 }
 
+func hasOp(u *Unit, op Opcode) bool {
+	for _, b := range u.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == op && !in.dead {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // mayMutateShape reports ops that can change some object's property
 // layout: dynamic-property stores and anything that runs arbitrary
 // guest code (which may write properties through another reference).
@@ -554,75 +568,4 @@ func mayMutateShape(op Opcode) bool {
 		return true
 	}
 	return false
-}
-
-// ---------- Load elimination ----------
-
-// LoadElim forwards stored/loaded local values to later loads within
-// a block (and across single-predecessor edges), eliminating
-// redundant LdLocs. Calls do not clobber locals in this language
-// (no references), so only stores invalidate.
-func LoadElim(u *Unit) {
-	type state map[int64]*SSATmp
-	// inState per block for single-pred propagation.
-	inState := map[*Block]state{}
-	order := u.RPO()
-	for _, b := range order {
-		var st state
-		if len(b.Preds) == 1 {
-			if s, ok := inState[b]; ok {
-				st = s
-			}
-		}
-		if st == nil {
-			st = state{}
-		}
-		copyState := func() state {
-			ns := make(state, len(st))
-			for k, v := range st {
-				ns[k] = v
-			}
-			return ns
-		}
-		// Edges must carry the state at the point they leave the
-		// block: a mid-block guard jumps to the next retranslation in
-		// its chain BEFORE later stores execute, so its target gets a
-		// snapshot taken at the guard, not the block-end state.
-		snapshot := func(target *Block) {
-			if target != nil && len(target.Preds) == 1 {
-				inState[target] = copyState()
-			}
-		}
-		for _, in := range b.Instrs {
-			if in.dead {
-				continue
-			}
-			if in.Taken != nil && !in.Op.IsTerminator() {
-				snapshot(in.Taken)
-			}
-			switch in.Op {
-			case LdLoc:
-				if v, ok := st[in.I64]; ok && v.Type.SubtypeOf(in.Dst.Type) {
-					in.Op = AssertType
-					in.TypeParam = v.Type
-					in.Args = []*SSATmp{v}
-					in.I64 = 0
-					in.Dst.Type = v.Type
-				} else {
-					st[in.I64] = in.Dst
-				}
-			case StLoc:
-				st[in.I64] = in.Args[0]
-			case ArrSetLocal, ArrAppendLocal, ArrUnsetLocal:
-				delete(st, in.I64)
-			case SideExit, ReqBind:
-				// Exits read the frame; state stays valid.
-			}
-		}
-		if t := b.Terminator(); t != nil {
-			snapshot(t.Taken)
-			snapshot(t.Next)
-		}
-	}
-	resolveCopies(u)
 }

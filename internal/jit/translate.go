@@ -100,10 +100,10 @@ func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 	if err != nil {
 		return nil, err
 	}
-	code.Guards = hu.Stats
+	code.Guards, code.Loads = hu.Stats, hu.Opt
 	if Debug && !bcfg.Profiling {
-		fmt.Fprintf(os.Stderr, "=== region for %s ===\n%s\n--- HHIR ---\n%s--- vasm ---\n%s--- guards: %s ---\n--- regalloc: %s; %d fallthrough jumps elided ---\n\n",
-			desc.Entry().Func.FullName(), desc, hu, vu, code.Guards, vu.Alloc, code.ElidedJumps)
+		fmt.Fprintf(os.Stderr, "=== region for %s ===\n%s\n--- HHIR ---\n%s--- vasm ---\n%s--- guards: %s ---\n--- loads: %s ---\n--- regalloc: %s; %d fallthrough jumps elided ---\n\n",
+			desc.Entry().Func.FullName(), desc, hu, vu, code.Guards, code.Loads, vu.Alloc, code.ElidedJumps)
 	}
 	return code, nil
 }

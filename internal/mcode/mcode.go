@@ -51,12 +51,14 @@ type Code struct {
 	NumSpills int
 	ExtSlots  int
 	// Alloc is the unit's register-allocation summary, ElidedJumps the
-	// number of fallthrough jumps Assemble left out of the stream, and
-	// Guards what the HHIR builder did about the region's preconditions
-	// (set by the JIT; diagnostics: the jit.Debug dump, `hhvm -stats`).
+	// number of fallthrough jumps Assemble left out of the stream, Guards
+	// what the HHIR builder did about the region's preconditions and
+	// Loads what the optimizer did to its frame loads (both set by the
+	// JIT; diagnostics: the jit.Debug dump, `hhvm -stats`).
 	Alloc       vasm.AllocStats
 	ElidedJumps int
 	Guards      hhir.BuildStats
+	Loads       hhir.OptStats
 
 	// Base and Size give the translation's placement.
 	Base uint64

@@ -31,6 +31,7 @@ func Lower(hu *hhir.Unit) (*Unit, error) {
 	if lw.blockOf[hu.Entry] != 0 {
 		return nil, fmt.Errorf("vasm: entry is not the first block")
 	}
+	lw.countEdges(ordered)
 	for i, hb := range ordered {
 		if err := lw.lowerBlock(hb, lw.out.Blocks[i]); err != nil {
 			return nil, err
@@ -49,8 +50,41 @@ type lowerer struct {
 	stubOf  map[*hhir.ExitDesc]int
 	nextReg Reg
 	cur     *Block
+	// edgesIn[b] counts the edges into HHIR block b, and soleArgs[b] is
+	// the argument list of the last one counted: the only one when the
+	// count is 1.
+	edgesIn  []int
+	soleArgs [][]*hhir.SSATmp
+	moves    []move
 }
 
+// countEdges fills edgesIn and soleArgs.
+func (lw *lowerer) countEdges(blocks []*hhir.Block) {
+	lw.edgesIn = make([]int, len(blocks))
+	lw.soleArgs = make([][]*hhir.SSATmp, len(blocks))
+	edge := func(to *hhir.Block, args []*hhir.SSATmp) {
+		if to != nil {
+			lw.edgesIn[lw.blockOf[to]]++
+			lw.soleArgs[lw.blockOf[to]] = args
+		}
+	}
+	for _, hb := range blocks {
+		for _, hin := range hb.Instrs {
+			edge(hin.Taken, hin.TakenArgs)
+			edge(hin.Next, hin.NextArgs)
+			for _, t := range hin.Table {
+				edge(t, nil)
+			}
+		}
+	}
+}
+
+// reg returns the virtual register holding t. A value that is another
+// value under a narrower type — the result of an AssertType, CheckType
+// or CheckCls, and the parameter of a block only one edge enters —
+// shares that value's register (DESIGN.md §6): no instruction defines
+// it a second time, so the two never hold different bits while both
+// are live.
 func (lw *lowerer) reg(t *hhir.SSATmp) Reg {
 	if t == nil {
 		return InvalidReg
@@ -58,10 +92,37 @@ func (lw *lowerer) reg(t *hhir.SSATmp) Reg {
 	if r, ok := lw.regOf[t]; ok {
 		return r
 	}
-	r := lw.nextReg
-	lw.nextReg++
+	var r Reg
+	if src := lw.sameValue(t); src != nil {
+		r = lw.reg(src)
+		lw.out.Alloc.Aliased++
+	} else {
+		r = lw.fresh()
+	}
 	lw.regOf[t] = r
 	return r
+}
+
+// sameValue returns the value t is a retyped name of, nil when t is a
+// value of its own.
+func (lw *lowerer) sameValue(t *hhir.SSATmp) *hhir.SSATmp {
+	if def := t.Def; def != nil {
+		switch def.Op {
+		case hhir.AssertType, hhir.CheckType, hhir.CheckCls:
+			return def.Args[0]
+		}
+		return nil
+	}
+	// The entry block's parameters come from the frame, whatever jumps
+	// back to it.
+	if bi, ok := lw.blockOf[t.DefBlock]; ok && bi != 0 && lw.edgesIn[bi] == 1 {
+		for i, p := range t.DefBlock.Params {
+			if p == t && i < len(lw.soleArgs[bi]) {
+				return lw.soleArgs[bi][i]
+			}
+		}
+	}
+	return nil
 }
 
 func (lw *lowerer) fresh() Reg {
@@ -117,13 +178,11 @@ func (lw *lowerer) inlineInfo(ic *hhir.InlineCtx) *InlineInfo {
 	return ii
 }
 
-// edgeCopies emits parallel copies feeding a successor's params.
-func (lw *lowerer) edgeCopies(target *hhir.Block, args []*hhir.SSATmp) {
-	if len(args) == 0 {
-		return
-	}
-	type mv struct{ dst, src Reg }
-	var moves []mv
+type move struct{ dst, src Reg }
+
+// edgeMoves lists the copies an edge passing args to target needs.
+func (lw *lowerer) edgeMoves(target *hhir.Block, args []*hhir.SSATmp) []move {
+	moves := lw.moves[:0]
 	for i, a := range args {
 		if i >= len(target.Params) {
 			break
@@ -131,9 +190,21 @@ func (lw *lowerer) edgeCopies(target *hhir.Block, args []*hhir.SSATmp) {
 		d := lw.reg(target.Params[i])
 		s := lw.reg(a)
 		if d != s {
-			moves = append(moves, mv{d, s})
+			moves = append(moves, move{d, s})
 		}
 	}
+	lw.moves = moves
+	return moves
+}
+
+// edgeCopies emits the parallel copies feeding target's params at the
+// current point: the place for them when nothing but the edge follows.
+func (lw *lowerer) edgeCopies(target *hhir.Block, args []*hhir.SSATmp) {
+	lw.emitMoves(lw.edgeMoves(target, args))
+}
+
+// emitMoves emits moves as one parallel copy.
+func (lw *lowerer) emitMoves(moves []move) {
 	// Topologically order; break cycles through a scratch register.
 	for len(moves) > 0 {
 		progressed := false
@@ -254,39 +325,17 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 		lw.ldImm(lw.reg(hin.Dst), ImmValue{Kind: types.KStr, S: hin.Str})
 
 	case hhir.AssertType:
-		// Pure copy at this level.
-		lw.copy(lw.reg(hin.Dst), lw.reg(hin.Args[0]))
+		// No code: the result is its operand's register (reg).
 
-	case hhir.GuardLoc:
-		tmp := lw.fresh()
-		ld := nzInstr(LdLoc)
-		ld.D = tmp
-		ld.I64 = hin.I64
-		lw.emit(ld)
-		g := nzInstr(GuardKind)
-		g.A = tmp
-		g.TypeParam = hin.TypeParam
-		g.Target1 = lw.guardTarget(hin)
-		lw.emit(g)
-	case hhir.GuardStk:
-		g := nzInstr(GuardKind)
-		g.A = lw.reg(hin.Args[0])
-		g.TypeParam = hin.TypeParam
-		g.Target1 = lw.guardTarget(hin)
-		lw.emit(g)
 	case hhir.CheckType:
-		d := lw.reg(hin.Dst)
-		lw.copy(d, lw.reg(hin.Args[0]))
 		g := nzInstr(GuardKind)
-		g.A = d
+		g.A = lw.reg(hin.Dst)
 		g.TypeParam = hin.TypeParam
 		g.Target1 = lw.guardTarget(hin)
 		lw.emit(g)
 	case hhir.CheckCls:
-		d := lw.reg(hin.Dst)
-		lw.copy(d, lw.reg(hin.Args[0]))
 		g := nzInstr(GuardCls)
-		g.A = d
+		g.A = lw.reg(hin.Dst)
 		g.I64 = hin.I64
 		g.Target1 = lw.guardTarget(hin)
 		lw.emit(g)
@@ -519,7 +568,7 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 		in.Target1 = lw.blockOf[hin.Next]
 		lw.emit(in)
 	case hhir.SwitchInt:
-		tbl := JumpTable{Base: hin.I64, Default: lw.blockOf[hin.Taken]}
+		tbl := JumpTable{Base: hin.I64, Default: lw.condEdge(hin.Taken, hin.TakenArgs)}
 		for _, t := range hin.Table {
 			tbl.Targets = append(tbl.Targets, lw.blockOf[t])
 		}
@@ -529,13 +578,7 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 		lw.out.Tables = append(lw.out.Tables, tbl)
 		lw.emit(in)
 	case hhir.Branch:
-		lw.edgeCopies(hin.Taken, hin.TakenArgs)
-		lw.edgeCopies(hin.Next, hin.NextArgs)
-		in := nzInstr(Jcc)
-		in.A = lw.reg(hin.Args[0])
-		in.Target1 = lw.blockOf[hin.Taken]
-		in.Target2 = lw.blockOf[hin.Next]
-		lw.emit(in)
+		lw.branch(lw.reg(hin.Args[0]), hin)
 	case hhir.Ret:
 		in := nzInstr(Ret)
 		in.A = lw.reg(hin.Args[0])
@@ -563,25 +606,46 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 }
 
 // guardTarget resolves a guard's fail destination: the next chain
-// block (with its edge copies) or a side-exit stub.
+// block or a side-exit stub.
 func (lw *lowerer) guardTarget(hin *hhir.Instr) int {
 	if hin.Taken != nil {
-		// Edge copies for the chained retranslation path: emitted
-		// before the guard (harmless on fallthrough; the params are
-		// dedicated registers).
-		lw.edgeCopies(hin.Taken, hin.TakenArgs)
-		return lw.blockOf[hin.Taken]
+		return lw.condEdge(hin.Taken, hin.TakenArgs)
 	}
 	return lw.stub(hin.Exit)
 }
 
-// branch finishes IterInit/IterNext lowering: cond ? Taken : Next.
+// condEdge returns the block a transfer that may not happen — a failing
+// guard, one side of a branch — names to reach target with args. The
+// copies into target's params may not run on the path that stays: the
+// code there may still read those params (a block further down a loop
+// whose guard fails back to the loop's head), and a value sharing a
+// param's register (reg) stays equal to it only while the param is
+// written on the edges into its block and nowhere else. So an edge
+// that needs copies gets a block of its own for them.
+func (lw *lowerer) condEdge(target *hhir.Block, args []*hhir.SSATmp) int {
+	to := lw.blockOf[target]
+	moves := lw.edgeMoves(target, args)
+	if len(moves) == 0 {
+		return to
+	}
+	vt := lw.out.Blocks[to]
+	vb := &Block{ID: len(lw.out.Blocks), Weight: vt.Weight, Hint: vt.Hint}
+	lw.out.Blocks = append(lw.out.Blocks, vb)
+	saved := lw.cur
+	lw.cur = vb
+	lw.emitMoves(moves)
+	in := nzInstr(Jmp)
+	in.Target1 = to
+	lw.emit(in)
+	lw.cur = saved
+	return vb.ID
+}
+
+// branch lowers a two-way terminator: cond ? Taken : Next.
 func (lw *lowerer) branch(cond Reg, hin *hhir.Instr) {
-	lw.edgeCopies(hin.Taken, hin.TakenArgs)
-	lw.edgeCopies(hin.Next, hin.NextArgs)
 	in := nzInstr(Jcc)
 	in.A = cond
-	in.Target1 = lw.blockOf[hin.Taken]
-	in.Target2 = lw.blockOf[hin.Next]
+	in.Target1 = lw.condEdge(hin.Taken, hin.TakenArgs)
+	in.Target2 = lw.condEdge(hin.Next, hin.NextArgs)
 	lw.emit(in)
 }

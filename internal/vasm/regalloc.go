@@ -39,11 +39,14 @@ type AllocStats struct {
 	CopiesCoalesced int
 	// MaxPressure is the largest number of values live at one position.
 	MaxPressure int
+	// Aliased counts the HHIR values Lower gave the register of the value
+	// they rename instead of one of their own and a Copy.
+	Aliased int
 }
 
 func (s AllocStats) String() string {
-	return fmt.Sprintf("%d vregs, %d spilled, %d copies coalesced, max pressure %d",
-		s.VRegs, s.Spilled, s.CopiesCoalesced, s.MaxPressure)
+	return fmt.Sprintf("%d vregs, %d spilled, %d copies coalesced, %d aliased, max pressure %d",
+		s.VRegs, s.Spilled, s.CopiesCoalesced, s.Aliased, s.MaxPressure)
 }
 
 // Add accumulates o into s (MaxPressure takes the maximum).
@@ -51,6 +54,7 @@ func (s *AllocStats) Add(o AllocStats) {
 	s.VRegs += o.VRegs
 	s.Spilled += o.Spilled
 	s.CopiesCoalesced += o.CopiesCoalesced
+	s.Aliased += o.Aliased
 	s.MaxPressure = max(s.MaxPressure, o.MaxPressure)
 }
 

@@ -385,10 +385,10 @@ func TestVerifyAllocationCatchesBadAllocations(t *testing.T) {
 
 // siteUnits warms an engine over workload.Combined() once and returns
 // every unit the JIT sent into register allocation on the way (live,
-// profiling and optimized translations, as laid out), plus the
-// optimized HHIR of each region translation (rebuilt from its
-// descriptor, without inlining) as input for Lower.
-func siteUnits(b *testing.B) (laidOut []*vasm.Unit, optimized []*hhir.Unit) {
+// profiling and optimized translations, as laid out), plus a function
+// that builds the HHIR of each region translation afresh (from its
+// descriptor, without inlining) as input for Optimize and Lower.
+func siteUnits(b *testing.B) (laidOut []*vasm.Unit, build func() []*hhir.Unit) {
 	b.Helper()
 	eng, eps, err := perflab.NewEngine(jit.DefaultConfig())
 	if err != nil {
@@ -407,18 +407,19 @@ func siteUnits(b *testing.B) (laidOut []*vasm.Unit, optimized []*hhir.Unit) {
 		b.Fatal("warm-up did not reach the optimized tier")
 	}
 	bcfg := hhir.BuildConfig{EnableMethodDispatch: true, EnableShapes: true, Counters: j.Counters}
-	j.ForEachTranslation(func(tr *jit.Translation) {
-		if tr.Kind != jit.ModeRegion {
-			return
-		}
-		hu, err := hhir.Build(j.Unit, j.Env, tr.Desc, bcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hhir.Optimize(hu, hhir.AllPasses)
-		optimized = append(optimized, hu)
-	})
-	return laidOut, optimized
+	return laidOut, func() (built []*hhir.Unit) {
+		j.ForEachTranslation(func(tr *jit.Translation) {
+			if tr.Kind != jit.ModeRegion {
+				return
+			}
+			hu, err := hhir.Build(j.Unit, j.Env, tr.Desc, bcfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			built = append(built, hu)
+		})
+		return built
+	}
 }
 
 // BenchmarkAllocate localizes vasm.regalloc_ms and the allocator's
@@ -445,7 +446,11 @@ func BenchmarkAllocate(b *testing.B) {
 // BenchmarkLower localizes vasm.lower_ms: one op lowers the optimized
 // HHIR of every region translation of the site.
 func BenchmarkLower(b *testing.B) {
-	_, optimized := siteUnits(b)
+	_, build := siteUnits(b)
+	optimized := build()
+	for _, hu := range optimized {
+		hhir.Optimize(hu, hhir.AllPasses)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -453,6 +458,23 @@ func BenchmarkLower(b *testing.B) {
 			if _, err := vasm.Lower(hu); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkOptimize localizes hhir.optimize_ms and the optimizer's
+// share of coldstart_site req_allocs: one op runs the optimized
+// pipeline over the HHIR of every region translation of the site.
+func BenchmarkOptimize(b *testing.B) {
+	_, build := siteUnits(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer() // Optimize rewrites its unit in place
+		built := build()
+		b.StartTimer()
+		for _, hu := range built {
+			hhir.Optimize(hu, hhir.AllPasses)
 		}
 	}
 }
