@@ -96,10 +96,10 @@ func callEntry(v *vm.VM, entry *hhbc.Func, out *strings.Builder) string {
 }
 
 // checkRecycled asserts the pool invariants on one VM after traffic.
-func checkRecycled(t *testing.T, label string, v *vm.VM, liveBefore int64) {
+func checkRecycled(t *testing.T, label string, v *vm.VM) {
 	t.Helper()
-	if live := v.Heap.LiveObjs; live != liveBefore {
-		t.Errorf("%s: %d guest objects live, %d before the traffic", label, live, liveBefore)
+	if msg := heapImbalance(v.Heap, false); msg != "" {
+		t.Errorf("%s: %s", label, msg)
 	}
 	pool := v.Env.PooledFrames()
 	if len(pool) == 0 {
@@ -121,7 +121,7 @@ func checkRecycled(t *testing.T, label string, v *vm.VM, liveBefore int64) {
 			}
 		}
 		for j, it := range fr.Iters[:cap(fr.Iters)] {
-			if it != nil {
+			if it != (runtime.Iter{}) {
 				t.Errorf("%s: pooled frame %d still holds an iterator in slot %d", label, i, j)
 			}
 		}
@@ -154,7 +154,7 @@ func serveRecycled(t *testing.T, label string, eng *core.Engine, entry *hhbc.Fun
 	}
 	wg.Wait()
 	for i, v := range vms {
-		checkRecycled(t, fmt.Sprintf("%s worker %d", label, i), v, 0)
+		checkRecycled(t, fmt.Sprintf("%s worker %d", label, i), v)
 	}
 }
 
@@ -199,7 +199,7 @@ func recycleSetup(t *testing.T, src string) (*hhbc.Unit, *hhbc.Func, string) {
 	if again := callEntry(ref.VM, entry, &out); again != want {
 		t.Fatalf("program is not repeatable under the interpreter:\n%q\n%q", want, again)
 	}
-	checkRecycled(t, "interp", ref.VM, 0)
+	checkRecycled(t, "interp", ref.VM)
 	return unit, entry, want
 }
 
@@ -287,7 +287,7 @@ func TestFrameRecyclingReplayVM(t *testing.T) {
 				t.Fatalf("replay VM round %d diverges from the interpreter:\n got %.300q\nwant %.300q", r, got, want)
 			}
 		}
-		checkRecycled(t, "replay VM", rv, 0)
+		checkRecycled(t, "replay VM", rv)
 	}
 }
 

@@ -219,6 +219,10 @@ func TestDifferentialFuzz(t *testing.T) {
 				if _, err := eng.RunRequest(&all); err != nil {
 					t.Fatalf("seed %d [%v] iter %d: %v\n%s", seed, mode, i, err, src)
 				}
+				// The error-raising production makes JITed helpers raise.
+				if msg := heapImbalance(eng.Heap(), mode != jit.ModeInterp); msg != "" {
+					t.Fatalf("seed %d [%v] iter %d: %s\n%s", seed, mode, i, msg, src)
+				}
 				all.WriteString("|")
 			}
 			g, l := regionGuards(eng)

@@ -54,8 +54,8 @@ echo churn(15), "\n";
 			if _, err := eng.RunRequest(&strings.Builder{}); err != nil {
 				t.Fatalf("[%v] %v", mode, err)
 			}
-			if live := eng.Heap().Snapshot().LiveObjs; live != 0 {
-				t.Fatalf("[%v] request %d leaked %d objects", mode, i, live)
+			if msg := heapImbalance(eng.Heap(), false); msg != "" {
+				t.Fatalf("[%v] request %d: %s", mode, i, msg)
 			}
 		}
 		h0 := eng.Heap().Snapshot()

@@ -120,7 +120,7 @@ func litValue(e ast.Expr) (runtime.Value, bool) {
 	case *ast.BoolLit:
 		return runtime.Bool(v.Value), true
 	case *ast.StringLit:
-		return runtime.NewStr(v.Value), true
+		return runtime.StrV(runtime.InternStr(v.Value)), true
 	case *ast.NullLit:
 		return runtime.Null(), true
 	}

@@ -284,7 +284,7 @@ func (e *Env) NewException(clsName, msg string) *runtime.Object {
 	}
 	obj := e.NewInstance(cls)
 	if _, ok := cls.PropNames["message"]; ok {
-		_ = obj.SetProp(e.Heap, "message", runtime.NewStr(msg))
+		_ = obj.SetProp(e.Heap, "message", e.Heap.NewStr(msg))
 	}
 	return obj
 }

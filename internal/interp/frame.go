@@ -14,7 +14,7 @@ type Frame struct {
 	Locals []runtime.Value
 	Stack  []runtime.Value
 	This   *runtime.Object
-	Iters  []*runtime.Iter
+	Iters  []runtime.Iter
 	PC     int
 
 	// pendingExc carries the in-flight exception between unwinding
@@ -103,19 +103,29 @@ func (fr *Frame) top() runtime.Value { return fr.Stack[len(fr.Stack)-1] }
 // is the one frame teardown, shared by the interpreter, the machine's
 // Ret and the VM's unwinder. Slice capacity is kept for the frame's
 // next use.
+//
+// A frame owns its evaluation stack, its iterators and
+// Locals[:Fn.NumLocals]. The slots past those are the extension the
+// machine grows for inlined callees' locals: only a live inline
+// context owns what is in them, and the machine's exit moves those
+// values into the callee frames it materializes. Whatever is left there
+// at teardown is scratch — the pointers an inlined callee's return
+// already released — so it is reset without a DecRef.
 func (fr *Frame) Release(e *Env) {
 	for _, v := range fr.Stack {
 		e.Heap.DecRef(v)
 	}
 	fr.Stack = fr.Stack[:0]
 	for i, v := range fr.Locals {
-		e.Heap.DecRef(v)
+		if i < fr.Fn.NumLocals {
+			e.Heap.DecRef(v)
+		}
 		fr.Locals[i] = runtime.Uninit()
 	}
-	for i, it := range fr.Iters {
-		if it != nil {
-			e.Heap.DecRef(runtime.ArrV(it.Arr()))
-			fr.Iters[i] = nil
+	for i := range fr.Iters {
+		if arr := fr.Iters[i].Arr(); arr != nil {
+			e.Heap.DecRef(runtime.ArrV(arr))
+			fr.Iters[i] = runtime.Iter{}
 		}
 	}
 	fr.Iters = fr.Iters[:0]
@@ -130,16 +140,17 @@ func (fr *Frame) clearStack(e *Env) {
 	fr.Stack = fr.Stack[:0]
 }
 
+// iter returns iterator id, nil when the slot is free.
 func (fr *Frame) iter(id int32) *runtime.Iter {
-	if int(id) < len(fr.Iters) {
-		return fr.Iters[id]
+	if int(id) < len(fr.Iters) && fr.Iters[id].Arr() != nil {
+		return &fr.Iters[id]
 	}
 	return nil
 }
 
-func (fr *Frame) setIter(id int32, it *runtime.Iter) {
+func (fr *Frame) setIter(id int32, it runtime.Iter) {
 	for int(id) >= len(fr.Iters) {
-		fr.Iters = append(fr.Iters, nil)
+		fr.Iters = append(fr.Iters, runtime.Iter{})
 	}
 	fr.Iters[id] = it
 }

@@ -29,7 +29,7 @@ func Binop(h *runtime.Heap, op hhbc.Op, a, b runtime.Value) (runtime.Value, erro
 	case hhbc.OpMod:
 		return runtime.Mod(a, b)
 	case hhbc.OpConcat:
-		return runtime.Concat(a, b), nil
+		return runtime.Concat(h, a, b), nil
 	case hhbc.OpNeg:
 		return runtime.Neg(a), nil
 	case hhbc.OpLt:
@@ -61,7 +61,7 @@ func (fr *Frame) IterInit(h *runtime.Heap, id, slot int32) bool {
 		return false
 	}
 	h.IncRef(lv)
-	fr.setIter(id, runtime.NewIter(lv.AsArr()))
+	fr.setIter(id, lv.AsArr().Iter())
 	return true
 }
 
@@ -93,7 +93,7 @@ func (fr *Frame) IterValue(h *runtime.Heap, id int32) runtime.Value {
 func (fr *Frame) IterFree(h *runtime.Heap, id int32) {
 	if it := fr.iter(id); it != nil {
 		h.DecRef(runtime.ArrV(it.Arr()))
-		fr.setIter(id, nil)
+		*it = runtime.Iter{}
 	}
 }
 

@@ -51,7 +51,7 @@ func eachKind(env *interp.Env) map[string]runtime.Value {
 	box, _ := env.ClassByName("Box")
 	return map[string]runtime.Value{
 		"Uninit": runtime.Uninit(), "Null": runtime.Null(), "Bool": runtime.Bool(true),
-		"Int": runtime.Int(5), "Dbl": runtime.Dbl(2.5), "Str": runtime.NewStr("s"),
+		"Int": runtime.Int(5), "Dbl": runtime.Dbl(2.5), "Str": env.Heap.NewStr("s"),
 		"Arr": runtime.ArrV(runtime.NewPacked([]runtime.Value{runtime.Int(1)})),
 		"Obj": runtime.ObjV(env.NewInstance(box)),
 	}
@@ -88,7 +88,7 @@ func TestBinopDispatchesEveryOperator(t *testing.T) {
 		t.Error("a non-operator opcode must be rejected")
 	}
 	// Operands are borrowed, the result is owned.
-	a, b := runtime.NewStr("x"), runtime.NewStr("y")
+	a, b := h.NewStr("x"), h.NewStr("y")
 	r, _ := interp.Binop(h, hhbc.OpConcat, a, b)
 	if a.AsStr().Refs() != 1 || b.AsStr().Refs() != 1 || r.AsStr().Refs() != 1 {
 		t.Errorf("concat refs: %d %d -> %d", a.AsStr().Refs(), b.AsStr().Refs(), r.AsStr().Refs())
@@ -105,7 +105,7 @@ func TestIteratorsOverEveryKind(t *testing.T) {
 		if started != (name == "Arr") {
 			t.Errorf("IterInit over %s = %v", name, started)
 		}
-		if !started && (len(fr.Iters) > 0 && fr.Iters[0] != nil) {
+		if !started && (len(fr.Iters) > 0 && fr.Iters[0].Arr() != nil) {
 			t.Errorf("IterInit over %s left an iterator behind", name)
 		}
 		fr.IterFree(h, 0) // freeing a free iterator is a no-op
@@ -121,9 +121,9 @@ func TestIteratorsOverEveryKind(t *testing.T) {
 	env.PutFrame(fr)
 
 	// Walk a two-element mixed array holding a counted value.
-	el := runtime.NewStr("payload")
+	el := h.NewStr("payload")
 	arr := runtime.NewMixed()
-	arr = arr.Set(h, runtime.NewStr("k"), el)
+	arr = arr.Set(h, h.NewStr("k"), el)
 	arr = arr.Set(h, runtime.Int(7), runtime.Int(70))
 	fr = env.TakeFrame(f, nil, []runtime.Value{runtime.ArrV(arr), runtime.Null()})
 	if !fr.IterInit(h, 1, 0) || arr.Refs() != 2 {
@@ -204,7 +204,7 @@ func TestCallBuiltinArityCostAndRelease(t *testing.T) {
 	env.Meter = meter
 	strlen, _ := runtime.LookupBuiltin("strlen")
 
-	arg := runtime.NewStr("abc")
+	arg := env.Heap.NewStr("abc")
 	env.Heap.IncRef(arg) // our handle; the call consumes the other
 	r, err := env.CallBuiltin(strlen, []runtime.Value{arg})
 	if err != nil || r.AsInt() != 3 || meter.cycles != strlen.Cost || arg.AsStr().Refs() != 1 {
@@ -229,14 +229,15 @@ func TestCallBuiltinArityCostAndRelease(t *testing.T) {
 
 func TestCallNamedResolution(t *testing.T) {
 	env, _ := newEnv(t, opsSrc)
-	a, b := runtime.NewStr("x"), runtime.NewStr("y")
+	h := env.Heap
+	a, b := h.NewStr("x"), h.NewStr("y")
 	if r, err := env.CallNamed("TWO", []runtime.Value{a, b}); err != nil || r.ToString() != "xy" {
 		t.Errorf("user function by case-insensitive name: %s, %v", r.DebugString(), err)
 	}
-	if r, err := env.CallNamed("StrLen", []runtime.Value{runtime.NewStr("four")}); err != nil || r.AsInt() != 4 {
+	if r, err := env.CallNamed("StrLen", []runtime.Value{h.NewStr("four")}); err != nil || r.AsInt() != 4 {
 		t.Errorf("native by case-insensitive name: %s, %v", r.DebugString(), err)
 	}
-	arg := runtime.NewStr("arg")
+	arg := h.NewStr("arg")
 	env.Heap.IncRef(arg)
 	_, err := env.CallNamed("NoSuch", []runtime.Value{arg})
 	if msg(err) != "call to undefined function NoSuch()" || arg.AsStr().Refs() != 1 {
@@ -283,7 +284,7 @@ func TestNewObjectPrintThisDepth(t *testing.T) {
 		t.Errorf("new Nope: %q", msg(err))
 	}
 
-	for _, v := range []runtime.Value{runtime.Null(), runtime.Bool(true), runtime.Int(5), runtime.Dbl(2.5), runtime.NewStr("s"), o} {
+	for _, v := range []runtime.Value{runtime.Null(), runtime.Bool(true), runtime.Int(5), runtime.Dbl(2.5), env.Heap.NewStr("s"), o} {
 		env.Print(v)
 	}
 	if out.String() != "152.5sObject(Box)" {
@@ -304,7 +305,7 @@ func TestNewObjectPrintThisDepth(t *testing.T) {
 	fr.This = nil
 	env.PutFrame(fr)
 
-	arg := runtime.NewStr("a")
+	arg := env.Heap.NewStr("a")
 	env.Heap.IncRef(arg)
 	if err := env.CheckDepth(env.MaxDepth-1, []runtime.Value{arg}); err != nil || arg.AsStr().Refs() != 2 {
 		t.Errorf("below the limit: %v, arg refs %d", err, arg.AsStr().Refs())
@@ -325,7 +326,7 @@ func TestUnwindEntersHandlerOrReleases(t *testing.T) {
 
 	// Inside the protected range: stack dropped, a fatal becomes a
 	// catchable Exception carrying the message, pc at the handler.
-	local, stacked := runtime.NewStr("local"), runtime.NewStr("stacked")
+	local, stacked := h.NewStr("local"), h.NewStr("stacked")
 	h.IncRef(local)
 	h.IncRef(stacked)
 	fr := env.TakeFrame(guarded, nil, []runtime.Value{local})

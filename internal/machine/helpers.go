@@ -22,7 +22,7 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 
 	switch hid {
 	case vasm.HConcat:
-		return runtime.Concat(arg(0), arg(1)), nil
+		return runtime.Concat(h, arg(0), arg(1)), nil
 	case vasm.HBinop:
 		// BinopGeneric consumes both operands (no DecRef follows it).
 		a, b := arg(0), arg(1)

@@ -65,8 +65,8 @@ func (a *Array) Len() int {
 	return a.live
 }
 
-// Refs returns the current reference count.
-func (a *Array) Refs() int32 { return a.refs }
+// Refs returns the current reference count, 0 once freed.
+func (a *Array) Refs() int32 { return liveRefs(a.refs) }
 
 func keyOf(v Value) arrayKey {
 	if v.Kind == types.KStr {
@@ -281,15 +281,16 @@ func (k arrayKey) Value() Value {
 }
 
 // Iter is a stable iterator over an array, used by the foreach
-// bytecodes. It holds its own reference to the array.
+// bytecodes. It holds its own reference to the array; the zero Iter
+// is a free iterator slot.
 type Iter struct {
 	arr *Array
 	pos int
 }
 
-// NewIter starts an iterator; the caller transfers one reference of
-// arr to the iterator.
-func NewIter(arr *Array) *Iter { return &Iter{arr: arr} }
+// Iter starts an iterator over a; the caller transfers one reference
+// of a to the iterator.
+func (a *Array) Iter() Iter { return Iter{arr: a} }
 
 // Valid reports whether the iterator points at a live entry,
 // advancing past tombstones.
@@ -324,5 +325,6 @@ func (it *Iter) Val() Value {
 	return it.arr.entries[it.pos].val
 }
 
-// Arr returns the underlying array (for releasing at IterFree).
+// Arr returns the underlying array (for releasing at IterFree), nil
+// for a free slot.
 func (it *Iter) Arr() *Array { return it.arr }

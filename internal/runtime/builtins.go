@@ -70,7 +70,7 @@ func init() {
 	reg(&Builtin{Name: "strlen", Arity: 1, Cost: 6, Ret: types.TInt, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return Int(int64(len(a[0].ToString()))), nil
 	}})
-	reg(&Builtin{Name: "substr", Arity: -1, Cost: 20, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "substr", Arity: -1, Cost: 20, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
 		if len(a) < 2 {
 			return Null(), NewError("substr expects at least 2 arguments")
 		}
@@ -83,7 +83,7 @@ func init() {
 			}
 		}
 		if start > len(s) {
-			return NewStr(""), nil
+			return ctx.Heap.NewStr(""), nil
 		}
 		end := len(s)
 		if len(a) >= 3 {
@@ -100,36 +100,36 @@ func init() {
 		if end < start {
 			end = start
 		}
-		return NewStr(s[start:end]), nil
+		return ctx.Heap.NewStr(s[start:end]), nil
 	}})
-	reg(&Builtin{Name: "strtoupper", Arity: 1, Cost: 15, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
-		return NewStr(strings.ToUpper(a[0].ToString())), nil
+	reg(&Builtin{Name: "strtoupper", Arity: 1, Cost: 15, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
+		return ctx.Heap.NewStr(strings.ToUpper(a[0].ToString())), nil
 	}})
-	reg(&Builtin{Name: "strtolower", Arity: 1, Cost: 15, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
-		return NewStr(strings.ToLower(a[0].ToString())), nil
+	reg(&Builtin{Name: "strtolower", Arity: 1, Cost: 15, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
+		return ctx.Heap.NewStr(strings.ToLower(a[0].ToString())), nil
 	}})
-	reg(&Builtin{Name: "strrev", Arity: 1, Cost: 15, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "strrev", Arity: 1, Cost: 15, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
 		s := []byte(a[0].ToString())
 		for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
 			s[i], s[j] = s[j], s[i]
 		}
-		return NewStr(string(s)), nil
+		return ctx.Heap.NewStr(string(s)), nil
 	}})
-	reg(&Builtin{Name: "str_repeat", Arity: 2, Cost: 25, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "str_repeat", Arity: 2, Cost: 25, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
 		n := a[1].ToInt()
 		if n < 0 || n > 1<<20 {
 			return Null(), NewError("str_repeat: bad count")
 		}
-		return NewStr(strings.Repeat(a[0].ToString(), int(n))), nil
+		return ctx.Heap.NewStr(strings.Repeat(a[0].ToString(), int(n))), nil
 	}})
-	reg(&Builtin{Name: "implode", Arity: 2, Cost: 30, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
+	reg(&Builtin{Name: "implode", Arity: 2, Cost: 30, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
 		if a[1].Kind != types.KArr {
 			return Null(), NewError("implode expects array")
 		}
 		sep := a[0].ToString()
 		var parts []string
 		a[1].AsArr().Each(func(_, v Value) bool { parts = append(parts, v.ToString()); return true })
-		return NewStr(strings.Join(parts, sep)), nil
+		return ctx.Heap.NewStr(strings.Join(parts, sep)), nil
 	}})
 	reg(&Builtin{Name: "abs", Arity: 1, Cost: 4, Ret: types.TNum, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		if a[0].Kind == types.KDbl {
@@ -147,8 +147,8 @@ func init() {
 	reg(&Builtin{Name: "floatval", Arity: 1, Cost: 5, Ret: types.TDbl, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		return Dbl(a[0].ToDbl()), nil
 	}})
-	reg(&Builtin{Name: "strval", Arity: 1, Cost: 10, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
-		return NewStr(a[0].ToString()), nil
+	reg(&Builtin{Name: "strval", Arity: 1, Cost: 10, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
+		return ctx.Heap.NewStr(a[0].ToString()), nil
 	}})
 	reg(&Builtin{Name: "is_int", Arity: 1, Cost: 3, Ret: types.TBool, Fn: isKind(types.KInt)})
 	reg(&Builtin{Name: "is_float", Arity: 1, Cost: 3, Ret: types.TBool, Fn: isKind(types.KDbl)})
@@ -247,8 +247,8 @@ func init() {
 		}
 		return Int(int64(s[0])), nil
 	}})
-	reg(&Builtin{Name: "chr", Arity: 1, Cost: 6, Ret: types.TStr, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
-		return NewStr(string(rune(a[0].ToInt() & 0xff))), nil
+	reg(&Builtin{Name: "chr", Arity: 1, Cost: 6, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
+		return ctx.Heap.NewStr(string(rune(a[0].ToInt() & 0xff))), nil
 	}})
 }
 

@@ -1,11 +1,17 @@
 package runtime
 
-import "repro/internal/types"
+import (
+	"unsafe"
 
-// Heap tracks guest allocation and reference-counting activity. PHP's
+	"repro/internal/types"
+)
+
+// Heap is the guest heap of one VM: it allocates and frees guest
+// strings and objects and tracks reference-counting activity. PHP's
 // refcounting is observable (destructors fire at the exact point the
 // last reference dies; COW copies happen at refcount>1), so the heap
 // exposes counters that the tests and the RCE-correctness checks use.
+// A heap is confined to its VM's goroutine and needs no locking.
 type Heap struct {
 	// IncRefs and DecRefs count executed refcount operations — the
 	// quantity the RCE pass exists to reduce.
@@ -16,15 +22,98 @@ type Heap struct {
 	Destructs uint64
 	CowCopies uint64
 	Frees     uint64
-	LiveObjs  int64
+	// LiveObjs and LiveStrs count boxes allocated through this heap
+	// minus boxes it freed; both read zero between requests.
+	LiveObjs int64
+	LiveStrs int64
+	// OverReleases counts refcount operations on a box that is already
+	// dead: a DecRef that takes a count below zero, and any IncRef or
+	// DecRef that reaches a parked box. Always zero unless some tier
+	// broke the ownership discipline.
+	OverReleases uint64
 
 	// OnDestruct runs a guest destructor for obj. Set by the VM
 	// (destructors are guest code and need the execution engine).
 	OnDestruct func(obj *Object)
+
+	// Free lists (DESIGN.md §6): the last DecRef parks the scrubbed box
+	// here and NewStr/NewObject pop it, LIFO. Objects are listed by the
+	// declared slot count of the class they died as, so a popped box's
+	// slot array always fits. parked is the bytes the lists hold.
+	freeStrs []*Str
+	freeObjs [][]*Object
+	parked   uintptr
 }
+
+// maxParkedBytes bounds what a heap's free lists may hold (string
+// headers, objects and their slot arrays); a box that would exceed it
+// is left to the host collector. Sized from the site's weighted block,
+// whose requests park at most 60 string headers and 138 objects
+// (DESIGN.md §6 has the measurement and why it is not larger).
+const maxParkedBytes = 8 << 10
+
+// deadRefs is the count of a freed box. It is far enough below zero
+// that a stray IncRef cannot revive the box and no DecRef can free it
+// twice; NewStr and NewObject check it when they reuse a box.
+const deadRefs = -1 << 30
+
+// liveRefs is the count a box reports: a dead box has none.
+func liveRefs(refs int32) int32 { return max(refs, 0) }
+
+const (
+	strBytes    = unsafe.Sizeof(Str{})
+	objectBytes = unsafe.Sizeof(Object{})
+	valueBytes  = unsafe.Sizeof(Value{})
+)
 
 // NewHeap returns a fresh heap.
 func NewHeap() *Heap { return &Heap{} }
+
+// NewStr allocates a counted guest string holding s, with one
+// reference.
+func (h *Heap) NewStr(s string) Value {
+	h.LiveStrs++
+	n := len(h.freeStrs)
+	if n == 0 {
+		return StrV(&Str{Data: s, refs: 1})
+	}
+	str := h.freeStrs[n-1]
+	h.freeStrs[n-1] = nil
+	h.freeStrs = h.freeStrs[:n-1]
+	h.parked -= strBytes
+	if str.refs != deadRefs {
+		h.OverReleases++
+	}
+	str.Data, str.refs = s, 1
+	return StrV(str)
+}
+
+// NewObject allocates an instance of c with default-initialized
+// properties, the class's root shape, and refcount 1.
+func (h *Heap) NewObject(c *Class) *Object {
+	h.LiveObjs++
+	n := len(c.PropInit)
+	if n >= len(h.freeObjs) || len(h.freeObjs[n]) == 0 {
+		props := make([]Value, n)
+		copy(props, c.PropInit)
+		return &Object{Class: c, Shape: c.RootShape, Props: props, refs: 1}
+	}
+	list := h.freeObjs[n]
+	o := list[len(list)-1]
+	list[len(list)-1] = nil
+	h.freeObjs[n] = list[:len(list)-1]
+	h.parked -= o.parkedBytes()
+	if o.refs != deadRefs {
+		h.OverReleases++
+	}
+	o.Class, o.Shape, o.Props, o.refs = c, c.RootShape, o.Props[:n], 1
+	copy(o.Props, c.PropInit)
+	return o
+}
+
+func (o *Object) parkedBytes() uintptr {
+	return objectBytes + uintptr(cap(o.Props))*valueBytes
+}
 
 // incRefVal bumps a refcount without heap accounting (used by clone,
 // which is itself accounted as a COW copy).
@@ -64,23 +153,49 @@ func (h *Heap) IncRef(v Value) {
 func (h *Heap) DecRef(v Value) {
 	switch v.Kind {
 	case types.KStr:
-		if v.AsStr().static {
+		s := v.AsStr()
+		if s.static {
 			return
 		}
 		h.DecRefs++
-		v.AsStr().refs--
-		if v.AsStr().refs == 0 {
-			h.Frees++
+		s.refs--
+		if s.refs <= 0 {
+			h.freeStr(s)
 		}
 	case types.KArr:
 		h.DecRefs++
 		h.decArrayRef(v.AsArr())
 	case types.KObj:
 		h.DecRefs++
-		v.AsObj().refs--
-		if v.AsObj().refs == 0 {
-			h.destroyObject(v.AsObj())
+		o := v.AsObj()
+		o.refs--
+		if o.refs <= 0 {
+			h.destroyObject(o)
 		}
+	}
+}
+
+// overReleased reports (and counts) a DecRef that took *refs below
+// zero, undoing it so a dead box keeps its dead count.
+func (h *Heap) overReleased(refs *int32) bool {
+	if *refs == 0 {
+		return false
+	}
+	*refs++
+	h.OverReleases++
+	return true
+}
+
+func (h *Heap) freeStr(s *Str) {
+	if h.overReleased(&s.refs) {
+		return
+	}
+	h.Frees++
+	h.LiveStrs--
+	s.Data, s.refs = "", deadRefs
+	if h.parked+strBytes <= maxParkedBytes {
+		h.parked += strBytes
+		h.freeStrs = append(h.freeStrs, s)
 	}
 }
 
@@ -88,10 +203,11 @@ func (h *Heap) DecRef(v Value) {
 // op (callers that model a guest DecRef instruction count it).
 func (h *Heap) decArrayRef(a *Array) {
 	a.refs--
-	if a.refs > 0 {
+	if a.refs > 0 || h.overReleased(&a.refs) {
 		return
 	}
 	h.Frees++
+	a.refs = deadRefs
 	if a.IsPacked() {
 		for _, e := range a.elems {
 			h.DecRef(e)
@@ -108,33 +224,54 @@ func (h *Heap) decArrayRef(a *Array) {
 	a.mixed = nil
 }
 
+// destroyObject runs when o's count reaches zero: the destructor, then
+// the release of the property values, then the box itself.
 func (h *Heap) destroyObject(o *Object) {
-	h.LiveObjs--
-	h.Frees++
+	if h.overReleased(&o.refs) {
+		return
+	}
 	if o.Class.HasDtor && h.OnDestruct != nil && !o.destructed {
 		o.destructed = true
-		// Keep the object alive during its destructor, as PHP does.
+		// The heap lends the object one reference for the duration of
+		// its destructor, as PHP does. If more than that is left, the
+		// destructor stored $this somewhere: the object lives on with
+		// the references it was given, and is not destructed again.
 		o.refs = 1
 		h.Destructs++
 		h.OnDestruct(o)
-		o.refs = 0
+		o.refs--
+		if o.refs > 0 || h.overReleased(&o.refs) {
+			return
+		}
 	}
+	h.LiveObjs--
+	h.Frees++
 	for _, p := range o.Props {
 		h.DecRef(p)
 	}
-	o.Props = nil
+	n := len(o.Class.PropInit)
+	clear(o.Props[:cap(o.Props)])
+	o.Class, o.Shape, o.destructed, o.refs = nil, nil, false, deadRefs
+	if size := o.parkedBytes(); h.parked+size <= maxParkedBytes {
+		h.parked += size
+		for len(h.freeObjs) <= n {
+			h.freeObjs = append(h.freeObjs, nil)
+		}
+		h.freeObjs[n] = append(h.freeObjs[n], o)
+	}
 }
 
 // Stats is a snapshot of heap counters.
 type Stats struct {
-	IncRefs, DecRefs, Destructs, CowCopies, Frees uint64
-	LiveObjs                                      int64
+	IncRefs, DecRefs, Destructs, CowCopies, Frees, OverReleases uint64
+	LiveObjs, LiveStrs                                          int64
 }
 
 // Snapshot returns the current counters.
 func (h *Heap) Snapshot() Stats {
 	return Stats{
 		IncRefs: h.IncRefs, DecRefs: h.DecRefs, Destructs: h.Destructs,
-		CowCopies: h.CowCopies, Frees: h.Frees, LiveObjs: h.LiveObjs,
+		CowCopies: h.CowCopies, Frees: h.Frees, OverReleases: h.OverReleases,
+		LiveObjs: h.LiveObjs, LiveStrs: h.LiveStrs,
 	}
 }

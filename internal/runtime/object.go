@@ -93,17 +93,8 @@ type Object struct {
 	destructed bool
 }
 
-// NewObject allocates an instance of c with default-initialized
-// properties, the class's root shape, and refcount 1.
-func (h *Heap) NewObject(c *Class) *Object {
-	props := make([]Value, len(c.PropInit))
-	copy(props, c.PropInit)
-	h.LiveObjs++
-	return &Object{Class: c, Shape: c.RootShape, Props: props, refs: 1}
-}
-
-// Refs returns the current reference count.
-func (o *Object) Refs() int32 { return o.refs }
+// Refs returns the current reference count, 0 once freed.
+func (o *Object) Refs() int32 { return liveRefs(o.refs) }
 
 // ShapeID returns the object's shape ID, 0 when shapeless — compiled
 // shape guards compare against it (0 never matches a minted guard).

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strconv"
 	"strings"
 
 	"repro/internal/types"
@@ -141,8 +142,17 @@ func IncDec(slot *Value, inc, post bool) (Value, error) {
 }
 
 // Concat implements the . operator, producing a fresh counted string.
-func Concat(a, b Value) Value {
-	return NewStr(a.ToString() + b.ToString())
+// An Int operand is rendered into a stack buffer, so the only host
+// allocation left is the result's data.
+func Concat(h *Heap, a, b Value) Value {
+	var buf [24]byte
+	switch {
+	case a.Kind == types.KInt:
+		return h.NewStr(string(strconv.AppendInt(buf[:0], a.AsInt(), 10)) + b.ToString())
+	case b.Kind == types.KInt:
+		return h.NewStr(a.ToString() + string(strconv.AppendInt(buf[:0], b.AsInt(), 10)))
+	}
+	return h.NewStr(a.ToString() + b.ToString())
 }
 
 // ToStr implements the (string) cast. The result is owned: a string
@@ -153,7 +163,7 @@ func ToStr(h *Heap, v Value) Value {
 		h.IncRef(v)
 		return v
 	}
-	return NewStr(v.ToString())
+	return h.NewStr(v.ToString())
 }
 
 // Cmp returns -1, 0, or 1 with PHP's loose comparison semantics

@@ -11,7 +11,7 @@ import (
 
 func TestRefcountBasics(t *testing.T) {
 	h := rt.NewHeap()
-	v := rt.NewStr("hello")
+	v := h.NewStr("hello")
 	if v.AsStr().Refs() != 1 {
 		t.Fatalf("fresh string refs = %d", v.AsStr().Refs())
 	}
@@ -71,11 +71,11 @@ func TestPackedEscalatesToMixed(t *testing.T) {
 	if !a.IsPacked() {
 		t.Fatal("fresh packed array is not packed")
 	}
-	a = a.Set(h, rt.NewStr("k"), rt.Int(2))
+	a = a.Set(h, h.NewStr("k"), rt.Int(2))
 	if a.IsPacked() {
 		t.Fatal("string key should escalate to mixed")
 	}
-	v, ok := a.Get(rt.NewStr("k"))
+	v, ok := a.Get(h.NewStr("k"))
 	if !ok || v.AsInt() != 2 {
 		t.Fatal("escalated array lost the element")
 	}
@@ -101,7 +101,7 @@ func TestMixedInsertionOrder(t *testing.T) {
 	a := rt.NewMixed()
 	keys := []string{"z", "a", "m"}
 	for i, k := range keys {
-		a = a.Set(h, rt.NewStr(k), rt.Int(int64(i)))
+		a = a.Set(h, h.NewStr(k), rt.Int(int64(i)))
 	}
 	var got []string
 	a.Each(func(k, _ rt.Value) bool { got = append(got, k.ToString()); return true })
@@ -115,13 +115,13 @@ func TestMixedInsertionOrder(t *testing.T) {
 func TestArrayRemoveAndTombstones(t *testing.T) {
 	h := rt.NewHeap()
 	a := rt.NewMixed()
-	a = a.Set(h, rt.NewStr("a"), rt.Int(1))
-	a = a.Set(h, rt.NewStr("b"), rt.Int(2))
-	a = a.Remove(h, rt.NewStr("a"))
+	a = a.Set(h, h.NewStr("a"), rt.Int(1))
+	a = a.Set(h, h.NewStr("b"), rt.Int(2))
+	a = a.Remove(h, h.NewStr("a"))
 	if a.Len() != 1 {
 		t.Fatalf("len after remove = %d", a.Len())
 	}
-	if _, ok := a.Get(rt.NewStr("a")); ok {
+	if _, ok := a.Get(h.NewStr("a")); ok {
 		t.Fatal("removed key still present")
 	}
 	var seen int
@@ -164,12 +164,13 @@ func TestPHPSemanticsOps(t *testing.T) {
 }
 
 func TestTruthiness(t *testing.T) {
+	h := rt.NewHeap()
 	cases := []struct {
 		v    rt.Value
 		want bool
 	}{
 		{rt.Int(0), false}, {rt.Int(1), true},
-		{rt.NewStr(""), false}, {rt.NewStr("0"), false}, {rt.NewStr("x"), true},
+		{h.NewStr(""), false}, {h.NewStr("0"), false}, {h.NewStr("x"), true},
 		{rt.Null(), false}, {rt.Bool(true), true},
 		{rt.ArrV(rt.NewPacked(nil)), false},
 		{rt.ArrV(rt.NewPacked([]rt.Value{rt.Int(0)})), true},
@@ -293,7 +294,7 @@ func TestPropNamedRefcounts(t *testing.T) {
 	}
 	o := h.NewObject(cls)
 
-	s := rt.NewStr("payload")
+	s := h.NewStr("payload")
 	if s.AsStr().Refs() != 1 {
 		t.Fatalf("fresh string refs = %d", s.AsStr().Refs())
 	}
@@ -365,7 +366,7 @@ func TestPropNamedDynamicTransitions(t *testing.T) {
 	// Retyping a slot (int -> string) transitions again; retyping back
 	// returns to the interned original.
 	withCount := a.ShapeID()
-	if err := rt.SetPropNamed(h, rt.ObjV(a), "count", rt.NewStr("many")); err != nil {
+	if err := rt.SetPropNamed(h, rt.ObjV(a), "count", h.NewStr("many")); err != nil {
 		t.Fatal(err)
 	}
 	if a.ShapeID() == withCount {

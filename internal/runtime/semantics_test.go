@@ -39,7 +39,7 @@ func everyKind(h *rt.Heap) []operand {
 		{"Bool", rt.Bool(true)},
 		{"Int", rt.Int(5)},
 		{"Dbl", rt.Dbl(2.5)},
-		{"Str", rt.NewStr("7")},
+		{"Str", h.NewStr("7")},
 		{"Arr", rt.ArrV(rt.NewPacked([]rt.Value{rt.Int(10), rt.Int(20)}))},
 		{"Obj", rt.ObjV(h.NewObject(boxClass()))},
 	}
@@ -89,7 +89,8 @@ func TestCompareByCondition(t *testing.T) {
 		// lt le gt ge eq ne
 		want [6]bool
 	}
-	s := func(x string) rt.Value { return rt.NewStr(x) }
+	h := rt.NewHeap()
+	s := func(x string) rt.Value { return h.NewStr(x) }
 	rows := []row{
 		{rt.Int(1), rt.Int(2), [6]bool{true, true, false, false, false, true}},
 		{rt.Int(2), rt.Int(2), [6]bool{false, true, false, true, true, false}},
@@ -113,7 +114,6 @@ func TestCompareByCondition(t *testing.T) {
 		}
 	}
 	// Equality on arrays and objects is LooseEq, not an ordering.
-	h := rt.NewHeap()
 	o := rt.ObjV(h.NewObject(boxClass()))
 	if !rt.Compare(rt.CondEQ, o, o) || rt.Compare(rt.CondEQ, o, rt.ObjV(h.NewObject(boxClass()))) {
 		t.Error("object equality must be identity")
@@ -203,7 +203,7 @@ func TestIncDecEveryKind(t *testing.T) {
 
 func TestElemGetEveryKind(t *testing.T) {
 	h := rt.NewHeap()
-	key := rt.NewStr("k")
+	key := h.NewStr("k")
 	for _, op := range everyKind(h) {
 		before, kbefore := refs(op.v), refs(key)
 		got, err := rt.ElemGet(h, op.v, rt.Int(1), "")
@@ -221,7 +221,7 @@ func TestElemGetEveryKind(t *testing.T) {
 		}
 	}
 	// A missing element reads as null; a counted element comes back owned.
-	inner := rt.NewStr("payload")
+	inner := h.NewStr("payload")
 	arr := rt.ArrV(rt.NewPacked([]rt.Value{inner}))
 	if v, err := rt.ElemGet(h, arr, rt.Int(9), ""); err != nil || v.Kind != types.KNull {
 		t.Errorf("missing element read %s, %v; want null", v.DebugString(), err)
@@ -248,7 +248,7 @@ func TestElemStoresEveryKind(t *testing.T) {
 		for _, op := range everyKind(h) {
 			slot := op.v
 			before := refs(op.v)
-			key, val := rt.NewStr("k"), rt.NewStr("stored")
+			key, val := h.NewStr("k"), h.NewStr("stored")
 			err := st.do(h, &slot, key, val)
 			if refs(key) != 1 {
 				t.Errorf("%s(%s): key refs = %d, want borrowed", st.name, op.name, refs(key))
@@ -314,7 +314,7 @@ func TestElemUnsetAndExists(t *testing.T) {
 	}
 	// Unsetting through a shared array copies; the element's reference
 	// in the original survives.
-	el := rt.NewStr("e")
+	el := h.NewStr("e")
 	orig := rt.NewPacked([]rt.Value{el})
 	slot := rt.ArrV(orig)
 	h.IncRef(slot)
@@ -329,7 +329,7 @@ func TestAddElemConsumesArrayAndValue(t *testing.T) {
 	h := rt.NewHeap()
 	for _, op := range everyKind(h) {
 		for _, withKey := range []bool{true, false} {
-			arr, key, val := op.v, rt.NewStr("k"), rt.NewStr("v")
+			arr, key, val := op.v, h.NewStr("k"), h.NewStr("v")
 			h.IncRef(arr) // keep op.v alive for the next round
 			before := refs(arr)
 			var got rt.Value
@@ -372,7 +372,7 @@ func TestPropNamedOnEveryKind(t *testing.T) {
 	h := rt.NewHeap()
 	for _, op := range everyKind(h) {
 		before := refs(op.v)
-		val := rt.NewStr("stored")
+		val := h.NewStr("stored")
 		got, gerr := rt.GetPropNamed(h, op.v, "p")
 		serr := rt.SetPropNamed(h, op.v, "q", val)
 		if op.name == "Obj" {
@@ -399,7 +399,7 @@ func TestPropNamedOnEveryKind(t *testing.T) {
 	}
 	// A shapeless object rejects undeclared writes and still consumes.
 	bare := rt.ObjV(h.NewObject(&rt.Class{Name: "Bare", PropNames: map[string]int{}, Methods: map[string]int{}}))
-	val := rt.NewStr("v")
+	val := h.NewStr("v")
 	if err := rt.SetPropNamed(h, bare, "x", val); errText(err) != "undefined property Bare::$x" || refs(val) != 0 {
 		t.Errorf("shapeless write: %q, value refs = %d", errText(err), refs(val))
 	}

@@ -59,9 +59,6 @@ func (v Value) AsStr() *Str    { return (*Str)(v.ptr) }                // KStr
 func (v Value) AsArr() *Array  { return (*Array)(v.ptr) }              // KArr
 func (v Value) AsObj() *Object { return (*Object)(v.ptr) }             // KObj
 
-// NewStr allocates a fresh counted guest string.
-func NewStr(s string) Value { return StrV(&Str{Data: s, refs: 1}) }
-
 // Bool reports the PHP truthiness of v.
 func (v Value) Bool() bool {
 	switch v.Kind {
@@ -196,9 +193,9 @@ type Str struct {
 	static bool
 }
 
-// Refs returns the current reference count (for tests and RCE
-// verification).
-func (s *Str) Refs() int32 { return s.refs }
+// Refs returns the current reference count, 0 once freed (for tests
+// and RCE verification).
+func (s *Str) Refs() int32 { return liveRefs(s.refs) }
 
 // Static marks and reports interned unit literals.
 func (s *Str) Static() bool { return s.static }

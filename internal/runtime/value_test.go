@@ -111,8 +111,8 @@ func TestValueKeepsPayloadAlive(t *testing.T) {
 	vals := make([]rt.Value, 0, 3*64)
 	for i := 0; i < 64; i++ {
 		vals = append(vals,
-			rt.NewStr(string(rune('a'+i%26))+"-only-reference"),
-			rt.ArrV(rt.NewPacked([]rt.Value{rt.Int(int64(i)), rt.NewStr("elem")})),
+			h.NewStr(string(rune('a'+i%26))+"-only-reference"),
+			rt.ArrV(rt.NewPacked([]rt.Value{rt.Int(int64(i)), h.NewStr("elem")})),
 			rt.ObjV(h.NewObject(cls)))
 	}
 	for round := 0; round < 2; round++ {

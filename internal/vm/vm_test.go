@@ -52,9 +52,14 @@ echo $sum;
 }
 
 // TestUnwindingFromJITedCode: exceptions thrown inside JITed code are
-// caught by guest handlers in the same frame.
+// caught by guest handlers in the same frame, and arrive whole. The
+// payload case is the regression test for the frame-ownership rule
+// (DESIGN.md §6): the inlined constructor's dead locals stay behind in
+// the caller's extension slots, and a teardown that released them again
+// emptied the array the exception carries ([e10:0:] for [e10:3:x10]).
 func TestUnwindingFromJITedCode(t *testing.T) {
-	src := `
+	for name, src := range map[string]string{
+		"message": `
 function risky($i) {
   if ($i % 5 == 0) { throw new Exception("e" . $i); }
   return $i;
@@ -64,27 +69,52 @@ for ($i = 1; $i <= 20; $i++) {
   try { $log .= risky($i); } catch (Exception $e) { $log .= "[" . $e->getMessage() . "]"; }
 }
 echo $log;
-`
-	var expected strings.Builder
-	cfgI := jit.DefaultConfig()
-	cfgI.Mode = jit.ModeInterp
-	vi := engine(t, src, cfgI, &expected)
-	if _, err := vi.RunMain(); err != nil {
-		t.Fatal(err)
-	}
+`,
+		"payload": `
+class PayloadError extends Exception {
+  public $items;
+  function __construct($m, $items) { $this->message = $m; $this->items = $items; }
+}
+function risky($i) {
+  if ($i % 5 == 0) { throw new PayloadError("e" . $i, array($i, $i + 1, "x" . $i)); }
+  return $i;
+}
+$log = "";
+for ($i = 1; $i <= 20; $i++) {
+  try { $log .= risky($i); } catch (PayloadError $e) {
+    $log .= "[" . $e->getMessage() . ":" . count($e->items) . ":" . $e->items[2] . "]";
+  }
+}
+echo $log;
+`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			var expected strings.Builder
+			cfgI := jit.DefaultConfig()
+			cfgI.Mode = jit.ModeInterp
+			vi := engine(t, src, cfgI, &expected)
+			if _, err := vi.RunMain(); err != nil {
+				t.Fatal(err)
+			}
 
-	var out strings.Builder
-	cfg := jit.DefaultConfig()
-	cfg.ProfileTrigger = 10
-	v := engine(t, src, cfg, &out)
-	for i := 0; i < 15; i++ {
-		out.Reset()
-		if _, err := v.RunMain(); err != nil {
-			t.Fatalf("iter %d: %v", i, err)
-		}
-		if out.String() != expected.String() {
-			t.Fatalf("iter %d: %q != %q", i, out.String(), expected.String())
-		}
+			var out strings.Builder
+			cfg := jit.DefaultConfig()
+			cfg.ProfileTrigger = 10
+			v := engine(t, src, cfg, &out)
+			for i := 0; i < 15; i++ {
+				out.Reset()
+				if _, err := v.RunMain(); err != nil {
+					t.Fatalf("iter %d: %v", i, err)
+				}
+				if out.String() != expected.String() {
+					t.Fatalf("iter %d: %q != %q", i, out.String(), expected.String())
+				}
+				if h := v.Heap.Snapshot(); h.OverReleases != 0 || h.LiveObjs != 0 || h.LiveStrs != 0 {
+					t.Fatalf("iter %d: %d over-releases, %d live objects, %d live strings",
+						i, h.OverReleases, h.LiveObjs, h.LiveStrs)
+				}
+			}
+		})
 	}
 }
 
