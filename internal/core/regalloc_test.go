@@ -1,25 +1,55 @@
 package core_test
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"io"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hhir"
 	"repro/internal/jit"
 	"repro/internal/perflab"
 	"repro/internal/vasm"
+	"repro/internal/workload"
 )
 
 // verifyAllocations runs vasm.VerifyAllocation over every unit eng
-// compiles from here on — live, profiling and optimized alike.
+// compiles from here on — live, profiling and optimized alike — and
+// holds its HHIR to what the instruction table says of a pure opcode:
+// nothing to exit to (DCE and GVN drop and merge such instructions).
 func verifyAllocations(t *testing.T, eng *core.Engine) {
 	t.Helper()
-	eng.VM.JIT.SetAllocationCheck(func(before, after *vasm.Unit) {
+	eng.VM.JIT.SetAllocationCheck(func(hu *hhir.Unit, before, after *vasm.Unit) {
 		if err := vasm.VerifyAllocation(before, after); err != nil {
 			t.Errorf("register allocation: %v\n%s", err, before)
 		}
+		for _, b := range hu.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op.IsPure() && in.Exit != nil {
+					t.Errorf("pure %s carries an exit:\n%s", in, hu)
+				}
+			}
+		}
 	})
+}
+
+// warmSite serves the site's endpoints until the optimized tier is in.
+func warmSite(t *testing.T, eng *core.Engine, eps []workload.Endpoint) {
+	t.Helper()
+	for i := 0; i < 40; i++ {
+		for _, ep := range eps {
+			if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !eng.VM.JIT.Optimized() {
+		t.Fatal("warm-up did not reach the optimized tier")
+	}
 }
 
 // TestSiteAllocation: every translation of the site workload verifies,
@@ -33,16 +63,7 @@ func TestSiteAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyAllocations(t, eng)
-	for i := 0; i < 40; i++ {
-		for _, ep := range eps {
-			if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if !eng.VM.JIT.Optimized() {
-		t.Fatal("warm-up did not reach the optimized tier")
-	}
+	warmSite(t, eng, eps)
 	var total vasm.AllocStats
 	translations, elided := 0, 0
 	eng.VM.JIT.ForEachTranslation(func(tr *jit.Translation) {
@@ -139,4 +160,46 @@ echo spill(7), "\n";
 				name, spilled, spilledArgs, spilledStack)
 		}
 	}
+}
+
+// TestSiteIRDigest logs one SHA-256 over the optimized HHIR and the
+// register-allocated vasm of every translation the site workload
+// compiles on its way to the optimized tier (profiling and live
+// translations included), ordered by (function, entry pc, text). A
+// change that claims to leave the compiler's output alone shows the
+// same digest at its parent and at itself; CI prints it in the size
+// summary.
+func TestSiteIRDigest(t *testing.T) {
+	eng, eps, err := perflab.NewEngine(jit.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type unitText struct {
+		fn, pc int
+		text   string
+	}
+	var mu sync.Mutex
+	var units []unitText
+	eng.VM.JIT.SetAllocationCheck(func(hu *hhir.Unit, _, after *vasm.Unit) {
+		u := unitText{hu.Func.ID, hu.Entry.BCStart, hu.String() + after.String()}
+		mu.Lock()
+		units = append(units, u)
+		mu.Unlock()
+	})
+	warmSite(t, eng, eps)
+	sort.Slice(units, func(a, b int) bool {
+		x, y := units[a], units[b]
+		if x.fn != y.fn {
+			return x.fn < y.fn
+		}
+		if x.pc != y.pc {
+			return x.pc < y.pc
+		}
+		return x.text < y.text
+	})
+	sum := sha256.New()
+	for _, u := range units {
+		io.WriteString(sum, u.text)
+	}
+	t.Logf("site IR digest: %x over %d translations", sum.Sum(nil), len(units))
 }

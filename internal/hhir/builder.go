@@ -2,6 +2,7 @@ package hhir
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/hhbc"
 	"repro/internal/interp"
@@ -167,6 +168,7 @@ func Build(u *hhbc.Unit, env *interp.Env, desc *region.Desc, cfg BuildConfig) (*
 	b.stats.Rebuilds = rebuilds
 	b.out.Stats = b.stats
 	b.out.ExtFrameSlots = len(b.localTypes)
+	b.out.HasDtor = slices.ContainsFunc(u.Classes, func(c *hhbc.ClassDef) bool { return c.HasDtor })
 	PruneUnreachable(b.out) // region blocks no edge reached were not lowered
 	markColdBlocks(b.out)
 	return b.out, nil

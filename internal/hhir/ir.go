@@ -105,7 +105,7 @@ func (in *Instr) String() string {
 	if !in.TypeParam.IsBottom() {
 		fmt.Fprintf(&sb, "<%s>", in.TypeParam)
 	}
-	if in.I64 != 0 || opUsesI64(in.Op) {
+	if in.I64 != 0 || in.Op.has(fI64) {
 		fmt.Fprintf(&sb, " #%d", in.I64)
 	}
 	if in.Str != "" {
@@ -189,6 +189,10 @@ type Unit struct {
 	// ExtFrameSlots is the total frame-local slot count including
 	// inline-callee frames (>= Func.NumLocals).
 	ExtFrameSlots int
+
+	// HasDtor: some class of the program declares __destruct, so releasing
+	// a reference may run guest code (Instr.MayReenter). Build records it.
+	HasDtor bool
 
 	// Stats is what Build did about the region's preconditions, Opt what
 	// Optimize did to the frame loads.

@@ -15,7 +15,7 @@ import (
 // state at the point the edge leaves its block; where the edges into a
 // block bring different values the block gets a parameter. Calls cannot
 // write the caller's frame (the language has no references), so only
-// stores and the in-place helpers listed in scan end a fact.
+// the instructions with a SlotEffect end a fact.
 
 // OptStats counts what the optimizer did to a unit's frame loads
 // (diagnostics: the jit.Debug dump, `hhvm -stats`).
@@ -272,22 +272,14 @@ func (s *leState) scan() bool {
 				continue
 			}
 			kind, slot := leEdgeOut, int32(-1)
-			switch in.Op {
-			case LdLoc:
+			if in.Op == LdLoc {
 				kind, slot = leLoad, s.slotOf(in.I64)
-			case StLoc:
-				kind, slot = leStore, s.slotOf(in.I64)
-				if in.Args[0].Type.Maybe(types.TUninit) {
-					// A load of it yields Null, not the value stored.
-					kind = leKill
+			} else if eff, fs := in.SlotEffect(); eff != SlotNone {
+				kind, slot = leKill, s.slotOf(fs)
+				// A load of a stored Uninit yields Null, not the value stored.
+				if eff == SlotStore && !in.Args[0].Type.Maybe(types.TUninit) {
+					kind = leStore
 				}
-			case ArrSetLocal, ArrAppendLocal, ArrUnsetLocal:
-				// Copy-on-write may put a new array into the slot.
-				kind, slot = leKill, s.slotOf(in.I64)
-			case VerifyParam:
-				// A float hint turns an Int in the slot into a Dbl.
-				_, _, param := UnpackVerify(in.I64)
-				kind, slot = leKill, s.slotOf(int64(param))
 			}
 			if slot >= 0 {
 				s.items = append(s.items, leItem{in: in, at: int32(at), x: slot, kind: kind})

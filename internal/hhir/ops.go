@@ -126,43 +126,6 @@ const (
 	opcodeCount
 )
 
-var opNames2 = map[Opcode]string{
-	Nop: "Nop", DefConstInt: "DefConstInt", DefConstDbl: "DefConstDbl",
-	DefConstBool: "DefConstBool", DefConstNull: "DefConstNull", DefConstStr: "DefConstStr",
-	CheckType: "CheckType", CheckCls: "CheckCls", AssertType: "AssertType",
-	LdLoc: "LdLoc", StLoc: "StLoc", LdThis: "LdThis",
-	IncRef: "IncRef", DecRef: "DecRef",
-	AddInt: "AddInt", SubInt: "SubInt", MulInt: "MulInt",
-	AddDbl: "AddDbl", SubDbl: "SubDbl", MulDbl: "MulDbl", DivDbl: "DivDbl",
-	ModInt: "ModInt", NegInt: "NegInt", NegDbl: "NegDbl", DivNum: "DivNum",
-	CmpInt: "CmpInt", CmpDbl: "CmpDbl", CmpStr: "CmpStr", EqAny: "EqAny", SameAny: "SameAny",
-	ConvToBool: "ConvToBool", ConvToInt: "ConvToInt", ConvToDbl: "ConvToDbl", ConvToStr: "ConvToStr",
-	BinopGeneric: "BinopGeneric", ConcatStr: "ConcatStr",
-	CountArray: "CountArray", ArrGetPackedI: "ArrGetPackedI", ArrGetGeneric: "ArrGetGeneric",
-	ArrSetLocal: "ArrSetLocal", ArrAppendLocal: "ArrAppendLocal",
-	ArrUnsetLocal: "ArrUnsetLocal", AKExistsLocal: "AKExistsLocal",
-	NewArr: "NewArr", NewPackedArr: "NewPackedArr", AddElem: "AddElem", AddNewElem: "AddNewElem",
-	IterInitLocal: "IterInitLocal", IterNextK: "IterNextK", IterKey: "IterKey",
-	IterValue: "IterValue", IterFree: "IterFree",
-	NewObj: "NewObj", LdPropSlot: "LdPropSlot", StPropSlot: "StPropSlot",
-	LdPropGeneric: "LdPropGeneric", StPropGeneric: "StPropGeneric", InstanceOf: "InstanceOf",
-	GuardShape: "GuardShape", LdPropIC: "LdPropIC", StPropIC: "StPropIC",
-	ProfPropShape: "ProfPropShape",
-	CallFunc:      "CallFunc", CallBuiltin: "CallBuiltin", CallMethodD: "CallMethodD",
-	CallMethodC: "CallMethodC", VerifyParam: "VerifyParam",
-	ProfCount: "ProfCount", ProfCallSite: "ProfCallSite",
-	PrintC: "PrintC",
-	Jmp:    "Jmp", Branch: "Branch", SwitchInt: "SwitchInt", Ret: "Ret", ThrowC: "ThrowC",
-	SideExit: "SideExit", ReqBind: "ReqBind", EndInline: "EndInline",
-}
-
-func (o Opcode) String() string {
-	if s, ok := opNames2[o]; ok {
-		return s
-	}
-	return "Opcode?"
-}
-
 // CmpCond values for CmpInt/CmpDbl/CmpStr's I64.
 const (
 	CondLT = int64(runtime.CondLT)
@@ -173,38 +136,170 @@ const (
 	CondNE = int64(runtime.CondNE)
 )
 
-// opUsesI64 reports whether the I64 immediate is meaningful even when
-// zero (printing aid).
-func opUsesI64(o Opcode) bool {
-	switch o {
-	case LdLoc, StLoc, CmpInt, CmpDbl, CmpStr,
-		ArrSetLocal, ArrAppendLocal, ArrUnsetLocal, AKExistsLocal,
-		LdPropSlot, StPropSlot, CallMethodD, VerifyParam, ProfCount,
-		IterInitLocal, IterNextK, IterKey, IterValue, IterFree, ReqBind,
-		CheckCls, GuardShape, ProfPropShape:
-		return true
+// opFlags state what an instruction does, once, for every pass that
+// has to know (DESIGN.md §6, "HHIR instruction table"). A pass reads
+// them through the methods below and keeps no opcode list of its own.
+type opFlags uint16
+
+const (
+	fPure       opFlags = 1 << iota // no side effect, no Exit: DCE drops it when unused, GVN numbers it
+	fTerm                           // ends its block
+	fI64                            // the I64 immediate means something even when zero (printer)
+	fOwned                          // the result arrives owning a reference; RCE's bounds on the operands are void after it
+	fFresh                          // the result is a new allocation: it aliases nothing defined before it
+	fConsumes                       // releases each operand itself; no DecRef follows
+	fReleases                       // may drop some reference to zero: a destructor runs where the unit declares one (MayReenter)
+	fGuest                          // runs guest code outright
+	fEscapes                        // an operand, or the whole frame, becomes visible outside the translation: no IncRef sinks past it
+	fStoresSlot                     // writes Args[0] to frame slot I64 (SlotEffect)
+	fKillsSlot                      // writes frame slot I64 with something the IR does not name (SlotEffect)
+	fCOW                            // mutates an array operand, or the array in slot I64, in place when nothing else holds it
+	fStoresProp                     // stores a property by name, which may add one and so change the receiver's shape
+)
+
+// opTable has one row per opcode. Where the per-pass lists it replaced
+// disagreed, the row keeps what they said and a comment names the
+// disagreement: a flag changes together with the test that needs it.
+var opTable = [opcodeCount]struct {
+	name  string
+	flags opFlags
+}{
+	Nop: {"Nop", 0},
+
+	DefConstInt: {"DefConstInt", fPure}, DefConstDbl: {"DefConstDbl", fPure},
+	DefConstBool: {"DefConstBool", fPure}, DefConstNull: {"DefConstNull", fPure},
+	DefConstStr: {"DefConstStr", fPure},
+
+	CheckType: {"CheckType", 0}, CheckCls: {"CheckCls", fI64}, AssertType: {"AssertType", fPure},
+
+	LdLoc: {"LdLoc", fI64}, StLoc: {"StLoc", fI64 | fStoresSlot}, LdThis: {"LdThis", fPure},
+
+	IncRef: {"IncRef", 0}, DecRef: {"DecRef", fReleases},
+
+	AddInt: {"AddInt", fPure}, SubInt: {"SubInt", fPure}, MulInt: {"MulInt", fPure},
+	AddDbl: {"AddDbl", fPure}, SubDbl: {"SubDbl", fPure}, MulDbl: {"MulDbl", fPure},
+	DivDbl: {"DivDbl", fPure}, NegInt: {"NegInt", fPure}, NegDbl: {"NegDbl", fPure},
+	ModInt: {"ModInt", 0}, DivNum: {"DivNum", 0},
+
+	CmpInt: {"CmpInt", fPure | fI64}, CmpDbl: {"CmpDbl", fPure | fI64}, CmpStr: {"CmpStr", fPure | fI64},
+	EqAny: {"EqAny", 0}, SameAny: {"SameAny", 0},
+
+	ConvToBool: {"ConvToBool", fPure}, ConvToInt: {"ConvToInt", fPure}, ConvToDbl: {"ConvToDbl", fPure},
+	// Listed fresh although it hands back its operand (with a new
+	// reference) when that is a string already.
+	ConvToStr: {"ConvToStr", fOwned | fFresh},
+
+	// The old shape-fact list had it among the ops that run guest code.
+	// It runs none but the destructors its releases reach; fGuest stays
+	// until dropping it is measured on a unit without destructors.
+	BinopGeneric: {"BinopGeneric", fOwned | fConsumes | fReleases | fGuest},
+
+	ConcatStr: {"ConcatStr", fOwned | fFresh},
+
+	CountArray: {"CountArray", fPure},
+	// Its result is owned too (the machine IncRefs the element); RCE's
+	// list never said so, which only costs it a lower bound.
+	ArrGetPackedI:  {"ArrGetPackedI", 0},
+	ArrGetGeneric:  {"ArrGetGeneric", fOwned},
+	ArrSetLocal:    {"ArrSetLocal", fI64 | fKillsSlot | fCOW | fReleases}, // the element it overwrites
+	ArrAppendLocal: {"ArrAppendLocal", fI64 | fKillsSlot | fCOW},
+	ArrUnsetLocal:  {"ArrUnsetLocal", fI64 | fKillsSlot | fCOW | fReleases},
+	AKExistsLocal:  {"AKExistsLocal", fI64},
+	NewArr:         {"NewArr", fOwned | fFresh},
+	NewPackedArr:   {"NewPackedArr", fOwned | fFresh},
+	AddElem:        {"AddElem", fOwned | fCOW | fReleases}, // a repeated key releases the earlier value
+	AddNewElem:     {"AddNewElem", fOwned | fCOW},
+
+	// Escapes: the iterator takes a reference to the array in the slot.
+	IterInitLocal: {"IterInitLocal", fTerm | fI64 | fEscapes},
+	IterNextK:     {"IterNextK", fTerm | fI64},
+	IterKey:       {"IterKey", fI64 | fOwned},
+	IterValue:     {"IterValue", fI64 | fOwned},
+	IterFree:      {"IterFree", fI64 | fReleases}, // the iterator's reference may be the array's last
+
+	NewObj:     {"NewObj", fOwned | fFresh},
+	LdPropSlot: {"LdPropSlot", fI64},
+	// The store keeps the receiver's layout (the builder emits it only
+	// for a value of the slot's kind); releasing the old value may not.
+	StPropSlot:    {"StPropSlot", fI64 | fEscapes | fReleases},
+	LdPropGeneric: {"LdPropGeneric", fOwned},
+	StPropGeneric: {"StPropGeneric", fEscapes | fReleases | fStoresProp},
+	InstanceOf:    {"InstanceOf", fPure},
+
+	GuardShape: {"GuardShape", fI64},
+	// Owned like LdPropGeneric's, and not on RCE's list either.
+	LdPropIC: {"LdPropIC", 0},
+	// Stores its value like StPropSlot and StPropGeneric, yet RCE's escape
+	// list left it out: an IncRef of the stored value may sink past it.
+	StPropIC:      {"StPropIC", fReleases | fStoresProp},
+	ProfPropShape: {"ProfPropShape", fI64},
+
+	CallFunc:     {"CallFunc", fOwned | fGuest | fEscapes},
+	CallBuiltin:  {"CallBuiltin", fOwned | fGuest | fEscapes},
+	CallMethodD:  {"CallMethodD", fI64 | fOwned | fGuest | fEscapes},
+	CallMethodC:  {"CallMethodC", fOwned | fGuest | fEscapes},
+	VerifyParam:  {"VerifyParam", fI64 | fEscapes | fKillsSlot}, // a float hint turns the slot's Int into a Dbl
+	ProfCount:    {"ProfCount", fI64},
+	ProfCallSite: {"ProfCallSite", 0},
+
+	PrintC: {"PrintC", fEscapes},
+
+	Jmp: {"Jmp", fTerm}, Branch: {"Branch", fTerm}, SwitchInt: {"SwitchInt", fTerm},
+	Ret:       {"Ret", fTerm | fEscapes | fReleases},
+	ThrowC:    {"ThrowC", fTerm | fEscapes},
+	SideExit:  {"SideExit", fTerm | fEscapes},
+	ReqBind:   {"ReqBind", fTerm | fI64 | fEscapes},
+	EndInline: {"EndInline", fEscapes},
+}
+
+// OpcodeCount is the number of opcodes, for tables indexed by Opcode.
+const OpcodeCount = int(opcodeCount)
+
+func (o Opcode) has(f opFlags) bool { return opTable[o].flags&f != 0 }
+
+func (o Opcode) String() string {
+	if o < 0 || o >= opcodeCount {
+		return "Opcode?"
 	}
-	return false
+	return opTable[o].name
 }
 
 // IsPure reports whether the instruction has no side effects and can
 // be eliminated when its result is unused, or value-numbered.
-func (o Opcode) IsPure() bool {
-	switch o {
-	case DefConstInt, DefConstDbl, DefConstBool, DefConstNull, DefConstStr,
-		AssertType, AddInt, SubInt, MulInt, AddDbl, SubDbl, MulDbl, DivDbl,
-		NegInt, NegDbl, CmpInt, CmpDbl, CmpStr, ConvToBool, ConvToInt,
-		ConvToDbl, CountArray, InstanceOf, LdThis:
-		return true
-	}
-	return false
-}
+func (o Opcode) IsPure() bool { return o.has(fPure) }
 
 // IsTerminator reports control-flow enders.
-func (o Opcode) IsTerminator() bool {
-	switch o {
-	case Jmp, Branch, SwitchInt, Ret, ThrowC, SideExit, ReqBind, IterInitLocal, IterNextK:
-		return true
+func (o Opcode) IsTerminator() bool { return o.has(fTerm) }
+
+// SlotEffect is what an instruction other than a LdLoc does to a frame
+// slot.
+type SlotEffect uint8
+
+const (
+	SlotNone  SlotEffect = iota
+	SlotStore            // the slot now holds Args[0]
+	SlotKill             // the slot holds something the IR does not name
+)
+
+// SlotEffect returns the instruction's effect on the frame and the slot
+// it falls on.
+func (in *Instr) SlotEffect() (SlotEffect, int64) {
+	switch {
+	case in.Op.has(fStoresSlot):
+		return SlotStore, in.I64
+	case in.Op == VerifyParam:
+		_, _, slot := UnpackVerify(in.I64)
+		return SlotKill, int64(slot)
+	case in.Op.has(fKillsSlot):
+		return SlotKill, in.I64
 	}
-	return false
+	return SlotNone, 0
+}
+
+// MayReenter reports whether guest code may run before the instruction
+// completes: it calls some, or it may release the last reference to an
+// object of a class with a destructor. Whatever a pass knows about the
+// heap — an object's shape, a property's value — is void afterwards.
+func (in *Instr) MayReenter(u *Unit) bool {
+	return in.Op.has(fGuest) || u.HasDtor && in.Op.has(fReleases)
 }

@@ -1,7 +1,9 @@
 package hhir
 
 import (
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -487,56 +489,47 @@ func GVN(u *Unit) {
 // already established by an identical guard on the same SSA value
 // earlier in the block (or along a single-predecessor chain). Runs
 // after GVN/LoadElim so repeated loads of the same local share one SSA
-// value. Facts die at any instruction that can mutate an object's
-// layout; StPropSlot is deliberately exempt, since the shape-guarded
-// store path only fires when the stored kind matches the slot
-// (DESIGN.md §14).
+// value. Facts die where some object's layout may change: at a store of
+// a property by name, and wherever guest code may run (MayReenter), a
+// destructor included. StPropSlot itself keeps the layout — the builder
+// emits it only for a value of the slot's kind (DESIGN.md §14) — but the
+// value it overwrites is released like any other.
 func ShapeGuardElim(u *Unit) {
 	resolveCopies(u)
-	if !hasOp(u, GuardShape) {
-		return
+	isGuard := func(in *Instr) bool { return in.Op == GuardShape && !in.dead }
+	if !slices.ContainsFunc(u.Blocks, func(b *Block) bool { return slices.ContainsFunc(b.Instrs, isGuard) }) {
+		return // most units: nothing below is worth setting up
 	}
+	// Per block entered by one edge, the facts that edge carries; a nil
+	// state is no facts.
 	type state map[*SSATmp]int64
 	inState := map[*Block]state{}
 	for _, b := range u.RPO() {
-		var st state
-		if len(b.Preds) == 1 {
-			if s, ok := inState[b]; ok {
-				st = s
-			}
-		}
-		if st == nil {
-			st = state{}
-		}
-		copyState := func() state {
-			ns := make(state, len(st))
-			for k, v := range st {
-				ns[k] = v
-			}
-			return ns
-		}
+		st := inState[b]
 		snapshot := func(target *Block) {
-			if target != nil && len(target.Preds) == 1 {
-				inState[target] = copyState()
+			if target != nil && len(target.Preds) == 1 && len(st) > 0 {
+				inState[target] = maps.Clone(st)
 			}
 		}
 		for _, in := range b.Instrs {
 			if in.dead {
 				continue
 			}
-			if in.Taken != nil && !in.Op.IsTerminator() {
+			if !in.Op.IsTerminator() {
 				snapshot(in.Taken)
 			}
 			switch {
 			case in.Op == GuardShape:
-				obj := in.Args[0]
-				if id, ok := st[obj]; ok && id == in.I64 {
+				if id, ok := st[in.Args[0]]; ok && id == in.I64 {
 					in.dead = true
 				} else {
-					st[obj] = in.I64
+					if st == nil {
+						st = state{}
+					}
+					st[in.Args[0]] = in.I64
 				}
-			case mayMutateShape(in.Op):
-				st = state{}
+			case in.Op.has(fStoresProp) || in.MayReenter(u):
+				st = nil
 			}
 		}
 		if t := b.Terminator(); t != nil {
@@ -545,27 +538,4 @@ func ShapeGuardElim(u *Unit) {
 		}
 	}
 	commitDead(u)
-}
-
-func hasOp(u *Unit, op Opcode) bool {
-	for _, b := range u.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == op && !in.dead {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// mayMutateShape reports ops that can change some object's property
-// layout: dynamic-property stores and anything that runs arbitrary
-// guest code (which may write properties through another reference).
-func mayMutateShape(op Opcode) bool {
-	switch op {
-	case StPropIC, StPropGeneric, CallFunc, CallBuiltin, CallMethodD,
-		CallMethodC, BinopGeneric:
-		return true
-	}
-	return false
 }

@@ -36,15 +36,7 @@ func rceBlock(b *Block) {
 
 	var pending []pendingInc
 
-	materializeBefore := func(idx int, p pendingInc) {
-		// The IncRef stays where it originally was; sinking is
-		// modeled by leaving the instruction alive (we only mark the
-		// pair dead when fully sunk to its DecRef). Nothing to do.
-		_ = idx
-	}
-
-	for idx := 0; idx < len(b.Instrs); idx++ {
-		in := b.Instrs[idx]
+	for _, in := range b.Instrs {
 		if in.dead {
 			continue
 		}
@@ -80,13 +72,13 @@ func rceBlock(b *Block) {
 		}
 
 		// Can every pending IncRef cross this instruction? Blocked
-		// ones stay at their original position, so their count
+		// ones stay at their original position (a pair only dies once the
+		// IncRef has sunk all the way to its DecRef), so their count
 		// contribution becomes real again.
 		if len(pending) > 0 {
 			keep := pending[:0]
 			for _, p := range pending {
 				if crossBlocks(in, p.val, lb, stored) {
-					materializeBefore(idx, p)
 					lb[p.val]++
 				} else {
 					keep = append(keep, p)
@@ -96,27 +88,25 @@ func rceBlock(b *Block) {
 		}
 
 		// Update facts.
-		switch in.Op {
-		case LdLoc:
+		switch {
+		case in.Op == LdLoc:
 			if in.Dst != nil {
 				if lb[in.Dst] < 1 {
 					lb[in.Dst] = 1
 				}
 				localHolds[in.I64] = in.Dst
 			}
-		case StLoc:
+		case in.Op == StLoc:
 			stored[in.Args[0]] = true
 			if old, ok := localHolds[in.I64]; ok && lb[old] > 0 {
 				lb[old]--
 			}
 			localHolds[in.I64] = in.Args[0]
-		case DecRef:
+		case in.Op == DecRef:
 			if lb[in.Args[0]] > 0 {
 				lb[in.Args[0]]--
 			}
-		case CallFunc, CallBuiltin, CallMethodD, CallMethodC, BinopGeneric,
-			ArrGetGeneric, NewObj, NewArr, NewPackedArr, AddElem, AddNewElem,
-			IterKey, IterValue, LdPropGeneric, ConcatStr, ConvToStr:
+		case in.Op.has(fOwned):
 			// Helper results arrive owned.
 			if in.Dst != nil && in.Dst.Type.MaybeCounted() {
 				if lb[in.Dst] < 1 {
@@ -142,21 +132,18 @@ func crossBlocks(in *Instr, t *SSATmp, lb map[*SSATmp]int, stored map[*SSATmp]bo
 			return true
 		}
 	}
-	switch in.Op {
-	case DecRef:
+	switch {
+	case in.Op == DecRef:
+		// t itself was handled by pair elimination before this. An
+		// aliasing DecRef could reach zero and run a destructor that the
+		// program (with the IncRef done) would not run.
 		u := in.Args[0]
-		if u == t {
-			return true // handled by pair elimination before this
-		}
-		if mayAliasRC(u, t) && lb[t] < 2 {
-			// The aliasing DecRef could reach zero and run a
-			// destructor that the program (with the IncRef done)
-			// would not run.
-			return true
-		}
-		return false
-	case BinopGeneric:
-		// The helper releases both operands: as for a DecRef, the count
+		return u == t || mayAliasRC(u, t) && lb[t] < 2
+	case in.Op.has(fEscapes):
+		// The value (or the whole frame) escapes.
+		return true
+	case in.Op.has(fConsumes):
+		// The helper releases its operands: as for a DecRef, the count
 		// of anything they may alias must not be short by the pending
 		// IncRef when it does.
 		for _, u := range in.Args {
@@ -165,29 +152,15 @@ func crossBlocks(in *Instr, t *SSATmp, lb map[*SSATmp]int, stored map[*SSATmp]bo
 			}
 		}
 		return false
-	case ArrSetLocal, ArrAppendLocal, ArrUnsetLocal:
+	case in.Op.has(fCOW):
 		// COW observability: mutating an array that may alias t with
 		// count 1 would skip the copy the program expects.
-		if t.Type.Maybe(types.TArr) && lb[t] < 2 {
-			return true
-		}
-		return false
-	case AddElem, AddNewElem:
-		if t.Type.Maybe(types.TArr) && lb[t] < 2 {
-			return true
-		}
-		return false
-	case CallFunc, CallBuiltin, CallMethodD, CallMethodC, Ret, ThrowC,
-		SideExit, ReqBind, PrintC, StPropSlot, StPropGeneric, EndInline,
-		IterInitLocal, VerifyParam:
-		// The value (or the whole frame) escapes.
-		return true
-	case StLoc:
+		return t.Type.Maybe(types.TArr) && lb[t] < 2
+	case in.Op == StLoc:
 		// Storing t itself makes its count frame-visible.
 		return in.Args[0] == t
-	default:
-		return false
 	}
+	return false
 }
 
 func inExitStack(ex *ExitDesc, t *SSATmp) bool {
@@ -225,19 +198,6 @@ func mayAliasRC(a, b *SSATmp) bool {
 	}
 	// Fresh allocations are distinct from everything else defined
 	// before them.
-	if isFreshAlloc(a) || isFreshAlloc(b) {
-		return false
-	}
-	return true
-}
-
-func isFreshAlloc(t *SSATmp) bool {
-	if t.Def == nil {
-		return false
-	}
-	switch t.Def.Op {
-	case NewObj, NewArr, NewPackedArr, ConcatStr, ConvToStr:
-		return true
-	}
-	return false
+	fresh := func(t *SSATmp) bool { return t.Def != nil && t.Def.Op.has(fFresh) }
+	return !fresh(a) && !fresh(b)
 }

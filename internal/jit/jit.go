@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/hhbc"
+	"repro/internal/hhir"
 	"repro/internal/interp"
 	"repro/internal/machine"
 	"repro/internal/mcode"
@@ -435,7 +436,7 @@ type JIT struct {
 	onUnpublish func(*Translation)
 	// allocCheck, when set, sees every unit on both sides of register
 	// allocation (SetAllocationCheck).
-	allocCheck func(before, after *vasm.Unit)
+	allocCheck func(hu *hhir.Unit, before, after *vasm.Unit)
 
 	// entries counts function entries (Stats.Entries): the clock of the
 	// retranslation trigger and of the quarantine backoff.
@@ -555,9 +556,10 @@ func (j *JIT) SetVerifyHooks(onPublish, onUnpublish func(*Translation)) {
 // SetAllocationCheck registers fn to be handed every unit this JIT
 // compiles, as it entered register allocation (a clone) and as it
 // left, so the differential suites can run vasm.VerifyAllocation on
-// exactly the code they execute. Compile workers call fn concurrently.
-// Call before the engine serves requests.
-func (j *JIT) SetAllocationCheck(fn func(before, after *vasm.Unit)) {
+// exactly the code they execute, together with the optimized HHIR it
+// was lowered from (core.TestSiteIRDigest fingerprints both). Compile
+// workers call fn concurrently. Call before the engine serves requests.
+func (j *JIT) SetAllocationCheck(fn func(hu *hhir.Unit, before, after *vasm.Unit)) {
 	j.allocCheck = fn
 }
 

@@ -89,7 +89,7 @@ func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 	}
 	vasm.Allocate(vu)
 	if before != nil {
-		j.allocCheck(before, vu)
+		j.allocCheck(hu, before, vu)
 	}
 	if j.Cfg.FuseDispatch {
 		if n := vasm.Fuse(vu); n > 0 {

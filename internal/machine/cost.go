@@ -84,24 +84,9 @@ func opCost(op vasm.Op) uint64 {
 // cost is by definition the sum of their components' — fusion saves
 // host dispatch work, never guest cycles.
 func instrCost(in *vasm.Instr) uint64 {
-	switch in.Op {
-	case vasm.LdLocGK:
-		return opCost(vasm.LdLoc) + opCost(vasm.GuardKind)
-	case vasm.LdImmAddI:
-		return opCost(vasm.LdImm) + opCost(vasm.AddI)
-	case vasm.LdImmCmpI:
-		return opCost(vasm.LdImm) + opCost(vasm.CmpI)
-	case vasm.CmpIJcc:
-		return opCost(vasm.CmpI) + opCost(vasm.Jcc)
-	case vasm.CmpDJcc:
-		return opCost(vasm.CmpD) + opCost(vasm.Jcc)
-	case vasm.IncRefN:
-		return uint64(len(in.Args)) * opCost(vasm.IncRef)
-	case vasm.DecRefN:
-		return uint64(len(in.Args)) * opCost(vasm.DecRef)
-	default:
-		return opCost(in.Op)
-	}
+	var c uint64
+	in.ForEachComponent(func(op vasm.Op) { c += opCost(op) })
+	return c
 }
 
 // Extra penalty charged when a guard actually fails (pipeline flush +

@@ -186,16 +186,13 @@ func (c *Code) ForEachLink(fn func(instr int, l *Link)) {
 	}
 }
 
-// instrSize models encoded instruction sizes (bytes) for address
+// opSize models encoded instruction sizes (bytes) for address
 // assignment; the values approximate x86-64 encodings.
-func instrSize(in *vasm.Instr) uint64 {
-	switch in.Op {
+func opSize(op vasm.Op) uint64 {
+	switch op {
 	case vasm.Nop:
 		return 0
 	case vasm.Jmp:
-		if in.I64&1 != 0 {
-			return 0 // fallthrough after jump optimization
-		}
 		return 5
 	case vasm.Jcc:
 		return 6
@@ -228,18 +225,21 @@ func instrSize(in *vasm.Instr) uint64 {
 		return 8
 	case vasm.ArrGetPkI:
 		return 14
-	case vasm.LdLocGK, vasm.LdImmAddI, vasm.LdImmCmpI, vasm.CmpIJcc, vasm.CmpDJcc,
-		vasm.IncRefN, vasm.DecRefN:
-		// Superinstructions keep their components' encodings
-		// back-to-back, so addresses are unchanged by fusion.
-		var sz uint64
-		for _, s := range ComponentSizes(in) {
-			sz += s
-		}
-		return sz
 	default:
 		return 5 // ALU ops
 	}
+}
+
+// instrSize is the encoded size of in. A superinstruction keeps its
+// components' encodings back-to-back, so addresses are unchanged by
+// fusion; a jump the layout turned into a fallthrough has none.
+func instrSize(in *vasm.Instr) uint64 {
+	if in.Op == vasm.Jmp && in.I64&1 != 0 {
+		return 0
+	}
+	var sz uint64
+	in.ForEachComponent(func(op vasm.Op) { sz += opSize(op) })
+	return sz
 }
 
 // ComponentSizes returns the encoded byte size of each component of
@@ -247,22 +247,12 @@ func instrSize(in *vasm.Instr) uint64 {
 // for superinstructions. The fetch model consumes these so a fused
 // stream touches exactly the icache lines the unfused stream did.
 func ComponentSizes(in *vasm.Instr) []uint64 {
-	switch in.Op {
-	case vasm.LdLocGK:
-		return []uint64{8, 10} // LdLoc + GuardKind
-	case vasm.LdImmAddI, vasm.LdImmCmpI:
-		return []uint64{10, 5} // LdImm + ALU
-	case vasm.CmpIJcc, vasm.CmpDJcc:
-		return []uint64{5, 6} // Cmp + Jcc
-	case vasm.IncRefN, vasm.DecRefN:
-		sizes := make([]uint64, len(in.Args))
-		for i := range sizes {
-			sizes[i] = 12 // IncRef/DecRef
-		}
-		return sizes
-	default:
+	if in.Op.Components() == nil {
 		return []uint64{instrSize(in)}
 	}
+	var sizes []uint64
+	in.ForEachComponent(func(op vasm.Op) { sizes = append(sizes, opSize(op)) })
+	return sizes
 }
 
 // AssembleError reports a malformed instruction stream: an operand

@@ -8,7 +8,7 @@ package vasm
 // superinstruction performs every component's effect in component
 // order, including all destination writes, and its encoded size and
 // static cost are defined as the sums of its components' (see
-// mcode.ComponentSizes and the machine cost model), so code-cache
+// Op.Components, mcode.ComponentSizes and machine.instrCost), so code-cache
 // addresses, icache/iTLB behavior, and guest cycle totals are
 // bit-identical to unfused code.
 //
@@ -39,11 +39,7 @@ func Fuse(u *Unit) int {
 					for _, c := range ins[i:j] {
 						regs = append(regs, c.A)
 					}
-					op := IncRefN
-					if cur.Op == DecRef {
-						op = DecRefN
-					}
-					f := nzInstr(op)
+					f := nzInstr(fusedFrom(cur.Op))
 					f.Args = regs
 					out = append(out, f)
 					fused += n - 1
@@ -71,31 +67,28 @@ func Fuse(u *Unit) int {
 // fusePair returns the superinstruction for the adjacent pair (a, b)
 // if they match a fusion pattern.
 func fusePair(a, b *Instr) (Instr, bool) {
+	op := fusedFrom(a.Op, b.Op)
 	switch {
-	case a.Op == LdLoc && b.Op == GuardKind && b.A == a.D:
+	case op == LdLocGK && b.A == a.D:
 		// Load a local and guard the loaded value's kind.
 		return Instr{
-			Op: LdLocGK, D: a.D, A: InvalidReg, B: InvalidReg,
+			Op: op, D: a.D, A: InvalidReg, B: InvalidReg,
 			I64: a.I64, TypeParam: b.TypeParam, Target1: b.Target1,
 		}, true
-	case a.Op == LdImm && b.Op == AddI && (b.A == a.D || b.B == a.D):
+	case op == LdImmAddI && (b.A == a.D || b.B == a.D):
 		// Materialize a constant consumed immediately by integer add.
 		return Instr{
-			Op: LdImmAddI, D: b.D, A: b.A, B: b.B,
+			Op: op, D: b.D, A: b.A, B: b.B,
 			I64: a.I64 << 16, Target1: -1, Target2: int(a.D),
 		}, true
-	case a.Op == LdImm && b.Op == CmpI && (b.A == a.D || b.B == a.D):
+	case op == LdImmCmpI && (b.A == a.D || b.B == a.D):
 		return Instr{
-			Op: LdImmCmpI, D: b.D, A: b.A, B: b.B,
+			Op: op, D: b.D, A: b.A, B: b.B,
 			I64: (b.I64 & 0xff) | (a.I64 << 16), Target1: -1, Target2: int(a.D),
 		}, true
-	case (a.Op == CmpI || a.Op == CmpD) && b.Op == Jcc && b.A == a.D:
+	case (op == CmpIJcc || op == CmpDJcc) && b.A == a.D:
 		// Compare-and-branch; keep Jcc's inversion bit (0x100) set by
 		// jump optimization alongside the compare condition.
-		op := CmpIJcc
-		if a.Op == CmpD {
-			op = CmpDJcc
-		}
 		return Instr{
 			Op: op, D: a.D, A: a.A, B: a.B,
 			I64:     (a.I64 & 0xff) | (b.I64 & 0x100),

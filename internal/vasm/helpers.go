@@ -44,7 +44,7 @@ const (
 	HelperCount
 )
 
-var helperNames = map[HelperID]string{
+var helperNames = [HelperCount]string{
 	HConcat: "concat", HBinop: "binop", HEqAny: "eq_any", HSameAny: "same_any",
 	HDivNum: "div_num", HModInt: "mod_int", HToStr: "to_str", HCmpStr: "cmp_str",
 	HNewArr: "new_arr", HNewPacked: "new_packed", HAddElem: "add_elem",
@@ -62,8 +62,8 @@ var helperNames = map[HelperID]string{
 }
 
 func (h HelperID) String() string {
-	if s, ok := helperNames[h]; ok {
-		return s
+	if h > HNone && h < HelperCount {
+		return helperNames[h]
 	}
 	return "helper?"
 }

@@ -197,12 +197,6 @@ func (lw *lowerer) edgeMoves(target *hhir.Block, args []*hhir.SSATmp) []move {
 	return moves
 }
 
-// edgeCopies emits the parallel copies feeding target's params at the
-// current point: the place for them when nothing but the edge follows.
-func (lw *lowerer) edgeCopies(target *hhir.Block, args []*hhir.SSATmp) {
-	lw.emitMoves(lw.edgeMoves(target, args))
-}
-
 // emitMoves emits moves as one parallel copy.
 func (lw *lowerer) emitMoves(moves []move) {
 	// Topologically order; break cycles through a scratch register.
@@ -248,25 +242,125 @@ func (lw *lowerer) copy(d, s Reg) {
 	}
 }
 
-// Opcode tables of the one-to-one lowerings.
-var (
-	arithOp = map[hhir.Opcode]Op{
-		hhir.AddInt: AddI, hhir.SubInt: SubI, hhir.MulInt: MulI,
-		hhir.AddDbl: AddD, hhir.SubDbl: SubD, hhir.MulDbl: MulD,
-		hhir.DivDbl: DivD,
-	}
-	convOp = map[hhir.Opcode]Op{
-		hhir.ConvToBool: ToBool, hhir.ConvToInt: ToInt, hhir.ConvToDbl: ToDbl,
-	}
-	convHelper = map[hhir.Opcode]HelperID{
-		hhir.ConvToBool: HConvToBoolGeneric, hhir.ConvToInt: HConvToIntGeneric,
-		hhir.ConvToDbl: HConvToDblGeneric,
-	}
-	callOp = map[hhir.Opcode]Op{
-		hhir.CallFunc: CallFunc, hhir.CallBuiltin: CallBuiltin,
-		hhir.CallMethodD: CallMethodD, hhir.CallMethodC: CallMethodC,
-	}
+// lowerForm is the shape of an HHIR opcode's lowering; one driver in
+// lowerInstr serves each.
+type lowerForm uint8
+
+const (
+	formMissing lowerForm = iota // no row: a table bug (TestLowerTableCoversEveryOpcode)
+	formHand                     // lowerByHand has a case for it
+	formNone                     // no code: a marker, or a retyping whose result is its operand's register (reg)
+	formOp                       // one instruction: D <- Dst, A and B <- Args
+	formConv                     // formOp when the operand's kind is known, formHelper when it is not
+	formGuard                    // a check on the register of Args[0], failing to Taken or to the exit stub
+	formHelper                   // out-of-line helper: D <- Dst, every Arg in order
+	formCall                     // guest call through the dispatcher: D <- Dst, every Arg in order
 )
+
+// What a row's instruction carries over from the HHIR instruction.
+const (
+	rI64   uint8 = 1 << iota // I64 (the helper's extra)
+	rStr                     // Str
+	rCatch                   // Target1 = the stub of Exit, where a raise unwinds to
+)
+
+// lowerRow says how one HHIR opcode becomes vasm.
+type lowerRow struct {
+	form   lowerForm
+	op     Op       // the instruction (formConv: the inline one)
+	helper HelperID // formHelper, formConv
+	carry  uint8
+}
+
+func plain(op Op, carry uint8) lowerRow { return lowerRow{form: formOp, op: op, carry: carry} }
+func guard(op Op, carry uint8) lowerRow { return lowerRow{form: formGuard, op: op, carry: carry} }
+func help(h HelperID, carry uint8) lowerRow {
+	return lowerRow{form: formHelper, op: Helper, helper: h, carry: carry}
+}
+func call(op Op) lowerRow { return lowerRow{form: formCall, op: op, carry: rI64 | rStr | rCatch} }
+
+var (
+	byHand = lowerRow{form: formHand}
+	noCode = lowerRow{form: formNone}
+)
+
+// lowerTable is the HHIR -> vasm mapping, one row per HHIR opcode.
+var lowerTable = [hhir.OpcodeCount]lowerRow{
+	hhir.Nop: noCode, hhir.AssertType: noCode, hhir.EndInline: noCode,
+
+	// Constants go through the unit's constant pool.
+	hhir.DefConstInt: byHand, hhir.DefConstDbl: byHand, hhir.DefConstBool: byHand,
+	hhir.DefConstNull: byHand, hhir.DefConstStr: byHand,
+
+	hhir.CheckType:  guard(GuardKind, 0),
+	hhir.CheckCls:   guard(GuardCls, rI64),
+	hhir.GuardShape: guard(GuardShape, rI64),
+
+	hhir.LdLoc:  plain(LdLoc, rI64),
+	hhir.StLoc:  plain(StLoc, rI64),
+	hhir.LdThis: plain(LdThis, 0),
+	hhir.IncRef: plain(IncRef, 0),
+	hhir.DecRef: plain(DecRef, 0),
+
+	hhir.AddInt: plain(AddI, 0), hhir.SubInt: plain(SubI, 0), hhir.MulInt: plain(MulI, 0),
+	hhir.AddDbl: plain(AddD, 0), hhir.SubDbl: plain(SubD, 0), hhir.MulDbl: plain(MulD, 0),
+	hhir.DivDbl: plain(DivD, 0), hhir.NegInt: plain(NegI, 0), hhir.NegDbl: plain(NegD, 0),
+	hhir.ModInt: help(HModInt, rCatch),
+	hhir.DivNum: help(HDivNum, rCatch),
+
+	hhir.CmpInt:  plain(CmpI, rI64),
+	hhir.CmpDbl:  plain(CmpD, rI64),
+	hhir.CmpStr:  help(HCmpStr, rI64),
+	hhir.EqAny:   help(HEqAny, rI64|rCatch),
+	hhir.SameAny: help(HSameAny, rI64|rCatch),
+
+	hhir.ConvToBool:   {form: formConv, op: ToBool, helper: HConvToBoolGeneric},
+	hhir.ConvToInt:    {form: formConv, op: ToInt, helper: HConvToIntGeneric},
+	hhir.ConvToDbl:    {form: formConv, op: ToDbl, helper: HConvToDblGeneric},
+	hhir.ConvToStr:    help(HToStr, 0),
+	hhir.BinopGeneric: help(HBinop, rI64|rCatch),
+	hhir.ConcatStr:    help(HConcat, 0),
+
+	hhir.CountArray:     plain(ArrCount, 0),
+	hhir.ArrGetPackedI:  plain(ArrGetPkI, rCatch),
+	hhir.ArrGetGeneric:  help(HArrGetGeneric, rStr|rCatch),
+	hhir.ArrSetLocal:    help(HArrSetLocal, rI64|rCatch),
+	hhir.ArrAppendLocal: help(HArrAppendLocal, rI64|rCatch),
+	hhir.ArrUnsetLocal:  help(HArrUnsetLocal, rI64),
+	hhir.AKExistsLocal:  help(HAKExistsLocal, rI64),
+	hhir.NewArr:         help(HNewArr, 0),
+	hhir.NewPackedArr:   help(HNewPacked, 0),
+	hhir.AddElem:        help(HAddElem, rCatch),
+	hhir.AddNewElem:     help(HAddNewElem, rCatch),
+
+	// A helper into a fresh register, then a branch on it.
+	hhir.IterInitLocal: byHand, hhir.IterNextK: byHand,
+	hhir.IterKey:   help(HIterKey, rI64),
+	hhir.IterValue: help(HIterValue, rI64),
+	hhir.IterFree:  help(HIterFree, rI64),
+
+	hhir.NewObj:        help(HNewObj, rStr|rCatch),
+	hhir.LdPropSlot:    plain(LdProp, rI64),
+	hhir.StPropSlot:    plain(StProp, rI64),
+	hhir.LdPropGeneric: help(HLdPropGeneric, rStr|rCatch),
+	hhir.StPropGeneric: help(HStPropGeneric, rStr|rCatch),
+	hhir.InstanceOf:    help(HInstanceOf, rI64|rStr),
+	hhir.LdPropIC:      plain(LdPropIC, rStr|rCatch),
+	hhir.StPropIC:      plain(StPropIC, rStr|rCatch),
+	hhir.ProfPropShape: plain(ProfPropShape, rI64),
+
+	hhir.CallFunc: call(CallFunc), hhir.CallBuiltin: call(CallBuiltin),
+	hhir.CallMethodD: call(CallMethodD), hhir.CallMethodC: call(CallMethodC),
+	hhir.VerifyParam:  byHand, // repacks its immediate for the machine
+	hhir.ProfCount:    plain(CountInc, rI64),
+	hhir.ProfCallSite: plain(ProfCallSite, rI64),
+	hhir.PrintC:       help(HPrint, 0),
+
+	hhir.Jmp: byHand, hhir.Branch: byHand, hhir.SwitchInt: byHand,
+	hhir.SideExit: byHand, hhir.ReqBind: byHand,
+	hhir.Ret:    plain(Ret, 0),
+	hhir.ThrowC: help(HThrow, rCatch),
+}
 
 func (lw *lowerer) lowerBlock(hb *hhir.Block, vb *Block) error {
 	lw.cur = vb
@@ -305,10 +399,84 @@ func (lw *lowerer) helper(h HelperID, extra int64, str string, d Reg, catchStub 
 	lw.emit(in)
 }
 
-func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
-	switch hin.Op {
-	case hhir.Nop:
+// regs returns the registers of ts, nil for none.
+func (lw *lowerer) regs(ts []*hhir.SSATmp) []Reg {
+	if len(ts) == 0 {
+		return nil
+	}
+	out := make([]Reg, len(ts))
+	for i, t := range ts {
+		out[i] = lw.reg(t)
+	}
+	return out
+}
 
+// lowerInstr lowers hin as its row says. Registers are numbered in the
+// order they are first asked for — destination, then (helpers) the catch
+// stub's stack, then operands, then (ops and calls) the stub's — and
+// that order is part of the output.
+func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
+	row := lowerTable[hin.Op]
+	if row.form == formConv {
+		// Inline when the operand's kind is known, out of line otherwise.
+		if hin.Args[0].Type.IsSpecific() {
+			row.form = formOp
+		} else {
+			row.form, row.op = formHelper, Helper
+		}
+	}
+	in := nzInstr(row.op)
+	if row.carry&rI64 != 0 {
+		in.I64 = hin.I64
+	}
+	if row.carry&rStr != 0 {
+		in.Str = hin.Str
+	}
+	switch row.form {
+	case formNone:
+		return nil
+	case formOp:
+		in.D = lw.reg(hin.Dst)
+		if len(hin.Args) > 0 {
+			in.A = lw.reg(hin.Args[0])
+		}
+		if len(hin.Args) > 1 {
+			in.B = lw.reg(hin.Args[1])
+		}
+		if row.carry&rCatch != 0 {
+			in.Target1 = lw.stub(hin.Exit)
+		}
+	case formGuard:
+		// The checked value under its refined type, where the check has
+		// a result: reg gives it the operand's register.
+		if hin.Dst != nil {
+			in.A = lw.reg(hin.Dst)
+		} else {
+			in.A = lw.reg(hin.Args[0])
+		}
+		in.TypeParam = hin.TypeParam
+		in.Target1 = lw.guardTarget(hin)
+	case formHelper:
+		in.D = lw.reg(hin.Dst)
+		in.I64 = PackHelper(row.helper, in.I64)
+		if row.carry&rCatch != 0 {
+			in.Target1 = lw.stub(hin.Exit)
+		}
+		in.Args = lw.regs(hin.Args)
+	case formCall:
+		in.D = lw.reg(hin.Dst)
+		in.Args = lw.regs(hin.Args)
+		in.Target1 = lw.stub(hin.Exit)
+	default:
+		return lw.lowerByHand(hin)
+	}
+	lw.emit(in)
+	return nil
+}
+
+// lowerByHand lowers the opcodes no row form fits.
+func (lw *lowerer) lowerByHand(hin *hhir.Instr) error {
+	switch hin.Op {
 	case hhir.DefConstInt:
 		lw.ldImm(lw.reg(hin.Dst), ImmValue{Kind: types.KInt, I: hin.I64})
 	case hhir.DefConstDbl:
@@ -324,246 +492,22 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 	case hhir.DefConstStr:
 		lw.ldImm(lw.reg(hin.Dst), ImmValue{Kind: types.KStr, S: hin.Str})
 
-	case hhir.AssertType:
-		// No code: the result is its operand's register (reg).
-
-	case hhir.CheckType:
-		g := nzInstr(GuardKind)
-		g.A = lw.reg(hin.Dst)
-		g.TypeParam = hin.TypeParam
-		g.Target1 = lw.guardTarget(hin)
-		lw.emit(g)
-	case hhir.CheckCls:
-		g := nzInstr(GuardCls)
-		g.A = lw.reg(hin.Dst)
-		g.I64 = hin.I64
-		g.Target1 = lw.guardTarget(hin)
-		lw.emit(g)
-
-	case hhir.LdLoc:
-		in := nzInstr(LdLoc)
-		in.D = lw.reg(hin.Dst)
-		in.I64 = hin.I64
-		lw.emit(in)
-	case hhir.StLoc:
-		in := nzInstr(StLoc)
-		in.A = lw.reg(hin.Args[0])
-		in.I64 = hin.I64
-		lw.emit(in)
-	case hhir.LdThis:
-		in := nzInstr(LdThis)
-		in.D = lw.reg(hin.Dst)
-		lw.emit(in)
-
-	case hhir.IncRef:
-		in := nzInstr(IncRef)
-		in.A = lw.reg(hin.Args[0])
-		lw.emit(in)
-	case hhir.DecRef:
-		in := nzInstr(DecRef)
-		in.A = lw.reg(hin.Args[0])
-		lw.emit(in)
-
-	case hhir.AddInt, hhir.SubInt, hhir.MulInt, hhir.AddDbl, hhir.SubDbl,
-		hhir.MulDbl, hhir.DivDbl:
-		in := nzInstr(arithOp[hin.Op])
-		in.D = lw.reg(hin.Dst)
-		in.A = lw.reg(hin.Args[0])
-		in.B = lw.reg(hin.Args[1])
-		lw.emit(in)
-	case hhir.NegInt, hhir.NegDbl:
-		op := NegI
-		if hin.Op == hhir.NegDbl {
-			op = NegD
-		}
-		in := nzInstr(op)
-		in.D = lw.reg(hin.Dst)
-		in.A = lw.reg(hin.Args[0])
-		lw.emit(in)
-	case hhir.ModInt:
-		lw.helper(HModInt, 0, "", lw.reg(hin.Dst), lw.stub(hin.Exit),
-			lw.reg(hin.Args[0]), lw.reg(hin.Args[1]))
-	case hhir.DivNum:
-		lw.helper(HDivNum, 0, "", lw.reg(hin.Dst), lw.stub(hin.Exit),
-			lw.reg(hin.Args[0]), lw.reg(hin.Args[1]))
-
-	case hhir.CmpInt, hhir.CmpDbl:
-		op := CmpI
-		if hin.Op == hhir.CmpDbl {
-			op = CmpD
-		}
-		in := nzInstr(op)
-		in.D = lw.reg(hin.Dst)
-		in.A = lw.reg(hin.Args[0])
-		in.B = lw.reg(hin.Args[1])
-		in.I64 = hin.I64
-		lw.emit(in)
-	case hhir.CmpStr:
-		lw.helper(HCmpStr, hin.I64, "", lw.reg(hin.Dst), -1,
-			lw.reg(hin.Args[0]), lw.reg(hin.Args[1]))
-	case hhir.EqAny:
-		lw.helper(HEqAny, hin.I64, "", lw.reg(hin.Dst), lw.stub(hin.Exit),
-			lw.reg(hin.Args[0]), lw.reg(hin.Args[1]))
-	case hhir.SameAny:
-		lw.helper(HSameAny, hin.I64, "", lw.reg(hin.Dst), lw.stub(hin.Exit),
-			lw.reg(hin.Args[0]), lw.reg(hin.Args[1]))
-
-	case hhir.ConvToBool, hhir.ConvToInt, hhir.ConvToDbl:
-		arg := hin.Args[0]
-		if arg.Type.IsSpecific() {
-			in := nzInstr(convOp[hin.Op])
-			in.D = lw.reg(hin.Dst)
-			in.A = lw.reg(arg)
-			lw.emit(in)
-		} else {
-			lw.helper(convHelper[hin.Op], 0, "", lw.reg(hin.Dst), -1, lw.reg(arg))
-		}
-	case hhir.ConvToStr:
-		lw.helper(HToStr, 0, "", lw.reg(hin.Dst), -1, lw.reg(hin.Args[0]))
-
-	case hhir.BinopGeneric:
-		lw.helper(HBinop, hin.I64, "", lw.reg(hin.Dst), lw.stub(hin.Exit),
-			lw.reg(hin.Args[0]), lw.reg(hin.Args[1]))
-	case hhir.ConcatStr:
-		lw.helper(HConcat, 0, "", lw.reg(hin.Dst), -1,
-			lw.reg(hin.Args[0]), lw.reg(hin.Args[1]))
-
-	case hhir.CountArray:
-		in := nzInstr(ArrCount)
-		in.D = lw.reg(hin.Dst)
-		in.A = lw.reg(hin.Args[0])
-		lw.emit(in)
-	case hhir.ArrGetPackedI:
-		in := nzInstr(ArrGetPkI)
-		in.D = lw.reg(hin.Dst)
-		in.A = lw.reg(hin.Args[0])
-		in.B = lw.reg(hin.Args[1])
-		in.Target1 = lw.stub(hin.Exit)
-		lw.emit(in)
-	case hhir.ArrGetGeneric:
-		lw.helper(HArrGetGeneric, 0, hin.Str, lw.reg(hin.Dst), lw.stub(hin.Exit),
-			lw.reg(hin.Args[0]), lw.reg(hin.Args[1]))
-	case hhir.ArrSetLocal:
-		lw.helper(HArrSetLocal, hin.I64, "", InvalidReg, lw.stub(hin.Exit),
-			lw.reg(hin.Args[0]), lw.reg(hin.Args[1]))
-	case hhir.ArrAppendLocal:
-		lw.helper(HArrAppendLocal, hin.I64, "", InvalidReg, lw.stub(hin.Exit),
-			lw.reg(hin.Args[0]))
-	case hhir.ArrUnsetLocal:
-		lw.helper(HArrUnsetLocal, hin.I64, "", InvalidReg, -1, lw.reg(hin.Args[0]))
-	case hhir.AKExistsLocal:
-		lw.helper(HAKExistsLocal, hin.I64, "", lw.reg(hin.Dst), -1, lw.reg(hin.Args[0]))
-	case hhir.NewArr:
-		lw.helper(HNewArr, 0, "", lw.reg(hin.Dst), -1)
-	case hhir.NewPackedArr:
-		args := make([]Reg, len(hin.Args))
-		for i, a := range hin.Args {
-			args[i] = lw.reg(a)
-		}
-		lw.helper(HNewPacked, 0, "", lw.reg(hin.Dst), -1, args...)
-	case hhir.AddElem:
-		lw.helper(HAddElem, 0, "", lw.reg(hin.Dst), lw.stub(hin.Exit),
-			lw.reg(hin.Args[0]), lw.reg(hin.Args[1]), lw.reg(hin.Args[2]))
-	case hhir.AddNewElem:
-		lw.helper(HAddNewElem, 0, "", lw.reg(hin.Dst), lw.stub(hin.Exit),
-			lw.reg(hin.Args[0]), lw.reg(hin.Args[1]))
-
 	case hhir.IterInitLocal:
 		iter, slot := hhir.UnpackIter(hin.I64)
 		cond := lw.fresh()
 		lw.helper(HIterInit, PackIterSlot(iter, slot), "", cond, -1)
 		lw.branch(cond, hin)
-		return nil
 	case hhir.IterNextK:
 		cond := lw.fresh()
 		lw.helper(HIterNext, hin.I64, "", cond, -1)
 		lw.branch(cond, hin)
-		return nil
-	case hhir.IterKey:
-		lw.helper(HIterKey, hin.I64, "", lw.reg(hin.Dst), -1)
-	case hhir.IterValue:
-		lw.helper(HIterValue, hin.I64, "", lw.reg(hin.Dst), -1)
-	case hhir.IterFree:
-		lw.helper(HIterFree, hin.I64, "", InvalidReg, -1)
-
-	case hhir.NewObj:
-		lw.helper(HNewObj, 0, hin.Str, lw.reg(hin.Dst), lw.stub(hin.Exit))
-	case hhir.LdPropSlot:
-		in := nzInstr(LdProp)
-		in.D = lw.reg(hin.Dst)
-		in.A = lw.reg(hin.Args[0])
-		in.I64 = hin.I64
-		lw.emit(in)
-	case hhir.StPropSlot:
-		in := nzInstr(StProp)
-		in.A = lw.reg(hin.Args[0])
-		in.B = lw.reg(hin.Args[1])
-		in.I64 = hin.I64
-		lw.emit(in)
-	case hhir.LdPropGeneric:
-		lw.helper(HLdPropGeneric, 0, hin.Str, lw.reg(hin.Dst), lw.stub(hin.Exit),
-			lw.reg(hin.Args[0]))
-	case hhir.StPropGeneric:
-		lw.helper(HStPropGeneric, 0, hin.Str, InvalidReg, lw.stub(hin.Exit),
-			lw.reg(hin.Args[0]), lw.reg(hin.Args[1]))
-	case hhir.GuardShape:
-		g := nzInstr(GuardShape)
-		g.A = lw.reg(hin.Args[0])
-		g.I64 = hin.I64
-		g.Target1 = lw.guardTarget(hin)
-		lw.emit(g)
-	case hhir.LdPropIC:
-		in := nzInstr(LdPropIC)
-		in.D = lw.reg(hin.Dst)
-		in.A = lw.reg(hin.Args[0])
-		in.Str = hin.Str
-		in.Target1 = lw.stub(hin.Exit)
-		lw.emit(in)
-	case hhir.StPropIC:
-		in := nzInstr(StPropIC)
-		in.A = lw.reg(hin.Args[0])
-		in.B = lw.reg(hin.Args[1])
-		in.Str = hin.Str
-		in.Target1 = lw.stub(hin.Exit)
-		lw.emit(in)
-	case hhir.ProfPropShape:
-		in := nzInstr(ProfPropShape)
-		in.I64 = hin.I64
-		in.A = lw.reg(hin.Args[0])
-		lw.emit(in)
-	case hhir.InstanceOf:
-		lw.helper(HInstanceOf, hin.I64, hin.Str, lw.reg(hin.Dst), -1, lw.reg(hin.Args[0]))
-
-	case hhir.CallFunc, hhir.CallBuiltin, hhir.CallMethodD, hhir.CallMethodC:
-		in := nzInstr(callOp[hin.Op])
-		in.D = lw.reg(hin.Dst)
-		in.I64 = hin.I64
-		in.Str = hin.Str
-		in.Args = make([]Reg, len(hin.Args))
-		for i, a := range hin.Args {
-			in.Args[i] = lw.reg(a)
-		}
-		in.Target1 = lw.stub(hin.Exit)
-		lw.emit(in)
 	case hhir.VerifyParam:
 		lw.helper(HVerifyParam, PackVerifyParam(hhir.UnpackVerify(hin.I64)), "",
 			InvalidReg, lw.stub(hin.Exit))
-	case hhir.ProfCount:
-		in := nzInstr(CountInc)
-		in.I64 = hin.I64
-		lw.emit(in)
-	case hhir.ProfCallSite:
-		in := nzInstr(ProfCallSite)
-		in.I64 = hin.I64
-		in.A = lw.reg(hin.Args[0])
-		lw.emit(in)
-	case hhir.PrintC:
-		lw.helper(HPrint, 0, "", InvalidReg, -1, lw.reg(hin.Args[0]))
-	case hhir.EndInline:
-		// Pure marker.
 
 	case hhir.Jmp:
-		lw.edgeCopies(hin.Next, hin.NextArgs)
+		// Nothing but the edge follows: its copies go right here.
+		lw.emitMoves(lw.edgeMoves(hin.Next, hin.NextArgs))
 		in := nzInstr(Jmp)
 		in.Target1 = lw.blockOf[hin.Next]
 		lw.emit(in)
@@ -579,12 +523,6 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 		lw.emit(in)
 	case hhir.Branch:
 		lw.branch(lw.reg(hin.Args[0]), hin)
-	case hhir.Ret:
-		in := nzInstr(Ret)
-		in.A = lw.reg(hin.Args[0])
-		lw.emit(in)
-	case hhir.ThrowC:
-		lw.helper(HThrow, 0, "", InvalidReg, lw.stub(hin.Exit), lw.reg(hin.Args[0]))
 	case hhir.SideExit:
 		in := nzInstr(Jmp)
 		in.Target1 = lw.stub(hin.Exit)

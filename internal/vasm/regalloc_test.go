@@ -395,7 +395,7 @@ func siteUnits(b *testing.B) (laidOut []*vasm.Unit, build func() []*hhir.Unit) {
 		b.Fatal(err)
 	}
 	j := eng.VM.JIT
-	j.SetAllocationCheck(func(before, _ *vasm.Unit) { laidOut = append(laidOut, before) })
+	j.SetAllocationCheck(func(_ *hhir.Unit, before, _ *vasm.Unit) { laidOut = append(laidOut, before) })
 	for i := 0; i < 40; i++ {
 		for _, ep := range eps {
 			if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {

@@ -8,6 +8,7 @@ package vasm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/types"
@@ -105,12 +106,12 @@ const (
 	BindJmp  // region exit to bytecode pc I64; Ex materializes state
 
 	// Superinstructions minted by the post-regalloc fusion pass
-	// (Fuse). Each performs the effects of its components in order —
-	// including every component's destination write — so fused code
-	// is bit-identical to unfused code. Encoded size and static cost
-	// are the sums of the components', so code-cache addresses and
-	// the guest cycle ledger are unchanged. None are smashable, and
-	// only the *Jcc forms and LdLocGK transfer control.
+	// (Fuse). Each performs the effects of its components (Components)
+	// in order — including every component's destination write — so
+	// fused code is bit-identical to unfused code. Encoded size and
+	// static cost are the sums of the components', so code-cache
+	// addresses and the guest cycle ledger are unchanged. None are
+	// smashable, and only the *Jcc forms and LdLocGK transfer control.
 	LdLocGK   // LdLoc(D <- local I64) + GuardKind(D within TypeParam, fail ->Target1)
 	LdImmAddI // LdImm(reg Target2 <- Imms[I64>>16]) + AddI(D <- A+B)
 	LdImmCmpI // LdImm(reg Target2 <- Imms[I64>>16]) + CmpI(D <- A <cond I64&0xff> B)
@@ -152,6 +153,54 @@ func (o Op) String() string {
 		return opNames[o]
 	}
 	return "op?"
+}
+
+// components lists, per superinstruction, the ops it performs. IncRefN
+// and DecRefN perform their one component once per register in Args.
+var components = [opCount][]Op{
+	LdLocGK:   {LdLoc, GuardKind},
+	LdImmAddI: {LdImm, AddI},
+	LdImmCmpI: {LdImm, CmpI},
+	CmpIJcc:   {CmpI, Jcc},
+	CmpDJcc:   {CmpD, Jcc},
+	IncRefN:   {IncRef},
+	DecRefN:   {DecRef},
+}
+
+// Components returns the ops a superinstruction performs, in order; nil
+// for an ordinary op. Fuse mints a superinstruction from the ops its
+// row names, and the assembler's sizes and the machine's costs are sums
+// over them (ForEachComponent).
+func (o Op) Components() []Op { return components[o] }
+
+// fusedFrom returns the superinstruction whose components are exactly
+// parts, Nop when there is none.
+func fusedFrom(parts ...Op) Op {
+	for o := LdLocGK; o < opCount; o++ { // the superinstructions are declared last
+		if slices.Equal(components[o], parts) {
+			return o
+		}
+	}
+	return Nop
+}
+
+// ForEachComponent calls fn with every ordinary op the instruction
+// performs: its own, or a superinstruction's components in order (one
+// per register for the N-ary forms).
+func (in *Instr) ForEachComponent(fn func(Op)) {
+	parts := in.Op.Components()
+	switch {
+	case parts == nil:
+		fn(in.Op)
+	case len(parts) == 1:
+		for range in.Args {
+			fn(parts[0])
+		}
+	default:
+		for _, o := range parts {
+			fn(o)
+		}
+	}
 }
 
 // Smashable reports whether the instruction is a smash site: a
@@ -303,7 +352,6 @@ type ImmValue struct {
 type Block struct {
 	ID     int
 	Instrs []Instr
-	// Imms holds LdImm payloads: Instrs[i].I64 indexes it.
 	Hint   Hint
 	Weight uint64
 }
