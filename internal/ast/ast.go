@@ -174,6 +174,25 @@ type Interp struct {
 	Parts []Expr // StringLit or Var parts
 }
 
+// ConcatOperands appends to out the operands of e as a concatenation:
+// a `.` chain or an interpolated string flattened left to right (the
+// operator is associative and renders each operand on its own), e
+// itself when it is neither.
+func ConcatOperands(e Expr, out []Expr) []Expr {
+	switch v := e.(type) {
+	case *Binop:
+		if v.Op == "." {
+			return ConcatOperands(v.R, ConcatOperands(v.L, out))
+		}
+	case *Interp:
+		for _, p := range v.Parts {
+			out = ConcatOperands(p, out)
+		}
+		return out
+	}
+	return append(out, e)
+}
+
 func (*IntLit) exprNode()     {}
 func (*FloatLit) exprNode()   {}
 func (*StringLit) exprNode()  {}

@@ -43,15 +43,16 @@ func heapImbalance(heap *runtime.Heap, strsMayLeak bool) string {
 
 // runAllModes executes src repeatedly in every mode and checks all
 // runs agree with the interpreter and leave the heap balanced.
-func runAllModes(t *testing.T, src string, iterations int) {
+func runAllModes(t *testing.T, src string, iterations int) (interpOut string) {
 	t.Helper()
-	runModes(t, src, iterations, false)
+	return runModes(t, src, iterations, false)
 }
 
 // runModes is runAllModes for a program whose JITed code raises out of
 // helpers (jitLeaksStrs: see heapImbalance; the interpreter is always
-// held to a fully balanced heap).
-func runModes(t *testing.T, src string, iterations int, jitLeaksStrs bool) {
+// held to a fully balanced heap). It returns what the interpreter
+// printed: every request's output followed by "|".
+func runModes(t *testing.T, src string, iterations int, jitLeaksStrs bool) (interpOut string) {
 	t.Helper()
 	var want string
 	unitSrc := src
@@ -88,6 +89,7 @@ func runModes(t *testing.T, src string, iterations int, jitLeaksStrs bool) {
 				name, got, want)
 		}
 	}
+	return want
 }
 
 func TestModesAgreeArithLoop(t *testing.T) {

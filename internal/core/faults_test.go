@@ -496,6 +496,52 @@ func TestQuarantineBackoffExpiryRepromotes(t *testing.T) {
 	}
 }
 
+// TestLiveTierTranslatesAChainInOneWalk: a bind request is JITed code
+// asking for its continuation, so the address it names is minted on
+// that first visit (DESIGN.md §9) — a straight line of tracelets is
+// compiled the first time it is walked. When a bind request counted as
+// one visit like any other, the interpreter took over at each new
+// address and ran to the end of the function, so every request added
+// one tracelet: this function needed two dozen requests to leave the
+// interpreter (and Figure 8 measured the live tier mid-warm-up).
+func TestLiveTierTranslatesAChainInOneWalk(t *testing.T) {
+	var body strings.Builder
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&body, "  $a += step($a, %d);\n", i)
+	}
+	unit, err := core.Compile("function step($a, $i) { return $a % 7 + $i; }\nfunction line() {\n  $a = 1;\n"+
+		body.String()+"  return $a;\n}\n", core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := jit.DefaultConfig()
+	cfg.Mode = jit.ModeTracelet
+	eng, err := core.NewEngine(unit, cfg, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for req := 0; req < 5; req++ {
+		before := eng.Stats()
+		v, err := eng.Call("line")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req == 0 {
+			want = v.AsInt()
+		} else if v.AsInt() != want {
+			t.Fatalf("request %d returned %d, the first %d", req, v.AsInt(), want)
+		}
+		st := eng.Stats()
+		// Two visits to line's entry make its first tracelet; the
+		// walk that follows binds the rest.
+		if req >= 2 && (st.InterpRuns != before.InterpRuns || st.LiveTranslations != before.LiveTranslations) {
+			t.Errorf("request %d: %d interpreter stretches, %d new live translations, want a warmed chain",
+				req, st.InterpRuns-before.InterpRuns, st.LiveTranslations-before.LiveTranslations)
+		}
+	}
+}
+
 // TestShedLiveMintingDoesNotBounceLoops: a host shed to
 // DegradeNoLiveMint interprets code that has no translation. Its loop
 // back-edges are OSR points, and the OSR check must know what the

@@ -168,6 +168,47 @@ echo flow%[1]d(%[8]d), ";";
 `, id, 2+g.r.Intn(4), g.r.Intn(2), retyped, 2+g.r.Intn(3), armA, armB, 6+g.r.Intn(10))
 }
 
+// appends emits a function that builds strings with `.=` and `.`
+// chains (ConcatL and ConcatN, DESIGN.md §6 "Strings built in place")
+// while other references to the string come and go: a second local, an
+// array element, an array key, the string appended to itself. Like
+// flow it is emitted, and draws, after everything else.
+func (g *progGen) appends() {
+	id := g.fns
+	g.fns++
+	// $s appends itself only under the if below: everywhere, a dozen
+	// iterations would grow it past any memory.
+	operand := func() string {
+		return []string{"\"lit\"", "$i", "$i * 0.5", "strval($i)", "$t", "\"-\" . $i . \"-\"", "null"}[g.r.Intn(7)]
+	}
+	chain := func() string {
+		ops := []string{operand()}
+		for n := g.r.Intn(3); n > 0; n-- {
+			ops = append(ops, operand())
+		}
+		return strings.Join(ops, " . ")
+	}
+	init := []string{"\"\"", "\"x\"", "0", "null", "1.5"}[g.r.Intn(5)]
+	hold := []string{"$keep[] = $s;", "$keep[$s] = $i;", "$t = $s;", "$t = \"$s!\";", "$s .= $s;", "$s .= \"<\" . $s . \">\";"}[g.r.Intn(6)]
+	fmt.Fprintf(&g.sb, `
+function app%[1]d($n) {
+  $s = %[2]s;
+  $t = "t";
+  $keep = [];
+  for ($i = 0; $i < $n; $i++) {
+    $s .= %[3]s;
+    if ($i %% %[4]d == %[5]d) { %[6]s }
+    $s = $s . %[7]s;
+    $t .= %[8]s;
+  }
+  $keys = "";
+  foreach ($keep as $k => $v) { $keys .= $k . "=" . $v . ","; }
+  return strlen($s) . ":" . substr($s, 0, 24) . "|" . strlen($t) . ":" . substr($t, 0, 24) . "|" . strlen($keys) . ":" . substr($keys, 0, 24);
+}
+echo app%[1]d(%[9]d), ";";
+`, id, init, chain(), 2+g.r.Intn(3), g.r.Intn(2), hold, chain(), chain(), 4+g.r.Intn(8))
+}
+
 func (g *progGen) generate() string {
 	// A helper function (polymorphic: int and double call sites).
 	g.sb.WriteString(`
@@ -187,6 +228,7 @@ function hinted(int $n) { return $n + 1; }
 		fmt.Fprintf(&g.sb, "echo strval($%s), \";\";\n", v)
 	}
 	g.flow()
+	g.appends()
 	return g.sb.String()
 }
 

@@ -68,6 +68,98 @@ func TestStatementAssignUsesPopL(t *testing.T) {
 	}
 }
 
+// ops lists f's opcodes, assertions aside.
+func ops(f *hhbc.Func) []hhbc.Op {
+	var out []hhbc.Op
+	for _, in := range f.Instrs {
+		out = append(out, in.Op)
+	}
+	return out
+}
+
+// TestConcatChainsFlatten: a `.` chain or an interpolated string is its
+// operands and one ConcatN, however it is parenthesised, and an append
+// to a local is its operands and one ConcatL — which reads the local
+// itself, after them.
+func TestConcatChainsFlatten(t *testing.T) {
+	u := emit(t, `function f($a, $b) {
+  $r = $a . ("-" . $b) . "$a/$b";
+  $r .= $a . $b;
+  $r = $r . "!";
+  $b = $a . $b;
+  return $y = ($r .= 1);
+}`)
+	f, _ := u.FuncByName("f")
+	want := []hhbc.Op{
+		hhbc.OpCGetL, hhbc.OpString, hhbc.OpCGetL, hhbc.OpCGetL, hhbc.OpString, hhbc.OpCGetL, hhbc.OpConcatN, hhbc.OpPopL,
+		hhbc.OpCGetL, hhbc.OpCGetL, hhbc.OpConcatL,
+		hhbc.OpString, hhbc.OpConcatL,
+		hhbc.OpCGetL, hhbc.OpCGetL, hhbc.OpConcatN, hhbc.OpPopL, // not an append: $b is the second operand
+		hhbc.OpInt, hhbc.OpConcatL, hhbc.OpCGetL, hhbc.OpSetL, hhbc.OpRetC,
+		hhbc.OpNull, hhbc.OpRetC,
+	}
+	got := ops(f)
+	if len(got) != len(want) {
+		t.Fatalf("emitted\n%s", hhbc.Disassemble(u, f))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("instruction %d is %s, want %s:\n%s", i, got[i], want[i], hhbc.Disassemble(u, f))
+		}
+	}
+	if n := f.Instrs[6]; n.A != 6 {
+		t.Errorf("the chain's ConcatN takes %d operands, want 6", n.A)
+	}
+	if l := f.Instrs[10]; l.A != 2 || l.B != 2 {
+		t.Errorf("ConcatL %d L:%d, want 2 operands onto $r (L:2)", l.A, l.B)
+	}
+}
+
+// TestAppendFormKeepsReadOrder: `$x = $x . e1 . e2` has read $x before
+// e2 runs, ConcatL reads it after: the form is an append only while no
+// operand past the first assigns. `.=` reads last whatever follows.
+func TestAppendFormKeepsReadOrder(t *testing.T) {
+	for src, wantL := range map[string]bool{
+		`$x = $x . $a . f($a);`:       true,
+		`$x = $x . ($x = "b");`:       true, // one operand: $x is fetched as the operator runs
+		`$x = $x . ($x = "b") . $a;`:  true,
+		`$x = $x . $a . ($x = "b");`:  false,
+		`$x = $x . $a . f([$x++]);`:   false,
+		`$x = $x . $a . "{$a}" . $a;`: true,
+		`$x .= $a . ($x = "b");`:      true,
+	} {
+		u := emit(t, `function f($a) { $x = "p"; `+src+` return $x; }`)
+		f, _ := u.FuncByName("f")
+		gotL := false
+		for _, in := range f.Instrs {
+			gotL = gotL || in.Op == hhbc.OpConcatL
+		}
+		if gotL != wantL {
+			t.Errorf("%s: ConcatL emitted = %v, want %v:\n%s", src, gotL, wantL, hhbc.Disassemble(u, f))
+		}
+	}
+}
+
+// TestCompoundConcatOnElementsAndProps: the targets ConcatL does not
+// cover take the read-modify-write sequence, with one ConcatN over the
+// old value and the flattened right-hand side.
+func TestCompoundConcatOnElementsAndProps(t *testing.T) {
+	u := emit(t, `function f($a, $o, $k) { $a[$k] .= "x" . $k; $o->p .= $k . "y" . $k; }`)
+	f, _ := u.FuncByName("f")
+	var counts []int32
+	for _, in := range f.Instrs {
+		switch in.Op {
+		case hhbc.OpConcatN:
+			counts = append(counts, in.A)
+		case hhbc.OpConcatL:
+			t.Errorf("ConcatL on a non-local target:\n%s", hhbc.Disassemble(u, f))
+		}
+	}
+	if len(counts) != 2 || counts[0] != 3 || counts[1] != 4 {
+		t.Errorf("ConcatN counts %v, want [3 4]:\n%s", counts, hhbc.Disassemble(u, f))
+	}
+}
+
 // TestDenseSwitchGetsTable: 3+ dense int cases become a Switch table.
 func TestDenseSwitchGetsTable(t *testing.T) {
 	u := emit(t, `

@@ -35,7 +35,7 @@ func (fe *funcEmitter) expr(e ast.Expr) error {
 	case *ast.ThisExpr:
 		fe.emit(hhbc.OpThis, 0, 0, 0)
 	case *ast.Interp:
-		return fe.interp(v)
+		return fe.concat(v)
 	case *ast.ArrayLit:
 		return fe.arrayLit(v)
 	case *ast.Index:
@@ -92,16 +92,123 @@ func (fe *funcEmitter) expr(e ast.Expr) error {
 	return nil
 }
 
-func (fe *funcEmitter) interp(v *ast.Interp) error {
-	for i, p := range v.Parts {
-		if err := fe.expr(p); err != nil {
+// exprs emits each of list, left to right.
+func (fe *funcEmitter) exprs(list []ast.Expr) error {
+	for _, e := range list {
+		if err := fe.expr(e); err != nil {
 			return err
-		}
-		if i > 0 {
-			fe.emit(hhbc.OpConcat, 0, 0, 0)
 		}
 	}
 	return nil
+}
+
+// concat emits a `.` chain or an interpolated string as its operands
+// and one ConcatN over all of them.
+func (fe *funcEmitter) concat(e ast.Expr) error {
+	return fe.concatN(0, ast.ConcatOperands(e, nil))
+}
+
+// concatN emits operands and the ConcatN joining them to the onStack
+// operands already pushed.
+func (fe *funcEmitter) concatN(onStack int, operands []ast.Expr) error {
+	if err := fe.exprs(operands); err != nil {
+		return err
+	}
+	if n := onStack + len(operands); n >= 2 {
+		fe.emit(hhbc.OpConcatN, int32(n), 0, 0)
+	}
+	return nil
+}
+
+// compound applies a compound assignment's operator: the target's
+// current value is on the stack, value is evaluated, the result
+// replaces both.
+func (fe *funcEmitter) compound(op string, value ast.Expr) error {
+	if op == "." {
+		return fe.concatN(1, ast.ConcatOperands(value, nil))
+	}
+	bop, ok := hhbc.BinaryOps[op]
+	if !ok {
+		return fmt.Errorf("unsupported compound assignment %q", op)
+	}
+	if err := fe.expr(value); err != nil {
+		return err
+	}
+	fe.emit(bop, 0, 0, 0)
+	return nil
+}
+
+// appended returns the operands a local assignment appends to its own
+// target — `$x .= e…` and `$x = $x . e…` — or nil for any other
+// assignment. ConcatL reads the target after every operand has run.
+// That is when `.=` reads it, and when `$x . e1` does (PHP fetches a
+// variable operand as the operator executes), but `$x . e1 . e2` has
+// read $x before e2 runs: that form qualifies only when no operand
+// after the first assigns anything.
+func appended(v *ast.Assign, target string) []ast.Expr {
+	switch v.Op {
+	case ".":
+		return ast.ConcatOperands(v.Value, nil)
+	case "":
+		ops := ast.ConcatOperands(v.Value, nil)
+		if first, ok := ops[0].(*ast.Var); !ok || first.Name != target || len(ops) < 2 {
+			return nil
+		}
+		for _, e := range ops[2:] {
+			if assigns(e) {
+				return nil
+			}
+		}
+		return ops[1:]
+	}
+	return nil
+}
+
+// assigns reports whether evaluating e can store to a variable of the
+// function being compiled: whether it contains an assignment or an
+// increment. (A callee cannot: the language has no references.)
+func assigns(e ast.Expr) bool {
+	anyOf := func(list ...ast.Expr) bool {
+		for _, e := range list {
+			if e != nil && assigns(e) {
+				return true
+			}
+		}
+		return false
+	}
+	switch v := e.(type) {
+	case *ast.IntLit, *ast.FloatLit, *ast.StringLit, *ast.BoolLit, *ast.NullLit, *ast.Var, *ast.ThisExpr:
+		return false
+	case *ast.ArrayLit:
+		return anyOf(v.Keys...) || anyOf(v.Vals...)
+	case *ast.Index:
+		return anyOf(v.Arr, v.Key)
+	case *ast.Binop:
+		return anyOf(v.L, v.R)
+	case *ast.Unop:
+		return anyOf(v.E)
+	case *ast.Ternary:
+		return anyOf(v.Cond, v.Then, v.Else)
+	case *ast.Call:
+		return anyOf(v.Args...)
+	case *ast.MethodCall:
+		return anyOf(v.Recv) || anyOf(v.Args...)
+	case *ast.StaticCall:
+		return anyOf(v.Args...)
+	case *ast.New:
+		return anyOf(v.Args...)
+	case *ast.Prop:
+		return anyOf(v.Recv)
+	case *ast.InstanceOf:
+		return anyOf(v.E)
+	case *ast.Isset:
+		return anyOf(v.E)
+	case *ast.Cast:
+		return anyOf(v.E)
+	case *ast.Interp:
+		return anyOf(v.Parts...)
+	}
+	return true // Assign, IncDec, and anything this list does not know
 }
 
 func (fe *funcEmitter) arrayLit(v *ast.ArrayLit) error {
@@ -159,6 +266,8 @@ func (fe *funcEmitter) binop(v *ast.Binop) error {
 		return fe.shortCircuit(v)
 	case "<=>":
 		return fe.spaceship(v)
+	case ".":
+		return fe.concat(v)
 	}
 	op, ok := hhbc.BinaryOps[v.Op]
 	if !ok {
@@ -276,27 +385,34 @@ func (fe *funcEmitter) incDec(v *ast.IncDec) error {
 func (fe *funcEmitter) assign(v *ast.Assign, wantValue bool) error {
 	switch tgt := v.Target.(type) {
 	case *ast.Var:
-		slot := fe.local(tgt.Name)
+		if parts := appended(v, tgt.Name); parts != nil {
+			// ConcatL reads the local after its operands, as PHP's
+			// ASSIGN_OP does, and extends it in place when it can.
+			slot := fe.local(tgt.Name)
+			if err := fe.exprs(parts); err != nil {
+				return err
+			}
+			fe.emit(hhbc.OpConcatL, int32(len(parts)), slot, 0)
+			if wantValue {
+				fe.emit(hhbc.OpCGetL, slot, 0, 0)
+			}
+			return nil
+		}
 		if v.Op != "" {
-			fe.emit(hhbc.OpCGetL, slot, 0, 0)
-			if err := fe.expr(v.Value); err != nil {
+			fe.emit(hhbc.OpCGetL, fe.local(tgt.Name), 0, 0)
+			if err := fe.compound(v.Op, v.Value); err != nil {
 				return err
 			}
-			op, ok := hhbc.BinaryOps[v.Op]
-			if !ok {
-				return fmt.Errorf("unsupported compound assignment %q", v.Op)
-			}
-			fe.emit(op, 0, 0, 0)
-		} else {
-			if err := fe.expr(v.Value); err != nil {
-				return err
-			}
+		} else if err := fe.expr(v.Value); err != nil {
+			return err
 		}
+		// A plain assignment names its target after its value: locals
+		// are numbered in that order (the paper's Figure 3 listing).
+		store := hhbc.OpPopL
 		if wantValue {
-			fe.emit(hhbc.OpSetL, slot, 0, 0)
-		} else {
-			fe.emit(hhbc.OpPopL, slot, 0, 0)
+			store = hhbc.OpSetL
 		}
+		fe.emit(store, fe.local(tgt.Name), 0, 0)
 		return nil
 
 	case *ast.Index:
@@ -328,18 +444,11 @@ func (fe *funcEmitter) assign(v *ast.Assign, wantValue bool) error {
 		if v.Op != "" {
 			fe.emit(hhbc.OpCGetL, keyTmp, 0, 0)
 			fe.emit(hhbc.OpArrGetL, slot, 0, 0)
-			if err := fe.expr(v.Value); err != nil {
+			if err := fe.compound(v.Op, v.Value); err != nil {
 				return err
 			}
-			op, ok := hhbc.BinaryOps[v.Op]
-			if !ok {
-				return fmt.Errorf("unsupported compound assignment %q", v.Op)
-			}
-			fe.emit(op, 0, 0, 0)
-		} else {
-			if err := fe.expr(v.Value); err != nil {
-				return err
-			}
+		} else if err := fe.expr(v.Value); err != nil {
+			return err
 		}
 		if wantValue {
 			fe.emit(hhbc.OpDup, 0, 0, 0)
@@ -356,18 +465,11 @@ func (fe *funcEmitter) assign(v *ast.Assign, wantValue bool) error {
 		if v.Op != "" {
 			fe.emit(hhbc.OpDup, 0, 0, 0)
 			fe.emit(hhbc.OpCGetPropD, nameIdx, 0, 0)
-			if err := fe.expr(v.Value); err != nil {
+			if err := fe.compound(v.Op, v.Value); err != nil {
 				return err
 			}
-			op, ok := hhbc.BinaryOps[v.Op]
-			if !ok {
-				return fmt.Errorf("unsupported compound assignment %q", v.Op)
-			}
-			fe.emit(op, 0, 0, 0)
-		} else {
-			if err := fe.expr(v.Value); err != nil {
-				return err
-			}
+		} else if err := fe.expr(v.Value); err != nil {
+			return err
 		}
 		fe.emit(hhbc.OpSetPropD, nameIdx, 0, 0)
 		if !wantValue {

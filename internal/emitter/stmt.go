@@ -87,13 +87,6 @@ func (fe *funcEmitter) stmt(s ast.Stmt) error {
 func (fe *funcEmitter) exprStmt(e ast.Expr) error {
 	switch v := e.(type) {
 	case *ast.Assign:
-		if tgt, ok := v.Target.(*ast.Var); ok && v.Op == "" {
-			if err := fe.expr(v.Value); err != nil {
-				return err
-			}
-			fe.emit(hhbc.OpPopL, fe.local(tgt.Name), 0, 0)
-			return nil
-		}
 		return fe.assign(v, false)
 	case *ast.IncDec:
 		if tgt, ok := v.Target.(*ast.Var); ok {

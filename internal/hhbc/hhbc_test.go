@@ -3,6 +3,7 @@ package hhbc_test
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -143,6 +144,31 @@ func TestDisassembleMentionsNames(t *testing.T) {
 	dis := hhbc.Disassemble(u, f)
 	if dis == "" || len(dis) < 40 {
 		t.Errorf("disassembly too short: %q", dis)
+	}
+}
+
+// TestConcatOpsDisassembleAndRoundtrip: the two string-building
+// bytecodes print from the opcode table like any other (count, then the
+// local by name) and survive encode/decode.
+func TestConcatOpsDisassembleAndRoundtrip(t *testing.T) {
+	u := compile(t, `function f($a, $n) { $out = "<" . $a . ":" . $n; $out .= "-" . $n . ">"; return $out; } echo f("x", 1);`)
+	f, _ := u.FuncByName("f")
+	dis := hhbc.Disassemble(u, f)
+	for _, want := range []string{"ConcatN 4\n", "ConcatL 3 L:2($out)\n"} {
+		if !strings.Contains(dis, want) {
+			t.Errorf("disassembly lacks %q:\n%s", want, dis)
+		}
+	}
+	if strings.Count(dis, "CGetL L:2($out)") != 1 { // the return's
+		t.Errorf("the append still reads its local onto the stack:\n%s", dis)
+	}
+	u2, err := hhbc.DecodeUnit(hhbc.EncodeUnit(u))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, _ := u2.FuncByName("f")
+	if again := hhbc.Disassemble(u2, f2); again != dis {
+		t.Errorf("after a round trip:\n%s\nbefore:\n%s", again, dis)
 	}
 }
 

@@ -44,7 +44,8 @@ const (
 	OpMul
 	OpDiv
 	OpMod
-	OpConcat
+	OpConcatN // A = n >= 2: pop n operands, push their concatenation (one allocation)
+	OpConcatL // A = n >= 1, B = local: local .= the n operands popped; reads the local after them, pushes nothing
 	OpNeg
 
 	// Comparison / logic.
@@ -191,13 +192,14 @@ var opTable = [opCount]opInfo{
 	OpAssertRATL:  row("AssertRATL", 0, 0, 0, ImmLocal, ImmRAT, ImmRATClass),
 	OpAssertRAStk: row("AssertRAStk", 0, 0, 0, ImmCount, ImmRAT, ImmRATClass),
 
-	OpAdd:    row("Add", 2, 1, 0),
-	OpSub:    row("Sub", 2, 1, 0),
-	OpMul:    row("Mul", 2, 1, 0),
-	OpDiv:    row("Div", 2, 1, 0),
-	OpMod:    row("Mod", 2, 1, 0),
-	OpConcat: row("Concat", 2, 1, 0),
-	OpNeg:    row("Neg", 1, 1, 0),
+	OpAdd:     row("Add", 2, 1, 0),
+	OpSub:     row("Sub", 2, 1, 0),
+	OpMul:     row("Mul", 2, 1, 0),
+	OpDiv:     row("Div", 2, 1, 0),
+	OpMod:     row("Mod", 2, 1, 0),
+	OpConcatN: row("ConcatN", popsA, 1, 0, ImmCount),
+	OpConcatL: row("ConcatL", popsA, 0, readsLocal|writesLocal, ImmCount, ImmLocal),
+	OpNeg:     row("Neg", 1, 1, 0),
 
 	OpGt:         row("Gt", 2, 1, 0),
 	OpGte:        row("Gte", 2, 1, 0),
@@ -289,10 +291,11 @@ func (o Op) WritesLocal() bool { return o.info().flags&writesLocal != 0 }
 
 // BinaryOps maps source-level binary operators to the bytecodes that
 // implement them. The short-circuit and spaceship operators lower to
-// control flow instead and are not listed.
+// control flow instead, and "." to ConcatN over its whole chain; they
+// are not listed.
 var BinaryOps = map[string]Op{
 	"+": OpAdd, "-": OpSub, "*": OpMul, "/": OpDiv,
-	"%": OpMod, ".": OpConcat,
+	"%": OpMod,
 	">": OpGt, ">=": OpGte, "<": OpLt, "<=": OpLte,
 	"==": OpEq, "!=": OpNeq, "===": OpSame, "!==": OpNSame,
 }

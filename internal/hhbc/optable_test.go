@@ -29,13 +29,13 @@ func TestOpTableComplete(t *testing.T) {
 		if row.pushes < 0 || row.pushes > 2 || row.pops < popsA1 {
 			t.Errorf("%s: pops %d, pushes %d", op, row.pops, row.pushes)
 		}
-		base := Instr{Op: op, A: 1, B: 1, C: 1}
+		base := Instr{Op: op, A: 2, B: 2, C: 2} // 2: the least ConcatN count
 		for i, k := range row.imm {
 			if k == ImmRAT {
 				base.B = int32(types.KObj) // the class word only shows on an object type
 			}
 			alt := base
-			*alt.immPtr(i) = 2
+			*alt.immPtr(i) = 3
 			shown := FormatInstr(u, f, alt) != FormatInstr(u, f, base)
 			if shown != (k != ImmNone) {
 				t.Errorf("%s: immediate %d has kind %d, FormatInstr shows it: %v", op, i, k, shown)

@@ -42,6 +42,11 @@ func TestVerifierChecksEveryImmediateKind(t *testing.T) {
 		{name: "param past end", in: hhbc.Instr{Op: hhbc.OpVerifyParamType, A: 5}, post: null},
 		{name: "param -1", in: hhbc.Instr{Op: hhbc.OpVerifyParamType, A: -1}, post: null},
 		{name: "count -1", in: hhbc.Instr{Op: hhbc.OpNewPackedArray, A: -1}},
+		{name: "ConcatN 0", in: hhbc.Instr{Op: hhbc.OpConcatN, A: 0}},
+		{name: "ConcatN 1", in: hhbc.Instr{Op: hhbc.OpConcatN, A: 1}, pre: null},
+		{name: "ConcatL 0", in: hhbc.Instr{Op: hhbc.OpConcatL, A: 0, B: 0}, post: null},
+		{name: "ConcatL local past end", in: hhbc.Instr{Op: hhbc.OpConcatL, A: 1, B: 2}, pre: null, post: null},
+		{name: "ConcatL local -1", in: hhbc.Instr{Op: hhbc.OpConcatL, A: 1, B: -1}, pre: null, post: null},
 		{name: "counter -1", in: hhbc.Instr{Op: hhbc.OpIncProfCounter, A: -1}, post: null},
 		{name: "inc/dec op", in: hhbc.Instr{Op: hhbc.OpIncDecL, A: 0, B: 4}},
 		{name: "RAT array kind", in: hhbc.Instr{Op: hhbc.OpAssertRATL, A: 0, B: int32(types.KArr) | 3<<8}, post: null},
@@ -78,7 +83,9 @@ func TestVerifierChecksEveryImmediateKind(t *testing.T) {
 	}
 	// The well-formed shape the cases above perturb does verify.
 	u := hhbc.NewUnit()
-	f := &hhbc.Func{Name: "ok", NumLocals: 1, Instrs: []hhbc.Instr{{Op: hhbc.OpCGetL}, {Op: hhbc.OpRetC}}}
+	f := &hhbc.Func{Name: "ok", NumLocals: 1, Instrs: []hhbc.Instr{
+		{Op: hhbc.OpNull}, {Op: hhbc.OpConcatL, A: 1, B: 0},
+		{Op: hhbc.OpCGetL}, {Op: hhbc.OpNull}, {Op: hhbc.OpConcatN, A: 2}, {Op: hhbc.OpRetC}}}
 	u.AddFunc(f)
 	if err := hhbc.VerifyFunc(u, f); err != nil {
 		t.Errorf("well-formed function rejected: %v", err)
@@ -135,8 +142,17 @@ func seedUnits(t testing.TB) []*hhbc.Unit {
 // the rest of the package can walk blindly, and re-encoding it is a
 // fixed point.
 func FuzzDecodeUnit(f *testing.F) {
+	var seen [256]bool
 	for _, u := range seedUnits(f) {
 		f.Add(hhbc.EncodeUnit(u))
+		for _, fn := range u.Funcs {
+			for _, in := range fn.Instrs {
+				seen[in.Op] = true
+			}
+		}
+	}
+	if !seen[hhbc.OpConcatN] || !seen[hhbc.OpConcatL] {
+		f.Fatal("no seed unit uses ConcatN and ConcatL")
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		u, err := hhbc.DecodeUnit(blob)

@@ -151,7 +151,7 @@ func InstrTypes(u *Unit, f *Func, in Instr, ops []types.Type, local types.Type) 
 		*t = types.TInt
 	case OpDouble, OpCastDouble:
 		*t = types.TDbl
-	case OpString, OpCastString, OpConcat:
+	case OpString, OpCastString, OpConcatN:
 		*t = types.TStr
 	case OpTrue, OpFalse, OpIsTypeL, OpNot, OpCastBool, OpAKExistsL, OpInstanceOfD,
 		OpGt, OpGte, OpLt, OpLte, OpEq, OpNeq, OpSame, OpNSame:
@@ -203,6 +203,8 @@ func InstrTypes(u *Unit, f *Func, in Instr, ops []types.Type, local types.Type) 
 		*t = ElemLocalType(OpArrAppendL, ops[0])
 	case OpArrSetL, OpArrAppendL, OpArrUnsetL:
 		localOut = ElemLocalType(in.Op, local)
+	case OpConcatL:
+		localOut = types.TStr
 	case OpIterKey:
 		*t = IterKeyType
 	case OpArrIdx, OpArrGetL, OpIterValue, OpFCallD, OpFCallObjMethodD, OpCGetPropD:

@@ -95,7 +95,7 @@ func checkImmediates(u *Unit, f *Func, in Instr) error {
 	}
 	for i, k := range in.Op.info().imm {
 		v := int(in.imm(i))
-		var limit int // v must lie in [0, limit)
+		var lo, limit int // v must lie in [lo, limit)
 		what := ""
 		switch k {
 		case ImmNone:
@@ -120,6 +120,12 @@ func checkImmediates(u *Unit, f *Func, in Instr) error {
 			what, limit = "parameter", len(f.Params)
 		case ImmCount, ImmCounter:
 			what, limit = "count", math.MaxInt
+			switch in.Op {
+			case OpConcatN:
+				lo = 2 // one operand is no concatenation
+			case OpConcatL:
+				lo = 1
+			}
 		case ImmIncDec:
 			what, limit = "inc/dec op", len(incDecNames)
 		case ImmKinds:
@@ -132,7 +138,7 @@ func checkImmediates(u *Unit, f *Func, in Instr) error {
 		case ImmRATClass:
 			what, limit = "class name index", len(u.Strings)+1
 		}
-		if v < 0 || v >= limit {
+		if v < lo || v >= limit {
 			return fmt.Errorf("bad %s %d", what, v)
 		}
 	}

@@ -267,6 +267,14 @@ func (b *builder) pop() *SSATmp {
 }
 func (b *builder) top() *SSATmp { return b.stack[len(b.stack)-1] }
 
+// popN pops the top n values, deepest first.
+func (b *builder) popN(n int) []*SSATmp {
+	at := len(b.stack) - n
+	vals := append([]*SSATmp(nil), b.stack[at:]...)
+	b.stack = b.stack[:at]
+	return vals
+}
+
 func (b *builder) localType(slot int) types.Type {
 	if t := b.localTypes[slot]; !t.IsBottom() {
 		return t
@@ -521,5 +529,11 @@ func (b *builder) incRef(v *SSATmp) {
 func (b *builder) decRef(v *SSATmp) {
 	if v.Type.MaybeCounted() {
 		b.emit(&Instr{Op: DecRef, Args: []*SSATmp{v}})
+	}
+}
+
+func (b *builder) decRefs(vs []*SSATmp) {
+	for _, v := range vs {
+		b.decRef(v)
 	}
 }

@@ -124,6 +124,61 @@ func TestRCEKeepsIncRefBeforeConsumingBinop(t *testing.T) {
 	}
 }
 
+// TestConcatAppendLowering: `$s .= e…` is one ConcatAppend between the
+// (forwarded) load of the local and the store of the result — no
+// ConcatStr, no reference taken on the local's value, none released.
+func TestConcatAppendLowering(t *testing.T) {
+	src := `function f($s, $n) { $s .= "a" . $n; $s .= "b"; return $s; } echo f("s", 1);`
+	u := buildFor(t, src, "f", map[int]types.Type{0: types.TStr, 1: types.TInt}, hhir.AllPasses)
+	if countOps(u, hhir.ConcatAppend) != 2 || countOps(u, hhir.ConcatStr) != 0 {
+		t.Fatalf("want two ConcatAppend and no ConcatStr:\n%s", u)
+	}
+	if countOps(u, hhir.LdLoc) != 2 { // $s once (the second append takes the first's result), $n
+		t.Errorf("the second append reloads its local:\n%s", u)
+	}
+	var first *hhir.Instr
+	for _, in := range u.Blocks[0].Instrs {
+		switch in.Op {
+		case hhir.ConcatAppend:
+			if first == nil {
+				first = in
+				if len(in.Args) != 3 || in.Args[0].Def.Op != hhir.LdLoc {
+					t.Errorf("first append's operands: %v", in)
+				}
+			} else if in.Args[0] != first.Dst {
+				t.Errorf("second append does not extend the first's result: %v", in)
+			}
+		case hhir.DecRef:
+			if in.Args[0].Def.Op != hhir.DefConstStr { // a literal operand's is a no-op at run time
+				t.Errorf("%v: the append consumed the local's reference, and $n is uncounted", in)
+			}
+		}
+	}
+}
+
+// TestRCEKeepsIncRefBeforeAppend: in `$s . ($s .= $n)` the left operand
+// shares the local's reference unless its IncRef executes; RCE would
+// pair that IncRef with the DecRef after the concatenation, and the
+// append between them would then find a count of 1 and write into the
+// string the left operand still reads. ConcatAppend's fCOWStr forbids it.
+func TestRCEKeepsIncRefBeforeAppend(t *testing.T) {
+	src := `function f($s, $n) { return $s . "/" . ($s .= $n); } echo f("s", 1);`
+	u := buildFor(t, src, "f", map[int]types.Type{0: types.TStr, 1: types.TInt}, hhir.AllPasses)
+	owned := false
+	for _, in := range u.Blocks[0].Instrs {
+		switch in.Op {
+		case hhir.IncRef:
+			owned = true
+		case hhir.ConcatAppend:
+			if !owned {
+				t.Errorf("RCE sank the alias's IncRef across the append:\n%s", u)
+			}
+			return
+		}
+	}
+	t.Fatalf("no ConcatAppend:\n%s", u)
+}
+
 func TestConstantFolding(t *testing.T) {
 	src := `function h() { return 2 * 3 + 4; } echo h();`
 	// Disable the AST folder so the JIT-level folding is what's

@@ -122,12 +122,17 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		} else {
 			b.push(b.generic(hhbc.OpMod, x, y))
 		}
-	case hhbc.OpConcat:
-		y, x := b.pop(), b.pop()
-		r := b.def(ConcatStr, types.TStr, x, y)
-		b.decRef(x)
-		b.decRef(y)
+	case hhbc.OpConcatN:
+		parts := b.popN(int(in.A))
+		r := b.def(ConcatStr, types.TStr, parts...)
+		b.decRefs(parts)
 		b.push(r)
+	case hhbc.OpConcatL:
+		parts := b.popN(int(in.A))
+		slot := b.slot(in.B)
+		r := b.def(ConcatAppend, types.TStr, append([]*SSATmp{b.ldLoc(slot)}, parts...)...)
+		b.stLoc(slot, r) // the old value's reference went into r
+		b.decRefs(parts)
 	case hhbc.OpNeg:
 		x := b.pop()
 		switch {
@@ -275,12 +280,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 	case hhbc.OpNewArray:
 		b.push(b.def(NewArr, types.ArrOfKind(types.ArrayMixed)))
 	case hhbc.OpNewPackedArray:
-		n := int(in.A)
-		args := make([]*SSATmp, n)
-		for i := n - 1; i >= 0; i-- {
-			args[i] = b.pop()
-		}
-		b.push(b.def(NewPackedArr, types.ArrOfKind(types.ArrayPacked), args...))
+		b.push(b.def(NewPackedArr, types.ArrOfKind(types.ArrayPacked), b.popN(int(in.A))...))
 	case hhbc.OpAddElemC:
 		val, key, arr := b.pop(), b.pop(), b.pop()
 		dst := b.out.NewTmp(types.TArr)

@@ -64,7 +64,13 @@ const (
 	BinopGeneric
 
 	// Strings.
-	ConcatStr // helper; Dst Str
+	ConcatStr // helper; Args = two or more operands; Dst Str
+	// ConcatAppend: Args[0] = the value of a local, the rest the operands
+	// appended to it; Dst Str = what the local holds afterwards. It takes
+	// over the local's reference to Args[0] — the same box extended in
+	// place when nothing else holds it, a new one otherwise — so a StLoc
+	// of Dst follows and no DecRef of Args[0].
+	ConcatAppend
 
 	// Arrays.
 	CountArray     // Args[0] packed/mixed array -> Int (inline load)
@@ -154,6 +160,7 @@ const (
 	fStoresSlot                     // writes Args[0] to frame slot I64 (SlotEffect)
 	fKillsSlot                      // writes frame slot I64 with something the IR does not name (SlotEffect)
 	fCOW                            // mutates an array operand, or the array in slot I64, in place when nothing else holds it
+	fCOWStr                         // the same for a string operand: appends to it in place when nothing else holds it
 	fStoresProp                     // stores a property by name, which may add one and so change the receiver's shape
 )
 
@@ -195,6 +202,13 @@ var opTable = [opcodeCount]struct {
 	BinopGeneric: {"BinopGeneric", fOwned | fConsumes | fReleases | fGuest},
 
 	ConcatStr: {"ConcatStr", fOwned | fFresh},
+	// Not fresh: the result is Args[0]'s box when that was extended in
+	// place. fCOWStr, because it reads the count to decide, exactly as
+	// ArrSetLocal does for fCOW: without it an IncRef of a live alias
+	// sinks past and the alias sees the appended bytes (core's
+	// TestModesAgreeAppendInPlace, "borrowed alias"). A non-string it
+	// replaces is released, destructor and all.
+	ConcatAppend: {"ConcatAppend", fOwned | fCOWStr | fReleases},
 
 	CountArray: {"CountArray", fPure},
 	// Its result is owned too (the machine IncRefs the element); RCE's

@@ -5,7 +5,7 @@ import "testing"
 // TestOpTableRows: every opcode has a named row, and the flags of a row
 // do not contradict each other.
 func TestOpTableRows(t *testing.T) {
-	const effects = fReleases | fGuest | fEscapes | fStoresSlot | fKillsSlot | fConsumes | fCOW | fStoresProp
+	const effects = fReleases | fGuest | fEscapes | fStoresSlot | fKillsSlot | fConsumes | fCOW | fCOWStr | fStoresProp
 	seen := map[string]Opcode{}
 	for o := Opcode(0); o < opcodeCount; o++ {
 		name, f := opTable[o].name, opTable[o].flags

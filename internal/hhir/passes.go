@@ -189,11 +189,15 @@ func simplifyInstr(u *Unit, in *Instr) {
 			}
 		}
 	case ConcatStr:
-		a, aok := constOf(in.Args[0])
-		c, cok := constOf(in.Args[1])
-		if aok && cok && a.Op == DefConstStr && c.Op == DefConstStr {
-			rewriteConst(in, DefConstStr, 0, a.Str+c.Str, types.TStr)
+		folded := ""
+		for _, a := range in.Args {
+			c, ok := constOf(a)
+			if !ok || c.Op != DefConstStr {
+				return
+			}
+			folded += c.Str
 		}
+		rewriteConst(in, DefConstStr, 0, folded, types.TStr)
 	case Branch:
 		// Branch fusion: constant condition becomes a Jmp.
 		if c, ok := constOf(in.Args[0]); ok {

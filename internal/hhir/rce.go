@@ -152,10 +152,15 @@ func crossBlocks(in *Instr, t *SSATmp, lb map[*SSATmp]int, stored map[*SSATmp]bo
 			}
 		}
 		return false
-	case in.Op.has(fCOW):
-		// COW observability: mutating an array that may alias t with
-		// count 1 would skip the copy the program expects.
-		return t.Type.Maybe(types.TArr) && lb[t] < 2
+	case in.Op.has(fCOW | fCOWStr):
+		// COW observability: mutating an array (or appending to a
+		// string) that may alias t with count 1 would skip the copy the
+		// program expects.
+		mutated := types.TArr
+		if in.Op.has(fCOWStr) {
+			mutated = types.TStr
+		}
+		return t.Type.Maybe(mutated) && lb[t] < 2
 	case in.Op == StLoc:
 		// Storing t itself makes its count frame-visible.
 		return in.Args[0] == t

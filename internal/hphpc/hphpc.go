@@ -151,6 +151,9 @@ func constBool(e ast.Expr) (bool, bool) {
 func Fold(e ast.Expr) ast.Expr {
 	switch v := e.(type) {
 	case *ast.Binop:
+		if v.Op == "." {
+			return foldConcat(v)
+		}
 		v.L = Fold(v.L)
 		v.R = Fold(v.R)
 		return foldBinop(v)
@@ -215,23 +218,38 @@ func Fold(e ast.Expr) ast.Expr {
 		v.E = Fold(v.E)
 		return foldCast(v)
 	case *ast.Interp:
-		allLit := true
-		out := ""
-		for i := range v.Parts {
-			v.Parts[i] = Fold(v.Parts[i])
-			if s, ok := v.Parts[i].(*ast.StringLit); ok {
-				out += s.Value
-			} else {
-				allLit = false
-			}
-		}
-		if allLit {
-			return &ast.StringLit{Value: out}
-		}
-		return v
+		return foldConcat(v)
 	default:
 		return e
 	}
+}
+
+// foldConcat folds the operands of a `.` chain or an interpolated
+// string and joins the literals that end up next to each other
+// (`$a . "x" . "y"` is `$a . "xy"`): a string literal when nothing else
+// is left, else the chain over what is, which the emitter turns into
+// one ConcatN.
+func foldConcat(e ast.Expr) ast.Expr {
+	var out []ast.Expr
+	for _, o := range ast.ConcatOperands(e, nil) {
+		o = Fold(o)
+		if lit, ok := litValue(o); ok && len(out) > 0 {
+			if prev, ok := litValue(out[len(out)-1]); ok {
+				joined := runtime.Concat(runtime.NewHeap(), []runtime.Value{prev, lit})
+				out[len(out)-1] = valueLit(joined)
+				continue
+			}
+		}
+		out = append(out, o)
+	}
+	if len(out) == 0 {
+		return e
+	}
+	chain := out[0]
+	for _, o := range out[1:] {
+		chain = &ast.Binop{Op: ".", L: chain, R: o}
+	}
+	return chain
 }
 
 // foldBinop evaluates an operator over two literals. Where the runtime

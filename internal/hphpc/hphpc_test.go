@@ -40,6 +40,28 @@ func TestStringFolding(t *testing.T) {
 	}
 }
 
+// TestConcatChainFoldsAdjacentLiterals: literals that end up next to
+// each other in a flattened chain are joined, whatever the nesting and
+// whatever their kind; operands that are not literals stay in order.
+func TestConcatChainFoldsAdjacentLiterals(t *testing.T) {
+	p := fold(t, `$x = $a . "x" . 1 . ("y" . $b) . 2.5 . true . "$c-" . "z" . null;`)
+	v := p.Main[0].(*ast.ExprStmt).E.(*ast.Assign).Value
+	var got []string
+	for _, o := range ast.ConcatOperands(v, nil) {
+		switch o := o.(type) {
+		case *ast.Var:
+			got = append(got, "$"+o.Name)
+		case *ast.StringLit:
+			got = append(got, o.Value)
+		default:
+			got = append(got, fmt.Sprintf("%T", o))
+		}
+	}
+	if want := "$a|x1y|$b|2.51|$c|-z"; strings.Join(got, "|") != want {
+		t.Errorf("operands %q, want %q", strings.Join(got, "|"), want)
+	}
+}
+
 func TestDeadBranchElimination(t *testing.T) {
 	p := fold(t, `if (1 > 2) { echo "dead"; } else { echo "live"; }`)
 	echo, ok := p.Main[0].(*ast.Echo)

@@ -13,8 +13,8 @@ import (
 // Figure 8 comes from.
 const dispatchCost = 58
 
-func opWorkCost(op hhbc.Op) uint64 {
-	switch op {
+func opWorkCost(in hhbc.Instr) uint64 {
+	switch in.Op {
 	case hhbc.OpNop, hhbc.OpAssertRATL, hhbc.OpAssertRAStk:
 		return 0
 	case hhbc.OpInt, hhbc.OpDouble, hhbc.OpTrue, hhbc.OpFalse, hhbc.OpNull, hhbc.OpString:
@@ -27,8 +27,10 @@ func opWorkCost(op hhbc.Op) uint64 {
 		return 6
 	case hhbc.OpDiv, hhbc.OpMod:
 		return 10
-	case hhbc.OpConcat:
-		return 24
+	case hhbc.OpConcatN:
+		return ConcatCost(int(in.A))
+	case hhbc.OpConcatL:
+		return ConcatCost(int(in.A) + 1) // the local is one more operand, extended in place or not
 	case hhbc.OpGt, hhbc.OpGte, hhbc.OpLt, hhbc.OpLte, hhbc.OpEq, hhbc.OpNeq,
 		hhbc.OpSame, hhbc.OpNSame, hhbc.OpNot:
 		return 6
@@ -81,6 +83,17 @@ func opWorkCost(op hhbc.Op) uint64 {
 	}
 }
 
+// ConcatCost is the work of concatenating n >= 2 operands, in either
+// tier: the 24 this model always charged for two, plus a length and a
+// copy per further operand — well under the call, allocation and
+// refcounting of the second Concat it replaces (DESIGN.md §6).
+func ConcatCost(n int) uint64 { return ConcatBaseCost + ConcatOperandCost*uint64(n) }
+
+const (
+	ConcatBaseCost    = 8
+	ConcatOperandCost = 8
+)
+
 // interpCall is the default CallHook: interpret f from its entry.
 func (e *Env) interpCall(f *hhbc.Func, this *runtime.Object, args []runtime.Value) (runtime.Value, error) {
 	if e.OnEnter != nil {
@@ -127,7 +140,7 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 	for {
 		in := fr.Fn.Instrs[fr.PC]
 		if e.Meter != nil {
-			e.Meter.Charge(dispatchCost + opWorkCost(in.Op))
+			e.Meter.Charge(dispatchCost + opWorkCost(in))
 		}
 		switch in.Op {
 		case hhbc.OpNop, hhbc.OpAssertRATL, hhbc.OpAssertRAStk, hhbc.OpIncProfCounter:
@@ -196,7 +209,17 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 			}
 			fr.push(v)
 
-		case hhbc.OpAdd, hhbc.OpSub, hhbc.OpMul, hhbc.OpDiv, hhbc.OpMod, hhbc.OpConcat,
+		case hhbc.OpConcatN:
+			parts := fr.popArgs(int(in.A))
+			r := runtime.Concat(h, parts)
+			e.ReleaseArgs(parts)
+			fr.push(r)
+		case hhbc.OpConcatL:
+			parts := fr.popArgs(int(in.A))
+			runtime.ConcatAppend(h, &fr.Locals[in.B], parts)
+			e.ReleaseArgs(parts)
+
+		case hhbc.OpAdd, hhbc.OpSub, hhbc.OpMul, hhbc.OpDiv, hhbc.OpMod,
 			hhbc.OpGt, hhbc.OpGte, hhbc.OpLt, hhbc.OpLte,
 			hhbc.OpEq, hhbc.OpNeq, hhbc.OpSame, hhbc.OpNSame:
 			b, a := fr.pop(), fr.pop()

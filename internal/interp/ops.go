@@ -28,8 +28,6 @@ func Binop(h *runtime.Heap, op hhbc.Op, a, b runtime.Value) (runtime.Value, erro
 		return runtime.Div(a, b)
 	case hhbc.OpMod:
 		return runtime.Mod(a, b)
-	case hhbc.OpConcat:
-		return runtime.Concat(h, a, b), nil
 	case hhbc.OpNeg:
 		return runtime.Neg(a), nil
 	case hhbc.OpLt:

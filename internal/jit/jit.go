@@ -140,7 +140,8 @@ const (
 	// maxLiveChain bounds the retranslation chain at one address.
 	maxLiveChain = 12
 	// liveThreshold is the number of dispatcher visits to an address
-	// before a live translation is made there.
+	// before a live translation is made there. A bind request arrives
+	// with one to its name: the translation that issued it ran.
 	liveThreshold = 2
 )
 
@@ -714,9 +715,10 @@ func (j *JIT) Match(fr *interp.Frame, m *machine.Meter, chainableOnly bool) *Tra
 // Lookup finds (or creates, subject to mintKindLocked) a translation
 // for (fn, fr.PC) matching the live frame types, charging dispatch and
 // compile fees to the calling worker's meter m. Returns nil to stay
-// in the interpreter. The fast path is a lock-free read of the
+// in the interpreter. bound says a translation's bind request led here
+// (mintKindLocked). The fast path is a lock-free read of the
 // RCU-published index; the minting slow path serializes per key.
-func (j *JIT) Lookup(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter) *Translation {
+func (j *JIT) Lookup(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter, bound bool) *Translation {
 	if j.Cfg.Mode == ModeInterp || j.degrade.Load() >= DegradeInterpOnly {
 		return nil
 	}
@@ -747,7 +749,7 @@ func (j *JIT) Lookup(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter) *Transla
 			}
 			continue
 		}
-		kind := j.mintKindLocked(key, false)
+		kind := j.mintKindLocked(key, bound)
 		if kind == ModeInterp {
 			j.mu.Unlock()
 			return nil
@@ -790,16 +792,21 @@ func (j *JIT) mintingClosed() bool {
 //	profiling   ModeProfiling; ModeRegion until retranslation is claimed
 //	none        ModeRegion between the claim and the optimized publish
 //	live        ModeTracelet; ModeRegion after the publish — once the
-//	            address was seen liveThreshold times, ladder < DegradeNoLiveMint
+//	            address was seen liveThreshold times (a bind request's
+//	            first visit is its second), ladder < DegradeNoLiveMint
 //
 // Profiling stops at the claim because the profile snapshot is already
 // taken: a function first profiled afterwards would miss the one
 // optimization round and stay on profiling code for good. Each
 // consultation for a live translation is one hotness observation, so
-// loops that stay in the interpreter cross the threshold; an OSR bounce
-// counts the dispatcher's own observation, which follows it, ahead.
-// Callers hold j.mu.
-func (j *JIT) mintKindLocked(key transKey, osr bool) Mode {
+// loops that stay in the interpreter cross the threshold. Two callers
+// come one observation ahead: an OSR bounce counts the dispatcher's
+// own, which follows it; a bind request (Lookup's bound) is JITed code
+// asking for its continuation, hot because the code that asks is — so
+// a straight line of tracelets is translated the first time it is
+// walked, not one tracelet per request with the interpreter running
+// each remainder. Callers hold j.mu.
+func (j *JIT) mintKindLocked(key transKey, ahead bool) Mode {
 	if j.mintingClosed() || j.quarantinedLocked(key) ||
 		len((*j.trans.Load())[key]) >= maxLiveChain {
 		return ModeInterp
@@ -819,7 +826,7 @@ func (j *JIT) mintKindLocked(key transKey, osr bool) Mode {
 	}
 	j.entryCount[key]++
 	seen := j.entryCount[key]
-	if osr {
+	if ahead {
 		seen++
 	}
 	if seen < liveThreshold || j.degrade.Load() >= DegradeNoLiveMint {

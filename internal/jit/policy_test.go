@@ -74,7 +74,7 @@ func TestMintPolicyOSRAgreesWithDispatcher(t *testing.T) {
 								j.degrade.Store(degrade)
 
 								osr := j.WantsTranslation(fn, fr)
-								minted := j.Lookup(fn, fr, &machine.Meter{}) != nil
+								minted := j.Lookup(fn, fr, &machine.Meter{}, false) != nil
 								if osr != minted || minted != want {
 									t.Errorf("mode=%s phase=%s seen=%d chainFull=%v quarantined=%v cacheFull=%v degrade=%d: "+
 										"OSR check says %v, dispatcher minted %v, policy table says %v",
@@ -85,6 +85,31 @@ func TestMintPolicyOSRAgreesWithDispatcher(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBindRequestIsASecondObservation: at an address the dispatcher
+// has never seen, a plain Lookup waits for liveThreshold visits and a
+// bind request's mints — in the live tier only; a profiling translation
+// never waited.
+func TestBindRequestIsASecondObservation(t *testing.T) {
+	prog, err := parser.Parse(`function f($n) { return $n + 1; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit, err := emitter.Emit(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, _ := unit.FuncByName("f")
+	for _, bound := range []bool{false, true} {
+		j, fr := policyJIT(t, unit, fn, ModeTracelet)
+		if minted := j.Lookup(fn, fr, &machine.Meter{}, bound) != nil; minted != bound {
+			t.Errorf("first visit, bound=%v: minted %v", bound, minted)
+		}
+		if j.Lookup(fn, fr, &machine.Meter{}, false) == nil {
+			t.Errorf("second visit (first bound=%v) did not mint", bound)
 		}
 	}
 }

@@ -7,7 +7,10 @@
 // way HHVM's JITed code calls its C++ helpers.
 package machine
 
-import "repro/internal/vasm"
+import (
+	"repro/internal/interp"
+	"repro/internal/vasm"
+)
 
 // Meter accumulates simulated cycles; it is shared with the
 // interpreter so execution-mode comparisons are apples to apples.
@@ -94,22 +97,27 @@ func instrCost(in *vasm.Instr) uint64 {
 const guardFailPenalty = 14
 
 // Helper body costs, matching the work the interpreter charges for
-// the same operations (minus its dispatch overhead). A dense array —
-// Helper ops run hundreds of times per request, so the lookup sits on
-// the dispatch hot path where a map probe would cost more than the
-// helper accounting itself.
-var helperCost = [vasm.HelperCount]uint64{
-	vasm.HConcat: 24, vasm.HBinop: 14, vasm.HEqAny: 8, vasm.HSameAny: 8,
-	vasm.HDivNum: 10, vasm.HModInt: 8, vasm.HToStr: 18, vasm.HCmpStr: 8,
-	vasm.HNewArr: 18, vasm.HNewPacked: 18, vasm.HAddElem: 12,
-	vasm.HAddNewElem: 10, vasm.HArrGetGeneric: 10, vasm.HArrGetPackedMiss: 12,
-	vasm.HArrSetLocal: 14, vasm.HArrAppendLocal: 10, vasm.HArrUnsetLocal: 12,
-	vasm.HAKExistsLocal: 8, vasm.HIterInit: 12, vasm.HIterNext: 5,
-	vasm.HIterKey: 4, vasm.HIterValue: 4, vasm.HIterFree: 3,
-	vasm.HNewObj: 22, vasm.HLdPropGeneric: 10, vasm.HStPropGeneric: 10,
-	vasm.HInstanceOf: 2, vasm.HVerifyParam: 5, vasm.HPrint: 14,
-	vasm.HThrow: 30, vasm.HConvToBoolGeneric: 4, vasm.HConvToIntGeneric: 4,
-	vasm.HConvToDblGeneric: 4,
+// the same operations (minus its dispatch overhead): base, plus perArg
+// for each operand — only the concatenation helpers take any number,
+// and cost interp.ConcatCost(len(Args)); HConcatAppend's first operand
+// is the local, so it costs what ConcatL n does, a concatenation of
+// n+1. A dense array — Helper ops run hundreds of times per request, so
+// the lookup sits on the dispatch hot path where a map probe would cost
+// more than the helper accounting itself.
+var helperCost = [vasm.HelperCount]struct{ base, perArg uint64 }{
+	vasm.HConcat:       {interp.ConcatBaseCost, interp.ConcatOperandCost},
+	vasm.HConcatAppend: {interp.ConcatBaseCost, interp.ConcatOperandCost},
+	vasm.HBinop:        {base: 14}, vasm.HEqAny: {base: 8}, vasm.HSameAny: {base: 8},
+	vasm.HDivNum: {base: 10}, vasm.HModInt: {base: 8}, vasm.HToStr: {base: 18}, vasm.HCmpStr: {base: 8},
+	vasm.HNewArr: {base: 18}, vasm.HNewPacked: {base: 18}, vasm.HAddElem: {base: 12},
+	vasm.HAddNewElem: {base: 10}, vasm.HArrGetGeneric: {base: 10}, vasm.HArrGetPackedMiss: {base: 12},
+	vasm.HArrSetLocal: {base: 14}, vasm.HArrAppendLocal: {base: 10}, vasm.HArrUnsetLocal: {base: 12},
+	vasm.HAKExistsLocal: {base: 8}, vasm.HIterInit: {base: 12}, vasm.HIterNext: {base: 5},
+	vasm.HIterKey: {base: 4}, vasm.HIterValue: {base: 4}, vasm.HIterFree: {base: 3},
+	vasm.HNewObj: {base: 22}, vasm.HLdPropGeneric: {base: 10}, vasm.HStPropGeneric: {base: 10},
+	vasm.HInstanceOf: {base: 2}, vasm.HVerifyParam: {base: 5}, vasm.HPrint: {base: 14},
+	vasm.HThrow: {base: 30}, vasm.HConvToBoolGeneric: {base: 4}, vasm.HConvToIntGeneric: {base: 4},
+	vasm.HConvToDblGeneric: {base: 4},
 }
 
 // Method-dispatch costs: inline-cache hit vs full method lookup.

@@ -537,7 +537,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			el, ok := arr.AsArr().GetIntKey(act.get(in.B).AsInt())
 			if !ok || el.Kind == types.KUninit {
 				el = runtime.Null()
-				m.Meter.Charge(helperCost[vasm.HArrGetPackedMiss])
+				m.Meter.Charge(helperCost[vasm.HArrGetPackedMiss].base)
 			}
 			h.IncRef(el)
 			act.set(in.D, el)
@@ -591,7 +591,8 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 
 		case vasm.Helper:
 			hid, extra := vasm.UnpackHelper(in.I64)
-			m.Meter.Charge(helperCost[hid])
+			c := &helperCost[hid]
+			m.Meter.Charge(c.base + c.perArg*uint64(len(in.Args)))
 			var res runtime.Value
 			if res, err = m.runHelper(act, hid, extra, in); err != nil {
 				goto throw

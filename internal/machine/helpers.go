@@ -22,7 +22,18 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 
 	switch hid {
 	case vasm.HConcat:
-		return runtime.Concat(h, arg(0), arg(1)), nil
+		parts := m.takeArgs(act, in.Args, 0)
+		r := runtime.Concat(h, parts)
+		m.putArgs(parts)
+		return r, nil
+	case vasm.HConcatAppend:
+		// The register is the local for the duration: its reference
+		// goes in, the one the local is to hold comes back.
+		local := arg(0)
+		parts := m.takeArgs(act, in.Args, 1)
+		runtime.ConcatAppend(h, &local, parts)
+		m.putArgs(parts)
+		return local, nil
 	case vasm.HBinop:
 		// BinopGeneric consumes both operands (no DecRef follows it).
 		a, b := arg(0), arg(1)

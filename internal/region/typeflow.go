@@ -40,10 +40,12 @@ func init() {
 	set([]need{{0, ConSpecific, want}}, hhbc.OpNot, hhbc.OpCastBool, hhbc.OpCastInt, hhbc.OpCastDouble,
 		hhbc.OpCastString, hhbc.OpJmpZ, hhbc.OpJmpNZ, hhbc.OpSwitch, hhbc.OpInstanceOfD, hhbc.OpPrint, hhbc.OpAKExistsL)
 	set([]need{{0, ConSpecific, must}}, hhbc.OpNeg)
-	set([]need{{1, ConSpecific, want}, {0, ConSpecific, want}}, hhbc.OpMod, hhbc.OpConcat,
+	set([]need{{1, ConSpecific, want}, {0, ConSpecific, want}}, hhbc.OpMod,
 		hhbc.OpGt, hhbc.OpGte, hhbc.OpLt, hhbc.OpLte, hhbc.OpEq, hhbc.OpNeq, hhbc.OpSame, hhbc.OpNSame)
 	set([]need{{1, ConSpecific, must}, {0, ConSpecific, must}}, hhbc.OpAdd, hhbc.OpSub, hhbc.OpMul, hhbc.OpDiv)
 	set([]need{{atArgs, ConCountness, want}}, hhbc.OpNewPackedArray, hhbc.OpFCallD, hhbc.OpFCallBuiltin)
+	set([]need{{atArgs, ConSpecific, want}}, hhbc.OpConcatN)
+	set([]need{{atArgs, ConSpecific, want}, {atLocal, ConSpecific, want}}, hhbc.OpConcatL)
 	set([]need{{atArgs, ConCountness, want}, {atRecv, ConSpecialized, want}}, hhbc.OpFCallObjMethodD)
 	set([]need{{atLocal, ConCountness, must}}, hhbc.OpCGetL, hhbc.OpCGetL2, hhbc.OpPushL, hhbc.OpUnsetL)
 	set([]need{{0, ConCountness, want}, {atLocal, ConCountness, must}}, hhbc.OpPopL, hhbc.OpSetL)

@@ -84,8 +84,16 @@ func (h *Heap) NewStr(s string) Value {
 	if str.refs != deadRefs {
 		h.OverReleases++
 	}
-	str.Data, str.refs = s, 1
+	str.Data, str.refs, str.spare = s, 1, 0
 	return StrV(str)
+}
+
+// newStrBuf is NewStr for a string rendered into buf, whose unused
+// capacity becomes the box's spare room.
+func (h *Heap) newStrBuf(buf []byte) Value {
+	v := h.NewStr("")
+	v.AsStr().setBuffer(buf)
+	return v
 }
 
 // NewObject allocates an instance of c with default-initialized
@@ -120,7 +128,7 @@ func (o *Object) parkedBytes() uintptr {
 func incRefVal(v Value) {
 	switch v.Kind {
 	case types.KStr:
-		if !v.AsStr().static {
+		if !v.AsStr().Static() {
 			v.AsStr().refs++
 		}
 	case types.KArr:
@@ -134,7 +142,7 @@ func incRefVal(v Value) {
 func (h *Heap) IncRef(v Value) {
 	switch v.Kind {
 	case types.KStr:
-		if v.AsStr().static {
+		if v.AsStr().Static() {
 			return
 		}
 		h.IncRefs++
@@ -154,7 +162,7 @@ func (h *Heap) DecRef(v Value) {
 	switch v.Kind {
 	case types.KStr:
 		s := v.AsStr()
-		if s.static {
+		if s.Static() {
 			return
 		}
 		h.DecRefs++
@@ -192,7 +200,7 @@ func (h *Heap) freeStr(s *Str) {
 	}
 	h.Frees++
 	h.LiveStrs--
-	s.Data, s.refs = "", deadRefs
+	s.Data, s.refs, s.spare = "", deadRefs, 0 // the header is parked; the buffer never is
 	if h.parked+strBytes <= maxParkedBytes {
 		h.parked += strBytes
 		h.freeStrs = append(h.freeStrs, s)

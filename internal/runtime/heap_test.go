@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/shapes"
@@ -234,13 +235,13 @@ func TestWarmAllocationCounts(t *testing.T) {
 	h := NewHeap()
 	a, b := h.NewStr("left-hand side, "), h.NewStr("right-hand side")
 	n := Int(1234567)
-	h.DecRef(Concat(h, a, b)) // warm the lists
+	h.DecRef(Concat(h, []Value{a, b})) // warm the lists
 	h.DecRef(ObjV(h.NewObject(cls)))
 
-	if got := testing.AllocsPerRun(100, func() { h.DecRef(Concat(h, a, b)) }); got != 1 {
+	if got := testing.AllocsPerRun(100, func() { h.DecRef(Concat(h, []Value{a, b})) }); got != 1 {
 		t.Errorf("warm Concat of two strings: %v allocations, want 1 (the data)", got)
 	}
-	if got := testing.AllocsPerRun(100, func() { h.DecRef(Concat(h, a, n)) }); got != 1 {
+	if got := testing.AllocsPerRun(100, func() { h.DecRef(Concat(h, []Value{a, n})) }); got != 1 {
 		t.Errorf("warm Concat of a string and an int: %v allocations, want 1", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { h.DecRef(ObjV(h.NewObject(cls))) }); got != 0 {
@@ -248,9 +249,10 @@ func TestWarmAllocationCounts(t *testing.T) {
 	}
 }
 
-// BenchmarkGuestAlloc is the allocation cost of the two boxes the site
-// creates most: a concatenation's result and an object, each freed
-// before the next is made.
+// BenchmarkGuestAlloc is the allocation cost of what the site creates
+// most: a concatenation's result, a string built by forty appends
+// (profile_render's page), and an object, each freed before the next is
+// made.
 func BenchmarkGuestAlloc(b *testing.B) {
 	tree := shapes.NewTree()
 	cls := testClass(tree, "A", Int(1), Null(), Null())
@@ -259,8 +261,19 @@ func BenchmarkGuestAlloc(b *testing.B) {
 	b.Run("concat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			h.DecRef(Concat(h, left, Int(int64(i))))
-			h.DecRef(Concat(h, left, right))
+			h.DecRef(Concat(h, []Value{left, Int(int64(i))}))
+			h.DecRef(Concat(h, []Value{left, right}))
+		}
+	})
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		card := []Value{h.NewStr(strings.Repeat("c", 100))}
+		for i := 0; i < b.N; i++ {
+			page := StrV(InternStr(""))
+			for k := 0; k < 40; k++ {
+				ConcatAppend(h, &page, card)
+			}
+			h.DecRef(page)
 		}
 	})
 	b.Run("new", func(b *testing.B) {

@@ -1,8 +1,10 @@
 package runtime
 
 import (
+	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/types"
 )
@@ -141,18 +143,119 @@ func IncDec(slot *Value, inc, post bool) (Value, error) {
 	return nv, nil
 }
 
-// Concat implements the . operator, producing a fresh counted string.
-// An Int operand is rendered into a stack buffer, so the only host
-// allocation left is the result's data.
-func Concat(h *Heap, a, b Value) Value {
-	var buf [24]byte
-	switch {
-	case a.Kind == types.KInt:
-		return h.NewStr(string(strconv.AppendInt(buf[:0], a.AsInt(), 10)) + b.ToString())
-	case b.Kind == types.KInt:
-		return h.NewStr(a.ToString() + string(strconv.AppendInt(buf[:0], b.AsInt(), 10)))
+// Concat implements the . operator over any number of operands (the
+// ConcatN bytecode): one counted string, one allocation sized for the
+// whole result, numbers rendered straight into it.
+func Concat(h *Heap, parts []Value) Value {
+	buf := make([]byte, 0, concatLen(parts))
+	for _, p := range parts {
+		buf = appendValue(buf, p)
 	}
-	return h.NewStr(a.ToString() + b.ToString())
+	return h.newStrBuf(buf)
+}
+
+// ConcatAppend implements `$local .= parts` (the ConcatL bytecode): the
+// local is read after its operands were evaluated. A string nothing
+// else references is extended where it lies — behind len(Data) while
+// its buffer has room, in a buffer of twice the size once it has not —
+// and keeps its box; anything else (a static or shared string, a
+// non-string) is rendered into a fresh string that replaces it in the
+// local. The operands are borrowed.
+func ConcatAppend(h *Heap, local *Value, parts []Value) {
+	old := *local
+	add := concatLen(parts)
+	if old.Kind == types.KStr {
+		if s := old.AsStr(); s.refs == 1 && !s.Static() {
+			buf := s.buffer()
+			if add > cap(buf)-len(buf) {
+				buf = append(growBuf(len(buf)+add), buf...)
+			}
+			for _, p := range parts {
+				buf = appendValue(buf, p)
+			}
+			s.setBuffer(buf)
+			return
+		}
+	}
+	buf := appendValue(growBuf(valueLen(old)+add), old)
+	for _, p := range parts {
+		buf = appendValue(buf, p)
+	}
+	*local = h.newStrBuf(buf)
+	h.DecRef(old)
+}
+
+// growBuf returns an empty buffer for a string of need bytes that is
+// being appended to: twice the room, so a run of appends copies each
+// byte a bounded number of times (and allocates a logarithmic number
+// of buffers).
+func growBuf(need int) []byte { return make([]byte, 0, 2*need) }
+
+// buffer is s's bytes as a slice whose capacity takes in its spare
+// room; setBuffer makes buf (that slice, appended to, or a new one)
+// s's data. Only ConcatAppend uses the pair, on a box with one
+// reference.
+func (s *Str) buffer() []byte {
+	n := len(s.Data)
+	return unsafe.Slice(unsafe.StringData(s.Data), n+int(s.spare))[:n]
+}
+
+func (s *Str) setBuffer(buf []byte) {
+	if len(buf) == 0 { // nothing StringData could find again
+		s.Data, s.spare = "", 0
+		return
+	}
+	s.Data = unsafe.String(unsafe.SliceData(buf), len(buf))
+	s.spare = int32(min(cap(buf)-len(buf), math.MaxInt32))
+}
+
+// concatLen bounds the bytes the operands of a concatenation render to:
+// exactly, but for a double (maxDoubleLen).
+func concatLen(parts []Value) int {
+	n := 0
+	for _, p := range parts {
+		n += valueLen(p)
+	}
+	return n
+}
+
+func valueLen(v Value) int {
+	switch v.Kind {
+	case types.KStr:
+		return len(v.AsStr().Data)
+	case types.KInt:
+		return intLen(v.AsInt())
+	case types.KDbl:
+		return maxDoubleLen
+	default:
+		return len(v.ToString()) // "", "1", "Array", "Object(C)": no allocation but the last
+	}
+}
+
+// intLen is the length of i in decimal.
+func intLen(i int64) int {
+	n, u := 1, uint64(i)
+	if i < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// appendValue appends v as echo would render it.
+func appendValue(buf []byte, v Value) []byte {
+	switch v.Kind {
+	case types.KStr:
+		return append(buf, v.AsStr().Data...)
+	case types.KInt:
+		return strconv.AppendInt(buf, v.AsInt(), 10)
+	case types.KDbl:
+		return appendDouble(buf, v.AsDbl())
+	default:
+		return append(buf, v.ToString()...)
+	}
 }
 
 // ToStr implements the (string) cast. The result is owned: a string

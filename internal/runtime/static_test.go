@@ -36,7 +36,7 @@ func TestStaticTypingCoversDynamicResults(t *testing.T) {
 		return push[0], localOut
 	}
 
-	binary := []hhbc.Op{hhbc.OpAdd, hhbc.OpSub, hhbc.OpMul, hhbc.OpDiv, hhbc.OpMod, hhbc.OpConcat,
+	binary := []hhbc.Op{hhbc.OpAdd, hhbc.OpSub, hhbc.OpMul, hhbc.OpDiv, hhbc.OpMod,
 		hhbc.OpGt, hhbc.OpGte, hhbc.OpLt, hhbc.OpLte, hhbc.OpEq, hhbc.OpNeq, hhbc.OpSame, hhbc.OpNSame}
 	for _, op := range binary {
 		for _, a := range all {
@@ -52,6 +52,15 @@ func TestStaticTypingCoversDynamicResults(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+
+	for _, a := range all {
+		for _, b := range all {
+			r := rt.Concat(h, []rt.Value{a.v, b.v, a.v})
+			if want, _ := predict(hhbc.Instr{Op: hhbc.OpConcatN, A: 3}, nil, types.TBottom); !r.Type().SubtypeOf(want) {
+				t.Errorf("ConcatN(%s, %s, %s) = %s, typed %s", a.name, b.name, a.name, r.Type(), want)
 			}
 		}
 	}
@@ -93,6 +102,7 @@ func TestStaticTypingCoversDynamicResults(t *testing.T) {
 	}
 
 	elemStores := map[hhbc.Op]func(slot *rt.Value) error{
+		hhbc.OpConcatL:    func(slot *rt.Value) error { rt.ConcatAppend(h, slot, []rt.Value{rt.Int(1)}); return nil },
 		hhbc.OpArrSetL:    func(slot *rt.Value) error { return rt.ElemSet(h, slot, rt.Int(0), rt.Int(1)) },
 		hhbc.OpArrAppendL: func(slot *rt.Value) error { return rt.ElemAppend(h, slot, rt.Int(1)) },
 		hhbc.OpArrUnsetL:  func(slot *rt.Value) error { rt.ElemUnset(h, slot, rt.Int(0)); return nil },

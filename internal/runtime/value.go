@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"unsafe"
 
@@ -157,12 +158,18 @@ func (v Value) ToString() string {
 	}
 }
 
-func formatDouble(d float64) string {
+func formatDouble(d float64) string { return string(appendDouble(nil, d)) }
+
+// appendDouble renders d as echo would; maxDoubleLen bounds what it
+// appends ("-1.2345678901234E+308", or 15 digits and a sign).
+func appendDouble(b []byte, d float64) []byte {
 	if d == math.Trunc(d) && math.Abs(d) < 1e15 {
-		return strconv.FormatFloat(d, 'f', -1, 64)
+		return strconv.AppendFloat(b, d, 'f', -1, 64)
 	}
-	return strconv.FormatFloat(d, 'G', 14, 64)
+	return strconv.AppendFloat(b, d, 'G', 14, 64)
 }
+
+const maxDoubleLen = 24
 
 // DebugString renders a value for diagnostics (not guest-visible).
 func (v Value) DebugString() string {
@@ -184,13 +191,20 @@ func (v Value) DebugString() string {
 	}
 }
 
-// Str is a counted guest string.
+// Str is a counted guest string. Data's bytes live in a buffer that may
+// run on past len(Data): spare says how many bytes behind Data are this
+// box's to write. Only ConcatAppend writes them, only through a box
+// nothing else references, and no buffer is ever handed to a second
+// box with spare left — so whatever retains a Data (an array key, a
+// substring, the intern table's clone source) sees bytes that never
+// change (DESIGN.md §6, "Strings built in place").
 type Str struct {
 	Data string
 	refs int32
-	// static strings (unit literals) are never freed and skip
-	// refcounting, mirroring HHVM's static string table.
-	static bool
+	// spare is -1 for static strings (unit literals), which are never
+	// freed or written and skip refcounting, mirroring HHVM's static
+	// string table.
+	spare int32
 }
 
 // Refs returns the current reference count, 0 once freed (for tests
@@ -198,7 +212,7 @@ type Str struct {
 func (s *Str) Refs() int32 { return liveRefs(s.refs) }
 
 // Static marks and reports interned unit literals.
-func (s *Str) Static() bool { return s.static }
+func (s *Str) Static() bool { return s.spare < 0 }
 
 // internTable is the static string table shared by all loaded units.
 // Interning happens at runtime too (array string keys, LdStr), and
@@ -206,12 +220,16 @@ func (s *Str) Static() bool { return s.static }
 // lock-free reads once a string is warm, append-only writes.
 var internTable sync.Map // string -> *Str
 
-// InternStr returns the shared static string for s.
+// InternStr returns the shared static string for s. The table keeps a
+// copy of its own: s may be a view of a request's buffer (a substring
+// of something large, an append buffer with its slack), which a
+// process-wide table must not keep alive.
 func InternStr(s string) *Str {
 	if v, ok := internTable.Load(s); ok {
 		return v.(*Str)
 	}
-	v := &Str{Data: s, refs: 1, static: true}
+	s = strings.Clone(s)
+	v := &Str{Data: s, refs: 1, spare: -1}
 	if prior, loaded := internTable.LoadOrStore(s, v); loaded {
 		return prior.(*Str)
 	}

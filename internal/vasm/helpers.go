@@ -6,10 +6,11 @@ package vasm
 type HelperID int
 
 const (
-	HNone HelperID = iota
-	HConcat
-	HBinop // extra = hhbc.Op
-	HEqAny // extra = 1 to negate
+	HNone         HelperID = iota
+	HConcat                // args = the operands, two or more
+	HConcatAppend          // args = a local's value, then the operands appended; D = the local's new value
+	HBinop                 // extra = hhbc.Op
+	HEqAny                 // extra = 1 to negate
 	HSameAny
 	HDivNum
 	HModInt
@@ -45,7 +46,7 @@ const (
 )
 
 var helperNames = [HelperCount]string{
-	HConcat: "concat", HBinop: "binop", HEqAny: "eq_any", HSameAny: "same_any",
+	HConcat: "concat", HConcatAppend: "concat_append", HBinop: "binop", HEqAny: "eq_any", HSameAny: "same_any",
 	HDivNum: "div_num", HModInt: "mod_int", HToStr: "to_str", HCmpStr: "cmp_str",
 	HNewArr: "new_arr", HNewPacked: "new_packed", HAddElem: "add_elem",
 	HAddNewElem: "add_new_elem", HArrGetGeneric: "arr_get",

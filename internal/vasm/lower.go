@@ -320,6 +320,7 @@ var lowerTable = [hhir.OpcodeCount]lowerRow{
 	hhir.ConvToStr:    help(HToStr, 0),
 	hhir.BinopGeneric: help(HBinop, rI64|rCatch),
 	hhir.ConcatStr:    help(HConcat, 0),
+	hhir.ConcatAppend: help(HConcatAppend, 0),
 
 	hhir.CountArray:     plain(ArrCount, 0),
 	hhir.ArrGetPackedI:  plain(ArrGetPkI, rCatch),

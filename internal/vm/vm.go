@@ -180,6 +180,9 @@ type exit struct {
 	// prof is the profiling translation the activation ran last, the
 	// source of the TransCFG arc to the next pick.
 	prof *jit.Translation
+	// bound: the translation ended here on purpose (a bind request, not
+	// a side exit), so the address is as hot as the code that led to it.
+	bound bool
 }
 
 type exitReason uint8
@@ -245,7 +248,7 @@ func (v *VM) next(fr *interp.Frame, how *exit) *jit.Translation {
 	case stuck:
 		return nil
 	}
-	tr := v.JIT.Lookup(fr.Fn, fr, v.Meter)
+	tr := v.JIT.Lookup(fr.Fn, fr, v.Meter, how.bound)
 	if tr != nil {
 		if how.bindCode != nil {
 			// The next transfer through the exit site chains directly.
@@ -297,6 +300,7 @@ func (v *VM) runFrame(fr *interp.Frame, hint machine.ChainTarget) (runtime.Value
 		case machine.BindRequest:
 			v.JIT.NoteBindRequest()
 			v.Meter.Charge(bindDispatchCost)
+			how.bound = true
 			how.bindCode, how.bindInstr = out.BindCode, out.BindInstr
 		}
 		switch out.Kind {
