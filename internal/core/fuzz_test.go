@@ -209,6 +209,40 @@ echo app%[1]d(%[9]d), ";";
 `, id, init, chain(), 2+g.r.Intn(3), g.r.Intn(2), hold, chain(), chain(), 4+g.r.Intn(8))
 }
 
+// maps emits a function over a mixed array (DESIGN.md §6 "Arrays"): a
+// literal of 2 to 15 entries under string, negative and positive int
+// keys, then a loop that stores under dynamic string keys, appends and
+// unsets, and a foreach by key that may mutate the array it walks. The
+// sizes straddle the 8 entries past which lookups go through the index.
+// It is emitted, and draws, after everything else.
+func (g *progGen) maps() {
+	id := g.fns
+	g.fns++
+	n := 2 + g.r.Intn(14)
+	entries := make([]string, n)
+	for j := range entries {
+		key := []string{fmt.Sprintf("\"c%d\"", j), fmt.Sprint(j*3 - 4), fmt.Sprintf("\"c%d\"", g.r.Intn(n))}[g.r.Intn(3)]
+		val := []string{"$n", fmt.Sprint("\"v", j, "\""), "$n * 0.5"}[g.r.Intn(3)]
+		entries[j] = key + " => " + val
+	}
+	unset := []string{"\"c0\"", "\"d\" . ($i % 3)", "-4", "$i", "$i - 2"}[g.r.Intn(5)]
+	body := []string{"", "unset($m[$k]);", "$m[$k . \"x\"] = 1;", "$m[] = $k;"}[g.r.Intn(4)]
+	fmt.Fprintf(&g.sb, `
+function map%[1]d($n) {
+  $m = [%[2]s];
+  for ($i = 0; $i < $n; $i++) {
+    $m["d" . ($i %% %[3]d)] = $i;
+    if ($i %% %[4]d == 0) { unset($m[%[5]s]); }
+    if ($i %% %[6]d == 1) { $m[] = "a" . $i; }
+  }
+  $out = "";
+  foreach ($m as $k => $v) { $out .= $k . "=" . $v . ","; %[7]s }
+  return count($m) . ":" . $out . implode(",", array_keys($m));
+}
+echo map%[1]d(%[8]d), ";";
+`, id, strings.Join(entries, ", "), 2+g.r.Intn(10), 2+g.r.Intn(3), unset, 2+g.r.Intn(3), body, 3+g.r.Intn(12))
+}
+
 func (g *progGen) generate() string {
 	// A helper function (polymorphic: int and double call sites).
 	g.sb.WriteString(`
@@ -229,6 +263,7 @@ function hinted(int $n) { return $n + 1; }
 	}
 	g.flow()
 	g.appends()
+	g.maps()
 	return g.sb.String()
 }
 

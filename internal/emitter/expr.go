@@ -221,7 +221,7 @@ func (fe *funcEmitter) arrayLit(v *ast.ArrayLit) error {
 		fe.emit(hhbc.OpNewPackedArray, int32(len(v.Vals)), 0, 0)
 		return nil
 	}
-	fe.emit(hhbc.OpNewArray, 0, 0, 0)
+	fe.emit(hhbc.OpNewArray, int32(len(v.Vals)), 0, 0)
 	for i := range v.Vals {
 		if v.Keys[i] == nil {
 			if err := fe.expr(v.Vals[i]); err != nil {

@@ -172,6 +172,37 @@ func TestConcatOpsDisassembleAndRoundtrip(t *testing.T) {
 	}
 }
 
+// TestNewArrayCarriesItsHint: a mixed literal's NewArray names the
+// literal's entry count, the capacity runtime.NewMixed allocates; the
+// disassembly prints it and it survives encode/decode. A packed
+// literal is a NewPackedArray and has no NewArray.
+func TestNewArrayCarriesItsHint(t *testing.T) {
+	cases := []struct{ lit, want string }{
+		{`[1, 2]`, "NewPackedArray 2\n"},
+		{`["a" => 1]`, "NewArray 1\n"},
+		{`["a" => 1, 2, "b" => $x]`, "NewArray 3\n"},
+		{`[5 => 1, 6 => 2, 7 => 3, 8 => 4]`, "NewArray 4\n"},
+		{`["a" => 1, "a" => 2]`, "NewArray 2\n"}, // a repeated key still counts
+		{`[` + strings.Repeat(`"k" . $x => 1, `, 40) + `]`, "NewArray 40\n"},
+	}
+	for _, c := range cases {
+		u := compile(t, `function f($x) { return `+c.lit+`; } echo count(f(1));`)
+		f, _ := u.FuncByName("f")
+		dis := hhbc.Disassemble(u, f)
+		if !strings.Contains(dis, c.want) || strings.Count(dis, "NewArray") != strings.Count(c.want, "NewArray") {
+			t.Errorf("%s: want %q and no other NewArray in\n%s", c.lit, c.want, dis)
+		}
+		u2, err := hhbc.DecodeUnit(hhbc.EncodeUnit(u))
+		if err != nil {
+			t.Fatalf("%s: %v", c.lit, err)
+		}
+		f2, _ := u2.FuncByName("f")
+		if !reflect.DeepEqual(f.Instrs, f2.Instrs) {
+			t.Errorf("%s: instructions changed across encode/decode", c.lit)
+		}
+	}
+}
+
 func TestInternDoubleKeepsBitPatterns(t *testing.T) {
 	u := hhbc.NewUnit()
 	zero, negZero := u.InternDouble(0), u.InternDouble(math.Copysign(0, -1))

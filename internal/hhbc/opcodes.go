@@ -74,7 +74,7 @@ const (
 	OpFatal  // A = string pool index: raise runtime fatal
 
 	// Arrays.
-	OpNewArray       // push empty mixed array
+	OpNewArray       // A = capacity hint (the literal's entry count): push empty mixed array
 	OpNewPackedArray // A = n: pop n elems, push packed array
 	OpAddElemC       // pop val, key, arr; push arr with arr[key]=val
 	OpAddNewElemC    // pop val, arr; push arr with arr[]=val
@@ -224,7 +224,7 @@ var opTable = [opCount]opInfo{
 	OpCatch:  row("Catch", 0, 1, 0),
 	OpFatal:  row("Fatal", 0, 0, noFall, ImmStr),
 
-	OpNewArray:       row("NewArray", 0, 1, 0),
+	OpNewArray:       row("NewArray", 0, 1, 0, ImmCount),
 	OpNewPackedArray: row("NewPackedArray", popsA, 1, 0, ImmCount),
 	OpAddElemC:       row("AddElemC", 3, 1, 0),
 	OpAddNewElemC:    row("AddNewElemC", 2, 1, 0),

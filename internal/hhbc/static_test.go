@@ -42,6 +42,8 @@ func TestVerifierChecksEveryImmediateKind(t *testing.T) {
 		{name: "param past end", in: hhbc.Instr{Op: hhbc.OpVerifyParamType, A: 5}, post: null},
 		{name: "param -1", in: hhbc.Instr{Op: hhbc.OpVerifyParamType, A: -1}, post: null},
 		{name: "count -1", in: hhbc.Instr{Op: hhbc.OpNewPackedArray, A: -1}},
+		{name: "NewArray hint -1", in: hhbc.Instr{Op: hhbc.OpNewArray, A: -1}},
+		{name: "NewArray hint past the function", in: hhbc.Instr{Op: hhbc.OpNewArray, A: 1 << 30}},
 		{name: "ConcatN 0", in: hhbc.Instr{Op: hhbc.OpConcatN, A: 0}},
 		{name: "ConcatN 1", in: hhbc.Instr{Op: hhbc.OpConcatN, A: 1}, pre: null},
 		{name: "ConcatL 0", in: hhbc.Instr{Op: hhbc.OpConcatL, A: 0, B: 0}, post: null},
@@ -85,7 +87,8 @@ func TestVerifierChecksEveryImmediateKind(t *testing.T) {
 	u := hhbc.NewUnit()
 	f := &hhbc.Func{Name: "ok", NumLocals: 1, Instrs: []hhbc.Instr{
 		{Op: hhbc.OpNull}, {Op: hhbc.OpConcatL, A: 1, B: 0},
-		{Op: hhbc.OpCGetL}, {Op: hhbc.OpNull}, {Op: hhbc.OpConcatN, A: 2}, {Op: hhbc.OpRetC}}}
+		{Op: hhbc.OpCGetL}, {Op: hhbc.OpNull}, {Op: hhbc.OpConcatN, A: 2},
+		{Op: hhbc.OpNewArray, A: 1}, {Op: hhbc.OpPopC}, {Op: hhbc.OpRetC}}}
 	u.AddFunc(f)
 	if err := hhbc.VerifyFunc(u, f); err != nil {
 		t.Errorf("well-formed function rejected: %v", err)
@@ -143,16 +146,18 @@ func seedUnits(t testing.TB) []*hhbc.Unit {
 // fixed point.
 func FuzzDecodeUnit(f *testing.F) {
 	var seen [256]bool
+	hinted := false
 	for _, u := range seedUnits(f) {
 		f.Add(hhbc.EncodeUnit(u))
 		for _, fn := range u.Funcs {
 			for _, in := range fn.Instrs {
 				seen[in.Op] = true
+				hinted = hinted || in.Op == hhbc.OpNewArray && in.A > 0
 			}
 		}
 	}
-	if !seen[hhbc.OpConcatN] || !seen[hhbc.OpConcatL] {
-		f.Fatal("no seed unit uses ConcatN and ConcatL")
+	if !seen[hhbc.OpConcatN] || !seen[hhbc.OpConcatL] || !hinted {
+		f.Fatal("no seed unit uses ConcatN, ConcatL and a hinted NewArray")
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		u, err := hhbc.DecodeUnit(blob)

@@ -125,6 +125,11 @@ func checkImmediates(u *Unit, f *Func, in Instr) error {
 				lo = 2 // one operand is no concatenation
 			case OpConcatL:
 				lo = 1
+			case OpNewArray:
+				// A capacity hint: the literal's entry count, each entry
+				// one AddElemC or AddNewElemC of the function. Bounding it
+				// keeps a forged unit from sizing an allocation at will.
+				limit = len(f.Instrs)
 			}
 		case ImmIncDec:
 			what, limit = "inc/dec op", len(incDecNames)

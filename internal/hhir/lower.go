@@ -278,7 +278,9 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		return true, nil
 
 	case hhbc.OpNewArray:
-		b.push(b.def(NewArr, types.ArrOfKind(types.ArrayMixed)))
+		arr := b.def(NewArr, types.ArrOfKind(types.ArrayMixed))
+		arr.Def.I64 = int64(in.A)
+		b.push(arr)
 	case hhbc.OpNewPackedArray:
 		b.push(b.def(NewPackedArr, types.ArrOfKind(types.ArrayPacked), b.popN(int(in.A))...))
 	case hhbc.OpAddElemC:

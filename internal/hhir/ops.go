@@ -80,7 +80,7 @@ const (
 	ArrAppendLocal // I64 = local slot; Args: val
 	ArrUnsetLocal  // I64 = local slot; Args: key
 	AKExistsLocal  // I64 = local slot; Args: key -> Bool
-	NewArr         // Dst mixed array
+	NewArr         // I64 = capacity hint; Dst mixed array
 	NewPackedArr   // Args = elems
 	AddElem        // Args: arr, key, val -> Dst arr
 	AddNewElem     // Args: arr, val -> Dst arr
@@ -219,7 +219,7 @@ var opTable = [opcodeCount]struct {
 	ArrAppendLocal: {"ArrAppendLocal", fI64 | fKillsSlot | fCOW},
 	ArrUnsetLocal:  {"ArrUnsetLocal", fI64 | fKillsSlot | fCOW | fReleases},
 	AKExistsLocal:  {"AKExistsLocal", fI64},
-	NewArr:         {"NewArr", fOwned | fFresh},
+	NewArr:         {"NewArr", fI64 | fOwned | fFresh},
 	NewPackedArr:   {"NewPackedArr", fOwned | fFresh},
 	AddElem:        {"AddElem", fOwned | fCOW | fReleases}, // a repeated key releases the earlier value
 	AddNewElem:     {"AddNewElem", fOwned | fCOW},

@@ -319,7 +319,7 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 			return runtime.Null(), runtime.NewError("%s", u.Strings[in.A])
 
 		case hhbc.OpNewArray:
-			fr.push(runtime.ArrV(runtime.NewMixed()))
+			fr.push(runtime.ArrV(runtime.NewMixed(int(in.A))))
 		case hhbc.OpNewPackedArray:
 			n := int(in.A)
 			elems := make([]runtime.Value, n)

@@ -56,7 +56,7 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 	case vasm.HCmpStr:
 		return runtime.Bool(runtime.Compare(runtime.Cond(extra&0xff), arg(0), arg(1))), nil
 	case vasm.HNewArr:
-		return runtime.ArrV(runtime.NewMixed()), nil
+		return runtime.ArrV(runtime.NewMixed(int(extra))), nil
 	case vasm.HNewPacked:
 		elems := make([]runtime.Value, len(in.Args))
 		for i := range in.Args {

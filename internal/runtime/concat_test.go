@@ -79,7 +79,7 @@ func TestAppendNeverChangesRetainedBytes(t *testing.T) {
 	type seen struct{ view, copy string }
 	var retained []seen
 	var aliases []Value
-	keys := NewMixed()
+	keys := NewMixed(0)
 	local := StrV(InternStr(""))
 	inPlace := 0
 	for i := 0; i < 1000; i++ {

@@ -223,13 +223,12 @@ func (h *Heap) decArrayRef(a *Array) {
 		a.elems = nil
 		return
 	}
-	for _, e := range a.entries {
-		if !e.dead {
-			h.DecRef(e.val)
-		}
+	entries := a.entries
+	a.entries, a.index, a.indexLen = nil, nil, 0
+	for _, e := range entries {
+		h.DecRef(e.val)
+		h.DecRef(e.key)
 	}
-	a.entries = nil
-	a.mixed = nil
 }
 
 // destroyObject runs when o's count reaches zero: the destructor, then

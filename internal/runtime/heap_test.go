@@ -247,12 +247,34 @@ func TestWarmAllocationCounts(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { h.DecRef(ObjV(h.NewObject(cls))) }); got != 0 {
 		t.Errorf("warm new/free cycle: %v allocations, want 0", got)
 	}
+	if got := testing.AllocsPerRun(100, func() { h.DecRef(mixedLiteral(h, 7)) }); got > 2 {
+		t.Errorf("a 4-key literal built and freed: %v allocations, want <= 2 (the box and its entries)", got)
+	}
+}
+
+// literalKeys are the string keys of mixedLiteral, static as a unit's
+// literals are.
+var literalKeys = [...]Value{StrV(InternStr("id")), StrV(InternStr("name")), StrV(InternStr("score")), StrV(InternStr("tags"))}
+
+// mixedLiteral builds what the bytecode for
+// ["id" => $i, "name" => "n", "score" => $i, "tags" => $i] does: NewArray
+// with its capacity hint, then one AddElemC per entry.
+func mixedLiteral(h *Heap, i int64) Value {
+	arr := ArrV(NewMixed(len(literalKeys)))
+	for k, key := range literalKeys {
+		val := Int(i)
+		if k == 1 {
+			val = StrV(InternStr("n"))
+		}
+		arr, _ = AddElem(h, arr, key, val)
+	}
+	return arr
 }
 
 // BenchmarkGuestAlloc is the allocation cost of what the site creates
 // most: a concatenation's result, a string built by forty appends
-// (profile_render's page), and an object, each freed before the next is
-// made.
+// (profile_render's page), an object and a 4-key mixed literal, each
+// freed before the next is made.
 func BenchmarkGuestAlloc(b *testing.B) {
 	tree := shapes.NewTree()
 	cls := testClass(tree, "A", Int(1), Null(), Null())
@@ -280,6 +302,12 @@ func BenchmarkGuestAlloc(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			h.DecRef(ObjV(h.NewObject(cls)))
+		}
+	})
+	b.Run("mixed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.DecRef(mixedLiteral(h, int64(i)))
 		}
 	})
 }

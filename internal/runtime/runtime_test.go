@@ -98,7 +98,7 @@ func TestArrayAppendKeepsPacked(t *testing.T) {
 
 func TestMixedInsertionOrder(t *testing.T) {
 	h := rt.NewHeap()
-	a := rt.NewMixed()
+	a := rt.NewMixed(0)
 	keys := []string{"z", "a", "m"}
 	for i, k := range keys {
 		a = a.Set(h, h.NewStr(k), rt.Int(int64(i)))
@@ -114,7 +114,7 @@ func TestMixedInsertionOrder(t *testing.T) {
 
 func TestArrayRemoveAndTombstones(t *testing.T) {
 	h := rt.NewHeap()
-	a := rt.NewMixed()
+	a := rt.NewMixed(0)
 	a = a.Set(h, h.NewStr("a"), rt.Int(1))
 	a = a.Set(h, h.NewStr("b"), rt.Int(2))
 	a = a.Remove(h, h.NewStr("a"))
@@ -188,7 +188,7 @@ func TestTruthiness(t *testing.T) {
 func TestArraySetGetProperty(t *testing.T) {
 	f := func(keys []uint8, vals []int64) bool {
 		h := rt.NewHeap()
-		a := rt.NewMixed()
+		a := rt.NewMixed(0)
 		model := map[int64]int64{}
 		for i, k := range keys {
 			if i >= len(vals) {

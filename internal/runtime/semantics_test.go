@@ -250,8 +250,14 @@ func TestElemStoresEveryKind(t *testing.T) {
 			before := refs(op.v)
 			key, val := h.NewStr("k"), h.NewStr("stored")
 			err := st.do(h, &slot, key, val)
-			if refs(key) != 1 {
-				t.Errorf("%s(%s): key refs = %d, want borrowed", st.name, op.name, refs(key))
+			// The caller's key is borrowed: it keeps its reference, and an
+			// entry stored under it holds one more until the entry dies.
+			wantKey := int32(1)
+			if st.name == "ElemSet" && err == nil {
+				wantKey = 2
+			}
+			if refs(key) != wantKey {
+				t.Errorf("%s(%s): key refs = %d, want %d", st.name, op.name, refs(key), wantKey)
 			}
 			switch op.name {
 			case "Uninit", "Null": // auto-vivification
@@ -265,9 +271,19 @@ func TestElemStoresEveryKind(t *testing.T) {
 				if refs(val) != 1 {
 					t.Errorf("%s(%s): stored value refs = %d, want 1 (array-owned)", st.name, op.name, refs(val))
 				}
+				h.DecRef(slot)
+				if refs(key) != 1 || refs(val) != 0 {
+					t.Errorf("%s(%s): freeing the array left key refs = %d, value refs = %d", st.name, op.name, refs(key), refs(val))
+				}
 			case "Arr":
 				if err != nil || slot.AsArr() != op.v.AsArr() || slot.AsArr().Len() != 3 || h.CowCopies != 0 {
 					t.Errorf("%s on an unshared array must mutate in place: %v cow=%d", st.name, err, h.CowCopies)
+				}
+				if st.name == "ElemSet" {
+					rt.ElemUnset(h, &slot, key)
+					if refs(key) != 1 || refs(val) != 0 {
+						t.Errorf("ElemSet then unset: key refs = %d, value refs = %d", refs(key), refs(val))
+					}
 				}
 			default:
 				if errText(err) != st.msg {
@@ -341,8 +357,13 @@ func TestAddElemConsumesArrayAndValue(t *testing.T) {
 			} else {
 				got, err = rt.AddNewElem(h, arr, val)
 			}
-			if refs(key) != 1 {
-				t.Errorf("%s(%s): key refs = %d, want borrowed", name, op.name, refs(key))
+			// Borrowed, plus the new entry's own reference while it lives.
+			wantKey := int32(1)
+			if withKey && err == nil {
+				wantKey = 2
+			}
+			if refs(key) != wantKey {
+				t.Errorf("%s(%s): key refs = %d, want %d", name, op.name, refs(key), wantKey)
 			}
 			if op.name == "Arr" {
 				// Shared (the IncRef above), so the literal builder copies;
@@ -352,6 +373,10 @@ func TestAddElemConsumesArrayAndValue(t *testing.T) {
 				}
 				if refs(arr) != before-1 {
 					t.Errorf("%s(Arr): source refs %d -> %d, want the reference moved", name, before, refs(arr))
+				}
+				h.DecRef(got)
+				if refs(key) != 1 || refs(val) != 0 {
+					t.Errorf("%s(Arr): freeing the result left key refs = %d, value refs = %d", name, refs(key), refs(val))
 				}
 				continue
 			}

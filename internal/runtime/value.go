@@ -215,9 +215,10 @@ func (s *Str) Refs() int32 { return liveRefs(s.refs) }
 func (s *Str) Static() bool { return s.spare < 0 }
 
 // internTable is the static string table shared by all loaded units.
-// Interning happens at runtime too (array string keys, LdStr), and
-// worker VMs execute concurrently, so the table is a sync.Map:
-// lock-free reads once a string is warm, append-only writes.
+// Interning happens at runtime too (LdStr), and worker VMs execute
+// concurrently, so the table is a sync.Map: lock-free reads once a
+// string is warm, append-only writes. It is never freed, so only unit
+// literals go in, never a string a request computed.
 var internTable sync.Map // string -> *Str
 
 // InternStr returns the shared static string for s. The table keeps a

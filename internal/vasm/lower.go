@@ -329,7 +329,7 @@ var lowerTable = [hhir.OpcodeCount]lowerRow{
 	hhir.ArrAppendLocal: help(HArrAppendLocal, rI64|rCatch),
 	hhir.ArrUnsetLocal:  help(HArrUnsetLocal, rI64),
 	hhir.AKExistsLocal:  help(HAKExistsLocal, rI64),
-	hhir.NewArr:         help(HNewArr, 0),
+	hhir.NewArr:         help(HNewArr, rI64),
 	hhir.NewPackedArr:   help(HNewPacked, 0),
 	hhir.AddElem:        help(HAddElem, rCatch),
 	hhir.AddNewElem:     help(HAddNewElem, rCatch),
