@@ -178,8 +178,8 @@ func main() {
 			st.ShapeGuards, st.ShapeGuardFails, st.PropICHits, st.PropICMisses, st.PropICMega, st.GenericPropCalls)
 		fmt.Fprintf(os.Stderr, "heap:         %d increfs, %d decrefs, %d destructors, %d COW copies\n",
 			hs.IncRefs, hs.DecRefs, hs.Destructs, hs.CowCopies)
-		fmt.Fprintf(os.Stderr, "              %d frees, %d live objects, %d live strings, %d over-releases\n",
-			hs.Frees, hs.LiveObjs, hs.LiveStrs, hs.OverReleases)
+		fmt.Fprintf(os.Stderr, "              %d frees, %d live objects, %d live strings, %d live arrays, %d over-releases\n",
+			hs.Frees, hs.LiveObjs, hs.LiveStrs, hs.LiveArrs, hs.OverReleases)
 		fmt.Fprintf(os.Stderr, "leases:       %d acquires, %d waits, %d steals; peak compile parallelism %d\n",
 			st.LeaseAcquires, st.LeaseWaits, st.LeaseSteals, st.PeakCompileParallelism)
 		if *faultRate > 0 {

@@ -29,16 +29,17 @@ func modes() map[string]jit.Config {
 // heapImbalance describes what a request left wrong on a guest heap,
 // "" for a balanced one: between requests nothing is live and no tier
 // has released a reference it did not own. strsMayLeak waives the live
-// strings, for JITed code that raises out of a helper: the borrowed
-// operands of the raising instruction keep a reference (DESIGN.md §6,
-// "The throw path's one asymmetry").
+// strings and arrays, for JITed code that raises out of a helper: the
+// borrowed operands of the raising instruction (a string, the array
+// base of `$a[k]`) keep a reference (DESIGN.md §6, "The throw path's
+// one asymmetry").
 func heapImbalance(heap *runtime.Heap, strsMayLeak bool) string {
 	h := heap.Snapshot()
-	if h.LiveObjs == 0 && (h.LiveStrs == 0 || strsMayLeak) && h.OverReleases == 0 {
+	if h.LiveObjs == 0 && (h.LiveStrs == 0 && h.LiveArrs == 0 || strsMayLeak) && h.OverReleases == 0 {
 		return ""
 	}
-	return fmt.Sprintf("heap unbalanced: %d live objects, %d live strings, %d over-releases",
-		h.LiveObjs, h.LiveStrs, h.OverReleases)
+	return fmt.Sprintf("heap unbalanced: %d live objects, %d live strings, %d live arrays, %d over-releases",
+		h.LiveObjs, h.LiveStrs, h.LiveArrs, h.OverReleases)
 }
 
 // runAllModes executes src repeatedly in every mode and checks all

@@ -171,6 +171,15 @@ function f($i) {
 			func(i int) string {
 				return fmt.Sprintf("12:0,1,3,4,5,6,7,8,9,s,10,11:%d|11:0,1,2,4,5,6,7,8,9,10,11:x", 0+1+3+4+5+6+7+8+9+i+10+11)
 			}},
+		{"unset of a list's last element keeps its next key", `
+function f($i) {
+  $a = [$i, $i + 1, $i + 2];
+  unset($a[2]); $a[] = "x";
+  $b = [$i];
+  unset($b[0]); $b[] = "y"; $b[] = "z";
+  return implode(",", array_keys($a)) . "=" . implode(",", $a) . "|" . implode(",", array_keys($b)) . "=" . implode(",", $b);
+}`,
+			func(i int) string { return fmt.Sprintf("0,1,3=%d,%d,x|1,2=y,z", i, i+1) }},
 		{"negative and huge int keys", `
 function pairs($a) { $out = ""; foreach ($a as $k => $v) { $out .= $k . "=" . $v . ","; } return $out; }
 function f($i) {

@@ -12,10 +12,16 @@ import (
 	"repro/internal/types"
 )
 
-// Optimize analyzes and rewrites every function in the unit.
+// Optimize analyzes and rewrites every function in the unit. Each
+// function's instructions leave it in a slice of exactly their length:
+// the unit keeps them for the life of the process, and the emitter's
+// append slack would be up to half of them.
 func Optimize(u *hhbc.Unit) error {
 	for _, f := range u.Funcs {
 		optimizeFunc(u, f)
+		if cap(f.Instrs) > len(f.Instrs) {
+			f.Instrs = append(make([]hhbc.Instr, 0, len(f.Instrs)), f.Instrs...)
+		}
 	}
 	return hhbc.VerifyUnit(u)
 }
@@ -220,7 +226,7 @@ func insertAsserts(u *hhbc.Unit, f *hhbc.Func, starts []int, blockEnd func(int) 
 
 	// Rebuild with remapping.
 	newPC := make([]int, len(f.Instrs)+1)
-	var out []hhbc.Instr
+	out := make([]hhbc.Instr, 0, len(f.Instrs)+total)
 	for pc, instr := range f.Instrs {
 		newPC[pc] = len(out)
 		for _, ins := range inserts[pc] {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hhbc"
 	"repro/internal/jit"
+	"repro/internal/workload"
 )
 
 func compile(t *testing.T, src string, skip bool) *hhbc.Unit {
@@ -108,3 +109,26 @@ echo z(5);`
 }
 
 func defaultJIT() jit.Config { return jit.Config{Mode: jit.ModeInterp} }
+
+// TestUnitKeepsNoAppendSlack: a compiled unit lives as long as the
+// process, so every function's instructions leave the AOT pipeline in a
+// slice of exactly their length — with and without asserts inserted.
+func TestUnitKeepsNoAppendSlack(t *testing.T) {
+	src, _ := workload.Combined()
+	u := compile(t, src, false)
+	asserted := 0
+	for _, f := range u.Funcs {
+		if cap(f.Instrs) != len(f.Instrs) {
+			t.Errorf("%s: %d instructions held in a slice of capacity %d", f.FullName(), len(f.Instrs), cap(f.Instrs))
+		}
+		for _, in := range f.Instrs {
+			if in.Op == hhbc.OpAssertRATL {
+				asserted++
+				break
+			}
+		}
+	}
+	if asserted == 0 || asserted == len(u.Funcs) {
+		t.Fatalf("%d of %d functions have asserts; the site no longer covers both paths", asserted, len(u.Funcs))
+	}
+}

@@ -173,7 +173,7 @@ func TestConcatOpsDisassembleAndRoundtrip(t *testing.T) {
 }
 
 // TestNewArrayCarriesItsHint: a mixed literal's NewArray names the
-// literal's entry count, the capacity runtime.NewMixed allocates; the
+// literal's entry count, the capacity Heap.NewMixed allocates; the
 // disassembly prints it and it survives encode/decode. A packed
 // literal is a NewPackedArray and has no NewArray.
 func TestNewArrayCarriesItsHint(t *testing.T) {
@@ -211,5 +211,27 @@ func TestInternDoubleKeepsBitPatterns(t *testing.T) {
 	}
 	if u.InternDouble(math.NaN()) != u.InternDouble(math.NaN()) || u.InternDouble(0) != zero {
 		t.Error("equal bit patterns must share a pool entry")
+	}
+}
+
+// TestFuncByNameAllocatesNothing: the interpreter resolves every
+// FCallD by name, and a mixed-case name such as renderCard must not
+// cost a lower-cased copy per call, whether the lookup hits or misses.
+func TestFuncByNameAllocatesNothing(t *testing.T) {
+	u := hhbc.NewUnit()
+	u.AddFunc(&hhbc.Func{Name: "renderCard"})
+	u.AddFunc(&hhbc.Func{Name: "render", Class: "Card"})
+	for _, name := range []string{"renderCard", "RENDERCARD", "card::Render"} {
+		if f, ok := u.FuncByName(name); !ok || !strings.EqualFold(f.FullName(), name) {
+			t.Errorf("FuncByName(%q) = %v, %v", name, f, ok)
+		}
+	}
+	if f, ok := u.FuncByName("renderCards"); ok {
+		t.Errorf("FuncByName found %s for a name it does not have", f.FullName())
+	}
+	for _, name := range []string{"renderCard", "NoSuchFunction"} {
+		if got := testing.AllocsPerRun(100, func() { u.FuncByName(name) }); got != 0 {
+			t.Errorf("FuncByName(%q): %v allocations, want 0", name, got)
+		}
 	}
 }

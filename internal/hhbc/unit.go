@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/runtime"
 	"repro/internal/types"
 )
 
@@ -216,7 +217,7 @@ func (u *Unit) AddFunc(f *Func) int {
 
 // FuncByName resolves a (case-insensitive) function name.
 func (u *Unit) FuncByName(name string) (*Func, bool) {
-	id, ok := u.funcByName[strings.ToLower(name)]
+	id, ok := runtime.LookupFold(u.funcByName, name)
 	if !ok {
 		return nil, false
 	}

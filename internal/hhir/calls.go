@@ -107,7 +107,7 @@ func (b *builder) lowerCallMethod(in hhbc.Instr, pc int) error {
 	// comes from the same specialization machinery.)
 	if cls, exact := obj.Type.Class(); exact && b.cfg.EnableMethodDispatch {
 		if rc, ok := b.env.ClassByName(cls); ok {
-			if id, ok := rc.LookupMethod(strings.ToLower(name)); ok {
+			if id, ok := rc.LookupMethod(name); ok {
 				b.emitDirectMethodCall(id, obj, args, pc)
 				return nil
 			}
@@ -121,7 +121,7 @@ func (b *builder) lowerCallMethod(in hhbc.Instr, pc int) error {
 			dom := tp.Classes[0]
 			if float64(dom.Count)/float64(tp.Total) >= 0.95 {
 				if rc, ok := b.env.ClassByName(dom.Class); ok {
-					if id, ok := rc.LookupMethod(strings.ToLower(name)); ok {
+					if id, ok := rc.LookupMethod(name); ok {
 						chk := b.out.NewTmp(types.ObjOfClass(dom.Class, true))
 						ci := &Instr{Op: CheckCls, Dst: chk, I64: int64(rc.ClassID),
 							Args: []*SSATmp{obj}, Exit: specExit}
@@ -150,14 +150,13 @@ func (b *builder) lowerCallMethod(in hhbc.Instr, pc int) error {
 // commonTarget checks whether all observed receivers (and all their
 // loaded subclasses) resolve the method to the same function.
 func (b *builder) commonTarget(tp *profile.TargetProfile, name string) (int, bool) {
-	lname := strings.ToLower(name)
 	target := -1
 	for _, cc := range tp.Classes {
 		rc, ok := b.env.ClassByName(cc.Class)
 		if !ok {
 			return 0, false
 		}
-		id, ok := rc.LookupMethod(lname)
+		id, ok := rc.LookupMethod(name)
 		if !ok {
 			return 0, false
 		}
@@ -173,7 +172,7 @@ func (b *builder) commonTarget(tp *profile.TargetProfile, name string) (int, boo
 	// Any loaded class resolving this method differently makes the
 	// speculation unsound without a guard.
 	for _, rc := range b.env.Classes {
-		if id, ok := rc.LookupMethod(lname); ok && id != target {
+		if id, ok := rc.LookupMethod(name); ok && id != target {
 			return 0, false
 		}
 	}

@@ -175,9 +175,9 @@ func (x *flowFixture) run(desc *region.Desc, argSets ...[]runtime.Value) {
 		x.eng.Heap().DecRef(got)
 		x.interp.Heap().DecRef(want)
 	}
-	if h := x.eng.Heap().Snapshot(); h.LiveObjs != 0 || h.LiveStrs != 0 || h.OverReleases != 0 {
-		x.t.Errorf("%s left %d guest objects and %d strings live, %d over-releases",
-			f.Name, h.LiveObjs, h.LiveStrs, h.OverReleases)
+	if h := x.eng.Heap().Snapshot(); h.LiveObjs != 0 || h.LiveStrs != 0 || h.LiveArrs != 0 || h.OverReleases != 0 {
+		x.t.Errorf("%s left %d guest objects, %d strings and %d arrays live, %d over-releases",
+			f.Name, h.LiveObjs, h.LiveStrs, h.LiveArrs, h.OverReleases)
 	}
 }
 

@@ -7,7 +7,6 @@ package interp
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/hhbc"
 	"repro/internal/runtime"
@@ -246,7 +245,7 @@ func (e *Env) NewInstance(cls *runtime.Class) *runtime.Object {
 	obj := e.Heap.NewObject(cls)
 	for i, p := range obj.Props {
 		if p.Kind == types.KArr && p.AsArr() == nil {
-			obj.Props[i] = runtime.ArrV(runtime.NewPacked(nil))
+			obj.Props[i] = runtime.ArrV(e.Heap.NewPacked(0))
 		}
 	}
 	return obj
@@ -298,6 +297,3 @@ func (e *Env) toThrownObject(err error) *runtime.Object {
 	}
 	return e.NewException("Exception", err.Error())
 }
-
-// lowerName is a tiny helper for case-insensitive method names.
-func lowerName(s string) string { return strings.ToLower(s) }

@@ -319,13 +319,12 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 			return runtime.Null(), runtime.NewError("%s", u.Strings[in.A])
 
 		case hhbc.OpNewArray:
-			fr.push(runtime.ArrV(runtime.NewMixed(int(in.A))))
+			fr.push(runtime.ArrV(h.NewMixed(int(in.A))))
 		case hhbc.OpNewPackedArray:
-			n := int(in.A)
-			elems := make([]runtime.Value, n)
-			copy(elems, fr.Stack[len(fr.Stack)-n:])
-			fr.Stack = fr.Stack[:len(fr.Stack)-n]
-			fr.push(runtime.ArrV(runtime.NewPacked(elems)))
+			base := len(fr.Stack) - int(in.A)
+			arr := h.NewPackedOf(fr.Stack[base:])
+			fr.Stack = fr.Stack[:base]
+			fr.push(runtime.ArrV(arr))
 		case hhbc.OpAddElemC:
 			val, key, arrv := fr.pop(), fr.pop(), fr.pop()
 			r, err := runtime.AddElem(h, arrv, key, val)

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"io"
+	"strings"
 
 	"repro/internal/hhbc"
 	"repro/internal/runtime"
@@ -182,7 +183,7 @@ func (e *Env) CallNamed(name string, args []runtime.Value) (runtime.Value, error
 	if f, ok := e.Unit.FuncByName(name); ok {
 		return e.Call(f, nil, args)
 	}
-	if b, ok := runtime.LookupBuiltin(lowerName(name)); ok {
+	if b, ok := runtime.LookupBuiltin(name); ok {
 		return e.CallBuiltin(b, args)
 	}
 	e.ReleaseArgs(args)
@@ -197,11 +198,10 @@ func (e *Env) ResolveMethod(recv runtime.Value, name string) (*hhbc.Func, error)
 		return nil, runtime.NewError("method call on non-object (%s)", recv.Type())
 	}
 	cls := recv.AsObj().Class
-	lname := lowerName(name)
-	if id, ok := cls.LookupMethod(lname); ok {
+	if id, ok := cls.LookupMethod(name); ok {
 		return e.Unit.Funcs[id], nil
 	}
-	if lname == "__construct" {
+	if strings.EqualFold(name, "__construct") {
 		return nil, nil
 	}
 	return nil, runtime.NewError("call to undefined method %s::%s()", cls.Name, name)

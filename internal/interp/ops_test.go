@@ -52,7 +52,7 @@ func eachKind(env *interp.Env) map[string]runtime.Value {
 	return map[string]runtime.Value{
 		"Uninit": runtime.Uninit(), "Null": runtime.Null(), "Bool": runtime.Bool(true),
 		"Int": runtime.Int(5), "Dbl": runtime.Dbl(2.5), "Str": env.Heap.NewStr("s"),
-		"Arr": runtime.ArrV(runtime.NewPacked([]runtime.Value{runtime.Int(1)})),
+		"Arr": runtime.ArrV(env.Heap.NewPackedOf([]runtime.Value{runtime.Int(1)})),
 		"Obj": runtime.ObjV(env.NewInstance(box)),
 	}
 }
@@ -113,7 +113,7 @@ func TestIteratorsOverEveryKind(t *testing.T) {
 		env.PutFrame(fr)
 	}
 	// An empty array starts no iteration either.
-	fr := env.TakeFrame(f, nil, []runtime.Value{runtime.ArrV(runtime.NewMixed(0)), runtime.Null()})
+	fr := env.TakeFrame(f, nil, []runtime.Value{runtime.ArrV(h.NewMixed(0)), runtime.Null()})
 	if fr.IterInit(h, 0, 0) {
 		t.Error("IterInit over an empty array must report nothing to iterate")
 	}
@@ -122,7 +122,7 @@ func TestIteratorsOverEveryKind(t *testing.T) {
 
 	// Walk a two-element mixed array holding a counted value.
 	el := h.NewStr("payload")
-	arr := runtime.NewMixed(0)
+	arr := h.NewMixed(0)
 	arr = arr.Set(h, h.NewStr("k"), el)
 	arr = arr.Set(h, runtime.Int(7), runtime.Int(70))
 	fr = env.TakeFrame(f, nil, []runtime.Value{runtime.ArrV(arr), runtime.Null()})

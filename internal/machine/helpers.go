@@ -56,13 +56,12 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 	case vasm.HCmpStr:
 		return runtime.Bool(runtime.Compare(runtime.Cond(extra&0xff), arg(0), arg(1))), nil
 	case vasm.HNewArr:
-		return runtime.ArrV(runtime.NewMixed(int(extra))), nil
+		return runtime.ArrV(h.NewMixed(int(extra))), nil
 	case vasm.HNewPacked:
-		elems := make([]runtime.Value, len(in.Args))
-		for i := range in.Args {
-			elems[i] = arg(i)
-		}
-		return runtime.ArrV(runtime.NewPacked(elems)), nil
+		elems := m.takeArgs(act, in.Args, 0)
+		arr := h.NewPackedOf(elems)
+		m.putArgs(elems)
+		return runtime.ArrV(arr), nil
 	case vasm.HAddElem:
 		return runtime.AddElem(h, arg(0), arg(1), arg(2))
 	case vasm.HAddNewElem:

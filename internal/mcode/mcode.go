@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -412,7 +411,7 @@ func (c *Code) resolve() error {
 			}
 		case vasm.CallBuiltin:
 			in.I64 = 0
-			if b, ok := runtime.LookupBuiltin(strings.ToLower(in.Str)); ok {
+			if b, ok := runtime.LookupBuiltin(in.Str); ok {
 				idx := slices.Index(c.Builtins, b)
 				if idx < 0 {
 					idx = len(c.Builtins)

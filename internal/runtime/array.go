@@ -31,8 +31,8 @@ type Array struct {
 	elems []Value
 
 	// mixed layout: entries in insertion order, a deleted one keeping
-	// its place with an Uninit key. Never nil while mixed (NewMixed and
-	// escalate make it).
+	// its place with an Uninit key. Never nil while mixed (Heap.NewMixed
+	// and escalate make it).
 	entries []arrayEntry
 	// index is used once len(entries) > linearMax: indexLen slots, a
 	// power of two at least 2·cap(entries), each 0 (empty) or a position
@@ -62,18 +62,6 @@ const linearMax = 8
 // hash only places positions in the index; iteration follows entries,
 // so it never reaches guest output.
 var keySeed = maphash.MakeSeed()
-
-// NewPacked returns a fresh packed array taking ownership of elems
-// (their refcounts are not changed).
-func NewPacked(elems []Value) *Array {
-	return &Array{refs: 1, elems: elems}
-}
-
-// NewMixed returns a fresh empty mixed array with room for n entries:
-// NewArray's capacity hint, the entry count of the literal it builds.
-func NewMixed(n int) *Array {
-	return &Array{refs: 1, entries: make([]arrayEntry, 0, n)}
-}
 
 // IsPacked reports the layout kind.
 func (a *Array) IsPacked() bool { return a.entries == nil }
@@ -263,30 +251,28 @@ func (a *Array) cowed(h *Heap) *Array {
 		return a
 	}
 	h.CowCopies++
-	cl := a.clone()
-	return cl
+	return a.clone(h)
 }
 
-func (a *Array) clone() *Array {
-	cl := &Array{refs: 1, nextIdx: a.nextIdx, live: a.live}
+// clone returns a copy of a with one reference, allocated through h; it
+// takes a reference to every element and key it shares.
+func (a *Array) clone(h *Heap) *Array {
 	if a.IsPacked() {
-		cl.elems = make([]Value, len(a.elems))
-		copy(cl.elems, a.elems)
+		cl := h.NewPacked(len(a.elems))
+		cl.elems = append(cl.elems, a.elems...)
 		for _, v := range cl.elems {
 			incRefVal(v)
 		}
 		return cl
 	}
-	cl.entries = make([]arrayEntry, len(a.entries), cap(a.entries))
-	copy(cl.entries, a.entries)
+	cl := h.NewMixed(cap(a.entries))
+	cl.entries = append(cl.entries, a.entries...)
 	for _, e := range cl.entries {
 		incRefVal(e.key)
 		incRefVal(e.val)
 	}
-	if a.index != nil {
-		slots := slices.Clone(a.slots())
-		cl.index, cl.indexLen = &slots[0], a.indexLen
-	}
+	cl.live, cl.nextIdx = a.live, a.nextIdx
+	cl.reindex() // a reused box's capacity may exceed a's
 	return cl
 }
 
@@ -377,11 +363,8 @@ func (a *Array) Remove(h *Heap, key Value) *Array {
 		if key.Kind != types.KInt || i < 0 || i >= int64(len(out.elems)) {
 			return out
 		}
-		if i == int64(len(out.elems))-1 {
-			h.DecRef(out.elems[i])
-			out.elems = out.elems[:i]
-			return out
-		}
+		// Any removal makes the array mixed, as in HHVM: even with the
+		// last element gone, the next automatic key stays where it was.
 		out.escalate()
 	}
 	if p := out.find(keyOf(key)); p >= 0 {

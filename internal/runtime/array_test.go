@@ -59,7 +59,7 @@ func checkLayout(t *testing.T, a *Array) {
 func TestMixedCrossesTheIndexThreshold(t *testing.T) {
 	h := NewHeap()
 	for _, hint := range []int{0, 4, 9, 17, 33} {
-		a := NewMixed(hint)
+		a := h.NewMixed(hint)
 		for i := 0; i < 40; i++ {
 			k := h.NewStr(fmt.Sprint("k", i))
 			a = a.Set(h, k, Int(int64(i)))
@@ -89,7 +89,7 @@ func TestMixedCrossesTheIndexThreshold(t *testing.T) {
 		for i := range elems {
 			elems[i] = Int(int64(i))
 		}
-		a := NewPacked(elems).Set(h, StrV(InternStr("x")), Int(1))
+		a := h.NewPackedOf(elems).Set(h, StrV(InternStr("x")), Int(1))
 		checkLayout(t, a)
 		if v, ok := a.Get(Int(int64(n - 1))); n > 0 && (!ok || v.AsInt() != int64(n-1)) {
 			t.Errorf("escalated %d elements: [%d] = %s, %v", n, n-1, v.DebugString(), ok)
@@ -113,7 +113,7 @@ func TestIteratedKeysStayOutOfTheInternTable(t *testing.T) {
 	before := interned()
 	h := NewHeap()
 	for round := 0; round < 10; round++ {
-		a := NewMixed(0)
+		a := h.NewMixed(0)
 		for i := 0; i < 1000; i++ {
 			k := h.NewStr(fmt.Sprintf("dyn-%d-%d", round, i))
 			a = a.Set(h, k, Int(int64(i)))
@@ -233,14 +233,20 @@ func (m *arrayModel) compare(t *testing.T, a *Array, what string) {
 }
 
 // FuzzArrayOps runs a byte-driven sequence of Set, Append, Remove, Get,
-// copy-on-write and iteration over one mixed array against arrayModel,
-// and checks that freeing the array balances the heap. The first byte
-// picks the start: a literal's NewMixed(hint), or a packed array of
-// 0..11 elements escalated by a string key.
+// copy-on-write, iteration and free-and-rebuild over one array at a
+// time against arrayModel, all on one heap, so that the boxes freed by
+// copy-on-write and rebuilds come back from its free lists. Every freed
+// box must be scrubbed to its capacity, and the heap must balance with
+// no over-release. The first byte (and a rebuild's) picks the start: a
+// literal's NewMixed(hint), a packed array of 0..11 elements escalated
+// by a string key, or such a list left packed.
 func FuzzArrayOps(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 1, 3, 1, 4, 2, 6, 0, 5, 3, 6})
 	f.Add([]byte{16, 6, 12, 2, 10, 1, 7, 4, 14, 8, 1, 9, 5})
 	f.Add([]byte{9, 0, 3, 7, 0, 7, 5, 1, 9, 1, 9, 2, 7, 3, 3, 0, 11, 8, 4, 6, 5})
+	f.Add([]byte{3, 6, 40, 1, 1, 3, 7, 7, 22, 1, 5, 0, 1, 8, 0, 7, 20, 0, 1, 1, 7, 7, 0, 0, 4, 2, 1, 5, 0, 0})
+	f.Add([]byte{134, 1, 3, 0, 1, 5, 0, 7, 129, 0, 1, 4, 0, 7, 140, 0, 4, 1, 3, 7, 9, 0, 1, 9, 0, 5, 0, 0})
+	f.Add([]byte("\xea2001")) // a list loses its last element, then appends: key 9, not 8
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -276,20 +282,25 @@ func FuzzArrayOps(f *testing.F) {
 			return h.NewStr(fmt.Sprint("v", b>>1))
 		}
 
-		start, _ := next()
-		var a *Array
-		var m arrayModel
-		if start&1 != 0 {
-			a = NewMixed(int((start >> 1) % 40))
-		} else {
+		build := func(start byte) (*Array, arrayModel) {
+			var m arrayModel
+			if start&1 != 0 {
+				return h.NewMixed(int((start >> 1) % 40)), m
+			}
 			elems := make([]Value, (start>>1)%12)
 			for i := range elems {
 				elems[i] = Int(int64(i))
 				m.set(modelKey{i: int64(i)}, elems[i].DebugString())
 			}
-			a = NewPacked(elems).Set(h, StrV(InternStr("esc")), Int(-1))
+			a := h.NewPackedOf(elems)
+			if start&0x80 != 0 {
+				return a, m
+			}
 			m.set(modelKey{s: "esc", isStr: true}, Int(-1).DebugString())
+			return a.Set(h, StrV(InternStr("esc")), Int(-1)), m
 		}
+		start, _ := next()
+		a, m := build(start)
 		for step := 0; ; step++ {
 			op, ok := next()
 			if !ok {
@@ -297,8 +308,8 @@ func FuzzArrayOps(f *testing.F) {
 			}
 			b1, _ := next()
 			b2, _ := next()
-			what := fmt.Sprintf("step %d op %d", step, op%7)
-			switch op % 7 {
+			what := fmt.Sprintf("step %d op %d", step, op%8)
+			switch op % 8 {
 			case 0:
 				k, v := key(b1), val(b2)
 				m.set(keyModel(k), v.DebugString())
@@ -338,6 +349,7 @@ func FuzzArrayOps(f *testing.F) {
 					a, b, m = b, a, cm
 				}
 				h.DecRef(ArrV(b))
+				checkParked(t, b)
 			case 5:
 				m.compare(t, a, what)
 			case 6:
@@ -348,6 +360,15 @@ func FuzzArrayOps(f *testing.F) {
 					a = a.Set(h, k, Int(int64(i)))
 					h.DecRef(k)
 				}
+			case 7:
+				// Free the array and build the next one, which reuses a
+				// parked box and its storage when one of its layout is there.
+				h.DecRef(ArrV(a))
+				checkParked(t, a)
+				if h.LiveArrs != 0 || h.LiveStrs != 0 {
+					t.Fatalf("%s: after the free, %d live arrays, %d live strings", what, h.LiveArrs, h.LiveStrs)
+				}
+				a, m = build(b1)
 			}
 			if a.Len() != len(m.entries) {
 				t.Fatalf("%s: Len %d, model %d", what, a.Len(), len(m.entries))
@@ -356,8 +377,9 @@ func FuzzArrayOps(f *testing.F) {
 		}
 		m.compare(t, a, "final")
 		h.DecRef(ArrV(a))
-		if h.LiveStrs != 0 || h.OverReleases != 0 || a.Refs() != 0 {
-			t.Fatalf("after the free: %d live strings, %d over-releases, array refs %d", h.LiveStrs, h.OverReleases, a.Refs())
+		checkParked(t, a)
+		if h.LiveStrs != 0 || h.LiveArrs != 0 || h.OverReleases != 0 {
+			t.Fatalf("after the free: %d live strings, %d live arrays, %d over-releases", h.LiveStrs, h.LiveArrs, h.OverReleases)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/types"
 )
@@ -43,10 +44,37 @@ func RegisterBuiltin(b *Builtin) {
 	builtinTable[b.Name] = b
 }
 
-// LookupBuiltin finds a builtin by name.
+// LookupBuiltin finds a builtin by its case-insensitive name.
 func LookupBuiltin(name string) (*Builtin, bool) {
-	b, ok := builtinTable[name]
-	return b, ok
+	return LookupFold(builtinTable, name)
+}
+
+// LookupFold indexes m, whose keys are lower case, by name under PHP's
+// case-insensitive rule for function and method names. The case is
+// folded into a stack buffer, so neither a hit nor a miss allocates
+// for an ASCII name of up to 64 bytes; any other takes strings.ToLower.
+func LookupFold[V any](m map[string]V, name string) (V, bool) {
+	var buf [64]byte
+	if len(name) <= len(buf) {
+		folded := buf[:len(name)]
+		for i := 0; i < len(name); i++ {
+			c := name[i]
+			if c >= utf8.RuneSelf {
+				folded = nil
+				break
+			}
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			folded[i] = c
+		}
+		if folded != nil {
+			v, ok := m[string(folded)] // no conversion is allocated for a map index
+			return v, ok
+		}
+	}
+	v, ok := m[strings.ToLower(name)]
+	return v, ok
 }
 
 // BuiltinNames returns the sorted names (for diagnostics).
@@ -165,25 +193,27 @@ func init() {
 		if a[0].Kind != types.KArr {
 			return Null(), NewError("array_keys expects array")
 		}
-		var keys []Value
-		a[0].AsArr().Each(func(k, _ Value) bool {
+		src := a[0].AsArr()
+		keys := ctx.Heap.NewPacked(src.Len())
+		src.Each(func(k, _ Value) bool {
 			ctx.Heap.IncRef(k)
-			keys = append(keys, k)
+			keys.elems = append(keys.elems, k)
 			return true
 		})
-		return ArrV(NewPacked(keys)), nil
+		return ArrV(keys), nil
 	}})
 	reg(&Builtin{Name: "array_values", Arity: 1, Cost: 30, Ret: types.ArrOfKind(types.ArrayPacked), Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
 		if a[0].Kind != types.KArr {
 			return Null(), NewError("array_values expects array")
 		}
-		var vals []Value
-		a[0].AsArr().Each(func(_, v Value) bool {
+		src := a[0].AsArr()
+		vals := ctx.Heap.NewPacked(src.Len())
+		src.Each(func(_, v Value) bool {
 			ctx.Heap.IncRef(v)
-			vals = append(vals, v)
+			vals.elems = append(vals.elems, v)
 			return true
 		})
-		return ArrV(NewPacked(vals)), nil
+		return ArrV(vals), nil
 	}})
 	reg(&Builtin{Name: "array_sum", Arity: 1, Cost: 20, Ret: types.TNum, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		if a[0].Kind != types.KArr {

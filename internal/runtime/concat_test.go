@@ -26,7 +26,7 @@ func renderings(h *Heap) (vals []Value, text []string) {
 		{Dbl(-math.MaxFloat64), "-1.7976931348623E+308"}, {Dbl(math.SmallestNonzeroFloat64), "4.9406564584125E-324"},
 		{Dbl(math.Inf(-1)), "-Inf"}, {Dbl(math.NaN()), "NaN"},
 		{h.NewStr("counted"), "counted"}, {StrV(InternStr("static")), "static"}, {h.NewStr(""), ""},
-		{ArrV(NewPacked(nil)), "Array"}, {ObjV(h.NewObject(cls)), "Object(Box)"},
+		{ArrV(h.NewPacked(0)), "Array"}, {ObjV(h.NewObject(cls)), "Object(Box)"},
 	} {
 		vals, text = append(vals, c.v), append(text, c.s)
 	}
@@ -79,7 +79,7 @@ func TestAppendNeverChangesRetainedBytes(t *testing.T) {
 	type seen struct{ view, copy string }
 	var retained []seen
 	var aliases []Value
-	keys := NewMixed(0)
+	keys := h.NewMixed(0)
 	local := StrV(InternStr(""))
 	inPlace := 0
 	for i := 0; i < 1000; i++ {

@@ -31,7 +31,7 @@ func ElemGet(h *Heap, base, key Value, local string) (Value, error) {
 // auto-vivifies to an empty array, a shared array is copied first.
 func ElemSet(h *Heap, slot *Value, key, val Value) error {
 	if slot.IsNull() {
-		*slot = ArrV(NewMixed(0))
+		*slot = ArrV(h.NewMixed(0))
 	}
 	if slot.Kind != types.KArr {
 		h.DecRef(val)
@@ -44,7 +44,7 @@ func ElemSet(h *Heap, slot *Value, key, val Value) error {
 // ElemAppend implements `$slot[] = val`, auto-vivifying like ElemSet.
 func ElemAppend(h *Heap, slot *Value, val Value) error {
 	if slot.IsNull() {
-		*slot = ArrV(NewPacked(nil))
+		*slot = ArrV(h.NewPacked(0))
 	}
 	if slot.Kind != types.KArr {
 		h.DecRef(val)

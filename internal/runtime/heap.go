@@ -7,10 +7,11 @@ import (
 )
 
 // Heap is the guest heap of one VM: it allocates and frees guest
-// strings and objects and tracks reference-counting activity. PHP's
-// refcounting is observable (destructors fire at the exact point the
-// last reference dies; COW copies happen at refcount>1), so the heap
-// exposes counters that the tests and the RCE-correctness checks use.
+// strings, arrays and objects and tracks reference-counting activity.
+// PHP's refcounting is observable (destructors fire at the exact point
+// the last reference dies; COW copies happen at refcount>1), so the
+// heap exposes counters that the tests and the RCE-correctness checks
+// use.
 // A heap is confined to its VM's goroutine and needs no locking.
 type Heap struct {
 	// IncRefs and DecRefs count executed refcount operations — the
@@ -22,10 +23,11 @@ type Heap struct {
 	Destructs uint64
 	CowCopies uint64
 	Frees     uint64
-	// LiveObjs and LiveStrs count boxes allocated through this heap
-	// minus boxes it freed; both read zero between requests.
+	// LiveObjs, LiveStrs and LiveArrs count boxes allocated through
+	// this heap minus boxes it freed; all read zero between requests.
 	LiveObjs int64
 	LiveStrs int64
+	LiveArrs int64
 	// OverReleases counts refcount operations on a box that is already
 	// dead: a DecRef that takes a count below zero, and any IncRef or
 	// DecRef that reaches a parked box. Always zero unless some tier
@@ -37,24 +39,29 @@ type Heap struct {
 	OnDestruct func(obj *Object)
 
 	// Free lists (DESIGN.md §6): the last DecRef parks the scrubbed box
-	// here and NewStr/NewObject pop it, LIFO. Objects are listed by the
+	// here and the constructors pop it, LIFO. Objects are listed by the
 	// declared slot count of the class they died as, so a popped box's
-	// slot array always fits. parked is the bytes the lists hold.
-	freeStrs []*Str
-	freeObjs [][]*Object
-	parked   uintptr
+	// slot array always fits; arrays by layout, each with its element
+	// storage. parked is the bytes the lists hold.
+	freeStrs   []*Str
+	freeObjs   [][]*Object
+	freePacked []*Array
+	freeMixed  []*Array
+	parked     uintptr
 }
 
 // maxParkedBytes bounds what a heap's free lists may hold (string
-// headers, objects and their slot arrays); a box that would exceed it
-// is left to the host collector. Sized from the site's weighted block,
-// whose requests park at most 60 string headers and 138 objects
-// (DESIGN.md §6 has the measurement and why it is not larger).
-const maxParkedBytes = 8 << 10
+// headers, objects and their slot arrays, array boxes and their element
+// storage); a box that would exceed it is left to the host collector.
+// It is the smallest bound at which the site's requests stop
+// allocating fewer boxes: their whole working set, at most 138 objects,
+// 60 string headers, 25 mixed and 3 packed arrays (DESIGN.md §6 has the
+// sweep).
+const maxParkedBytes = 32 << 10
 
 // deadRefs is the count of a freed box. It is far enough below zero
 // that a stray IncRef cannot revive the box and no DecRef can free it
-// twice; NewStr and NewObject check it when they reuse a box.
+// twice; the constructors check it when they reuse a box.
 const deadRefs = -1 << 30
 
 // liveRefs is the count a box reports: a dead box has none.
@@ -64,6 +71,8 @@ const (
 	strBytes    = unsafe.Sizeof(Str{})
 	objectBytes = unsafe.Sizeof(Object{})
 	valueBytes  = unsafe.Sizeof(Value{})
+	arrayBytes  = unsafe.Sizeof(Array{})
+	entryBytes  = unsafe.Sizeof(arrayEntry{})
 )
 
 // NewHeap returns a fresh heap.
@@ -121,6 +130,68 @@ func (h *Heap) NewObject(c *Class) *Object {
 
 func (o *Object) parkedBytes() uintptr {
 	return objectBytes + uintptr(cap(o.Props))*valueBytes
+}
+
+// NewPacked returns an empty packed array with room for n elements and
+// one reference.
+func (h *Heap) NewPacked(n int) *Array {
+	h.LiveArrs++
+	a := h.reuseArray(&h.freePacked)
+	if a == nil {
+		return &Array{refs: 1, elems: make([]Value, 0, n)}
+	}
+	if cap(a.elems) < n {
+		a.elems = make([]Value, 0, n)
+	}
+	return a
+}
+
+// NewPackedOf returns a packed array of vals, taking over the caller's
+// references to them (not the slice).
+func (h *Heap) NewPackedOf(vals []Value) *Array {
+	a := h.NewPacked(len(vals))
+	a.elems = append(a.elems, vals...)
+	return a
+}
+
+// NewMixed returns an empty mixed array with room for n entries and one
+// reference: n is NewArray's capacity hint, the entry count of the
+// literal it builds.
+func (h *Heap) NewMixed(n int) *Array {
+	h.LiveArrs++
+	a := h.reuseArray(&h.freeMixed)
+	if a == nil {
+		return &Array{refs: 1, entries: make([]arrayEntry, 0, n)}
+	}
+	if cap(a.entries) < n {
+		a.entries = make([]arrayEntry, 0, n)
+	}
+	return a
+}
+
+// reuseArray pops the box parked last on list, with one reference, or
+// returns nil.
+func (h *Heap) reuseArray(list *[]*Array) *Array {
+	n := len(*list)
+	if n == 0 {
+		return nil
+	}
+	a := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	h.parked -= a.parkedBytes()
+	if a.refs != deadRefs {
+		h.OverReleases++
+	}
+	a.refs = 1
+	return a
+}
+
+func (a *Array) parkedBytes() uintptr {
+	if a.IsPacked() {
+		return arrayBytes + uintptr(cap(a.elems))*valueBytes
+	}
+	return arrayBytes + uintptr(cap(a.entries))*entryBytes
 }
 
 // incRefVal bumps a refcount without heap accounting (used by clone,
@@ -208,26 +279,38 @@ func (h *Heap) freeStr(s *Str) {
 }
 
 // decArrayRef releases one reference to a without counting a DecRef
-// op (callers that model a guest DecRef instruction count it).
+// op (callers that model a guest DecRef instruction count it). The
+// last one releases the elements (a destructor may allocate arrays
+// meanwhile; this box is on no list yet), scrubs the storage to its
+// capacity and parks the box, with that storage, on its layout's list.
 func (h *Heap) decArrayRef(a *Array) {
 	a.refs--
 	if a.refs > 0 || h.overReleased(&a.refs) {
 		return
 	}
 	h.Frees++
+	h.LiveArrs--
 	a.refs = deadRefs
+	list := &h.freeMixed
 	if a.IsPacked() {
 		for _, e := range a.elems {
 			h.DecRef(e)
 		}
-		a.elems = nil
-		return
+		clear(a.elems[:cap(a.elems)])
+		a.elems = a.elems[:0]
+		list = &h.freePacked
+	} else {
+		for _, e := range a.entries {
+			h.DecRef(e.val)
+			h.DecRef(e.key)
+		}
+		clear(a.entries[:cap(a.entries)])
+		a.entries, a.index, a.indexLen = a.entries[:0], nil, 0
 	}
-	entries := a.entries
-	a.entries, a.index, a.indexLen = nil, nil, 0
-	for _, e := range entries {
-		h.DecRef(e.val)
-		h.DecRef(e.key)
+	a.live, a.nextIdx = 0, 0
+	if size := a.parkedBytes(); h.parked+size <= maxParkedBytes {
+		h.parked += size
+		*list = append(*list, a)
 	}
 }
 
@@ -271,7 +354,7 @@ func (h *Heap) destroyObject(o *Object) {
 // Stats is a snapshot of heap counters.
 type Stats struct {
 	IncRefs, DecRefs, Destructs, CowCopies, Frees, OverReleases uint64
-	LiveObjs, LiveStrs                                          int64
+	LiveObjs, LiveStrs, LiveArrs                                int64
 }
 
 // Snapshot returns the current counters.
@@ -279,6 +362,6 @@ func (h *Heap) Snapshot() Stats {
 	return Stats{
 		IncRefs: h.IncRefs, DecRefs: h.DecRefs, Destructs: h.Destructs,
 		CowCopies: h.CowCopies, Frees: h.Frees, OverReleases: h.OverReleases,
-		LiveObjs: h.LiveObjs, LiveStrs: h.LiveStrs,
+		LiveObjs: h.LiveObjs, LiveStrs: h.LiveStrs, LiveArrs: h.LiveArrs,
 	}
 }

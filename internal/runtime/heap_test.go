@@ -56,7 +56,7 @@ func TestFreedObjectIsReusedAsItsClassDeclaresIt(t *testing.T) {
 	if err := o.SetProp(h, "dyn", Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	o.Props[1] = ArrV(NewPacked([]Value{Int(1)}))
+	o.Props[1] = ArrV(h.NewPackedOf([]Value{Int(1)}))
 	if len(o.Props) != 3 || o.Shape == cls.RootShape {
 		t.Fatalf("set-up: %d slots, root shape %v", len(o.Props), o.Shape == cls.RootShape)
 	}
@@ -105,6 +105,110 @@ func TestObjectListsAreByDeclaredSlotCount(t *testing.T) {
 	}
 }
 
+// TestFreedArrayIsReusedWithItsStorage: an array's box is parked on its
+// layout's list with its element storage, scrubbed, and the next array
+// of that layout takes both: a reused packed box appends without
+// regrowing, a reused mixed box needs no new entry slice.
+func TestFreedArrayIsReusedWithItsStorage(t *testing.T) {
+	h := NewHeap()
+	list := h.NewPacked(0)
+	for i := 0; i < 80; i++ {
+		list = list.Append(h, h.NewStr("elem"))
+	}
+	storage := &list.elems[:1][0]
+	h.DecRef(ArrV(list))
+	checkParked(t, list)
+	if h.LiveArrs != 0 || h.LiveStrs != 0 || len(h.freePacked) != 1 {
+		t.Fatalf("after the free: %d live arrays, %d live strings, %d parked", h.LiveArrs, h.LiveStrs, len(h.freePacked))
+	}
+
+	again := h.NewPacked(0)
+	if again != list || again.Refs() != 1 || again.Len() != 0 || !again.IsPacked() {
+		t.Fatalf("the next packed array: same box %v, refs %d, len %d, packed %v",
+			again == list, again.Refs(), again.Len(), again.IsPacked())
+	}
+	for i := 0; i < 80; i++ {
+		again = again.Append(h, Int(int64(i)))
+	}
+	if again != list || &again.elems[0] != storage {
+		t.Error("80 appends to a reused box regrew its storage")
+	}
+	if v, ok := again.GetIntKey(79); !ok || v.AsInt() != 79 {
+		t.Errorf("[79] = %s, %v", v.DebugString(), ok)
+	}
+	if h.NewPacked(1) == list || h.NewMixed(0) == list {
+		t.Error("a box in use was handed out again")
+	}
+
+	// A mixed box comes back as mixed only, with its entries, and with
+	// nothing of its last life: count, next key and index.
+	m := h.NewMixed(0)
+	for i := 0; i < 20; i++ {
+		m = m.Set(h, Int(int64(100+i)), h.NewStr("v"))
+	}
+	entries := &m.entries[:1][0]
+	h.DecRef(ArrV(m))
+	checkParked(t, m)
+	if h.NewPacked(0) == m {
+		t.Fatal("a mixed box served a packed array")
+	}
+	m2 := h.NewMixed(4)
+	if m2 != m || &m2.entries[:1][0] != entries || m2.Len() != 0 || m2.index != nil {
+		t.Fatalf("the next mixed array: same box %v, same entries %v, len %d, index %v",
+			m2 == m, &m2.entries[:1][0] == entries, m2.Len(), m2.index != nil)
+	}
+	m2 = m2.Append(h, Int(1))
+	if v, ok := m2.Get(Int(0)); !ok || v.AsInt() != 1 || m2.Len() != 1 {
+		t.Errorf("the reused box's first append: [0] = %s, %v; len %d", v.DebugString(), ok, m2.Len())
+	}
+	if h.OverReleases != 0 {
+		t.Errorf("%d over-releases", h.OverReleases)
+	}
+}
+
+// TestReusedArrayGrowsOnlyToItsHint: a popped box keeps storage of at
+// least the hint and is reallocated only when it is shorter.
+func TestReusedArrayGrowsOnlyToItsHint(t *testing.T) {
+	h := NewHeap()
+	h.DecRef(ArrV(h.NewPacked(10)))
+	small := h.NewPacked(4)
+	if cap(small.elems) != 10 {
+		t.Errorf("a 10-slot box reused for a hint of 4 has capacity %d, want 10", cap(small.elems))
+	}
+	h.DecRef(ArrV(small))
+	if big := h.NewPacked(40); big != small || cap(big.elems) < 40 {
+		t.Errorf("hint 40: same box %v, capacity %d", big == small, cap(big.elems))
+	}
+	h.DecRef(ArrV(h.NewMixed(3)))
+	if m := h.NewMixed(9); cap(m.entries) < 9 {
+		t.Errorf("mixed hint 9: capacity %d", cap(m.entries))
+	}
+}
+
+// checkParked holds a freed array to the scrub rule: a dead count,
+// nothing of its last life, and only zero values up to the capacity of
+// its storage, so a parked box pins nothing for the host collector.
+func checkParked(t *testing.T, a *Array) {
+	t.Helper()
+	if a.refs != deadRefs || a.live != 0 || a.nextIdx != 0 || a.index != nil || a.indexLen != 0 {
+		t.Fatalf("freed array: refs %d, live %d, nextIdx %d, index %v (%d slots)",
+			a.refs, a.live, a.nextIdx, a.index != nil, a.indexLen)
+	}
+	if len(a.elems) != 0 || len(a.entries) != 0 {
+		t.Fatalf("freed array keeps %d elements, %d entries", len(a.elems), len(a.entries))
+	}
+	for i, v := range a.elems[:cap(a.elems)] {
+		if v != (Value{}) {
+			t.Fatalf("freed packed array pins %s in slot %d", v.DebugString(), i)
+		}
+	}
+	for i, e := range a.entries[:cap(a.entries)] {
+		if e != (arrayEntry{}) {
+			t.Fatalf("freed mixed array pins %s => %s in entry %d", e.key.DebugString(), e.val.DebugString(), i)
+		}
+	}
+}
+
 // TestBoxFreedOnAnotherHeap: worker VMs and the sentry's replay VM hand
 // values across heaps; a box goes onto the list of the heap that frees
 // it and onto no other.
@@ -137,12 +241,24 @@ func TestParkedBytesBoundHoldsUnderBurst(t *testing.T) {
 	var burst []Value
 	for i := 0; i < 2000; i++ {
 		burst = append(burst, h.NewStr("s"), ObjV(h.NewObject(small)), ObjV(h.NewObject(wide)))
+		if i%20 == 0 {
+			big := h.NewPacked(1000)
+			for k := 0; k < 1000; k++ {
+				big.elems = append(big.elems, Int(int64(k)))
+			}
+			burst = append(burst, ArrV(big), ArrV(h.NewMixed(1000)), ArrV(h.NewPacked(3)), ArrV(h.NewMixed(3)))
+		}
 	}
 	held := func() (bytes uintptr) {
 		bytes = uintptr(len(h.freeStrs)) * strBytes
 		for _, list := range h.freeObjs {
 			for _, o := range list {
 				bytes += o.parkedBytes()
+			}
+		}
+		for _, list := range [][]*Array{h.freePacked, h.freeMixed} {
+			for _, a := range list {
+				bytes += a.parkedBytes()
 			}
 		}
 		return bytes
@@ -156,15 +272,17 @@ func TestParkedBytesBoundHoldsUnderBurst(t *testing.T) {
 	if h.parked != held() || h.parked < maxParkedBytes/2 {
 		t.Errorf("lists hold %d bytes, accounted %d, bound %d", held(), h.parked, maxParkedBytes)
 	}
-	if h.LiveStrs != 0 || h.LiveObjs != 0 || h.Frees != uint64(len(burst)) {
-		t.Errorf("after the burst: %d live strings, %d live objects, %d frees of %d",
-			h.LiveStrs, h.LiveObjs, h.Frees, len(burst))
+	if h.LiveStrs != 0 || h.LiveObjs != 0 || h.LiveArrs != 0 || h.Frees != uint64(len(burst)) {
+		t.Errorf("after the burst: %d live strings, %d live objects, %d live arrays, %d frees of %d",
+			h.LiveStrs, h.LiveObjs, h.LiveArrs, h.Frees, len(burst))
 	}
 	// Draining the lists returns every accounted byte.
 	for i := 0; i < 2000; i++ {
 		h.NewStr("s")
 		h.NewObject(small)
 		h.NewObject(wide)
+		h.NewPacked(0)
+		h.NewMixed(0)
 	}
 	if h.parked != 0 || held() != 0 {
 		t.Errorf("drained lists still account %d bytes, hold %d", h.parked, held())
@@ -191,12 +309,17 @@ func TestOverReleasesAreCountedNotActedOn(t *testing.T) {
 	o := ObjV(h.NewObject(cls))
 	h.DecRef(o)
 	h.DecRef(o)
-	arr := ArrV(NewPacked([]Value{Int(1)}))
+	arr := ArrV(h.NewPackedOf([]Value{Int(1)}))
 	h.DecRef(arr)
 	h.DecRef(arr)
-	if h.OverReleases != 4 || h.LiveObjs != 0 || len(h.freeObjs[1]) != 1 || h.Frees != 3 {
-		t.Errorf("object and array: %d over-releases, %d live objects, %d parked, %d frees",
-			h.OverReleases, h.LiveObjs, len(h.freeObjs[1]), h.Frees)
+	if h.OverReleases != 4 || h.LiveObjs != 0 || h.LiveArrs != 0 || len(h.freeObjs[1]) != 1 || len(h.freePacked) != 1 || h.Frees != 3 {
+		t.Errorf("object and array: %d over-releases, %d live objects, %d live arrays, %d and %d parked, %d frees",
+			h.OverReleases, h.LiveObjs, h.LiveArrs, len(h.freeObjs[1]), len(h.freePacked), h.Frees)
+	}
+	h.IncRef(arr) // a stale IncRef reaches the parked array; reuse notices
+	if reused := h.NewPacked(0); reused != arr.AsArr() || reused.Refs() != 1 || reused.Len() != 0 || h.OverReleases != 5 {
+		t.Errorf("reuse after a stale IncRef: same box %v, refs %d, len %d, %d over-releases",
+			reused == arr.AsArr(), reused.Refs(), reused.Len(), h.OverReleases)
 	}
 }
 
@@ -247,9 +370,24 @@ func TestWarmAllocationCounts(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { h.DecRef(ObjV(h.NewObject(cls))) }); got != 0 {
 		t.Errorf("warm new/free cycle: %v allocations, want 0", got)
 	}
-	if got := testing.AllocsPerRun(100, func() { h.DecRef(mixedLiteral(h, 7)) }); got > 2 {
-		t.Errorf("a 4-key literal built and freed: %v allocations, want <= 2 (the box and its entries)", got)
+	h.DecRef(mixedLiteral(h, 7))
+	if got := testing.AllocsPerRun(100, func() { h.DecRef(mixedLiteral(h, 7)) }); got != 0 {
+		t.Errorf("a 4-key literal built and freed: %v allocations, want 0", got)
 	}
+	h.DecRef(appendedList(h, 80))
+	if got := testing.AllocsPerRun(100, func() { h.DecRef(appendedList(h, 80)) }); got != 0 {
+		t.Errorf("an 80-element list appended and freed: %v allocations, want 0", got)
+	}
+}
+
+// appendedList builds what `$a = []; for (…) { $a[] = $i; }` does: an
+// empty packed literal, then n appends.
+func appendedList(h *Heap, n int) Value {
+	a := h.NewPacked(0)
+	for i := 0; i < n; i++ {
+		a = a.Append(h, Int(int64(i)))
+	}
+	return ArrV(a)
 }
 
 // literalKeys are the string keys of mixedLiteral, static as a unit's
@@ -260,7 +398,7 @@ var literalKeys = [...]Value{StrV(InternStr("id")), StrV(InternStr("name")), Str
 // ["id" => $i, "name" => "n", "score" => $i, "tags" => $i] does: NewArray
 // with its capacity hint, then one AddElemC per entry.
 func mixedLiteral(h *Heap, i int64) Value {
-	arr := ArrV(NewMixed(len(literalKeys)))
+	arr := ArrV(h.NewMixed(len(literalKeys)))
 	for k, key := range literalKeys {
 		val := Int(i)
 		if k == 1 {
@@ -273,8 +411,8 @@ func mixedLiteral(h *Heap, i int64) Value {
 
 // BenchmarkGuestAlloc is the allocation cost of what the site creates
 // most: a concatenation's result, a string built by forty appends
-// (profile_render's page), an object and a 4-key mixed literal, each
-// freed before the next is made.
+// (profile_render's page), an object, a 4-key mixed literal and an
+// 80-element list built by appends, each freed before the next is made.
 func BenchmarkGuestAlloc(b *testing.B) {
 	tree := shapes.NewTree()
 	cls := testClass(tree, "A", Int(1), Null(), Null())
@@ -308,6 +446,12 @@ func BenchmarkGuestAlloc(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			h.DecRef(mixedLiteral(h, int64(i)))
+		}
+	})
+	b.Run("packed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.DecRef(appendedList(h, 80))
 		}
 	})
 }

@@ -58,10 +58,10 @@ func (c *Class) SetAncestorID(id int) {
 	c.AncestorBits[w] |= 1 << b
 }
 
-// LookupMethod resolves name to a function ID.
+// LookupMethod resolves the case-insensitive method name to a function
+// ID.
 func (c *Class) LookupMethod(name string) (int, bool) {
-	id, ok := c.Methods[name]
-	return id, ok
+	return LookupFold(c.Methods, name)
 }
 
 // IsSubclassOf walks the extends chain and interface lists.

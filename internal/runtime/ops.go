@@ -36,7 +36,7 @@ func Add(h *Heap, a, b Value) (Value, error) {
 }
 
 func arrayUnion(h *Heap, a, b *Array) Value {
-	res := a.clone()
+	res := a.clone(h)
 	b.Each(func(k, v Value) bool {
 		if _, ok := res.Get(k); !ok {
 			h.IncRef(v)

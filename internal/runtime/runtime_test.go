@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -42,7 +43,7 @@ func TestStaticStringsSkipRefcounting(t *testing.T) {
 
 func TestCopyOnWrite(t *testing.T) {
 	h := rt.NewHeap()
-	a := rt.NewPacked([]rt.Value{rt.Int(1), rt.Int(2)})
+	a := h.NewPackedOf([]rt.Value{rt.Int(1), rt.Int(2)})
 	av := rt.ArrV(a)
 	h.IncRef(av) // second reference (simulating $b = $a)
 	b := a.Set(h, rt.Int(0), rt.Int(99))
@@ -67,7 +68,7 @@ func TestCopyOnWrite(t *testing.T) {
 
 func TestPackedEscalatesToMixed(t *testing.T) {
 	h := rt.NewHeap()
-	a := rt.NewPacked([]rt.Value{rt.Int(1)})
+	a := h.NewPackedOf([]rt.Value{rt.Int(1)})
 	if !a.IsPacked() {
 		t.Fatal("fresh packed array is not packed")
 	}
@@ -87,7 +88,7 @@ func TestPackedEscalatesToMixed(t *testing.T) {
 
 func TestArrayAppendKeepsPacked(t *testing.T) {
 	h := rt.NewHeap()
-	a := rt.NewPacked(nil)
+	a := h.NewPacked(0)
 	for i := 0; i < 10; i++ {
 		a = a.Append(h, rt.Int(int64(i)))
 	}
@@ -98,7 +99,7 @@ func TestArrayAppendKeepsPacked(t *testing.T) {
 
 func TestMixedInsertionOrder(t *testing.T) {
 	h := rt.NewHeap()
-	a := rt.NewMixed(0)
+	a := h.NewMixed(0)
 	keys := []string{"z", "a", "m"}
 	for i, k := range keys {
 		a = a.Set(h, h.NewStr(k), rt.Int(int64(i)))
@@ -114,7 +115,7 @@ func TestMixedInsertionOrder(t *testing.T) {
 
 func TestArrayRemoveAndTombstones(t *testing.T) {
 	h := rt.NewHeap()
-	a := rt.NewMixed(0)
+	a := h.NewMixed(0)
 	a = a.Set(h, h.NewStr("a"), rt.Int(1))
 	a = a.Set(h, h.NewStr("b"), rt.Int(2))
 	a = a.Remove(h, h.NewStr("a"))
@@ -172,8 +173,8 @@ func TestTruthiness(t *testing.T) {
 		{rt.Int(0), false}, {rt.Int(1), true},
 		{h.NewStr(""), false}, {h.NewStr("0"), false}, {h.NewStr("x"), true},
 		{rt.Null(), false}, {rt.Bool(true), true},
-		{rt.ArrV(rt.NewPacked(nil)), false},
-		{rt.ArrV(rt.NewPacked([]rt.Value{rt.Int(0)})), true},
+		{rt.ArrV(h.NewPacked(0)), false},
+		{rt.ArrV(h.NewPackedOf([]rt.Value{rt.Int(0)})), true},
 	}
 	for _, c := range cases {
 		if c.v.Bool() != c.want {
@@ -188,7 +189,7 @@ func TestTruthiness(t *testing.T) {
 func TestArraySetGetProperty(t *testing.T) {
 	f := func(keys []uint8, vals []int64) bool {
 		h := rt.NewHeap()
-		a := rt.NewMixed(0)
+		a := h.NewMixed(0)
 		model := map[int64]int64{}
 		for i, k := range keys {
 			if i >= len(vals) {
@@ -225,7 +226,7 @@ func TestCOWPreservesOriginalProperty(t *testing.T) {
 		for i, v := range vals {
 			elems[i] = rt.Int(v)
 		}
-		a := rt.NewPacked(elems)
+		a := h.NewPackedOf(elems)
 		av := rt.ArrV(a)
 		h.IncRef(av)
 		i := int64(idx) % int64(len(vals))
@@ -272,13 +273,28 @@ func TestBuiltinTable(t *testing.T) {
 		t.Fatal("count missing")
 	}
 	ctx := &rt.BuiltinCtx{Heap: rt.NewHeap()}
-	arr := rt.ArrV(rt.NewPacked([]rt.Value{rt.Int(1), rt.Int(2)}))
+	arr := rt.ArrV(ctx.Heap.NewPackedOf([]rt.Value{rt.Int(1), rt.Int(2)}))
 	v, err := b.Fn(ctx, []rt.Value{arr})
 	if err != nil || v.AsInt() != 2 {
 		t.Fatalf("count = %v (%v)", v.DebugString(), err)
 	}
 	if len(rt.BuiltinNames()) < 20 {
 		t.Errorf("builtin table suspiciously small: %d", len(rt.BuiltinNames()))
+	}
+}
+
+// TestLookupFoldIsToLower: the stack-buffer fold finds exactly what
+// indexing by strings.ToLower finds, on both sides of its 64-byte
+// buffer and for names it leaves to ToLower.
+func TestLookupFoldIsToLower(t *testing.T) {
+	long := strings.Repeat("x", 64)
+	m := map[string]int{"rendercard": 1, long: 2, long + "y": 3, "été": 4, "": 5}
+	for _, name := range []string{"renderCard", "RENDERCARD", "render_card", long, strings.ToUpper(long),
+		long + "Y", long + "z", "ÉTÉ", "Été", "", "renderCard\xff"} {
+		want, wantOK := m[strings.ToLower(name)]
+		if got, ok := rt.LookupFold(m, name); got != want || ok != wantOK {
+			t.Errorf("LookupFold(%q) = %d, %v; ToLower finds %d, %v", name, got, ok, want, wantOK)
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ func everyKind(h *rt.Heap) []operand {
 		{"Int", rt.Int(5)},
 		{"Dbl", rt.Dbl(2.5)},
 		{"Str", h.NewStr("7")},
-		{"Arr", rt.ArrV(rt.NewPacked([]rt.Value{rt.Int(10), rt.Int(20)}))},
+		{"Arr", rt.ArrV(h.NewPackedOf([]rt.Value{rt.Int(10), rt.Int(20)}))},
 		{"Obj", rt.ObjV(h.NewObject(boxClass()))},
 	}
 }
@@ -118,8 +118,8 @@ func TestCompareByCondition(t *testing.T) {
 	if !rt.Compare(rt.CondEQ, o, o) || rt.Compare(rt.CondEQ, o, rt.ObjV(h.NewObject(boxClass()))) {
 		t.Error("object equality must be identity")
 	}
-	a1 := rt.ArrV(rt.NewPacked([]rt.Value{rt.Int(1)}))
-	a2 := rt.ArrV(rt.NewPacked([]rt.Value{rt.Int(1)}))
+	a1 := rt.ArrV(h.NewPackedOf([]rt.Value{rt.Int(1)}))
+	a2 := rt.ArrV(h.NewPackedOf([]rt.Value{rt.Int(1)}))
 	if !rt.Compare(rt.CondEQ, a1, a2) || rt.Compare(rt.CondNE, a1, a2) {
 		t.Error("equal arrays must compare ==")
 	}
@@ -222,7 +222,7 @@ func TestElemGetEveryKind(t *testing.T) {
 	}
 	// A missing element reads as null; a counted element comes back owned.
 	inner := h.NewStr("payload")
-	arr := rt.ArrV(rt.NewPacked([]rt.Value{inner}))
+	arr := rt.ArrV(h.NewPackedOf([]rt.Value{inner}))
 	if v, err := rt.ElemGet(h, arr, rt.Int(9), ""); err != nil || v.Kind != types.KNull {
 		t.Errorf("missing element read %s, %v; want null", v.DebugString(), err)
 	}
@@ -299,7 +299,7 @@ func TestElemStoresEveryKind(t *testing.T) {
 		}
 		// A shared array is copied exactly once, the other holder keeps
 		// the original.
-		orig := rt.NewPacked([]rt.Value{rt.Int(1)})
+		orig := h.NewPackedOf([]rt.Value{rt.Int(1)})
 		slot := rt.ArrV(orig)
 		h.IncRef(slot) // $b = $a
 		if err := st.do(h, &slot, rt.Int(1), rt.Int(2)); err != nil {
@@ -331,7 +331,7 @@ func TestElemUnsetAndExists(t *testing.T) {
 	// Unsetting through a shared array copies; the element's reference
 	// in the original survives.
 	el := h.NewStr("e")
-	orig := rt.NewPacked([]rt.Value{el})
+	orig := h.NewPackedOf([]rt.Value{el})
 	slot := rt.ArrV(orig)
 	h.IncRef(slot)
 	cow := h.CowCopies

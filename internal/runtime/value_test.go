@@ -89,11 +89,12 @@ func TestValuePointerRoundTrips(t *testing.T) {
 	if v := rt.StrV(s); v.Kind != types.KStr || v.AsStr() != s {
 		t.Errorf("StrV lost its *Str: %p != %p", v.AsStr(), s)
 	}
-	a := rt.NewPacked(nil)
+	h := rt.NewHeap()
+	a := h.NewPacked(0)
 	if v := rt.ArrV(a); v.Kind != types.KArr || v.AsArr() != a {
 		t.Errorf("ArrV lost its *Array: %p != %p", v.AsArr(), a)
 	}
-	o := rt.NewHeap().NewObject(&rt.Class{Name: "C"})
+	o := h.NewObject(&rt.Class{Name: "C"})
 	if v := rt.ObjV(o); v.Kind != types.KObj || v.AsObj() != o {
 		t.Errorf("ObjV lost its *Object: %p != %p", v.AsObj(), o)
 	}
@@ -112,7 +113,7 @@ func TestValueKeepsPayloadAlive(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		vals = append(vals,
 			h.NewStr(string(rune('a'+i%26))+"-only-reference"),
-			rt.ArrV(rt.NewPacked([]rt.Value{rt.Int(int64(i)), h.NewStr("elem")})),
+			rt.ArrV(h.NewPackedOf([]rt.Value{rt.Int(int64(i)), h.NewStr("elem")})),
 			rt.ObjV(h.NewObject(cls)))
 	}
 	for round := 0; round < 2; round++ {

@@ -109,9 +109,9 @@ echo $log;
 				if out.String() != expected.String() {
 					t.Fatalf("iter %d: %q != %q", i, out.String(), expected.String())
 				}
-				if h := v.Heap.Snapshot(); h.OverReleases != 0 || h.LiveObjs != 0 || h.LiveStrs != 0 {
-					t.Fatalf("iter %d: %d over-releases, %d live objects, %d live strings",
-						i, h.OverReleases, h.LiveObjs, h.LiveStrs)
+				if h := v.Heap.Snapshot(); h.OverReleases != 0 || h.LiveObjs != 0 || h.LiveStrs != 0 || h.LiveArrs != 0 {
+					t.Fatalf("iter %d: %d over-releases, %d live objects, %d live strings, %d live arrays",
+						i, h.OverReleases, h.LiveObjs, h.LiveStrs, h.LiveArrs)
 				}
 			}
 		})
