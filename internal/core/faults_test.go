@@ -547,7 +547,9 @@ func TestLiveTierTranslatesAChainInOneWalk(t *testing.T) {
 // back-edges are OSR points, and the OSR check must know what the
 // dispatcher knows: a bounce the dispatcher then refuses costs one
 // Lookup and one interpreter re-entry per iteration. Dispatcher work
-// per request must not grow with the trip count.
+// per request must not grow with the trip count. At the ladder's
+// bottom, DegradeInterpOnly, code that already runs translated must
+// stop entering machine code at once and still return the same answer.
 func TestShedLiveMintingDoesNotBounceLoops(t *testing.T) {
 	unit, err := core.Compile(`
 function spin($n) { $s = 0; for ($i = 0; $i < $n; $i++) { $s += $i; } return $s; }
@@ -579,5 +581,39 @@ function spin($n) { $s = 0; for ($i = 0; $i < $n; $i++) { $s += $i; } return $s;
 		if st := eng.Stats(); st.LiveTranslations != 0 {
 			t.Errorf("degrade level %d: %d live translations minted while shed", level, st.LiveTranslations)
 		}
+	}
+
+	cfg := jit.DefaultConfig()
+	cfg.Mode = jit.ModeTracelet
+	eng, err := core.NewEngine(unit, cfg, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	call := func() (enters, lookups, runs uint64) {
+		t.Helper()
+		before := eng.Stats()
+		v, err := eng.Call("spin", runtime.Int(n))
+		if err != nil || v.AsInt() != n*(n-1)/2 {
+			t.Fatalf("spin(%d) = %s, %v", n, v.DebugString(), err)
+		}
+		st := eng.Stats()
+		return st.MachineEnters - before.MachineEnters, st.Lookups - before.Lookups, st.InterpRuns - before.InterpRuns
+	}
+	// Warm until a whole call runs translated, entry included: only then
+	// does the shed take machine code away from the dispatcher's own
+	// entry Lookup, not just from the OSR check.
+	warm := false
+	for req := 0; req < 10 && !warm; req++ {
+		enters, _, runs := call()
+		warm = enters > 0 && runs == 0
+	}
+	if !warm {
+		t.Fatal("spin never ran translated from its entry before the shed")
+	}
+	eng.VM.JIT.Shed(jit.DegradeInterpOnly)
+	if enters, lookups, runs := call(); enters != 0 || lookups > 2 || runs > 2 {
+		t.Errorf("DegradeInterpOnly: %d machine entries, %d dispatcher lookups and %d interpreter entries for one request, want 0, at most 2 and at most 2",
+			enters, lookups, runs)
 	}
 }

@@ -402,11 +402,13 @@ func (j *JIT) escalateDegrade() {
 func (j *JIT) DegradeLevel() int32 { return j.degrade.Load() }
 
 // Shed forces the degradation ladder down to at least level — the
-// overload hook fleet serving uses: a host drowning in traffic sheds
-// JIT work (first live minting, then all minting, finally JITed
-// execution itself) and keeps answering requests at reduced capacity
-// instead of dying. Levels beyond DegradeInterpOnly clamp; Shed never
-// raises a host back up (see RecoverShed).
+// ladder's manual entry. Cache exhaustion (recycle) walks the same
+// levels one step at a time: first live minting stops, then all
+// minting, finally JITed execution itself, while requests keep being
+// answered. Shed sets a level directly, so a caller (or a test)
+// reaches any rung without filling a code cache. Levels beyond
+// DegradeInterpOnly clamp; Shed never raises the ladder back up — only
+// a successful recycle does.
 func (j *JIT) Shed(level int32) {
 	if level > DegradeInterpOnly {
 		level = DegradeInterpOnly
@@ -421,13 +423,6 @@ func (j *JIT) Shed(level int32) {
 		}
 	}
 }
-
-// RecoverShed walks the degradation ladder fully back to normal
-// operation once overload passes. Published translations were never
-// discarded, so the next dispatch resumes optimized execution
-// immediately; the cache-full latch is left alone (it belongs to the
-// recycler, not the overload ladder).
-func (j *JIT) RecoverShed() { j.degrade.Store(DegradeNone) }
 
 // CacheFull reports whether the cache-full latch is currently set.
 func (j *JIT) CacheFull() bool { return j.cacheFull.Load() }

@@ -124,10 +124,6 @@ func (c *Code) InjectTamper(v uint64) bool {
 	return c.tamper.CompareAndSwap(0, v)
 }
 
-// ClearTamper repairs the injected corruption (tests restoring a
-// translation they deliberately damaged).
-func (c *Code) ClearTamper() { c.tamper.Store(0) }
-
 // DispatchFlags bits (see Code.DispatchFlags).
 const (
 	FlagFetchHead  uint8 = 1 << 0

@@ -62,8 +62,7 @@ func (m *Monitor) bisect(endpoint, refOut, refRet string) DivergenceReport {
 	if len(cands) == 0 || !matches(len(cands)) {
 		// Even with every translation disabled — an interpreter-
 		// equivalent replay — the divergence persists, so the fault
-		// is not in the code cache. Report it unisolated; the
-		// OnDivergence callback still fires so the host can shed.
+		// is not in the code cache. Report it unisolated.
 		rep.Unisolable = true
 		return rep
 	}

@@ -136,11 +136,6 @@ type Monitor struct {
 	wg     sync.WaitGroup
 	closed bool
 
-	// OnDivergence, when set before Start, is called from the
-	// comparator goroutine for every divergence report (the fleet
-	// uses it to mark the host degraded).
-	OnDivergence func(DivergenceReport)
-
 	repMu   sync.Mutex
 	reports []DivergenceReport
 
@@ -311,9 +306,9 @@ func (m *Monitor) Audit() int {
 	}
 }
 
-// AuditStep validates up to n translations (the server calls this
-// once per simulated minute so auditing stays low-priority). Returns
-// the number of corruptions found in this step.
+// AuditStep validates up to n translations (a serving loop calls it
+// every so many requests so auditing stays low-priority). Returns the
+// number of corruptions found in this step.
 func (m *Monitor) AuditStep(n int) int {
 	if n <= 0 {
 		n = m.cfg.AuditChunk

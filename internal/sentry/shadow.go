@@ -108,9 +108,6 @@ func (m *Monitor) compare(o observation) {
 	m.repMu.Lock()
 	m.reports = append(m.reports, rep)
 	m.repMu.Unlock()
-	if m.OnDivergence != nil {
-		m.OnDivergence(rep)
-	}
 }
 
 // shadowRef is one memoized interpreter reference result.

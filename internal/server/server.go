@@ -17,7 +17,6 @@ import (
 	"repro/internal/jit"
 	"repro/internal/jumpstart"
 	"repro/internal/perflab"
-	"repro/internal/sentry"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -30,11 +29,10 @@ type Sample struct {
 	// RPSPct is throughput relative to steady state (100 = steady).
 	RPSPct float64
 	// Event holds the lifecycle points reached this minute, in a fixed
-	// "J", "A", "C", "D", "F", "R", "V" order ("J" jumpstarted from a
+	// "J", "A", "C", "D", "F", "R" order ("J" jumpstarted from a
 	// snapshot, "A" profiling done, "C" optimized published, "D" cache
 	// full, "F" first contained translation fault, "R" first code-cache
-	// recycle, "V" first verification finding — corruption, torn link,
-	// or divergence). Coincident events all appear: a minute where
+	// recycle). Coincident events all appear: a minute where
 	// profiling finishes and the optimized code is published reads
 	// "AC".
 	Event string
@@ -75,13 +73,6 @@ type Config struct {
 	// against minute 0's cycle budget — warm starts are not free, just
 	// much cheaper than minutes of profiling.
 	Jumpstart *jumpstart.Snapshot
-	// VerifySample, when > 0, attaches a sentry monitor to the
-	// restarted server: that fraction of requests is re-executed on a
-	// shadow interpreter and compared, the code cache is audited one
-	// chunk per simulated minute, and divergences are bisected and
-	// quarantined. Shadow work runs on the monitor's own VMs, so it
-	// never consumes the serving cycle budget.
-	VerifySample float64
 }
 
 // DefaultConfig approximates the paper's 30-minute window.
@@ -133,18 +124,13 @@ type Result struct {
 	TransFaults uint64
 	Evictions   uint64
 	RecycleRuns uint64
-	// Verify holds the sentry monitor's counters when
-	// Config.VerifySample was set (audits, shadow comparisons,
-	// divergences, quarantined culprits — DESIGN.md §15).
-	Verify sentry.Stats
 }
 
-// MinutesTo90Never is the sentinel MinutesTo90 value (shared by the
-// fleet-level warmup metrics) reporting that throughput never reached
-// 90% of steady state within the simulated window. It is negative so
-// arithmetic misuse is loud; consumers must check Reached90 (or
-// compare against this constant) instead of reading the value as a
-// minute.
+// MinutesTo90Never is the sentinel MinutesTo90 value reporting that
+// throughput never reached 90% of steady state within the simulated
+// window. It is negative so arithmetic misuse is loud; consumers must
+// check Reached90 (or compare against this constant) instead of
+// reading the value as a minute.
 const MinutesTo90Never = -1
 
 // Reached90 reports whether the run ever reached 90% of steady-state
@@ -227,17 +213,6 @@ func Simulate(cfg Config) (*Result, error) {
 		res.JumpstartLoad = eng.LoadProfile(cfg.Jumpstart)
 		jumpstartCycles = eng.Cycles() - before
 	}
-	// Self-verification: checksum every publish, audit one chunk per
-	// minute, shadow-sample the configured request fraction.
-	var mon *sentry.Monitor
-	if cfg.VerifySample > 0 {
-		mon, err = sentry.New(sentry.Config{SampleRate: cfg.VerifySample, Seed: cfg.Seed}, eng.VM.JIT)
-		if err != nil {
-			return nil, err
-		}
-		defer mon.Close()
-	}
-
 	// Worker pool: worker 0 is the engine's primary VM; extra workers
 	// share its JIT (translation index, counters, code cache) with
 	// private interpreter state. Each worker draws from its own seeded
@@ -256,7 +231,6 @@ func Simulate(cfg Config) (*Result, error) {
 	sawFull := false
 	sawFault := false
 	sawRecycle := false
-	sawVerify := false
 	jumpEvent := sawOptimize
 	for minute := 0; minute < cfg.Minutes; minute++ {
 		// Fleet-wave overload window: load balancers shift traffic of
@@ -289,12 +263,10 @@ func Simulate(cfg Config) (*Result, error) {
 				start := v.Meter.Cycles
 				for float64(perWorker[i]) < demand && v.Meter.Cycles-start < budget {
 					ep := pick(rngs[i])
-					_, out, err := perflab.RunEndpointVM(v, ep.Name)
-					if err != nil {
+					if _, _, err := perflab.RunEndpointVM(v, ep.Name); err != nil {
 						errs[i] = err
 						return
 					}
-					mon.Observe(ep.Name, out)
 					perWorker[i]++
 				}
 			}(i)
@@ -305,14 +277,6 @@ func Simulate(cfg Config) (*Result, error) {
 				return nil, errs[i]
 			}
 			served += perWorker[i]
-		}
-		// End-of-minute verification pass: audit one low-priority chunk
-		// of the code cache, then drain pending shadow comparisons so
-		// the per-minute counters (and the "V" event latch) are
-		// deterministic rather than dependent on comparator timing.
-		if mon != nil {
-			mon.AuditStep(0)
-			mon.Drain()
 		}
 		st := eng.Stats()
 		code := st.BytesProfiling + st.BytesOptimized + st.BytesLive
@@ -345,12 +309,6 @@ func Simulate(cfg Config) (*Result, error) {
 			ev += "R"
 			sawRecycle = true
 		}
-		if !sawVerify && mon != nil {
-			if vs := mon.Stats(); vs.Corruptions+vs.TornLinks+vs.DanglingLinks+vs.Divergences > 0 {
-				ev += "V"
-				sawVerify = true
-			}
-		}
 		res.Samples = append(res.Samples, Sample{
 			Minute:    float64(minute + 1),
 			CodeBytes: code,
@@ -371,10 +329,6 @@ func Simulate(cfg Config) (*Result, error) {
 	res.TransFaults = st.TransFaults
 	res.Evictions = st.Evictions
 	res.RecycleRuns = st.RecycleRuns
-	if mon != nil {
-		mon.Drain()
-		res.Verify = mon.Stats()
-	}
 	res.MinutesTo90 = MinutesTo90Never
 	for _, s := range res.Samples {
 		if s.RPSPct >= 90 {
@@ -432,9 +386,5 @@ func Report(w io.Writer, r *Result) {
 	if r.TransFaults > 0 || r.RecycleRuns > 0 {
 		fmt.Fprintf(w, "self-healing: %d faults contained, %d recycle runs, %d translations evicted\n",
 			r.TransFaults, r.RecycleRuns, r.Evictions)
-	}
-	if v := r.Verify; v.Audited > 0 || v.Sampled > 0 {
-		fmt.Fprintf(w, "verify: %d audited (%d corruptions, %d torn links), %d shadow runs, %d divergences, %d quarantined\n",
-			v.Audited, v.Corruptions, v.TornLinks, v.ShadowRuns, v.Divergences, v.Quarantined)
 	}
 }
