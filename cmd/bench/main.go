@@ -3,19 +3,18 @@
 //
 // Usage:
 //
-//	bench -exp fig8|fig9|fig10|fig11|jumpstart|scale|chain|shapes|faults|verify|all
+//	bench -exp fig8|fig9|fig10|fig11|jumpstart|scale|chain|shapes|faults|all
 //	      [-quick] [-no-shapes] [-workers N] [-json path] [-cpuprofile path] [-memprofile path]
 //
 // -exp also accepts a comma-separated list (e.g. -exp chain,shapes).
 // With -json, the rows of the machine-readable experiments (fig8,
-// scale, chain, shapes, faults, and verify) are also written to the
-// given path as one JSON document, so CI can archive guest-cycles/req,
-// smashed-vs-dispatched bind counts, and fault-containment and
-// verification counters across runs. Host time per request
-// is not measured here: that is the ledger's `req_host_ns`
-// (go run ./benchmarks, see benchmarks/README.md). -cpuprofile and
-// -memprofile write pprof profiles of whatever experiments ran
-// (go tool pprof).
+// scale, chain, shapes and faults) are also written to the given path
+// as one JSON document, so CI can archive guest-cycles/req,
+// smashed-vs-dispatched bind counts, and fault-containment counters
+// across runs. Host time per request is not measured here: that is the
+// ledger's `req_host_ns` (go run ./benchmarks, see benchmarks/README.md).
+// -cpuprofile and -memprofile write pprof profiles of whatever
+// experiments ran (go tool pprof).
 package main
 
 import (
@@ -40,15 +39,14 @@ type jsonReport struct {
 	Chain  []experiments.ChainRow    `json:"chain,omitempty"`
 	Shapes *experiments.ShapesResult `json:"shapes,omitempty"`
 	Faults *experiments.FaultsResult `json:"faults,omitempty"`
-	Verify *experiments.VerifyResult `json:"verify,omitempty"`
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment (or comma-separated list): fig8, fig9, fig10, fig11, jumpstart, scale, chain, shapes, faults, verify, all")
+	exp := flag.String("exp", "all", "experiment (or comma-separated list): fig8, fig9, fig10, fig11, jumpstart, scale, chain, shapes, faults, all")
 	quick := flag.Bool("quick", false, "reduced warmup/measurement volume")
 	noShapes := flag.Bool("no-shapes", false, "disable typed object shapes in every experiment config")
 	workers := flag.Int("workers", 4, "worker count for the scale experiment (compared against 1)")
-	jsonPath := flag.String("json", "", "also write machine-readable results (fig8, scale, chain, shapes, faults, verify) to this path")
+	jsonPath := flag.String("json", "", "also write machine-readable results (fig8, scale, chain, shapes, faults) to this path")
 	faultSeed := flag.Int64("fault-seed", 1, "deterministic seed for the faults experiment")
 	faultRate := flag.Float64("fault-rate", 0.01, "per-draw injection probability for the faults experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this file")
@@ -189,15 +187,6 @@ func main() {
 			return fmt.Errorf("faulty run %.1f%% slower than baseline (budget 25%%)", res.SlowdownPct)
 		}
 		return nil
-	})
-	run("verify", func(pc perflab.Config) error {
-		res, err := experiments.Verify(pc, *faultSeed)
-		if err != nil {
-			return err
-		}
-		experiments.ReportVerify(os.Stdout, res)
-		report.Verify = res
-		return res.GateErr()
 	})
 	run("fig10", func(pc perflab.Config) error {
 		rows, err := experiments.Fig10(pc)

@@ -8,25 +8,19 @@
 //	hhvm [-mode interp|tracelet|profiling|region] [-requests N]
 //	     [-stats] [-disas] [-prof-dump file] [-prof-load file]
 //	     [-fault-rate P] [-fault-seed N] [-compile-workers N]
-//	     [-no-shapes] [-verify-sample P] file.php
+//	     [-no-shapes] file.php
 //
 // -prof-load jumpstarts the engine from a profile snapshot before the
 // first request; -prof-dump persists the profile after the last one
 // (inspect the result with the profdump tool). -fault-rate > 0 arms
 // the deterministic fault injector (DESIGN.md §11) at probability P
 // per draw for every fault kind, exercising the self-healing paths.
-// -verify-sample > 0 attaches the self-verification monitor
-// (DESIGN.md §15): a code-cache integrity auditor plus a shadow
-// interpreter that re-executes the given fraction of requests and
-// cross-checks outputs and return values.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -34,7 +28,6 @@ import (
 	"repro/internal/hhir"
 	"repro/internal/jit"
 	"repro/internal/jumpstart"
-	"repro/internal/sentry"
 	"repro/internal/vasm"
 )
 
@@ -51,7 +44,6 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "deterministic seed for the fault injector")
 	flag.IntVar(&cfg.CompileWorkers, "compile-workers", cfg.CompileWorkers, "goroutines the optimizing backend fans over (0/1 = one)")
 	noShapes := flag.Bool("no-shapes", false, "disable typed object shapes (shape guards + property inline caches)")
-	verifySample := flag.Float64("verify-sample", 0, "re-execute this fraction of requests on a shadow interpreter and cross-check (0 disables; also arms the code-cache integrity auditor)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -114,34 +106,13 @@ func main() {
 			}
 		}
 	}
-	var mon *sentry.Monitor
-	if *verifySample > 0 {
-		mon, err = sentry.New(sentry.Config{SampleRate: *verifySample, Seed: *faultSeed}, eng.VM.JIT)
-		if err != nil {
-			fatal(err)
-		}
-		defer mon.Close()
-	}
 	var total uint64
-	var reqBuf strings.Builder
 	for i := 0; i < *requests; i++ {
-		var out io.Writer = os.Stdout
-		if mon != nil {
-			reqBuf.Reset()
-			out = io.MultiWriter(os.Stdout, &reqBuf)
-		}
-		c, err := eng.RunRequest(out)
+		c, err := eng.RunRequest(os.Stdout)
 		if err != nil {
 			fatal(err)
-		}
-		if mon != nil {
-			mon.Observe(sentry.MainEndpoint, reqBuf.String())
 		}
 		total = c // last request's cost (steady state)
-	}
-	if mon != nil {
-		mon.Audit()
-		mon.Drain()
 	}
 	if *profDump != "" {
 		if err := jumpstart.Save(*profDump, eng.ProfileSnapshot()); err != nil {
@@ -185,11 +156,6 @@ func main() {
 		if *faultRate > 0 {
 			fmt.Fprintf(os.Stderr, "self-healing: %d injections fired, %d faults contained, %d quarantined, %d demoted, %d recycle runs, degrade level %d\n",
 				cfg.Faults.TotalFired(), st.TransFaults, st.Quarantined, st.Demotions, st.RecycleRuns, st.DegradeLevel)
-		}
-		if mon != nil {
-			vs := mon.Stats()
-			fmt.Fprintf(os.Stderr, "verify:       %d audited (%d corruptions, %d torn links, %d dangling), %d sampled, %d shadow runs, %d divergences, %d quarantined\n",
-				vs.Audited, vs.Corruptions, vs.TornLinks, vs.DanglingLinks, vs.Sampled, vs.ShadowRuns, vs.Divergences, vs.Quarantined)
 		}
 	}
 }

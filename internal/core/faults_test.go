@@ -464,7 +464,7 @@ func TestQuarantineBackoffExpiryRepromotes(t *testing.T) {
 		}
 	})
 	inj.ForceNext(faultinject.CompileError, 2)
-	if j.Invalidate(fnID, pc, false) == 0 {
+	if j.Invalidate(fnID, pc) == 0 {
 		t.Fatalf("victim (fn %d pc %d) was not published", fnID, pc)
 	}
 	for r := 0; r < 40; r++ {

@@ -3,7 +3,7 @@
 // These tests drive the frame-lifetime edges — deep recursion and the
 // depth error, exceptions unwinding through destructors, side exits
 // that materialize inlined callee frames, contained translation
-// faults, sentry-style replay VMs — differentially against the
+// faults, several workers over one JIT — differentially against the
 // interpreter, and then look inside the pool: the guest heap must
 // balance and no parked frame may still hold a guest value.
 package core_test
@@ -252,42 +252,6 @@ func TestFrameRecyclingAcrossFaults(t *testing.T) {
 					cfg.Faults.Fired(faultinject.TransPanic), eng.Stats().TransFaults)
 			}
 		}
-	}
-}
-
-// TestFrameRecyclingReplayVM: a sentry replay VM (vm.NewReplay)
-// dispatches published translations only and interprets whatever the
-// mask denies; its frames take the same pool.
-func TestFrameRecyclingReplayVM(t *testing.T) {
-	for _, src := range []string{srcDeepRecursion, srcThrowThroughDestructors, srcInlineSideExit} {
-		unit, entry, want := recycleSetup(t, src)
-		eng, err := core.NewEngine(unit, recycleConfig(jit.ModeRegion, 1), io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serveRecycled(t, "replay warm-up", eng, entry, want, 1, 12)
-
-		var published, denied int
-		deny := map[*jit.Translation]bool{}
-		eng.VM.JIT.ForEachTranslation(func(tr *jit.Translation) {
-			published++
-			if published%2 == 0 {
-				deny[tr] = true
-				denied++
-			}
-		})
-		if denied == 0 {
-			t.Fatalf("only %d translations published; nothing to deny", published)
-		}
-		rv := vm.NewReplay(eng.VM.JIT, func(tr *jit.Translation) bool { return deny[tr] })
-
-		var out strings.Builder
-		for r := 0; r < 3; r++ {
-			if got := callEntry(rv, entry, &out); got != want {
-				t.Fatalf("replay VM round %d diverges from the interpreter:\n got %.300q\nwant %.300q", r, got, want)
-			}
-		}
-		checkRecycled(t, "replay VM", rv)
 	}
 }
 

@@ -39,33 +39,8 @@ const (
 	// StaleLink stamps a freshly smashed chain link with an outdated
 	// epoch (models a lost invalidation on a direct-jump patch).
 	StaleLink
-	// CodeCorrupt flips bytes of a published translation's code (models
-	// bit rot or a wild write into the executable mapping). The machine
-	// layer perturbs the translation's observable result while the
-	// corruption is latched; the sentry auditor must catch the checksum
-	// mismatch (DESIGN.md §15).
-	CodeCorrupt
-	// TornLink publishes a smashable-link slot half-written: the stored
-	// link carries a target from the current index but an epoch stamp
-	// torn from a different one (models a non-atomic cross-line patch).
-	TornLink
-	// StaleIC rolls a freshly installed property-inline-cache table
-	// back to a previous epoch (models a lost IC invalidation after a
-	// shape-table republish).
-	StaleIC
 	// KindCount bounds the enum.
 	KindCount
-
-	// firstSilentKind marks the boundary between loud faults — ones
-	// the containment layer (DESIGN.md §11) recovers from on its own,
-	// with outputs preserved — and silent-corruption kinds that by
-	// design produce wrong results until the sentry layer (DESIGN.md
-	// §15) detects and repairs them. EnableAll stops here so that
-	// containment tests and `bench -exp faults` keep their
-	// outputs-bit-identical guarantee; silent kinds are opted into
-	// explicitly (per-kind Rates or ForceNext, as `bench -exp verify`
-	// does).
-	firstSilentKind = CodeCorrupt
 )
 
 func (k Kind) String() string {
@@ -80,12 +55,6 @@ func (k Kind) String() string {
 		return "snapshot-corrupt"
 	case StaleLink:
 		return "stale-link"
-	case CodeCorrupt:
-		return "code-corrupt"
-	case TornLink:
-		return "torn-link"
-	case StaleIC:
-		return "stale-ic"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -108,15 +77,12 @@ type Config struct {
 	Rates [KindCount]float64
 }
 
-// EnableAll returns a config firing every loud fault kind at rate.
-// Silent-corruption kinds (CodeCorrupt, TornLink, StaleIC) stay off:
-// they deliberately break guest-visible results until a sentry
-// monitor repairs them, so blanket-enabling them would void the
-// containment layer's outputs-bit-identical contract. Enable them
-// per kind via Config.Rates or Injector.ForceNext.
+// EnableAll returns a config firing every fault kind at rate. Every
+// kind is loud: the containment layer recovers from it with outputs
+// preserved.
 func EnableAll(seed int64, rate float64) Config {
 	c := Config{Seed: seed}
-	for k := Kind(0); k < firstSilentKind; k++ {
+	for k := range c.Rates {
 		c.Rates[k] = rate
 	}
 	return c

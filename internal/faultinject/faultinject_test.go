@@ -49,19 +49,22 @@ func TestDeterministicFiringPattern(t *testing.T) {
 	}
 }
 
+// EnableAll arms every kind, and each fires at about the rate.
 func TestRateIsApproximatelyHonored(t *testing.T) {
 	inj := New(EnableAll(7, 0.02))
 	const draws = 50000
-	for i := 0; i < draws; i++ {
-		inj.Should(AllocFail)
-	}
-	fired := inj.Fired(AllocFail)
-	// 2% of 50k = 1000; allow a generous ±40% band.
-	if fired < 600 || fired > 1400 {
-		t.Fatalf("rate 0.02 fired %d/%d times", fired, draws)
-	}
-	if inj.Draws(AllocFail) != draws {
-		t.Fatalf("draws = %d, want %d", inj.Draws(AllocFail), draws)
+	for _, k := range Kinds() {
+		for i := 0; i < draws; i++ {
+			inj.Should(k)
+		}
+		fired := inj.Fired(k)
+		// 2% of 50k = 1000; allow a generous ±40% band.
+		if fired < 600 || fired > 1400 {
+			t.Errorf("%s: rate 0.02 fired %d/%d times", k, fired, draws)
+		}
+		if inj.Draws(k) != draws {
+			t.Errorf("%s: draws = %d, want %d", k, inj.Draws(k), draws)
+		}
 	}
 }
 

@@ -122,9 +122,9 @@ func (j *JIT) noteCompileFailure(key transKey, err error) {
 
 // strikeLocked charges key one failed attempt. Transient failures
 // (injected compile errors, injected allocation failures, malformed
-// streams, a sentry repair) earn exponential backoff; exhausting the
-// retry budget demotes the address permanently and unpublishes
-// whatever is installed there. Callers hold j.mu.
+// streams) earn exponential backoff; exhausting the retry budget
+// demotes the address permanently and unpublishes whatever is
+// installed there. Callers hold j.mu.
 func (j *JIT) strikeLocked(key transKey) {
 	q := j.quarantineEntryLocked(key)
 	if q.permanent {
@@ -239,31 +239,20 @@ func (j *JIT) unpublishKeysLocked(keys map[transKey]bool) (removed []*Translatio
 	j.trans.Store(&idx)
 	j.sweepLinks(idx, j.epoch.Add(1))
 	for _, tr := range removed {
-		if j.onUnpublish != nil {
-			j.onUnpublish(tr)
-		}
 		j.retireCode(tr)
 	}
 	atomic.AddUint64(&j.stats.Unpublished, uint64(len(removed)))
 	return removed
 }
 
-// Invalidate forcibly unpublishes every translation at (fnID, pc) —
-// the sentry's repair path for detected code-cache corruption
-// (DESIGN.md §15). With withBackoff the address is also quarantined for
-// one backoff window before reminting (a bisected culprit should not
-// be immediately re-minted from the same profile state); without it
-// the address remints on its next dispatch, which is the auditor's
-// checksum-mismatch repair: the code bytes rotted, not the compiler.
+// Invalidate forcibly unpublishes every translation at (fnID, pc); the
+// address remints on its next dispatch, with no quarantine charged.
 // Returns the number of translations removed.
-func (j *JIT) Invalidate(fnID, pc int, withBackoff bool) int {
+func (j *JIT) Invalidate(fnID, pc int) int {
 	key := transKey{fnID, pc}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	removed := j.unpublishKeysLocked(map[transKey]bool{key: true})
-	if withBackoff && len(removed) > 0 {
-		j.strikeLocked(key)
-	}
 	// The address starts cold again: thresholds apply afresh on remint.
 	delete(j.entryCount, key)
 	return len(removed)

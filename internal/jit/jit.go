@@ -426,15 +426,6 @@ type JIT struct {
 	compilesRunning atomic.Int64
 	peakCompiles    atomic.Uint64
 
-	// onPublish / onUnpublish are the sentry's verification hooks
-	// (DESIGN.md §15): onPublish fires for every translation installed
-	// into the index (checksum registration), onUnpublish for every
-	// translation removed (demotion, recycling, the optimized
-	// republish's profiling retirement). Both run under j.mu — hook
-	// bodies must not call back into the JIT. Set once at engine
-	// construction, before any translation exists.
-	onPublish   func(*Translation)
-	onUnpublish func(*Translation)
 	// allocCheck, when set, sees every unit on both sides of register
 	// allocation (SetAllocationCheck).
 	allocCheck func(hu *hhir.Unit, before, after *vasm.Unit)
@@ -544,16 +535,6 @@ func (j *JIT) Stats() Stats {
 	return out
 }
 
-// SetVerifyHooks registers the sentry's publish/unpublish observers.
-// Call before the engine serves requests: hooks are not retroactive,
-// and unhooked translations would audit as unknown.
-func (j *JIT) SetVerifyHooks(onPublish, onUnpublish func(*Translation)) {
-	j.mu.Lock()
-	j.onPublish = onPublish
-	j.onUnpublish = onUnpublish
-	j.mu.Unlock()
-}
-
 // SetAllocationCheck registers fn to be handed every unit this JIT
 // compiles, as it entered register allocation (a clone) and as it
 // left, so the differential suites can run vasm.VerifyAllocation on
@@ -588,21 +569,12 @@ func (j *JIT) Smash(code *mcode.Code, instr int, tr *Translation) {
 		return
 	}
 	var link *mcode.Link
-	switch {
-	case j.Cfg.Faults.Should(faultinject.StaleLink) && epoch > 0:
+	if j.Cfg.Faults.Should(faultinject.StaleLink) && epoch > 0 {
 		// Inject a link stamped with the previous epoch: followers must
 		// detect it as stale and fall back to the dispatch path rather
 		// than transfer through it.
 		link = &mcode.Link{Epoch: epoch - 1, Target: tr}
-	case j.Cfg.Faults.Should(faultinject.TornLink):
-		// Torn write: the target half of the patch landed but the epoch
-		// stamp is from a version that has never been published (epoch+1
-		// cannot exist yet — epochs only advance under j.mu). Followers
-		// treat the mismatched stamp as stale and fall back, and the
-		// sentry auditor flags the future epoch as a torn write
-		// (DESIGN.md §15) rather than a benign leftover.
-		link = &mcode.Link{Epoch: epoch + 1, Target: tr}
-	default:
+	} else {
 		link = tr.ChainLink(epoch)
 	}
 	code.StoreLink(instr, link)
@@ -685,8 +657,8 @@ func (s shapeSource) PropReadType(fnID, pc int, name string) types.Type {
 // for free). With chainableOnly, candidates a chained transfer may not
 // enter (profiling translations) are skipped after paying their fee,
 // as the in-cache guard cascade does. Lock-free: the dispatcher, the
-// OSR check, the machine's chain fallback and sentry replays all read
-// the RCU-published index through here.
+// OSR check and the machine's chain fallback all read the
+// RCU-published index through here.
 func (j *JIT) match(key transKey, fr *interp.Frame, m *machine.Meter, chainableOnly bool) *Translation {
 	for _, tr := range (*j.trans.Load())[key] {
 		if m != nil {
@@ -701,10 +673,11 @@ func (j *JIT) match(key transKey, fr *interp.Frame, m *machine.Meter, chainableO
 
 // Match returns a published translation at (fr.Fn, fr.PC) whose guards
 // fit the live frame, or nil; it never mints and never touches
-// quarantine state. The VM calls it for the OSR check (m nil), for the
-// chain fallback when a smashed link's guards miss (chainableOnly: the
-// cascade through a retranslation cluster) and for every dispatch of a
-// replay VM. Nil once the ladder reaches DegradeInterpOnly.
+// quarantine state. The VM calls it for the OSR check (m nil), for a
+// bound call site whose prologue translation misses, and for the chain
+// fallback when a smashed link's guards miss (chainableOnly: the
+// cascade through a retranslation cluster). Nil once the ladder
+// reaches DegradeInterpOnly.
 func (j *JIT) Match(fr *interp.Frame, m *machine.Meter, chainableOnly bool) *Translation {
 	if j.degrade.Load() >= DegradeInterpOnly {
 		return nil

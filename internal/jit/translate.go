@@ -295,9 +295,6 @@ func (j *JIT) installLocked(tr *Translation) {
 	chain := append([]*Translation(nil), old[key]...)
 	idx[key] = append(chain, tr)
 	j.trans.Store(&idx)
-	if j.onPublish != nil {
-		j.onPublish(tr)
-	}
 }
 
 // profIDs lists the TransIDs of profiling blocks, in order.
@@ -495,9 +492,6 @@ func (j *JIT) optimizeAll(meter *machine.Meter) {
 		var keep []*Translation
 		for _, tr := range chain {
 			if tr.Kind == ModeProfiling && published[tr.FuncID] {
-				if j.onUnpublish != nil {
-					j.onUnpublish(tr)
-				}
 				continue
 			}
 			keep = append(keep, tr)
@@ -516,9 +510,6 @@ func (j *JIT) optimizeAll(meter *machine.Meter) {
 			continue
 		}
 		idx[key] = append(idx[key], tr)
-		if j.onPublish != nil {
-			j.onPublish(tr)
-		}
 	}
 	j.trans.Store(&idx)
 	// Advance the link epoch: the republish retired the profiling

@@ -136,35 +136,27 @@ func TestChainGuardMissTakesFallback(t *testing.T) {
 // TestChainStaleLinkResmashed: a link stamped with an older epoch is
 // not trusted. Fallback supplies the target, and the site is re-smashed
 // in place under the current epoch so the next transfer skips the
-// scan — unless the machine is a replay machine with frozen links.
+// scan. Links are never frozen, so the one case runs as freeze=false.
 func TestChainStaleLinkResmashed(t *testing.T) {
-	for _, freeze := range []bool{false, true} {
-		t.Run("freeze="+strconv.FormatBool(freeze), func(t *testing.T) {
-			src, target := bindJmpTo(t, 5), returning(t, 3, true)
-			m := linkedMachine(2)
-			m.FreezeLinks = freeze
-			m.Fallback = func(*interp.Frame) machine.ChainTarget { return target }
-			src.StoreLink(0, target.ChainLink(1))
-			out := run(m, src)
-			if out.Kind != machine.Returned || out.Value != runtime.Int(3) {
-				t.Fatalf("outcome %+v, want Returned 3", out)
-			}
-			if got := m.Chain.StaleLinks.Load(); got != 1 {
-				t.Errorf("%d stale links, want 1", got)
-			}
-			l := src.LoadLink(0)
-			wantSmashed, wantEpoch := uint64(1), uint64(2)
-			if freeze {
-				wantSmashed, wantEpoch = 0, 1
-			}
-			if got := m.Chain.BindsSmashed.Load(); got != wantSmashed {
-				t.Errorf("%d binds smashed, want %d", got, wantSmashed)
-			}
-			if l == nil || l.Epoch != wantEpoch || l.Target != target {
-				t.Errorf("link after the transfer %+v, want epoch %d to the target", l, wantEpoch)
-			}
-		})
-	}
+	t.Run("freeze=false", func(t *testing.T) {
+		src, target := bindJmpTo(t, 5), returning(t, 3, true)
+		m := linkedMachine(2)
+		m.Fallback = func(*interp.Frame) machine.ChainTarget { return target }
+		src.StoreLink(0, target.ChainLink(1))
+		out := run(m, src)
+		if out.Kind != machine.Returned || out.Value != runtime.Int(3) {
+			t.Fatalf("outcome %+v, want Returned 3", out)
+		}
+		if got := m.Chain.StaleLinks.Load(); got != 1 {
+			t.Errorf("%d stale links, want 1", got)
+		}
+		if got := m.Chain.BindsSmashed.Load(); got != 1 {
+			t.Errorf("%d binds smashed, want 1", got)
+		}
+		if l := src.LoadLink(0); l == nil || l.Epoch != 2 || l.Target != target {
+			t.Errorf("link after the transfer %+v, want epoch 2 to the target", l)
+		}
+	})
 }
 
 // TestPropICFillHitMegaStale walks one LdPropIC site through its

@@ -135,14 +135,10 @@ type ShapeStats struct {
 	// receivers).
 	GenericPropCalls atomic.Uint64
 	// ICStaleDropped counts IC tables rejected by the epoch guard —
-	// tables a republish (or an injected StaleIC fault) left behind,
-	// detected on the execution path and rebuilt.
+	// tables an OptimizeAll republish left behind, detected on the
+	// execution path and rebuilt.
 	ICStaleDropped atomic.Uint64
 }
-
-// tamperWord is the latch value InjectTamper stamps onto corrupted
-// code (faultinject.CodeCorrupt); the low byte shifts integer returns.
-const tamperWord = 0xA5
 
 // propICCapacity is the polymorphic inline cache size; beyond it a
 // site is marked megamorphic and stops probing.
@@ -210,10 +206,6 @@ type Machine struct {
 	// links stamped with an older epoch are stale and fall back to
 	// the dispatch path. Nil disables link following entirely.
 	Epoch *atomic.Uint64
-	// FreezeLinks stops this machine from writing smash-site slots
-	// (IC installs, stale-link repairs): sentry replay machines observe
-	// shared code state without perturbing it (vm.NewReplay).
-	FreezeLinks bool
 	// Chain is the JIT-shared chaining statistics sink.
 	Chain *ChainStats
 	// Shapes is the JIT-shared shape-guard/IC statistics sink.
@@ -377,15 +369,6 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 	}()
 	if m.FI.Should(faultinject.TransPanic) {
 		panic(faultinject.Errf(faultinject.TransPanic))
-	}
-	if code.Tampered() == 0 && m.FI.Should(faultinject.CodeCorrupt) {
-		// Flip bytes of this translation's published code: the latch
-		// perturbs the translation's observable results (see the Ret
-		// handler) until the sentry auditor catches the checksum
-		// mismatch and reminted code replaces it (DESIGN.md §15). CAS'd
-		// so one latch is one corruption — a translation already
-		// corrupted is not corrupted again.
-		code.InjectTamper(tamperWord)
 	}
 	runStart = ip
 	for {
@@ -666,14 +649,6 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				settleRun(m.Meter, code, runStart, ip)
 			}
 			v := act.get(in.A)
-			if t := code.Tampered(); t != 0 && v.Kind == types.KInt {
-				// Corrupted code computes corrupted results: the injected
-				// byte flips (see the exec-entry CodeCorrupt draw) shift
-				// integer returns, silently — no panic, no guard fail —
-				// which is exactly the failure mode only the sentry's
-				// checksum audit or shadow execution can catch.
-				v = runtime.Int(v.AsInt() + int64(t&0xFF))
-			}
 			m.Meter.Charge(uint64(2 * len(fr.Locals))) // frame teardown
 			fr.Stack = fr.Stack[:0]
 			fr.Release(m.Env)
@@ -844,7 +819,7 @@ func (m *Machine) chainFrom(code *mcode.Code, ip int, act *activation, out *Outc
 			}
 			if target != nil {
 				nc := target.ChainCode()
-				if stale && m.Epoch != nil && !m.FreezeLinks {
+				if stale && m.Epoch != nil {
 					// Repair the stale link in place (a re-smash) so
 					// later transfers skip the fallback scan.
 					code.StoreLink(ip, target.ChainLink(m.Epoch.Load()))
@@ -884,8 +859,8 @@ func (m *Machine) probePropIC(code *mcode.Code, ip int, o *runtime.Object, name 
 			ic, _ = l.Target.(*PropIC)
 		} else if _, isIC := l.Target.(*PropIC); isIC {
 			// Epoch guard caught an outdated IC table (a republish the
-			// site missed, or an injected StaleIC): the table is dropped
-			// and rebuilt below against the current epoch.
+			// site missed): the table is dropped and rebuilt below
+			// against the current epoch.
 			m.Shapes.ICStaleDropped.Add(1)
 		}
 	}
@@ -920,17 +895,6 @@ func (m *Machine) probePropIC(code *mcode.Code, ip int, o *runtime.Object, name 
 	} else {
 		next.Entries[next.N] = PropICEntry{Shape: sid, Slot: int32(slot)}
 		next.N++
-	}
-	if m.FreezeLinks {
-		return slot, true
-	}
-	if epoch > 0 && m.FI.Should(faultinject.StaleIC) {
-		// Roll the freshly built table back one epoch (a lost IC
-		// invalidation): the next probe's epoch guard must detect and
-		// drop it, and the sentry auditor clears any leftover before it
-		// can survive into a future epoch where it would be wrong.
-		code.StoreLink(ip, &mcode.Link{Epoch: epoch - 1, Target: next})
-		return slot, true
 	}
 	code.StoreLink(ip, &mcode.Link{Epoch: epoch, Target: next})
 	return slot, true

@@ -100,28 +100,6 @@ type Code struct {
 	// Slots are read lock-free by every worker on the hot path and
 	// overwritten wholesale by smashing/sweeping, never mutated.
 	links []atomic.Pointer[Link]
-
-	// tamper is the injected-corruption latch (faultinject.CodeCorrupt):
-	// a non-zero value models flipped bytes in the published code. The
-	// Instrs stream itself is shared immutably across workers, so the
-	// corruption is carried out of line — the machine perturbs the
-	// translation's observable result while the latch is set, and the
-	// sentry checksum covers the latch so the auditor sees the mismatch
-	// (DESIGN.md §15). Atomic: read on the execution path.
-	tamper atomic.Uint64
-}
-
-// Tampered returns the injected-corruption word (0 = intact code).
-func (c *Code) Tampered() uint64 { return c.tamper.Load() }
-
-// InjectTamper latches an injected corruption onto intact code. It
-// refuses to stack (CAS 0 -> v) so one latch maps to exactly one
-// detected corruption; the return value reports whether v took.
-func (c *Code) InjectTamper(v uint64) bool {
-	if v == 0 {
-		return false
-	}
-	return c.tamper.CompareAndSwap(0, v)
 }
 
 // DispatchFlags bits (see Code.DispatchFlags).

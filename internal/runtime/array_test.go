@@ -103,8 +103,8 @@ func TestMixedCrossesTheIndexThreshold(t *testing.T) {
 
 // TestIteratedKeysStayOutOfTheInternTable: a mixed array hands out the
 // key it stores, so walking dynamic string keys (foreach, implode,
-// array_keys, union, the sentry's shadow compare) adds nothing to the
-// process-wide static table, and every key dies with its array.
+// array_keys, union) adds nothing to the process-wide static table,
+// and every key dies with its array.
 func TestIteratedKeysStayOutOfTheInternTable(t *testing.T) {
 	interned := func() (n int) {
 		internTable.Range(func(_, _ any) bool { n++; return true })

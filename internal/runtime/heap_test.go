@@ -209,9 +209,9 @@ func checkParked(t *testing.T, a *Array) {
 	}
 }
 
-// TestBoxFreedOnAnotherHeap: worker VMs and the sentry's replay VM hand
-// values across heaps; a box goes onto the list of the heap that frees
-// it and onto no other.
+// TestBoxFreedOnAnotherHeap: a value can cross heaps (each worker VM
+// owns one); a box goes onto the list of the heap that frees it and
+// onto no other.
 func TestBoxFreedOnAnotherHeap(t *testing.T) {
 	tree := shapes.NewTree()
 	cls := testClass(tree, "A", Int(1))

@@ -7,7 +7,6 @@ package vm
 
 import (
 	"io"
-	"sync/atomic"
 
 	"repro/internal/hhbc"
 	"repro/internal/interp"
@@ -27,11 +26,6 @@ type VM struct {
 	Meter   *machine.Meter
 	Heap    *runtime.Heap
 	Machine *machine.Machine
-
-	// deny is set only in a replay VM (NewReplay), whose dispatch
-	// observes the shared JIT without ever changing it; next applies
-	// the rule.
-	deny func(*jit.Translation) bool
 
 	depth int
 }
@@ -63,43 +57,6 @@ func NewWorker(j *jit.JIT, out io.Writer) *VM {
 	env.Meter = meter
 	v := &VM{Env: env, Heap: heap, Meter: meter, JIT: j}
 	v.wire()
-	return v
-}
-
-// NewReplay creates a replay VM over j (DESIGN.md §9): a worker that
-// executes the published translations deterministically and perturbs
-// no shared state, so the sentry can compare a request against the
-// interpreter and bisect a divergence with successive deny masks.
-// Dispatch consults published translations only (no minting, no
-// quarantine churn, no entry counting — a replay must never trigger or
-// steer a compile), and a translation deny rejects runs in the
-// interpreter instead; deny must be non-nil. The machine is isolated to
-// match: a private link epoch of ^0 makes every smashed link read as
-// stale, so chained transfers and inline caches always bounce back
-// through the deny-aware dispatcher; frozen links suppress link repairs
-// and IC installs; the fault injector is detached so replays never
-// consume shared draws; the profile-counter slab is detached so
-// replaying a profiling translation cannot move the counts region
-// selection reads; and chain/shape counters drain into private sinks.
-func NewReplay(j *jit.JIT, deny func(*jit.Translation) bool) *VM {
-	v := NewWorker(j, io.Discard)
-	v.deny = deny
-	m := v.Machine
-	m.Epoch = &atomic.Uint64{}
-	m.Epoch.Store(^uint64(0))
-	m.Fallback = nil
-	m.FreezeLinks = true
-	m.FI = nil
-	m.Counters = nil
-	m.Chain = &machine.ChainStats{}
-	m.Shapes = &machine.ShapeStats{}
-	// OSR only into an already-published, non-denied translation — never
-	// bounce out to mint one, and never livelock on a match the mask
-	// forbids running.
-	v.Env.OSRCheck = func(fr *interp.Frame) bool {
-		tr := j.Match(fr, nil, false)
-		return tr != nil && !deny(tr)
-	}
 	return v
 }
 
@@ -208,23 +165,7 @@ const (
 // everything the decision teaches it: the function entry (which may
 // fire retranslation), a contained fault (repeat offenders are demoted
 // and unpublished), the smashed exit site, the profiling arc.
-//
-// A replay VM observes and never teaches, and this is the one place
-// that says so: it runs whatever published translation matches and the
-// mask allows — a denied match interprets, the interpreter being the
-// semantic anchor the mask is bisected against — and counts no entry,
-// smashes no link, records no arc and charges no fault to the address.
 func (v *VM) next(fr *interp.Frame, how *exit) *jit.Translation {
-	if v.deny != nil {
-		if how.why == stuck || how.why == faulted {
-			return nil
-		}
-		tr := v.JIT.Match(fr, v.Meter, false)
-		if tr != nil && v.deny(tr) {
-			return nil
-		}
-		return tr
-	}
 	switch how.why {
 	case entered:
 		v.JIT.OnEntry(v.Meter)
