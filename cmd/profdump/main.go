@@ -1,24 +1,15 @@
-// Command profdump inspects, diffs, and merges jumpstart profile
-// snapshots (the files written by hhvm -prof-dump and consumed by
-// hhvm -prof-load).
+// Command profdump inspects and diffs jumpstart profile snapshots
+// (the files written by hhvm -prof-dump and consumed by hhvm
+// -prof-load).
 //
 // Usage:
 //
 //	profdump inspect file
 //	profdump diff a b
-//	profdump merge -o out [-decay d] [-verify] file...
-//
-// merge aggregates fleet snapshots with exponential decay: with files
-// oldest first, file i of n gets weight d^(n-1-i), so the newest
-// snapshot has weight 1 and history fades at rate d (default 1 = an
-// unweighted sum).
 package main
 
 import (
-	"bytes"
-	"flag"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 
@@ -40,8 +31,6 @@ func main() {
 			usage()
 		}
 		diff(os.Args[2], os.Args[3])
-	case "merge":
-		merge(os.Args[2:])
 	default:
 		usage()
 	}
@@ -50,8 +39,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   profdump inspect file
-  profdump diff a b
-  profdump merge -o out [-decay d] [-verify] file...`)
+  profdump diff a b`)
 	os.Exit(2)
 }
 
@@ -161,52 +149,4 @@ func diff(pathA, pathB string) {
 	}
 	fmt.Printf("\n%d only in %s, %d only in %s, %d bytecode-changed, %d shared\n",
 		onlyA, pathA, onlyB, pathB, changed, same)
-}
-
-func merge(argv []string) {
-	fs := flag.NewFlagSet("merge", flag.ExitOnError)
-	out := fs.String("o", "", "output snapshot file (required)")
-	decay := fs.Float64("decay", 1.0, "per-generation weight decay, newest file last")
-	verify := fs.Bool("verify", false, "re-merge the inputs in reverse order and fail unless the aggregates are bit-identical")
-	if err := fs.Parse(argv); err != nil {
-		usage()
-	}
-	files := fs.Args()
-	if *out == "" || len(files) == 0 {
-		usage()
-	}
-	if *decay <= 0 || *decay > 1 {
-		fatal(fmt.Errorf("decay must be in (0, 1], got %g", *decay))
-	}
-	snaps := make([]*jumpstart.Snapshot, len(files))
-	weights := make([]float64, len(files))
-	for i, f := range files {
-		snaps[i] = load(f)
-		weights[i] = math.Pow(*decay, float64(len(files)-1-i))
-	}
-	merged := jumpstart.Merge(snaps, weights)
-	if *verify {
-		// The aggregator contract: merge order must not matter. Replay
-		// the same merge with the file list (and weights) reversed and
-		// require the canonical encodings to match bit for bit.
-		rs := make([]*jumpstart.Snapshot, len(snaps))
-		rw := make([]float64, len(weights))
-		for i := range snaps {
-			rs[i] = snaps[len(snaps)-1-i]
-			rw[i] = weights[len(weights)-1-i]
-		}
-		if !bytes.Equal(jumpstart.Encode(merged), jumpstart.Encode(jumpstart.Merge(rs, rw))) {
-			fatal(fmt.Errorf("merge is order-dependent: reversed input order produced a different aggregate"))
-		}
-		fmt.Println("verify: merge order-independent")
-	}
-	if err := jumpstart.Save(*out, merged); err != nil {
-		fatal(err)
-	}
-	var trans int
-	for _, f := range merged.Funcs {
-		trans += len(f.Trans)
-	}
-	fmt.Printf("merged %d snapshots -> %s (%d funcs, %d translations)\n",
-		len(files), *out, len(merged.Funcs), trans)
 }

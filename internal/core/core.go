@@ -132,7 +132,7 @@ func (e *Engine) Call(name string, args ...runtime.Value) (runtime.Value, error)
 func (e *Engine) Cycles() uint64 { return e.VM.Meter.Cycles }
 
 // ProfileSnapshot captures the engine's profile state for
-// persistence, fleet aggregation, or jumpstarting another engine.
+// persistence or for jumpstarting another engine.
 func (e *Engine) ProfileSnapshot() *jumpstart.Snapshot {
 	return e.VM.JIT.SnapshotProfile()
 }

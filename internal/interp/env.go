@@ -257,6 +257,14 @@ func (e *Env) ClassByName(name string) (*runtime.Class, bool) {
 	return c, ok
 }
 
+// InstanceOf implements `v instanceof cls`: one bit test against the
+// object's ancestor set (classes, parents and interfaces alike). A
+// class that is not linked has no instances.
+func (e *Env) InstanceOf(v runtime.Value, cls string) bool {
+	c, ok := e.ClassByName(cls)
+	return ok && v.Kind == types.KObj && v.AsObj().Class.HasAncestorID(c.ClassID)
+}
+
 // FuncByName resolves a function in the unit.
 func (e *Env) FuncByName(name string) (*hhbc.Func, bool) {
 	return e.Unit.FuncByName(name)

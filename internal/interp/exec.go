@@ -464,10 +464,10 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 			fr.push(val)
 		case hhbc.OpInstanceOfD:
 			v := fr.pop()
-			fr.push(runtime.Bool(runtime.InstanceOf(v, u.Strings[in.A])))
+			fr.push(runtime.Bool(e.InstanceOf(v, u.Strings[in.A])))
 			h.DecRef(v)
 		case hhbc.OpVerifyParamType:
-			if err := VerifyParam(fr.Fn, int(in.A), &fr.Locals[in.A]); err != nil {
+			if err := e.VerifyParam(fr.Fn, int(in.A), &fr.Locals[in.A]); err != nil {
 				return runtime.Null(), err
 			}
 

@@ -108,7 +108,7 @@ func (fr *Frame) ThisObj() (runtime.Value, error) {
 // shallow type hint. An int passed for a float hint is widened in
 // place, as in PHP. fn is passed explicitly because the slot may
 // belong to a callee the JIT inlined into another function's frame.
-func VerifyParam(fn *hhbc.Func, idx int, slot *runtime.Value) error {
+func (e *Env) VerifyParam(fn *hhbc.Func, idx int, slot *runtime.Value) error {
 	p := fn.Params[idx]
 	v := *slot
 	if p.Nullable && v.IsNull() {
@@ -132,7 +132,7 @@ func VerifyParam(fn *hhbc.Func, idx int, slot *runtime.Value) error {
 	case "":
 		ok = true
 	default: // class hint
-		ok = runtime.InstanceOf(v, p.TypeHint)
+		ok = e.InstanceOf(v, p.TypeHint)
 	}
 	if !ok {
 		return runtime.NewError("argument %d ($%s) of %s() must be of type %s, %s given",

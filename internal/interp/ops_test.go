@@ -166,7 +166,7 @@ func TestVerifyParamEveryKind(t *testing.T) {
 	for idx, ok := range accepted {
 		for name, v := range eachKind(env) {
 			slot := v
-			err := interp.VerifyParam(fn, idx, &slot)
+			err := env.VerifyParam(fn, idx, &slot)
 			admitted := false
 			for _, k := range ok {
 				admitted = admitted || k == name
@@ -193,7 +193,7 @@ func TestVerifyParamEveryKind(t *testing.T) {
 	}
 	plain, _ := env.ClassByName("Plain")
 	slot := runtime.ObjV(env.NewInstance(plain))
-	if err := interp.VerifyParam(fn, 5, &slot); err == nil {
+	if err := env.VerifyParam(fn, 5, &slot); err == nil {
 		t.Error("a Plain passed for a Box hint")
 	}
 }

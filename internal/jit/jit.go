@@ -186,7 +186,8 @@ type Translation struct {
 	FuncID int
 	PC     int
 	Kind   Mode // which pipeline produced it
-	// Preconds are the dispatcher-checked entry conditions.
+	// Preconds are the dispatcher-checked entry conditions; Code.Checks[i]
+	// is Preconds[i]'s compiled test.
 	Preconds []region.Guard
 	// EntryDepth is the required eval-stack depth at entry.
 	EntryDepth int
@@ -221,24 +222,40 @@ func (tr *Translation) ChainCode() *mcode.Code { return tr.Code }
 // chained transfer enters past those guards.
 func (tr *Translation) ChainMatch(fr *interp.Frame, from *mcode.Code) (guards int, ok bool) {
 	ok = tr.EntryDepth == len(fr.Stack)
-	src := frameTypeSource{fr, true}
-	for _, g := range tr.Preconds {
+	checks := tr.Code.Checks
+	for i, g := range tr.Preconds {
 		if from != nil && proves(from, g) {
 			if proofAudit.on.Load() {
 				proofAudit.checked.Add(1)
-				if !src.holds(g) {
+				if !checks[i].Holds(guarded(fr, g.Loc)) {
 					proofAudit.failed.Add(1)
 				}
 			}
 			continue
 		}
 		guards++
-		ok = ok && src.holds(g)
+		ok = ok && checks[i].Holds(guarded(fr, g.Loc))
 	}
 	if ok {
 		tr.uses.Add(1)
 	}
 	return guards, ok
+}
+
+// guarded is the frame value a guard at loc tests: a local past the
+// frame reads Uninit, a stack slot past it the zero Value, which no
+// check holds.
+func guarded(fr *interp.Frame, loc region.Loc) runtime.Value {
+	if loc.Kind == region.LocLocal {
+		if loc.Slot < len(fr.Locals) {
+			return fr.Locals[loc.Slot]
+		}
+		return runtime.Uninit()
+	}
+	if loc.Slot < len(fr.Stack) {
+		return fr.Stack[loc.Slot]
+	}
+	return runtime.Value{}
 }
 
 // proofAudit is for tests: while on, ChainMatch also checks every guard
@@ -277,9 +294,10 @@ func (tr *Translation) ChainLink(epoch uint64) *mcode.Link {
 	return l
 }
 
-// Matches checks the translation's dispatcher-visible entry
-// conditions (stack depth + type preconditions) against live frame
-// state. Lock-free; used by the dispatcher and the chaining path.
+// Matches checks the translation's entry conditions (stack depth +
+// type preconditions) against live frame state, proving none of them
+// from a source. Lock-free; used by the dispatcher, the OSR check and
+// a bound call site's prologue recheck.
 func (tr *Translation) Matches(fr *interp.Frame) bool {
 	_, ok := tr.ChainMatch(fr, nil)
 	return ok
@@ -639,8 +657,6 @@ func (j *JIT) NoteBindRequest() { atomic.AddUint64(&j.stats.BindRequests, 1) }
 // literal carried across a tracelet boundary is not counted on the
 // other side. Only live tracelets are selected so: profiling
 // translations, whose guards the optimized regions inherit, are not.
-// ChainMatch checks with it set, since it is the one check of a
-// tracelet's entry guards (they lower to assertions).
 type frameTypeSource struct {
 	fr     *interp.Frame
 	static bool
@@ -665,14 +681,6 @@ func (s frameTypeSource) typeOf(v runtime.Value) types.Type {
 		return types.TStaticStr
 	}
 	return v.Type()
-}
-
-// holds reports whether the frame meets guard g.
-func (s frameTypeSource) holds(g region.Guard) bool {
-	if g.Loc.Kind == region.LocLocal {
-		return s.LocalType(g.Loc.Slot).SubtypeOf(g.Type)
-	}
-	return s.StackType(g.Loc.Slot).SubtypeOf(g.Type)
 }
 
 // shapeSource extends any TypeSource with typed-object-shape facts

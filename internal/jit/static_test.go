@@ -118,3 +118,31 @@ func TestChainMatchSkipsWhatTheSourceProved(t *testing.T) {
 		}
 	}
 }
+
+// TestGuardedSlotsAgreeWithTheSelector: a precondition's compiled check
+// reads the frame slot the selector typed and answers as the selector's
+// type would — for an Uninit local, a literal, a counted string and a
+// local past the frame. A stack slot past the frame satisfies no check;
+// ChainMatch's depth check has already failed such a frame.
+func TestGuardedSlotsAgreeWithTheSelector(t *testing.T) {
+	fr := &interp.Frame{Locals: []runtime.Value{
+		runtime.Uninit(), runtime.StrV(runtime.InternStr("lit")), runtime.NewHeap().NewStr("s"),
+	}}
+	src := frameTypeSource{fr, true}
+	for _, ty := range []types.Type{
+		types.TUninit, types.TNull, types.TUninit.Union(types.TNull), types.TStr, types.TStaticStr,
+		types.TNull.Union(types.TStaticStr), types.TUncounted, types.TCell, types.TInitCell,
+	} {
+		c := runtime.NewCheck(ty, nil)
+		for slot := 0; slot <= len(fr.Locals); slot++ {
+			loc := region.Loc{Kind: region.LocLocal, Slot: slot}
+			if got, want := c.Holds(guarded(fr, loc)), src.LocalType(slot).SubtypeOf(ty); got != want {
+				t.Errorf("local %d against %s: Holds = %v, selector type %s says %v",
+					slot, ty, got, src.LocalType(slot), want)
+			}
+		}
+		if c.Holds(guarded(fr, region.Loc{Kind: region.LocStack, Slot: 0})) {
+			t.Errorf("a stack slot past the frame satisfies %s", ty)
+		}
+	}
+}

@@ -96,6 +96,7 @@ func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 			atomic.AddUint64(&j.stats.FusedInstrs, uint64(n))
 		}
 	}
+	vu.Entry, vu.Classes = entry.Preconds, j.Env.Classes
 	code, err := mcode.Assemble(vu)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package jumpstart
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -167,37 +168,37 @@ func TestSaveLoad(t *testing.T) {
 	}
 }
 
-// randomSnapshot generates a snapshot drawing function identities and
-// translation shapes from small pools so merges actually collide.
+// randomSnapshot generates a snapshot the way the VM records one:
+// distinct function identities, and translations at distinct entry
+// pcs within a function, with arcs, call targets and call-graph edges
+// among them.
 func randomSnapshot(r *rand.Rand) *Snapshot {
 	names := []string{"a", "b", "c", "d"}
 	s := &Snapshot{}
 	nf := 1 + r.Intn(len(names))
-	perm := r.Perm(len(names))[:nf]
-	for _, ni := range perm {
+	for _, ni := range r.Perm(len(names))[:nf] {
 		fp := FuncProfile{Name: names[ni], Hash: uint64(1 + r.Intn(2))}
-		nt := 1 + r.Intn(3)
-		for j := 0; j < nt; j++ {
-			tr := TransProfile{PC: r.Intn(4) * 3, EntryDepth: 0, Count: uint64(r.Intn(1000))}
+		for j := 0; j < 1+r.Intn(3); j++ {
+			tr := TransProfile{PC: j * 3, Count: uint64(r.Intn(1000))}
 			if r.Intn(2) == 0 {
 				tr.Guards = append(tr.Guards, GuardRepr{Slot: r.Intn(2), Type: ReprOf(types.TInt)})
 			}
 			fp.Trans = append(fp.Trans, tr)
 		}
-		for j := 0; j < r.Intn(3); j++ {
+		for j := 0; j < r.Intn(4); j++ {
 			fp.Arcs = append(fp.Arcs, ArcWeight{
 				From: r.Intn(len(fp.Trans)), To: r.Intn(len(fp.Trans)),
 				Weight: uint64(1 + r.Intn(100)),
 			})
 		}
-		if r.Intn(2) == 0 {
+		for j := 0; j < r.Intn(3); j++ {
 			fp.CallTargets = append(fp.CallTargets, CallTarget{
 				PC: r.Intn(5), Class: names[r.Intn(len(names))], Count: uint64(1 + r.Intn(50)),
 			})
 		}
 		s.Funcs = append(s.Funcs, fp)
 	}
-	for j := 0; j < r.Intn(3); j++ {
+	for j := 0; j < r.Intn(4); j++ {
 		s.CallGraph = append(s.CallGraph, CallEdge{
 			Caller: r.Intn(len(s.Funcs)), Callee: r.Intn(len(s.Funcs)),
 			Weight: uint64(1 + r.Intn(100)),
@@ -206,44 +207,45 @@ func randomSnapshot(r *rand.Rand) *Snapshot {
 	return s
 }
 
-// TestMergeCommutative is the merge-commutativity property test:
-// Merge(a, b) must deeply equal Merge(b, a) at equal weights, across
-// many random snapshot pairs.
-func TestMergeCommutative(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		a, b := randomSnapshot(r), randomSnapshot(r)
-		ab := Merge([]*Snapshot{a, b}, nil)
-		ba := Merge([]*Snapshot{b, a}, nil)
-		if !reflect.DeepEqual(ab, ba) {
-			t.Fatalf("trial %d: merge not commutative:\n a+b %+v\n b+a %+v", trial, ab, ba)
+// permuted returns s recorded in another order: functions, each
+// function's translations, arcs and call targets, and the call graph
+// shuffled, with arc and edge endpoints renumbered to follow.
+func permuted(r *rand.Rand, s *Snapshot) *Snapshot {
+	out := &Snapshot{Funcs: make([]FuncProfile, len(s.Funcs))}
+	fperm := r.Perm(len(s.Funcs)) // old index -> new
+	for fi, f := range s.Funcs {
+		tperm := r.Perm(len(f.Trans))
+		fp := FuncProfile{Name: f.Name, Hash: f.Hash, Trans: make([]TransProfile, len(f.Trans))}
+		for ti, tr := range f.Trans {
+			fp.Trans[tperm[ti]] = tr
 		}
-		// And associative with a third.
-		c := randomSnapshot(r)
-		abc1 := Merge([]*Snapshot{ab, c}, nil)
-		abc2 := Merge([]*Snapshot{a, Merge([]*Snapshot{b, c}, nil)}, nil)
-		if !reflect.DeepEqual(abc1, abc2) {
-			t.Fatalf("trial %d: merge not associative", trial)
+		for _, ai := range r.Perm(len(f.Arcs)) {
+			a := f.Arcs[ai]
+			fp.Arcs = append(fp.Arcs, ArcWeight{From: tperm[a.From], To: tperm[a.To], Weight: a.Weight})
 		}
+		for _, ci := range r.Perm(len(f.CallTargets)) {
+			fp.CallTargets = append(fp.CallTargets, f.CallTargets[ci])
+		}
+		out.Funcs[fperm[fi]] = fp
 	}
+	for _, ei := range r.Perm(len(s.CallGraph)) {
+		e := s.CallGraph[ei]
+		out.CallGraph = append(out.CallGraph, CallEdge{Caller: fperm[e.Caller], Callee: fperm[e.Callee], Weight: e.Weight})
+	}
+	return out
 }
 
-func TestMergeWeightsAndScale(t *testing.T) {
-	s := sampleSnapshot()
-	half := Scale(s, 0.5)
-	if got, want := half.TotalCount(), (uint64(600) + 440 + 21); got != want {
-		t.Errorf("scaled total = %d, want %d", got, want)
-	}
-	// Merging a snapshot with itself at weight 1 doubles every count.
-	double := Merge([]*Snapshot{s, s}, nil)
-	if got, want := double.TotalCount(), 2*s.TotalCount(); got != want {
-		t.Errorf("self-merge total = %d, want %d", got, want)
-	}
-	// Identity survives: a function with a different hash is distinct.
-	changed := Canonicalize(s)
-	changed.Funcs[0].Hash++
-	m := Merge([]*Snapshot{s, changed}, nil)
-	if len(m.Funcs) != len(s.Funcs)+1 {
-		t.Errorf("hash-changed function merged into its old identity: %d funcs", len(m.Funcs))
+// TestEncodePermutationInvariant: a profile encodes to the same bytes
+// whatever order the VM recorded it in (SnapshotProfile walks maps).
+func TestEncodePermutationInvariant(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		s := randomSnapshot(r)
+		want := Encode(s)
+		for p := 0; p < 4; p++ {
+			if got := Encode(permuted(r, s)); !bytes.Equal(got, want) {
+				t.Fatalf("trial %d: a permuted recording of %+v encodes differently", trial, s)
+			}
+		}
 	}
 }

@@ -10,16 +10,12 @@
 // per-function and fall back to normal profiling.
 package jumpstart
 
-import (
-	"fmt"
+import "repro/internal/types"
 
-	"repro/internal/types"
-)
-
-// Snapshot is the persisted profile of one VM (or a fleet merge).
+// Snapshot is the persisted profile of one VM.
 type Snapshot struct {
 	// Funcs holds per-function profiles, sorted by (Name, Hash) in
-	// canonical snapshots (Encode and Merge both canonicalize).
+	// canonical snapshots (Encode canonicalizes).
 	Funcs []FuncProfile
 	// CallGraph is the dynamic caller->callee graph; indices refer to
 	// Funcs.
@@ -145,11 +141,3 @@ func (f *FuncProfile) TotalCount() uint64 {
 	}
 	return n
 }
-
-// identity is the merge key of a function profile.
-type identity struct {
-	name string
-	hash uint64
-}
-
-func (id identity) String() string { return fmt.Sprintf("%s#%016x", id.name, id.hash) }

@@ -336,6 +336,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 	flags := code.DispatchFlags
 	starts := code.BlockStart
 	consts := code.Consts
+	checks := code.Checks
 	// Operands of the control-transfer tails at the bottom of the loop
 	// body (see the labels there).
 	var (
@@ -430,7 +431,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			act.set(in.D, act.spills[in.I64])
 
 		case vasm.GuardKind:
-			if !act.get(in.A).Type().SubtypeOf(in.TypeParam) {
+			if !checks[in.Target2].Holds(act.get(in.A)) {
 				goto guardFail
 			}
 		case vasm.GuardCls:
@@ -453,7 +454,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				v = runtime.Null()
 			}
 			act.set(in.D, v)
-			if !v.Type().SubtypeOf(in.TypeParam) {
+			if !checks[in.Target2].Holds(v) {
 				goto guardFail
 			}
 
@@ -730,7 +731,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 		if nc, cip, ok := m.chainFrom(code, ip, act, &exit, &chained); ok {
 			code, ip = nc, cip
 			fast, runStart, xfer = code.FastDispatch, cip, true
-			instrs, flags, starts, consts = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts
+			instrs, flags, starts, consts, checks = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts, code.Checks
 			continue
 		}
 		return exit

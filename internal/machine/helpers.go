@@ -107,12 +107,12 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 			r := v.Kind == types.KObj && v.AsObj().Class.HasAncestorID(int(extra-1))
 			return runtime.Bool(r), nil
 		}
-		// Slow path: hierarchy walk by name.
+		// Slow path: the class resolves by name first.
 		m.Meter.Charge(instanceOfWalkCost)
-		return runtime.Bool(runtime.InstanceOf(v, in.Str)), nil
+		return runtime.Bool(env.InstanceOf(v, in.Str)), nil
 	case vasm.HVerifyParam:
 		fnID, idx, slot := vasm.UnpackVerifyParam(extra)
-		return runtime.Null(), interp.VerifyParam(env.Unit.Funcs[fnID], idx, &fr.Locals[slot])
+		return runtime.Null(), env.VerifyParam(env.Unit.Funcs[fnID], idx, &fr.Locals[slot])
 	case vasm.HPrint:
 		env.Print(arg(0))
 		return runtime.Int(1), nil

@@ -38,6 +38,10 @@ type Code struct {
 	// Consts is the constant pool, materialized: Consts[i] is the
 	// guest value LdImm #i loads, strings already interned.
 	Consts []runtime.Value
+	// Checks holds the translation's type guards, each compiled once:
+	// Checks[i] tests entry precondition i (vasm.Unit.Entry), and every
+	// GuardKind or LdLocGK carries the index of its own in Target2.
+	Checks []runtime.Check
 	// Builtins holds the natives this translation calls: a CallBuiltin
 	// whose name resolved carries its 1-based index here in I64 (0 =
 	// unresolved, the machine falls back to a guest function of that
@@ -253,7 +257,9 @@ func (e *AssembleError) Error() string {
 // Assemble flattens a laid-out, register-allocated unit and resolves
 // everything the machine would otherwise look up by key per executed
 // instruction: block ids to stream indexes (BlockStart), immediates
-// to guest values (Consts), builtin names to natives (Builtins).
+// to guest values (Consts), entry preconditions and guard types to
+// compiled checks against the unit's classes (Checks), builtin names to
+// natives (Builtins).
 // Addresses are relative to 0 until Place assigns a base. What has no
 // bytes in the encoding is not in the stream either: a jump the layout
 // turned into a fallthrough is dropped here, so it is neither
@@ -271,12 +277,26 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 	for i := range c.BlockStart {
 		c.BlockStart[i] = -1
 	}
-	n := 0
+	// The code lives as long as its translation: size the stream and
+	// the checks exactly.
+	n, checks := 0, len(u.Entry)
 	for _, bi := range order {
-		n += len(u.Blocks[bi].Instrs)
+		for i := range u.Blocks[bi].Instrs {
+			in := &u.Blocks[bi].Instrs[i]
+			if !elided(in) {
+				n++
+			}
+			if typeGuard(in.Op) {
+				checks++
+			}
+		}
 	}
 	c.Instrs = make([]vasm.Instr, 0, n)
 	c.Addr = make([]uint64, 0, n)
+	c.Checks = make([]runtime.Check, 0, checks)
+	for _, g := range u.Entry {
+		c.Checks = append(c.Checks, runtime.NewCheck(g.Type, u.Classes))
+	}
 	var off uint64
 	for _, bi := range order {
 		b := u.Blocks[bi]
@@ -284,11 +304,15 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 		// of the stream for trailing ones).
 		c.BlockStart[bi] = int32(len(c.Instrs))
 		for i := range b.Instrs {
-			if in := &b.Instrs[i]; in.Op == vasm.Jmp && in.I64&1 != 0 {
+			if elided(&b.Instrs[i]) {
 				c.ElidedJumps++
 				continue
 			}
 			c.Instrs = append(c.Instrs, b.Instrs[i])
+			if in := &c.Instrs[len(c.Instrs)-1]; typeGuard(in.Op) {
+				in.Target2 = len(c.Checks)
+				c.Checks = append(c.Checks, runtime.NewCheck(in.TypeParam, u.Classes))
+			}
 			c.Addr = append(c.Addr, off)
 			off += instrSize(&b.Instrs[i])
 		}
@@ -318,6 +342,12 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 	}
 	return c, nil
 }
+
+// elided reports a jump the layout turned into a fallthrough.
+func elided(in *vasm.Instr) bool { return in.Op == vasm.Jmp && in.I64&1 != 0 }
+
+// typeGuard reports the ops that test a value against TypeParam.
+func typeGuard(op vasm.Op) bool { return op == vasm.GuardKind || op == vasm.LdLocGK }
 
 // constValue materializes one constant-pool entry.
 func constValue(iv vasm.ImmValue) runtime.Value {

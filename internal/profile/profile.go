@@ -56,9 +56,9 @@ type Counters struct {
 	// access sites: (funcID, bcPC) -> shape ID -> count. Shape IDs
 	// are process-local (minted in first-touch order by this VM's
 	// shape tree), so this table is deliberately excluded from
-	// Data/Snapshot/Merge: it never rides jumpstart snapshots or
-	// fleet aggregation. Warm-started hosts rebuild shape knowledge
-	// through the self-filling inline caches instead.
+	// Data/Snapshot: it never rides jumpstart snapshots. Warm-started
+	// hosts rebuild shape knowledge through the self-filling inline
+	// caches instead.
 	propShapes map[CallSite]map[uint32]uint64
 }
 
@@ -389,11 +389,9 @@ func (c *Counters) CallGraph() map[CallArc]uint64 {
 }
 
 // Data is a plain-value copy of a Counters store: the unit of profile
-// persistence and fleet aggregation. TransIDs in Data refer to the
-// translation space of the VM the snapshot was taken from; merging
-// Data from different VMs by raw TransID is only meaningful when they
-// minted translations identically (the jumpstart package merges by
-// stable function identity instead).
+// persistence. TransIDs in Data refer to the translation space of the
+// VM the snapshot was taken from; the jumpstart package keys its
+// snapshots by stable function identity instead.
 type Data struct {
 	Counts      []uint64
 	Arcs        map[Arc]uint64
@@ -428,54 +426,4 @@ func (c *Counters) Snapshot() *Data {
 		d.CallTargets[site] = cp
 	}
 	return d
-}
-
-// scaleCount applies a merge weight, rounding to nearest.
-func scaleCount(v uint64, w float64) uint64 {
-	if w == 1 {
-		return v
-	}
-	if w <= 0 {
-		return 0
-	}
-	return uint64(float64(v)*w + 0.5)
-}
-
-// Merge folds d into c with the given weight (1.0 = plain sum; <1
-// decays the incoming profile, the aggregation rule for combining
-// fleet snapshots of different ages). d's TransIDs must refer to c's
-// translation space; counters beyond c's slab are allocated.
-func (c *Counters) Merge(d *Data, weight float64) {
-	for c.NumCounters() < len(d.Counts) {
-		c.NewCounter()
-	}
-	for i, v := range d.Counts {
-		c.Add(TransID(i), scaleCount(v, weight))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for a, n := range d.Arcs {
-		if s := scaleCount(n, weight); s > 0 {
-			c.arcs[a] += s
-		}
-	}
-	for site, m := range d.CallTargets {
-		for cls, n := range m {
-			s := scaleCount(n, weight)
-			if s == 0 {
-				continue
-			}
-			dst := c.callTargets[site]
-			if dst == nil {
-				dst = map[string]uint64{}
-				c.callTargets[site] = dst
-			}
-			dst[cls] += s
-		}
-	}
-	for a, n := range d.FuncCalls {
-		if s := scaleCount(n, weight); s > 0 {
-			c.newCallSlotLocked(a.Caller, a.Callee).Add(s)
-		}
-	}
 }

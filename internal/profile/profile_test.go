@@ -180,7 +180,9 @@ func TestAddGrowsSlab(t *testing.T) {
 	}
 }
 
-func TestSnapshotMergeWeighted(t *testing.T) {
+// TestSnapshotIsACopy: a snapshot keeps the counts, arcs, call targets
+// and call graph as they were when it was taken.
+func TestSnapshotIsACopy(t *testing.T) {
 	a := profile.NewCounters()
 	i0 := a.NewCounter()
 	i1 := a.NewCounter()
@@ -189,35 +191,25 @@ func TestSnapshotMergeWeighted(t *testing.T) {
 	}
 	a.Inc(i1)
 	a.RecordArc(i0, i1)
-	a.RecordCallTarget(profile.CallSite{FuncID: 1, PC: 2}, "C")
+	site := profile.CallSite{FuncID: 1, PC: 2}
+	a.RecordCallTarget(site, "C")
 	a.RecordCall(1, 2)
 
 	d := a.Snapshot()
-	// The snapshot is a copy: further increments don't affect it.
 	a.Inc(i0)
-	if d.Counts[i0] != 10 {
-		t.Fatalf("snapshot count = %d, want 10", d.Counts[i0])
+	a.RecordArc(i0, i1)
+	a.RecordCallTarget(site, "C")
+	a.RecordCall(1, 2)
+	if d.Counts[i0] != 10 || d.Counts[i1] != 1 {
+		t.Errorf("snapshot counts = %v, want [10 1]", d.Counts)
 	}
-
-	b := profile.NewCounters()
-	b.Merge(d, 0.5)
-	if got := b.Count(i0); got != 5 {
-		t.Errorf("merged count = %d, want 5", got)
+	if n := d.Arcs[profile.Arc{From: i0, To: i1}]; n != 1 {
+		t.Errorf("snapshot arc = %d, want 1", n)
 	}
-	if got := b.ArcCount(i0, i1); got != 1 {
-		t.Errorf("merged arc = %d, want 1 (0.5 rounds up)", got)
+	if n := d.CallTargets[site]["C"]; n != 1 {
+		t.Errorf("snapshot call target = %d, want 1", n)
 	}
-	tp := b.CallTargets(profile.CallSite{FuncID: 1, PC: 2})
-	if tp == nil || tp.Total != 1 {
-		t.Errorf("merged call targets = %+v", tp)
-	}
-	if g := b.CallGraph(); g[profile.CallArc{Caller: 1, Callee: 2}] != 1 {
-		t.Errorf("merged call graph = %v", g)
-	}
-
-	// Merging twice at weight 1 doubles.
-	b.Merge(d, 1)
-	if got := b.Count(i0); got != 15 {
-		t.Errorf("second merge count = %d, want 15", got)
+	if n := d.FuncCalls[profile.CallArc{Caller: 1, Callee: 2}]; n != 1 {
+		t.Errorf("snapshot call graph = %d, want 1", n)
 	}
 }

@@ -64,21 +64,6 @@ func (c *Class) LookupMethod(name string) (int, bool) {
 	return LookupFold(c.Methods, name)
 }
 
-// IsSubclassOf walks the extends chain and interface lists.
-func (c *Class) IsSubclassOf(name string) bool {
-	for k := c; k != nil; k = k.Parent {
-		if k.Name == name {
-			return true
-		}
-		for _, i := range k.Ifaces {
-			if i == name || types.IsSubclassOf(i, name) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Object is a guest object instance: a class pointer, its current
 // shape, and property slots. The invariant len(Props) ==
 // Shape.NumSlots() holds whenever Shape is non-nil: dynamic
@@ -187,9 +172,4 @@ func SetPropNamed(h *Heap, recv Value, name string, val Value) error {
 		return err
 	}
 	return nil
-}
-
-// InstanceOf implements `v instanceof cls` by class name.
-func InstanceOf(v Value, cls string) bool {
-	return v.Kind == types.KObj && v.AsObj().Class.IsSubclassOf(cls)
 }

@@ -24,11 +24,13 @@ type operand struct {
 func boxClass() *rt.Class {
 	tree := shapes.NewTree()
 	return &rt.Class{
-		Name:      "Box",
-		PropNames: map[string]int{"p": 0},
-		PropInit:  []rt.Value{rt.Int(1)},
-		Methods:   map[string]int{},
-		RootShape: tree.Root([]shapes.Slot{{Name: "p", Kind: types.KInt}}),
+		Name:         "Box",
+		PropNames:    map[string]int{"p": 0},
+		PropInit:     []rt.Value{rt.Int(1)},
+		Methods:      map[string]int{},
+		RootShape:    tree.Root([]shapes.Slot{{Name: "p", Kind: types.KInt}}),
+		ClassID:      1,
+		AncestorBits: []uint64{1 << 1},
 	}
 }
 
@@ -432,11 +434,15 @@ func TestPropNamedOnEveryKind(t *testing.T) {
 
 func TestInstanceOfAndThrowEveryKind(t *testing.T) {
 	h := rt.NewHeap()
+	// `v instanceof C` is the check of Obj<=C; Other is not linked.
+	classes := map[string]*rt.Class{"Box": boxClass()}
+	box := rt.NewCheck(types.ObjOfClass("Box", false), classes)
+	other := rt.NewCheck(types.ObjOfClass("Other", false), classes)
 	for _, op := range everyKind(h) {
-		if got := rt.InstanceOf(op.v, "Box"); got != (op.name == "Obj") {
+		if got := box.Holds(op.v); got != (op.name == "Obj") {
 			t.Errorf("%s instanceof Box = %v", op.name, got)
 		}
-		if rt.InstanceOf(op.v, "Other") {
+		if other.Holds(op.v) {
 			t.Errorf("%s instanceof Other", op.name)
 		}
 		h.IncRef(op.v)

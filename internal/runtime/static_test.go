@@ -121,12 +121,13 @@ func TestStaticTypingCoversDynamicResults(t *testing.T) {
 		}
 	}
 
+	env := &interp.Env{Classes: map[string]*rt.Class{"Box": boxClass()}}
 	for _, hint := range []string{"", "int", "float", "string", "bool", "array", "Box"} {
 		for _, nullable := range []bool{false, true} {
 			fn.Params = []hhbc.Param{{Name: "p", TypeHint: hint, Nullable: nullable && hint != ""}}
 			for _, a := range all[1:] { // not Uninit: a missing argument is bound to its default or Null
 				slot := a.v
-				if interp.VerifyParam(fn, 0, &slot) != nil {
+				if env.VerifyParam(fn, 0, &slot) != nil {
 					continue
 				}
 				for _, ta := range widenings(a.v, all) {

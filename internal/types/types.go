@@ -159,6 +159,9 @@ func (t Type) MaybeCounted() bool {
 	return counted != 0
 }
 
+// Static reports whether every string of the type is static.
+func (t Type) Static() bool { return t.static }
+
 // Unstatic widens the type's strings to any string.
 func (t Type) Unstatic() Type {
 	t.static = false

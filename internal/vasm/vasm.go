@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/region"
+	"repro/internal/runtime"
 	"repro/internal/types"
 )
 
@@ -397,6 +399,11 @@ type Unit struct {
 	// Layout is the final block order after layout optimization
 	// (indices into Blocks).
 	Layout []int
+	// Entry and Classes are what Assemble compiles the type guards
+	// against: the translation's entry preconditions, checked before it
+	// is entered, and the linked classes a guard's type may name.
+	Entry   []region.Guard
+	Classes map[string]*runtime.Class
 }
 
 // Order returns the block order code is emitted in: Layout once it
