@@ -279,34 +279,3 @@ func BenchmarkSteadyRequest(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkParallelCompile measures wall-clock time of the global
-// retranslation with the backend fanned over 1 vs N compile workers.
-// Each iteration builds a fresh engine (OptimizeAll runs once per JIT),
-// warms it far below the trigger to mint profiling translations, then
-// times the explicit OptimizeAll call.
-func BenchmarkParallelCompile(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := jit.DefaultConfig()
-				cfg.ProfileTrigger = 1 << 40 // never fires on its own
-				cfg.CompileWorkers = workers
-				eng, eps, err := perflab.NewEngine(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for r := 0; r < 30; r++ {
-					for _, ep := range eps {
-						if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				b.StartTimer()
-				eng.VM.JIT.OptimizeAll()
-			}
-		})
-	}
-}

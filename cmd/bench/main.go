@@ -3,12 +3,12 @@
 //
 // Usage:
 //
-//	bench -exp fig8|fig9|fig10|fig11|jumpstart|scale|chain|shapes|faults|all
-//	      [-quick] [-no-shapes] [-workers N] [-json path] [-cpuprofile path] [-memprofile path]
+//	bench -exp fig8|fig9|fig10|fig11|jumpstart|chain|shapes|faults|all
+//	      [-quick] [-no-shapes] [-json path] [-cpuprofile path] [-memprofile path]
 //
 // -exp also accepts a comma-separated list (e.g. -exp chain,shapes).
 // With -json, the rows of the machine-readable experiments (fig8,
-// scale, chain, shapes and faults) are also written to the given path
+// chain, shapes and faults) are also written to the given path
 // as one JSON document, so CI can archive guest-cycles/req,
 // smashed-vs-dispatched bind counts, and fault-containment counters
 // across runs. Host time per request is not measured here: that is the
@@ -35,18 +35,16 @@ import (
 // actually ran appear; the rest stay null.
 type jsonReport struct {
 	Fig8   []experiments.Fig8Row     `json:"fig8,omitempty"`
-	Scale  []experiments.ScalingRow  `json:"scale,omitempty"`
 	Chain  []experiments.ChainRow    `json:"chain,omitempty"`
 	Shapes *experiments.ShapesResult `json:"shapes,omitempty"`
 	Faults *experiments.FaultsResult `json:"faults,omitempty"`
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment (or comma-separated list): fig8, fig9, fig10, fig11, jumpstart, scale, chain, shapes, faults, all")
+	exp := flag.String("exp", "all", "experiment (or comma-separated list): fig8, fig9, fig10, fig11, jumpstart, chain, shapes, faults, all")
 	quick := flag.Bool("quick", false, "reduced warmup/measurement volume")
 	noShapes := flag.Bool("no-shapes", false, "disable typed object shapes in every experiment config")
-	workers := flag.Int("workers", 4, "worker count for the scale experiment (compared against 1)")
-	jsonPath := flag.String("json", "", "also write machine-readable results (fig8, scale, chain, shapes, faults) to this path")
+	jsonPath := flag.String("json", "", "also write machine-readable results (fig8, chain, shapes, faults) to this path")
 	faultSeed := flag.Int64("fault-seed", 1, "deterministic seed for the faults experiment")
 	faultRate := flag.Float64("fault-rate", 0.01, "per-draw injection probability for the faults experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this file")
@@ -135,24 +133,6 @@ func main() {
 			return err
 		}
 		experiments.ReportJumpstart(os.Stdout, c)
-		return nil
-	})
-	run("scale", func(perflab.Config) error {
-		cfg := server.DefaultConfig()
-		if *quick {
-			cfg.Minutes = 12
-			cfg.CyclesPerMinute = 1_200_000
-		}
-		counts := []int{1}
-		if *workers > 1 {
-			counts = append(counts, *workers)
-		}
-		rows, err := experiments.Scaling(cfg, counts)
-		if err != nil {
-			return err
-		}
-		experiments.ReportScaling(os.Stdout, rows)
-		report.Scale = rows
 		return nil
 	})
 	run("chain", func(pc perflab.Config) error {

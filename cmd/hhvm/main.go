@@ -6,9 +6,8 @@
 // Usage:
 //
 //	hhvm [-mode interp|tracelet|profiling|region] [-requests N]
-//	     [-stats] [-disas] [-prof-dump file] [-prof-load file]
-//	     [-fault-rate P] [-fault-seed N] [-compile-workers N]
-//	     [-no-shapes] file.php
+//	     [-trigger N] [-stats] [-disas] [-prof-dump file] [-prof-load file]
+//	     [-fault-rate P] [-fault-seed N] [-no-shapes] file.php
 //
 // -prof-load jumpstarts the engine from a profile snapshot before the
 // first request; -prof-dump persists the profile after the last one
@@ -42,7 +41,6 @@ func main() {
 	profLoad := flag.String("prof-load", "", "jumpstart from a profile snapshot before the first request")
 	faultRate := flag.Float64("fault-rate", 0, "arm the fault injector at this probability per draw (0 disables)")
 	faultSeed := flag.Int64("fault-seed", 1, "deterministic seed for the fault injector")
-	flag.IntVar(&cfg.CompileWorkers, "compile-workers", cfg.CompileWorkers, "goroutines the optimizing backend fans over (0/1 = one)")
 	noShapes := flag.Bool("no-shapes", false, "disable typed object shapes (shape guards + property inline caches)")
 	flag.Parse()
 
@@ -151,8 +149,6 @@ func main() {
 			hs.IncRefs, hs.DecRefs, hs.Destructs, hs.CowCopies)
 		fmt.Fprintf(os.Stderr, "              %d frees, %d live objects, %d live strings, %d live arrays, %d over-releases\n",
 			hs.Frees, hs.LiveObjs, hs.LiveStrs, hs.LiveArrs, hs.OverReleases)
-		fmt.Fprintf(os.Stderr, "leases:       %d acquires, %d waits, %d steals; peak compile parallelism %d\n",
-			st.LeaseAcquires, st.LeaseWaits, st.LeaseSteals, st.PeakCompileParallelism)
 		if *faultRate > 0 {
 			fmt.Fprintf(os.Stderr, "self-healing: %d injections fired, %d faults contained, %d quarantined, %d demoted, %d recycle runs, degrade level %d\n",
 				cfg.Faults.TotalFired(), st.TransFaults, st.Quarantined, st.Demotions, st.RecycleRuns, st.DegradeLevel)

@@ -19,8 +19,8 @@ import (
 // transition: workers race to mint profiling translations, the
 // background compiler publishes the optimized index mid-traffic, and
 // every request's output must stay identical to the interpreter's.
-// Run under -race this exercises the RCU index publication, the
-// single-flight dedup, and the atomic stats counters.
+// Run under -race this exercises the RCU index publication, the write
+// lease, and the atomic stats counters.
 func TestConcurrentWorkersAcrossOptimize(t *testing.T) {
 	src, eps := workload.Combined()
 	unit, err := core.Compile(src, core.CompileOptions{})
@@ -194,5 +194,34 @@ function spin($n) { $s = 0; for ($i = 0; $i < $n; $i++) { $s += $i % 7; } return
 	if st := eng.Stats(); st.OptimizeRuns != 1 || st.OptimizedTranslations == 0 {
 		t.Fatalf("the workers' traffic did not fire the inline retranslation: %d runs, %d optimized translations",
 			st.OptimizeRuns, st.OptimizedTranslations)
+	}
+}
+
+// TestDegradedTriggerStartsNoCompiler: past the trigger, with the
+// ladder at DegradeNoMint, every function entry asks for the global
+// retranslation and is refused. With BackgroundCompile the refusal must
+// come before a compiler goroutine is started, not inside one: an entry
+// allocates nothing, as it does in the foreground, and the run stays
+// unclaimed.
+func TestDegradedTriggerStartsNoCompiler(t *testing.T) {
+	unit, err := core.Compile(`function f() { return 1; }`, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := jit.DefaultConfig()
+	cfg.ProfileTrigger = 1
+	cfg.BackgroundCompile = true
+	eng, err := core.NewEngine(unit, cfg, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := eng.VM.JIT
+	j.Shed(jit.DegradeNoMint)
+	allocs := testing.AllocsPerRun(100, func() { j.OnEntry(eng.VM.Meter) })
+	if allocs != 0 && !raceEnabled {
+		t.Errorf("OnEntry past the trigger at DegradeNoMint allocated %.1f times per call, want 0", allocs)
+	}
+	if n := eng.Stats().OptimizeRuns; n != 0 {
+		t.Errorf("%d retranslation runs while degraded, want 0", n)
 	}
 }

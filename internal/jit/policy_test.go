@@ -127,3 +127,57 @@ func policyJIT(t *testing.T, unit *hhbc.Unit, fn *hhbc.Func, mode Mode) (*JIT, *
 	cfg.Mode = mode
 	return New(cfg, env, meter), env.TakeFrame(fn, nil, []runtime.Value{runtime.Int(3)})
 }
+
+// TestMissQueuedOnTheLeaseRechecksThePolicy: a miss decides to mint,
+// then waits for the write lease while its holder changes what the
+// policy answered. Once it holds the lease it must interpret, not
+// compile: after the holder claimed the global retranslation (a
+// profiling translation minted after the publish would sit in the
+// optimized index for good, its block missing from the one profile
+// snapshot), quarantined the address, filled its chain or latched the
+// cache full.
+func TestMissQueuedOnTheLeaseRechecksThePolicy(t *testing.T) {
+	prog, err := parser.Parse(`function f($n) { return $n + 1; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit, err := emitter.Emit(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, _ := unit.FuncByName("f")
+	for _, tc := range []struct {
+		name   string
+		mode   Mode
+		change func(j *JIT, key transKey)
+	}{
+		{"claim", ModeRegion, func(j *JIT, _ transKey) { j.claimOptimize() }},
+		{"quarantine", ModeProfiling, func(j *JIT, key transKey) { j.strikeLocked(key) }},
+		{"chain full", ModeProfiling, func(j *JIT, key transKey) {
+			chain := make([]*Translation, maxLiveChain)
+			for i := range chain {
+				chain[i] = &Translation{FuncID: key.fn, PC: key.pc, Kind: ModeProfiling,
+					EntryDepth: 99, Code: &mcode.Code{}}
+			}
+			idx := transIndex{key: chain}
+			j.trans.Store(&idx)
+		}},
+		{"cache full", ModeProfiling, func(j *JIT, _ transKey) { j.cacheFull.Store(true) }},
+	} {
+		j, fr := policyJIT(t, unit, fn, tc.mode)
+		key := transKey{fn.ID, fr.PC}
+		j.mu.Lock()
+		kind := j.mintKindLocked(key, false)
+		tc.change(j, key)
+		j.mu.Unlock()
+		if kind != ModeProfiling {
+			t.Fatalf("%s: the policy decided %s before the change, want profiling", tc.name, kind)
+		}
+		if tr := j.mintUnderLease(fn, fr, kind, &machine.Meter{}); tr != nil {
+			t.Errorf("%s: minted a %s translation", tc.name, tr.Kind)
+		}
+		if n := j.Stats().ProfilingTranslations; n != 0 {
+			t.Errorf("%s: %d profiling translations, want 0", tc.name, n)
+		}
+	}
+}

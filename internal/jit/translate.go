@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/faultinject"
@@ -23,51 +22,18 @@ import (
 // Debug, when set, dumps every compiled region's IR to stderr.
 var Debug = os.Getenv("REPRO_JIT_DEBUG") != ""
 
-// compile runs a region through the optimizer and back end and places
-// the code in the cache, charging the compilation cycles to m. It
-// holds the translated function's lease throughout (lease.go), so
-// compiles of different functions proceed in parallel and compiles of
-// the same function serialize.
-func (j *JIT) compile(desc *region.Desc, bcfg hhir.BuildConfig, passes hhir.PassConfig,
-	lay vasm.LayoutConfig, area mcode.Area, m *machine.Meter) (*mcode.Code, error) {
-
-	fnID := desc.Entry().Func.ID
-	j.leases.acquire(fnID, false)
-	defer j.leases.release(fnID, false)
-
-	code, err := j.compileBackend(desc, bcfg, passes, lay)
-	if err != nil {
-		return nil, err
-	}
-	if err := j.placeCode(code, area, m); err != nil {
-		return nil, err
-	}
-	return code, nil
-}
-
 // compileBackend runs the compiler pipeline — HHIR build and
 // optimization, lowering, layout, register allocation, optional
-// dispatch fusion, assembly — without touching the code cache. It
-// holds no locks of its own: callers hold the function's lease, and
-// backends of different functions run at once.
+// dispatch fusion, assembly — without touching the code cache.
+// Callers hold the write lease.
 func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 	passes hhir.PassConfig, lay vasm.LayoutConfig) (*mcode.Code, error) {
 
-	running := j.compilesRunning.Add(1)
-	defer j.compilesRunning.Add(-1)
-	for {
-		peak := j.peakCompiles.Load()
-		if uint64(running) <= peak || j.peakCompiles.CompareAndSwap(peak, uint64(running)) {
-			break
-		}
-	}
-
 	// The injection draw is keyed by the region's entry address, not
-	// the global draw counter: parallel compile workers interleave
-	// their draws nondeterministically, but the n-th compile attempt of
-	// a given (func, PC) fires identically however the attempts are
-	// scheduled, so every CompileWorkers count fails the same
-	// translations.
+	// the global draw counter: the n-th compile attempt of a given
+	// (func, PC) fires identically whatever else compiled before it, so
+	// the order the global retranslation compiles in does not change
+	// which translations fail.
 	entry := desc.Entry()
 	if j.Cfg.Faults.ShouldAt(faultinject.CompileError,
 		uint64(entry.Func.ID)<<32^uint64(uint32(entry.Start))) {
@@ -111,13 +77,11 @@ func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 }
 
 // placeCode allocates cache space for assembled code, rebases it, and
-// charges the compile fee to m. The cache allocator is internally
-// locked, and minting workers place code of different functions
-// concurrently: space one worker's recycle frees may be taken by
-// another before the retry below, which then fails as cache-full and
-// the mint is simply attempted again on a later dispatch. OptimizeAll
-// calls this sequentially in function-sorted order so hot-area
-// placement stays deterministic.
+// charges the compile fee to m. Callers hold the write lease, so the
+// alloc -> recycle -> alloc sequence below is atomic with respect to
+// every other compile: the space a recycle frees is there for the
+// retry. OptimizeAll places in function-sorted order, so hot-area
+// placement is deterministic.
 func (j *JIT) placeCode(code *mcode.Code, area mcode.Area, m *machine.Meter) error {
 	base, err := j.Cache.Alloc(area, code.Size)
 	if err != nil && errors.Is(err, mcode.ErrCacheFull) {
@@ -199,13 +163,17 @@ func (j *JIT) translate(fn *hhbc.Func, fr *interp.Frame, kind Mode, m *machine.M
 // places the code in the kind's cache area, installs the translation
 // into the index and accounts it, charging the compile to m. A compile
 // failure quarantines the address — except cache exhaustion, which is
-// global pressure, not this address's fault — and returns nil.
+// global pressure, not this address's fault — and returns nil. Callers
+// hold the write lease across all of it.
 func (j *JIT) mint(desc *region.Desc, kind Mode, bcfg hhir.BuildConfig, m *machine.Meter) *Translation {
 	entry := desc.Entry()
 	key := transKey{entry.Func.ID, entry.Start}
 	area, _, _ := j.residence(kind)
-	code, err := j.compile(desc, bcfg, j.passConfig(bcfg.Profiling),
-		vasm.LayoutConfig{ProfileGuided: false, SplitCold: true}, area, m)
+	code, err := j.compileBackend(desc, bcfg, j.passConfig(bcfg.Profiling),
+		vasm.LayoutConfig{ProfileGuided: false, SplitCold: true})
+	if err == nil {
+		err = j.placeCode(code, area, m)
+	}
 	if err != nil {
 		debugCompileErr(kind.String(), entry.Func.FullName(), err)
 		if !errors.Is(err, mcode.ErrCacheFull) {
@@ -241,6 +209,8 @@ func (j *JIT) regionBuildConfig() hhir.BuildConfig {
 // compiles the regions it forms and publishes it at its entry address;
 // nil when the compile fails. Tests run hand-built regions through it.
 func (j *JIT) PublishRegion(desc *region.Desc) *Translation {
+	j.lease.Lock()
+	defer j.lease.Unlock()
 	return j.mint(desc, ModeRegion, j.regionBuildConfig(), j.Meter)
 }
 
@@ -313,8 +283,8 @@ func profIDs(blocks []*region.Block) []profile.TransID {
 // sorts functions with the C3 heuristic, publishes the optimized code
 // into the hot area (optionally huge-page mapped), and discards the
 // profiling translations (points A..C in Figure 9). Exactly one run
-// ever happens (CAS-claimed); with BackgroundCompile it executes on a
-// compiler goroutine while workers keep serving from profiling
+// ever happens (claimOptimize); with BackgroundCompile it executes on
+// a compiler goroutine while workers keep serving from profiling
 // translations, and the optimized index becomes visible in one
 // atomic swap. Functions whose regions cannot all be compiled (code
 // cache full) are NOT unpublished: they keep their profiling
@@ -325,6 +295,9 @@ func profIDs(blocks []*region.Block) []profile.TransID {
 // worker's meter, or to CompileMeter under BackgroundCompile; the
 // entry-count trigger charges the worker that tripped it (OnEntry).
 func (j *JIT) OptimizeAll() {
+	if !j.claimOptimize() {
+		return
+	}
 	if j.Cfg.BackgroundCompile {
 		j.optimizeAll(j.CompileMeter)
 	} else {
@@ -332,24 +305,28 @@ func (j *JIT) OptimizeAll() {
 	}
 }
 
+// claimOptimize claims the one global retranslation run. While the
+// ladder is at DegradeNoMint or deeper it says no and leaves the run
+// unclaimed, so a later trigger can fire it if pressure recedes.
+func (j *JIT) claimOptimize() bool {
+	return j.degrade.Load() < DegradeNoMint && j.optStarted.CompareAndSwap(false, true)
+}
+
+// optimizeAll runs the claimed retranslation under the write lease,
+// from the profile snapshot to the publish. Nothing waits on it:
+// between the claim and the publish region mode mints nothing, and a
+// profiling mint that was queued on the lease at the claim is dropped
+// (Lookup).
 func (j *JIT) optimizeAll(meter *machine.Meter) {
-	if j.degrade.Load() >= DegradeNoMint {
-		// The ladder says stop reoptimizing: leave the run unclaimed so
-		// a later trigger can fire it if pressure recedes.
-		return
-	}
-	if !j.optStarted.CompareAndSwap(false, true) {
-		return
-	}
+	j.lease.Lock()
+	defer j.lease.Unlock()
 	atomic.AddUint64(&j.stats.OptimizeRuns, 1)
 
-	// Snapshot the profiling tables. Lookup stops minting profiling
-	// translations once the run is claimed; a mint already in flight
-	// may still land after the snapshot and simply misses this (single)
-	// optimization round. The blocks are deep-copied: guard
-	// relaxation widens Preconds in place, and the originals' Precond
-	// slices are shared with live profiling translations that workers
-	// are still guard-matching against.
+	// Snapshot the profiling tables; a profiling mint that held the
+	// lease at the claim has landed in them. The blocks are deep-copied:
+	// guard relaxation widens Preconds in place, and the originals'
+	// Precond slices are shared with live profiling translations that
+	// workers are still guard-matching against.
 	j.mu.Lock()
 	blocksByFn := make(map[int][]*region.Block, len(j.profBlocks))
 	for fnID, blocks := range j.profBlocks {
@@ -407,60 +384,22 @@ func (j *JIT) optimizeAll(meter *machine.Meter) {
 	j.Cache.Free(mcode.AreaProfile, atomic.LoadUint64(&j.stats.BytesProfiling))
 	j.Cache.ResetArea(mcode.AreaProfile)
 
-	// Compile. The index is not touched yet: workers keep dispatching
-	// to profiling translations throughout this (long) phase.
+	// Compile and place in the function-sorted order. The index is not
+	// touched yet: workers keep dispatching to profiling translations
+	// throughout this (long) phase. A failed backend and a transiently
+	// failed placement (a flaky allocation) are each retried once: the
+	// global publish runs once ever, so one bad draw should not
+	// permanently cost a region its optimized code.
 	bcfg := j.regionBuildConfig()
-	// Backends fan over the compile workers, each claiming whole
-	// functions and holding the function's writer lease while its
-	// regions compile (minting workers touching the same function queue
-	// behind the optimizer). A failed backend is retried once: the
-	// global publish runs once ever, so one bad draw (an injected
-	// compile error) should not permanently cost a region its
-	// optimized code.
-	type unit struct {
-		code *mcode.Code
-		err  error
-	}
-	results := make([][]unit, len(all))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := min(max(1, j.Cfg.CompileWorkers), len(all))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(all) {
-					return
-				}
-				fr := all[i]
-				j.leases.acquire(fr.fnID, true)
-				res := make([]unit, len(fr.regions))
-				for ri, desc := range fr.regions {
-					code, err := j.compileBackend(desc, bcfg, j.passConfig(false), j.layoutConfig())
-					if err != nil {
-						code, err = j.compileBackend(desc, bcfg, j.passConfig(false), j.layoutConfig())
-					}
-					res[ri] = unit{code, err}
-				}
-				results[i] = res
-				j.leases.release(fr.fnID, true)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Placement into the hot area and minting run sequentially in the
-	// function-sorted order, so addresses, huge-page coverage, and
-	// fetch behavior do not depend on the worker count. A transient
-	// placement failure (a flaky allocation) is likewise retried once.
 	var newTrans []*Translation
 	published := map[int]bool{} // fnID -> all regions compiled
-	for i, fr := range all {
+	for _, fr := range all {
 		ok := len(fr.regions) > 0
-		for ri, desc := range fr.regions {
-			code, err := results[i][ri].code, results[i][ri].err
+		for _, desc := range fr.regions {
+			code, err := j.compileBackend(desc, bcfg, j.passConfig(false), j.layoutConfig())
+			if err != nil {
+				code, err = j.compileBackend(desc, bcfg, j.passConfig(false), j.layoutConfig())
+			}
 			if err == nil {
 				err = j.placeCode(code, mcode.AreaHot, meter)
 				if err != nil && !errors.Is(err, mcode.ErrCacheFull) {

@@ -194,8 +194,8 @@ type Machine struct {
 	// Fallback, installed by the VM, scans the published retranslation
 	// cluster at (fr.Fn, fr.PC) for a chainable translation matching fr —
 	// the in-cache guard cascade taken when a smashed link's guards
-	// miss. It must NOT mint translations or touch the dispatcher's
-	// single-flight path. Nil when chaining is unavailable.
+	// miss. It must NOT mint translations or take the JIT's write
+	// lease. Nil when chaining is unavailable.
 	Fallback func(fr *interp.Frame) ChainTarget
 
 	// FI, when non-nil, injects translation-entry panics

@@ -12,12 +12,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 
 	"repro/internal/jit"
 	"repro/internal/jumpstart"
 	"repro/internal/perflab"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -58,14 +56,6 @@ type Config struct {
 	FleetWaveMinutes int
 	// Seed for request-mix sampling.
 	Seed int64
-	// Workers is the number of concurrent request workers (simulated
-	// cores); 0 reads as 1. N worker VMs share one JIT: each worker
-	// gets a full per-minute cycle budget and its own seeded request
-	// stream, and RPSPct is reported against N× the single-core
-	// steady-state throughput. With N > 1 the global retranslation runs
-	// on a background compiler goroutine; a single worker compiles
-	// inline, so its timeline is deterministic.
-	Workers int
 	// Jumpstart, when set, warm-starts the restarted server from a
 	// persisted profile snapshot before it serves its first request:
 	// profiling is skipped and optimized code is published
@@ -143,16 +133,6 @@ func Simulate(cfg Config) (*Result, error) {
 	if cfg.Minutes == 0 {
 		cfg = DefaultConfig()
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > 1 {
-		// Request workers must keep serving while the optimizing
-		// compiler runs: hand the global retranslation to a background
-		// goroutine instead of stalling the triggering worker.
-		cfg.JIT.BackgroundCompile = true
-	}
 	// Calibrate steady state with a fully warmed engine.
 	steadyEng, eps, err := perflab.NewEngine(cfg.JIT)
 	if err != nil {
@@ -213,18 +193,8 @@ func Simulate(cfg Config) (*Result, error) {
 		res.JumpstartLoad = eng.LoadProfile(cfg.Jumpstart)
 		jumpstartCycles = eng.Cycles() - before
 	}
-	// Worker pool: worker 0 is the engine's primary VM; extra workers
-	// share its JIT (translation index, counters, code cache) with
-	// private interpreter state. Each worker draws from its own seeded
-	// request stream so multi-worker runs are reproducible.
-	ws := make([]*vm.VM, workers)
-	ws[0] = eng.VM
-	rngs := make([]*rand.Rand, workers)
-	rngs[0] = rand.New(rand.NewSource(cfg.Seed + 1))
-	for i := 1; i < workers; i++ {
-		ws[i] = eng.NewWorker(io.Discard)
-		rngs[i] = rand.New(rand.NewSource(cfg.Seed + 1 + int64(i)))
-	}
+	// The restarted server draws its requests from a stream of its own.
+	reqRNG := rand.New(rand.NewSource(cfg.Seed + 1))
 
 	sawOptimize := cfg.Jumpstart != nil && res.JumpstartLoad.Optimized
 	sawProfilingDone := sawOptimize
@@ -239,44 +209,20 @@ func Simulate(cfg Config) (*Result, error) {
 		if minute >= cfg.FleetWaveAt && minute < cfg.FleetWaveAt+cfg.FleetWaveMinutes {
 			demand = steadyRPS * 1.6
 		}
-		budgetFor := func(worker int) uint64 {
-			budget := cfg.CyclesPerMinute
-			// The jumpstart load ran on the primary before serving
-			// started; its cycles come out of worker 0's first minute.
-			if worker == 0 && minute == 0 && jumpstartCycles > 0 {
-				if jumpstartCycles >= budget {
-					return 0
-				}
-				return budget - jumpstartCycles
-			}
-			return budget
+		budget := cfg.CyclesPerMinute
+		// The jumpstart load ran before serving started; its cycles
+		// come out of the first minute.
+		if minute == 0 {
+			budget -= min(jumpstartCycles, budget)
 		}
 		served := 0
-		perWorker := make([]int, workers)
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				v, budget := ws[i], budgetFor(i)
-				start := v.Meter.Cycles
-				for float64(perWorker[i]) < demand && v.Meter.Cycles-start < budget {
-					ep := pick(rngs[i])
-					if _, _, err := perflab.RunEndpointVM(v, ep.Name); err != nil {
-						errs[i] = err
-						return
-					}
-					perWorker[i]++
-				}
-			}(i)
-		}
-		wg.Wait()
-		for i := range errs {
-			if errs[i] != nil {
-				return nil, errs[i]
+		start := eng.Cycles()
+		for float64(served) < demand && eng.Cycles()-start < budget {
+			ep := pick(reqRNG)
+			if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {
+				return nil, err
 			}
-			served += perWorker[i]
+			served++
 		}
 		st := eng.Stats()
 		code := st.BytesProfiling + st.BytesOptimized + st.BytesLive
@@ -312,7 +258,7 @@ func Simulate(cfg Config) (*Result, error) {
 		res.Samples = append(res.Samples, Sample{
 			Minute:    float64(minute + 1),
 			CodeBytes: code,
-			RPSPct:    100 * float64(served) / (steadyRPS * float64(workers)),
+			RPSPct:    100 * float64(served) / steadyRPS,
 			Event:     ev,
 		})
 	}

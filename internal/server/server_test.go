@@ -8,11 +8,9 @@ import (
 	"repro/internal/server"
 )
 
-// TestSingleWorkerDeterminism pins the legacy single-threaded
-// behavior: Workers=0 and Workers=1 must produce bit-identical
-// timelines (the concurrency machinery must not perturb the
-// single-worker path), and repeated runs under the same seed must be
-// reproducible.
+// TestSingleWorkerDeterminism: the server compiles inline on its one
+// worker, so repeated runs under the same seed must produce
+// bit-identical timelines.
 func TestSingleWorkerDeterminism(t *testing.T) {
 	cfg := server.DefaultConfig()
 	cfg.Minutes = 12
@@ -22,37 +20,25 @@ func TestSingleWorkerDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := cfg
-	one.Workers = 1
-	res1, err := server.Simulate(one)
-	if err != nil {
-		t.Fatal(err)
-	}
 	again, err := server.Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	check := func(name string, got *server.Result) {
-		t.Helper()
-		if got.SteadyRPS != base.SteadyRPS {
-			t.Errorf("%s: SteadyRPS %v != %v", name, got.SteadyRPS, base.SteadyRPS)
-		}
-		if len(got.Samples) != len(base.Samples) {
-			t.Fatalf("%s: %d samples != %d", name, len(got.Samples), len(base.Samples))
-		}
-		for i := range base.Samples {
-			if got.Samples[i] != base.Samples[i] {
-				t.Errorf("%s: minute %d diverged: got %+v, want %+v",
-					name, i+1, got.Samples[i], base.Samples[i])
-			}
-		}
-		if got.MinutesTo90 != base.MinutesTo90 {
-			t.Errorf("%s: MinutesTo90 %v != %v", name, got.MinutesTo90, base.MinutesTo90)
+	if again.SteadyRPS != base.SteadyRPS {
+		t.Errorf("SteadyRPS %v != %v", again.SteadyRPS, base.SteadyRPS)
+	}
+	if len(again.Samples) != len(base.Samples) {
+		t.Fatalf("%d samples != %d", len(again.Samples), len(base.Samples))
+	}
+	for i := range base.Samples {
+		if again.Samples[i] != base.Samples[i] {
+			t.Errorf("minute %d diverged: got %+v, want %+v", i+1, again.Samples[i], base.Samples[i])
 		}
 	}
-	check("Workers=1 vs Workers=0", res1)
-	check("repeat run", again)
+	if again.MinutesTo90 != base.MinutesTo90 {
+		t.Errorf("MinutesTo90 %v != %v", again.MinutesTo90, base.MinutesTo90)
+	}
 }
 
 // TestStartupTimeline reproduces Figure 9's qualitative shape: code
