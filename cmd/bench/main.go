@@ -3,14 +3,13 @@
 //
 // Usage:
 //
-//	bench -exp fig8|fig9|fig10|fig11|jumpstart|chain|shapes|faults|all
-//	      [-quick] [-no-shapes] [-json path] [-cpuprofile path] [-memprofile path]
+//	bench -exp fig8|fig9|fig10|fig11|jumpstart|faults|all
+//	      [-quick] [-json path] [-cpuprofile path] [-memprofile path]
 //
-// -exp also accepts a comma-separated list (e.g. -exp chain,shapes).
-// With -json, the rows of the machine-readable experiments (fig8,
-// chain, shapes and faults) are also written to the given path
-// as one JSON document, so CI can archive guest-cycles/req,
-// smashed-vs-dispatched bind counts, and fault-containment counters
+// -exp also accepts a comma-separated list (e.g. -exp fig8,faults).
+// With -json, the rows of the machine-readable experiments (fig8 and
+// faults) are also written to the given path as one JSON document, so
+// CI can archive guest-cycles/req and fault-containment counters
 // across runs. Host time per request is not measured here: that is the
 // ledger's `req_host_ns` (go run ./benchmarks, see benchmarks/README.md).
 // -cpuprofile and -memprofile write pprof profiles of whatever
@@ -35,16 +34,13 @@ import (
 // actually ran appear; the rest stay null.
 type jsonReport struct {
 	Fig8   []experiments.Fig8Row     `json:"fig8,omitempty"`
-	Chain  []experiments.ChainRow    `json:"chain,omitempty"`
-	Shapes *experiments.ShapesResult `json:"shapes,omitempty"`
 	Faults *experiments.FaultsResult `json:"faults,omitempty"`
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment (or comma-separated list): fig8, fig9, fig10, fig11, jumpstart, chain, shapes, faults, all")
+	exp := flag.String("exp", "all", "experiment (or comma-separated list): fig8, fig9, fig10, fig11, jumpstart, faults, all")
 	quick := flag.Bool("quick", false, "reduced warmup/measurement volume")
-	noShapes := flag.Bool("no-shapes", false, "disable typed object shapes in every experiment config")
-	jsonPath := flag.String("json", "", "also write machine-readable results (fig8, chain, shapes, faults) to this path")
+	jsonPath := flag.String("json", "", "also write machine-readable results (fig8, faults) to this path")
 	faultSeed := flag.Int64("fault-seed", 1, "deterministic seed for the faults experiment")
 	faultRate := flag.Float64("fault-rate", 0.01, "per-draw injection probability for the faults experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this file")
@@ -55,7 +51,6 @@ func main() {
 	if *quick {
 		pc = experiments.Quick
 	}
-	experiments.NoShapes = *noShapes
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -134,24 +129,6 @@ func main() {
 		}
 		experiments.ReportJumpstart(os.Stdout, c)
 		return nil
-	})
-	run("chain", func(pc perflab.Config) error {
-		rows, err := experiments.Chain(pc)
-		if err != nil {
-			return err
-		}
-		experiments.ReportChain(os.Stdout, rows)
-		report.Chain = rows
-		return nil
-	})
-	run("shapes", func(pc perflab.Config) error {
-		res, err := experiments.Shapes(pc)
-		if err != nil {
-			return err
-		}
-		experiments.ReportShapes(os.Stdout, res)
-		report.Shapes = res
-		return res.GateErr()
 	})
 	run("faults", func(pc perflab.Config) error {
 		res, err := experiments.Faults(pc, *faultSeed, *faultRate)

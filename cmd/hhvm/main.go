@@ -7,7 +7,7 @@
 //
 //	hhvm [-mode interp|tracelet|profiling|region] [-requests N]
 //	     [-trigger N] [-stats] [-disas] [-prof-dump file] [-prof-load file]
-//	     [-fault-rate P] [-fault-seed N] [-no-shapes] file.php
+//	     [-fault-rate P] [-fault-seed N] file.php
 //
 // -prof-load jumpstarts the engine from a profile snapshot before the
 // first request; -prof-dump persists the profile after the last one
@@ -41,7 +41,6 @@ func main() {
 	profLoad := flag.String("prof-load", "", "jumpstart from a profile snapshot before the first request")
 	faultRate := flag.Float64("fault-rate", 0, "arm the fault injector at this probability per draw (0 disables)")
 	faultSeed := flag.Int64("fault-seed", 1, "deterministic seed for the fault injector")
-	noShapes := flag.Bool("no-shapes", false, "disable typed object shapes (shape guards + property inline caches)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -81,7 +80,6 @@ func main() {
 	if *trigger != 0 {
 		cfg.ProfileTrigger = *trigger
 	}
-	cfg.EnableShapes = !*noShapes
 	if *faultRate > 0 {
 		cfg.Faults = faultinject.New(faultinject.EnableAll(*faultSeed, *faultRate))
 	}
@@ -150,8 +148,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "              %d frees, %d live objects, %d live strings, %d live arrays, %d over-releases\n",
 			hs.Frees, hs.LiveObjs, hs.LiveStrs, hs.LiveArrs, hs.OverReleases)
 		if *faultRate > 0 {
-			fmt.Fprintf(os.Stderr, "self-healing: %d injections fired, %d faults contained, %d quarantined, %d demoted, %d recycle runs, degrade level %d\n",
-				cfg.Faults.TotalFired(), st.TransFaults, st.Quarantined, st.Demotions, st.RecycleRuns, st.DegradeLevel)
+			fmt.Fprintf(os.Stderr, "self-healing: %d injections fired, %d faults contained, %d quarantined, %d demoted, %d recycle runs\n",
+				cfg.Faults.TotalFired(), st.TransFaults, st.Quarantined, st.Demotions, st.RecycleRuns)
 		}
 	}
 }

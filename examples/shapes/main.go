@@ -2,12 +2,10 @@
 // workload (two classes with identical layouts) and show the typed
 // object shapes machinery at work — shape guards on the monomorphic
 // sites, inline-cache hits on the polymorphic ones, and how few
-// accesses fall back to the generic by-name helper. Re-run with
-// -no-shapes to see every access go generic.
+// accesses fall back to the generic by-name helper.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -42,9 +40,6 @@ echo $sum, "\n";
 `
 
 func main() {
-	noShapes := flag.Bool("no-shapes", false, "disable shape-guarded property access in compiled code")
-	flag.Parse()
-
 	unit, err := core.Compile(src, core.CompileOptions{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -52,7 +47,6 @@ func main() {
 	}
 	cfg := jit.DefaultConfig()
 	cfg.ProfileTrigger = 20 // small program: optimize early
-	cfg.EnableShapes = !*noShapes
 	eng, err := core.NewEngine(unit, cfg, os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -72,8 +66,7 @@ func main() {
 		last = c
 	}
 	st := eng.Stats()
-	fmt.Printf("\nshapes enabled: %v\n", cfg.EnableShapes)
-	fmt.Printf("optimized regions: %d, steady cost %d cycles\n",
+	fmt.Printf("\noptimized regions: %d, steady cost %d cycles\n",
 		st.OptimizedTranslations, last)
 	fmt.Printf("shape guards: %d (fails %d)\n", st.ShapeGuards, st.ShapeGuardFails)
 	fmt.Printf("prop IC: %d hits, %d misses, %d megamorphic probes\n",

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/jit"
@@ -197,13 +198,13 @@ function spin($n) { $s = 0; for ($i = 0; $i < $n; $i++) { $s += $i % 7; } return
 	}
 }
 
-// TestDegradedTriggerStartsNoCompiler: past the trigger, with the
-// ladder at DegradeNoMint, every function entry asks for the global
-// retranslation and is refused. With BackgroundCompile the refusal must
-// come before a compiler goroutine is started, not inside one: an entry
-// allocates nothing, as it does in the foreground, and the run stays
-// unclaimed.
-func TestDegradedTriggerStartsNoCompiler(t *testing.T) {
+// TestClaimedTriggerStartsNoCompiler: past the trigger, every function
+// entry reaches the global retranslation's claim. With
+// BackgroundCompile the first entry claims the run and starts the one
+// compiler goroutine; every later entry must find the run claimed
+// before a goroutine is started, not inside one: it allocates nothing,
+// as it does in the foreground, and the run happens once.
+func TestClaimedTriggerStartsNoCompiler(t *testing.T) {
 	unit, err := core.Compile(`function f() { return 1; }`, core.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -216,12 +217,19 @@ func TestDegradedTriggerStartsNoCompiler(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := eng.VM.JIT
-	j.Shed(jit.DegradeNoMint)
+	j.OnEntry(eng.VM.Meter)
+	deadline := time.Now().Add(10 * time.Second)
+	for !j.Optimized() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if !j.Optimized() {
+		t.Fatal("the claimed retranslation never published")
+	}
 	allocs := testing.AllocsPerRun(100, func() { j.OnEntry(eng.VM.Meter) })
 	if allocs != 0 && !raceEnabled {
-		t.Errorf("OnEntry past the trigger at DegradeNoMint allocated %.1f times per call, want 0", allocs)
+		t.Errorf("OnEntry past the claimed trigger allocated %.1f times per call, want 0", allocs)
 	}
-	if n := eng.Stats().OptimizeRuns; n != 0 {
-		t.Errorf("%d retranslation runs while degraded, want 0", n)
+	if n := eng.Stats().OptimizeRuns; n != 1 {
+		t.Errorf("%d retranslation runs, want 1", n)
 	}
 }

@@ -135,7 +135,7 @@ func TestFaultContainmentConcurrent(t *testing.T) {
 // shrinking the cache to a third of the workload's tracelet
 // footprint. Recycling must evict cold translations, clear the sticky
 // cache-full latch, and let minting resume — the JIT must not stay
-// latched off or ride the degradation ladder down to interp-only.
+// latched off.
 func TestRecycleReopensMinting(t *testing.T) {
 	src, eps := workload.Combined()
 	unit, err := core.Compile(src, core.CompileOptions{})
@@ -204,9 +204,6 @@ func TestRecycleReopensMinting(t *testing.T) {
 	if eng.VM.JIT.CacheFull() {
 		t.Error("cache-full latch still set after recycling")
 	}
-	if lvl := eng.VM.JIT.DegradeLevel(); lvl != 0 {
-		t.Errorf("degradation ladder stuck at level %d after successful recycling", lvl)
-	}
 	if st.LiveTranslations == 0 {
 		t.Error("no live translations resident — minting did not resume")
 	}
@@ -262,8 +259,8 @@ func TestRecycleUnderConcurrentMinting(t *testing.T) {
 			if n := eng.VM.JIT.Cache.FreeUnderflows(); n != 0 {
 				t.Errorf("%d frees exceeded their area's allocated bytes", n)
 			}
-			t.Logf("recycle runs=%d evictions=%d cache-full events=%d degrade=%d",
-				st.RecycleRuns, st.Evictions, st.CacheFullEvents, st.DegradeLevel)
+			t.Logf("recycle runs=%d evictions=%d cache-full events=%d",
+				st.RecycleRuns, st.Evictions, st.CacheFullEvents)
 		})
 	}
 }
@@ -549,14 +546,13 @@ func TestLiveTierTranslatesAChainInOneWalk(t *testing.T) {
 	}
 }
 
-// TestShedLiveMintingDoesNotBounceLoops: a host shed to
-// DegradeNoLiveMint interprets code that has no translation. Its loop
-// back-edges are OSR points, and the OSR check must know what the
-// dispatcher knows: a bounce the dispatcher then refuses costs one
-// Lookup and one interpreter re-entry per iteration. Dispatcher work
-// per request must not grow with the trip count. At the ladder's
-// bottom, DegradeInterpOnly, code that already runs translated must
-// stop entering machine code at once and still return the same answer.
+// TestShedLiveMintingDoesNotBounceLoops: a host whose code cache is
+// exhausted, with nothing a recycle could evict, keeps the cache-full
+// latch set, and the latch closes all minting: code with no translation
+// is interpreted. Its loop back-edges are OSR points, and the OSR check
+// must know what the dispatcher knows: a bounce the dispatcher then
+// refuses costs one Lookup and one interpreter re-entry per iteration.
+// Dispatcher work per request must not grow with the trip count.
 func TestShedLiveMintingDoesNotBounceLoops(t *testing.T) {
 	unit, err := core.Compile(`
 function spin($n) { $s = 0; for ($i = 0; $i < $n; $i++) { $s += $i; } return $s; }
@@ -564,63 +560,31 @@ function spin($n) { $s = 0; for ($i = 0; $i < $n; $i++) { $s += $i; } return $s;
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, level := range []int32{jit.DegradeNoLiveMint, jit.DegradeNoMint} {
-		cfg := jit.DefaultConfig()
-		cfg.Mode = jit.ModeTracelet
-		eng, err := core.NewEngine(unit, cfg, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.VM.JIT.Shed(level)
-		for _, n := range []int64{200, 2000} {
-			before := eng.Stats()
-			v, err := eng.Call("spin", runtime.Int(n))
-			if err != nil || v.AsInt() != n*(n-1)/2 {
-				t.Fatalf("spin(%d) = %s, %v", n, v.DebugString(), err)
-			}
-			st := eng.Stats()
-			lookups, runs := st.Lookups-before.Lookups, st.InterpRuns-before.InterpRuns
-			if lookups > 2 || runs > 2 {
-				t.Errorf("degrade level %d, %d iterations: %d dispatcher lookups and %d interpreter entries for one request, want at most 2 of each",
-					level, n, lookups, runs)
-			}
-		}
-		if st := eng.Stats(); st.LiveTranslations != 0 {
-			t.Errorf("degrade level %d: %d live translations minted while shed", level, st.LiveTranslations)
-		}
-	}
-
 	cfg := jit.DefaultConfig()
 	cfg.Mode = jit.ModeTracelet
+	cfg.CodeCacheLimit = 1
 	eng, err := core.NewEngine(unit, cfg, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 2000
-	call := func() (enters, lookups, runs uint64) {
-		t.Helper()
+	for _, n := range []int64{200, 2000} {
 		before := eng.Stats()
 		v, err := eng.Call("spin", runtime.Int(n))
 		if err != nil || v.AsInt() != n*(n-1)/2 {
 			t.Fatalf("spin(%d) = %s, %v", n, v.DebugString(), err)
 		}
 		st := eng.Stats()
-		return st.MachineEnters - before.MachineEnters, st.Lookups - before.Lookups, st.InterpRuns - before.InterpRuns
+		lookups, runs := st.Lookups-before.Lookups, st.InterpRuns-before.InterpRuns
+		t.Logf("spin(%d): %d dispatcher lookups, %d interpreter entries", n, lookups, runs)
+		if lookups > 2 || runs > 2 {
+			t.Errorf("%d iterations: %d dispatcher lookups and %d interpreter entries for one request, want at most 2 of each",
+				n, lookups, runs)
+		}
 	}
-	// Warm until a whole call runs translated, entry included: only then
-	// does the shed take machine code away from the dispatcher's own
-	// entry Lookup, not just from the OSR check.
-	warm := false
-	for req := 0; req < 10 && !warm; req++ {
-		enters, _, runs := call()
-		warm = enters > 0 && runs == 0
+	if st := eng.Stats(); st.LiveTranslations != 0 {
+		t.Errorf("%d live translations minted into an exhausted cache", st.LiveTranslations)
 	}
-	if !warm {
-		t.Fatal("spin never ran translated from its entry before the shed")
-	}
-	eng.VM.JIT.Shed(jit.DegradeInterpOnly)
-	if enters, lookups, runs := call(); enters != 0 || lookups > 2 || runs > 2 {
-		t.Errorf("DegradeInterpOnly: %d machine entries, %d dispatcher lookups and %d interpreter entries for one request, want 0, at most 2 and at most 2",
-			enters, lookups, runs)
+	if !eng.VM.JIT.CacheFull() {
+		t.Error("cache-full latch cleared, though a recycle could free nothing")
 	}
 }

@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/jit"
+	"repro/internal/workload"
 )
 
 const donorSrc = `
@@ -140,4 +142,73 @@ func TestJumpstartSameSourceLoadsEverything(t *testing.T) {
 	if want := "v=1560\n"; out.String() != want { // sum 0..39 of 2i
 		t.Errorf("jumpstarted output %q, want %q", out.String(), want)
 	}
+}
+
+// TestJumpstartPublishesTheDonorsEntries: a warm start re-selects the
+// donor's profiling blocks from its snapshot, under the same selection
+// policy the donor's live frames were selected under, so it publishes
+// the same optimized entries — the same multiset of (function, pc,
+// entry depth, preconditions). (Its optimized bytes still differ a
+// little: snapshots carry no property-shape histograms, DESIGN.md §8.)
+func TestJumpstartPublishesTheDonorsEntries(t *testing.T) {
+	src, eps := workload.Combined()
+	unit, err := core.Compile(src, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor, err := core.NewEngine(unit, jit.DefaultConfig(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 200 && donor.Stats().OptimizeRuns == 0; r++ {
+		for _, ep := range eps {
+			v, err := donor.Call(workload.EndpointFunc(ep.Name))
+			if err != nil {
+				t.Fatalf("%s: %v", ep.Name, err)
+			}
+			donor.Heap().DecRef(v)
+		}
+	}
+	if n := donor.Stats().OptimizeRuns; n != 1 {
+		t.Fatalf("donor ran %d retranslations, want 1", n)
+	}
+	warm, err := core.NewEngine(unit, jit.DefaultConfig(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := warm.LoadProfile(donor.ProfileSnapshot()); !res.Optimized {
+		t.Fatalf("jumpstart did not publish optimized code: %+v", res)
+	}
+
+	entries := func(e *core.Engine) map[string]int {
+		m := map[string]int{}
+		e.VM.JIT.ForEachTranslation(func(tr *jit.Translation) {
+			if tr.Kind == jit.ModeRegion {
+				m[fmt.Sprintf("fn %d pc %d depth %d %v", tr.FuncID, tr.PC, tr.EntryDepth, tr.Preconds)]++
+			}
+		})
+		return m
+	}
+	want, got := entries(donor), entries(warm)
+	if len(want) == 0 {
+		t.Fatal("donor published no optimized regions")
+	}
+	differ := 0
+	for k, n := range want {
+		if got[k] != n {
+			differ++
+			t.Logf("donor %d, warm start %d: %s", n, got[k], k)
+		}
+	}
+	for k, n := range got {
+		if _, ok := want[k]; !ok {
+			differ++
+			t.Logf("donor 0, warm start %d: %s", n, k)
+		}
+	}
+	if differ != 0 {
+		t.Errorf("%d of %d optimized entries differ between the donor and its warm start", differ, len(want))
+	}
+	t.Logf("%d optimized entries; %d optimized bytes in the donor, %d in the warm start",
+		len(want), donor.Stats().BytesOptimized, warm.Stats().BytesOptimized)
 }

@@ -65,7 +65,6 @@ func TestPropICAcrossOptimizePublish(t *testing.T) {
 	}
 
 	cfg := jit.DefaultConfig()
-	cfg.EnableShapes = true
 	cfg.ProfileTrigger = 300
 	cfg.BackgroundCompile = true
 	eng, err := core.NewEngine(unit, cfg, io.Discard)

@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
 	"repro/internal/faultinject"
@@ -16,23 +15,7 @@ import (
 	"repro/internal/perflab"
 	"repro/internal/server"
 	"repro/internal/vm"
-	"repro/internal/workload"
 )
-
-// NoShapes disables typed object shapes in every experiment config —
-// the process-wide side of the -no-shapes toggle, so the whole
-// evaluation suite can be replayed on the pre-shapes compiler.
-var NoShapes bool
-
-// defaultCfg is jit.DefaultConfig with the global ablation toggles
-// applied; every experiment builds its configs through it.
-func defaultCfg() jit.Config {
-	cfg := jit.DefaultConfig()
-	if NoShapes {
-		cfg.EnableShapes = false
-	}
-	return cfg
-}
 
 // Quick reduces warmup/measure volume for fast runs (tests, benches).
 var Quick = perflab.Config{WarmupRequests: 30, MeasureRequests: 6}
@@ -59,7 +42,7 @@ func Fig8(pc perflab.Config) ([]Fig8Row, error) {
 	rows := make([]Fig8Row, 0, len(modes))
 	var regionMean float64
 	for _, m := range modes {
-		cfg := defaultCfg()
+		cfg := jit.DefaultConfig()
 		cfg.Mode = m
 		r, err := perflab.Measure(cfg, pc)
 		if err != nil {
@@ -148,87 +131,6 @@ func fmtMinutes(m float64) string {
 	return fmt.Sprintf("minute %.0f", m)
 }
 
-// ---------- Direct chaining: smashed transfers vs dispatcher ----------
-
-// ChainRow compares chained and unchained dispatch for one execution
-// mode.
-type ChainRow struct {
-	Mode    string
-	Chained bool
-	// CyclesPerReq is the weighted mean request cost.
-	CyclesPerReq float64
-	// LookupsPerReq is the steady-state (measurement-phase) dispatcher
-	// Lookup rate — chaining's headline metric.
-	LookupsPerReq float64
-	// Chaining activity over the whole run. BindsDispatched counts
-	// bind requests that reached the VM dispatcher (the slow path the
-	// smashed sites bypass).
-	BindsSmashed    uint64
-	BindsDispatched uint64
-	ChainedJumps    uint64
-	ChainedCalls    uint64
-	StaleLinks      uint64
-	LinksSwept      uint64
-}
-
-// Chain measures chained vs unchained dispatch in tracelet and region
-// mode, and verifies the toggle leaves every endpoint's output
-// bit-identical.
-func Chain(pc perflab.Config) ([]ChainRow, error) {
-	modes := []jit.Mode{jit.ModeTracelet, jit.ModeRegion}
-	var rows []ChainRow
-	for _, m := range modes {
-		outputs := map[string][2]string{}
-		for i, on := range []bool{false, true} {
-			cfg := defaultCfg()
-			cfg.Mode = m
-			cfg.EnableChaining = on
-			r, err := perflab.Measure(cfg, pc)
-			if err != nil {
-				return nil, fmt.Errorf("chain %s chained=%v: %w", m, on, err)
-			}
-			s := r.JITStats
-			rows = append(rows, ChainRow{
-				Mode: m.String(), Chained: on,
-				CyclesPerReq:    r.WeightedMean,
-				LookupsPerReq:   r.SteadyLookupsPerReq(),
-				BindsSmashed:    s.BindsSmashed,
-				BindsDispatched: s.BindRequests,
-				ChainedJumps:    s.ChainedJumps,
-				ChainedCalls:    s.ChainedCalls,
-				StaleLinks:      s.StaleLinks,
-				LinksSwept:      s.LinksSwept,
-			})
-			for _, ep := range r.Endpoints {
-				pair := outputs[ep.Name]
-				pair[i] = ep.Output
-				outputs[ep.Name] = pair
-			}
-		}
-		for name, pair := range outputs {
-			if pair[0] != pair[1] {
-				return nil, fmt.Errorf("chain %s: endpoint %s output differs across chaining toggle",
-					m, name)
-			}
-		}
-	}
-	return rows, nil
-}
-
-// ReportChain renders the comparison.
-func ReportChain(w io.Writer, rows []ChainRow) {
-	fmt.Fprintf(w, "Direct chaining — smashed bind jumps / bound calls vs dispatcher round-trips\n")
-	fmt.Fprintf(w, "%-10s %8s %14s %12s %10s %12s %12s %12s %10s %8s\n",
-		"mode", "chained", "cycles/req", "lookups/req", "smashed", "dispatched",
-		"chained-jmp", "chained-call", "stale", "swept")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %8v %14.0f %12.2f %10d %12d %12d %12d %10d %8d\n",
-			r.Mode, r.Chained, r.CyclesPerReq, r.LookupsPerReq,
-			r.BindsSmashed, r.BindsDispatched, r.ChainedJumps, r.ChainedCalls,
-			r.StaleLinks, r.LinksSwept)
-	}
-}
-
 // ---------- Figure 10: optimization impact ----------
 
 // Fig10Row is one bar of Figure 10.
@@ -267,14 +169,14 @@ func fig10Variants() []struct {
 
 // Fig10 measures the slowdown from disabling each optimization.
 func Fig10(pc perflab.Config) ([]Fig10Row, error) {
-	base := defaultCfg()
+	base := jit.DefaultConfig()
 	baseline, err := perflab.Measure(base, pc)
 	if err != nil {
 		return nil, fmt.Errorf("fig10 baseline: %w", err)
 	}
 	var rows []Fig10Row
 	for _, v := range fig10Variants() {
-		cfg := defaultCfg()
+		cfg := jit.DefaultConfig()
 		v.mod(&cfg)
 		r, err := perflab.Measure(cfg, pc)
 		if err != nil {
@@ -315,7 +217,7 @@ func Fig11(pc perflab.Config, fractions []float64) ([]Fig11Row, error) {
 	if fractions == nil {
 		fractions = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2}
 	}
-	base := defaultCfg()
+	base := jit.DefaultConfig()
 	baseline, err := perflab.Measure(base, pc)
 	if err != nil {
 		return nil, fmt.Errorf("fig11 baseline: %w", err)
@@ -326,7 +228,7 @@ func Fig11(pc perflab.Config, fractions []float64) ([]Fig11Row, error) {
 	}
 	var rows []Fig11Row
 	for _, f := range fractions {
-		cfg := defaultCfg()
+		cfg := jit.DefaultConfig()
 		cfg.CodeCacheLimit = uint64(f * float64(baseBytes))
 		if cfg.CodeCacheLimit == 0 {
 			cfg.CodeCacheLimit = 1
@@ -409,9 +311,6 @@ type RecycleEpisode struct {
 	// Translations is the final resident translation count proxy
 	// (live + profiling + optimized minted over the run).
 	Translations uint64
-	// DegradeLevel is the final degradation-ladder level (0 = the
-	// ladder fully recovered).
-	DegradeLevel uint64
 }
 
 // Faults runs the fault-injection experiment: a fault-free baseline,
@@ -421,7 +320,7 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 	res := &FaultsResult{Seed: seed, Rate: rate, Fired: map[string]uint64{}}
 
 	// JIT-disabled reference outputs: the fidelity oracle.
-	interpCfg := defaultCfg()
+	interpCfg := jit.DefaultConfig()
 	interpCfg.Mode = jit.ModeInterp
 	ref, err := perflab.Measure(interpCfg, pc)
 	if err != nil {
@@ -433,7 +332,7 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 	}
 
 	// Fault-free baseline.
-	base, err := perflab.Measure(defaultCfg(), pc)
+	base, err := perflab.Measure(jit.DefaultConfig(), pc)
 	if err != nil {
 		return nil, fmt.Errorf("faults baseline: %w", err)
 	}
@@ -442,7 +341,7 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 	// All faults on. The injected engine must complete the full
 	// warmup+measure protocol (Measure itself rejects nondeterministic
 	// output) and match the interpreter bit-for-bit.
-	cfg := defaultCfg()
+	cfg := jit.DefaultConfig()
 	cfg.Faults = faultinject.New(faultinject.EnableAll(seed, rate))
 	faulty, err := perflab.Measure(cfg, pc)
 	if err != nil {
@@ -464,7 +363,7 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 	// into a fresh engine with an in-flight corruption guaranteed to
 	// fire. The CRC-validated load must reject the snapshot whole and
 	// cold-start cleanly (no partial profile state).
-	donor, deps, err := perflab.NewEngine(defaultCfg())
+	donor, deps, err := perflab.NewEngine(jit.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("faults snapshot donor: %w", err)
 	}
@@ -475,7 +374,7 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 			}
 		}
 	}
-	jcfg := defaultCfg()
+	jcfg := jit.DefaultConfig()
 	jcfg.Faults = cfg.Faults // accumulate onto the same injector's counters
 	jeng, _, err := perflab.NewEngine(jcfg)
 	if err != nil {
@@ -493,7 +392,7 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 	// Concurrent serving under injection: 4 workers share one
 	// fault-injected JIT; every request must complete (contained, not
 	// crashed) with reference-identical output.
-	wcfg := defaultCfg()
+	wcfg := jit.DefaultConfig()
 	wcfg.BackgroundCompile = true
 	wcfg.Faults = faultinject.New(faultinject.EnableAll(seed+1, rate))
 	weng, eps, err := perflab.NewEngine(wcfg)
@@ -545,13 +444,13 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 	// Forced cache-recycling episode: size the budget at a fraction of
 	// the measured fault-free footprint so live minting exhausts it,
 	// and check that recycling reopened the cache.
-	probe := defaultCfg()
+	probe := jit.DefaultConfig()
 	probe.Mode = jit.ModeTracelet
 	probeRes, err := perflab.Measure(probe, pc)
 	if err != nil {
 		return nil, fmt.Errorf("faults recycle probe: %w", err)
 	}
-	rcfg := defaultCfg()
+	rcfg := jit.DefaultConfig()
 	rcfg.Mode = jit.ModeTracelet
 	rcfg.CodeCacheLimit = probeRes.CodeBytes / 3
 	if rcfg.CodeCacheLimit == 0 {
@@ -578,7 +477,6 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 		EvictedBytes:    rst.EvictedBytes,
 		LatchCleared:    !reng.VM.JIT.CacheFull(),
 		Translations:    rst.LiveTranslations,
-		DegradeLevel:    rst.DegradeLevel,
 	}
 	return res, nil
 }
@@ -602,212 +500,6 @@ func ReportFaults(w io.Writer, r *FaultsResult) {
 		r.Stats.TransFaults, r.Stats.CompileFailures, r.Stats.QuarantineRetries,
 		r.Stats.QuarantineRecoveries, r.Stats.Demotions, r.Stats.Unpublished)
 	rc := r.Recycle
-	fmt.Fprintf(w, "recycle episode: %d cache-full events, %d recycle runs, %d evictions (%d bytes), latch cleared=%v, degrade level=%d\n",
-		rc.CacheFullEvents, rc.RecycleRuns, rc.Evictions, rc.EvictedBytes,
-		rc.LatchCleared, rc.DegradeLevel)
-}
-
-// ---------- Shapes ablation (DESIGN.md §14) ----------
-
-// ShapesRow is one endpoint of the shapes ablation: guest cost with
-// typed object shapes on vs off.
-type ShapesRow struct {
-	Endpoint  string
-	CyclesOn  float64
-	CyclesOff float64
-	// Speedup is off/on (>1 means shapes help).
-	Speedup float64
-}
-
-// ShapesResult is the shapes ablation over the shape-polymorphism
-// workload family. All per-request rates are steady-state: counter
-// deltas across the measurement phase divided by measured requests.
-type ShapesResult struct {
-	Rows []ShapesRow
-	// WeightedOn/Off are traffic-weighted mean cycles/request.
-	WeightedOn, WeightedOff float64
-	// Shape-machinery rates with shapes on.
-	GuardsPerReq     float64
-	GuardFailsPerReq float64
-	ICHitsPerReq     float64
-	ICMissesPerReq   float64
-	ICMegaPerReq     float64
-	// Generic by-name property-helper call rates on both sides of the
-	// toggle — the number the gate requires to drop >=5x.
-	GenericOnPerReq  float64
-	GenericOffPerReq float64
-	// Mono* are the steady counters of a mono-only run (traffic pinned
-	// to shape_mono): the monomorphic site must resolve through shape
-	// guards alone, with the IC and the generic helper both idle.
-	MonoGuards  uint64
-	MonoICOps   uint64
-	MonoGeneric uint64
-	// OutputsIdentical reports every endpoint produced bit-identical
-	// output across the toggle (Shapes also fails hard if not).
-	OutputsIdentical bool
-}
-
-// shapesFamily returns the shape-polymorphism endpoints from the
-// suite (the shape_ name prefix).
-func shapesFamily() []workload.Endpoint {
-	var eps []workload.Endpoint
-	for _, ep := range workload.Suite() {
-		if strings.HasPrefix(ep.Name, "shape_") {
-			eps = append(eps, ep)
-		}
-	}
-	return eps
-}
-
-// steadyRate is a measurement-phase per-request rate from a counter
-// delta.
-func steadyRate(r *perflab.Result, get func(jit.Stats) uint64) float64 {
-	if r.MeasuredRequests == 0 {
-		return 0
-	}
-	return float64(get(r.JITStats)-get(r.WarmStats)) / float64(r.MeasuredRequests)
-}
-
-// Shapes runs the typed-object-shapes ablation: the shape workload
-// family measured shapes-on and shapes-off, plus a mono-only run
-// checking that a shape-monomorphic site needs nothing beyond its
-// single guard.
-func Shapes(pc perflab.Config) (*ShapesResult, error) {
-	family := shapesFamily()
-	if len(family) == 0 {
-		return nil, fmt.Errorf("shapes: no shape_ endpoints in suite")
-	}
-	fpc := pc
-	fpc.Endpoints = family
-
-	var runs [2]*perflab.Result
-	for i, on := range []bool{true, false} {
-		cfg := defaultCfg()
-		cfg.EnableShapes = on
-		r, err := perflab.Measure(cfg, fpc)
-		if err != nil {
-			return nil, fmt.Errorf("shapes enabled=%v: %w", on, err)
-		}
-		runs[i] = r
-	}
-	onRun, offRun := runs[0], runs[1]
-
-	res := &ShapesResult{
-		WeightedOn:       onRun.WeightedMean,
-		WeightedOff:      offRun.WeightedMean,
-		GuardsPerReq:     steadyRate(onRun, func(s jit.Stats) uint64 { return s.ShapeGuards }),
-		GuardFailsPerReq: steadyRate(onRun, func(s jit.Stats) uint64 { return s.ShapeGuardFails }),
-		ICHitsPerReq:     steadyRate(onRun, func(s jit.Stats) uint64 { return s.PropICHits }),
-		ICMissesPerReq:   steadyRate(onRun, func(s jit.Stats) uint64 { return s.PropICMisses }),
-		ICMegaPerReq:     steadyRate(onRun, func(s jit.Stats) uint64 { return s.PropICMega }),
-		GenericOnPerReq:  steadyRate(onRun, func(s jit.Stats) uint64 { return s.GenericPropCalls }),
-		GenericOffPerReq: steadyRate(offRun, func(s jit.Stats) uint64 { return s.GenericPropCalls }),
-		OutputsIdentical: true,
-	}
-	offBy := map[string]perflab.EndpointResult{}
-	for _, ep := range offRun.Endpoints {
-		offBy[ep.Name] = ep
-	}
-	for _, ep := range onRun.Endpoints {
-		off, ok := offBy[ep.Name]
-		if !ok {
-			return nil, fmt.Errorf("shapes: endpoint %s missing from shapes-off run", ep.Name)
-		}
-		if ep.Output != off.Output {
-			return nil, fmt.Errorf("shapes: endpoint %s output differs across the toggle", ep.Name)
-		}
-		row := ShapesRow{Endpoint: ep.Name, CyclesOn: ep.MeanCycles, CyclesOff: off.MeanCycles}
-		if row.CyclesOn > 0 {
-			row.Speedup = row.CyclesOff / row.CyclesOn
-		}
-		res.Rows = append(res.Rows, row)
-	}
-
-	// Mono-only traffic: the class-polymorphic, shape-monomorphic
-	// endpoint must settle on guard-only access.
-	var mono []workload.Endpoint
-	for _, ep := range family {
-		if ep.Name == "shape_mono" {
-			mono = append(mono, ep)
-		}
-	}
-	if len(mono) == 1 {
-		mpc := pc
-		mpc.Endpoints = mono
-		mr, err := perflab.Measure(defaultCfgShapesOn(), mpc)
-		if err != nil {
-			return nil, fmt.Errorf("shapes mono run: %w", err)
-		}
-		res.MonoGuards = mr.JITStats.ShapeGuards - mr.WarmStats.ShapeGuards
-		res.MonoICOps = (mr.JITStats.PropICHits - mr.WarmStats.PropICHits) +
-			(mr.JITStats.PropICMisses - mr.WarmStats.PropICMisses) +
-			(mr.JITStats.PropICMega - mr.WarmStats.PropICMega)
-		res.MonoGeneric = mr.JITStats.GenericPropCalls - mr.WarmStats.GenericPropCalls
-	}
-	return res, nil
-}
-
-// defaultCfgShapesOn forces shapes on regardless of the NoShapes
-// toggle — the mono-only structural check is about the shape
-// machinery itself, not the ablation baseline.
-func defaultCfgShapesOn() jit.Config {
-	cfg := jit.DefaultConfig()
-	cfg.EnableShapes = true
-	return cfg
-}
-
-// GateErr checks the acceptance gate: generic property-helper calls
-// per request must drop at least 5x with shapes on, guest cycles must
-// improve, and the monomorphic endpoint must run on shape guards
-// alone (no IC traffic, no generic calls).
-func (r *ShapesResult) GateErr() error {
-	if r.GenericOnPerReq*5 > r.GenericOffPerReq {
-		return fmt.Errorf("shapes gate: generic calls/req %.1f -> %.1f is under a 5x drop",
-			r.GenericOffPerReq, r.GenericOnPerReq)
-	}
-	if r.WeightedOn >= r.WeightedOff {
-		return fmt.Errorf("shapes gate: cycles/req did not improve (%.0f on vs %.0f off)",
-			r.WeightedOn, r.WeightedOff)
-	}
-	if r.MonoGuards == 0 {
-		return fmt.Errorf("shapes gate: mono-only run executed no shape guards")
-	}
-	if r.MonoICOps != 0 || r.MonoGeneric != 0 {
-		return fmt.Errorf("shapes gate: mono-only run was not guard-only (ic=%d generic=%d)",
-			r.MonoICOps, r.MonoGeneric)
-	}
-	if !r.OutputsIdentical {
-		return fmt.Errorf("shapes gate: outputs differ across the toggle")
-	}
-	return nil
-}
-
-// ReportShapes renders the ablation.
-func ReportShapes(w io.Writer, r *ShapesResult) {
-	fmt.Fprintf(w, "Typed object shapes — shape-guarded access vs class-keyed/generic (DESIGN.md §14)\n")
-	fmt.Fprintf(w, "%-16s %14s %14s %9s\n", "endpoint", "cycles on", "cycles off", "speedup")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-16s %14.0f %14.0f %8.3fx\n", row.Endpoint, row.CyclesOn, row.CyclesOff, row.Speedup)
-	}
-	fmt.Fprintf(w, "%-16s %14.0f %14.0f %8.3fx\n", "WEIGHTED MEAN", r.WeightedOn, r.WeightedOff,
-		r.WeightedOff/r.WeightedOn)
-	fmt.Fprintf(w, "steady per-req: guards=%.1f fails=%.1f ic-hit=%.1f ic-miss=%.1f ic-mega=%.1f\n",
-		r.GuardsPerReq, r.GuardFailsPerReq, r.ICHitsPerReq, r.ICMissesPerReq, r.ICMegaPerReq)
-	fmt.Fprintf(w, "generic prop calls/req: %.1f with shapes vs %.1f without (%.1fx drop)\n",
-		r.GenericOnPerReq, r.GenericOffPerReq, genericDrop(r))
-	fmt.Fprintf(w, "mono-only run: %d shape guards, %d IC ops, %d generic calls\n",
-		r.MonoGuards, r.MonoICOps, r.MonoGeneric)
-	if err := r.GateErr(); err != nil {
-		fmt.Fprintf(w, "gate: FAIL — %v\n", err)
-	} else {
-		fmt.Fprintf(w, "gate: ok (>=5x generic drop, cycles improved, mono guard-only, outputs identical)\n")
-	}
-}
-
-// genericDrop is the off/on generic-call ratio for display.
-func genericDrop(r *ShapesResult) float64 {
-	if r.GenericOnPerReq == 0 {
-		return r.GenericOffPerReq
-	}
-	return r.GenericOffPerReq / r.GenericOnPerReq
+	fmt.Fprintf(w, "recycle episode: %d cache-full events, %d recycle runs, %d evictions (%d bytes), latch cleared=%v\n",
+		rc.CacheFullEvents, rc.RecycleRuns, rc.Evictions, rc.EvictedBytes, rc.LatchCleared)
 }

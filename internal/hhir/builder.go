@@ -31,7 +31,9 @@ type BuildConfig struct {
 	// polymorphic/unprofiled sites to a self-filling shape IC, and
 	// megamorphic sites (>4 shapes) stay on the generic helper
 	// (DESIGN.md §14). Profiling translations instead record the
-	// receiver shape per site and keep the generic paths.
+	// receiver shape per site and keep the generic paths. The JIT
+	// always sets it; it is a field only because the ledger's replay of
+	// the back end sets it too.
 	EnableShapes bool
 	// Counters supplies call-target profiles in optimized mode.
 	Counters *profile.Counters

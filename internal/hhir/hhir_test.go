@@ -21,7 +21,8 @@ func (s fixedSource) LocalType(slot int) types.Type {
 	}
 	return types.TUninit
 }
-func (s fixedSource) StackType(int) types.Type { return types.TCell }
+func (s fixedSource) StackType(int) types.Type               { return types.TCell }
+func (fixedSource) PropReadType(int, int, string) types.Type { return types.TInitCell }
 
 // buildFor compiles src and lowers a live region of fn (entry) with
 // the given local types.

@@ -2,8 +2,7 @@
 // quarantine with capped-backoff retry, fault-driven demotion that
 // unpublishes bad translations from the RCU index, and code-cache
 // recycling that evicts cold translations under pressure instead of
-// latching the JIT off forever. The degradation ladder (Degrade*)
-// sheds work in stages when recycling cannot keep up.
+// latching the JIT off forever.
 package jit
 
 import (
@@ -289,8 +288,9 @@ func (j *JIT) retireCode(tr *Translation) {
 // recycle frees code-cache space after genuine exhaustion by evicting
 // the coldest translations (lowest use count) until `need` bytes plus
 // a slack of limit/16 are reclaimed. On success the sticky cacheFull
-// latch is cleared and minting resumes; on failure the degradation
-// ladder escalates one level. Returns whether enough space was freed.
+// latch is cleared and minting resumes; on failure it stays set, which
+// closes all minting until the optimized publish clears it. Returns
+// whether enough space was freed.
 // Called from the compile path with the write lease held; j.mu is
 // taken here (lock order lease -> j.mu).
 func (j *JIT) recycle(need uint64) bool {
@@ -363,53 +363,10 @@ func (j *JIT) recycle(need uint64) bool {
 	j.mu.Unlock()
 
 	if ok {
-		// Pressure relieved: reopen minting and walk the ladder back.
+		// Pressure relieved: reopen minting.
 		j.cacheFull.Store(false)
-		j.degrade.Store(DegradeNone)
-	} else {
-		j.escalateDegrade()
 	}
 	return ok
-}
-
-// escalateDegrade moves the degradation ladder one level down (toward
-// interp-only), never past the bottom.
-func (j *JIT) escalateDegrade() {
-	for {
-		cur := j.degrade.Load()
-		if cur >= DegradeInterpOnly {
-			return
-		}
-		if j.degrade.CompareAndSwap(cur, cur+1) {
-			return
-		}
-	}
-}
-
-// DegradeLevel returns the current degradation-ladder level.
-func (j *JIT) DegradeLevel() int32 { return j.degrade.Load() }
-
-// Shed forces the degradation ladder down to at least level — the
-// ladder's manual entry. Cache exhaustion (recycle) walks the same
-// levels one step at a time: first live minting stops, then all
-// minting, finally JITed execution itself, while requests keep being
-// answered. Shed sets a level directly, so a caller (or a test)
-// reaches any rung without filling a code cache. Levels beyond
-// DegradeInterpOnly clamp; Shed never raises the ladder back up — only
-// a successful recycle does.
-func (j *JIT) Shed(level int32) {
-	if level > DegradeInterpOnly {
-		level = DegradeInterpOnly
-	}
-	for {
-		cur := j.degrade.Load()
-		if cur >= level {
-			return
-		}
-		if j.degrade.CompareAndSwap(cur, level) {
-			return
-		}
-	}
 }
 
 // CacheFull reports whether the cache-full latch is currently set.

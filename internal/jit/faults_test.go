@@ -1,5 +1,4 @@
-// White-box tests for the quarantine state machine and degradation
-// ladder (DESIGN.md §9). Engine-level fault containment, recycling,
+// White-box tests for the quarantine state machine (DESIGN.md §9). Engine-level fault containment, recycling,
 // and jumpstart corruption are exercised in internal/core.
 package jit
 
@@ -184,19 +183,6 @@ func TestSparseEpisodesResetEscalation(t *testing.T) {
 	j.mu.Unlock()
 	if episodes > 1 {
 		t.Errorf("episode ladder = %d after widely spaced bursts, want reset to 1", episodes)
-	}
-}
-
-func TestDegradeLadderClampsAtInterpOnly(t *testing.T) {
-	j := newQuarantineJIT(t)
-	if j.DegradeLevel() != DegradeNone {
-		t.Fatalf("fresh JIT degrade level = %d", j.DegradeLevel())
-	}
-	for i := 0; i < 10; i++ {
-		j.escalateDegrade()
-	}
-	if j.DegradeLevel() != DegradeInterpOnly {
-		t.Fatalf("degrade level = %d, want clamp at %d", j.DegradeLevel(), DegradeInterpOnly)
 	}
 }
 

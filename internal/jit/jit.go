@@ -81,22 +81,6 @@ type Config struct {
 	FunctionSort bool
 	HugePages    bool
 
-	// EnableShapes turns on typed object shapes in the compiler
-	// (DESIGN.md §14): profiling translations record receiver shapes
-	// per property site, optimized translations compile monomorphic
-	// sites to GuardShape + fixed-slot access and polymorphic ones to
-	// shape-guarded inline caches. Runtime shape maintenance is
-	// unconditional — the toggle changes generated code only, so guest
-	// outputs are bit-identical either way.
-	EnableShapes bool
-
-	// EnableChaining turns on direct translation chaining: bind jumps
-	// and direct call sites are smashed with links to their resolved
-	// successor translations, so steady-state transfers stay inside
-	// Machine.Exec instead of round-tripping through the dispatcher
-	// (Sections 2 and 5 — the smashed service requests of the paper).
-	EnableChaining bool
-
 	// BackgroundCompile runs the global retranslation on a dedicated
 	// compiler goroutine (HHVM's JIT worker threads): request workers
 	// keep executing profiling translations until the optimized index
@@ -137,21 +121,6 @@ const (
 	liveThreshold = 2
 )
 
-// Degradation ladder levels (DESIGN.md §9): when code-cache
-// recycling cannot free enough space, the JIT sheds work in stages
-// instead of wedging — first new live translations, then all minting,
-// finally execution of JITed code itself.
-const (
-	// DegradeNone: normal operation.
-	DegradeNone int32 = iota
-	// DegradeNoLiveMint: stop minting new live translations.
-	DegradeNoLiveMint
-	// DegradeNoMint: stop minting translations of any kind.
-	DegradeNoMint
-	// DegradeInterpOnly: stop dispatching to JITed code entirely.
-	DegradeInterpOnly
-)
-
 // DefaultConfig is the full region JIT with everything on. Its sizing
 // values are also what New substitutes for fields left zero.
 func DefaultConfig() Config {
@@ -161,8 +130,6 @@ func DefaultConfig() Config {
 		EnableRCE:            true,
 		EnableGuardRelax:     true,
 		EnableMethodDispatch: true,
-		EnableShapes:         true,
-		EnableChaining:       true,
 		PGOLayout:            true,
 		FunctionSort:         true,
 		HugePages:            true,
@@ -387,8 +354,6 @@ type Stats struct {
 	// Quarantined is a gauge: addresses currently under quarantine
 	// (including permanent demotions).
 	Quarantined uint64
-	// DegradeLevel is the current degradation-ladder level gauge.
-	DegradeLevel uint64
 
 	// FusedInstrs counts instructions eliminated by dispatch fusion.
 	FusedInstrs uint64
@@ -459,8 +424,6 @@ type JIT struct {
 	// cacheFull latches on genuine cache exhaustion; cleared again when
 	// recycling frees space (it is a pressure valve, not a tombstone).
 	cacheFull atomic.Bool
-	// degrade is the current degradation-ladder level (Degrade*).
-	degrade atomic.Int32
 
 	stats Stats
 }
@@ -545,7 +508,6 @@ func (j *JIT) Stats() Stats {
 		Evictions:            ld(&s.Evictions),
 		EvictedBytes:         ld(&s.EvictedBytes),
 		Quarantined:          j.quarantinedCount(),
-		DegradeLevel:         uint64(j.degrade.Load()),
 		FusedInstrs:          ld(&s.FusedInstrs),
 	}
 }
@@ -570,14 +532,11 @@ func (j *JIT) Epoch() uint64 { return j.epoch.Load() }
 
 // Smash binds the smash site (code, instr) — a BindJmp the machine
 // just exited through — to tr, so the next transfer chains directly.
-// No-ops when chaining is off or either side is unchainable
-// (profiling translations bounce through the dispatcher so their
-// counters and arcs keep recording).
+// No-ops when either side is unchainable (profiling translations
+// bounce through the dispatcher so their counters and arcs keep
+// recording).
 func (j *JIT) Smash(code *mcode.Code, instr int, tr *Translation) {
-	if !j.Cfg.EnableChaining || code == nil || tr == nil {
-		return
-	}
-	if !code.Chainable || tr.Code == nil || !tr.Code.Chainable {
+	if code == nil || tr == nil || !code.Chainable || tr.Code == nil || !tr.Code.Chainable {
 		return
 	}
 	epoch := j.epoch.Load()
@@ -654,15 +613,21 @@ func (s frameTypeSource) typeOf(v runtime.Value) types.Type {
 	return v.Type()
 }
 
-// shapeSource extends any TypeSource with typed-object-shape facts
-// (region.ShapeFactSource). Its presence switches the selector's
-// property-access policy from exact-class specialization to bare
-// object-ness — the optimized body carries a shape guard or IC for the
-// layout instead — and property reads at shape-monomorphic sites flow
-// their recorded slot kind into the selector, so tracelets keep
-// tracing through them.
+// entryTypes is the entry-type half of region.TypeSource: a live frame
+// (frameTypeSource), an inlined callee's argument types (argTypeSource)
+// or a snapshot's recorded guards (snapTypeSource).
+type entryTypes interface {
+	LocalType(slot int) types.Type
+	StackType(depth int) types.Type
+}
+
+// shapeSource completes entry types with the JIT's typed-object-shape
+// facts (DESIGN.md §14) into the region.TypeSource every selection
+// goes through: property reads at shape-monomorphic sites flow their
+// recorded slot kind into the selector, so tracelets keep tracing
+// through them.
 type shapeSource struct {
-	region.TypeSource
+	entryTypes
 	j *JIT
 }
 
@@ -707,12 +672,8 @@ func (j *JIT) match(key transKey, fr *interp.Frame, m *machine.Meter, chainableO
 // quarantine state. The VM calls it for the OSR check (m nil), for a
 // bound call site whose prologue translation misses, and for the chain
 // fallback when a smashed link's guards miss (chainableOnly: the
-// cascade through a retranslation cluster). Nil once the ladder
-// reaches DegradeInterpOnly.
+// cascade through a retranslation cluster).
 func (j *JIT) Match(fr *interp.Frame, m *machine.Meter, chainableOnly bool) *Translation {
-	if j.degrade.Load() >= DegradeInterpOnly {
-		return nil
-	}
 	return j.match(transKey{fr.Fn.ID, fr.PC}, fr, m, chainableOnly)
 }
 
@@ -727,7 +688,7 @@ func (j *JIT) Match(fr *interp.Frame, m *machine.Meter, chainableOnly bool) *Tra
 // missed on the same address together share the first one's
 // translation when its guards fit their frames.
 func (j *JIT) Lookup(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter, bound bool) *Translation {
-	if j.Cfg.Mode == ModeInterp || j.degrade.Load() >= DegradeInterpOnly {
+	if j.Cfg.Mode == ModeInterp {
 		return nil
 	}
 	atomic.AddUint64(&j.stats.Lookups, 1)
@@ -776,12 +737,11 @@ func (j *JIT) mintUnderLease(fn *hhbc.Func, fr *interp.Frame, kind Mode, m *mach
 	return j.translate(fn, fr, kind, m)
 }
 
-// mintingClosed reports whether minting is shut JIT-wide — the cache
-// is full or the ladder is at DegradeNoMint. It is the lock-free half
-// of the mint policy: Lookup and WantsTranslation ask it before taking
-// j.mu.
+// mintingClosed reports whether minting is shut JIT-wide: the cache is
+// full. It is the lock-free half of the mint policy: Lookup and
+// WantsTranslation ask it before taking j.mu.
 func (j *JIT) mintingClosed() bool {
-	return j.cacheFull.Load() || j.degrade.Load() >= DegradeNoMint
+	return j.cacheFull.Load()
 }
 
 // mintKindLocked is the mint policy, stated once: whether an address
@@ -791,13 +751,13 @@ func (j *JIT) mintingClosed() bool {
 // (WantsTranslation, osr set) bounces out of the interpreter only on an
 // answer the dispatcher will then repeat.
 //
-//	none        JIT-wide: cache full, or ladder >= DegradeNoMint
+//	none        JIT-wide: cache full
 //	none        address: quarantined, or chain at maxLiveChain
 //	profiling   ModeProfiling; ModeRegion until retranslation is claimed
 //	none        ModeRegion between the claim and the optimized publish
 //	live        ModeTracelet; ModeRegion after the publish — once the
 //	            address was seen liveThreshold times (a bind request's
-//	            first visit is its second), ladder < DegradeNoLiveMint
+//	            first visit is its second)
 //
 // Profiling stops at the claim because the profile snapshot is already
 // taken: a function first profiled afterwards would miss the one
@@ -832,7 +792,7 @@ func (j *JIT) mintKindLocked(key transKey, ahead bool) Mode {
 	if ahead {
 		seen++
 	}
-	if seen < liveThreshold || j.degrade.Load() >= DegradeNoLiveMint {
+	if seen < liveThreshold {
 		return ModeInterp
 	}
 	return ModeTracelet

@@ -240,7 +240,7 @@ func (j *JIT) Jumpstart(snap *jumpstart.Snapshot) JumpstartResult {
 			for _, t := range rec.EntryStackTypes {
 				src.stack = append(src.stack, t.Type())
 			}
-			blk := region.Select(j.Unit, fn, rec.PC, rec.EntryDepth, src,
+			blk := region.Select(j.Unit, fn, rec.PC, rec.EntryDepth, shapeSource{src, j},
 				region.ModeProfiling, 0)
 			blk.ProfCounter = j.Counters.NewCounter()
 			j.Counters.Add(blk.ProfCounter, rec.Count)

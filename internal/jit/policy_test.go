@@ -41,45 +41,41 @@ func TestMintPolicyOSRAgreesWithDispatcher(t *testing.T) {
 				for _, chainFull := range bools {
 					for _, quarantined := range bools {
 						for _, cacheFull := range bools {
-							for degrade := DegradeNone; degrade <= DegradeInterpOnly; degrade++ {
-								kind := ModeTracelet
-								switch {
-								case mode == ModeInterp, mode == ModeRegion && phase.claimed && !phase.optimized:
-									kind = ModeInterp
-								case mode == ModeProfiling, mode == ModeRegion && !phase.claimed:
-									kind = ModeProfiling
-								}
-								want := kind != ModeInterp && !chainFull && !quarantined && !cacheFull &&
-									degrade < DegradeNoMint && (kind != ModeTracelet || degrade < DegradeNoLiveMint)
+							kind := ModeTracelet
+							switch {
+							case mode == ModeInterp, mode == ModeRegion && phase.claimed && !phase.optimized:
+								kind = ModeInterp
+							case mode == ModeProfiling, mode == ModeRegion && !phase.claimed:
+								kind = ModeProfiling
+							}
+							want := kind != ModeInterp && !chainFull && !quarantined && !cacheFull
 
-								j, fr := policyJIT(t, unit, fn, mode)
-								key := transKey{fn.ID, fr.PC}
-								j.optStarted.Store(phase.claimed)
-								j.optimized.Store(phase.optimized)
-								j.entryCount[key] = seen
-								if chainFull {
-									// Published translations no frame matches.
-									chain := make([]*Translation, maxLiveChain)
-									for i := range chain {
-										chain[i] = &Translation{FuncID: fn.ID, PC: fr.PC, Kind: ModeTracelet,
-											EntryDepth: 99, Code: &mcode.Code{}}
-									}
-									idx := transIndex{key: chain}
-									j.trans.Store(&idx)
+							j, fr := policyJIT(t, unit, fn, mode)
+							key := transKey{fn.ID, fr.PC}
+							j.optStarted.Store(phase.claimed)
+							j.optimized.Store(phase.optimized)
+							j.entryCount[key] = seen
+							if chainFull {
+								// Published translations no frame matches.
+								chain := make([]*Translation, maxLiveChain)
+								for i := range chain {
+									chain[i] = &Translation{FuncID: fn.ID, PC: fr.PC, Kind: ModeTracelet,
+										EntryDepth: 99, Code: &mcode.Code{}}
 								}
-								if quarantined {
-									j.quarantine[key] = &quarantineEntry{permanent: true}
-								}
-								j.cacheFull.Store(cacheFull)
-								j.degrade.Store(degrade)
+								idx := transIndex{key: chain}
+								j.trans.Store(&idx)
+							}
+							if quarantined {
+								j.quarantine[key] = &quarantineEntry{permanent: true}
+							}
+							j.cacheFull.Store(cacheFull)
 
-								osr := j.WantsTranslation(fn, fr)
-								minted := j.Lookup(fn, fr, &machine.Meter{}, false) != nil
-								if osr != minted || minted != want {
-									t.Errorf("mode=%s phase=%s seen=%d chainFull=%v quarantined=%v cacheFull=%v degrade=%d: "+
-										"OSR check says %v, dispatcher minted %v, policy table says %v",
-										mode, phase.name, seen, chainFull, quarantined, cacheFull, degrade, osr, minted, want)
-								}
+							osr := j.WantsTranslation(fn, fr)
+							minted := j.Lookup(fn, fr, &machine.Meter{}, false) != nil
+							if osr != minted || minted != want {
+								t.Errorf("mode=%s phase=%s seen=%d chainFull=%v quarantined=%v cacheFull=%v: "+
+									"OSR check says %v, dispatcher minted %v, policy table says %v",
+									mode, phase.name, seen, chainFull, quarantined, cacheFull, osr, minted, want)
 							}
 						}
 					}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -130,22 +131,12 @@ func (j *JIT) layoutConfig() vasm.LayoutConfig {
 // types — a gen-1 style tracelet for ModeTracelet, one instrumented
 // block for ModeProfiling — and mints it.
 func (j *JIT) translate(fn *hhbc.Func, fr *interp.Frame, kind Mode, m *machine.Meter) *Translation {
-	var src region.TypeSource = frameTypeSource{fr, kind == ModeTracelet}
-	if j.Cfg.EnableShapes {
-		// Shape facts: profiled monomorphic property reads type their
-		// results in the selector, extending tracelets through them.
-		// Profiling preconditions seed the optimized regions, so the
-		// shape property-access policy (no class pinning at access
-		// sites) must apply there too, or optimized translations inherit
-		// per-class entry guards that the shape guard was meant to
-		// replace.
-		src = shapeSource{src, j}
-	}
+	src := shapeSource{frameTypeSource{fr, kind == ModeTracelet}, j}
 	if kind == ModeProfiling {
 		blk := region.Select(j.Unit, fn, fr.PC, len(fr.Stack), src, region.ModeProfiling, 0)
 		blk.ProfCounter = j.Counters.NewCounter()
 		return j.mint(region.NewDesc(blk), kind, hhir.BuildConfig{Profiling: true,
-			Counter: blk.ProfCounter, EnableShapes: j.Cfg.EnableShapes}, m)
+			Counter: blk.ProfCounter, EnableShapes: true}, m)
 	}
 	blk := region.Select(j.Unit, fn, fr.PC, len(fr.Stack), src, region.ModeLive, 0)
 	// Live translations have no call-profile-driven optimizations;
@@ -154,7 +145,7 @@ func (j *JIT) translate(fn *hhbc.Func, fr *interp.Frame, kind Mode, m *machine.M
 	// are threaded so shape-monomorphic sites can take the guarded
 	// fixed-slot path once a profile exists.
 	return j.mint(region.NewDesc(blk), kind, hhir.BuildConfig{
-		EnableShapes: j.Cfg.EnableShapes, Counters: j.Counters}, m)
+		EnableShapes: true, Counters: j.Counters}, m)
 }
 
 // mint is the one mint path: it compiles desc as a translation of the
@@ -199,7 +190,7 @@ func (j *JIT) regionBuildConfig() hhir.BuildConfig {
 		EnableInlining:       j.Cfg.EnableInlining,
 		EnableMethodDispatch: j.Cfg.EnableMethodDispatch,
 		DisableInlineCache:   !j.Cfg.EnableMethodDispatch,
-		EnableShapes:         j.Cfg.EnableShapes,
+		EnableShapes:         true,
 		Counters:             j.Counters,
 		RegionOf:             j.regionForInline,
 	}
@@ -238,7 +229,7 @@ func (j *JIT) residence(kind Mode) (area mcode.Area, count, bytes *uint64) {
 // links means no chainable target is ever semantically stale.
 func (j *JIT) newTranslation(desc *region.Desc, kind Mode, code *mcode.Code) *Translation {
 	entry := desc.Entry()
-	code.Chainable = j.Cfg.EnableChaining && kind != ModeProfiling
+	code.Chainable = kind != ModeProfiling
 	tr := &Translation{
 		FuncID: entry.Func.ID, PC: entry.Start, Kind: kind,
 		Preconds: entry.Preconds, EntryDepth: entry.EntryStackDepth,
@@ -305,11 +296,9 @@ func (j *JIT) OptimizeAll() {
 	}
 }
 
-// claimOptimize claims the one global retranslation run. While the
-// ladder is at DegradeNoMint or deeper it says no and leaves the run
-// unclaimed, so a later trigger can fire it if pressure recedes.
+// claimOptimize claims the one global retranslation run.
 func (j *JIT) claimOptimize() bool {
-	return j.degrade.Load() < DegradeNoMint && j.optStarted.CompareAndSwap(false, true)
+	return j.optStarted.CompareAndSwap(false, true)
 }
 
 // optimizeAll runs the claimed retranslation under the write lease,
@@ -350,7 +339,7 @@ func (j *JIT) optimizeAll(meter *machine.Meter) {
 			}
 			region.Relax(d, g, j.Counters, rcfg)
 		}
-		all = append(all, funcRegions{fnID, regions})
+		all = append(all, funcRegions{fnID, dropShadowed(regions)})
 	}
 
 	// Function sorting: order the publish sequence by C3 clustering
@@ -481,6 +470,27 @@ func (j *JIT) optimizeAll(meter *machine.Meter) {
 	j.cacheFull.Store(false)
 }
 
+// dropShadowed drops each region whose entry — pc, entry depth and
+// preconditions — equals an earlier region's. Relaxation can widen two
+// profiled entries to the same guards, and match always takes the
+// first, so a later one would be compiled and published but never
+// entered.
+func dropShadowed(regions []*region.Desc) []*region.Desc {
+	kept := regions[:0]
+	for _, d := range regions {
+		e := d.Entry()
+		shadowed := slices.ContainsFunc(kept, func(k *region.Desc) bool {
+			ke := k.Entry()
+			return ke.Start == e.Start && ke.EntryStackDepth == e.EntryStackDepth &&
+				slices.Equal(ke.Preconds, e.Preconds)
+		})
+		if !shadowed {
+			kept = append(kept, d)
+		}
+	}
+	return kept
+}
+
 // cloneBlocks deep-copies profiling blocks for region formation. Live
 // profiling translations alias the originals' Preconds (Matches
 // reads them lock-free on every dispatch), so any pass that rewrites
@@ -520,10 +530,7 @@ func (j *JIT) regionForInline(f *hhbc.Func, argTypes []types.Type) *region.Desc 
 		}
 	}
 	// Synthesize from argument types (static region).
-	var src region.TypeSource = argTypeSource{argTypes: argTypes, fn: f}
-	if j.Cfg.EnableShapes {
-		src = shapeSource{src, j}
-	}
+	src := shapeSource{argTypeSource{argTypes: argTypes, fn: f}, j}
 	blk := region.Select(j.Unit, f, 0, 0, src, region.ModeLive, 0)
 	return region.NewDesc(blk)
 }

@@ -30,6 +30,8 @@ func (s fixedSource) StackType(d int) types.Type {
 	return types.TCell
 }
 
+func (fixedSource) PropReadType(int, int, string) types.Type { return types.TInitCell }
+
 func avgPositiveUnit(t *testing.T) *hhbc.Unit {
 	t.Helper()
 	u, err := core.Compile(`

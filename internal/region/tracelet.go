@@ -5,24 +5,20 @@ import (
 	"repro/internal/types"
 )
 
-// TypeSource supplies entry types for VM locations. In live and
-// profiling modes it inspects the live frame; the profile-guided
-// selector replays recorded preconditions.
+// TypeSource supplies entry types for VM locations and the shape facts
+// of property reads. In live and profiling modes it inspects the live
+// frame; the profile-guided selector replays recorded preconditions.
 type TypeSource interface {
 	// LocalType returns the entry type of a local (TCell if unknown).
 	LocalType(slot int) types.Type
 	// StackType returns the entry type of an eval-stack slot indexed
 	// from the bottom.
 	StackType(depth int) types.Type
-}
-
-// ShapeFactSource optionally extends TypeSource with typed-object-
-// shape facts (DESIGN.md §14): PropReadType returns the result type
-// of the property read at (fn, pc) when the site's shape profile is
-// monomorphic and the shape records a stable slot kind, TInitCell
-// otherwise. The selector uses it to keep tracing through property
-// reads whose types would otherwise be unknown.
-type ShapeFactSource interface {
+	// PropReadType returns the result type of the property read at
+	// (fn, pc) when the site's shape profile is monomorphic and the
+	// shape records a stable slot kind, TInitCell otherwise (DESIGN.md
+	// §14). The selector uses it to keep tracing through property reads
+	// whose types would otherwise be unknown.
 	PropReadType(fnID, pc int, name string) types.Type
 }
 
@@ -55,10 +51,8 @@ type selector struct {
 	unit *hhbc.Unit
 	fn   *hhbc.Func
 	src  TypeSource
-	// facts is src's shape knowledge, nil when it has none.
-	facts ShapeFactSource
-	mode  SelectMode
-	max   int
+	mode SelectMode
+	max  int
 
 	locals  map[int]types.Type
 	written []bool // locals the tracelet has stored to: no longer guardable
@@ -83,7 +77,6 @@ func Select(u *hhbc.Unit, fn *hhbc.Func, pc int, entryDepth int, src TypeSource,
 		written: make([]bool, fn.NumLocals),
 		guards:  map[Loc]*Guard{},
 	}
-	s.facts, _ = src.(ShapeFactSource)
 	b := &Block{
 		Func: fn, Start: pc, EntryStackDepth: entryDepth,
 		ProfCounter: -1,

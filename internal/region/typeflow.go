@@ -58,8 +58,11 @@ func init() {
 	set([]need{{0, ConSpecific, must}, {1, ConCountness, want}, {atLocal, ConSpecialized, must}}, hhbc.OpArrSetL)
 	set([]need{{0, ConCountness, want}, {atLocal, ConSpecialized, must}}, hhbc.OpArrAppendL)
 	set([]need{{0, ConSpecific, want}, {atLocal, ConSpecialized, must}}, hhbc.OpArrUnsetL)
-	set([]need{{0, ConSpecialized, must}}, hhbc.OpCGetPropD)
-	set([]need{{0, ConCountness, want}, {1, ConSpecialized, must}}, hhbc.OpSetPropD)
+	// A property access needs only object-ness of its receiver: the
+	// translation carries a shape guard or inline cache for the layout
+	// (DESIGN.md §14).
+	set([]need{{0, ConSpecific, must}}, hhbc.OpCGetPropD)
+	set([]need{{0, ConCountness, want}, {1, ConSpecific, must}}, hhbc.OpSetPropD)
 }
 
 // step symbolically executes one instruction; false means it cannot
@@ -68,15 +71,8 @@ func (s *selector) step(in hhbc.Instr, pc int) bool {
 	top := len(s.stack) - 1
 	base := len(s.stack) - in.NumPop()
 	slot := in.LocalSlot()
-	// With shape facts (DESIGN.md §14) a property access needs only
-	// object-ness of its receiver: the optimized body carries a shape
-	// guard or inline cache for the layout.
-	byShape := s.facts != nil && (in.Op == hhbc.OpCGetPropD || in.Op == hhbc.OpSetPropD)
 
 	for _, nd := range needs[in.Op] {
-		if byShape && nd.must {
-			nd.con = ConSpecific
-		}
 		met := true
 		switch nd.at {
 		case atLocal:
@@ -107,7 +103,7 @@ func (s *selector) step(in hhbc.Instr, pc int) bool {
 			return false
 		}
 	case hhbc.OpCGetPropD, hhbc.OpSetPropD:
-		if byShape && !ops[0].SubtypeOf(types.TObj) {
+		if !ops[0].SubtypeOf(types.TObj) {
 			return false
 		}
 	case hhbc.OpAssertRAStk:
@@ -121,11 +117,12 @@ func (s *selector) step(in hhbc.Instr, pc int) bool {
 	if in.Op == hhbc.OpIncDecL && localOut.IsBottom() {
 		return false // non-numeric inc/dec raises: leave it to the interpreter
 	}
-	if byShape {
+	switch in.Op {
+	case hhbc.OpCGetPropD:
 		s.widenObjGuard(base)
-		if in.Op == hhbc.OpCGetPropD {
-			push[0] = s.facts.PropReadType(s.fn.ID, pc, s.unit.Strings[in.A])
-		}
+		push[0] = s.src.PropReadType(s.fn.ID, pc, s.unit.Strings[in.A])
+	case hhbc.OpSetPropD:
+		s.widenObjGuard(base)
 	}
 
 	// Origins: a value read from a local the tracelet has not stored to

@@ -20,7 +20,8 @@ func (s srcTypes) LocalType(slot int) types.Type {
 	}
 	return types.TUninit
 }
-func (srcTypes) StackType(int) types.Type { return types.TCell }
+func (srcTypes) StackType(int) types.Type                 { return types.TCell }
+func (srcTypes) PropReadType(int, int, string) types.Type { return types.TInitCell }
 
 func lowerFor(t *testing.T, src, fn string, locals srcTypes) *vasm.Unit {
 	t.Helper()

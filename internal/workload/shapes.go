@@ -136,9 +136,8 @@ echo $sum, "\n";
 // at runtime, and an int/double slot alternates kinds (bouncing
 // between two interned retype siblings instead of growing the tree).
 // The read loop is the hidden-class payoff: $count and $size are
-// undeclared, so a class-keyed slot table can never serve them — with
-// shapes off every read is a generic by-name lookup, with shapes on
-// they resolve through the 4-entry IC (count x note x size-kind makes
+// undeclared, so a class-keyed slot table can never serve them — they
+// resolve through the 4-entry IC (count x note x size-kind makes
 // exactly four layouts).
 const shapeDynamic = `
 class Bag {
