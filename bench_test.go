@@ -10,10 +10,12 @@ package repro_test
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hhbc"
 	"repro/internal/jit"
 	"repro/internal/perflab"
@@ -247,25 +249,9 @@ func BenchmarkSteadyRequest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var funcs []*hhbc.Func
-			for _, ep := range eps {
-				f, ok := eng.Unit.FuncByName(workload.EndpointFunc(ep.Name))
-				if !ok {
-					b.Fatalf("combined unit lacks %s", ep.Name)
-				}
-				funcs = append(funcs, f)
-			}
-			pass := func() {
-				for _, f := range funcs {
-					v, err := eng.VM.CallFunc(f, nil, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					eng.Heap().DecRef(v)
-				}
-			}
+			funcs := endpointFuncs(b, eng.Unit, eps)
 			for i := 0; i < 40; i++ {
-				pass()
+				pass(b, eng, funcs)
 			}
 			if mode == jit.ModeRegion && !eng.VM.JIT.Optimized() {
 				b.Fatal("warm-up did not reach the optimized tier")
@@ -274,8 +260,62 @@ func BenchmarkSteadyRequest(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pass()
+				pass(b, eng, funcs)
 			}
 		})
+	}
+}
+
+// endpointFuncs resolves the endpoint wrappers of a workload.Combined()
+// unit, in suite order.
+func endpointFuncs(b *testing.B, unit *hhbc.Unit, eps []workload.Endpoint) []*hhbc.Func {
+	var funcs []*hhbc.Func
+	for _, ep := range eps {
+		f, ok := unit.FuncByName(workload.EndpointFunc(ep.Name))
+		if !ok {
+			b.Fatalf("combined unit lacks %s", ep.Name)
+		}
+		funcs = append(funcs, f)
+	}
+	return funcs
+}
+
+// pass makes one request to each endpoint, output discarded.
+func pass(b *testing.B, eng *core.Engine, funcs []*hhbc.Func) {
+	for _, f := range funcs {
+		v, err := eng.VM.CallFunc(f, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng.Heap().DecRef(v)
+	}
+}
+
+// BenchmarkColdStart is the quick localizer for the ledger's
+// coldstart_site row: one iteration compiles workload.Combined() ahead
+// of time, starts a fresh region-JIT engine and makes 10 round-robin
+// passes over the endpoints, through profiling, the global
+// retranslation and the first optimized requests, with allocations
+// reported. Add -cpuprofile or -memprofile to see which layer a cold
+// start pays for.
+func BenchmarkColdStart(b *testing.B) {
+	src, eps := workload.Combined()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		unit, err := core.Compile(src, core.CompileOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := core.NewEngine(unit, jit.DefaultConfig(), io.Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		funcs := endpointFuncs(b, unit, eps)
+		for round := 0; round < 10; round++ {
+			pass(b, eng, funcs)
+		}
+		if !eng.VM.JIT.Optimized() {
+			b.Fatal("10 rounds did not reach the optimized tier")
+		}
 	}
 }

@@ -223,19 +223,17 @@ func (j *JIT) RecordFault(fnID, pc int) {
 // j.mu; lock-free readers iterating the old index keep working and
 // pick up the new one on their next load.
 func (j *JIT) unpublishKeysLocked(keys map[transKey]bool) (removed []*Translation) {
-	old := *j.trans.Load()
-	idx := make(transIndex, len(old))
-	for k, chain := range old {
-		if keys[k] {
-			removed = append(removed, chain...)
-			continue
-		}
-		idx[k] = chain
+	old := j.trans.Load()
+	for k := range keys {
+		removed = append(removed, old.chain(k)...)
 	}
 	if len(removed) == 0 {
 		return nil
 	}
-	j.trans.Store(&idx)
+	idx := old.rebuild(func(tr *Translation) bool {
+		return keys[transKey{tr.FuncID, tr.PC}]
+	}, nil)
+	j.trans.Store(idx)
 	j.sweepLinks(idx, j.epoch.Add(1))
 	for _, tr := range removed {
 		j.retireCode(tr)
@@ -261,13 +259,13 @@ func (j *JIT) Invalidate(fnID, pc int) int {
 // walks the surviving code and physically clears every stale-epoch
 // link, so retired *Translation targets become collectable and
 // machines stop paying the stale-check fee.
-func (j *JIT) sweepLinks(idx transIndex, epoch uint64) {
+func (j *JIT) sweepLinks(idx *transIndex, epoch uint64) {
 	swept := 0
-	for _, chain := range idx {
+	idx.each(func(_ transKey, chain []*Translation) {
 		for _, tr := range chain {
 			swept += tr.Code.SweepLinks(epoch)
 		}
-	}
+	})
 	if swept > 0 {
 		j.Chain.LinksSwept.Add(uint64(swept))
 	}
@@ -301,12 +299,13 @@ func (j *JIT) recycle(need uint64) bool {
 		key transKey
 		tr  *Translation
 	}
+	idx := j.trans.Load()
 	var cands []cand
-	for k, chain := range *j.trans.Load() {
+	idx.each(func(k transKey, chain []*Translation) {
 		for _, tr := range chain {
 			cands = append(cands, cand{k, tr})
 		}
-	}
+	})
 	// Coldest first; deterministic tie-break so concurrent runs and
 	// reruns evict the same victims.
 	sort.Slice(cands, func(a, b int) bool {
@@ -338,7 +337,7 @@ func (j *JIT) recycle(need uint64) bool {
 			continue
 		}
 		evictKeys[c.key] = true
-		for _, tr := range (*j.trans.Load())[c.key] {
+		for _, tr := range idx.chain(c.key) {
 			planned += tr.Code.Size
 			victims++
 		}

@@ -5,10 +5,11 @@
 // function sorting and huge-page mapping (Section 5.1).
 //
 // Concurrency model (DESIGN.md §9): the translation index is
-// published RCU-style through an atomic pointer, so the one index scan
-// (match, behind Lookup and Match) is lock-free; all mutation —
-// installing a translation, the global optimized publish — copies the
-// index under a writer mutex and swaps the new map in atomically.
+// published RCU-style through atomic pointers, so the one index scan
+// (match, behind Lookup and Match) is lock-free; all mutation happens
+// under a writer mutex — installing a translation copies its function's
+// slot and stores it back, the global optimized publish builds a new
+// index and swaps it in atomically.
 // Every compile holds the one write lease, as HHVM emits code under its
 // global write lease, and the global retranslation can run on a
 // background compiler goroutine while workers keep executing profiling
@@ -261,15 +262,6 @@ func (tr *Translation) Matches(fr *interp.Frame) bool {
 	return ok
 }
 
-type transKey struct {
-	fn int
-	pc int
-}
-
-// transIndex is the RCU-published translation index: immutable once
-// stored, replaced wholesale by writers.
-type transIndex map[transKey][]*Translation
-
 // Stats tracks JIT activity for the evaluation harness. All fields
 // are updated atomically (workers bump them concurrently); read a
 // consistent copy through JIT.Stats().
@@ -377,7 +369,7 @@ type JIT struct {
 	CompileMeter *machine.Meter
 
 	// trans is the RCU-published translation index: loads are
-	// lock-free, stores happen under mu on a fresh copy.
+	// lock-free, stores happen under mu (transIndex).
 	trans atomic.Pointer[transIndex]
 
 	// epoch is the translation-index version chain links are stamped
@@ -450,8 +442,7 @@ func New(cfg Config, env *interp.Env, meter *machine.Meter) *JIT {
 		quarantine:   map[transKey]*quarantineEntry{},
 	}
 	j.Cache.Faults = cfg.Faults
-	empty := transIndex{}
-	j.trans.Store(&empty)
+	j.trans.Store(newTransIndex(len(env.Unit.Funcs)))
 	return j
 }
 
@@ -656,7 +647,7 @@ func (s shapeSource) PropReadType(fnID, pc int, name string) types.Type {
 // OSR check and the machine's chain fallback all read the
 // RCU-published index through here.
 func (j *JIT) match(key transKey, fr *interp.Frame, m *machine.Meter, chainableOnly bool) *Translation {
-	for _, tr := range (*j.trans.Load())[key] {
+	for _, tr := range j.trans.Load().chain(key) {
 		if m != nil {
 			m.Charge(uint64(3 + 2*len(tr.Preconds)))
 		}
@@ -804,17 +795,18 @@ func (j *JIT) mintKindLocked(key transKey, ahead bool) Mode {
 // j.mu.
 func (j *JIT) mintBarredLocked(key transKey) bool {
 	return j.mintingClosed() || j.quarantinedLocked(key) ||
-		len((*j.trans.Load())[key]) >= maxLiveChain
+		len(j.trans.Load().chain(key)) >= maxLiveChain
 }
 
-// ForEachTranslation visits every translation in the published index
-// (diagnostics and the chain-invalidation tests).
+// ForEachTranslation visits every translation in the published index,
+// by function and address (diagnostics and the chain-invalidation
+// tests).
 func (j *JIT) ForEachTranslation(fn func(tr *Translation)) {
-	for _, chain := range *j.trans.Load() {
+	j.trans.Load().each(func(_ transKey, chain []*Translation) {
 		for _, tr := range chain {
 			fn(tr)
 		}
-	}
+	})
 }
 
 // WantsTranslation reports whether the OSR point should bounce to the

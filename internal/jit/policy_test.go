@@ -57,13 +57,10 @@ func TestMintPolicyOSRAgreesWithDispatcher(t *testing.T) {
 							j.entryCount[key] = seen
 							if chainFull {
 								// Published translations no frame matches.
-								chain := make([]*Translation, maxLiveChain)
-								for i := range chain {
-									chain[i] = &Translation{FuncID: fn.ID, PC: fr.PC, Kind: ModeTracelet,
-										EntryDepth: 99, Code: &mcode.Code{}}
+								for i := 0; i < maxLiveChain; i++ {
+									j.trans.Load().install(key, &Translation{FuncID: fn.ID, PC: fr.PC,
+										Kind: ModeTracelet, EntryDepth: 99, Code: &mcode.Code{}})
 								}
-								idx := transIndex{key: chain}
-								j.trans.Store(&idx)
 							}
 							if quarantined {
 								j.quarantine[key] = &quarantineEntry{permanent: true}
@@ -150,13 +147,10 @@ func TestMissQueuedOnTheLeaseRechecksThePolicy(t *testing.T) {
 		{"claim", ModeRegion, func(j *JIT, _ transKey) { j.claimOptimize() }},
 		{"quarantine", ModeProfiling, func(j *JIT, key transKey) { j.strikeLocked(key) }},
 		{"chain full", ModeProfiling, func(j *JIT, key transKey) {
-			chain := make([]*Translation, maxLiveChain)
-			for i := range chain {
-				chain[i] = &Translation{FuncID: key.fn, PC: key.pc, Kind: ModeProfiling,
-					EntryDepth: 99, Code: &mcode.Code{}}
+			for i := 0; i < maxLiveChain; i++ {
+				j.trans.Load().install(key, &Translation{FuncID: key.fn, PC: key.pc,
+					Kind: ModeProfiling, EntryDepth: 99, Code: &mcode.Code{}})
 			}
-			idx := transIndex{key: chain}
-			j.trans.Store(&idx)
 		}},
 		{"cache full", ModeProfiling, func(j *JIT, _ transKey) { j.cacheFull.Store(true) }},
 	} {

@@ -244,20 +244,13 @@ func (j *JIT) newTranslation(desc *region.Desc, kind Mode, code *mcode.Code) *Tr
 	return tr
 }
 
-// installLocked publishes tr into the translation index RCU-style:
-// the current index is copied, the copy is extended, and the pointer
-// is swapped. Callers hold j.mu; concurrent lock-free readers keep
-// iterating the old map untouched.
+// installLocked publishes tr at the tail of its address's chain. Only
+// tr's function slot of the index is copied and stored again
+// (transIndex.install), so a publish costs what that function holds.
+// Callers hold j.mu; concurrent lock-free readers keep the slot they
+// loaded untouched.
 func (j *JIT) installLocked(tr *Translation) {
-	key := transKey{tr.FuncID, tr.PC}
-	old := *j.trans.Load()
-	idx := make(transIndex, len(old)+1)
-	for k, v := range old {
-		idx[k] = v
-	}
-	chain := append([]*Translation(nil), old[key]...)
-	idx[key] = append(chain, tr)
-	j.trans.Store(&idx)
+	j.trans.Load().install(transKey{tr.FuncID, tr.PC}, tr)
 }
 
 // profIDs lists the TransIDs of profiling blocks, in order.
@@ -416,32 +409,21 @@ func (j *JIT) optimizeAll(meter *machine.Meter) {
 		}
 	}
 	j.mu.Lock()
-	old := *j.trans.Load()
-	idx := make(transIndex, len(old)+len(newTrans))
-	for key, chain := range old {
-		var keep []*Translation
-		for _, tr := range chain {
-			if tr.Kind == ModeProfiling && published[tr.FuncID] {
-				continue
-			}
-			keep = append(keep, tr)
-		}
-		if len(keep) > 0 {
-			idx[key] = keep
-		}
-	}
+	add := newTrans[:0]
 	for _, tr := range newTrans {
-		key := transKey{tr.FuncID, tr.PC}
-		if q := j.quarantine[key]; q != nil && q.permanent {
+		if q := j.quarantine[transKey{tr.FuncID, tr.PC}]; q != nil && q.permanent {
 			// The address was demoted to interp-only after repeated
 			// faults; publishing an optimized region there would
 			// resurrect the faulting code path. Return the extent.
 			j.retireCode(tr)
 			continue
 		}
-		idx[key] = append(idx[key], tr)
+		add = append(add, tr)
 	}
-	j.trans.Store(&idx)
+	idx := j.trans.Load().rebuild(func(tr *Translation) bool {
+		return tr.Kind == ModeProfiling && published[tr.FuncID]
+	}, add)
+	j.trans.Store(idx)
 	// Advance the link epoch: the republish retired the profiling
 	// chains, so chain links resolved against the old index must stop
 	// being followed. Readers that loaded a link before the bump see a

@@ -40,8 +40,10 @@ type Counters struct {
 	slab atomic.Pointer[[]*chunk]
 	n    int // counters allocated (guarded by mu)
 
-	// arcs records observed transfers between profiling translations.
-	arcs map[Arc]uint64
+	// arcs records observed transfers between profiling translations,
+	// one row per source TransID (guarded by mu). A translation has few
+	// distinct successors, so a row is scanned linearly, like callRow.
+	arcs [][]arcOut
 	// callTargets histograms callee classes at method-call sites:
 	// (funcID, bcPC) -> class name -> count.
 	callTargets map[CallSite]map[string]uint64
@@ -65,6 +67,12 @@ type Counters struct {
 // Arc is an observed control transfer between translations.
 type Arc struct{ From, To TransID }
 
+// arcOut is one arc leaving a row's source translation.
+type arcOut struct {
+	to TransID
+	n  uint64
+}
+
 // CallSite locates a method-call bytecode.
 type CallSite struct {
 	FuncID int
@@ -86,7 +94,6 @@ type callEdge struct {
 // NewCounters returns an empty store.
 func NewCounters() *Counters {
 	c := &Counters{
-		arcs:        map[Arc]uint64{},
 		callTargets: map[CallSite]map[string]uint64{},
 		propShapes:  map[CallSite]map[uint32]uint64{},
 	}
@@ -176,31 +183,60 @@ func (c *Counters) Count(id TransID) uint64 {
 // RecordArc notes a from->to transfer between profiling translations.
 func (c *Counters) RecordArc(from, to TransID) { c.AddArc(from, to, 1) }
 
-// AddArc bumps an arc weight by n.
+// AddArc bumps an arc weight by n. Arcs from a negative TransID (no
+// profiling translation) are not recorded.
 func (c *Counters) AddArc(from, to TransID, n uint64) {
-	if n == 0 {
+	if n == 0 || from < 0 {
 		return
 	}
 	c.mu.Lock()
-	c.arcs[Arc{from, to}] += n
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	if int(from) >= len(c.arcs) {
+		c.arcs = append(c.arcs, make([][]arcOut, int(from)+1-len(c.arcs))...)
+	}
+	row := c.arcs[from]
+	for i := range row {
+		if row[i].to == to {
+			row[i].n += n
+			return
+		}
+	}
+	c.arcs[from] = append(row, arcOut{to, n})
 }
 
 // ArcCount reads an arc weight.
 func (c *Counters) ArcCount(from, to TransID) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.arcs[Arc{from, to}]
+	for _, a := range c.arcRow(from) {
+		if a.to == to {
+			return a.n
+		}
+	}
+	return 0
 }
 
-// Arcs returns all arcs involving the given translations.
+// arcRow returns the arcs leaving from. Caller holds mu.
+func (c *Counters) arcRow(from TransID) []arcOut {
+	if from < 0 || int(from) >= len(c.arcs) {
+		return nil
+	}
+	return c.arcs[from]
+}
+
+// Arcs returns the arcs leaving the translations in in: one row read
+// per member, so it costs in's out-degree, not the program's arc
+// count. Arcs that only enter in are not included.
 func (c *Counters) Arcs(in map[TransID]bool) map[Arc]uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[Arc]uint64)
-	for a, n := range c.arcs {
-		if in[a.From] || in[a.To] {
-			out[a] = n
+	for from, ok := range in {
+		if !ok {
+			continue
+		}
+		for _, a := range c.arcRow(from) {
+			out[Arc{from, a.to}] = a.n
 		}
 	}
 	return out
@@ -407,7 +443,7 @@ func (c *Counters) Snapshot() *Data {
 	defer c.mu.Unlock()
 	d := &Data{
 		Counts:      make([]uint64, c.n),
-		Arcs:        make(map[Arc]uint64, len(c.arcs)),
+		Arcs:        map[Arc]uint64{},
 		CallTargets: make(map[CallSite]map[string]uint64, len(c.callTargets)),
 		FuncCalls:   c.CallGraph(),
 	}
@@ -415,8 +451,10 @@ func (c *Counters) Snapshot() *Data {
 	for i := 0; i < c.n; i++ {
 		d.Counts[i] = atomic.LoadUint64(&slab[i>>chunkShift][i&(chunkSize-1)])
 	}
-	for a, n := range c.arcs {
-		d.Arcs[a] = n
+	for from, row := range c.arcs {
+		for _, a := range row {
+			d.Arcs[Arc{TransID(from), a.to}] = a.n
+		}
 	}
 	for site, m := range c.callTargets {
 		cp := make(map[string]uint64, len(m))

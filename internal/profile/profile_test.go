@@ -1,6 +1,7 @@
 package profile_test
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -27,6 +28,66 @@ func TestCountersAndArcs(t *testing.T) {
 	arcs := c.Arcs(map[profile.TransID]bool{a: true})
 	if len(arcs) != 1 {
 		t.Errorf("arcs = %v", arcs)
+	}
+}
+
+// TestArcsLeavingMatchFullScan holds the arc rows to a plain model:
+// random arcs recorded one at a time and in bulk — repeated, self-arcs,
+// sources past every row seen so far — and then, for random sets in,
+// Arcs(in) is exactly the snapshot's arcs whose source is in in, and
+// ArcCount agrees with the snapshot on every pair.
+func TestArcsLeavingMatchFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c := profile.NewCounters()
+	model := map[profile.Arc]uint64{}
+	const ids = 60
+	for i := 0; i < 2000; i++ {
+		// IDs grow with i, so many arcs land past the current rows.
+		hi := 1 + i*ids/2000
+		from, to := profile.TransID(rng.Intn(hi)), profile.TransID(rng.Intn(ids))
+		switch rng.Intn(4) {
+		case 0:
+			to = from
+		case 1:
+			from = profile.TransID(hi + rng.Intn(ids))
+		}
+		if rng.Intn(2) == 0 {
+			c.RecordArc(from, to)
+			model[profile.Arc{From: from, To: to}]++
+		} else {
+			n := uint64(rng.Intn(5))
+			c.AddArc(from, to, n)
+			if n > 0 {
+				model[profile.Arc{From: from, To: to}] += n
+			}
+		}
+	}
+	all := c.Snapshot().Arcs
+	if !reflect.DeepEqual(all, model) {
+		t.Fatalf("snapshot holds %d arcs, the model %d", len(all), len(model))
+	}
+	maxID := profile.TransID(2 * ids)
+	for trial := 0; trial < 200; trial++ {
+		in := map[profile.TransID]bool{}
+		for k := rng.Intn(8); k > 0; k-- {
+			in[profile.TransID(rng.Intn(int(maxID)+2))] = rng.Intn(5) > 0
+		}
+		want := map[profile.Arc]uint64{}
+		for a, n := range all {
+			if in[a.From] {
+				want[a] = n
+			}
+		}
+		if got := c.Arcs(in); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Arcs(%v) = %v, want %v", in, got, want)
+		}
+	}
+	for from := profile.TransID(-1); from <= maxID+1; from++ {
+		for to := profile.TransID(-1); to <= maxID+1; to++ {
+			if got, want := c.ArcCount(from, to), all[profile.Arc{From: from, To: to}]; got != want {
+				t.Errorf("ArcCount(%d, %d) = %d, want %d", from, to, got, want)
+			}
+		}
 	}
 }
 
