@@ -349,6 +349,59 @@ func TestSiteRequestAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestColdStartAllocationBudget: one cold trial — compile the
+// workload.Combined() site ahead of time, start a fresh region-JIT
+// engine, make 10 round-robin passes through profiling, the global
+// retranslation and the first optimized requests — as
+// BenchmarkColdStart and the ledger's coldstart_site run it. Its Go
+// allocations scale with compiled units, not IR nodes: HHIR and vasm
+// nodes come from per-unit slabs and pass state is indexed by ID
+// (DESIGN.md §6 "Compile-time memory"). The trial made 383k
+// allocations before that and makes 192.9k now; the budget is that
+// plus 10%.
+func TestColdStartAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	src, eps := workload.Combined()
+	trial := func() {
+		unit, err := core.Compile(src, core.CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := core.NewEngine(unit, jit.DefaultConfig(), io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var funcs []*hhbc.Func
+		for _, ep := range eps {
+			f, ok := unit.FuncByName(workload.EndpointFunc(ep.Name))
+			if !ok {
+				t.Fatalf("combined unit lacks %s", ep.Name)
+			}
+			funcs = append(funcs, f)
+		}
+		for round := 0; round < 10; round++ {
+			for _, f := range funcs {
+				v, err := eng.VM.CallFunc(f, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.Heap().DecRef(v)
+			}
+		}
+		if !eng.VM.JIT.Optimized() {
+			t.Fatal("10 rounds did not reach the optimized tier")
+		}
+	}
+	const budget = 212_000
+	allocs := testing.AllocsPerRun(1, trial)
+	t.Logf("cold trial: %.0f Go allocations (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("a cold trial performs %.0f Go allocations, budget %d", allocs, budget)
+	}
+}
+
 // TestResmashedCallSiteAllocatesNoLinks: a direct call site whose
 // argument alternates between two types re-smashes on every call (the
 // callee's prologue translations take turns), and each re-smash stores

@@ -89,8 +89,6 @@ type regionCtx struct {
 	hblocks []*Block
 	// chainNext maps region-block index -> next chain member (-1 none).
 	chainNext []int
-	// entryOf maps bytecode pc -> head region-block index.
-	entryOf map[int]int
 
 	// Type flow (flow.go). The context's function owns frame slots
 	// [base, base+nslots). in[ri*nslots+s] is the union, over the edges
@@ -107,17 +105,16 @@ type regionCtx struct {
 // newRegionCtx creates the HHIR blocks of desc, whose function's
 // locals start at frame slot base.
 func newRegionCtx(out *Unit, desc *region.Desc, base int) regionCtx {
-	rc := regionCtx{desc: desc, entryOf: map[int]int{},
-		base: base, nslots: desc.Entry().Func.NumLocals}
-	rc.in = make([]types.Type, len(desc.Blocks)*rc.nslots)
-	rc.state = make([]uint8, len(desc.Blocks))
-	rc.hblocks = make([]*Block, len(desc.Blocks))
-	rc.chainNext = make([]int, len(desc.Blocks))
+	rc := regionCtx{desc: desc, base: base, nslots: desc.Entry().Func.NumLocals}
+	n := len(desc.Blocks)
+	rc.in = make([]types.Type, n*rc.nslots)
+	rc.state = make([]uint8, n)
+	rc.hblocks = make([]*Block, n)
+	rc.chainNext = make([]int, n)
 	for i := range rc.chainNext {
 		rc.chainNext[i] = -1
 	}
 	for _, chain := range desc.Chains {
-		rc.entryOf[desc.Blocks[chain[0]].Start] = chain[0]
 		for k := 0; k+1 < len(chain); k++ {
 			rc.chainNext[chain[k]] = chain[k+1]
 		}
@@ -125,14 +122,29 @@ func newRegionCtx(out *Unit, desc *region.Desc, base int) regionCtx {
 	for i, rb := range desc.Blocks {
 		hb := out.NewBlock(rb.Start)
 		hb.Weight = desc.Weight[i]
-		for d := 0; d < rb.EntryStackDepth; d++ {
+		// Room for what a block of this size usually lowers to: a guard
+		// per precondition and about two instructions per bytecode.
+		hb.Instrs = out.instrLists.Window(len(rb.Preconds) + 2*rb.NumInstrs + 2)[:0]
+		hb.Params = out.refs.Window(rb.EntryStackDepth)
+		for d := range hb.Params {
 			p := out.NewTmp(types.TBottom) // typed when the block is lowered
 			p.DefBlock = hb
-			hb.Params = append(hb.Params, p)
+			hb.Params[d] = p
 		}
 		rc.hblocks[i] = hb
 	}
 	return rc
+}
+
+// chainAt returns the retranslation chain whose head starts at pc, nil
+// when the region has none there.
+func (rc *regionCtx) chainAt(pc int) []int {
+	for _, chain := range rc.desc.Chains {
+		if rc.desc.Blocks[chain[0]].Start == pc {
+			return chain
+		}
+	}
+	return nil
 }
 
 type inlineState struct {
@@ -215,7 +227,7 @@ func (b *builder) lowerBlocks() error {
 				}
 				// Lowering trouble inside an inline body: bail to the
 				// interpreter at the callee entry.
-				b.emit(&Instr{Op: SideExit, Exit: b.exitDesc(0, false)})
+				b.emit(Instr{Op: SideExit, Exit: b.exitDesc(0, false)})
 			}
 		}
 	}
@@ -240,25 +252,29 @@ func markColdBlocks(u *Unit) {
 	}
 }
 
-// emit appends an instruction to the current block.
-func (b *builder) emit(in *Instr) *Instr {
-	in.Block = b.cur
-	b.cur.Instrs = append(b.cur.Instrs, in)
-	return in
+// emit appends a copy of in, cut from the unit's slab, to the current
+// block and makes it the definition of its result.
+func (b *builder) emit(in Instr) *Instr {
+	p := b.out.instrs.One()
+	*p = in
+	p.Block = b.cur
+	if p.Dst != nil {
+		p.Dst.Def = p
+	}
+	b.cur.Instrs = append(b.cur.Instrs, p)
+	return p
 }
 
 func (b *builder) def(op Opcode, t types.Type, args ...*SSATmp) *SSATmp {
 	dst := b.out.NewTmp(t)
-	in := &Instr{Op: op, Dst: dst, Args: args}
-	dst.Def = in
-	b.emit(in)
+	b.emit(Instr{Op: op, Dst: dst, Args: b.out.args(args...)})
 	return dst
 }
 
 // exitDesc snapshots the current frame state for a side exit.
 func (b *builder) exitDesc(bcOff int, isCatch bool) *ExitDesc {
-	ex := &ExitDesc{BCOff: bcOff, IsCatch: isCatch,
-		Stack: append([]*SSATmp(nil), b.stack...)}
+	ex := b.out.exits.One()
+	*ex = ExitDesc{BCOff: bcOff, IsCatch: isCatch, Stack: b.out.args(b.stack...)}
 	if n := len(b.inlines); n > 0 {
 		ex.Inline = b.inlines[n-1].ctx
 	}
@@ -279,7 +295,7 @@ func (b *builder) top() *SSATmp { return b.stack[len(b.stack)-1] }
 // popN pops the top n values, deepest first.
 func (b *builder) popN(n int) []*SSATmp {
 	at := len(b.stack) - n
-	vals := append([]*SSATmp(nil), b.stack[at:]...)
+	vals := b.out.args(b.stack[at:]...)
 	b.stack = b.stack[:at]
 	return vals
 }
@@ -297,15 +313,13 @@ func (b *builder) setLocalType(slot int, t types.Type) { b.localTypes[slot] = t 
 func (b *builder) ldLoc(slot int) *SSATmp {
 	t := b.localType(slot)
 	dst := b.out.NewTmp(hhbc.CGetType(t))
-	in := &Instr{Op: LdLoc, Dst: dst, I64: int64(slot)}
-	dst.Def = in
-	b.emit(in)
+	b.emit(Instr{Op: LdLoc, Dst: dst, I64: int64(slot)})
 	return dst
 }
 
 // stLoc stores a value into a local and updates the tracked type.
 func (b *builder) stLoc(slot int, v *SSATmp) {
-	b.emit(&Instr{Op: StLoc, I64: int64(slot), Args: []*SSATmp{v}})
+	b.emit(Instr{Op: StLoc, I64: int64(slot), Args: b.out.args(v)})
 	b.setLocalType(slot, v.Type)
 }
 
@@ -325,7 +339,7 @@ func (b *builder) lowerBlockBody(ri int) error {
 		b.lowerGuard(ri, rb, g, isEntry)
 	}
 	if b.cfg.Profiling && rb.ProfCounter >= 0 {
-		b.emit(&Instr{Op: ProfCount, I64: int64(rb.ProfCounter)})
+		b.emit(Instr{Op: ProfCount, I64: int64(rb.ProfCounter)})
 	}
 
 	// Lower the body.
@@ -389,9 +403,7 @@ func (b *builder) lowerGuard(ri int, rb *region.Block, g region.Guard, isEntry b
 // checkType emits the guard that v is a want and returns v so refined.
 func (b *builder) checkType(ri int, rb *region.Block, v *SSATmp, want types.Type) *SSATmp {
 	dst := b.out.NewTmp(refine(v.Type, want))
-	in := &Instr{Op: CheckType, Dst: dst, Args: []*SSATmp{v}, TypeParam: want}
-	dst.Def = in
-	b.emitGuard(ri, rb, in)
+	b.emitGuard(ri, rb, Instr{Op: CheckType, Dst: dst, Args: b.out.args(v), TypeParam: want})
 	return dst
 }
 
@@ -408,11 +420,11 @@ func refine(known, want types.Type) types.Type {
 // emitGuard emits a check whose failure continues at the next chain
 // member — an edge that carries the state before the check refines
 // it — or, from the last member, takes a side exit.
-func (b *builder) emitGuard(ri int, rb *region.Block, in *Instr) {
+func (b *builder) emitGuard(ri int, rb *region.Block, in Instr) {
 	if failTo := b.rc.chainNext[ri]; failTo >= 0 {
 		b.flowEdge(failTo, b.stack)
 		in.Taken = b.rc.hblocks[failTo]
-		in.TakenArgs = append([]*SSATmp(nil), b.stack...)
+		in.TakenArgs = b.out.args(b.stack...)
 	} else {
 		in.Exit = b.exitDesc(rb.Start, false)
 	}
@@ -425,8 +437,8 @@ func (b *builder) emitGuard(ri int, rb *region.Block, in *Instr) {
 // outer region, a side exit (with frame materialization) from inlined
 // code.
 func (b *builder) jumpToPC(pc int, fromRI int) {
-	if hi, ok := b.rc.entryOf[pc]; ok {
-		target := b.pickChainTarget(hi)
+	if chain := b.rc.chainAt(pc); chain != nil {
+		target := b.pickChainTarget(chain)
 		tb := b.rc.desc.Blocks[target]
 		// The region entry asserts its preconditions instead of
 		// checking them (lowerBlockBody), so a jump back to it from
@@ -435,37 +447,30 @@ func (b *builder) jumpToPC(pc int, fromRI int) {
 		provesEntry := target != 0 || len(b.inlines) > 0 || b.precondsSatisfied(tb)
 		if tb.EntryStackDepth == len(b.stack) && provesEntry {
 			b.flowEdge(target, b.stack)
-			b.emit(&Instr{Op: Jmp, Next: b.rc.hblocks[target],
-				NextArgs: append([]*SSATmp(nil), b.stack...)})
+			b.emit(Instr{Op: Jmp, Next: b.rc.hblocks[target],
+				NextArgs: b.out.args(b.stack...)})
 			return
 		}
 	}
 	if len(b.inlines) > 0 {
 		// The callee region does not cover pc: materialize the callee
 		// frame and continue in the interpreter.
-		b.emit(&Instr{Op: SideExit, Exit: b.exitDesc(pc, false)})
+		b.emit(Instr{Op: SideExit, Exit: b.exitDesc(pc, false)})
 		return
 	}
-	b.emit(&Instr{Op: ReqBind, I64: int64(pc), Exit: b.exitDesc(pc, false)})
+	b.emit(Instr{Op: ReqBind, I64: int64(pc), Exit: b.exitDesc(pc, false)})
 }
 
-// pickChainTarget returns the first chain member at the target pc
-// whose preconditions are satisfied by the current known types; if
-// none provably match, the chain head (runtime checks cascade).
-func (b *builder) pickChainTarget(head int) int {
-	start := b.rc.desc.Blocks[head].Start
-	for _, chain := range b.rc.desc.Chains {
-		if b.rc.desc.Blocks[chain[0]].Start != start {
-			continue
+// pickChainTarget returns the first member of chain whose
+// preconditions are satisfied by the current known types; if none
+// provably match, the chain head (runtime checks cascade).
+func (b *builder) pickChainTarget(chain []int) int {
+	for _, ci := range chain {
+		if b.precondsSatisfied(b.rc.desc.Blocks[ci]) {
+			return ci
 		}
-		for _, ci := range chain {
-			if b.precondsSatisfied(b.rc.desc.Blocks[ci]) {
-				return ci
-			}
-		}
-		return chain[0]
 	}
-	return head
+	return chain[0]
 }
 
 func (b *builder) precondsSatisfied(rb *region.Block) bool {
@@ -487,17 +492,13 @@ func (b *builder) precondsSatisfied(rb *region.Block) bool {
 // constInt etc. emit constants.
 func (b *builder) constInt(v int64) *SSATmp {
 	dst := b.out.NewTmp(types.TInt)
-	in := &Instr{Op: DefConstInt, Dst: dst, I64: v}
-	dst.Def = in
-	b.emit(in)
+	b.emit(Instr{Op: DefConstInt, Dst: dst, I64: v})
 	return dst
 }
 
 func (b *builder) constDbl(v float64) *SSATmp {
 	dst := b.out.NewTmp(types.TDbl)
-	in := &Instr{Op: DefConstDbl, Dst: dst, I64: int64(math.Float64bits(v))}
-	dst.Def = in
-	b.emit(in)
+	b.emit(Instr{Op: DefConstDbl, Dst: dst, I64: int64(math.Float64bits(v))})
 	return dst
 }
 
@@ -507,17 +508,13 @@ func (b *builder) constBool(v bool) *SSATmp {
 	if v {
 		n = 1
 	}
-	in := &Instr{Op: DefConstBool, Dst: dst, I64: n}
-	dst.Def = in
-	b.emit(in)
+	b.emit(Instr{Op: DefConstBool, Dst: dst, I64: n})
 	return dst
 }
 
 func (b *builder) constNull() *SSATmp {
 	dst := b.out.NewTmp(types.TNull)
-	in := &Instr{Op: DefConstNull, Dst: dst}
-	dst.Def = in
-	b.emit(in)
+	b.emit(Instr{Op: DefConstNull, Dst: dst})
 	return dst
 }
 
@@ -525,21 +522,19 @@ func (b *builder) constNull() *SSATmp {
 // emitted (incRef and decRef ask MaybeCounted).
 func (b *builder) constStr(s string) *SSATmp {
 	dst := b.out.NewTmp(types.TStaticStr)
-	in := &Instr{Op: DefConstStr, Dst: dst, Str: s}
-	dst.Def = in
-	b.emit(in)
+	b.emit(Instr{Op: DefConstStr, Dst: dst, Str: s})
 	return dst
 }
 
 func (b *builder) incRef(v *SSATmp) {
 	if v.Type.MaybeCounted() {
-		b.emit(&Instr{Op: IncRef, Args: []*SSATmp{v}})
+		b.emit(Instr{Op: IncRef, Args: b.out.args(v)})
 	}
 }
 
 func (b *builder) decRef(v *SSATmp) {
 	if v.Type.MaybeCounted() {
-		b.emit(&Instr{Op: DecRef, Args: []*SSATmp{v}})
+		b.emit(Instr{Op: DecRef, Args: b.out.args(v)})
 	}
 }
 

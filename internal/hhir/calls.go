@@ -10,15 +10,6 @@ import (
 	"repro/internal/types"
 )
 
-// popArgs pops n call arguments (stack order preserved).
-func (b *builder) popArgs(n int) []*SSATmp {
-	args := make([]*SSATmp, n)
-	for i := n - 1; i >= 0; i-- {
-		args[i] = b.pop()
-	}
-	return args
-}
-
 // lowerCallD lowers FCallD: direct function call, possibly inlined.
 func (b *builder) lowerCallD(in hhbc.Instr, pc int) error {
 	name := b.unit.Strings[in.B]
@@ -26,12 +17,10 @@ func (b *builder) lowerCallD(in hhbc.Instr, pc int) error {
 	callee, isUser := b.unit.FuncByName(name)
 	if !isUser {
 		// Resolved to a builtin (or a runtime error) at execution.
-		args := b.popArgs(nargs)
+		args := b.popN(nargs)
 		dst := b.out.NewTmp(types.TInitCell)
-		call := &Instr{Op: CallBuiltin, Dst: dst, Str: name,
-			Args: args, Exit: b.catchExit()}
-		dst.Def = call
-		b.emit(call)
+		b.emit(Instr{Op: CallBuiltin, Dst: dst, Str: name,
+			Args: args, Exit: b.catchExit()})
 		b.push(dst)
 		return nil
 	}
@@ -40,12 +29,10 @@ func (b *builder) lowerCallD(in hhbc.Instr, pc int) error {
 		return nil
 	}
 
-	args := b.popArgs(nargs)
+	args := b.popN(nargs)
 	dst := b.out.NewTmp(types.TInitCell)
-	call := &Instr{Op: CallFunc, Dst: dst, Str: name, I64: int64(callee.ID),
-		Args: args, Exit: b.catchExit()}
-	dst.Def = call
-	b.emit(call)
+	b.emit(Instr{Op: CallFunc, Dst: dst, Str: name, I64: int64(callee.ID),
+		Args: args, Exit: b.catchExit()})
 	b.push(dst)
 	return nil
 }
@@ -65,7 +52,7 @@ func (b *builder) lowerCallBuiltin(in hhbc.Instr) error {
 		return nil
 	}
 
-	args := b.popArgs(nargs)
+	args := b.popN(nargs)
 	t := types.TInitCell
 	// The declared result type is used for a fixed-arity native called
 	// with that many arguments; variadic ones (substr, max, min) stay
@@ -74,9 +61,7 @@ func (b *builder) lowerCallBuiltin(in hhbc.Instr) error {
 		t = bi.Ret
 	}
 	dst := b.out.NewTmp(t)
-	call := &Instr{Op: CallBuiltin, Dst: dst, Str: name, Args: args, Exit: b.catchExit()}
-	dst.Def = call
-	b.emit(call)
+	b.emit(Instr{Op: CallBuiltin, Dst: dst, Str: name, Args: args, Exit: b.catchExit()})
 	b.push(dst)
 	return nil
 }
@@ -93,11 +78,11 @@ func (b *builder) lowerCallMethod(in hhbc.Instr, pc int) error {
 	// so a failed speculation re-executes the call in the interpreter.
 	specExit := b.exitDesc(pc, false)
 
-	args := b.popArgs(nargs)
+	args := b.popN(nargs)
 	obj := b.pop()
 
 	if b.cfg.Profiling {
-		b.emit(&Instr{Op: ProfCallSite, I64: int64(pc), Args: []*SSATmp{obj}})
+		b.emit(Instr{Op: ProfCallSite, I64: int64(pc), Args: b.out.args(obj)})
 		b.emitMethodCacheCall(name, pc, obj, args)
 		return nil
 	}
@@ -123,10 +108,8 @@ func (b *builder) lowerCallMethod(in hhbc.Instr, pc int) error {
 				if rc, ok := b.env.ClassByName(dom.Class); ok {
 					if id, ok := rc.LookupMethod(name); ok {
 						chk := b.out.NewTmp(types.ObjOfClass(dom.Class, true))
-						ci := &Instr{Op: CheckCls, Dst: chk, I64: int64(rc.ClassID),
-							Args: []*SSATmp{obj}, Exit: specExit}
-						chk.Def = ci
-						b.emit(ci)
+						b.emit(Instr{Op: CheckCls, Dst: chk, I64: int64(rc.ClassID),
+							Args: b.out.args(obj), Exit: specExit})
 						b.emitDirectMethodCall(id, chk, args, pc)
 						return nil
 					}
@@ -185,26 +168,26 @@ func (b *builder) emitDirectMethodCall(funcID int, obj *SSATmp, args []*SSATmp, 
 		return
 	}
 	dst := b.out.NewTmp(types.TInitCell)
-	all := append([]*SSATmp{obj}, args...)
-	call := &Instr{Op: CallMethodD, Dst: dst, I64: int64(funcID), Str: callee.FullName(),
-		Args: all, Exit: b.catchExit()}
-	dst.Def = call
-	b.emit(call)
+	all := b.out.refs.Window(len(args) + 1)
+	all[0] = obj
+	copy(all[1:], args)
+	b.emit(Instr{Op: CallMethodD, Dst: dst, I64: int64(funcID), Str: callee.FullName(),
+		Args: all, Exit: b.catchExit()})
 	b.decRef(obj)
 	b.push(dst)
 }
 
 func (b *builder) emitMethodCacheCall(name string, pc int, obj *SSATmp, args []*SSATmp) {
 	dst := b.out.NewTmp(types.TInitCell)
-	all := append([]*SSATmp{obj}, args...)
+	all := b.out.refs.Window(len(args) + 1)
+	all[0] = obj
+	copy(all[1:], args)
 	site := int64(b.curFn().ID)<<20 | int64(pc)
 	if b.cfg.DisableInlineCache {
 		site = -1 // full method lookup on every call
 	}
-	call := &Instr{Op: CallMethodC, Dst: dst, Str: strings.ToLower(name),
-		I64: site, Args: all, Exit: b.catchExit()}
-	dst.Def = call
-	b.emit(call)
+	b.emit(Instr{Op: CallMethodC, Dst: dst, Str: strings.ToLower(name),
+		I64: site, Args: all, Exit: b.catchExit()})
 	b.decRef(obj)
 	b.push(dst)
 }
@@ -224,7 +207,7 @@ func (b *builder) tryInline(callee *hhbc.Func, this *SSATmp, nargs, pc int) bool
 	if desc == nil || !b.suitableForInline(callee, desc, argTypes) {
 		return false
 	}
-	popped := b.popArgs(nargs)
+	popped := b.popN(nargs)
 	b.inlineCall(callee, desc, this, popped, pc)
 	return true
 }
@@ -327,7 +310,7 @@ func (b *builder) inlineCall(callee *hhbc.Func, desc *region.Desc, this *SSATmp,
 			}
 			v = uninit
 		}
-		b.emit(&Instr{Op: StLoc, I64: int64(slotBase + i), Args: []*SSATmp{v}})
+		b.emit(Instr{Op: StLoc, I64: int64(slotBase + i), Args: b.out.args(v)})
 		b.setLocalType(slotBase+i, v.Type)
 	}
 	for i := len(callee.Params); i < len(args); i++ {
@@ -336,7 +319,7 @@ func (b *builder) inlineCall(callee *hhbc.Func, desc *region.Desc, this *SSATmp,
 
 	ictx := &InlineCtx{
 		Callee: callee, LocalsBase: slotBase, This: this, RetBCOff: pc + 1,
-		CallerStack: append([]*SSATmp(nil), b.stack...),
+		CallerStack: b.out.args(b.stack...),
 	}
 	if n := len(b.inlines); n > 0 {
 		ictx.Parent = b.inlines[n-1].ctx
@@ -345,7 +328,7 @@ func (b *builder) inlineCall(callee *hhbc.Func, desc *region.Desc, this *SSATmp,
 	retBlock.Weight = b.cur.Weight
 	retParam := b.out.NewTmp(types.TBottom) // the union of what the returns pass
 	retParam.DefBlock = retBlock
-	retBlock.Params = []*SSATmp{retParam}
+	retBlock.Params = b.out.args(retParam)
 
 	ist := &inlineState{ctx: ictx, callee: callee, slotBase: slotBase, retBlock: retBlock}
 	b.inlines = append(b.inlines, ist)
@@ -357,7 +340,7 @@ func (b *builder) inlineCall(callee *hhbc.Func, desc *region.Desc, this *SSATmp,
 	savedPC := b.bcPC
 	b.rc = newRegionCtx(b.out, desc, slotBase)
 	b.flowEdge(0, nil)
-	b.emit(&Instr{Op: Jmp, Next: b.rc.hblocks[0]})
+	b.emit(Instr{Op: Jmp, Next: b.rc.hblocks[0]})
 
 	_ = b.lowerBlocks() // never fails inside an inline
 
@@ -407,8 +390,8 @@ func (b *builder) endInline(v *SSATmp) {
 		old := b.ldLoc(slot)
 		b.decRef(old)
 	}
-	b.emit(&Instr{Op: EndInline, Args: []*SSATmp{v}})
+	b.emit(Instr{Op: EndInline, Args: b.out.args(v)})
 	ret := ist.retBlock.Params[0]
 	ret.Type = ret.Type.Union(v.Type)
-	b.emit(&Instr{Op: Jmp, Next: ist.retBlock, NextArgs: []*SSATmp{v}})
+	b.emit(Instr{Op: Jmp, Next: ist.retBlock, NextArgs: b.out.args(v)})
 }

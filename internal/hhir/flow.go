@@ -171,7 +171,8 @@ func (b *builder) startBlock(ri int) {
 	rc.state[ri] = flowLowered
 	copy(b.localTypes[rc.base:rc.base+rc.nslots], in)
 	b.cur = hb
-	b.stack = append([]*SSATmp(nil), hb.Params...)
+	b.stack = b.out.refs.Window(len(hb.Params) + 4)[:len(hb.Params)]
+	copy(b.stack, hb.Params)
 }
 
 // settleParam fixes the type of a block parameter once every edge that

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro/internal/hhbc"
+	"repro/internal/slab"
 	"repro/internal/types"
 )
 
@@ -160,24 +161,25 @@ func (b *Block) Terminator() *Instr {
 	return b.Instrs[len(b.Instrs)-1]
 }
 
-// Succs lists successor blocks, including mid-block guard targets
-// (guards may branch to the next retranslation in a chain without
-// ending the block).
-func (b *Block) Succs() []*Block {
-	var out []*Block
+// eachSucc calls fn with each successor block, including mid-block
+// guard targets (guards may branch to the next retranslation in a
+// chain without ending the block), in instruction order and once per
+// edge.
+func (b *Block) eachSucc(fn func(s *Block)) {
 	for _, in := range b.Instrs {
 		if in.dead {
 			continue
 		}
 		if in.Taken != nil {
-			out = append(out, in.Taken)
+			fn(in.Taken)
 		}
 		if in.Next != nil {
-			out = append(out, in.Next)
+			fn(in.Next)
 		}
-		out = append(out, in.Table...)
+		for _, t := range in.Table {
+			fn(t)
+		}
 	}
-	return out
 }
 
 // Unit is one HHIR compilation unit (a lowered region).
@@ -209,6 +211,17 @@ type Unit struct {
 
 	nextTmp   int
 	nextBlock int
+
+	// The unit's nodes die with it, so they are cut from per-unit
+	// slabs rather than allocated one by one: values, blocks,
+	// instructions, exit descriptors, operand and stack lists (refs)
+	// and the blocks' instruction lists.
+	tmps       slab.Slab[SSATmp]
+	blocks     slab.Slab[Block]
+	instrs     slab.Slab[Instr]
+	exits      slab.Slab[ExitDesc]
+	refs       slab.Slab[*SSATmp]
+	instrLists slab.Slab[*Instr]
 }
 
 // NewUnit creates an empty unit for f.
@@ -218,16 +231,35 @@ func NewUnit(f *hhbc.Func) *Unit {
 
 // NewTmp allocates an SSA value.
 func (u *Unit) NewTmp(t types.Type) *SSATmp {
+	v := u.tmps.One()
+	v.ID, v.Type = u.nextTmp, t
 	u.nextTmp++
-	return &SSATmp{ID: u.nextTmp - 1, Type: t}
+	return v
 }
 
 // NewBlock allocates a block.
 func (u *Unit) NewBlock(bcStart int) *Block {
-	b := &Block{ID: u.nextBlock, BCStart: bcStart}
+	b := u.blocks.One()
+	b.ID, b.BCStart = u.nextBlock, bcStart
 	u.nextBlock++
 	u.Blocks = append(u.Blocks, b)
 	return b
+}
+
+// NumTmpIDs bounds the unit's value IDs: every SSATmp.ID is below it,
+// so per-value state can live in a slice indexed by ID.
+func (u *Unit) NumTmpIDs() int { return u.nextTmp }
+
+// NumBlockIDs bounds the unit's block IDs the same way.
+func (u *Unit) NumBlockIDs() int { return u.nextBlock }
+
+// args returns a unit-owned copy of vs (nil for none), for an operand
+// list: a capacity-capped window, so appending to it never writes into
+// another list.
+func (u *Unit) args(vs ...*SSATmp) []*SSATmp {
+	w := u.refs.Window(len(vs))
+	copy(w, vs)
+	return w
 }
 
 func (u *Unit) String() string {
@@ -270,34 +302,60 @@ func blockIDs(bs []*Block) []int {
 
 // RPO returns blocks in reverse postorder from the entry.
 func (u *Unit) RPO() []*Block {
-	seen := map[*Block]bool{}
-	var post []*Block
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs() {
-			walk(s)
-		}
-		post = append(post, b)
-	}
-	walk(u.Entry)
+	w := reach{seen: make([]bool, u.nextBlock), post: make([]*Block, 0, len(u.Blocks))}
+	w.walk(u.Entry)
+	post := w.post
 	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
 		post[i], post[j] = post[j], post[i]
 	}
 	return post
 }
 
-// RecomputePreds rebuilds predecessor lists after CFG edits.
+// reach is a depth-first walk over successor edges: seen[b.ID] marks
+// the blocks it reached, and post, when not nil, collects them in
+// postorder.
+type reach struct {
+	seen []bool
+	post []*Block
+}
+
+func (w *reach) walk(b *Block) {
+	if w.seen[b.ID] {
+		return
+	}
+	w.seen[b.ID] = true
+	b.eachSucc(w.walk)
+	if w.post != nil {
+		w.post = append(w.post, b)
+	}
+}
+
+// RecomputePreds rebuilds predecessor lists after CFG edits. Every
+// list is a capacity-capped window of one backing array, in the order
+// the edges appear (blocks in unit order, each block's successors in
+// instruction order): appending to one reallocates it and never
+// overwrites a neighbour.
 func (u *Unit) RecomputePreds() {
+	count := make([]int32, u.nextBlock+1)
 	for _, b := range u.Blocks {
 		b.Preds = nil
 	}
 	for _, b := range u.Blocks {
-		for _, s := range b.Succs() {
-			s.Preds = append(s.Preds, b)
-		}
+		b.eachSucc(func(s *Block) {
+			count[s.ID+1]++
+			s.Preds = nil // also a successor the unit no longer lists
+		})
+	}
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1] // count[id] is now where block id's list starts
+	}
+	all := make([]*Block, count[len(count)-1])
+	for _, b := range u.Blocks {
+		b.eachSucc(func(s *Block) {
+			at := count[s.ID]
+			all[at] = b
+			count[s.ID]++
+			s.Preds = all[at-int32(len(s.Preds)) : at+1 : at+1]
+		})
 	}
 }

@@ -417,7 +417,7 @@ func (s *leState) forward() {
 			}
 			in := it.in
 			in.Op = AssertType
-			in.Args = []*SSATmp{s.valueBefore(int32(bi), i, it.x)}
+			in.Args = s.u.args(s.valueBefore(int32(bi), i, it.x))
 			in.I64 = 0
 			s.fwd = append(s.fwd, in)
 			if next := int(it.at) + 1; next < len(b.Instrs) {

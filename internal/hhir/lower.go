@@ -69,12 +69,12 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		slot := b.slot(in.A)
 		v := b.ldLoc(slot)
 		b.push(v)
-		b.emit(&Instr{Op: StLoc, I64: int64(slot), Args: []*SSATmp{b.constNullOfUninit()}})
+		b.emit(Instr{Op: StLoc, I64: int64(slot), Args: b.out.args(b.constNullOfUninit())})
 		b.setLocalType(slot, types.TUninit)
 	case hhbc.OpUnsetL:
 		slot := b.slot(in.A)
 		old := b.ldLoc(slot)
-		b.emit(&Instr{Op: StLoc, I64: int64(slot), Args: []*SSATmp{b.constNullOfUninit()}})
+		b.emit(Instr{Op: StLoc, I64: int64(slot), Args: b.out.args(b.constNullOfUninit())})
 		b.decRef(old)
 		b.setLocalType(slot, types.TUninit)
 	case hhbc.OpIsTypeL:
@@ -104,9 +104,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 			b.push(b.def(DivDbl, types.TDbl, xd, yd))
 		case x.Type.SubtypeOf(types.TInt) && y.Type.SubtypeOf(types.TInt):
 			dst := b.out.NewTmp(types.TNum)
-			inn := &Instr{Op: DivNum, Dst: dst, Args: []*SSATmp{x, y}, Exit: b.catchExit()}
-			dst.Def = inn
-			b.emit(inn)
+			b.emit(Instr{Op: DivNum, Dst: dst, Args: b.out.args(x, y), Exit: b.catchExit()})
 			b.push(dst)
 		default:
 			b.push(b.generic(hhbc.OpDiv, x, y))
@@ -115,9 +113,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		y, x := b.pop(), b.pop()
 		if x.Type.SubtypeOf(types.TInt) && y.Type.SubtypeOf(types.TInt) {
 			dst := b.out.NewTmp(types.TInt)
-			inn := &Instr{Op: ModInt, Dst: dst, Args: []*SSATmp{x, y}, Exit: b.catchExit()}
-			dst.Def = inn
-			b.emit(inn)
+			b.emit(Instr{Op: ModInt, Dst: dst, Args: b.out.args(x, y), Exit: b.catchExit()})
 			b.push(dst)
 		} else {
 			b.push(b.generic(hhbc.OpMod, x, y))
@@ -130,7 +126,11 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 	case hhbc.OpConcatL:
 		parts := b.popN(int(in.A))
 		slot := b.slot(in.B)
-		r := b.def(ConcatAppend, types.TStr, append([]*SSATmp{b.ldLoc(slot)}, parts...)...)
+		args := b.out.refs.Window(len(parts) + 1)
+		args[0] = b.ldLoc(slot)
+		copy(args[1:], parts)
+		r := b.out.NewTmp(types.TStr)
+		b.emit(Instr{Op: ConcatAppend, Dst: r, Args: args})
 		b.stLoc(slot, r) // the old value's reference went into r
 		b.decRefs(parts)
 	case hhbc.OpNeg:
@@ -166,17 +166,13 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 				cond = CondNE
 			}
 			r := b.out.NewTmp(types.TBool)
-			inn := &Instr{Op: CmpStr, Dst: r, I64: cond, Args: []*SSATmp{x, y}}
-			r.Def = inn
-			b.emit(inn)
+			b.emit(Instr{Op: CmpStr, Dst: r, I64: cond, Args: b.out.args(x, y)})
 			b.decRef(x)
 			b.decRef(y)
 			b.push(r)
 		default:
 			r := b.out.NewTmp(types.TBool)
-			inn := &Instr{Op: EqAny, Dst: r, I64: neg, Args: []*SSATmp{x, y}, Exit: b.catchExit()}
-			r.Def = inn
-			b.emit(inn)
+			b.emit(Instr{Op: EqAny, Dst: r, I64: neg, Args: b.out.args(x, y), Exit: b.catchExit()})
 			b.decRef(x)
 			b.decRef(y)
 			b.push(r)
@@ -188,9 +184,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 			neg = 1
 		}
 		r := b.out.NewTmp(types.TBool)
-		inn := &Instr{Op: SameAny, Dst: r, I64: neg, Args: []*SSATmp{x, y}, Exit: b.catchExit()}
-		r.Def = inn
-		b.emit(inn)
+		b.emit(Instr{Op: SameAny, Dst: r, I64: neg, Args: b.out.args(x, y), Exit: b.catchExit()})
 		b.decRef(x)
 		b.decRef(y)
 		b.push(r)
@@ -199,9 +193,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		bl := b.toBool(x)
 		b.decRef(x)
 		r := b.out.NewTmp(types.TBool)
-		inn := &Instr{Op: CmpInt, Dst: r, I64: CondEQ, Args: []*SSATmp{bl, b.constBool(false)}}
-		r.Def = inn
-		b.emit(inn)
+		b.emit(Instr{Op: CmpInt, Dst: r, I64: CondEQ, Args: b.out.args(bl, b.constBool(false))})
 		b.push(r)
 
 	case hhbc.OpCastBool:
@@ -243,7 +235,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		}
 		taken := b.trampoline(takenPC, ri)
 		fall := b.trampoline(fallPC, ri)
-		b.emit(&Instr{Op: Branch, Args: []*SSATmp{cond}, Taken: taken, Next: fall})
+		b.emit(Instr{Op: Branch, Args: b.out.args(cond), Taken: taken, Next: fall})
 		return true, nil
 	case hhbc.OpSwitch:
 		// Dense int switch: a real jump table (bounds check + indexed
@@ -256,7 +248,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 			table[ti] = b.trampoline(tpc, ri)
 		}
 		def := b.trampoline(sw.Default, ri)
-		b.emit(&Instr{Op: SwitchInt, Args: []*SSATmp{iv}, I64: sw.Base,
+		b.emit(Instr{Op: SwitchInt, Args: b.out.args(iv), I64: sw.Base,
 			Table: table, Taken: def})
 		return true, nil
 
@@ -266,15 +258,15 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 			b.endInline(v)
 			return true, nil
 		}
-		b.emit(&Instr{Op: Ret, Args: []*SSATmp{v}})
+		b.emit(Instr{Op: Ret, Args: b.out.args(v)})
 		return true, nil
 	case hhbc.OpThrow:
 		v := b.pop()
-		b.emit(&Instr{Op: ThrowC, Args: []*SSATmp{v}, Exit: b.catchExit()})
+		b.emit(Instr{Op: ThrowC, Args: b.out.args(v), Exit: b.catchExit()})
 		return true, nil
 	case hhbc.OpCatch, hhbc.OpFatal:
 		// Catch handlers and fatals stay in the interpreter.
-		b.emit(&Instr{Op: SideExit, Exit: b.exitDesc(pc, false)})
+		b.emit(Instr{Op: SideExit, Exit: b.exitDesc(pc, false)})
 		return true, nil
 
 	case hhbc.OpNewArray:
@@ -286,9 +278,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 	case hhbc.OpAddElemC:
 		val, key, arr := b.pop(), b.pop(), b.pop()
 		dst := b.out.NewTmp(types.TArr)
-		inn := &Instr{Op: AddElem, Dst: dst, Args: []*SSATmp{arr, key, val}, Exit: b.catchExit()}
-		dst.Def = inn
-		b.emit(inn)
+		b.emit(Instr{Op: AddElem, Dst: dst, Args: b.out.args(arr, key, val), Exit: b.catchExit()})
 		b.decRef(key)
 		b.push(dst)
 	case hhbc.OpAddNewElemC:
@@ -298,9 +288,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 			t = arr.Type
 		}
 		dst := b.out.NewTmp(t)
-		inn := &Instr{Op: AddNewElem, Dst: dst, Args: []*SSATmp{arr, val}, Exit: b.catchExit()}
-		dst.Def = inn
-		b.emit(inn)
+		b.emit(Instr{Op: AddNewElem, Dst: dst, Args: b.out.args(arr, val), Exit: b.catchExit()})
 		b.push(dst)
 
 	case hhbc.OpArrIdx:
@@ -317,28 +305,26 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		b.push(r)
 	case hhbc.OpArrSetL:
 		key, val := b.pop(), b.pop()
-		b.emit(&Instr{Op: ArrSetLocal, I64: int64(b.slot(in.A)),
-			Args: []*SSATmp{key, val}, Exit: b.catchExit()})
+		b.emit(Instr{Op: ArrSetLocal, I64: int64(b.slot(in.A)),
+			Args: b.out.args(key, val), Exit: b.catchExit()})
 		b.decRef(key)
 		b.retypeElemLocal(in)
 	case hhbc.OpArrAppendL:
 		val := b.pop()
 		slot := b.slot(in.A)
-		b.emit(&Instr{Op: ArrAppendLocal, I64: int64(slot),
-			Args: []*SSATmp{val}, Exit: b.catchExit()})
+		b.emit(Instr{Op: ArrAppendLocal, I64: int64(slot),
+			Args: b.out.args(val), Exit: b.catchExit()})
 		b.retypeElemLocal(in)
 	case hhbc.OpArrUnsetL:
 		key := b.pop()
 		slot := b.slot(in.A)
-		b.emit(&Instr{Op: ArrUnsetLocal, I64: int64(slot), Args: []*SSATmp{key}})
+		b.emit(Instr{Op: ArrUnsetLocal, I64: int64(slot), Args: b.out.args(key)})
 		b.decRef(key)
 		b.retypeElemLocal(in)
 	case hhbc.OpAKExistsL:
 		key := b.pop()
 		dst := b.out.NewTmp(types.TBool)
-		inn := &Instr{Op: AKExistsLocal, Dst: dst, I64: int64(b.slot(in.A)), Args: []*SSATmp{key}}
-		dst.Def = inn
-		b.emit(inn)
+		b.emit(Instr{Op: AKExistsLocal, Dst: dst, I64: int64(b.slot(in.A)), Args: b.out.args(key)})
 		b.decRef(key)
 		b.push(dst)
 
@@ -346,28 +332,24 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		slot := b.slot(in.C)
 		body := b.trampoline(pc+1, ri)
 		exit := b.trampoline(int(in.B), ri)
-		b.emit(&Instr{Op: IterInitLocal, I64: packIter(in.A, int32(slot)),
+		b.emit(Instr{Op: IterInitLocal, I64: packIter(in.A, int32(slot)),
 			Taken: body, Next: exit})
 		return true, nil
 	case hhbc.OpIterNext:
 		body := b.trampoline(int(in.B), ri)
 		exit := b.trampoline(pc+1, ri)
-		b.emit(&Instr{Op: IterNextK, I64: int64(in.A), Taken: body, Next: exit})
+		b.emit(Instr{Op: IterNextK, I64: int64(in.A), Taken: body, Next: exit})
 		return true, nil
 	case hhbc.OpIterKey:
 		dst := b.out.NewTmp(hhbc.IterKeyType)
-		inn := &Instr{Op: IterKey, Dst: dst, I64: int64(in.A)}
-		dst.Def = inn
-		b.emit(inn)
+		b.emit(Instr{Op: IterKey, Dst: dst, I64: int64(in.A)})
 		b.push(dst)
 	case hhbc.OpIterValue:
 		dst := b.out.NewTmp(types.TInitCell)
-		inn := &Instr{Op: IterValue, Dst: dst, I64: int64(in.A)}
-		dst.Def = inn
-		b.emit(inn)
+		b.emit(Instr{Op: IterValue, Dst: dst, I64: int64(in.A)})
 		b.push(dst)
 	case hhbc.OpIterFree:
-		b.emit(&Instr{Op: IterFree, I64: int64(in.A)})
+		b.emit(Instr{Op: IterFree, I64: int64(in.A)})
 
 	case hhbc.OpFCallD:
 		return false, b.lowerCallD(in, pc)
@@ -378,9 +360,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 
 	case hhbc.OpNewObjD:
 		dst := b.out.NewTmp(types.ObjOfClass(u.Strings[in.A], true))
-		inn := &Instr{Op: NewObj, Dst: dst, Str: u.Strings[in.A], Exit: b.catchExit()}
-		dst.Def = inn
-		b.emit(inn)
+		b.emit(Instr{Op: NewObj, Dst: dst, Str: u.Strings[in.A], Exit: b.catchExit()})
 		b.push(dst)
 	case hhbc.OpThis:
 		// Inside an inlined method the receiver is a known SSA value;
@@ -388,7 +368,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		if n := len(b.inlines); n > 0 {
 			this := b.inlines[n-1].ctx.This
 			if this == nil {
-				b.emit(&Instr{Op: SideExit, Exit: b.exitDesc(pc, false)})
+				b.emit(Instr{Op: SideExit, Exit: b.exitDesc(pc, false)})
 				return true, nil
 			}
 			b.incRef(this)
@@ -423,13 +403,12 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 			r = b.constBool(types.IsSubclassOf(c, cls))
 		} else {
 			dst := b.out.NewTmp(types.TBool)
-			inn := &Instr{Op: InstanceOf, Dst: dst, Str: cls, Args: []*SSATmp{v}}
+			inn := Instr{Op: InstanceOf, Dst: dst, Str: cls, Args: b.out.args(v)}
 			// Bitwise instanceof: a loaded class resolves to a dense
 			// ID checked with a single bit test (Figure 7).
 			if rc, ok := b.env.ClassByName(cls); ok {
 				inn.I64 = int64(rc.ClassID) + 1
 			}
-			dst.Def = inn
 			b.emit(inn)
 			r = dst
 		}
@@ -440,20 +419,20 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		p := b.curFn().Params[idx]
 		slot := b.slot(in.A)
 		if !b.localType(slot).SubtypeOf(hhbc.HintType(p)) {
-			b.emit(&Instr{Op: VerifyParam, I64: packVerify(b.curFn().ID, idx, slot),
+			b.emit(Instr{Op: VerifyParam, I64: packVerify(b.curFn().ID, idx, slot),
 				Exit: b.catchExit()})
 		}
 		b.setLocalType(slot, hhbc.VerifiedParamType(p, b.localType(slot)))
 
 	case hhbc.OpPrint:
 		v := b.pop()
-		b.emit(&Instr{Op: PrintC, Args: []*SSATmp{v}})
+		b.emit(Instr{Op: PrintC, Args: b.out.args(v)})
 		b.decRef(v)
 		b.push(b.constInt(1))
 
 	default:
 		// Anything unexpected: hand the pc to the interpreter.
-		b.emit(&Instr{Op: SideExit, Exit: b.exitDesc(pc, false)})
+		b.emit(Instr{Op: SideExit, Exit: b.exitDesc(pc, false)})
 		return true, nil
 	}
 	return false, nil
@@ -507,19 +486,17 @@ func (b *builder) storeToLocal(slot int, v *SSATmp) {
 	oldT := b.localType(slot)
 	if oldT.MaybeCounted() {
 		old := b.ldLoc(slot)
-		b.emit(&Instr{Op: StLoc, I64: int64(slot), Args: []*SSATmp{v}})
+		b.emit(Instr{Op: StLoc, I64: int64(slot), Args: b.out.args(v)})
 		b.decRef(old)
 	} else {
-		b.emit(&Instr{Op: StLoc, I64: int64(slot), Args: []*SSATmp{v}})
+		b.emit(Instr{Op: StLoc, I64: int64(slot), Args: b.out.args(v)})
 	}
 	b.setLocalType(slot, v.Type)
 }
 
 func (b *builder) constNullOfUninit() *SSATmp {
 	dst := b.out.NewTmp(types.TUninit)
-	in := &Instr{Op: DefConstNull, Dst: dst, I64: 1}
-	dst.Def = in
-	b.emit(in)
+	b.emit(Instr{Op: DefConstNull, Dst: dst, I64: 1})
 	return dst
 }
 
@@ -546,15 +523,11 @@ func (b *builder) lowerCmp(op hhbc.Op, x, y *SSATmp) *SSATmp {
 		return b.cmpI(cond, x, y)
 	case x.Type.SubtypeOf(types.TNum) && y.Type.SubtypeOf(types.TNum):
 		r := b.out.NewTmp(types.TBool)
-		in := &Instr{Op: CmpDbl, Dst: r, I64: cond, Args: []*SSATmp{b.toDbl(x), b.toDbl(y)}}
-		r.Def = in
-		b.emit(in)
+		b.emit(Instr{Op: CmpDbl, Dst: r, I64: cond, Args: b.out.args(b.toDbl(x), b.toDbl(y))})
 		return r
 	case x.Type.SubtypeOf(types.TStr) && y.Type.SubtypeOf(types.TStr):
 		r := b.out.NewTmp(types.TBool)
-		in := &Instr{Op: CmpStr, Dst: r, I64: cond, Args: []*SSATmp{x, y}}
-		r.Def = in
-		b.emit(in)
+		b.emit(Instr{Op: CmpStr, Dst: r, I64: cond, Args: b.out.args(x, y)})
 		b.decRef(x)
 		b.decRef(y)
 		return r
@@ -565,9 +538,7 @@ func (b *builder) lowerCmp(op hhbc.Op, x, y *SSATmp) *SSATmp {
 
 func (b *builder) cmpI(cond int64, x, y *SSATmp) *SSATmp {
 	r := b.out.NewTmp(types.TBool)
-	in := &Instr{Op: CmpInt, Dst: r, I64: cond, Args: []*SSATmp{x, y}}
-	r.Def = in
-	b.emit(in)
+	b.emit(Instr{Op: CmpInt, Dst: r, I64: cond, Args: b.out.args(x, y)})
 	return r
 }
 
@@ -575,10 +546,8 @@ func (b *builder) cmpI(cond int64, x, y *SSATmp) *SSATmp {
 // owned result).
 func (b *builder) generic(op hhbc.Op, x, y *SSATmp) *SSATmp {
 	dst := b.out.NewTmp(types.TInitCell)
-	in := &Instr{Op: BinopGeneric, Dst: dst, I64: int64(op),
-		Args: []*SSATmp{x, y}, Exit: b.catchExit()}
-	dst.Def = in
-	b.emit(in)
+	b.emit(Instr{Op: BinopGeneric, Dst: dst, I64: int64(op),
+		Args: b.out.args(x, y), Exit: b.catchExit()})
 	return dst
 }
 
@@ -610,17 +579,13 @@ func (b *builder) toDbl(v *SSATmp) *SSATmp {
 func (b *builder) arrGet(arr, key *SSATmp, local string) *SSATmp {
 	if arr.Type.ArrayKind() == types.ArrayPacked && key.Type.SubtypeOf(types.TInt) {
 		dst := b.out.NewTmp(types.TInitCell)
-		in := &Instr{Op: ArrGetPackedI, Dst: dst, Args: []*SSATmp{arr, key},
-			Exit: b.catchExit()}
-		dst.Def = in
-		b.emit(in)
+		b.emit(Instr{Op: ArrGetPackedI, Dst: dst, Args: b.out.args(arr, key),
+			Exit: b.catchExit()})
 		return dst
 	}
 	dst := b.out.NewTmp(types.TInitCell)
-	in := &Instr{Op: ArrGetGeneric, Dst: dst, Str: local, Args: []*SSATmp{arr, key},
-		Exit: b.catchExit()}
-	dst.Def = in
-	b.emit(in)
+	b.emit(Instr{Op: ArrGetGeneric, Dst: dst, Str: local, Args: b.out.args(arr, key),
+		Exit: b.catchExit()})
 	return dst
 }
 
@@ -635,15 +600,13 @@ func (b *builder) arrGet(arr, key *SSATmp, local string) *SSATmp {
 // the pop, so a shape-guard failure re-executes the bytecode.
 func (b *builder) propGet(obj *SSATmp, name string, pc int, specExit *ExitDesc) *SSATmp {
 	if b.cfg.Profiling && b.cfg.EnableShapes {
-		b.emit(&Instr{Op: ProfPropShape, I64: int64(pc), Args: []*SSATmp{obj}})
+		b.emit(Instr{Op: ProfPropShape, I64: int64(pc), Args: b.out.args(obj)})
 	}
 	if cls, exact := obj.Type.Class(); exact {
 		if rc, ok := b.env.ClassByName(cls); ok {
 			if slot, ok := rc.PropNames[name]; ok {
 				v := b.out.NewTmp(types.TInitCell)
-				in := &Instr{Op: LdPropSlot, Dst: v, I64: int64(slot), Args: []*SSATmp{obj}}
-				v.Def = in
-				b.emit(in)
+				b.emit(Instr{Op: LdPropSlot, Dst: v, I64: int64(slot), Args: b.out.args(obj)})
 				b.incRef(v)
 				b.decRef(obj)
 				return v
@@ -656,9 +619,7 @@ func (b *builder) propGet(obj *SSATmp, name string, pc int, specExit *ExitDesc) 
 			if slot, ok := sh.Lookup(name); ok {
 				b.guardShape(obj, sh, specExit)
 				v := b.out.NewTmp(types.FromKind(sh.SlotKind(slot)))
-				in := &Instr{Op: LdPropSlot, Dst: v, I64: int64(slot), Args: []*SSATmp{obj}}
-				v.Def = in
-				b.emit(in)
+				b.emit(Instr{Op: LdPropSlot, Dst: v, I64: int64(slot), Args: b.out.args(obj)})
 				b.incRef(v)
 				b.decRef(obj)
 				return v
@@ -666,19 +627,15 @@ func (b *builder) propGet(obj *SSATmp, name string, pc int, specExit *ExitDesc) 
 		}
 		if !megamorphic(sp) {
 			dst := b.out.NewTmp(types.TInitCell)
-			in := &Instr{Op: LdPropIC, Dst: dst, Str: name, Args: []*SSATmp{obj},
-				Exit: b.catchExit()}
-			dst.Def = in
-			b.emit(in)
+			b.emit(Instr{Op: LdPropIC, Dst: dst, Str: name, Args: b.out.args(obj),
+				Exit: b.catchExit()})
 			b.decRef(obj)
 			return dst
 		}
 	}
 	dst := b.out.NewTmp(types.TInitCell)
-	in := &Instr{Op: LdPropGeneric, Dst: dst, Str: name, Args: []*SSATmp{obj},
-		Exit: b.catchExit()}
-	dst.Def = in
-	b.emit(in)
+	b.emit(Instr{Op: LdPropGeneric, Dst: dst, Str: name, Args: b.out.args(obj),
+		Exit: b.catchExit()})
 	b.decRef(obj)
 	return dst
 }
@@ -690,13 +647,13 @@ func (b *builder) propGet(obj *SSATmp, name string, pc int, specExit *ExitDesc) 
 // StPropSlot after GuardShape assumes the layout is stable.
 func (b *builder) propSet(obj *SSATmp, name string, val *SSATmp, pc int, specExit *ExitDesc) {
 	if b.cfg.Profiling && b.cfg.EnableShapes {
-		b.emit(&Instr{Op: ProfPropShape, I64: int64(pc), Args: []*SSATmp{obj}})
+		b.emit(Instr{Op: ProfPropShape, I64: int64(pc), Args: b.out.args(obj)})
 	}
 	b.incRef(val)
 	if cls, exact := obj.Type.Class(); exact {
 		if rc, ok := b.env.ClassByName(cls); ok {
 			if slot, ok := rc.PropNames[name]; ok {
-				b.emit(&Instr{Op: StPropSlot, I64: int64(slot), Args: []*SSATmp{obj, val}})
+				b.emit(Instr{Op: StPropSlot, I64: int64(slot), Args: b.out.args(obj, val)})
 				b.decRef(obj)
 				return
 			}
@@ -707,19 +664,19 @@ func (b *builder) propSet(obj *SSATmp, name string, val *SSATmp, pc int, specExi
 		if sh := monoShape(b.env.Shapes, sp); sh != nil {
 			if slot, ok := sh.Lookup(name); ok && val.Type.SubtypeOf(types.FromKind(sh.SlotKind(slot))) {
 				b.guardShape(obj, sh, specExit)
-				b.emit(&Instr{Op: StPropSlot, I64: int64(slot), Args: []*SSATmp{obj, val}})
+				b.emit(Instr{Op: StPropSlot, I64: int64(slot), Args: b.out.args(obj, val)})
 				b.decRef(obj)
 				return
 			}
 		}
 		if !megamorphic(sp) {
-			b.emit(&Instr{Op: StPropIC, Str: name, Args: []*SSATmp{obj, val},
+			b.emit(Instr{Op: StPropIC, Str: name, Args: b.out.args(obj, val),
 				Exit: b.catchExit()})
 			b.decRef(obj)
 			return
 		}
 	}
-	b.emit(&Instr{Op: StPropGeneric, Str: name, Args: []*SSATmp{obj, val},
+	b.emit(Instr{Op: StPropGeneric, Str: name, Args: b.out.args(obj, val),
 		Exit: b.catchExit()})
 	b.decRef(obj)
 }
@@ -761,7 +718,7 @@ func megamorphic(sp *profile.ShapeProfile) bool {
 const icCapacity = 4
 
 func (b *builder) guardShape(obj *SSATmp, sh *shapes.Shape, specExit *ExitDesc) {
-	b.emit(&Instr{Op: GuardShape, I64: int64(sh.ID), Args: []*SSATmp{obj},
+	b.emit(Instr{Op: GuardShape, I64: int64(sh.ID), Args: b.out.args(obj),
 		Exit: specExit})
 }
 
@@ -772,7 +729,7 @@ func (b *builder) trampoline(pc int, ri int) *Block {
 	tb := b.out.NewBlock(pc)
 	tb.Weight = saveCur.Weight
 	b.cur = tb
-	b.stack = append([]*SSATmp(nil), saveStack...)
+	b.stack = b.out.args(saveStack...)
 	b.jumpToPC(pc, ri)
 	b.cur, b.stack = saveCur, saveStack
 	return tb
@@ -794,7 +751,7 @@ func (b *builder) lowerIncDec(in hhbc.Instr) bool {
 			op = SubInt
 		}
 		nv := b.def(op, types.TInt, old, one)
-		b.emit(&Instr{Op: StLoc, I64: int64(slot), Args: []*SSATmp{nv}})
+		b.emit(Instr{Op: StLoc, I64: int64(slot), Args: b.out.args(nv)})
 		if post {
 			b.push(old)
 		} else {
@@ -809,7 +766,7 @@ func (b *builder) lowerIncDec(in hhbc.Instr) bool {
 			op = SubDbl
 		}
 		nv := b.def(op, types.TDbl, old, one)
-		b.emit(&Instr{Op: StLoc, I64: int64(slot), Args: []*SSATmp{nv}})
+		b.emit(Instr{Op: StLoc, I64: int64(slot), Args: b.out.args(nv)})
 		if post {
 			b.push(old)
 		} else {
@@ -823,7 +780,7 @@ func (b *builder) lowerIncDec(in hhbc.Instr) bool {
 		} else {
 			nv = b.constNull()
 		}
-		b.emit(&Instr{Op: StLoc, I64: int64(slot), Args: []*SSATmp{nv}})
+		b.emit(Instr{Op: StLoc, I64: int64(slot), Args: b.out.args(nv)})
 		if post {
 			b.push(b.constNull())
 		} else {
@@ -831,7 +788,7 @@ func (b *builder) lowerIncDec(in hhbc.Instr) bool {
 		}
 		b.setLocalType(slot, nv.Type)
 	default:
-		b.emit(&Instr{Op: SideExit, Exit: b.exitDesc(b.bcPC, false)})
+		b.emit(Instr{Op: SideExit, Exit: b.exitDesc(b.bcPC, false)})
 		return true
 	}
 	return false

@@ -296,10 +296,10 @@ func resolveCopies(u *Unit) {
 // vacuous AssertTypes.
 func DCE(u *Unit) {
 	resolveCopies(u)
-	used := map[*SSATmp]bool{}
+	used := make([]bool, u.nextTmp) // by SSATmp.ID
 	mark := func(t *SSATmp) {
 		if t != nil {
-			used[t] = true
+			used[t.ID] = true
 		}
 	}
 	for _, b := range u.Blocks {
@@ -343,10 +343,10 @@ func DCE(u *Unit) {
 				if in.dead || !(in.Op.IsPure() || in.Op == LdLoc) {
 					continue
 				}
-				if in.Dst != nil && used[in.Dst] {
+				if in.Dst != nil && used[in.Dst.ID] {
 					for _, a := range in.Args {
-						if !used[a] {
-							used[a] = true
+						if a != nil && !used[a.ID] {
+							used[a.ID] = true
 							changed = true
 						}
 					}
@@ -359,7 +359,7 @@ func DCE(u *Unit) {
 			if in.dead {
 				continue
 			}
-			if (in.Op.IsPure() || in.Op == LdLoc) && in.Dst != nil && !used[in.Dst] {
+			if (in.Op.IsPure() || in.Op == LdLoc) && in.Dst != nil && !used[in.Dst.ID] {
 				in.dead = true
 			}
 		}
@@ -384,21 +384,11 @@ func PruneUnreachable(u *Unit) {
 	if u.Entry == nil {
 		return
 	}
-	seen := map[*Block]bool{}
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs() {
-			walk(s)
-		}
-	}
-	walk(u.Entry)
+	w := reach{seen: make([]bool, u.nextBlock)}
+	w.walk(u.Entry)
 	out := u.Blocks[:0]
 	for _, b := range u.Blocks {
-		if seen[b] {
+		if w.seen[b.ID] {
 			out = append(out, b)
 		}
 	}
@@ -465,14 +455,14 @@ func GVN(u *Unit) {
 				// Replace in with a copy.
 				in.Op = AssertType
 				in.TypeParam = prev.Type
-				in.Args = []*SSATmp{prev}
+				in.Args = u.args(prev)
 				in.I64, in.Str = 0, ""
 				continue
 			}
 			if prev, hit := global[k]; hit && b != u.Entry {
 				in.Op = AssertType
 				in.TypeParam = prev.Type
-				in.Args = []*SSATmp{prev}
+				in.Args = u.args(prev)
 				in.I64, in.Str = 0, ""
 				continue
 			}

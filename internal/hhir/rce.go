@@ -14,10 +14,55 @@ import "repro/internal/types"
 // still holds it; helper results arrive owned (>= 1); IncRef/DecRef
 // adjust the bound; calls invalidate bounds for values they consume.
 func RCE(u *Unit) {
+	r := &rce{facts: make([]rceFacts, u.nextTmp), holds: map[int64]*SSATmp{}}
 	for _, b := range u.Blocks {
-		rceBlock(b)
+		r.block(b)
 	}
 	commitDead(u)
+}
+
+// rce is the pass's per-unit state. Facts are per block: an entry whose
+// gen is not the current block's reads as zero and is reset when
+// written, so moving to the next block clears only what a block
+// touched.
+type rce struct {
+	facts []rceFacts // by SSATmp.ID
+	gen   int32
+	// holds maps frame slot -> value it holds (for LdLoc facts).
+	holds   map[int64]*SSATmp
+	pending []pendingInc
+}
+
+type rceFacts struct {
+	gen int32
+	// lb is the lower bound of the count (excluding any pending IncRef).
+	lb int32
+	// stored marks a value written into a local (its count is
+	// frame-visible; side exits then observe it).
+	stored bool
+}
+
+// at returns t's facts in the current block, for writing.
+func (r *rce) at(t *SSATmp) *rceFacts {
+	f := &r.facts[t.ID]
+	if f.gen != r.gen {
+		*f = rceFacts{gen: r.gen}
+	}
+	return f
+}
+
+// lb returns the lower bound of t's count in the current block.
+func (r *rce) lb(t *SSATmp) int32 {
+	if f := &r.facts[t.ID]; f.gen == r.gen {
+		return f.lb
+	}
+	return 0
+}
+
+// stored reports whether the current block stored t into a local.
+func (r *rce) stored(t *SSATmp) bool {
+	f := &r.facts[t.ID]
+	return f.gen == r.gen && f.stored
 }
 
 type pendingInc struct {
@@ -25,16 +70,11 @@ type pendingInc struct {
 	val *SSATmp
 }
 
-func rceBlock(b *Block) {
-	// lower bound of count per value (excluding any pending IncRef).
-	lb := map[*SSATmp]int{}
-	// localHolds maps frame slot -> value it holds (for LdLoc facts).
-	localHolds := map[int64]*SSATmp{}
-	// stored marks values written into a local (their count is
-	// frame-visible; side exits then observe it).
-	stored := map[*SSATmp]bool{}
+func (r *rce) block(b *Block) {
+	r.gen++
+	clear(r.holds)
 
-	var pending []pendingInc
+	pending := r.pending[:0]
 
 	for _, in := range b.Instrs {
 		if in.dead {
@@ -66,7 +106,7 @@ func rceBlock(b *Block) {
 			if t.Type.MaybeCounted() {
 				pending = append(pending, pendingInc{in: in, val: t})
 			} else {
-				lb[t]++
+				r.at(t).lb++
 			}
 			continue
 		}
@@ -78,8 +118,8 @@ func rceBlock(b *Block) {
 		if len(pending) > 0 {
 			keep := pending[:0]
 			for _, p := range pending {
-				if crossBlocks(in, p.val, lb, stored) {
-					lb[p.val]++
+				if r.crossBlocks(in, p.val) {
+					r.at(p.val).lb++
 				} else {
 					keep = append(keep, p)
 				}
@@ -91,44 +131,45 @@ func rceBlock(b *Block) {
 		switch {
 		case in.Op == LdLoc:
 			if in.Dst != nil {
-				if lb[in.Dst] < 1 {
-					lb[in.Dst] = 1
+				if f := r.at(in.Dst); f.lb < 1 {
+					f.lb = 1
 				}
-				localHolds[in.I64] = in.Dst
+				r.holds[in.I64] = in.Dst
 			}
 		case in.Op == StLoc:
-			stored[in.Args[0]] = true
-			if old, ok := localHolds[in.I64]; ok && lb[old] > 0 {
-				lb[old]--
+			r.at(in.Args[0]).stored = true
+			if old, ok := r.holds[in.I64]; ok && r.lb(old) > 0 {
+				r.at(old).lb--
 			}
-			localHolds[in.I64] = in.Args[0]
+			r.holds[in.I64] = in.Args[0]
 		case in.Op == DecRef:
-			if lb[in.Args[0]] > 0 {
-				lb[in.Args[0]]--
+			if r.lb(in.Args[0]) > 0 {
+				r.at(in.Args[0]).lb--
 			}
 		case in.Op.has(fOwned):
 			// Helper results arrive owned.
 			if in.Dst != nil && in.Dst.Type.MaybeCounted() {
-				if lb[in.Dst] < 1 {
-					lb[in.Dst] = 1
+				if f := r.at(in.Dst); f.lb < 1 {
+					f.lb = 1
 				}
 			}
 			// Consumed arguments lose their bound.
 			for _, a := range in.Args {
-				lb[a] = 0
+				r.at(a).lb = 0
 			}
 		}
 	}
 	// Pending IncRefs that never met a DecRef simply stay in place.
+	r.pending = pending
 }
 
 // crossBlocks reports whether sinking an IncRef of t past in is
 // UNSAFE (true = blocked).
-func crossBlocks(in *Instr, t *SSATmp, lb map[*SSATmp]int, stored map[*SSATmp]bool) bool {
+func (r *rce) crossBlocks(in *Instr, t *SSATmp) bool {
 	// Side exits and chained guards materialize VM state; if t's
 	// count is frame-visible there, the pending IncRef must not cross.
 	if in.Exit != nil || in.Taken != nil {
-		if stored[t] || inExitStack(in.Exit, t) {
+		if r.stored(t) || inExitStack(in.Exit, t) {
 			return true
 		}
 	}
@@ -138,7 +179,7 @@ func crossBlocks(in *Instr, t *SSATmp, lb map[*SSATmp]int, stored map[*SSATmp]bo
 		// aliasing DecRef could reach zero and run a destructor that the
 		// program (with the IncRef done) would not run.
 		u := in.Args[0]
-		return u == t || mayAliasRC(u, t) && lb[t] < 2
+		return u == t || mayAliasRC(u, t) && r.lb(t) < 2
 	case in.Op.has(fEscapes):
 		// The value (or the whole frame) escapes.
 		return true
@@ -147,7 +188,7 @@ func crossBlocks(in *Instr, t *SSATmp, lb map[*SSATmp]int, stored map[*SSATmp]bo
 		// of anything they may alias must not be short by the pending
 		// IncRef when it does.
 		for _, u := range in.Args {
-			if u == t || mayAliasRC(u, t) && lb[t] < 2 {
+			if u == t || mayAliasRC(u, t) && r.lb(t) < 2 {
 				return true
 			}
 		}
@@ -160,7 +201,7 @@ func crossBlocks(in *Instr, t *SSATmp, lb map[*SSATmp]int, stored map[*SSATmp]bo
 		if in.Op.has(fCOWStr) {
 			mutated = types.TStr
 		}
-		return t.Type.Maybe(mutated) && lb[t] < 2
+		return t.Type.Maybe(mutated) && r.lb(t) < 2
 	case in.Op == StLoc:
 		// Storing t itself makes its count frame-visible.
 		return in.Args[0] == t

@@ -184,15 +184,29 @@ func (j *JIT) mint(desc *region.Desc, kind Mode, bcfg hhir.BuildConfig, m *machi
 }
 
 // regionBuildConfig is the HHIR build configuration of optimized
-// regions.
+// regions. Its inliner forms a callee's profiled regions once for all
+// the compiles that use the configuration — one OptimizeAll run, or
+// one PublishRegion — not at every inlined call site; those compiles
+// hold the write lease, so they never read the memo concurrently.
 func (j *JIT) regionBuildConfig() hhir.BuildConfig {
+	profiled := map[int]*region.Desc{} // callee ID -> its profiled entry region (nil: none)
 	return hhir.BuildConfig{
 		EnableInlining:       j.Cfg.EnableInlining,
 		EnableMethodDispatch: j.Cfg.EnableMethodDispatch,
 		DisableInlineCache:   !j.Cfg.EnableMethodDispatch,
 		EnableShapes:         true,
 		Counters:             j.Counters,
-		RegionOf:             j.regionForInline,
+		RegionOf: func(f *hhbc.Func, argTypes []types.Type) *region.Desc {
+			d, ok := profiled[f.ID]
+			if !ok {
+				d = j.profiledRegion(f)
+				profiled[f.ID] = d
+			}
+			if d != nil {
+				return d
+			}
+			return j.synthesizedRegion(f, argTypes)
+		},
 	}
 }
 
@@ -476,42 +490,69 @@ func dropShadowed(regions []*region.Desc) []*region.Desc {
 // cloneBlocks deep-copies profiling blocks for region formation. Live
 // profiling translations alias the originals' Preconds (Matches
 // reads them lock-free on every dispatch), so any pass that rewrites
-// guards — relaxation in particular — must work on private copies.
+// guards — relaxation in particular — must work on private copies. The
+// copies share one backing array per field, each block's slice a
+// capacity-capped window of it; PostLocals, which nothing writes after
+// region.Select, is shared with the original.
 func cloneBlocks(blocks []*region.Block) []*region.Block {
+	nguards, nstack, nsuccs := 0, 0, 0
+	for _, blk := range blocks {
+		nguards += len(blk.Preconds)
+		nstack += len(blk.EntryStackTypes)
+		nsuccs += len(blk.Succs)
+	}
 	out := make([]*region.Block, len(blocks))
+	copies := make([]region.Block, len(blocks))
+	guards := make([]region.Guard, 0, nguards)
+	stack := make([]types.Type, 0, nstack)
+	succs := make([]int, 0, nsuccs)
 	for i, blk := range blocks {
-		cp := *blk
-		cp.Preconds = append([]region.Guard(nil), blk.Preconds...)
-		cp.EntryStackTypes = append([]types.Type(nil), blk.EntryStackTypes...)
-		cp.Succs = append([]int(nil), blk.Succs...)
-		if blk.PostLocals != nil {
-			cp.PostLocals = make(map[int]types.Type, len(blk.PostLocals))
-			for k, v := range blk.PostLocals {
-				cp.PostLocals[k] = v
-			}
-		}
-		out[i] = &cp
+		cp := &copies[i]
+		*cp = *blk
+		cp.Preconds, guards = window(guards, blk.Preconds)
+		cp.EntryStackTypes, stack = window(stack, blk.EntryStackTypes)
+		cp.Succs, succs = window(succs, blk.Succs)
+		out[i] = cp
 	}
 	return out
 }
 
-// regionForInline supplies callee regions to the partial inliner: the
-// callee's own profiled region when available, otherwise a region
-// synthesized from the argument types.
-func (j *JIT) regionForInline(f *hhbc.Func, argTypes []types.Type) *region.Desc {
+// window appends xs to buf and returns the copy as a capacity-capped
+// window of buf (nil for an empty xs), and buf.
+func window[T any](buf, xs []T) ([]T, []T) {
+	if len(xs) == 0 {
+		return nil, buf
+	}
+	from := len(buf)
+	buf = append(buf, xs...)
+	return buf[from:len(buf):len(buf)], buf
+}
+
+// The partial inliner takes a callee's own profiled region when there is
+// one (profiledRegion), otherwise a region synthesized from the argument
+// types (synthesizedRegion).
+
+// profiledRegion forms f's regions from its profile and returns the one
+// entered at f's first instruction, nil when there is none.
+func (j *JIT) profiledRegion(f *hhbc.Func) *region.Desc {
 	j.mu.Lock()
 	blocks := cloneBlocks(j.profBlocks[f.ID])
 	j.mu.Unlock()
-	if len(blocks) > 0 {
-		g := region.BuildTransCFG(blocks, profIDs(blocks), j.Counters)
-		regions := region.FormRegions(g, region.FormRegionsConfig{MaxBCInstrs: 200})
-		for _, d := range regions {
-			if d.Entry().Start == 0 {
-				return d
-			}
+	if len(blocks) == 0 {
+		return nil
+	}
+	g := region.BuildTransCFG(blocks, profIDs(blocks), j.Counters)
+	for _, d := range region.FormRegions(g, region.FormRegionsConfig{MaxBCInstrs: 200}) {
+		if d.Entry().Start == 0 {
+			return d
 		}
 	}
-	// Synthesize from argument types (static region).
+	return nil
+}
+
+// synthesizedRegion selects a static region of f from its argument
+// types.
+func (j *JIT) synthesizedRegion(f *hhbc.Func, argTypes []types.Type) *region.Desc {
 	src := shapeSource{argTypeSource{argTypes: argTypes, fn: f}, j}
 	blk := region.Select(j.Unit, f, 0, 0, src, region.ModeLive, 0)
 	return region.NewDesc(blk)

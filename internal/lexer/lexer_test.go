@@ -83,3 +83,47 @@ func TestErrors(t *testing.T) {
 		t.Error("bare $ accepted")
 	}
 }
+
+// TestNumberLiterals pins the number scanner: values, the decimal
+// reading of a leading zero, the int64 edge and its overflow error, and
+// the positions after a dangling exponent, which is backed out of the
+// number — column included, so later tokens and errors point at the
+// right place.
+func TestNumberLiterals(t *testing.T) {
+	type tok struct {
+		kind lexer.TokKind
+		text string
+		col  int
+	}
+	for _, c := range []struct {
+		src  string
+		want []tok
+	}{
+		{"2e+ $x", []tok{{lexer.TInt, "2", 1}, {lexer.TIdent, "e", 2}, {lexer.TOp, "+", 3}, {lexer.TVar, "x", 5}}},
+		{"0123", []tok{{lexer.TInt, "0123", 1}}},
+		{"9223372036854775807", []tok{{lexer.TInt, "9223372036854775807", 1}}},
+		{"1.5e3", []tok{{lexer.TFloat, "1.5e3", 1}}},
+		{".5 1E-2", []tok{{lexer.TFloat, ".5", 1}, {lexer.TFloat, "1E-2", 4}}},
+	} {
+		toks := kinds(t, c.src)
+		if len(toks) != len(c.want)+1 || toks[len(toks)-1].Kind != lexer.TEOF {
+			t.Errorf("%q: tokens %v, want %d and EOF", c.src, toks, len(c.want))
+			continue
+		}
+		for i, w := range c.want {
+			if g := toks[i]; g.Kind != w.kind || g.Text != w.text || g.Col != w.col || g.Line != 1 {
+				t.Errorf("%q: token %d is %v (kind %d) at %d:%d, want %q (kind %d) at 1:%d",
+					c.src, i, g, g.Kind, g.Line, g.Col, w.text, w.kind, w.col)
+			}
+		}
+	}
+	values := kinds(t, "0123 9223372036854775807 1.5e3 .5")
+	if values[0].Int != 123 || values[1].Int != 9223372036854775807 || values[2].Dbl != 1500 || values[3].Dbl != 0.5 {
+		t.Errorf("values %d %d %g %g, want 123 9223372036854775807 1500 0.5",
+			values[0].Int, values[1].Int, values[2].Dbl, values[3].Dbl)
+	}
+	_, err := lexer.Tokenize("$a = 9223372036854775808;")
+	if want := `lex error at 1:25: bad int literal "9223372036854775808"`; err == nil || err.Error() != want {
+		t.Errorf("overflow: %v, want %s", err, want)
+	}
+}

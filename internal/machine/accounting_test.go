@@ -170,10 +170,10 @@ func TestAccountingJcc(t *testing.T) {
 // penalty and the stub are charged, and the frame is synced.
 func TestAccountingGuardSideExit(t *testing.T) {
 	build := func() *vasm.Unit {
-		return &vasm.Unit{Imms: ints(1), Blocks: []*vasm.Block{
+		return &vasm.Unit{Imms: ints(1), GuardTypes: []types.Type{types.TInt}, Blocks: []*vasm.Block{
 			{ID: 0, Instrs: []vasm.Instr{
 				{Op: vasm.LdLoc, D: 1, A: inv, B: inv, I64: 0},
-				{Op: vasm.GuardKind, D: inv, A: 1, B: inv, TypeParam: types.TInt, Target1: 1},
+				{Op: vasm.GuardKind, D: inv, A: 1, B: inv, Target1: 1, Target2: 0},
 				{Op: vasm.LdImm, D: 2, A: inv, B: inv, I64: 0},
 				{Op: vasm.AddI, D: 3, A: 1, B: 2},
 				{Op: vasm.Ret, D: inv, A: 3, B: inv},

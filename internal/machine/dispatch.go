@@ -35,11 +35,13 @@ func PrepareDispatch(code *mcode.Code) {
 	flags := make([]uint8, n)
 	var tails [][]uint64
 	prevLine := ^uint64(0) // sentinel: instruction 0 counts as a head
+	var compBuf [4]uint64
+	comps := compBuf[:0]
 	for i := 0; i < n; i++ {
 		in := &code.Instrs[i]
 		prefix[i+1] = prefix[i] + instrCost(in)
 		addr := code.AddrOf(i)
-		comps := mcode.ComponentSizes(in)
+		comps = mcode.ComponentSizes(in, comps)
 		for ci, sz := range comps {
 			line := addr >> iCacheLineBits
 			if line != prevLine {

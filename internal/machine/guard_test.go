@@ -13,10 +13,10 @@ import (
 // 1 when the guard holds and 0 from the guard's fail block. Fused, the
 // load and the guard become one LdLocGK.
 func staticGuard() *vasm.Unit {
-	return &vasm.Unit{Imms: ints(1, 0), Blocks: []*vasm.Block{
+	return &vasm.Unit{Imms: ints(1, 0), GuardTypes: []types.Type{types.TStaticStr}, Blocks: []*vasm.Block{
 		{ID: 0, Instrs: []vasm.Instr{
 			{Op: vasm.LdLoc, D: 1, A: inv, B: inv, I64: 0, Target1: -1, Target2: -1},
-			{Op: vasm.GuardKind, D: inv, A: 1, B: inv, TypeParam: types.TStaticStr, Target1: 1, Target2: -1},
+			{Op: vasm.GuardKind, D: inv, A: 1, B: inv, Target1: 1, Target2: 0},
 			{Op: vasm.LdImm, D: 2, A: inv, B: inv, I64: 0, Target1: -1, Target2: -1},
 			{Op: vasm.Ret, D: inv, A: 2, B: inv, Target1: -1, Target2: -1},
 		}},

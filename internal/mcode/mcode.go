@@ -224,15 +224,17 @@ func instrSize(in *vasm.Instr) uint64 {
 	return sz
 }
 
-// ComponentSizes returns the encoded byte size of each component of
-// in: one element for ordinary instructions, one per fused component
-// for superinstructions. The fetch model consumes these so a fused
-// stream touches exactly the icache lines the unfused stream did.
-func ComponentSizes(in *vasm.Instr) []uint64 {
+// ComponentSizes appends to buf[:0] the encoded byte size of each
+// component of in — one element for ordinary instructions, one per
+// fused component for superinstructions — and returns it. The fetch
+// model consumes these so a fused stream touches exactly the icache
+// lines the unfused stream did; a caller that passes the previous
+// result back as buf allocates nothing once it is large enough.
+func ComponentSizes(in *vasm.Instr, buf []uint64) []uint64 {
+	sizes := buf[:0]
 	if in.Op.Components() == nil {
-		return []uint64{instrSize(in)}
+		return append(sizes, instrSize(in))
 	}
-	var sizes []uint64
 	in.ForEachComponent(func(op vasm.Op) { sizes = append(sizes, opSize(op)) })
 	return sizes
 }
@@ -277,14 +279,15 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 	for i := range c.BlockStart {
 		c.BlockStart[i] = -1
 	}
-	// The code lives as long as its translation: size the stream and
-	// the checks exactly.
-	n, checks := 0, len(u.Entry)
+	// The code lives as long as its translation: size the stream, its
+	// operand lists and the checks exactly.
+	n, nargs, checks := 0, 0, len(u.Entry)
 	for _, bi := range order {
 		for i := range u.Blocks[bi].Instrs {
 			in := &u.Blocks[bi].Instrs[i]
 			if !elided(in) {
 				n++
+				nargs += len(in.Args)
 			}
 			if typeGuard(in.Op) {
 				checks++
@@ -294,6 +297,7 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 	c.Instrs = make([]vasm.Instr, 0, n)
 	c.Addr = make([]uint64, 0, n)
 	c.Checks = make([]runtime.Check, 0, checks)
+	args := make([]vasm.Reg, 0, nargs)
 	for _, g := range u.Entry {
 		c.Checks = append(c.Checks, runtime.NewCheck(g.Type, u.Classes))
 	}
@@ -309,9 +313,22 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 				continue
 			}
 			c.Instrs = append(c.Instrs, b.Instrs[i])
-			if in := &c.Instrs[len(c.Instrs)-1]; typeGuard(in.Op) {
+			in := &c.Instrs[len(c.Instrs)-1]
+			if in.Args != nil {
+				// The unit's operand lists are cut from its slab: keep a
+				// copy in the code's own array, not the slab.
+				from := len(args)
+				args = append(args, in.Args...)
+				in.Args = args[from:len(args):len(args)]
+			}
+			if typeGuard(in.Op) {
+				if in.Target2 < 0 || in.Target2 >= len(u.GuardTypes) {
+					return nil, &AssembleError{Index: len(c.Instrs) - 1, Op: in.Op,
+						Reason: fmt.Sprintf("guard type #%d out of range (%d guard types)", in.Target2, len(u.GuardTypes))}
+				}
+				t := u.GuardTypes[in.Target2]
 				in.Target2 = len(c.Checks)
-				c.Checks = append(c.Checks, runtime.NewCheck(in.TypeParam, u.Classes))
+				c.Checks = append(c.Checks, runtime.NewCheck(t, u.Classes))
 			}
 			c.Addr = append(c.Addr, off)
 			off += instrSize(&b.Instrs[i])
@@ -346,7 +363,7 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 // elided reports a jump the layout turned into a fallthrough.
 func elided(in *vasm.Instr) bool { return in.Op == vasm.Jmp && in.I64&1 != 0 }
 
-// typeGuard reports the ops that test a value against TypeParam.
+// typeGuard reports the ops that test a value against a guard type.
 func typeGuard(op vasm.Op) bool { return op == vasm.GuardKind || op == vasm.LdLocGK }
 
 // constValue materializes one constant-pool entry.

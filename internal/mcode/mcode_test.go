@@ -237,8 +237,9 @@ func unitWith(in vasm.Instr) *vasm.Unit {
 			{ID: 1, Instrs: []vasm.Instr{exit}},
 			{ID: 2, Instrs: []vasm.Instr{ret}},
 		},
-		Imms:   []vasm.ImmValue{{Kind: types.KInt, I: 1}},
-		Tables: []vasm.JumpTable{{Base: 0, Targets: []int{1, 2}, Default: 2}},
+		Imms:       []vasm.ImmValue{{Kind: types.KInt, I: 1}},
+		Tables:     []vasm.JumpTable{{Base: 0, Targets: []int{1, 2}, Default: 2}},
+		GuardTypes: []types.Type{types.TInt},
 	}
 }
 
@@ -264,10 +265,10 @@ func TestAssembleRejectsBadTargets(t *testing.T) {
 		{"jcc-fallthrough", with(vasm.Jcc, func(in *vasm.Instr) { in.A, in.Target1, in.Target2 = 0, 2, bad })},
 		{"cmpi+jcc", with(vasm.CmpIJcc, func(in *vasm.Instr) { in.Target1, in.Target2 = 2, bad })},
 		{"cmpd+jcc", with(vasm.CmpDJcc, func(in *vasm.Instr) { in.Target1, in.Target2 = bad, 2 })},
-		{"guardkind", with(vasm.GuardKind, func(in *vasm.Instr) { in.A, in.TypeParam, in.Target1 = 0, types.TInt, bad })},
+		{"guardkind", with(vasm.GuardKind, func(in *vasm.Instr) { in.A, in.Target1, in.Target2 = 0, bad, 0 })},
 		{"guardcls", with(vasm.GuardCls, func(in *vasm.Instr) { in.A, in.Target1 = 0, bad })},
 		{"guardshape", with(vasm.GuardShape, func(in *vasm.Instr) { in.A, in.Target1 = 0, bad })},
-		{"ldloc+guardkind", with(vasm.LdLocGK, func(in *vasm.Instr) { in.D, in.TypeParam, in.Target1 = 0, types.TInt, bad })},
+		{"ldloc+guardkind", with(vasm.LdLocGK, func(in *vasm.Instr) { in.D, in.Target1, in.Target2 = 0, bad, 0 })},
 		{"divd-catch", with(vasm.DivD, func(in *vasm.Instr) { in.Target1 = bad })},
 		{"ldpropic-catch", with(vasm.LdPropIC, func(in *vasm.Instr) { in.Target1 = bad })},
 		{"stpropic-catch", with(vasm.StPropIC, func(in *vasm.Instr) { in.Target1 = bad })},
@@ -278,6 +279,9 @@ func TestAssembleRejectsBadTargets(t *testing.T) {
 		{"callbuiltin-catch", with(vasm.CallBuiltin, func(in *vasm.Instr) { in.Str, in.Target1 = "count", bad })},
 		{"jmptable-index", with(vasm.JmpTable, func(in *vasm.Instr) { in.A, in.I64 = 0, 1 })},
 		{"ldimm", with(vasm.LdImm, func(in *vasm.Instr) { in.D, in.I64 = 0, 1 })},
+		// A guard's type index past the unit's guard types.
+		{"guardkind-type", with(vasm.GuardKind, func(in *vasm.Instr) { in.A, in.Target1, in.Target2 = 0, 1, 1 })},
+		{"ldloc+guardkind-type", with(vasm.LdLocGK, func(in *vasm.Instr) { in.D, in.Target1, in.Target2 = 0, 1, -1 })},
 		{"ldimm+addi", with(vasm.LdImmAddI, func(in *vasm.Instr) { in.I64 = 1 << 16 })},
 		{"ldimm+cmpi", with(vasm.LdImmCmpI, func(in *vasm.Instr) { in.I64 = 1<<16 | 4 })},
 		// Registers: a virtual register that survived allocation, the

@@ -35,9 +35,9 @@ func Fuse(u *Unit) int {
 					j++
 				}
 				if n := j - i; n >= 2 {
-					regs := make([]Reg, 0, n)
-					for _, c := range ins[i:j] {
-						regs = append(regs, c.A)
+					regs := u.mem.regs.Window(n)
+					for k, c := range ins[i:j] {
+						regs[k] = c.A
 					}
 					f := nzInstr(fusedFrom(cur.Op))
 					f.Args = regs
@@ -73,7 +73,7 @@ func fusePair(a, b *Instr) (Instr, bool) {
 		// Load a local and guard the loaded value's kind.
 		return Instr{
 			Op: op, D: a.D, A: InvalidReg, B: InvalidReg,
-			I64: a.I64, TypeParam: b.TypeParam, Target1: b.Target1,
+			I64: a.I64, Target1: b.Target1, Target2: b.Target2,
 		}, true
 	case op == LdImmAddI && (b.A == a.D || b.B == a.D):
 		// Materialize a constant consumed immediately by integer add.

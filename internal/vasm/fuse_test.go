@@ -3,7 +3,6 @@ package vasm_test
 import (
 	"testing"
 
-	"repro/internal/types"
 	"repro/internal/vasm"
 )
 
@@ -39,7 +38,7 @@ func TestFusePatterns(t *testing.T) {
 	inv := vasm.InvalidReg
 	u := block(
 		vasm.Instr{Op: vasm.LdLoc, D: 1, A: inv, B: inv, I64: 3},
-		vasm.Instr{Op: vasm.GuardKind, D: inv, A: 1, B: inv, TypeParam: types.TInt, Target1: 7},
+		vasm.Instr{Op: vasm.GuardKind, D: inv, A: 1, B: inv, Target1: 7, Target2: 5},
 		vasm.Instr{Op: vasm.LdImm, D: 2, A: inv, B: inv, I64: 5},
 		vasm.Instr{Op: vasm.AddI, D: 3, A: 1, B: 2},
 		vasm.Instr{Op: vasm.CmpI, D: 4, A: 3, B: 1, I64: 2},
@@ -53,7 +52,7 @@ func TestFusePatterns(t *testing.T) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
 	ins := u.Blocks[0].Instrs
-	if ins[0].I64 != 3 || ins[0].TypeParam != types.TInt || ins[0].Target1 != 7 {
+	if ins[0].I64 != 3 || ins[0].Target1 != 7 || ins[0].Target2 != 5 {
 		t.Errorf("LdLocGK lost payload: %+v", ins[0])
 	}
 	// LdImmAddI packs the immediate pool index above bit 16 and the
@@ -105,7 +104,7 @@ func TestFuseRequiresDataflowAdjacency(t *testing.T) {
 		{ID: 0, Instrs: []vasm.Instr{
 			// GuardKind checks a different register than LdLoc wrote.
 			{Op: vasm.LdLoc, D: 1, A: inv, B: inv, I64: 0},
-			{Op: vasm.GuardKind, D: inv, A: 2, B: inv, TypeParam: types.TInt},
+			{Op: vasm.GuardKind, D: inv, A: 2, B: inv},
 			// CmpI's result is not what Jcc branches on.
 			{Op: vasm.CmpI, D: 3, A: 1, B: 2, I64: 1},
 			{Op: vasm.Jcc, D: inv, A: 4, B: inv, Target1: 1, Target2: 0},

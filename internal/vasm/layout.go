@@ -1,6 +1,9 @@
 package vasm
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // LayoutConfig controls code layout.
 type LayoutConfig struct {
@@ -30,7 +33,13 @@ func Layout(u *Unit, cfg LayoutConfig) {
 		from, to int
 		w        uint64
 	}
-	var edges []edge
+	nedges := 0
+	for _, b := range u.Blocks {
+		for ii := range b.Instrs {
+			b.Instrs[ii].ForEachTarget(u.Tables, func(int) { nedges++ })
+		}
+	}
+	edges := make([]edge, 0, nedges)
 	for i, b := range u.Blocks {
 		for ii := range b.Instrs {
 			b.Instrs[ii].ForEachTarget(u.Tables, func(s int) {
@@ -47,15 +56,16 @@ func Layout(u *Unit, cfg LayoutConfig) {
 	}
 
 	// Pettis-Hansen bottom-up: merge chains over edges by descending
-	// weight.
-	chainOf := make([]int, n)
-	chains := make([][]int, n)
+	// weight. A chain is a linked list of blocks (next) named by the
+	// block it started from: chainOf[b] names b's chain, and first and
+	// last end chain c (first[c] = -1 once c merged into another).
+	ints := make([]int, 4*n)
+	chainOf, next, first, last := ints[:n:n], ints[n:2*n:2*n], ints[2*n:3*n:3*n], ints[3*n:]
 	for i := 0; i < n; i++ {
-		chainOf[i] = i
-		chains[i] = []int{i}
+		chainOf[i], next[i], first[i], last[i] = i, -1, i, i
 	}
 	if cfg.ProfileGuided {
-		sort.SliceStable(edges, func(a, b int) bool { return edges[a].w > edges[b].w })
+		slices.SortStableFunc(edges, func(a, b edge) int { return cmp.Compare(b.w, a.w) })
 		for _, e := range edges {
 			if e.to == 0 {
 				continue // the entry block must stay a chain head
@@ -65,14 +75,15 @@ func Layout(u *Unit, cfg LayoutConfig) {
 				continue
 			}
 			// Merge only when from is a chain tail and to is a head.
-			if chains[cf][len(chains[cf])-1] != e.from || chains[ct][0] != e.to {
+			if last[cf] != e.from || first[ct] != e.to {
 				continue
 			}
-			chains[cf] = append(chains[cf], chains[ct]...)
-			for _, b := range chains[ct] {
+			next[last[cf]] = first[ct]
+			last[cf] = last[ct]
+			for b := first[ct]; b >= 0; b = next[b] {
 				chainOf[b] = cf
 			}
-			chains[ct] = nil
+			first[ct] = -1
 		}
 	}
 
@@ -82,73 +93,105 @@ func Layout(u *Unit, cfg LayoutConfig) {
 		weight uint64
 		blocks []int
 	}
-	var infos []chainInfo
-	for id, blocks := range chains {
-		if len(blocks) == 0 {
-			continue
-		}
+	chains := chainWindows(first, next)
+	infos := make([]chainInfo, 0, len(chains))
+	for _, blocks := range chains {
 		var w uint64
 		for _, b := range blocks {
 			if u.Blocks[b].Weight > w {
 				w = u.Blocks[b].Weight
 			}
 		}
-		infos = append(infos, chainInfo{id, w, blocks})
+		infos = append(infos, chainInfo{blocks[0], w, blocks})
 	}
 	entryChain := chainOf[0]
-	sort.SliceStable(infos, func(a, b int) bool {
-		if (infos[a].id == entryChain) != (infos[b].id == entryChain) {
-			return infos[a].id == entryChain
+	slices.SortStableFunc(infos, func(a, b chainInfo) int {
+		if (a.id == entryChain) != (b.id == entryChain) {
+			if a.id == entryChain {
+				return -1
+			}
+			return 1
 		}
-		if cfg.ProfileGuided && infos[a].weight != infos[b].weight {
-			return infos[a].weight > infos[b].weight
+		if cfg.ProfileGuided && a.weight != b.weight {
+			return cmp.Compare(b.weight, a.weight)
 		}
-		return infos[a].id < infos[b].id
+		return cmp.Compare(a.id, b.id)
 	})
 
-	var hot, cold, frozen []int
-	for _, ci := range infos {
-		for _, b := range ci.blocks {
-			switch {
-			case u.Blocks[b].Hint == HintStub:
-				frozen = append(frozen, b)
-			case cfg.SplitCold && u.Blocks[b].Hint == HintCold:
-				cold = append(cold, b)
-			default:
-				hot = append(hot, b)
+	// Hot blocks, then cold ones, then the stubs in the frozen tail.
+	class := func(b int) int {
+		switch {
+		case u.Blocks[b].Hint == HintStub:
+			return 2
+		case cfg.SplitCold && u.Blocks[b].Hint == HintCold:
+			return 1
+		}
+		return 0
+	}
+	u.Layout = make([]int, 0, n)
+	for c := 0; c < 3; c++ {
+		for _, ci := range infos {
+			for _, b := range ci.blocks {
+				if class(b) == c {
+					u.Layout = append(u.Layout, b)
+				}
 			}
 		}
 	}
-	u.Layout = append(append(hot, cold...), frozen...)
 
 	optimizeJumps(u)
+}
+
+// chainWindows lists the chains that start at each b with first[b] >=
+// 0, in order of b, following next from there. Every chain is a
+// capacity-capped window of one backing array, so appending to one
+// reallocates it instead of overwriting the next.
+func chainWindows(first, next []int) [][]int {
+	flat := make([]int, 0, len(next))
+	nchains := 0
+	for _, h := range first {
+		if h >= 0 {
+			nchains++
+		}
+	}
+	chains := make([][]int, 0, nchains)
+	for _, h := range first {
+		if h < 0 {
+			continue
+		}
+		from := len(flat)
+		for b := h; b >= 0; b = next[b] {
+			flat = append(flat, b)
+		}
+		chains = append(chains, flat[from:len(flat):len(flat)])
+	}
+	return chains
 }
 
 // optimizeJumps marks Jmp instructions whose target immediately
 // follows in the layout as fallthroughs (Nop'd), and flips Jcc
 // targets so the fallthrough successor is adjacent when possible.
 func optimizeJumps(u *Unit) {
-	posOf := make(map[int]int, len(u.Layout))
-	for pos, b := range u.Layout {
-		posOf[b] = pos
-	}
 	for pos, bi := range u.Layout {
 		b := u.Blocks[bi]
 		if len(b.Instrs) == 0 {
 			continue
 		}
+		// Layout is a permutation of the blocks: a block directly
+		// follows this one exactly when it is the next entry.
+		follows := func(target int) bool { return pos+1 < len(u.Layout) && u.Layout[pos+1] == target }
 		last := &b.Instrs[len(b.Instrs)-1]
 		switch last.Op {
 		case Jmp:
-			if p, ok := posOf[last.Target1]; ok && p == pos+1 {
+			if follows(last.Target1) {
 				// Fallthrough: the jump disappears from the encoding.
 				last.I64 = 1 // marker: zero-size fallthrough
 			}
 		case Jcc:
-			if p, ok := posOf[last.Target2]; ok && p == pos+1 {
+			if follows(last.Target2) {
 				break // already falls through on the likely path
 			}
-			if p, ok := posOf[last.Target1]; ok && p == pos+1 {
+			if follows(last.Target1) {
 				// Invert the condition so Target2 becomes the jump.
 				last.Target1, last.Target2 = last.Target2, last.Target1
 				last.I64 ^= jccInverted

@@ -11,28 +11,52 @@ import (
 // Lower translates an optimized HHIR unit into Vasm with virtual
 // registers. Exit descriptors become stub blocks in the frozen area.
 func Lower(hu *hhir.Unit) (*Unit, error) {
+	if len(hu.Blocks) == 0 || hu.Entry == nil {
+		return nil, fmt.Errorf("vasm: empty HHIR unit")
+	}
 	lw := &lowerer{
 		hu:      hu,
 		out:     &Unit{},
-		blockOf: map[*hhir.Block]int{},
-		regOf:   map[*hhir.SSATmp]Reg{},
-		stubOf:  map[*hhir.ExitDesc]int{},
+		blockOf: make([]int32, hu.NumBlockIDs()),
+		regOf:   make([]Reg, hu.NumTmpIDs()),
 	}
-	// Pre-create blocks in HHIR order (entry first).
-	ordered := append([]*hhir.Block(nil), hu.Blocks...)
-	for i, hb := range ordered {
-		vb := &Block{ID: i, Weight: hb.Weight, Hint: Hint(hb.Hint)}
-		lw.out.Blocks = append(lw.out.Blocks, vb)
-		lw.blockOf[hb] = i
+	for i := range lw.blockOf {
+		lw.blockOf[i] = -1
 	}
-	if len(ordered) == 0 || hu.Entry == nil {
-		return nil, fmt.Errorf("vasm: empty HHIR unit")
+	// Pre-create blocks in HHIR order (entry first), each with room for
+	// about what its HHIR block lowers to, all from one backing array.
+	n, exits, instrs, imms := len(hu.Blocks), 0, 0, 0
+	for _, hb := range hu.Blocks {
+		instrs += len(hb.Params) + len(hb.Instrs)
+		for _, hin := range hb.Instrs {
+			if hin.Exit != nil {
+				exits++
+			}
+			switch hin.Op {
+			case hhir.DefConstInt, hhir.DefConstDbl, hhir.DefConstBool, hhir.DefConstNull, hhir.DefConstStr:
+				imms++ // an entry in the constant pool (ldImm)
+			}
+		}
 	}
-	if lw.blockOf[hu.Entry] != 0 {
+	lw.out.Imms = make([]ImmValue, 0, imms)
+	blocks := make([]Block, n)
+	lw.out.Blocks = make([]*Block, n, n+exits)
+	lw.out.mem.instrs.Reserve(instrs + exits)
+	for i, hb := range hu.Blocks {
+		vb := &blocks[i]
+		*vb = Block{ID: i, Weight: hb.Weight, Hint: Hint(hb.Hint),
+			Instrs: lw.out.mem.instrs.Window(len(hb.Params) + len(hb.Instrs))[:0]}
+		lw.out.Blocks[i] = vb
+		lw.blockOf[hb.ID] = int32(i)
+	}
+	if lw.block(hu.Entry) != 0 {
 		return nil, fmt.Errorf("vasm: entry is not the first block")
 	}
-	lw.countEdges(ordered)
-	for i, hb := range ordered {
+	if exits > 0 {
+		lw.stubOf = make(map[*hhir.ExitDesc]int, exits)
+	}
+	lw.countEdges(hu.Blocks)
+	for i, hb := range hu.Blocks {
 		if err := lw.lowerBlock(hb, lw.out.Blocks[i]); err != nil {
 			return nil, err
 		}
@@ -43,10 +67,13 @@ func Lower(hu *hhir.Unit) (*Unit, error) {
 }
 
 type lowerer struct {
-	hu      *hhir.Unit
-	out     *Unit
-	blockOf map[*hhir.Block]int
-	regOf   map[*hhir.SSATmp]Reg
+	hu  *hhir.Unit
+	out *Unit
+	// blockOf[id] is the vasm block of the HHIR block with that ID (-1:
+	// not in the unit), regOf[id] one more than the register of the
+	// value with that ID (0: none yet).
+	blockOf []int32
+	regOf   []Reg
 	stubOf  map[*hhir.ExitDesc]int
 	nextReg Reg
 	cur     *Block
@@ -58,14 +85,17 @@ type lowerer struct {
 	moves    []move
 }
 
+// block returns the vasm block of hb, -1 when hb is not in the unit.
+func (lw *lowerer) block(hb *hhir.Block) int { return int(lw.blockOf[hb.ID]) }
+
 // countEdges fills edgesIn and soleArgs.
 func (lw *lowerer) countEdges(blocks []*hhir.Block) {
 	lw.edgesIn = make([]int, len(blocks))
 	lw.soleArgs = make([][]*hhir.SSATmp, len(blocks))
 	edge := func(to *hhir.Block, args []*hhir.SSATmp) {
 		if to != nil {
-			lw.edgesIn[lw.blockOf[to]]++
-			lw.soleArgs[lw.blockOf[to]] = args
+			lw.edgesIn[lw.block(to)]++
+			lw.soleArgs[lw.block(to)] = args
 		}
 	}
 	for _, hb := range blocks {
@@ -89,8 +119,8 @@ func (lw *lowerer) reg(t *hhir.SSATmp) Reg {
 	if t == nil {
 		return InvalidReg
 	}
-	if r, ok := lw.regOf[t]; ok {
-		return r
+	if r := lw.regOf[t.ID]; r != 0 {
+		return r - 1
 	}
 	var r Reg
 	if src := lw.sameValue(t); src != nil {
@@ -99,7 +129,7 @@ func (lw *lowerer) reg(t *hhir.SSATmp) Reg {
 	} else {
 		r = lw.fresh()
 	}
-	lw.regOf[t] = r
+	lw.regOf[t.ID] = r + 1
 	return r
 }
 
@@ -115,7 +145,7 @@ func (lw *lowerer) sameValue(t *hhir.SSATmp) *hhir.SSATmp {
 	}
 	// The entry block's parameters come from the frame, whatever jumps
 	// back to it.
-	if bi, ok := lw.blockOf[t.DefBlock]; ok && bi != 0 && lw.edgesIn[bi] == 1 {
+	if bi := lw.block(t.DefBlock); bi > 0 && lw.edgesIn[bi] == 1 {
 		for i, p := range t.DefBlock.Params {
 			if p == t && i < len(lw.soleArgs[bi]) {
 				return lw.soleArgs[bi][i]
@@ -135,7 +165,9 @@ func (lw *lowerer) emit(in Instr) {
 	lw.cur.Instrs = append(lw.cur.Instrs, in)
 }
 
-// stub returns (creating if needed) the stub block for an exit.
+// stub returns (creating if needed) the stub block for an exit. The
+// block, its instruction and its descriptor are cut from the unit's
+// slabs: Allocate rewrites every descriptor into one of its own.
 func (lw *lowerer) stub(ex *hhir.ExitDesc) int {
 	if ex == nil {
 		return -1
@@ -143,17 +175,18 @@ func (lw *lowerer) stub(ex *hhir.ExitDesc) int {
 	if id, ok := lw.stubOf[ex]; ok {
 		return id
 	}
-	vb := &Block{ID: len(lw.out.Blocks), Hint: HintStub}
-	lw.out.Blocks = append(lw.out.Blocks, vb)
+	u := lw.out
+	vb := u.mem.blocks.One()
+	vb.ID, vb.Hint = len(u.Blocks), HintStub
+	u.Blocks = append(u.Blocks, vb)
 	lw.stubOf[ex] = vb.ID
-	info := &ExitInfo{BCOff: ex.BCOff, IsCatch: ex.IsCatch}
-	for _, t := range ex.Stack {
-		info.StackRegs = append(info.StackRegs, lw.reg(t))
-	}
+	info := u.mem.exits.One()
+	info.BCOff, info.IsCatch = ex.BCOff, ex.IsCatch
+	info.StackRegs = lw.regs(ex.Stack)
 	info.Inline = lw.inlineInfo(ex.Inline)
-	exit := nzInstr(Exit)
-	exit.Ex = info
-	vb.Instrs = append(vb.Instrs, exit)
+	vb.Instrs = u.mem.instrs.Window(1)
+	vb.Instrs[0] = nzInstr(Exit)
+	vb.Instrs[0].Ex = info
 	return vb.ID
 }
 
@@ -162,7 +195,8 @@ func (lw *lowerer) inlineInfo(ic *hhir.InlineCtx) *InlineInfo {
 	if ic == nil {
 		return nil
 	}
-	ii := &InlineInfo{
+	ii := lw.out.mem.inlines.One()
+	*ii = InlineInfo{
 		FuncID:     ic.Callee.ID,
 		LocalsBase: ic.LocalsBase,
 		ThisReg:    InvalidReg,
@@ -172,9 +206,7 @@ func (lw *lowerer) inlineInfo(ic *hhir.InlineCtx) *InlineInfo {
 	if ic.This != nil {
 		ii.ThisReg = lw.reg(ic.This)
 	}
-	for _, t := range ic.CallerStack {
-		ii.CallerStackRegs = append(ii.CallerStackRegs, lw.reg(t))
-	}
+	ii.CallerStackRegs = lw.regs(ic.CallerStack)
 	return ii
 }
 
@@ -366,7 +398,7 @@ var lowerTable = [hhir.OpcodeCount]lowerRow{
 func (lw *lowerer) lowerBlock(hb *hhir.Block, vb *Block) error {
 	lw.cur = vb
 	// Entry-block params come from the frame's eval stack.
-	if lw.blockOf[hb] == 0 {
+	if lw.block(hb) == 0 {
 		for d, p := range hb.Params {
 			in := nzInstr(LdStk)
 			in.D = lw.reg(p)
@@ -400,12 +432,10 @@ func (lw *lowerer) helper(h HelperID, extra int64, str string, d Reg, catchStub 
 	lw.emit(in)
 }
 
-// regs returns the registers of ts, nil for none.
+// regs returns the registers of ts, nil for none, cut from the unit's
+// slab.
 func (lw *lowerer) regs(ts []*hhir.SSATmp) []Reg {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([]Reg, len(ts))
+	out := lw.out.mem.regs.Window(len(ts))
 	for i, t := range ts {
 		out[i] = lw.reg(t)
 	}
@@ -455,8 +485,11 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 		} else {
 			in.A = lw.reg(hin.Args[0])
 		}
-		in.TypeParam = hin.TypeParam
 		in.Target1 = lw.guardTarget(hin)
+		if row.op == GuardKind {
+			in.Target2 = len(lw.out.GuardTypes)
+			lw.out.GuardTypes = append(lw.out.GuardTypes, hin.TypeParam)
+		}
 	case formHelper:
 		in.D = lw.reg(hin.Dst)
 		in.I64 = PackHelper(row.helper, in.I64)
@@ -510,12 +543,13 @@ func (lw *lowerer) lowerByHand(hin *hhir.Instr) error {
 		// Nothing but the edge follows: its copies go right here.
 		lw.emitMoves(lw.edgeMoves(hin.Next, hin.NextArgs))
 		in := nzInstr(Jmp)
-		in.Target1 = lw.blockOf[hin.Next]
+		in.Target1 = lw.block(hin.Next)
 		lw.emit(in)
 	case hhir.SwitchInt:
 		tbl := JumpTable{Base: hin.I64, Default: lw.condEdge(hin.Taken, hin.TakenArgs)}
-		for _, t := range hin.Table {
-			tbl.Targets = append(tbl.Targets, lw.blockOf[t])
+		tbl.Targets = make([]int, len(hin.Table))
+		for i, t := range hin.Table {
+			tbl.Targets[i] = lw.block(t)
 		}
 		in := nzInstr(JmpTable)
 		in.A = lw.reg(hin.Args[0])
@@ -562,13 +596,15 @@ func (lw *lowerer) guardTarget(hin *hhir.Instr) int {
 // written on the edges into its block and nowhere else. So an edge
 // that needs copies gets a block of its own for them.
 func (lw *lowerer) condEdge(target *hhir.Block, args []*hhir.SSATmp) int {
-	to := lw.blockOf[target]
+	to := lw.block(target)
 	moves := lw.edgeMoves(target, args)
 	if len(moves) == 0 {
 		return to
 	}
 	vt := lw.out.Blocks[to]
-	vb := &Block{ID: len(lw.out.Blocks), Weight: vt.Weight, Hint: vt.Hint}
+	vb := lw.out.mem.blocks.One()
+	*vb = Block{ID: len(lw.out.Blocks), Weight: vt.Weight, Hint: vt.Hint,
+		Instrs: lw.out.mem.instrs.Window(len(moves) + 2)[:0]}
 	lw.out.Blocks = append(lw.out.Blocks, vb)
 	saved := lw.cur
 	lw.cur = vb

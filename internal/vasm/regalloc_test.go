@@ -107,7 +107,7 @@ func TestFarExitStubLeavesAHole(t *testing.T) {
 	b0 := &vasm.Block{ID: 0}
 	emit := func(in vasm.Instr) { b0.Instrs = append(b0.Instrs, in) }
 	emit(ins(vasm.LdLoc, 0, none, none, i64(0)))
-	emit(ins(vasm.GuardKind, none, 0, none, to(1), func(in *vasm.Instr) { in.TypeParam = types.TInt }))
+	emit(ins(vasm.GuardKind, none, 0, none, to(1), func(in *vasm.Instr) { in.Target2 = 0 }))
 	for v := vasm.Reg(1); v <= 12; v++ {
 		emit(ins(vasm.LdLoc, v, none, none, i64(int64(v))))
 	}
@@ -117,7 +117,7 @@ func TestFarExitStubLeavesAHole(t *testing.T) {
 		sum = 20 + v
 	}
 	emit(ins(vasm.Ret, none, sum, none))
-	u := &vasm.Unit{Blocks: []*vasm.Block{b0, exitStub(1, 9, 0)}}
+	u := &vasm.Unit{Blocks: []*vasm.Block{b0, exitStub(1, 9, 0)}, GuardTypes: []types.Type{types.TInt}}
 	allocate(t, u)
 	if u.Alloc.Spilled != 0 || u.Alloc.MaxPressure != 12 {
 		t.Fatalf("%s; want no spills at pressure 12\n%s", u.Alloc, u)
@@ -277,7 +277,7 @@ func spillUnit() *vasm.Unit {
 		vals = append(vals, v)
 	}
 	emit(ins(vasm.LdLoc, 30, none, none, i64(0)))
-	emit(ins(vasm.GuardKind, none, 30, none, to(1), func(in *vasm.Instr) { in.TypeParam = types.TInt }))
+	emit(ins(vasm.GuardKind, none, 30, none, to(1), func(in *vasm.Instr) { in.Target2 = 0 }))
 	emit(ins(vasm.CallBuiltin, 31, none, none, args(slices.Clone(vals)...), func(in *vasm.Instr) { in.Str = "max" }))
 	sum := vasm.Reg(31)
 	for v := vasm.Reg(0); v < n; v++ {
@@ -286,6 +286,7 @@ func spillUnit() *vasm.Unit {
 	}
 	emit(ins(vasm.Ret, none, sum, none))
 	u.Blocks = []*vasm.Block{b0, exitStub(1, 3, slices.Clone(vals)...)}
+	u.GuardTypes = []types.Type{types.TInt}
 	return u
 }
 

@@ -35,8 +35,7 @@ func TestLowerTableCoversEveryOpcode(t *testing.T) {
 			err := func() (err error) {
 				defer func() { recover() }()
 				hu := hhir.NewUnit(nil)
-				lw := &lowerer{hu: hu, out: &Unit{Blocks: []*Block{{}}}, cur: &Block{},
-					blockOf: map[*hhir.Block]int{}, regOf: map[*hhir.SSATmp]Reg{}, stubOf: map[*hhir.ExitDesc]int{}}
+				lw := &lowerer{hu: hu, out: &Unit{Blocks: []*Block{{}}}, cur: &Block{}}
 				return lw.lowerByHand(&hhir.Instr{Op: o})
 			}()
 			if err != nil && strings.Contains(err.Error(), "cannot lower") {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/region"
 	"repro/internal/runtime"
+	"repro/internal/slab"
 	"repro/internal/types"
 )
 
@@ -44,7 +45,7 @@ const (
 
 	// Guards: kind/class tests that jump to Target1 (a stub or chain
 	// block) on failure.
-	GuardKind // fail unless kind(A) within TypeParam
+	GuardKind // fail unless kind(A) within Unit.GuardTypes[Target2]
 	GuardCls  // fail unless A is an object of class id I64
 
 	// Arithmetic on cells.
@@ -114,7 +115,7 @@ const (
 	// static cost are the sums of the components', so code-cache
 	// addresses and the guest cycle ledger are unchanged. None are
 	// smashable, and only the *Jcc forms and LdLocGK transfer control.
-	LdLocGK   // LdLoc(D <- local I64) + GuardKind(D within TypeParam, fail ->Target1)
+	LdLocGK   // LdLoc(D <- local I64) + GuardKind(D within GuardTypes[Target2], fail ->Target1)
 	LdImmAddI // LdImm(reg Target2 <- Imms[I64>>16]) + AddI(D <- A+B)
 	LdImmCmpI // LdImm(reg Target2 <- Imms[I64>>16]) + CmpI(D <- A <cond I64&0xff> B)
 	CmpIJcc   // CmpI(D <- A <cond I64&0xff> B) + Jcc(D: Target1/Target2; I64&0x100 = inverted)
@@ -243,13 +244,14 @@ type InlineInfo struct {
 
 // Instr is one Vasm instruction.
 type Instr struct {
-	Op        Op
-	D, A, B   Reg
-	Args      []Reg
-	I64       int64
-	Str       string
-	TypeParam types.Type
-	// Target1/Target2 are block indices within the unit.
+	Op      Op
+	D, A, B Reg
+	Args    []Reg
+	I64     int64
+	Str     string
+	// Target1/Target2 are block indices within the unit, but for the
+	// type guards (GuardKind, LdLocGK) Target2 indexes Unit.GuardTypes —
+	// and, once assembled, mcode.Code.Checks.
 	Target1, Target2 int
 	Ex               *ExitInfo
 }
@@ -404,6 +406,24 @@ type Unit struct {
 	// is entered, and the linked classes a guard's type may name.
 	Entry   []region.Guard
 	Classes map[string]*runtime.Class
+	// GuardTypes holds the type each GuardKind or LdLocGK tests, indexed
+	// by the guard's Target2: kept out of Instr, whose every copy would
+	// carry it.
+	GuardTypes []types.Type
+
+	mem unitSlabs
+}
+
+// unitSlabs is what dies with a unit, cut from its slabs: the blocks
+// Lower adds for exit stubs and edge copies, every block's
+// instructions, the stubs' descriptors (Allocate rewrites each into one
+// of its own) and operand lists (Assemble copies the ones it keeps).
+type unitSlabs struct {
+	blocks  slab.Slab[Block]
+	instrs  slab.Slab[Instr]
+	exits   slab.Slab[ExitInfo]
+	inlines slab.Slab[InlineInfo]
+	regs    slab.Slab[Reg]
 }
 
 // Order returns the block order code is emitted in: Layout once it

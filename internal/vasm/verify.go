@@ -12,6 +12,8 @@ import (
 // what went in.
 func (u *Unit) Clone() *Unit {
 	c := *u
+	c.mem = unitSlabs{} // the clone cuts nothing from the original's chunks
+	c.GuardTypes = slices.Clone(u.GuardTypes)
 	c.Layout = slices.Clone(u.Layout)
 	c.RegOf = slices.Clone(u.RegOf)
 	c.Blocks = make([]*Block, len(u.Blocks))
@@ -222,7 +224,7 @@ func VerifyAllocation(before, after *Unit) error {
 			}
 			want.A, want.B, want.D = operand(want.A, scratch0), operand(want.B, scratch1), operand(want.D, scratch0)
 			if in.Op != want.Op || in.A != want.A || in.B != want.B || in.D != want.D ||
-				in.I64 != want.I64 || in.Str != want.Str || in.TypeParam != want.TypeParam ||
+				in.I64 != want.I64 || in.Str != want.Str ||
 				in.Target1 != want.Target1 || in.Target2 != want.Target2 {
 				return bad(i, "rewritten as %s, want %s", in, &want)
 			}
