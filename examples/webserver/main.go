@@ -7,20 +7,20 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/server"
+	"repro/internal/perflab"
 )
 
 func main() {
-	cfg := server.DefaultConfig()
+	cfg := perflab.DefaultServerConfig()
 	cfg.Minutes = 24
 	cfg.CyclesPerMinute = 1_500_000
 	fmt.Println("simulating a server restart (events: A=profiling done, C=optimized code published, D=code cache full)")
-	res, err := server.Simulate(cfg)
+	res, err := perflab.Simulate(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	server.Report(os.Stdout, res)
+	perflab.ReportTimeline(os.Stdout, res)
 
 	// A tiny ASCII plot of the RPS curve.
 	fmt.Println("\nRPS relative to steady state:")

@@ -25,45 +25,32 @@ func regionGuards(eng *core.Engine) (hhir.BuildStats, hhir.OptStats) {
 	return guards, loads
 }
 
-// TestSiteGuestCycleBudget: the 14-endpoint round-robin site, warmed to
-// the optimized tier, stays under a pinned guest-cycle ceiling per
-// request. The count repeats bit for bit, so the ceiling sits ~1% above
-// today's value (21,916.1; 23,143.5 before ConcatN and ConcatL, 25,161.4
-// before loads were forwarded across region blocks, 31,417.6 before the
-// region-wide type flow, DESIGN.md §6): a change that gives back what the flow, the forwarding or the
-// allocator won fails here rather than in a ledger run. CI appends the
-// logged line to the job summary.
+// TestSiteGuestCycleBudget: on the 14-endpoint round-robin site, warmed
+// to the optimized tier, the region-wide type flow proves guards and
+// load forwarding carries values across joins. The site's exact guest
+// cycles per request are pinned by perflab's TestBaseline
+// (internal/perflab/testdata/baseline.json); this test logs the cycles
+// of its own protocol beside what the flow and the forwarding did.
 func TestSiteGuestCycleBudget(t *testing.T) {
 	eng, eps, err := perflab.NewEngine(jit.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass := func() {
-		for _, ep := range eps {
-			if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for i := 0; i < 40; i++ {
-		pass()
+	if err := perflab.Warm(eng, eps, 40, nil); err != nil {
+		t.Fatal(err)
 	}
 	if !eng.VM.JIT.Optimized() {
 		t.Fatal("warm-up did not reach the optimized tier")
 	}
 	const passes = 5
 	before := eng.Cycles()
-	for i := 0; i < passes; i++ {
-		pass()
+	if err := perflab.Warm(eng, eps, passes, nil); err != nil {
+		t.Fatal(err)
 	}
 	perReq := float64(eng.Cycles()-before) / float64(passes*len(eps))
 
 	guards, loads := regionGuards(eng)
-	t.Logf("site guest cycles: %.1f per warmed request (budget %d); guards: %s; loads: %s",
-		perReq, siteCycleBudget, guards, loads)
-	if perReq > siteCycleBudget {
-		t.Errorf("a warmed site request costs %.1f guest cycles, budget %d", perReq, siteCycleBudget)
-	}
+	t.Logf("site guest cycles: %.1f per warmed request; guards: %s; loads: %s", perReq, guards, loads)
 	if guards.GuardsProven == 0 || guards.ParamsNarrowed == 0 {
 		t.Errorf("the type flow proved nothing on the site: %+v", guards)
 	}
@@ -71,8 +58,6 @@ func TestSiteGuestCycleBudget(t *testing.T) {
 		t.Errorf("no load was forwarded across a join on the site: %+v", loads)
 	}
 }
-
-const siteCycleBudget = 21590
 
 // flowViolationSrc breaks what loop headers assume: every accumulator
 // starts Int and is retyped in the loop body, one of them only on some

@@ -1,12 +1,8 @@
 package core_test
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"io"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -14,7 +10,6 @@ import (
 	"repro/internal/jit"
 	"repro/internal/perflab"
 	"repro/internal/vasm"
-	"repro/internal/workload"
 )
 
 // verifyAllocations runs vasm.VerifyAllocation over every unit eng
@@ -37,21 +32,6 @@ func verifyAllocations(t *testing.T, eng *core.Engine) {
 	})
 }
 
-// warmSite serves the site's endpoints until the optimized tier is in.
-func warmSite(t *testing.T, eng *core.Engine, eps []workload.Endpoint) {
-	t.Helper()
-	for i := 0; i < 40; i++ {
-		for _, ep := range eps {
-			if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if !eng.VM.JIT.Optimized() {
-		t.Fatal("warm-up did not reach the optimized tier")
-	}
-}
-
 // TestSiteAllocation: every translation of the site workload verifies,
 // and on its optimized translations the allocator all but never falls
 // back to a spill slot — exact register pressure on this site stays at
@@ -63,7 +43,12 @@ func TestSiteAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyAllocations(t, eng)
-	warmSite(t, eng, eps)
+	if err := perflab.Warm(eng, eps, 40, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !eng.VM.JIT.Optimized() {
+		t.Fatal("warm-up did not reach the optimized tier")
+	}
 	var total vasm.AllocStats
 	translations, elided := 0, 0
 	eng.VM.JIT.ForEachTranslation(func(tr *jit.Translation) {
@@ -160,46 +145,4 @@ echo spill(7), "\n";
 				name, spilled, spilledArgs, spilledStack)
 		}
 	}
-}
-
-// TestSiteIRDigest logs one SHA-256 over the optimized HHIR and the
-// register-allocated vasm of every translation the site workload
-// compiles on its way to the optimized tier (profiling and live
-// translations included), ordered by (function, entry pc, text). A
-// change that claims to leave the compiler's output alone shows the
-// same digest at its parent and at itself; CI prints it in the size
-// summary.
-func TestSiteIRDigest(t *testing.T) {
-	eng, eps, err := perflab.NewEngine(jit.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	type unitText struct {
-		fn, pc int
-		text   string
-	}
-	var mu sync.Mutex
-	var units []unitText
-	eng.VM.JIT.SetAllocationCheck(func(hu *hhir.Unit, _, after *vasm.Unit) {
-		u := unitText{hu.Func.ID, hu.Entry.BCStart, hu.String() + after.String()}
-		mu.Lock()
-		units = append(units, u)
-		mu.Unlock()
-	})
-	warmSite(t, eng, eps)
-	sort.Slice(units, func(a, b int) bool {
-		x, y := units[a], units[b]
-		if x.fn != y.fn {
-			return x.fn < y.fn
-		}
-		if x.pc != y.pc {
-			return x.pc < y.pc
-		}
-		return x.text < y.text
-	})
-	sum := sha256.New()
-	for _, u := range units {
-		io.WriteString(sum, u.text)
-	}
-	t.Logf("site IR digest: %x over %d translations", sum.Sum(nil), len(units))
 }

@@ -24,12 +24,8 @@ func TestChainedProofsHoldOnTheSite(t *testing.T) {
 			t.Fatal(err)
 		}
 		jit.AuditProofs(true)
-		for i := 0; i < 30; i++ {
-			for _, ep := range eps {
-				if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {
-					t.Fatalf("%v: %s: %v", mode, ep.Name, err)
-				}
-			}
+		if err := perflab.Warm(eng, eps, 30, nil); err != nil {
+			t.Fatalf("%v: %v", mode, err)
 		}
 		checked, failed := jit.AuditProofs(false)
 		t.Logf("%v: %d proven guards skipped, %d of them false", mode, checked, failed)

@@ -507,7 +507,7 @@ func (j *JIT) Stats() Stats {
 // compiles, as it entered register allocation (a clone) and as it
 // left, so the differential suites can run vasm.VerifyAllocation on
 // exactly the code they execute, together with the optimized HHIR it
-// was lowered from (core.TestSiteIRDigest fingerprints both). Compiles
+// was lowered from (perflab.TestBaseline fingerprints both). Compiles
 // call fn under the write lease, one at a time. Call before the engine
 // serves requests.
 func (j *JIT) SetAllocationCheck(fn func(hu *hhir.Unit, before, after *vasm.Unit)) {

@@ -1,27 +1,130 @@
-// Package experiments regenerates every measurement in the paper's
-// evaluation section (Figures 8-11 plus the in-text §6.1 numbers) on
-// the synthetic endpoint suite. Each experiment returns the same rows
-// or series the paper reports; EXPERIMENTS.md records paper-vs-
-// measured values.
-package experiments
+package perflab
+
+// The paper's evaluation (Figures 8-11, the in-text §6.1 numbers) and
+// the acceptance experiments; EXPERIMENTS.md records paper vs measured.
 
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"repro/internal/faultinject"
 	"repro/internal/jit"
-	"repro/internal/perflab"
-	"repro/internal/server"
 	"repro/internal/vm"
 )
 
-// Quick reduces warmup/measure volume for fast runs (tests, benches).
-var Quick = perflab.Config{WarmupRequests: 30, MeasureRequests: 6}
+// Session is one cmd/bench invocation: where the experiments report,
+// at which volume, and the rows they leave for -json.
+type Session struct {
+	Out   io.Writer
+	Quick bool
+	// FaultSeed and FaultRate drive the faults experiment's injector.
+	FaultSeed int64
+	FaultRate float64
+	// JSON holds the machine-readable rows (fig8, faults) of the
+	// experiments that ran; the others stay null.
+	JSON struct {
+		Fig8   []Fig8Row     `json:"fig8,omitempty"`
+		Faults *FaultsResult `json:"faults,omitempty"`
+	}
+}
 
-// Full matches the defaults.
-var Full = perflab.Config{WarmupRequests: 60, MeasureRequests: 15}
+func (s *Session) volume() Config {
+	if s.Quick {
+		return Quick
+	}
+	return Full
+}
+
+// Experiment is one entry of the table cmd/bench runs.
+type Experiment struct {
+	Name string
+	Run  func(*Session) error
+}
+
+// Experiments lists every experiment in the order `-exp all` runs them.
+var Experiments = []Experiment{
+	{"fig8", func(s *Session) error {
+		rows, err := Fig8(s.volume())
+		if err == nil {
+			ReportFig8(s.Out, rows)
+			s.JSON.Fig8 = rows
+		}
+		return err
+	}},
+	{"fig9", func(s *Session) error {
+		res, err := Simulate(DefaultServerConfig())
+		if err == nil {
+			ReportTimeline(s.Out, res)
+		}
+		return err
+	}},
+	{"jumpstart", func(s *Session) error {
+		cfg := DefaultServerConfig()
+		if s.Quick {
+			cfg.Minutes, cfg.CyclesPerMinute = 20, 1_200_000
+		}
+		c, err := Jumpstart(cfg)
+		if err == nil {
+			ReportJumpstart(s.Out, c)
+		}
+		return err
+	}},
+	{"faults", func(s *Session) error {
+		res, err := Faults(s.volume(), s.FaultSeed, s.FaultRate)
+		if err != nil {
+			return err
+		}
+		ReportFaults(s.Out, res)
+		s.JSON.Faults = res
+		if !res.OutputsMatch {
+			return fmt.Errorf("faulty outputs diverged from JIT-disabled reference")
+		}
+		if res.SlowdownPct > 25 {
+			return fmt.Errorf("faulty run %.1f%% slower than baseline (budget 25%%)", res.SlowdownPct)
+		}
+		return nil
+	}},
+	{"fig10", func(s *Session) error {
+		rows, err := Fig10(s.volume())
+		if err == nil {
+			ReportFig10(s.Out, rows)
+		}
+		return err
+	}},
+	{"fig11", func(s *Session) error {
+		rows, err := Fig11(s.volume(), nil)
+		if err == nil {
+			ReportFig11(s.Out, rows)
+		}
+		return err
+	}},
+}
+
+// Select returns the experiments a comma-separated list names, in
+// table order; "all" names every one. A name the table lacks is an
+// error that lists the valid ones.
+func Select(list string) ([]Experiment, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		want[strings.TrimSpace(name)] = true
+	}
+	names := []string{"all"}
+	var sel []Experiment
+	for _, e := range Experiments {
+		if want["all"] || want[e.Name] {
+			sel = append(sel, e)
+		}
+		delete(want, e.Name)
+		names = append(names, e.Name)
+	}
+	delete(want, "all")
+	if len(want) > 0 {
+		return nil, fmt.Errorf("-exp %q names an unknown experiment (valid: %s)", list, strings.Join(names, ", "))
+	}
+	return sel, nil
+}
 
 // ---------- Figure 8: execution modes ----------
 
@@ -37,14 +140,14 @@ type Fig8Row struct {
 }
 
 // Fig8 measures all four execution modes.
-func Fig8(pc perflab.Config) ([]Fig8Row, error) {
+func Fig8(pc Config) ([]Fig8Row, error) {
 	modes := []jit.Mode{jit.ModeInterp, jit.ModeTracelet, jit.ModeProfiling, jit.ModeRegion}
 	rows := make([]Fig8Row, 0, len(modes))
 	var regionMean float64
 	for _, m := range modes {
 		cfg := jit.DefaultConfig()
 		cfg.Mode = m
-		r, err := perflab.Measure(cfg, pc)
+		r, err := Measure(cfg, pc)
 		if err != nil {
 			return nil, fmt.Errorf("fig8 %s: %w", m, err)
 		}
@@ -73,40 +176,29 @@ func ReportFig8(w io.Writer, rows []Fig8Row) {
 	}
 }
 
-// ---------- Figure 9: startup ----------
-
-// Fig9 runs the server restart timeline.
-func Fig9() (*server.Result, error) {
-	return server.Simulate(server.DefaultConfig())
-}
-
 // ---------- Jumpstart: warm-start restart vs cold restart ----------
 
 // JumpstartComparison holds the cold and warm restart timelines under
 // identical seed and configuration.
 type JumpstartComparison struct {
-	Cold, Warm *server.Result
+	Cold, Warm *Timeline
 }
 
 // Jumpstart replays the Figure 9 restart twice with the same seed and
 // config: once cold (live profiling, global trigger) and once
 // jumpstarted from a profile snapshot taken on a warmed donor server.
 // The headline metric is time-to-90%-of-steady-RPS.
-func Jumpstart(cfg server.Config) (*JumpstartComparison, error) {
-	if cfg.Minutes == 0 {
-		cfg = server.DefaultConfig()
-	}
-	cold, err := server.Simulate(cfg)
+func Jumpstart(cfg ServerConfig) (*JumpstartComparison, error) {
+	cold, err := Simulate(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("jumpstart cold run: %w", err)
 	}
-	snap, err := server.WarmSnapshot(cfg)
+	snap, err := WarmSnapshot(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("jumpstart donor: %w", err)
 	}
-	warmCfg := cfg
-	warmCfg.Jumpstart = snap
-	warm, err := server.Simulate(warmCfg)
+	cfg.Jumpstart = snap
+	warm, err := Simulate(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("jumpstart warm run: %w", err)
 	}
@@ -117,9 +209,9 @@ func Jumpstart(cfg server.Config) (*JumpstartComparison, error) {
 func ReportJumpstart(w io.Writer, c *JumpstartComparison) {
 	fmt.Fprintf(w, "Jumpstart — restart timeline, cold vs warm-started from a profile snapshot\n")
 	fmt.Fprintf(w, "\n--- cold restart (live profiling) ---\n")
-	server.Report(w, c.Cold)
+	ReportTimeline(w, c.Cold)
 	fmt.Fprintf(w, "\n--- jumpstarted restart (snapshot warm start) ---\n")
-	server.Report(w, c.Warm)
+	ReportTimeline(w, c.Warm)
 	fmt.Fprintf(w, "\ntime to 90%% steady RPS: cold=%s, jumpstart=%s\n",
 		fmtMinutes(c.Cold.MinutesTo90), fmtMinutes(c.Warm.MinutesTo90))
 }
@@ -141,44 +233,37 @@ type Fig10Row struct {
 }
 
 // fig10Variants lists the ablations and the paper's reported numbers.
-func fig10Variants() []struct {
+var fig10Variants = []struct {
 	name  string
 	paper float64
 	mod   func(*jit.Config)
-} {
-	return []struct {
-		name  string
-		paper float64
-		mod   func(*jit.Config)
-	}{
-		{"Inlining", 7.3, func(c *jit.Config) { c.EnableInlining = false }},
-		{"RCE", 3.4, func(c *jit.Config) { c.EnableRCE = false }},
-		{"Guard Relax.", 1.4, func(c *jit.Config) { c.EnableGuardRelax = false }},
-		{"Method Disp.", 7.2, func(c *jit.Config) { c.EnableMethodDispatch = false }},
-		{"PGO Layout", 2.8, func(c *jit.Config) { c.PGOLayout = false; c.FunctionSort = false }},
-		{"All PGO", 9.0, func(c *jit.Config) {
-			c.EnableMethodDispatch = false
-			c.PGOLayout = false
-			c.FunctionSort = false
-			c.EnableGuardRelax = false
-			c.HugePages = false
-		}},
-		{"Huge Pages", 1.6, func(c *jit.Config) { c.HugePages = false }},
-	}
+}{
+	{"Inlining", 7.3, func(c *jit.Config) { c.EnableInlining = false }},
+	{"RCE", 3.4, func(c *jit.Config) { c.EnableRCE = false }},
+	{"Guard Relax.", 1.4, func(c *jit.Config) { c.EnableGuardRelax = false }},
+	{"Method Disp.", 7.2, func(c *jit.Config) { c.EnableMethodDispatch = false }},
+	{"PGO Layout", 2.8, func(c *jit.Config) { c.PGOLayout = false; c.FunctionSort = false }},
+	{"All PGO", 9.0, func(c *jit.Config) {
+		c.EnableMethodDispatch = false
+		c.PGOLayout = false
+		c.FunctionSort = false
+		c.EnableGuardRelax = false
+		c.HugePages = false
+	}},
+	{"Huge Pages", 1.6, func(c *jit.Config) { c.HugePages = false }},
 }
 
 // Fig10 measures the slowdown from disabling each optimization.
-func Fig10(pc perflab.Config) ([]Fig10Row, error) {
-	base := jit.DefaultConfig()
-	baseline, err := perflab.Measure(base, pc)
+func Fig10(pc Config) ([]Fig10Row, error) {
+	baseline, err := Measure(jit.DefaultConfig(), pc)
 	if err != nil {
 		return nil, fmt.Errorf("fig10 baseline: %w", err)
 	}
 	var rows []Fig10Row
-	for _, v := range fig10Variants() {
+	for _, v := range fig10Variants {
 		cfg := jit.DefaultConfig()
 		v.mod(&cfg)
-		r, err := perflab.Measure(cfg, pc)
+		r, err := Measure(cfg, pc)
 		if err != nil {
 			return nil, fmt.Errorf("fig10 %s: %w", v.name, err)
 		}
@@ -213,12 +298,11 @@ type Fig11Row struct {
 
 // Fig11 sweeps the code-cache budget from 10% to 120% of the
 // baseline footprint; bytecode that no longer fits is interpreted.
-func Fig11(pc perflab.Config, fractions []float64) ([]Fig11Row, error) {
+func Fig11(pc Config, fractions []float64) ([]Fig11Row, error) {
 	if fractions == nil {
 		fractions = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2}
 	}
-	base := jit.DefaultConfig()
-	baseline, err := perflab.Measure(base, pc)
+	baseline, err := Measure(jit.DefaultConfig(), pc)
 	if err != nil {
 		return nil, fmt.Errorf("fig11 baseline: %w", err)
 	}
@@ -233,7 +317,7 @@ func Fig11(pc perflab.Config, fractions []float64) ([]Fig11Row, error) {
 		if cfg.CodeCacheLimit == 0 {
 			cfg.CodeCacheLimit = 1
 		}
-		r, err := perflab.Measure(cfg, pc)
+		r, err := Measure(cfg, pc)
 		if err != nil {
 			return nil, fmt.Errorf("fig11 %.0f%%: %w", f*100, err)
 		}
@@ -316,13 +400,13 @@ type RecycleEpisode struct {
 // Faults runs the fault-injection experiment: a fault-free baseline,
 // an all-faults-on run (every kind at rate), a 4-worker concurrent
 // run under the same injection, and a forced cache-recycling episode.
-func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) {
+func Faults(pc Config, seed int64, rate float64) (*FaultsResult, error) {
 	res := &FaultsResult{Seed: seed, Rate: rate, Fired: map[string]uint64{}}
 
 	// JIT-disabled reference outputs: the fidelity oracle.
 	interpCfg := jit.DefaultConfig()
 	interpCfg.Mode = jit.ModeInterp
-	ref, err := perflab.Measure(interpCfg, pc)
+	ref, err := Measure(interpCfg, pc)
 	if err != nil {
 		return nil, fmt.Errorf("faults interp reference: %w", err)
 	}
@@ -332,7 +416,7 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 	}
 
 	// Fault-free baseline.
-	base, err := perflab.Measure(jit.DefaultConfig(), pc)
+	base, err := Measure(jit.DefaultConfig(), pc)
 	if err != nil {
 		return nil, fmt.Errorf("faults baseline: %w", err)
 	}
@@ -343,7 +427,7 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 	// output) and match the interpreter bit-for-bit.
 	cfg := jit.DefaultConfig()
 	cfg.Faults = faultinject.New(faultinject.EnableAll(seed, rate))
-	faulty, err := perflab.Measure(cfg, pc)
+	faulty, err := Measure(cfg, pc)
 	if err != nil {
 		return nil, fmt.Errorf("faults injected run: %w", err)
 	}
@@ -363,20 +447,17 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 	// into a fresh engine with an in-flight corruption guaranteed to
 	// fire. The CRC-validated load must reject the snapshot whole and
 	// cold-start cleanly (no partial profile state).
-	donor, deps, err := perflab.NewEngine(jit.DefaultConfig())
+	donor, deps, err := NewEngine(jit.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("faults snapshot donor: %w", err)
 	}
-	for r := 0; r < 200 && donor.Stats().OptimizeRuns == 0; r++ {
-		for _, ep := range deps {
-			if _, _, err := perflab.RunEndpoint(donor, ep.Name); err != nil {
-				return nil, fmt.Errorf("faults snapshot donor %s: %w", ep.Name, err)
-			}
-		}
+	optimized := func() bool { return donor.Stats().OptimizeRuns > 0 }
+	if err := Warm(donor, deps, 200, optimized); err != nil {
+		return nil, fmt.Errorf("faults snapshot donor %w", err)
 	}
 	jcfg := jit.DefaultConfig()
 	jcfg.Faults = cfg.Faults // accumulate onto the same injector's counters
-	jeng, _, err := perflab.NewEngine(jcfg)
+	jeng, _, err := NewEngine(jcfg)
 	if err != nil {
 		return nil, fmt.Errorf("faults snapshot loader: %w", err)
 	}
@@ -395,16 +476,13 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 	wcfg := jit.DefaultConfig()
 	wcfg.BackgroundCompile = true
 	wcfg.Faults = faultinject.New(faultinject.EnableAll(seed+1, rate))
-	weng, eps, err := perflab.NewEngine(wcfg)
+	weng, eps, err := NewEngine(wcfg)
 	if err != nil {
 		return nil, fmt.Errorf("faults worker engine: %w", err)
 	}
 	const workers = 4
 	res.Workers = workers
 	rounds := pc.WarmupRequests + pc.MeasureRequests
-	if rounds == 0 {
-		rounds = 20
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	counts := make([]int, workers)
@@ -418,7 +496,7 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				for _, ep := range eps {
-					_, out, err := perflab.RunEndpointVM(v, ep.Name)
+					_, out, err := RunEndpointVM(v, ep.Name)
 					if err != nil {
 						errs[i] = fmt.Errorf("worker %d %s: %w", i, ep.Name, err)
 						return
@@ -446,7 +524,7 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 	// and check that recycling reopened the cache.
 	probe := jit.DefaultConfig()
 	probe.Mode = jit.ModeTracelet
-	probeRes, err := perflab.Measure(probe, pc)
+	probeRes, err := Measure(probe, pc)
 	if err != nil {
 		return nil, fmt.Errorf("faults recycle probe: %w", err)
 	}
@@ -456,13 +534,13 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 	if rcfg.CodeCacheLimit == 0 {
 		rcfg.CodeCacheLimit = 1
 	}
-	reng, reps, err := perflab.NewEngine(rcfg)
+	reng, reps, err := NewEngine(rcfg)
 	if err != nil {
 		return nil, fmt.Errorf("faults recycle engine: %w", err)
 	}
 	for r := 0; r < rounds; r++ {
 		for _, ep := range reps {
-			if _, out, err := perflab.RunEndpoint(reng, ep.Name); err != nil {
+			if _, out, err := RunEndpoint(reng, ep.Name); err != nil {
 				return nil, fmt.Errorf("faults recycle run %s: %w", ep.Name, err)
 			} else if out != refOut[ep.Name] {
 				return nil, fmt.Errorf("faults recycle run %s: output diverged", ep.Name)

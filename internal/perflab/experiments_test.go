@@ -1,11 +1,10 @@
-package experiments_test
+package perflab_test
 
 import (
 	"os"
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/jit"
 	"repro/internal/perflab"
 	"repro/internal/workload"
@@ -13,11 +12,11 @@ import (
 
 // TestFig8Shape checks the headline ordering of Figure 8.
 func TestFig8Shape(t *testing.T) {
-	rows, err := experiments.Fig8(experiments.Quick)
+	rows, err := perflab.Fig8(perflab.Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	experiments.ReportFig8(os.Stderr, rows)
+	perflab.ReportFig8(os.Stderr, rows)
 	rel := map[string]float64{}
 	for _, r := range rows {
 		rel[r.Mode] = r.RelPerf
@@ -39,11 +38,12 @@ func TestFig8Shape(t *testing.T) {
 
 // TestFig11Shape checks diminishing returns on code-size budget.
 func TestFig11Shape(t *testing.T) {
-	rows, err := experiments.Fig11(experiments.Quick, []float64{0.1, 0.4, 1.0, 1.2})
+	t.Parallel()
+	rows, err := perflab.Fig11(perflab.Quick, []float64{0.1, 0.4, 1.0, 1.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	experiments.ReportFig11(os.Stderr, rows)
+	perflab.ReportFig11(os.Stderr, rows)
 	byFrac := map[float64]float64{}
 	for _, r := range rows {
 		byFrac[r.RelCodeSize] = r.RelPerf
@@ -81,11 +81,11 @@ func TestChainAcceptance(t *testing.T) {
 	for mode, limit := range maxChainedLookupsPerReq {
 		cfg := jit.DefaultConfig()
 		cfg.Mode = mode
-		r, err := perflab.Measure(cfg, experiments.Quick)
+		r, err := perflab.Measure(cfg, perflab.Quick)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lookups := r.SteadyLookupsPerReq()
+		lookups := r.SteadyPerReq(func(s jit.Stats) uint64 { return s.Lookups })
 		t.Logf("%s: %.0f cycles/req, %.2f lookups/req", mode, r.WeightedMean, lookups)
 		if lookups <= 0 || lookups > limit {
 			t.Errorf("%s: %.2f lookups/req, want in (0, %.1f]", mode, lookups, limit)
@@ -95,14 +95,15 @@ func TestChainAcceptance(t *testing.T) {
 
 // TestFig10Directions checks every ablation slows the system down.
 func TestFig10Directions(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("fig10 is slow")
 	}
-	rows, err := experiments.Fig10(perflab.Config{WarmupRequests: 30, MeasureRequests: 5})
+	rows, err := perflab.Fig10(perflab.Config{WarmupRequests: 30, MeasureRequests: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	experiments.ReportFig10(os.Stderr, rows)
+	perflab.ReportFig10(os.Stderr, rows)
 	for _, r := range rows {
 		if r.SlowdownPct < -2.5 {
 			t.Errorf("disabling %s sped things up by %.1f%%", r.Optimization, -r.SlowdownPct)
@@ -141,7 +142,7 @@ func TestShapesAcceptance(t *testing.T) {
 		t.Fatalf("suite has %d shape_ endpoints and %d shape_mono, want %d and 1",
 			len(family), len(mono), len(shapesOffCycles))
 	}
-	pc := experiments.Quick
+	pc := perflab.Quick
 	pc.Endpoints = family
 	r, err := perflab.Measure(jit.DefaultConfig(), pc)
 	if err != nil {
@@ -150,7 +151,7 @@ func TestShapesAcceptance(t *testing.T) {
 	steady := func(r *perflab.Result, get func(jit.Stats) uint64) uint64 {
 		return get(r.JITStats) - get(r.WarmStats)
 	}
-	generic := float64(steady(r, func(s jit.Stats) uint64 { return s.GenericPropCalls })) / float64(r.MeasuredRequests)
+	generic := r.SteadyPerReq(func(s jit.Stats) uint64 { return s.GenericPropCalls })
 	t.Logf("generic prop calls/req: %.2f", generic)
 	if generic > shapesOffGenericPerReq/5 {
 		t.Errorf("generic prop calls/req %.2f, want at most %.1f (a 5x drop from %.1f)",
@@ -178,5 +179,34 @@ func TestShapesAcceptance(t *testing.T) {
 	if guards == 0 || icOps != 0 || monoGeneric != 0 {
 		t.Errorf("shape_mono alone: %d shape guards, %d IC operations, %d generic calls; want guards only",
 			guards, icOps, monoGeneric)
+	}
+}
+
+// TestSelect: cmd/bench -exp runs the experiments its list names in
+// table order, "all" runs the whole table, and a name the table lacks
+// is refused with the valid ones rather than running nothing.
+func TestSelect(t *testing.T) {
+	names := func(es []perflab.Experiment) string {
+		var s []string
+		for _, e := range es {
+			s = append(s, e.Name)
+		}
+		return strings.Join(s, ",")
+	}
+	for list, want := range map[string]string{
+		"fig8":           "fig8",
+		" faults , fig8": "fig8,faults",
+		"all":            "fig8,fig9,jumpstart,faults,fig10,fig11",
+		"fig11,all":      "fig8,fig9,jumpstart,faults,fig10,fig11",
+	} {
+		got, err := perflab.Select(list)
+		if err != nil || names(got) != want {
+			t.Errorf("Select(%q) = %q, %v; want %q", list, names(got), err, want)
+		}
+	}
+	for _, list := range []string{"fig12", "fig8,fgi8", ""} {
+		if got, err := perflab.Select(list); err == nil || !strings.Contains(err.Error(), "valid: all, fig8, fig9") {
+			t.Errorf("Select(%q) = %q, %v; want an error listing the valid names", list, names(got), err)
+		}
 	}
 }

@@ -3,7 +3,9 @@
 // one server process running the whole site (the combined endpoint
 // unit), warmed up through the JIT lifecycle, then measured by
 // replaying weighted endpoint requests and reporting the weighted
-// average per-request cost with confidence intervals.
+// average per-request cost with confidence intervals. Every experiment
+// cmd/bench runs is built on it (Experiments), and
+// testdata/baseline.json pins the site's deterministic numbers.
 package perflab
 
 import (
@@ -30,8 +32,11 @@ type Config struct {
 	Endpoints []workload.Endpoint
 }
 
-// DefaultConfig mirrors the paper's warmup-then-measure protocol.
-var DefaultConfig = Config{WarmupRequests: 40, MeasureRequests: 12}
+// Quick is the reduced volume of tests and `cmd/bench -quick`.
+var Quick = Config{WarmupRequests: 30, MeasureRequests: 6}
+
+// Full is cmd/bench's default volume.
+var Full = Config{WarmupRequests: 60, MeasureRequests: 15}
 
 // EndpointResult is the measured cost of one endpoint.
 type EndpointResult struct {
@@ -65,13 +70,13 @@ type Result struct {
 	CodeBytes uint64
 }
 
-// SteadyLookupsPerReq is the measurement-phase dispatcher Lookup rate
-// — the number direct chaining drives toward one per request.
-func (r *Result) SteadyLookupsPerReq() float64 {
+// SteadyPerReq is a counter's measurement-phase rate per request, such
+// as the dispatcher Lookup rate direct chaining drives toward one.
+func (r *Result) SteadyPerReq(get func(jit.Stats) uint64) float64 {
 	if r.MeasuredRequests == 0 {
 		return 0
 	}
-	return float64(r.JITStats.Lookups-r.WarmStats.Lookups) / float64(r.MeasuredRequests)
+	return float64(get(r.JITStats)-get(r.WarmStats)) / float64(r.MeasuredRequests)
 }
 
 // NewEngine builds a fresh engine over the combined site unit.
@@ -110,14 +115,22 @@ func RunEndpointVM(v *vm.VM, name string) (uint64, string, error) {
 	return v.Meter.Cycles - before, out.String(), err
 }
 
+// Warm serves rounds round-robin passes over eps on eng, output
+// discarded. A non-nil stop is asked before each pass and ends the
+// warm-up early once it reports true.
+func Warm(eng *core.Engine, eps []workload.Endpoint, rounds int, stop func() bool) error {
+	for r := 0; r < rounds && (stop == nil || !stop()); r++ {
+		for _, ep := range eps {
+			if _, _, err := RunEndpoint(eng, ep.Name); err != nil {
+				return fmt.Errorf("%s: %w", ep.Name, err)
+			}
+		}
+	}
+	return nil
+}
+
 // Measure runs the suite under one JIT configuration.
 func Measure(cfg jit.Config, pc Config) (*Result, error) {
-	if pc.WarmupRequests == 0 {
-		pc.WarmupRequests = DefaultConfig.WarmupRequests
-	}
-	if pc.MeasureRequests == 0 {
-		pc.MeasureRequests = DefaultConfig.MeasureRequests
-	}
 	eng, eps, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err

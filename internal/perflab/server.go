@@ -1,12 +1,12 @@
-// Package server simulates a web server resuming production traffic
-// after a restart — the Figure 9 experiment: JITed code grows as
-// profiling translations are minted (point A), the global trigger
-// recompiles everything and publishes optimized code (points B–C),
-// and requests-per-second climbs to (and transiently beyond) the
-// steady-state level as redirected fleet traffic lands on the warmed
-// server. Point D (code cache full) appears when the cache limit is
-// small enough to be hit.
-package server
+package perflab
+
+// The Figure 9 experiment: a web server resuming production traffic
+// after a restart. JITed code grows as profiling translations are
+// minted (point A), the global trigger recompiles everything and
+// publishes optimized code (points B–C), and requests-per-second
+// climbs to (and transiently beyond) the steady-state level as
+// redirected fleet traffic lands on the warmed server. Point D (code
+// cache full) appears when the cache limit is small enough to be hit.
 
 import (
 	"fmt"
@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/jit"
 	"repro/internal/jumpstart"
-	"repro/internal/perflab"
 	"repro/internal/workload"
 )
 
@@ -36,8 +35,8 @@ type Sample struct {
 	Event string
 }
 
-// Config tunes the simulation.
-type Config struct {
+// ServerConfig tunes the restart simulation.
+type ServerConfig struct {
 	// Minutes of simulated time.
 	Minutes int
 	// CyclesPerMinute is the server's compute budget per simulated
@@ -65,9 +64,9 @@ type Config struct {
 	Jumpstart *jumpstart.Snapshot
 }
 
-// DefaultConfig approximates the paper's 30-minute window.
-func DefaultConfig() Config {
-	c := Config{
+// DefaultServerConfig approximates the paper's 30-minute window.
+func DefaultServerConfig() ServerConfig {
+	c := ServerConfig{
 		Minutes:          30,
 		CyclesPerMinute:  2_500_000,
 		JIT:              jit.DefaultConfig(),
@@ -80,8 +79,8 @@ func DefaultConfig() Config {
 	return c
 }
 
-// Result is the full timeline plus steady-state calibration.
-type Result struct {
+// Timeline is the full restart timeline plus steady-state calibration.
+type Timeline struct {
 	Samples []Sample
 	// SteadyRPS is the calibrated steady-state requests/minute.
 	SteadyRPS float64
@@ -99,7 +98,7 @@ type Result struct {
 	// before getting there. Check Reached90 before treating it as a
 	// time.
 	MinutesTo90 float64
-	// JumpstartLoad reports snapshot acceptance when Config.Jumpstart
+	// JumpstartLoad reports snapshot acceptance when ServerConfig.Jumpstart
 	// was set.
 	JumpstartLoad jit.JumpstartResult
 	// Direct-chaining activity over the run: smash sites bound,
@@ -126,15 +125,12 @@ const MinutesTo90Never = -1
 // Reached90 reports whether the run ever reached 90% of steady-state
 // RPS — whether MinutesTo90 holds a real minute rather than the
 // MinutesTo90Never sentinel.
-func (r *Result) Reached90() bool { return r.MinutesTo90 != MinutesTo90Never }
+func (r *Timeline) Reached90() bool { return r.MinutesTo90 != MinutesTo90Never }
 
 // Simulate runs the restart timeline.
-func Simulate(cfg Config) (*Result, error) {
-	if cfg.Minutes == 0 {
-		cfg = DefaultConfig()
-	}
+func Simulate(cfg ServerConfig) (*Timeline, error) {
 	// Calibrate steady state with a fully warmed engine.
-	steadyEng, eps, err := perflab.NewEngine(cfg.JIT)
+	steadyEng, eps, err := NewEngine(cfg.JIT)
 	if err != nil {
 		return nil, err
 	}
@@ -150,18 +146,14 @@ func Simulate(cfg Config) (*Result, error) {
 		}
 		return eps[len(eps)-1]
 	}
-	for i := 0; i < 60; i++ {
-		for _, ep := range eps {
-			if _, _, err := perflab.RunEndpoint(steadyEng, ep.Name); err != nil {
-				return nil, err
-			}
-		}
+	if err := Warm(steadyEng, eps, 60, nil); err != nil {
+		return nil, err
 	}
 	var steadyCycles uint64
 	steadyN := 0
 	for i := 0; i < 40; i++ {
 		ep := pick(rng)
-		c, _, err := perflab.RunEndpoint(steadyEng, ep.Name)
+		c, _, err := RunEndpoint(steadyEng, ep.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -169,18 +161,15 @@ func Simulate(cfg Config) (*Result, error) {
 		steadyN++
 	}
 	steadyPerReq := float64(steadyCycles) / float64(steadyN)
-	if cfg.Utilization == 0 {
-		cfg.Utilization = 0.62
-	}
 	capacityRPS := float64(cfg.CyclesPerMinute) / steadyPerReq
 	steadyRPS := cfg.Utilization * capacityRPS
 
 	// Fresh server: replay the restart.
-	eng, _, err := perflab.NewEngine(cfg.JIT)
+	eng, _, err := NewEngine(cfg.JIT)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
+	res := &Timeline{
 		SteadyRPS: steadyRPS,
 		SteadyCodeBytes: steadyEng.Stats().BytesOptimized +
 			steadyEng.Stats().BytesLive + steadyEng.Stats().BytesProfiling,
@@ -219,7 +208,7 @@ func Simulate(cfg Config) (*Result, error) {
 		start := eng.Cycles()
 		for float64(served) < demand && eng.Cycles()-start < budget {
 			ep := pick(reqRNG)
-			if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {
+			if _, _, err := RunEndpoint(eng, ep.Name); err != nil {
 				return nil, err
 			}
 			served++
@@ -290,26 +279,20 @@ func Simulate(cfg Config) (*Result, error) {
 // persists periodically and ships to restarting peers. The donor is
 // driven with the endpoint suite until the global retranslation
 // trigger fires (bounded), so the snapshot holds a full profile.
-func WarmSnapshot(cfg Config) (*jumpstart.Snapshot, error) {
-	if cfg.Minutes == 0 {
-		cfg = DefaultConfig()
-	}
-	eng, eps, err := perflab.NewEngine(cfg.JIT)
+func WarmSnapshot(cfg ServerConfig) (*jumpstart.Snapshot, error) {
+	eng, eps, err := NewEngine(cfg.JIT)
 	if err != nil {
 		return nil, err
 	}
-	for round := 0; round < 300 && eng.Stats().OptimizeRuns == 0; round++ {
-		for _, ep := range eps {
-			if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {
-				return nil, err
-			}
-		}
+	optimized := func() bool { return eng.Stats().OptimizeRuns > 0 }
+	if err := Warm(eng, eps, 300, optimized); err != nil {
+		return nil, err
 	}
 	return eng.ProfileSnapshot(), nil
 }
 
-// Report renders the timeline.
-func Report(w io.Writer, r *Result) {
+// ReportTimeline renders the timeline.
+func ReportTimeline(w io.Writer, r *Timeline) {
 	fmt.Fprintf(w, "%6s %12s %8s %s\n", "minute", "code(bytes)", "RPS%", "event")
 	for _, s := range r.Samples {
 		fmt.Fprintf(w, "%6.0f %12d %8.1f %s\n", s.Minute, s.CodeBytes, s.RPSPct, s.Event)

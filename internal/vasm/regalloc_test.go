@@ -397,12 +397,8 @@ func siteUnits(b *testing.B) (laidOut []*vasm.Unit, build func() []*hhir.Unit) {
 	}
 	j := eng.VM.JIT
 	j.SetAllocationCheck(func(_ *hhir.Unit, before, _ *vasm.Unit) { laidOut = append(laidOut, before) })
-	for i := 0; i < 40; i++ {
-		for _, ep := range eps {
-			if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {
-				b.Fatal(err)
-			}
-		}
+	if err := perflab.Warm(eng, eps, 40, nil); err != nil {
+		b.Fatal(err)
 	}
 	if !j.Optimized() {
 		b.Fatal("warm-up did not reach the optimized tier")
