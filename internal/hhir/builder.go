@@ -8,6 +8,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/profile"
 	"repro/internal/region"
+	"repro/internal/slab"
 	"repro/internal/types"
 )
 
@@ -107,10 +108,10 @@ type regionCtx struct {
 func newRegionCtx(out *Unit, desc *region.Desc, base int) regionCtx {
 	rc := regionCtx{desc: desc, base: base, nslots: desc.Entry().Func.NumLocals}
 	n := len(desc.Blocks)
-	rc.in = make([]types.Type, n*rc.nslots)
-	rc.state = make([]uint8, n)
-	rc.hblocks = make([]*Block, n)
-	rc.chainNext = make([]int, n)
+	rc.in = out.mem.typeLists.Window(n * rc.nslots)
+	rc.state = out.mem.states.Window(n)
+	rc.hblocks = out.mem.blockLists.Window(n)
+	rc.chainNext = out.mem.ints.Window(n)
 	for i := range rc.chainNext {
 		rc.chainNext[i] = -1
 	}
@@ -124,8 +125,8 @@ func newRegionCtx(out *Unit, desc *region.Desc, base int) regionCtx {
 		hb.Weight = desc.Weight[i]
 		// Room for what a block of this size usually lowers to: a guard
 		// per precondition and about two instructions per bytecode.
-		hb.Instrs = out.instrLists.Window(len(rb.Preconds) + 2*rb.NumInstrs + 2)[:0]
-		hb.Params = out.refs.Window(rb.EntryStackDepth)
+		hb.Instrs = out.mem.instrLists.Window(len(rb.Preconds) + 2*rb.NumInstrs + 2)[:0]
+		hb.Params = out.mem.refs.Window(rb.EntryStackDepth)
 		for d := range hb.Params {
 			p := out.NewTmp(types.TBottom) // typed when the block is lowered
 			p.DefBlock = hb
@@ -154,7 +155,8 @@ type inlineState struct {
 	retBlock *Block // merge block; param 0 = return value
 }
 
-// Build lowers desc to HHIR.
+// Build lowers desc to HHIR. The unit comes from a pool of released
+// ones (Release), with their memory.
 func Build(u *hhbc.Unit, env *interp.Env, desc *region.Desc, cfg BuildConfig) (*Unit, error) {
 	if cfg.MaxInlineInstrs == 0 {
 		cfg.MaxInlineInstrs = 60
@@ -162,13 +164,14 @@ func Build(u *hhbc.Unit, env *interp.Env, desc *region.Desc, cfg BuildConfig) (*
 	if cfg.MaxInlineDepth == 0 {
 		cfg.MaxInlineDepth = 2
 	}
-	b := &builder{cfg: cfg, unit: u, env: env, fn: desc.Entry().Func}
+	b := &builder{cfg: cfg, unit: u, env: env, fn: desc.Entry().Func, out: units.Get().(*Unit)}
 	// Assume, then verify: an attempt whose late edges broke facts
 	// their targets were lowered under is thrown away and the region is
 	// lowered again without those facts (flow.go).
 	rebuilds := 0
 	for {
 		if err := b.lowerRegion(desc); err != nil {
+			Release(b.out)
 			return nil, err
 		}
 		if len(b.violated) == 0 {
@@ -182,9 +185,10 @@ func Build(u *hhbc.Unit, env *interp.Env, desc *region.Desc, cfg BuildConfig) (*
 	b.stats.Rebuilds = rebuilds
 	b.out.Stats = b.stats
 	b.out.ExtFrameSlots = len(b.localTypes)
+	b.out.mem.locals = b.localTypes // inlining may have grown it
 	if len(desc.Blocks) == 1 && len(b.localTypes) == b.fn.NumLocals && !cfg.Profiling {
 		b.out.EndLocals = b.localTypes
-		b.out.EndStack = make([]types.Type, len(b.stack))
+		b.out.EndStack = b.out.mem.typeLists.Window(len(b.stack))
 		for i, v := range b.stack {
 			b.out.EndStack[i] = v.Type
 		}
@@ -195,10 +199,11 @@ func Build(u *hhbc.Unit, env *interp.Env, desc *region.Desc, cfg BuildConfig) (*
 	return b.out, nil
 }
 
-// lowerRegion lowers desc into a fresh unit.
+// lowerRegion lowers desc into the emptied unit.
 func (b *builder) lowerRegion(desc *region.Desc) error {
-	b.out = NewUnit(b.fn)
-	b.localTypes = make([]types.Type, b.fn.NumLocals)
+	b.out.reset(b.fn)
+	b.localTypes = slab.Grow(b.out.mem.locals, b.fn.NumLocals)
+	clear(b.localTypes)
 	b.stats = BuildStats{}
 	b.rc = newRegionCtx(b.out, desc, 0)
 	b.out.Entry = b.rc.hblocks[0]
@@ -212,7 +217,7 @@ func (b *builder) lowerRegion(desc *region.Desc) error {
 // A block nothing jumps to is left out: lowered under no facts, its
 // own back-edges would break what live blocks assumed.
 func (b *builder) lowerBlocks() error {
-	order := b.rc.desc.LoweringOrder()
+	order := b.rc.desc.LoweringOrder(b.out.mem.ints.Window(4 * len(b.rc.desc.Blocks)))
 	for again := true; again; {
 		again = false
 		for _, ri := range order {
@@ -255,13 +260,19 @@ func markColdBlocks(u *Unit) {
 // emit appends a copy of in, cut from the unit's slab, to the current
 // block and makes it the definition of its result.
 func (b *builder) emit(in Instr) *Instr {
-	p := b.out.instrs.One()
+	p := b.out.mem.instrs.One()
 	*p = in
 	p.Block = b.cur
 	if p.Dst != nil {
 		p.Dst.Def = p
 	}
-	b.cur.Instrs = append(b.cur.Instrs, p)
+	list := b.cur.Instrs
+	if len(list) == cap(list) {
+		// Outgrew the room newRegionCtx guessed: move to a larger window.
+		list = b.out.mem.instrLists.Window(2*len(list) + 4)[:len(list)]
+		copy(list, b.cur.Instrs)
+	}
+	b.cur.Instrs = append(list, p)
 	return p
 }
 
@@ -273,7 +284,7 @@ func (b *builder) def(op Opcode, t types.Type, args ...*SSATmp) *SSATmp {
 
 // exitDesc snapshots the current frame state for a side exit.
 func (b *builder) exitDesc(bcOff int, isCatch bool) *ExitDesc {
-	ex := b.out.exits.One()
+	ex := b.out.mem.exits.One()
 	*ex = ExitDesc{BCOff: bcOff, IsCatch: isCatch, Stack: b.out.args(b.stack...)}
 	if n := len(b.inlines); n > 0 {
 		ex.Inline = b.inlines[n-1].ctx

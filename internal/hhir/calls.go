@@ -168,7 +168,7 @@ func (b *builder) emitDirectMethodCall(funcID int, obj *SSATmp, args []*SSATmp, 
 		return
 	}
 	dst := b.out.NewTmp(types.TInitCell)
-	all := b.out.refs.Window(len(args) + 1)
+	all := b.out.mem.refs.Window(len(args) + 1)
 	all[0] = obj
 	copy(all[1:], args)
 	b.emit(Instr{Op: CallMethodD, Dst: dst, I64: int64(funcID), Str: callee.FullName(),
@@ -179,7 +179,7 @@ func (b *builder) emitDirectMethodCall(funcID int, obj *SSATmp, args []*SSATmp, 
 
 func (b *builder) emitMethodCacheCall(name string, pc int, obj *SSATmp, args []*SSATmp) {
 	dst := b.out.NewTmp(types.TInitCell)
-	all := b.out.refs.Window(len(args) + 1)
+	all := b.out.mem.refs.Window(len(args) + 1)
 	all[0] = obj
 	copy(all[1:], args)
 	site := int64(b.curFn().ID)<<20 | int64(pc)
@@ -199,7 +199,7 @@ func (b *builder) tryInline(callee *hhbc.Func, this *SSATmp, nargs, pc int) bool
 		return false
 	}
 	args := b.stack[len(b.stack)-nargs:]
-	argTypes := make([]types.Type, len(args))
+	argTypes := b.out.mem.typeLists.Window(len(args))
 	for i, a := range args {
 		argTypes[i] = a.Type
 	}
@@ -216,7 +216,7 @@ func (b *builder) tryInlineMethod(callee *hhbc.Func, obj *SSATmp, args []*SSATmp
 	if !b.inlinable(callee) {
 		return false
 	}
-	argTypes := make([]types.Type, len(args))
+	argTypes := b.out.mem.typeLists.Window(len(args))
 	for i, a := range args {
 		argTypes[i] = a.Type
 	}
@@ -317,7 +317,8 @@ func (b *builder) inlineCall(callee *hhbc.Func, desc *region.Desc, this *SSATmp,
 		b.decRef(args[i])
 	}
 
-	ictx := &InlineCtx{
+	ictx := b.out.mem.inlines.One()
+	*ictx = InlineCtx{
 		Callee: callee, LocalsBase: slotBase, This: this, RetBCOff: pc + 1,
 		CallerStack: b.out.args(b.stack...),
 	}

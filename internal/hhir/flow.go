@@ -171,7 +171,7 @@ func (b *builder) startBlock(ri int) {
 	rc.state[ri] = flowLowered
 	copy(b.localTypes[rc.base:rc.base+rc.nslots], in)
 	b.cur = hb
-	b.stack = b.out.refs.Window(len(hb.Params) + 4)[:len(hb.Params)]
+	b.stack = b.out.mem.refs.Window(len(hb.Params) + 4)[:len(hb.Params)]
 	copy(b.stack, hb.Params)
 }
 

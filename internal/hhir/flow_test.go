@@ -97,12 +97,13 @@ func stack(d int, t types.Type) region.Guard {
 	return region.Guard{Loc: region.Loc{Kind: region.LocStack, Slot: d}, Type: t, Constraint: region.ConSpecific}
 }
 
-// mkDesc assembles a region; blocks starting at the same pc chain in
-// the order given.
+// mkDesc assembles a region from its arcs by block; blocks starting at
+// the same pc chain in the order given.
 func mkDesc(arcs map[int][]int, blocks ...*region.Block) *region.Desc {
-	d := &region.Desc{Blocks: blocks, Arcs: arcs, Weight: map[int]uint64{}}
+	d := &region.Desc{Blocks: blocks, Arcs: make([][]int, len(blocks)), Weight: make([]uint64, len(blocks))}
 	chainOf := map[int]int{}
 	for i, b := range blocks {
+		d.Arcs[i] = arcs[i]
 		d.Weight[i] = 1
 		ci, ok := chainOf[b.Start]
 		if !ok {

@@ -8,6 +8,7 @@ package hhir
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/hhbc"
 	"repro/internal/slab"
@@ -206,22 +207,58 @@ type Unit struct {
 	// (Bottom: nothing) and eval stack where the block ends. The block's
 	// terminator emits every ReqBind of such a unit and nothing is
 	// lowered after it, so each ReqBind leaves with this state. Nil for
-	// any other unit.
+	// any other unit. Both are the unit's memory, recycled with it.
 	EndLocals, EndStack []types.Type
 
 	nextTmp   int
 	nextBlock int
 
-	// The unit's nodes die with it, so they are cut from per-unit
-	// slabs rather than allocated one by one: values, blocks,
-	// instructions, exit descriptors, operand and stack lists (refs)
-	// and the blocks' instruction lists.
+	mem unitMem
+}
+
+// unitMem is the memory a unit recycles from one compile to the next
+// (Build takes units from a pool, Release returns them). The unit's
+// nodes die with the compile, so they are cut from per-unit slabs
+// rather than allocated one by one: values, blocks, instructions, exit
+// descriptors and inline contexts, operand and stack lists (refs), the
+// blocks' instruction lists, block lists (region contexts' block maps,
+// switch tables) and the builder's per-region tables. The tables are
+// resized in place and regrown only when too small.
+type unitMem struct {
 	tmps       slab.Slab[SSATmp]
 	blocks     slab.Slab[Block]
 	instrs     slab.Slab[Instr]
 	exits      slab.Slab[ExitDesc]
+	inlines    slab.Slab[InlineCtx]
 	refs       slab.Slab[*SSATmp]
 	instrLists slab.Slab[*Instr]
+	blockLists slab.Slab[*Block]
+	typeLists  slab.Slab[types.Type]
+	states     slab.Slab[uint8]
+	ints       slab.Slab[int]
+
+	// locals backs the builder's frame-slot types (EndLocals), preds
+	// every block's Preds (RecomputePreds), predAt its counts, and marks
+	// a walk's visited blocks (marks).
+	locals []types.Type
+	preds  []*Block
+	predAt []int32
+	marks  []bool
+}
+
+func (m *unitMem) reset() {
+	m.tmps.Reset()
+	m.blocks.Reset()
+	m.instrs.Reset()
+	m.exits.Reset()
+	m.inlines.Reset()
+	m.refs.Reset()
+	m.instrLists.Reset()
+	m.blockLists.Reset()
+	m.typeLists.Reset()
+	m.states.Reset()
+	m.ints.Reset()
+	clear(m.preds[:cap(m.preds)]) // the previous compile's blocks
 }
 
 // NewUnit creates an empty unit for f.
@@ -229,9 +266,33 @@ func NewUnit(f *hhbc.Func) *Unit {
 	return &Unit{Func: f}
 }
 
+// units holds released units. A pool rather than a free list the JIT
+// owns: the collector empties it within two cycles, so recycled memory
+// never adds to the live heap of an engine that stopped compiling.
+var units = sync.Pool{New: func() any { return new(Unit) }}
+
+// reset empties u for a compile of f, keeping its memory.
+func (u *Unit) reset(f *hhbc.Func) {
+	mem := u.mem
+	mem.reset()
+	blocks := u.Blocks[:cap(u.Blocks)]
+	clear(blocks)
+	*u = Unit{Func: f, Blocks: blocks[:0], mem: mem}
+}
+
+// Release hands u, built by Build, back for a later Build to reuse. No
+// part of u — blocks, instructions, values, exit descriptors, EndLocals,
+// EndStack — may be used afterwards; what outlives the compile is
+// copied out of it first. A unit that is never released is simply
+// garbage-collected.
+func Release(u *Unit) {
+	u.reset(nil)
+	units.Put(u)
+}
+
 // NewTmp allocates an SSA value.
 func (u *Unit) NewTmp(t types.Type) *SSATmp {
-	v := u.tmps.One()
+	v := u.mem.tmps.One()
 	v.ID, v.Type = u.nextTmp, t
 	u.nextTmp++
 	return v
@@ -239,7 +300,7 @@ func (u *Unit) NewTmp(t types.Type) *SSATmp {
 
 // NewBlock allocates a block.
 func (u *Unit) NewBlock(bcStart int) *Block {
-	b := u.blocks.One()
+	b := u.mem.blocks.One()
 	b.ID, b.BCStart = u.nextBlock, bcStart
 	u.nextBlock++
 	u.Blocks = append(u.Blocks, b)
@@ -257,7 +318,7 @@ func (u *Unit) NumBlockIDs() int { return u.nextBlock }
 // list: a capacity-capped window, so appending to it never writes into
 // another list.
 func (u *Unit) args(vs ...*SSATmp) []*SSATmp {
-	w := u.refs.Window(len(vs))
+	w := u.mem.refs.Window(len(vs))
 	copy(w, vs)
 	return w
 }
@@ -302,13 +363,21 @@ func blockIDs(bs []*Block) []int {
 
 // RPO returns blocks in reverse postorder from the entry.
 func (u *Unit) RPO() []*Block {
-	w := reach{seen: make([]bool, u.nextBlock), post: make([]*Block, 0, len(u.Blocks))}
+	w := reach{seen: u.marks(), post: make([]*Block, 0, len(u.Blocks))}
 	w.walk(u.Entry)
 	post := w.post
 	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
 		post[i], post[j] = post[j], post[i]
 	}
 	return post
+}
+
+// marks returns the unit's table of one cleared mark per block ID, for
+// a walk to use until it returns.
+func (u *Unit) marks() []bool {
+	u.mem.marks = slab.Grow(u.mem.marks, u.nextBlock)
+	clear(u.mem.marks)
+	return u.mem.marks
 }
 
 // reach is a depth-first walk over successor edges: seen[b.ID] marks
@@ -331,12 +400,14 @@ func (w *reach) walk(b *Block) {
 }
 
 // RecomputePreds rebuilds predecessor lists after CFG edits. Every
-// list is a capacity-capped window of one backing array, in the order
-// the edges appear (blocks in unit order, each block's successors in
-// instruction order): appending to one reallocates it and never
-// overwrites a neighbour.
+// list is a capacity-capped window of one backing array, which the unit
+// keeps for the next call to overwrite, in the order the edges appear
+// (blocks in unit order, each block's successors in instruction order):
+// appending to one reallocates it and never overwrites a neighbour.
 func (u *Unit) RecomputePreds() {
-	count := make([]int32, u.nextBlock+1)
+	count := slab.Grow(u.mem.predAt, u.nextBlock+1)
+	clear(count)
+	u.mem.predAt = count
 	for _, b := range u.Blocks {
 		b.Preds = nil
 	}
@@ -349,7 +420,8 @@ func (u *Unit) RecomputePreds() {
 	for i := 1; i < len(count); i++ {
 		count[i] += count[i-1] // count[id] is now where block id's list starts
 	}
-	all := make([]*Block, count[len(count)-1])
+	all := slab.Grow(u.mem.preds, int(count[len(count)-1]))
+	u.mem.preds = all
 	for _, b := range u.Blocks {
 		b.eachSucc(func(s *Block) {
 			at := count[s.ID]

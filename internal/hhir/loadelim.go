@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/slab"
 	"repro/internal/types"
 )
 
@@ -157,15 +158,6 @@ func (s *leState) release() {
 	leFree.Unlock()
 }
 
-// grown returns buf with length n, reallocating only when it is too
-// small; the contents are unspecified.
-func grown[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n, n+n/4)
-	}
-	return buf[:n]
-}
-
 // LoadElim forwards frame locals to their loads across the whole unit.
 func LoadElim(u *Unit) {
 	if u.Entry == nil {
@@ -189,7 +181,7 @@ func LoadElim(u *Unit) {
 // order fills rpo and pos with the blocks reachable from the entry in
 // reverse post-order.
 func (s *leState) order() {
-	s.pos = grown(s.pos, s.u.nextBlock)
+	s.pos = slab.Grow(s.pos, s.u.nextBlock)
 	for i := range s.pos {
 		s.pos[i] = -1
 	}
@@ -261,8 +253,8 @@ func (s *leState) scan() bool {
 
 	nB := len(s.rpo)
 	s.items, s.edges = s.items[:0], s.edges[:0]
-	s.itemsOf = grown(s.itemsOf, nB+1)
-	s.noParams = grown(s.noParams, nB)
+	s.itemsOf = slab.Grow(s.itemsOf, nB+1)
+	s.noParams = slab.Grow(s.noParams, nB)
 	clear(s.noParams)
 	s.noParams[0] = true // the entry is entered from outside the unit too
 	for bi, b := range s.rpo {
@@ -299,7 +291,7 @@ func (s *leState) scan() bool {
 	s.itemsOf[nB] = int32(len(s.items))
 
 	// Group the edges by target, keeping their order.
-	s.inOf = grown(s.inOf, nB+1)
+	s.inOf = slab.Grow(s.inOf, nB+1)
 	clear(s.inOf)
 	for i := range s.edges {
 		s.inOf[s.edges[i].to]++
@@ -307,7 +299,7 @@ func (s *leState) scan() bool {
 	for bi := 0; bi < nB; bi++ {
 		s.inOf[bi+1] += s.inOf[bi]
 	}
-	s.inEdges = grown(s.inEdges, len(s.edges))
+	s.inEdges = slab.Grow(s.inEdges, len(s.edges))
 	for i := len(s.edges) - 1; i >= 0; i-- {
 		to := s.edges[i].to
 		s.inOf[to]--
@@ -335,7 +327,7 @@ func (s *leState) in(bi int32) []uint64 { return s.avail[int(bi)*s.nW : (int(bi)
 // every edge into it.
 func (s *leState) solve() {
 	nB := len(s.rpo)
-	s.avail = grown(s.avail, nB*s.nW)
+	s.avail = slab.Grow(s.avail, nB*s.nW)
 	for i := range s.avail {
 		s.avail[i] = ^uint64(0)
 	}
@@ -344,7 +336,7 @@ func (s *leState) solve() {
 			clear(s.in(int32(bi)))
 		}
 	}
-	s.cur = grown(s.cur, s.nW)
+	s.cur = slab.Grow(s.cur, s.nW)
 	for changed := true; changed; {
 		changed = false
 		for bi := range s.rpo {
@@ -404,7 +396,7 @@ func (s *leState) classify() bool {
 // values need on the way.
 func (s *leState) forward() {
 	s.base = s.u.nextTmp
-	s.phiOf = grown(s.phiOf, len(s.rpo))
+	s.phiOf = slab.Grow(s.phiOf, len(s.rpo))
 	for i := range s.phiOf {
 		s.phiOf[i] = -1
 	}

@@ -126,7 +126,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 	case hhbc.OpConcatL:
 		parts := b.popN(int(in.A))
 		slot := b.slot(in.B)
-		args := b.out.refs.Window(len(parts) + 1)
+		args := b.out.mem.refs.Window(len(parts) + 1)
 		args[0] = b.ldLoc(slot)
 		copy(args[1:], parts)
 		r := b.out.NewTmp(types.TStr)
@@ -243,7 +243,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		v := b.pop()
 		iv := b.toInt(v)
 		sw := b.curFn().Switches[in.A]
-		table := make([]*Block, len(sw.Targets))
+		table := b.out.mem.blockLists.Window(len(sw.Targets))
 		for ti, tpc := range sw.Targets {
 			table[ti] = b.trampoline(tpc, ri)
 		}

@@ -384,7 +384,7 @@ func PruneUnreachable(u *Unit) {
 	if u.Entry == nil {
 		return
 	}
-	w := reach{seen: make([]bool, u.nextBlock)}
+	w := reach{seen: u.marks()}
 	w.walk(u.Entry)
 	out := u.Blocks[:0]
 	for _, b := range u.Blocks {

@@ -26,7 +26,9 @@ var Debug = os.Getenv("REPRO_JIT_DEBUG") != ""
 // compileBackend runs the compiler pipeline — HHIR build and
 // optimization, lowering, layout, register allocation, optional
 // dispatch fusion, assembly — without touching the code cache.
-// Callers hold the write lease.
+// Callers hold the write lease. It is the one caller that releases its
+// HHIR and vasm units for the next compile to reuse, once the code has
+// copied out what it keeps and every hook has seen them.
 func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 	passes hhir.PassConfig, lay vasm.LayoutConfig) (*mcode.Code, error) {
 
@@ -44,11 +46,13 @@ func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 	if err != nil {
 		return nil, err
 	}
+	defer hhir.Release(hu)
 	hhir.Optimize(hu, passes)
 	vu, err := vasm.Lower(hu)
 	if err != nil {
 		return nil, err
 	}
+	defer vasm.Release(vu)
 	vasm.Layout(vu, lay)
 	var before *vasm.Unit
 	if j.allocCheck != nil {
@@ -69,7 +73,9 @@ func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 		return nil, err
 	}
 	code.Guards, code.Loads = hu.Stats, hu.Opt
-	code.EndLocals, code.EndStack = hu.EndLocals, hu.EndStack
+	// The unit's lists are recycled with it: the code keeps a copy.
+	ends, n := slices.Concat(hu.EndLocals, hu.EndStack), len(hu.EndLocals)
+	code.EndLocals, code.EndStack = ends[:n:n], ends[n:]
 	if Debug && !bcfg.Profiling {
 		fmt.Fprintf(os.Stderr, "=== region for %s ===\n%s\n--- HHIR ---\n%s--- vasm ---\n%s--- guards: %s ---\n--- loads: %s ---\n--- regalloc: %s; %d fallthrough jumps elided ---\n\n",
 			desc.Entry().Func.FullName(), desc, hu, vu, code.Guards, code.Loads, vu.Alloc, code.ElidedJumps)

@@ -274,7 +274,7 @@ func (e *AssembleError) Error() string {
 // restarts itself.
 func Assemble(u *vasm.Unit) (*Code, error) {
 	order := u.Order()
-	c := &Code{BlockStart: make([]int32, len(u.Blocks)), Tables: u.Tables,
+	c := &Code{BlockStart: make([]int32, len(u.Blocks)), Tables: copyTables(u.Tables),
 		NumSpills: u.NumSpills, ExtSlots: u.ExtFrameSlots, Alloc: u.Alloc}
 	for i := range c.BlockStart {
 		c.BlockStart[i] = -1
@@ -358,6 +358,27 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 		}
 	}
 	return c, nil
+}
+
+// copyTables returns the code's own copy of a unit's jump tables (nil
+// for none): the unit's are recycled with it. Every table's targets are
+// a window of one array.
+func copyTables(tables []vasm.JumpTable) []vasm.JumpTable {
+	if len(tables) == 0 {
+		return nil
+	}
+	n := 0
+	for _, tbl := range tables {
+		n += len(tbl.Targets)
+	}
+	out := slices.Clone(tables)
+	targets := make([]int, 0, n)
+	for i := range out {
+		from := len(targets)
+		targets = append(targets, out[i].Targets...)
+		out[i].Targets = targets[from:len(targets):len(targets)]
+	}
+	return out
 }
 
 // elided reports a jump the layout turned into a fallthrough.

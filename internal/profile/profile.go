@@ -224,22 +224,16 @@ func (c *Counters) arcRow(from TransID) []arcOut {
 	return c.arcs[from]
 }
 
-// Arcs returns the arcs leaving the translations in in: one row read
-// per member, so it costs in's out-degree, not the program's arc
-// count. Arcs that only enter in are not included.
-func (c *Counters) Arcs(in map[TransID]bool) map[Arc]uint64 {
+// EachArc calls fn with the target and weight of every arc leaving
+// from, under the counters' lock (fn must not call back into c). It
+// reads one row, so a caller walking a set of translations pays their
+// out-degree, not the program's arc count.
+func (c *Counters) EachArc(from TransID, fn func(to TransID, n uint64)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[Arc]uint64)
-	for from, ok := range in {
-		if !ok {
-			continue
-		}
-		for _, a := range c.arcRow(from) {
-			out[Arc{from, a.to}] = a.n
-		}
+	for _, a := range c.arcRow(from) {
+		fn(a.to, a.n)
 	}
-	return out
 }
 
 // RecordCallTarget histograms the receiver class at a method call.

@@ -25,17 +25,23 @@ func TestCountersAndArcs(t *testing.T) {
 	if c.ArcCount(a, b) != 2 {
 		t.Errorf("arc count = %d", c.ArcCount(a, b))
 	}
-	arcs := c.Arcs(map[profile.TransID]bool{a: true})
-	if len(arcs) != 1 {
-		t.Errorf("arcs = %v", arcs)
+	arcs := 0
+	c.EachArc(a, func(to profile.TransID, n uint64) {
+		if arcs++; to != b || n != 2 {
+			t.Errorf("arc %d->%d weighs %d, want %d->%d weighing 2", a, to, n, a, b)
+		}
+	})
+	if arcs != 1 {
+		t.Errorf("%d arcs leave %d, want 1", arcs, a)
 	}
 }
 
 // TestArcsLeavingMatchFullScan holds the arc rows to a plain model:
 // random arcs recorded one at a time and in bulk — repeated, self-arcs,
-// sources past every row seen so far — and then, for random sets in,
-// Arcs(in) is exactly the snapshot's arcs whose source is in in, and
-// ArcCount agrees with the snapshot on every pair.
+// sources past every row seen so far — and then, for random sets of
+// sources, EachArc over them yields exactly the snapshot's arcs whose
+// source is in the set, and ArcCount agrees with the snapshot on every
+// pair.
 func TestArcsLeavingMatchFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := profile.NewCounters()
@@ -70,7 +76,7 @@ func TestArcsLeavingMatchFullScan(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		in := map[profile.TransID]bool{}
 		for k := rng.Intn(8); k > 0; k-- {
-			in[profile.TransID(rng.Intn(int(maxID)+2))] = rng.Intn(5) > 0
+			in[profile.TransID(rng.Intn(int(maxID)+2))-1] = true
 		}
 		want := map[profile.Arc]uint64{}
 		for a, n := range all {
@@ -78,8 +84,17 @@ func TestArcsLeavingMatchFullScan(t *testing.T) {
 				want[a] = n
 			}
 		}
-		if got := c.Arcs(in); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Arcs(%v) = %v, want %v", in, got, want)
+		got := map[profile.Arc]uint64{}
+		for from := range in {
+			c.EachArc(from, func(to profile.TransID, n uint64) {
+				if _, twice := got[profile.Arc{From: from, To: to}]; twice {
+					t.Errorf("EachArc(%d) yields %d twice", from, to)
+				}
+				got[profile.Arc{From: from, To: to}] = n
+			})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("EachArc over %v = %v, want %v", in, got, want)
 		}
 	}
 	for from := profile.TransID(-1); from <= maxID+1; from++ {

@@ -126,6 +126,11 @@ func TestChainsSortedByWeight(t *testing.T) {
 		t.Fatal("no regions formed")
 	}
 	d := regions[0]
+	for _, chain := range d.Chains {
+		if cap(chain) != len(chain) {
+			t.Fatalf("chain %v has capacity %d: appending to it would overwrite the next", chain, cap(chain))
+		}
+	}
 	// The chain for pc 0 must put the hotter (mixed, 40) first.
 	for _, chain := range d.Chains {
 		if d.Blocks[chain[0]].Start == 0 && len(chain) == 2 {
@@ -218,10 +223,10 @@ func TestLoweringOrder(t *testing.T) {
 	// unreachable.
 	d := &region.Desc{
 		Blocks: make([]*region.Block, 6),
-		Arcs:   map[int][]int{0: {1}, 1: {3, 4}, 2: {1}, 4: {1}},
+		Arcs:   [][]int{0: {1}, 1: {3, 4}, 2: {1}, 4: {1}, 5: nil},
 		Chains: [][]int{{0}, {1}, {2, 4}, {3}, {5}},
 	}
-	order := d.LoweringOrder()
+	order := d.LoweringOrder(nil)
 	if len(order) != 6 {
 		t.Fatalf("order %v does not list every block once", order)
 	}

@@ -95,26 +95,33 @@ func (b *Block) String() string {
 }
 
 // Desc is a RegionDesc: the compilation unit handed to the JIT
-// optimizer. It is a CFG of blocks with weighted arcs.
+// optimizer. It is a CFG of blocks with weighted arcs. Arcs and Weight
+// are indexed by block, like Blocks, and as long.
 type Desc struct {
 	Blocks []*Block
 	// Arcs[i] lists indices of successor blocks of Blocks[i] within
-	// the region.
-	Arcs map[int][]int
+	// the region, in increasing order.
+	Arcs [][]int
 	// Weight[i] is the profiled execution count of Blocks[i].
-	Weight map[int]uint64
+	Weight []uint64
 	// Chain groups region-block indices that retranslate the same
 	// bytecode address, in guard-check order.
 	Chains [][]int
 }
 
+// oneBlock is a one-block region in one allocation.
+type oneBlock struct {
+	desc   Desc
+	blocks [1]*Block
+	arcs   [1][]int
+	weight [1]uint64
+}
+
 // NewDesc wraps a single block (live and profiling translations).
 func NewDesc(b *Block) *Desc {
-	return &Desc{
-		Blocks: []*Block{b},
-		Arcs:   map[int][]int{},
-		Weight: map[int]uint64{0: 1},
-	}
+	o := &oneBlock{blocks: [1]*Block{b}, weight: [1]uint64{1}}
+	o.desc = Desc{Blocks: o.blocks[:], Arcs: o.arcs[:], Weight: o.weight[:]}
+	return &o.desc
 }
 
 // Entry returns the region's entry block.
@@ -136,47 +143,58 @@ func (d *Desc) NumInstrs() int {
 // are already proven), and the guard-failure fall-through from each
 // chain member to the next. Every forward edge into a block then
 // precedes it; only loop back-edges arrive late. Blocks the walk does
-// not reach follow in index order.
-func (d *Desc) LoweringOrder() []int {
+// not reach follow in index order. The order and the walk's state are
+// cut from scratch when it holds 4*len(d.Blocks) ints (the order is its
+// first window), allocated otherwise.
+func (d *Desc) LoweringOrder(scratch []int) []int {
 	n := len(d.Blocks)
-	head := make([]int, n)
-	next := make([]int, n)
-	for i := range next {
-		head[i], next[i] = i, -1
+	if len(scratch) < 4*n {
+		scratch = make([]int, 4*n)
+	}
+	w := loweringWalk{d: d, order: scratch[:0:n], head: scratch[n : 2*n : 2*n],
+		next: scratch[2*n : 3*n : 3*n], seen: scratch[3*n : 4*n : 4*n]}
+	for i := 0; i < n; i++ {
+		w.head[i], w.next[i], w.seen[i] = i, -1, 0
 	}
 	for _, chain := range d.Chains {
 		for k, ci := range chain {
-			head[ci] = chain[0]
+			w.head[ci] = chain[0]
 			if k+1 < len(chain) {
-				next[ci] = chain[k+1]
+				w.next[ci] = chain[k+1]
 			}
 		}
 	}
-	seen := make([]bool, n)
-	order := make([]int, 0, n)
-	var walk func(i int)
-	walk = func(i int) {
-		if seen[i] {
-			return
-		}
-		seen[i] = true
-		if next[i] >= 0 {
-			walk(next[i])
-		}
-		for _, j := range d.Arcs[i] {
-			walk(head[j])
-			walk(j)
-		}
-		order = append(order, i) // post-order
-	}
 	for root := 0; root < n; root++ {
-		from := len(order)
-		walk(root)
-		for l, r := from, len(order)-1; l < r; l, r = l+1, r-1 {
-			order[l], order[r] = order[r], order[l]
+		from := len(w.order)
+		w.walk(root)
+		for l, r := from, len(w.order)-1; l < r; l, r = l+1, r-1 {
+			w.order[l], w.order[r] = w.order[r], w.order[l]
 		}
 	}
-	return order
+	return w.order
+}
+
+// loweringWalk is LoweringOrder's depth-first walk: head[i] is the head
+// of block i's chain, next[i] the member after it (-1: none), seen[i]
+// is 1 once i is visited, and order collects the post-order.
+type loweringWalk struct {
+	d                       *Desc
+	order, head, next, seen []int
+}
+
+func (w *loweringWalk) walk(i int) {
+	if w.seen[i] != 0 {
+		return
+	}
+	w.seen[i] = 1
+	if w.next[i] >= 0 {
+		w.walk(w.next[i])
+	}
+	for _, j := range w.d.Arcs[i] {
+		w.walk(w.head[j])
+		w.walk(j)
+	}
+	w.order = append(w.order, i) // post-order
 }
 
 func (d *Desc) String() string {

@@ -1,6 +1,9 @@
 package region
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/profile"
 	"repro/internal/types"
 )
@@ -30,22 +33,18 @@ func Relax(d *Desc, g *TransCFG, counters *profile.Counters, cfg RelaxConfig) {
 	}
 	// Type distributions: for each (start pc, loc), the observed
 	// (type, weight) pairs across all profiling translations of the
-	// function.
-	type distKey struct {
-		pc  int
-		loc Loc
+	// function, as runs of one list sorted by (pc, loc).
+	n := 0
+	for _, b := range g.Nodes {
+		n += len(b.Preconds)
 	}
-	dist := map[distKey]map[types.Type]uint64{}
+	dist := make([]typeWeight, 0, n)
 	for i, b := range g.Nodes {
-		w := g.Weights[i]
 		for _, gd := range b.Preconds {
-			k := distKey{b.Start, gd.Loc}
-			if dist[k] == nil {
-				dist[k] = map[types.Type]uint64{}
-			}
-			dist[k][gd.Type] += w
+			dist = append(dist, typeWeight{b.Start, gd.Loc, gd.Type, g.Weights[i]})
 		}
 	}
+	slices.SortFunc(dist, func(a, b typeWeight) int { return a.compare(b.pc, b.loc) })
 
 	for _, b := range d.Blocks {
 		for gi := range b.Preconds {
@@ -58,20 +57,18 @@ func Relax(d *Desc, g *TransCFG, counters *profile.Counters, cfg RelaxConfig) {
 				continue
 			}
 			relaxed := gd.Constraint.RelaxedType(gd.Type)
-			k := distKey{b.Start, gd.Loc}
-			if m := dist[k]; m != nil {
-				var total, under uint64
-				for t, w := range m {
-					total += w
-					if t.SubtypeOf(relaxed) {
-						under += w
-					}
+			at, _ := slices.BinarySearchFunc(dist, b.Start, func(tw typeWeight, pc int) int { return tw.compare(pc, gd.Loc) })
+			var total, under uint64
+			for ; at < len(dist) && dist[at].compare(b.Start, gd.Loc) == 0; at++ {
+				total += dist[at].w
+				if dist[at].t.SubtypeOf(relaxed) {
+					under += dist[at].w
 				}
-				if total > 0 && float64(under)/float64(total) < cfg.GenericThreshold {
-					// Observed types straddle the relaxed check most
-					// of the time: drop the guard entirely (Generic).
-					relaxed = types.TCell
-				}
+			}
+			if total > 0 && float64(under)/float64(total) < cfg.GenericThreshold {
+				// Observed types straddle the relaxed check most
+				// of the time: drop the guard entirely (Generic).
+				relaxed = types.TCell
 			}
 			gd.Type = relaxed
 		}
@@ -80,55 +77,74 @@ func Relax(d *Desc, g *TransCFG, counters *profile.Counters, cfg RelaxConfig) {
 	dedupeChains(d)
 }
 
+// typeWeight is one profiled guard: at bytecode address pc, location
+// loc held type t in w executions.
+type typeWeight struct {
+	pc  int
+	loc Loc
+	t   types.Type
+	w   uint64
+}
+
+// compare orders tw by (pc, loc) against the key (pc, loc).
+func (tw typeWeight) compare(pc int, loc Loc) int {
+	if c := cmp.Compare(tw.pc, pc); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(tw.loc.Kind, loc.Kind); c != 0 {
+		return c
+	}
+	return cmp.Compare(tw.loc.Slot, loc.Slot)
+}
+
 // dedupeChains removes region blocks whose (relaxed) preconditions
 // are subsumed by an earlier block in the same retranslation chain —
 // those translations can never be reached.
 func dedupeChains(d *Desc) {
-	dead := map[int]bool{}
+	var dead []bool
 	for _, chain := range d.Chains {
 		for i := 0; i < len(chain); i++ {
-			if dead[chain[i]] {
+			if dead != nil && dead[chain[i]] {
 				continue
 			}
 			for j := i + 1; j < len(chain); j++ {
-				if dead[chain[j]] {
+				if dead != nil && dead[chain[j]] {
 					continue
 				}
 				if subsumes(d.Blocks[chain[i]], d.Blocks[chain[j]]) {
+					if dead == nil {
+						dead = make([]bool, len(d.Blocks))
+					}
 					dead[chain[j]] = true
 				}
 			}
 		}
 	}
-	if len(dead) == 0 {
+	if dead == nil {
 		return
 	}
 	// Rebuild the region without dead blocks.
-	remap := map[int]int{}
+	remap := make([]int, len(d.Blocks))
 	var blocks []*Block
+	var weight []uint64
 	for i, b := range d.Blocks {
-		if dead[i] {
-			continue
+		remap[i] = -1
+		if !dead[i] {
+			remap[i] = len(blocks)
+			blocks = append(blocks, b)
+			weight = append(weight, d.Weight[i])
 		}
-		remap[i] = len(blocks)
-		blocks = append(blocks, b)
 	}
-	arcs := map[int][]int{}
-	weight := map[int]uint64{}
+	arcs := make([][]int, len(blocks))
 	for i, succs := range d.Arcs {
-		ni, ok := remap[i]
-		if !ok {
+		ni := remap[i]
+		if ni < 0 {
 			continue
 		}
 		for _, sj := range succs {
-			if nj, ok := remap[sj]; ok {
+			if nj := remap[sj]; nj >= 0 {
 				arcs[ni] = append(arcs[ni], nj)
 			}
-		}
-	}
-	for i, w := range d.Weight {
-		if ni, ok := remap[i]; ok {
-			weight[ni] = w
 		}
 	}
 	d.Blocks, d.Arcs, d.Weight = blocks, arcs, weight

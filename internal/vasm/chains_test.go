@@ -12,6 +12,7 @@ import (
 // was.
 func TestChainWindowsAreCapped(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var st chainState // one state for every trial, as a recycled unit's
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(16)
 		perm := rng.Perm(n)
@@ -31,7 +32,7 @@ func TestChainWindowsAreCapped(t *testing.T) {
 			at += k
 		}
 		slices.SortFunc(want, func(a, b []int) int { return a[0] - b[0] })
-		got := chainWindows(first, next)
+		got := st.windows(first, next)
 		if len(got) != len(want) {
 			t.Fatalf("%d chains, want %d", len(got), len(want))
 		}

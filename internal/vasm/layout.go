@@ -3,6 +3,8 @@ package vasm
 import (
 	"cmp"
 	"slices"
+
+	"repro/internal/slab"
 )
 
 // LayoutConfig controls code layout.
@@ -20,6 +22,29 @@ type LayoutConfig struct {
 // DefaultLayout matches production behaviour.
 var DefaultLayout = LayoutConfig{ProfileGuided: true, SplitCold: true}
 
+// layoutEdge is one CFG edge Layout weighs.
+type layoutEdge struct {
+	from, to int
+	w        uint64
+}
+
+// chainInfo is one merged chain Layout places.
+type chainInfo struct {
+	id     int
+	weight uint64
+	blocks []int
+}
+
+// chainState is Layout's working state. It lives in the unit's memory,
+// which keeps its tables for the next compile.
+type chainState struct {
+	edges  []layoutEdge
+	ints   []int
+	flat   []int
+	chains [][]int
+	infos  []chainInfo
+}
+
 // Layout orders u.Blocks (filling u.Layout) using Pettis-Hansen
 // bottom-up chain merging on the weighted CFG, then applies hot/cold
 // splitting and jump optimization (fallthrough conversion).
@@ -28,18 +53,15 @@ func Layout(u *Unit, cfg LayoutConfig) {
 	if n == 0 {
 		return
 	}
+	st := &u.mem.chains
 
-	type edge struct {
-		from, to int
-		w        uint64
-	}
 	nedges := 0
 	for _, b := range u.Blocks {
 		for ii := range b.Instrs {
 			b.Instrs[ii].ForEachTarget(u.Tables, func(int) { nedges++ })
 		}
 	}
-	edges := make([]edge, 0, nedges)
+	edges := slab.Grow(st.edges, nedges)[:0]
 	for i, b := range u.Blocks {
 		for ii := range b.Instrs {
 			b.Instrs[ii].ForEachTarget(u.Tables, func(s int) {
@@ -50,22 +72,24 @@ func Layout(u *Unit, cfg LayoutConfig) {
 				if u.Blocks[s].Weight < w {
 					w = u.Blocks[s].Weight
 				}
-				edges = append(edges, edge{i, s, w})
+				edges = append(edges, layoutEdge{i, s, w})
 			})
 		}
 	}
+	st.edges = edges
 
 	// Pettis-Hansen bottom-up: merge chains over edges by descending
 	// weight. A chain is a linked list of blocks (next) named by the
 	// block it started from: chainOf[b] names b's chain, and first and
 	// last end chain c (first[c] = -1 once c merged into another).
-	ints := make([]int, 4*n)
+	st.ints = slab.Grow(st.ints, 4*n)
+	ints := st.ints
 	chainOf, next, first, last := ints[:n:n], ints[n:2*n:2*n], ints[2*n:3*n:3*n], ints[3*n:]
 	for i := 0; i < n; i++ {
 		chainOf[i], next[i], first[i], last[i] = i, -1, i, i
 	}
 	if cfg.ProfileGuided {
-		slices.SortStableFunc(edges, func(a, b edge) int { return cmp.Compare(b.w, a.w) })
+		slices.SortStableFunc(edges, func(a, b layoutEdge) int { return cmp.Compare(b.w, a.w) })
 		for _, e := range edges {
 			if e.to == 0 {
 				continue // the entry block must stay a chain head
@@ -88,13 +112,8 @@ func Layout(u *Unit, cfg LayoutConfig) {
 	}
 
 	// Order chains: entry's chain first, then by descending weight.
-	type chainInfo struct {
-		id     int
-		weight uint64
-		blocks []int
-	}
-	chains := chainWindows(first, next)
-	infos := make([]chainInfo, 0, len(chains))
+	chains := st.windows(first, next)
+	infos := slab.Grow(st.infos, len(chains))[:0]
 	for _, blocks := range chains {
 		var w uint64
 		for _, b := range blocks {
@@ -104,6 +123,7 @@ func Layout(u *Unit, cfg LayoutConfig) {
 		}
 		infos = append(infos, chainInfo{blocks[0], w, blocks})
 	}
+	st.infos = infos
 	entryChain := chainOf[0]
 	slices.SortStableFunc(infos, func(a, b chainInfo) int {
 		if (a.id == entryChain) != (b.id == entryChain) {
@@ -128,7 +148,7 @@ func Layout(u *Unit, cfg LayoutConfig) {
 		}
 		return 0
 	}
-	u.Layout = make([]int, 0, n)
+	u.Layout = slab.Grow(u.mem.layout, n)[:0]
 	for c := 0; c < 3; c++ {
 		for _, ci := range infos {
 			for _, b := range ci.blocks {
@@ -142,19 +162,20 @@ func Layout(u *Unit, cfg LayoutConfig) {
 	optimizeJumps(u)
 }
 
-// chainWindows lists the chains that start at each b with first[b] >=
-// 0, in order of b, following next from there. Every chain is a
+// windows lists the chains that start at each b with first[b] >= 0, in
+// order of b, following next from there. Every chain is a
 // capacity-capped window of one backing array, so appending to one
-// reallocates it instead of overwriting the next.
-func chainWindows(first, next []int) [][]int {
-	flat := make([]int, 0, len(next))
+// reallocates it instead of overwriting the next; the array and the
+// list are s's, overwritten by the next call.
+func (s *chainState) windows(first, next []int) [][]int {
+	flat := slab.Grow(s.flat, len(next))[:0]
 	nchains := 0
 	for _, h := range first {
 		if h >= 0 {
 			nchains++
 		}
 	}
-	chains := make([][]int, 0, nchains)
+	chains := slab.Grow(s.chains, nchains)[:0]
 	for _, h := range first {
 		if h < 0 {
 			continue
@@ -165,6 +186,7 @@ func chainWindows(first, next []int) [][]int {
 		}
 		chains = append(chains, flat[from:len(flat):len(flat)])
 	}
+	s.flat, s.chains = flat, chains
 	return chains
 }
 

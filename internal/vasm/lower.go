@@ -5,24 +5,28 @@ import (
 	"math"
 
 	"repro/internal/hhir"
+	"repro/internal/slab"
 	"repro/internal/types"
 )
 
 // Lower translates an optimized HHIR unit into Vasm with virtual
 // registers. Exit descriptors become stub blocks in the frozen area.
+// The unit comes from a pool of released ones (Release), with their
+// memory.
 func Lower(hu *hhir.Unit) (*Unit, error) {
 	if len(hu.Blocks) == 0 || hu.Entry == nil {
 		return nil, fmt.Errorf("vasm: empty HHIR unit")
 	}
-	lw := &lowerer{
-		hu:      hu,
-		out:     &Unit{},
-		blockOf: make([]int32, hu.NumBlockIDs()),
-		regOf:   make([]Reg, hu.NumTmpIDs()),
-	}
+	out := units.Get().(*Unit)
+	m := &out.mem
+	lw := &m.lower
+	lw.hu, lw.out, lw.nextReg = hu, out, 0
+	lw.blockOf = slab.Grow(lw.blockOf, hu.NumBlockIDs())
+	lw.regOf = slab.Grow(lw.regOf, hu.NumTmpIDs())
 	for i := range lw.blockOf {
 		lw.blockOf[i] = -1
 	}
+	clear(lw.regOf)
 	// Pre-create blocks in HHIR order (entry first), each with room for
 	// about what its HHIR block lowers to, all from one backing array.
 	n, exits, instrs, imms := len(hu.Blocks), 0, 0, 0
@@ -38,34 +42,40 @@ func Lower(hu *hhir.Unit) (*Unit, error) {
 			}
 		}
 	}
-	lw.out.Imms = make([]ImmValue, 0, imms)
-	blocks := make([]Block, n)
-	lw.out.Blocks = make([]*Block, n, n+exits)
-	lw.out.mem.instrs.Reserve(instrs + exits)
+	out.Imms = slab.Grow(m.imms, imms)[:0]
+	out.GuardTypes = m.guardTypes
+	out.Tables = m.tables
+	blocks := m.blocks.Window(n)
+	out.Blocks = slab.Grow(m.blockList, n+exits)[:n]
+	m.instrs.Reserve(instrs + exits)
 	for i, hb := range hu.Blocks {
 		vb := &blocks[i]
 		*vb = Block{ID: i, Weight: hb.Weight, Hint: Hint(hb.Hint),
-			Instrs: lw.out.mem.instrs.Window(len(hb.Params) + len(hb.Instrs))[:0]}
-		lw.out.Blocks[i] = vb
+			Instrs: m.instrs.Window(len(hb.Params) + len(hb.Instrs))[:0]}
+		out.Blocks[i] = vb
 		lw.blockOf[hb.ID] = int32(i)
 	}
 	if lw.block(hu.Entry) != 0 {
+		Release(out)
 		return nil, fmt.Errorf("vasm: entry is not the first block")
 	}
-	if exits > 0 {
+	if lw.stubOf == nil {
 		lw.stubOf = make(map[*hhir.ExitDesc]int, exits)
 	}
 	lw.countEdges(hu.Blocks)
 	for i, hb := range hu.Blocks {
-		if err := lw.lowerBlock(hb, lw.out.Blocks[i]); err != nil {
+		if err := lw.lowerBlock(hb, out.Blocks[i]); err != nil {
+			Release(out)
 			return nil, err
 		}
 	}
-	lw.out.NumVRegs = int(lw.nextReg)
-	lw.out.ExtFrameSlots = hu.ExtFrameSlots
-	return lw.out, nil
+	out.NumVRegs = int(lw.nextReg)
+	out.ExtFrameSlots = hu.ExtFrameSlots
+	return out, nil
 }
 
+// lowerer is Lower's state. It lives in the unit's memory, which keeps
+// its tables for the next compile.
 type lowerer struct {
 	hu  *hhir.Unit
 	out *Unit
@@ -85,13 +95,22 @@ type lowerer struct {
 	moves    []move
 }
 
+// release drops what the lowerer refers to outside its unit.
+func (lw *lowerer) release() {
+	lw.hu, lw.out, lw.cur = nil, nil, nil
+	clear(lw.stubOf)
+	clear(lw.soleArgs[:cap(lw.soleArgs)])
+}
+
 // block returns the vasm block of hb, -1 when hb is not in the unit.
 func (lw *lowerer) block(hb *hhir.Block) int { return int(lw.blockOf[hb.ID]) }
 
 // countEdges fills edgesIn and soleArgs.
 func (lw *lowerer) countEdges(blocks []*hhir.Block) {
-	lw.edgesIn = make([]int, len(blocks))
-	lw.soleArgs = make([][]*hhir.SSATmp, len(blocks))
+	lw.edgesIn = slab.Grow(lw.edgesIn, len(blocks))
+	lw.soleArgs = slab.Grow(lw.soleArgs, len(blocks))
+	clear(lw.edgesIn)
+	clear(lw.soleArgs)
 	edge := func(to *hhir.Block, args []*hhir.SSATmp) {
 		if to != nil {
 			lw.edgesIn[lw.block(to)]++
@@ -547,7 +566,7 @@ func (lw *lowerer) lowerByHand(hin *hhir.Instr) error {
 		lw.emit(in)
 	case hhir.SwitchInt:
 		tbl := JumpTable{Base: hin.I64, Default: lw.condEdge(hin.Taken, hin.TakenArgs)}
-		tbl.Targets = make([]int, len(hin.Table))
+		tbl.Targets = lw.out.mem.ints.Window(len(hin.Table))
 		for i, t := range hin.Table {
 			tbl.Targets[i] = lw.block(t)
 		}

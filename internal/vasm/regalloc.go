@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+
+	"repro/internal/slab"
 )
 
 // Reserved scratch physical registers for spilled operands.
@@ -103,6 +105,9 @@ type hintLink struct {
 	next  int32
 }
 
+// allocator is Allocate's state. It lives in the unit's memory, which
+// keeps its tables for the next compile; the exit descriptors it
+// rewrites are the translation's, allocated afresh every time.
 type allocator struct {
 	u     *Unit
 	order []int
@@ -115,10 +120,12 @@ type allocator struct {
 	live   bitset // the walk's current live set
 
 	segs     []seg
+	ints     []int32 // backs head, openTo, hintHead and first
 	head     []int32 // per vreg: its first segment (-1 = never mentioned)
 	openTo   []int32 // per live vreg during a block walk: where its open segment ends
 	hints    []hintLink
 	hintHead []int32
+	vregs    []Reg // assign's walk order
 
 	loc    []Reg // per vreg: the location assigned (Unit.RegOf)
 	spills int
@@ -131,8 +138,15 @@ type allocator struct {
 	exitRegs []Reg
 }
 
+// release drops what the allocator refers to outside its unit.
+func (a *allocator) release() {
+	a.u, a.order = nil, nil
+	a.exits, a.inlines, a.exitRegs = nil, nil, nil
+}
+
 func newAllocator(u *Unit) *allocator {
-	a := &allocator{u: u, order: u.Order(), n: u.NumVRegs}
+	a := &u.mem.alloc
+	a.u, a.order, a.n, a.spills = u, u.Order(), u.NumVRegs, 0
 	pos, copies := int32(0), 0
 	exits, inlines, exitRegs := 0, 0, 0
 	grow := func(r Reg) {
@@ -165,9 +179,11 @@ func newAllocator(u *Unit) *allocator {
 	a.inlines = make([]InlineInfo, 0, inlines)
 	a.exitRegs = make([]Reg, 0, exitRegs)
 	a.nw = (a.n + 63) / 64
-	a.liveIn = make([]uint64, (len(u.Blocks)+1)*a.nw)
+	a.liveIn = slab.Grow(a.liveIn, (len(u.Blocks)+1)*a.nw)
+	clear(a.liveIn)
 	a.live = a.liveIn[len(u.Blocks)*a.nw:]
-	ints := make([]int32, 3*a.n+len(u.Blocks))
+	a.ints = slab.Grow(a.ints, 3*a.n+len(u.Blocks))
+	ints := a.ints
 	for i := range ints {
 		ints[i] = -1
 	}
@@ -176,9 +192,9 @@ func newAllocator(u *Unit) *allocator {
 		a.first[bi] = pos
 		pos += int32(len(u.Blocks[bi].Instrs))
 	}
-	a.segs = make([]seg, 0, a.n+a.n/2)
-	a.hints = make([]hintLink, 0, 2*copies)
-	a.loc = make([]Reg, a.n)
+	a.segs = slab.Grow(a.segs, a.n+a.n/2)[:0]
+	a.hints = slab.Grow(a.hints, 2*copies)[:0]
+	a.loc = slab.Grow(a.loc, a.n)
 	for i := range a.loc {
 		a.loc[i] = InvalidReg
 	}
@@ -312,12 +328,13 @@ func (a *allocator) buildRanges() {
 
 // assign gives every vreg with a range a location.
 func (a *allocator) assign() {
-	vregs := make([]Reg, 0, a.n)
+	vregs := slab.Grow(a.vregs, a.n)[:0]
 	for v, h := range a.head {
 		if h >= 0 {
 			vregs = append(vregs, Reg(v))
 		}
 	}
+	a.vregs = vregs
 	slices.SortFunc(vregs, func(x, y Reg) int {
 		if d := a.segs[a.head[x]].from - a.segs[a.head[y]].from; d != 0 {
 			return int(d)

@@ -421,7 +421,9 @@ func siteUnits(b *testing.B) (laidOut []*vasm.Unit, build func() []*hhir.Unit) {
 
 // BenchmarkAllocate localizes vasm.regalloc_ms and the allocator's
 // share of coldstart_site req_allocs: one op allocates every unit the
-// site compiles on its way to steady state.
+// site compiles on its way to steady state. The units are clones, which
+// share no memory with a recycled unit: every op sizes the allocator's
+// tables afresh, which the JIT's recycled units do once.
 func BenchmarkAllocate(b *testing.B) {
 	laidOut, _ := siteUnits(b)
 	b.Logf("%d units", len(laidOut))
@@ -441,7 +443,8 @@ func BenchmarkAllocate(b *testing.B) {
 }
 
 // BenchmarkLower localizes vasm.lower_ms: one op lowers the optimized
-// HHIR of every region translation of the site.
+// HHIR of every region translation of the site, releasing each vasm
+// unit for the next Lower to reuse as the JIT does.
 func BenchmarkLower(b *testing.B) {
 	_, build := siteUnits(b)
 	optimized := build()
@@ -452,16 +455,20 @@ func BenchmarkLower(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, hu := range optimized {
-			if _, err := vasm.Lower(hu); err != nil {
+			vu, err := vasm.Lower(hu)
+			if err != nil {
 				b.Fatal(err)
 			}
+			vasm.Release(vu)
 		}
 	}
 }
 
 // BenchmarkOptimize localizes hhir.optimize_ms and the optimizer's
 // share of coldstart_site req_allocs: one op runs the optimized
-// pipeline over the HHIR of every region translation of the site.
+// pipeline over the HHIR of every region translation of the site. The
+// units are released after each op, so the next op's are recycled as
+// the JIT's are, with their passes' working state.
 func BenchmarkOptimize(b *testing.B) {
 	_, build := siteUnits(b)
 	b.ReportAllocs()
@@ -473,5 +480,10 @@ func BenchmarkOptimize(b *testing.B) {
 		for _, hu := range built {
 			hhir.Optimize(hu, hhir.AllPasses)
 		}
+		b.StopTimer()
+		for _, hu := range built {
+			hhir.Release(hu)
+		}
+		b.StartTimer()
 	}
 }

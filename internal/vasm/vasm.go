@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/region"
 	"repro/internal/runtime"
@@ -411,19 +412,70 @@ type Unit struct {
 	// carry it.
 	GuardTypes []types.Type
 
-	mem unitSlabs
+	mem unitMem
 }
 
-// unitSlabs is what dies with a unit, cut from its slabs: the blocks
-// Lower adds for exit stubs and edge copies, every block's
-// instructions, the stubs' descriptors (Allocate rewrites each into one
-// of its own) and operand lists (Assemble copies the ones it keeps).
-type unitSlabs struct {
+// unitMem is the memory a unit recycles from one compile to the next
+// (Lower takes units from a pool, Release returns them). What dies with
+// a compile is cut from its slabs: every block Lower creates, every
+// block's instructions, the stubs' descriptors (Allocate rewrites each
+// into one of its own) and operand lists (Assemble copies the ones it
+// keeps). The unit's lists and each pass's working state keep their
+// backing arrays, which are resized in place and regrown only when too
+// small. Nothing a translation keeps points into any of it.
+type unitMem struct {
 	blocks  slab.Slab[Block]
 	instrs  slab.Slab[Instr]
 	exits   slab.Slab[ExitInfo]
 	inlines slab.Slab[InlineInfo]
 	regs    slab.Slab[Reg]
+	ints    slab.Slab[int] // jump tables' targets
+
+	// The backing arrays of the unit's Blocks, Imms, Tables, GuardTypes
+	// and Layout, for the next compile to append to.
+	blockList  []*Block
+	imms       []ImmValue
+	tables     []JumpTable
+	guardTypes []types.Type
+	layout     []int
+
+	lower  lowerer
+	chains chainState
+	alloc  allocator
+}
+
+// units holds released units; hhir's pool says why a pool.
+var units = sync.Pool{New: func() any { return new(Unit) }}
+
+// Release hands u, made by Lower, back for a later Lower to reuse. No
+// part of u may be used afterwards; what outlives the compile is copied
+// out of it first (mcode.Assemble copies everything a translation
+// keeps). A unit that is never released is simply garbage-collected.
+func Release(u *Unit) {
+	m := &u.mem
+	m.blocks.Reset()
+	m.instrs.Reset()
+	m.exits.Reset()
+	m.inlines.Reset()
+	m.regs.Reset()
+	m.ints.Reset()
+	// Drop what points into other compiles' memory or out of the unit.
+	m.blockList = cleared(u.Blocks)
+	m.imms = cleared(u.Imms) // constant strings
+	m.tables = cleared(u.Tables)
+	m.guardTypes = u.GuardTypes[:0]
+	m.layout = u.Layout[:0]
+	m.lower.release()
+	m.alloc.release()
+	*u = Unit{mem: *m}
+	units.Put(u)
+}
+
+// cleared returns list emptied, with every element up to its capacity
+// zeroed.
+func cleared[T any](list []T) []T {
+	clear(list[:cap(list)])
+	return list[:0]
 }
 
 // Order returns the block order code is emitted in: Layout once it

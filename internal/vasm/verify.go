@@ -6,13 +6,18 @@ import (
 )
 
 // Clone returns a deep copy of the unit's code: blocks, instructions,
-// argument lists and exit descriptors (the constant pool and jump
-// tables, which no pass rewrites, are shared). Allocate rewrites its
+// argument lists, exit descriptors, the constant pool and jump tables,
+// none of it in memory the original recycles. Allocate rewrites its
 // unit in place; callers that want to check its work keep a clone of
 // what went in.
 func (u *Unit) Clone() *Unit {
 	c := *u
-	c.mem = unitSlabs{} // the clone cuts nothing from the original's chunks
+	c.mem = unitMem{} // the clone shares no memory with the original
+	c.Imms = slices.Clone(u.Imms)
+	c.Tables = slices.Clone(u.Tables)
+	for i := range c.Tables {
+		c.Tables[i].Targets = slices.Clone(u.Tables[i].Targets)
+	}
 	c.GuardTypes = slices.Clone(u.GuardTypes)
 	c.Layout = slices.Clone(u.Layout)
 	c.RegOf = slices.Clone(u.RegOf)
