@@ -19,8 +19,7 @@ func TestCloneBlocksCopiesAreWindows(t *testing.T) {
 	}
 	orig := []*region.Block{
 		{Start: 0, Preconds: []region.Guard{guard(0, types.TInt), guard(1, types.TStr)},
-			EntryStackTypes: []types.Type{types.TInt}, Succs: []int{4, 9},
-			PostLocals: map[int]types.Type{0: types.TInt}},
+			EntryStackTypes: []types.Type{types.TInt}, Succs: []int{4, 9}},
 		{Start: 4, Succs: []int{9}},
 		{Start: 9, Preconds: []region.Guard{guard(2, types.TDbl)},
 			EntryStackTypes: []types.Type{types.TDbl, types.TBool}},
@@ -48,9 +47,6 @@ func TestCloneBlocksCopiesAreWindows(t *testing.T) {
 		if !same(cp[i], was[i]) || cp[i] == orig[i] {
 			t.Fatalf("copy %d is %s, want a copy of %s", i, show(cp[i]), show(orig[i]))
 		}
-	}
-	if cp[0].PostLocals[0] != types.TInt {
-		t.Errorf("copy lost PostLocals: %v", cp[0].PostLocals)
 	}
 	cp[0].Preconds[0].Type = types.TCell // what relaxation does
 	if orig[0].Preconds[0].Type != types.TInt {

@@ -616,13 +616,32 @@ type entryTypes interface {
 // facts (DESIGN.md §14) into the region.TypeSource every selection
 // goes through: property reads at shape-monomorphic sites flow their
 // recorded slot kind into the selector, so tracelets keep tracing
-// through them.
+// through them. A selection takes one from shapeSources, fills the
+// field its entry types come from and hands both to selectBlock: a
+// pointer goes into an interface without an allocation, so neither
+// the source nor its entry types are boxed.
 type shapeSource struct {
-	entryTypes
-	j *JIT
+	entryTypes // points at frame, args or snap
+	j          *JIT
+
+	frame frameTypeSource
+	args  argTypeSource
+	snap  snapTypeSource
 }
 
-func (s shapeSource) PropReadType(fnID, pc int, name string) types.Type {
+var shapeSources = sync.Pool{New: func() any { return new(shapeSource) }}
+
+// selectBlock selects the block at (fn, pc) with entry types from
+// entry, a field of src, and hands src back to shapeSources emptied.
+func (j *JIT) selectBlock(src *shapeSource, entry entryTypes, fn *hhbc.Func, pc, depth int, mode region.SelectMode) *region.Block {
+	src.entryTypes, src.j = entry, j
+	blk := region.Select(j.Unit, fn, pc, depth, src, mode, 0)
+	*src = shapeSource{}
+	shapeSources.Put(src)
+	return blk
+}
+
+func (s *shapeSource) PropReadType(fnID, pc int, name string) types.Type {
 	sp := s.j.Counters.PropShapes(profile.CallSite{FuncID: fnID, PC: pc})
 	if sp == nil || sp.Total < profile.ShapeWarmMin || len(sp.Shapes) != 1 {
 		return types.TInitCell

@@ -231,17 +231,17 @@ func (j *JIT) Jumpstart(snap *jumpstart.Snapshot) JumpstartResult {
 			if rec.PC < 0 || rec.PC >= len(fn.Instrs) || rec.EntryDepth < 0 {
 				continue
 			}
-			src := snapTypeSource{locals: map[int]types.Type{}}
+			src := shapeSources.Get().(*shapeSource)
+			src.snap.locals = map[int]types.Type{}
 			for _, g := range rec.Guards {
 				if !g.Stack {
-					src.locals[g.Slot] = g.Type.Type()
+					src.snap.locals[g.Slot] = g.Type.Type()
 				}
 			}
 			for _, t := range rec.EntryStackTypes {
-				src.stack = append(src.stack, t.Type())
+				src.snap.stack = append(src.snap.stack, t.Type())
 			}
-			blk := region.Select(j.Unit, fn, rec.PC, rec.EntryDepth, shapeSource{src, j},
-				region.ModeProfiling, 0)
+			blk := j.selectBlock(src, &src.snap, fn, rec.PC, rec.EntryDepth, region.ModeProfiling)
 			blk.ProfCounter = j.Counters.NewCounter()
 			j.Counters.Add(blk.ProfCounter, rec.Count)
 			j.mu.Lock()

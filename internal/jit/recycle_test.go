@@ -80,7 +80,6 @@ func keep(tr *jit.Translation) kept {
 		cp.Preconds = slices.Clone(b.Preconds)
 		cp.EntryStackTypes = slices.Clone(b.EntryStackTypes)
 		cp.Succs = slices.Clone(b.Succs)
-		cp.PostLocals = nil // shared with the profiling block; nothing writes it
 		k.Desc = append(k.Desc, cp)
 	}
 	return k

@@ -137,14 +137,15 @@ func (j *JIT) layoutConfig() vasm.LayoutConfig {
 // types — a gen-1 style tracelet for ModeTracelet, one instrumented
 // block for ModeProfiling — and mints it.
 func (j *JIT) translate(fn *hhbc.Func, fr *interp.Frame, kind Mode, m *machine.Meter) *Translation {
-	src := shapeSource{frameTypeSource{fr, kind == ModeTracelet}, j}
+	src := shapeSources.Get().(*shapeSource)
+	src.frame = frameTypeSource{fr, kind == ModeTracelet}
 	if kind == ModeProfiling {
-		blk := region.Select(j.Unit, fn, fr.PC, len(fr.Stack), src, region.ModeProfiling, 0)
+		blk := j.selectBlock(src, &src.frame, fn, fr.PC, len(fr.Stack), region.ModeProfiling)
 		blk.ProfCounter = j.Counters.NewCounter()
 		return j.mint(region.NewDesc(blk), kind, hhir.BuildConfig{Profiling: true,
 			Counter: blk.ProfCounter, EnableShapes: true}, m)
 	}
-	blk := region.Select(j.Unit, fn, fr.PC, len(fr.Stack), src, region.ModeLive, 0)
+	blk := j.selectBlock(src, &src.frame, fn, fr.PC, len(fr.Stack), region.ModeLive)
 	// Live translations have no call-profile-driven optimizations;
 	// inline caching handles dispatch (Section 5.3.3). Shape ICs are
 	// likewise self-filling, so live code gets them too, and Counters
@@ -498,8 +499,8 @@ func dropShadowed(regions []*region.Desc) []*region.Desc {
 // reads them lock-free on every dispatch), so any pass that rewrites
 // guards — relaxation in particular — must work on private copies. The
 // copies share one backing array per field, each block's slice a
-// capacity-capped window of it; PostLocals, which nothing writes after
-// region.Select, is shared with the original.
+// capacity-capped window of it. PostLocals is nil (region.Select leaves
+// it so), so no copy shares anything through it.
 func cloneBlocks(blocks []*region.Block) []*region.Block {
 	nguards, nstack, nsuccs := 0, 0, 0
 	for _, blk := range blocks {
@@ -559,9 +560,9 @@ func (j *JIT) profiledRegion(f *hhbc.Func) *region.Desc {
 // synthesizedRegion selects a static region of f from its argument
 // types.
 func (j *JIT) synthesizedRegion(f *hhbc.Func, argTypes []types.Type) *region.Desc {
-	src := shapeSource{argTypeSource{argTypes: argTypes, fn: f}, j}
-	blk := region.Select(j.Unit, f, 0, 0, src, region.ModeLive, 0)
-	return region.NewDesc(blk)
+	src := shapeSources.Get().(*shapeSource)
+	src.args = argTypeSource{argTypes: argTypes, fn: f}
+	return region.NewDesc(j.selectBlock(src, &src.args, f, 0, 0, region.ModeLive))
 }
 
 // argTypeSource feeds known argument types to the region selector.

@@ -53,8 +53,9 @@ type Block struct {
 
 	// Preconds are the type guards at the top of the translation.
 	Preconds []Guard
-	// PostLocals are local types known at block exit, used by the
-	// profile-guided selector to match successor preconditions.
+	// PostLocals is always nil: Select does not record the local types
+	// known at block exit, and nothing reads them. The field stays only
+	// because benchmarks/layers.go copies it.
 	PostLocals map[int]types.Type
 	// Succs are the possible successor pcs (bytecode level).
 	Succs []int

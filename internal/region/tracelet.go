@@ -1,7 +1,11 @@
 package region
 
 import (
+	"slices"
+	"sync"
+
 	"repro/internal/hhbc"
+	"repro/internal/slab"
 	"repro/internal/types"
 )
 
@@ -46,7 +50,20 @@ type origin struct {
 	ok bool
 }
 
-// selector walks bytecode computing type flow and guard needs.
+// localState is what the selector knows of one local: its type (TCell
+// until known), and whether the tracelet has stored to it, after which
+// its entry type can no longer be guarded. The zero value knows
+// nothing.
+type localState struct {
+	t       types.Type
+	known   bool
+	written bool
+}
+
+// selector walks bytecode computing type flow and guard needs. Its
+// lists are scratch: Select draws a selector from selectors and
+// release hands it back emptied, so a selection allocates only the
+// Block and the slices it keeps.
 type selector struct {
 	unit *hhbc.Unit
 	fn   *hhbc.Func
@@ -54,14 +71,30 @@ type selector struct {
 	mode SelectMode
 	max  int
 
-	locals  map[int]types.Type
-	written []bool // locals the tracelet has stored to: no longer guardable
+	locals []localState // by slot
 	// The symbolic eval stack: types, and in parallel their origins.
 	stack   []types.Type
 	origins []origin
+	guards  []Guard // one per location, in the order first guarded
+	succs   []int
+}
 
-	guards map[Loc]*Guard
-	block  *Block
+var selectors = sync.Pool{New: func() any { return new(selector) }}
+
+// release empties s and hands it back to selectors. Every local goes
+// back to the zero localState, which the next selection relies on.
+func (s *selector) release() {
+	clear(s.locals)
+	*s = selector{locals: s.locals[:0], stack: s.stack[:0], origins: s.origins[:0],
+		guards: s.guards[:0], succs: s.succs[:0]}
+	selectors.Put(s)
+}
+
+// blockMem is a Block with room for the successors most blocks have,
+// so that both are one allocation.
+type blockMem struct {
+	b     Block
+	succs [2]int
 }
 
 // Select forms a tracelet starting at pc with the given entry stack
@@ -71,19 +104,20 @@ func Select(u *hhbc.Unit, fn *hhbc.Func, pc int, entryDepth int, src TypeSource,
 	if maxInstrs <= 0 {
 		maxInstrs = DefaultMaxInstrs
 	}
-	s := &selector{
-		unit: u, fn: fn, src: src, mode: mode, max: maxInstrs,
-		locals:  map[int]types.Type{},
-		written: make([]bool, fn.NumLocals),
-		guards:  map[Loc]*Guard{},
-	}
-	b := &Block{
+	s := selectors.Get().(*selector)
+	defer s.release()
+	s.unit, s.fn, s.src, s.mode, s.max = u, fn, src, mode, maxInstrs
+	s.locals = slab.Grow(s.locals, fn.NumLocals)
+	m := &blockMem{b: Block{
 		Func: fn, Start: pc, EntryStackDepth: entryDepth,
 		ProfCounter: -1,
+	}}
+	b := &m.b
+	if entryDepth > 0 {
+		b.EntryStackTypes = make([]types.Type, entryDepth)
 	}
-	s.block = b
 	for d := 0; d < entryDepth; d++ {
-		b.EntryStackTypes = append(b.EntryStackTypes, src.StackType(d))
+		b.EntryStackTypes[d] = src.StackType(d)
 		s.stack = append(s.stack, types.TInitCell)
 		s.origins = append(s.origins, origin{Loc{LocStack, d}, true})
 	}
@@ -94,7 +128,7 @@ func Select(u *hhbc.Unit, fn *hhbc.Func, pc int, entryDepth int, src TypeSource,
 		if !s.step(in, cur) {
 			// The instruction needs information this tracelet cannot
 			// provide: end before it; it starts the next translation.
-			b.Succs = []int{cur}
+			s.succs = append(s.succs[:0], cur)
 			break
 		}
 		cur++
@@ -104,41 +138,42 @@ func Select(u *hhbc.Unit, fn *hhbc.Func, pc int, entryDepth int, src TypeSource,
 		branches := false
 		fall := fn.ForEachSuccessor(cur-1, func(t int) {
 			branches = true
-			for _, seen := range b.Succs {
-				if seen == t {
-					return
-				}
+			if !slices.Contains(s.succs, t) {
+				s.succs = append(s.succs, t)
 			}
-			b.Succs = append(b.Succs, t)
 		})
 		if branches || !fall {
 			if fall {
-				b.Succs = append(b.Succs, cur)
+				s.succs = append(s.succs, cur)
 			}
 			break
 		}
 		if s.mode == ModeProfiling && breaksProfilingBlock(in.Op) {
-			b.Succs = []int{cur}
+			s.succs = append(s.succs[:0], cur)
 			break
 		}
 	}
 	if b.NumInstrs == 0 {
 		// Force progress: include one instruction generically.
 		b.NumInstrs = 1
-		in := fn.Instrs[pc]
-		if !in.Op.IsUnconditionalExit() {
-			b.Succs = []int{pc + 1}
+		if !fn.Instrs[pc].Op.IsUnconditionalExit() {
+			s.succs = append(s.succs[:0], pc+1)
 		}
 	}
-	if b.NumInstrs > 0 && b.Succs == nil && cur-pc >= s.max {
-		b.Succs = []int{cur}
+	if len(s.succs) == 0 && cur-pc >= s.max {
+		s.succs = append(s.succs, cur)
 	}
-
-	for _, g := range s.guards {
-		b.Preconds = append(b.Preconds, *g)
+	switch n := len(s.succs); {
+	case n > len(m.succs):
+		b.Succs = slices.Clone(s.succs)
+	case n > 0:
+		b.Succs = m.succs[:n:n]
+		copy(b.Succs, s.succs)
 	}
-	sortGuards(b.Preconds)
-	b.PostLocals = s.locals
+	if len(s.guards) > 0 {
+		b.Preconds = slices.Clone(s.guards)
+		sortGuards(b.Preconds)
+	}
 	return b
 }
 
@@ -168,12 +203,28 @@ func breaksProfilingBlock(op hhbc.Op) bool {
 	return false
 }
 
-// localType returns the current known type of a local.
+// localType returns the current known type of a local (TCell for no
+// local).
 func (s *selector) localType(slot int) types.Type {
-	if t, ok := s.locals[slot]; ok {
-		return t
+	if slot >= 0 && s.locals[slot].known {
+		return s.locals[slot].t
 	}
 	return types.TCell
+}
+
+// setLocal records t as the known type of a local.
+func (s *selector) setLocal(slot int, t types.Type) {
+	s.locals[slot].t, s.locals[slot].known = t, true
+}
+
+// guard returns the guard on loc, nil if there is none.
+func (s *selector) guard(loc Loc) *Guard {
+	for i := range s.guards {
+		if s.guards[i].Loc == loc {
+			return &s.guards[i]
+		}
+	}
+	return nil
 }
 
 // guardLocal tries to establish constraint con on a local's entry
@@ -185,7 +236,7 @@ func (s *selector) guardLocal(slot int, con TypeConstraint) (types.Type, bool) {
 		s.upgradeGuard(Loc{LocLocal, slot}, con)
 		return cur, true
 	}
-	if s.written[slot] {
+	if s.locals[slot].written {
 		return cur, false
 	}
 	t := s.src.LocalType(slot)
@@ -193,7 +244,7 @@ func (s *selector) guardLocal(slot int, con TypeConstraint) (types.Type, bool) {
 		return cur, false
 	}
 	s.setGuard(Loc{LocLocal, slot}, t, con)
-	s.locals[slot] = t
+	s.setLocal(slot, t)
 	return t, true
 }
 
@@ -212,7 +263,7 @@ func (s *selector) needVal(i int, con TypeConstraint) bool {
 	}
 	var t types.Type
 	if o.Kind == LocLocal {
-		if s.written[o.Slot] {
+		if s.locals[o.Slot].written {
 			return false
 		}
 		t = s.src.LocalType(o.Slot)
@@ -225,13 +276,13 @@ func (s *selector) needVal(i int, con TypeConstraint) bool {
 	s.setGuard(o.Loc, t, con)
 	s.stack[i] = t
 	if o.Kind == LocLocal {
-		s.locals[o.Slot] = t
+		s.setLocal(o.Slot, t)
 	}
 	return true
 }
 
 func (s *selector) setGuard(loc Loc, t types.Type, con TypeConstraint) {
-	if g, ok := s.guards[loc]; ok {
+	if g := s.guard(loc); g != nil {
 		g.Type = g.Type.Intersect(t)
 		if g.Type.IsBottom() {
 			g.Type = t
@@ -239,11 +290,11 @@ func (s *selector) setGuard(loc Loc, t types.Type, con TypeConstraint) {
 		g.Constraint = g.Constraint.Stronger(con)
 		return
 	}
-	s.guards[loc] = &Guard{Loc: loc, Type: t, Constraint: con}
+	s.guards = append(s.guards, Guard{Loc: loc, Type: t, Constraint: con})
 }
 
 func (s *selector) upgradeGuard(loc Loc, con TypeConstraint) {
-	if g, ok := s.guards[loc]; ok {
+	if g := s.guard(loc); g != nil {
 		g.Constraint = g.Constraint.Stronger(con)
 	}
 }
@@ -259,12 +310,12 @@ func (s *selector) widenObjGuard(i int) {
 	if !o.ok {
 		return
 	}
-	g, ok := s.guards[o.Loc]
-	if !ok || g.Constraint > ConSpecific || !g.Type.SubtypeOf(types.TObj) {
+	g := s.guard(o.Loc)
+	if g == nil || g.Constraint > ConSpecific || !g.Type.SubtypeOf(types.TObj) {
 		return
 	}
 	g.Type = g.Type.Unspecialize()
 	if o.Kind == LocLocal {
-		s.locals[o.Slot] = s.stack[i].Unspecialize()
+		s.setLocal(o.Slot, s.stack[i].Unspecialize())
 	}
 }

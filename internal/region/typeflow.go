@@ -139,16 +139,16 @@ func (s *selector) step(in hhbc.Instr, pc int) bool {
 		fallthrough
 	case hhbc.OpCGetL, hhbc.OpPushL:
 		readsNull := in.Op != hhbc.OpPushL && local.Maybe(types.TUninit)
-		from[0] = origin{Loc{LocLocal, slot}, !s.written[slot] && !readsNull}
+		from[0] = origin{Loc{LocLocal, slot}, !s.locals[slot].written && !readsNull}
 	}
 	s.stack = append(s.stack[:base], push[:in.NumPush()]...)
 	s.origins = append(s.origins[:base], from[:in.NumPush()]...)
 
 	switch {
 	case in.Op.WritesLocal():
-		s.locals[slot], s.written[slot] = localOut, true
+		s.locals[slot] = localState{t: localOut, known: true, written: true}
 	case slot >= 0 && localOut != local:
-		s.locals[slot] = localOut // an assertion or a passed check
+		s.setLocal(slot, localOut) // an assertion or a passed check
 	}
 	return true
 }
