@@ -140,7 +140,7 @@ func TestChainLinksAcrossOptimizePublish(t *testing.T) {
 	}
 	planted := 0
 	j.ForEachTranslation(func(tr *jit.Translation) {
-		code := tr.Code
+		code := &tr.Code
 		code.ForEachLink(func(i int, l *mcode.Link) {
 			if l.Epoch != epoch {
 				t.Errorf("stale link survived the swap: func %d pc %d site %d has epoch %d, index epoch %d",

@@ -358,10 +358,12 @@ func TestSiteRequestAllocationBudget(t *testing.T) {
 // units: HHIR and vasm nodes come from per-unit slabs, pass state is
 // indexed by ID, the units with their slabs and tables are recycled
 // from one compile to the next, and region selection and hhbbc's type
-// inference run in recycled scratch (DESIGN.md §6 "Compile-time
+// inference run in recycled scratch, and a translation keeps a few
+// arrays of exactly the right size (DESIGN.md §6 "Compile-time
 // memory"). The trial made 383k allocations before the slabs, 192.9k
 // before the units were recycled, 93.7k before selection and inference
-// were, and makes 68.8k now; the budget is that plus 10%.
+// were, 68.8k before translations kept exact arrays, and makes 54.8k
+// now; the budget is that plus 10%.
 func TestColdStartAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -397,7 +399,7 @@ func TestColdStartAllocationBudget(t *testing.T) {
 			t.Fatal("10 rounds did not reach the optimized tier")
 		}
 	}
-	const budget = 75_700
+	const budget = 60_300
 	allocs := testing.AllocsPerRun(1, trial)
 	t.Logf("cold trial: %.0f Go allocations (budget %d)", allocs, budget)
 	if allocs > budget {

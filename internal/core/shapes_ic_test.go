@@ -143,7 +143,7 @@ func TestPropICAcrossOptimizePublish(t *testing.T) {
 	epoch := j.Epoch()
 	planted := 0
 	j.ForEachTranslation(func(tr *jit.Translation) {
-		code := tr.Code
+		code := &tr.Code
 		code.ForEachLink(func(i int, l *mcode.Link) {
 			if _, ok := l.Target.(*machine.PropIC); !ok {
 				return

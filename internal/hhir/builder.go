@@ -285,7 +285,8 @@ func (b *builder) def(op Opcode, t types.Type, args ...*SSATmp) *SSATmp {
 // exitDesc snapshots the current frame state for a side exit.
 func (b *builder) exitDesc(bcOff int, isCatch bool) *ExitDesc {
 	ex := b.out.mem.exits.One()
-	*ex = ExitDesc{BCOff: bcOff, IsCatch: isCatch, Stack: b.out.args(b.stack...)}
+	*ex = ExitDesc{ID: b.out.nextExit, BCOff: bcOff, IsCatch: isCatch, Stack: b.out.args(b.stack...)}
+	b.out.nextExit++
 	if n := len(b.inlines); n > 0 {
 		ex.Inline = b.inlines[n-1].ctx
 	}

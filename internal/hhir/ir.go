@@ -37,6 +37,8 @@ func (t *SSATmp) String() string {
 // partially-inlined code (Section 5.3.1: side exits can materialize
 // callee frames).
 type ExitDesc struct {
+	// ID numbers the unit's exits densely from 0 (NumExitIDs).
+	ID int
 	// BCOff is the bytecode pc to resume at.
 	BCOff int
 	// Stack are the values forming the eval stack at BCOff,
@@ -212,6 +214,7 @@ type Unit struct {
 
 	nextTmp   int
 	nextBlock int
+	nextExit  int
 
 	mem unitMem
 }
@@ -240,10 +243,17 @@ type unitMem struct {
 	// locals backs the builder's frame-slot types (EndLocals), preds
 	// every block's Preds (RecomputePreds), predAt its counts, and marks
 	// a walk's visited blocks (marks).
-	locals []types.Type
-	preds  []*Block
-	predAt []int32
-	marks  []bool
+	locals    []types.Type
+	preds     []*Block
+	predsUsed int // how far into preds this compile wrote
+	predAt    []int32
+	marks     []bool
+
+	// The passes' working state: DCE's used values, RCE's facts and
+	// GVN's value table.
+	used []bool
+	rce  rce
+	gvn  map[gvnKey]gvnVal
 }
 
 func (m *unitMem) reset() {
@@ -258,7 +268,8 @@ func (m *unitMem) reset() {
 	m.typeLists.Reset()
 	m.states.Reset()
 	m.ints.Reset()
-	clear(m.preds[:cap(m.preds)]) // the previous compile's blocks
+	clear(m.preds[:m.predsUsed]) // the previous compile's blocks
+	m.predsUsed = 0
 }
 
 // NewUnit creates an empty unit for f.
@@ -271,11 +282,13 @@ func NewUnit(f *hhbc.Func) *Unit {
 // never adds to the live heap of an engine that stopped compiling.
 var units = sync.Pool{New: func() any { return new(Unit) }}
 
-// reset empties u for a compile of f, keeping its memory.
+// reset empties u for a compile of f, keeping its memory. Every block
+// of the list was appended by NewBlock, so the compile wrote no further
+// into it than its block count.
 func (u *Unit) reset(f *hhbc.Func) {
 	mem := u.mem
 	mem.reset()
-	blocks := u.Blocks[:cap(u.Blocks)]
+	blocks := u.Blocks[:min(u.nextBlock, cap(u.Blocks))]
 	clear(blocks)
 	*u = Unit{Func: f, Blocks: blocks[:0], mem: mem}
 }
@@ -313,6 +326,9 @@ func (u *Unit) NumTmpIDs() int { return u.nextTmp }
 
 // NumBlockIDs bounds the unit's block IDs the same way.
 func (u *Unit) NumBlockIDs() int { return u.nextBlock }
+
+// NumExitIDs bounds the unit's ExitDesc IDs the same way.
+func (u *Unit) NumExitIDs() int { return u.nextExit }
 
 // args returns a unit-owned copy of vs (nil for none), for an operand
 // list: a capacity-capped window, so appending to it never writes into
@@ -422,6 +438,7 @@ func (u *Unit) RecomputePreds() {
 	}
 	all := slab.Grow(u.mem.preds, int(count[len(count)-1]))
 	u.mem.preds = all
+	u.mem.predsUsed = max(u.mem.predsUsed, len(all))
 	for _, b := range u.Blocks {
 		b.eachSucc(func(s *Block) {
 			at := count[s.ID]

@@ -547,6 +547,7 @@ func (s *leState) settlePhis() {
 			}
 		}
 	}
+	s.makeRoom()
 	for i := range s.phis {
 		ph := &s.phis[i]
 		if ph.repl != nil {
@@ -570,5 +571,31 @@ func (s *leState) settlePhis() {
 			t = refine(t, in.Dst.Type)
 		}
 		in.TypeParam, in.Dst.Type = t, t
+	}
+}
+
+// makeRoom gives every block that gets parameters, and every edge into
+// it, a list from the unit's memory with room for them, so settlePhis
+// appends without allocating. phiOf, done with, counts them per block.
+func (s *leState) makeRoom() {
+	added := s.phiOf
+	clear(added)
+	for i := range s.phis {
+		if s.phis[i].repl == nil {
+			added[s.phis[i].block]++
+		}
+	}
+	grow := func(list *[]*SSATmp, k int) {
+		w := s.u.mem.refs.Window(len(*list) + k)
+		*list = w[:copy(w, *list)]
+	}
+	for bi, k := range added {
+		if k == 0 {
+			continue
+		}
+		grow(&s.rpo[bi].Params, int(k))
+		for _, ei := range s.inEdges[s.inOf[bi]:s.inOf[bi+1]] {
+			grow(s.edges[ei].args(), int(k))
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/slab"
 	"repro/internal/types"
 )
 
@@ -296,7 +297,9 @@ func resolveCopies(u *Unit) {
 // vacuous AssertTypes.
 func DCE(u *Unit) {
 	resolveCopies(u)
-	used := make([]bool, u.nextTmp) // by SSATmp.ID
+	used := slab.Grow(u.mem.used, u.nextTmp) // by SSATmp.ID
+	u.mem.used = used
+	clear(used)
 	mark := func(t *SSATmp) {
 		if t != nil {
 			used[t.ID] = true
@@ -407,12 +410,6 @@ func PruneUnreachable(u *Unit) {
 // the entry block, which is trivially dominating.
 func GVN(u *Unit) {
 	resolveCopies(u)
-	type key struct {
-		op     Opcode
-		a0, a1 *SSATmp
-		i64    int64
-		str    string
-	}
 	// resolve follows AssertType copies created earlier in this same
 	// pass so later instructions key on canonical values.
 	var resolve func(t *SSATmp) *SSATmp
@@ -423,11 +420,11 @@ func GVN(u *Unit) {
 		}
 		return t
 	}
-	mk := func(in *Instr) (key, bool) {
+	mk := func(in *Instr) (gvnKey, bool) {
 		if !in.Op.IsPure() || in.Dst == nil {
-			return key{}, false
+			return gvnKey{}, false
 		}
-		k := key{op: in.Op, i64: in.I64, str: in.Str}
+		k := gvnKey{op: in.Op, i64: in.I64, str: in.Str}
 		if len(in.Args) > 0 {
 			k.a0 = resolve(in.Args[0])
 		}
@@ -435,14 +432,20 @@ func GVN(u *Unit) {
 			k.a1 = resolve(in.Args[1])
 		}
 		if len(in.Args) > 2 {
-			return key{}, false
+			return gvnKey{}, false
 		}
 		return k, true
 	}
 
-	// Entry-block values are visible everywhere.
-	global := map[key]*SSATmp{}
-	apply := func(b *Block, scope map[key]*SSATmp) {
+	// One table serves every block's scope: a value is reused in the
+	// block that defined it, and entry-block values everywhere. A key a
+	// block defines is never one the entry defined (that one is reused
+	// instead), so a later block may overwrite an earlier one's.
+	vals := u.mem.gvn
+	if vals == nil {
+		vals = map[gvnKey]gvnVal{}
+	}
+	apply := func(b *Block) {
 		for _, in := range b.Instrs {
 			if in.dead {
 				continue
@@ -451,38 +454,51 @@ func GVN(u *Unit) {
 			if !ok {
 				continue
 			}
-			if prev, hit := scope[k]; hit {
+			if prev, hit := vals[k]; hit && (prev.block == b || prev.block == u.Entry) {
 				// Replace in with a copy.
 				in.Op = AssertType
-				in.TypeParam = prev.Type
-				in.Args = u.args(prev)
+				in.TypeParam = prev.tmp.Type
+				in.Args = u.args(prev.tmp)
 				in.I64, in.Str = 0, ""
 				continue
 			}
-			if prev, hit := global[k]; hit && b != u.Entry {
-				in.Op = AssertType
-				in.TypeParam = prev.Type
-				in.Args = u.args(prev)
-				in.I64, in.Str = 0, ""
-				continue
-			}
-			scope[k] = in.Dst
-			if b == u.Entry {
-				global[k] = in.Dst
-			}
+			vals[k] = gvnVal{in.Dst, b}
 		}
 	}
 	if u.Entry != nil {
-		apply(u.Entry, map[key]*SSATmp{})
+		apply(u.Entry)
 	}
 	for _, b := range u.Blocks {
-		if b == u.Entry {
-			continue
+		if b != u.Entry {
+			apply(b)
 		}
-		apply(b, map[key]*SSATmp{})
 	}
+	// The unit keeps the table for its next compile unless it grew
+	// large: clearing a map costs its capacity, not its length.
+	if len(vals) > gvnRetain {
+		vals = nil
+	}
+	clear(vals)
+	u.mem.gvn = vals
 	resolveCopies(u)
 }
+
+// gvnKey is what makes two pure instructions compute the same value.
+type gvnKey struct {
+	op     Opcode
+	a0, a1 *SSATmp
+	i64    int64
+	str    string
+}
+
+// gvnVal is the value a key names, and the block that defined it.
+type gvnVal struct {
+	tmp   *SSATmp
+	block *Block
+}
+
+// gvnRetain is the most values a unit's GVN table keeps room for.
+const gvnRetain = 512
 
 // ---------- Redundant shape-guard elimination ----------
 

@@ -1,6 +1,9 @@
 package hhir
 
-import "repro/internal/types"
+import (
+	"repro/internal/slab"
+	"repro/internal/types"
+)
 
 // RCE is the reference-counting elimination pass (Section 5.3.2): it
 // sinks IncRef instructions down the instruction stream as long as
@@ -14,23 +17,55 @@ import "repro/internal/types"
 // still holds it; helper results arrive owned (>= 1); IncRef/DecRef
 // adjust the bound; calls invalidate bounds for values they consume.
 func RCE(u *Unit) {
-	r := &rce{facts: make([]rceFacts, u.nextTmp), holds: map[int64]*SSATmp{}}
+	r := &u.mem.rce
+	r.facts = slab.Grow(r.facts, u.nextTmp)
+	clear(r.facts)
+	r.gen = 0
 	for _, b := range u.Blocks {
 		r.block(b)
 	}
+	// Drop the values: the next compile's gens start over.
+	clear(r.holds)
+	clear(r.pending[:cap(r.pending)])
 	commitDead(u)
 }
 
-// rce is the pass's per-unit state. Facts are per block: an entry whose
-// gen is not the current block's reads as zero and is reset when
-// written, so moving to the next block clears only what a block
-// touched.
+// rce is the pass's state, kept in the unit's memory for its next
+// compile. Facts are per block: an entry whose gen is not the current
+// block's reads as zero and is reset when written, so moving to the
+// next block clears only what a block touched.
 type rce struct {
 	facts []rceFacts // by SSATmp.ID
 	gen   int32
-	// holds maps frame slot -> value it holds (for LdLoc facts).
-	holds   map[int64]*SSATmp
+	// holds[slot] is the value frame slot holds (for LdLoc facts), when
+	// its gen is the current block's.
+	holds   []rceHold
 	pending []pendingInc
+}
+
+type rceHold struct {
+	gen int32
+	v   *SSATmp
+}
+
+// hold returns the value the current block knows slot to hold, nil if
+// none.
+func (r *rce) hold(slot int64) *SSATmp {
+	if slot >= 0 && slot < int64(len(r.holds)) && r.holds[slot].gen == r.gen {
+		return r.holds[slot].v
+	}
+	return nil
+}
+
+// setHold records that slot holds v in the current block.
+func (r *rce) setHold(slot int64, v *SSATmp) {
+	if slot < 0 {
+		return
+	}
+	if slot >= int64(len(r.holds)) {
+		r.holds = append(r.holds, make([]rceHold, int(slot)+1-len(r.holds))...)
+	}
+	r.holds[slot] = rceHold{r.gen, v}
 }
 
 type rceFacts struct {
@@ -72,7 +107,6 @@ type pendingInc struct {
 
 func (r *rce) block(b *Block) {
 	r.gen++
-	clear(r.holds)
 
 	pending := r.pending[:0]
 
@@ -134,14 +168,14 @@ func (r *rce) block(b *Block) {
 				if f := r.at(in.Dst); f.lb < 1 {
 					f.lb = 1
 				}
-				r.holds[in.I64] = in.Dst
+				r.setHold(in.I64, in.Dst)
 			}
 		case in.Op == StLoc:
 			r.at(in.Args[0]).stored = true
-			if old, ok := r.holds[in.I64]; ok && r.lb(old) > 0 {
+			if old := r.hold(in.I64); old != nil && r.lb(old) > 0 {
 				r.at(old).lb--
 			}
-			r.holds[in.I64] = in.Args[0]
+			r.setHold(in.I64, in.Args[0])
 		case in.Op == DecRef:
 			if r.lb(in.Args[0]) > 0 {
 				r.at(in.Args[0]).lb--

@@ -150,7 +150,9 @@ type Translation struct {
 	Preconds []region.Guard
 	// EntryDepth is the required eval-stack depth at entry.
 	EntryDepth int
-	Code       *mcode.Code
+	// Code is the translation's assembled code, allocated with it: the
+	// compile assembles into it (mcode.AssembleInto).
+	Code mcode.Code
 	// ProfID is the profiling counter (profiling translations).
 	ProfID profile.TransID
 	// Desc is kept for region reuse (inlining) and diagnostics.
@@ -164,6 +166,10 @@ type Translation struct {
 	// link is the one Link{epoch, tr} shared by every smash site bound
 	// to tr in the current epoch (ChainLink).
 	link atomic.Pointer[mcode.Link]
+	// chain is the retranslation chain at tr's address as installing tr
+	// published it, ending in tr (transIndex.install); never written
+	// again.
+	chain []*Translation
 }
 
 // Uses returns the translation's successful-match count.
@@ -173,7 +179,7 @@ func (tr *Translation) Uses() uint64 { return tr.uses.Load() }
 // *Translation and the machine tail-transfers into it after recheck.
 
 // ChainCode returns the assembled code (machine.ChainTarget).
-func (tr *Translation) ChainCode() *mcode.Code { return tr.Code }
+func (tr *Translation) ChainCode() *mcode.Code { return &tr.Code }
 
 // ChainMatch rechecks entry conditions against the live frame
 // (machine.ChainTarget), all but the preconditions that from's end
@@ -442,7 +448,7 @@ func New(cfg Config, env *interp.Env, meter *machine.Meter) *JIT {
 		quarantine:   map[transKey]*quarantineEntry{},
 	}
 	j.Cache.Faults = cfg.Faults
-	j.trans.Store(newTransIndex(len(env.Unit.Funcs)))
+	j.trans.Store(newTransIndex(env.Unit.Funcs))
 	return j
 }
 
@@ -527,7 +533,7 @@ func (j *JIT) Epoch() uint64 { return j.epoch.Load() }
 // bounce through the dispatcher so their counters and arcs keep
 // recording).
 func (j *JIT) Smash(code *mcode.Code, instr int, tr *Translation) {
-	if code == nil || tr == nil || !code.Chainable || tr.Code == nil || !tr.Code.Chainable {
+	if code == nil || tr == nil || !code.Chainable || !tr.Code.Chainable {
 		return
 	}
 	epoch := j.epoch.Load()

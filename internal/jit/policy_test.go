@@ -8,7 +8,6 @@ import (
 	"repro/internal/hhbc"
 	"repro/internal/interp"
 	"repro/internal/machine"
-	"repro/internal/mcode"
 	"repro/internal/parser"
 	"repro/internal/runtime"
 )
@@ -59,7 +58,7 @@ func TestMintPolicyOSRAgreesWithDispatcher(t *testing.T) {
 								// Published translations no frame matches.
 								for i := 0; i < maxLiveChain; i++ {
 									j.trans.Load().install(key, &Translation{FuncID: fn.ID, PC: fr.PC,
-										Kind: ModeTracelet, EntryDepth: 99, Code: &mcode.Code{}})
+										Kind: ModeTracelet, EntryDepth: 99})
 								}
 							}
 							if quarantined {
@@ -149,7 +148,7 @@ func TestMissQueuedOnTheLeaseRechecksThePolicy(t *testing.T) {
 		{"chain full", ModeProfiling, func(j *JIT, key transKey) {
 			for i := 0; i < maxLiveChain; i++ {
 				j.trans.Load().install(key, &Translation{FuncID: key.fn, PC: key.pc,
-					Kind: ModeProfiling, EntryDepth: 99, Code: &mcode.Code{}})
+					Kind: ModeProfiling, EntryDepth: 99})
 			}
 		}},
 		{"cache full", ModeProfiling, func(j *JIT, _ transKey) { j.cacheFull.Store(true) }},

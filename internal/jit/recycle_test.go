@@ -15,42 +15,55 @@ import (
 )
 
 // kept is a deep copy of what a published translation keeps from its
-// compile: the code's stream, operand lists, exit descriptors,
-// addresses, checks, constants, jump tables, block starts and end
-// state, and the region it was compiled from.
+// compile: the code's stream, operand lists, exit descriptors, checks,
+// constants, jump tables and end state, every window of its metadata
+// array (addresses, dispatch metadata, block starts, smash sites), its
+// link slots, and the region it was compiled from.
 type kept struct {
-	Instrs     []vasm.Instr
-	Exits      []vasm.ExitInfo // one per instruction (zero: none)
-	Inlines    [][]vasm.InlineInfo
-	Addr       []uint64
-	Checks     []runtime.Check
-	Consts     []runtime.Value
-	Tables     []vasm.JumpTable
-	BlockStart []int32
-	EndLocals  []types.Type
-	EndStack   []types.Type
-	Desc       []region.Block
-	Arcs       [][]int
-	Weight     []uint64
-	Chains     [][]int
+	Instrs        []vasm.Instr
+	Exits         []vasm.ExitInfo // one per instruction (zero: none)
+	Inlines       [][]vasm.InlineInfo
+	Addr          []int32
+	CostPrefix    []int32
+	DispatchFlags []int32
+	FetchTails    []int32
+	BlockStart    []int32
+	Sites         []int32
+	Links         []*mcode.Link // per smash site
+	Checks        []runtime.Check
+	Consts        []runtime.Value
+	Tables        []vasm.JumpTable
+	EndLocals     []types.Type
+	EndStack      []types.Type
+	Desc          []region.Block
+	Arcs          [][]int
+	Weight        []uint64
+	Chains        [][]int
 }
 
 func keep(tr *jit.Translation) kept {
-	c := tr.Code
+	c := &tr.Code
 	k := kept{
-		Instrs:     slices.Clone(c.Instrs),
-		Exits:      make([]vasm.ExitInfo, len(c.Instrs)),
-		Inlines:    make([][]vasm.InlineInfo, len(c.Instrs)),
-		Addr:       slices.Clone(c.Addr),
-		Checks:     slices.Clone(c.Checks),
-		Consts:     slices.Clone(c.Consts),
-		Tables:     slices.Clone(c.Tables),
-		BlockStart: slices.Clone(c.BlockStart),
-		EndLocals:  slices.Clone(c.EndLocals),
-		EndStack:   slices.Clone(c.EndStack),
-		Arcs:       slices.Clone(tr.Desc.Arcs),
-		Weight:     slices.Clone(tr.Desc.Weight),
-		Chains:     slices.Clone(tr.Desc.Chains),
+		Instrs:        slices.Clone(c.Instrs),
+		Exits:         make([]vasm.ExitInfo, len(c.Instrs)),
+		Inlines:       make([][]vasm.InlineInfo, len(c.Instrs)),
+		Addr:          slices.Clone(c.Addr),
+		CostPrefix:    slices.Clone(c.CostPrefix),
+		DispatchFlags: slices.Clone(c.DispatchFlags),
+		FetchTails:    slices.Clone(c.FetchTails),
+		BlockStart:    slices.Clone(c.BlockStart),
+		Sites:         slices.Clone(c.Sites),
+		Checks:        slices.Clone(c.Checks),
+		Consts:        slices.Clone(c.Consts),
+		Tables:        slices.Clone(c.Tables),
+		EndLocals:     slices.Clone(c.EndLocals),
+		EndStack:      slices.Clone(c.EndStack),
+		Arcs:          slices.Clone(tr.Desc.Arcs),
+		Weight:        slices.Clone(tr.Desc.Weight),
+		Chains:        slices.Clone(tr.Desc.Chains),
+	}
+	for _, site := range c.Sites {
+		k.Links = append(k.Links, c.LoadLink(int(site)))
 	}
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
@@ -186,7 +199,7 @@ func TestRecycledScratchLeavesPublishedCodeAlone(t *testing.T) {
 		t.Fatalf("%d optimized regions, then %d in a second engine", len(regions), len(other))
 	}
 	for i, tr := range regions {
-		if o := other[i]; o.FuncID != tr.FuncID || o.PC != tr.PC || !sameCode(o.Code, tr.Code) {
+		if o := other[i]; o.FuncID != tr.FuncID || o.PC != tr.PC || !sameCode(&o.Code, &tr.Code) {
 			t.Fatalf("func %d pc %d: the second engine compiled different code", tr.FuncID, tr.PC)
 		}
 	}

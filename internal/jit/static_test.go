@@ -107,10 +107,10 @@ func TestChainMatchSkipsWhatTheSourceProved(t *testing.T) {
 		ok     bool
 		name   string
 	}{
-		{lit, a.Code, 1, true, "literal, chained from A"},
-		{j.Env.Heap.NewStr("computed"), a.Code, 1, false, "counted, chained from A"},
+		{lit, &a.Code, 1, true, "literal, chained from A"},
+		{j.Env.Heap.NewStr("computed"), &a.Code, 1, false, "counted, chained from A"},
 		{lit, nil, 2, true, "literal, no source"},
-		{runtime.Int(1), a.Code, 1, false, "int, chained from A"},
+		{runtime.Int(1), &a.Code, 1, false, "int, chained from A"},
 	} {
 		guards, ok := b.ChainMatch(frame(c.s, join), c.from)
 		if guards != c.guards || ok != c.ok {

@@ -25,12 +25,12 @@ var Debug = os.Getenv("REPRO_JIT_DEBUG") != ""
 
 // compileBackend runs the compiler pipeline — HHIR build and
 // optimization, lowering, layout, register allocation, optional
-// dispatch fusion, assembly — without touching the code cache.
-// Callers hold the write lease. It is the one caller that releases its
-// HHIR and vasm units for the next compile to reuse, once the code has
-// copied out what it keeps and every hook has seen them.
-func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
-	passes hhir.PassConfig, lay vasm.LayoutConfig) (*mcode.Code, error) {
+// dispatch fusion, assembly into code — without touching the code
+// cache. Callers hold the write lease. It is the one caller that
+// releases its HHIR and vasm units for the next compile to reuse, once
+// the code has copied out what it keeps and every hook has seen them.
+func (j *JIT) compileBackend(code *mcode.Code, desc *region.Desc, bcfg hhir.BuildConfig,
+	passes hhir.PassConfig, lay vasm.LayoutConfig) error {
 
 	// The injection draw is keyed by the region's entry address, not
 	// the global draw counter: the n-th compile attempt of a given
@@ -40,19 +40,20 @@ func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 	entry := desc.Entry()
 	if j.Cfg.Faults.ShouldAt(faultinject.CompileError,
 		uint64(entry.Func.ID)<<32^uint64(uint32(entry.Start))) {
-		return nil, faultinject.Errf(faultinject.CompileError)
+		return faultinject.Errf(faultinject.CompileError)
 	}
 	hu, err := hhir.Build(j.Unit, j.Env, desc, bcfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer hhir.Release(hu)
 	hhir.Optimize(hu, passes)
 	vu, err := vasm.Lower(hu)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer vasm.Release(vu)
+	vu.Entry, vu.Classes = entry.Preconds, j.Env.Classes
 	vasm.Layout(vu, lay)
 	var before *vasm.Unit
 	if j.allocCheck != nil {
@@ -67,10 +68,8 @@ func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 			atomic.AddUint64(&j.stats.FusedInstrs, uint64(n))
 		}
 	}
-	vu.Entry, vu.Classes = entry.Preconds, j.Env.Classes
-	code, err := mcode.Assemble(vu)
-	if err != nil {
-		return nil, err
+	if err := mcode.AssembleInto(code, vu); err != nil {
+		return err
 	}
 	code.Guards, code.Loads = hu.Stats, hu.Opt
 	// The unit's lists are recycled with it: the code keeps a copy.
@@ -80,7 +79,7 @@ func (j *JIT) compileBackend(desc *region.Desc, bcfg hhir.BuildConfig,
 		fmt.Fprintf(os.Stderr, "=== region for %s ===\n%s\n--- HHIR ---\n%s--- vasm ---\n%s--- guards: %s ---\n--- loads: %s ---\n--- regalloc: %s; %d fallthrough jumps elided ---\n\n",
 			desc.Entry().Func.FullName(), desc, hu, vu, code.Guards, code.Loads, vu.Alloc, code.ElidedJumps)
 	}
-	return code, nil
+	return nil
 }
 
 // placeCode allocates cache space for assembled code, rebases it, and
@@ -167,10 +166,11 @@ func (j *JIT) mint(desc *region.Desc, kind Mode, bcfg hhir.BuildConfig, m *machi
 	entry := desc.Entry()
 	key := transKey{entry.Func.ID, entry.Start}
 	area, _, _ := j.residence(kind)
-	code, err := j.compileBackend(desc, bcfg, j.passConfig(bcfg.Profiling),
+	tr := newTranslation(desc, kind)
+	err := j.compileBackend(&tr.Code, desc, bcfg, j.passConfig(bcfg.Profiling),
 		vasm.LayoutConfig{ProfileGuided: false, SplitCold: true})
 	if err == nil {
-		err = j.placeCode(code, area, m)
+		err = j.placeCode(&tr.Code, area, m)
 	}
 	if err != nil {
 		debugCompileErr(kind.String(), entry.Func.FullName(), err)
@@ -179,7 +179,7 @@ func (j *JIT) mint(desc *region.Desc, kind Mode, bcfg hhir.BuildConfig, m *machi
 		}
 		return nil
 	}
-	tr := j.newTranslation(desc, kind, code)
+	j.account(tr)
 	j.mu.Lock()
 	j.installLocked(tr)
 	if kind == ModeProfiling {
@@ -239,37 +239,42 @@ func (j *JIT) residence(kind Mode) (area mcode.Area, count, bytes *uint64) {
 	}
 }
 
-// newTranslation wraps placed code as the translation of desc and
-// accounts it under its kind; publishing it is the caller's step (mint
-// installs one, the optimized publish swaps a batch in). Live tracelets
-// and optimized regions chain — gen-1's defining trick is smashing
-// bind jumps together. Profiling translations deliberately do not, in
-// either direction: every entry must pass through the dispatcher so
-// RecordArc sees the transfer and the TransCFG stays accurate, and the
-// optimized publish retires exactly this kind — keeping them out of
-// links means no chainable target is ever semantically stale.
-func (j *JIT) newTranslation(desc *region.Desc, kind Mode, code *mcode.Code) *Translation {
+// newTranslation returns the translation of desc, its code still to be
+// compiled into it (compileBackend, placeCode).
+func newTranslation(desc *region.Desc, kind Mode) *Translation {
 	entry := desc.Entry()
-	code.Chainable = kind != ModeProfiling
 	tr := &Translation{
 		FuncID: entry.Func.ID, PC: entry.Start, Kind: kind,
 		Preconds: entry.Preconds, EntryDepth: entry.EntryStackDepth,
-		Code: code, ProfID: -1, Desc: desc,
+		ProfID: -1, Desc: desc,
 	}
 	if kind == ModeProfiling {
 		tr.ProfID = entry.ProfCounter
 	}
-	_, count, bytes := j.residence(kind)
-	atomic.AddUint64(count, 1)
-	atomic.AddUint64(bytes, code.Size)
 	return tr
 }
 
-// installLocked publishes tr at the tail of its address's chain. Only
-// tr's function slot of the index is copied and stored again
-// (transIndex.install), so a publish costs what that function holds.
-// Callers hold j.mu; concurrent lock-free readers keep the slot they
-// loaded untouched.
+// account marks tr's placed code chainable or not and counts it under
+// its kind; publishing it is the caller's step (mint installs one, the
+// optimized publish swaps a batch in). Live tracelets and optimized
+// regions chain — gen-1's defining trick is smashing bind jumps
+// together. Profiling translations deliberately do not, in either
+// direction: every entry must pass through the dispatcher so RecordArc
+// sees the transfer and the TransCFG stays accurate, and the optimized
+// publish retires exactly this kind — keeping them out of links means
+// no chainable target is ever semantically stale.
+func (j *JIT) account(tr *Translation) {
+	tr.Code.Chainable = tr.Kind != ModeProfiling
+	_, count, bytes := j.residence(tr.Kind)
+	atomic.AddUint64(count, 1)
+	atomic.AddUint64(bytes, tr.Code.Size)
+}
+
+// installLocked publishes tr at the tail of its address's chain. The
+// install allocates only that chain and stores it into its pc's entry
+// of the index (transIndex.install), so a publish costs the chain that
+// grows. Callers hold j.mu; concurrent lock-free readers keep the chain
+// they loaded untouched.
 func (j *JIT) installLocked(tr *Translation) {
 	j.trans.Load().install(transKey{tr.FuncID, tr.PC}, tr)
 }
@@ -399,14 +404,15 @@ func (j *JIT) optimizeAll(meter *machine.Meter) {
 	for _, fr := range all {
 		ok := len(fr.regions) > 0
 		for _, desc := range fr.regions {
-			code, err := j.compileBackend(desc, bcfg, j.passConfig(false), j.layoutConfig())
+			tr := newTranslation(desc, ModeRegion)
+			err := j.compileBackend(&tr.Code, desc, bcfg, j.passConfig(false), j.layoutConfig())
 			if err != nil {
-				code, err = j.compileBackend(desc, bcfg, j.passConfig(false), j.layoutConfig())
+				err = j.compileBackend(&tr.Code, desc, bcfg, j.passConfig(false), j.layoutConfig())
 			}
 			if err == nil {
-				err = j.placeCode(code, mcode.AreaHot, meter)
+				err = j.placeCode(&tr.Code, mcode.AreaHot, meter)
 				if err != nil && !errors.Is(err, mcode.ErrCacheFull) {
-					err = j.placeCode(code, mcode.AreaHot, meter)
+					err = j.placeCode(&tr.Code, mcode.AreaHot, meter)
 				}
 			}
 			if err != nil {
@@ -414,7 +420,8 @@ func (j *JIT) optimizeAll(meter *machine.Meter) {
 				ok = false // cache full: this function keeps its profiling code
 				continue
 			}
-			newTrans = append(newTrans, j.newTranslation(desc, ModeRegion, code))
+			j.account(tr)
+			newTrans = append(newTrans, tr)
 		}
 		published[fr.fnID] = ok
 	}

@@ -28,18 +28,19 @@ import "repro/internal/mcode"
 
 // PrepareDispatch computes the dispatch metadata of placed code and
 // marks it for the fast path. Must run after Code.Place (addresses
-// are line-relative to the base).
+// are line-relative to the base). It fills the windows Assemble
+// reserved for it and allocates nothing.
 func PrepareDispatch(code *mcode.Code) {
 	n := len(code.Instrs)
-	prefix := make([]uint64, n+1)
-	flags := make([]uint8, n)
-	var tails [][]uint64
+	prefix, flags := code.CostPrefix[:n+1], code.DispatchFlags[:n]
+	tails := code.FetchTails[:0]
+	clear(flags)
 	prevLine := ^uint64(0) // sentinel: instruction 0 counts as a head
 	var compBuf [4]uint64
 	comps := compBuf[:0]
 	for i := 0; i < n; i++ {
 		in := &code.Instrs[i]
-		prefix[i+1] = prefix[i] + instrCost(in)
+		prefix[i+1] = prefix[i] + int32(instrCost(in))
 		addr := code.AddrOf(i)
 		comps = mcode.ComponentSizes(in, comps)
 		for ci, sz := range comps {
@@ -48,19 +49,16 @@ func PrepareDispatch(code *mcode.Code) {
 				if ci == 0 {
 					flags[i] |= mcode.FlagFetchHead
 				} else {
-					if tails == nil {
-						tails = make([][]uint64, n)
+					if flags[i]&mcode.FlagFetchTails == 0 {
+						flags[i] |= mcode.FlagFetchTails | int32(len(tails))<<mcode.FlagBits
 					}
-					tails[i] = append(tails[i], addr)
-					flags[i] |= mcode.FlagFetchTails
+					tails = append(tails, int32(i), int32(addr-code.Base))
 				}
 				prevLine = line
 			}
 			addr += sz
 		}
 	}
-	code.CostPrefix = prefix
-	code.DispatchFlags = flags
 	code.FetchTails = tails
 	code.FastDispatch = true
 }

@@ -389,8 +389,9 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				m.Meter.Cycles += m.Fetch.Fetch(code.AddrOf(ip))
 				xfer = false
 				if fl&mcode.FlagFetchTails != 0 {
-					for _, ta := range code.FetchTails[ip] {
-						m.Meter.Cycles += m.Fetch.Fetch(ta)
+					tails := code.FetchTails
+					for k := int(fl >> mcode.FlagBits); k < len(tails) && int(tails[k]) == ip; k += 2 {
+						m.Meter.Cycles += m.Fetch.Fetch(code.Base + uint64(tails[k+1]))
 					}
 				}
 			}
@@ -749,7 +750,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 // stretch is empty (through < runStart).
 func settleRun(meter *Meter, code *mcode.Code, runStart, through int) {
 	if through >= runStart {
-		meter.Cycles += code.CostPrefix[through+1] - code.CostPrefix[runStart]
+		meter.Cycles += uint64(code.CostPrefix[through+1] - code.CostPrefix[runStart])
 	}
 }
 

@@ -7,6 +7,7 @@ package mcode
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -25,10 +26,23 @@ var ErrCacheFull = errors.New("code cache full")
 
 // Code is one assembled translation: the flattened instruction
 // stream in layout order with per-instruction addresses.
+//
+// A code lives as long as its translation, so what it keeps is a few
+// arrays of exactly the right size, one per element type: the stream,
+// the constants, the checks, the register lists (every operand list and
+// exit descriptor's registers are windows of one []vasm.Reg), the exit
+// descriptors, the link slots — and the metadata, one pointer-free
+// []int32 of which Addr, CostPrefix, DispatchFlags, BlockStart, Sites,
+// FetchTails and the per-instruction link-slot index are
+// capacity-capped windows. Assemble sizes that array for everything
+// machine.PrepareDispatch fills in after Place, so neither allocates
+// per table.
 type Code struct {
 	Instrs []vasm.Instr
-	// Addr[i] is the simulated address of Instrs[i].
-	Addr []uint64
+	// Addr[i] is the address of Instrs[i] relative to Base (AddrOf).
+	// A translation's relative addresses fit in 32 bits: Assemble fails
+	// one that does not.
+	Addr []int32
 	// BlockStart[b] is the index into Instrs of vasm block b's first
 	// instruction (-1 for a block the layout dropped). Every branch
 	// target, jump-table entry and stub reference in Instrs/Tables was
@@ -69,27 +83,31 @@ type Code struct {
 
 	// FastDispatch marks translations prepared for the machine's fused
 	// fast-dispatch path: CostPrefix/DispatchFlags/FetchTails are
-	// populated (by machine.PrepareDispatch, after Place) and the
+	// filled in (by machine.PrepareDispatch, after Place) and the
 	// machine charges static cycles per straight-line run instead of
 	// per instruction. Unprepared code always takes the classic
 	// per-instruction path.
 	FastDispatch bool
 	// CostPrefix[i] is the summed static cost of Instrs[:i] (length
 	// len(Instrs)+1): the cost of the stream stretch [a, b] is
-	// CostPrefix[b+1]-CostPrefix[a].
-	CostPrefix []uint64
+	// CostPrefix[b+1]-CostPrefix[a]. A translation's summed cost fits
+	// in 32 bits as its size does.
+	CostPrefix []int32
 	// DispatchFlags[i] packs the per-instruction fetch metadata into
-	// one byte so the fast path pays a single load per instruction:
+	// one word so the fast path pays a single load per instruction:
 	// FlagFetchHead means Instrs[i] starts on a different icache line
 	// than the last component of its stream predecessor (a
 	// straight-line fall-into needs a fetch probe; control transfers
-	// always probe), FlagFetchTails that FetchTails[i] is non-empty.
-	DispatchFlags []uint8
-	// FetchTails[i] lists the addresses of second-and-later components
-	// of a fused Instrs[i] that begin a new icache line relative to
-	// the component before them (nil for nearly every instruction;
-	// consulted only when DispatchFlags[i]&FlagFetchTails is set).
-	FetchTails [][]uint64
+	// always probe), FlagFetchTails that Instrs[i] has fetch tails,
+	// which start at FetchTails[DispatchFlags[i]>>FlagBits].
+	DispatchFlags []int32
+	// FetchTails lists, for each fused instruction that has any, the
+	// relative addresses of its second-and-later components that begin
+	// a new icache line relative to the component before them, as
+	// (instruction index, address) pairs in stream order. Assemble
+	// reserves room for every fused component; PrepareDispatch keeps
+	// only the ones that begin a line.
+	FetchTails []int32
 
 	// Chainable marks translations that participate in direct
 	// chaining: their smash sites may be bound and they may be chained
@@ -103,18 +121,24 @@ type Code struct {
 	// (hhir.Unit.EndLocals): a chained transfer out of one need not
 	// re-check what they prove of the target's preconditions.
 	EndLocals, EndStack []types.Type
-	// links is the smash-site slab: links[i] is the published direct
-	// target of the smashable instruction at Instrs[i] (BindJmp and
-	// direct-call sites), nil until the first transfer resolves it.
-	// Slots are read lock-free by every worker on the hot path and
-	// overwritten wholesale by smashing/sweeping, never mutated.
-	links []atomic.Pointer[Link]
+	// Sites lists the smash sites — the smashable instructions (bind
+	// jumps and direct call sites) — by stream index; links[k] is the
+	// published direct target of site k, nil until the first transfer
+	// resolves it, and slotOf[i] is k for the instruction at Sites[k]
+	// (-1 for any other; empty when the code has no site). Slots are
+	// read lock-free by every worker on the hot path and overwritten
+	// wholesale by smashing/sweeping, never mutated.
+	Sites  []int32
+	slotOf []int32
+	links  []atomic.Pointer[Link]
 }
 
-// DispatchFlags bits (see Code.DispatchFlags).
+// DispatchFlags bits (see Code.DispatchFlags); the bits above FlagBits
+// hold where an instruction's fetch tails start.
 const (
-	FlagFetchHead  uint8 = 1 << 0
-	FlagFetchTails uint8 = 1 << 1
+	FlagFetchHead  int32 = 1 << 0
+	FlagFetchTails int32 = 1 << 1
+	FlagBits             = 2
 )
 
 // Link is one smashed jump or call site's published target: a direct
@@ -128,19 +152,30 @@ type Link struct {
 	Target any
 }
 
+// slot returns the link slot of smash site i, nil if i is not one.
+func (c *Code) slot(i int) *atomic.Pointer[Link] {
+	if i < 0 || i >= len(c.slotOf) {
+		return nil
+	}
+	if k := c.slotOf[i]; k >= 0 {
+		return &c.links[k]
+	}
+	return nil
+}
+
 // LoadLink returns the published link of smash site i (nil if the
 // site is unbound or i has no slot). Lock-free.
 func (c *Code) LoadLink(i int) *Link {
-	if i >= len(c.links) {
-		return nil
+	if s := c.slot(i); s != nil {
+		return s.Load()
 	}
-	return c.links[i].Load()
+	return nil
 }
 
 // StoreLink smashes site i to l. Storing nil unbinds the site.
 func (c *Code) StoreLink(i int, l *Link) {
-	if i < len(c.links) {
-		c.links[i].Store(l)
+	if s := c.slot(i); s != nil {
+		s.Store(l)
 	}
 }
 
@@ -149,9 +184,9 @@ func (c *Code) StoreLink(i int, l *Link) {
 // of links cleared.
 func (c *Code) SweepLinks(epoch uint64) int {
 	cleared := 0
-	for i := range c.links {
-		if l := c.links[i].Load(); l != nil && l.Epoch != epoch {
-			c.links[i].Store(nil)
+	for k := range c.links {
+		if l := c.links[k].Load(); l != nil && l.Epoch != epoch {
+			c.links[k].Store(nil)
 			cleared++
 		}
 	}
@@ -161,9 +196,9 @@ func (c *Code) SweepLinks(epoch uint64) int {
 // ForEachLink visits every bound smash site (diagnostics and the
 // invalidation tests).
 func (c *Code) ForEachLink(fn func(instr int, l *Link)) {
-	for i := range c.links {
-		if l := c.links[i].Load(); l != nil {
-			fn(i, l)
+	for k := range c.links {
+		if l := c.links[k].Load(); l != nil {
+			fn(int(c.Sites[k]), l)
 		}
 	}
 }
@@ -256,12 +291,22 @@ func (e *AssembleError) Error() string {
 	return fmt.Sprintf("mcode: %s at #%d: %s", e.Op, e.Index, e.Reason)
 }
 
-// Assemble flattens a laid-out, register-allocated unit and resolves
-// everything the machine would otherwise look up by key per executed
-// instruction: block ids to stream indexes (BlockStart), immediates
-// to guest values (Consts), entry preconditions and guard types to
-// compiled checks against the unit's classes (Checks), builtin names to
-// natives (Builtins).
+// Assemble flattens a laid-out, register-allocated unit into new code
+// (AssembleInto).
+func Assemble(u *vasm.Unit) (*Code, error) {
+	c := new(Code)
+	if err := AssembleInto(c, u); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// AssembleInto flattens a laid-out, register-allocated unit into c,
+// replacing whatever c held, and resolves everything the machine would
+// otherwise look up by key per executed instruction: block ids to
+// stream indexes (BlockStart), immediates to guest values (Consts),
+// entry preconditions and guard types to compiled checks against the
+// unit's classes (Checks), builtin names to natives (Builtins).
 // Addresses are relative to 0 until Place assigns a base. What has no
 // bytes in the encoding is not in the stream either: a jump the layout
 // turned into a fallthrough is dropped here, so it is neither
@@ -272,32 +317,58 @@ func (e *AssembleError) Error() string {
 // machine register nor a spill slot of this unit — is an
 // *AssembleError, not a panic and not a translation that silently
 // restarts itself.
-func Assemble(u *vasm.Unit) (*Code, error) {
+//
+// Everything c keeps is its own: the unit's operand lists, exit
+// descriptors and jump tables are recycled with it (vasm.Release), so
+// they are copied, into arrays sized exactly by a first walk.
+func AssembleInto(c *Code, u *vasm.Unit) error {
 	order := u.Order()
-	c := &Code{BlockStart: make([]int32, len(u.Blocks)), Tables: copyTables(u.Tables),
-		NumSpills: u.NumSpills, ExtSlots: u.ExtFrameSlots, Alloc: u.Alloc}
+	*c = Code{Tables: copyTables(u.Tables), NumSpills: u.NumSpills, ExtSlots: u.ExtFrameSlots, Alloc: u.Alloc}
+	var sz sizes
+	sz.checks = len(u.Entry)
+	for _, bi := range order {
+		for i := range u.Blocks[bi].Instrs {
+			sz.add(&u.Blocks[bi].Instrs[i])
+		}
+	}
+	n := sz.instrs
+	c.Instrs = make([]vasm.Instr, 0, n)
+	if sz.checks > 0 {
+		c.Checks = make([]runtime.Check, 0, sz.checks)
+	}
+	if sz.builtins > 0 {
+		c.Builtins = make([]*runtime.Builtin, 0, sz.builtins)
+	}
+	own := owner{regs: make([]vasm.Reg, 0, sz.regs)}
+	if sz.exits > 0 {
+		own.exits = make([]vasm.ExitInfo, 0, sz.exits)
+	}
+	if sz.inlines > 0 {
+		own.inlines = make([]vasm.InlineInfo, 0, sz.inlines)
+	}
+	// The metadata: Addr, CostPrefix, DispatchFlags and the link-slot
+	// index per instruction (the last only with smash sites), then
+	// BlockStart, Sites and room for every fetch tail.
+	slots := 0
+	if sz.sites > 0 {
+		slots = n
+	}
+	meta := make([]int32, 3*n+1+slots+len(u.Blocks)+sz.sites+2*sz.tails)
+	cut := func(k int) []int32 {
+		w := meta[:k:k]
+		meta = meta[k:]
+		return w
+	}
+	c.Addr = cut(n)[:0]
+	c.CostPrefix = cut(n + 1)
+	c.DispatchFlags = cut(n)
+	c.slotOf = cut(slots)
+	c.BlockStart = cut(len(u.Blocks))
+	c.Sites = cut(sz.sites)[:0]
+	c.FetchTails = meta[:0]
 	for i := range c.BlockStart {
 		c.BlockStart[i] = -1
 	}
-	// The code lives as long as its translation: size the stream, its
-	// operand lists and the checks exactly.
-	n, nargs, checks := 0, 0, len(u.Entry)
-	for _, bi := range order {
-		for i := range u.Blocks[bi].Instrs {
-			in := &u.Blocks[bi].Instrs[i]
-			if !elided(in) {
-				n++
-				nargs += len(in.Args)
-			}
-			if typeGuard(in.Op) {
-				checks++
-			}
-		}
-	}
-	c.Instrs = make([]vasm.Instr, 0, n)
-	c.Addr = make([]uint64, 0, n)
-	c.Checks = make([]runtime.Check, 0, checks)
-	args := make([]vasm.Reg, 0, nargs)
 	for _, g := range u.Entry {
 		c.Checks = append(c.Checks, runtime.NewCheck(g.Type, u.Classes))
 	}
@@ -313,24 +384,32 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 				continue
 			}
 			c.Instrs = append(c.Instrs, b.Instrs[i])
-			in := &c.Instrs[len(c.Instrs)-1]
-			if in.Args != nil {
-				// The unit's operand lists are cut from its slab: keep a
-				// copy in the code's own array, not the slab.
-				from := len(args)
-				args = append(args, in.Args...)
-				in.Args = args[from:len(args):len(args)]
+			at := len(c.Instrs) - 1
+			in := &c.Instrs[at]
+			in.Args = own.regList(in.Args)
+			if in.Ex != nil {
+				in.Ex = own.exit(in.Ex)
 			}
 			if typeGuard(in.Op) {
 				if in.Target2 < 0 || in.Target2 >= len(u.GuardTypes) {
-					return nil, &AssembleError{Index: len(c.Instrs) - 1, Op: in.Op,
+					return &AssembleError{Index: at, Op: in.Op,
 						Reason: fmt.Sprintf("guard type #%d out of range (%d guard types)", in.Target2, len(u.GuardTypes))}
 				}
 				t := u.GuardTypes[in.Target2]
 				in.Target2 = len(c.Checks)
 				c.Checks = append(c.Checks, runtime.NewCheck(t, u.Classes))
 			}
-			c.Addr = append(c.Addr, off)
+			// Smash-site identity: any smashable instruction (bind jumps
+			// and direct call sites) gets a stable link slot addressed by
+			// its index in the flattened stream.
+			if slots > 0 {
+				c.slotOf[at] = -1
+				if in.Op.Smashable() {
+					c.slotOf[at] = int32(len(c.Sites))
+					c.Sites = append(c.Sites, int32(at))
+				}
+			}
+			c.Addr = append(c.Addr, int32(off))
 			off += instrSize(&b.Instrs[i])
 		}
 	}
@@ -339,25 +418,95 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 	for _, tbl := range u.Tables {
 		off += uint64(8 * (len(tbl.Targets) + 1))
 	}
+	if off > math.MaxInt32 {
+		return &AssembleError{Index: n - 1, Op: c.Instrs[n-1].Op,
+			Reason: fmt.Sprintf("%d bytes of code: relative addresses past 32 bits", off)}
+	}
 	c.Size = off
+	if sz.sites > 0 {
+		c.links = make([]atomic.Pointer[Link], sz.sites)
+	}
 
-	c.Consts = make([]runtime.Value, len(u.Imms))
+	if len(u.Imms) > 0 {
+		c.Consts = make([]runtime.Value, len(u.Imms))
+	}
 	for i, iv := range u.Imms {
 		c.Consts[i] = constValue(iv)
 	}
-	if err := c.resolve(); err != nil {
-		return nil, err
+	return c.resolve()
+}
+
+// sizes counts what a unit's stream keeps, for AssembleInto to size
+// each array once.
+type sizes struct {
+	instrs, regs, checks, builtins, exits, inlines, sites int
+	// tails bounds the fetch tails: one per second-or-later component
+	// of a superinstruction.
+	tails int
+}
+
+func (sz *sizes) add(in *vasm.Instr) {
+	if typeGuard(in.Op) {
+		sz.checks++
 	}
-	// Smash-site identity: any smashable instruction (bind jumps and
-	// direct call sites) gets a stable link slot addressed by its
-	// index in the flattened stream.
-	for i := range c.Instrs {
-		if c.Instrs[i].Op.Smashable() {
-			c.links = make([]atomic.Pointer[Link], len(c.Instrs))
-			break
+	if elided(in) {
+		return
+	}
+	sz.instrs++
+	sz.regs += len(in.Args)
+	if in.Op == vasm.CallBuiltin {
+		sz.builtins++
+	}
+	if in.Op.Smashable() {
+		sz.sites++
+	}
+	if in.Op.Components() != nil {
+		in.ForEachComponent(func(vasm.Op) { sz.tails++ })
+		sz.tails--
+	}
+	if ex := in.Ex; ex != nil {
+		sz.exits++
+		sz.regs += len(ex.StackRegs)
+		for ii := ex.Inline; ii != nil; ii = ii.Parent {
+			sz.inlines++
+			sz.regs += len(ii.CallerStackRegs)
 		}
 	}
-	return c, nil
+}
+
+// owner hands out the code's own copies of register lists and exit
+// descriptors, each a capacity-capped window of one array sized by
+// sizes.
+type owner struct {
+	regs    []vasm.Reg
+	exits   []vasm.ExitInfo
+	inlines []vasm.InlineInfo
+}
+
+// regList returns the code's copy of regs (nil for none).
+func (o *owner) regList(regs []vasm.Reg) []vasm.Reg {
+	if regs == nil {
+		return nil
+	}
+	from := len(o.regs)
+	o.regs = append(o.regs, regs...)
+	return o.regs[from:len(o.regs):len(o.regs)]
+}
+
+// exit returns the code's copy of ex, its registers and the chain of
+// inline frames it materializes.
+func (o *owner) exit(ex *vasm.ExitInfo) *vasm.ExitInfo {
+	o.exits = append(o.exits, *ex)
+	cp := &o.exits[len(o.exits)-1]
+	cp.StackRegs = o.regList(ex.StackRegs)
+	link := &cp.Inline
+	for ii := ex.Inline; ii != nil; ii = ii.Parent {
+		o.inlines = append(o.inlines, *ii)
+		ni := &o.inlines[len(o.inlines)-1]
+		ni.CallerStackRegs = o.regList(ii.CallerStackRegs)
+		*link, link = ni, &ni.Parent
+	}
+	return cp
 }
 
 // copyTables returns the code's own copy of a unit's jump tables (nil
@@ -486,7 +635,7 @@ func (c *Code) Place(base uint64) {
 // AddrOf returns the absolute address of instruction i.
 func (c *Code) AddrOf(i int) uint64 {
 	if i < len(c.Addr) {
-		return c.Base + c.Addr[i]
+		return c.Base + uint64(c.Addr[i])
 	}
 	return c.Base + c.Size
 }

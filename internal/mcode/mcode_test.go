@@ -215,6 +215,42 @@ func TestAssembleSlabOnlyForSmashSites(t *testing.T) {
 	if visited {
 		t.Error("slab-less translation visited a link")
 	}
+
+	// One smash site among 100 instructions gets exactly one slot: no
+	// other instruction takes a link, and the sweep walks that one.
+	const site = 57
+	instrs := make([]vasm.Instr, 100)
+	for i := range instrs {
+		instrs[i] = ins(vasm.LdImm)
+		instrs[i].D = 0
+	}
+	instrs[site] = ins(vasm.BindJmp)
+	instrs[site].Ex = &vasm.ExitInfo{BCOff: 7}
+	instrs[len(instrs)-1] = ins(vasm.Ret)
+	instrs[len(instrs)-1].A = 0
+	one, err := mcode.Assemble(&vasm.Unit{
+		Blocks: []*vasm.Block{{ID: 0, Instrs: instrs}},
+		Imms:   []vasm.ImmValue{{Kind: types.KInt, I: 1}},
+	})
+	if err != nil {
+		t.Fatalf("Assemble: %v", err)
+	}
+	if want := []int32{site}; !reflect.DeepEqual(one.Sites, want) {
+		t.Fatalf("Sites = %v, want %v: one slot", one.Sites, want)
+	}
+	for i := range one.Instrs {
+		one.StoreLink(i, &mcode.Link{Epoch: uint64(i)})
+	}
+	bound := 0
+	one.ForEachLink(func(i int, l *mcode.Link) {
+		bound++
+		if i != site || l.Epoch != site {
+			t.Errorf("ForEachLink visited (%d, epoch %d), want (%d, %d)", i, l.Epoch, site, site)
+		}
+	})
+	if bound != 1 || one.SweepLinks(0) != 1 {
+		t.Errorf("%d links bound, want the one site's", bound)
+	}
 }
 
 // ins builds an instruction the way vasm.Lower does: absent operands

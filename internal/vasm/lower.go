@@ -23,8 +23,12 @@ func Lower(hu *hhir.Unit) (*Unit, error) {
 	lw.hu, lw.out, lw.nextReg = hu, out, 0
 	lw.blockOf = slab.Grow(lw.blockOf, hu.NumBlockIDs())
 	lw.regOf = slab.Grow(lw.regOf, hu.NumTmpIDs())
+	lw.stubOf = slab.Grow(lw.stubOf, hu.NumExitIDs())
 	for i := range lw.blockOf {
 		lw.blockOf[i] = -1
+	}
+	for i := range lw.stubOf {
+		lw.stubOf[i] = -1
 	}
 	clear(lw.regOf)
 	// Pre-create blocks in HHIR order (entry first), each with room for
@@ -59,9 +63,6 @@ func Lower(hu *hhir.Unit) (*Unit, error) {
 		Release(out)
 		return nil, fmt.Errorf("vasm: entry is not the first block")
 	}
-	if lw.stubOf == nil {
-		lw.stubOf = make(map[*hhir.ExitDesc]int, exits)
-	}
 	lw.countEdges(hu.Blocks)
 	for i, hb := range hu.Blocks {
 		if err := lw.lowerBlock(hb, out.Blocks[i]); err != nil {
@@ -81,10 +82,11 @@ type lowerer struct {
 	out *Unit
 	// blockOf[id] is the vasm block of the HHIR block with that ID (-1:
 	// not in the unit), regOf[id] one more than the register of the
-	// value with that ID (0: none yet).
+	// value with that ID (0: none yet), stubOf[id] the stub block of
+	// the exit with that ID (-1: none yet).
 	blockOf []int32
 	regOf   []Reg
-	stubOf  map[*hhir.ExitDesc]int
+	stubOf  []int32
 	nextReg Reg
 	cur     *Block
 	// edgesIn[b] counts the edges into HHIR block b, and soleArgs[b] is
@@ -98,8 +100,7 @@ type lowerer struct {
 // release drops what the lowerer refers to outside its unit.
 func (lw *lowerer) release() {
 	lw.hu, lw.out, lw.cur = nil, nil, nil
-	clear(lw.stubOf)
-	clear(lw.soleArgs[:cap(lw.soleArgs)])
+	clear(lw.soleArgs) // past its length: cleared by the release that reached there
 }
 
 // block returns the vasm block of hb, -1 when hb is not in the unit.
@@ -191,14 +192,14 @@ func (lw *lowerer) stub(ex *hhir.ExitDesc) int {
 	if ex == nil {
 		return -1
 	}
-	if id, ok := lw.stubOf[ex]; ok {
-		return id
+	if id := lw.stubOf[ex.ID]; id >= 0 {
+		return int(id)
 	}
 	u := lw.out
 	vb := u.mem.blocks.One()
 	vb.ID, vb.Hint = len(u.Blocks), HintStub
 	u.Blocks = append(u.Blocks, vb)
-	lw.stubOf[ex] = vb.ID
+	lw.stubOf[ex.ID] = int32(vb.ID)
 	info := u.mem.exits.One()
 	info.BCOff, info.IsCatch = ex.BCOff, ex.IsCatch
 	info.StackRegs = lw.regs(ex.Stack)

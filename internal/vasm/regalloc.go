@@ -106,8 +106,8 @@ type hintLink struct {
 }
 
 // allocator is Allocate's state. It lives in the unit's memory, which
-// keeps its tables for the next compile; the exit descriptors it
-// rewrites are the translation's, allocated afresh every time.
+// keeps its tables for the next compile — the exit descriptors it
+// rewrites too: mcode.Assemble copies the ones a translation keeps.
 type allocator struct {
 	u     *Unit
 	order []int
@@ -130,18 +130,19 @@ type allocator struct {
 	loc    []Reg // per vreg: the location assigned (Unit.RegOf)
 	spills int
 
-	// Slabs the rewritten exit descriptors are cut from, sized exactly
-	// by newAllocator (they are never reallocated: instructions point
-	// into them).
+	// Slabs the rewritten exit descriptors are cut from, sized by
+	// newAllocator (they are never regrown during a compile:
+	// instructions point into them).
 	exits    []ExitInfo
 	inlines  []InlineInfo
 	exitRegs []Reg
 }
 
-// release drops what the allocator refers to outside its unit.
+// release drops what the allocator refers to outside its unit, and the
+// descriptors it wrote.
 func (a *allocator) release() {
 	a.u, a.order = nil, nil
-	a.exits, a.inlines, a.exitRegs = nil, nil, nil
+	a.exits, a.inlines = cleared(a.exits), cleared(a.inlines)
 }
 
 func newAllocator(u *Unit) *allocator {
@@ -175,9 +176,9 @@ func newAllocator(u *Unit) *allocator {
 			}
 		}
 	}
-	a.exits = make([]ExitInfo, 0, exits)
-	a.inlines = make([]InlineInfo, 0, inlines)
-	a.exitRegs = make([]Reg, 0, exitRegs)
+	a.exits = slab.Grow(a.exits, exits)[:0]
+	a.inlines = slab.Grow(a.inlines, inlines)[:0]
+	a.exitRegs = slab.Grow(a.exitRegs, exitRegs)[:0]
 	a.nw = (a.n + 63) / 64
 	a.liveIn = slab.Grow(a.liveIn, (len(u.Blocks)+1)*a.nw)
 	clear(a.liveIn)

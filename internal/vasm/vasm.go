@@ -471,10 +471,12 @@ func Release(u *Unit) {
 	units.Put(u)
 }
 
-// cleared returns list emptied, with every element up to its capacity
-// zeroed.
+// cleared returns list emptied, with every element it held zeroed. A
+// unit's lists only grow during a compile, so the elements past its
+// length were zeroed by the release that last reached them: a release
+// pays for what its compile used, not for the largest compile's.
 func cleared[T any](list []T) []T {
-	clear(list[:cap(list)])
+	clear(list)
 	return list[:0]
 }
 

@@ -232,7 +232,7 @@ func (v *VM) runFrame(fr *interp.Frame, hint machine.ChainTarget) (runtime.Value
 			// through the translation-service path.
 			v.Meter.Charge(profilingReentryCost)
 		}
-		out := v.Machine.Exec(tr.Code, fr)
+		out := v.Machine.Exec(&tr.Code, fr)
 		v.JIT.NoteMachineExec(tr.Kind, v.Meter.Cycles-before, out.GuardFails)
 		switch out.Kind {
 		case machine.SideExit:
