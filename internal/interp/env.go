@@ -300,8 +300,8 @@ func (e *Env) NewException(clsName, msg string) *runtime.Object {
 // turning runtime fatals into catchable Exception instances (PHP's
 // error handler can likewise intercept runtime errors).
 func (e *Env) toThrownObject(err error) *runtime.Object {
-	if ge, ok := err.(*runtime.Error); ok && ge.Obj != nil {
-		return ge.Obj
+	if obj, ok := runtime.ThrownObject(err); ok {
+		return obj
 	}
 	return e.NewException("Exception", err.Error())
 }

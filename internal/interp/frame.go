@@ -29,23 +29,7 @@ type Frame struct {
 // it hands it back with PutFrame, after which nothing may still hold
 // the pointer.
 func (e *Env) TakeFrame(f *hhbc.Func, this *runtime.Object, args []runtime.Value) *Frame {
-	var fr *Frame
-	if n := len(e.frames); n > 0 {
-		fr = e.frames[n-1]
-		e.frames[n-1] = nil
-		e.frames = e.frames[:n-1]
-	} else {
-		fr = &Frame{}
-	}
-	fr.Fn, fr.This = f, this
-	if f.NumLocals <= cap(fr.Locals) {
-		fr.Locals = fr.Locals[:f.NumLocals]
-	} else {
-		fr.Locals = make([]runtime.Value, f.NumLocals)
-	}
-	for i := range fr.Locals {
-		fr.Locals[i] = runtime.Uninit()
-	}
+	fr := e.TakeEmptyFrame(f, this)
 	for i, a := range args {
 		if i < len(f.Params) {
 			fr.Locals[i] = a
@@ -64,16 +48,47 @@ func (e *Env) TakeFrame(f *hhbc.Func, this *runtime.Object, args []runtime.Value
 	return fr
 }
 
+// TakeEmptyFrame is TakeFrame with no arguments bound: every local
+// Uninit and the stack empty, for a caller that fills them itself (the
+// machine, materializing an inlined callee at a side exit).
+func (e *Env) TakeEmptyFrame(f *hhbc.Func, this *runtime.Object) *Frame {
+	var fr *Frame
+	if n := len(e.frames); n > 0 {
+		fr = e.frames[n-1]
+		e.frames[n-1] = nil
+		e.frames = e.frames[:n-1]
+	} else {
+		fr = &Frame{}
+	}
+	fr.Fn, fr.This = f, this
+	if f.NumLocals <= cap(fr.Locals) {
+		fr.Locals = fr.Locals[:f.NumLocals]
+	} else {
+		fr.Locals = make([]runtime.Value, f.NumLocals)
+	}
+	for i := range fr.Locals {
+		fr.Locals[i] = runtime.Uninit()
+	}
+	return fr
+}
+
 // PutFrame returns a finished frame (Release has run: it owns no
-// guest references) to the free list. It is scrubbed to the full
-// capacity of its slices first, so a parked frame pins no guest
-// object for the host GC — popped stack slots and dropped locals
-// still hold stale copies. The list never outgrows the deepest call
-// chain the env has run.
+// guest references) to the free list. It is scrubbed first, so a
+// parked frame pins no guest object for the host GC — but only as far
+// as this use reached, since every use leaves the rest zero: the
+// locals never shrink within a use, Release and IterFree zero every
+// iterator they free, and the stack's popped slots, which still hold
+// stale copies, are a prefix of non-zero values (every value has a
+// kind) below the first slot no push reached. The list never outgrows
+// the deepest call chain the env has run.
 func (e *Env) PutFrame(fr *Frame) {
-	clear(fr.Locals[:cap(fr.Locals)])
-	clear(fr.Stack[:cap(fr.Stack)])
-	clear(fr.Iters[:cap(fr.Iters)])
+	clear(fr.Locals)
+	stack := fr.Stack[:cap(fr.Stack)]
+	used := 0
+	for used < len(stack) && stack[used].Kind != 0 {
+		used++
+	}
+	clear(stack[:used])
 	*fr = Frame{Locals: fr.Locals[:0], Stack: fr.Stack[:0], Iters: fr.Iters[:0]}
 	e.frames = append(e.frames, fr)
 }

@@ -224,6 +224,10 @@ type Machine struct {
 	// free level.
 	acts   []*activation
 	actTop int
+	// chains is a free list of Outcome.Inline slices, handed back by
+	// PutInlineChain: a list because an inline chain's frames run guest
+	// code that may side-exit out of another one before it is done.
+	chains [][]InlineResume
 }
 
 type methodCacheEnt struct {
@@ -240,7 +244,7 @@ func New(env *interp.Env, meter *Meter, counters *profile.Counters, cache *mcode
 		Shapes:      &ShapeStats{},
 		methodCache: map[int64]methodCacheEnt{},
 	}
-	m.Fetch.HugeCovers = cache.HugeCovers
+	m.Fetch.Huge = cache
 	return m
 }
 
@@ -933,38 +937,40 @@ func (m *Machine) takeExit(act *activation, ex *vasm.ExitInfo, kind OutcomeKind,
 		// Materialize the whole chain of inlined callee frames from
 		// the extended local slots (Section 5.3.1: side exits can
 		// materialize an arbitrary number of callee frames),
-		// innermost first. The eval stack of frame i comes from the
-		// CallerStackRegs of the context one level in; the innermost
-		// frame's stack is the exit's own StackRegs.
-		stackFor := func(regs []vasm.Reg) []runtime.Value {
-			var s []runtime.Value
-			for _, r := range regs {
-				s = append(s, act.get(r))
-			}
-			return s
+		// innermost first, each from the env's free list (the VM
+		// hands them back with the chain once they have run). The
+		// eval stack of frame i comes from the CallerStackRegs of the
+		// context one level in; the innermost frame's stack is the
+		// exit's own StackRegs.
+		if n := len(m.chains); n > 0 {
+			out.Inline, m.chains = m.chains[n-1], m.chains[:n-1]
 		}
-		innerStack := stackFor(ex.StackRegs)
-		innerPC := ex.BCOff
+		stackRegs, pc := ex.StackRegs, ex.BCOff
 		for ii := ex.Inline; ii != nil; ii = ii.Parent {
-			callee := m.Env.Unit.Funcs[ii.FuncID]
-			cf := &interp.Frame{Fn: callee, PC: innerPC, Stack: innerStack}
-			cf.Locals = make([]runtime.Value, callee.NumLocals)
-			for i := 0; i < callee.NumLocals; i++ {
+			var this *runtime.Object
+			if ii.ThisReg != vasm.InvalidReg {
+				if tv := act.get(ii.ThisReg); tv.Kind == types.KObj {
+					this = tv.AsObj()
+				}
+			}
+			cf := m.Env.TakeEmptyFrame(m.Env.Unit.Funcs[ii.FuncID], this)
+			cf.PC = pc
+			for i := range cf.Locals {
 				cf.Locals[i] = fr.Locals[ii.LocalsBase+i]
 				fr.Locals[ii.LocalsBase+i] = runtime.Uninit()
 			}
-			if ii.ThisReg != vasm.InvalidReg {
-				if tv := act.get(ii.ThisReg); tv.Kind == types.KObj {
-					cf.This = tv.AsObj()
-				}
+			for _, r := range stackRegs {
+				cf.Stack = append(cf.Stack, act.get(r))
 			}
 			out.Inline = append(out.Inline, InlineResume{Frame: cf, RetBCOff: ii.RetBCOff})
 			// The enclosing frame resumes after this context's call.
-			innerStack = stackFor(ii.CallerStackRegs)
-			innerPC = ii.RetBCOff
+			stackRegs, pc = ii.CallerStackRegs, ii.RetBCOff
 		}
 		// The root frame's stack is the outermost caller stack.
-		fr.Stack = innerStack
+		fr.Stack = fr.Stack[:0]
+		for _, r := range stackRegs {
+			fr.Stack = append(fr.Stack, act.get(r))
+		}
 		return out
 	}
 	fr.Stack = fr.Stack[:0]
@@ -973,6 +979,13 @@ func (m *Machine) takeExit(act *activation, ex *vasm.ExitInfo, kind OutcomeKind,
 	}
 	fr.PC = ex.BCOff
 	return out
+}
+
+// PutInlineChain takes back an Outcome.Inline whose frames the caller
+// has handed back to the env.
+func (m *Machine) PutInlineChain(chain []InlineResume) {
+	clear(chain)
+	m.chains = append(m.chains, chain[:0])
 }
 
 func cmpI(cond, a, b int64) bool {

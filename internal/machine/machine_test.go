@@ -4,7 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/mcode"
 )
+
+// page2M is the log2 of a huge page, 2 MiB.
+const page2M = 21
 
 // TestFetchModelICache: re-executing the same line is free; distinct
 // lines beyond capacity miss.
@@ -25,7 +29,7 @@ func TestFetchModelICache(t *testing.T) {
 // causes misses on re-walk; huge-page-covered code does not.
 func TestFetchModelITLB4K(t *testing.T) {
 	f := machine.NewFetchModel()
-	f.HugeCovers = func(uint64) bool { return false }
+	f.Huge = mcode.NewCache(0) // no huge pages mapped
 	// Touch 64 distinct pages, then re-touch the first: must miss.
 	for i := uint64(0); i < 64; i++ {
 		f.Fetch(0x100000 + i*4096)
@@ -41,13 +45,18 @@ func TestFetchModelITLB4K(t *testing.T) {
 // within the dedicated huge entries — the Section 5.1.2 mechanism.
 func TestFetchModelHugePages(t *testing.T) {
 	f := machine.NewFetchModel()
-	f.HugeCovers = func(uint64) bool { return true }
+	f.Huge = mcode.NewCache(0)
+	base, err := f.Huge.Alloc(mcode.AreaHot, 64*4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Huge.SetHugePages(1 << page2M)
 	for i := uint64(0); i < 64; i++ {
-		f.Fetch(0x100000 + i*4096)
+		f.Fetch(base + i*4096)
 	}
 	m0 := f.ITLBMisses
 	for i := uint64(0); i < 64; i++ {
-		f.Fetch(0x100000 + i*4096)
+		f.Fetch(base + i*4096)
 	}
 	if f.ITLBMisses != m0 {
 		t.Errorf("huge-page sweep missed %d times on re-walk", f.ITLBMisses-m0)

@@ -1,5 +1,7 @@
 package machine
 
+import "repro/internal/mcode"
+
 // Instruction-fetch hierarchy model: a set-associative L1 i-cache and
 // an instruction TLB with separate 4 KiB and 2 MiB (huge page)
 // entries, mirroring the dedicated huge-page I-TLB entries on Intel
@@ -29,24 +31,37 @@ type lruSet struct {
 	n    int
 }
 
-// touch returns true on hit.
+// touch returns true on hit. The most recent way is checked inline;
+// the rest of the walk is touchOlder.
 func (s *lruSet) touch(key uint64) bool {
 	if s.n > 0 && s.keys[0] == key {
-		return true // already the most recent
+		return true
 	}
-	for i := 1; i < s.n; i++ {
-		if s.keys[i] == key {
-			copy(s.keys[1:i+1], s.keys[:i])
-			s.keys[0] = key
-			return true
+	return s.touchOlder(key)
+}
+
+// touchOlder moves key to the front, shifting the ways it passes down
+// one: a hit found at i, or a miss that fills a way or evicts the last.
+// Kept out of line so that touch inlines.
+//
+//go:noinline
+func (s *lruSet) touchOlder(key uint64) bool {
+	i := 1
+	for i < s.n && s.keys[i] != key {
+		i++
+	}
+	hit := i < s.n
+	if !hit {
+		if s.n < lruWays {
+			s.n++
 		}
+		i = s.n - 1
 	}
-	if s.n < lruWays {
-		s.n++
+	for ; i > 0; i-- {
+		s.keys[i] = s.keys[i-1]
 	}
-	copy(s.keys[1:s.n], s.keys[:s.n-1])
 	s.keys[0] = key
-	return false
+	return hit
 }
 
 // FetchModel tracks i-cache and I-TLB state across requests (they
@@ -64,20 +79,26 @@ type FetchModel struct {
 	ITLBMisses   uint64
 	Fetches      uint64
 
-	// HugeCovers reports whether an address is huge-page mapped.
-	HugeCovers func(addr uint64) bool
+	// Huge is the code cache whose huge-page mapping decides which
+	// addresses the dedicated 2 MiB entries translate; nil maps none.
+	Huge *mcode.Cache
 }
 
 // NewFetchModel returns a cold fetch model.
 func NewFetchModel() *FetchModel { return &FetchModel{} }
 
 // Fetch charges the fetch cost for executing the instruction at addr,
-// returning extra cycles beyond the instruction's own cost.
+// returning extra cycles beyond the instruction's own cost. The
+// same-line check is inline at the call; a new line is fetchLine.
 func (f *FetchModel) Fetch(addr uint64) uint64 {
-	line := addr >> iCacheLineBits
-	if line == f.lastLine {
+	if addr>>iCacheLineBits == f.lastLine {
 		return 0 // same line as previous instruction: free
 	}
+	return f.fetchLine(addr)
+}
+
+func (f *FetchModel) fetchLine(addr uint64) uint64 {
+	line := addr >> iCacheLineBits
 	f.lastLine = line
 	f.Fetches++
 	var extra uint64
@@ -87,7 +108,7 @@ func (f *FetchModel) Fetch(addr uint64) uint64 {
 		extra += iCacheMissCost
 	}
 
-	huge := f.HugeCovers != nil && f.HugeCovers(addr)
+	huge := f.Huge != nil && f.Huge.HugeCovers(addr)
 	var page uint64
 	if huge {
 		page = addr>>page2MBits | 1<<63

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -168,7 +169,7 @@ type arrayModel struct {
 
 func keyModel(k Value) modelKey {
 	if k.Kind == types.KStr {
-		return modelKey{s: k.AsStr().Data, isStr: true}
+		return modelKey{s: strings.Clone(k.AsStr().Data), isStr: true} // outlives the key's references
 	}
 	return modelKey{i: k.ToInt()}
 }

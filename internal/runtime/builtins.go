@@ -131,33 +131,47 @@ func init() {
 		return ctx.Heap.NewStr(s[start:end]), nil
 	}})
 	reg(&Builtin{Name: "strtoupper", Arity: 1, Cost: 15, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
-		return ctx.Heap.NewStr(strings.ToUpper(a[0].ToString())), nil
+		return caseMapped(ctx.Heap, a[0].ToString(), strings.ToUpper, 'a', 'z'), nil
 	}})
 	reg(&Builtin{Name: "strtolower", Arity: 1, Cost: 15, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
-		return ctx.Heap.NewStr(strings.ToLower(a[0].ToString())), nil
+		return caseMapped(ctx.Heap, a[0].ToString(), strings.ToLower, 'A', 'Z'), nil
 	}})
 	reg(&Builtin{Name: "strrev", Arity: 1, Cost: 15, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
-		s := []byte(a[0].ToString())
-		for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-			s[i], s[j] = s[j], s[i]
+		s := a[0].ToString()
+		buf := ctx.Heap.strBuf(len(s))
+		for i := len(s) - 1; i >= 0; i-- {
+			buf = append(buf, s[i])
 		}
-		return ctx.Heap.NewStr(string(s)), nil
+		return ctx.Heap.newStrBuf(buf), nil
 	}})
 	reg(&Builtin{Name: "str_repeat", Arity: 2, Cost: 25, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
 		n := a[1].ToInt()
 		if n < 0 || n > 1<<20 {
 			return Null(), NewError("str_repeat: bad count")
 		}
-		return ctx.Heap.NewStr(strings.Repeat(a[0].ToString(), int(n))), nil
+		s := a[0].ToString()
+		buf := ctx.Heap.strBuf(len(s) * int(n))
+		for i := int64(0); i < n; i++ {
+			buf = append(buf, s...)
+		}
+		return ctx.Heap.newStrBuf(buf), nil
 	}})
 	reg(&Builtin{Name: "implode", Arity: 2, Cost: 30, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
 		if a[1].Kind != types.KArr {
 			return Null(), NewError("implode expects array")
 		}
-		sep := a[0].ToString()
-		var parts []string
-		a[1].AsArr().Each(func(_, v Value) bool { parts = append(parts, v.ToString()); return true })
-		return ctx.Heap.NewStr(strings.Join(parts, sep)), nil
+		sep, arr := a[0].ToString(), a[1].AsArr()
+		n := len(sep) * max(arr.Len()-1, 0)
+		arr.Each(func(_, v Value) bool { n += valueLen(v); return true })
+		buf, first := ctx.Heap.strBuf(n), true
+		arr.Each(func(_, v Value) bool {
+			if !first {
+				buf = append(buf, sep...)
+			}
+			buf, first = appendValue(buf, v), false
+			return true
+		})
+		return ctx.Heap.newStrBuf(buf), nil
 	}})
 	reg(&Builtin{Name: "abs", Arity: 1, Cost: 4, Ret: types.TNum, Fn: func(_ *BuiltinCtx, a []Value) (Value, error) {
 		if a[0].Kind == types.KDbl {
@@ -176,7 +190,7 @@ func init() {
 		return Dbl(a[0].ToDbl()), nil
 	}})
 	reg(&Builtin{Name: "strval", Arity: 1, Cost: 10, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
-		return ctx.Heap.NewStr(a[0].ToString()), nil
+		return ctx.Heap.render(a[0]), nil
 	}})
 	reg(&Builtin{Name: "is_int", Arity: 1, Cost: 3, Ret: types.TBool, Fn: isKind(types.KInt)})
 	reg(&Builtin{Name: "is_float", Arity: 1, Cost: 3, Ret: types.TBool, Fn: isKind(types.KDbl)})
@@ -278,8 +292,29 @@ func init() {
 		return Int(int64(s[0])), nil
 	}})
 	reg(&Builtin{Name: "chr", Arity: 1, Cost: 6, Ret: types.TStr, Fn: func(ctx *BuiltinCtx, a []Value) (Value, error) {
-		return ctx.Heap.NewStr(string(rune(a[0].ToInt() & 0xff))), nil
+		return ctx.Heap.newStrBuf(utf8.AppendRune(ctx.Heap.strBuf(utf8.UTFMax), rune(a[0].ToInt()&0xff))), nil
 	}})
+}
+
+// caseMapped is s with the letters from lo to hi moved to the other
+// case, rendered into a heap buffer; a string with a non-ASCII byte
+// takes the Unicode mapping (upper or lower, the same direction)
+// instead.
+func caseMapped(h *Heap, s string, unicode func(string) string, lo, hi byte) Value {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return h.NewStr(unicode(s))
+		}
+	}
+	buf := h.strBuf(len(s))
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if lo <= c && c <= hi {
+			c ^= 'a' - 'A'
+		}
+		buf = append(buf, c)
+	}
+	return h.newStrBuf(buf)
 }
 
 func isKind(k types.Kind) func(*BuiltinCtx, []Value) (Value, error) {

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -69,20 +70,41 @@ func TestConcatRendersEveryKind(t *testing.T) {
 	}
 }
 
-// TestAppendNeverChangesRetainedBytes is the rule in-place append rests
-// on, as a property: whatever was read out of a string — its Data, kept
-// by a second reference, an array key or a substring — reads the same
-// after any sequence of appends, releases and header reuse.
+// TestAppendNeverChangesRetainedBytes is the rule string bytes rest on
+// (DESIGN.md §6, "String bytes on the lists"), as a property: a view
+// read out of a string while a reference to it is held — a second
+// reference, an array key, a substring, the local's own view until its
+// next append — reads the same until that reference is released, after
+// any sequence of appends, releases and buffer reuse. And a view kept
+// past its release reads the poison its parked buffer was filled with,
+// so the checks above would see a buffer recycled under a holder.
 func TestAppendNeverChangesRetainedBytes(t *testing.T) {
 	h := NewHeap()
+	substr, _ := LookupBuiltin("substr")
+	ctx := &BuiltinCtx{Heap: h}
 	rng := rand.New(rand.NewSource(1))
-	type seen struct{ view, copy string }
-	var retained []seen
-	var aliases []Value
+	type held struct {
+		ref        Value // the reference that keeps view valid
+		view, copy string
+	}
+	var holds []held
+	checkHolds := func(when string) {
+		for _, r := range holds {
+			if r.view != r.copy || r.ref.AsStr().Data != r.copy {
+				t.Fatalf("%s: a held view reads %.40q (the string %.40q), was %.40q",
+					when, r.view, r.ref.AsStr().Data, r.copy)
+			}
+		}
+	}
 	keys := h.NewMixed(0)
+	keyText := map[string]bool{}
 	local := StrV(InternStr(""))
-	inPlace := 0
+	var own held // the local's view, valid until the local is appended to
+	inPlace, parked, poisoned := 0, 0, 0
 	for i := 0; i < 1000; i++ {
+		if own.view != own.copy {
+			t.Fatalf("append %d: the local's view changed before the append: %.40q, was %.40q", i, own.view, own.copy)
+		}
 		before := local
 		part := h.NewStr(strings.Repeat(string(rune('a'+i%26)), 1+rng.Intn(40)))
 		ConcatAppend(h, &local, []Value{part, Int(int64(i))})
@@ -91,32 +113,45 @@ func TestAppendNeverChangesRetainedBytes(t *testing.T) {
 			inPlace++
 		}
 		s := local.AsStr()
-		retained = append(retained, seen{s.Data, strings.Clone(s.Data)})
+		own = held{local, s.Data, strings.Clone(s.Data)}
 		switch rng.Intn(8) {
 		case 0: // a second reference: the next append must leave it alone
 			h.IncRef(local)
-			aliases = append(aliases, local)
-		case 1: // an array key keeps the bytes, not a reference
+			holds = append(holds, own)
+		case 1: // an array key holds a reference of its own
 			keys = keys.Set(h, local, Int(1))
-		case 2: // so does a substring
-			tail := s.Data[len(s.Data)/2:]
-			retained = append(retained, seen{tail, strings.Clone(tail)})
-		case 3: // start over: the old header is parked and comes back
-			h.DecRef(local)
-			local = h.NewStr("fresh")
-		case 4:
-			for _, a := range aliases {
-				h.DecRef(a)
+			keyText[own.copy] = true
+		case 2: // a substring is a string of its own
+			from := len(s.Data) / 2
+			sub, err := substr.Fn(ctx, []Value{local, Int(int64(from))})
+			if err != nil {
+				t.Fatal(err)
 			}
-			aliases = aliases[:0]
+			holds = append(holds, held{sub, sub.AsStr().Data, strings.Clone(s.Data[from:])})
+		case 3: // start over: the view outlives its last reference
+			view, lists := s.Data, h.bufs.parked
+			h.DecRef(local)
+			if h.bufs.parked > lists {
+				parked++
+				if strings.Trim(view, "\xdb") == "" {
+					poisoned++
+				}
+			}
+			local = h.NewStr("fresh")
+			own = held{local, local.AsStr().Data, "fresh"}
+		case 4:
+			checkHolds(fmt.Sprintf("append %d", i))
+			for _, r := range holds {
+				h.DecRef(r.ref)
+			}
+			holds = holds[:0]
 		}
 	}
-	for i, r := range retained {
-		if r.view != r.copy {
-			t.Fatalf("bytes read after append %d changed: %.40q, were %.40q", i, r.view, r.copy)
-		}
-	}
+	checkHolds("the end")
 	keys.Each(func(k, _ Value) bool {
+		if !keyText[k.AsStr().Data] {
+			t.Errorf("key %.40q is no string that was stored", k.AsStr().Data)
+		}
 		if _, ok := keys.Get(k); !ok {
 			t.Errorf("key %.40q no longer finds its entry", k.AsStr().Data)
 		}
@@ -124,6 +159,9 @@ func TestAppendNeverChangesRetainedBytes(t *testing.T) {
 	})
 	if inPlace < 500 {
 		t.Errorf("only %d of 1000 appends kept the box: the property was not exercised", inPlace)
+	}
+	if parked < 20 || poisoned != parked {
+		t.Errorf("%d of %d views kept past their release read the poison: the check is not live", poisoned, parked)
 	}
 	if h.OverReleases != 0 {
 		t.Errorf("%d over-releases", h.OverReleases)
@@ -153,9 +191,10 @@ func TestAppendIsAmortised(t *testing.T) {
 	}
 }
 
-// TestReusedHeaderHasNoSpare: a parked header forgets its buffer, so the
-// string it is reused for — here a constant, whose bytes are read-only
-// memory — is not written behind.
+// TestReusedHeaderHasNoSpare: a parked header forgets its buffer, and
+// the string it is reused for — here a constant, whose bytes are
+// read-only memory — is copied into a buffer of the heap's, so an
+// append never writes behind the literal.
 func TestReusedHeaderHasNoSpare(t *testing.T) {
 	h := NewHeap()
 	local := StrV(InternStr(""))
@@ -165,13 +204,16 @@ func TestReusedHeaderHasNoSpare(t *testing.T) {
 		t.Fatalf("set-up: the appended string has spare %d", old.spare)
 	}
 	h.DecRef(local)
-	if old.spare != 0 {
-		t.Errorf("parked header keeps spare %d", old.spare)
+	if old.spare != 0 || old.Data != "" {
+		t.Errorf("parked header keeps %q and spare %d", old.Data, old.spare)
 	}
 	const lit = "constant"
 	reused := h.NewStr(lit)
-	if reused.AsStr() != old || old.spare != 0 {
-		t.Fatalf("reused %v, spare %d", reused.AsStr() == old, old.spare)
+	if reused.AsStr() != old {
+		t.Fatal("the next NewStr did not reuse the parked header")
+	}
+	if unsafe.StringData(old.Data) == unsafe.StringData(lit) {
+		t.Fatal("NewStr kept the literal's memory instead of copying it")
 	}
 	ConcatAppend(h, &reused, []Value{Int(1)})
 	if reused.AsStr().Data != "constant1" || lit != "constant" {
@@ -242,4 +284,107 @@ func TestInternStrCopiesWhatItKeeps(t *testing.T) {
 	if again := InternStr(big[len(big)-16:]); again != s {
 		t.Error("a second lookup minted a second static string")
 	}
+}
+
+// FuzzStringOps runs a byte-driven sequence of concatenation, append,
+// substr, implode, strval, IncRef and release over a few string slots
+// on one heap, against a model of plain Go strings. A slot holds one
+// reference of its own; an operand is read the way the bytecode reads a
+// local, with a reference held for the operation. Parked buffers are
+// poisoned in a test binary, so a buffer recycled while some slot still
+// reads it — poisoned at park, overwritten at reuse — shows as a slot
+// that no longer matches its model. At the end every slot is released
+// and the heap must balance with no over-release.
+func FuzzStringOps(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 1, 0, 2, 2, 1, 2, 0, 3, 3, 2, 5, 7, 2, 0})
+	f.Add([]byte{0, 1, 4, 2, 1, 9, 2, 2, 1, 6, 3, 2, 7, 1, 0, 2, 3, 3, 4, 0, 2, 1, 7, 3})
+	f.Add([]byte{0, 0, 5, 2, 0, 1, 2, 0, 0, 2, 0, 0, 2, 0, 0, 6, 1, 0, 2, 0, 0, 7, 1, 0, 3, 2, 1})
+	f.Add([]byte{8, 0, 4, 10, 1, 0, 12, 2, 1, 11, 3, 2, 5, 4, 3, 23, 0, 0, 15, 5, 4, 7, 2, 5, 4, 4, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := NewHeap()
+		ctx := &BuiltinCtx{Heap: h}
+		substr, _ := LookupBuiltin("substr")
+		implode, _ := LookupBuiltin("implode")
+		strval, _ := LookupBuiltin("strval")
+		pieces := []string{"", "a", "hello, ", strings.Repeat("x", 40), strings.Repeat("y", 300), "tail-é", strings.Repeat("z", 5000)}
+		const slots = 6
+		var vals [slots]Value
+		var model [slots]string
+		for i := range vals {
+			vals[i] = StrV(InternStr(""))
+		}
+		set := func(i int, v Value, want string) {
+			h.DecRef(vals[i])
+			vals[i], model[i] = v, want
+		}
+		call := func(b *Builtin, args ...Value) Value {
+			v, err := b.Fn(ctx, args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		for pos := 0; pos+3 <= len(data); pos += 3 {
+			op, a, b := data[pos], int(data[pos+1])%slots, int(data[pos+2])%slots
+			piece := pieces[int(data[pos+2])%len(pieces)]
+			num := int64(data[pos+1]) - 100
+			if len(model[a])+len(model[b]) > 1<<14 {
+				op = 7 // a slot that doubles each step would outgrow the machine: start it over
+			}
+			operand := vals[b] // read as CGetL reads a local: with a reference
+			h.IncRef(operand)
+			switch op % 8 {
+			case 0:
+				set(a, h.NewStr(piece), piece)
+			case 1:
+				v := Concat(h, []Value{operand, StrV(InternStr(piece)), Int(num)})
+				set(a, v, model[b]+piece+fmt.Sprint(num))
+			case 2:
+				ConcatAppend(h, &vals[a], []Value{operand, Int(num)})
+				model[a] += model[b] + fmt.Sprint(num)
+			case 3:
+				from, n := int(num)%7, int(data[pos])%9
+				want := model[b]
+				if from < 0 {
+					from = max(len(want)+from, 0)
+				}
+				want = want[min(from, len(want)):]
+				want = want[:min(n, len(want))]
+				set(a, call(substr, operand, Int(int64(from)), Int(int64(n))), want)
+			case 4:
+				arr := h.NewPacked(3)
+				h.IncRef(operand)
+				other := vals[a]
+				h.IncRef(other)
+				arr.elems = append(arr.elems, operand, Int(num), other)
+				want := model[b] + piece + fmt.Sprint(num) + piece + model[a]
+				v := call(implode, StrV(InternStr(piece)), ArrV(arr))
+				h.DecRef(ArrV(arr))
+				set(a, v, want)
+			case 5:
+				if op&8 != 0 {
+					set(a, call(strval, Int(num)), fmt.Sprint(num))
+				} else {
+					set(a, call(strval, operand), model[b])
+				}
+			case 6:
+				h.IncRef(operand)
+				set(a, operand, model[b])
+			case 7:
+				set(a, StrV(InternStr("")), "")
+			}
+			h.DecRef(operand)
+			for i, v := range vals {
+				if v.Kind != types.KStr || v.AsStr().Data != model[i] {
+					t.Fatalf("after op %d at byte %d: slot %d reads %.60q, model %.60q", op%8, pos, i, v.ToString(), model[i])
+				}
+			}
+		}
+		for i := range vals {
+			set(i, StrV(InternStr("")), "")
+		}
+		if h.LiveStrs != 0 || h.OverReleases != 0 {
+			t.Errorf("%d live strings, %d over-releases", h.LiveStrs, h.OverReleases)
+		}
+	})
 }

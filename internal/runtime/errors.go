@@ -6,37 +6,45 @@ import (
 	"repro/internal/types"
 )
 
-// Error is a guest-level error. Two flavors exist, mirroring PHP's
-// error-handling model the paper discusses:
-//
-//   - a thrown guest exception object (Obj set), which propagates
-//     through guest catch handlers;
-//   - a runtime fatal (Obj nil), raised by primitive operations. The
-//     VM converts fatals into guest Exception objects at throw sites
-//     so user code can catch them, as PHP's error handler can.
+// Error is a runtime fatal, raised by primitive operations. The VM
+// converts fatals into guest Exception objects at throw sites so user
+// code can catch them, as PHP's error handler can. A thrown guest
+// exception object travels as Thrown's error instead, which propagates
+// through guest catch handlers; the two flavors mirror PHP's
+// error-handling model the paper discusses.
 type Error struct {
 	Msg string
-	Obj *Object
 }
 
-func (e *Error) Error() string {
-	if e.Obj != nil {
-		if v, ok := e.Obj.GetProp("message"); ok {
-			return fmt.Sprintf("uncaught %s: %s", e.Obj.Class.Name, v.ToString())
-		}
-		return "uncaught " + e.Obj.Class.Name
-	}
-	return e.Msg
-}
+func (e *Error) Error() string { return e.Msg }
 
 // NewError creates a runtime fatal.
 func NewError(format string, args ...any) *Error {
 	return &Error{Msg: fmt.Sprintf(format, args...)}
 }
 
+// thrown is an exception object viewed as the error that carries it,
+// so a throw allocates nothing.
+type thrown Object
+
+func (t *thrown) Error() string {
+	obj := (*Object)(t)
+	if v, ok := obj.GetProp("message"); ok {
+		return fmt.Sprintf("uncaught %s: %s", obj.Class.Name, v.ToString())
+	}
+	return "uncaught " + obj.Class.Name
+}
+
 // Thrown wraps a guest exception object into an error. The error owns
 // one reference to obj.
-func Thrown(obj *Object) *Error { return &Error{Obj: obj} }
+func Thrown(obj *Object) error { return (*thrown)(obj) }
+
+// ThrownObject returns the exception object err carries when err is a
+// guest throw; the reference it owned is the caller's from then on.
+func ThrownObject(err error) (*Object, bool) {
+	t, ok := err.(*thrown)
+	return (*Object)(t), ok
+}
 
 // ThrowValue implements the throw statement's operand check: only
 // objects can be thrown. It consumes v — the returned error owns the

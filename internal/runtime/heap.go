@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"math/bits"
+	"testing"
 	"unsafe"
 
 	"repro/internal/types"
@@ -48,6 +50,18 @@ type Heap struct {
 	freePacked []*Array
 	freeMixed  []*Array
 	parked     uintptr
+
+	// bufs holds the string buffers' lists, made when the heap first
+	// parks one (compile-time folding runs on heaps that never do).
+	bufs *bufLists
+}
+
+// bufLists are a heap's string buffers, one list per size class
+// (minBuf << i bytes), each entry the start of a buffer of exactly that
+// capacity; parked is the bytes they hold.
+type bufLists struct {
+	free   [bufClasses][]*byte
+	parked uintptr
 }
 
 // maxParkedBytes bounds what a heap's free lists may hold (string
@@ -58,6 +72,26 @@ type Heap struct {
 // 60 string headers, 25 mixed and 3 packed arrays (DESIGN.md §6 has the
 // sweep).
 const maxParkedBytes = 32 << 10
+
+// String buffers come in powers of two from minBuf to maxBuf bytes; a
+// longer string's buffer is the host collector's. maxParkedBufBytes
+// bounds what the buffer lists may hold: the smallest bound at which
+// the site's requests stop allocating fewer buffers (DESIGN.md §6,
+// "String bytes on the lists", has the sweep).
+const (
+	minBufShift       = 4
+	minBuf            = 1 << minBufShift
+	maxBuf            = 4 << 10
+	bufClasses        = 9 // log2(maxBuf / minBuf) + 1
+	maxParkedBufBytes = 12 << 10
+)
+
+// poisonByte overwrites a parked buffer in a test binary, so a view of
+// a string read past the release of its last reference reads garbage
+// there rather than the bytes it had (DESIGN.md §6).
+const poisonByte = 0xDB
+
+var poisonBufs = testing.Testing()
 
 // deadRefs is the count of a freed box. It is far enough below zero
 // that a stray IncRef cannot revive the box and no DecRef can free it
@@ -78,31 +112,101 @@ const (
 // NewHeap returns a fresh heap.
 func NewHeap() *Heap { return &Heap{} }
 
-// NewStr allocates a counted guest string holding s, with one
-// reference.
+// NewStr allocates a counted guest string holding a copy of s, in a
+// buffer of its own, with one reference.
 func (h *Heap) NewStr(s string) Value {
+	return h.newStrBuf(append(h.strBuf(len(s)), s...))
+}
+
+// newStrBuf makes a counted string, with one reference, of the bytes
+// rendered into buf: a buffer from strBuf or appendBuf, which the
+// string holds from here on, its unused capacity the string's spare
+// room. An empty result keeps no buffer (strBuf(0) makes none).
+func (h *Heap) newStrBuf(buf []byte) Value {
 	h.LiveStrs++
-	n := len(h.freeStrs)
-	if n == 0 {
-		return StrV(&Str{Data: s, refs: 1})
+	var str *Str
+	if n := len(h.freeStrs); n == 0 {
+		str = &Str{}
+	} else {
+		str = h.freeStrs[n-1]
+		h.freeStrs[n-1] = nil
+		h.freeStrs = h.freeStrs[:n-1]
+		h.parked -= strBytes
+		if str.refs != deadRefs {
+			h.OverReleases++
+		}
 	}
-	str := h.freeStrs[n-1]
-	h.freeStrs[n-1] = nil
-	h.freeStrs = h.freeStrs[:n-1]
-	h.parked -= strBytes
-	if str.refs != deadRefs {
-		h.OverReleases++
-	}
-	str.Data, str.refs, str.spare = s, 1, 0
+	str.refs = 1
+	str.setBuffer(buf)
 	return StrV(str)
 }
 
-// newStrBuf is NewStr for a string rendered into buf, whose unused
-// capacity becomes the box's spare room.
-func (h *Heap) newStrBuf(buf []byte) Value {
-	v := h.NewStr("")
-	v.AsStr().setBuffer(buf)
-	return v
+// strBuf returns an empty buffer with room for n bytes: the last one
+// parked in n's size class, a new one of the class's size, or, past
+// maxBuf, exactly n bytes from the collector.
+func (h *Heap) strBuf(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	if n > maxBuf {
+		return make([]byte, 0, n)
+	}
+	c := bufClass(n)
+	size := minBuf << c
+	if h.bufs == nil || len(h.bufs.free[c]) == 0 {
+		return make([]byte, 0, size)
+	}
+	list := h.bufs.free[c]
+	p := list[len(list)-1]
+	list[len(list)-1] = nil
+	h.bufs.free[c] = list[:len(list)-1]
+	h.bufs.parked -= uintptr(size)
+	return unsafe.Slice(p, size)[:0]
+}
+
+// appendBuf is strBuf for a string that is being appended to: past
+// maxBuf it returns twice the room, so a run of appends copies each
+// byte a bounded number of times, as the classes below maxBuf, each
+// twice the last, already do.
+func (h *Heap) appendBuf(need int) []byte {
+	if need > maxBuf {
+		return make([]byte, 0, 2*need)
+	}
+	return h.strBuf(need)
+}
+
+// bufClass is the size class of a buffer for n bytes, 0 < n <= maxBuf.
+func bufClass(n int) int {
+	if n <= minBuf {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - minBufShift
+}
+
+// parkBuf puts buf, which its holder no longer reads, on its class's
+// list if its capacity is a class size and the bound allows; any other
+// buffer is left to the collector. In a test binary it is poisoned
+// first.
+func (h *Heap) parkBuf(buf []byte) {
+	size := cap(buf)
+	if size < minBuf || size > maxBuf || size&(size-1) != 0 {
+		return
+	}
+	if h.bufs == nil {
+		h.bufs = &bufLists{}
+	}
+	if h.bufs.parked+uintptr(size) > maxParkedBufBytes {
+		return
+	}
+	buf = buf[:size]
+	if poisonBufs {
+		for i := range buf {
+			buf[i] = poisonByte
+		}
+	}
+	c := bufClass(size)
+	h.bufs.parked += uintptr(size)
+	h.bufs.free[c] = append(h.bufs.free[c], unsafe.SliceData(buf))
 }
 
 // NewObject allocates an instance of c with default-initialized
@@ -271,7 +375,10 @@ func (h *Heap) freeStr(s *Str) {
 	}
 	h.Frees++
 	h.LiveStrs--
-	s.Data, s.refs, s.spare = "", deadRefs, 0 // the header is parked; the buffer never is
+	if s.Data != "" {
+		h.parkBuf(s.buffer())
+	}
+	s.Data, s.refs, s.spare = "", deadRefs, 0
 	if h.parked+strBytes <= maxParkedBytes {
 		h.parked += strBytes
 		h.freeStrs = append(h.freeStrs, s)

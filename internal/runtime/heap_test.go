@@ -240,7 +240,8 @@ func TestParkedBytesBoundHoldsUnderBurst(t *testing.T) {
 	h := NewHeap()
 	var burst []Value
 	for i := 0; i < 2000; i++ {
-		burst = append(burst, h.NewStr("s"), ObjV(h.NewObject(small)), ObjV(h.NewObject(wide)))
+		burst = append(burst, h.NewStr("s"), ObjV(h.NewObject(small)), ObjV(h.NewObject(wide)),
+			h.NewStr(strings.Repeat("b", 1+i*37%5000))) // every buffer class, and past the last
 		if i%20 == 0 {
 			big := h.NewPacked(1000)
 			for k := 0; k < 1000; k++ {
@@ -263,14 +264,29 @@ func TestParkedBytesBoundHoldsUnderBurst(t *testing.T) {
 		}
 		return bytes
 	}
+	heldBufs := func() (bytes uintptr) {
+		for c, list := range h.bufs.free {
+			for _, p := range list {
+				if p == nil {
+					t.Fatalf("class %d lists a nil buffer", c)
+				}
+			}
+			bytes += uintptr(len(list)) * minBuf << c
+		}
+		return bytes
+	}
 	for i, v := range burst {
 		h.DecRef(v)
-		if h.parked > maxParkedBytes {
-			t.Fatalf("after %d frees the lists hold %d bytes, bound %d", i+1, h.parked, maxParkedBytes)
+		if h.parked > maxParkedBytes || h.bufs.parked > maxParkedBufBytes {
+			t.Fatalf("after %d frees the lists hold %d bytes of boxes, bound %d, and %d of buffers, bound %d",
+				i+1, h.parked, maxParkedBytes, h.bufs.parked, maxParkedBufBytes)
 		}
 	}
 	if h.parked != held() || h.parked < maxParkedBytes/2 {
 		t.Errorf("lists hold %d bytes, accounted %d, bound %d", held(), h.parked, maxParkedBytes)
+	}
+	if h.bufs.parked != heldBufs() || h.bufs.parked < maxParkedBufBytes/2 {
+		t.Errorf("buffer lists hold %d bytes, accounted %d, bound %d", heldBufs(), h.bufs.parked, maxParkedBufBytes)
 	}
 	if h.LiveStrs != 0 || h.LiveObjs != 0 || h.LiveArrs != 0 || h.Frees != uint64(len(burst)) {
 		t.Errorf("after the burst: %d live strings, %d live objects, %d live arrays, %d frees of %d",
@@ -283,9 +299,11 @@ func TestParkedBytesBoundHoldsUnderBurst(t *testing.T) {
 		h.NewObject(wide)
 		h.NewPacked(0)
 		h.NewMixed(0)
+		h.NewStr(strings.Repeat("b", minBuf<<(i%bufClasses)))
 	}
-	if h.parked != 0 || held() != 0 {
-		t.Errorf("drained lists still account %d bytes, hold %d", h.parked, held())
+	if h.parked != 0 || held() != 0 || h.bufs.parked != 0 || heldBufs() != 0 {
+		t.Errorf("drained lists still account %d bytes, hold %d; buffers %d, %d",
+			h.parked, held(), h.bufs.parked, heldBufs())
 	}
 }
 
@@ -361,11 +379,11 @@ func TestWarmAllocationCounts(t *testing.T) {
 	h.DecRef(Concat(h, []Value{a, b})) // warm the lists
 	h.DecRef(ObjV(h.NewObject(cls)))
 
-	if got := testing.AllocsPerRun(100, func() { h.DecRef(Concat(h, []Value{a, b})) }); got != 1 {
-		t.Errorf("warm Concat of two strings: %v allocations, want 1 (the data)", got)
+	if got := testing.AllocsPerRun(100, func() { h.DecRef(Concat(h, []Value{a, b})) }); got != 0 {
+		t.Errorf("warm Concat of two strings: %v allocations, want 0 (the buffer is the freed one)", got)
 	}
-	if got := testing.AllocsPerRun(100, func() { h.DecRef(Concat(h, []Value{a, n})) }); got != 1 {
-		t.Errorf("warm Concat of a string and an int: %v allocations, want 1", got)
+	if got := testing.AllocsPerRun(100, func() { h.DecRef(Concat(h, []Value{a, n})) }); got != 0 {
+		t.Errorf("warm Concat of a string and an int: %v allocations, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { h.DecRef(ObjV(h.NewObject(cls))) }); got != 0 {
 		t.Errorf("warm new/free cycle: %v allocations, want 0", got)

@@ -144,10 +144,10 @@ func IncDec(slot *Value, inc, post bool) (Value, error) {
 }
 
 // Concat implements the . operator over any number of operands (the
-// ConcatN bytecode): one counted string, one allocation sized for the
-// whole result, numbers rendered straight into it.
+// ConcatN bytecode): one counted string, its buffer sized for the whole
+// result, numbers rendered straight into it.
 func Concat(h *Heap, parts []Value) Value {
-	buf := make([]byte, 0, concatLen(parts))
+	buf := h.strBuf(concatLen(parts))
 	for _, p := range parts {
 		buf = appendValue(buf, p)
 	}
@@ -157,27 +157,33 @@ func Concat(h *Heap, parts []Value) Value {
 // ConcatAppend implements `$local .= parts` (the ConcatL bytecode): the
 // local is read after its operands were evaluated. A string nothing
 // else references is extended where it lies — behind len(Data) while
-// its buffer has room, in a buffer of twice the size once it has not —
-// and keeps its box; anything else (a static or shared string, a
-// non-string) is rendered into a fresh string that replaces it in the
-// local. The operands are borrowed.
+// its buffer has room, else in a buffer of the next size class, its old
+// one going back on the heap's list — and keeps its box; anything else
+// (a static or shared string, a non-string) is rendered into a fresh
+// string that replaces it in the local. The operands are borrowed.
 func ConcatAppend(h *Heap, local *Value, parts []Value) {
 	old := *local
 	add := concatLen(parts)
 	if old.Kind == types.KStr {
 		if s := old.AsStr(); s.refs == 1 && !s.Static() {
 			buf := s.buffer()
-			if add > cap(buf)-len(buf) {
-				buf = append(growBuf(len(buf)+add), buf...)
+			if add <= cap(buf)-len(buf) {
+				for _, p := range parts {
+					buf = appendValue(buf, p)
+				}
+				s.setBuffer(buf)
+				return
 			}
+			grown := append(h.appendBuf(len(buf)+add), buf...)
 			for _, p := range parts {
-				buf = appendValue(buf, p)
+				grown = appendValue(grown, p)
 			}
-			s.setBuffer(buf)
+			s.setBuffer(grown)
+			h.parkBuf(buf)
 			return
 		}
 	}
-	buf := appendValue(growBuf(valueLen(old)+add), old)
+	buf := appendValue(h.appendBuf(valueLen(old)+add), old)
 	for _, p := range parts {
 		buf = appendValue(buf, p)
 	}
@@ -185,16 +191,10 @@ func ConcatAppend(h *Heap, local *Value, parts []Value) {
 	h.DecRef(old)
 }
 
-// growBuf returns an empty buffer for a string of need bytes that is
-// being appended to: twice the room, so a run of appends copies each
-// byte a bounded number of times (and allocates a logarithmic number
-// of buffers).
-func growBuf(need int) []byte { return make([]byte, 0, 2*need) }
-
 // buffer is s's bytes as a slice whose capacity takes in its spare
-// room; setBuffer makes buf (that slice, appended to, or a new one)
-// s's data. Only ConcatAppend uses the pair, on a box with one
-// reference.
+// room: the whole buffer s holds. setBuffer makes buf (that slice,
+// appended to, or a new one) s's data. Only the heap and ConcatAppend
+// use the pair, on a box with one reference.
 func (s *Str) buffer() []byte {
 	n := len(s.Data)
 	return unsafe.Slice(unsafe.StringData(s.Data), n+int(s.spare))[:n]
@@ -266,7 +266,13 @@ func ToStr(h *Heap, v Value) Value {
 		h.IncRef(v)
 		return v
 	}
-	return h.NewStr(v.ToString())
+	return h.render(v)
+}
+
+// render is a fresh counted string of v as echo would print it,
+// rendered straight into its buffer.
+func (h *Heap) render(v Value) Value {
+	return h.newStrBuf(appendValue(h.strBuf(valueLen(v)), v))
 }
 
 // Cmp returns -1, 0, or 1 with PHP's loose comparison semantics

@@ -449,8 +449,8 @@ func TestInstanceOfAndThrowEveryKind(t *testing.T) {
 		before := refs(op.v)
 		err := rt.ThrowValue(h, op.v)
 		if op.name == "Obj" {
-			ge, ok := err.(*rt.Error)
-			if !ok || ge.Obj != op.v.AsObj() || refs(op.v) != before {
+			obj, ok := rt.ThrownObject(err)
+			if !ok || obj != op.v.AsObj() || refs(op.v) != before {
 				t.Errorf("throw Obj: %v (the error must own the operand's reference)", err)
 			}
 			continue

@@ -191,13 +191,14 @@ func (v Value) DebugString() string {
 	}
 }
 
-// Str is a counted guest string. Data's bytes live in a buffer that may
-// run on past len(Data): spare says how many bytes behind Data are this
-// box's to write. Only ConcatAppend writes them, only through a box
-// nothing else references, and no buffer is ever handed to a second
-// box with spare left — so whatever retains a Data (an array key, a
-// substring, the intern table's clone source) sees bytes that never
-// change (DESIGN.md §6, "Strings built in place").
+// Str is a counted guest string. A non-static Str is the one holder of
+// the buffer Data's bytes live in, which its heap handed out and gets
+// back, to hand out again, when the last reference dies: spare says how
+// many bytes of it lie behind Data, so len(Data)+spare is its size.
+// Only ConcatAppend writes them, only through a box nothing else
+// references. So bytes read out of a string stay valid while the reader
+// holds a reference to it, and no longer (DESIGN.md §6, "String bytes
+// on the lists").
 type Str struct {
 	Data string
 	refs int32

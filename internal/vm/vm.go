@@ -256,16 +256,16 @@ func (v *VM) runFrame(fr *interp.Frame, hint machine.ChainTarget) (runtime.Value
 				how.why = stuck
 			}
 			if out.Inline != nil {
-				val, err := v.resumeInlineChain(out.Inline, 0)
-				root := out.Inline[len(out.Inline)-1]
+				val, err := v.resumeInlineChain(out.Inline)
+				ret := v.putInlineChain(out.Inline)
 				if err != nil {
-					if herr := v.Env.Unwind(fr, root.RetBCOff-1, err); herr != nil {
+					if herr := v.Env.Unwind(fr, ret-1, err); herr != nil {
 						return runtime.Null(), first, herr
 					}
 					continue
 				}
 				fr.Stack = append(fr.Stack, val)
-				fr.PC = root.RetBCOff
+				fr.PC = ret
 				continue
 			}
 			fr.PC = out.BCOff
@@ -278,8 +278,8 @@ func (v *VM) runFrame(fr *interp.Frame, hint machine.ChainTarget) (runtime.Value
 				for _, ir := range out.Inline {
 					ir.Frame.Release(v.Env)
 				}
-				root := out.Inline[len(out.Inline)-1]
-				if herr := v.Env.Unwind(fr, root.RetBCOff-1, out.Err); herr != nil {
+				ret := v.putInlineChain(out.Inline)
+				if herr := v.Env.Unwind(fr, ret-1, out.Err); herr != nil {
 					return runtime.Null(), first, herr
 				}
 				continue
@@ -300,9 +300,9 @@ func (v *VM) runFrame(fr *interp.Frame, hint machine.ChainTarget) (runtime.Value
 // the interpreter after a side exit materialized their frames
 // (Section 5.3.1). Frames run innermost-out; each return value is
 // pushed onto the enclosing frame, which then resumes.
-func (v *VM) resumeInlineChain(chain []machine.InlineResume, from int) (runtime.Value, error) {
-	val, err := v.runInterp(chain[from].Frame)
-	for i := from + 1; i < len(chain); i++ {
+func (v *VM) resumeInlineChain(chain []machine.InlineResume) (runtime.Value, error) {
+	val, err := v.runInterp(chain[0].Frame)
+	for i := 1; i < len(chain); i++ {
 		if err != nil {
 			// No handlers inside inlined code (inlining policy):
 			// release the remaining frames and propagate.
@@ -315,6 +315,18 @@ func (v *VM) resumeInlineChain(chain []machine.InlineResume, from int) (runtime.
 		val, err = v.runInterp(cf)
 	}
 	return val, err
+}
+
+// putInlineChain hands a finished chain's frames (released: each ran
+// to its end or was released unrun) back to the env's free list and
+// the chain to the machine, returning the root's resume pc.
+func (v *VM) putInlineChain(chain []machine.InlineResume) int {
+	for _, ir := range chain {
+		v.Env.PutFrame(ir.Frame)
+	}
+	ret := chain[len(chain)-1].RetBCOff
+	v.Machine.PutInlineChain(chain)
+	return ret
 }
 
 // runInterp drives one frame in the interpreter, swallowing OSR
