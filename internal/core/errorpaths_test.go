@@ -31,6 +31,8 @@ function undef($x) { return NoSuch($x); }
 function len2($a, $b) { return strlen($a, $b); }
 function len0() { return strlen(); }
 function plus($a, $b) { return $a + $b; }
+function mkBox() { return new Box(); }
+function mkNone() { return new NoSuchClass(); }
 function probe($i, $s, $o) {
   $out = "";
   try { $out .= takesInt($s); } catch (Exception $e) { $out .= $e->getMessage() . ";"; }
@@ -51,6 +53,7 @@ function probe($i, $s, $o) {
   try { $out .= len0(); } catch (Exception $e) { $out .= $e->getMessage() . ";"; }
   $out .= plus($o, $i) . plus("9" . $i, 1) . ";";
   try { $out .= plus([$o], $s); } catch (Exception $e) { $out .= $e->getMessage() . ";"; }
+  try { $out .= mkBox()->p . mkNone()->p; } catch (Exception $e) { $out .= $e->getMessage() . ";"; }
   return $out . $i . $s . $o->p;
 }
 for ($k = 0; $k < 6; $k++) { echo probe($k, "abc" . $k, new Box()), "\n"; }

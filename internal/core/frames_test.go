@@ -66,21 +66,24 @@ function entry() {
   return $r;
 }`
 
-	// rare() is small enough to inline and its cold branch is absent
-	// from the profiled region, so the last call side-exits inside
-	// inlined code and the machine materializes the callee frame
-	// (vm.resumeInlineChain).
+	// rare() is small enough to inline into mid() and mid() into
+	// loop(). warm() profiles loop() without ever taking rare()'s cold
+	// branch, so the optimized loop has no code for it: every entry()
+	// runs the loop past 100 and side-exits inside the inlined rare()
+	// twice, and the machine materializes the callee frames
+	// (vm.resumeInlineChain). rare(999999) side-exits out of rare()'s
+	// own region.
 	srcInlineSideExit = `
 function rare($x) {
-  if ($x == 999999) { return strtoupper("cold-" . $x); }
+  if ($x > 100) { return strlen(strtoupper("cold-" . $x)); }
   return $x * 2;
 }
 function mid($x) { return rare($x) + 1; }
+function loop($n) { $acc = 0; for ($i = 0; $i < $n; $i++) { $acc += mid($i); } return $acc; }
+function warm() { return loop(50); }
 function entry() {
-  $acc = 0;
-  for ($i = 0; $i < 20; $i++) { $acc += mid($i); }
-  echo $acc, ":", rare(999999), ":";
-  try { echo mid(999999); } catch (Exception $e) { echo "E"; }
+  $acc = loop(103);
+  echo $acc, ":COLD-", rare(999999), ":";
   return $acc;
 }`
 )
@@ -203,17 +206,24 @@ func recycleSetup(t *testing.T, src string) (*hhbc.Unit, *hhbc.Func, string) {
 	return unit, entry, want
 }
 
+// TestFrameRecyclingDifferential serves each program from a JIT in
+// both compiling modes, with one worker and with four. A program with a
+// warm() function is profiled through it first, and in region mode
+// every call it then serves must leave inlined code: the test fails
+// when one took no inline side exit.
 func TestFrameRecyclingDifferential(t *testing.T) {
 	programs := []struct{ name, src, wantSub string }{
 		{"deep-recursion", srcDeepRecursion, "400 maximum call depth exceeded|ret=30"},
 		{"throw-through-destructors", srcThrowThroughDestructors, "[boom1] "},
-		{"inline-side-exit", srcInlineSideExit, ":COLD-999999:"},
+		{"inline-side-exit", srcInlineSideExit, "10219:COLD-11:"},
 	}
+	const rounds = 12
 	for _, p := range programs {
 		unit, entry, want := recycleSetup(t, p.src)
 		if !strings.Contains(want, p.wantSub) {
 			t.Fatalf("%s: interpreter printed %q, expected it to contain %q", p.name, want, p.wantSub)
 		}
+		warm, profiled := unit.FuncByName("warm")
 		for _, mode := range []jit.Mode{jit.ModeTracelet, jit.ModeRegion} {
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("%s/%s/%dw", p.name, mode, workers)
@@ -221,9 +231,24 @@ func TestFrameRecyclingDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				serveRecycled(t, label, eng, entry, want, workers, 12)
+				if profiled {
+					for i := 0; i < 300 && !eng.VM.JIT.Optimized(); i++ {
+						if _, err := eng.VM.CallFunc(warm, nil, nil); err != nil {
+							t.Fatalf("%s: warm(): %v", label, err)
+						}
+					}
+				}
+				if mode == jit.ModeRegion && profiled && !awaitOptimized(eng.VM.JIT) {
+					t.Fatalf("%s: warm-up never reached the optimized tier", label)
+				}
+				before := eng.Stats().InlineExits
+				serveRecycled(t, label, eng, entry, want, workers, rounds)
 				if mode == jit.ModeRegion && !awaitOptimized(eng.VM.JIT) {
 					t.Errorf("%s: never reached the optimized tier; the test exercised less than it claims", label)
+				}
+				if n := eng.Stats().InlineExits - before; mode == jit.ModeRegion && profiled && n < rounds*uint64(workers) {
+					t.Errorf("%s: %d exits out of inlined code over %d calls; every call should take one",
+						label, n, rounds*workers)
 				}
 			}
 		}

@@ -125,7 +125,7 @@ echo spill(7), "\n";
 		eng.VM.JIT.ForEachTranslation(func(tr *jit.Translation) {
 			spilled += tr.Code.Alloc.Spilled
 			for i := range tr.Code.Instrs {
-				in := &tr.Code.Instrs[i]
+				in := tr.Code.Decode(i)
 				for _, r := range in.Args {
 					if r >= vasm.SpillRegBase {
 						spilledArgs++

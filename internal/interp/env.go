@@ -35,6 +35,9 @@ type Env struct {
 	Out     io.Writer
 	Meter   Meter
 	Classes map[string]*runtime.Class
+	// classByID indexes the same classes by ClassID (entry 0 unused):
+	// built once at link, shared like Classes.
+	classByID []*runtime.Class
 
 	// Shapes is the object-shape universe for this class table,
 	// created at link time and shared (like Classes) across every
@@ -105,9 +108,10 @@ func NewEnv(u *hhbc.Unit, heap *runtime.Heap, out io.Writer) (*Env, error) {
 func NewEnvFrom(base *Env, heap *runtime.Heap, out io.Writer) *Env {
 	env := &Env{
 		Unit: base.Unit, Heap: heap, Out: out,
-		Classes:  base.Classes,
-		Shapes:   base.Shapes,
-		MaxDepth: base.MaxDepth,
+		Classes:   base.Classes,
+		classByID: base.classByID,
+		Shapes:    base.Shapes,
+		MaxDepth:  base.MaxDepth,
 	}
 	env.Call = env.interpCall
 	heap.OnDestruct = func(obj *runtime.Object) {
@@ -217,6 +221,10 @@ func (e *Env) link() error {
 		if _, err := build(d.Name, map[string]bool{}); err != nil {
 			return err
 		}
+	}
+	e.classByID = make([]*runtime.Class, nextID)
+	for _, c := range e.Classes {
+		e.classByID[c.ClassID] = c
 	}
 	return nil
 }

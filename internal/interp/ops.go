@@ -216,6 +216,12 @@ func (e *Env) NewObject(name string) (runtime.Value, error) {
 	return runtime.ObjV(e.NewInstance(cls)), nil
 }
 
+// NewObjectOf is NewObject for a class resolved ahead of time: id is
+// the ClassID of a linked class.
+func (e *Env) NewObjectOf(id int) runtime.Value {
+	return runtime.ObjV(e.NewInstance(e.classByID[id]))
+}
+
 // Print writes v the way echo renders it.
 func (e *Env) Print(v runtime.Value) {
 	if e.Out != nil {

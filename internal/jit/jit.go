@@ -300,7 +300,10 @@ type Stats struct {
 	MachineEnters          uint64
 	SideExits              uint64
 	BindRequests           uint64
-	InterpRuns             uint64
+	// InlineExits counts exits out of inlined code: each materialized
+	// the inlined callees' frames (Section 5.3.1).
+	InlineExits uint64
+	InterpRuns  uint64
 
 	// Lookups counts dispatcher Lookup calls — the number chaining is
 	// meant to drive down (steady state: one per request, not one per
@@ -476,6 +479,7 @@ func (j *JIT) Stats() Stats {
 		InterpCycles:           ld(&s.InterpCycles),
 		MachineEnters:          ld(&s.MachineEnters),
 		SideExits:              ld(&s.SideExits),
+		InlineExits:            ld(&s.InlineExits),
 		BindRequests:           ld(&s.BindRequests),
 		InterpRuns:             ld(&s.InterpRuns),
 		Lookups:                ld(&s.Lookups),
@@ -577,6 +581,9 @@ func (j *JIT) NoteMachineExec(kind Mode, cycles uint64, guardFails int) {
 // NoteSideExit / NoteBindRequest account translation exit kinds.
 func (j *JIT) NoteSideExit()    { atomic.AddUint64(&j.stats.SideExits, 1) }
 func (j *JIT) NoteBindRequest() { atomic.AddUint64(&j.stats.BindRequests, 1) }
+
+// NoteInlineExit accounts an exit that materialized inlined frames.
+func (j *JIT) NoteInlineExit() { atomic.AddUint64(&j.stats.InlineExits, 1) }
 
 // frameTypeSource adapts a live frame to the region selector. With
 // static set it tells a static string apart (TStaticStr), the way

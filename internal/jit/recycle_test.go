@@ -11,28 +11,27 @@ import (
 	"repro/internal/region"
 	"repro/internal/runtime"
 	"repro/internal/types"
-	"repro/internal/vasm"
 )
 
 // kept is a deep copy of what a published translation keeps from its
-// compile: the code's stream, operand lists, exit descriptors, checks,
-// constants, jump tables and end state, every window of its metadata
-// array (addresses, dispatch metadata, block starts, smash sites), its
-// link slots, and the region it was compiled from.
+// compile: the code's stream, register lists, jump tables, exit
+// descriptors, inline frames, checks, constants and end state, every
+// window of its metadata array (addresses, dispatch metadata, smash
+// sites), its link slots, and the region it was compiled from.
 type kept struct {
-	Instrs        []vasm.Instr
-	Exits         []vasm.ExitInfo // one per instruction (zero: none)
-	Inlines       [][]vasm.InlineInfo
+	Instrs        []mcode.Instr
+	Regs          []int32
+	JumpTargets   []int32
+	Exits         []mcode.Exit
+	Inlines       []mcode.Inline
 	Addr          []int32
 	CostPrefix    []int32
 	DispatchFlags []int32
 	FetchTails    []int32
-	BlockStart    []int32
 	Sites         []int32
 	Links         []*mcode.Link // per smash site
 	Checks        []runtime.Check
 	Consts        []runtime.Value
-	Tables        []vasm.JumpTable
 	EndLocals     []types.Type
 	EndStack      []types.Type
 	Desc          []region.Block
@@ -45,17 +44,17 @@ func keep(tr *jit.Translation) kept {
 	c := &tr.Code
 	k := kept{
 		Instrs:        slices.Clone(c.Instrs),
-		Exits:         make([]vasm.ExitInfo, len(c.Instrs)),
-		Inlines:       make([][]vasm.InlineInfo, len(c.Instrs)),
+		Regs:          slices.Clone(c.Regs),
+		JumpTargets:   slices.Clone(c.JumpTargets),
+		Exits:         slices.Clone(c.Exits),
+		Inlines:       slices.Clone(c.Inlines),
 		Addr:          slices.Clone(c.Addr),
 		CostPrefix:    slices.Clone(c.CostPrefix),
 		DispatchFlags: slices.Clone(c.DispatchFlags),
 		FetchTails:    slices.Clone(c.FetchTails),
-		BlockStart:    slices.Clone(c.BlockStart),
 		Sites:         slices.Clone(c.Sites),
 		Checks:        slices.Clone(c.Checks),
 		Consts:        slices.Clone(c.Consts),
-		Tables:        slices.Clone(c.Tables),
 		EndLocals:     slices.Clone(c.EndLocals),
 		EndStack:      slices.Clone(c.EndStack),
 		Arcs:          slices.Clone(tr.Desc.Arcs),
@@ -64,23 +63,6 @@ func keep(tr *jit.Translation) kept {
 	}
 	for _, site := range c.Sites {
 		k.Links = append(k.Links, c.LoadLink(int(site)))
-	}
-	for i := range k.Instrs {
-		in := &k.Instrs[i]
-		in.Args = slices.Clone(in.Args)
-		if ex := in.Ex; ex != nil {
-			k.Exits[i] = *ex
-			k.Exits[i].StackRegs = slices.Clone(ex.StackRegs)
-			for ii := ex.Inline; ii != nil; ii = ii.Parent {
-				cp := *ii
-				cp.CallerStackRegs = slices.Clone(ii.CallerStackRegs)
-				k.Inlines[i] = append(k.Inlines[i], cp)
-			}
-			in.Ex = nil
-		}
-	}
-	for i := range k.Tables {
-		k.Tables[i].Targets = slices.Clone(k.Tables[i].Targets)
 	}
 	for i := range k.Arcs {
 		k.Arcs[i] = slices.Clone(k.Arcs[i])
@@ -155,7 +137,15 @@ func optimize(t *testing.T, j *jit.JIT) []*jit.Translation {
 
 // sameCode reports whether a and b are the same instruction stream.
 func sameCode(a, b *mcode.Code) bool {
-	return slices.EqualFunc(a.Instrs, b.Instrs, func(x, y vasm.Instr) bool { return x.String() == y.String() })
+	if len(a.Instrs) != len(b.Instrs) {
+		return false
+	}
+	for i := range a.Instrs {
+		if x, y := a.Decode(i), b.Decode(i); x.String() != y.String() {
+			return false
+		}
+	}
+	return true
 }
 
 // TestRecycledScratchLeavesPublishedCodeAlone: compiles take their HHIR

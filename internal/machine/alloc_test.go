@@ -17,10 +17,11 @@ import (
 // "What a translation keeps is its own"), so assembling, placing and
 // preparing a unit for dispatch allocates a handful of objects whatever
 // its size. Run over every unit the site compiles, as its compile
-// hands it to Assemble: about 6.1 a unit, 8.5 when the code, its
+// hands it to Assemble: about 5.6 a unit; 6.1 while the register lists
+// and jump tables were arrays of their own, 8.5 when the code, its
 // addresses, block starts and dispatch tables were separate arrays and
 // FetchTails one list per fused instruction — plus 1.2 in vasm.Allocate
-// for exit descriptors that Assemble now copies into one array.
+// for exit descriptors that Assemble now encodes into one array.
 func TestAssemblyAllocatesPerArray(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")

@@ -9,6 +9,7 @@ package machine
 
 import (
 	"repro/internal/interp"
+	"repro/internal/mcode"
 	"repro/internal/vasm"
 )
 
@@ -86,7 +87,7 @@ func opCost(op vasm.Op) uint64 {
 // instrCost is opCost extended to superinstructions, whose static
 // cost is by definition the sum of their components' — fusion saves
 // host dispatch work, never guest cycles.
-func instrCost(in *vasm.Instr) uint64 {
+func instrCost(in *mcode.Instr) uint64 {
 	var c uint64
 	in.ForEachComponent(func(op vasm.Op) { c += opCost(op) })
 	return c

@@ -250,21 +250,33 @@ func New(env *interp.Env, meter *Meter, counters *profile.Counters, cache *mcode
 
 // activation is the per-execution machine state.
 type activation struct {
-	regs   [vasm.TotalMachineRegs]runtime.Value
-	spills []runtime.Value
-	fr     *interp.Frame
+	// vals is the value file: the machine registers, then the spill
+	// slots. An mcode.Instr's register operands index it directly. It
+	// is a window of file, which the activation carries so that code
+	// with a few spill slots costs no allocation of its own, unless a
+	// translation needs more.
+	vals []runtime.Value
+	file [vasm.TotalMachineRegs + 8]runtime.Value
+	fr   *interp.Frame
 	// entryPC is the bytecode pc the currently-executing translation
 	// was entered at (updated on every chained transfer).
 	entryPC int
 }
 
-// bindSpace sizes the activation for code: the spill area and the
+// bindSpace sizes the activation for code: the value file and the
 // frame extension for inline-callee locals.
 func (a *activation) bindSpace(code *mcode.Code) {
-	if n := code.NumSpills; n <= cap(a.spills) {
-		a.spills = a.spills[:n]
-	} else {
-		a.spills = make([]runtime.Value, n)
+	n := code.NumValues()
+	if n < len(a.vals) {
+		clear(a.vals[n:]) // a parked value must not pin a guest object
+	}
+	switch {
+	case n <= cap(a.vals):
+		a.vals = a.vals[:n]
+	case n <= len(a.file):
+		a.vals = a.file[:n]
+	default:
+		a.vals = make([]runtime.Value, n)
 	}
 	for len(a.fr.Locals) < code.ExtSlots {
 		a.fr.Locals = append(a.fr.Locals, runtime.Uninit())
@@ -274,25 +286,9 @@ func (a *activation) bindSpace(code *mcode.Code) {
 // scrub clears held values so a parked activation does not pin guest
 // objects.
 func (a *activation) scrub() {
-	clear(a.regs[:])
-	clear(a.spills)
-	a.spills = a.spills[:0]
+	clear(a.vals)
+	a.vals = a.vals[:0]
 	a.fr = nil
-}
-
-func (a *activation) get(r vasm.Reg) runtime.Value {
-	if r >= vasm.SpillRegBase {
-		return a.spills[r-vasm.SpillRegBase]
-	}
-	return a.regs[r]
-}
-
-func (a *activation) set(r vasm.Reg, v runtime.Value) {
-	if r >= vasm.SpillRegBase {
-		a.spills[r-vasm.SpillRegBase] = v
-		return
-	}
-	a.regs[r] = v
 }
 
 // Exec runs code against fr until it returns, exits, or throws.
@@ -332,15 +328,16 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 	fast := code.FastDispatch
 	runStart := -1
 	xfer := true
-	// Hot loop state hoisted out of code so the per-instruction path
-	// does not reload slice headers through the Code pointer (calls in
-	// the loop body would otherwise force reloads). Refreshed at every
-	// chained transfer into a different translation.
+	// Hot loop state hoisted out of code and act so the per-instruction
+	// path does not reload slice headers through their pointers (calls
+	// in the loop body would otherwise force reloads). Refreshed at
+	// every chained transfer into a different translation.
 	instrs := code.Instrs
 	flags := code.DispatchFlags
-	starts := code.BlockStart
 	consts := code.Consts
 	checks := code.Checks
+	regs := code.Regs
+	vals := act.vals
 	// Operands of the control-transfer tails at the bottom of the loop
 	// body (see the labels there).
 	var (
@@ -406,20 +403,21 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 		switch in.Op {
 		case vasm.Nop:
 		case vasm.LdImm:
-			act.set(in.D, consts[in.I64])
-		case vasm.Copy:
-			act.set(in.D, act.get(in.A))
+			vals[in.D] = consts[in.I64]
+		case vasm.Copy, vasm.Spill, vasm.Reload:
+			// A spill slot is one more index into the value file.
+			vals[in.D] = vals[in.A]
 		case vasm.LdLoc:
 			v := fr.Locals[in.I64]
 			if v.Kind == types.KUninit {
 				v = runtime.Null()
 			}
-			act.set(in.D, v)
+			vals[in.D] = v
 		case vasm.StLoc:
-			fr.Locals[in.I64] = act.get(in.A)
+			fr.Locals[in.I64] = vals[in.A]
 		case vasm.LdStk:
 			if i := int(in.I64); i >= 0 && i < len(fr.Stack) {
-				act.set(in.D, fr.Stack[i])
+				vals[in.D] = fr.Stack[i]
 			} else {
 				// A layout bug, not a guest condition: fault the
 				// translation so the self-healing path quarantines it
@@ -430,22 +428,18 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				return m.faultOutcome(act, guardFails, fmt.Sprintf(
 					"LdStk slot %d out of range (stack depth %d)", in.I64, len(fr.Stack)))
 			}
-		case vasm.Spill:
-			act.spills[in.I64] = act.get(in.A)
-		case vasm.Reload:
-			act.set(in.D, act.spills[in.I64])
 
 		case vasm.GuardKind:
-			if !checks[in.Target2].Holds(act.get(in.A)) {
+			if !checks[in.T2].Holds(vals[in.A]) {
 				goto guardFail
 			}
 		case vasm.GuardCls:
-			v := act.get(in.A)
+			v := vals[in.A]
 			if v.Kind != types.KObj || int64(v.AsObj().Class.ClassID) != in.I64 {
 				goto guardFail
 			}
 		case vasm.GuardShape:
-			v := act.get(in.A)
+			v := vals[in.A]
 			m.Shapes.Guards.Add(1)
 			if v.Kind != types.KObj || v.AsObj().ShapeID() != uint32(in.I64) {
 				m.Shapes.GuardFails.Add(1)
@@ -458,95 +452,94 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			if v.Kind == types.KUninit {
 				v = runtime.Null()
 			}
-			act.set(in.D, v)
-			if !checks[in.Target2].Holds(v) {
+			vals[in.D] = v
+			if !checks[in.T2].Holds(v) {
 				goto guardFail
 			}
 
 		case vasm.AddI:
-			act.set(in.D, runtime.Int(act.get(in.A).AsInt()+act.get(in.B).AsInt()))
+			vals[in.D] = runtime.Int(vals[in.A].AsInt() + vals[in.B].AsInt())
 		case vasm.SubI:
-			act.set(in.D, runtime.Int(act.get(in.A).AsInt()-act.get(in.B).AsInt()))
+			vals[in.D] = runtime.Int(vals[in.A].AsInt() - vals[in.B].AsInt())
 		case vasm.MulI:
-			act.set(in.D, runtime.Int(act.get(in.A).AsInt()*act.get(in.B).AsInt()))
+			vals[in.D] = runtime.Int(vals[in.A].AsInt() * vals[in.B].AsInt())
 		case vasm.NegI:
-			act.set(in.D, runtime.Int(-act.get(in.A).AsInt()))
+			vals[in.D] = runtime.Int(-vals[in.A].AsInt())
 		case vasm.AddD:
-			act.set(in.D, runtime.Dbl(act.get(in.A).AsDbl()+act.get(in.B).AsDbl()))
+			vals[in.D] = runtime.Dbl(vals[in.A].AsDbl() + vals[in.B].AsDbl())
 		case vasm.SubD:
-			act.set(in.D, runtime.Dbl(act.get(in.A).AsDbl()-act.get(in.B).AsDbl()))
+			vals[in.D] = runtime.Dbl(vals[in.A].AsDbl() - vals[in.B].AsDbl())
 		case vasm.MulD:
-			act.set(in.D, runtime.Dbl(act.get(in.A).AsDbl()*act.get(in.B).AsDbl()))
+			vals[in.D] = runtime.Dbl(vals[in.A].AsDbl() * vals[in.B].AsDbl())
 		case vasm.DivD:
-			b := act.get(in.B).AsDbl()
+			b := vals[in.B].AsDbl()
 			if b == 0 {
 				// The generic division raises for this fast path.
-				_, err = runtime.Div(act.get(in.A), act.get(in.B))
+				_, err = runtime.Div(vals[in.A], vals[in.B])
 				goto throw
 			}
-			act.set(in.D, runtime.Dbl(act.get(in.A).AsDbl()/b))
+			vals[in.D] = runtime.Dbl(vals[in.A].AsDbl() / b)
 		case vasm.NegD:
-			act.set(in.D, runtime.Dbl(-act.get(in.A).AsDbl()))
+			vals[in.D] = runtime.Dbl(-vals[in.A].AsDbl())
 		case vasm.CmpI:
-			act.set(in.D, runtime.Bool(cmpI(in.I64&0xff, act.get(in.A).AsInt(), act.get(in.B).AsInt())))
+			vals[in.D] = runtime.Bool(cmpI(in.I64&0xff, vals[in.A].AsInt(), vals[in.B].AsInt()))
 		case vasm.CmpD:
-			act.set(in.D, runtime.Bool(cmpD(in.I64&0xff, act.get(in.A).AsDbl(), act.get(in.B).AsDbl())))
+			vals[in.D] = runtime.Bool(cmpD(in.I64&0xff, vals[in.A].AsDbl(), vals[in.B].AsDbl()))
 
 		case vasm.ToBool:
-			act.set(in.D, runtime.Bool(act.get(in.A).Bool()))
+			vals[in.D] = runtime.Bool(vals[in.A].Bool())
 		case vasm.ToInt:
-			act.set(in.D, runtime.Int(act.get(in.A).ToInt()))
+			vals[in.D] = runtime.Int(vals[in.A].ToInt())
 		case vasm.ToDbl:
-			act.set(in.D, runtime.Dbl(act.get(in.A).ToDbl()))
+			vals[in.D] = runtime.Dbl(vals[in.A].ToDbl())
 
 		case vasm.IncRef:
-			h.IncRef(act.get(in.A))
+			h.IncRef(vals[in.A])
 		case vasm.DecRef:
-			h.DecRef(act.get(in.A))
+			h.DecRef(vals[in.A])
 
 		// Non-branching superinstructions.
 		case vasm.LdImmAddI:
-			act.set(vasm.Reg(in.Target2), consts[in.I64>>16])
-			act.set(in.D, runtime.Int(act.get(in.A).AsInt()+act.get(in.B).AsInt()))
+			vals[in.T2] = consts[in.I64>>16]
+			vals[in.D] = runtime.Int(vals[in.A].AsInt() + vals[in.B].AsInt())
 		case vasm.LdImmCmpI:
-			act.set(vasm.Reg(in.Target2), consts[in.I64>>16])
-			act.set(in.D, runtime.Bool(cmpI(in.I64&0xff, act.get(in.A).AsInt(), act.get(in.B).AsInt())))
+			vals[in.T2] = consts[in.I64>>16]
+			vals[in.D] = runtime.Bool(cmpI(in.I64&0xff, vals[in.A].AsInt(), vals[in.B].AsInt()))
 		case vasm.IncRefN:
-			for _, r := range in.Args {
-				h.IncRef(act.get(r))
+			for _, r := range regs[in.X : in.X+int32(in.N)] {
+				h.IncRef(vals[r])
 			}
 		case vasm.DecRefN:
-			for _, r := range in.Args {
-				h.DecRef(act.get(r))
+			for _, r := range regs[in.X : in.X+int32(in.N)] {
+				h.DecRef(vals[r])
 			}
 
 		case vasm.ArrCount:
-			act.set(in.D, runtime.Int(int64(act.get(in.A).AsArr().Len())))
+			vals[in.D] = runtime.Int(int64(vals[in.A].AsArr().Len()))
 		case vasm.ArrGetPkI:
-			arr := act.get(in.A)
-			el, ok := arr.AsArr().GetIntKey(act.get(in.B).AsInt())
+			el, ok := vals[in.A].AsArr().GetIntKey(vals[in.B].AsInt())
 			if !ok || el.Kind == types.KUninit {
 				el = runtime.Null()
 				m.Meter.Charge(helperCost[vasm.HArrGetPackedMiss].base)
 			}
 			h.IncRef(el)
-			act.set(in.D, el)
+			vals[in.D] = el
 
 		case vasm.LdProp:
-			act.set(in.D, act.get(in.A).AsObj().GetPropSlot(int(in.I64)))
+			vals[in.D] = vals[in.A].AsObj().GetPropSlot(int(in.I64))
 		case vasm.StProp:
-			act.get(in.A).AsObj().SetPropSlot(h, int(in.I64), act.get(in.B))
+			vals[in.A].AsObj().SetPropSlot(h, int(in.I64), vals[in.B])
 
 		case vasm.LdPropIC:
-			ov := act.get(in.A)
+			ov := vals[in.A]
 			if ov.Kind == types.KObj {
-				if slot, ok := m.probePropIC(code, ip, ov.AsObj(), in.Str); ok {
+				if slot, ok := m.probePropIC(code, ip, ov.AsObj(), in.T2); ok {
 					p := ov.AsObj().GetPropSlot(slot)
 					if p.Kind == types.KUninit {
 						p = runtime.Null()
 					}
 					h.IncRef(p)
-					act.set(in.D, p)
+					vals[in.D] = p
 					break
 				}
 			}
@@ -554,14 +547,14 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			// does not describe, or no object at all: generic by-name path.
 			m.Shapes.GenericPropCalls.Add(1)
 			var p runtime.Value
-			if p, err = runtime.GetPropNamed(h, ov, in.Str); err != nil {
+			if p, err = runtime.GetPropNamed(h, ov, code.Str(in.T2)); err != nil {
 				goto throw
 			}
-			act.set(in.D, p)
+			vals[in.D] = p
 		case vasm.StPropIC:
-			ov, val := act.get(in.A), act.get(in.B)
+			ov, val := vals[in.A], vals[in.B]
 			if ov.Kind == types.KObj {
-				if slot, ok := m.probePropIC(code, ip, ov.AsObj(), in.Str); ok {
+				if slot, ok := m.probePropIC(code, ip, ov.AsObj(), in.T2); ok {
 					// SetPropSlot maintains the shape on retyping stores, so
 					// the cached slot stays valid across kind changes.
 					ov.AsObj().SetPropSlot(h, slot, val)
@@ -569,7 +562,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				}
 			}
 			m.Shapes.GenericPropCalls.Add(1)
-			if err = runtime.SetPropNamed(h, ov, in.Str, val); err != nil {
+			if err = runtime.SetPropNamed(h, ov, code.Str(in.T2), val); err != nil {
 				goto throw
 			}
 		case vasm.LdThis:
@@ -577,18 +570,18 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			if this, err = fr.ThisObj(); err != nil {
 				goto throw
 			}
-			act.set(in.D, this)
+			vals[in.D] = this
 
 		case vasm.Helper:
 			hid, extra := vasm.UnpackHelper(in.I64)
 			c := &helperCost[hid]
-			m.Meter.Charge(c.base + c.perArg*uint64(len(in.Args)))
+			m.Meter.Charge(c.base + c.perArg*uint64(in.N))
 			var res runtime.Value
-			if res, err = m.runHelper(act, hid, extra, in); err != nil {
+			if res, err = m.runHelper(code, act, hid, extra, in); err != nil {
 				goto throw
 			}
-			if in.D != vasm.InvalidReg {
-				act.set(in.D, res)
+			if in.D != mcode.NoReg {
+				vals[in.D] = res
 			}
 
 		case vasm.CallFunc, vasm.CallBuiltin, vasm.CallMethodD, vasm.CallMethodC:
@@ -597,8 +590,8 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				goto throw
 			}
 			m.Meter.Charge(callReturnCost)
-			if in.D != vasm.InvalidReg {
-				act.set(in.D, res)
+			if in.D != mcode.NoReg {
+				vals[in.D] = res
 			}
 
 		case vasm.CountInc:
@@ -607,7 +600,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			}
 		case vasm.ProfCallSite:
 			if m.Counters != nil {
-				v := act.get(in.A)
+				v := vals[in.A]
 				if v.Kind == types.KObj {
 					m.Counters.RecordCallTarget(
 						profile.CallSite{FuncID: fr.Fn.ID, PC: int(in.I64)},
@@ -616,7 +609,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			}
 		case vasm.ProfPropShape:
 			if m.Counters != nil {
-				v := act.get(in.A)
+				v := vals[in.A]
 				if v.Kind == types.KObj {
 					if sid := v.AsObj().ShapeID(); sid != 0 {
 						m.Counters.RecordPropShape(
@@ -626,28 +619,28 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			}
 
 		case vasm.Jmp:
-			nip = int(starts[in.Target1])
+			nip = int(in.T1)
 			goto branch
 		case vasm.Jcc:
-			cond = act.get(in.A).Bool()
+			cond = vals[in.A].Bool()
 			goto jcc
 		case vasm.CmpIJcc:
 			// Fused CmpI + Jcc: write the compare result, then branch
 			// on it.
-			cond = cmpI(in.I64&0xff, act.get(in.A).AsInt(), act.get(in.B).AsInt())
-			act.set(in.D, runtime.Bool(cond))
+			cond = cmpI(in.I64&0xff, vals[in.A].AsInt(), vals[in.B].AsInt())
+			vals[in.D] = runtime.Bool(cond)
 			goto jcc
 		case vasm.CmpDJcc:
-			cond = cmpD(in.I64&0xff, act.get(in.A).AsDbl(), act.get(in.B).AsDbl())
-			act.set(in.D, runtime.Bool(cond))
+			cond = cmpD(in.I64&0xff, vals[in.A].AsDbl(), vals[in.B].AsDbl())
+			vals[in.D] = runtime.Bool(cond)
 			goto jcc
 		case vasm.JmpTable:
-			tbl := code.Tables[in.I64]
-			idx := act.get(in.A).ToInt() - tbl.Base
-			if idx >= 0 && idx < int64(len(tbl.Targets)) {
-				nip = int(starts[tbl.Targets[idx]])
+			// The window holds the table's entries, then its default.
+			tbl := code.JumpTargets[in.X : in.X+int32(in.N)]
+			if idx := vals[in.A].ToInt() - in.I64; idx >= 0 && idx < int64(len(tbl)-1) {
+				nip = int(tbl[idx])
 			} else {
-				nip = int(starts[tbl.Default])
+				nip = int(tbl[len(tbl)-1])
 			}
 			goto branch
 
@@ -655,7 +648,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			if fast {
 				settleRun(m.Meter, code, runStart, ip)
 			}
-			v := act.get(in.A)
+			v := vals[in.A]
 			m.Meter.Charge(uint64(2 * len(fr.Locals))) // frame teardown
 			fr.Stack = fr.Stack[:0]
 			fr.Release(m.Env)
@@ -666,13 +659,13 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			if fast {
 				settleRun(m.Meter, code, runStart, ip)
 			}
-			exit = m.takeExit(act, in.Ex, SideExit, nil, guardFails)
+			exit = m.takeExit(code, act, in.X, SideExit, nil, guardFails)
 			goto chain
 		case vasm.BindJmp:
 			if fast {
 				settleRun(m.Meter, code, runStart, ip)
 			}
-			exit = m.takeExit(act, in.Ex, BindRequest, nil, guardFails)
+			exit = m.takeExit(code, act, in.X, BindRequest, nil, guardFails)
 			exit.BCOff = int(in.I64)
 			if exit.Inline == nil {
 				fr.PC = exit.BCOff
@@ -696,9 +689,9 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			cond = !cond
 		}
 		if cond {
-			nip = int(starts[in.Target1])
+			nip = int(in.T1)
 		} else {
-			nip = int(starts[in.Target2])
+			nip = int(in.T2)
 		}
 	branch: // control moves to stream index nip
 		if fast {
@@ -723,7 +716,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			settleRun(m.Meter, code, runStart, ip)
 		}
 		m.Meter.Charge(guardFailPenalty)
-		nip = int(starts[in.Target1])
+		nip = int(in.T1)
 		if nip >= len(instrs) || instrs[nip].Op != vasm.Exit {
 			ip, runStart, xfer = nip, nip, true
 			continue
@@ -731,12 +724,13 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 		// An exit stub: a single Exit instruction, the smash site.
 		m.Meter.Charge(opCost(vasm.Exit))
 		ip = nip
-		exit = m.takeExit(act, instrs[ip].Ex, SideExit, nil, guardFails)
+		exit = m.takeExit(code, act, instrs[ip].X, SideExit, nil, guardFails)
 	chain: // exit was taken at smash site ip: follow its link or leave
 		if nc, cip, ok := m.chainFrom(code, ip, act, &exit, &chained); ok {
 			code, ip = nc, cip
 			fast, runStart, xfer = code.FastDispatch, cip, true
-			instrs, flags, starts, consts, checks = code.Instrs, code.DispatchFlags, code.BlockStart, code.Consts, code.Checks
+			instrs, flags, consts, checks, regs = code.Instrs, code.DispatchFlags, code.Consts, code.Checks, code.Regs
+			vals = act.vals
 			continue
 		}
 		return exit
@@ -745,7 +739,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 		if fast {
 			settleRun(m.Meter, code, runStart, ip)
 		}
-		return m.throwTo(code, act, in.Target1, err, guardFails)
+		return m.throwTo(code, act, in.T1, err, guardFails)
 	}
 }
 
@@ -858,7 +852,7 @@ func (m *Machine) chainFrom(code *mcode.Code, ip int, act *activation, out *Outc
 // install is last-writer-wins (the lost entry is re-installed on the
 // next miss). Epoch-stale links are ignored and rebuilt against the
 // current epoch, so a republish invalidates every site wholesale.
-func (m *Machine) probePropIC(code *mcode.Code, ip int, o *runtime.Object, name string) (int, bool) {
+func (m *Machine) probePropIC(code *mcode.Code, ip int, o *runtime.Object, name int32) (int, bool) {
 	var epoch uint64
 	if m.Epoch != nil {
 		epoch = m.Epoch.Load()
@@ -893,7 +887,7 @@ func (m *Machine) probePropIC(code *mcode.Code, ip int, o *runtime.Object, name 
 	if sid == 0 {
 		return 0, false
 	}
-	slot, ok := o.Shape.Lookup(name)
+	slot, ok := o.Shape.Lookup(code.Str(name))
 	if !ok {
 		return 0, false
 	}
@@ -911,73 +905,78 @@ func (m *Machine) probePropIC(code *mcode.Code, ip int, o *runtime.Object, name 
 	return slot, true
 }
 
-// throwTo routes a guest error through the instruction's catch stub,
-// materializing frame state.
-func (m *Machine) throwTo(code *mcode.Code, act *activation, stub int, err error, guardFails int) Outcome {
-	var ex *vasm.ExitInfo
-	if stub >= 0 {
-		if idx := int(code.BlockStart[stub]); idx < len(code.Instrs) && code.Instrs[idx].Op == vasm.Exit {
-			ex = code.Instrs[idx].Ex
-		}
+// throwTo routes a guest error through the instruction's catch stub
+// (a stream index, -1 for none), materializing frame state.
+func (m *Machine) throwTo(code *mcode.Code, act *activation, stub int32, err error, guardFails int) Outcome {
+	x := int32(-1)
+	if stub >= 0 && int(stub) < len(code.Instrs) && code.Instrs[stub].Op == vasm.Exit {
+		x = code.Instrs[stub].X
 	}
-	return m.takeExit(act, ex, Threw, err, guardFails)
+	return m.takeExit(code, act, x, Threw, err, guardFails)
 }
 
-// takeExit materializes VM state per the exit descriptor.
-func (m *Machine) takeExit(act *activation, ex *vasm.ExitInfo, kind OutcomeKind, err error, guardFails int) Outcome {
+// takeExit materializes VM state per the exit descriptor code.Exits[x]
+// (-1: none).
+func (m *Machine) takeExit(code *mcode.Code, act *activation, x int32, kind OutcomeKind, err error, guardFails int) Outcome {
 	fr := act.fr
 	out := Outcome{Kind: kind, Err: err, GuardFails: guardFails, EntryPC: act.entryPC}
-	if ex == nil {
+	if x < 0 {
 		out.BCOff = fr.PC
 		fr.Stack = fr.Stack[:0]
 		return out
 	}
-	out.BCOff = ex.BCOff
-	if ex.Inline != nil {
+	ex := &code.Exits[x]
+	vals, regs := act.vals, code.Regs
+	out.BCOff = int(ex.BCOff)
+	stack := regs[ex.Stack : ex.Stack+ex.NStack]
+	if ex.Inline >= 0 {
 		// Materialize the whole chain of inlined callee frames from
 		// the extended local slots (Section 5.3.1: side exits can
 		// materialize an arbitrary number of callee frames),
 		// innermost first, each from the env's free list (the VM
 		// hands them back with the chain once they have run). The
-		// eval stack of frame i comes from the CallerStackRegs of the
+		// eval stack of frame i comes from the caller stack of the
 		// context one level in; the innermost frame's stack is the
-		// exit's own StackRegs.
+		// exit's own.
 		if n := len(m.chains); n > 0 {
 			out.Inline, m.chains = m.chains[n-1], m.chains[:n-1]
 		}
-		stackRegs, pc := ex.StackRegs, ex.BCOff
-		for ii := ex.Inline; ii != nil; ii = ii.Parent {
+		pc := out.BCOff
+		for k := ex.Inline; k >= 0; {
+			ii := &code.Inlines[k]
 			var this *runtime.Object
-			if ii.ThisReg != vasm.InvalidReg {
-				if tv := act.get(ii.ThisReg); tv.Kind == types.KObj {
+			if ii.This != mcode.NoReg {
+				if tv := vals[ii.This]; tv.Kind == types.KObj {
 					this = tv.AsObj()
 				}
 			}
 			cf := m.Env.TakeEmptyFrame(m.Env.Unit.Funcs[ii.FuncID], this)
 			cf.PC = pc
+			base := int(ii.LocalsBase)
 			for i := range cf.Locals {
-				cf.Locals[i] = fr.Locals[ii.LocalsBase+i]
-				fr.Locals[ii.LocalsBase+i] = runtime.Uninit()
+				cf.Locals[i] = fr.Locals[base+i]
+				fr.Locals[base+i] = runtime.Uninit()
 			}
-			for _, r := range stackRegs {
-				cf.Stack = append(cf.Stack, act.get(r))
+			for _, r := range stack {
+				cf.Stack = append(cf.Stack, vals[r])
 			}
-			out.Inline = append(out.Inline, InlineResume{Frame: cf, RetBCOff: ii.RetBCOff})
+			out.Inline = append(out.Inline, InlineResume{Frame: cf, RetBCOff: int(ii.RetBCOff)})
 			// The enclosing frame resumes after this context's call.
-			stackRegs, pc = ii.CallerStackRegs, ii.RetBCOff
+			stack, pc = regs[ii.Stack:ii.Stack+ii.NStack], int(ii.RetBCOff)
+			k = ii.Parent
 		}
 		// The root frame's stack is the outermost caller stack.
 		fr.Stack = fr.Stack[:0]
-		for _, r := range stackRegs {
-			fr.Stack = append(fr.Stack, act.get(r))
+		for _, r := range stack {
+			fr.Stack = append(fr.Stack, vals[r])
 		}
 		return out
 	}
 	fr.Stack = fr.Stack[:0]
-	for _, r := range ex.StackRegs {
-		fr.Stack = append(fr.Stack, act.get(r))
+	for _, r := range stack {
+		fr.Stack = append(fr.Stack, vals[r])
 	}
-	fr.PC = ex.BCOff
+	fr.PC = out.BCOff
 	return out
 }
 

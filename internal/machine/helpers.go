@@ -14,15 +14,16 @@ import (
 // and interp): no guest-visible decision is made here. Reference
 // conventions match the HHIR lowering: results are owned; operands are
 // borrowed unless the lowering documents the op as consuming them.
-func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in *vasm.Instr) (runtime.Value, error) {
+func (m *Machine) runHelper(code *mcode.Code, act *activation, hid vasm.HelperID, extra int64, in *mcode.Instr) (runtime.Value, error) {
 	env := m.Env
 	h := env.Heap
 	fr := act.fr
-	arg := func(i int) runtime.Value { return act.get(in.Args[i]) }
+	args := code.Args(in)
+	arg := func(i int) runtime.Value { return act.vals[args[i]] }
 
 	switch hid {
 	case vasm.HConcat:
-		parts := m.takeArgs(act, in.Args, 0)
+		parts := m.takeArgs(act, args, 0)
 		r := runtime.Concat(h, parts)
 		m.putArgs(parts)
 		return r, nil
@@ -30,7 +31,7 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 		// The register is the local for the duration: its reference
 		// goes in, the one the local is to hold comes back.
 		local := arg(0)
-		parts := m.takeArgs(act, in.Args, 1)
+		parts := m.takeArgs(act, args, 1)
 		runtime.ConcatAppend(h, &local, parts)
 		m.putArgs(parts)
 		return local, nil
@@ -58,7 +59,7 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 	case vasm.HNewArr:
 		return runtime.ArrV(h.NewMixed(int(extra))), nil
 	case vasm.HNewPacked:
-		elems := m.takeArgs(act, in.Args, 0)
+		elems := m.takeArgs(act, args, 0)
 		arr := h.NewPackedOf(elems)
 		m.putArgs(elems)
 		return runtime.ArrV(arr), nil
@@ -67,7 +68,7 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 	case vasm.HAddNewElem:
 		return runtime.AddNewElem(h, arg(0), arg(1))
 	case vasm.HArrGetGeneric:
-		return runtime.ElemGet(h, arg(0), arg(1), in.Str)
+		return runtime.ElemGet(h, arg(0), arg(1), code.Str(in.T2))
 	case vasm.HArrSetLocal:
 		return runtime.Null(), runtime.ElemSet(h, &fr.Locals[extra], arg(0), arg(1))
 	case vasm.HArrAppendLocal:
@@ -92,13 +93,18 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 		return runtime.Null(), nil
 
 	case vasm.HNewObj:
-		return env.NewObject(in.Str)
+		if extra > 0 {
+			// The class was linked when the code was assembled: its
+			// ClassID came with the instruction.
+			return env.NewObjectOf(int(extra)), nil
+		}
+		return env.NewObject(code.Str(in.T2))
 	case vasm.HLdPropGeneric:
 		m.Shapes.GenericPropCalls.Add(1)
-		return runtime.GetPropNamed(h, arg(0), in.Str)
+		return runtime.GetPropNamed(h, arg(0), code.Str(in.T2))
 	case vasm.HStPropGeneric:
 		m.Shapes.GenericPropCalls.Add(1)
-		return runtime.Null(), runtime.SetPropNamed(h, arg(0), in.Str, arg(1))
+		return runtime.Null(), runtime.SetPropNamed(h, arg(0), code.Str(in.T2), arg(1))
 	case vasm.HInstanceOf:
 		v := arg(0)
 		if extra > 0 {
@@ -109,7 +115,7 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 		}
 		// Slow path: the class resolves by name first.
 		m.Meter.Charge(instanceOfWalkCost)
-		return runtime.Bool(env.InstanceOf(v, in.Str)), nil
+		return runtime.Bool(env.InstanceOf(v, code.Str(in.T2))), nil
 	case vasm.HVerifyParam:
 		fnID, idx, slot := vasm.UnpackVerifyParam(extra)
 		return runtime.Null(), env.VerifyParam(env.Unit.Funcs[fnID], idx, &fr.Locals[slot])
@@ -132,14 +138,14 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 // takeArgs copies the call's argument registers into a pooled scratch
 // slice (returned to the free list with putArgs once the callee has
 // consumed it). The list is a stack because guest calls nest.
-func (m *Machine) takeArgs(act *activation, regs []vasm.Reg, skip int) []runtime.Value {
+func (m *Machine) takeArgs(act *activation, regs []int32, skip int) []runtime.Value {
 	var buf []runtime.Value
 	if k := len(m.argBufs); k > 0 {
 		buf = m.argBufs[k-1][:0]
 		m.argBufs = m.argBufs[:k-1]
 	}
 	for _, r := range regs[skip:] {
-		buf = append(buf, act.get(r))
+		buf = append(buf, act.vals[r])
 	}
 	return buf
 }
@@ -189,11 +195,12 @@ func (m *Machine) smashCall(code *mcode.Code, ip int, entered ChainTarget) {
 // raises never reaches that DecRef, so the receiver is released here.
 // Direct call sites (CallFunc / CallMethodD) are smash sites: the
 // first dispatch binds them to the callee's prologue translation.
-func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *vasm.Instr) (runtime.Value, error) {
+func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *mcode.Instr) (runtime.Value, error) {
 	env := m.Env
+	regs := code.Args(in)
 	switch in.Op {
 	case vasm.CallFunc:
-		args := m.takeArgs(act, in.Args, 0)
+		args := m.takeArgs(act, regs, 0)
 		f := env.Unit.Funcs[in.I64]
 		if m.Counters != nil {
 			m.Counters.RecordCall(act.fr.Fn.ID, f.ID)
@@ -203,27 +210,27 @@ func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *vasm.In
 		m.putArgs(args)
 		return ret, err
 	case vasm.CallBuiltin:
-		args := m.takeArgs(act, in.Args, 0)
+		args := m.takeArgs(act, regs, 0)
 		var ret runtime.Value
 		var err error
 		if in.I64 > 0 {
 			// Resolved by mcode.Assemble.
 			ret, err = env.CallBuiltin(code.Builtins[in.I64-1], args)
 		} else {
-			ret, err = env.CallNamed(in.Str, args)
+			ret, err = env.CallNamed(code.Str(in.T2), args)
 		}
 		m.putArgs(args)
 		return ret, err
 	case vasm.CallMethodD, vasm.CallMethodC:
-		recv := act.get(in.Args[0])
-		args := m.takeArgs(act, in.Args, 1)
+		recv := act.vals[regs[0]]
+		args := m.takeArgs(act, regs, 1)
 		var f *hhbc.Func
 		var hint ChainTarget
 		var err error
 		if in.Op == vasm.CallMethodD {
 			f, hint = env.Unit.Funcs[in.I64], m.callHint(code, ip)
 		} else {
-			f, err = m.cachedMethod(in.I64, recv, in.Str)
+			f, err = m.cachedMethod(in.I64, recv, code.Str(in.T2))
 		}
 		ret := runtime.Null()
 		if f != nil {

@@ -29,8 +29,10 @@ func TestEveryHelperHasCostAndBody(t *testing.T) {
 		// body was found.
 		err := func() (err error) {
 			defer func() { recover() }()
-			act := &activation{fr: &interp.Frame{Fn: env.Unit.Funcs[0], Locals: make([]runtime.Value, 4)}}
-			_, err = m.runHelper(act, h, 0, &vasm.Instr{Args: []vasm.Reg{0, 1, 2}})
+			act := &activation{fr: &interp.Frame{Fn: env.Unit.Funcs[0], Locals: make([]runtime.Value, 4)},
+				vals: make([]runtime.Value, vasm.TotalMachineRegs)}
+			code := &mcode.Code{Regs: []int32{0, 1, 2}, Consts: []runtime.Value{runtime.StrV(runtime.InternStr("x"))}}
+			_, err = m.runHelper(code, act, h, 0, &mcode.Instr{N: 3, T1: -1, T2: 0})
 			return err
 		}()
 		if err != nil && strings.Contains(err.Error(), "unknown helper") {

@@ -1,0 +1,289 @@
+package mcode_test
+
+import (
+	"errors"
+	"math"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"repro/internal/hhir"
+	"repro/internal/jit"
+	"repro/internal/mcode"
+	"repro/internal/perflab"
+	"repro/internal/runtime"
+	"repro/internal/vasm"
+)
+
+// TestInstrIsCompactAndPointerFree: the executable instruction is at
+// most 32 bytes, and neither it nor the exit descriptors and inline
+// frames the machine reads next to it holds anything the GC would
+// have to scan.
+func TestInstrIsCompactAndPointerFree(t *testing.T) {
+	size := unsafe.Sizeof(mcode.Instr{})
+	t.Logf("executable instruction: %d bytes (vasm.Instr: %d)", size, unsafe.Sizeof(vasm.Instr{}))
+	if size > 32 {
+		t.Errorf("mcode.Instr is %d bytes, want at most 32", size)
+	}
+	for _, v := range []any{mcode.Instr{}, mcode.Exit{}, mcode.Inline{}} {
+		if path := pointerField(reflect.TypeOf(v), reflect.TypeOf(v).Name()); path != "" {
+			t.Errorf("%s holds a pointer", path)
+		}
+	}
+}
+
+// pointerField returns the path to the first pointer-bearing field of
+// t, "" when it has none.
+func pointerField(t reflect.Type, path string) string {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if p := pointerField(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerField(t.Elem(), path+"[]")
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	}
+	return path + " (" + t.Kind().String() + ")"
+}
+
+// TestAssembleRejectsOverflow: a register, spill slot or window that
+// does not fit its field is an assemble error, not a panic and not a
+// truncated index. The spill area's size is set directly.
+func TestAssembleRejectsOverflow(t *testing.T) {
+	const slots = 1 << 16 // past the value file's 16-bit index
+	far := vasm.SpillRegBase + slots - 1
+	with := func(op vasm.Op, edit func(*vasm.Instr)) vasm.Instr {
+		in := ins(op)
+		edit(&in)
+		return in
+	}
+	cases := []struct {
+		name string
+		in   vasm.Instr
+	}{
+		{"operand-in-far-slot", with(vasm.AddI, func(in *vasm.Instr) { in.D, in.A, in.B = 0, far, 0 })},
+		{"result-in-far-slot", with(vasm.LdLoc, func(in *vasm.Instr) { in.D = far })},
+		{"spill-to-far-slot", with(vasm.Spill, func(in *vasm.Instr) { in.A, in.I64 = 0, slots-1 })},
+		{"reload-from-far-slot", with(vasm.Reload, func(in *vasm.Instr) { in.D, in.I64 = 0, slots-1 })},
+		{"argument-in-far-slot", with(vasm.Helper, func(in *vasm.Instr) { in.Args = []vasm.Reg{0, far} })},
+		{"exit-stack-in-far-slot", with(vasm.BindJmp, func(in *vasm.Instr) {
+			in.Target1, in.Ex = 1, &vasm.ExitInfo{StackRegs: []vasm.Reg{far}}
+		})},
+		{"argument-window", with(vasm.Helper, func(in *vasm.Instr) {
+			in.Args = make([]vasm.Reg, math.MaxUint16+1) // r0, once more than a window holds
+		})},
+	}
+	for _, tc := range cases {
+		u := unitWith(tc.in)
+		u.NumSpills = slots
+		c, err := mcode.Assemble(u)
+		var ae *mcode.AssembleError
+		if !errors.As(err, &ae) {
+			t.Errorf("%s: Assemble = (%v, %v), want an *AssembleError", tc.name, c, err)
+			continue
+		}
+		if ae.Index != 0 || ae.Op != tc.in.Op {
+			t.Errorf("%s: error locates #%d %s, want #0 %s", tc.name, ae.Index, ae.Op, tc.in.Op)
+		}
+	}
+	// The last slot that fits is fine.
+	u := unitWith(with(vasm.AddI, func(in *vasm.Instr) {
+		in.D, in.A, in.B = 0, vasm.SpillRegBase+vasm.Reg(mcode.NoReg-vasm.TotalMachineRegs-1), 0
+	}))
+	u.NumSpills = slots
+	if _, err := mcode.Assemble(u); err != nil {
+		t.Errorf("the last spill slot the index holds: %v", err)
+	}
+}
+
+// TestNewCarriesItsClass: a `new` of a class linked when the code is
+// assembled carries the class's ClassID, so the machine skips the
+// by-name lookup; one of a class that is not linked keeps the name and
+// the by-name path, which raises. Decoding gives back the helper as
+// lowered.
+func TestNewCarriesItsClass(t *testing.T) {
+	for name, want := range map[string]int64{"Box": 7, "Nope": 0} {
+		in := ins(vasm.Helper)
+		in.D, in.I64, in.Str = 0, vasm.PackHelper(vasm.HNewObj, 0), name
+		u := unitWith(in)
+		u.Classes = map[string]*runtime.Class{"Box": {Name: "Box", ClassID: 7}}
+		c, err := mcode.Assemble(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hid, extra := vasm.UnpackHelper(c.Instrs[0].I64); hid != vasm.HNewObj || extra != want {
+			t.Errorf("new %s: helper %s, class %d; want new_obj, %d", name, hid, extra, want)
+		}
+		if got := c.Decode(0); !reflect.DeepEqual(got, in) {
+			t.Errorf("new %s decodes as %+v, want %+v", name, got, in)
+		}
+	}
+}
+
+// TestDecodeRoundTrip: every operand family survives encoding — spill
+// slots, fused loads, jump tables, exits with inline frames, strings.
+func TestDecodeRoundTrip(t *testing.T) {
+	s0, s1 := vasm.SpillRegBase, vasm.SpillRegBase+1
+	add := ins(vasm.LdImmAddI)
+	add.D, add.A, add.B, add.Target2, add.I64 = 1, 2, 3, 4, 0<<16
+	spill, reload := ins(vasm.Spill), ins(vasm.Reload)
+	spill.A, spill.I64 = 1, 1
+	reload.D, reload.I64 = 5, 1
+	help := ins(vasm.Helper)
+	help.D, help.Args, help.Str, help.Target1 = 6, []vasm.Reg{s1, 0, s0}, "prop", 1
+	help.I64 = vasm.PackHelper(vasm.HLdPropGeneric, 0)
+	table := ins(vasm.JmpTable)
+	table.A, table.I64 = 6, 0
+	bind := ins(vasm.BindJmp)
+	bind.I64, bind.Target1 = 9, 1
+	bind.Ex = &vasm.ExitInfo{BCOff: 4, StackRegs: []vasm.Reg{s0, 2}, Inline: &vasm.InlineInfo{
+		FuncID: 3, LocalsBase: 5, ThisReg: s1, RetBCOff: 8, CallerStackRegs: []vasm.Reg{1},
+		Parent: &vasm.InlineInfo{FuncID: 2, ThisReg: vasm.InvalidReg, RetBCOff: 6},
+	}}
+	u := unitWith(add)
+	u.Blocks[0].Instrs = []vasm.Instr{add, spill, reload, help, table, bind}
+	u.NumSpills = 2
+	u.Tables = []vasm.JumpTable{{Base: 10, Targets: []int{2, 1, 2}, Default: 1}}
+	u.Layout = []int{2, 0, 1}
+	c, err := mcode.Assemble(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRoundTrip(t, u, c)
+	if got := c.Table(5); got.Base != 10 || !reflect.DeepEqual(got.Targets, []int{0, 7, 0}) || got.Default != 7 {
+		t.Errorf("jump table decodes as %+v, want base 10, targets [0 7 0], default 7", got)
+	}
+}
+
+// TestSiteDecodesToWhatItAssembled: for every unit the warmed site
+// compiles, as its compile hands it to Assemble, decoding the code
+// gives back each instruction assembled, its operands mapped through
+// the encoding — block ids to stream indexes, guard types to checks.
+func TestSiteDecodesToWhatItAssembled(t *testing.T) {
+	eng, eps, err := perflab.NewEngine(jit.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units []*vasm.Unit
+	eng.VM.JIT.SetAllocationCheck(func(_ *hhir.Unit, _, after *vasm.Unit) {
+		units = append(units, after.Clone())
+	})
+	if err := perflab.Warm(eng, eps, 10, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !eng.VM.JIT.Optimized() {
+		t.Fatal("warm-up did not reach the optimized tier")
+	}
+	spills := 0
+	for _, u := range units {
+		vasm.Fuse(u) // as the default configuration compiles
+		c, err := mcode.Assemble(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !checkRoundTrip(t, u, c) {
+			return
+		}
+		spills += u.NumSpills
+	}
+	if len(units) < 1000 || spills == 0 {
+		t.Errorf("%d units with %d spill slots: the site no longer exercises the encoding", len(units), spills)
+	}
+}
+
+// exitNilEmpty is a copy of ex whose empty register lists are nil, as
+// decoding gives them.
+func exitNilEmpty(ex *vasm.ExitInfo) *vasm.ExitInfo {
+	nilEmpty := func(regs []vasm.Reg) []vasm.Reg {
+		if len(regs) == 0 {
+			return nil
+		}
+		return regs
+	}
+	cp := *ex
+	cp.StackRegs = nilEmpty(ex.StackRegs)
+	link := &cp.Inline
+	for ii := ex.Inline; ii != nil; ii = ii.Parent {
+		fr := *ii
+		fr.CallerStackRegs = nilEmpty(ii.CallerStackRegs)
+		*link, link = &fr, &fr.Parent
+	}
+	return &cp
+}
+
+// checkRoundTrip compares c, assembled from u, with u instruction by
+// instruction, and reports whether they agree.
+func checkRoundTrip(t *testing.T, u *vasm.Unit, c *mcode.Code) bool {
+	t.Helper()
+	// Where each block starts in the stream: the layout order, less the
+	// jumps it turned into fallthroughs.
+	starts := make([]int, len(u.Blocks))
+	for i := range starts {
+		starts[i] = -1
+	}
+	var stream []*vasm.Instr
+	for _, bi := range u.Order() {
+		starts[bi] = len(stream)
+		for i := range u.Blocks[bi].Instrs {
+			if in := &u.Blocks[bi].Instrs[i]; in.Op != vasm.Jmp || in.I64&1 == 0 {
+				stream = append(stream, in)
+			}
+		}
+	}
+	if len(stream) != len(c.Instrs) || c.Entry() != starts[0] {
+		t.Errorf("%d instructions entered at #%d, want %d entered at #%d", len(c.Instrs), c.Entry(), len(stream), starts[0])
+		return false
+	}
+	checks := len(u.Entry)
+	for i, orig := range stream {
+		want := *orig
+		if want.Target1 >= 0 {
+			want.Target1 = starts[want.Target1]
+		}
+		switch want.Op {
+		case vasm.Jcc, vasm.CmpIJcc, vasm.CmpDJcc:
+			want.Target2 = starts[want.Target2]
+		case vasm.GuardKind, vasm.LdLocGK:
+			want.Target2 = checks
+			checks++
+		case vasm.LdImmAddI, vasm.LdImmCmpI, vasm.JmpTable:
+		default:
+			want.Target2 = -1 // not an operand of these ops
+		}
+		if len(want.Args) == 0 {
+			want.Args = nil
+		}
+		if want.Ex != nil {
+			want.Ex = exitNilEmpty(want.Ex)
+		}
+		got := c.Decode(i)
+		if want.Op == vasm.CallBuiltin && got.I64 > 0 && c.Builtins[got.I64-1].Name == want.Str {
+			want.I64 = got.I64 // bound to the native it names
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("#%d decodes as %s %+v (exit %+v)\nassembled from %s %+v (exit %+v)",
+				i, got.String(), got, got.Ex, want.String(), want, want.Ex)
+			return false
+		}
+		if want.Op == vasm.JmpTable {
+			orig := u.Tables[want.I64]
+			tbl := vasm.JumpTable{Base: orig.Base, Default: starts[orig.Default]}
+			for _, b := range orig.Targets {
+				tbl.Targets = append(tbl.Targets, starts[b])
+			}
+			if got := c.Table(i); !reflect.DeepEqual(got, tbl) {
+				t.Errorf("#%d: jump table decodes as %+v, want %+v", i, got, tbl)
+				return false
+			}
+		}
+	}
+	return true
+}

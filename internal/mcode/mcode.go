@@ -1,7 +1,8 @@
 // Package mcode implements the simulated code cache: assembly of
-// laid-out Vasm into addressed code, allocation of hot/cold/frozen
-// areas, relocation (used when optimized translations are published
-// in function-sorted order), and huge-page mapping of the hot area.
+// laid-out Vasm into addressed, executable code, allocation of
+// hot/cold/frozen areas, relocation (used when optimized translations
+// are published in function-sorted order), and huge-page mapping of the
+// hot area.
 package mcode
 
 import (
@@ -24,47 +25,49 @@ import (
 // allocation failures: only real exhaustion triggers cache recycling.
 var ErrCacheFull = errors.New("code cache full")
 
-// Code is one assembled translation: the flattened instruction
-// stream in layout order with per-instruction addresses.
+// Code is one assembled translation: the executable instruction stream
+// (Instr, encode.go) in layout order with per-instruction addresses.
 //
 // A code lives as long as its translation, so what it keeps is a few
 // arrays of exactly the right size, one per element type: the stream,
-// the constants, the checks, the register lists (every operand list and
-// exit descriptor's registers are windows of one []vasm.Reg), the exit
-// descriptors, the link slots — and the metadata, one pointer-free
-// []int32 of which Addr, CostPrefix, DispatchFlags, BlockStart, Sites,
-// FetchTails and the per-instruction link-slot index are
-// capacity-capped windows. Assemble sizes that array for everything
-// machine.PrepareDispatch fills in after Place, so neither allocates
-// per table.
+// the exit descriptors, the inline frames, the constants, the checks,
+// the link slots — and the metadata, one pointer-free []int32 of which
+// Addr, CostPrefix, DispatchFlags, Sites, Regs, JumpTargets, FetchTails
+// and the per-instruction link-slot index are capacity-capped windows.
+// Assemble sizes that array for everything machine.PrepareDispatch
+// fills in after Place, so neither allocates per table.
 type Code struct {
-	Instrs []vasm.Instr
+	Instrs []Instr
 	// Addr[i] is the address of Instrs[i] relative to Base (AddrOf).
 	// A translation's relative addresses fit in 32 bits: Assemble fails
 	// one that does not.
 	Addr []int32
-	// BlockStart[b] is the index into Instrs of vasm block b's first
-	// instruction (-1 for a block the layout dropped). Every branch
-	// target, jump-table entry and stub reference in Instrs/Tables was
-	// checked against it by Assemble, so the machine indexes it
-	// directly; block 0 is the translation entry.
-	BlockStart []int32
-	// Consts is the constant pool, materialized: Consts[i] is the
-	// guest value LdImm #i loads, strings already interned.
+	// Regs holds the value-file indexes of every register list the
+	// stream names — operand lists, exit stacks, inline frames' caller
+	// stacks — each a window an instruction, Exit or Inline points at.
+	Regs []int32
+	// JumpTargets holds every JmpTable's entries as stream indexes, one
+	// window per instruction: the table's targets, then its default.
+	JumpTargets []int32
+	// Exits and Inlines are the exit descriptors Exit and BindJmp index
+	// and the inline frames they materialize.
+	Exits   []Exit
+	Inlines []Inline
+	// Consts is the constant pool, materialized: Consts[i] is the guest
+	// value LdImm #i loads, strings already interned. The string
+	// operands follow the unit's constants (Str).
 	Consts []runtime.Value
 	// Checks holds the translation's type guards, each compiled once:
 	// Checks[i] tests entry precondition i (vasm.Unit.Entry), and every
-	// GuardKind or LdLocGK carries the index of its own in Target2.
+	// GuardKind or LdLocGK carries the index of its own in T2.
 	Checks []runtime.Check
 	// Builtins holds the natives this translation calls: a CallBuiltin
 	// whose name resolved carries its 1-based index here in I64 (0 =
 	// unresolved, the machine falls back to a guest function of that
 	// name).
 	Builtins []*runtime.Builtin
-	// Tables holds JmpTable jump tables (targets are block ids).
-	Tables []vasm.JumpTable
-	// NumSpills / ExtSlots size the activation's spill area and
-	// extended frame.
+	// NumSpills / ExtSlots size the activation's value file (NumValues)
+	// and extended frame.
 	NumSpills int
 	ExtSlots  int
 	// Alloc is the unit's register-allocation summary, ElidedJumps the
@@ -131,6 +134,9 @@ type Code struct {
 	Sites  []int32
 	slotOf []int32
 	links  []atomic.Pointer[Link]
+
+	// entry is the stream index of vasm block 0's first instruction.
+	entry int32
 }
 
 // DispatchFlags bits (see Code.DispatchFlags); the bits above FlagBits
@@ -247,13 +253,31 @@ func opSize(op vasm.Op) uint64 {
 	}
 }
 
+// ForEachComponent calls fn with every ordinary op the instruction
+// performs (vasm.Instr.ForEachComponent): its own, or a
+// superinstruction's components in order, the N-ary forms' once per
+// register of their window.
+func (in *Instr) ForEachComponent(fn func(vasm.Op)) {
+	parts := in.Op.Components()
+	switch {
+	case parts == nil:
+		fn(in.Op)
+	case len(parts) == 1:
+		for range in.N {
+			fn(parts[0])
+		}
+	default:
+		for _, o := range parts {
+			fn(o)
+		}
+	}
+}
+
 // instrSize is the encoded size of in. A superinstruction keeps its
 // components' encodings back-to-back, so addresses are unchanged by
-// fusion; a jump the layout turned into a fallthrough has none.
-func instrSize(in *vasm.Instr) uint64 {
-	if in.Op == vasm.Jmp && in.I64&1 != 0 {
-		return 0
-	}
+// fusion. (A jump the layout turned into a fallthrough has none, and is
+// not in the stream.)
+func instrSize(in *Instr) uint64 {
 	var sz uint64
 	in.ForEachComponent(func(op vasm.Op) { sz += opSize(op) })
 	return sz
@@ -265,7 +289,7 @@ func instrSize(in *vasm.Instr) uint64 {
 // model consumes these so a fused stream touches exactly the icache
 // lines the unfused stream did; a caller that passes the previous
 // result back as buf allocates nothing once it is large enough.
-func ComponentSizes(in *vasm.Instr, buf []uint64) []uint64 {
+func ComponentSizes(in *Instr, buf []uint64) []uint64 {
 	sizes := buf[:0]
 	if in.Op.Components() == nil {
 		return append(sizes, instrSize(in))
@@ -302,58 +326,65 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 }
 
 // AssembleInto flattens a laid-out, register-allocated unit into c,
-// replacing whatever c held, and resolves everything the machine would
-// otherwise look up by key per executed instruction: block ids to
-// stream indexes (BlockStart), immediates to guest values (Consts),
+// replacing whatever c held, and encodes it into the executable form
+// (Instr): everything the machine would otherwise look up by key per
+// executed instruction is resolved — registers to value-file indexes,
+// block ids to stream indexes, immediates to guest values (Consts),
 // entry preconditions and guard types to compiled checks against the
-// unit's classes (Checks), builtin names to natives (Builtins).
-// Addresses are relative to 0 until Place assigns a base. What has no
-// bytes in the encoding is not in the stream either: a jump the layout
-// turned into a fallthrough is dropped here, so it is neither
-// dispatched nor charged (a block it empties starts where the next one
-// does). A malformed stream — an immediate index past the constant
-// pool, a branch, jump-table entry or stub reference to a block the
-// layout does not contain, a register operand that is neither a
-// machine register nor a spill slot of this unit — is an
+// unit's classes (Checks), builtin names to natives (Builtins), the
+// classes `new` names to their IDs. Addresses are relative to 0 until
+// Place assigns a base. What has no bytes in the encoding is not in the
+// stream either: a jump the layout turned into a fallthrough is dropped
+// here, so it is neither dispatched nor charged (a block it empties
+// starts where the next one does). A malformed stream — an immediate
+// index past the constant pool, a branch, jump-table entry or stub
+// reference to a block the layout does not contain, a register operand
+// that is neither a machine register nor a spill slot of this unit — or
+// one whose register, window or index does not fit its field is an
 // *AssembleError, not a panic and not a translation that silently
 // restarts itself.
 //
 // Everything c keeps is its own: the unit's operand lists, exit
 // descriptors and jump tables are recycled with it (vasm.Release), so
-// they are copied, into arrays sized exactly by a first walk.
+// their contents are encoded into arrays sized exactly by a first walk.
 func AssembleInto(c *Code, u *vasm.Unit) error {
 	order := u.Order()
-	*c = Code{Tables: copyTables(u.Tables), NumSpills: u.NumSpills, ExtSlots: u.ExtFrameSlots, Alloc: u.Alloc}
-	var sz sizes
-	sz.checks = len(u.Entry)
-	for _, bi := range order {
-		for i := range u.Blocks[bi].Instrs {
-			sz.add(&u.Blocks[bi].Instrs[i])
-		}
+	*c = Code{NumSpills: u.NumSpills, ExtSlots: u.ExtFrameSlots, Alloc: u.Alloc}
+	scratch := blockStarts.Get().(*[]int32)
+	defer blockStarts.Put(scratch)
+	*scratch = slices.Grow((*scratch)[:0], len(u.Blocks))[:len(u.Blocks)]
+	sz := sizes{checks: len(u.Entry), starts: *scratch}
+	if err := sz.walk(u, order); err != nil {
+		return err
 	}
 	n := sz.instrs
-	c.Instrs = make([]vasm.Instr, 0, n)
+	c.Instrs = make([]Instr, 0, n)
 	if sz.checks > 0 {
 		c.Checks = make([]runtime.Check, 0, sz.checks)
 	}
 	if sz.builtins > 0 {
 		c.Builtins = make([]*runtime.Builtin, 0, sz.builtins)
 	}
-	own := owner{regs: make([]vasm.Reg, 0, sz.regs)}
 	if sz.exits > 0 {
-		own.exits = make([]vasm.ExitInfo, 0, sz.exits)
+		c.Exits = make([]Exit, 0, sz.exits)
 	}
 	if sz.inlines > 0 {
-		own.inlines = make([]vasm.InlineInfo, 0, sz.inlines)
+		c.Inlines = make([]Inline, 0, sz.inlines)
+	}
+	if k := len(u.Imms) + sz.strs; k > 0 {
+		c.Consts = make([]runtime.Value, len(u.Imms), k)
+	}
+	for i, iv := range u.Imms {
+		c.Consts[i] = constValue(iv)
 	}
 	// The metadata: Addr, CostPrefix, DispatchFlags and the link-slot
-	// index per instruction (the last only with smash sites), then
-	// BlockStart, Sites and room for every fetch tail.
+	// index per instruction (the last only with smash sites), then Sites,
+	// Regs, JumpTargets and room for every fetch tail.
 	slots := 0
 	if sz.sites > 0 {
 		slots = n
 	}
-	meta := make([]int32, 3*n+1+slots+len(u.Blocks)+sz.sites+2*sz.tails)
+	meta := make([]int32, 3*n+1+slots+sz.sites+sz.regs+sz.jumps+2*sz.tails)
 	cut := func(k int) []int32 {
 		w := meta[:k:k]
 		meta = meta[k:]
@@ -363,41 +394,31 @@ func AssembleInto(c *Code, u *vasm.Unit) error {
 	c.CostPrefix = cut(n + 1)
 	c.DispatchFlags = cut(n)
 	c.slotOf = cut(slots)
-	c.BlockStart = cut(len(u.Blocks))
 	c.Sites = cut(sz.sites)[:0]
+	c.Regs = cut(sz.regs)[:0]
+	c.JumpTargets = cut(sz.jumps)[:0]
 	c.FetchTails = meta[:0]
-	for i := range c.BlockStart {
-		c.BlockStart[i] = -1
-	}
 	for _, g := range u.Entry {
 		c.Checks = append(c.Checks, runtime.NewCheck(g.Type, u.Classes))
 	}
+	if len(sz.starts) > 0 {
+		c.entry = sz.starts[0]
+	}
+	var err error
+	a := assembler{c: c, u: u, starts: sz.starts, err: &err}
 	var off uint64
 	for _, bi := range order {
 		b := u.Blocks[bi]
-		// An empty block starts where the next one does (past the end
-		// of the stream for trailing ones).
-		c.BlockStart[bi] = int32(len(c.Instrs))
 		for i := range b.Instrs {
-			if elided(&b.Instrs[i]) {
+			in := &b.Instrs[i]
+			if elided(in) {
 				c.ElidedJumps++
 				continue
 			}
-			c.Instrs = append(c.Instrs, b.Instrs[i])
-			at := len(c.Instrs) - 1
-			in := &c.Instrs[at]
-			in.Args = own.regList(in.Args)
-			if in.Ex != nil {
-				in.Ex = own.exit(in.Ex)
-			}
-			if typeGuard(in.Op) {
-				if in.Target2 < 0 || in.Target2 >= len(u.GuardTypes) {
-					return &AssembleError{Index: at, Op: in.Op,
-						Reason: fmt.Sprintf("guard type #%d out of range (%d guard types)", in.Target2, len(u.GuardTypes))}
-				}
-				t := u.GuardTypes[in.Target2]
-				in.Target2 = len(c.Checks)
-				c.Checks = append(c.Checks, runtime.NewCheck(t, u.Classes))
+			at := len(c.Instrs)
+			c.Instrs = append(c.Instrs, a.encode(at, in))
+			if err != nil {
+				return err
 			}
 			// Smash-site identity: any smashable instruction (bind jumps
 			// and direct call sites) gets a stable link slot addressed by
@@ -410,7 +431,7 @@ func AssembleInto(c *Code, u *vasm.Unit) error {
 				}
 			}
 			c.Addr = append(c.Addr, int32(off))
-			off += instrSize(&b.Instrs[i])
+			off += instrSize(&c.Instrs[at])
 		}
 	}
 	// Jump tables live in the translation's rodata: count them into
@@ -426,34 +447,64 @@ func AssembleInto(c *Code, u *vasm.Unit) error {
 	if sz.sites > 0 {
 		c.links = make([]atomic.Pointer[Link], sz.sites)
 	}
-
-	if len(u.Imms) > 0 {
-		c.Consts = make([]runtime.Value, len(u.Imms))
-	}
-	for i, iv := range u.Imms {
-		c.Consts[i] = constValue(iv)
-	}
-	return c.resolve()
+	return nil
 }
 
+// blockStarts recycles the block-to-stream-index maps AssembleInto
+// resolves targets through: scratch, dead once the code is encoded.
+var blockStarts = sync.Pool{New: func() any { return new([]int32) }}
+
 // sizes counts what a unit's stream keeps, for AssembleInto to size
-// each array once.
+// each array once, and maps its blocks to stream indexes.
 type sizes struct {
-	instrs, regs, checks, builtins, exits, inlines, sites int
+	instrs, regs, jumps, strs, checks, builtins, exits, inlines, sites int
 	// tails bounds the fetch tails: one per second-or-later component
 	// of a superinstruction.
 	tails int
+	// starts[b] is the stream index of block b's first instruction (-1
+	// for a block the layout dropped).
+	starts []int32
 }
 
-func (sz *sizes) add(in *vasm.Instr) {
+// walk sizes the unit's stream in layout order.
+func (sz *sizes) walk(u *vasm.Unit, order []int) error {
+	for i := range sz.starts {
+		sz.starts[i] = -1
+	}
+	for _, bi := range order {
+		// An empty block starts where the next one does (past the end
+		// of the stream for trailing ones).
+		sz.starts[bi] = int32(sz.instrs)
+		for i := range u.Blocks[bi].Instrs {
+			if err := sz.add(u, &u.Blocks[bi].Instrs[i]); err != nil {
+				return err
+			}
+		}
+	}
+	if sz.regs > math.MaxInt32 || sz.jumps > math.MaxInt32 {
+		return &AssembleError{Index: sz.instrs - 1, Reason: fmt.Sprintf(
+			"%d registers and %d jump-table entries in lists: windows past 32 bits", sz.regs, sz.jumps)}
+	}
+	return nil
+}
+
+func (sz *sizes) add(u *vasm.Unit, in *vasm.Instr) error {
 	if typeGuard(in.Op) {
 		sz.checks++
 	}
 	if elided(in) {
-		return
+		return nil
 	}
+	at := sz.instrs
 	sz.instrs++
+	if len(in.Args) > math.MaxUint16 {
+		return &AssembleError{Index: at, Op: in.Op,
+			Reason: fmt.Sprintf("%d operands: a window holds at most %d", len(in.Args), math.MaxUint16)}
+	}
 	sz.regs += len(in.Args)
+	if in.Str != "" {
+		sz.strs++
+	}
 	if in.Op == vasm.CallBuiltin {
 		sz.builtins++
 	}
@@ -464,6 +515,18 @@ func (sz *sizes) add(in *vasm.Instr) {
 		in.ForEachComponent(func(vasm.Op) { sz.tails++ })
 		sz.tails--
 	}
+	if in.Op == vasm.JmpTable {
+		if in.I64 < 0 || in.I64 >= int64(len(u.Tables)) {
+			return &AssembleError{Index: at, Op: in.Op,
+				Reason: fmt.Sprintf("jump table #%d out of range (%d tables)", in.I64, len(u.Tables))}
+		}
+		k := len(u.Tables[in.I64].Targets) + 1
+		if k > math.MaxUint16 {
+			return &AssembleError{Index: at, Op: in.Op,
+				Reason: fmt.Sprintf("%d jump-table entries: a window holds at most %d", k, math.MaxUint16)}
+		}
+		sz.jumps += k
+	}
 	if ex := in.Ex; ex != nil {
 		sz.exits++
 		sz.regs += len(ex.StackRegs)
@@ -472,62 +535,7 @@ func (sz *sizes) add(in *vasm.Instr) {
 			sz.regs += len(ii.CallerStackRegs)
 		}
 	}
-}
-
-// owner hands out the code's own copies of register lists and exit
-// descriptors, each a capacity-capped window of one array sized by
-// sizes.
-type owner struct {
-	regs    []vasm.Reg
-	exits   []vasm.ExitInfo
-	inlines []vasm.InlineInfo
-}
-
-// regList returns the code's copy of regs (nil for none).
-func (o *owner) regList(regs []vasm.Reg) []vasm.Reg {
-	if regs == nil {
-		return nil
-	}
-	from := len(o.regs)
-	o.regs = append(o.regs, regs...)
-	return o.regs[from:len(o.regs):len(o.regs)]
-}
-
-// exit returns the code's copy of ex, its registers and the chain of
-// inline frames it materializes.
-func (o *owner) exit(ex *vasm.ExitInfo) *vasm.ExitInfo {
-	o.exits = append(o.exits, *ex)
-	cp := &o.exits[len(o.exits)-1]
-	cp.StackRegs = o.regList(ex.StackRegs)
-	link := &cp.Inline
-	for ii := ex.Inline; ii != nil; ii = ii.Parent {
-		o.inlines = append(o.inlines, *ii)
-		ni := &o.inlines[len(o.inlines)-1]
-		ni.CallerStackRegs = o.regList(ii.CallerStackRegs)
-		*link, link = ni, &ni.Parent
-	}
-	return cp
-}
-
-// copyTables returns the code's own copy of a unit's jump tables (nil
-// for none): the unit's are recycled with it. Every table's targets are
-// a window of one array.
-func copyTables(tables []vasm.JumpTable) []vasm.JumpTable {
-	if len(tables) == 0 {
-		return nil
-	}
-	n := 0
-	for _, tbl := range tables {
-		n += len(tbl.Targets)
-	}
-	out := slices.Clone(tables)
-	targets := make([]int, 0, n)
-	for i := range out {
-		from := len(targets)
-		targets = append(targets, out[i].Targets...)
-		out[i].Targets = targets[from:len(targets):len(targets)]
-	}
-	return out
+	return nil
 }
 
 // elided reports a jump the layout turned into a fallthrough.
@@ -553,79 +561,6 @@ func constValue(iv vasm.ImmValue) runtime.Value {
 		return runtime.Null()
 	}
 }
-
-// resolve validates every keyed operand of the flattened stream and
-// binds CallBuiltin names.
-func (c *Code) resolve() error {
-	// fail records the first error found at instruction i.
-	var (
-		i   int
-		err error
-	)
-	fail := func(format string, args ...any) {
-		if err == nil {
-			err = &AssembleError{Index: i, Op: c.Instrs[i].Op, Reason: fmt.Sprintf(format, args...)}
-		}
-	}
-	block := func(b int) {
-		if b < 0 || b >= len(c.BlockStart) || c.BlockStart[b] < 0 {
-			fail("target B%d is not a laid-out block (%d blocks)", b, len(c.BlockStart))
-		}
-	}
-	imm := func(idx int64) {
-		if idx < 0 || idx >= int64(len(c.Consts)) {
-			fail("imm #%d out of range (%d imms)", idx, len(c.Consts))
-		}
-	}
-	reg := func(r vasm.Reg) {
-		switch {
-		case r == vasm.InvalidReg, r >= 0 && r < vasm.TotalMachineRegs:
-		case r >= vasm.SpillRegBase && int(r-vasm.SpillRegBase) < c.NumSpills:
-		default:
-			fail("r%d is neither a machine register nor one of %d spill slots (read before it is defined, or never allocated)", r, c.NumSpills)
-		}
-	}
-	for i = range c.Instrs {
-		in := &c.Instrs[i]
-		reg(in.D)
-		in.ForEachUse(reg)
-		in.ForEachTarget(c.Tables, block)
-		switch in.Op {
-		case vasm.LdImm:
-			imm(in.I64)
-		case vasm.LdImmAddI, vasm.LdImmCmpI:
-			imm(in.I64 >> 16)
-		case vasm.Jmp, vasm.GuardKind, vasm.GuardCls, vasm.GuardShape, vasm.LdLocGK,
-			vasm.Jcc, vasm.CmpIJcc, vasm.CmpDJcc:
-			// These always transfer somewhere: no target is no encoding.
-			if in.Target1 < 0 {
-				block(in.Target1)
-			}
-		case vasm.JmpTable:
-			if in.I64 < 0 || in.I64 >= int64(len(c.Tables)) {
-				fail("jump table #%d out of range (%d tables)", in.I64, len(c.Tables))
-			}
-		case vasm.CallBuiltin:
-			in.I64 = 0
-			if b, ok := runtime.LookupBuiltin(in.Str); ok {
-				idx := slices.Index(c.Builtins, b)
-				if idx < 0 {
-					idx = len(c.Builtins)
-					c.Builtins = append(c.Builtins, b)
-				}
-				in.I64 = int64(idx + 1)
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Entry returns the stream index execution starts at: block 0's first
-// instruction (layout may have placed hotter blocks ahead of it).
-func (c *Code) Entry() int { return int(c.BlockStart[0]) }
 
 // Place rebases the code at base.
 func (c *Code) Place(base uint64) {

@@ -396,8 +396,10 @@ func TestAssembleDropsFallthroughJumps(t *testing.T) {
 	if want := []vasm.Op{vasm.LdImm, vasm.Ret, vasm.Jmp}; !reflect.DeepEqual(got, want) {
 		t.Errorf("stream %v, want %v", got, want)
 	}
-	if want := []int32{0, 0, 1, 2}; !reflect.DeepEqual(c.BlockStart, want) {
-		t.Errorf("BlockStart = %v, want %v", c.BlockStart, want)
+	// Block 0 is emptied, so the entry is block 1's load; the real jump
+	// lands there too.
+	if c.Entry() != 0 || c.Instrs[2].T1 != 0 {
+		t.Errorf("entry %d, jump to B1 lands at #%d; want both at #0", c.Entry(), c.Instrs[2].T1)
 	}
 	if c.ElidedJumps != 2 || c.Size != 10+8+5 {
 		t.Errorf("%d jumps elided, %d bytes; want 2 and 23", c.ElidedJumps, c.Size)
@@ -405,7 +407,7 @@ func TestAssembleDropsFallthroughJumps(t *testing.T) {
 }
 
 // TestAssembleResolvesTables: the happy path of the same operands —
-// block ids land in BlockStart in layout order, "no catch stub" (-1)
+// block ids become stream indexes in layout order, "no catch stub" (-1)
 // is legal, immediates are materialized with strings interned once,
 // and builtin names are bound.
 func TestAssembleResolvesTables(t *testing.T) {
@@ -425,15 +427,19 @@ func TestAssembleResolvesTables(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
-	if want := []int32{1, 7, 0}; !reflect.DeepEqual(c.BlockStart, want) {
-		t.Errorf("BlockStart = %v, want %v", c.BlockStart, want)
-	}
 	if c.Entry() != 1 {
 		t.Errorf("Entry() = %d, want 1 (block 0 is laid out second)", c.Entry())
 	}
-	if len(c.Consts) != 2 || c.Consts[0].Kind != types.KStr ||
+	if jcc := c.Instrs[6]; jcc.T1 != 7 || jcc.T2 != 0 {
+		t.Errorf("jcc targets #%d, #%d; want B1 at #7, B2 at #0", jcc.T1, jcc.T2)
+	}
+	// The unit's constants, then the three calls' names.
+	if len(c.Consts) != 2+3 || c.Consts[0].Kind != types.KStr ||
 		c.Consts[0].AsStr().Data != "lit" || c.Consts[0].AsStr() != c.Consts[1].AsStr() {
-		t.Errorf("Consts = %+v, want two copies of one interned \"lit\"", c.Consts)
+		t.Errorf("Consts = %+v, want two copies of one interned \"lit\", then three names", c.Consts)
+	}
+	if got := c.Str(c.Instrs[4].T2); got != "no_such_builtin" {
+		t.Errorf("unresolved call names %q, want no_such_builtin", got)
 	}
 	if len(c.Builtins) != 1 || c.Builtins[0].Name != "strlen" {
 		t.Fatalf("Builtins = %v, want [strlen]", c.Builtins)

@@ -20,8 +20,8 @@ const (
 const TotalMachineRegs = NumPhysRegs + 3
 
 // SpillRegBase: register numbers at or above this value denote spill
-// slots in call-argument and exit-stack lists (the machine reads them
-// from the spill area).
+// slots in call-argument and exit-stack lists (mcode.Assemble maps them
+// into the activation's value file, after the machine registers).
 const SpillRegBase = Reg(1 << 16)
 
 // unallocatedReg is what rewrite leaves where a vreg has no location —

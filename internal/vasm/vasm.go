@@ -251,8 +251,8 @@ type Instr struct {
 	I64     int64
 	Str     string
 	// Target1/Target2 are block indices within the unit, but for the
-	// type guards (GuardKind, LdLocGK) Target2 indexes Unit.GuardTypes —
-	// and, once assembled, mcode.Code.Checks.
+	// type guards (GuardKind, LdLocGK) Target2 indexes Unit.GuardTypes
+	// (mcode's encoding re-indexes it into mcode.Code.Checks).
 	Target1, Target2 int
 	Ex               *ExitInfo
 }
@@ -288,16 +288,17 @@ func (in *Instr) String() string {
 }
 
 // ForEachTarget calls fn with every block the instruction can transfer
-// control to. It is the one definition of a block edge — liveness,
-// layout and the assembler's operand check all walk it — and it goes by
-// field, not by opcode: a Target1 >= 0 is an edge whatever the op (a
-// branch target, a guard's fail block, a catch stub), Target2 is one
-// for the Jcc family (the fused LdImm forms keep a register there), and
-// a JmpTable reaches every entry of its table and the default. An
+// control to. It is the one definition of a block edge — liveness and
+// layout walk it, and mcode's encoder resolves exactly these fields to
+// stream indexes — and it goes by field, not by opcode: a Target1 >= 0
+// is an edge whatever the op (a branch target, a guard's fail block, a
+// catch stub), Target2 is one for the Jcc family (the fused LdImm forms
+// keep a register there), and a JmpTable reaches every entry of its
+// table and the default. An
 // instruction without a target must therefore carry Target1 = -1
 // (nzInstr), never the zero value. A Jcc-family Target2 and the table
-// entries are reported even when out of range, so the assembler can
-// reject them; the other callers skip blocks the unit does not have.
+// entries are reported even when out of range, so a caller can reject
+// them; liveness and layout skip blocks the unit does not have.
 func (in *Instr) ForEachTarget(tables []JumpTable, fn func(block int)) {
 	if in.Target1 >= 0 {
 		fn(in.Target1)

@@ -234,6 +234,9 @@ func (v *VM) runFrame(fr *interp.Frame, hint machine.ChainTarget) (runtime.Value
 		}
 		out := v.Machine.Exec(&tr.Code, fr)
 		v.JIT.NoteMachineExec(tr.Kind, v.Meter.Cycles-before, out.GuardFails)
+		if out.Inline != nil {
+			v.JIT.NoteInlineExit()
+		}
 		switch out.Kind {
 		case machine.SideExit:
 			v.JIT.NoteSideExit()
