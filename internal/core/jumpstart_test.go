@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -211,4 +212,49 @@ func TestJumpstartPublishesTheDonorsEntries(t *testing.T) {
 	}
 	t.Logf("%d optimized entries; %d optimized bytes in the donor, %d in the warm start",
 		len(want), donor.Stats().BytesOptimized, warm.Stats().BytesOptimized)
+}
+
+// TestOptimizedCodeRecordsNoCallArcs: only profiling translations
+// record call-graph arcs, like every other profile counter, so once the
+// optimized code is published the call graph stays the one C3 laid it
+// out from, and a jumpstart snapshot carries exactly that graph.
+func TestOptimizedCodeRecordsNoCallArcs(t *testing.T) {
+	src, eps := workload.Combined()
+	unit, err := core.Compile(src, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(unit, jit.DefaultConfig(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		for _, ep := range eps {
+			v, err := eng.Call(workload.EndpointFunc(ep.Name))
+			if err != nil {
+				t.Fatalf("%s: %v", ep.Name, err)
+			}
+			eng.Heap().DecRef(v)
+		}
+	}
+	for r := 0; r < 200 && eng.Stats().OptimizeRuns == 0; r++ {
+		round()
+	}
+	if eng.Stats().OptimizeRuns != 1 {
+		t.Fatal("the site never reached the optimized tier")
+	}
+	published := eng.VM.JIT.Counters.CallGraph()
+	if len(published) == 0 {
+		t.Fatal("profiling recorded no call arcs")
+	}
+	before := eng.Stats().ChainedCalls
+	for r := 0; r < 5; r++ {
+		round()
+	}
+	if eng.Stats().ChainedCalls == before {
+		t.Fatal("optimized code made no guest calls: the test shows nothing")
+	}
+	if got := eng.VM.JIT.Counters.CallGraph(); !reflect.DeepEqual(got, published) {
+		t.Errorf("the call graph moved after the publish: %d arcs then, %d now", len(published), len(got))
+	}
 }

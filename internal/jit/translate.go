@@ -262,9 +262,12 @@ func newTranslation(desc *region.Desc, kind Mode) *Translation {
 // direction: every entry must pass through the dispatcher so RecordArc
 // sees the transfer and the TransCFG stays accurate, and the optimized
 // publish retires exactly this kind — keeping them out of links means
-// no chainable target is ever semantically stale.
+// no chainable target is ever semantically stale. Profiling code is
+// also the only code that records call-graph arcs, the one profile
+// counter it carries no instruction for.
 func (j *JIT) account(tr *Translation) {
 	tr.Code.Chainable = tr.Kind != ModeProfiling
+	tr.Code.Profiling = tr.Kind == ModeProfiling
 	_, count, bytes := j.residence(tr.Kind)
 	atomic.AddUint64(count, 1)
 	atomic.AddUint64(bytes, tr.Code.Size)

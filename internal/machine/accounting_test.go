@@ -101,32 +101,74 @@ func ints(vals ...int64) []vasm.ImmValue {
 	return out
 }
 
-// TestAccountingComponentsStraddleLine: local0 + 37. Placed 48 bytes
-// into a line, the LdImm starts at +56 and the AddI at +66 — so the
-// fused LdImmAddI begins on one i-cache line and its second component
-// on the next, which the fast path must probe as a fetch tail.
+// TestAccountingComponentsStraddleLine: local0 < local1. Placed 44
+// bytes into a line, the two loads end at +60 and the CmpI's Jcc starts
+// at +65 — so the fused CmpIJcc begins on one i-cache line and its
+// second component on the next, which the fast path must probe as a
+// fetch tail.
 func TestAccountingComponentsStraddleLine(t *testing.T) {
 	build := func() *vasm.Unit {
-		return &vasm.Unit{Imms: ints(37), Blocks: []*vasm.Block{{ID: 0, Instrs: []vasm.Instr{
+		return &vasm.Unit{Imms: ints(1, 2), Blocks: []*vasm.Block{
+			{ID: 0, Instrs: []vasm.Instr{
+				{Op: vasm.LdLoc, D: 1, A: inv, B: inv, I64: 0},
+				{Op: vasm.LdLoc, D: 2, A: inv, B: inv, I64: 1},
+				{Op: vasm.CmpI, D: 3, A: 1, B: 2, I64: 0},
+				{Op: vasm.Jcc, D: inv, A: 3, B: inv, Target1: 1, Target2: 2},
+			}},
+			{ID: 1, Instrs: []vasm.Instr{{Op: vasm.Ret, D: inv, A: vasm.ImmReg(0), B: inv}}},
+			{ID: 2, Instrs: []vasm.Instr{{Op: vasm.Ret, D: inv, A: vasm.ImmReg(1), B: inv}}},
+		}}
+	}
+	less, fused, _ := agree(t, build, 0x10000+44, runtime.Int(5), runtime.Int(6))
+	more, _, _ := agree(t, build, 0x10000+44, runtime.Int(7), runtime.Int(6))
+	if less.Kind != machine.Returned || less.Value != runtime.Int(1) || more.Value != runtime.Int(2) {
+		t.Errorf("outcomes %+v and %+v, want Returned 1 and 2", less, more)
+	}
+	// LdLoc 3 + LdLoc 3 + CmpI 1 + Jcc 1 + Ret 10, two locals torn down
+	// (4), two cold lines (20 each) on one cold page (30).
+	if less.Cycles != 92 || more.Cycles != 92 || less.ICacheMisses != 2 || less.ITLBMisses != 1 {
+		t.Errorf("%d and %d cycles, %d i-cache and %d I-TLB misses; want 92, 92, 2, 1",
+			less.Cycles, more.Cycles, less.ICacheMisses, less.ITLBMisses)
+	}
+	if fused.Instrs[2].Op != vasm.CmpIJcc || fused.DispatchFlags[2]&mcode.FlagFetchTails == 0 {
+		t.Errorf("fused stream %v flags %v: want a CmpIJcc carrying a fetch tail at index 2",
+			fused.Instrs, fused.DispatchFlags)
+	}
+}
+
+// TestAccountingImmediates: $l = 3; return $x + 5 + $l, its constants
+// carried by the add and the store. An immediate costs what the
+// register form costs and lengthens the encoding (mcode's immSize):
+// the add 5 -> 7 bytes, the store of an immediate cell 8 -> 12, a
+// return of one 8 -> 12.
+func TestAccountingImmediates(t *testing.T) {
+	build := func() *vasm.Unit {
+		return &vasm.Unit{Imms: ints(5, 3), Blocks: []*vasm.Block{{ID: 0, Instrs: []vasm.Instr{
 			{Op: vasm.LdLoc, D: 1, A: inv, B: inv, I64: 0},
-			{Op: vasm.LdImm, D: 2, A: inv, B: inv, I64: 0},
-			{Op: vasm.AddI, D: 3, A: 1, B: 2},
-			{Op: vasm.Ret, D: inv, A: 3, B: inv},
+			{Op: vasm.AddI, D: 2, A: 1, B: vasm.ImmReg(0)},
+			{Op: vasm.StLoc, D: inv, A: vasm.ImmReg(1), B: inv, I64: 1},
+			{Op: vasm.LdLoc, D: 3, A: inv, B: inv, I64: 1},
+			{Op: vasm.AddI, D: 4, A: 3, B: 2},
+			{Op: vasm.Ret, D: inv, A: 4, B: inv},
 		}}}}
 	}
-	got, fused, _ := agree(t, build, 0x10000+48, runtime.Int(5))
+	got, code, _ := agree(t, build, 0x10000, runtime.Int(34), runtime.Null())
 	if got.Kind != machine.Returned || got.Value != runtime.Int(42) {
 		t.Errorf("outcome %+v, want Returned 42", got)
 	}
-	// LdLoc 3 + LdImm 1 + AddI 1 + Ret 10, one local torn down (2),
-	// two cold lines (20 each) on one cold page (30).
-	if got.Cycles != 87 || got.ICacheMisses != 2 || got.ITLBMisses != 1 {
-		t.Errorf("%d cycles, %d i-cache and %d I-TLB misses; want 87, 2, 1",
-			got.Cycles, got.ICacheMisses, got.ITLBMisses)
+	// LdLoc 3 + AddI 1 + StLoc 2 + LdLoc 3 + AddI 1 + Ret 10, two locals
+	// torn down (4), one cold line and page (50).
+	if got.Cycles != 74 {
+		t.Errorf("%d cycles, want 74", got.Cycles)
 	}
-	if fused.Instrs[1].Op != vasm.LdImmAddI || fused.DispatchFlags[1]&mcode.FlagFetchTails == 0 {
-		t.Errorf("fused stream %v flags %v: want an LdImmAddI carrying a fetch tail at index 1",
-			fused.Instrs, fused.DispatchFlags)
+	if want := []int32{0, 8, 15, 27, 35, 40}; code.Size != 48 || !reflect.DeepEqual(code.Addr, want) {
+		t.Errorf("addresses %v, %d bytes; want %v, 48", code.Addr, code.Size, want)
+	}
+	ret, err := mcode.Assemble(&vasm.Unit{Imms: ints(7), Blocks: []*vasm.Block{{ID: 0, Instrs: []vasm.Instr{
+		{Op: vasm.Ret, D: inv, A: vasm.ImmReg(0), B: inv},
+	}}}})
+	if err != nil || ret.Size != 12 {
+		t.Errorf("a return of an immediate assembles to %v bytes (%v), want 12", ret, err)
 	}
 }
 

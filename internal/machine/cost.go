@@ -15,9 +15,17 @@ import (
 
 // Meter accumulates simulated cycles; it is shared with the
 // interpreter so execution-mode comparisons are apples to apples.
+//
+// The exec loop writes Cycles at every line head, so a Meter fills a
+// cache line of its own: eight bytes would share one with the Meter of
+// the worker made next, and two workers would write the same line.
 type Meter struct {
 	Cycles uint64
+	_      [cacheLine - 8]byte
 }
+
+// cacheLine is the host's cache-line size in bytes.
+const cacheLine = 64
 
 // Charge adds cycles.
 func (m *Meter) Charge(n uint64) { m.Cycles += n }

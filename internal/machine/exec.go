@@ -211,6 +211,11 @@ type Machine struct {
 	Chain *ChainStats
 	// Shapes is the JIT-shared shape-guard/IC statistics sink.
 	Shapes *ShapeStats
+	// OpMix, when set, counts every instruction the machine runs by op,
+	// a superinstruction as one (tests: perflab's baseline). The fast
+	// path counts a straight-line run where it charges it (settle), so
+	// the per-instruction loop is the same with or without it.
+	OpMix *[vasm.OpCount]uint64
 
 	// methodCache: per-site monomorphic inline caches.
 	methodCache map[int64]methodCacheEnt
@@ -251,20 +256,23 @@ func New(env *interp.Env, meter *Meter, counters *profile.Counters, cache *mcode
 // activation is the per-execution machine state.
 type activation struct {
 	// vals is the value file: the machine registers, then the spill
-	// slots. An mcode.Instr's register operands index it directly. It
-	// is a window of file, which the activation carries so that code
-	// with a few spill slots costs no allocation of its own, unless a
-	// translation needs more.
+	// slots, then the constant slots. An mcode.Instr's register and
+	// constant operands index it directly. It is a window of file, which
+	// the activation carries so that most code costs no allocation of its
+	// own (the site's 99th percentile needs 27 values); a translation
+	// that needs more grows it once, and the activation keeps what it
+	// grew.
 	vals []runtime.Value
-	file [vasm.TotalMachineRegs + 8]runtime.Value
+	file [vasm.TotalMachineRegs + 16]runtime.Value
 	fr   *interp.Frame
 	// entryPC is the bytecode pc the currently-executing translation
 	// was entered at (updated on every chained transfer).
 	entryPC int
 }
 
-// bindSpace sizes the activation for code: the value file and the
-// frame extension for inline-callee locals.
+// bindSpace sizes the activation for code: the value file, with code's
+// constants in its constant slots, and the frame extension for
+// inline-callee locals.
 func (a *activation) bindSpace(code *mcode.Code) {
 	n := code.NumValues()
 	if n < len(a.vals) {
@@ -278,6 +286,7 @@ func (a *activation) bindSpace(code *mcode.Code) {
 	default:
 		a.vals = make([]runtime.Value, n)
 	}
+	copy(a.vals[code.ConstBase():], code.Consts[:code.NumImms])
 	for len(a.fr.Locals) < code.ExtSlots {
 		a.fr.Locals = append(a.fr.Locals, runtime.Uninit())
 	}
@@ -361,7 +370,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				if through > len(code.Instrs)-1 {
 					through = len(code.Instrs) - 1
 				}
-				settleRun(m.Meter, code, runStart, through)
+				m.settle(code, runStart, through)
 			}
 			reason := fmt.Sprintf("panic: %v", r)
 			if ip >= 0 && ip < len(code.Instrs) {
@@ -377,7 +386,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 	for {
 		if ip >= len(instrs) {
 			if fast {
-				settleRun(m.Meter, code, runStart, ip-1)
+				m.settle(code, runStart, ip-1)
 			}
 			return m.faultOutcome(act, guardFails, "fell off code end")
 		}
@@ -398,6 +407,9 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			}
 		} else {
 			m.Meter.Cycles += opCost(in.Op) + m.Fetch.Fetch(code.AddrOf(ip))
+			if m.OpMix != nil {
+				m.OpMix[in.Op]++
+			}
 		}
 
 		switch in.Op {
@@ -423,7 +435,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				// translation so the self-healing path quarantines it
 				// instead of silently computing on a phantom Null.
 				if fast {
-					settleRun(m.Meter, code, runStart, ip)
+					m.settle(code, runStart, ip)
 				}
 				return m.faultOutcome(act, guardFails, fmt.Sprintf(
 					"LdStk slot %d out of range (stack depth %d)", in.I64, len(fr.Stack)))
@@ -499,12 +511,6 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			h.DecRef(vals[in.A])
 
 		// Non-branching superinstructions.
-		case vasm.LdImmAddI:
-			vals[in.T2] = consts[in.I64>>16]
-			vals[in.D] = runtime.Int(vals[in.A].AsInt() + vals[in.B].AsInt())
-		case vasm.LdImmCmpI:
-			vals[in.T2] = consts[in.I64>>16]
-			vals[in.D] = runtime.Bool(cmpI(in.I64&0xff, vals[in.A].AsInt(), vals[in.B].AsInt()))
 		case vasm.IncRefN:
 			for _, r := range regs[in.X : in.X+int32(in.N)] {
 				h.IncRef(vals[r])
@@ -646,7 +652,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 
 		case vasm.Ret:
 			if fast {
-				settleRun(m.Meter, code, runStart, ip)
+				m.settle(code, runStart, ip)
 			}
 			v := vals[in.A]
 			m.Meter.Charge(uint64(2 * len(fr.Locals))) // frame teardown
@@ -657,13 +663,13 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 
 		case vasm.Exit:
 			if fast {
-				settleRun(m.Meter, code, runStart, ip)
+				m.settle(code, runStart, ip)
 			}
 			exit = m.takeExit(code, act, in.X, SideExit, nil, guardFails)
 			goto chain
 		case vasm.BindJmp:
 			if fast {
-				settleRun(m.Meter, code, runStart, ip)
+				m.settle(code, runStart, ip)
 			}
 			exit = m.takeExit(code, act, in.X, BindRequest, nil, guardFails)
 			exit.BCOff = int(in.I64)
@@ -674,7 +680,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 
 		default:
 			if fast {
-				settleRun(m.Meter, code, runStart, ip)
+				m.settle(code, runStart, ip)
 			}
 			return m.faultOutcome(act, guardFails, fmt.Sprintf("bad opcode %s", in.Op))
 		}
@@ -704,7 +710,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				ip = nip
 				continue
 			}
-			settleRun(m.Meter, code, runStart, ip)
+			m.settle(code, runStart, ip)
 		}
 		ip = nip
 		runStart, xfer = ip, true
@@ -713,7 +719,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 	guardFail: // the guard at ip failed: its target is a chained block or an exit stub
 		guardFails++
 		if fast {
-			settleRun(m.Meter, code, runStart, ip)
+			m.settle(code, runStart, ip)
 		}
 		m.Meter.Charge(guardFailPenalty)
 		nip = int(in.T1)
@@ -723,6 +729,9 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 		}
 		// An exit stub: a single Exit instruction, the smash site.
 		m.Meter.Charge(opCost(vasm.Exit))
+		if m.OpMix != nil {
+			m.OpMix[vasm.Exit]++
+		}
 		ip = nip
 		exit = m.takeExit(code, act, instrs[ip].X, SideExit, nil, guardFails)
 	chain: // exit was taken at smash site ip: follow its link or leave
@@ -737,18 +746,24 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 
 	throw: // guest error err raised by the instruction at ip
 		if fast {
-			settleRun(m.Meter, code, runStart, ip)
+			m.settle(code, runStart, ip)
 		}
 		return m.throwTo(code, act, in.T1, err, guardFails)
 	}
 }
 
-// settleRun charges the static cost of the straight-line stretch
-// [runStart, through] in one add (fast dispatch). No-op when the
-// stretch is empty (through < runStart).
-func settleRun(meter *Meter, code *mcode.Code, runStart, through int) {
+// settle charges the static cost of the straight-line stretch
+// [runStart, through] in one add (fast dispatch), and counts its ops
+// into OpMix when that is set. No-op when the stretch is empty
+// (through < runStart).
+func (m *Machine) settle(code *mcode.Code, runStart, through int) {
 	if through >= runStart {
-		meter.Cycles += uint64(code.CostPrefix[through+1] - code.CostPrefix[runStart])
+		m.Meter.Cycles += uint64(code.CostPrefix[through+1] - code.CostPrefix[runStart])
+		if m.OpMix != nil {
+			for i := runStart; i <= through; i++ {
+				m.OpMix[code.Instrs[i].Op]++
+			}
+		}
 	}
 }
 

@@ -194,7 +194,8 @@ func (m *Machine) smashCall(code *mcode.Code, ip int, entered ChainTarget) {
 // releases that with the DecRef it emits after the call. A call that
 // raises never reaches that DecRef, so the receiver is released here.
 // Direct call sites (CallFunc / CallMethodD) are smash sites: the
-// first dispatch binds them to the callee's prologue translation.
+// first dispatch binds them to the callee's prologue translation. Only
+// profiling code records the call's arc (mcode.Code.Profiling).
 func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *mcode.Instr) (runtime.Value, error) {
 	env := m.Env
 	regs := code.Args(in)
@@ -202,7 +203,7 @@ func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *mcode.I
 	case vasm.CallFunc:
 		args := m.takeArgs(act, regs, 0)
 		f := env.Unit.Funcs[in.I64]
-		if m.Counters != nil {
+		if m.Counters != nil && code.Profiling {
 			m.Counters.RecordCall(act.fr.Fn.ID, f.ID)
 		}
 		ret, entered, err := m.CallGuest(f, nil, args, m.callHint(code, ip))
@@ -234,7 +235,7 @@ func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *mcode.I
 		}
 		ret := runtime.Null()
 		if f != nil {
-			if m.Counters != nil {
+			if m.Counters != nil && code.Profiling {
 				m.Counters.RecordCall(act.fr.Fn.ID, f.ID)
 			}
 			var entered ChainTarget

@@ -17,15 +17,18 @@ import (
 // Fields by op family:
 //
 //   - D, A, B are value-file indexes (NoReg for none): the machine
-//     registers first, then the spill slots, so a register access is one
-//     index into the activation's values. Spill writes slot D, Reload
-//     reads slot A; I64 keeps the slot number.
+//     registers first, then the spill slots, then the constant slots, so
+//     a register access is one index into the activation's values. Spill
+//     writes slot D, Reload reads slot A; I64 keeps the slot number. A
+//     constant operand (vasm.ImmReg) reads its constant slot, which the
+//     activation fills from Consts and nothing writes; Imm marks an
+//     instruction whose A or B is one, which sizes its encoding.
 //   - T1 is the stream index control moves to — a branch target, a
 //     guard's fail block, a catch stub — or -1 for none.
 //   - T2 is the Jcc family's fall-through stream index, a type guard's
-//     index into Checks, the register the fused LdImm forms load into,
-//     a JmpTable's table number (disassembly only); for every other op
-//     the index of its string operand in Consts (Str), -1 for none.
+//     index into Checks, a JmpTable's table number (disassembly only);
+//     for every other op the index of its string operand in Consts
+//     (Str), -1 for none.
 //   - X and N are a window of Regs (operand lists), of JumpTargets
 //     (JmpTable: the entries then the default); for Exit and BindJmp X
 //     indexes Exits (-1: none).
@@ -39,14 +42,19 @@ type Instr struct {
 	D, A   uint16
 	B, N   uint16
 	Op     vasm.Op
+	Imm    bool
 }
 
 // NoReg is the value-file index of an absent register operand.
 const NoReg = math.MaxUint16
 
 // NumValues is the size of the value file an activation of c runs on:
-// the machine registers, then the spill slots.
-func (c *Code) NumValues() int { return vasm.TotalMachineRegs + c.NumSpills }
+// the machine registers, then the spill slots, then the constant slots.
+func (c *Code) NumValues() int { return c.ConstBase() + c.NumImms }
+
+// ConstBase is the value-file index of constant slot 0: constant slot k
+// holds Consts[k], the unit's constant k.
+func (c *Code) ConstBase() int { return vasm.TotalMachineRegs + c.NumSpills }
 
 // Exit is an exit descriptor (vasm.ExitInfo) as the machine reads it:
 // the eval stack's registers are a window of Regs, the inline frames an
@@ -89,12 +97,15 @@ func (c *Code) Entry() int { return int(c.entry) }
 // usesT2 reports the ops whose T2 is not a string operand.
 func usesT2(op vasm.Op) bool {
 	switch op {
-	case vasm.Jcc, vasm.CmpIJcc, vasm.CmpDJcc, vasm.GuardKind, vasm.LdLocGK,
-		vasm.LdImmAddI, vasm.LdImmCmpI, vasm.JmpTable:
+	case vasm.Jcc, vasm.CmpIJcc, vasm.CmpDJcc, vasm.GuardKind, vasm.LdLocGK, vasm.JmpTable:
 		return true
 	}
 	return false
 }
+
+// immForm reports the ops with an immediate form, whose A or B may be
+// a constant: those immSize gives a size of their own.
+func immForm(op vasm.Op) bool { return immSize(op) != opSize(op) }
 
 // exitOp reports the ops whose X indexes Exits.
 func exitOp(op vasm.Op) bool { return op == vasm.Exit || op == vasm.BindJmp }
@@ -133,8 +144,11 @@ func (a *assembler) fail(format string, args ...any) {
 // encode returns the executable form of in, the stream's instruction at.
 func (a *assembler) encode(at int, in *vasm.Instr) Instr {
 	a.at, a.op = at, in.Op
-	e := Instr{Op: in.Op, I64: in.I64, D: a.reg(in.D), A: a.reg(in.A), B: a.reg(in.B),
-		T1: -1, T2: -1, X: int32(len(a.c.Regs))}
+	e := Instr{Op: in.Op, I64: in.I64, D: a.dst(in.D), A: a.reg(in.A), B: a.reg(in.B),
+		T1: -1, T2: -1, X: int32(len(a.c.Regs)), Imm: in.A.IsImm() || in.B.IsImm()}
+	if e.Imm && (!immForm(in.Op) || in.A.IsImm() && in.B.IsImm()) {
+		a.fail("constant operands %s, %s: %s has no such immediate form", in.A, in.B, in.Op)
+	}
 	// A Target1 >= 0 is an edge whatever the op (vasm.ForEachTarget); the
 	// ops that always transfer must have one.
 	if in.Target1 >= 0 || alwaysTransfers(in.Op) {
@@ -147,13 +161,6 @@ func (a *assembler) encode(at int, in *vasm.Instr) Instr {
 		e.T2 = a.check(in.Target2)
 	case vasm.LdImm:
 		a.imm(in.I64)
-	case vasm.LdImmAddI, vasm.LdImmCmpI:
-		a.imm(in.I64 >> 16)
-		if r := vasm.Reg(in.Target2); r == vasm.InvalidReg || int(r) != in.Target2 {
-			a.fail("load target r%d is no register", in.Target2)
-		} else {
-			e.T2 = int32(a.reg(r))
-		}
 	case vasm.Spill:
 		e.D = a.slot(in.I64)
 	case vasm.Reload:
@@ -204,13 +211,22 @@ func (a *assembler) encode(at int, in *vasm.Instr) Instr {
 }
 
 // reg returns r's value-file index: a machine register is its own, spill
-// slot s is TotalMachineRegs+s.
+// slot s is TotalMachineRegs+s, constant k is ConstBase()+k.
 func (a *assembler) reg(r vasm.Reg) uint16 {
 	switch {
 	case r == vasm.InvalidReg:
 		return NoReg
 	case r >= 0 && r < vasm.TotalMachineRegs:
 		return uint16(r)
+	case r.IsImm():
+		if k := r.Imm(); k >= len(a.u.Imms) {
+			a.fail("constant c%d out of range (%d imms)", k, len(a.u.Imms))
+		} else if v := a.c.ConstBase() + k; v < NoReg {
+			return uint16(v)
+		} else {
+			a.fail("constant c%d is past the value file's 16-bit index", k)
+		}
+		return NoReg
 	case r >= vasm.SpillRegBase && int(r-vasm.SpillRegBase) < a.c.NumSpills:
 		if v := vasm.TotalMachineRegs + int(r-vasm.SpillRegBase); v < NoReg {
 			return uint16(v)
@@ -222,13 +238,25 @@ func (a *assembler) reg(r vasm.Reg) uint16 {
 	return NoReg
 }
 
+// dst returns the value-file index of the register r an instruction
+// writes: never a constant slot.
+func (a *assembler) dst(r vasm.Reg) uint16 {
+	if r.IsImm() {
+		a.fail("writes constant c%d: a constant slot is read-only", r.Imm())
+		return NoReg
+	}
+	return a.reg(r)
+}
+
 // regOf is reg's inverse.
-func regOf(v uint16) vasm.Reg {
+func (c *Code) regOf(v uint16) vasm.Reg {
 	switch {
 	case v == NoReg:
 		return vasm.InvalidReg
 	case v < vasm.TotalMachineRegs:
 		return vasm.Reg(v)
+	case int(v) >= c.ConstBase():
+		return vasm.ImmReg(int(v) - c.ConstBase())
 	}
 	return vasm.SpillRegBase + vasm.Reg(v-vasm.TotalMachineRegs)
 }
@@ -334,13 +362,11 @@ func (a *assembler) i32(v int) int32 {
 // tests and disassembly; the machine reads Instr directly.
 func (c *Code) Decode(i int) vasm.Instr {
 	e := &c.Instrs[i]
-	in := vasm.Instr{Op: e.Op, I64: e.I64, D: regOf(e.D), A: regOf(e.A), B: regOf(e.B),
+	in := vasm.Instr{Op: e.Op, I64: e.I64, D: c.regOf(e.D), A: c.regOf(e.A), B: c.regOf(e.B),
 		Target1: int(e.T1), Target2: -1}
 	switch e.Op {
 	case vasm.Jcc, vasm.CmpIJcc, vasm.CmpDJcc, vasm.GuardKind, vasm.LdLocGK:
 		in.Target2 = int(e.T2)
-	case vasm.LdImmAddI, vasm.LdImmCmpI:
-		in.Target2 = int(regOf(uint16(e.T2)))
 	case vasm.JmpTable:
 		in.I64 = int64(e.T2)
 	default:
@@ -387,7 +413,7 @@ func (c *Code) decodeRegs(x, n int32) []vasm.Reg {
 	}
 	out := make([]vasm.Reg, n)
 	for k, v := range c.Regs[x : x+n] {
-		out[k] = regOf(uint16(v))
+		out[k] = c.regOf(uint16(v))
 	}
 	return out
 }
@@ -398,7 +424,7 @@ func (c *Code) decodeExit(x *Exit) *vasm.ExitInfo {
 	for k := x.Inline; k >= 0; k = c.Inlines[k].Parent {
 		fr := &c.Inlines[k]
 		*link = &vasm.InlineInfo{FuncID: int(fr.FuncID), LocalsBase: int(fr.LocalsBase),
-			ThisReg: regOf(fr.This), RetBCOff: int(fr.RetBCOff),
+			ThisReg: c.regOf(fr.This), RetBCOff: int(fr.RetBCOff),
 			CallerStackRegs: c.decodeRegs(fr.Stack, fr.NStack)}
 		link = &(*link).Parent
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/mcode"
 	"repro/internal/perflab"
 	"repro/internal/runtime"
+	"repro/internal/types"
 	"repro/internal/vasm"
 )
 
@@ -77,6 +78,9 @@ func TestAssembleRejectsOverflow(t *testing.T) {
 		{"exit-stack-in-far-slot", with(vasm.BindJmp, func(in *vasm.Instr) {
 			in.Target1, in.Ex = 1, &vasm.ExitInfo{StackRegs: []vasm.Reg{far}}
 		})},
+		// The constant slots follow the spill slots: with 1<<16 of those,
+		// constant 0 is past the index too.
+		{"constant-past-the-slots", with(vasm.AddI, func(in *vasm.Instr) { in.D, in.A, in.B = 0, 0, vasm.ImmReg(0) })},
 		{"argument-window", with(vasm.Helper, func(in *vasm.Instr) {
 			in.Args = make([]vasm.Reg, math.MaxUint16+1) // r0, once more than a window holds
 		})},
@@ -129,27 +133,31 @@ func TestNewCarriesItsClass(t *testing.T) {
 }
 
 // TestDecodeRoundTrip: every operand family survives encoding — spill
-// slots, fused loads, jump tables, exits with inline frames, strings.
+// slots, constants, jump tables, exits with inline frames, strings.
 func TestDecodeRoundTrip(t *testing.T) {
 	s0, s1 := vasm.SpillRegBase, vasm.SpillRegBase+1
-	add := ins(vasm.LdImmAddI)
-	add.D, add.A, add.B, add.Target2, add.I64 = 1, 2, 3, 4, 0<<16
+	c0, c1 := vasm.ImmReg(0), vasm.ImmReg(1)
+	add := ins(vasm.AddI)
+	add.D, add.A, add.B = 1, 2, c1
+	st := ins(vasm.StLoc)
+	st.A, st.I64 = c0, 3
 	spill, reload := ins(vasm.Spill), ins(vasm.Reload)
 	spill.A, spill.I64 = 1, 1
 	reload.D, reload.I64 = 5, 1
 	help := ins(vasm.Helper)
-	help.D, help.Args, help.Str, help.Target1 = 6, []vasm.Reg{s1, 0, s0}, "prop", 1
+	help.D, help.Args, help.Str, help.Target1 = 6, []vasm.Reg{s1, 0, c1, s0}, "prop", 1
 	help.I64 = vasm.PackHelper(vasm.HLdPropGeneric, 0)
 	table := ins(vasm.JmpTable)
 	table.A, table.I64 = 6, 0
 	bind := ins(vasm.BindJmp)
 	bind.I64, bind.Target1 = 9, 1
-	bind.Ex = &vasm.ExitInfo{BCOff: 4, StackRegs: []vasm.Reg{s0, 2}, Inline: &vasm.InlineInfo{
-		FuncID: 3, LocalsBase: 5, ThisReg: s1, RetBCOff: 8, CallerStackRegs: []vasm.Reg{1},
+	bind.Ex = &vasm.ExitInfo{BCOff: 4, StackRegs: []vasm.Reg{s0, 2, c0}, Inline: &vasm.InlineInfo{
+		FuncID: 3, LocalsBase: 5, ThisReg: s1, RetBCOff: 8, CallerStackRegs: []vasm.Reg{1, c1},
 		Parent: &vasm.InlineInfo{FuncID: 2, ThisReg: vasm.InvalidReg, RetBCOff: 6},
 	}}
 	u := unitWith(add)
-	u.Blocks[0].Instrs = []vasm.Instr{add, spill, reload, help, table, bind}
+	u.Blocks[0].Instrs = []vasm.Instr{add, st, spill, reload, help, table, bind}
+	u.Imms = []vasm.ImmValue{{Kind: types.KNull}, {Kind: types.KInt, I: -7}}
 	u.NumSpills = 2
 	u.Tables = []vasm.JumpTable{{Base: 10, Targets: []int{2, 1, 2}, Default: 1}}
 	u.Layout = []int{2, 0, 1}
@@ -158,8 +166,20 @@ func TestDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRoundTrip(t, u, c)
-	if got := c.Table(5); got.Base != 10 || !reflect.DeepEqual(got.Targets, []int{0, 7, 0}) || got.Default != 7 {
-		t.Errorf("jump table decodes as %+v, want base 10, targets [0 7 0], default 7", got)
+	if got := c.Table(6); got.Base != 10 || !reflect.DeepEqual(got.Targets, []int{0, 8, 0}) || got.Default != 8 {
+		t.Errorf("jump table decodes as %+v, want base 10, targets [0 8 0], default 8", got)
+	}
+	// The value file: 15 machine registers, 2 spill slots, then the 2
+	// constant slots, which hold the unit's constants.
+	if base := vasm.TotalMachineRegs + 2; c.ConstBase() != base || c.NumValues() != base+2 ||
+		int(c.Instrs[1].B) != base+1 || int(c.Instrs[2].A) != base || c.Consts[1] != runtime.Int(-7) {
+		t.Errorf("constant slots from %d of %d values, add reads %d, store %d; want from %d of %d, %d, %d",
+			c.ConstBase(), c.NumValues(), c.Instrs[1].B, c.Instrs[2].A, base, base+2, base+1, base)
+	}
+	// The layout puts block 2 (a ret) first: the add is #1, the store #2.
+	if !c.Instrs[1].Imm || !c.Instrs[2].Imm || c.Instrs[5].Imm {
+		t.Errorf("Imm marks add %v, store %v, helper %v; want true, true, false",
+			c.Instrs[1].Imm, c.Instrs[2].Imm, c.Instrs[5].Imm)
 	}
 }
 
@@ -182,7 +202,7 @@ func TestSiteDecodesToWhatItAssembled(t *testing.T) {
 	if !eng.VM.JIT.Optimized() {
 		t.Fatal("warm-up did not reach the optimized tier")
 	}
-	spills := 0
+	spills, consts := 0, 0
 	for _, u := range units {
 		vasm.Fuse(u) // as the default configuration compiles
 		c, err := mcode.Assemble(u)
@@ -193,9 +213,18 @@ func TestSiteDecodesToWhatItAssembled(t *testing.T) {
 			return
 		}
 		spills += u.NumSpills
+		for i := range c.Instrs {
+			in := c.Decode(i)
+			for _, r := range append([]vasm.Reg{in.A, in.B}, in.Args...) {
+				if r.IsImm() {
+					consts++
+				}
+			}
+		}
 	}
-	if len(units) < 1000 || spills == 0 {
-		t.Errorf("%d units with %d spill slots: the site no longer exercises the encoding", len(units), spills)
+	if len(units) < 1000 || spills == 0 || consts == 0 {
+		t.Errorf("%d units with %d spill slots and %d constant operands: the site no longer exercises the encoding",
+			len(units), spills, consts)
 	}
 }
 
@@ -254,7 +283,7 @@ func checkRoundTrip(t *testing.T, u *vasm.Unit, c *mcode.Code) bool {
 		case vasm.GuardKind, vasm.LdLocGK:
 			want.Target2 = checks
 			checks++
-		case vasm.LdImmAddI, vasm.LdImmCmpI, vasm.JmpTable:
+		case vasm.JmpTable:
 		default:
 			want.Target2 = -1 // not an operand of these ops
 		}

@@ -54,8 +54,9 @@ type Code struct {
 	Exits   []Exit
 	Inlines []Inline
 	// Consts is the constant pool, materialized: Consts[i] is the guest
-	// value LdImm #i loads, strings already interned. The string
-	// operands follow the unit's constants (Str).
+	// value LdImm #i loads and constant slot i holds (ConstBase), strings
+	// already interned. The string operands follow the unit's NumImms
+	// constants (Str).
 	Consts []runtime.Value
 	// Checks holds the translation's type guards, each compiled once:
 	// Checks[i] tests entry precondition i (vasm.Unit.Entry), and every
@@ -66,9 +67,10 @@ type Code struct {
 	// unresolved, the machine falls back to a guest function of that
 	// name).
 	Builtins []*runtime.Builtin
-	// NumSpills / ExtSlots size the activation's value file (NumValues)
-	// and extended frame.
+	// NumSpills and NumImms (the unit's constants) size the
+	// activation's value file (NumValues), ExtSlots its extended frame.
 	NumSpills int
+	NumImms   int
 	ExtSlots  int
 	// Alloc is the unit's register-allocation summary, ElidedJumps the
 	// number of fallthrough jumps Assemble left out of the stream, Guards
@@ -119,6 +121,11 @@ type Code struct {
 	// recorded), and the JIT clears it globally when chaining is
 	// disabled.
 	Chainable bool
+	// Profiling marks profiling translations. They alone record the
+	// call-graph arcs of the guest calls they make: every other profile
+	// counter is an instruction only profiling code carries, and C3
+	// reads the arcs once, when the optimized code is laid out.
+	Profiling bool
 	// EndLocals and EndStack are what the code knows of the frame at
 	// every bind jump it has, when all of them leave from one point
 	// (hhir.Unit.EndLocals): a chained transfer out of one need not
@@ -222,7 +229,7 @@ func opSize(op vasm.Op) uint64 {
 	case vasm.JmpTable:
 		return 14 // bounds check + indexed load + indirect jump
 	case vasm.LdImm:
-		return 10
+		return 10 // a cell: type byte + imm64
 	case vasm.Copy:
 		return 3
 	case vasm.LdLoc, vasm.StLoc, vasm.LdStk, vasm.Spill, vasm.Reload:
@@ -253,6 +260,32 @@ func opSize(op vasm.Op) uint64 {
 	}
 }
 
+// immSize is op's encoded size when one of its operands is a constant
+// (Instr.Imm), after x86-64's immediate forms: an int ALU op with an
+// imm32 is 2 bytes longer than its register form; a local store
+// or a return of an immediate cell carries a type byte and an imm32
+// value, 4 bytes more than a cell move. A constant in an operand list
+// adds nothing: a helper's or call's size already counts its argument
+// moves. The other ops have no immediate form (immForm): the assembler
+// rejects a constant A or B on one.
+func immSize(op vasm.Op) uint64 {
+	switch op {
+	case vasm.AddI, vasm.SubI, vasm.MulI:
+		return opSize(op) + 2
+	case vasm.StLoc, vasm.Ret:
+		return opSize(op) + 4
+	}
+	return opSize(op)
+}
+
+// componentSize is the encoded size of one of in's components.
+func componentSize(in *Instr, op vasm.Op) uint64 {
+	if in.Imm {
+		return immSize(op)
+	}
+	return opSize(op)
+}
+
 // ForEachComponent calls fn with every ordinary op the instruction
 // performs (vasm.Instr.ForEachComponent): its own, or a
 // superinstruction's components in order, the N-ary forms' once per
@@ -273,13 +306,13 @@ func (in *Instr) ForEachComponent(fn func(vasm.Op)) {
 	}
 }
 
-// instrSize is the encoded size of in. A superinstruction keeps its
-// components' encodings back-to-back, so addresses are unchanged by
-// fusion. (A jump the layout turned into a fallthrough has none, and is
-// not in the stream.)
+// instrSize is the encoded size of in, fixed when it is assembled. A
+// superinstruction keeps its components' encodings back-to-back, so
+// addresses are unchanged by fusion. (A jump the layout turned into a
+// fallthrough has none, and is not in the stream.)
 func instrSize(in *Instr) uint64 {
 	var sz uint64
-	in.ForEachComponent(func(op vasm.Op) { sz += opSize(op) })
+	in.ForEachComponent(func(op vasm.Op) { sz += componentSize(in, op) })
 	return sz
 }
 
@@ -294,7 +327,7 @@ func ComponentSizes(in *Instr, buf []uint64) []uint64 {
 	if in.Op.Components() == nil {
 		return append(sizes, instrSize(in))
 	}
-	in.ForEachComponent(func(op vasm.Op) { sizes = append(sizes, opSize(op)) })
+	in.ForEachComponent(func(op vasm.Op) { sizes = append(sizes, componentSize(in, op)) })
 	return sizes
 }
 
@@ -349,7 +382,7 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 // their contents are encoded into arrays sized exactly by a first walk.
 func AssembleInto(c *Code, u *vasm.Unit) error {
 	order := u.Order()
-	*c = Code{NumSpills: u.NumSpills, ExtSlots: u.ExtFrameSlots, Alloc: u.Alloc}
+	*c = Code{NumSpills: u.NumSpills, NumImms: len(u.Imms), ExtSlots: u.ExtFrameSlots, Alloc: u.Alloc}
 	scratch := blockStarts.Get().(*[]int32)
 	defer blockStarts.Put(scratch)
 	*scratch = slices.Grow((*scratch)[:0], len(u.Blocks))[:len(u.Blocks)]

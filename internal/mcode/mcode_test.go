@@ -318,8 +318,12 @@ func TestAssembleRejectsBadTargets(t *testing.T) {
 		// A guard's type index past the unit's guard types.
 		{"guardkind-type", with(vasm.GuardKind, func(in *vasm.Instr) { in.A, in.Target1, in.Target2 = 0, 1, 1 })},
 		{"ldloc+guardkind-type", with(vasm.LdLocGK, func(in *vasm.Instr) { in.D, in.Target1, in.Target2 = 0, 1, -1 })},
-		{"ldimm+addi", with(vasm.LdImmAddI, func(in *vasm.Instr) { in.I64 = 1 << 16 })},
-		{"ldimm+cmpi", with(vasm.LdImmCmpI, func(in *vasm.Instr) { in.I64 = 1<<16 | 4 })},
+		// Constants: past the pool, written, on an op with no immediate
+		// form, two on one instruction.
+		{"const-out-of-range", with(vasm.AddI, func(in *vasm.Instr) { in.D, in.A, in.B = 0, 1, vasm.ImmReg(1) })},
+		{"const-written", with(vasm.LdLoc, func(in *vasm.Instr) { in.D = vasm.ImmReg(0) })},
+		{"const-no-imm-form", with(vasm.CmpI, func(in *vasm.Instr) { in.D, in.A, in.B = 0, 1, vasm.ImmReg(0) })},
+		{"const-twice", with(vasm.AddI, func(in *vasm.Instr) { in.D, in.A, in.B = 0, vasm.ImmReg(0), vasm.ImmReg(0) })},
 		// Registers: a virtual register that survived allocation, the
 		// allocator's "no location" poison, a spill slot the unit lacks.
 		{"virtual-operand", with(vasm.AddI, func(in *vasm.Instr) { in.D, in.A, in.B = 0, 1, vasm.TotalMachineRegs })},

@@ -41,6 +41,9 @@ type modeBaseline struct {
 	// LiveCycleShare is the measurement phase's share of machine cycles
 	// spent in live tracelets.
 	LiveCycleShare float64 `json:"live_cycle_share"`
+	// Tracelet and region modes: the vasm instructions a measured
+	// request runs, by op (a superinstruction counts once).
+	OpMixPerReq map[string]float64 `json:"vasm_mix_per_req,omitempty"`
 	// Region mode only: siteIRDigest's fingerprint.
 	IRDigest     string `json:"ir_digest,omitempty"`
 	Translations int    `json:"translations,omitempty"`
@@ -59,7 +62,9 @@ func TestBaseline(t *testing.T) {
 	for _, mode := range []jit.Mode{jit.ModeInterp, jit.ModeTracelet, jit.ModeProfiling, jit.ModeRegion} {
 		cfg := jit.DefaultConfig()
 		cfg.Mode = mode
-		r, err := perflab.Measure(cfg, perflab.Quick)
+		pc := perflab.Quick
+		pc.CountOps = mode == jit.ModeTracelet || mode == jit.ModeRegion
+		r, err := perflab.Measure(cfg, pc)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -72,6 +77,7 @@ func TestBaseline(t *testing.T) {
 			SideExitsPerReq:        r.SteadyPerReq(func(s jit.Stats) uint64 { return s.SideExits }),
 			ChainMismatchesPerReq:  r.SteadyPerReq(func(s jit.Stats) uint64 { return s.ChainMismatches }),
 			GenericPropCallsPerReq: r.SteadyPerReq(func(s jit.Stats) uint64 { return s.GenericPropCalls }),
+			OpMixPerReq:            r.OpMixPerReq(),
 		}
 		for _, ep := range r.Endpoints {
 			m.EndpointCycles[ep.Name] = ep.MeanCycles
@@ -83,6 +89,8 @@ func TestBaseline(t *testing.T) {
 			m.IRDigest, m.Translations = siteIRDigest(t)
 			t.Logf("site guest cycles: %.1f per region-mode request at Quick volume; IR digest %s over %d translations",
 				m.CyclesPerReq, m.IRDigest, m.Translations)
+			t.Logf("vasm mix: %.1f standalone ldimm of %.1f instructions per region-mode request",
+				m.OpMixPerReq[vasm.LdImm.String()], total(m.OpMixPerReq))
 		}
 		modes[mode.String()] = m
 	}
@@ -151,6 +159,15 @@ func siteIRDigest(t *testing.T) (string, int) {
 		io.WriteString(sum, u.text)
 	}
 	return fmt.Sprintf("%x", sum.Sum(nil)), len(units)
+}
+
+// total sums a mix.
+func total(mix map[string]float64) float64 {
+	var n float64
+	for _, c := range mix {
+		n += c
+	}
+	return n
 }
 
 // lineDiff lists the lines that differ between two renderings of the

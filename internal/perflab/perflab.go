@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/jit"
+	"repro/internal/vasm"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -30,6 +31,9 @@ type Config struct {
 	// Endpoints overrides the default suite (names must exist in the
 	// combined unit).
 	Endpoints []workload.Endpoint
+	// CountOps counts the measurement phase's dynamic vasm opcode mix
+	// into Result.OpMix (machine.Machine.OpMix; tests).
+	CountOps bool
 }
 
 // Quick is the reduced volume of tests and `cmd/bench -quick`.
@@ -68,6 +72,24 @@ type Result struct {
 	MeasuredRequests int
 	// CodeBytes is the steady-state JITed code footprint.
 	CodeBytes uint64
+	// OpMix counts the vasm instructions the measurement phase ran, by
+	// op, when Config.CountOps asked for it (nil otherwise).
+	OpMix *[vasm.OpCount]uint64
+}
+
+// OpMixPerReq is OpMix per measured request, by op name, the ops that
+// ran only.
+func (r *Result) OpMixPerReq() map[string]float64 {
+	if r.OpMix == nil || r.MeasuredRequests == 0 {
+		return nil
+	}
+	mix := map[string]float64{}
+	for op, n := range r.OpMix {
+		if n > 0 {
+			mix[vasm.Op(op).String()] = float64(n) / float64(r.MeasuredRequests)
+		}
+	}
+	return mix
 }
 
 // SteadyPerReq is a counter's measurement-phase rate per request, such
@@ -161,6 +183,11 @@ func Measure(cfg jit.Config, pc Config) (*Result, error) {
 	// production traffic hits a server (this keeps the instruction
 	// working set honest for the locality experiments).
 	res := &Result{WarmStats: eng.Stats()}
+	if pc.CountOps {
+		res.OpMix = new([vasm.OpCount]uint64)
+		eng.VM.Machine.OpMix = res.OpMix
+		defer func() { eng.VM.Machine.OpMix = nil }()
+	}
 	var wsum float64
 	byName := map[string]*EndpointResult{}
 	for _, ep := range eps {

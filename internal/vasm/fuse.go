@@ -75,17 +75,6 @@ func fusePair(a, b *Instr) (Instr, bool) {
 			Op: op, D: a.D, A: InvalidReg, B: InvalidReg,
 			I64: a.I64, Target1: b.Target1, Target2: b.Target2,
 		}, true
-	case op == LdImmAddI && (b.A == a.D || b.B == a.D):
-		// Materialize a constant consumed immediately by integer add.
-		return Instr{
-			Op: op, D: b.D, A: b.A, B: b.B,
-			I64: a.I64 << 16, Target1: -1, Target2: int(a.D),
-		}, true
-	case op == LdImmCmpI && (b.A == a.D || b.B == a.D):
-		return Instr{
-			Op: op, D: b.D, A: b.A, B: b.B,
-			I64: (b.I64 & 0xff) | (a.I64 << 16), Target1: -1, Target2: int(a.D),
-		}, true
 	case (op == CmpIJcc || op == CmpDJcc) && b.A == a.D:
 		// Compare-and-branch; keep Jcc's inversion bit (0x100) set by
 		// jump optimization alongside the compare condition.

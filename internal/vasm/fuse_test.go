@@ -39,15 +39,14 @@ func TestFusePatterns(t *testing.T) {
 	u := block(
 		vasm.Instr{Op: vasm.LdLoc, D: 1, A: inv, B: inv, I64: 3},
 		vasm.Instr{Op: vasm.GuardKind, D: inv, A: 1, B: inv, Target1: 7, Target2: 5},
-		vasm.Instr{Op: vasm.LdImm, D: 2, A: inv, B: inv, I64: 5},
-		vasm.Instr{Op: vasm.AddI, D: 3, A: 1, B: 2},
+		vasm.Instr{Op: vasm.AddI, D: 3, A: 1, B: vasm.ImmReg(0)},
 		vasm.Instr{Op: vasm.CmpI, D: 4, A: 3, B: 1, I64: 2},
 		vasm.Instr{Op: vasm.Jcc, D: inv, A: 4, B: inv, I64: 0x100, Target1: 1, Target2: 2},
 	)
-	if n := vasm.Fuse(u); n != 3 {
-		t.Fatalf("eliminated %d instructions, want 3", n)
+	if n := vasm.Fuse(u); n != 2 {
+		t.Fatalf("eliminated %d instructions, want 2", n)
 	}
-	want := []vasm.Op{vasm.LdLocGK, vasm.LdImmAddI, vasm.CmpIJcc}
+	want := []vasm.Op{vasm.LdLocGK, vasm.AddI, vasm.CmpIJcc}
 	if got := ops(u); !eqOps(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
@@ -55,10 +54,9 @@ func TestFusePatterns(t *testing.T) {
 	if ins[0].I64 != 3 || ins[0].Target1 != 7 || ins[0].Target2 != 5 {
 		t.Errorf("LdLocGK lost payload: %+v", ins[0])
 	}
-	// LdImmAddI packs the immediate pool index above bit 16 and the
-	// materialized register in Target2.
-	if ins[1].I64>>16 != 5 || ins[1].Target2 != 2 || ins[1].D != 3 {
-		t.Errorf("LdImmAddI lost payload: %+v", ins[1])
+	// An add of a constant carries it: there is no load to fuse.
+	if ins[1].B != vasm.ImmReg(0) || ins[1].D != 3 {
+		t.Errorf("AddI lost its constant: %+v", ins[1])
 	}
 	// CmpIJcc keeps the compare condition and Jcc's inversion bit.
 	if ins[2].I64&0xff != 2 || ins[2].I64&0x100 == 0 || ins[2].Target1 != 1 || ins[2].Target2 != 2 {
@@ -109,9 +107,9 @@ func TestFuseRequiresDataflowAdjacency(t *testing.T) {
 			{Op: vasm.CmpI, D: 3, A: 1, B: 2, I64: 1},
 			{Op: vasm.Jcc, D: inv, A: 4, B: inv, Target1: 1, Target2: 0},
 		}},
-		// Block boundary between LdImm and AddI: no fusion window.
-		{ID: 1, Instrs: []vasm.Instr{{Op: vasm.LdImm, D: 5, A: inv, B: inv, I64: 0}}},
-		{ID: 2, Instrs: []vasm.Instr{{Op: vasm.AddI, D: 6, A: 5, B: 5}}},
+		// Block boundary between CmpI and Jcc: no fusion window.
+		{ID: 1, Instrs: []vasm.Instr{{Op: vasm.CmpI, D: 5, A: 1, B: 1, I64: 1}}},
+		{ID: 2, Instrs: []vasm.Instr{{Op: vasm.Jcc, D: inv, A: 5, B: inv, Target1: 1, Target2: 0}}},
 	}}
 	if n := vasm.Fuse(u); n != 0 {
 		t.Fatalf("eliminated %d instructions, want 0", n)
@@ -121,8 +119,7 @@ func TestFuseRequiresDataflowAdjacency(t *testing.T) {
 // TestFusedOpsNeverSmashable: chaining smashes link slots in place,
 // so no superinstruction may be a smash target.
 func TestFusedOpsNeverSmashable(t *testing.T) {
-	for _, op := range []vasm.Op{vasm.LdLocGK, vasm.LdImmAddI, vasm.LdImmCmpI,
-		vasm.CmpIJcc, vasm.CmpDJcc, vasm.IncRefN, vasm.DecRefN} {
+	for _, op := range []vasm.Op{vasm.LdLocGK, vasm.CmpIJcc, vasm.CmpDJcc, vasm.IncRefN, vasm.DecRefN} {
 		if op.Smashable() {
 			t.Errorf("%s is smashable", op)
 		}

@@ -23,6 +23,8 @@ func Lower(hu *hhir.Unit) (*Unit, error) {
 	lw.hu, lw.out, lw.nextReg = hu, out, 0
 	lw.blockOf = slab.Grow(lw.blockOf, hu.NumBlockIDs())
 	lw.regOf = slab.Grow(lw.regOf, hu.NumTmpIDs())
+	lw.immOf = slab.Grow(lw.immOf, hu.NumTmpIDs())
+	lw.needsReg = slab.Grow(lw.needsReg, hu.NumTmpIDs())
 	lw.stubOf = slab.Grow(lw.stubOf, hu.NumExitIDs())
 	for i := range lw.blockOf {
 		lw.blockOf[i] = -1
@@ -31,6 +33,8 @@ func Lower(hu *hhir.Unit) (*Unit, error) {
 		lw.stubOf[i] = -1
 	}
 	clear(lw.regOf)
+	clear(lw.immOf)
+	clear(lw.needsReg)
 	// Pre-create blocks in HHIR order (entry first), each with room for
 	// about what its HHIR block lowers to, all from one backing array.
 	n, exits, instrs, imms := len(hu.Blocks), 0, 0, 0
@@ -64,6 +68,7 @@ func Lower(hu *hhir.Unit) (*Unit, error) {
 		return nil, fmt.Errorf("vasm: entry is not the first block")
 	}
 	lw.countEdges(hu.Blocks)
+	lw.markRegUses(hu.Blocks)
 	for i, hb := range hu.Blocks {
 		if err := lw.lowerBlock(hb, out.Blocks[i]); err != nil {
 			Release(out)
@@ -87,8 +92,14 @@ type lowerer struct {
 	blockOf []int32
 	regOf   []Reg
 	stubOf  []int32
-	nextReg Reg
-	cur     *Block
+	// immOf[id] is one more than the constant-pool index of the constant
+	// with that ID (0: not pooled yet), and needsReg[id] reports that
+	// some instruction reads that constant from a register, so that its
+	// definition loads it (markRegUses).
+	immOf    []int32
+	needsReg []bool
+	nextReg  Reg
+	cur      *Block
 	// edgesIn[b] counts the edges into HHIR block b, and soleArgs[b] is
 	// the argument list of the last one counted: the only one when the
 	// count is 1.
@@ -153,6 +164,137 @@ func (lw *lowerer) reg(t *hhir.SSATmp) Reg {
 	return r
 }
 
+// constant returns the constant t names — t, or the value it is
+// another name of (sameValue) — when an instruction can carry it as an
+// operand, nil otherwise. Null, uninit, a bool, an int that fits 32
+// bits sign-extended and a string can: a string constant is static,
+// and HHVM keeps static strings in low memory, so its address is an
+// imm32 too. A double or a wider int is loaded into a register (LdImm),
+// as on x86.
+func (lw *lowerer) constant(t *hhir.SSATmp) *hhir.SSATmp {
+	for src := lw.sameValue(t); src != nil; src = lw.sameValue(t) {
+		t = src
+	}
+	if t.Def == nil {
+		return nil
+	}
+	switch v := t.Def.I64; t.Def.Op {
+	case hhir.DefConstInt:
+		if v != int64(int32(v)) {
+			return nil
+		}
+	case hhir.DefConstBool, hhir.DefConstNull, hhir.DefConstStr:
+	default:
+		return nil
+	}
+	return t
+}
+
+// carry says how the instruction an HHIR instruction lowers to can
+// carry one of its operands when that is a constant.
+type carry uint8
+
+const (
+	carryNone carry = iota // in a register only
+	carryList              // as an entry of its operand list, for free
+	carryImm               // as its immediate, in a longer encoding
+)
+
+// carries says how the instruction hin lowers to can carry its operand
+// Args[i], a constant (constant): any entry of a helper's or a call's
+// operand list; as an immediate, the value a local store or a return
+// writes, either operand of an int add or multiply (the first only when
+// the second is no constant: an instruction carries one), and a
+// subtraction's second. An int compare keeps its load: with an imm32
+// form, region code sped up so much more than tracelet code that Fig
+// 8's tracelet bar fell under its floor (DESIGN.md §6 "Constant
+// operands").
+func (lw *lowerer) carries(hin *hhir.Instr, i int) carry {
+	if lw.constant(hin.Args[i]) == nil {
+		return carryNone
+	}
+	switch row := rowOf(hin); row.form {
+	case formHelper, formCall:
+		return carryList
+	case formOp:
+		switch row.op {
+		case StLoc, Ret:
+			if i == 0 {
+				return carryImm
+			}
+		case SubI:
+			if i == 1 {
+				return carryImm
+			}
+		case AddI, MulI:
+			if i == 1 || lw.constant(hin.Args[1]) == nil {
+				return carryImm
+			}
+		}
+	}
+	return carryNone
+}
+
+// immArg reports whether hin's lowering reads its operand Args[i] as a
+// constant: wherever it can carry it (carries) — as an immediate only
+// when no register holds the constant anyway, since the register form
+// is the shorter.
+func (lw *lowerer) immArg(hin *hhir.Instr, i int) bool {
+	switch lw.carries(hin, i) {
+	case carryList:
+		return true
+	case carryImm:
+		return !lw.needsReg[lw.constant(hin.Args[i]).ID]
+	}
+	return false
+}
+
+// markRegUses sets needsReg for every constant an instruction reads
+// from a register: an operand its instruction cannot carry (carries).
+// The other reads of a value take a constant as it is — an exit's
+// stacks (use), an edge's arguments (edgeMoves loads a constant
+// straight into the parameter).
+func (lw *lowerer) markRegUses(blocks []*hhir.Block) {
+	for _, hb := range blocks {
+		for _, hin := range hb.Instrs {
+			for i, a := range hin.Args {
+				if c := lw.constant(a); c != nil && lw.carries(hin, i) == carryNone {
+					lw.needsReg[c.ID] = true
+				}
+			}
+		}
+	}
+}
+
+// imm returns the constant operand that reads the constant c defines,
+// pooling c at its first use.
+func (lw *lowerer) imm(c *hhir.SSATmp) Reg {
+	if k := lw.immOf[c.ID]; k != 0 {
+		return ImmReg(int(k - 1))
+	}
+	k := len(lw.out.Imms)
+	lw.out.Imms = append(lw.out.Imms, immValue(c.Def))
+	lw.immOf[c.ID] = int32(k + 1)
+	return ImmReg(k)
+}
+
+// use returns the operand that reads t where a constant may stand:
+// t's constant, or t's register.
+func (lw *lowerer) use(t *hhir.SSATmp) Reg {
+	if c := lw.constant(t); c != nil {
+		return lw.imm(c)
+	}
+	return lw.reg(t)
+}
+
+// arg returns the operand that reads hin.Args[i].
+func (lw *lowerer) arg(hin *hhir.Instr, i int) Reg {
+	if lw.immArg(hin, i) {
+		return lw.imm(lw.constant(hin.Args[i]))
+	}
+	return lw.reg(hin.Args[i])
+}
+
 // sameValue returns the value t is a retyped name of, nil when t is a
 // value of its own.
 func (lw *lowerer) sameValue(t *hhir.SSATmp) *hhir.SSATmp {
@@ -202,7 +344,7 @@ func (lw *lowerer) stub(ex *hhir.ExitDesc) int {
 	lw.stubOf[ex.ID] = int32(vb.ID)
 	info := u.mem.exits.One()
 	info.BCOff, info.IsCatch = ex.BCOff, ex.IsCatch
-	info.StackRegs = lw.regs(ex.Stack)
+	info.StackRegs = lw.uses(ex.Stack)
 	info.Inline = lw.inlineInfo(ex.Inline)
 	vb.Instrs = u.mem.instrs.Window(1)
 	vb.Instrs[0] = nzInstr(Exit)
@@ -224,25 +366,25 @@ func (lw *lowerer) inlineInfo(ic *hhir.InlineCtx) *InlineInfo {
 		Parent:     lw.inlineInfo(ic.Parent),
 	}
 	if ic.This != nil {
-		ii.ThisReg = lw.reg(ic.This)
+		ii.ThisReg = lw.use(ic.This)
 	}
-	ii.CallerStackRegs = lw.regs(ic.CallerStack)
+	ii.CallerStackRegs = lw.uses(ic.CallerStack)
 	return ii
 }
 
 type move struct{ dst, src Reg }
 
-// edgeMoves lists the copies an edge passing args to target needs.
+// edgeMoves lists the copies an edge passing args to target needs. A
+// constant argument is loaded into its parameter's register.
 func (lw *lowerer) edgeMoves(target *hhir.Block, args []*hhir.SSATmp) []move {
 	moves := lw.moves[:0]
 	for i, a := range args {
 		if i >= len(target.Params) {
 			break
 		}
-		d := lw.reg(target.Params[i])
-		s := lw.reg(a)
-		if d != s {
-			moves = append(moves, move{d, s})
+		p, s := target.Params[i], lw.use(a)
+		if lw.use(p) != s { // else the parameter is the argument (reg, constant)
+			moves = append(moves, move{lw.reg(p), s})
 		}
 	}
 	lw.moves = moves
@@ -285,9 +427,13 @@ func nzInstr(op Op) Instr {
 	return Instr{Op: op, D: InvalidReg, A: InvalidReg, B: InvalidReg, Target1: -1, Target2: -1}
 }
 
-// copy emits d <- s unless they are the same register.
+// copy emits d <- s unless they are the same register: a load when s
+// is a constant.
 func (lw *lowerer) copy(d, s Reg) {
-	if d != s {
+	switch {
+	case s.IsImm():
+		lw.ldImm(d, s.Imm())
+	case d != s:
 		in := nzInstr(Copy)
 		in.D, in.A = d, s
 		lw.emit(in)
@@ -336,11 +482,26 @@ var (
 	noCode = lowerRow{form: formNone}
 )
 
+// rowOf returns hin's row, a conversion's resolved: inline when the
+// operand's kind is known, out of line otherwise.
+func rowOf(hin *hhir.Instr) lowerRow {
+	row := lowerTable[hin.Op]
+	if row.form == formConv {
+		if hin.Args[0].Type.IsSpecific() {
+			row.form = formOp
+		} else {
+			row.form, row.op = formHelper, Helper
+		}
+	}
+	return row
+}
+
 // lowerTable is the HHIR -> vasm mapping, one row per HHIR opcode.
 var lowerTable = [hhir.OpcodeCount]lowerRow{
 	hhir.Nop: noCode, hhir.AssertType: noCode, hhir.EndInline: noCode,
 
-	// Constants go through the unit's constant pool.
+	// Constants go through the unit's constant pool: loaded only where
+	// a register must hold them (markRegUses).
 	hhir.DefConstInt: byHand, hhir.DefConstDbl: byHand, hhir.DefConstBool: byHand,
 	hhir.DefConstNull: byHand, hhir.DefConstStr: byHand,
 
@@ -434,12 +595,31 @@ func (lw *lowerer) lowerBlock(hb *hhir.Block, vb *Block) error {
 	return nil
 }
 
-func (lw *lowerer) ldImm(d Reg, iv ImmValue) {
+// ldImm loads constant-pool entry k into d.
+func (lw *lowerer) ldImm(d Reg, k int) {
 	in := nzInstr(LdImm)
 	in.D = d
-	in.I64 = int64(len(lw.out.Imms))
-	lw.out.Imms = append(lw.out.Imms, iv)
+	in.I64 = int64(k)
 	lw.emit(in)
+}
+
+// immValue is the constant a DefConst instruction defines.
+func immValue(def *hhir.Instr) ImmValue {
+	switch def.Op {
+	case hhir.DefConstInt:
+		return ImmValue{Kind: types.KInt, I: def.I64}
+	case hhir.DefConstDbl:
+		return ImmValue{Kind: types.KDbl, D: math.Float64frombits(uint64(def.I64))}
+	case hhir.DefConstBool:
+		return ImmValue{Kind: types.KBool, I: def.I64}
+	case hhir.DefConstStr:
+		return ImmValue{Kind: types.KStr, S: def.Str}
+	case hhir.DefConstNull:
+		if def.I64 == 1 {
+			return ImmValue{Kind: types.KUninit}
+		}
+	}
+	return ImmValue{Kind: types.KNull}
 }
 
 func (lw *lowerer) helper(h HelperID, extra int64, str string, d Reg, catchStub int, args ...Reg) {
@@ -452,12 +632,12 @@ func (lw *lowerer) helper(h HelperID, extra int64, str string, d Reg, catchStub 
 	lw.emit(in)
 }
 
-// regs returns the registers of ts, nil for none, cut from the unit's
-// slab.
-func (lw *lowerer) regs(ts []*hhir.SSATmp) []Reg {
+// uses returns the operands that read ts (use), nil for none, cut from
+// the unit's slab.
+func (lw *lowerer) uses(ts []*hhir.SSATmp) []Reg {
 	out := lw.out.mem.regs.Window(len(ts))
 	for i, t := range ts {
-		out[i] = lw.reg(t)
+		out[i] = lw.use(t)
 	}
 	return out
 }
@@ -467,15 +647,7 @@ func (lw *lowerer) regs(ts []*hhir.SSATmp) []Reg {
 // stub's stack, then operands, then (ops and calls) the stub's — and
 // that order is part of the output.
 func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
-	row := lowerTable[hin.Op]
-	if row.form == formConv {
-		// Inline when the operand's kind is known, out of line otherwise.
-		if hin.Args[0].Type.IsSpecific() {
-			row.form = formOp
-		} else {
-			row.form, row.op = formHelper, Helper
-		}
-	}
+	row := rowOf(hin)
 	in := nzInstr(row.op)
 	if row.carry&rI64 != 0 {
 		in.I64 = hin.I64
@@ -489,10 +661,15 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 	case formOp:
 		in.D = lw.reg(hin.Dst)
 		if len(hin.Args) > 0 {
-			in.A = lw.reg(hin.Args[0])
+			in.A = lw.arg(hin, 0)
 		}
 		if len(hin.Args) > 1 {
-			in.B = lw.reg(hin.Args[1])
+			in.B = lw.arg(hin, 1)
+		}
+		if in.A.IsImm() && in.B != InvalidReg {
+			// The constant goes second, as in x86's reg-imm forms: an add
+			// or a multiply commutes.
+			in.A, in.B = in.B, in.A
 		}
 		if row.carry&rCatch != 0 {
 			in.Target1 = lw.stub(hin.Exit)
@@ -516,10 +693,10 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 		if row.carry&rCatch != 0 {
 			in.Target1 = lw.stub(hin.Exit)
 		}
-		in.Args = lw.regs(hin.Args)
+		in.Args = lw.uses(hin.Args)
 	case formCall:
 		in.D = lw.reg(hin.Dst)
-		in.Args = lw.regs(hin.Args)
+		in.Args = lw.uses(hin.Args)
 		in.Target1 = lw.stub(hin.Exit)
 	default:
 		return lw.lowerByHand(hin)
@@ -531,20 +708,12 @@ func (lw *lowerer) lowerInstr(hin *hhir.Instr) error {
 // lowerByHand lowers the opcodes no row form fits.
 func (lw *lowerer) lowerByHand(hin *hhir.Instr) error {
 	switch hin.Op {
-	case hhir.DefConstInt:
-		lw.ldImm(lw.reg(hin.Dst), ImmValue{Kind: types.KInt, I: hin.I64})
-	case hhir.DefConstDbl:
-		lw.ldImm(lw.reg(hin.Dst), ImmValue{Kind: types.KDbl, D: math.Float64frombits(uint64(hin.I64))})
-	case hhir.DefConstBool:
-		lw.ldImm(lw.reg(hin.Dst), ImmValue{Kind: types.KBool, I: hin.I64})
-	case hhir.DefConstNull:
-		k := types.KNull
-		if hin.I64 == 1 {
-			k = types.KUninit
+	case hhir.DefConstInt, hhir.DefConstDbl, hhir.DefConstBool, hhir.DefConstNull, hhir.DefConstStr:
+		// A constant every reader carries needs no register.
+		if c := lw.constant(hin.Dst); c == nil || lw.needsReg[c.ID] {
+			k := lw.imm(hin.Dst).Imm()
+			lw.ldImm(lw.reg(hin.Dst), k)
 		}
-		lw.ldImm(lw.reg(hin.Dst), ImmValue{Kind: k})
-	case hhir.DefConstStr:
-		lw.ldImm(lw.reg(hin.Dst), ImmValue{Kind: types.KStr, S: hin.Str})
 
 	case hhir.IterInitLocal:
 		iter, slot := hhir.UnpackIter(hin.I64)

@@ -413,10 +413,10 @@ func (a *allocator) assign() {
 }
 
 // where returns the location of vreg r as instructions name it (an
-// absent operand stays absent).
+// absent operand stays absent, a constant stays itself).
 func (a *allocator) where(r Reg) Reg {
-	if r == InvalidReg {
-		return InvalidReg
+	if r == InvalidReg || r.IsImm() {
+		return r
 	}
 	if l := a.loc[r]; l != InvalidReg {
 		return l
@@ -428,8 +428,9 @@ func (a *allocator) where(r Reg) Reg {
 // operand borrows a scratch register — A scratch0, B scratch1, D
 // scratch0 again, since every instruction reads its operands before it
 // writes its result — behind a Reload or ahead of a Spill; argument and
-// exit-descriptor lists name the spill slot itself. A Copy whose two
-// sides share a physical register is dropped.
+// exit-descriptor lists name the spill slot itself. A constant operand
+// names no register and stays. A Copy whose two sides share a physical
+// register is dropped.
 func (a *allocator) rewrite() {
 	for _, bi := range a.order {
 		b := a.u.Blocks[bi]
@@ -455,7 +456,7 @@ func (a *allocator) rewrite() {
 				in.Ex = a.exitInfo(in.Ex)
 			}
 			slot := Reg(-1)
-			if in.D = a.where(in.D); in.D >= SpillRegBase {
+			if in.D = a.where(in.D); spilled(in.D) {
 				in.D, slot = scratch0, in.D-SpillRegBase
 			}
 			out = append(out, in)
@@ -469,11 +470,14 @@ func (a *allocator) rewrite() {
 	}
 }
 
+// spilled reports whether location l is a spill slot.
+func spilled(l Reg) bool { return l >= SpillRegBase && !l.IsImm() }
+
 // operand maps a read operand, emitting the Reload of a spilled one
 // into scratch.
 func (a *allocator) operand(r, scratch Reg, out []Instr) (Reg, []Instr) {
 	l := a.where(r)
-	if l < SpillRegBase {
+	if !spilled(l) {
 		return l, out
 	}
 	ld := nzInstr(Reload)

@@ -26,6 +26,31 @@ type Reg int32
 // InvalidReg marks absent operands.
 const InvalidReg Reg = -1
 
+// ImmRegBase: an operand at or above it is a constant, not a register:
+// ImmReg(k) reads Unit.Imms[k] (DESIGN.md §6 "Constant operands"). A
+// constant is part of the instruction that reads it — an int add's,
+// subtract's or multiply's imm32, a local store's or a return's
+// immediate cell, an entry of an operand list — so no LdImm loads it
+// and no register holds it. Only reads take one: nothing writes a
+// constant.
+const ImmRegBase = Reg(1 << 24)
+
+// ImmReg is the operand that reads constant-pool entry k.
+func ImmReg(k int) Reg { return ImmRegBase + Reg(k) }
+
+// IsImm reports whether r is a constant operand (ImmReg).
+func (r Reg) IsImm() bool { return r >= ImmRegBase }
+
+// Imm returns the constant-pool index of a constant operand.
+func (r Reg) Imm() int { return int(r - ImmRegBase) }
+
+func (r Reg) String() string {
+	if r.IsImm() {
+		return fmt.Sprintf("c%d", r.Imm())
+	}
+	return fmt.Sprintf("r%d", int32(r))
+}
+
 // NumPhysRegs is the physical cell-register file size.
 const NumPhysRegs = 12
 
@@ -115,14 +140,12 @@ const (
 	// fused code is bit-identical to unfused code. Encoded size and
 	// static cost are the sums of the components', so code-cache
 	// addresses and the guest cycle ledger are unchanged. None are
-	// smashable, and only the *Jcc forms and LdLocGK transfer control.
-	LdLocGK   // LdLoc(D <- local I64) + GuardKind(D within GuardTypes[Target2], fail ->Target1)
-	LdImmAddI // LdImm(reg Target2 <- Imms[I64>>16]) + AddI(D <- A+B)
-	LdImmCmpI // LdImm(reg Target2 <- Imms[I64>>16]) + CmpI(D <- A <cond I64&0xff> B)
-	CmpIJcc   // CmpI(D <- A <cond I64&0xff> B) + Jcc(D: Target1/Target2; I64&0x100 = inverted)
-	CmpDJcc   // CmpD form of CmpIJcc
-	IncRefN   // IncRef over each reg in Args (run of >= 2)
-	DecRefN   // DecRef over each reg in Args (run of >= 2)
+	// smashable, and all but IncRefN/DecRefN transfer control.
+	LdLocGK // LdLoc(D <- local I64) + GuardKind(D within GuardTypes[Target2], fail ->Target1)
+	CmpIJcc // CmpI(D <- A <cond I64&0xff> B) + Jcc(D: Target1/Target2; I64&0x100 = inverted)
+	CmpDJcc // CmpD form of CmpIJcc
+	IncRefN // IncRef over each reg in Args (run of >= 2)
+	DecRefN // DecRef over each reg in Args (run of >= 2)
 
 	opCount
 )
@@ -148,8 +171,7 @@ var opNames = [...]string{
 	CallMethodC: "callmethodc", CallBuiltin: "callbuiltin",
 	CountInc: "countinc", ProfCallSite: "profcallsite",
 	Jmp: "jmp", Jcc: "jcc", JmpTable: "jmptable", Ret: "ret", Exit: "exit", BindJmp: "bindjmp",
-	LdLocGK: "ldloc+guardkind", LdImmAddI: "ldimm+addi", LdImmCmpI: "ldimm+cmpi",
-	CmpIJcc: "cmpi+jcc", CmpDJcc: "cmpd+jcc", IncRefN: "incref*n", DecRefN: "decref*n",
+	LdLocGK: "ldloc+guardkind", CmpIJcc: "cmpi+jcc", CmpDJcc: "cmpd+jcc", IncRefN: "incref*n", DecRefN: "decref*n",
 }
 
 func (o Op) String() string {
@@ -162,13 +184,11 @@ func (o Op) String() string {
 // components lists, per superinstruction, the ops it performs. IncRefN
 // and DecRefN perform their one component once per register in Args.
 var components = [opCount][]Op{
-	LdLocGK:   {LdLoc, GuardKind},
-	LdImmAddI: {LdImm, AddI},
-	LdImmCmpI: {LdImm, CmpI},
-	CmpIJcc:   {CmpI, Jcc},
-	CmpDJcc:   {CmpD, Jcc},
-	IncRefN:   {IncRef},
-	DecRefN:   {DecRef},
+	LdLocGK: {LdLoc, GuardKind},
+	CmpIJcc: {CmpI, Jcc},
+	CmpDJcc: {CmpD, Jcc},
+	IncRefN: {IncRef},
+	DecRefN: {DecRef},
 }
 
 // Components returns the ops a superinstruction performs, in order; nil
@@ -260,17 +280,17 @@ type Instr struct {
 func (in *Instr) String() string {
 	var sb strings.Builder
 	if in.D != InvalidReg {
-		fmt.Fprintf(&sb, "r%d = ", in.D)
+		fmt.Fprintf(&sb, "%s = ", in.D)
 	}
 	sb.WriteString(in.Op.String())
 	if in.A != InvalidReg {
-		fmt.Fprintf(&sb, " r%d", in.A)
+		fmt.Fprintf(&sb, " %s", in.A)
 	}
 	if in.B != InvalidReg {
-		fmt.Fprintf(&sb, " r%d", in.B)
+		fmt.Fprintf(&sb, " %s", in.B)
 	}
 	for _, r := range in.Args {
-		fmt.Fprintf(&sb, " r%d", r)
+		fmt.Fprintf(&sb, " %s", r)
 	}
 	if in.I64 != 0 {
 		fmt.Fprintf(&sb, " #%d", in.I64)
@@ -292,9 +312,8 @@ func (in *Instr) String() string {
 // layout walk it, and mcode's encoder resolves exactly these fields to
 // stream indexes — and it goes by field, not by opcode: a Target1 >= 0
 // is an edge whatever the op (a branch target, a guard's fail block, a
-// catch stub), Target2 is one for the Jcc family (the fused LdImm forms
-// keep a register there), and a JmpTable reaches every entry of its
-// table and the default. An
+// catch stub), Target2 is one for the Jcc family, and a JmpTable
+// reaches every entry of its table and the default. An
 // instruction without a target must therefore carry Target1 = -1
 // (nzInstr), never the zero value. A Jcc-family Target2 and the table
 // entries are reported even when out of range, so a caller can reject
@@ -319,10 +338,12 @@ func (in *Instr) ForEachTarget(tables []JumpTable, fn func(block int)) {
 
 // ForEachUse calls fn with every register the instruction reads: the
 // operands, the call arguments, and — for exits — the registers its
-// descriptor materializes into the frame, inline frames included.
+// descriptor materializes into the frame, inline frames included. A
+// constant operand (ImmReg) is part of the instruction, not a register,
+// and is not reported.
 func (in *Instr) ForEachUse(fn func(Reg)) {
 	use := func(r Reg) {
-		if r != InvalidReg {
+		if r != InvalidReg && !r.IsImm() {
 			fn(r)
 		}
 	}
@@ -345,8 +366,9 @@ func (in *Instr) ForEachUse(fn func(Reg)) {
 	}
 }
 
-// ImmValue carries LdImm constants; stored per-instruction in a side
-// table to keep Instr compact.
+// ImmValue carries a constant: what an LdImm loads or a constant
+// operand reads, kept in the unit's pool (Unit.Imms) to keep Instr
+// compact.
 type ImmValue struct {
 	Kind types.Kind
 	I    int64
@@ -383,7 +405,8 @@ type JumpTable struct {
 // Unit is a Vasm compilation unit.
 type Unit struct {
 	Blocks []*Block
-	// Imms is the constant pool for LdImm (I64 indexes it).
+	// Imms is the constant pool: an LdImm's I64 and a constant
+	// operand's ImmReg index it.
 	Imms []ImmValue
 	// Tables holds JmpTable targets.
 	Tables []JumpTable

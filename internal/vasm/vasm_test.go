@@ -72,6 +72,12 @@ func TestAllocateAssignsPhysicalRegisters(t *testing.T) {
 		if r == vasm.InvalidReg {
 			return
 		}
+		if r.IsImm() { // a constant operand: no register to allocate
+			if r.Imm() >= len(vu.Imms) {
+				t.Fatalf("constant %s out of range (%d imms)", r, len(vu.Imms))
+			}
+			return
+		}
 		if r >= vasm.SpillRegBase {
 			if int(r-vasm.SpillRegBase) >= vu.NumSpills {
 				t.Fatalf("spill ref %d out of range (%d spills)", r-vasm.SpillRegBase, vu.NumSpills)

@@ -176,8 +176,8 @@ func VerifyAllocation(before, after *Unit) error {
 
 	// The rewritten code, block by block.
 	named := func(r Reg) Reg { // how a list names r
-		if r == InvalidReg {
-			return InvalidReg
+		if r == InvalidReg || r.IsImm() {
+			return r
 		}
 		if l := loc(r); l != InvalidReg {
 			return l
@@ -214,7 +214,7 @@ func VerifyAllocation(before, after *Unit) error {
 				continue
 			}
 			for _, op := range []struct{ r, scratch Reg }{{want.A, scratch0}, {want.B, scratch1}} {
-				if l := named(op.r); l >= SpillRegBase {
+				if l := named(op.r); spilled(l) {
 					if in := next(); in.Op != Reload || in.D != op.scratch || in.I64 != int64(l-SpillRegBase) {
 						return bad(i, "spilled r%d is not reloaded into r%d first (found %s)", op.r, op.scratch, in)
 					}
@@ -222,7 +222,7 @@ func VerifyAllocation(before, after *Unit) error {
 			}
 			in := next()
 			operand := func(r, scratch Reg) Reg {
-				if l := named(r); l < SpillRegBase {
+				if l := named(r); !spilled(l) {
 					return l
 				}
 				return scratch
@@ -253,7 +253,7 @@ func VerifyAllocation(before, after *Unit) error {
 					return bad(i, "extra inline frame")
 				}
 			}
-			if l := named(before.Blocks[bi].Instrs[i].D); l >= SpillRegBase {
+			if l := named(before.Blocks[bi].Instrs[i].D); spilled(l) {
 				if sp := next(); sp.Op != Spill || sp.A != scratch0 || sp.I64 != int64(l-SpillRegBase) {
 					return bad(i, "spilled result is not stored to slot %d (found %s)", l-SpillRegBase, sp)
 				}

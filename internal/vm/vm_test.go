@@ -1,8 +1,10 @@
 package vm_test
 
 import (
+	"io"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/jit"
@@ -20,6 +22,18 @@ func engine(t *testing.T, src string, cfg jit.Config, out *strings.Builder) *vm.
 		t.Fatal(err)
 	}
 	return v
+}
+
+// TestWorkersMetersShareNoCacheLine: the exec loop writes its
+// worker's Meter at every line head, so two workers made one after the
+// other must not have Meters on one cache line.
+func TestWorkersMetersShareNoCacheLine(t *testing.T) {
+	v := engine(t, `echo 1;`, jit.DefaultConfig(), &strings.Builder{})
+	a, b := vm.NewWorker(v.JIT, io.Discard), vm.NewWorker(v.JIT, io.Discard)
+	pa, pb := uintptr(unsafe.Pointer(a.Meter)), uintptr(unsafe.Pointer(b.Meter))
+	if d := max(pa, pb) - min(pa, pb); d < 64 {
+		t.Errorf("two workers' Meters are %d bytes apart (%#x, %#x), want at least a 64-byte line", d, pa, pb)
+	}
 }
 
 // TestOSRIntoJITedLoop: a long-running loop entered in the
