@@ -259,7 +259,7 @@ type activation struct {
 	// slots, then the constant slots. An mcode.Instr's register and
 	// constant operands index it directly. It is a window of file, which
 	// the activation carries so that most code costs no allocation of its
-	// own (the site's 99th percentile needs 27 values); a translation
+	// own (the site's 99th percentile needs 25 values); a translation
 	// that needs more grows it once, and the activation keeps what it
 	// grew.
 	vals []runtime.Value
@@ -286,7 +286,7 @@ func (a *activation) bindSpace(code *mcode.Code) {
 	default:
 		a.vals = make([]runtime.Value, n)
 	}
-	copy(a.vals[code.ConstBase():], code.Consts[:code.NumImms])
+	copy(a.vals[code.ConstBase():], code.Consts[:code.NumSlots])
 	for len(a.fr.Locals) < code.ExtSlots {
 		a.fr.Locals = append(a.fr.Locals, runtime.Uninit())
 	}

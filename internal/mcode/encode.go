@@ -50,10 +50,10 @@ const NoReg = math.MaxUint16
 
 // NumValues is the size of the value file an activation of c runs on:
 // the machine registers, then the spill slots, then the constant slots.
-func (c *Code) NumValues() int { return c.ConstBase() + c.NumImms }
+func (c *Code) NumValues() int { return c.ConstBase() + c.NumSlots }
 
-// ConstBase is the value-file index of constant slot 0: constant slot k
-// holds Consts[k], the unit's constant k.
+// ConstBase is the value-file index of constant slot 0: constant slot i
+// holds Consts[i].
 func (c *Code) ConstBase() int { return vasm.TotalMachineRegs + c.NumSpills }
 
 // Exit is an exit descriptor (vasm.ExitInfo) as the machine reads it:
@@ -103,10 +103,6 @@ func usesT2(op vasm.Op) bool {
 	return false
 }
 
-// immForm reports the ops with an immediate form, whose A or B may be
-// a constant: those immSize gives a size of their own.
-func immForm(op vasm.Op) bool { return immSize(op) != opSize(op) }
-
 // exitOp reports the ops whose X indexes Exits.
 func exitOp(op vasm.Op) bool { return op == vasm.Exit || op == vasm.BindJmp }
 
@@ -126,6 +122,9 @@ type assembler struct {
 	u *vasm.Unit
 	// starts maps vasm block ids to stream indexes (-1: not laid out).
 	starts []int32
+	// slotOf maps the unit's constants to their constant slots, plus
+	// one (0: none yet), and then to their indexes in Consts, plus one.
+	slotOf []int32
 	// at and op locate the instruction being encoded, for errors.
 	at int
 	op vasm.Op
@@ -146,7 +145,7 @@ func (a *assembler) encode(at int, in *vasm.Instr) Instr {
 	a.at, a.op = at, in.Op
 	e := Instr{Op: in.Op, I64: in.I64, D: a.dst(in.D), A: a.reg(in.A), B: a.reg(in.B),
 		T1: -1, T2: -1, X: int32(len(a.c.Regs)), Imm: in.A.IsImm() || in.B.IsImm()}
-	if e.Imm && (!immForm(in.Op) || in.A.IsImm() && in.B.IsImm()) {
+	if e.Imm && (!in.Op.HasImmForm() || in.A.IsImm() && in.B.IsImm()) {
 		a.fail("constant operands %s, %s: %s has no such immediate form", in.A, in.B, in.Op)
 	}
 	// A Target1 >= 0 is an edge whatever the op (vasm.ForEachTarget); the
@@ -211,7 +210,8 @@ func (a *assembler) encode(at int, in *vasm.Instr) Instr {
 }
 
 // reg returns r's value-file index: a machine register is its own, spill
-// slot s is TotalMachineRegs+s, constant k is ConstBase()+k.
+// slot s is TotalMachineRegs+s, and a constant is ConstBase() plus its
+// slot, which its first operand gives it.
 func (a *assembler) reg(r vasm.Reg) uint16 {
 	switch {
 	case r == vasm.InvalidReg:
@@ -219,13 +219,19 @@ func (a *assembler) reg(r vasm.Reg) uint16 {
 	case r >= 0 && r < vasm.TotalMachineRegs:
 		return uint16(r)
 	case r.IsImm():
-		if k := r.Imm(); k >= len(a.u.Imms) {
+		k := r.Imm()
+		if k >= len(a.u.Imms) {
 			a.fail("constant c%d out of range (%d imms)", k, len(a.u.Imms))
-		} else if v := a.c.ConstBase() + k; v < NoReg {
-			return uint16(v)
-		} else {
-			a.fail("constant c%d is past the value file's 16-bit index", k)
+			return NoReg
 		}
+		if a.slotOf[k] == 0 {
+			a.c.NumSlots++
+			a.slotOf[k] = int32(a.c.NumSlots)
+		}
+		if v := a.c.ConstBase() + int(a.slotOf[k]-1); v < NoReg {
+			return uint16(v)
+		}
+		a.fail("constant c%d is past the value file's 16-bit index", k)
 		return NoReg
 	case r >= vasm.SpillRegBase && int(r-vasm.SpillRegBase) < a.c.NumSpills:
 		if v := vasm.TotalMachineRegs + int(r-vasm.SpillRegBase); v < NoReg {
@@ -358,8 +364,10 @@ func (a *assembler) i32(v int) int32 {
 // Decode returns instruction i as the vasm.Instr it was assembled from,
 // with its operands as assembly resolved them: targets are stream
 // indexes, a type guard's Target2 is its index in Checks, a CallBuiltin's
-// I64 its binding (Code.Builtins). It is the stream's one decoder, for
-// tests and disassembly; the machine reads Instr directly.
+// I64 its binding (Code.Builtins), a constant operand vasm.ImmReg(i) and
+// an LdImm's I64 the constant's index i in Consts. It is the stream's
+// one decoder, for tests and disassembly; the machine reads Instr
+// directly.
 func (c *Code) Decode(i int) vasm.Instr {
 	e := &c.Instrs[i]
 	in := vasm.Instr{Op: e.Op, I64: e.I64, D: c.regOf(e.D), A: c.regOf(e.A), B: c.regOf(e.B),

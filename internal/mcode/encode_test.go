@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -133,7 +134,9 @@ func TestNewCarriesItsClass(t *testing.T) {
 }
 
 // TestDecodeRoundTrip: every operand family survives encoding — spill
-// slots, constants, jump tables, exits with inline frames, strings.
+// slots, constants, jump tables, exits with inline frames, strings. Only
+// the constants an operand carries get a constant slot, in stream order,
+// and they come first in Consts.
 func TestDecodeRoundTrip(t *testing.T) {
 	s0, s1 := vasm.SpillRegBase, vasm.SpillRegBase+1
 	c0, c1 := vasm.ImmReg(0), vasm.ImmReg(1)
@@ -155,9 +158,12 @@ func TestDecodeRoundTrip(t *testing.T) {
 		FuncID: 3, LocalsBase: 5, ThisReg: s1, RetBCOff: 8, CallerStackRegs: []vasm.Reg{1, c1},
 		Parent: &vasm.InlineInfo{FuncID: 2, ThisReg: vasm.InvalidReg, RetBCOff: 6},
 	}}
+	ld := ins(vasm.LdImm)
+	ld.D, ld.I64 = 7, 2
 	u := unitWith(add)
 	u.Blocks[0].Instrs = []vasm.Instr{add, st, spill, reload, help, table, bind}
-	u.Imms = []vasm.ImmValue{{Kind: types.KNull}, {Kind: types.KInt, I: -7}}
+	u.Blocks[1].Instrs = append(u.Blocks[1].Instrs, ld)
+	u.Imms = []vasm.ImmValue{{Kind: types.KNull}, {Kind: types.KInt, I: -7}, {Kind: types.KDbl, D: 0.5}}
 	u.NumSpills = 2
 	u.Tables = []vasm.JumpTable{{Base: 10, Targets: []int{2, 1, 2}, Default: 1}}
 	u.Layout = []int{2, 0, 1}
@@ -169,14 +175,20 @@ func TestDecodeRoundTrip(t *testing.T) {
 	if got := c.Table(6); got.Base != 10 || !reflect.DeepEqual(got.Targets, []int{0, 8, 0}) || got.Default != 8 {
 		t.Errorf("jump table decodes as %+v, want base 10, targets [0 8 0], default 8", got)
 	}
-	// The value file: 15 machine registers, 2 spill slots, then the 2
-	// constant slots, which hold the unit's constants.
-	if base := vasm.TotalMachineRegs + 2; c.ConstBase() != base || c.NumValues() != base+2 ||
-		int(c.Instrs[1].B) != base+1 || int(c.Instrs[2].A) != base || c.Consts[1] != runtime.Int(-7) {
-		t.Errorf("constant slots from %d of %d values, add reads %d, store %d; want from %d of %d, %d, %d",
-			c.ConstBase(), c.NumValues(), c.Instrs[1].B, c.Instrs[2].A, base, base+2, base+1, base)
+	// The value file: 15 machine registers, 2 spill slots, then a
+	// constant slot for each constant an operand carries, in stream
+	// order. The layout puts block 2 (a ret) first: the add is #1 and
+	// takes slot 0 for c1, the store #2 slot 1 for c0. The double only
+	// the LdImm (#9) reads has none, and comes after them in Consts.
+	if base := vasm.TotalMachineRegs + 2; c.ConstBase() != base || c.NumSlots != 2 || c.NumValues() != base+2 ||
+		int(c.Instrs[1].B) != base || int(c.Instrs[2].A) != base+1 {
+		t.Errorf("%d constant slots from %d of %d values, add reads %d, store %d; want 2 from %d of %d, %d, %d",
+			c.NumSlots, c.ConstBase(), c.NumValues(), c.Instrs[1].B, c.Instrs[2].A, base, base+2, base, base+1)
 	}
-	// The layout puts block 2 (a ret) first: the add is #1, the store #2.
+	if want := []runtime.Value{runtime.Int(-7), runtime.Null(), runtime.Dbl(0.5)}; !reflect.DeepEqual(c.Consts[:3], want) ||
+		c.Instrs[9].I64 != 2 {
+		t.Errorf("constants %v, the ldimm loads #%d; want %v, #2", c.Consts[:3], c.Instrs[9].I64, want)
+	}
 	if !c.Instrs[1].Imm || !c.Instrs[2].Imm || c.Instrs[5].Imm {
 		t.Errorf("Imm marks add %v, store %v, helper %v; want true, true, false",
 			c.Instrs[1].Imm, c.Instrs[2].Imm, c.Instrs[5].Imm)
@@ -235,7 +247,7 @@ func exitNilEmpty(ex *vasm.ExitInfo) *vasm.ExitInfo {
 		if len(regs) == 0 {
 			return nil
 		}
-		return regs
+		return slices.Clone(regs)
 	}
 	cp := *ex
 	cp.StackRegs = nilEmpty(ex.StackRegs)
@@ -272,6 +284,18 @@ func checkRoundTrip(t *testing.T, u *vasm.Unit, c *mcode.Code) bool {
 		return false
 	}
 	checks := len(u.Entry)
+	// at maps the unit's constants to their indexes in c.Consts as the
+	// stream reads them: one index each, holding the constant's value,
+	// and below NumSlots exactly for those some operand carries.
+	at, carried := map[int]int{}, map[int]bool{}
+	place := func(k, i int, operand bool) int {
+		if j, ok := at[k]; ok && j != i || i < 0 || i >= len(u.Imms) {
+			return -1
+		}
+		at[k] = i
+		carried[k] = carried[k] || operand
+		return i
+	}
 	for i, orig := range stream {
 		want := *orig
 		if want.Target1 >= 0 {
@@ -293,10 +317,19 @@ func checkRoundTrip(t *testing.T, u *vasm.Unit, c *mcode.Code) bool {
 		if want.Ex != nil {
 			want.Ex = exitNilEmpty(want.Ex)
 		}
+		want.Args = slices.Clone(want.Args)
 		got := c.Decode(i)
 		if want.Op == vasm.CallBuiltin && got.I64 > 0 && c.Builtins[got.I64-1].Name == want.Str {
 			want.I64 = got.I64 // bound to the native it names
 		}
+		if want.Op == vasm.LdImm {
+			want.I64 = int64(place(int(want.I64), int(got.I64), false))
+		}
+		forRegPairs(&want, &got, func(w *vasm.Reg, g vasm.Reg) {
+			if w.IsImm() && g.IsImm() {
+				*w = vasm.ImmReg(place(w.Imm(), g.Imm(), true))
+			}
+		})
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("#%d decodes as %s %+v (exit %+v)\nassembled from %s %+v (exit %+v)",
 				i, got.String(), got, got.Ex, want.String(), want, want.Ex)
@@ -314,5 +347,45 @@ func checkRoundTrip(t *testing.T, u *vasm.Unit, c *mcode.Code) bool {
 			}
 		}
 	}
+	slots, seen := 0, map[int]bool{}
+	for k, i := range at {
+		if seen[i] || c.Consts[i] != mcode.ConstValue(u.Imms[k]) || carried[k] != (i < c.NumSlots) {
+			t.Errorf("constant c%d (%+v, carried %v) is Consts[%d] = %v of %d slots; shared: %v",
+				k, u.Imms[k], carried[k], i, c.Consts[i], c.NumSlots, seen[i])
+			return false
+		}
+		seen[i] = true
+		if carried[k] {
+			slots++
+		}
+	}
+	if slots != c.NumSlots {
+		t.Errorf("%d constants carried, %d constant slots", slots, c.NumSlots)
+		return false
+	}
 	return true
+}
+
+// forRegPairs calls fn with each register operand of want, as a pointer,
+// and the register got holds in its place, while the two have the same
+// shape: A, B, the operand list, an exit's stack and inline frames.
+func forRegPairs(want, got *vasm.Instr, fn func(w *vasm.Reg, g vasm.Reg)) {
+	pairs := func(w, g []vasm.Reg) {
+		if len(w) == len(g) {
+			for j := range w {
+				fn(&w[j], g[j])
+			}
+		}
+	}
+	fn(&want.A, got.A)
+	fn(&want.B, got.B)
+	pairs(want.Args, got.Args)
+	if want.Ex == nil || got.Ex == nil {
+		return
+	}
+	pairs(want.Ex.StackRegs, got.Ex.StackRegs)
+	for w, g := want.Ex.Inline, got.Ex.Inline; w != nil && g != nil; w, g = w.Parent, g.Parent {
+		fn(&w.ThisReg, g.ThisReg)
+		pairs(w.CallerStackRegs, g.CallerStackRegs)
+	}
 }

@@ -53,10 +53,13 @@ type Code struct {
 	// and the inline frames they materialize.
 	Exits   []Exit
 	Inlines []Inline
-	// Consts is the constant pool, materialized: Consts[i] is the guest
-	// value LdImm #i loads and constant slot i holds (ConstBase), strings
-	// already interned. The string operands follow the unit's NumImms
-	// constants (Str).
+	// Consts is the constant pool, materialized, strings already
+	// interned: the unit's constants, then the string operands (Str).
+	// Assemble orders the constants: first the NumSlots that some operand
+	// carries, in the order the stream first reads them, so that constant
+	// slot i holds Consts[i] (ConstBase); then those only an LdImm reads,
+	// which are never copied into the value file. An LdImm's I64 is its
+	// constant's index here.
 	Consts []runtime.Value
 	// Checks holds the translation's type guards, each compiled once:
 	// Checks[i] tests entry precondition i (vasm.Unit.Entry), and every
@@ -67,10 +70,10 @@ type Code struct {
 	// unresolved, the machine falls back to a guest function of that
 	// name).
 	Builtins []*runtime.Builtin
-	// NumSpills and NumImms (the unit's constants) size the
+	// NumSpills and NumSlots (the constants operands carry) size the
 	// activation's value file (NumValues), ExtSlots its extended frame.
 	NumSpills int
-	NumImms   int
+	NumSlots  int
 	ExtSlots  int
 	// Alloc is the unit's register-allocation summary, ElidedJumps the
 	// number of fallthrough jumps Assemble left out of the stream, Guards
@@ -260,22 +263,19 @@ func opSize(op vasm.Op) uint64 {
 	}
 }
 
-// immSize is op's encoded size when one of its operands is a constant
-// (Instr.Imm), after x86-64's immediate forms: an int ALU op with an
-// imm32 is 2 bytes longer than its register form; a local store
-// or a return of an immediate cell carries a type byte and an imm32
-// value, 4 bytes more than a cell move. A constant in an operand list
-// adds nothing: a helper's or call's size already counts its argument
-// moves. The other ops have no immediate form (immForm): the assembler
-// rejects a constant A or B on one.
+// immSize is the encoded size of op, one with an immediate form
+// (vasm.Op.HasImmForm), when one of its operands is a constant
+// (Instr.Imm), after x86-64's immediate forms: a local store or a
+// return of an immediate cell carries a type byte and an imm32 value, 4
+// bytes more than a cell move; an int ALU op with an imm32 is 2 bytes
+// longer than its register form. A constant in an operand list adds
+// nothing: a helper's or call's size already counts its argument moves.
 func immSize(op vasm.Op) uint64 {
 	switch op {
-	case vasm.AddI, vasm.SubI, vasm.MulI:
-		return opSize(op) + 2
 	case vasm.StLoc, vasm.Ret:
 		return opSize(op) + 4
 	}
-	return opSize(op)
+	return opSize(op) + 2
 }
 
 // componentSize is the encoded size of one of in's components.
@@ -382,11 +382,14 @@ func Assemble(u *vasm.Unit) (*Code, error) {
 // their contents are encoded into arrays sized exactly by a first walk.
 func AssembleInto(c *Code, u *vasm.Unit) error {
 	order := u.Order()
-	*c = Code{NumSpills: u.NumSpills, NumImms: len(u.Imms), ExtSlots: u.ExtFrameSlots, Alloc: u.Alloc}
-	scratch := blockStarts.Get().(*[]int32)
-	defer blockStarts.Put(scratch)
-	*scratch = slices.Grow((*scratch)[:0], len(u.Blocks))[:len(u.Blocks)]
-	sz := sizes{checks: len(u.Entry), starts: *scratch}
+	*c = Code{NumSpills: u.NumSpills, ExtSlots: u.ExtFrameSlots, Alloc: u.Alloc}
+	scratch := assembleScratch.Get().(*[]int32)
+	defer assembleScratch.Put(scratch)
+	nb := len(u.Blocks)
+	*scratch = slices.Grow((*scratch)[:0], nb+len(u.Imms))[:nb+len(u.Imms)]
+	slotOf := (*scratch)[nb:]
+	clear(slotOf)
+	sz := sizes{checks: len(u.Entry), starts: (*scratch)[:nb:nb]}
 	if err := sz.walk(u, order); err != nil {
 		return err
 	}
@@ -406,9 +409,6 @@ func AssembleInto(c *Code, u *vasm.Unit) error {
 	}
 	if k := len(u.Imms) + sz.strs; k > 0 {
 		c.Consts = make([]runtime.Value, len(u.Imms), k)
-	}
-	for i, iv := range u.Imms {
-		c.Consts[i] = constValue(iv)
 	}
 	// The metadata: Addr, CostPrefix, DispatchFlags and the link-slot
 	// index per instruction (the last only with smash sites), then Sites,
@@ -438,7 +438,7 @@ func AssembleInto(c *Code, u *vasm.Unit) error {
 		c.entry = sz.starts[0]
 	}
 	var err error
-	a := assembler{c: c, u: u, starts: sz.starts, err: &err}
+	a := assembler{c: c, u: u, starts: sz.starts, slotOf: slotOf, err: &err}
 	var off uint64
 	for _, bi := range order {
 		b := u.Blocks[bi]
@@ -467,6 +467,21 @@ func AssembleInto(c *Code, u *vasm.Unit) error {
 			off += instrSize(&c.Instrs[at])
 		}
 	}
+	// The constants: the operands gave theirs slots 0..NumSlots-1; the
+	// rest follow, and each LdImm reads its constant's new index.
+	next := int32(c.NumSlots)
+	for k, iv := range u.Imms {
+		if slotOf[k] == 0 {
+			next++
+			slotOf[k] = next
+		}
+		c.Consts[slotOf[k]-1] = constValue(iv)
+	}
+	for i := range c.Instrs {
+		if in := &c.Instrs[i]; in.Op == vasm.LdImm {
+			in.I64 = int64(slotOf[in.I64] - 1)
+		}
+	}
 	// Jump tables live in the translation's rodata: count them into
 	// the footprint (8 bytes per entry).
 	for _, tbl := range u.Tables {
@@ -483,9 +498,10 @@ func AssembleInto(c *Code, u *vasm.Unit) error {
 	return nil
 }
 
-// blockStarts recycles the block-to-stream-index maps AssembleInto
-// resolves targets through: scratch, dead once the code is encoded.
-var blockStarts = sync.Pool{New: func() any { return new([]int32) }}
+// assembleScratch recycles what AssembleInto resolves operands through,
+// dead once the code is encoded: the block-to-stream-index map, then the
+// constant-to-slot map.
+var assembleScratch = sync.Pool{New: func() any { return new([]int32) }}
 
 // sizes counts what a unit's stream keeps, for AssembleInto to size
 // each array once, and maps its blocks to stream indexes.

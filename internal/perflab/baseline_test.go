@@ -41,8 +41,8 @@ type modeBaseline struct {
 	// LiveCycleShare is the measurement phase's share of machine cycles
 	// spent in live tracelets.
 	LiveCycleShare float64 `json:"live_cycle_share"`
-	// Tracelet and region modes: the vasm instructions a measured
-	// request runs, by op (a superinstruction counts once).
+	// The JIT's modes: the vasm instructions a measured request runs, by
+	// op (a superinstruction counts once).
 	OpMixPerReq map[string]float64 `json:"vasm_mix_per_req,omitempty"`
 	// Region mode only: siteIRDigest's fingerprint.
 	IRDigest     string `json:"ir_digest,omitempty"`
@@ -62,9 +62,7 @@ func TestBaseline(t *testing.T) {
 	for _, mode := range []jit.Mode{jit.ModeInterp, jit.ModeTracelet, jit.ModeProfiling, jit.ModeRegion} {
 		cfg := jit.DefaultConfig()
 		cfg.Mode = mode
-		pc := perflab.Quick
-		pc.CountOps = mode == jit.ModeTracelet || mode == jit.ModeRegion
-		r, err := perflab.Measure(cfg, pc)
+		r, err := perflab.Measure(cfg, perflab.Quick)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

@@ -31,9 +31,6 @@ type Config struct {
 	// Endpoints overrides the default suite (names must exist in the
 	// combined unit).
 	Endpoints []workload.Endpoint
-	// CountOps counts the measurement phase's dynamic vasm opcode mix
-	// into Result.OpMix (machine.Machine.OpMix; tests).
-	CountOps bool
 }
 
 // Quick is the reduced volume of tests and `cmd/bench -quick`.
@@ -73,7 +70,7 @@ type Result struct {
 	// CodeBytes is the steady-state JITed code footprint.
 	CodeBytes uint64
 	// OpMix counts the vasm instructions the measurement phase ran, by
-	// op, when Config.CountOps asked for it (nil otherwise).
+	// op (machine.Machine.OpMix).
 	OpMix *[vasm.OpCount]uint64
 }
 
@@ -182,12 +179,9 @@ func Measure(cfg jit.Config, pc Config) (*Result, error) {
 	// Measurement: endpoints interleave round-robin, the way mixed
 	// production traffic hits a server (this keeps the instruction
 	// working set honest for the locality experiments).
-	res := &Result{WarmStats: eng.Stats()}
-	if pc.CountOps {
-		res.OpMix = new([vasm.OpCount]uint64)
-		eng.VM.Machine.OpMix = res.OpMix
-		defer func() { eng.VM.Machine.OpMix = nil }()
-	}
+	res := &Result{WarmStats: eng.Stats(), OpMix: new([vasm.OpCount]uint64)}
+	eng.VM.Machine.OpMix = res.OpMix
+	defer func() { eng.VM.Machine.OpMix = nil }()
 	var wsum float64
 	byName := map[string]*EndpointResult{}
 	for _, ep := range eps {

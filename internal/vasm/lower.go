@@ -202,8 +202,8 @@ const (
 
 // carries says how the instruction hin lowers to can carry its operand
 // Args[i], a constant (constant): any entry of a helper's or a call's
-// operand list; as an immediate, the value a local store or a return
-// writes, either operand of an int add or multiply (the first only when
+// operand list; as an immediate, on an op that has an immediate form
+// (Op.HasImmForm): the value a local store or a return writes, either operand of an int add or multiply (the first only when
 // the second is no constant: an instruction carries one), and a
 // subtraction's second. An int compare keeps its load: with an imm32
 // form, region code sped up so much more than tracelet code that Fig
@@ -217,6 +217,9 @@ func (lw *lowerer) carries(hin *hhir.Instr, i int) carry {
 	case formHelper, formCall:
 		return carryList
 	case formOp:
+		if !row.op.HasImmForm() {
+			break
+		}
 		switch row.op {
 		case StLoc, Ret:
 			if i == 0 {

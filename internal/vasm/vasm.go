@@ -227,6 +227,19 @@ func (in *Instr) ForEachComponent(fn func(Op)) {
 	}
 }
 
+// HasImmForm reports the ops with an immediate form: one whose A or B
+// may be a constant operand (ImmReg), carried in the instruction's
+// encoding (DESIGN.md §6 "Constant operands"). The lowering carries a
+// constant only on one of these, and the assembler rejects a constant
+// A or B on any other.
+func (o Op) HasImmForm() bool {
+	switch o {
+	case AddI, SubI, MulI, StLoc, Ret:
+		return true
+	}
+	return false
+}
+
 // Smashable reports whether the instruction is a smash site: a
 // cross-translation transfer whose machine code holds a patchable
 // jump or call that the runtime can rebind to a direct successor
