@@ -25,23 +25,17 @@ import (
 // allocations reported. `go test -bench SteadyRequest -benchmem`
 // answers in seconds whether a host-time or allocation regression is
 // in the request path (and in which tier) before the ledger is run.
-// region_unfused runs the region JIT's code with dispatch fusion off
-// (the classic per-instruction loop): the same guest cycles, and the
-// host time fusion saves.
 func BenchmarkSteadyRequest(b *testing.B) {
 	for _, v := range []struct {
-		name    string
-		mode    jit.Mode
-		unfused bool
+		name string
+		mode jit.Mode
 	}{
-		{"region", jit.ModeRegion, false},
-		{"interp", jit.ModeInterp, false},
-		{"region_unfused", jit.ModeRegion, true},
+		{"region", jit.ModeRegion},
+		{"interp", jit.ModeInterp},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			cfg := jit.DefaultConfig()
 			cfg.Mode = v.mode
-			cfg.FuseDispatch = !v.unfused
 			eng, eps, err := perflab.NewEngine(cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -67,7 +67,9 @@ func (m Mode) String() string {
 // trigger. The minting thresholds and the quarantine schedule are not
 // configuration: no caller ever varied them, so they are constants
 // beside the code that reads them (maxLiveChain and liveThreshold
-// below, quarantineBase and friends in faults.go).
+// below, quarantineBase and friends in faults.go). Neither is fusion:
+// every translation is fused (vasm.Fuse) and prepared for the
+// machine's one dispatch loop (machine.PrepareDispatch).
 type Config struct {
 	Mode Mode
 
@@ -89,15 +91,6 @@ type Config struct {
 	// deterministic (the trigger compiles inline, charged to the
 	// triggering worker).
 	BackgroundCompile bool
-
-	// FuseDispatch runs the post-regalloc fusion pass (vasm.Fuse) and
-	// prepares compiled code for the machine's fast dispatch path
-	// (machine.PrepareDispatch): superinstructions and per-run static-
-	// cycle settlement. Guest outputs and cycle totals are bit-
-	// identical with it on or off; off selects the per-instruction
-	// accounting path that TestFusedDispatchBitIdentical uses as the
-	// guest-cycle reference.
-	FuseDispatch bool
 
 	// CodeCacheLimit bounds total JITed bytes; 0 reads as the
 	// DefaultConfig value (New fills it in).
@@ -134,7 +127,6 @@ func DefaultConfig() Config {
 		PGOLayout:            true,
 		FunctionSort:         true,
 		HugePages:            true,
-		FuseDispatch:         true,
 		CodeCacheLimit:       64 << 20,
 		ProfileTrigger:       1500,
 	}

@@ -63,10 +63,8 @@ func (j *JIT) compileBackend(code *mcode.Code, desc *region.Desc, bcfg hhir.Buil
 	if before != nil {
 		j.allocCheck(hu, before, vu)
 	}
-	if j.Cfg.FuseDispatch {
-		if n := vasm.Fuse(vu); n > 0 {
-			atomic.AddUint64(&j.stats.FusedInstrs, uint64(n))
-		}
+	if n := vasm.Fuse(vu); n > 0 {
+		atomic.AddUint64(&j.stats.FusedInstrs, uint64(n))
 	}
 	if err := mcode.AssembleInto(code, vu); err != nil {
 		return err
@@ -82,12 +80,12 @@ func (j *JIT) compileBackend(code *mcode.Code, desc *region.Desc, bcfg hhir.Buil
 	return nil
 }
 
-// placeCode allocates cache space for assembled code, rebases it, and
-// charges the compile fee to m. Callers hold the write lease, so the
-// alloc -> recycle -> alloc sequence below is atomic with respect to
-// every other compile: the space a recycle frees is there for the
-// retry. OptimizeAll places in function-sorted order, so hot-area
-// placement is deterministic.
+// placeCode allocates cache space for assembled code, rebases it,
+// prepares it for dispatch, and charges the compile fee to m. Callers
+// hold the write lease, so the alloc -> recycle -> alloc sequence below
+// is atomic with respect to every other compile: the space a recycle
+// frees is there for the retry. OptimizeAll places in function-sorted
+// order, so hot-area placement is deterministic.
 func (j *JIT) placeCode(code *mcode.Code, area mcode.Area, m *machine.Meter) error {
 	base, err := j.Cache.Alloc(area, code.Size)
 	if err != nil && errors.Is(err, mcode.ErrCacheFull) {
@@ -107,9 +105,7 @@ func (j *JIT) placeCode(code *mcode.Code, area mcode.Area, m *machine.Meter) err
 		return err
 	}
 	code.Place(base)
-	if j.Cfg.FuseDispatch {
-		machine.PrepareDispatch(code)
-	}
+	machine.PrepareDispatch(code)
 	// Compilation itself consumes CPU: the warmup dip in Figure 9 is
 	// partly JIT time. Charged per emitted byte.
 	m.Charge(code.Size * jitCyclesPerByte)

@@ -14,17 +14,18 @@ import (
 	"repro/internal/vasm"
 )
 
-// The accounting oracle: the classic dispatch path charges each
-// instruction's cost and probes the fetch model before executing it;
-// the fast path (PrepareDispatch) settles whole straight-line runs and
-// probes only at line heads and transfers. Every hand-assembled unit
-// below runs three ways — classic, prepared, and fused + prepared —
-// and all three must agree on the meter and on every fetch-model
-// counter, as well as on the guest-visible outcome.
+// The accounting tests: hand-assembled units whose full account —
+// meter, fetch-model counters, outcome and exit stack — is pinned to
+// what charging each unfused instruction's opCost and probing its
+// start before running it gives. Every unit runs prepared and fused +
+// prepared, and both must equal the pinned account: a fused instruction
+// straddling an i-cache line, taken and fall-through branches, a
+// side-exiting guard, and a mid-run panic. TestPreparedDispatch-
+// MatchesPerInstruction checks the tables behind them on the site.
 
 const inv = vasm.InvalidReg
 
-// account is everything the dispatch variants must agree on.
+// account is everything a run is pinned on.
 type account struct {
 	Cycles, ICacheMisses, ITLBMisses, Fetches uint64
 
@@ -35,34 +36,36 @@ type account struct {
 	Stack      []runtime.Value
 }
 
-// variant is one way of getting a unit onto the machine.
+// variant is one way of compiling a unit for the machine.
 type variant struct {
-	name          string
-	fuse, prepare bool
+	name string
+	fuse bool
 }
 
-var variants = []variant{
-	{name: "classic"},
-	{name: "prepared", prepare: true},
-	{name: "fused", fuse: true, prepare: true},
-}
+var variants = []variant{{name: "prepared"}, {name: "fused", fuse: true}}
 
-// exec assembles a fresh copy of the unit at base and runs it on a
-// cold machine against a frame holding locals.
-func exec(t *testing.T, v variant, build func() *vasm.Unit, base uint64, locals ...runtime.Value) (account, *mcode.Code, machine.Outcome) {
+// place assembles u, fused first when fuse is set, places it at base
+// and prepares it for dispatch: how every hand-assembled unit gets
+// onto the machine.
+func place(t *testing.T, u *vasm.Unit, base uint64, fuse bool) *mcode.Code {
 	t.Helper()
-	u := build()
-	if v.fuse {
+	if fuse {
 		vasm.Fuse(u)
 	}
 	code, err := mcode.Assemble(u)
 	if err != nil {
-		t.Fatalf("%s: assemble: %v", v.name, err)
+		t.Fatalf("assemble: %v", err)
 	}
 	code.Place(base)
-	if v.prepare {
-		machine.PrepareDispatch(code)
-	}
+	machine.PrepareDispatch(code)
+	return code
+}
+
+// exec places a fresh copy of the unit at base and runs it on a cold
+// machine against a frame holding locals.
+func exec(t *testing.T, v variant, build func() *vasm.Unit, base uint64, locals ...runtime.Value) (account, *mcode.Code, machine.Outcome) {
+	t.Helper()
+	code := place(t, build(), base, v.fuse)
 	env := &interp.Env{Unit: &hhbc.Unit{}, Heap: runtime.NewHeap()}
 	meter := &machine.Meter{}
 	m := machine.New(env, meter, nil, mcode.NewCache(0))
@@ -76,21 +79,26 @@ func exec(t *testing.T, v variant, build func() *vasm.Unit, base uint64, locals 
 	}, code, out
 }
 
-// agree runs every variant and fails unless all accounts are equal;
-// it returns the common account and the fused variant's code.
-func agree(t *testing.T, build func() *vasm.Unit, base uint64, locals ...runtime.Value) (account, *mcode.Code, machine.Outcome) {
+// pinned runs every variant and fails unless each one's account is
+// want; it returns the fused variant's code and outcome.
+func pinned(t *testing.T, want account, build func() *vasm.Unit, base uint64, locals ...runtime.Value) (*mcode.Code, machine.Outcome) {
 	t.Helper()
-	want, _, _ := exec(t, variants[0], build, base, locals...)
 	var code *mcode.Code
 	var out machine.Outcome
-	for _, v := range variants[1:] {
+	for _, v := range variants {
 		var got account
 		got, code, out = exec(t, v, build, base, locals...)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s dispatch diverged from classic:\n got %+v\nwant %+v", v.name, got, want)
+			t.Errorf("%s dispatch of locals %v:\n got %+v\nwant %+v", v.name, locals, got, want)
 		}
 	}
-	return want, code, out
+	return code, out
+}
+
+// returned is the account of a run that returned v.
+func returned(cycles, icacheMisses, itlbMisses, fetches uint64, v runtime.Value) account {
+	return account{Cycles: cycles, ICacheMisses: icacheMisses, ITLBMisses: itlbMisses, Fetches: fetches,
+		Kind: machine.Returned, Value: v}
 }
 
 func ints(vals ...int64) []vasm.ImmValue {
@@ -104,8 +112,8 @@ func ints(vals ...int64) []vasm.ImmValue {
 // TestAccountingComponentsStraddleLine: local0 < local1. Placed 44
 // bytes into a line, the two loads end at +60 and the CmpI's Jcc starts
 // at +65 — so the fused CmpIJcc begins on one i-cache line and its
-// second component on the next, which the fast path must probe as a
-// fetch tail.
+// second component on the next, which dispatch must probe as a fetch
+// tail.
 func TestAccountingComponentsStraddleLine(t *testing.T) {
 	build := func() *vasm.Unit {
 		return &vasm.Unit{Imms: ints(1, 2), Blocks: []*vasm.Block{
@@ -119,17 +127,10 @@ func TestAccountingComponentsStraddleLine(t *testing.T) {
 			{ID: 2, Instrs: []vasm.Instr{{Op: vasm.Ret, D: inv, A: vasm.ImmReg(1), B: inv}}},
 		}}
 	}
-	less, fused, _ := agree(t, build, 0x10000+44, runtime.Int(5), runtime.Int(6))
-	more, _, _ := agree(t, build, 0x10000+44, runtime.Int(7), runtime.Int(6))
-	if less.Kind != machine.Returned || less.Value != runtime.Int(1) || more.Value != runtime.Int(2) {
-		t.Errorf("outcomes %+v and %+v, want Returned 1 and 2", less, more)
-	}
 	// LdLoc 3 + LdLoc 3 + CmpI 1 + Jcc 1 + Ret 10, two locals torn down
 	// (4), two cold lines (20 each) on one cold page (30).
-	if less.Cycles != 92 || more.Cycles != 92 || less.ICacheMisses != 2 || less.ITLBMisses != 1 {
-		t.Errorf("%d and %d cycles, %d i-cache and %d I-TLB misses; want 92, 92, 2, 1",
-			less.Cycles, more.Cycles, less.ICacheMisses, less.ITLBMisses)
-	}
+	fused, _ := pinned(t, returned(92, 2, 1, 2, runtime.Int(1)), build, 0x10000+44, runtime.Int(5), runtime.Int(6))
+	pinned(t, returned(92, 2, 1, 2, runtime.Int(2)), build, 0x10000+44, runtime.Int(7), runtime.Int(6))
 	if fused.Instrs[2].Op != vasm.CmpIJcc || fused.DispatchFlags[2]&mcode.FlagFetchTails == 0 {
 		t.Errorf("fused stream %v flags %v: want a CmpIJcc carrying a fetch tail at index 2",
 			fused.Instrs, fused.DispatchFlags)
@@ -152,15 +153,9 @@ func TestAccountingImmediates(t *testing.T) {
 			{Op: vasm.Ret, D: inv, A: 4, B: inv},
 		}}}}
 	}
-	got, code, _ := agree(t, build, 0x10000, runtime.Int(34), runtime.Null())
-	if got.Kind != machine.Returned || got.Value != runtime.Int(42) {
-		t.Errorf("outcome %+v, want Returned 42", got)
-	}
 	// LdLoc 3 + AddI 1 + StLoc 2 + LdLoc 3 + AddI 1 + Ret 10, two locals
 	// torn down (4), one cold line and page (50).
-	if got.Cycles != 74 {
-		t.Errorf("%d cycles, want 74", got.Cycles)
-	}
+	code, _ := pinned(t, returned(74, 1, 1, 1, runtime.Int(42)), build, 0x10000, runtime.Int(34), runtime.Null())
 	if want := []int32{0, 8, 15, 27, 35, 40}; code.Size != 48 || !reflect.DeepEqual(code.Addr, want) {
 		t.Errorf("addresses %v, %d bytes; want %v, 48", code.Addr, code.Size, want)
 	}
@@ -173,8 +168,8 @@ func TestAccountingImmediates(t *testing.T) {
 }
 
 // TestAccountingJcc: a conditional branch whose true target is the
-// next stream instruction (the fast path coalesces it into the
-// running stretch) and whose false target is a taken transfer onto
+// next stream instruction (dispatch coalesces it into the running
+// stretch) and whose false target is a taken transfer onto
 // another line (settle, then probe).
 func TestAccountingJcc(t *testing.T) {
 	build := func() *vasm.Unit {
@@ -193,18 +188,11 @@ func TestAccountingJcc(t *testing.T) {
 			}},
 		}}
 	}
-	through, _, _ := agree(t, build, 0x10000+40, runtime.Bool(true))
-	taken, _, _ := agree(t, build, 0x10000+40, runtime.Bool(false))
-	if through.Value != runtime.Int(1) || taken.Value != runtime.Int(2) {
-		t.Errorf("fall-through returned %v, taken returned %v; want 1 and 2", through.Value, taken.Value)
-	}
 	// Either way LdLoc 3 + Jcc 1 + LdImm 1 + Ret 10, one local (2), and
 	// two cold lines on one cold page (70): the fall-through's Ret and
 	// the taken branch's whole block sit on the second line.
-	if through.Cycles != 87 || taken.Cycles != 87 || through.ICacheMisses != 2 || taken.ICacheMisses != 2 {
-		t.Errorf("fall-through %d cycles / %d misses, taken %d / %d; want 87 / 2 both",
-			through.Cycles, through.ICacheMisses, taken.Cycles, taken.ICacheMisses)
-	}
+	pinned(t, returned(87, 2, 1, 2, runtime.Int(1)), build, 0x10000+40, runtime.Bool(true))
+	pinned(t, returned(87, 2, 1, 2, runtime.Int(2)), build, 0x10000+40, runtime.Bool(false))
 }
 
 // TestAccountingGuardSideExit: a failing type guard leaves through
@@ -225,23 +213,14 @@ func TestAccountingGuardSideExit(t *testing.T) {
 			}},
 		}}
 	}
-	pass, _, _ := agree(t, build, 0x10000, runtime.Int(41))
-	if pass.Kind != machine.Returned || pass.Value != runtime.Int(42) || pass.GuardFails != 0 {
-		t.Errorf("passing guard: %+v, want Returned 42", pass)
-	}
-	fail, fused, _ := agree(t, build, 0x10000, runtime.Dbl(1.5))
-	if fail.Kind != machine.SideExit || fail.BCOff != 7 || fail.GuardFails != 1 {
-		t.Errorf("failing guard: %+v, want SideExit at bytecode 7 with one guard fail", fail)
-	}
-	if len(fail.Stack) != 1 || fail.Stack[0] != runtime.Dbl(1.5) {
-		t.Errorf("exit stack %v, want the guarded value", fail.Stack)
-	}
 	// One cold line and page (50) under both. Passing: LdLoc 3 + guard 2
 	// + LdImm 1 + AddI 1 + Ret 10 + one local (2). Failing: LdLoc 3 +
-	// guard 2 + the fail penalty 14 + the exit stub 8.
-	if pass.Cycles != 69 || fail.Cycles != 77 {
-		t.Errorf("passing run %d cycles, failing run %d; want 69 and 77", pass.Cycles, fail.Cycles)
-	}
+	// guard 2 + the fail penalty 14 + the exit stub 8, leaving at
+	// bytecode 7 with the guarded value on the stack.
+	pinned(t, returned(69, 1, 1, 1, runtime.Int(42)), build, 0x10000, runtime.Int(41))
+	fused, _ := pinned(t, account{Cycles: 77, ICacheMisses: 1, ITLBMisses: 1, Fetches: 1,
+		Kind: machine.SideExit, BCOff: 7, GuardFails: 1, Stack: []runtime.Value{runtime.Dbl(1.5)}},
+		build, 0x10000, runtime.Dbl(1.5))
 	if fused.Instrs[0].Op != vasm.LdLocGK {
 		t.Errorf("fused stream %v: want the guard fused into LdLocGK", fused.Instrs)
 	}
@@ -249,8 +228,8 @@ func TestAccountingGuardSideExit(t *testing.T) {
 
 // TestAccountingPanicMidRun: a translation that panics (a local slot
 // past the frame) is contained as a fault, and the meter is settled
-// through the faulting instruction — what the classic path charged
-// before executing it.
+// through the faulting instruction: it was dispatched, so it is
+// charged.
 func TestAccountingPanicMidRun(t *testing.T) {
 	build := func() *vasm.Unit {
 		return &vasm.Unit{Imms: ints(3, 4), Blocks: []*vasm.Block{{ID: 0, Instrs: []vasm.Instr{
@@ -261,14 +240,42 @@ func TestAccountingPanicMidRun(t *testing.T) {
 			{Op: vasm.Ret, D: inv, A: 3, B: inv},
 		}}}}
 	}
-	got, _, out := agree(t, build, 0x10000+30, runtime.Int(0))
-	var tf *machine.TransFault
-	if got.Kind != machine.Faulted || !errors.As(out.Err, &tf) {
-		t.Fatalf("outcome %+v err %v, want a contained TransFault", got, out.Err)
-	}
 	// LdImm 1 + LdImm 1 + MulI 3 + the faulting LdLoc 3 on one cold
-	// line and page (50); never the Ret.
-	if got.Cycles != 58 {
-		t.Errorf("%d cycles, want 58: settled through the faulting instruction and no further", got.Cycles)
+	// line and page (50): settled through the faulting instruction, never
+	// the Ret.
+	_, out := pinned(t, account{Cycles: 58, ICacheMisses: 1, ITLBMisses: 1, Fetches: 1, Kind: machine.Faulted},
+		build, 0x10000+30, runtime.Int(0))
+	var tf *machine.TransFault
+	if !errors.As(out.Err, &tf) {
+		t.Errorf("outcome %+v err %v, want a contained TransFault", out, out.Err)
+	}
+}
+
+// TestExecRefusesUnpreparedCode: code that PrepareDispatch has not
+// seen would run with no static cost and no fetch; Exec faults it
+// instead, before running any instruction.
+func TestExecRefusesUnpreparedCode(t *testing.T) {
+	code, err := mcode.Assemble(&vasm.Unit{Imms: ints(1), Blocks: []*vasm.Block{{ID: 0, Instrs: []vasm.Instr{
+		{Op: vasm.StLoc, D: inv, A: vasm.ImmReg(0), B: inv, I64: 0},
+		{Op: vasm.Ret, D: inv, A: vasm.ImmReg(0), B: inv},
+	}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code.Place(0x10000)
+	env := &interp.Env{Unit: &hhbc.Unit{}, Heap: runtime.NewHeap()}
+	m := machine.New(env, &machine.Meter{}, nil, mcode.NewCache(0))
+	fr := &interp.Frame{Fn: &hhbc.Func{ID: 1}, PC: 3, Locals: []runtime.Value{runtime.Null()}}
+	out := m.Exec(code, fr)
+	var tf *machine.TransFault
+	if out.Kind != machine.Faulted || !errors.As(out.Err, &tf) || out.BCOff != 3 {
+		t.Errorf("unprepared code: outcome %+v, want a TransFault at the entry pc 3", out)
+	}
+	if fr.Locals[0] != runtime.Null() || m.Meter.Cycles != 0 || m.Fetch.Fetches != 0 {
+		t.Errorf("unprepared code ran: local %v, %d cycles, %d fetches", fr.Locals[0], m.Meter.Cycles, m.Fetch.Fetches)
+	}
+	machine.PrepareDispatch(code)
+	if out := m.Exec(code, fr); out.Kind != machine.Returned || out.Value != runtime.Int(1) || m.Meter.Cycles == 0 {
+		t.Errorf("prepared code: outcome %+v after %d cycles, want Returned 1 at a cost", out, m.Meter.Cycles)
 	}
 }

@@ -4,11 +4,8 @@ import (
 	goruntime "runtime"
 	"testing"
 
-	"repro/internal/hhir"
-	"repro/internal/jit"
 	"repro/internal/machine"
 	"repro/internal/mcode"
-	"repro/internal/perflab"
 	"repro/internal/vasm"
 )
 
@@ -26,22 +23,11 @@ func TestAssemblyAllocatesPerArray(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	eng, eps, err := perflab.NewEngine(jit.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var units []*vasm.Unit
-	eng.VM.JIT.SetAllocationCheck(func(_ *hhir.Unit, _, after *vasm.Unit) {
-		units = append(units, after.Clone())
-	})
-	if err := perflab.Warm(eng, eps, 10, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !eng.VM.JIT.Optimized() {
-		t.Fatal("warm-up did not reach the optimized tier")
-	}
-	for _, u := range units {
-		vasm.Fuse(u) // as the default configuration compiles
+	site := siteUnits(t)
+	units := make([]*vasm.Unit, len(site))
+	for i, u := range site {
+		units[i] = u.Clone()
+		vasm.Fuse(units[i]) // as the JIT compiles
 	}
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)

@@ -38,13 +38,10 @@ func (t *fakeTarget) ChainMatch(_ *interp.Frame, from *mcode.Code) (int, bool) {
 }
 func (t *fakeTarget) ChainLink(epoch uint64) *mcode.Link { return &mcode.Link{Epoch: epoch, Target: t} }
 
-// assemble assembles u as chainable code.
+// assemble places u as chainable code.
 func assemble(t *testing.T, u *vasm.Unit) *mcode.Code {
 	t.Helper()
-	code, err := mcode.Assemble(u)
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
+	code := place(t, u, 0x10000, false)
 	code.Chainable = true
 	return code
 }

@@ -1,22 +1,21 @@
 package machine
 
-// Fast dispatch. The classic exec loop pays, per vasm instruction, a
-// fetch-model probe and an opCost call before the opcode switch. The
-// fast path prepared here charges static cycles once per straight-
-// line run via prefix sums, probes the fetch model only at icache-
-// line boundaries and control transfers, and executes the
-// superinstructions minted by vasm.Fuse. The classic path stays in
-// the loop as the guest-cycle reference the tests compare against
-// (unprepared code takes it). Guest-visible behavior — every output
-// and every meter cycle — is bit-identical between the two:
+// Dispatch. PrepareDispatch computes, once per placed translation,
+// prefix sums of static cost and where new i-cache lines start, so the
+// exec loop, the machine's only one, charges a straight-line run in one
+// add, probes the fetch model only at line heads and transfers, and
+// runs vasm.Fuse's superinstructions as one dispatch each. The meter
+// and the fetch model end where charging opCost and probing the start
+// of each unfused instruction one at a time would leave them
+// (TestPreparedDispatchMatchesPerInstruction checks the tables):
 //
 //   - Same-line fetches return 0 without touching FetchModel state,
-//     so skipping them is invisible. A straight-line successor is on
-//     the same line as its stream predecessor exactly when
-//     FetchHead is false — computed from the same addresses the
-//     classic path fetches. Control transfers always probe, and
-//     Fetch itself short-circuits on lastLine, so over-probing at a
-//     transfer that lands on the current line is also invisible.
+//     so skipping them is invisible. FetchHead marks an instruction
+//     that starts a line its stream predecessor did not end on, and
+//     FetchTails a fused one's later components that do. Control
+//     transfers always probe; Fetch short-circuits on lastLine, so
+//     over-probing at a transfer that lands on the current line is
+//     also invisible.
 //   - Static costs are charged when the run settles (at transfers,
 //     exits, throws, faults, and returns) instead of before each
 //     instruction. Nothing observes Meter.Cycles between those
@@ -26,9 +25,9 @@ package machine
 
 import "repro/internal/mcode"
 
-// PrepareDispatch computes the dispatch metadata of placed code and
-// marks it for the fast path. Must run after Code.Place (addresses
-// are line-relative to the base). It fills the windows Assemble
+// PrepareDispatch computes the dispatch metadata of placed code. Must
+// run after Code.Place (addresses are line-relative to the base); Exec
+// refuses code it has not prepared. It fills the windows Assemble
 // reserved for it and allocates nothing.
 func PrepareDispatch(code *mcode.Code) {
 	n := len(code.Instrs)
@@ -60,5 +59,4 @@ func PrepareDispatch(code *mcode.Code) {
 		}
 	}
 	code.FetchTails = tails
-	code.FastDispatch = true
 }

@@ -212,9 +212,9 @@ type Machine struct {
 	// Shapes is the JIT-shared shape-guard/IC statistics sink.
 	Shapes *ShapeStats
 	// OpMix, when set, counts every instruction the machine runs by op,
-	// a superinstruction as one (tests: perflab's baseline). The fast
-	// path counts a straight-line run where it charges it (settle), so
-	// the per-instruction loop is the same with or without it.
+	// a superinstruction as one (tests: perflab's baseline). A
+	// straight-line run is counted where it is charged (settle), so the
+	// loop itself is the same with or without it.
 	OpMix *[vasm.OpCount]uint64
 
 	// methodCache: per-site monomorphic inline caches.
@@ -330,11 +330,10 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 	// Block 0 is the translation entry; layout may have placed hotter
 	// loop blocks ahead of it.
 	ip := code.Entry()
-	// Fast dispatch state (see dispatch.go): fast code charges static
-	// cycles per straight-line run [runStart, ip] via CostPrefix and
-	// probes the fetch model only at line heads and transfers (xfer).
-	// runStart -1 means nothing has been dispatched yet.
-	fast := code.FastDispatch
+	// Dispatch state (see dispatch.go): static cycles are charged per
+	// straight-line run [runStart, ip] via CostPrefix, and the fetch
+	// model is probed only at line heads and transfers (xfer). runStart
+	// -1 means nothing has been dispatched yet.
 	runStart := -1
 	xfer := true
 	// Hot loop state hoisted out of code and act so the per-instruction
@@ -362,10 +361,9 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 		// faulted; the VM quarantines the address and re-executes the
 		// stretch in the interpreter.
 		if r := recover(); r != nil {
-			if fast && runStart >= 0 {
+			if runStart >= 0 {
 				// Settle the pending run through the panicking
-				// instruction (the classic path charges each
-				// instruction before executing it).
+				// instruction: it was dispatched, so it is charged.
 				through := ip
 				if through > len(code.Instrs)-1 {
 					through = len(code.Instrs) - 1
@@ -379,36 +377,32 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			out = m.faultOutcome(act, guardFails, reason)
 		}
 	}()
+	// Assemble leaves CostPrefix zero, and a prepared stream never
+	// totals 0: it ends in a transfer.
+	if code.CostPrefix[len(instrs)] == 0 {
+		return m.faultOutcome(act, guardFails, "code not prepared for dispatch")
+	}
 	if m.FI.Should(faultinject.TransPanic) {
 		panic(faultinject.Errf(faultinject.TransPanic))
 	}
 	runStart = ip
 	for {
 		if ip >= len(instrs) {
-			if fast {
-				m.settle(code, runStart, ip-1)
-			}
+			m.settle(code, runStart, ip-1)
 			return m.faultOutcome(act, guardFails, "fell off code end")
 		}
 		in := &instrs[ip]
-		if fast {
-			if fl := flags[ip]; fl != 0 || xfer {
-				// Line head or transfer landing: probe the fetch model
-				// (free when the line is unchanged — over-probing at a
-				// same-line transfer is invisible).
-				m.Meter.Cycles += m.Fetch.Fetch(code.AddrOf(ip))
-				xfer = false
-				if fl&mcode.FlagFetchTails != 0 {
-					tails := code.FetchTails
-					for k := int(fl >> mcode.FlagBits); k < len(tails) && int(tails[k]) == ip; k += 2 {
-						m.Meter.Cycles += m.Fetch.Fetch(code.Base + uint64(tails[k+1]))
-					}
+		if fl := flags[ip]; fl != 0 || xfer {
+			// Line head or transfer landing: probe the fetch model (free
+			// when the line is unchanged — over-probing at a same-line
+			// transfer is invisible).
+			m.Meter.Cycles += m.Fetch.Fetch(code.AddrOf(ip))
+			xfer = false
+			if fl&mcode.FlagFetchTails != 0 {
+				tails := code.FetchTails
+				for k := int(fl >> mcode.FlagBits); k < len(tails) && int(tails[k]) == ip; k += 2 {
+					m.Meter.Cycles += m.Fetch.Fetch(code.Base + uint64(tails[k+1]))
 				}
-			}
-		} else {
-			m.Meter.Cycles += opCost(in.Op) + m.Fetch.Fetch(code.AddrOf(ip))
-			if m.OpMix != nil {
-				m.OpMix[in.Op]++
 			}
 		}
 
@@ -434,9 +428,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				// A layout bug, not a guest condition: fault the
 				// translation so the self-healing path quarantines it
 				// instead of silently computing on a phantom Null.
-				if fast {
-					m.settle(code, runStart, ip)
-				}
+				m.settle(code, runStart, ip)
 				return m.faultOutcome(act, guardFails, fmt.Sprintf(
 					"LdStk slot %d out of range (stack depth %d)", in.I64, len(fr.Stack)))
 			}
@@ -651,9 +643,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			goto branch
 
 		case vasm.Ret:
-			if fast {
-				m.settle(code, runStart, ip)
-			}
+			m.settle(code, runStart, ip)
 			v := vals[in.A]
 			m.Meter.Charge(uint64(2 * len(fr.Locals))) // frame teardown
 			fr.Stack = fr.Stack[:0]
@@ -662,15 +652,11 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 				EntryPC: act.entryPC}
 
 		case vasm.Exit:
-			if fast {
-				m.settle(code, runStart, ip)
-			}
+			m.settle(code, runStart, ip)
 			exit = m.takeExit(code, act, in.X, SideExit, nil, guardFails)
 			goto chain
 		case vasm.BindJmp:
-			if fast {
-				m.settle(code, runStart, ip)
-			}
+			m.settle(code, runStart, ip)
 			exit = m.takeExit(code, act, in.X, BindRequest, nil, guardFails)
 			exit.BCOff = int(in.I64)
 			if exit.Inline == nil {
@@ -679,9 +665,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			goto chain
 
 		default:
-			if fast {
-				m.settle(code, runStart, ip)
-			}
+			m.settle(code, runStart, ip)
 			return m.faultOutcome(act, guardFails, fmt.Sprintf("bad opcode %s", in.Op))
 		}
 		ip++
@@ -700,27 +684,22 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			nip = int(in.T2)
 		}
 	branch: // control moves to stream index nip
-		if fast {
-			// Fallthrough coalescing: a branch to the next stream
-			// instruction continues the straight-line run — no
-			// settlement, no fetch re-probe (DispatchFlags already
-			// describe stream-successive lines, and the jump's own
-			// cost is inside the prefix sums).
-			if nip == ip+1 {
-				ip = nip
-				continue
-			}
-			m.settle(code, runStart, ip)
+		// Fallthrough coalescing: a branch to the next stream instruction
+		// continues the straight-line run — no settlement, no fetch
+		// re-probe (DispatchFlags already describe stream-successive
+		// lines, and the jump's own cost is inside the prefix sums).
+		if nip == ip+1 {
+			ip = nip
+			continue
 		}
+		m.settle(code, runStart, ip)
 		ip = nip
 		runStart, xfer = ip, true
 		continue
 
 	guardFail: // the guard at ip failed: its target is a chained block or an exit stub
 		guardFails++
-		if fast {
-			m.settle(code, runStart, ip)
-		}
+		m.settle(code, runStart, ip)
 		m.Meter.Charge(guardFailPenalty)
 		nip = int(in.T1)
 		if nip >= len(instrs) || instrs[nip].Op != vasm.Exit {
@@ -737,7 +716,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 	chain: // exit was taken at smash site ip: follow its link or leave
 		if nc, cip, ok := m.chainFrom(code, ip, act, &exit, &chained); ok {
 			code, ip = nc, cip
-			fast, runStart, xfer = code.FastDispatch, cip, true
+			runStart, xfer = cip, true
 			instrs, flags, consts, checks, regs = code.Instrs, code.DispatchFlags, code.Consts, code.Checks, code.Regs
 			vals = act.vals
 			continue
@@ -745,17 +724,14 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 		return exit
 
 	throw: // guest error err raised by the instruction at ip
-		if fast {
-			m.settle(code, runStart, ip)
-		}
+		m.settle(code, runStart, ip)
 		return m.throwTo(code, act, in.T1, err, guardFails)
 	}
 }
 
 // settle charges the static cost of the straight-line stretch
-// [runStart, through] in one add (fast dispatch), and counts its ops
-// into OpMix when that is set. No-op when the stretch is empty
-// (through < runStart).
+// [runStart, through] in one add, and counts its ops into OpMix when
+// that is set. No-op when the stretch is empty (through < runStart).
 func (m *Machine) settle(code *mcode.Code, runStart, through int) {
 	if through >= runStart {
 		m.Meter.Cycles += uint64(code.CostPrefix[through+1] - code.CostPrefix[runStart])

@@ -123,7 +123,8 @@ type assembler struct {
 	// starts maps vasm block ids to stream indexes (-1: not laid out).
 	starts []int32
 	// slotOf maps the unit's constants to their constant slots, plus
-	// one (0: none yet), and then to their indexes in Consts, plus one.
+	// one (0: none yet; equal values share one), and then to their
+	// indexes in Consts, plus one.
 	slotOf []int32
 	// at and op locate the instruction being encoded, for errors.
 	at int
@@ -225,8 +226,7 @@ func (a *assembler) reg(r vasm.Reg) uint16 {
 			return NoReg
 		}
 		if a.slotOf[k] == 0 {
-			a.c.NumSlots++
-			a.slotOf[k] = int32(a.c.NumSlots)
+			a.slotOf[k] = a.constSlot(constValue(a.u.Imms[k]))
 		}
 		if v := a.c.ConstBase() + int(a.slotOf[k]-1); v < NoReg {
 			return uint16(v)
@@ -242,6 +242,21 @@ func (a *assembler) reg(r vasm.Reg) uint16 {
 	}
 	a.fail("r%d is neither a machine register nor one of %d spill slots (read before it is defined, or never allocated)", r, a.c.NumSpills)
 	return NoReg
+}
+
+// constSlot returns the constant slot holding v, plus one, giving v the
+// next slot when no slot holds an equal value yet: constants are pooled
+// per definition, so a unit may carry one value many times, and each
+// slot costs a copy on every entry and chained transfer (bindSpace).
+// Equal is equal as a runtime.Value, which keeps 0.0 and -0.0 apart.
+func (a *assembler) constSlot(v runtime.Value) int32 {
+	slots := a.c.Consts[:a.c.NumSlots]
+	if i := slices.Index(slots, v); i >= 0 {
+		return int32(i + 1)
+	}
+	a.c.Consts[a.c.NumSlots] = v
+	a.c.NumSlots++
+	return int32(a.c.NumSlots)
 }
 
 // dst returns the value-file index of the register r an instruction

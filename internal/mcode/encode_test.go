@@ -195,6 +195,40 @@ func TestDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEqualConstantsShareASlot: operand constants of equal value read
+// one constant slot, so an entry copies the value once; 0.0 and -0.0
+// are different values and keep a slot each. Consts keeps an entry per
+// constant.
+func TestEqualConstantsShareASlot(t *testing.T) {
+	add := ins(vasm.AddI)
+	add.D, add.A, add.B = 1, 1, vasm.ImmReg(0)
+	again := add
+	again.B = vasm.ImmReg(1)
+	zero, negZero := ins(vasm.StLoc), ins(vasm.StLoc)
+	zero.A, negZero.A, negZero.I64 = vasm.ImmReg(2), vasm.ImmReg(3), 1
+	ret := ins(vasm.Ret)
+	ret.A = 1
+	u := unitWith(add)
+	u.Blocks[0].Instrs = []vasm.Instr{add, again, zero, negZero, ret}
+	u.Imms = []vasm.ImmValue{{Kind: types.KInt, I: 5}, {Kind: types.KInt, I: 5},
+		{Kind: types.KDbl, D: 0}, {Kind: types.KDbl, D: math.Copysign(0, -1)}}
+	c, err := mcode.Assemble(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRoundTrip(t, u, c)
+	base := c.ConstBase()
+	if c.NumSlots != 3 || int(c.Instrs[0].B) != base || int(c.Instrs[1].B) != base ||
+		int(c.Instrs[2].A) != base+1 || int(c.Instrs[3].A) != base+2 {
+		t.Errorf("%d slots from %d; the adds read %d and %d, the stores %d and %d; want 3, the adds %d, the stores %d and %d",
+			c.NumSlots, base, c.Instrs[0].B, c.Instrs[1].B, c.Instrs[2].A, c.Instrs[3].A, base, base+1, base+2)
+	}
+	if want := []runtime.Value{runtime.Int(5), runtime.Dbl(0), runtime.Dbl(math.Copysign(0, -1))}; !slices.Equal(c.Consts[:3], want) ||
+		len(c.Consts) != len(u.Imms) {
+		t.Errorf("constants %v, want %v and %d entries", c.Consts, want, len(u.Imms))
+	}
+}
+
 // TestSiteDecodesToWhatItAssembled: for every unit the warmed site
 // compiles, as its compile hands it to Assemble, decoding the code
 // gives back each instruction assembled, its operands mapped through
@@ -286,7 +320,9 @@ func checkRoundTrip(t *testing.T, u *vasm.Unit, c *mcode.Code) bool {
 	checks := len(u.Entry)
 	// at maps the unit's constants to their indexes in c.Consts as the
 	// stream reads them: one index each, holding the constant's value,
-	// and below NumSlots exactly for those some operand carries.
+	// and below NumSlots exactly for those some operand carries. Many
+	// constants map to one slot when their values are equal; an index
+	// past the slots belongs to one constant.
 	at, carried := map[int]int{}, map[int]bool{}
 	place := func(k, i int, operand bool) int {
 		if j, ok := at[k]; ok && j != i || i < 0 || i >= len(u.Imms) {
@@ -347,21 +383,20 @@ func checkRoundTrip(t *testing.T, u *vasm.Unit, c *mcode.Code) bool {
 			}
 		}
 	}
-	slots, seen := 0, map[int]bool{}
+	seen := map[int]bool{}
 	for k, i := range at {
-		if seen[i] || c.Consts[i] != mcode.ConstValue(u.Imms[k]) || carried[k] != (i < c.NumSlots) {
+		if seen[i] && i >= c.NumSlots || c.Consts[i] != mcode.ConstValue(u.Imms[k]) || carried[k] != (i < c.NumSlots) {
 			t.Errorf("constant c%d (%+v, carried %v) is Consts[%d] = %v of %d slots; shared: %v",
 				k, u.Imms[k], carried[k], i, c.Consts[i], c.NumSlots, seen[i])
 			return false
 		}
 		seen[i] = true
-		if carried[k] {
-			slots++
-		}
 	}
-	if slots != c.NumSlots {
-		t.Errorf("%d constants carried, %d constant slots", slots, c.NumSlots)
-		return false
+	for i := range c.NumSlots {
+		if j := slices.Index(c.Consts[:i], c.Consts[i]); j >= 0 || !seen[i] {
+			t.Errorf("constant slot %d holds %v (carried: %v), as slot %d does", i, c.Consts[i], seen[i], j)
+			return false
+		}
 	}
 	return true
 }

@@ -54,12 +54,14 @@ type Code struct {
 	Exits   []Exit
 	Inlines []Inline
 	// Consts is the constant pool, materialized, strings already
-	// interned: the unit's constants, then the string operands (Str).
-	// Assemble orders the constants: first the NumSlots that some operand
-	// carries, in the order the stream first reads them, so that constant
-	// slot i holds Consts[i] (ConstBase); then those only an LdImm reads,
-	// which are never copied into the value file. An LdImm's I64 is its
-	// constant's index here.
+	// interned: one entry per unit constant, then the string operands
+	// (Str). Assemble orders the constants: first the NumSlots distinct
+	// values operands carry, in the order the stream first reads them,
+	// so that constant slot i holds Consts[i] (ConstBase): equal
+	// constants share a slot; then those only an LdImm reads, which are
+	// never copied into the value file; then, unused, one entry for each
+	// constant that shares a slot. An LdImm's I64 is its constant's
+	// index here.
 	Consts []runtime.Value
 	// Checks holds the translation's type guards, each compiled once:
 	// Checks[i] tests entry precondition i (vasm.Unit.Entry), and every
@@ -89,20 +91,14 @@ type Code struct {
 	Base uint64
 	Size uint64
 
-	// FastDispatch marks translations prepared for the machine's fused
-	// fast-dispatch path: CostPrefix/DispatchFlags/FetchTails are
-	// filled in (by machine.PrepareDispatch, after Place) and the
-	// machine charges static cycles per straight-line run instead of
-	// per instruction. Unprepared code always takes the classic
-	// per-instruction path.
-	FastDispatch bool
-	// CostPrefix[i] is the summed static cost of Instrs[:i] (length
-	// len(Instrs)+1): the cost of the stream stretch [a, b] is
+	// The dispatch tables, filled in by machine.PrepareDispatch after
+	// Place. CostPrefix[i] is the summed static cost of Instrs[:i]
+	// (length len(Instrs)+1): the cost of the stream stretch [a, b] is
 	// CostPrefix[b+1]-CostPrefix[a]. A translation's summed cost fits
 	// in 32 bits as its size does.
 	CostPrefix []int32
 	// DispatchFlags[i] packs the per-instruction fetch metadata into
-	// one word so the fast path pays a single load per instruction:
+	// one word so dispatch pays a single load per instruction:
 	// FlagFetchHead means Instrs[i] starts on a different icache line
 	// than the last component of its stream predecessor (a
 	// straight-line fall-into needs a fetch probe; control transfers
@@ -467,15 +463,15 @@ func AssembleInto(c *Code, u *vasm.Unit) error {
 			off += instrSize(&c.Instrs[at])
 		}
 	}
-	// The constants: the operands gave theirs slots 0..NumSlots-1; the
+	// The constants: the operands put theirs in slots 0..NumSlots-1; the
 	// rest follow, and each LdImm reads its constant's new index.
 	next := int32(c.NumSlots)
 	for k, iv := range u.Imms {
 		if slotOf[k] == 0 {
 			next++
 			slotOf[k] = next
+			c.Consts[next-1] = constValue(iv)
 		}
-		c.Consts[slotOf[k]-1] = constValue(iv)
 	}
 	for i := range c.Instrs {
 		if in := &c.Instrs[i]; in.Op == vasm.LdImm {

@@ -57,7 +57,8 @@ func allocate(t *testing.T, u *vasm.Unit) {
 	}
 }
 
-// run assembles an allocated unit and executes it on a fresh machine.
+// run assembles, places and prepares an allocated unit and executes it
+// on a fresh machine.
 func run(t *testing.T, u *vasm.Unit, locals ...runtime.Value) (machine.Outcome, *interp.Frame) {
 	t.Helper()
 	code, err := mcode.Assemble(u)
@@ -65,6 +66,7 @@ func run(t *testing.T, u *vasm.Unit, locals ...runtime.Value) (machine.Outcome, 
 		t.Fatalf("assemble: %v\n%s", err, u)
 	}
 	code.Place(0x10000)
+	machine.PrepareDispatch(code)
 	env := &interp.Env{Unit: &hhbc.Unit{}, Heap: runtime.NewHeap()}
 	m := machine.New(env, &machine.Meter{}, nil, mcode.NewCache(0))
 	fr := &interp.Frame{Fn: &hhbc.Func{ID: 1}, Locals: locals}
